@@ -30,9 +30,10 @@ import (
 //     limit. The cells are allocated only when a memory budget is
 //     configured, so unbudgeted runs pay nothing — not even the allocation.
 //   - Store-side bytes are charged at their ACTUAL packed footprint: the
-//     passed store tracks the exact bytes of its compact zone buffers plus
-//     its interned discrete vectors (store.go), and the checkpoint adds that
-//     live total (passedSet.bytes) to the worker cells. Compression behind
+//     passed store tracks the exact bytes of its entries, zone-record
+//     segments, compact zone buffers and interned discrete vectors
+//     (store.go), and the checkpoint adds that live total
+//     (passedSet.bytes) to the worker cells. Compression behind
 //     the admission boundary is therefore budget-visible: the same model
 //     fits a smaller MaxBytes than it would with full stored DBMs.
 

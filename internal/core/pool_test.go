@@ -19,7 +19,7 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 	vars := []int64{0}
 
 	small := mkState(locs, vars, 10)
-	if !st.Add(small) {
+	if !st.add(small) {
 		t.Fatal("first zone must be admitted")
 	}
 	// The store must have packed its own buffer for small.Zone.
@@ -29,7 +29,7 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 	}
 
 	big := mkState(locs, vars, 20)
-	if !st.Add(big) {
+	if !st.add(big) {
 		t.Fatal("covering zone must be admitted")
 	}
 	// small's packed copy was pruned and released inside Add, and the pack
@@ -51,10 +51,10 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 	// x<=20 still subsumes x<=15, and x<=25 is still new.
 	big.Zone.SetInit()
 	small.Zone.SetInit()
-	if st.Add(mkState(locs, vars, 15)) {
+	if st.add(mkState(locs, vars, 15)) {
 		t.Error("stored zone corrupted: x<=15 no longer subsumed")
 	}
-	if !st.Add(mkState(locs, vars, 25)) {
+	if !st.add(mkState(locs, vars, 25)) {
 		t.Error("stored zone corrupted: x<=25 not admitted")
 	}
 }
@@ -68,13 +68,13 @@ func TestAddDoesNotRetainCallerZone(t *testing.T) {
 	vars := []int64{0}
 
 	s := mkState(locs, vars, 10)
-	if !st.Add(s) {
+	if !st.add(s) {
 		t.Fatal("zone must be admitted")
 	}
 	// Simulate the explorer recycling the state's own zone.
 	s.Zone.SetInit()
 
-	if st.Add(mkState(locs, vars, 8)) {
+	if st.add(mkState(locs, vars, 8)) {
 		t.Error("store lost the admitted zone x<=10 after the caller's copy was recycled")
 	}
 }

@@ -59,8 +59,8 @@ type WorkerSample struct {
 	PoolReuses int64 `json:"pool_reuses"`
 	// Frontier is the global backlog at sample time.
 	Frontier int64 `json:"frontier"`
-	// StoredBytes is the passed store's global packed footprint at sample
-	// time.
+	// StoredBytes is the passed store's global footprint (passedSet.bytes)
+	// at sample time.
 	StoredBytes int64 `json:"stored_bytes"`
 }
 

@@ -25,8 +25,9 @@ type Progress struct {
 	// Frontier is the current backlog: states admitted but not yet fully
 	// expanded. Zero once the run is over.
 	Frontier int64
-	// StoredBytes is the passed store's actual footprint: packed zone
-	// buffers plus interned discrete vectors (see store.go).
+	// StoredBytes is the passed store's actual footprint: entries, zone
+	// records, packed zone buffers and interned discrete vectors (see
+	// store.go).
 	StoredBytes int64
 	// InternHits and InternMisses count discrete-vector intern-table
 	// lookups that found (resp. created) a shared vector; the hit rate

@@ -12,7 +12,7 @@ import (
 
 // This file is the compact-store differential oracle: a full-DBM reference
 // implementation of passedSet (the pre-compression store semantics — plain
-// copied matrices, entrywise SubsetEq, no fingerprints, no interning) is run
+// copied matrices, entrywise SubsetEq, no signatures, no interning) is run
 // against the compact store through the Options.passed injection hook. Two
 // modes:
 //
@@ -151,6 +151,7 @@ func TestCompactStoreShadowMatchesReference(t *testing.T) {
 		if res.Stored != sh.ref.size() {
 			t.Errorf("workers=%d: Stats.Stored=%d, stored zones=%d", workers, res.Stored, sh.ref.size())
 		}
+		checkStoreLayout(t, fast)
 	}
 }
 
@@ -228,5 +229,210 @@ func TestCompactStoreSweepBitIdenticalToReference(t *testing.T) {
 	if csup.Max != rsup.Max || csup.Seen != rsup.Seen || csup.Unbounded != rsup.Unbounded {
 		t.Errorf("sup diverges: compact (%v,%v,%v), reference (%v,%v,%v)",
 			csup.Max, csup.Seen, csup.Unbounded, rsup.Max, rsup.Seen, rsup.Unbounded)
+	}
+}
+
+// storeParts lists the independently owned parts of a compact store: the
+// sequential store is one, every shard of a pstore is one.
+type storePart struct {
+	buckets map[uint64]*storeEntry
+	pool    *dbm.CompactPool
+}
+
+func storeParts(t *testing.T, ps passedSet) []storePart {
+	t.Helper()
+	switch st := ps.(type) {
+	case *store:
+		return []storePart{{st.buckets, st.cpool}}
+	case *pstore:
+		parts := make([]storePart, len(st.shards))
+		for i := range st.shards {
+			parts[i] = storePart{st.shards[i].buckets, st.shards[i].cpool}
+		}
+		return parts
+	}
+	t.Fatalf("not a compact store: %T", ps)
+	return nil
+}
+
+// checkStoreLayout asserts the record-list invariants of every entry of a
+// quiescent compact store: the first n slots of an entry hold live records
+// whose signature is the signature of the zone they reference, every slot
+// past them holds no payload reference, segment capacities follow the
+// doubling rule, no two records share a buffer, and the live records add up
+// to size().
+func checkStoreLayout(t *testing.T, ps passedSet) {
+	t.Helper()
+	live := 0
+	for _, part := range storeParts(t, ps) {
+		owned := map[*byte]bool{}
+		for _, e := range entriesOf(part.buckets) {
+			slots := e.slots()
+			if e.n < 1 || e.n > len(slots) {
+				t.Fatalf("entry holds n=%d records in %d slots", e.n, len(slots))
+			}
+			total := 1
+			for seg := e.more; seg != nil; seg = seg.next {
+				if want := min(total, maxSegRecs); len(seg.recs) != want {
+					t.Errorf("segment after %d slots has %d, want %d", total, len(seg.recs), want)
+				}
+				total += len(seg.recs)
+			}
+			for i, r := range slots {
+				if i >= e.n {
+					if r.z != nil {
+						t.Errorf("slot %d past the %d live records still references a buffer", i, e.n)
+					}
+					continue
+				}
+				if r.z == nil {
+					t.Fatalf("live record %d of %d has no payload", i, e.n)
+				}
+				if sig := dbm.SignatureOf(r.z.Decode()); r.sig != sig {
+					t.Errorf("record %d: stored signature %x, zone's is %x", i, r.sig, sig)
+				}
+				if owned[&r.z[0]] {
+					t.Errorf("record %d shares its buffer with another record", i)
+				}
+				owned[&r.z[0]] = true
+			}
+			live += e.n
+		}
+	}
+	if live != ps.size() {
+		t.Errorf("entries hold %d live records, size() = %d", live, ps.size())
+	}
+}
+
+// checkPoolDisjoint asserts that no slot of any entry — live or spare —
+// references a buffer that sits in its part's CompactPool. The pool has no
+// listing, so it is drained instead: every buffer it ever allocated is
+// either referenced by exactly one live record or free, so packing sample
+// (a zone of the one buffer size the store holds) must be served by reuse
+// exactly allocated − live times, and none of the buffers that come back
+// may be one a record still points to.
+func checkPoolDisjoint(t *testing.T, ps passedSet, sample *dbm.DBM) {
+	t.Helper()
+	for _, part := range storeParts(t, ps) {
+		held := map[*byte]bool{}
+		live := 0
+		for _, e := range entriesOf(part.buckets) {
+			live += e.n
+			for _, r := range e.slots() {
+				if r.z != nil {
+					held[&r.z[0]] = true
+				}
+			}
+		}
+		gets, reuses := part.pool.Stats()
+		free := gets - reuses - live
+		for i := 0; i < free; i++ {
+			c := dbm.EncodeCompact(sample, part.pool)
+			if held[&c[0]] {
+				t.Fatalf("a record references a buffer that was returned to the pool")
+			}
+		}
+		if _, after := part.pool.Stats(); after-reuses != free {
+			t.Errorf("pool served %d of %d expected reuses: a pruned buffer was not returned", after-reuses, free)
+		}
+		dbm.EncodeCompact(sample, part.pool)
+		if _, after := part.pool.Stats(); after-reuses != free {
+			t.Errorf("pool held more than the %d buffers pruning released", free)
+		}
+	}
+}
+
+// TestSegmentedListLockstep drives one discrete state's zone list through
+// the shapes the segmented layout has to survive, in lockstep with the
+// full-DBM reference: grow an antichain across many segments, prune runs of
+// it at the head, inside a segment, across segment boundaries and across
+// several segments at once, grow again into the freed slots and beyond,
+// collapse the whole list into one zone, and grow once more. Every decision
+// must equal the reference's; after every phase the list must hold exactly
+// the reference's zones in the reference's order, and the layout invariants
+// must hold. Sequentially the slot each zone occupies is known, so the prune
+// runs are aimed; with four racing adders (serialized by the shadow, -race
+// covers the shard paths) the same zones arrive in arbitrary order.
+func TestSegmentedListLockstep(t *testing.T) {
+	const n = 200 // antichain size: slots 0 | 1 | 2-3 | 4-7 | 8-15 | 16-31 | 32-47 | … | 192-207
+	locs, vars := []ta.LocID{0}, []int64{0}
+	box := func(x1, x2 int64) *State {
+		z := dbm.Universe(3)
+		z.Constrain(1, 0, dbm.LE(x1))
+		z.Constrain(2, 0, dbm.LE(x2))
+		return &State{Locs: locs, Vars: vars, Zone: z}
+	}
+	// even(k) are pairwise incomparable, and so are odd(k), and no even box
+	// is comparable to an odd one; cover(a, b) includes exactly the even
+	// boxes a..b (and the odd ones a..b-1).
+	even := func(k int) *State { return box(int64(2*k), int64(2*(n-k))) }
+	odd := func(k int) *State { return box(int64(2*k+1), int64(2*(n-k)-1)) }
+	cover := func(a, b int) *State { return box(int64(2*b), int64(2*(n-a))) }
+
+	for _, workers := range []int{1, 4} {
+		var fast passedSet = newStore()
+		if workers > 1 {
+			fast = newPStore(4)
+		}
+		sh := &shadowStore{fast: fast, ref: newRefStore()}
+		phase := func(name string, states ...*State) {
+			t.Helper()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < len(states); i += workers {
+						sh.add(states[i])
+					}
+				}(w)
+			}
+			wg.Wait()
+			if d := sh.disagreements.Load(); d != 0 {
+				t.Fatalf("workers=%d %s: %d decisions diverged from the reference", workers, name, d)
+			}
+			checkStoreLayout(t, fast)
+			var got []dbm.Compact
+			for _, part := range storeParts(t, fast) {
+				for _, e := range entriesOf(part.buckets) {
+					got = append(got, e.liveZones()...)
+				}
+			}
+			want := sh.ref.buckets[states[0].discreteKey()][0].zs
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d %s: %d zones stored, reference %d", workers, name, len(got), len(want))
+			}
+			for i := range got {
+				if !got[i].Decode().Eq(want[i]) {
+					t.Fatalf("workers=%d %s: record %d is not the reference's zone %d", workers, name, i, i)
+				}
+			}
+		}
+		seq := func(f func(int) *State, lo, hi int) (out []*State) {
+			for k := lo; k < hi; k++ {
+				out = append(out, f(k))
+			}
+			return out
+		}
+
+		phase("grow", seq(even, 0, n)...)
+		if fast.size() != n {
+			t.Fatalf("workers=%d: antichain of %d stored as %d zones", workers, n, fast.size())
+		}
+		// Aimed from the tail down, so that an earlier prune does not move a
+		// later one's targets: each cover is appended past slot 128.
+		phase("prune across the 127|128 boundary", cover(120, 135))
+		phase("prune inside a segment", cover(70, 75))
+		phase("prune across the 7|8 boundary", cover(6, 9))
+		phase("prune the inline record and the two segments after it", cover(0, 2))
+		phase("prune across several segments", cover(20, 110))
+		phase("re-add what the covers subsume", seq(even, 0, n)...)
+		phase("re-grow", seq(odd, 0, n)...)
+		phase("collapse", cover(0, n))
+		if fast.size() != 1 {
+			t.Fatalf("workers=%d: a zone covering everything left %d zones", workers, fast.size())
+		}
+		phase("re-grow from one", seq(func(k int) *State { return box(int64(2*n+1+k), int64(3*n-k)) }, 0, n/2)...)
+		checkPoolDisjoint(t, fast, even(0).Zone)
 	}
 }

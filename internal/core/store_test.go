@@ -14,37 +14,69 @@ func mkState(locs []ta.LocID, vars []int64, hi int64) *State {
 	return &State{Locs: locs, Vars: vars, Zone: z}
 }
 
+// entriesOf returns every entry of a bucket map, collision chains included.
+func entriesOf(buckets map[uint64]*storeEntry) []*storeEntry {
+	var out []*storeEntry
+	for _, e := range buckets {
+		for ; e != nil; e = e.next {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// slots returns every record slot the entry has allocated, in list order:
+// the first e.n are the live records, the rest are spare capacity.
+func (e *storeEntry) slots() []*zoneRec {
+	out := []*zoneRec{&e.first[0]}
+	for seg := e.more; seg != nil; seg = seg.next {
+		for i := range seg.recs {
+			out = append(out, &seg.recs[i])
+		}
+	}
+	return out
+}
+
+// liveZones returns the entry's stored zones in list order.
+func (e *storeEntry) liveZones() []dbm.Compact {
+	var out []dbm.Compact
+	for _, r := range e.slots()[:e.n] {
+		out = append(out, r.z)
+	}
+	return out
+}
+
 func TestStoreSubsumption(t *testing.T) {
 	st := newStore()
 	locs := []ta.LocID{0}
 	vars := []int64{0}
-	if !st.Add(mkState(locs, vars, 10)) {
+	if !st.add(mkState(locs, vars, 10)) {
 		t.Fatal("first state must be new")
 	}
-	if st.Add(mkState(locs, vars, 5)) {
+	if st.add(mkState(locs, vars, 5)) {
 		t.Error("included zone must be subsumed")
 	}
-	if st.Len() != 1 {
-		t.Errorf("store length = %d, want 1", st.Len())
+	if st.size() != 1 {
+		t.Errorf("store length = %d, want 1", st.size())
 	}
-	if !st.Add(mkState(locs, vars, 20)) {
+	if !st.add(mkState(locs, vars, 20)) {
 		t.Error("larger zone must be admitted")
 	}
 	// The larger zone covers the earlier one, which must have been pruned.
-	if st.Len() != 1 {
-		t.Errorf("store length after covering add = %d, want 1 (pruned)", st.Len())
+	if st.size() != 1 {
+		t.Errorf("store length after covering add = %d, want 1 (pruned)", st.size())
 	}
 }
 
 func TestStoreDistinguishesDiscreteParts(t *testing.T) {
 	st := newStore()
-	if !st.Add(mkState([]ta.LocID{0}, []int64{0}, 10)) ||
-		!st.Add(mkState([]ta.LocID{1}, []int64{0}, 10)) ||
-		!st.Add(mkState([]ta.LocID{0}, []int64{1}, 10)) {
+	if !st.add(mkState([]ta.LocID{0}, []int64{0}, 10)) ||
+		!st.add(mkState([]ta.LocID{1}, []int64{0}, 10)) ||
+		!st.add(mkState([]ta.LocID{0}, []int64{1}, 10)) {
 		t.Fatal("distinct discrete parts must all be admitted")
 	}
-	if st.Len() != 3 {
-		t.Errorf("store length = %d, want 3", st.Len())
+	if st.size() != 3 {
+		t.Errorf("store length = %d, want 3", st.size())
 	}
 }
 
@@ -56,11 +88,11 @@ func TestStoreIncomparableZonesCoexist(t *testing.T) {
 	a := mkState(locs, vars, 10)
 	b := &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}
 	b.Zone.Constrain(0, 1, dbm.LE(-5))
-	if !st.Add(a) || !st.Add(b) {
+	if !st.add(a) || !st.add(b) {
 		t.Fatal("incomparable zones must both be admitted")
 	}
-	if st.Len() != 2 {
-		t.Errorf("store length = %d, want 2", st.Len())
+	if st.size() != 2 {
+		t.Errorf("store length = %d, want 2", st.size())
 	}
 }
 
@@ -75,7 +107,7 @@ func TestPStoreMatchesStore(t *testing.T) {
 		mkState([]ta.LocID{1}, []int64{0}, 7),
 	}
 	for i, s := range states {
-		a := seq.Add(&State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
+		a := seq.add(&State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
 		b := par.add(&State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
 		if a != b {
 			t.Errorf("state %d: sequential add=%v parallel add=%v", i, a, b)
@@ -84,10 +116,11 @@ func TestPStoreMatchesStore(t *testing.T) {
 	if seq.size() != par.size() {
 		t.Errorf("zone counts differ: %d vs %d", seq.size(), par.size())
 	}
-	// Packed zone bytes agree exactly; intern bytes may differ (the pstore
-	// interns per shard, so cross-shard repeats are stored once per shard).
+	// Entry, record and packed zone bytes agree exactly; intern bytes may
+	// differ (the pstore interns per shard, so cross-shard repeats are stored
+	// once per shard).
 	if seq.zoneBytes.Load() != par.zoneBytes.Load() {
-		t.Errorf("packed zone bytes differ: %d vs %d", seq.zoneBytes.Load(), par.zoneBytes.Load())
+		t.Errorf("zone bytes differ: %d vs %d", seq.zoneBytes.Load(), par.zoneBytes.Load())
 	}
 	if seq.bytes() <= 0 || par.bytes() < seq.bytes() {
 		t.Errorf("stored bytes implausible: seq %d, par %d", seq.bytes(), par.bytes())
@@ -106,23 +139,32 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 	if st.bytes() != 0 {
 		t.Fatalf("empty store bytes = %d, want 0", st.bytes())
 	}
-	st.Add(mkState(locs, vars, 10))
+	st.add(mkState(locs, vars, 10))
 	after1 := st.bytes()
 	if after1 <= 0 {
 		t.Fatalf("bytes after one admission = %d, want > 0", after1)
 	}
-	// dim 2 zones fit the 16-bit width: 16-byte header + 4 bounds × 2 bytes,
-	// plus the two interned vectors (one word each).
-	if want := int64(16+4*2) + 16; after1 != want {
+	// dim 2 zones fit the 16-bit width: 8-byte header + 4 bounds × 2 bytes,
+	// plus the entry that holds the zone's record inline and the two
+	// interned vectors (one word each).
+	if want := int64(8+4*2) + entryBytes + 16; after1 != want {
 		t.Errorf("bytes after one admission = %d, want %d", after1, want)
 	}
-	st.Add(mkState(locs, vars, 5)) // subsumed
+	st.add(mkState(locs, vars, 5)) // subsumed
 	if st.bytes() != after1 {
 		t.Errorf("bytes changed on subsumed add: %d -> %d", after1, st.bytes())
 	}
-	st.Add(mkState(locs, vars, 20)) // prunes the x<=10 zone
+	st.add(mkState(locs, vars, 20)) // prunes the x<=10 zone
 	if st.bytes() != after1 {
 		t.Errorf("bytes after prune+admit = %d, want %d (same-size swap)", st.bytes(), after1)
+	}
+	// An incomparable zone needs a second record: one more payload plus the
+	// entry's first overflow segment, which holds a single slot.
+	b := &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}
+	b.Zone.Constrain(0, 1, dbm.LE(-25))
+	st.add(b)
+	if want := after1 + int64(8+4*2) + segBytes + recBytes; st.bytes() != want {
+		t.Errorf("bytes after a second zone = %d, want %d", st.bytes(), want)
 	}
 }
 
@@ -132,9 +174,9 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 func TestStoreInternsDiscreteVectors(t *testing.T) {
 	st := newStore()
 	// Same locs, three different vars: locs interned once, hit twice.
-	st.Add(mkState([]ta.LocID{7}, []int64{0}, 10))
-	st.Add(mkState([]ta.LocID{7}, []int64{1}, 10))
-	st.Add(mkState([]ta.LocID{7}, []int64{2}, 10))
+	st.add(mkState([]ta.LocID{7}, []int64{0}, 10))
+	st.add(mkState([]ta.LocID{7}, []int64{1}, 10))
+	st.add(mkState([]ta.LocID{7}, []int64{2}, 10))
 	hits, misses := st.internStats()
 	if hits != 2 {
 		t.Errorf("intern hits = %d, want 2 (repeated location vector)", hits)
@@ -143,10 +185,7 @@ func TestStoreInternsDiscreteVectors(t *testing.T) {
 	if misses != 4 {
 		t.Errorf("intern misses = %d, want 4", misses)
 	}
-	var entries []*storeEntry
-	for _, b := range st.buckets {
-		entries = append(entries, b...)
-	}
+	entries := entriesOf(st.buckets)
 	if len(entries) != 3 {
 		t.Fatalf("entries = %d, want 3", len(entries))
 	}

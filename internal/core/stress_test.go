@@ -58,15 +58,14 @@ func TestPStoreConcurrentSubsumingAdds(t *testing.T) {
 	var zones []*dbm.DBM
 	for i := range st.shards {
 		st.shards[i].mu.Lock()
-		for _, bucket := range st.shards[i].buckets {
-			for _, e := range bucket {
-				for _, z := range e.zones {
-					zones = append(zones, z.Decode())
-				}
+		for _, e := range entriesOf(st.shards[i].buckets) {
+			for _, z := range e.liveZones() {
+				zones = append(zones, z.Decode())
 			}
 		}
 		st.shards[i].mu.Unlock()
 	}
+	checkStoreLayout(t, st)
 	if len(zones) != chains {
 		t.Errorf("stored %d zones, want %d (one maximal zone per chain)", len(zones), chains)
 	}

@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Compact is a stored zone in packed form: a 16-byte header followed by the
+// Compact is a stored zone in packed form: an 8-byte header followed by the
 // dim² bounds at a narrow fixed width. Canonical DBMs in extrapolated
 // explorations have all finite bounds clamped to the model horizon, so almost
 // every stored zone fits 16-bit (or at worst 32-bit) encoded bounds; the full
@@ -16,36 +16,90 @@ import (
 //	[0]     width code: 2, 4 or 8 (bytes per bound)
 //	[1]     reserved (zero)
 //	[2:4]   dim, uint16 little-endian
-//	[4:8]   reserved (zero)
-//	[8:16]  inclusion score, int64 little-endian (see InclusionScore)
-//	[16:]   dim² bounds, row-major, width bytes each, little-endian
+//	[4:8]   reserved (zero; keeps 64-bit payloads 8-byte aligned)
+//	[8:]    dim² bounds, row-major, width bytes each, little-endian
 //
 // Narrow widths store the encoded Bound (value<<1|weak) as int16/int32 with
 // math.MaxInt16/math.MaxInt32 as the Infinity sentinel; width 8 stores the
 // Bound verbatim (Infinity is already math.MaxInt64). Inclusion tests run
 // directly on the packed payload — admission never decodes a stored zone.
+// The packed form carries no inclusion summary of its own: the store keeps
+// each zone's Signature beside the reference to its buffer, so a scan that
+// rejects on the signature never touches the buffer at all.
 type Compact []byte
 
-const compactHeader = 16
+const compactHeader = 8
 
-// scoreClamp caps each entry's contribution to the inclusion score so that
-// Infinity does not swamp the sum: min(b, scoreClamp) is still monotone in b,
-// which is all the pre-filter needs.
-const scoreClamp Bound = 1 << 40
+// SigLanes is the number of lanes of a Signature.
+const SigLanes = 8
 
-// InclusionScore returns Σ min(bound, clamp) over all entries of a DBM. Each
-// term is monotone in the bound, so d ⊆ z (entrywise d ≤ z) implies
-// InclusionScore(d) ≤ InclusionScore(z). Stores use the contrapositive as a
-// constant-time pre-filter before the full entrywise inclusion scan.
-func InclusionScore(d *DBM) int64 {
-	var s int64
-	for _, b := range d.m {
-		if b > scoreClamp {
-			b = scoreClamp
+// Signature is a fixed-size inclusion summary of a DBM: lane k holds the sum
+// of the clamped bounds of every column j with j%SigLanes == k. Each term is
+// monotone in its bound, so d ⊆ z (entrywise d ≤ z) implies
+// sig(d)[k] ≤ sig(z)[k] for every lane; stores use the contrapositive as a
+// pre-filter before the full entrywise inclusion scan. Partitioning by column
+// is what gives the filter its power: a difference constraint xi − xj ≤ c
+// usually comes with its mirror xj − xi ≤ −c', and the two land in different
+// lanes (j and i) instead of cancelling in one sum.
+//
+// Lanes are 31-bit unsigned sums, two to a word (lane k in the low or high
+// half of word k/2); the bit above each lane is kept clear so that Leq can
+// compare both lanes of a word with one subtraction. Signatures of zones of
+// different dimension are not comparable.
+type Signature [SigLanes / 2]uint64
+
+// sigSpare has the spare bit above each of a word's two lanes set.
+const sigSpare = 1<<63 | 1<<31
+
+// Leq reports whether a ≤ b in every lane — the necessary condition for the
+// zone summarized by a to be included in the zone summarized by b.
+func (a *Signature) Leq(b *Signature) bool {
+	// With its spare bit set a lane of b exceeds any lane of a, so the
+	// subtraction never borrows from the lane above, and the spare bit
+	// survives it exactly when b's lane is at least a's.
+	return ((b[0]|sigSpare)-a[0])&((b[1]|sigSpare)-a[1])&
+		((b[2]|sigSpare)-a[2])&((b[3]|sigSpare)-a[3])&sigSpare == sigSpare
+}
+
+// sigClamp returns the magnitude c every bound is clamped to before it enters
+// a lane as min(max(b, −c), c) + c — monotone in b, which is all the
+// pre-filter needs, and never negative. A lane collects at most
+// dim·⌈dim/SigLanes⌉ such terms of at most 2c each, so this c keeps every
+// lane below 2³¹ whatever the bounds are (Infinity and the 64-bit escape
+// included).
+func sigClamp(dim int) Bound {
+	return Bound(math.MaxInt32 / (2 * dim * ((dim + SigLanes - 1) / SigLanes)))
+}
+
+// SignatureOf returns the inclusion signature of d.
+func SignatureOf(d *DBM) (sig Signature) {
+	dim := d.dim
+	c := sigClamp(dim)
+	// Rows are walked SigLanes columns at a time so that each lane keeps one
+	// accumulator; the +c of every term is added once at the end.
+	var l [SigLanes]int64
+	for r := 0; r < dim; r++ {
+		row := d.m[r*dim : (r+1)*dim]
+		for len(row) >= SigLanes {
+			l[0] += int64(min(max(row[0], -c), c))
+			l[1] += int64(min(max(row[1], -c), c))
+			l[2] += int64(min(max(row[2], -c), c))
+			l[3] += int64(min(max(row[3], -c), c))
+			l[4] += int64(min(max(row[4], -c), c))
+			l[5] += int64(min(max(row[5], -c), c))
+			l[6] += int64(min(max(row[6], -c), c))
+			l[7] += int64(min(max(row[7], -c), c))
+			row = row[SigLanes:]
 		}
-		s += int64(b)
+		for j, b := range row {
+			l[j] += int64(min(max(b, -c), c))
+		}
 	}
-	return s
+	for k, v := range l {
+		cols := (dim - k + SigLanes - 1) / SigLanes // columns j < dim with j%SigLanes == k
+		sig[k/2] |= uint64(v+int64(c)*int64(dim*cols)) << (32 * (k % 2))
+	}
+	return sig
 }
 
 // Dim returns the clock count of the packed zone.
@@ -54,17 +108,12 @@ func (c Compact) Dim() int { return int(binary.LittleEndian.Uint16(c[2:4])) }
 // Width returns the payload width in bytes per bound (2, 4 or 8).
 func (c Compact) Width() int { return int(c[0]) }
 
-// Score returns the inclusion score recorded at encode time; it equals
-// InclusionScore of the decoded zone.
-func (c Compact) Score() int64 { return int64(binary.LittleEndian.Uint64(c[8:16])) }
-
 // EncodeCompact packs a canonical DBM into the narrowest width that holds all
 // its finite bounds, drawing the buffer from p (which may be nil for a plain
 // allocation). The bounds themselves are stored encoded, so the pack is a
 // single scan plus a single copy — no per-entry decode.
 func EncodeCompact(d *DBM, p *CompactPool) Compact {
 	lo, hi := Bound(math.MaxInt64), Bound(math.MinInt64)
-	var score int64
 	for _, b := range d.m {
 		if b != Infinity {
 			if b < lo {
@@ -74,10 +123,6 @@ func EncodeCompact(d *DBM, p *CompactPool) Compact {
 				hi = b
 			}
 		}
-		if b > scoreClamp {
-			b = scoreClamp
-		}
-		score += int64(b)
 	}
 	width := 8
 	switch {
@@ -93,7 +138,6 @@ func EncodeCompact(d *DBM, p *CompactPool) Compact {
 	c[1] = 0
 	binary.LittleEndian.PutUint16(c[2:4], uint16(d.dim))
 	binary.LittleEndian.PutUint32(c[4:8], 0)
-	binary.LittleEndian.PutUint64(c[8:16], uint64(score))
 	pay := c[compactHeader:]
 	switch width {
 	case 2:

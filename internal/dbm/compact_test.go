@@ -50,9 +50,6 @@ func TestCompactRoundTripWidths(t *testing.T) {
 		if c.Dim() != z.Dim() {
 			t.Errorf("%s: dim = %d, want %d", tc.name, c.Dim(), z.Dim())
 		}
-		if c.Score() != InclusionScore(z) {
-			t.Errorf("%s: score = %d, want %d", tc.name, c.Score(), InclusionScore(z))
-		}
 		if got := c.Decode(); !got.Eq(z) {
 			t.Errorf("%s: round trip diverges:\n got %s\nwant %s", tc.name, got, z)
 		}
@@ -107,10 +104,12 @@ func TestCompactInclusionAgainstFull(t *testing.T) {
 		if !cs.SubsetEqDBM(b) {
 			t.Errorf("λ=%d: SubsetEqDBM: small ⊆ big must hold", lambda)
 		}
-		// Score monotonicity, the admission pre-filter's soundness condition.
-		if InclusionScore(s) > cb.Score() {
-			t.Errorf("λ=%d: score(small)=%d > score(big)=%d despite inclusion",
-				lambda, InclusionScore(s), cb.Score())
+		// Signature monotonicity, the admission pre-filter's soundness
+		// condition.
+		ss, sb := SignatureOf(s), SignatureOf(b)
+		if !ss.Leq(&sb) {
+			t.Errorf("λ=%d: sig(small)=%v exceeds sig(big)=%v in some lane despite inclusion",
+				lambda, ss, sb)
 		}
 	}
 }
@@ -164,8 +163,8 @@ func TestCompactPoolRecycles(t *testing.T) {
 
 // FuzzCompactRoundTrip is the encode/decode identity oracle: any canonical
 // zone the exploration could produce — pushed through all three widths via
-// value scaling — must decode bit-identically, with the header dimension and
-// inclusion score matching the full form.
+// value scaling — must decode bit-identically, with the header dimension
+// matching the full form.
 func FuzzCompactRoundTrip(f *testing.F) {
 	f.Add([]byte{0})
 	// Wide dimension with frees: Infinity sentinels in every row.
@@ -189,9 +188,6 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		if c.Dim() != dim {
 			t.Fatalf("header dim = %d, want %d", c.Dim(), dim)
 		}
-		if c.Score() != InclusionScore(z) {
-			t.Fatalf("header score = %d, want %d", c.Score(), InclusionScore(z))
-		}
 		if got := c.Decode(); !got.Eq(z) {
 			t.Fatalf("round trip diverges (width %d):\n got %s\nwant %s", c.Width(), got, z)
 		}
@@ -207,9 +203,8 @@ func FuzzCompactRoundTrip(f *testing.F) {
 
 // FuzzCompactSubsetEq is the differential inclusion oracle: both packed
 // inclusion directions (ContainsDBM, SubsetEqDBM) must agree with full-DBM
-// SubsetEq on arbitrary canonical zone pairs at every width, and the header
-// score must stay monotone under inclusion (the admission pre-filter's
-// soundness condition).
+// SubsetEq on arbitrary canonical zone pairs at every width. (The pre-filter
+// that runs before them in the store has its own oracle, FuzzSignatureMonotone.)
 func FuzzCompactSubsetEq(f *testing.F) {
 	f.Add([]byte{0})
 	// A pair where one strictly includes the other.
@@ -235,13 +230,151 @@ func FuzzCompactSubsetEq(f *testing.F) {
 		if got, want := c.SubsetEqDBM(o), z.SubsetEq(o); got != want {
 			t.Fatalf("SubsetEqDBM = %v, full SubsetEq = %v\n z=%s\n o=%s", got, want, z, o)
 		}
-		if o.SubsetEq(z) && InclusionScore(o) > c.Score() {
-			t.Fatalf("score not monotone: score(o)=%d > score(z)=%d despite o ⊆ z\n z=%s\n o=%s",
-				InclusionScore(o), c.Score(), z, o)
+	})
+}
+
+// lane returns lane k of a signature.
+func (a *Signature) lane(k int) uint32 { return uint32(a[k/2] >> (32 * (k % 2))) }
+
+// refLanes is the signature written the slow, obvious way: every bound clamped
+// and biased on its own, summed into the lane of its column.
+func refLanes(d *DBM) (lanes [SigLanes]uint64) {
+	c := sigClamp(d.dim)
+	for i := 0; i < d.dim; i++ {
+		for j := 0; j < d.dim; j++ {
+			b := d.At(i, j)
+			if b > c {
+				b = c
+			} else if b < -c {
+				b = -c
+			}
+			lanes[j%SigLanes] += uint64(b + c)
 		}
-		if z.SubsetEq(o) && c.Score() > InclusionScore(o) {
-			t.Fatalf("score not monotone: score(z)=%d > score(o)=%d despite z ⊆ o\n z=%s\n o=%s",
-				c.Score(), InclusionScore(o), z, o)
+	}
+	return lanes
+}
+
+func TestSignatureLanes(t *testing.T) {
+	for _, dim := range []int{1, 2, 7, 8, 9, 16, 22, 64} {
+		z := New(dim)
+		z.Up()
+		for c := 1; c < dim; c++ {
+			if c%3 != 0 {
+				z.Constrain(c, 0, LE(int64(50+c)))
+			}
+			z.Constrain(0, c, LT(int64(-c)))
 		}
+		for _, lambda := range []int64{1, 1 << 14, 1 << 33, int64(sigClamp(dim)) / 2} {
+			s := scaleZone(z, max(lambda, 1))
+			sig, want := SignatureOf(s), refLanes(s)
+			for k := range want {
+				if want[k] >= 1<<31 {
+					t.Fatalf("dim %d λ=%d: lane %d = %d overflows 31 bits", dim, lambda, k, want[k])
+				}
+				if uint64(sig.lane(k)) != want[k] {
+					t.Errorf("dim %d λ=%d: lane %d = %d, want %d", dim, lambda, k, sig.lane(k), want[k])
+				}
+			}
+		}
+	}
+	// Leq is lane-wise: one lane out of order is enough to fail, whichever
+	// half of whichever word it sits in.
+	var a, b Signature
+	for k := 0; k < SigLanes; k++ {
+		a[k/2] |= uint64(1000+k) << (32 * (k % 2))
+	}
+	b = a
+	if !a.Leq(&b) {
+		t.Error("Leq must hold between equal signatures")
+	}
+	for k := 0; k < SigLanes; k++ {
+		lo := a
+		lo[k/2] -= 1 << (32 * (k % 2))
+		if !lo.Leq(&a) || a.Leq(&lo) {
+			t.Errorf("lane %d: Leq(lo, a) = %v, Leq(a, lo) = %v, want true, false", k, lo.Leq(&a), a.Leq(&lo))
+		}
+	}
+	top := Signature{math.MaxInt32 | math.MaxInt32<<32, 0, 0, 0}
+	if top.Leq(&Signature{}) || !(&Signature{}).Leq(&top) {
+		t.Error("Leq wrong at the lane maximum")
+	}
+}
+
+// FuzzSignatureMonotone is the soundness oracle of the store's admission
+// pre-filter: for canonical zones, a ⊆ b must imply sig(a) ≤ sig(b) in every
+// lane — otherwise the filter would skip an inclusion the exact check would
+// have found. The first byte picks the dimension (1, 8, 9 and 64 sit on the
+// lane-partition edges), the second the scale of the constants (the three
+// packing widths, and values at and beyond the signature's clamp); a is then
+// carved out of b by further constraints, so most inputs exercise the
+// implication instead of skipping it, and an independent second zone covers
+// pairs related by accident. The signature itself is checked against the
+// naive lane sums, and Leq against a lane-by-lane comparison.
+func FuzzSignatureMonotone(f *testing.F) {
+	f.Add([]byte{0})
+	// dim 9, 16-bit constants, a free clock: Infinity entries in lanes 0 and 1.
+	f.Add([]byte{4, 0, 6, 0, 4, 3, 2, 1, 20, 3, 2, 5, 0, 5, 1, 4, 9, 2, 2, 1, 7})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &byteReader{data: data}
+		dims := [...]int{1, 2, 3, 8, 9, 22, 64}
+		dim := dims[int(r.next())%len(dims)]
+		scale := int64(1)
+		switch r.next() % 5 {
+		case 1:
+			scale = 1 << 14 // 32-bit packing
+		case 2:
+			scale = 1 << 33 // 64-bit escape
+		case 3:
+			scale = max(int64(sigClamp(dim))/16, 1) // constants straddle the clamp
+		case 4:
+			scale = int64(sigClamp(dim)) // every nonzero constant beyond it
+		}
+		b := New(1)
+		var a, o *DBM
+		if dim == 1 {
+			a, o = New(1), New(1)
+		} else {
+			b = buildFuzzZone(r, dim)
+			o = scaleZone(buildFuzzZone(r, dim), scale)
+			a = b.Copy()
+			for n := 1 + int(r.next())%4; n > 0; n-- {
+				i, j := int(r.next())%dim, int(r.next())%dim
+				if i == j {
+					continue
+				}
+				prev := a.Copy()
+				if !a.Constrain(i, j, LE(int64(r.next()%24)-6)) {
+					a = prev
+				}
+			}
+			a, b = scaleZone(a, scale), scaleZone(b, scale)
+		}
+		if !a.SubsetEq(b) {
+			t.Fatalf("setup: constraining must shrink the zone\n a=%s\n b=%s", a, b)
+		}
+		check := func(x, y *DBM) {
+			sx, sy := SignatureOf(x), SignatureOf(y)
+			lx, ly := refLanes(x), refLanes(y)
+			lanewise := true
+			for k := range lx {
+				if uint64(sx.lane(k)) != lx[k] || uint64(sy.lane(k)) != ly[k] {
+					t.Fatalf("lane %d: got %d and %d, naive sums %d and %d\n x=%s\n y=%s",
+						k, sx.lane(k), sy.lane(k), lx[k], ly[k], x, y)
+				}
+				lanewise = lanewise && lx[k] <= ly[k]
+			}
+			if sx.Leq(&sy) != lanewise {
+				t.Fatalf("Leq = %v, lane by lane = %v\n sx=%x\n sy=%x", sx.Leq(&sy), lanewise, sx, sy)
+			}
+			if x.SubsetEq(y) && !lanewise {
+				t.Fatalf("signature not monotone: x ⊆ y but lanes %v exceed %v\n x=%s\n y=%s", lx, ly, x, y)
+			}
+		}
+		check(a, b)
+		check(b, a)
+		check(a, o)
+		check(o, a)
+		check(o, b)
+		check(b, o)
 	})
 }

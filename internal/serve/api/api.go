@@ -126,8 +126,8 @@ type ProgressBody struct {
 	Frontier    int64 `json:"frontier"`
 	Workers     int   `json:"workers"`
 	Running     bool  `json:"running"`
-	// StoredBytes is the passed store's actual resident footprint: packed
-	// zone bytes plus interned discrete vectors.
+	// StoredBytes is the passed store's actual resident footprint: entries,
+	// zone records, packed zone bytes and interned discrete vectors.
 	StoredBytes int64 `json:"stored_bytes"`
 	// InternHits / InternMisses count discrete-vector intern lookups; the hit
 	// rate is the store's discrete-part sharing factor.

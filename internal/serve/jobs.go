@@ -531,9 +531,9 @@ func (m *jobManager) get(id string) *job {
 	return m.jobs[id]
 }
 
-// storedFootprint sums the live explorations' actual passed-store footprint:
-// packed zone bytes plus interned discrete vectors, and the intern hit/miss
-// totals, across every non-terminal job. Terminal jobs are skipped — their
+// storedFootprint sums the live explorations' actual passed-store footprint
+// (core.Progress.StoredBytes) and the intern hit/miss totals across every
+// non-terminal job. Terminal jobs are skipped — their
 // stores are already unreachable and collected; counting them would report
 // memory the process no longer holds. Snapshots are taken outside m.mu (a
 // Monitor sums per-worker counters) so a slow sample never blocks submission.
