@@ -25,8 +25,8 @@ import (
 //     the run — worker scratch, admitted states still in flight — is drawn
 //     from some worker's dbm.Pool, whose gets/reuses counters already record
 //     how many matrices it allocated (gets − reuses). At each checkpoint a
-//     worker publishes its own pool's allocation into its cache-line-padded
-//     cell (a plain store, single writer) and sums all cells against the
+//     worker publishes its own pool's allocation into its perWorker cell
+//     (a plain store, single writer) and sums all cells against the
 //     limit. The cells are allocated only when a memory budget is
 //     configured, so unbudgeted runs pay nothing — not even the allocation.
 //   - Store-side bytes are charged at their ACTUAL packed footprint: the
@@ -67,13 +67,6 @@ func (p *PanicError) Error() string {
 	return fmt.Sprintf("core: worker %d panicked: %v", p.Worker, p.Value)
 }
 
-// budgetCell is one worker's published zone-allocation bytes, padded so
-// neighboring workers' stores never share a cache line.
-type budgetCell struct {
-	bytes atomic.Int64
-	_     [56]byte
-}
-
 // memBudget accounts a run's zone memory against Options.MaxBytes.
 type memBudget struct {
 	limit int64
@@ -81,8 +74,9 @@ type memBudget struct {
 	zoneBytes int64
 	// base charges the one allocation made before workers start: the initial
 	// state's zone (its packed store copy is inside the stored-bytes total).
-	base  int64
-	cells []budgetCell
+	base int64
+	// cells hold each worker's published zone-allocation bytes.
+	cells perWorker[atomic.Int64]
 }
 
 func newMemBudget(limit int64, dim, workers int) *memBudget {
@@ -91,14 +85,14 @@ func newMemBudget(limit int64, dim, workers int) *memBudget {
 		limit:     limit,
 		zoneBytes: zb,
 		base:      zb,
-		cells:     make([]budgetCell, workers),
+		cells:     make(perWorker[atomic.Int64], workers),
 	}
 }
 
 // publish stores worker w's pool allocation into its cell; single writer.
 func (b *memBudget) publish(w int, pool *dbm.Pool) {
 	gets, reuses := pool.Stats()
-	b.cells[w].bytes.Store(int64(gets-reuses) * b.zoneBytes)
+	b.cells.at(w).Store(int64(gets-reuses) * b.zoneBytes)
 }
 
 // exceeded sums every worker's published bytes plus the passed store's
@@ -106,7 +100,7 @@ func (b *memBudget) publish(w int, pool *dbm.Pool) {
 func (b *memBudget) exceeded(storedBytes int64) bool {
 	total := b.base + storedBytes
 	for i := range b.cells {
-		total += b.cells[i].bytes.Load()
+		total += b.cells.at(i).Load()
 	}
 	return total > b.limit
 }

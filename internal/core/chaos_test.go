@@ -81,8 +81,8 @@ func TestChaosInjectedAllocFailure(t *testing.T) {
 }
 
 // TestChaosStorePanicContained injects a panic inside compact-store admission
-// ("core/store" fires at the top of storeEntry.admit, i.e. while the pstore
-// variant holds a shard lock) and requires a contained *PanicError. The
+// ("core/store" fires at the top of storeEntry.admit, i.e. while a parallel
+// run's store holds a shard lock) and requires a contained *PanicError. The
 // follow-up sweeps prove two things: the shard mutex was released by the
 // deferred unlock (a leaked lock would deadlock the re-sweep), and the store
 // swap left the checker reusable — the post-chaos sweep is bit-identical to a

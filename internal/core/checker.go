@@ -84,12 +84,10 @@ type SupResult struct {
 	Witness []TraceStep
 }
 
-// supAcc is one worker's supremum accumulator, padded so neighboring
-// workers' writes never share a cache line.
+// supAcc is one worker's supremum accumulator.
 type supAcc struct {
 	max  dbm.Bound
 	seen bool
-	_    [48]byte
 }
 
 // SupClock computes the supremum of clock over every reachable state
@@ -234,11 +232,10 @@ type MaxVarResult struct {
 	Seen bool
 }
 
-// maxVarAcc is one worker's range accumulator, padded against false sharing.
+// maxVarAcc is one worker's range accumulator.
 type maxVarAcc struct {
 	max, min int64
 	seen     bool
-	_        [40]byte
 }
 
 // MaxVar computes the range of an integer variable over all reachable states

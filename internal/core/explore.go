@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/obs"
 )
 
 // ErrCanceled reports an exploration stopped early through Options.Cancel.
@@ -31,15 +30,15 @@ var ErrDeadlineExceeded = errors.New("core: exploration deadline exceeded")
 const abortCheckMask = 31
 
 // This file is the unified exploration engine. Sequential and parallel runs
-// share one worker loop (explorer.run), one statistics path, and one trace
-// mechanism; they differ only in the frontier that schedules waiting states
-// and the passed-state store behind it:
+// share one worker loop (explorer.run), one passed store (store.go), one
+// statistics path, and one trace mechanism; they differ only in the frontier
+// that schedules waiting states:
 //
-//   - Workers <= 1: a listFrontier (BFS/DFS/RDFS discipline) over the
-//     unsharded store, executed inline on the calling goroutine.
+//   - Workers <= 1: a listFrontier (BFS/DFS/RDFS discipline), executed
+//     inline on the calling goroutine; the store has one unlocked shard.
 //   - Workers > 1: a dequeFrontier of Chase–Lev work-stealing deques
-//     (wsqueue.go) over the sharded pstore, executed by that many worker
-//     goroutines.
+//     (wsqueue.go), executed by that many worker goroutines; the store's
+//     shards are locked.
 //
 // # Parallel trace reconstruction
 //
@@ -105,27 +104,25 @@ type logSeg struct {
 }
 
 // workerLog is one worker's append-only record log, grown segment by
-// segment. Each worker owns its own header, padded against false sharing
-// with its neighbors.
+// segment.
 type workerLog struct {
 	segs []*logSeg
 	n    int
-	_    [4]uint64
 }
 
 // parentLogs is the shared trace arena: one append-only log per worker.
 type parentLogs struct {
-	logs []workerLog
+	logs perWorker[workerLog]
 }
 
 func newParentLogs(workers int) *parentLogs {
-	return &parentLogs{logs: make([]workerLog, workers)}
+	return &parentLogs{logs: make(perWorker[workerLog], workers)}
 }
 
 // record appends an admission record to worker w's log and returns its ref.
 // Owner only.
 func (t *parentLogs) record(w int, parent int64, key uint64, step int32) int64 {
-	l := &t.logs[w]
+	l := t.logs.at(w)
 	i := l.n
 	if i&logSegMask == 0 {
 		l.segs = append(l.segs, &logSeg{})
@@ -141,7 +138,7 @@ func (t *parentLogs) record(w int, parent int64, key uint64, step int32) int64 {
 // at resolves a ref. Only sound after the worker barrier.
 func (t *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 	i := int(ref & refIndexMask)
-	sg := t.logs[ref>>refWorkerShift].segs[i>>logSegShift]
+	sg := t.logs.at(int(ref >> refWorkerShift)).segs[i>>logSegShift]
 	return sg.parents[i&logSegMask], sg.keys[i&logSegMask], sg.steps[i&logSegMask]
 }
 
@@ -163,7 +160,7 @@ type frontier interface {
 	// steals reports how many states worker w has taken from other workers'
 	// deques so far — the work-stealing balance signal the sweep profiler
 	// samples. Always 0 for the sequential frontier. Safe from any goroutine
-	// (padded single-writer cells).
+	// (per-worker single-writer cells).
 	steals(w int) int64
 }
 
@@ -226,23 +223,27 @@ type dequeFrontier struct {
 	deques []*wsDeque
 	rngs   []*rand.Rand // per-worker victim selection
 	// stealCells counts successful steals per thief: worker w bumps its own
-	// padded cell (single-writer load+store, never an RMW) on each steal, so
-	// the sweep profiler and steal totals read live without perturbing the
+	// cell (single-writer load+store, never an RMW) on each steal, so the
+	// sweep profiler and steal totals read live without perturbing the
 	// scheduling path.
-	stealCells *obs.Cells
+	stealCells perWorker[atomic.Int64]
 	pending    atomic.Int64
 	stop       *atomic.Bool
 }
 
-func newDequeFrontier(workers int, seed int64, dequeCap int64, stop *atomic.Bool) *dequeFrontier {
+// dequeStartCap is the ring size the deques start from; they double on
+// overflow, so it only shapes early-run growth churn.
+const dequeStartCap = 64
+
+func newDequeFrontier(workers int, seed int64, stop *atomic.Bool) *dequeFrontier {
 	f := &dequeFrontier{
 		deques:     make([]*wsDeque, workers),
 		rngs:       make([]*rand.Rand, workers),
-		stealCells: obs.NewCells(workers),
+		stealCells: make(perWorker[atomic.Int64], workers),
 		stop:       stop,
 	}
 	for i := range f.deques {
-		f.deques[i] = newWSDeque(dequeCap)
+		f.deques[i] = newWSDeque(dequeStartCap)
 		f.rngs[i] = rand.New(rand.NewSource(seed ^ (int64(i+1) * 0x9E3779B9)))
 	}
 	return f
@@ -265,7 +266,8 @@ func (f *dequeFrontier) pop(w int) *State {
 		for attempt := 0; s == nil && attempt < 2*len(f.deques); attempt++ {
 			if v := f.deques[rng.Intn(len(f.deques))]; v != me {
 				if s = v.steal(); s != nil {
-					f.stealCells.Add(w, 1)
+					c := f.stealCells.at(w)
+					c.Store(c.Load() + 1)
 				}
 			}
 		}
@@ -290,7 +292,7 @@ func (f *dequeFrontier) expanded(int) { f.pending.Add(-1) }
 
 func (f *dequeFrontier) depth() int64 { return f.pending.Load() }
 
-func (f *dequeFrontier) steals(w int) int64 { return f.stealCells.Get(w) }
+func (f *dequeFrontier) steals(w int) int64 { return f.stealCells.at(w).Load() }
 
 // explorer carries the shared mutable state of one exploration run. The only
 // shared structures are the passed store, the frontier, the parent logs
@@ -421,9 +423,9 @@ func (e *explorer) run(w int) {
 	}
 	var succs []succ
 	var nPopped, nTransitions, nDeadlocks int64
-	var cell *monCell
+	var cell *workerCounts
 	if e.mon != nil {
-		cell = &e.mon.cells[w]
+		cell = e.mon.cells.at(w)
 	}
 	defer func() {
 		e.popped.Add(nPopped)
@@ -456,7 +458,7 @@ func (e *explorer) run(w int) {
 		}
 		if cell != nil {
 			// Live-progress publication: single-writer relaxed stores of the
-			// loop locals into this worker's padded cell, summed on read by
+			// loop locals into this worker's own cell, summed on read by
 			// Monitor.Snapshot. Never an RMW, never contended — the hot path
 			// cost is two or three uncontended stores per expansion.
 			cell.publish(nPopped, nTransitions, nDeadlocks)
@@ -590,16 +592,16 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		e.logs = newParentLogs(workers)
 	}
 
-	if parallel {
-		e.passed = newPStore(opts.storeShardCount())
-	} else {
-		e.passed = newStore()
-	}
-	if opts.passed != nil {
-		// Test hook: a caller-supplied passed set replaces the store, so the
-		// compact-store implementations can be differentially checked against
-		// a reference (store_oracle_test.go).
-		e.passed = opts.passed
+	// Test hook: a caller-supplied passed set replaces the store, so the
+	// compact store can be differentially checked against a reference
+	// (store_oracle_test.go).
+	e.passed = opts.passed
+	if e.passed == nil {
+		shards := 1
+		if parallel {
+			shards = parallelShards
+		}
+		e.passed = newStore(shards)
 	}
 	e.passed.add(init)
 	e.stored.Store(1)
@@ -625,7 +627,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	}
 	if !drained {
 		if parallel {
-			e.front = newDequeFrontier(workers, opts.Seed, opts.dequeCapacity(), &e.stop)
+			e.front = newDequeFrontier(workers, opts.Seed, &e.stop)
 		} else {
 			lf := &listFrontier{order: opts.Order, stop: &e.stop}
 			if opts.Monitor != nil {

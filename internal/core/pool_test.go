@@ -14,7 +14,7 @@ import (
 // (b) the packed copy never aliases the state's full zone — mutating one
 // never corrupts the other.
 func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
-	st := newStore()
+	st := newStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 
@@ -23,7 +23,8 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 		t.Fatal("first zone must be admitted")
 	}
 	// The store must have packed its own buffer for small.Zone.
-	gets0, _ := st.cpool.Stats()
+	cpool := st.shards.at(0).cpool
+	gets0, _ := cpool.Stats()
 	if gets0 == 0 {
 		t.Fatal("admission must draw the packed copy from the compact pool")
 	}
@@ -35,7 +36,7 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 	// small's packed copy was pruned and released inside Add, and the pack
 	// of big's zone (same size class) must have reused its buffer —
 	// recycling closes the loop within a single Add.
-	if _, reuses := st.cpool.Stats(); reuses == 0 {
+	if _, reuses := cpool.Stats(); reuses == 0 {
 		t.Fatal("pruned stored zone buffer must be reused for the next packed copy")
 	}
 
@@ -63,7 +64,7 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 // contract: mutating a state's zone after admission must not change what
 // the store believes, because the store owns an independent copy.
 func TestAddDoesNotRetainCallerZone(t *testing.T) {
-	st := newStore()
+	st := newStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 

@@ -128,15 +128,13 @@ type profRun struct {
 	rec   *profRecorder
 	mask  int64
 	max   int
-	rings []profRing
+	rings perWorker[profRing]
 }
 
-// profRing is one worker's bounded sample ring, padded so neighboring
-// workers' appends never share a cache line.
+// profRing is one worker's bounded sample ring.
 type profRing struct {
 	samples []WorkerSample
 	n       int // total samples taken; ring index is n % cap
-	_       [40]byte
 }
 
 func (r *profRecorder) newRun(workers int) *profRun {
@@ -146,9 +144,9 @@ func (r *profRecorder) newRun(workers int) *profRun {
 		mask <<= 1
 	}
 	pr := &profRun{rec: r, mask: mask - 1, max: r.cfg.MaxSamples,
-		rings: make([]profRing, workers)}
+		rings: make(perWorker[profRing], workers)}
 	for i := range pr.rings {
-		pr.rings[i].samples = make([]WorkerSample, 0, r.cfg.MaxSamples)
+		pr.rings.at(i).samples = make([]WorkerSample, 0, r.cfg.MaxSamples)
 	}
 	return pr
 }
@@ -158,7 +156,7 @@ func (r *profRecorder) newRun(workers int) *profRun {
 // barrier.
 func (e *explorer) sampleProfile(w int, nPopped, nTransitions int64, gets, reuses int) {
 	pr := e.prof
-	ring := &pr.rings[w]
+	ring := pr.rings.at(w)
 	s := WorkerSample{
 		AtNS:        time.Now().UnixNano(),
 		Popped:      nPopped,
@@ -188,7 +186,7 @@ func (pr *profRun) finalize(e *explorer, totals Progress) {
 	}
 	p.Series = make([]WorkerSeries, len(pr.rings))
 	for w := range pr.rings {
-		r := &pr.rings[w]
+		r := pr.rings.at(w)
 		ws := WorkerSeries{Worker: w}
 		if r.n > len(r.samples) {
 			ws.Dropped = r.n - len(r.samples)

@@ -7,7 +7,7 @@ import "sync/atomic"
 // exploration (states stored, expansion counters, frontier backlog) without
 // perturbing it. The mechanism follows the per-worker ownership style of the
 // rest of the engine: every worker publishes its loop-local counters into its
-// own cache-line-padded cell with plain atomic stores (single writer, never a
+// own perWorker cell with plain atomic stores (single writer, never a
 // read-modify-write, never contended), and Snapshot sums the cells. Once the
 // run finishes, Snapshot switches to the explorer's exact flushed totals, so
 // a final sample equals the run's Stats.
@@ -43,17 +43,15 @@ type Progress struct {
 	Running bool
 }
 
-// monCell is one worker's published counters, padded so neighboring workers'
-// stores never share a cache line.
-type monCell struct {
+// workerCounts is one worker's published counters.
+type workerCounts struct {
 	popped      atomic.Int64
 	transitions atomic.Int64
 	deadlocks   atomic.Int64
-	_           [40]byte
 }
 
 // publish stores the worker's loop locals; single writer per cell.
-func (c *monCell) publish(popped, transitions, deadlocks int64) {
+func (c *workerCounts) publish(popped, transitions, deadlocks int64) {
 	c.popped.Store(popped)
 	c.transitions.Store(transitions)
 	c.deadlocks.Store(deadlocks)
@@ -65,7 +63,7 @@ func (c *monCell) publish(popped, transitions, deadlocks int64) {
 // store, parent logs, or zones.
 type monView struct {
 	e     atomic.Pointer[explorer]
-	cells []monCell
+	cells perWorker[workerCounts]
 	// prof is the run's profile sampling state; nil unless the Monitor has
 	// profiling enabled (EnableProfile), so a plain monitored run allocates
 	// nothing for it.
@@ -119,7 +117,7 @@ type Monitor struct {
 // after the explorer's frontier is in place, so the atomic store here orders
 // every explorer field Snapshot reads.
 func (m *Monitor) attach(e *explorer, workers int) *monView {
-	v := &monView{cells: make([]monCell, workers)}
+	v := &monView{cells: make(perWorker[workerCounts], workers)}
 	if r := m.prof.Load(); r != nil {
 		v.prof = r.newRun(workers)
 	}
@@ -154,7 +152,7 @@ func (m *Monitor) Snapshot() Progress {
 		p.InternHits, p.InternMisses = e.passed.internStats()
 	}
 	for i := range v.cells {
-		c := &v.cells[i]
+		c := v.cells.at(i)
 		p.Popped += c.popped.Load()
 		p.Transitions += c.transitions.Load()
 		p.Deadlocks += c.deadlocks.Load()

@@ -28,7 +28,7 @@ import (
 //
 // # Ownership rules (extends the protocol in store.go / explore.go)
 //
-//   - Per-worker reduction state: a query allocates one cache-line-padded
+//   - Per-worker reduction state: a query allocates one perWorker
 //     accumulator per worker in prepare(); visit(w, s) touches only
 //     accumulator w, and finish() merges them strictly after the exploration
 //     barrier. The visitor path never takes a lock.
@@ -157,7 +157,7 @@ type SupClockQuery struct {
 	// its Stats are the shared exploration effort of the whole query set.
 	Result SupResult
 
-	accs []supAcc
+	accs perWorker[supAcc]
 	qs   queryState
 }
 
@@ -167,9 +167,9 @@ func NewSupClockQuery(clock ta.ClockID, cond func(*State) bool) *SupClockQuery {
 }
 
 func (q *SupClockQuery) prepare(workers int) {
-	q.accs = make([]supAcc, workers)
+	q.accs = make(perWorker[supAcc], workers)
 	for w := range q.accs {
-		q.accs[w].max = dbm.LT(0)
+		q.accs.at(w).max = dbm.LT(0)
 	}
 }
 
@@ -177,7 +177,7 @@ func (q *SupClockQuery) visit(w int, s *State) bool {
 	if !q.Cond(s) {
 		return false
 	}
-	acc := &q.accs[w]
+	acc := q.accs.at(w)
 	acc.seen = true
 	b := s.Zone.Sup(int(q.Clock))
 	if b == dbm.Infinity {
@@ -197,9 +197,10 @@ func (q *SupClockQuery) state() *queryState          { return &q.qs }
 func (q *SupClockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
 	out := SupResult{Max: dbm.LT(0), Stats: stats}
 	for i := range q.accs {
-		out.Seen = out.Seen || q.accs[i].seen
-		if q.accs[i].max > out.Max {
-			out.Max = q.accs[i].max
+		acc := q.accs.at(i)
+		out.Seen = out.Seen || acc.seen
+		if acc.max > out.Max {
+			out.Max = acc.max
 		}
 	}
 	if q.qs.done.Load() {
@@ -226,7 +227,7 @@ type MaxVarQuery struct {
 	// Stats are the shared exploration effort of the whole query set.
 	Result MaxVarResult
 
-	accs []maxVarAcc
+	accs perWorker[maxVarAcc]
 	qs   queryState
 }
 
@@ -236,9 +237,9 @@ func NewMaxVarQuery(v ta.VarID, cond func(*State) bool) *MaxVarQuery {
 }
 
 func (q *MaxVarQuery) prepare(workers int) {
-	q.accs = make([]maxVarAcc, workers)
+	q.accs = make(perWorker[maxVarAcc], workers)
 	for w := range q.accs {
-		q.accs[w].max, q.accs[w].min = -1<<62, 1<<62-1
+		q.accs.at(w).max, q.accs.at(w).min = -1<<62, 1<<62-1
 	}
 }
 
@@ -246,7 +247,7 @@ func (q *MaxVarQuery) visit(w int, s *State) bool {
 	if q.Cond != nil && !q.Cond(s) {
 		return false
 	}
-	acc := &q.accs[w]
+	acc := q.accs.at(w)
 	acc.seen = true
 	if v := s.Vars[q.Var]; v > acc.max {
 		acc.max = v
@@ -265,12 +266,13 @@ func (q *MaxVarQuery) state() *queryState          { return &q.qs }
 func (q *MaxVarQuery) finish(_ *Checker, _ *parentLogs, stats Stats) error {
 	out := MaxVarResult{Max: -1 << 62, Min: 1<<62 - 1, Stats: stats}
 	for i := range q.accs {
-		out.Seen = out.Seen || q.accs[i].seen
-		if q.accs[i].max > out.Max {
-			out.Max = q.accs[i].max
+		acc := q.accs.at(i)
+		out.Seen = out.Seen || acc.seen
+		if acc.max > out.Max {
+			out.Max = acc.max
 		}
-		if q.accs[i].min < out.Min {
-			out.Min = q.accs[i].min
+		if acc.min < out.Min {
+			out.Min = acc.min
 		}
 	}
 	q.Result = out

@@ -264,45 +264,3 @@ func TestBinarySearchWCRTTruncatedRefutes(t *testing.T) {
 		t.Error("inconclusive truncated search must error")
 	}
 }
-
-// TestStoreShardsAndDequeCapacityOptions pins the new tuning knobs: odd
-// values round up to powers of two and any setting leaves every verdict
-// unchanged.
-func TestStoreShardsAndDequeCapacityOptions(t *testing.T) {
-	if got := (Options{StoreShards: 5}).storeShardCount(); got != 8 {
-		t.Errorf("StoreShards 5 resolves to %d, want 8", got)
-	}
-	if got := (Options{}).storeShardCount(); got != 64 {
-		t.Errorf("default shard count = %d, want 64", got)
-	}
-	if got := (Options{DequeCapacity: 3}).dequeCapacity(); got != 4 {
-		t.Errorf("DequeCapacity 3 resolves to %d, want 4", got)
-	}
-	if got := (Options{}).dequeCapacity(); got != 64 {
-		t.Errorf("default deque capacity = %d, want 64", got)
-	}
-
-	n, sx, _, busy := buildGrid(t)
-	c, err := NewChecker(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cond := func(s *State) bool { return s.Locs[3] == busy }
-	want, err := c.SupClock(sx.ID, cond, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []Options{
-		{Workers: 4, StoreShards: 1, DequeCapacity: 1},
-		{Workers: 4, StoreShards: 256, DequeCapacity: 1024},
-		{Workers: 4, StoreShards: 7, DequeCapacity: 9},
-	} {
-		got, err := c.SupClock(sx.ID, cond, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Max != want.Max || got.Seen != want.Seen || got.Unbounded != want.Unbounded {
-			t.Errorf("opts %+v: sup %v != default %v", opts, got.Max, want.Max)
-		}
-	}
-}

@@ -10,11 +10,12 @@ import (
 	"repro/internal/ta"
 )
 
-// passedSet is the passed-state interface of the unified explorer: the
-// sequential store and the sharded pstore implement the same admission
-// protocol, and the worker loop only ever talks to this. bytes and
-// internStats are live views for the memory budget and progress monitor;
-// both are safe to call from other goroutines while workers add.
+// passedSet is the passed-state interface of the unified explorer; the worker
+// loop only ever talks to this. bytes and internStats are live views for the
+// memory budget and progress monitor; both are safe to call from other
+// goroutines while workers add. The engine has one implementation (store);
+// the interface is what the tests' reference and shadow stores substitute
+// through (Options.passed).
 type passedSet interface {
 	add(s *State) bool
 	size() int
@@ -24,7 +25,7 @@ type passedSet interface {
 	// internStats reports discrete-vector intern-table hits and misses.
 	internStats() (hits, misses int64)
 	// contention counts admissions that found their shard lock held and had
-	// to wait (always 0 for the sequential store).
+	// to wait (always 0 for a sequential run).
 	contention() int64
 }
 
@@ -34,6 +35,29 @@ type passedSet interface {
 // admission, stored zones included in the new one are pruned. This is the
 // standard inclusion-checking subsumption that makes zone-graph exploration
 // terminate.
+//
+// # Shards, and who guards an entry
+//
+// The bucket space is split over a power-of-two number of shards by the low
+// bits of the discrete hash, and each shard owns its bucket map, compact
+// pool and intern table outright — a discrete state always hashes to the
+// same shard, so repeats of its vectors intern within that shard. A
+// sequential run (Workers <= 1) has one shard and a single worker, which is
+// the guard: add takes no lock. A parallel run has parallelShards of them,
+// each behind its own mutex, so workers exploring disjoint regions of the
+// zone graph rarely contend. Everything below that says "whoever holds the
+// entry" means exactly that: the one sequential worker, or the holder of
+// the shard lock.
+//
+// # Keys
+//
+// Discrete hashes are cached per State (State.key); the bucket maps are keyed
+// by that hash and a storeEntry does not repeat it — entries whose hashes
+// collide chain through storeEntry.next and are told apart by their discrete
+// vectors. Entries intern those vectors (see internTable): location vectors
+// and variable valuations repeat heavily across entries, so each unique
+// vector is stored once per shard — never an alias of a state's slices,
+// since states recycle and entries do not.
 //
 // # Admission index
 //
@@ -45,52 +69,72 @@ type passedSet interface {
 // overflow segments (see zoneSeg). Both scans, reject and prune, compare
 // signatures record after record and dereference a payload only when every
 // lane passes; the exact ContainsDBM/SubsetEqDBM check on the payload then
-// decides, so the signature can only skip work, never change a decision.
+// decides, so the signature can only skip work, never change a decision:
+// state counts, traces and verdict bytes do not depend on it
+// (store_oracle_test.go, FuzzSignatureMonotone).
 //
-// Records and signatures are owned by their entry and read or written only
-// by whoever holds the entry (the single sequential worker, or the shard
-// lock of a pstore). Segments are never reallocated, copied or freed: a list
-// grows by linking a new segment and shrinks by moving later records down
-// over pruned ones, and a slot no longer in use holds no payload reference.
+// Records and signatures are owned by their entry, read or written only by
+// whoever holds the entry, and never alias a State. Segments are never
+// reallocated, copied or freed: a list grows by linking a new segment and
+// shrinks by moving later records down over pruned ones, and a slot no
+// longer in use holds no payload reference.
 //
 // # Zone ownership
 //
 // The store NEVER aliases the zone of an admitted state: on admission it
 // packs its own compact copy (dbm.EncodeCompact into a buffer from the
-// store-owned dbm.CompactPool). This is what makes recycling sound — a
+// shard-owned dbm.CompactPool). This is what makes recycling sound — a
 // pruned (subsumed) stored zone is referenced by nothing but its record and
 // its buffer can be released back into the compact pool immediately, even
 // while the pruned state is still sitting in a waiting list or arena with
 // its own zone. The full protocol:
 //
-//   - engine.fire produces states whose zones come from the worker's pool;
-//     the state owns its zone.
+//   - engine.fire materializes successors from a per-worker succCtx (pooled
+//     scratch DBM, scratch locs/vars/parts, and the dbm.Touched sets the
+//     incremental canonicalization records into — all reused across fires,
+//     none escaping into states or stores); clock-disabled transitions
+//     allocate nothing. The state owns its zone.
 //   - store.add(s) packs s.Zone on admission into a compact-pool buffer;
 //     s keeps ownership of its own (full) zone.
 //   - If add reports false (subsumed), the caller releases s.Zone — the
 //     state is about to be discarded and nothing else references it.
+//     Subsumed and fully expanded states, on both frontiers, are released
+//     wholesale via succCtx.putState.
 //   - Pruned compact copies are released into the compact pool inside add,
 //     and the record that referenced one drops the reference in the same
-//     step.
+//     step: a buffer has exactly one referencing record until then.
 //
 // The worker-side succCtx scratch and dbm.Pool recycling are untouched:
 // compression lives entirely behind the admission boundary.
-//
-// Store entries intern their discrete vectors (see internTable): location
-// vectors and variable valuations repeat heavily across entries, so each
-// unique vector is stored once per store — never an alias of a state's
-// slices, since states recycle and entries do not.
 type store struct {
+	shards perWorker[shard]
+	mask   uint64 // len(shards)-1; the count is a power of two
+	// locked is false for the single-shard store of a sequential run, whose
+	// one worker needs no lock.
+	locked bool
+	zones  atomic.Int64
+	// zoneBytes tracks the bytes currently held for stored zones — entries,
+	// record segments and packed payloads; a Monitor samples bytes() while
+	// workers add.
+	zoneBytes atomic.Int64
+	// contended counts adds that found their shard lock held (TryLock
+	// failed) and had to block — the sweep profile's store-contention total.
+	contended atomic.Int64
+}
+
+// parallelShards is the shard count of a parallel run's store. Every
+// measurement so far ran on one or two cores; if a multi-core one wants
+// another value, change this or derive it from Workers.
+const parallelShards = 64
+
+// shard is one independently owned part of the store.
+type shard struct {
+	mu sync.Mutex
 	// buckets maps a discrete hash (State.discreteKey) to its entry; the
 	// rare entries whose hashes collide chain through storeEntry.next.
 	buckets map[uint64]*storeEntry
-	zones   int
 	cpool   *dbm.CompactPool
 	intern  internTable
-	// zoneBytes tracks the bytes currently held for stored zones — entries,
-	// record segments and packed payloads; atomic because a Monitor samples
-	// bytes() while the (single) worker adds.
-	zoneBytes atomic.Int64
 }
 
 // zoneRec is one stored zone in an entry's admission index.
@@ -209,9 +253,16 @@ func (e *storeEntry) matches(locs []ta.LocID, vars []int64) bool {
 	return true
 }
 
-func newStore() *store {
-	st := &store{buckets: make(map[uint64]*storeEntry), cpool: dbm.NewCompactPool()}
-	st.intern.init()
+// newStore returns a store with the given shard count, a power of two; one
+// shard means one worker and no locking.
+func newStore(shards int) *store {
+	st := &store{shards: make(perWorker[shard], shards), mask: uint64(shards - 1), locked: shards > 1}
+	for i := range st.shards {
+		sh := st.shards.at(i)
+		sh.buckets = make(map[uint64]*storeEntry)
+		sh.cpool = dbm.NewCompactPool()
+		sh.intern.m = make(map[uint64][][]uint64)
+	}
 	return st
 }
 
@@ -227,7 +278,7 @@ func lookupEntry(buckets map[uint64]*storeEntry, s *State, it *internTable) *sto
 			return e
 		}
 	}
-	e := &storeEntry{next: head, locs: it.internLocs(s.Locs), vrs: it.internVars(s.Vars)}
+	e := &storeEntry{next: head, locs: intern(it, s.Locs), vrs: intern(it, s.Vars)}
 	buckets[h] = e
 	return e
 }
@@ -238,7 +289,7 @@ func lookupEntry(buckets map[uint64]*storeEntry, s *State, it *internTable) *sto
 // It returns the change in the number of stored zones (0 when s was
 // subsumed; any admission nets at least +1 minus prunes) and the change in
 // stored bytes — payloads, record segments, and the entry itself when this
-// is its first zone. The caller must hold whatever lock guards the entry.
+// is its first zone. The caller must hold the entry (see the store comment).
 //
 // Both inclusion directions are pre-filtered by the signature: d ⊆ z forces
 // sig(d) ≤ sig(z) in every lane, so a non-inclusion usually costs a compare
@@ -249,7 +300,7 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool) (delta int, bytesDel
 		// Chaos site inside compact admission: an injected error escalates to
 		// a panic so containment takes the exact path a real encoder or
 		// inclusion-scan crash would — explorer.runContained for the worker,
-		// the deferred unlock for a pstore shard.
+		// the deferred unlock for a locked shard.
 		if err := faultinject.Fire("core/store"); err != nil {
 			panic(err)
 		}
@@ -299,171 +350,21 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool) (delta int, bytesDel
 // add inserts the state unless it is subsumed, reporting whether it is new.
 // See the type comment for the zone-ownership protocol.
 func (st *store) add(s *State) bool {
-	delta, bytesDelta, admitted := lookupEntry(st.buckets, s, &st.intern).admit(s, st.cpool)
-	st.zones += delta
-	if bytesDelta != 0 {
-		st.zoneBytes.Add(bytesDelta)
-	}
-	return admitted
-}
-
-// size returns the number of stored maximal zones.
-func (st *store) size() int { return st.zones }
-
-// bytes returns the stored footprint: entries, zone records, packed zones
-// and interned vectors.
-func (st *store) bytes() int64 { return st.zoneBytes.Load() + st.intern.bytes.Load() }
-
-func (st *store) internStats() (hits, misses int64) {
-	return st.intern.hits.Load(), st.intern.misses.Load()
-}
-
-// contention is always 0: the sequential store has no locks to wait on.
-func (st *store) contention() int64 { return 0 }
-
-// internTable deduplicates the discrete vectors held by store entries:
-// location vectors and variable valuations are interned separately (each
-// repeats across many entries even though their combination is unique per
-// entry), content-addressed by a word-wise hash with full collision
-// comparison. Lookups and inserts happen under the owning store's/shard's
-// lock; the counters are atomics because the Monitor and the memory budget
-// read them while workers add.
-type internTable struct {
-	m      map[uint64][][]uint64
-	hits   atomic.Int64
-	misses atomic.Int64
-	bytes  atomic.Int64
-}
-
-func (t *internTable) init() { t.m = make(map[uint64][][]uint64) }
-
-const (
-	internOffset = 14695981039346656037
-	internPrime  = 0x9E3779B97F4A7C15
-)
-
-// internLocs returns the canonical interned copy of a location vector,
-// allocating only on first sight of the content.
-func (t *internTable) internLocs(locs []ta.LocID) []uint64 {
-	h := uint64(internOffset) ^ uint64(len(locs))
-	for _, l := range locs {
-		h = (h ^ uint64(l)) * internPrime
-	}
-	for _, cand := range t.m[h] {
-		if len(cand) != len(locs) {
-			continue
+	sh := st.shards.at(int(s.discreteKey() & st.mask))
+	if st.locked {
+		// The unlock is deferred so a panic inside the admission (contained
+		// per worker by explorer.runContained) releases the shard instead of
+		// hanging every other worker that hashes to it; the open-coded defer
+		// costs no allocation. The run is failing at that point, so the
+		// possibly half-admitted entry is only ever read by workers about to
+		// observe the stop flag — and the store, like the pools, dies with
+		// the run.
+		if !sh.mu.TryLock() {
+			st.contended.Add(1)
+			sh.mu.Lock()
 		}
-		eq := true
-		for i, l := range locs {
-			if cand[i] != uint64(l) {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			t.hits.Add(1)
-			return cand
-		}
+		defer sh.mu.Unlock()
 	}
-	v := make([]uint64, len(locs))
-	for i, l := range locs {
-		v[i] = uint64(l)
-	}
-	t.m[h] = append(t.m[h], v)
-	t.misses.Add(1)
-	t.bytes.Add(int64(len(v)) * 8)
-	return v
-}
-
-// internVars is internLocs for variable valuations.
-func (t *internTable) internVars(vars []int64) []uint64 {
-	h := uint64(internOffset) ^ uint64(len(vars))
-	for _, x := range vars {
-		h = (h ^ uint64(x)) * internPrime
-	}
-	for _, cand := range t.m[h] {
-		if len(cand) != len(vars) {
-			continue
-		}
-		eq := true
-		for i, x := range vars {
-			if cand[i] != uint64(x) {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			t.hits.Add(1)
-			return cand
-		}
-	}
-	v := make([]uint64, len(vars))
-	for i, x := range vars {
-		v[i] = uint64(x)
-	}
-	t.m[h] = append(t.m[h], v)
-	t.misses.Add(1)
-	t.bytes.Add(int64(len(v)) * 8)
-	return v
-}
-
-// pstore is the concurrent passed-state store of the parallel frontier: the
-// bucket space is sharded and each shard carries its own lock, so workers
-// exploring disjoint regions of the zone graph rarely contend. Zone
-// ownership follows the same protocol as the sequential store (see the store
-// type comment): stored zones are packed copies owned exclusively by the
-// pstore. Each shard owns its own compact pool and intern table, used only
-// under the shard lock — a discrete state always hashes to the same shard,
-// so repeats of its vectors intern within that shard.
-type pstore struct {
-	shards    []pshard
-	mask      uint64 // len(shards)-1; the count is a power of two
-	zones     atomic.Int64
-	zoneBytes atomic.Int64
-	// contended counts adds that found their shard lock held (TryLock
-	// failed) and had to block — the sweep profile's store-contention total.
-	contended atomic.Int64
-}
-
-// pshard is one lock shard, padded to its own cache line against false
-// sharing between neighboring shards.
-type pshard struct {
-	mu      sync.Mutex
-	buckets map[uint64]*storeEntry
-	cpool   *dbm.CompactPool
-	intern  internTable
-	_       [48]byte
-}
-
-// newPStore returns a sharded store with the given shard count, which must
-// be a power of two (Options.storeShardCount guarantees it).
-func newPStore(shards int) *pstore {
-	st := &pstore{shards: make([]pshard, shards), mask: uint64(shards - 1)}
-	for i := range st.shards {
-		st.shards[i].buckets = make(map[uint64]*storeEntry)
-		st.shards[i].cpool = dbm.NewCompactPool()
-		st.shards[i].intern.init()
-	}
-	return st
-}
-
-// add inserts the state unless it is subsumed, reporting whether it is new.
-// The subsumption logic mirrors store.add under the shard lock; the packed
-// copy is drawn from the shard's compact pool and pruned zones are released
-// into it.
-func (st *pstore) add(s *State) bool {
-	sh := &st.shards[s.discreteKey()&st.mask]
-	// The unlock is deferred so a panic inside the admission (contained per
-	// worker by explorer.runContained) releases the shard instead of hanging
-	// every other worker that hashes to it; the open-coded defer costs no
-	// allocation. The run is failing at that point, so the possibly
-	// half-admitted entry is only ever read by workers about to observe the
-	// stop flag — and the store, like the pools, dies with the run.
-	if !sh.mu.TryLock() {
-		st.contended.Add(1)
-		sh.mu.Lock()
-	}
-	defer sh.mu.Unlock()
 	delta, bytesDelta, admitted := lookupEntry(sh.buckets, s, &sh.intern).admit(s, sh.cpool)
 	if delta != 0 {
 		st.zones.Add(int64(delta))
@@ -475,25 +376,77 @@ func (st *pstore) add(s *State) bool {
 }
 
 // size returns the number of stored maximal zones.
-func (st *pstore) size() int { return int(st.zones.Load()) }
+func (st *store) size() int { return int(st.zones.Load()) }
 
 // bytes returns the stored footprint: entries, zone records, packed zones
 // and interned vectors.
-func (st *pstore) bytes() int64 {
+func (st *store) bytes() int64 {
 	total := st.zoneBytes.Load()
 	for i := range st.shards {
-		total += st.shards[i].intern.bytes.Load()
+		total += st.shards.at(i).intern.bytes.Load()
 	}
 	return total
 }
 
-func (st *pstore) internStats() (hits, misses int64) {
+func (st *store) internStats() (hits, misses int64) {
 	for i := range st.shards {
-		hits += st.shards[i].intern.hits.Load()
-		misses += st.shards[i].intern.misses.Load()
+		hits += st.shards.at(i).intern.hits.Load()
+		misses += st.shards.at(i).intern.misses.Load()
 	}
 	return hits, misses
 }
 
 // contention counts adds that had to wait for a shard lock.
-func (st *pstore) contention() int64 { return st.contended.Load() }
+func (st *store) contention() int64 { return st.contended.Load() }
+
+// internTable deduplicates the discrete vectors held by a shard's entries:
+// location vectors and variable valuations are interned separately (each
+// repeats across many entries even though their combination is unique per
+// entry), content-addressed by a word-wise hash with full collision
+// comparison. Lookups and inserts happen under whatever guards the shard;
+// the counters are atomics because the Monitor and the memory budget read
+// them while workers add.
+type internTable struct {
+	m      map[uint64][][]uint64
+	hits   atomic.Int64
+	misses atomic.Int64
+	bytes  atomic.Int64
+}
+
+const (
+	internOffset = 14695981039346656037
+	internPrime  = 0x9E3779B97F4A7C15
+)
+
+// intern returns the canonical interned copy of a location vector or a
+// variable valuation, allocating only on first sight of the content.
+func intern[T ~int | ~int64](t *internTable, xs []T) []uint64 {
+	h := uint64(internOffset) ^ uint64(len(xs))
+	for _, x := range xs {
+		h = (h ^ uint64(x)) * internPrime
+	}
+	for _, cand := range t.m[h] {
+		if len(cand) != len(xs) {
+			continue
+		}
+		eq := true
+		for i, x := range xs {
+			if cand[i] != uint64(x) {
+				eq = false
+				break
+			}
+		}
+		if eq {
+			t.hits.Add(1)
+			return cand
+		}
+	}
+	v := make([]uint64, len(xs))
+	for i, x := range xs {
+		v[i] = uint64(x)
+	}
+	t.m[h] = append(t.m[h], v)
+	t.misses.Add(1)
+	t.bytes.Add(int64(len(v)) * 8)
+	return v
+}

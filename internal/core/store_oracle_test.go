@@ -119,37 +119,36 @@ func (sh *shadowStore) bytes() int64                      { return sh.fast.bytes
 func (sh *shadowStore) internStats() (hits, misses int64) { return sh.fast.internStats() }
 func (sh *shadowStore) contention() int64                 { return sh.fast.contention() }
 
+// storeShapes are the store configurations the store tests cover: the
+// unlocked single shard a sequential run gets, driven by one worker, and
+// locked stores of few and of many shards driven by racing workers.
+var storeShapes = []struct{ shards, workers int }{{1, 1}, {4, 4}, {64, 4}}
+
 // TestCompactStoreShadowMatchesReference asserts every admission decision of
-// the compact store (sequential and sharded) equals the full-DBM reference's
-// on a real exploration, sequentially and with racing workers (-race covers
-// the concurrent paths).
+// the compact store (one unlocked shard, and sharded) equals the full-DBM
+// reference's on a real exploration, sequentially and with racing workers
+// (-race covers the concurrent paths).
 func TestCompactStoreShadowMatchesReference(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, shape := range storeShapes {
 		n, _, _, _ := buildGrid(t)
 		c, err := NewChecker(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fast passedSet
-		if workers > 1 {
-			fast = newPStore(64)
-		} else {
-			fast = newStore()
-		}
+		fast := newStore(shape.shards)
 		sh := &shadowStore{fast: fast, ref: newRefStore()}
-		res, err := c.Explore(Options{Workers: workers, passed: sh}, nil)
+		res, err := c.Explore(Options{Workers: shape.workers, passed: sh}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := sh.disagreements.Load(); d != 0 {
-			t.Errorf("workers=%d: %d admission decisions diverged from the reference store", workers, d)
+			t.Errorf("%+v: %d admission decisions diverged from the reference store", shape, d)
 		}
 		if fast.size() != sh.ref.size() {
-			t.Errorf("workers=%d: compact store holds %d zones, reference %d",
-				workers, fast.size(), sh.ref.size())
+			t.Errorf("%+v: compact store holds %d zones, reference %d", shape, fast.size(), sh.ref.size())
 		}
 		if res.Stored != sh.ref.size() {
-			t.Errorf("workers=%d: Stats.Stored=%d, stored zones=%d", workers, res.Stored, sh.ref.size())
+			t.Errorf("%+v: Stats.Stored=%d, stored zones=%d", shape, res.Stored, sh.ref.size())
 		}
 		checkStoreLayout(t, fast)
 	}
@@ -232,27 +231,13 @@ func TestCompactStoreSweepBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// storeParts lists the independently owned parts of a compact store: the
-// sequential store is one, every shard of a pstore is one.
-type storePart struct {
-	buckets map[uint64]*storeEntry
-	pool    *dbm.CompactPool
-}
-
-func storeParts(t *testing.T, ps passedSet) []storePart {
-	t.Helper()
-	switch st := ps.(type) {
-	case *store:
-		return []storePart{{st.buckets, st.cpool}}
-	case *pstore:
-		parts := make([]storePart, len(st.shards))
-		for i := range st.shards {
-			parts[i] = storePart{st.shards[i].buckets, st.shards[i].cpool}
-		}
-		return parts
+// storeParts lists the independently owned parts of a store: its shards.
+func storeParts(st *store) []*shard {
+	parts := make([]*shard, len(st.shards))
+	for i := range parts {
+		parts[i] = st.shards.at(i)
 	}
-	t.Fatalf("not a compact store: %T", ps)
-	return nil
+	return parts
 }
 
 // checkStoreLayout asserts the record-list invariants of every entry of a
@@ -261,10 +246,10 @@ func storeParts(t *testing.T, ps passedSet) []storePart {
 // past them holds no payload reference, segment capacities follow the
 // doubling rule, no two records share a buffer, and the live records add up
 // to size().
-func checkStoreLayout(t *testing.T, ps passedSet) {
+func checkStoreLayout(t *testing.T, st *store) {
 	t.Helper()
 	live := 0
-	for _, part := range storeParts(t, ps) {
+	for _, part := range storeParts(st) {
 		owned := map[*byte]bool{}
 		for _, e := range entriesOf(part.buckets) {
 			slots := e.slots()
@@ -299,8 +284,8 @@ func checkStoreLayout(t *testing.T, ps passedSet) {
 			live += e.n
 		}
 	}
-	if live != ps.size() {
-		t.Errorf("entries hold %d live records, size() = %d", live, ps.size())
+	if live != st.size() {
+		t.Errorf("entries hold %d live records, size() = %d", live, st.size())
 	}
 }
 
@@ -311,9 +296,9 @@ func checkStoreLayout(t *testing.T, ps passedSet) {
 // (a zone of the one buffer size the store holds) must be served by reuse
 // exactly allocated − live times, and none of the buffers that come back
 // may be one a record still points to.
-func checkPoolDisjoint(t *testing.T, ps passedSet, sample *dbm.DBM) {
+func checkPoolDisjoint(t *testing.T, st *store, sample *dbm.DBM) {
 	t.Helper()
-	for _, part := range storeParts(t, ps) {
+	for _, part := range storeParts(st) {
 		held := map[*byte]bool{}
 		live := 0
 		for _, e := range entriesOf(part.buckets) {
@@ -324,19 +309,19 @@ func checkPoolDisjoint(t *testing.T, ps passedSet, sample *dbm.DBM) {
 				}
 			}
 		}
-		gets, reuses := part.pool.Stats()
+		gets, reuses := part.cpool.Stats()
 		free := gets - reuses - live
 		for i := 0; i < free; i++ {
-			c := dbm.EncodeCompact(sample, part.pool)
+			c := dbm.EncodeCompact(sample, part.cpool)
 			if held[&c[0]] {
 				t.Fatalf("a record references a buffer that was returned to the pool")
 			}
 		}
-		if _, after := part.pool.Stats(); after-reuses != free {
+		if _, after := part.cpool.Stats(); after-reuses != free {
 			t.Errorf("pool served %d of %d expected reuses: a pruned buffer was not returned", after-reuses, free)
 		}
-		dbm.EncodeCompact(sample, part.pool)
-		if _, after := part.pool.Stats(); after-reuses != free {
+		dbm.EncodeCompact(sample, part.cpool)
+		if _, after := part.cpool.Stats(); after-reuses != free {
 			t.Errorf("pool held more than the %d buffers pruning released", free)
 		}
 	}
@@ -352,7 +337,8 @@ func checkPoolDisjoint(t *testing.T, ps passedSet, sample *dbm.DBM) {
 // the reference's zones in the reference's order, and the layout invariants
 // must hold. Sequentially the slot each zone occupies is known, so the prune
 // runs are aimed; with four racing adders (serialized by the shadow, -race
-// covers the shard paths) the same zones arrive in arbitrary order.
+// covers the shard paths) on four shards and on 64 the same zones arrive in
+// arbitrary order.
 func TestSegmentedListLockstep(t *testing.T) {
 	const n = 200 // antichain size: slots 0 | 1 | 2-3 | 4-7 | 8-15 | 16-31 | 32-47 | … | 192-207
 	locs, vars := []ta.LocID{0}, []int64{0}
@@ -369,11 +355,9 @@ func TestSegmentedListLockstep(t *testing.T) {
 	odd := func(k int) *State { return box(int64(2*k+1), int64(2*(n-k)-1)) }
 	cover := func(a, b int) *State { return box(int64(2*b), int64(2*(n-a))) }
 
-	for _, workers := range []int{1, 4} {
-		var fast passedSet = newStore()
-		if workers > 1 {
-			fast = newPStore(4)
-		}
+	for _, shape := range storeShapes {
+		workers := shape.workers
+		fast := newStore(shape.shards)
 		sh := &shadowStore{fast: fast, ref: newRefStore()}
 		phase := func(name string, states ...*State) {
 			t.Helper()
@@ -389,22 +373,22 @@ func TestSegmentedListLockstep(t *testing.T) {
 			}
 			wg.Wait()
 			if d := sh.disagreements.Load(); d != 0 {
-				t.Fatalf("workers=%d %s: %d decisions diverged from the reference", workers, name, d)
+				t.Fatalf("%+v %s: %d decisions diverged from the reference", shape, name, d)
 			}
 			checkStoreLayout(t, fast)
 			var got []dbm.Compact
-			for _, part := range storeParts(t, fast) {
+			for _, part := range storeParts(fast) {
 				for _, e := range entriesOf(part.buckets) {
 					got = append(got, e.liveZones()...)
 				}
 			}
 			want := sh.ref.buckets[states[0].discreteKey()][0].zs
 			if len(got) != len(want) {
-				t.Fatalf("workers=%d %s: %d zones stored, reference %d", workers, name, len(got), len(want))
+				t.Fatalf("%+v %s: %d zones stored, reference %d", shape, name, len(got), len(want))
 			}
 			for i := range got {
 				if !got[i].Decode().Eq(want[i]) {
-					t.Fatalf("workers=%d %s: record %d is not the reference's zone %d", workers, name, i, i)
+					t.Fatalf("%+v %s: record %d is not the reference's zone %d", shape, name, i, i)
 				}
 			}
 		}
@@ -417,7 +401,7 @@ func TestSegmentedListLockstep(t *testing.T) {
 
 		phase("grow", seq(even, 0, n)...)
 		if fast.size() != n {
-			t.Fatalf("workers=%d: antichain of %d stored as %d zones", workers, n, fast.size())
+			t.Fatalf("%+v: antichain of %d stored as %d zones", shape, n, fast.size())
 		}
 		// Aimed from the tail down, so that an earlier prune does not move a
 		// later one's targets: each cover is appended past slot 128.
@@ -430,7 +414,7 @@ func TestSegmentedListLockstep(t *testing.T) {
 		phase("re-grow", seq(odd, 0, n)...)
 		phase("collapse", cover(0, n))
 		if fast.size() != 1 {
-			t.Fatalf("workers=%d: a zone covering everything left %d zones", workers, fast.size())
+			t.Fatalf("%+v: a zone covering everything left %d zones", shape, fast.size())
 		}
 		phase("re-grow from one", seq(func(k int) *State { return box(int64(2*n+1+k), int64(3*n-k)) }, 0, n/2)...)
 		checkPoolDisjoint(t, fast, even(0).Zone)

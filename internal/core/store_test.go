@@ -47,7 +47,7 @@ func (e *storeEntry) liveZones() []dbm.Compact {
 }
 
 func TestStoreSubsumption(t *testing.T) {
-	st := newStore()
+	st := newStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 	if !st.add(mkState(locs, vars, 10)) {
@@ -69,7 +69,7 @@ func TestStoreSubsumption(t *testing.T) {
 }
 
 func TestStoreDistinguishesDiscreteParts(t *testing.T) {
-	st := newStore()
+	st := newStore(1)
 	if !st.add(mkState([]ta.LocID{0}, []int64{0}, 10)) ||
 		!st.add(mkState([]ta.LocID{1}, []int64{0}, 10)) ||
 		!st.add(mkState([]ta.LocID{0}, []int64{1}, 10)) {
@@ -81,7 +81,7 @@ func TestStoreDistinguishesDiscreteParts(t *testing.T) {
 }
 
 func TestStoreIncomparableZonesCoexist(t *testing.T) {
-	st := newStore()
+	st := newStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 	// x <= 10 and x >= 5 (upper bound infinity) are incomparable.
@@ -96,9 +96,10 @@ func TestStoreIncomparableZonesCoexist(t *testing.T) {
 	}
 }
 
+// TestPStoreMatchesStore feeds the same states to the unlocked one-shard
+// store and to locked stores of 4 and 64 shards: sharding and locking must
+// not change a decision or a stored byte.
 func TestPStoreMatchesStore(t *testing.T) {
-	seq := newStore()
-	par := newPStore(64)
 	states := []*State{
 		mkState([]ta.LocID{0}, []int64{0}, 10),
 		mkState([]ta.LocID{0}, []int64{0}, 5),
@@ -106,24 +107,33 @@ func TestPStoreMatchesStore(t *testing.T) {
 		mkState([]ta.LocID{1}, []int64{0}, 7),
 		mkState([]ta.LocID{1}, []int64{0}, 7),
 	}
-	for i, s := range states {
-		a := seq.add(&State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
-		b := par.add(&State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
-		if a != b {
-			t.Errorf("state %d: sequential add=%v parallel add=%v", i, a, b)
+	for _, shards := range []int{4, 64} {
+		seq := newStore(1)
+		par := newStore(shards)
+		if seq.locked || !par.locked {
+			t.Fatalf("locked: 1 shard %v, %d shards %v; want false, true", seq.locked, shards, par.locked)
 		}
-	}
-	if seq.size() != par.size() {
-		t.Errorf("zone counts differ: %d vs %d", seq.size(), par.size())
-	}
-	// Entry, record and packed zone bytes agree exactly; intern bytes may
-	// differ (the pstore interns per shard, so cross-shard repeats are stored
-	// once per shard).
-	if seq.zoneBytes.Load() != par.zoneBytes.Load() {
-		t.Errorf("zone bytes differ: %d vs %d", seq.zoneBytes.Load(), par.zoneBytes.Load())
-	}
-	if seq.bytes() <= 0 || par.bytes() < seq.bytes() {
-		t.Errorf("stored bytes implausible: seq %d, par %d", seq.bytes(), par.bytes())
+		for i, s := range states {
+			a := seq.add(&State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
+			b := par.add(&State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
+			if a != b {
+				t.Errorf("%d shards, state %d: one-shard add=%v sharded add=%v", shards, i, a, b)
+			}
+		}
+		if seq.size() != par.size() {
+			t.Errorf("%d shards: zone counts differ: %d vs %d", shards, seq.size(), par.size())
+		}
+		// Entry, record and packed zone bytes agree exactly; intern bytes may
+		// differ (each shard interns for itself, so cross-shard repeats are
+		// stored once per shard).
+		if seq.zoneBytes.Load() != par.zoneBytes.Load() {
+			t.Errorf("%d shards: zone bytes differ: %d vs %d", shards, seq.zoneBytes.Load(), par.zoneBytes.Load())
+		}
+		if seq.bytes() <= 0 || par.bytes() < seq.bytes() {
+			t.Errorf("%d shards: stored bytes implausible: one shard %d, sharded %d", shards, seq.bytes(), par.bytes())
+		}
+		checkStoreLayout(t, seq)
+		checkStoreLayout(t, par)
 	}
 }
 
@@ -131,7 +141,7 @@ func TestPStoreMatchesStore(t *testing.T) {
 // must grow on admission, shrink when a covering zone prunes a stored one,
 // and stay put on subsumption.
 func TestStoreTracksStoredBytes(t *testing.T) {
-	st := newStore()
+	st := newStore(1)
 	// Distinct contents so the locs and vars vectors intern separately (the
 	// table is content-addressed across both kinds).
 	locs := []ta.LocID{3}
@@ -172,7 +182,7 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 // location vector or variable valuation across distinct discrete states must
 // collapse to one shared slice each.
 func TestStoreInternsDiscreteVectors(t *testing.T) {
-	st := newStore()
+	st := newStore(1)
 	// Same locs, three different vars: locs interned once, hit twice.
 	st.add(mkState([]ta.LocID{7}, []int64{0}, 10))
 	st.add(mkState([]ta.LocID{7}, []int64{1}, 10))
@@ -185,7 +195,7 @@ func TestStoreInternsDiscreteVectors(t *testing.T) {
 	if misses != 4 {
 		t.Errorf("intern misses = %d, want 4", misses)
 	}
-	entries := entriesOf(st.buckets)
+	entries := entriesOf(st.shards.at(0).buckets)
 	if len(entries) != 3 {
 		t.Fatalf("entries = %d, want 3", len(entries))
 	}

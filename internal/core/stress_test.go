@@ -9,17 +9,16 @@ import (
 )
 
 // TestPStoreConcurrentSubsumingAdds hammers one discrete state with chains
-// of mutually-subsuming zones from many goroutines. Whatever the
+// of mutually-subsuming zones from many goroutines (one, for the unlocked
+// single-shard store, whose contract is a single worker). Whatever the
 // interleaving, the maximal zone of every chain must survive and the stored
 // zones must end up pairwise incomparable — concurrent pruning must never
 // lose a maximal zone. Run with -race.
 func TestPStoreConcurrentSubsumingAdds(t *testing.T) {
 	const (
-		workers = 8
-		chains  = 4  // incomparable families (distinct lower bounds)
-		depth   = 32 // subsuming zones per family (growing upper bounds)
+		chains = 4  // incomparable families (distinct lower bounds)
+		depth  = 32 // subsuming zones per family (growing upper bounds)
 	)
-	st := newPStore(64)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 
@@ -33,64 +32,65 @@ func TestPStoreConcurrentSubsumingAdds(t *testing.T) {
 		return z
 	}
 
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for c := 0; c < chains; c++ {
-				for s := 0; s <= depth; s++ {
-					// Interleave chain walk directions per worker so
-					// subsuming pairs actually race.
-					step := s
-					if w%2 == 1 {
-						step = depth - s
+	for _, shape := range []struct{ shards, workers int }{{1, 1}, {4, 8}, {64, 8}} {
+		st := newStore(shape.shards)
+		var wg sync.WaitGroup
+		wg.Add(shape.workers)
+		for w := 0; w < shape.workers; w++ {
+			go func(w int) {
+				defer wg.Done()
+				for c := 0; c < chains; c++ {
+					for s := 0; s <= depth; s++ {
+						// Interleave chain walk directions per worker so
+						// subsuming pairs actually race.
+						step := s
+						if w%2 == 1 {
+							step = depth - s
+						}
+						st.add(&State{Locs: locs, Vars: vars, Zone: mkZone(c, step)})
 					}
-					st.add(&State{Locs: locs, Vars: vars, Zone: mkZone(c, step)})
+				}
+			}(w)
+		}
+		wg.Wait()
+
+		// Collect the surviving zones for the single discrete entry, decoding
+		// the packed form back into full DBMs for the inclusion checks.
+		var zones []*dbm.DBM
+		for _, sh := range storeParts(st) {
+			for _, e := range entriesOf(sh.buckets) {
+				for _, z := range e.liveZones() {
+					zones = append(zones, z.Decode())
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-
-	// Collect the surviving zones for the single discrete entry, decoding
-	// the packed form back into full DBMs for the inclusion checks.
-	var zones []*dbm.DBM
-	for i := range st.shards {
-		st.shards[i].mu.Lock()
-		for _, e := range entriesOf(st.shards[i].buckets) {
-			for _, z := range e.liveZones() {
-				zones = append(zones, z.Decode())
+		}
+		checkStoreLayout(t, st)
+		if len(zones) != chains {
+			t.Errorf("%+v: stored %d zones, want %d (one maximal zone per chain)", shape, len(zones), chains)
+		}
+		if st.size() != len(zones) {
+			t.Errorf("%+v: size() = %d, but %d zones stored", shape, st.size(), len(zones))
+		}
+		// Every chain's maximal zone must be covered by some stored zone.
+		for c := 0; c < chains; c++ {
+			max := mkZone(c, depth)
+			covered := false
+			for _, z := range zones {
+				if max.SubsetEq(z) {
+					covered = true
+					break
+				}
+			}
+			if !covered {
+				t.Errorf("%+v: maximal zone of chain %d lost", shape, c)
 			}
 		}
-		st.shards[i].mu.Unlock()
-	}
-	checkStoreLayout(t, st)
-	if len(zones) != chains {
-		t.Errorf("stored %d zones, want %d (one maximal zone per chain)", len(zones), chains)
-	}
-	if st.size() != len(zones) {
-		t.Errorf("size() = %d, but %d zones stored", st.size(), len(zones))
-	}
-	// Every chain's maximal zone must be covered by some stored zone.
-	for c := 0; c < chains; c++ {
-		max := mkZone(c, depth)
-		covered := false
-		for _, z := range zones {
-			if max.SubsetEq(z) {
-				covered = true
-				break
-			}
-		}
-		if !covered {
-			t.Errorf("maximal zone of chain %d lost", c)
-		}
-	}
-	// Stored zones must be pairwise incomparable (no zombie subsumed zones).
-	for i := range zones {
-		for j := range zones {
-			if i != j && zones[i].SubsetEq(zones[j]) {
-				t.Errorf("stored zone %d is subsumed by stored zone %d", i, j)
+		// Stored zones must be pairwise incomparable (no zombie subsumed zones).
+		for i := range zones {
+			for j := range zones {
+				if i != j && zones[i].SubsetEq(zones[j]) {
+					t.Errorf("%+v: stored zone %d is subsumed by stored zone %d", shape, i, j)
+				}
 			}
 		}
 	}

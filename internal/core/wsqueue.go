@@ -41,8 +41,7 @@ func (r *wsRing) grow(top, bottom int64) *wsRing {
 }
 
 // newWSDeque returns a deque whose ring starts at the given capacity, which
-// must be a power of two (Options.dequeCapacity guarantees it); the ring
-// doubles on overflow.
+// must be a power of two; the ring doubles on overflow.
 func newWSDeque(capacity int64) *wsDeque {
 	d := &wsDeque{}
 	d.ring.Store(newWSRing(capacity))

@@ -55,9 +55,6 @@ func (b Bound) Value() int64 { return int64(b) >> 1 }
 // Weak reports whether the bound is non-strict (≤).
 func (b Bound) Weak() bool { return b != Infinity && b&1 == 1 }
 
-// Strict reports whether the bound is strict (<).
-func (b Bound) Strict() bool { return b == Infinity || b&1 == 0 }
-
 // Add combines two bounds along a path: (c1,≺1) + (c2,≺2) = (c1+c2, ≺) where
 // ≺ is ≤ only if both inputs are ≤. Adding anything to Infinity is Infinity.
 func Add(a, b Bound) Bound {
@@ -79,13 +76,6 @@ func Min(a, b Bound) Bound {
 		return a
 	}
 	return b
-}
-
-// Negate returns the exclusive complement of a bound: the tightest bound on
-// xj - xi that contradicts (c, ≺) on xi - xj. Negate(≤ c) = (< -c) and
-// Negate(< c) = (≤ -c). Negate must not be called on Infinity.
-func Negate(b Bound) Bound {
-	return MakeBound(-b.Value(), b.Strict())
 }
 
 // String renders the bound as "<c", "<=c" or "inf".

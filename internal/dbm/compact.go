@@ -289,8 +289,8 @@ func (c Compact) Decode() *DBM {
 // exploration has the same dimension, so a store sees at most three distinct
 // buffer sizes — one per encoding width — and class rounding would only
 // inflate every stored zone's capacity (up to 2×) for no extra reuse.
-// A pool is NOT safe for concurrent use — the sequential store owns one, the
-// sharded store owns one per shard and only touches it under the shard lock.
+// A pool is NOT safe for concurrent use — the passed store owns one per shard
+// and only touches it while holding the shard.
 type CompactPool struct {
 	free   map[int][]Compact // keyed by exact buffer capacity
 	gets   int

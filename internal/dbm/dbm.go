@@ -305,21 +305,6 @@ func (d *DBM) Up() {
 	}
 }
 
-// Down computes the set of time predecessors: lower bounds are relaxed to the
-// tightest diagonal constraint, keeping clocks nonnegative. Canonical form is
-// preserved.
-func (d *DBM) Down() {
-	for j := 1; j < d.dim; j++ {
-		lo := LEZero
-		for i := 1; i < d.dim; i++ {
-			if d.At(i, j) < lo {
-				lo = d.At(i, j)
-			}
-		}
-		d.set(0, j, lo)
-	}
-}
-
 // Free removes all constraints on clock c, making its value arbitrary
 // (nonnegative). Canonical form is preserved.
 func (d *DBM) Free(c int) {
@@ -345,61 +330,6 @@ func (d *DBM) Reset(c int, v int64) {
 		d.set(i, c, Add(d.At(i, 0), nle))
 	}
 	d.set(c, c, LEZero)
-}
-
-// CopyClock assigns clock dst the current value of clock src (dst := src).
-// Canonical form is preserved.
-func (d *DBM) CopyClock(dst, src int) {
-	if dst == src {
-		return
-	}
-	for i := 0; i < d.dim; i++ {
-		if i != dst {
-			d.set(dst, i, d.At(src, i))
-			d.set(i, dst, d.At(i, src))
-		}
-	}
-	d.set(dst, src, LEZero)
-	d.set(src, dst, LEZero)
-	d.set(dst, dst, LEZero)
-}
-
-// Relation describes how two zones compare under set inclusion.
-type Relation int
-
-const (
-	// Different means neither zone includes the other.
-	Different Relation = iota
-	// Subset means the receiver is strictly included in the argument.
-	Subset
-	// Superset means the receiver strictly includes the argument.
-	Superset
-	// Equal means both zones contain exactly the same valuations.
-	Equal
-)
-
-// Rel compares two canonical DBMs of equal dimension under set inclusion.
-func (d *DBM) Rel(o *DBM) Relation {
-	sub, sup := true, true
-	for i := range d.m {
-		if d.m[i] > o.m[i] {
-			sub = false
-		}
-		if d.m[i] < o.m[i] {
-			sup = false
-		}
-		if !sub && !sup {
-			return Different
-		}
-	}
-	switch {
-	case sub && sup:
-		return Equal
-	case sub:
-		return Subset
-	default:
-		return Superset
-	}
 }
 
 // SubsetEq reports whether every valuation of d is contained in o. Both DBMs
@@ -531,27 +461,6 @@ func (d *DBM) Inf(c int) Bound {
 		return Infinity
 	}
 	return MakeBound(-b.Value(), b.Weak())
-}
-
-// Hash returns a hash of the matrix contents, suitable for keying
-// passed-state stores. Bounds are mixed a full 64-bit word at a time
-// (FNV-1a over words with a splitmix-style finalizer) rather than byte by
-// byte, which is ~8x fewer multiplies on the exploration hot path.
-func (d *DBM) Hash() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 0x9E3779B97F4A7C15 // 2^64 / golden ratio
-	)
-	h := uint64(offset)
-	for _, b := range d.m {
-		h = (h ^ uint64(b)) * prime
-	}
-	// Finalizer: word-wise FNV mixes the low bits poorly, so avalanche
-	// before the value is used for bucket selection.
-	h ^= h >> 33
-	h *= 0xFF51AFD7ED558CCD
-	h ^= h >> 33
-	return h
 }
 
 // String renders the DBM constraint by constraint for debugging.

@@ -50,13 +50,6 @@ func (p *Pool) Get() *DBM {
 	return &DBM{dim: p.dim, m: make([]Bound, p.dim*p.dim)}
 }
 
-// GetCopy returns a pool-backed deep copy of src.
-func (p *Pool) GetCopy(src *DBM) *DBM {
-	d := p.Get()
-	d.CopyFrom(src)
-	return d
-}
-
 // Put releases a DBM back to the pool. nil and dimension-mismatched matrices
 // are dropped, so callers can release unconditionally.
 func (p *Pool) Put(d *DBM) {

@@ -1,9 +1,7 @@
 // Package obs is the repository's dependency-free observability kit: a
 // Prometheus-text metrics registry (counters, gauges, fixed-bucket
-// histograms), the padded single-writer publication cells the hot paths use
-// (Cells — the core.Monitor pattern, generalized), wall-clock spans
-// (Span/SpanList) for phase profiles, and an exposition-format validator
-// (Lint) shared by tests and scripts/metricslint.
+// histograms), wall-clock spans (Span/SpanList) for phase profiles, and an
+// exposition-format validator (Lint) shared by tests and scripts/metricslint.
 //
 // # Ownership rules
 //
@@ -14,9 +12,9 @@
 //     for event-scoped paths — a job submitted, a dispatch sent — where the
 //     event itself costs orders of magnitude more than one contended atomic.
 //     They must NEVER be called per explored state.
-//   - Per-state (hot-path) telemetry goes through Cells or through the
-//     engine's own padded per-worker cells: exactly one goroutine writes a
-//     cell, with plain atomic stores (never an RMW, never a lock), and the
+//   - Per-state (hot-path) telemetry goes through the engine's own
+//     per-worker slots (core's perWorker): exactly one goroutine writes a
+//     slot, with plain atomic stores (never an RMW, never a lock), and the
 //     scrape side merges lock-free by summing. CounterFunc/GaugeFunc bridge
 //     such externally-owned values into the exposition.
 //

@@ -132,41 +132,3 @@ func TestRegistryPanics(t *testing.T) {
 		NewRegistry().Histogram("h_seconds", "", []float64{1, 1})
 	})
 }
-
-// TestCells exercises the padded single-writer cells: per-writer
-// accumulation, lock-free sum, and concurrent readers racing one writer per
-// cell (the -race build is the real assertion here).
-func TestCells(t *testing.T) {
-	c := NewCells(4)
-	if c.Len() != 4 {
-		t.Fatalf("Len() = %d, want 4", c.Len())
-	}
-	for w := 0; w < 4; w++ {
-		c.Set(w, int64(10*w))
-		c.Add(w, 1)
-	}
-	for w := 0; w < 4; w++ {
-		if got := c.Get(w); got != int64(10*w+1) {
-			t.Errorf("Get(%d) = %d, want %d", w, got, 10*w+1)
-		}
-	}
-	if got := c.Sum(); got != 0+1+10+1+20+1+30+1 {
-		t.Fatalf("Sum() = %d, want 64", got)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 10_000; i++ {
-			c.Add(0, 1)
-		}
-	}()
-	for i := 0; i < 1_000; i++ {
-		_ = c.Sum()
-		_ = c.Get(0)
-	}
-	<-done
-	if got := c.Get(0); got != 1+10_000 {
-		t.Fatalf("after concurrent adds Get(0) = %d, want %d", got, 1+10_000)
-	}
-}
