@@ -459,6 +459,33 @@ func BenchmarkMultiReq_Scaling_1(b *testing.B) { benchMultiReqScaling(b, 1) }
 func BenchmarkMultiReq_Scaling_4(b *testing.B) { benchMultiReqScaling(b, 4) }
 func BenchmarkMultiReq_Scaling_8(b *testing.B) { benchMultiReqScaling(b, 8) }
 
+// BenchmarkRecycled_TwoDims runs two sweeps of different dimension back to
+// back per iteration — the HandleTMC AL pno cell (11×11 zones) and the
+// 8-scenario scaling system (18×18) — so that each starts on the slabs
+// the other one just released. Its gated B/op is what the two cost beyond
+// their zones: if recycling ever became per dimension or per width, or a
+// sweep stopped releasing, one of the two would allocate its matrices and
+// payloads again every iteration and the row would read several times higher.
+func BenchmarkRecycled_TwoDims(b *testing.B) {
+	b.ReportAllocs()
+	row := icrns.Table1Rows[1]
+	cellOpts := icrns.CellOptions{Cfg: icrns.DefaultConfig(), Seed: 1}
+	sys, reqs := scalingSystem(8)
+	states := 0
+	for i := 0; i < b.N; i++ {
+		cell, err := icrns.Cell(row, icrns.ColPNO, cellOpts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		all, err := arch.AnalyzeAll(sys, reqs, arch.Options{HorizonMS: 120}, core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states = cell.Stats.Stored + all.Stats.Stored
+	}
+	b.ReportMetric(float64(states), "states")
+}
+
 // BenchmarkMultiReq_BinarySearch measures the rebuilt Property 1 procedure,
 // which now answers every bisection threshold from a single sweep instead of
 // re-exploring per iteration.

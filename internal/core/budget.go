@@ -52,8 +52,11 @@ var ErrMemoryBudget = errors.New("core: exploration memory budget exceeded")
 // PanicError is the per-run error a contained worker crash converts into: the
 // run fails like a canceled one (partial Stats, reusable Checker) instead of
 // taking the process down. The panicked worker abandons its succCtx — and
-// with it every zone and state it owned — to the run's pools; nothing
-// possibly-corrupt is ever recycled into a later run.
+// with it every zone and state it owned; no structure of the failed run is
+// ever reused: its free lists, states, store entries and records are
+// garbage once explore returns. What later runs do get is the run's slab
+// memory, released like any other run's — raw bytes with no structure to be
+// corrupt, every piece of which its next owner initializes in full.
 type PanicError struct {
 	// Worker is the index of the crashed worker.
 	Worker int

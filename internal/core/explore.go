@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/dbm"
 	"repro/internal/faultinject"
 )
 
@@ -310,6 +311,10 @@ type explorer struct {
 	prof    *profRun    // nil unless the Monitor has profiling enabled
 	budget  *memBudget  // nil when no memory budget is configured
 
+	// slabs is the sweep's slab set: the workers' zone pools and the store's
+	// compact pools carve from it, and explore releases it (see there).
+	slabs dbm.Slabs
+
 	// hasCheck caches "Cancel, Deadline, or MaxBytes configured" so the
 	// worker loop pays a single predictable branch when none is.
 	hasCheck bool
@@ -396,7 +401,8 @@ func (e *explorer) visitAdmitted(w int, s *State) (stopSweep bool) {
 // zone/pool ownership protocol by doing nothing: the panicked worker simply
 // abandons its succCtx (scratch zone, pool, state free list) to the garbage
 // collector along with the rest of the run's pools, so a possibly-corrupt
-// state is never recycled, and the other workers drain promptly through the
+// state is never recycled — only the raw slab bytes underneath are, after
+// the barrier, by explore — and the other workers drain promptly through the
 // stop flag that fail raises. The deferred stats flush inside run still lands
 // during unwinding, so partial Stats stay accurate.
 func (e *explorer) runContained(w int) {
@@ -412,7 +418,7 @@ func (e *explorer) runContained(w int) {
 // successors, feed the query set, recycle the expanded state. Statistics
 // accumulate in locals and flush once on exit.
 func (e *explorer) run(w int) {
-	ctx := e.c.eng.newCtx()
+	ctx := e.c.eng.newCtx(&e.slabs)
 	// Parent-log records hold successor indices, not labels, so the worker
 	// loop never needs stable label copies — replay rebuilds them on demand.
 	ctx.keepLabels = false
@@ -554,6 +560,14 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		return res, err
 	}
 	e := &explorer{c: c, opts: opts, queries: queries}
+	// The sweep's slabs go back to the process-wide cache once per run, on
+	// every way out of this function: strictly after the worker barrier and
+	// after every Query.finish and replayTrace below, when the frontier's
+	// states, the store's payloads and the workers' pools are referenced by
+	// nothing that survives the return (see "Zone ownership" in store.go).
+	// Canceled, budget-failed and panic-contained runs release too: a slab is
+	// raw bytes, and whoever carves it next initializes what it carves.
+	defer e.slabs.Release()
 	hasAbort := opts.Cancel != nil || !opts.Deadline.IsZero()
 	e.hasCheck = hasAbort || opts.MaxBytes > 0
 	if hasAbort {
@@ -601,7 +615,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		if parallel {
 			shards = parallelShards
 		}
-		e.passed = newStore(shards)
+		e.passed = newStore(shards, &e.slabs)
 	}
 	e.passed.add(init)
 	e.stored.Store(1)
@@ -729,7 +743,7 @@ func (c *Checker) replayTrace(logs *parentLogs, ref int64) ([]TraceStep, error) 
 	}
 	slices.Reverse(chain)
 
-	ctx := c.eng.newCtx() // keepLabels: replay materializes the labels
+	ctx := c.eng.newCtx(nil) // keepLabels: replay materializes the labels
 	cur, err := c.eng.initial()
 	if err != nil {
 		return nil, err

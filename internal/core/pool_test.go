@@ -14,7 +14,7 @@ import (
 // (b) the packed copy never aliases the state's full zone — mutating one
 // never corrupts the other.
 func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
-	st := newStore(1)
+	st := newStore(1, nil)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 
@@ -64,7 +64,7 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 // contract: mutating a state's zone after admission must not change what
 // the store believes, because the store owns an independent copy.
 func TestAddDoesNotRetainCallerZone(t *testing.T) {
-	st := newStore(1)
+	st := newStore(1, nil)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 

@@ -87,7 +87,8 @@ type Options struct {
 	// ownership invariants — workers abort only between expansions, so every
 	// state is either recycled through its owning succCtx or abandoned to the
 	// garbage collector with the per-run pools; nothing dangles into a later
-	// run. Typically wired to a context's Done channel by callers that manage
+	// run (the run's slabs are released to later runs as raw bytes, after the
+	// worker barrier like those of a completed run). Typically wired to a context's Done channel by callers that manage
 	// jobs (internal/serve).
 	Cancel <-chan struct{}
 	// Deadline, when nonzero, bounds the exploration by wall clock: a run

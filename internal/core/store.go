@@ -106,6 +106,24 @@ type passedSet interface {
 //
 // The worker-side succCtx scratch and dbm.Pool recycling are untouched:
 // compression lives entirely behind the admission boundary.
+//
+// Where the bytes come from, and when they go back: the matrices of the
+// workers' pools and the payloads of the shards' compact pools are carved
+// from one dbm.Slabs set per run (explorer.slabs), and explore releases the
+// set to a process-wide cache exactly once per run — after the worker
+// barrier, after every Query.finish and every replayTrace, and also when the
+// run was canceled, ran out of budget or contained a panic. From then on a
+// later sweep overwrites that memory, so the rules above have one more
+// clause: nothing a caller can see may alias slab memory. Today that holds
+// because every such value is a heap copy — a completing query captures
+// cloneState(s), never s (explorer.completeQuery); trace replay runs on a
+// heap ctx (newCtx(nil)) from a heap initial state (engine.initial), so every
+// TraceStep owns plain heap zones; SupResult and MaxVar carry bounds and
+// integers, not zones; a visitor may not retain a state beyond the call.
+// The one place this changes is a new kind of result: if it holds a *State,
+// a *dbm.DBM or a dbm.Compact, it must copy before explore returns. The
+// package's tests run with released slabs poisoned (slab_test.go), so an
+// alias shows up as garbage in the first test that looks at the result.
 type store struct {
 	shards perWorker[shard]
 	mask   uint64 // len(shards)-1; the count is a power of two
@@ -254,13 +272,14 @@ func (e *storeEntry) matches(locs []ta.LocID, vars []int64) bool {
 }
 
 // newStore returns a store with the given shard count, a power of two; one
-// shard means one worker and no locking.
-func newStore(shards int) *store {
+// shard means one worker and no locking. Packed payloads are carved from
+// slabs (nil: from the heap).
+func newStore(shards int, slabs *dbm.Slabs) *store {
 	st := &store{shards: make(perWorker[shard], shards), mask: uint64(shards - 1), locked: shards > 1}
 	for i := range st.shards {
 		sh := st.shards.at(i)
 		sh.buckets = make(map[uint64]*storeEntry)
-		sh.cpool = dbm.NewCompactPool()
+		sh.cpool = slabs.CompactPool()
 		sh.intern.m = make(map[uint64][][]uint64)
 	}
 	return st
@@ -357,8 +376,8 @@ func (st *store) add(s *State) bool {
 		// hanging every other worker that hashes to it; the open-coded defer
 		// costs no allocation. The run is failing at that point, so the
 		// possibly half-admitted entry is only ever read by workers about to
-		// observe the stop flag — and the store, like the pools, dies with
-		// the run.
+		// observe the stop flag — and the store's entries, like the pools'
+		// free lists, die with the run; only raw slab bytes outlive it.
 		if !sh.mu.TryLock() {
 			st.contended.Add(1)
 			sh.mu.Lock()

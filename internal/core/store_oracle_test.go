@@ -135,7 +135,7 @@ func TestCompactStoreShadowMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast := newStore(shape.shards)
+		fast := newStore(shape.shards, nil)
 		sh := &shadowStore{fast: fast, ref: newRefStore()}
 		res, err := c.Explore(Options{Workers: shape.workers, passed: sh}, nil)
 		if err != nil {
@@ -357,7 +357,7 @@ func TestSegmentedListLockstep(t *testing.T) {
 
 	for _, shape := range storeShapes {
 		workers := shape.workers
-		fast := newStore(shape.shards)
+		fast := newStore(shape.shards, nil)
 		sh := &shadowStore{fast: fast, ref: newRefStore()}
 		phase := func(name string, states ...*State) {
 			t.Helper()

@@ -47,7 +47,7 @@ func (e *storeEntry) liveZones() []dbm.Compact {
 }
 
 func TestStoreSubsumption(t *testing.T) {
-	st := newStore(1)
+	st := newStore(1, nil)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 	if !st.add(mkState(locs, vars, 10)) {
@@ -69,7 +69,7 @@ func TestStoreSubsumption(t *testing.T) {
 }
 
 func TestStoreDistinguishesDiscreteParts(t *testing.T) {
-	st := newStore(1)
+	st := newStore(1, nil)
 	if !st.add(mkState([]ta.LocID{0}, []int64{0}, 10)) ||
 		!st.add(mkState([]ta.LocID{1}, []int64{0}, 10)) ||
 		!st.add(mkState([]ta.LocID{0}, []int64{1}, 10)) {
@@ -81,7 +81,7 @@ func TestStoreDistinguishesDiscreteParts(t *testing.T) {
 }
 
 func TestStoreIncomparableZonesCoexist(t *testing.T) {
-	st := newStore(1)
+	st := newStore(1, nil)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 	// x <= 10 and x >= 5 (upper bound infinity) are incomparable.
@@ -108,8 +108,8 @@ func TestPStoreMatchesStore(t *testing.T) {
 		mkState([]ta.LocID{1}, []int64{0}, 7),
 	}
 	for _, shards := range []int{4, 64} {
-		seq := newStore(1)
-		par := newStore(shards)
+		seq := newStore(1, nil)
+		par := newStore(shards, nil)
 		if seq.locked || !par.locked {
 			t.Fatalf("locked: 1 shard %v, %d shards %v; want false, true", seq.locked, shards, par.locked)
 		}
@@ -141,7 +141,7 @@ func TestPStoreMatchesStore(t *testing.T) {
 // must grow on admission, shrink when a covering zone prunes a stored one,
 // and stay put on subsumption.
 func TestStoreTracksStoredBytes(t *testing.T) {
-	st := newStore(1)
+	st := newStore(1, nil)
 	// Distinct contents so the locs and vars vectors intern separately (the
 	// table is content-addressed across both kinds).
 	locs := []ta.LocID{3}
@@ -182,7 +182,7 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 // location vector or variable valuation across distinct discrete states must
 // collapse to one shared slice each.
 func TestStoreInternsDiscreteVectors(t *testing.T) {
-	st := newStore(1)
+	st := newStore(1, nil)
 	// Same locs, three different vars: locs interned once, hit twice.
 	st.add(mkState([]ta.LocID{7}, []int64{0}, 10))
 	st.add(mkState([]ta.LocID{7}, []int64{1}, 10))

@@ -33,7 +33,7 @@ func TestPStoreConcurrentSubsumingAdds(t *testing.T) {
 	}
 
 	for _, shape := range []struct{ shards, workers int }{{1, 1}, {4, 8}, {64, 8}} {
-		st := newStore(shape.shards)
+		st := newStore(shape.shards, nil)
 		var wg sync.WaitGroup
 		wg.Add(shape.workers)
 		for w := 0; w < shape.workers; w++ {

@@ -127,12 +127,14 @@ type succCtx struct {
 // partRun is a contiguous range of ctx.receivers belonging to one process.
 type partRun struct{ start, end int }
 
-// newCtx returns a fresh scratch context for one exploration worker.
-func (e *engine) newCtx() *succCtx {
+// newCtx returns a fresh scratch context for one exploration worker, its zone
+// pool carving from the sweep's slab set. A nil set gives a ctx on the plain
+// heap, for states that outlive the sweep (trace replay).
+func (e *engine) newCtx(slabs *dbm.Slabs) *succCtx {
 	nChans := len(e.net.Chans)
 	ints := make([]int32, 3*nChans)
 	return &succCtx{
-		pool:       dbm.NewPool(e.dim),
+		pool:       slabs.Pool(e.dim),
 		zone:       dbm.New(e.dim),
 		tRows:      dbm.NewTouched(e.dim),
 		tCols:      dbm.NewTouched(e.dim),

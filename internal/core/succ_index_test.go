@@ -131,7 +131,7 @@ func enginePair(t testing.TB, net *ta.Network) (eI, eL *engine, ctxI, ctxL *succ
 		t.Fatal(err)
 	}
 	cL.eng.legacyScan = true
-	return cI.eng, cL.eng, cI.eng.newCtx(), cL.eng.newCtx()
+	return cI.eng, cL.eng, cI.eng.newCtx(nil), cL.eng.newCtx(nil)
 }
 
 // compareSuccessors runs both enumerators on one state and fails unless the

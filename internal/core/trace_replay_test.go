@@ -61,7 +61,7 @@ func assertTraceValid(t *testing.T, c *Checker, trace []TraceStep) {
 	if !sameState(trace[0].State, init) {
 		t.Fatalf("trace step 0 is not the initial state: %s", trace[0].State.Format(c.net))
 	}
-	ctx := c.eng.newCtx()
+	ctx := c.eng.newCtx(nil)
 	cur := init
 	for i, step := range trace[1:] {
 		succs, err := c.eng.successors(ctx, cur, nil)
@@ -87,7 +87,7 @@ func assertTraceValid(t *testing.T, c *Checker, trace []TraceStep) {
 func assertDeadlocked(t *testing.T, c *Checker, trace []TraceStep) {
 	t.Helper()
 	last := trace[len(trace)-1].State
-	succs, err := c.eng.successors(c.eng.newCtx(), last, nil)
+	succs, err := c.eng.successors(c.eng.newCtx(nil), last, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

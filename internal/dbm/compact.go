@@ -277,7 +277,7 @@ func (c Compact) DecodeInto(d *DBM) {
 
 // Decode unpacks the zone into a fresh DBM.
 func (c Compact) Decode() *DBM {
-	d := &DBM{dim: c.Dim(), m: make([]Bound, c.Dim()*c.Dim())}
+	d := &DBM{dim: c.Dim(), m: heap.bounds(c.Dim() * c.Dim())}
 	c.DecodeInto(d)
 	return d
 }
@@ -290,22 +290,31 @@ func (c Compact) Decode() *DBM {
 // buffer sizes — one per encoding width — and class rounding would only
 // inflate every stored zone's capacity (up to 2×) for no extra reuse.
 // A pool is NOT safe for concurrent use — the passed store owns one per shard
-// and only touches it while holding the shard.
+// and only touches it while holding the shard. Buffers the free lists cannot
+// supply are carved out of the pool's slab set (slab.go), under the ownership
+// rule stated there.
 type CompactPool struct {
+	slabs  *Slabs            // nil: standalone, every buffer is its own heap allocation
 	free   map[int][]Compact // keyed by exact buffer capacity
 	gets   int
 	reuses int
 }
 
-// NewCompactPool returns an empty pool.
-func NewCompactPool() *CompactPool { return &CompactPool{free: make(map[int][]Compact)} }
+// NewCompactPool returns an empty standalone pool whose buffers are allocated
+// from the heap.
+func NewCompactPool() *CompactPool { return heap.CompactPool() }
+
+// CompactPool returns an empty pool whose buffers are carved from s.
+func (s *Slabs) CompactPool() *CompactPool {
+	return &CompactPool{slabs: s, free: make(map[int][]Compact)}
+}
 
 // get returns a buffer of length n, reusing a free buffer of exactly that
 // capacity when available. A nil pool falls back to plain allocation so
 // EncodeCompact works standalone.
 func (p *CompactPool) get(n int) Compact {
 	if p == nil {
-		return make(Compact, n)
+		return heap.compact(n)
 	}
 	p.gets++
 	if l := p.free[n]; len(l) > 0 {
@@ -315,7 +324,7 @@ func (p *CompactPool) get(n int) Compact {
 		p.reuses++
 		return c[:n]
 	}
-	return make(Compact, n)
+	return p.slabs.compact(n)
 }
 
 // Put returns a buffer to the pool for reuse. The caller must not retain the

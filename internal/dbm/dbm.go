@@ -23,7 +23,7 @@ func New(dim int) *DBM {
 	if dim < 1 {
 		panic("dbm: dimension must include the reference clock")
 	}
-	d := &DBM{dim: dim, m: make([]Bound, dim*dim)}
+	d := &DBM{dim: dim, m: heap.bounds(dim * dim)}
 	for i := range d.m {
 		d.m[i] = LEZero
 	}
@@ -59,7 +59,7 @@ func (d *DBM) set(i, j int, b Bound) { d.m[i*d.dim+j] = b }
 
 // Copy returns a deep copy of the DBM.
 func (d *DBM) Copy() *DBM {
-	c := &DBM{dim: d.dim, m: make([]Bound, len(d.m))}
+	c := &DBM{dim: d.dim, m: heap.bounds(len(d.m))}
 	copy(c.m, d.m)
 	return c
 }
@@ -193,7 +193,8 @@ func (d *DBM) CloseTouched(t *Touched) bool {
 // Above a density threshold (touched rows plus columns ≥ 3/4 of the
 // dimension) it falls back to the full Close. The return value mirrors
 // Close; under the stated precondition (canonical nonempty input, entries
-// only loosened) the zone cannot become empty and the result is bit-identical
+// only loosened) the zone cannot become empty, so the incremental path
+// reports true without scanning the diagonal, and the result is bit-identical
 // to a full Close.
 func (d *DBM) CloseRows(rows, cols *Touched) bool {
 	n := d.dim
@@ -219,15 +220,23 @@ func (d *DBM) CloseRows(rows, cols *Touched) bool {
 				}
 			}
 		}
-		for _, j32 := range cols.list {
-			j := int(j32)
-			dkj := rk[j]
-			if dkj == Infinity {
+		if len(cols.list) == 0 {
+			continue
+		}
+		// The touched columns are updated row by row, not column by column:
+		// one pass over the matrix per pivot with the few column indices in
+		// the inner loop, instead of a stride-n walk down every column. The
+		// order within a pivot is free — row k and column k do not change
+		// under pivot k (the diagonal is (≤, 0)), so every update reads the
+		// same two operands either way.
+		for i := 0; i < n; i++ {
+			ri := m[i*n : i*n+n]
+			dik := ri[k]
+			if dik == Infinity {
 				continue
 			}
-			for i := 0; i < n; i++ {
-				ri := m[i*n : i*n+n]
-				if dik := ri[k]; dik != Infinity {
+			for _, j := range cols.list {
+				if dkj := rk[j]; dkj != Infinity {
 					if v := addFin(dik, dkj); v < ri[j] {
 						ri[j] = v
 					}
@@ -235,7 +244,7 @@ func (d *DBM) CloseRows(rows, cols *Touched) bool {
 			}
 		}
 	}
-	return !d.IsEmpty()
+	return true
 }
 
 // closeSingle restores canonical form after only the bounds involving clock c

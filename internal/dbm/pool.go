@@ -2,6 +2,13 @@ package dbm
 
 // Pool is a free list of equal-dimension DBMs that lets hot exploration
 // loops recycle matrices instead of allocating one per candidate successor.
+// What the free list cannot supply is carved out of the pool's slab set
+// (slab.go) — the one place a matrix's bounds are allocated. The free list
+// recycles within one sweep; between sweeps it is the slabs that are reused,
+// not the matrices: a process-wide sync.Pool of *DBM would serve one
+// dimension, and callers run models of every dimension (and the store packs
+// at three widths) back to back, so the cache holds raw slabs that any of
+// them can carve (see Slabs).
 //
 // A Pool is NOT safe for concurrent use: every worker of a parallel
 // exploration owns its own Pool. Matrices may migrate between pools (a DBM
@@ -9,27 +16,36 @@ package dbm
 // dimension); a Pool only hands out matrices of its own dimension and
 // silently drops mismatched ones on Put.
 //
-// Ownership protocol (see the package comment of internal/core for the
+// Ownership protocol (see the store type comment in internal/core for the
 // explorer-side invariants): a DBM obtained from Get is exclusively owned by
 // the caller until it is either released with Put or handed off to a
 // longer-lived owner (a stored state, a passed-store entry). After Put the
 // caller must not retain the pointer — the matrix will be reused and
-// overwritten.
+// overwritten. A matrix from a pool attached to a slab set must additionally
+// not be referenced after the set's Release: the next owner of the slab
+// overwrites it. Only a standalone pool (NewPool) hands out matrices that may
+// outlive it.
 type Pool struct {
-	dim  int
-	free []*DBM
+	dim   int
+	slabs *Slabs // nil: standalone, every matrix is its own heap allocation
+	free  []*DBM
 
 	// gets/reuses instrument the pool for tests and diagnostics.
 	gets   int
 	reuses int
 }
 
-// NewPool returns an empty pool handing out DBMs of the given dimension.
-func NewPool(dim int) *Pool {
+// NewPool returns an empty standalone pool handing out DBMs of the given
+// dimension, each allocated from the heap.
+func NewPool(dim int) *Pool { return heap.Pool(dim) }
+
+// Pool returns an empty pool of the given dimension whose matrices are carved
+// from s.
+func (s *Slabs) Pool(dim int) *Pool {
 	if dim < 1 {
 		panic("dbm: pool dimension must include the reference clock")
 	}
-	return &Pool{dim: dim}
+	return &Pool{dim: dim, slabs: s}
 }
 
 // Dim returns the dimension of the matrices managed by the pool.
@@ -47,7 +63,7 @@ func (p *Pool) Get() *DBM {
 		p.reuses++
 		return d
 	}
-	return &DBM{dim: p.dim, m: make([]Bound, p.dim*p.dim)}
+	return &DBM{dim: p.dim, m: p.slabs.bounds(p.dim * p.dim)}
 }
 
 // Put releases a DBM back to the pool. nil and dimension-mismatched matrices

@@ -1,0 +1,124 @@
+package dbm
+
+import (
+	"sync"
+	"sync/atomic"
+	"unsafe"
+)
+
+// This file is the package's one allocation path for bound matrices and
+// packed payloads: nothing else in internal/dbm or internal/core calls make
+// for either (CI's lint job checks it).
+
+// slabBytes is the size of one slab. A sweep's smallest working set is one
+// slab, so the size is what a twenty-state design-space variant keeps
+// resident; 256 KiB holds 67 matrices of 22 clocks or 910 of 6, which is
+// already three orders of magnitude fewer allocations than one per zone.
+const (
+	slabBytes = 256 << 10
+	slabWords = slabBytes / 8
+	// carveMax is the largest piece cut out of a slab. A bigger request
+	// (more than 64 clocks at full width) would leave up to its own size
+	// unused at the end of every slab, and at 32 KiB apiece the heap's cost
+	// per object no longer matters, so it is allocated on its own.
+	carveMax = slabWords / 8
+)
+
+// slab is raw pointer-free memory; it carries no structure between owners.
+// It is an array of Bound so that matrices are carved without a conversion
+// and payloads start 8-byte aligned.
+type slab [slabWords]Bound
+
+// slabCache holds the slabs no sweep owns, process-wide. A sync.Pool is the
+// whole policy: the collector trims what stays idle over two cycles, a busy
+// process keeps what it keeps reusing, and there is nothing to configure.
+var slabCache = sync.Pool{New: func() any { return new(slab) }}
+
+// Slabs is the slab set of one owner — for the explorer, one sweep. Pools
+// attached to it (Slabs.Pool, Slabs.CompactPool) carve their matrices and
+// payloads out of its slabs instead of allocating each one, and Release hands
+// every slab back to the process-wide cache for the next owner, of whatever
+// dimension and packing width. Why slabs and not a sync.Pool of matrices: a
+// cache of typed objects serves one dimension and one width, and the callers
+// of this package run models of every dimension back to back (the benchmark's
+// variants workload alone has 20,000); raw slabs serve all of them from one
+// cache.
+//
+// Carving is safe for concurrent use (per-worker pools and per-shard compact
+// pools share one set); it takes the set's lock once per matrix or payload a
+// free list could not supply, which is rare next to the work done on one.
+//
+// Ownership: everything carved from a set is overwritten by a later owner
+// after Release. The owner must therefore release only when nothing carved
+// is referenced any more, and must never let carved memory reach a caller
+// that outlives it — such values are heap copies (DBM.Copy, the zero Pool).
+// Released memory has unspecified contents; every consumer fully initializes
+// what it carves (Pool.Get's contract, EncodeCompact).
+//
+// The zero value is an empty set ready for use. A nil *Slabs allocates every
+// piece from the heap, which is what standalone pools do.
+type Slabs struct {
+	mu   sync.Mutex
+	held []*slab
+	// used counts the words carved from the last slab of held.
+	used int
+}
+
+// heap is the nil set, for values that belong to no sweep: each piece is its
+// own heap allocation, zeroed, and lives as long as it is referenced.
+var heap *Slabs
+
+// bounds returns n bounds with unspecified contents, capacity n.
+func (s *Slabs) bounds(n int) []Bound {
+	if s == nil || n > carveMax {
+		return make([]Bound, n)
+	}
+	s.mu.Lock()
+	if len(s.held) == 0 || s.used+n > slabWords {
+		s.held = append(s.held, slabCache.Get().(*slab))
+		s.used = 0
+	}
+	b := s.held[len(s.held)-1][s.used : s.used+n : s.used+n]
+	s.used += n
+	s.mu.Unlock()
+	return b
+}
+
+// compact returns an n-byte payload buffer with unspecified contents,
+// capacity n, 8-byte aligned: the byte view of whole bounds.
+func (s *Slabs) compact(n int) Compact {
+	w := s.bounds((n + 7) / 8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), n)
+}
+
+// Release returns every slab of the set to the process-wide cache. The set is
+// empty afterwards and may be used again. See the type comment for when an
+// owner may call it.
+func (s *Slabs) Release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fill := poisonReleased.Load()
+	for i, sl := range s.held {
+		if fill {
+			for j := range sl {
+				sl[j] = poison
+			}
+		}
+		slabCache.Put(sl)
+		s.held[i] = nil
+	}
+	s.held, s.used = s.held[:0], 0
+}
+
+// poison is what PoisonReleased writes over released slabs: as a Bound it is
+// a huge negative constant no canonical zone holds, as payload bytes a width
+// code no Compact has.
+const poison = Bound(-0x2152411021524111) // 0xDEADBEEFDEADBEEF
+
+var poisonReleased atomic.Bool
+
+// PoisonReleased makes Release overwrite every slab with a sentinel before
+// caching it, so that a value still aliasing released memory is corrupted at
+// once and deterministically, not whenever a later sweep happens to carve the
+// same bytes. For tests; nothing on a production path turns it on.
+func PoisonReleased(on bool) { poisonReleased.Store(on) }

@@ -3,6 +3,7 @@ package obs
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestHistogramBucketBoundaries pins the le semantics: an observation exactly
@@ -131,4 +132,27 @@ func TestRegistryPanics(t *testing.T) {
 	mustPanic("non-ascending bounds", func() {
 		NewRegistry().Histogram("h_seconds", "", []float64{1, 1})
 	})
+}
+
+// TestSpansSharingAnEndpointAbut pins what a job's lifecycle spans rely on:
+// when one span ends at the time.Time the next one starts at, the first one's
+// End is the second one's StartNS to the nanosecond, and a start is never
+// before the epoch-anchored wall reading of an earlier instant.
+func TestSpansSharingAnEndpointAbut(t *testing.T) {
+	prev := time.Now()
+	for i := 0; i < 1000; i++ {
+		mid := time.Now()
+		end := time.Now()
+		a, b := NewSpan("a", prev, mid), NewSpan("b", mid, end)
+		if a.End() != b.StartNS {
+			t.Fatalf("iteration %d: span a ends at %d, span b starts at %d", i, a.End(), b.StartNS)
+		}
+		if a.StartNS > b.StartNS || a.DurNS < 0 || b.DurNS < 0 {
+			t.Fatalf("iteration %d: spans out of order: %+v %+v", i, a, b)
+		}
+		prev = end
+	}
+	if s := NewSpan("now", prev, prev); time.Duration(s.StartNS-time.Now().UnixNano()).Abs() > time.Minute {
+		t.Errorf("span start %d is not an absolute Unix time", s.StartNS)
+	}
 }
