@@ -27,7 +27,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -122,16 +121,9 @@ func main() {
 		return
 	}
 
-	var ord core.Order
-	switch *order {
-	case "bfs":
-		ord = core.BFS
-	case "df":
-		ord = core.DFS
-	case "rdf":
-		ord = core.RDFS
-	default:
-		fatal(fmt.Errorf("unknown order %q", *order))
+	ord, err := core.ParseOrder(*order)
+	if err != nil {
+		fatal(err)
 	}
 	// The sweep profile (when -profile-out is given) rides the uppaal
 	// engine's core options; compile time shows up inside the engine calls,
@@ -151,9 +143,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(wire.FromAllResult(res)); err != nil {
+		out, err := wire.Encode(wire.FromAllResult(res))
+		if err == nil {
+			_, err = os.Stdout.Write(out)
+		}
+		if err != nil {
 			fatal(err)
 		}
 		return

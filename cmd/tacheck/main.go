@@ -28,7 +28,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -78,15 +77,8 @@ func main() {
 	}
 
 	var opts core.Options
-	switch *order {
-	case "bfs":
-		opts.Order = core.BFS
-	case "df":
-		opts.Order = core.DFS
-	case "rdf":
-		opts.Order = core.RDFS
-	default:
-		fatal(fmt.Errorf("unknown order %q", *order))
+	if opts.Order, err = core.ParseOrder(*order); err != nil {
+		fatal(err)
 	}
 	opts.Seed = *seed
 	opts.MaxStates = *maxStates
@@ -173,9 +165,11 @@ func main() {
 	resp := run.Response(stats)
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(resp); err != nil {
+		out, err := wire.Encode(resp)
+		if err == nil {
+			_, err = os.Stdout.Write(out)
+		}
+		if err != nil {
 			fatal(err)
 		}
 		return

@@ -7,20 +7,17 @@
 // Usage:
 //
 //	taserved [-addr host:port] [-cpu-tokens n] [-max-jobs n] [-keep-jobs n]
-//	         [-deadline-ms n] [-shutdown-timeout d] [-pprof-addr host:port]
-//	         [-node-id id -peers a,b,c -broker url]
+//	         [-deadline-ms n] [-memory-budget bytes] [-shutdown-timeout d]
+//	         [-pprof-addr host:port]
 //
 // -pprof-addr (off by default) exposes net/http/pprof on a DEDICATED mux at
 // a separate address, so live CPU/heap/goroutine profiles of a loaded server
 // never share a listener with the public API; bind it to loopback.
 //
-// The cluster flags select the pub/sub backend: -node-id names this node,
-// -peers lists the other members (comma-separated ids), and -broker names
-// the shared broker ("mem://NAME" — the in-process broker registry; nodes in
-// one process sharing a name form a fleet). Absent, the server runs the
-// single-node local backend, behavior identical to every earlier release.
-// All members must run identical admission configuration (-cpu-tokens,
-// -memory-budget) so they derive identical content keys.
+// The binary is always a single node. The fleet backends
+// (internal/serve/pubsub) run over an in-process broker only, so a fleet is
+// formed by the program that creates its nodes — the tests,
+// scripts/servesmoke -cluster and the benchmark — not by flags here.
 //
 // The server prints "taserved: listening on http://HOST:PORT" once ready
 // (with -addr :0 the kernel picks the port; the line is the way to learn
@@ -42,24 +39,11 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/serve"
-	"repro/internal/serve/pubsub"
 )
-
-// openBroker resolves a -broker url. Only the in-process registry is wired
-// today ("mem://NAME"); the scheme seam is where a networked broker adapter
-// would plug in.
-func openBroker(url string) (pubsub.Broker, error) {
-	name, ok := strings.CutPrefix(url, "mem://")
-	if !ok || name == "" {
-		return nil, fmt.Errorf("unsupported broker url %q (want mem://NAME)", url)
-	}
-	return pubsub.NamedBroker(name), nil
-}
 
 func main() {
 	var (
@@ -71,9 +55,6 @@ func main() {
 		shutTimeout = flag.Duration("shutdown-timeout", 30*time.Second, "graceful shutdown drain budget")
 		memBudget   = flag.Int64("memory-budget", 0, "global zone-memory budget in bytes; jobs hold a slice of it while running and fail alone past their grant (0 = unmetered)")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
-		nodeID      = flag.String("node-id", "", "this node's id in a fleet (empty = single-node local backend)")
-		peers       = flag.String("peers", "", "comma-separated ids of the other fleet members")
-		brokerURL   = flag.String("broker", "", "pub/sub broker url, e.g. mem://default (required with -node-id)")
 	)
 	flag.Parse()
 
@@ -98,39 +79,13 @@ func main() {
 		fmt.Printf("taserved: pprof on http://%s/debug/pprof/\n", pln.Addr())
 	}
 
-	cfg := serve.Config{
+	srv := serve.New(serve.Config{
 		CPUTokens:       *cpuTokens,
 		MaxActiveJobs:   *maxJobs,
 		MaxFinishedJobs: *keepJobs,
 		DefaultDeadline: time.Duration(*deadlineMS) * time.Millisecond,
 		MemoryBudget:    *memBudget,
-	}
-	if *nodeID != "" {
-		// Fleet mode: route submissions by content hash over the shared
-		// broker. Without -node-id the zero-value backends keep the exact
-		// single-node behavior.
-		broker, err := openBroker(*brokerURL)
-		if err != nil {
-			fatal(err)
-		}
-		var peerIDs []string
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				peerIDs = append(peerIDs, p)
-			}
-		}
-		dispatch, results, err := pubsub.NewNode(broker, *nodeID, peerIDs, *keepJobs)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Dispatch = dispatch
-		cfg.Results = results
-		fmt.Printf("taserved: fleet node %s (%d members) via %s\n",
-			*nodeID, len(dispatch.Nodes()), *brokerURL)
-	} else if *peers != "" || *brokerURL != "" {
-		fatal(errors.New("-peers/-broker require -node-id"))
-	}
-	srv := serve.New(cfg)
+	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fatal(err)

@@ -589,3 +589,22 @@ func TestUnfinalizedNetworkRejected(t *testing.T) {
 		t.Error("unfinalized network must be rejected")
 	}
 }
+
+// TestParseOrderRoundTrip pins the one search-order table: every Order parses
+// back from its String, the empty string selects BFS (what the service
+// defaults to), and any other spelling is an error naming the valid ones.
+func TestParseOrderRoundTrip(t *testing.T) {
+	for _, o := range []Order{BFS, DFS, RDFS} {
+		if got, err := ParseOrder(o.String()); err != nil || got != o {
+			t.Errorf("ParseOrder(%q) = %v, %v; want %v", o.String(), got, err, o)
+		}
+	}
+	if got, err := ParseOrder(""); err != nil || got != BFS {
+		t.Errorf(`ParseOrder("") = %v, %v; want BFS`, got, err)
+	}
+	for _, bad := range []string{"dfs", "BFS", "?"} {
+		if _, err := ParseOrder(bad); err == nil {
+			t.Errorf("ParseOrder(%q) accepted an unknown order", bad)
+		}
+	}
+}

@@ -326,13 +326,11 @@ type explorer struct {
 	// path guards on len(queries), and only completeQuery reads the
 	// decremented count.
 	live        atomic.Int64
-	deadFlag    atomic.Bool
 	stored      atomic.Int64
 	popped      atomic.Int64
 	transitions atomic.Int64
 	deadlocks   atomic.Int64
 	truncated   atomic.Bool
-	deadRef     atomic.Int64
 	firstErr    atomic.Pointer[error]
 }
 
@@ -499,13 +497,6 @@ func (e *explorer) run(w int) {
 					return
 				}
 			}
-			if e.opts.StopAtDeadlock {
-				if e.logs != nil && e.deadFlag.CompareAndSwap(false, true) {
-					e.deadRef.Store(s.ref)
-				}
-				e.stop.Store(true)
-				return
-			}
 		}
 		if shuffle != nil {
 			shuffle.Shuffle(len(succs), func(i, j int) { succs[i], succs[j] = succs[j], succs[i] })
@@ -582,14 +573,12 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	if opts.MaxBytes > 0 {
 		e.budget = newMemBudget(opts.MaxBytes, c.eng.dim, workers)
 	}
-	e.deadRef.Store(noRef)
 	e.live.Store(int64(len(queries)))
 	// Parent logs exist exactly when a trace can be requested: a query may
-	// complete with a witness, or StopAtDeadlock may stop the run.
-	// Trace-free query sets (MaxVar alone) need none; opts.noTrace
-	// additionally forces them off for in-package callers that can prove
-	// they never replay.
-	needTrace := opts.StopAtDeadlock
+	// complete with a witness. Trace-free query sets (MaxVar alone) need
+	// none; opts.noTrace additionally forces them off for in-package callers
+	// that can prove they never replay.
+	needTrace := false
 	for _, q := range queries {
 		qs := q.state()
 		qs.used = true
@@ -698,14 +687,9 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	}
 	if opts.Monitor != nil && e.logs != nil {
 		// The trace-replay phase covers everything after the sweep that may
-		// re-fire transitions: the deadlock replay plus each query's finish
-		// (reduction merge + completion-trace replay).
+		// re-fire transitions: each query's finish (reduction merge +
+		// completion-trace replay).
 		defer opts.Monitor.BeginPhase("trace-replay")()
-	}
-	if ref := e.deadRef.Load(); e.logs != nil && ref != noRef {
-		if res.DeadlockTrace, err = c.replayTrace(e.logs, ref); err != nil {
-			return res, err
-		}
 	}
 	// Merge per-worker reductions and replay completion traces strictly
 	// after the worker barrier.

@@ -20,16 +20,28 @@ const (
 	RDFS
 )
 
+// orderNames is the one table between Order values and their spellings on
+// the CLIs' -order flags and the service's order option.
+var orderNames = [...]string{BFS: "bfs", DFS: "df", RDFS: "rdf"}
+
 func (o Order) String() string {
-	switch o {
-	case BFS:
-		return "bfs"
-	case DFS:
-		return "df"
-	case RDFS:
-		return "rdf"
+	if o < 0 || int(o) >= len(orderNames) {
+		return "?"
 	}
-	return "?"
+	return orderNames[o]
+}
+
+// ParseOrder is the inverse of Order.String; the empty string selects BFS.
+func ParseOrder(s string) (Order, error) {
+	if s == "" {
+		return BFS, nil
+	}
+	for o, name := range orderNames {
+		if s == name {
+			return Order(o), nil
+		}
+	}
+	return BFS, fmt.Errorf("unknown order %q (want bfs, df, or rdf)", s)
 }
 
 // Options configures an exploration.
@@ -65,10 +77,6 @@ type Options struct {
 	// path; frontier slots, parent logs and query accumulators are not
 	// counted.
 	MaxBytes int64
-	// StopAtDeadlock ends the exploration at the first deadlocked state
-	// (no action successor from the state or any of its delay successors),
-	// recording a trace to it.
-	StopAtDeadlock bool
 	// Workers > 1 runs the exploration — every query kind, traces included —
 	// on the work-stealing parallel frontier with that many goroutines; 0 or
 	// 1 selects the sequential frontier. The routing decision is
@@ -105,7 +113,7 @@ type Options struct {
 
 	// noTrace disables parent logging for in-package queries that can prove
 	// they never request a trace (MaxVar). Zero value keeps logging on
-	// whenever a query or StopAtDeadlock could stop the run with a trace.
+	// whenever a query could stop the run with a trace.
 	noTrace bool
 	// passed, when non-nil, replaces the run's passed-state store. Test-only:
 	// the compact-store oracle injects a full-DBM reference implementation to
@@ -183,9 +191,6 @@ type ExploreResult struct {
 	// Trace is the path from the initial state to FoundState. Its states are
 	// freshly materialized by trace replay and are owned by the caller.
 	Trace []TraceStep
-	// DeadlockTrace leads to the first deadlocked state when
-	// Options.StopAtDeadlock is set and one was found.
-	DeadlockTrace []TraceStep
 }
 
 // Explore performs symbolic reachability from the initial state, sequentially

@@ -290,37 +290,6 @@ func TestParallelTraceStressReplays(t *testing.T) {
 	}
 }
 
-// TestMaxVarStopAtDeadlockNoTrace pins the interaction between the noTrace
-// fast path and StopAtDeadlock: MaxVar disables parent logging, so a
-// deadlock stop must complete without attempting (and crashing on) a trace
-// replay against nil logs.
-func TestMaxVarStopAtDeadlockNoTrace(t *testing.T) {
-	n := ta.NewNetwork("deadvar")
-	x := n.AddClock("x")
-	v := n.AddVar("v", 0, 0, 3)
-	p := n.AddProcess("P")
-	l0 := p.AddLocation("l0", ta.Normal, ta.CLE(x, 3))
-	l1 := p.AddLocation("stuck", ta.Normal)
-	p.AddEdge(ta.Edge{Src: l0, Dst: l1, ClockGuard: ta.CEq(x, 3), Update: ta.Inc(v, 1)})
-	if err := n.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewChecker(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		res, err := c.MaxVar(v.ID, nil, Options{StopAtDeadlock: true, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Seen || res.Max != 1 {
-			t.Errorf("workers %d: v range = [%d,%d] seen=%v, want max 1",
-				workers, res.Min, res.Max, res.Seen)
-		}
-	}
-}
-
 // TestStatsAddCoversEveryField walks Stats by reflection so a counter added
 // later cannot be silently dropped from Add — the failure BinarySearchWCRT's
 // hand-summing used to risk.

@@ -1,8 +1,8 @@
 // Package api is the transport contract of the taserved analysis service:
 // the request/response bodies and job states that travel between clients and
-// the job manager, and — in cluster mode — between nodes as dispatch
+// the server, and — in cluster mode — between nodes as dispatch
 // envelopes. It holds types only, so the typed client
-// (internal/serve/client), the job manager (internal/serve), and the
+// (internal/serve/client), the server (internal/serve), and the
 // dispatch backends (internal/serve/pubsub) can all share one contract
 // without import cycles. internal/serve aliases every name, so existing code
 // written against serve.SubmitRequest keeps compiling unchanged.

@@ -2,8 +2,8 @@ package serve
 
 import "repro/internal/serve/api"
 
-// This file defines the two pluggable backend seams of the job manager and
-// their single-node (default) implementations. The manager itself is
+// This file defines the two pluggable backend seams of the Server and
+// their single-node (default) implementations. The server itself is
 // transport-agnostic: everything cluster-shaped — who owns a content hash,
 // how a submission reaches its owner, how completions and results come back —
 // goes through these interfaces. The local backends reduce every operation to
@@ -15,7 +15,7 @@ import "repro/internal/serve/api"
 // carries completion events between nodes. Implementations must be safe for
 // concurrent use; handlers registered with Watch and Receive may be invoked
 // from arbitrary goroutines and must be treated as at-least-once deliveries
-// (the job manager tolerates duplicates).
+// (the server tolerates duplicates).
 type Dispatch interface {
 	// Self reports this node's id.
 	Self() string
@@ -40,7 +40,7 @@ type Dispatch interface {
 	// consumes.
 	Announce(ev api.CompletionEvent) error
 	// Receive registers this node's handler for dispatch envelopes addressed
-	// to it. Called once by the job manager at construction.
+	// to it. Called once by New.
 	Receive(fn func(envelope []byte)) error
 	// Close releases the backend's subscriptions.
 	Close() error
@@ -50,7 +50,7 @@ type Dispatch interface {
 // results (and only results — never errors, never partial states) keyed by
 // the submission content hash. Values are immutable once stored; Get must
 // return the bytes exactly as Put received them, because those bytes are the
-// wire response. Implementations are fed by the manager (adopted proxy
+// wire response. Implementations are fed by the server (adopted proxy
 // completions) and, in cluster mode, by the dispatch backend's replication
 // feed, and must tolerate duplicate Puts of the same key.
 type ResultCache interface {
@@ -66,7 +66,7 @@ type ResultCache interface {
 
 // localDispatch is the single-node Dispatch: this node owns every key, so no
 // envelope, completion event, or subscription ever exists. It is the
-// Config.Dispatch default and keeps the manager's behavior bit-identical to
+// Config.Dispatch default and keeps the server's behavior bit-identical to
 // the pre-cluster server.
 type localDispatch struct{}
 

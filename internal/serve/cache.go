@@ -89,11 +89,6 @@ func (c *flightCache[V]) do(key string, fn func() (V, error)) (val V, shared boo
 	return f.val, false, f.err
 }
 
-// stats reports cache effectiveness for /metrics.
-func (c *flightCache[V]) stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
 // len reports the currently retained entries.
 func (c *flightCache[V]) len() int {
 	c.mu.Lock()

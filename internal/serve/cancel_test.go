@@ -116,7 +116,7 @@ func TestDeadlineExceededJob(t *testing.T) {
 	s, ts := testServer(t, Config{})
 	sr := submit(t, ts.URL, hugeSubmit(29, 150))
 	final := await(t, ts.URL, sr.JobID, 30*time.Second)
-	if final.State != StateFailed || final.Error != errDeadlineExceeded {
+	if final.State != StateFailed || final.Error != wire.CodeDeadlineExceeded {
 		t.Fatalf("deadline job: %s (%q), want failed (DeadlineExceeded)", final.State, final.Error)
 	}
 	if c := s.Stats(); c.Expired == 0 {
@@ -130,7 +130,7 @@ func TestServerDefaultDeadline(t *testing.T) {
 	_, ts := testServer(t, Config{DefaultDeadline: 150 * time.Millisecond})
 	sr := submit(t, ts.URL, hugeSubmit(31, 0))
 	final := await(t, ts.URL, sr.JobID, 30*time.Second)
-	if final.State != StateFailed || final.Error != errDeadlineExceeded {
+	if final.State != StateFailed || final.Error != wire.CodeDeadlineExceeded {
 		t.Fatalf("default-deadline job: %s (%q)", final.State, final.Error)
 	}
 }
@@ -163,10 +163,10 @@ func TestGracefulShutdownCancelsJobs(t *testing.T) {
 
 // TestAdmissionSerializesOnTokens pins the CPU-token contract: with a single
 // token, a second job waits in queued state (never started) while the first
-// runs, and a queued job canceled before admission reports canceled without
-// ever starting.
+// runs, and a queued job canceled — or expired — before admission reports so
+// without ever starting, and is counted.
 func TestAdmissionSerializesOnTokens(t *testing.T) {
-	_, ts := testServer(t, Config{CPUTokens: 1})
+	s, ts := testServer(t, Config{CPUTokens: 1})
 	a := submit(t, ts.URL, hugeSubmit(41, 0))
 	awaitProgress(t, ts.URL, a.JobID, 1000, time.Minute)
 
@@ -189,6 +189,22 @@ func TestAdmissionSerializesOnTokens(t *testing.T) {
 	final := await(t, ts.URL, b.JobID, 10*time.Second)
 	if final.State != StateCanceled || final.StartedAt != nil {
 		t.Errorf("queued-cancel: state=%s started=%v, want canceled and never started", final.State, final.StartedAt)
+	}
+	// Aborts are counted where jobs finish, not inside a sweep: b never ran
+	// one, and still counts.
+	if c := s.Stats(); c.Canceled != 1 {
+		t.Errorf("Canceled = %d after a queued job was canceled, want 1", c.Canceled)
+	}
+	// The deadline twin: a job that expires in the admission queue fails with
+	// the DeadlineExceeded name, never starts, and bumps Expired.
+	c := submit(t, ts.URL, hugeSubmit(44, 100))
+	final = await(t, ts.URL, c.JobID, 10*time.Second)
+	if final.State != StateFailed || final.Error != wire.CodeDeadlineExceeded || final.StartedAt != nil {
+		t.Errorf("queued-deadline: state=%s error=%q started=%v, want failed (DeadlineExceeded) and never started",
+			final.State, final.Error, final.StartedAt)
+	}
+	if c := s.Stats(); c.Expired != 1 {
+		t.Errorf("Expired = %d after a queued job outlived its deadline, want 1", c.Expired)
 	}
 	postJSON(t, ts.URL+"/v1/jobs/"+a.JobID+"/cancel", nil)
 	await(t, ts.URL, a.JobID, 30*time.Second)

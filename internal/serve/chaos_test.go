@@ -58,7 +58,7 @@ func TestChaosSlowJobStillSheds(t *testing.T) {
 	// While the delayed job occupies the only table slot, health must answer
 	// immediately (graded, but never blocked behind the slow job).
 	start := time.Now()
-	code, _ := getBody(t, ts.URL+"/healthz")
+	code, _ := getBody(t, ts.URL+"/v1/healthz")
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("healthz blocked %v behind a slow job", elapsed)
 	}

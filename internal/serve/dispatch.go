@@ -11,7 +11,7 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the cluster half of the job manager: how a submission owned by
+// This file is the cluster half of the server: how a submission owned by
 // a peer becomes a local proxy job, how completion events turn back into job
 // results, and how this node's own completions are announced. Everything here
 // reduces to a no-op under the default local backend.
@@ -26,88 +26,76 @@ import (
 // depends on the transport, only singleflight breadth does.
 
 // proxyRun builds the run closure of a proxy job: subscribe to the key's
-// completion topic, ship the envelope to the owner, wait for the relayed
-// terminal event. Watch starts before Send so the completion of a fast owner
-// cannot slip between the two.
-func (m *Manager) proxyRun(spec jobSpec, model *modelEntry, req *SubmitRequest, owner string) runFunc {
+// completion topic, ship the request to the owner as its envelope, wait for
+// the relayed terminal event. Watch starts before Send so the completion of a
+// fast owner cannot slip between the two.
+func (s *Server) proxyRun(sub *submission, req *SubmitRequest, owner string) runFunc {
 	return func(j *job) ([]byte, map[string]string, error) {
 		if faultinject.Enabled {
 			if ferr := faultinject.Fire("serve/dispatch"); ferr != nil {
-				return m.localFallback(spec, model, j)
+				return s.localFallback(sub, j)
 			}
 		}
 		envelope, err := json.Marshal(req)
 		if err != nil {
-			return m.localFallback(spec, model, j)
+			return s.localFallback(sub, j)
 		}
 		// Buffered by one and drop-on-full: events are terminal, the first
 		// decides the job; at-least-once duplicates are discarded here.
 		evCh := make(chan api.CompletionEvent, 1)
-		cancelWatch, err := m.dispatch.Watch(j.id, func(ev api.CompletionEvent) {
+		cancelWatch, err := s.dispatch.Watch(j.id, func(ev api.CompletionEvent) {
 			select {
 			case evCh <- ev:
 			default:
 			}
 		})
 		if err != nil {
-			return m.localFallback(spec, model, j)
+			return s.localFallback(sub, j)
 		}
 		defer cancelWatch()
-		if err := m.dispatch.Send(owner, envelope); err != nil {
-			return m.localFallback(spec, model, j)
+		if err := s.dispatch.Send(owner, envelope); err != nil {
+			return s.localFallback(sub, j)
 		}
 
-		var expired <-chan time.Time
-		if !j.deadline.IsZero() {
-			timer := time.NewTimer(time.Until(j.deadline))
-			defer timer.Stop()
-			expired = timer.C
+		// Cancel releases only this frontend's interest; the owner keeps
+		// computing for its other watchers.
+		ev, err := awaitAbortable(evCh, j.cancelCh, j.deadline)
+		if err != nil {
+			return nil, nil, err
 		}
-		select {
-		case ev := <-evCh:
-			if ev.State == api.StateFailed && ev.Error == wire.CodeDispatchFailed {
-				// The transport died while we waited (synthetic event): the
-				// owner may never have seen the envelope. Compute locally
-				// rather than surface a transport failure for computable work.
-				return m.localFallback(spec, model, j)
-			}
-			return m.adoptEvent(ev)
-		case <-expired:
-			return nil, nil, core.ErrDeadlineExceeded
-		case <-j.cancelCh:
-			// Cancel releases only this frontend's interest; the owner keeps
-			// computing for its other watchers. Deadline precedence mirrors
-			// cpuTokens.acquire.
-			if !j.deadline.IsZero() && time.Now().After(j.deadline) {
-				return nil, nil, core.ErrDeadlineExceeded
-			}
-			return nil, nil, core.ErrCanceled
+		if ev.State == api.StateFailed && ev.Error == wire.CodeDispatchFailed {
+			// The transport died while we waited (synthetic event): the
+			// owner may never have seen the envelope. Compute locally
+			// rather than surface a transport failure for computable work.
+			return s.localFallback(sub, j)
 		}
+		return s.adoptEvent(ev)
 	}
 }
 
 // localFallback degrades a proxy job to a node-local computation. The proxy
 // was admitted without a grant, so the fallback acquires the submission's
 // real grant first — degraded routing never bypasses admission control.
-func (m *Manager) localFallback(spec jobSpec, model *modelEntry, j *job) ([]byte, map[string]string, error) {
-	m.fallbacks.Add(1)
-	if err := m.tokens.acquire(j.cancelCh, j.deadline, spec.Workers, spec.MaxBytes); err != nil {
+func (s *Server) localFallback(sub *submission, j *job) ([]byte, map[string]string, error) {
+	s.fallbacks.Add(1)
+	if err := s.tokens.acquire(j.cancelCh, j.deadline, sub.spec.Workers, sub.spec.MaxBytes); err != nil {
 		return nil, nil, err
 	}
-	defer m.tokens.release(spec.Workers, spec.MaxBytes)
-	return m.runFunc(spec, model)(j)
+	defer s.tokens.release(sub.spec.Workers, sub.spec.MaxBytes)
+	return s.compute(sub)(j)
 }
 
 // adoptEvent turns a relayed completion into this job's outcome. Done events
 // carry the owner's wire bytes verbatim — they are returned untouched and
 // fed to the replicated cache. Failure codes are mapped back to the core
-// sentinels (wire.ErrorForCode) so job.finish renames them identically to a
-// local failure; unnamed failures travel as their message.
-func (m *Manager) adoptEvent(ev api.CompletionEvent) ([]byte, map[string]string, error) {
+// sentinels (wire.ErrorForCode) so job.finish names — and jobFinished counts —
+// them identically to a local failure; unnamed failures travel as their
+// message.
+func (s *Server) adoptEvent(ev api.CompletionEvent) ([]byte, map[string]string, error) {
 	switch ev.State {
 	case api.StateDone:
-		m.remoteHits.Add(1)
-		m.results.Put(ev)
+		s.remoteHits.Add(1)
+		s.results.Put(ev)
 		return ev.Result, ev.Traces, nil
 	case api.StateCanceled:
 		return nil, nil, core.ErrCanceled
@@ -120,64 +108,56 @@ func (m *Manager) adoptEvent(ev api.CompletionEvent) ([]byte, map[string]string,
 }
 
 // handleEnvelope runs a dispatch envelope addressed to this node. The
-// envelope is the sender's SubmitRequest verbatim and normalization is
+// envelope is the sender's SubmitRequest verbatim and intake is
 // deterministic, so the re-derived content hash matches the sender's job id
 // and the job table dedupes N frontends' envelopes into one computation.
 // Admission rejections are announced as failed completions (overloaded /
 // shutting_down) so waiting proxies fail fast instead of timing out.
-func (m *Manager) handleEnvelope(envelope []byte) {
+func (s *Server) handleEnvelope(envelope []byte) {
 	var req SubmitRequest
 	if err := json.Unmarshal(envelope, &req); err != nil {
 		return
 	}
-	spec, model, herr := m.normalize(&req)
-	if herr != nil {
-		// The sender normalized these same bytes successfully; a failure here
-		// means version skew. Nothing useful to announce without a key.
-		return
-	}
-	canon, err := json.Marshal(spec)
+	sub, err := s.intake(&req)
 	if err != nil {
+		// The sender derived a job from these same bytes successfully; a
+		// failure here means version skew. Nothing useful to announce
+		// without a key.
 		return
 	}
-	id := hashBytes(string(canon))
-	deadline := time.Time{}
-	if spec.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(spec.DeadlineMS) * time.Millisecond)
-	} else if m.cfg.DefaultDeadline > 0 {
-		deadline = time.Now().Add(m.cfg.DefaultDeadline)
-	}
-	_, _, err = m.jobs.submit(id, spec.Kind, spec.Workers, spec.MaxBytes, deadline, m.runFunc(spec, model))
-	switch err {
-	case nil:
-		// Completion (including a joined live twin's) is announced by the
-		// onFinish hook; an already-done twin was announced when it finished
-		// and its event is retained by the broker for late subscribers.
-	case errBusy:
-		m.shed.Add(1)
-		_ = m.dispatch.Announce(api.CompletionEvent{
-			Key: id, Node: m.dispatch.Self(), Kind: spec.Kind,
-			State: api.StateFailed, Error: wire.CodeOverloaded,
-		})
-	case errShuttingDown:
-		_ = m.dispatch.Announce(api.CompletionEvent{
-			Key: id, Node: m.dispatch.Self(), Kind: spec.Kind,
-			State: api.StateFailed, Error: wire.CodeShuttingDown,
+	// Completion (including a joined live twin's) is announced by the
+	// onFinish hook; an already-done twin was announced when it finished and
+	// its event is retained by the broker for late subscribers.
+	_, _, err = s.jobs.submit(sub.id, sub.spec.Kind, sub.spec.Workers, sub.spec.MaxBytes, sub.deadline, s.compute(sub))
+	if err != nil {
+		_ = s.dispatch.Announce(api.CompletionEvent{
+			Key: sub.id, Node: s.dispatch.Self(), Kind: sub.spec.Kind,
+			State: api.StateFailed, Error: s.reject(err).code,
 		})
 	}
 }
 
-// announceJob is the jobManager's onFinish hook: relay an executed job's
-// terminal state cluster-wide. Proxy and fallback jobs (workers == 0) stay
-// silent — announcing is the owner's job, and a proxy's local abort (cancel,
-// deadline) must never overwrite the retained real completion of its key.
-// The local backend reduces this to a snapshot and two no-ops.
-func (m *Manager) announceJob(j *job) {
+// jobFinished is the jobManager's onFinish hook, called once per executed job
+// as it turns terminal. It counts aborts from the failure class finish just
+// derived — so a job canceled or expired while queued for admission, a
+// proxy's own cancel or deadline, and a relayed remote abort are accounted
+// exactly like one that landed mid-sweep — then relays the terminal state
+// cluster-wide. Proxy and fallback jobs (workers == 0) stay silent —
+// announcing is the owner's job, and a proxy's local abort (cancel, deadline)
+// must never overwrite the retained real completion of its key. The local
+// backend reduces the relay to a snapshot and two no-ops.
+func (s *Server) jobFinished(j *job, code string) {
+	switch code {
+	case wire.CodeCanceled:
+		s.canceled.Add(1)
+	case wire.CodeDeadlineExceeded:
+		s.expired.Add(1)
+	}
 	if j.workers == 0 {
 		return
 	}
 	state, errMsg, _, _ := j.snapshot()
-	ev := api.CompletionEvent{Key: j.id, Node: m.dispatch.Self(), Kind: j.kind, State: state}
+	ev := api.CompletionEvent{Key: j.id, Node: s.dispatch.Self(), Kind: j.kind, State: state}
 	if state == api.StateDone {
 		// Terminal: result/traces are immutable now, and this hook runs on
 		// the goroutine that wrote them.
@@ -189,7 +169,7 @@ func (m *Manager) announceJob(j *job) {
 	// back, but the cache must not depend on that; Put is idempotent and
 	// ignores non-done states.
 	start := time.Now()
-	m.results.Put(ev)
-	_ = m.dispatch.Announce(ev)
-	m.jobs.span(j, spanReplicate, start, time.Now())
+	s.results.Put(ev)
+	_ = s.dispatch.Announce(ev)
+	s.jobs.span(j, spanReplicate, start, time.Now())
 }

@@ -12,10 +12,10 @@ import (
 )
 
 // This file is the HTTP facade: decoding, status codes, and routing. All job
-// semantics live in the Manager; every handler is a thin translation onto it.
+// semantics live behind Submit and the job table; every handler is a thin
+// translation onto them.
 
-// Handler returns the HTTP API. The contract is versioned under /v1/; the
-// operational endpoints keep their historical unversioned paths as aliases.
+// Handler returns the HTTP API. The whole contract is versioned under /v1/.
 //
 //	POST /v1/jobs              submit an analysis; returns the job id
 //	GET  /v1/jobs/{id}         status + live progress
@@ -23,8 +23,8 @@ import (
 //	GET  /v1/jobs/{id}/trace   captured witness traces
 //	GET  /v1/jobs/{id}/profile lifecycle spans + sweep profile (terminal jobs)
 //	POST /v1/jobs/{id}/cancel  cooperative cancellation
-//	GET  /v1/healthz           liveness + counts (alias: /healthz)
-//	GET  /v1/metrics           Prometheus text metrics (alias: /metrics)
+//	GET  /v1/healthz           liveness + counts
+//	GET  /v1/metrics           Prometheus text metrics
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -35,8 +35,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleCancel)
 	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
 
@@ -55,6 +53,9 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, code: wire.CodeBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
+// writeJSON streams one of the service's own bodies (status, errors, health)
+// in the style of wire.Encode. Verdict bytes never pass through here: they
+// are stored encoded and served verbatim.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -142,7 +143,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		State:       state,
 		Error:       errMsg,
 		SubmittedAt: j.submitted,
-		Progress: ProgressBody{
+		Progress: api.ProgressBody{
 			Stored:       p.Stored,
 			Popped:       p.Popped,
 			Transitions:  p.Transitions,
@@ -164,6 +165,16 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// writeNotReady answers 409 for a job whose state does not have what was asked
+// for yet (or never will): the state, plus the failure when there is one.
+func writeNotReady(w http.ResponseWriter, state, errMsg string) {
+	body := map[string]string{"state": state}
+	if errMsg != "" {
+		body["error"] = errMsg
+	}
+	writeJSON(w, http.StatusConflict, body)
+}
+
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFromPath(w, r)
 	if j == nil {
@@ -171,12 +182,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 	state, errMsg, _, _ := j.snapshot()
 	if state != StateDone {
-		status := http.StatusConflict
-		body := map[string]string{"state": state}
-		if errMsg != "" {
-			body["error"] = errMsg
-		}
-		writeJSON(w, status, body)
+		writeNotReady(w, state, errMsg)
 		return
 	}
 	j.mu.Lock()
@@ -193,7 +199,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	state, _, _, _ := j.snapshot()
 	if state != StateDone {
-		writeJSON(w, http.StatusConflict, map[string]string{"state": state})
+		writeNotReady(w, state, "")
 		return
 	}
 	j.mu.Lock()
@@ -226,6 +232,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.CancelResponse{JobID: j.id, State: state, Error: errMsg})
 }
 
+// rate is hits/of, zero before anything was counted.
+func rate(hits, of int64) float64 {
+	if of == 0 {
+		return 0
+	}
+	return float64(hits) / float64(of)
+}
+
 // handleHealthz reports graded health, not a flat 200: the body carries the
 // admission pressure (queue depth, CPU-token and memory-budget saturation),
 // the result-cache hit rate, and the node's cluster view (node id, peer
@@ -239,19 +253,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	c := s.Stats()
 	inUse := s.tokens.inUse()
 	degraded := active >= s.cfg.MaxActiveJobs
-	hitRate := 0.0
-	if c.Submissions > 0 {
-		hitRate = float64(c.ResultHits) / float64(c.Submissions)
-	}
-	remoteRate := 0.0
-	if c.Submissions > 0 {
-		remoteRate = float64(c.RemoteHits) / float64(c.Submissions)
-	}
 	storedBytes, ihits, imisses := s.jobs.storedFootprint()
-	internRate := 0.0
-	if ihits+imisses > 0 {
-		internRate = float64(ihits) / float64(ihits+imisses)
-	}
 	body := map[string]any{
 		"ok":                    !degraded,
 		"degraded":              degraded,
@@ -266,12 +268,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"memory_budget_bytes":   s.cfg.MemoryBudget,
 		"memory_in_use_bytes":   s.tokens.bytesInUse(),
 		"stored_zone_bytes":     storedBytes,
-		"intern_hit_rate":       internRate,
+		"intern_hit_rate":       rate(ihits, ihits+imisses),
 		"shed_total":            c.Shed,
-		"result_cache_hit_rate": hitRate,
+		"result_cache_hit_rate": rate(c.ResultHits, c.Submissions),
 		"node_id":               s.dispatch.Self(),
 		"peer_count":            len(s.dispatch.Nodes()),
-		"remote_hit_rate":       remoteRate,
+		"remote_hit_rate":       rate(c.RemoteHits, c.Submissions),
 		"replicated_results":    s.results.Len(),
 	}
 	if s.cfg.MemoryBudget > 0 {
@@ -281,10 +283,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// dominates — compact zones keep actual use under the grant — so a
 		// stored-bytes overtake means the budget accounting is drifting and
 		// the node should shed before the kernel notices.
-		used := s.tokens.bytesInUse()
-		if storedBytes > used {
-			used = storedBytes
-		}
+		used := max(s.tokens.bytesInUse(), storedBytes)
 		body["memory_saturation"] = float64(used) / float64(s.cfg.MemoryBudget)
 	}
 	status := http.StatusOK
@@ -294,9 +293,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// handleMetrics serves /v1/metrics (alias /metrics) from the obs registry.
-// Both paths run this exact handler, so their bodies are byte-identical — the
-// pinning test scrapes both and diffs.
+// handleMetrics serves /v1/metrics from the obs registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.reg.WriteText(w)
@@ -313,11 +310,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	state, errMsg, _, finished := j.snapshot()
 	if !j.terminal() {
-		body := map[string]string{"state": state}
-		if errMsg != "" {
-			body["error"] = errMsg
-		}
-		writeJSON(w, http.StatusConflict, body)
+		writeNotReady(w, state, errMsg)
 		return
 	}
 	spans := j.spanSnapshot()

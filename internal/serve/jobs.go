@@ -45,13 +45,32 @@ const (
 	StateCanceled = api.StateCanceled
 )
 
-// Named failures the wire exposes for resource-bounded jobs — aliases of the
-// shared wire taxonomy so node-local and relayed failures use one spelling.
-const (
-	errDeadlineExceeded = wire.CodeDeadlineExceeded
-	errMemoryBudget     = wire.CodeMemoryBudget
-	errStateBudget      = wire.CodeStateBudget
-)
+// awaitAbortable blocks for a value on ready unless the job aborts first: its
+// cancel channel fires or its deadline (when nonzero) passes. It is the one
+// wait of every job stage that is not a sweep — queued for admission, a proxy
+// waiting on its owner — and returns the core sentinels, so those aborts
+// report exactly like sweep-time ones, with core's precedence: when the
+// deadline passed too (both channels ready, select picked randomly), the more
+// specific expiry wins so the wire state stays deterministic.
+func awaitAbortable[T any](ready <-chan T, cancel <-chan struct{}, deadline time.Time) (v T, err error) {
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		timer := time.NewTimer(time.Until(deadline))
+		defer timer.Stop()
+		expired = timer.C
+	}
+	select {
+	case v = <-ready:
+		return v, nil
+	case <-expired:
+		return v, core.ErrDeadlineExceeded
+	case <-cancel:
+		if !deadline.IsZero() && time.Now().After(deadline) {
+			return v, core.ErrDeadlineExceeded
+		}
+		return v, core.ErrCanceled
+	}
+}
 
 // cpuTokens is the admission controller: a FIFO counting semaphore over the
 // host's CPU budget and, when the server configures one, its memory budget.
@@ -90,10 +109,9 @@ func (t *cpuTokens) fitsLocked(n int, bytes int64) bool {
 	return t.avail >= n && (t.totalBytes == 0 || t.availBytes >= bytes)
 }
 
-// acquire blocks until the (n tokens, bytes) grant lands, the cancel channel
-// fires, or the deadline (when nonzero) passes; the abort errors are the core
-// sentinels so queue-time aborts report exactly like sweep-time ones.
-// n must already be clamped to [1, total] and bytes to [0, totalBytes].
+// acquire blocks until the (n tokens, bytes) grant lands or the job aborts
+// (awaitAbortable). n must already be clamped to [1, total] and bytes to
+// [0, totalBytes].
 func (t *cpuTokens) acquire(cancel <-chan struct{}, deadline time.Time, n int, bytes int64) error {
 	t.mu.Lock()
 	if t.waiters.Len() == 0 && t.fitsLocked(n, bytes) {
@@ -106,26 +124,9 @@ func (t *cpuTokens) acquire(cancel <-chan struct{}, deadline time.Time, n int, b
 	el := t.waiters.PushBack(w)
 	t.mu.Unlock()
 
-	var expired <-chan time.Time
-	if !deadline.IsZero() {
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		expired = timer.C
-	}
-	var aborted error
-	select {
-	case <-w.ready:
+	_, aborted := awaitAbortable(w.ready, cancel, deadline)
+	if aborted == nil {
 		return nil
-	case <-expired:
-		aborted = core.ErrDeadlineExceeded
-	case <-cancel:
-		aborted = core.ErrCanceled
-		// Mirror core.abortErr's precedence: when the deadline passed too
-		// (both channels ready, select picked randomly), the more specific
-		// expiry wins so the wire state stays deterministic.
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			aborted = core.ErrDeadlineExceeded
-		}
 	}
 	t.mu.Lock()
 	if w.granted {
@@ -259,10 +260,12 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state, mapping the core abort
-// sentinels onto the wire states: ErrCanceled → canceled, ErrDeadlineExceeded
-// → failed with the DeadlineExceeded error name.
-func (j *job) finish(result []byte, traces map[string]string, err error) {
+// finish moves the job to its terminal state and returns the failure class
+// wire.CodeForError names for err: the canceled class ends the job canceled,
+// every other named class (DeadlineExceeded, the budget failures) fails it
+// under exactly that name, and unnamed errors fail it under their message.
+func (j *job) finish(result []byte, traces map[string]string, err error) (code string) {
+	code = wire.CodeForError(err)
 	j.mu.Lock()
 	j.finished = time.Now()
 	switch {
@@ -270,24 +273,19 @@ func (j *job) finish(result []byte, traces map[string]string, err error) {
 		j.state = StateDone
 		j.result = result
 		j.traces = traces
-	case errors.Is(err, core.ErrCanceled):
+	case code == wire.CodeCanceled:
 		j.state = StateCanceled
-		j.errMsg = "canceled"
-	case errors.Is(err, core.ErrDeadlineExceeded):
+		j.errMsg = code
+	case code != "":
 		j.state = StateFailed
-		j.errMsg = errDeadlineExceeded
-	case errors.Is(err, core.ErrMemoryBudget):
-		j.state = StateFailed
-		j.errMsg = errMemoryBudget
-	case errors.Is(err, core.ErrStateBudget):
-		j.state = StateFailed
-		j.errMsg = errStateBudget
+		j.errMsg = code
 	default:
 		j.state = StateFailed
 		j.errMsg = err.Error()
 	}
 	j.mu.Unlock()
 	close(j.done)
+	return code
 }
 
 // snapshot reads the job's current state fields consistently.
@@ -313,14 +311,15 @@ func (j *job) terminal() bool {
 type jobManager struct {
 	tokens *cpuTokens
 
-	// onFinish, when set, observes every executed job reaching a terminal
-	// state (adopted cache hits excluded — they were announced by the node
-	// that computed them). The manager uses it to announce completions to the
-	// dispatch backend. Called outside m.mu.
-	onFinish func(*job)
+	// onFinish observes every executed job turning terminal, with the failure
+	// class finish derived (adopted cache hits excluded — they were accounted
+	// and announced by the node that computed them). The server counts aborts
+	// and announces completions to the dispatch backend from it. Called
+	// outside m.mu.
+	onFinish func(j *job, code string)
 
-	// onSpan, when set, observes every recorded lifecycle span — the
-	// Manager's histogram feed. Called outside m.mu.
+	// onSpan observes every recorded lifecycle span — the server's histogram
+	// feed. Called outside m.mu.
 	onSpan func(name string, d time.Duration)
 
 	mu          sync.Mutex
@@ -339,9 +338,12 @@ var (
 	errShuttingDown = errors.New("serve: server is shutting down")
 )
 
-func newJobManager(tokens *cpuTokens, maxActive, maxFinished int) *jobManager {
+func newJobManager(tokens *cpuTokens, maxActive, maxFinished int,
+	onFinish func(*job, string), onSpan func(string, time.Duration)) *jobManager {
 	return &jobManager{
 		tokens:      tokens,
+		onFinish:    onFinish,
+		onSpan:      onSpan,
 		jobs:        make(map[string]*job),
 		finished:    list.New(),
 		finIndex:    make(map[string]*list.Element),
@@ -364,18 +366,9 @@ func (m *jobManager) submit(id, kind string, workers int, memBytes int64, deadli
 		m.mu.Unlock()
 		return nil, false, errShuttingDown
 	}
-	if j := m.jobs[id]; j != nil {
-		state, _, _, _ := j.snapshot()
-		if state == StateFailed || state == StateCanceled {
-			// A fresh attempt replaces the failed one below.
-			m.dropLocked(id)
-		} else {
-			if el := m.finIndex[id]; el != nil {
-				m.finished.MoveToFront(el)
-			}
-			m.mu.Unlock()
-			return j, false, nil
-		}
+	if j := m.twinLocked(id); j != nil {
+		m.mu.Unlock()
+		return j, false, nil
 	}
 	if m.active >= m.maxActive {
 		m.mu.Unlock()
@@ -391,8 +384,17 @@ func (m *jobManager) submit(id, kind string, workers int, memBytes int64, deadli
 	return j, true, nil
 }
 
+// execute is a job's goroutine, and its tail the single place a job turns
+// terminal: whichever stage produced the outcome — the admission queue, the
+// sweep, a proxy's wait — it is finished, observed and retained here, once.
 func (m *jobManager) execute(j *job, run runFunc) {
 	defer m.wg.Done()
+	result, traces, err := m.admitAndRun(j, run)
+	m.onFinish(j, j.finish(result, traces, err))
+	m.onTerminal(j)
+}
+
+func (m *jobManager) admitAndRun(j *job, run runFunc) ([]byte, map[string]string, error) {
 	entered := time.Now()
 	m.span(j, spanQueueWait, j.submitted, entered)
 	// A proxy job (workers == 0) holds no grant: the compute — and its
@@ -402,43 +404,28 @@ func (m *jobManager) execute(j *job, run runFunc) {
 		err := m.tokens.acquire(j.cancelCh, j.deadline, j.workers, j.memBytes)
 		m.span(j, spanAdmissionWait, entered, time.Now())
 		if err != nil {
-			j.finish(nil, nil, err)
-			m.noteFinish(j)
-			m.onTerminal(j)
-			return
+			return nil, nil, err
 		}
+		defer m.tokens.release(j.workers, j.memBytes)
 	}
 	j.setRunning()
 	computeStart := time.Now()
 	result, traces, err := runContained(j, run)
 	m.span(j, spanCompute, computeStart, time.Now())
-	if j.workers > 0 {
-		m.tokens.release(j.workers, j.memBytes)
-	}
-	j.finish(result, traces, err)
-	m.noteFinish(j)
-	m.onTerminal(j)
+	return result, traces, err
 }
 
-// span records one lifecycle stage on the job and feeds the manager's
+// span records one lifecycle stage on the job and feeds the server's
 // histogram hook.
 func (m *jobManager) span(j *job, name string, start, end time.Time) {
 	j.addSpan(name, start, end)
-	if m.onSpan != nil {
-		m.onSpan(name, end.Sub(start))
-	}
-}
-
-func (m *jobManager) noteFinish(j *job) {
-	if m.onFinish != nil {
-		m.onFinish(j)
-	}
+	m.onSpan(name, end.Sub(start))
 }
 
 // runContained executes the job closure with panic containment: a crash in
 // one analysis — engine bug, malformed compiled model, injected fault —
 // fails that job alone instead of killing the process and every queued job
-// with it. The grant release, finish, and LRU insertion in execute all run
+// with it. The grant release, finish, and LRU insertion around it all run
 // normally afterwards, so a panicked job leaks neither tokens nor bytes nor
 // a table slot. (The exploration's own workers are additionally contained
 // inside core; this recover catches everything outside them.)
@@ -467,13 +454,37 @@ func (m *jobManager) onTerminal(j *job) {
 	m.mu.Lock()
 	m.active--
 	if m.jobs[j.id] == j {
-		m.finIndex[j.id] = m.finished.PushFront(j.id)
-		for m.finished.Len() > m.maxFinished {
-			oldest := m.finished.Back()
-			m.dropLocked(oldest.Value.(string))
-		}
+		m.retainLocked(j)
 	}
 	m.mu.Unlock()
+}
+
+// twinLocked returns the live or successfully finished job under id,
+// refreshed in the LRU, for a submission to share. A failed or canceled one
+// is dropped instead — a fresh attempt (or an adopted result) replaces it —
+// and nil is returned, as when there is none.
+func (m *jobManager) twinLocked(id string) *job {
+	j := m.jobs[id]
+	if j == nil {
+		return nil
+	}
+	if state, _, _, _ := j.snapshot(); state == StateFailed || state == StateCanceled {
+		m.dropLocked(id)
+		return nil
+	}
+	if el := m.finIndex[id]; el != nil {
+		m.finished.MoveToFront(el)
+	}
+	return j
+}
+
+// retainLocked enters a terminal job at the front of the retained-results LRU
+// and evicts beyond the bound.
+func (m *jobManager) retainLocked(j *job) {
+	m.finIndex[j.id] = m.finished.PushFront(j.id)
+	for m.finished.Len() > m.maxFinished {
+		m.dropLocked(m.finished.Back().Value.(string))
+	}
 }
 
 func (m *jobManager) dropLocked(id string) {
@@ -490,22 +501,15 @@ func (m *jobManager) dropLocked(id string) {
 // finished twin is joined instead, same as submit; a failed or canceled twin
 // is replaced by the adopted result, same as submit's fresh attempt. Returns
 // the job plus whether the cached event was installed (false = joined an
-// existing entry), or nil when the manager is shutting down.
+// existing entry), or nil when the server is shutting down.
 func (m *jobManager) adopt(id string, ev api.CompletionEvent) (*job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, false
 	}
-	if j := m.jobs[id]; j != nil {
-		state, _, _, _ := j.snapshot()
-		if state != StateFailed && state != StateCanceled {
-			if el := m.finIndex[id]; el != nil {
-				m.finished.MoveToFront(el)
-			}
-			return j, false
-		}
-		m.dropLocked(id)
+	if j := m.twinLocked(id); j != nil {
+		return j, false
 	}
 	j := newJob(id, ev.Kind, 0, 0, time.Time{})
 	j.mu.Lock()
@@ -517,10 +521,7 @@ func (m *jobManager) adopt(id string, ev api.CompletionEvent) (*job, bool) {
 	j.mu.Unlock()
 	close(j.done)
 	m.jobs[id] = j
-	m.finIndex[id] = m.finished.PushFront(id)
-	for m.finished.Len() > m.maxFinished {
-		m.dropLocked(m.finished.Back().Value.(string))
-	}
+	m.retainLocked(j)
 	return j, true
 }
 

@@ -6,39 +6,32 @@ import (
 	"repro/internal/obs"
 )
 
-// This file re-bases /v1/metrics on the internal/obs registry. Every family
-// the historical hand-written handler printed keeps its exact name; the
-// counters stay owned by the Manager's atomics (and the caches' own counters)
-// and are bridged in with CounterFunc/GaugeFunc, so no write path changed —
-// only the exposition. On top of the bridges the registry adds real
-// histograms for the per-job spans (queue wait, admission wait, compute,
-// replicate) and, when the dispatch backend supports it
-// (metricsInstrumenter), the pub/sub dispatch/announce/adopt latencies.
+// This file is the exposition: /v1/metrics renders an internal/obs registry.
+// The counters stay owned by the Server's atomics (and the caches' own
+// counters) and are bridged in with CounterFunc/GaugeFunc, so scraping adds no
+// write path. Family names are a contract with dashboards, the smoke tools
+// and the benchmark: none is renamed. On top of the bridges the registry owns
+// real histograms for the per-job spans and, when the dispatch backend
+// supports it (metricsInstrumenter), the pub/sub dispatch/announce/adopt
+// latencies.
 
 // secondsBuckets are the shared latency bounds (seconds) for every serve
 // histogram: sub-millisecond queue hits through minute-long sweeps.
 var secondsBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 1, 2.5, 10, 30, 60}
 
-// jobSpanHists are the per-stage job latency histograms.
-type jobSpanHists struct {
-	queueWait     *obs.Histogram
-	admissionWait *obs.Histogram
-	compute       *obs.Histogram
-	replicate     *obs.Histogram
+// jobSpans is the job lifecycle, one row per stage in the order a job passes
+// through them: the span recorded on the job and the latency histogram its
+// duration feeds.
+var jobSpans = []struct{ span, family, help string }{
+	{spanQueueWait, "taserved_job_queue_wait_seconds", "Submission to execution-goroutine start."},
+	{spanAdmissionWait, "taserved_job_admission_wait_seconds", "Time blocked acquiring the CPU-token/memory grant."},
+	{spanCompute, "taserved_job_compute_seconds", "Job closure runtime (sweep, or proxy wait for dispatched jobs)."},
+	{spanReplicate, "taserved_job_replicate_seconds", "Result replication: cache put plus cluster announce."},
 }
 
-// observe routes one finished job span into its histogram.
-func (h *jobSpanHists) observe(name string, d time.Duration) {
-	switch name {
-	case spanQueueWait:
-		h.queueWait.Observe(d.Seconds())
-	case spanAdmissionWait:
-		h.admissionWait.Observe(d.Seconds())
-	case spanCompute:
-		h.compute.Observe(d.Seconds())
-	case spanReplicate:
-		h.replicate.Observe(d.Seconds())
-	}
+// observeSpan routes one finished job span into its histogram.
+func (s *Server) observeSpan(span string, d time.Duration) {
+	s.hists[span].Observe(d.Seconds())
 }
 
 // metricsInstrumenter is the optional seam a dispatch backend implements to
@@ -47,57 +40,51 @@ type metricsInstrumenter interface {
 	InstrumentMetrics(*obs.Registry)
 }
 
-// buildRegistry assembles the manager's metric registry. Registration order is
+// buildRegistry assembles the server's metric registry. Registration order is
 // the exposition order, kept stable so repeated scrapes are byte-comparable.
-func (m *Manager) buildRegistry() {
+func (s *Server) buildRegistry() {
 	r := obs.NewRegistry()
-	m.reg = r
+	s.reg = r
 	c := r.CounterFunc
 	g := r.GaugeFunc
 
-	c("taserved_submissions_total", "Submissions received (bad requests included).", m.submissions.Load)
-	c("taserved_jobs_deduped_total", "Submissions that joined a queued or running twin.", m.dedupLive.Load)
-	c("taserved_result_cache_hits_total", "Submissions answered by a finished job.", m.resultHits.Load)
-	c("taserved_explorations_total", "Sweeps actually run on this node.", m.explorations.Load)
-	c("taserved_jobs_canceled_total", "Jobs aborted by cooperative cancellation.", m.canceled.Load)
-	c("taserved_jobs_deadline_exceeded_total", "Jobs aborted by their wall-clock deadline.", m.expired.Load)
-	c("taserved_model_cache_hits_total", "Parsed-model cache hits.", func() int64 { h, _ := m.models.stats(); return h })
-	c("taserved_model_cache_misses_total", "Parsed-model cache misses.", func() int64 { _, miss := m.models.stats(); return miss })
-	g("taserved_model_cache_entries", "Parsed models currently cached.", func() int64 { return int64(m.models.len()) })
-	c("taserved_compile_cache_hits_total", "Compiled-network cache hits.", func() int64 { h, _ := m.compiled.stats(); return h })
-	c("taserved_compile_cache_misses_total", "Compiled-network cache misses.", func() int64 { _, miss := m.compiled.stats(); return miss })
-	g("taserved_compile_cache_entries", "Compiled networks currently cached.", func() int64 { return int64(m.compiled.len()) })
-	g("taserved_jobs_active", "Jobs queued or running.", func() int64 { a, _ := m.jobs.counts(); return int64(a) })
-	g("taserved_jobs_retained", "Terminal jobs retained as the result cache.", func() int64 { _, ret := m.jobs.counts(); return int64(ret) })
-	g("taserved_cpu_tokens_total", "Global CPU-token admission budget.", func() int64 { return int64(m.cfg.CPUTokens) })
-	g("taserved_cpu_tokens_in_use", "CPU tokens currently granted.", func() int64 { return int64(m.tokens.inUse()) })
-	g("taserved_admission_queue_depth", "Jobs blocked waiting for an admission grant.", func() int64 { return int64(m.tokens.waiting()) })
-	g("taserved_memory_budget_bytes", "Global zone-memory budget (0 = unmetered).", func() int64 { return m.cfg.MemoryBudget })
-	g("taserved_memory_in_use_bytes", "Memory-budget bytes currently granted.", m.tokens.bytesInUse)
-	g("taserved_stored_zone_bytes", "Live explorations' resident passed-store bytes.", func() int64 { b, _, _ := m.jobs.storedFootprint(); return b })
-	g("taserved_intern_hits_total", "Live explorations' discrete-vector intern hits.", func() int64 { _, h, _ := m.jobs.storedFootprint(); return h })
-	g("taserved_intern_misses_total", "Live explorations' discrete-vector intern misses.", func() int64 { _, _, miss := m.jobs.storedFootprint(); return miss })
-	c("taserved_shed_total", "Submissions rejected 429 at admission.", m.shed.Load)
+	c("taserved_submissions_total", "Submissions received (bad requests included).", s.submissions.Load)
+	c("taserved_jobs_deduped_total", "Submissions that joined a queued or running twin.", s.dedupLive.Load)
+	c("taserved_result_cache_hits_total", "Submissions answered by a finished job.", s.resultHits.Load)
+	c("taserved_explorations_total", "Sweeps actually run on this node.", s.explorations.Load)
+	c("taserved_jobs_canceled_total", "Jobs aborted by cooperative cancellation.", s.canceled.Load)
+	c("taserved_jobs_deadline_exceeded_total", "Jobs aborted by their wall-clock deadline.", s.expired.Load)
+	c("taserved_model_cache_hits_total", "Parsed-model cache hits.", s.models.hits.Load)
+	c("taserved_model_cache_misses_total", "Parsed-model cache misses.", s.models.misses.Load)
+	g("taserved_model_cache_entries", "Parsed models currently cached.", func() int64 { return int64(s.models.len()) })
+	c("taserved_compile_cache_hits_total", "Compiled-network cache hits.", s.compiled.hits.Load)
+	c("taserved_compile_cache_misses_total", "Compiled-network cache misses.", s.compiled.misses.Load)
+	g("taserved_compile_cache_entries", "Compiled networks currently cached.", func() int64 { return int64(s.compiled.len()) })
+	g("taserved_jobs_active", "Jobs queued or running.", func() int64 { a, _ := s.jobs.counts(); return int64(a) })
+	g("taserved_jobs_retained", "Terminal jobs retained as the result cache.", func() int64 { _, ret := s.jobs.counts(); return int64(ret) })
+	g("taserved_cpu_tokens_total", "Global CPU-token admission budget.", func() int64 { return int64(s.cfg.CPUTokens) })
+	g("taserved_cpu_tokens_in_use", "CPU tokens currently granted.", func() int64 { return int64(s.tokens.inUse()) })
+	g("taserved_admission_queue_depth", "Jobs blocked waiting for an admission grant.", func() int64 { return int64(s.tokens.waiting()) })
+	g("taserved_memory_budget_bytes", "Global zone-memory budget (0 = unmetered).", func() int64 { return s.cfg.MemoryBudget })
+	g("taserved_memory_in_use_bytes", "Memory-budget bytes currently granted.", s.tokens.bytesInUse)
+	g("taserved_stored_zone_bytes", "Live explorations' resident passed-store bytes.", func() int64 { b, _, _ := s.jobs.storedFootprint(); return b })
+	g("taserved_intern_hits_total", "Live explorations' discrete-vector intern hits.", func() int64 { _, h, _ := s.jobs.storedFootprint(); return h })
+	g("taserved_intern_misses_total", "Live explorations' discrete-vector intern misses.", func() int64 { _, _, miss := s.jobs.storedFootprint(); return miss })
+	c("taserved_shed_total", "Submissions rejected 429 at admission.", s.shed.Load)
 	g("taserved_node_info", "Static node identity; the node label carries the id.",
-		func() int64 { return 1 }, obs.Label{Name: "node", Value: m.dispatch.Self()})
-	g("taserved_peer_count", "Known dispatch peers.", func() int64 { return int64(len(m.dispatch.Nodes())) })
-	c("taserved_dispatched_total", "Submissions routed to the owning peer.", m.dispatched.Load)
-	c("taserved_remote_hits_total", "Submissions answered with peer-computed bytes.", m.remoteHits.Load)
-	c("taserved_dispatch_fallbacks_total", "Dispatches degraded to local compute.", m.fallbacks.Load)
-	g("taserved_replicated_results", "Completion events held by the replicated cache.", func() int64 { return int64(m.results.Len()) })
+		func() int64 { return 1 }, obs.Label{Name: "node", Value: s.dispatch.Self()})
+	g("taserved_peer_count", "Known dispatch peers.", func() int64 { return int64(len(s.dispatch.Nodes())) })
+	c("taserved_dispatched_total", "Submissions routed to the owning peer.", s.dispatched.Load)
+	c("taserved_remote_hits_total", "Submissions answered with peer-computed bytes.", s.remoteHits.Load)
+	c("taserved_dispatch_fallbacks_total", "Dispatches degraded to local compute.", s.fallbacks.Load)
+	g("taserved_replicated_results", "Completion events held by the replicated cache.", func() int64 { return int64(s.results.Len()) })
 
-	m.hists = jobSpanHists{
-		queueWait: r.Histogram("taserved_job_queue_wait_seconds",
-			"Submission to execution-goroutine start.", secondsBuckets),
-		admissionWait: r.Histogram("taserved_job_admission_wait_seconds",
-			"Time blocked acquiring the CPU-token/memory grant.", secondsBuckets),
-		compute: r.Histogram("taserved_job_compute_seconds",
-			"Job closure runtime (sweep, or proxy wait for dispatched jobs).", secondsBuckets),
-		replicate: r.Histogram("taserved_job_replicate_seconds",
-			"Result replication: cache put plus cluster announce.", secondsBuckets),
+	s.hists = make(map[string]*obs.Histogram, len(jobSpans))
+	for _, sp := range jobSpans {
+		s.hists[sp.span] = r.Histogram(sp.family, sp.help, secondsBuckets)
 	}
 
-	if mi, ok := m.dispatch.(metricsInstrumenter); ok {
+	if mi, ok := s.dispatch.(metricsInstrumenter); ok {
 		mi.InstrumentMetrics(r)
 	}
 }

@@ -1,6 +1,6 @@
 // Package pubsub implements the serve backend seams (Dispatch, ResultCache)
 // over a publish/subscribe broker, in the thin-adapter style: the broker
-// knows nothing about jobs, the adapters translate the manager's routing and
+// knows nothing about jobs, the adapters translate the server's routing and
 // replication operations onto three topic families —
 //
 //	dispatch.<node>   envelopes addressed to the node owning a content hash
@@ -9,9 +9,9 @@
 //
 // Ownership is consistent hashing over the member list (ring.go): every node
 // derives the same owner for a key without coordination. The in-process
-// memory broker below is the test and single-process implementation; any
-// transport with publish, subscribe, last-message retention, and a close
-// signal can replace it.
+// memory broker below is the only Broker: a fleet is formed inside one
+// process by handing every node (NewNode) the same NewMemBroker value, as the
+// tests, scripts/servesmoke -cluster and the benchmark do.
 package pubsub
 
 import (
@@ -142,26 +142,4 @@ func (b *memBroker) Close() error {
 		b.topics = make(map[string]*memTopic)
 	}
 	return nil
-}
-
-// Named brokers: a process-global registry so taserved nodes in one process
-// (tests, the cluster smoke binary) can share a broker by URL. "mem://x" and
-// "mem://y" name independent brokers; a name is created on first use.
-var (
-	namedMu sync.Mutex
-	named   = make(map[string]Broker)
-)
-
-// NamedBroker returns the shared in-process broker for name, creating it if
-// needed. A closed named broker stays closed; Reset-style tests should pick
-// fresh names instead.
-func NamedBroker(name string) Broker {
-	namedMu.Lock()
-	defer namedMu.Unlock()
-	b := named[name]
-	if b == nil {
-		b = NewMemBroker()
-		named[name] = b
-	}
-	return b
 }

@@ -23,7 +23,7 @@ type Dispatcher struct {
 	ring   *ring
 
 	// Latency histograms, nil until InstrumentMetrics wires them in. The
-	// manager calls it during construction — before this dispatcher carries
+	// server calls it during construction — before this dispatcher carries
 	// any of its traffic — so the operation paths read them unguarded.
 	sendHist     *obs.Histogram
 	announceHist *obs.Histogram
@@ -34,7 +34,7 @@ type Dispatcher struct {
 }
 
 // InstrumentMetrics registers the dispatcher's latency families on the
-// manager's registry (the serve metricsInstrumenter seam). Call before the
+// server's registry (the serve metricsInstrumenter seam). Call before the
 // dispatcher serves traffic.
 func (d *Dispatcher) InstrumentMetrics(r *obs.Registry) {
 	bounds := []float64{0.0001, 0.0005, 0.001, 0.005, 0.025, 0.1, 0.5, 1, 5}
@@ -50,7 +50,7 @@ var _ serve.Dispatch = (*Dispatcher)(nil)
 
 // Cache implements serve.ResultCache: a bounded LRU of done completion
 // events keyed by content hash, fed by the cluster's completions topic (and
-// directly by the manager adopting remote results). Only State == done
+// directly by the server adopting remote results). Only State == done
 // events are stored — failures are recomputed on resubmission, exactly like
 // the single-node job table.
 type Cache struct {
@@ -133,7 +133,7 @@ func (d *Dispatcher) Watch(key string, fn func(api.CompletionEvent)) (func(), er
 	}
 	// Transport-death watchdog: a watcher must never hang on a broker that
 	// went away, so broker close synthesizes a failed completion with the
-	// named dispatch-failure code (the manager falls back to computing
+	// named dispatch-failure code (the server falls back to computing
 	// locally on it).
 	stop := make(chan struct{})
 	go func() {

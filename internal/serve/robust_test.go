@@ -51,7 +51,7 @@ func TestOversizedBody413(t *testing.T) {
 }
 
 // TestShedRetryAfterAndDegradedHealth drives the overload path end to end:
-// with the job table saturated, /healthz flips to 503/degraded with the
+// with the job table saturated, /v1/healthz flips to 503/degraded with the
 // admission pressure readable, NEW work is shed with 429 plus jittered retry
 // guidance, cached results keep being served, and everything recovers once
 // the backlog drains.
@@ -70,7 +70,7 @@ func TestShedRetryAfterAndDegradedHealth(t *testing.T) {
 	awaitProgress(t, ts.URL, hog.JobID, 1000, time.Minute)
 
 	// Health is now graded, not a flat 200.
-	code, body := getBody(t, ts.URL+"/healthz")
+	code, body := getBody(t, ts.URL+"/v1/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("healthz while saturated: %d (%s), want 503", code, body)
 	}
@@ -120,8 +120,8 @@ func TestShedRetryAfterAndDegradedHealth(t *testing.T) {
 		t.Errorf("cached resubmission while saturated = %+v, want done/not-created", again)
 	}
 
-	// /metrics exposes the same pressure for scraping.
-	_, mbody := getBody(t, ts.URL+"/metrics")
+	// /v1/metrics exposes the same pressure for scraping.
+	_, mbody := getBody(t, ts.URL+"/v1/metrics")
 	for _, metric := range []string{"taserved_shed_total 1", "taserved_admission_queue_depth 0"} {
 		if !bytes.Contains(mbody, []byte(metric)) {
 			t.Errorf("metrics missing %q:\n%s", metric, mbody)
@@ -131,7 +131,7 @@ func TestShedRetryAfterAndDegradedHealth(t *testing.T) {
 	// Drain and recover.
 	postJSON(t, ts.URL+"/v1/jobs/"+hog.JobID+"/cancel", nil)
 	await(t, ts.URL, hog.JobID, 30*time.Second)
-	code, body = getBody(t, ts.URL+"/healthz")
+	code, body = getBody(t, ts.URL+"/v1/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("healthz after drain: %d (%s), want 200", code, body)
 	}
@@ -156,7 +156,7 @@ func TestBudgetFailuresOnWire(t *testing.T) {
 		Options: SubmitOptions{MaxBytes: 16 << 10},
 	})
 	final := await(t, ts.URL, mem.JobID, 30*time.Second)
-	if final.State != StateFailed || final.Error != errMemoryBudget {
+	if final.State != StateFailed || final.Error != wire.CodeMemoryBudget {
 		t.Fatalf("memory-budget job: %s (%q), want failed (MemoryBudgetExceeded)", final.State, final.Error)
 	}
 	if final.Progress.Stored == 0 {
@@ -169,7 +169,7 @@ func TestBudgetFailuresOnWire(t *testing.T) {
 		Options: SubmitOptions{StateBudget: 500},
 	})
 	final = await(t, ts.URL, st.JobID, 30*time.Second)
-	if final.State != StateFailed || final.Error != errStateBudget {
+	if final.State != StateFailed || final.Error != wire.CodeStateBudget {
 		t.Fatalf("state-budget job: %s (%q), want failed (StateBudgetExceeded)", final.State, final.Error)
 	}
 	if final.Progress.Stored == 0 {
@@ -218,7 +218,7 @@ func TestOverBudgetJobFailsAloneBitIdentical(t *testing.T) {
 		t.Fatalf("in-budget job: %s (%s)", gf.State, gf.Error)
 	}
 	bf := await(t, ts.URL, bad.JobID, 30*time.Second)
-	if bf.State != StateFailed || bf.Error != errMemoryBudget {
+	if bf.State != StateFailed || bf.Error != wire.CodeMemoryBudget {
 		t.Fatalf("over-budget job: %s (%q), want failed (MemoryBudgetExceeded)", bf.State, bf.Error)
 	}
 
@@ -233,7 +233,7 @@ func TestOverBudgetJobFailsAloneBitIdentical(t *testing.T) {
 
 func encodeMust(t *testing.T, v any) []byte {
 	t.Helper()
-	data, err := encodeWire(v)
+	data, err := wire.Encode(v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestQueuedCancelVersusGrant(t *testing.T) {
 	}
 }
 
-// TestMemoryGrantDefaultsAndClamps pins normalize's grant resolution: a
+// TestMemoryGrantDefaultsAndClamps pins intake's grant resolution: a
 // declared max_bytes is clamped to the global budget, and an undeclared one
 // defaults to the worker-proportional fair share.
 func TestMemoryGrantDefaultsAndClamps(t *testing.T) {
@@ -384,11 +384,11 @@ func TestMemoryGrantDefaultsAndClamps(t *testing.T) {
 		{"declared clamped to budget", SubmitOptions{HorizonMS: 100, MaxBytes: 1 << 40}, 4000, 1},
 		{"negative treated as unset", SubmitOptions{HorizonMS: 100, MaxBytes: -5}, 1000, 1},
 	} {
-		spec, _, herr := s.normalize(&SubmitRequest{Kind: "arch", Model: model, Options: tc.opts})
-		if herr != nil {
-			t.Fatalf("%s: %v", tc.name, herr)
+		sub, err := s.intake(&SubmitRequest{Kind: "arch", Model: model, Options: tc.opts})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if spec.MaxBytes != tc.want || spec.Workers != tc.workers {
+		if spec := sub.spec; spec.MaxBytes != tc.want || spec.Workers != tc.workers {
 			t.Errorf("%s: grant=%d workers=%d, want %d/%d",
 				tc.name, spec.MaxBytes, spec.Workers, tc.want, tc.workers)
 		}
@@ -396,12 +396,12 @@ func TestMemoryGrantDefaultsAndClamps(t *testing.T) {
 	// Without a server budget, declared bytes pass through unclamped (pure
 	// per-job core budget, no admission hold).
 	s2 := New(Config{CPUTokens: 4})
-	spec, _, herr := s2.normalize(&SubmitRequest{Kind: "arch", Model: model,
+	sub, err := s2.intake(&SubmitRequest{Kind: "arch", Model: model,
 		Options: SubmitOptions{HorizonMS: 100, MaxBytes: 1 << 40}})
-	if herr != nil {
-		t.Fatal(herr)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if spec.MaxBytes != 1<<40 {
-		t.Errorf("unmetered server clamped max_bytes to %d", spec.MaxBytes)
+	if sub.spec.MaxBytes != 1<<40 {
+		t.Errorf("unmetered server clamped max_bytes to %d", sub.spec.MaxBytes)
 	}
 }

@@ -263,7 +263,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 		Options: SubmitOptions{HorizonMS: 100}})
 	await(t, ts.URL, sr.JobID, time.Minute)
 
-	code, body := getBody(t, ts.URL+"/healthz")
+	code, body := getBody(t, ts.URL+"/v1/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
 	}
@@ -282,7 +282,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	if _, ok := h["intern_hit_rate"]; !ok {
 		t.Errorf("healthz missing intern_hit_rate: %s", body)
 	}
-	code, body = getBody(t, ts.URL+"/metrics")
+	code, body = getBody(t, ts.URL+"/v1/metrics")
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d", code)
 	}

@@ -1,29 +1,31 @@
 // Package serve exposes the whole analysis stack — ta parse/validate,
 // arch compilation, the core multi-query engine — as a concurrent job
-// service (command taserved). The package splits into three layers:
+// service (command taserved). One type, Server, in three parts:
 //
-//   - A transport-agnostic job Manager: submissions are normalized and
-//     content-hashed (the hash is the job id AND the result-cache key),
-//     admitted under a global CPU-token/memory-grant pool, executed through
-//     layered singleflight caches (parsed model / compiled network / result),
-//     and answered with wire bytes identical to the CLIs' -json output. The
-//     Manager knows nothing about HTTP: its API speaks internal/serve/api
-//     request/response values.
+//   - The job pipeline (this file, kinds.go, jobs.go): a submission is
+//     normalized and content-hashed (the hash is the job id AND the
+//     result-cache key), admitted under a global CPU-token/memory-grant pool,
+//     executed through layered singleflight caches (parsed model / compiled
+//     network / result), and answered with wire bytes identical to the CLIs'
+//     -json output. An arch job is a ta job with one more front-end step, so
+//     both kinds share one path from request to verdict bytes; what differs
+//     between them is the two-entry kind table in kinds.go. The pipeline
+//     knows nothing about HTTP: Submit speaks internal/serve/api values.
 //   - Two pluggable backend seams (backend.go): Dispatch routes a submission
 //     to the node owning its content hash and relays completion events;
 //     ResultCache replicates finished results so any frontend answers any
-//     cached submission. The default local backends make a Manager exactly
+//     cached submission. The default local backends make a Server exactly
 //     the historical single-node server; internal/serve/pubsub implements
-//     both over a publish/subscribe broker for fleet deployments, with
-//     cluster-wide singleflight (the owner computes once, twins on every
-//     frontend wait for the completion event).
-//   - A thin HTTP facade (http.go): Server embeds the Manager and mounts the
-//     JSON endpoints under /v1/ (with the historical unversioned operational
-//     paths kept as aliases).
+//     both over an in-process publish/subscribe broker for fleets formed
+//     inside one process (tests, scripts/servesmoke -cluster, the
+//     benchmark), with cluster-wide singleflight (the owner computes once,
+//     twins on every frontend wait for the completion event).
+//   - A thin HTTP facade (http.go): Handler mounts the JSON endpoints under
+//     /v1/.
 //
 // Verdicts are computed by exactly the code paths the CLIs use
-// (arch.CompileAll + CompiledSet.Analyze, wire.TARun) and encoded by the
-// shared internal/wire package; completion events relay those bytes
+// (arch.CompileAll + CompiledSet.Analyze, wire.TARun) and encoded by the one
+// encoder they use (wire.Encode); completion events relay those bytes
 // verbatim, so a result is bit-identical whether it was computed locally,
 // computed on a peer, or served from a replicated cache.
 package serve
@@ -33,8 +35,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
 	"runtime"
 	"runtime/pprof"
@@ -45,7 +45,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve/api"
-	"repro/internal/ta"
 	"repro/internal/wire"
 )
 
@@ -57,10 +56,9 @@ type (
 	SubmitOptions  = api.SubmitOptions
 	SubmitResponse = api.SubmitResponse
 	StatusResponse = api.StatusResponse
-	ProgressBody   = api.ProgressBody
 )
 
-// Config tunes one Manager. Zero values select the documented defaults.
+// Config tunes one Server. Zero values select the documented defaults.
 type Config struct {
 	// CPUTokens is the global admission budget: the maximum number of
 	// exploration workers running at once across all jobs. Default: NumCPU.
@@ -71,10 +69,6 @@ type Config struct {
 	// MaxFinishedJobs bounds terminal jobs retained as the result cache
 	// (LRU). Default 256.
 	MaxFinishedJobs int
-	// MaxModels / MaxCompiled bound the parsed-model and compiled-network
-	// caches (LRU). Defaults 128 / 128.
-	MaxModels   int
-	MaxCompiled int
 	// DefaultDeadline bounds each job's wall clock when the submission does
 	// not set deadline_ms. Zero = unbounded.
 	DefaultDeadline time.Duration
@@ -104,12 +98,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxFinishedJobs <= 0 {
 		c.MaxFinishedJobs = 256
 	}
-	if c.MaxModels <= 0 {
-		c.MaxModels = 128
-	}
-	if c.MaxCompiled <= 0 {
-		c.MaxCompiled = 128
-	}
 	if c.Dispatch == nil {
 		c.Dispatch = localDispatch{}
 	}
@@ -119,38 +107,40 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// modelEntry is one parsed model; exactly one of the arch pair and net is
-// set. Immutable after parse — shared by every job that hashes to it.
-type modelEntry struct {
-	sys  *arch.System
-	reqs []*arch.Requirement
-	net  *ta.Network
-}
+// maxModels and maxCompiled bound the parsed-model and compiled-network
+// caches (LRU entries).
+const (
+	maxModels   = 128
+	maxCompiled = 128
+)
 
-// Manager is the transport-agnostic job service: it owns admission, the job
-// table, the caches, and the backend seams. Create with NewManager (or New
-// for the HTTP facade), stop with Shutdown.
-type Manager struct {
-	cfg      Config
-	start    time.Time
-	tokens   *cpuTokens
-	jobs     *jobManager
-	models   *flightCache[*modelEntry]
+// Server is the job service: it owns admission, the job table, the caches,
+// the backend seams, and the HTTP facade over them. Create with New, mount
+// Handler, stop with Shutdown.
+type Server struct {
+	cfg    Config
+	start  time.Time
+	tokens *cpuTokens
+	jobs   *jobManager
+	// models holds each kind's parsed model under one LRU bound: the value
+	// is whatever the kind's resolve step produced (kinds.go) and is
+	// immutable after parse — shared by every job that hashes to it.
+	models   *flightCache[any]
 	compiled *flightCache[*arch.CompiledSet]
 	dispatch Dispatch
 	results  ResultCache
 
 	// reg is the metrics registry behind /v1/metrics; hists are the job
-	// lifecycle-span histograms it owns (see metrics.go).
+	// lifecycle-span histograms it owns, by span name (see metrics.go).
 	reg   *obs.Registry
-	hists jobSpanHists
+	hists map[string]*obs.Histogram
 
 	submissions  atomic.Int64
 	dedupLive    atomic.Int64 // submissions that joined a queued/running job
 	resultHits   atomic.Int64 // submissions answered by a finished job
 	explorations atomic.Int64 // sweeps actually run on THIS node
-	canceled     atomic.Int64
-	expired      atomic.Int64
+	canceled     atomic.Int64 // jobs that ended canceled, wherever the abort landed
+	expired      atomic.Int64 // jobs that ended DeadlineExceeded, likewise
 	shed         atomic.Int64 // submissions rejected 429 at admission
 	dispatched   atomic.Int64 // submissions routed to a peer (proxy jobs)
 	remoteHits   atomic.Int64 // submissions answered with peer-computed bytes
@@ -161,58 +151,44 @@ type Manager struct {
 	dispatchDown atomic.Bool
 }
 
-// Server is the HTTP facade over a Manager. Create with New, mount Handler,
-// stop with Shutdown.
-type Server struct {
-	*Manager
-}
-
-// New returns a ready server (a Manager wearing its HTTP facade).
+// New returns a ready server.
 func New(cfg Config) *Server {
-	return &Server{Manager: NewManager(cfg)}
-}
-
-// NewManager returns a ready transport-agnostic job manager.
-func NewManager(cfg Config) *Manager {
 	cfg = cfg.withDefaults()
-	tokens := newCPUTokens(cfg.CPUTokens, cfg.MemoryBudget)
-	m := &Manager{
+	s := &Server{
 		cfg:      cfg,
 		start:    time.Now(),
-		tokens:   tokens,
-		jobs:     newJobManager(tokens, cfg.MaxActiveJobs, cfg.MaxFinishedJobs),
-		models:   newFlightCache[*modelEntry](cfg.MaxModels),
-		compiled: newFlightCache[*arch.CompiledSet](cfg.MaxCompiled),
+		tokens:   newCPUTokens(cfg.CPUTokens, cfg.MemoryBudget),
+		models:   newFlightCache[any](maxModels),
+		compiled: newFlightCache[*arch.CompiledSet](maxCompiled),
 		dispatch: cfg.Dispatch,
 		results:  cfg.Results,
 	}
-	m.jobs.onFinish = m.announceJob
-	m.buildRegistry()
-	m.jobs.onSpan = m.hists.observe
-	if err := m.dispatch.Receive(m.handleEnvelope); err != nil {
+	s.jobs = newJobManager(s.tokens, cfg.MaxActiveJobs, cfg.MaxFinishedJobs, s.jobFinished, s.observeSpan)
+	s.buildRegistry()
+	if err := s.dispatch.Receive(s.handleEnvelope); err != nil {
 		// A node that cannot receive envelopes must not advertise ownership:
 		// degrade to computing everything locally rather than black-holing
 		// the keys the ring maps to us.
-		m.dispatchDown.Store(true)
+		s.dispatchDown.Store(true)
 	}
-	return m
+	return s
 }
 
 // Shutdown stops intake, cancels every live job through the same cooperative
 // mechanism the cancel endpoint uses, waits (bounded) for job goroutines to
 // drain, and releases the dispatch backend's subscriptions. The HTTP
 // listener is the caller's to close (http.Server.Shutdown first, then this).
-func (m *Manager) Shutdown(timeout time.Duration) error {
-	m.jobs.close()
-	err := m.jobs.wait(timeout)
-	if cerr := m.dispatch.Close(); err == nil {
+func (s *Server) Shutdown(timeout time.Duration) error {
+	s.jobs.close()
+	err := s.jobs.wait(timeout)
+	if cerr := s.dispatch.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// Counters is a point-in-time view of the manager's work, exposed for tests
-// and /metrics. Explorations counts sweeps run on this node only — summing
+// Counters is a point-in-time view of the server's work, exposed for tests
+// and /v1/metrics. Explorations counts sweeps run on this node only — summing
 // it across a cluster measures cluster-wide singleflight.
 type Counters struct {
 	Submissions       int64
@@ -231,25 +207,23 @@ type Counters struct {
 	CompileMisses     int64
 }
 
-// Stats samples the manager counters.
-func (m *Manager) Stats() Counters {
-	mh, mm := m.models.stats()
-	ch, cm := m.compiled.stats()
+// Stats samples the server counters.
+func (s *Server) Stats() Counters {
 	return Counters{
-		Submissions:       m.submissions.Load(),
-		DedupedLive:       m.dedupLive.Load(),
-		ResultHits:        m.resultHits.Load(),
-		Explorations:      m.explorations.Load(),
-		Canceled:          m.canceled.Load(),
-		Expired:           m.expired.Load(),
-		Shed:              m.shed.Load(),
-		Dispatched:        m.dispatched.Load(),
-		RemoteHits:        m.remoteHits.Load(),
-		DispatchFallbacks: m.fallbacks.Load(),
-		ModelHits:         mh,
-		ModelMisses:       mm,
-		CompileHits:       ch,
-		CompileMisses:     cm,
+		Submissions:       s.submissions.Load(),
+		DedupedLive:       s.dedupLive.Load(),
+		ResultHits:        s.resultHits.Load(),
+		Explorations:      s.explorations.Load(),
+		Canceled:          s.canceled.Load(),
+		Expired:           s.expired.Load(),
+		Shed:              s.shed.Load(),
+		Dispatched:        s.dispatched.Load(),
+		RemoteHits:        s.remoteHits.Load(),
+		DispatchFallbacks: s.fallbacks.Load(),
+		ModelHits:         s.models.hits.Load(),
+		ModelMisses:       s.models.misses.Load(),
+		CompileHits:       s.compiled.hits.Load(),
+		CompileMisses:     s.compiled.misses.Load(),
 	}
 }
 
@@ -275,16 +249,15 @@ type jobSpec struct {
 	Witness        bool             `json:"witness,omitempty"`
 }
 
-// encodeWire renders a wire value exactly as the CLIs' -json encoders do
-// (two-space indent, trailing newline, json.Encoder escaping), keeping the
-// byte-identity contract literal: diffing `archcheck -json`/`tacheck -json`
-// output against a served result body succeeds.
-func encodeWire(v any) ([]byte, error) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
+// submission is a request resolved to everything a job needs: the normalized
+// spec, its content key (the job id), the wall-clock deadline, and the kind's
+// table entry with the parsed model it resolved.
+type submission struct {
+	spec     jobSpec
+	id       string
+	deadline time.Time
+	kind     kind
+	model    any
 }
 
 func hashBytes(parts ...string) string {
@@ -296,294 +269,172 @@ func hashBytes(parts ...string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Submit is the transport-agnostic intake: normalize, content-hash, then
-// answer from (in order) the node-local job table, the replicated result
-// cache, or a fresh job — run locally when this node owns the content hash,
-// or dispatched to the owner with a local proxy job standing in for status,
-// cancel, and result serving. Errors are *httpError values carrying the
-// wire code and suggested HTTP status.
-func (m *Manager) Submit(req *SubmitRequest) (*SubmitResponse, error) {
-	m.submissions.Add(1)
-	parseStart := time.Now()
-	spec, model, herr := m.normalize(req)
-	parseEnd := time.Now()
-	if herr != nil {
-		return nil, herr
-	}
-	canon, err := json.Marshal(spec)
-	if err != nil {
-		return nil, err
-	}
-	id := hashBytes(string(canon))
-
-	deadline := time.Time{}
-	if spec.DeadlineMS > 0 {
-		deadline = time.Now().Add(time.Duration(spec.DeadlineMS) * time.Millisecond)
-	} else if m.cfg.DefaultDeadline > 0 {
-		deadline = time.Now().Add(m.cfg.DefaultDeadline)
-	}
-
-	// Replicated cache first — but only past the job table's own say: adopt
-	// joins a live or done twin when one exists, so a node never forks a
-	// second answer for work it already holds.
-	if ev, ok := m.results.Get(id); ok {
-		if j, adopted := m.jobs.adopt(id, ev); j != nil {
-			state, _, _, _ := j.snapshot()
-			if adopted {
-				m.resultHits.Add(1)
-				m.remoteHits.Add(1)
-			} else if state == api.StateDone {
-				m.resultHits.Add(1)
-			} else {
-				m.dedupLive.Add(1)
-			}
-			return &SubmitResponse{JobID: j.id, State: state, Created: false}, nil
-		}
-		return nil, &httpError{status: http.StatusServiceUnavailable,
-			code: wire.CodeShuttingDown, msg: errShuttingDown.Error()}
-	}
-
-	// Route: the ring's owner computes; everyone else proxies. A backend that
-	// never came up routes everything locally.
-	owner := m.dispatch.Owner(id)
-	run := m.runFunc(spec, model)
-	proxy := false
-	if owner != m.dispatch.Self() && !m.dispatchDown.Load() {
-		proxy = true
-		run = m.proxyRun(spec, model, req, owner)
-	}
-	workers := spec.Workers
-	memBytes := spec.MaxBytes
-	if proxy {
-		// A proxy holds no grant: the compute (and its admission) happens on
-		// the owner node.
-		workers, memBytes = 0, 0
-	}
-	j, created, err := m.jobs.submit(id, spec.Kind, workers, memBytes, deadline, run)
-	switch err {
-	case nil:
-	case errBusy:
-		// Overload shedding: reject with retry guidance scaled to the queue
-		// depth, so clients back off harder the deeper the backlog. Cached
-		// results keep being served throughout — only NEW work is shed (the
-		// job-table lookup above this rejection hits finished twins first).
-		m.shed.Add(1)
-		return nil, &httpError{
-			status:     http.StatusTooManyRequests,
-			code:       wire.CodeOverloaded,
-			msg:        err.Error(),
-			retryAfter: m.retryAfter(),
-		}
-	case errShuttingDown:
-		return nil, &httpError{status: http.StatusServiceUnavailable,
-			code: wire.CodeShuttingDown, msg: err.Error()}
-	default:
-		return nil, err
-	}
-	state, _, _, _ := j.snapshot()
-	if created {
-		// The parse ran during normalization, before the job existed; graft
-		// it onto the fresh job's profile. (Model-cache hits record the — now
-		// trivial — resolution interval, still the job's real parse cost.)
-		j.mon.RecordPhase("parse", parseStart, parseEnd)
-		if proxy {
-			m.dispatched.Add(1)
-		}
-	} else {
-		if state == api.StateDone {
-			m.resultHits.Add(1)
-		} else {
-			m.dedupLive.Add(1)
-		}
-	}
-	return &SubmitResponse{JobID: j.id, State: state, Created: created}, nil
-}
-
-// retryAfter derives shed-retry guidance from the current queue pressure:
-// one second of backoff per CPUTokens' worth of active jobs, clamped to
-// [1s, 60s]. Deeper backlog → longer suggested wait.
-func (m *Manager) retryAfter() time.Duration {
-	active, _ := m.jobs.counts()
-	d := time.Duration(1+active/m.cfg.CPUTokens) * time.Second
-	if d > time.Minute {
-		d = time.Minute
-	}
-	return d
-}
-
-// normalize validates the submission, resolves the model through the parsed
-// cache, applies defaults, and returns the canonical spec. The parsed entry
-// is returned alongside so the job closure does not re-hash.
-func (m *Manager) normalize(req *SubmitRequest) (jobSpec, *modelEntry, *httpError) {
-	var spec jobSpec
+// intake is the one derivation from a request to a job's identity, shared by
+// the HTTP path (Submit) and the fleet path (handleEnvelope): validate the
+// submission and apply defaults, let the kind resolve the model through the
+// parsed cache and canonicalize its own fields, hash the canonical spec, and
+// start the deadline clock. The derivation is deterministic in the request
+// and the admission config, which is what lets an owner node re-derive a
+// frontend's job id from the forwarded request. Fields that cannot affect
+// the answer are canonicalized away so semantically identical requests hash
+// to one job. Errors are *httpError values.
+func (s *Server) intake(req *SubmitRequest) (*submission, error) {
 	if req.Model == "" {
-		return spec, nil, badRequest("model is required")
+		return nil, badRequest("model is required")
 	}
-	switch req.Options.Order {
-	case "":
-		req.Options.Order = "bfs"
-	case "bfs", "df", "rdf":
-	default:
-		return spec, nil, badRequest("unknown order %q (want bfs, df, or rdf)", req.Options.Order)
+	order, err := core.ParseOrder(req.Options.Order)
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
-	workers := req.Options.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > m.cfg.CPUTokens {
-		workers = m.cfg.CPUTokens
-	}
-	if req.Options.HorizonMS == 0 {
-		req.Options.HorizonMS = 2000
-	}
-	if req.Options.QueueCap == 0 {
-		req.Options.QueueCap = 8
-	}
+	workers := min(max(req.Options.Workers, 1), s.cfg.CPUTokens)
 	// Resolve the job's memory grant against the global budget: a declared
 	// max_bytes is clamped to the budget; an undeclared one defaults to a
 	// fair share of the budget proportional to the job's CPU grant. Without
 	// a server budget the declared value passes through as a pure per-job
 	// core budget (no admission hold).
-	maxBytes := req.Options.MaxBytes
-	if maxBytes < 0 {
-		maxBytes = 0
-	}
-	if m.cfg.MemoryBudget > 0 {
+	maxBytes := max(req.Options.MaxBytes, 0)
+	if budget := s.cfg.MemoryBudget; budget > 0 {
 		if maxBytes == 0 {
-			maxBytes = m.cfg.MemoryBudget / int64(m.cfg.CPUTokens) * int64(workers)
+			maxBytes = budget / int64(s.cfg.CPUTokens) * int64(workers)
 		}
-		if maxBytes > m.cfg.MemoryBudget {
-			maxBytes = m.cfg.MemoryBudget
-		}
-		if maxBytes < 1 {
-			maxBytes = 1
-		}
+		maxBytes = max(min(maxBytes, budget), 1)
 	}
-	stateBudget := req.Options.StateBudget
-	if stateBudget < 0 {
-		stateBudget = 0
-	}
-	spec = jobSpec{
+	sub := &submission{spec: jobSpec{
 		Kind:        req.Kind,
-		HorizonMS:   req.Options.HorizonMS,
-		QueueCap:    req.Options.QueueCap,
 		Workers:     workers,
 		MaxStates:   req.Options.MaxStates,
-		StateBudget: stateBudget,
+		StateBudget: max(req.Options.StateBudget, 0),
 		MaxBytes:    maxBytes,
-		Order:       req.Options.Order,
-		Seed:        req.Options.Seed,
+		Order:       order.String(),
 		DeadlineMS:  req.Options.DeadlineMS,
-		Witness:     req.Options.Witness && req.Kind == "arch",
+	}}
+	// The seed only feeds rdf shuffling.
+	if order == core.RDFS {
+		sub.spec.Seed = req.Options.Seed
 	}
-	// Canonicalize away fields that cannot affect this submission's answer,
-	// so semantically identical requests hash to one job: the seed only
-	// feeds rdf shuffling, witness traces exist for arch jobs only, and the
-	// compilation options (horizon, queue cap) are meaningless for ta
-	// models.
-	if spec.Order != "rdf" {
-		spec.Seed = 0
+	var ok bool
+	if sub.kind, ok = kinds[req.Kind]; !ok {
+		return nil, badRequest("unknown kind %q (want arch or ta)", req.Kind)
 	}
-	if req.Kind == "ta" {
-		spec.HorizonMS = 0
-		spec.QueueCap = 0
+	if sub.model, err = sub.kind.resolve(s, req, &sub.spec); err != nil {
+		return nil, err
+	}
+	canon, err := json.Marshal(sub.spec)
+	if err != nil {
+		return nil, err
+	}
+	sub.id = hashBytes(string(canon))
+	if sub.spec.DeadlineMS > 0 {
+		sub.deadline = time.Now().Add(time.Duration(sub.spec.DeadlineMS) * time.Millisecond)
+	} else if s.cfg.DefaultDeadline > 0 {
+		sub.deadline = time.Now().Add(s.cfg.DefaultDeadline)
+	}
+	return sub, nil
+}
+
+// Submit is the transport-agnostic intake: derive the job's identity, then
+// answer from (in order) the node-local job table, the replicated result
+// cache, or a fresh job — run locally when this node owns the content hash,
+// or dispatched to the owner with a local proxy job standing in for status,
+// cancel, and result serving. Errors are *httpError values carrying the
+// wire code and suggested HTTP status.
+func (s *Server) Submit(req *SubmitRequest) (*SubmitResponse, error) {
+	s.submissions.Add(1)
+	parseStart := time.Now()
+	sub, err := s.intake(req)
+	parseEnd := time.Now()
+	if err != nil {
+		return nil, err
 	}
 
-	switch req.Kind {
-	case "arch":
-		spec.ModelHash = hashBytes("arch", req.Model)
-		entry, _, err := m.models.do(spec.ModelHash, func() (*modelEntry, error) {
-			sys, reqs, err := arch.ParseSystem([]byte(req.Model))
-			if err != nil {
-				return nil, err
+	// Replicated cache first — but only past the job table's own say: adopt
+	// joins a live or done twin when one exists, so a node never forks a
+	// second answer for work it already holds.
+	if ev, ok := s.results.Get(sub.id); ok {
+		if j, adopted := s.jobs.adopt(sub.id, ev); j != nil {
+			state, _, _, _ := j.snapshot()
+			if adopted {
+				s.remoteHits.Add(1)
 			}
-			return &modelEntry{sys: sys, reqs: reqs}, nil
-		})
-		if err != nil {
-			return spec, nil, badRequest("parsing arch model: %v", err)
+			s.countJoin(state)
+			return &SubmitResponse{JobID: j.id, State: state, Created: false}, nil
 		}
-		names := req.Requirements
-		if len(names) == 0 {
-			for _, r := range entry.reqs {
-				names = append(names, r.Name)
-			}
-		}
-		if len(names) == 0 {
-			return spec, nil, badRequest("arch model has no requirements")
-		}
-		byName := map[string]*arch.Requirement{}
-		for _, r := range entry.reqs {
-			byName[r.Name] = r
-		}
-		for _, n := range names {
-			if byName[n] == nil {
-				return spec, nil, badRequest("unknown requirement %q", n)
-			}
-		}
-		for n := range req.Options.HorizonMSByReq {
-			if byName[n] == nil {
-				return spec, nil, badRequest("horizon_ms_by_req names unknown requirement %q", n)
-			}
-		}
-		spec.Requirements = names
-		spec.HorizonMSByReq = req.Options.HorizonMSByReq
-		return spec, entry, nil
-	case "ta":
-		if len(req.Queries) == 0 {
-			return spec, nil, badRequest("ta submissions need at least one query")
-		}
-		// Canonicalize each query to the fields its kind consumes — a stray
-		// pred on a deadlock query (or clock on a reach) must not mint a
-		// distinct job for the same question.
-		spec.Queries = make([]wire.TAQuery, len(req.Queries))
-		for i, q := range req.Queries {
-			switch q.Kind {
-			case "deadlock":
-				q.Pred, q.Clock = "", ""
-			case "reach", "safety":
-				q.Clock = ""
-			}
-			spec.Queries[i] = q
-		}
-		spec.MaxConst = req.Options.MaxConst
-		// The parse depends on the sup horizons, so the model-cache key
-		// carries the query-relevant context: sup clocks + max_const. With
-		// no sup query the horizon is inert — canonicalize it away too.
-		supKey := ""
-		for _, q := range spec.Queries {
-			if q.Kind == "sup" {
-				supKey += q.Clock + "\x00"
-			}
-		}
-		if supKey == "" {
-			spec.MaxConst = 0
-		}
-		spec.ModelHash = hashBytes("ta", req.Model, supKey, fmt.Sprint(spec.MaxConst))
-		entry, _, err := m.models.do(spec.ModelHash, func() (*modelEntry, error) {
-			net, err := wire.ParseTAModel(req.Model, spec.Queries, spec.MaxConst)
-			if err != nil {
-				return nil, err
-			}
-			return &modelEntry{net: net}, nil
-		})
-		if err != nil {
-			return spec, nil, badRequest("parsing ta model: %v", err)
-		}
-		// Validate the query specs now so submit fails fast; the job builds
-		// its own fresh TARun (queries are single-use).
-		if _, err := wire.NewTARun(entry.net, spec.Queries); err != nil {
-			return spec, nil, badRequest("building queries: %v", err)
-		}
-		return spec, entry, nil
-	default:
-		return spec, nil, badRequest("unknown kind %q (want arch or ta)", req.Kind)
+		return nil, s.reject(errShuttingDown)
 	}
+
+	// Route: the ring's owner computes; everyone else proxies. A backend that
+	// never came up routes everything locally.
+	owner := s.dispatch.Owner(sub.id)
+	run, workers, memBytes := s.compute(sub), sub.spec.Workers, sub.spec.MaxBytes
+	proxy := owner != s.dispatch.Self() && !s.dispatchDown.Load()
+	if proxy {
+		// A proxy holds no grant: the compute (and its admission) happens on
+		// the owner node.
+		run, workers, memBytes = s.proxyRun(sub, req, owner), 0, 0
+	}
+	j, created, err := s.jobs.submit(sub.id, sub.spec.Kind, workers, memBytes, sub.deadline, run)
+	if err != nil {
+		return nil, s.reject(err)
+	}
+	state, _, _, _ := j.snapshot()
+	if created {
+		// The parse ran during intake, before the job existed; graft it onto
+		// the fresh job's profile. (Model-cache hits record the — now
+		// trivial — resolution interval, still the job's real parse cost.)
+		j.mon.RecordPhase("parse", parseStart, parseEnd)
+		if proxy {
+			s.dispatched.Add(1)
+		}
+	} else {
+		s.countJoin(state)
+	}
+	return &SubmitResponse{JobID: j.id, State: state, Created: created}, nil
+}
+
+// countJoin accounts a submission that landed on an existing job: a result
+// hit when the job is done (an adopted remote result included), a live
+// dedupe otherwise.
+func (s *Server) countJoin(state string) {
+	if state == api.StateDone {
+		s.resultHits.Add(1)
+	} else {
+		s.dedupLive.Add(1)
+	}
+}
+
+// reject names a job-table refusal on the wire, for the HTTP response and
+// for the failed completion an owner announces to waiting proxies alike.
+func (s *Server) reject(err error) *httpError {
+	switch err {
+	case errBusy:
+		// Overload shedding: reject with retry guidance scaled to the queue
+		// depth, so clients back off harder the deeper the backlog. Cached
+		// results keep being served throughout — only NEW work is shed (the
+		// job-table lookup ahead of this rejection hits finished twins first).
+		s.shed.Add(1)
+		return &httpError{status: http.StatusTooManyRequests, code: wire.CodeOverloaded,
+			msg: err.Error(), retryAfter: s.retryAfter()}
+	case errShuttingDown:
+		return &httpError{status: http.StatusServiceUnavailable,
+			code: wire.CodeShuttingDown, msg: err.Error()}
+	}
+	return &httpError{status: http.StatusInternalServerError, code: wire.CodeInternal, msg: err.Error()}
+}
+
+// retryAfter derives shed-retry guidance from the current queue pressure:
+// one second of backoff per CPUTokens' worth of active jobs, clamped to
+// [1s, 60s]. Deeper backlog → longer suggested wait.
+func (s *Server) retryAfter() time.Duration {
+	active, _ := s.jobs.counts()
+	return min(time.Duration(1+active/s.cfg.CPUTokens)*time.Second, time.Minute)
 }
 
 // coreOptions maps the normalized spec plus the job's runtime signals onto
 // the engine options.
 func coreOptions(spec jobSpec, j *job) core.Options {
-	opts := core.Options{
+	order, _ := core.ParseOrder(spec.Order) // intake stored a valid spelling
+	return core.Options{
+		Order:       order,
 		Seed:        spec.Seed,
 		MaxStates:   spec.MaxStates,
 		StateBudget: spec.StateBudget,
@@ -593,157 +444,33 @@ func coreOptions(spec jobSpec, j *job) core.Options {
 		Deadline:    j.deadline,
 		Monitor:     j.mon,
 	}
-	switch spec.Order {
-	case "df":
-		opts.Order = core.DFS
-	case "rdf":
-		opts.Order = core.RDFS
-	}
-	return opts
 }
 
-// runFunc builds the job closure: compile (through the cache) and run the
-// single exploration answering the whole submission. The closure runs under
-// pprof labels (job_id, kind, owner), so CPU and goroutine profiles of a busy
-// node attribute samples to the jobs that burned them.
-func (m *Manager) runFunc(spec jobSpec, model *modelEntry) runFunc {
-	var inner runFunc
-	if spec.Kind == "arch" {
-		inner = func(j *job) ([]byte, map[string]string, error) {
-			return m.runArch(spec, model, j)
-		}
-	} else {
-		inner = func(j *job) ([]byte, map[string]string, error) {
-			return m.runTA(spec, model, j)
-		}
-	}
+// compute builds the run closure of a job this node computes itself — the
+// one path from an admitted job to verdict bytes: bind the submission to a
+// runnable sweep (compile, through the cache) under the "compile" phase, run
+// the single exploration answering the whole submission, and encode its wire
+// value. It runs under pprof labels (job_id, kind, owner), so CPU and
+// goroutine profiles of a busy node attribute samples to the jobs that
+// burned them.
+func (s *Server) compute(sub *submission) runFunc {
 	return func(j *job) (result []byte, traces map[string]string, err error) {
-		labels := pprof.Labels("job_id", j.id, "kind", j.kind, "owner", m.dispatch.Self())
+		labels := pprof.Labels("job_id", j.id, "kind", j.kind, "owner", s.dispatch.Self())
 		pprof.Do(context.Background(), labels, func(context.Context) {
-			result, traces, err = inner(j)
+			endCompile := j.mon.BeginPhase("compile")
+			var run sweep
+			run, err = sub.kind.bind(s, &sub.spec, sub.model)
+			endCompile()
+			if err != nil {
+				return
+			}
+			s.explorations.Add(1)
+			var resp any
+			if resp, traces, err = run(coreOptions(sub.spec, j)); err != nil {
+				return
+			}
+			result, err = wire.Encode(resp)
 		})
 		return result, traces, err
-	}
-}
-
-func (m *Manager) runArch(spec jobSpec, model *modelEntry, j *job) ([]byte, map[string]string, error) {
-	byName := map[string]*arch.Requirement{}
-	for _, r := range model.reqs {
-		byName[r.Name] = r
-	}
-	reqs := make([]*arch.Requirement, len(spec.Requirements))
-	for i, n := range spec.Requirements {
-		reqs[i] = byName[n]
-	}
-	copts := arch.Options{HorizonMS: spec.HorizonMS, QueueCap: spec.QueueCap}
-	if len(spec.HorizonMSByReq) > 0 {
-		byReq := spec.HorizonMSByReq
-		copts.HorizonMSFor = func(r *arch.Requirement) int64 { return byReq[r.Name] }
-	}
-
-	// Compile cache: (model, requirement set, compile options). Every key
-	// ingredient is its own NUL-separated hash part (and the horizon map is
-	// JSON-encoded, which sorts its keys), so requirement names containing
-	// separator-looking characters cannot collide two different sets onto
-	// one compiled network. The set is immutable and shared; every job
-	// explores it with fresh state.
-	horizonsJSON, err := json.Marshal(spec.HorizonMSByReq)
-	if err != nil {
-		return nil, nil, err
-	}
-	parts := append([]string{"compile", spec.ModelHash,
-		fmt.Sprint(spec.HorizonMS), fmt.Sprint(spec.QueueCap), string(horizonsJSON)},
-		spec.Requirements...)
-	ckey := hashBytes(parts...)
-	endCompile := j.mon.BeginPhase("compile")
-	cs, _, err := m.compiled.do(ckey, func() (*arch.CompiledSet, error) {
-		return arch.CompileAll(model.sys, reqs, copts)
-	})
-	endCompile()
-	if err != nil {
-		return nil, nil, err
-	}
-
-	m.explorations.Add(1)
-	all, err := cs.Analyze(coreOptions(spec, j))
-	if err != nil {
-		m.noteAbort(err)
-		return nil, nil, err
-	}
-	resp := wire.FromAllResult(all)
-	data, err := encodeWire(resp)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var traces map[string]string
-	if spec.Witness {
-		// Witness traces reuse the batch verdicts (no re-measurement): one
-		// reachability sweep per requirement, counted like any other
-		// exploration. The sweeps honor the job's cancel/deadline but not
-		// its Monitor — final status progress keeps mirroring the main
-		// sweep's stats, not the last witness run's.
-		wopts := coreOptions(spec, j)
-		wopts.Monitor = nil
-		traces = make(map[string]string, len(reqs))
-		for i, r := range reqs {
-			m.explorations.Add(1)
-			trace, werr := arch.WitnessForResult(model.sys, r, all.Results[i], copts, wopts)
-			switch {
-			case werr == nil:
-				traces[r.Name] = trace
-			case errors.Is(werr, core.ErrCanceled) || errors.Is(werr, core.ErrDeadlineExceeded):
-				// The job itself was aborted: fail it as usual.
-				m.noteAbort(werr)
-				return nil, nil, werr
-			default:
-				// The verdicts are computed and valid; an unmaterializable
-				// optional trace (e.g. a truncated witness search) must not
-				// discard them. Surface the reason in the trace slot.
-				traces[r.Name] = "witness unavailable: " + werr.Error()
-			}
-		}
-	}
-	return data, traces, nil
-}
-
-func (m *Manager) runTA(spec jobSpec, model *modelEntry, j *job) ([]byte, map[string]string, error) {
-	endCompile := j.mon.BeginPhase("compile")
-	run, err := wire.NewTARun(model.net, spec.Queries)
-	if err != nil {
-		endCompile()
-		return nil, nil, err
-	}
-	checker, err := core.NewChecker(model.net)
-	endCompile()
-	if err != nil {
-		return nil, nil, err
-	}
-	m.explorations.Add(1)
-	stats, err := checker.RunQueries(coreOptions(spec, j), run.Queries()...)
-	if err != nil {
-		m.noteAbort(err)
-		return nil, nil, err
-	}
-	resp := run.Response(stats)
-	data, err := encodeWire(resp)
-	if err != nil {
-		return nil, nil, err
-	}
-	traces := make(map[string]string)
-	for i, q := range resp.Queries {
-		if q.Trace != "" {
-			traces[fmt.Sprintf("q%d:%s", i, q.Kind)] = q.Trace
-		}
-	}
-	return data, traces, nil
-}
-
-func (m *Manager) noteAbort(err error) {
-	switch {
-	case errors.Is(err, core.ErrCanceled):
-		m.canceled.Add(1)
-	case errors.Is(err, core.ErrDeadlineExceeded):
-		m.expired.Add(1)
 	}
 }

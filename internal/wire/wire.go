@@ -9,12 +9,27 @@
 package wire
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/ta"
 )
+
+// Encode renders a wire value as the bytes every surface emits for it — a
+// taserved result body, `archcheck -json`, `tacheck -json`: two-space indent,
+// trailing newline, encoding/json's default escaping. It is the only encoder
+// of verdict bytes, which keeps the no-drift contract literal: diffing CLI
+// output against a served result body succeeds (duration_ns aside), and a
+// fleet relays the bytes verbatim rather than re-encoding them.
+func Encode(v any) ([]byte, error) {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(data, '\n'), nil
+}
 
 // Stats mirrors core.Stats on the wire.
 type Stats struct {

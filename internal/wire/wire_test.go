@@ -193,3 +193,36 @@ func TestLabelKindWireBytesStable(t *testing.T) {
 		t.Error("round trip altered the trace string")
 	}
 }
+
+// TestEncodeBytes pins the one encoder's byte format — what `archcheck -json`,
+// `tacheck -json` and a served result body all emit: two-space indent, a
+// trailing newline, and encoding/json's default escaping ("<" as \u003c).
+func TestEncodeBytes(t *testing.T) {
+	got, err := Encode(TAResponse{Queries: []TAQueryResult{{Kind: "sup", Sup: "<=3", SupValue: 3, SupAttained: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{
+  "queries": [
+    {
+      "kind": "sup",
+      "verdict": false,
+      "sup": "\u003c=3",
+      "sup_value": 3,
+      "sup_attained": true
+    }
+  ],
+  "stats": {
+    "stored": 0,
+    "popped": 0,
+    "transitions": 0,
+    "deadlocks": 0,
+    "truncated": false,
+    "duration_ns": 0
+  }
+}
+`
+	if string(got) != want {
+		t.Errorf("Encode bytes:\n%s\nwant:\n%s", got, want)
+	}
+}

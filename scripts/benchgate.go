@@ -1,8 +1,8 @@
 // Command benchgate turns raw `go test -bench` output into a pass/fail CI
 // verdict against a checked-in baseline.
 //
-// The gate is intentionally asymmetric, matching what is actually stable on
-// shared runners:
+// The gate holds only what is stable on shared runners — memory, not time
+// (time is judged by the repository's benchmark, `bash benchmark/run.sh`):
 //
 //   - allocs/op is an EXACT ceiling: the gated benchmarks run the sequential
 //     engine with fixed seeds, so their allocation counts are deterministic.
@@ -15,9 +15,6 @@
 //     set bytes_op: stored-zone compression is a headline number of this
 //     repo, so a memory regression must fail CI like an alloc leak does. The
 //     small slack absorbs size-class rounding and compile-phase map wobble.
-//   - ns/op is a GENEROUS ceiling: baseline × -ns-factor (default 4). Shared
-//     runners are noisy, so only catastrophic slowdowns (accidental O(n³)
-//     re-closure, lost pooling) should trip it.
 //   - A gated benchmark missing from the output fails, so renaming or
 //     deleting a benchmark cannot silently drop it from the gate.
 //
@@ -48,7 +45,6 @@ import (
 )
 
 type baselineEntry struct {
-	NsOp     float64 `json:"ns_op"`
 	AllocsOp float64 `json:"allocs_op"`
 	// AllocsSlack widens the allocs/op ceiling for benchmarks whose counts
 	// are not bit-deterministic (map iteration order during model compile
@@ -66,17 +62,12 @@ type baselineEntry struct {
 }
 
 type baseline struct {
-	// NsFactor is the slowdown tolerated on ns/op before failing; allocs/op
-	// has no tolerance. A -ns-factor flag overrides it.
-	NsFactor   float64                  `json:"ns_factor"`
 	Benchmarks map[string]baselineEntry `json:"benchmarks"`
 }
 
 type measurement struct {
-	ns       float64
 	allocs   float64
 	bytes    float64
-	hasNs    bool
 	hasAll   bool
 	hasBytes bool
 }
@@ -86,7 +77,6 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s`)
 func main() {
 	basePath := flag.String("baseline", "scripts/bench_baseline.json", "baseline JSON path")
 	update := flag.Bool("update", false, "rewrite the baseline from the measured values instead of gating")
-	nsFactor := flag.Float64("ns-factor", 0, "override the baseline's ns/op tolerance factor (0 = use baseline)")
 	flag.Parse()
 
 	var in io.Reader = os.Stdin
@@ -107,7 +97,7 @@ func main() {
 	}
 
 	if *update {
-		if err := writeBaseline(*basePath, got, *nsFactor); err != nil {
+		if err := writeBaseline(*basePath, got); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("benchgate: wrote %s with %d benchmarks\n", *basePath, len(got))
@@ -121,13 +111,6 @@ func main() {
 	var base baseline
 	if err := json.Unmarshal(data, &base); err != nil {
 		fatal(fmt.Errorf("parsing %s: %w", *basePath, err))
-	}
-	factor := base.NsFactor
-	if *nsFactor > 0 {
-		factor = *nsFactor
-	}
-	if factor <= 0 {
-		factor = 4
 	}
 
 	names := make([]string, 0, len(base.Benchmarks))
@@ -173,15 +156,9 @@ func main() {
 					name, want.BytesOp, m.bytes)
 			}
 		}
-		limit := want.NsOp * factor
-		if m.ns > limit {
-			fmt.Printf("FAIL %s: ns/op %.0f > %.0f (baseline %.0f × factor %g)\n",
-				name, m.ns, limit, want.NsOp, factor)
-			pass = false
-		}
 		if pass {
-			fmt.Printf("ok   %s: allocs/op %.0f (baseline %.0f), ns/op %.0f (limit %.0f)\n",
-				name, m.allocs, want.AllocsOp, m.ns, limit)
+			fmt.Printf("ok   %s: allocs/op %.0f (baseline %.0f), B/op %.0f (baseline %.0f)\n",
+				name, m.allocs, want.AllocsOp, m.bytes, want.BytesOp)
 		} else {
 			failed = true
 		}
@@ -213,11 +190,6 @@ func parseBench(in io.Reader) (map[string]measurement, error) {
 				continue
 			}
 			switch fields[i+1] {
-			case "ns/op":
-				if !m.hasNs || v < m.ns {
-					m.ns = v
-				}
-				m.hasNs = true
 			case "allocs/op":
 				if !m.hasAll || v < m.allocs {
 					m.allocs = v
@@ -235,38 +207,25 @@ func parseBench(in io.Reader) (map[string]measurement, error) {
 	return out, sc.Err()
 }
 
-func writeBaseline(path string, got map[string]measurement, nsFactor float64) error {
-	if nsFactor <= 0 {
-		nsFactor = 4
+func writeBaseline(path string, got map[string]measurement) error {
+	// Carry the slack settings over from an existing baseline so -update
+	// refreshes the numbers without losing the policy. A benchmark opts into
+	// the bytes gate by carrying bytes_op there.
+	var old baseline
+	if data, err := os.ReadFile(path); err == nil && json.Unmarshal(data, &old) != nil {
+		old = baseline{}
 	}
-	b := baseline{NsFactor: nsFactor, Benchmarks: map[string]baselineEntry{}}
-	// Carry slack settings (and a hand-set ns factor) over from an existing
-	// baseline so -update refreshes the numbers without losing the policy.
-	if data, err := os.ReadFile(path); err == nil {
-		var old baseline
-		if json.Unmarshal(data, &old) == nil {
-			if nsFactor == 4 && old.NsFactor > 0 {
-				b.NsFactor = old.NsFactor
-			}
-			for name, m := range got {
-				if o, ok := old.Benchmarks[name]; ok {
-					e := baselineEntry{NsOp: m.ns, AllocsOp: m.allocs, AllocsSlack: o.AllocsSlack}
-					// A benchmark opts into the bytes gate by carrying
-					// bytes_op in the baseline; -update refreshes the number
-					// and keeps the slack policy.
-					if o.BytesOp > 0 {
-						e.BytesOp = m.bytes
-						e.BytesSlack = o.BytesSlack
-					}
-					b.Benchmarks[name] = e
-				}
-			}
-		}
-	}
+	b := baseline{Benchmarks: map[string]baselineEntry{}}
 	for name, m := range got {
-		if _, ok := b.Benchmarks[name]; !ok {
-			b.Benchmarks[name] = baselineEntry{NsOp: m.ns, AllocsOp: m.allocs}
+		e := baselineEntry{AllocsOp: m.allocs}
+		if o, ok := old.Benchmarks[name]; ok {
+			e.AllocsSlack = o.AllocsSlack
+			if o.BytesOp > 0 {
+				e.BytesOp = m.bytes
+				e.BytesSlack = o.BytesSlack
+			}
 		}
+		b.Benchmarks[name] = e
 	}
 	data, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {

@@ -21,7 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -229,25 +228,6 @@ func checkProfile(ctx context.Context, c *client.Client, id string, wantSweep bo
 	}
 }
 
-// checkMetricsAlias pins /metrics to /v1/metrics byte-for-byte.
-func checkMetricsAlias(url string) {
-	get := func(path string) string {
-		resp, err := http.Get(url + path)
-		if err != nil {
-			fail("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil || resp.StatusCode != http.StatusOK {
-			fail("GET %s: HTTP %d err=%v", path, resp.StatusCode, err)
-		}
-		return string(body)
-	}
-	if a, b := get("/v1/metrics"), get("/metrics"); a != b {
-		fail("/metrics is not byte-identical to /v1/metrics")
-	}
-}
-
 // smokeSingle drives one already-running server through the full lifecycle:
 // health, arch submit/poll/result, cache hit on resubmission, combined ta
 // query set, metrics.
@@ -299,12 +279,9 @@ func smokeSingle(url, testdata string) {
 	requireFamilies(ctx, c, "node", append([]string{
 		"taserved_jobs_active", "taserved_stored_zone_bytes",
 	}, jobSpanFamilies...)...)
-
-	step("/metrics alias byte-identical to /v1/metrics")
-	checkMetricsAlias(url)
 }
 
-// fleetNode is one in-process fleet member: a manager over the shared broker
+// fleetNode is one in-process fleet member: a server over the shared broker
 // behind a real TCP listener.
 type fleetNode struct {
 	id     string
