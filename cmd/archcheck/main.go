@@ -7,17 +7,16 @@
 //
 //	archcheck -model system.json [-req name] [-engine uppaal|sim|symta|rtc]
 //	          [-horizon ms] [-order bfs|df|rdf] [-max-states n] [-seed n]
-//	          [-sim-reps n] [-sim-horizon ms] [-workers n] [-deadlock] [-all]
+//	          [-sim-reps n] [-sim-horizon ms] [-workers n] [-deadlock]
 //
-// With no -req, every requirement in the file is analyzed. When several
-// requirements are analyzed with the uppaal engine, -all (the default)
-// compiles them into ONE network — one measuring observer each — and answers
-// every WCRT from a single exploration (arch.AnalyzeAll); -all=false forces
-// the historical one-exploration-per-requirement behavior. -workers defaults
-// to the number of CPUs; parallel runs return the same verdicts and bounds
-// as sequential ones and reconstruct replay-valid traces (which run a trace
-// documents may differ between schedules). -deadlock checks the compiled
-// system for reachable deadlocked configurations instead of computing WCRTs.
+// With no -req, every requirement in the file is analyzed. The uppaal engine
+// compiles the analyzed requirements into ONE network — one measuring
+// observer each — and answers every WCRT from a single exploration
+// (arch.AnalyzeAll). -workers defaults to the number of CPUs; parallel runs
+// return the same verdicts and bounds as sequential ones and reconstruct
+// replay-valid traces (which run a trace documents may differ between
+// schedules). -deadlock checks the compiled system for reachable deadlocked
+// configurations instead of computing WCRTs.
 //
 // -json emits the machine-readable result instead of the text report: the
 // exact wire format (internal/wire.ArchResponse) the taserved analysis
@@ -61,7 +60,6 @@ func main() {
 		deploy      = flag.Bool("deploy", false, "print the deployment diagram (Figure 1 style) as Graphviz DOT and exit")
 		workers     = flag.Int("workers", runtime.NumCPU(), "parallel exploration workers, 1 = sequential (uppaal engine)")
 		deadlock    = flag.Bool("deadlock", false, "check the compiled system for deadlocks instead of computing WCRTs")
-		all         = flag.Bool("all", true, "answer all requirements from one compiled network and one exploration (uppaal engine)")
 		jsonOut     = flag.Bool("json", false, "emit the result as JSON (the taserved wire format; uppaal WCRT analysis only)")
 	)
 	flag.Parse()
@@ -170,33 +168,24 @@ func main() {
 
 	switch *engine {
 	case "uppaal":
-		if *all && len(reqs) > 1 {
-			res, err := arch.AnalyzeAll(sys, reqs, arch.Options{HorizonMS: *horizon}, copts)
-			if err != nil {
-				fatal(err)
-			}
-			for i, req := range reqs {
-				r := res.Results[i]
-				kind := "exact WCRT"
-				if !r.Exact {
-					kind = "lower bound"
-				}
-				fmt.Printf("%-20s %s = %s ms\n", req.Name, kind, r.MS.FloatString(3))
-			}
-			fmt.Printf("(%d requirements from one exploration: %s)\n", len(reqs), res.Stats)
-			return
+		res, err := arch.AnalyzeAll(sys, reqs, arch.Options{HorizonMS: *horizon}, copts)
+		if err != nil {
+			fatal(err)
 		}
-		for _, req := range reqs {
-			res, err := arch.AnalyzeWCRT(sys, req,
-				arch.Options{HorizonMS: *horizon}, copts)
-			if err != nil {
-				fatal(err)
-			}
+		for i, req := range reqs {
+			r := res.Results[i]
 			kind := "exact WCRT"
-			if !res.Exact {
+			if !r.Exact {
 				kind = "lower bound"
 			}
-			fmt.Printf("%-20s %s = %s ms   [%s]\n", req.Name, kind, res.MS.FloatString(3), res.Stats)
+			if len(reqs) == 1 {
+				fmt.Printf("%-20s %s = %s ms   [%s]\n", req.Name, kind, r.MS.FloatString(3), res.Stats)
+			} else {
+				fmt.Printf("%-20s %s = %s ms\n", req.Name, kind, r.MS.FloatString(3))
+			}
+		}
+		if len(reqs) > 1 {
+			fmt.Printf("(%d requirements from one exploration: %s)\n", len(reqs), res.Stats)
 		}
 	case "sim":
 		results, err := sim.Simulate(sys, reqs, sim.Options{

@@ -116,7 +116,7 @@ func main() {
 		fmt.Printf("%s under %v: %s ms (%s) in %v\n",
 			row.Label, col, res, res.Stats, time.Since(start).Round(time.Millisecond))
 		if *witness && res.Exact {
-			trace, _, err := icrns.Witness(row, col, cellOpts)
+			trace, err := icrns.Witness(row, col, res, cellOpts)
 			if err != nil {
 				fatal(err)
 			}

@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -38,6 +39,32 @@ func TestWCRTWitnessUncontended(t *testing.T) {
 	for _, step := range []string{"opA", "msg", "opB"} {
 		if !strings.Contains(trace, step) {
 			t.Errorf("trace missing step %s:\n%s", step, trace)
+		}
+	}
+}
+
+// TestCheckDeadlockFreeTiny runs what `archcheck -deadlock` runs on the
+// checked-in tiny model: the compiled system never wedges, sequentially or on
+// the parallel frontier.
+func TestCheckDeadlockFreeTiny(t *testing.T) {
+	data, err := os.ReadFile("../../testdata/tiny.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, reqs, err := ParseSystem(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		res, err := CheckDeadlockFree(sys, reqs[0], Options{HorizonMS: 100}, core.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Free || res.Trace != "" {
+			t.Errorf("workers=%d: free=%v with trace %q, want deadlock-free and no trace", workers, res.Free, res.Trace)
+		}
+		if res.Stats.Stored == 0 || res.Stats.Popped == 0 || res.Stats.Transitions == 0 {
+			t.Errorf("workers=%d: sweep reports no work: %s", workers, res.Stats)
 		}
 	}
 }

@@ -102,11 +102,12 @@ func TestParseSystemErrors(t *testing.T) {
 // TestMarshalSystemRoundTrip pins MarshalSystem as the inverse of
 // ParseSystem: marshalling a parsed system re-parses to an equivalent
 // description (fixed point after one marshal), and the re-parsed copy
-// analyzes to bit-identical verdicts.
+// analyzes to bit-identical verdicts. want is the first requirement's WCRT in
+// ms, so a field the parser ignored cannot pass by being lost on both sides.
 func TestMarshalSystemRoundTrip(t *testing.T) {
-	for name, src := range map[string]string{
-		"pipeline": pipelineJSON,
-		"tdma": `{
+	for name, row := range map[string]struct{ src, want string }{
+		"pipeline": {pipelineJSON, "30"},
+		"tdma": {`{
 		  "name": "t",
 		  "buses": [{"name": "B", "kbit_per_sec": 8, "sched": "tdma",
 		    "tdma": {"cycle_ms": "20", "slots": [
@@ -115,8 +116,22 @@ func TestMarshalSystemRoundTrip(t *testing.T) {
 		    "arrival": {"kind": "sp", "period_ms": "50"},
 		    "steps": [{"name": "m", "bus": "B", "bytes": 3}]}],
 		  "requirements": [{"name": "e", "scenario": "s", "from": -1, "to": 0}]
-		}`,
-		"rational-bursty": `{
+		}`, "23"},
+		// A step with its own priority: a's only step outranks b (5 ms alone);
+		// at the scenario's priority 1 it would wait for b as well (15 ms).
+		"step-priority": {`{
+		  "name": "sp",
+		  "processors": [{"name": "P", "mips": 10, "sched": "fp-preemptive"}],
+		  "scenarios": [
+		    {"name": "a", "priority": 1,
+		     "arrival": {"kind": "pno", "period_ms": "20"},
+		     "steps": [{"name": "op", "processor": "P", "instructions": 50000, "priority": 3}]},
+		    {"name": "b", "priority": 2,
+		     "arrival": {"kind": "pno", "period_ms": "40"},
+		     "steps": [{"name": "op", "processor": "P", "instructions": 100000}]}],
+		  "requirements": [{"name": "e", "scenario": "a", "from": -1, "to": 0}]
+		}`, "5"},
+		"rational-bursty": {`{
 		  "name": "x",
 		  "processors": [{"name": "P", "mips": 22}],
 		  "scenarios": [{
@@ -125,9 +140,9 @@ func TestMarshalSystemRoundTrip(t *testing.T) {
 		    "steps": [{"name": "op", "processor": "P", "instructions": 100000}]
 		  }],
 		  "requirements": [{"name": "e", "scenario": "s", "from": -1, "to": 0}]
-		}`,
+		}`, "150/11"},
 	} {
-		sys, reqs, err := ParseSystem([]byte(src))
+		sys, reqs, err := ParseSystem([]byte(row.src))
 		if err != nil {
 			t.Fatalf("%s: parse: %v", name, err)
 		}
@@ -153,6 +168,9 @@ func TestMarshalSystemRoundTrip(t *testing.T) {
 		a2, err := AnalyzeAll(sys2, reqs2, Options{HorizonMS: 200}, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: analyze round-tripped: %v", name, err)
+		}
+		if got := a1.Results[0].MS.RatString(); got != row.want {
+			t.Errorf("%s: %s = %s ms, want %s", name, reqs[0].Name, got, row.want)
 		}
 		for i := range a1.Results {
 			r1, r2 := a1.Results[i], a2.Results[i]

@@ -43,9 +43,6 @@ type State struct {
 	ref int64
 }
 
-// LocOf returns the current location of process p.
-func (s *State) LocOf(p ta.ProcID) ta.LocID { return s.Locs[p] }
-
 // discreteKey returns the cached hash of the state's discrete part,
 // computing it on first use.
 func (s *State) discreteKey() uint64 {

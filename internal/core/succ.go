@@ -73,23 +73,29 @@ func newEngine(net *ta.Network) (*engine, error) {
 // a successful fire it is detached into the new State (which then owns it)
 // and replaced from pool. Zones of states that the passed store rejects as
 // subsumed must be released back into pool by the explorer.
+//
+// Fork census (continued from the dbm package comment; scripts/traffic.sh
+// prints it): a fired transition tightens its zone one way, ta.ApplyConstraints
+// for guards and invariants alike. Two forks of the enumeration have no
+// traffic on any workload of BENCHMARK.json — binary rendezvous (successors)
+// and urgentPairEnabled (delayAllowed): arch-compiled networks declare only
+// broadcast channels, the generated .ta models none. Both stay, they are
+// semantics of the .ta language, covered by this package's tests.
 type succCtx struct {
 	pool *dbm.Pool
 	zone *dbm.DBM
 
-	// tRows/tCols collect the rows and columns extrapolation loosens, and
-	// tGuard the clocks guard tightenings touch, so canonicalization after
-	// either re-runs Floyd–Warshall only over the touched set
-	// (dbm.CloseRows / dbm.CloseTouched) instead of the full O(n³) pass.
-	// Like the scratch zone they are owned by the ctx, reused across fires,
-	// and never escape into states or stores — the same recycling rules as
-	// pooled zones keep the hot path allocation-free.
-	tRows, tCols, tGuard *dbm.Touched
+	// tRows/tCols collect the rows and columns extrapolation loosens, so
+	// canonicalization after it re-runs Floyd–Warshall only over those
+	// (dbm.CloseRows) instead of the full O(n³) pass. Like the scratch zone
+	// they are owned by the ctx, reused across fires, and never escape into
+	// states or stores — the same recycling rules as pooled zones keep the
+	// hot path allocation-free.
+	tRows, tCols *dbm.Touched
 
-	locs   []ta.LocID      // scratch location vector, len = #processes
-	vars   []int64         // scratch variable valuation, len = #variables
-	parts  []LabelPart     // scratch label under construction
-	guards []ta.Constraint // scratch multi-part guard conjunction
+	locs  []ta.LocID  // scratch location vector, len = #processes
+	vars  []int64     // scratch variable valuation, len = #variables
+	parts []LabelPart // scratch label under construction
 
 	// chanBuf/chanLen/active are the per-channel enabled-edge buckets of the
 	// one-pass collection (engine.successors): chanBuf is one flat buffer
@@ -138,7 +144,6 @@ func (e *engine) newCtx(slabs *dbm.Slabs) *succCtx {
 		zone:       dbm.New(e.dim),
 		tRows:      dbm.NewTouched(e.dim),
 		tCols:      dbm.NewTouched(e.dim),
-		tGuard:     dbm.NewTouched(e.dim),
 		locs:       make([]ta.LocID, len(e.net.Procs)),
 		vars:       make([]int64, len(e.net.Vars)),
 		chanBuf:    make([]LabelPart, e.bucketLen),
@@ -415,7 +420,7 @@ func (e *engine) fire(ctx *succCtx, s *State, label Label) (*State, error) {
 	z := ctx.zone
 	z.CopyFrom(s.Zone)
 	// Clock guards are evaluated against the pre-transition valuation.
-	if !e.applyGuards(ctx, z, label.Parts, s.Vars) {
+	if !e.applyGuards(z, label.Parts, s.Vars) {
 		return nil, nil
 	}
 	vars := ctx.vars
@@ -450,45 +455,15 @@ func (e *engine) fire(ctx *succCtx, s *State, label Label) (*State, error) {
 	return ns, nil
 }
 
-// applyGuards intersects z with the clock guards of every edge of a label.
-// Multi-part labels gather their guards into ctx scratch so the whole
-// conjunction is canonicalized as one set.
-func (e *engine) applyGuards(ctx *succCtx, z *dbm.DBM, parts []LabelPart, vars []int64) bool {
-	if len(parts) == 1 {
-		return e.applyGuardSet(ctx, z, e.net.Procs[parts[0].Proc].Edges[parts[0].Edge].ClockGuard, vars)
-	}
-	gs := ctx.guards[:0]
+// applyGuards intersects z with the clock guard of every edge of a label,
+// reporting nonemptiness.
+func (e *engine) applyGuards(z *dbm.DBM, parts []LabelPart, vars []int64) bool {
 	for _, pt := range parts {
-		gs = append(gs, e.net.Procs[pt.Proc].Edges[pt.Edge].ClockGuard...)
+		if !ta.ApplyConstraints(z, e.net.Procs[pt.Proc].Edges[pt.Edge].ClockGuard, vars) {
+			return false
+		}
 	}
-	ctx.guards = gs
-	return e.applyGuardSet(ctx, z, gs, vars)
-}
-
-// applyGuardSet picks the cheaper of the two exact tightening strategies for
-// a guard conjunction: per-constraint single-edge closures (one O(n²) pass
-// per constraint), or the batched deferred path (one O(n²) pass per DISTINCT
-// touched clock, ta.ApplyConstraintsTouched). The batch only wins when the
-// constraints outnumber the distinct clocks they mention — several bounds on
-// the same clock pair, or sync parts re-guarding a shared clock; note a
-// two-sided guard on one clock is a tie (2 constraints, 2 clocks counting
-// the reference), and ties keep the historical per-constraint path. Both
-// paths canonicalize the same intersection, so the resulting zone is
-// bit-identical either way.
-func (e *engine) applyGuardSet(ctx *succCtx, z *dbm.DBM, cs []ta.Constraint, vars []int64) bool {
-	if len(cs) <= 1 {
-		return ta.ApplyConstraints(z, cs, vars)
-	}
-	t := ctx.tGuard
-	t.Reset()
-	for _, c := range cs {
-		t.Add(int(c.I))
-		t.Add(int(c.J))
-	}
-	if t.Len() >= len(cs) {
-		return ta.ApplyConstraints(z, cs, vars)
-	}
-	return ta.ApplyConstraintsTouched(z, cs, vars, t)
+	return true
 }
 
 // closeInPlace applies the delay closure (when permitted by urgency),
@@ -502,10 +477,7 @@ func (e *engine) closeInPlace(z *dbm.DBM, locs []ta.LocID, vars []int64, rows, c
 	if e.delayAllowed(locs, vars) {
 		z.Up()
 		// Invariants held before the delay and only constrain from above, so
-		// this intersection cannot empty the zone. They are applied one
-		// single-edge closure each (dbm.Constrain): invariants are almost
-		// always one bound per process on that process's own clock, the
-		// distinct-clock shape where batched deferred tightening loses.
+		// this intersection cannot empty the zone.
 		e.applyInvariants(z, locs, vars)
 	}
 	if e.extraLU {

@@ -7,6 +7,30 @@
 // always exactly 0. A DBM stores one bound per ordered clock pair in a dense
 // (n+1)×(n+1) matrix. All algorithms follow the classical presentation in
 // Bengtsson & Yi, "Timed Automata: Semantics, Algorithms and Tools".
+//
+// # Restoring canonical form
+//
+// Inclusion checks and the passed store need every zone closed (each bound
+// the tightest the others imply). There are exactly three ways back to that
+// form, and each has traffic:
+//
+//   - Constrain, after one bound was tightened: the single-edge O(n²) update.
+//     Every guard and invariant is a chain of these (ta.ApplyConstraints);
+//     there is no batched variant.
+//   - CloseRows, after extrapolation loosened the rows and columns it
+//     recorded in a Touched: all pivots, updates restricted to those.
+//   - Close, the full O(n³) Floyd–Warshall: CloseRows' dense fallback, and
+//     the reference the tests compare the other two against.
+//
+// Fork census: the data-dependent forks on this path and the workloads of
+// BENCHMARK.json measured on each side (scripts/traffic.sh prints the table;
+// core's succCtx comment has the successor engine's rows).
+//
+//   - CloseRows: sparse path on all five; dense fallback to Close on table1,
+//     variants and serve_cold, never on archchain and fischer.
+//   - EncodeCompact: 16-bit on all five; 32-bit on table1 and serve_cold;
+//     64-bit on none — kept, it is input-range handling (model constants
+//     beyond 2³⁰), pinned by compact_test.go.
 package dbm
 
 import (
@@ -69,14 +93,6 @@ func Add(a, b Bound) Bound {
 // hoist the infinity tests out of the hot path, and the encoding-dependent
 // sum lives here, next to Add, rather than copied into each loop.
 func addFin(a, b Bound) Bound { return a + b - ((a | b) & 1) }
-
-// Min returns the tighter of two bounds.
-func Min(a, b Bound) Bound {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // String renders the bound as "<c", "<=c" or "inf".
 func (b Bound) String() string {

@@ -126,55 +126,6 @@ func (d *DBM) Close() bool {
 	return !d.IsEmpty()
 }
 
-// CloseTouched restores canonical form after entries of the DBM were
-// TIGHTENED, given that both clocks of every modified entry are recorded in
-// t. It is the batched generalization of Constrain's single-edge update:
-// Floyd–Warshall pivots run only over the touched clocks, so the cost is
-// O(|t|·n²) instead of O(n³).
-//
-// Exactness: an entry with a clock outside t is unmodified, so any interior
-// node c ∉ t of a shortest path has both adjacent edges unmodified and can be
-// contracted through the old closure (the direct edge is itself unmodified,
-// hence still the old shortest-path value). Every pair therefore has a
-// shortest path whose interior nodes all lie in t, which is exactly what the
-// restricted pivot set computes. This argument needs tightening: after
-// LOOSENING, the direct edge of a contraction may be the loosened one, and
-// the restricted pivots are not exact — use CloseRows for that case.
-//
-// Above a density threshold (touched clocks ≥ 3/4 of the dimension) it falls
-// back to the full Close. Like Close it returns false if the zone turned out
-// to be empty, in which case the contents are unspecified.
-func (d *DBM) CloseTouched(t *Touched) bool {
-	n := d.dim
-	if t.Len()*4 >= n*3 {
-		return d.Close()
-	}
-	m := d.m
-	for _, k32 := range t.list {
-		k := int(k32)
-		rk := m[k*n : k*n+n]
-		for i := 0; i < n; i++ {
-			ri := m[i*n : i*n+n]
-			dik := ri[k]
-			if dik == Infinity {
-				continue
-			}
-			for j, rkj := range rk {
-				if rkj == Infinity {
-					continue
-				}
-				if v := addFin(dik, rkj); v < ri[j] {
-					ri[j] = v
-				}
-			}
-		}
-		if rk[k] < LEZero {
-			return false
-		}
-	}
-	return !d.IsEmpty()
-}
-
 // CloseRows restores canonical form after entries of a canonical nonempty
 // DBM were LOOSENED, given that every modified entry lies in a row recorded
 // in rows or a column recorded in cols (extrapolation records the row of
@@ -182,13 +133,14 @@ func (d *DBM) CloseTouched(t *Touched) bool {
 //
 // Loosening needs a different algorithm than tightening: a loosened entry can
 // be re-tightened by a path through clocks that were never touched (e.g. a
-// dropped x1-x3 bound re-derived from kept x1-x2 and x2-x3 bounds), so
-// pivoting only over touched clocks — CloseTouched — is not exact here.
-// Instead this runs ALL Floyd–Warshall pivots but restricts the inner update
-// to the touched rows and columns, which is sufficient because entries
-// outside them kept their old shortest-path values: weights only increased,
-// so no untouched entry can tighten, and each keeps its own direct edge. The
-// cost is O((|rows|+|cols|)·n²).
+// dropped x1-x3 bound re-derived from kept x1-x2 and x2-x3 bounds;
+// TestCloseRowsRederivesDroppedBound pins the case), so pivoting only over
+// the touched clocks is not exact here. Instead this runs ALL Floyd–Warshall
+// pivots but restricts the inner update to the touched rows and columns,
+// which is sufficient because entries outside them kept their old
+// shortest-path values: weights only increased, so no untouched entry can
+// tighten, and each keeps its own direct edge. The cost is
+// O((|rows|+|cols|)·n²).
 //
 // Above a density threshold (touched rows plus columns ≥ 3/4 of the
 // dimension) it falls back to the full Close. The return value mirrors
@@ -245,30 +197,6 @@ func (d *DBM) CloseRows(rows, cols *Touched) bool {
 		}
 	}
 	return true
-}
-
-// closeSingle restores canonical form after only the bounds involving clock c
-// were tightened. This is the standard O(n²) incremental closure.
-func (d *DBM) closeSingle(c int) bool {
-	n := d.dim
-	m := d.m
-	rc := m[c*n : c*n+n]
-	for i := 0; i < n; i++ {
-		ri := m[i*n : i*n+n]
-		dic := ri[c]
-		if dic == Infinity {
-			continue
-		}
-		for j, rcj := range rc {
-			if rcj == Infinity {
-				continue
-			}
-			if v := addFin(dic, rcj); v < ri[j] {
-				ri[j] = v
-			}
-		}
-	}
-	return !d.IsEmpty()
 }
 
 // Constrain intersects the zone with the constraint xi - xj ≺ c given as a
@@ -362,67 +290,6 @@ func (d *DBM) Eq(o *DBM) bool {
 			return false
 		}
 	}
-	return true
-}
-
-// Intersect constrains d with every bound of o, i.e. computes the zone
-// intersection. It reports whether the result is nonempty. The result is
-// canonical. Callers with a Touched to spare should prefer IntersectTouched,
-// which this wraps.
-func (d *DBM) Intersect(o *DBM) bool {
-	return d.IntersectTouched(o, NewTouched(d.dim))
-}
-
-// IntersectTouched is Intersect with caller-provided scratch: the clocks of
-// every tightened entry are collected into t (whose previous contents are
-// discarded) and canonical form is restored with one CloseTouched over them
-// instead of a full Floyd–Warshall. When the zones differ in only a few
-// clocks — the common case on guard-shaped intersections — this replaces the
-// O(n³) closure with O(|t|·n²).
-func (d *DBM) IntersectTouched(o *DBM, t *Touched) bool {
-	if d.dim != o.dim {
-		panic("dbm: dimension mismatch in Intersect")
-	}
-	t.Reset()
-	for i := 0; i < d.dim; i++ {
-		for j := 0; j < d.dim; j++ {
-			if o.At(i, j) < d.At(i, j) {
-				d.set(i, j, o.At(i, j))
-				t.Add(i)
-				t.Add(j)
-			}
-		}
-	}
-	if t.Len() > 0 {
-		return d.CloseTouched(t)
-	}
-	return !d.IsEmpty()
-}
-
-// TightenDeferred records the constraint xi - xj ≺ b like Constrain but
-// DEFERS re-canonicalization: the entry is overwritten if tighter and both
-// clocks are added to t, leaving the DBM non-canonical until the caller runs
-// CloseTouched(t) over the accumulated set. Batching k constraints this way
-// costs O(|t|·n²) total instead of Constrain's O(k·n²), which wins whenever
-// the constraints mention fewer distinct clocks than there are constraints
-// (two-sided guards on one clock, conjunction of bounds per clock).
-//
-// It returns false when the new bound alone contradicts the zone's current
-// reverse bound — a sound early exit (the reverse entry only ever tightens
-// between closures), after which the contents are unspecified, matching the
-// Constrain contract. Emptiness that only the conjunction implies surfaces in
-// the deferred CloseTouched.
-func (d *DBM) TightenDeferred(i, j int, b Bound, t *Touched) bool {
-	if b == Infinity || b >= d.At(i, j) {
-		return true
-	}
-	if Add(d.At(j, i), b) < LEZero {
-		d.set(i, i, Add(d.At(j, i), b)) // mark empty on the diagonal
-		return false
-	}
-	d.set(i, j, b)
-	t.Add(i)
-	t.Add(j)
 	return true
 }
 

@@ -189,28 +189,6 @@ func TestRelation(t *testing.T) {
 	}
 }
 
-func TestIntersect(t *testing.T) {
-	a := New(2)
-	a.Up()
-	a.Constrain(1, 0, LE(10))
-	b := New(2)
-	b.Up()
-	b.Constrain(0, 1, LE(-5)) // x1 >= 5
-	if !a.Intersect(b) {
-		t.Fatal("intersection [5,10] must be nonempty")
-	}
-	if a.Sup(1) != LE(10) || a.Inf(1) != LE(5) {
-		t.Errorf("intersection bounds = [%v, %v], want [<=5, <=10]", a.Inf(1), a.Sup(1))
-	}
-
-	c := New(2)
-	c.Up()
-	c.Constrain(1, 0, LT(5)) // x1 < 5
-	if c.Intersect(b) {
-		t.Error("x1<5 ∩ x1>=5 must be empty")
-	}
-}
-
 func TestExtraMDropsLargeBounds(t *testing.T) {
 	d := New(2)
 	d.Up()
@@ -376,107 +354,6 @@ func TestQuickExtraMTouchedMatchesFullClose(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestQuickCloseTouchedMatchesFullOnTightening(t *testing.T) {
-	// Tighten a handful of random entries on a canonical zone, recording both
-	// clocks of each; CloseTouched must agree with the full Close on both the
-	// emptiness verdict and (when nonempty) every bound.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		dim := 3 + r.Intn(4)
-		d := randomZone(r, dim)
-		inc := d.Copy()
-		ref := d.Copy()
-		touched := NewTouched(dim)
-		for k := 0; k < 1+r.Intn(3); k++ {
-			i, j := r.Intn(dim), r.Intn(dim)
-			if i == j {
-				continue
-			}
-			b := LE(int64(r.Intn(14) - 2))
-			if b < inc.At(i, j) {
-				inc.set(i, j, b)
-				ref.set(i, j, b)
-				touched.Add(i)
-				touched.Add(j)
-			}
-		}
-		okInc := inc.CloseTouched(touched)
-		okRef := ref.Close()
-		if okInc != okRef {
-			return false
-		}
-		return !okRef || inc.Eq(ref)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickIntersectTouchedMatchesIntersect(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		a := randomZone(r, 4)
-		b := randomZone(r, 4)
-		inc := a.Copy()
-		ref := a.Copy()
-		// Reference: entrywise min followed by a full Close.
-		refChanged := false
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 4; j++ {
-				if b.At(i, j) < ref.At(i, j) {
-					ref.set(i, j, b.At(i, j))
-					refChanged = true
-				}
-			}
-		}
-		var okRef bool
-		if refChanged {
-			okRef = ref.Close()
-		} else {
-			okRef = !ref.IsEmpty()
-		}
-		okInc := inc.IntersectTouched(b, NewTouched(4))
-		if okInc != okRef {
-			return false
-		}
-		return !okRef || inc.Eq(ref)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestTightenDeferredBatch(t *testing.T) {
-	// A two-sided guard batched through TightenDeferred+CloseTouched must
-	// match sequential Constrain bit for bit.
-	d := New(3)
-	d.Up()
-	seq := d.Copy()
-	if !seq.Constrain(1, 0, LE(9)) || !seq.Constrain(0, 1, LE(-4)) {
-		t.Fatal("sequential path empty")
-	}
-	tch := NewTouched(3)
-	if !d.TightenDeferred(1, 0, LE(9), tch) || !d.TightenDeferred(0, 1, LE(-4), tch) {
-		t.Fatal("deferred path rejected")
-	}
-	if !d.CloseTouched(tch) {
-		t.Fatal("deferred close empty")
-	}
-	if !d.Eq(seq) {
-		t.Fatalf("batched constrain differs:\n got %s\nwant %s", d, seq)
-	}
-	// Early contradiction: the quick reverse check must fire.
-	e := New(3)
-	e.Up()
-	tch.Reset()
-	if !e.TightenDeferred(1, 0, LE(5), tch) {
-		t.Fatal("x1<=5 alone cannot empty")
-	}
-	if e.CloseTouched(tch); e.TightenDeferred(0, 1, LE(-7), tch) {
-		t.Error("x1>=7 must contradict x1<=5 via the reverse bound")
 	}
 }
 
@@ -668,13 +545,44 @@ func TestQuickExtraMPreservesSmallPoints(t *testing.T) {
 	}
 }
 
+// con is one difference constraint xi - xj ≺ b.
+type con struct {
+	i, j int
+	b    Bound
+}
+
+// zoneCons lists every bound of o as a constraint, so that intersecting with
+// o is the conjunction of the list.
+func zoneCons(o *DBM) []con {
+	cons := make([]con, 0, len(o.m))
+	for i := 0; i < o.dim; i++ {
+		for j := 0; j < o.dim; j++ {
+			cons = append(cons, con{i, j, o.At(i, j)})
+		}
+	}
+	return cons
+}
+
+// tightenFullClose intersects d with the conjunction of cons the slow way —
+// every bound written entrywise where tighter, then the full Floyd–Warshall —
+// and reports whether the result is nonempty. It is the reference the one
+// tightening path (a chain of Constrain calls) is compared against.
+func tightenFullClose(d *DBM, cons []con) bool {
+	for _, c := range cons {
+		if c.b < d.At(c.i, c.j) {
+			d.set(c.i, c.j, c.b)
+		}
+	}
+	return d.Close()
+}
+
 func TestQuickIntersectionOracle(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := randomZone(r, 3)
 		b := randomZone(r, 3)
 		inter := a.Copy()
-		ok := inter.Intersect(b)
+		ok := tightenFullClose(inter, zoneCons(b))
 		for _, v := range sampleValuations(r, 3, 40) {
 			want := a.Contains(v) && b.Contains(v)
 			got := ok && inter.Contains(v)

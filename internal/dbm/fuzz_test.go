@@ -4,21 +4,23 @@ import (
 	"testing"
 )
 
-// FuzzIncrementalClose is the differential property harness for the
-// incremental canonicalization subsystem: a byte-driven interpreter builds a
-// random canonical nonempty zone the way exploration does (delays, resets,
-// frees, axis and diagonal constraints), then every incremental operation is
-// checked bit-for-bit against a full-Floyd–Warshall reference on a copy:
+// FuzzIncrementalClose is the differential property harness for the two
+// incremental ways of restoring canonical form (see the package comment): a
+// byte-driven interpreter builds a random canonical nonempty zone the way
+// exploration does (delays, resets, frees, axis and diagonal constraints),
+// then each is checked bit-for-bit against a full-Floyd–Warshall reference
+// on a copy:
 //
 //   - ExtraMTouched / ExtraLUTouched (CloseRows after loosening) vs the
 //     loosening scan + full Close, including the changed flag;
-//   - IntersectTouched (CloseTouched after tightening) vs entrywise min +
-//     full Close, including the emptiness verdict;
-//   - batched TightenDeferred + CloseTouched vs a sequential Constrain
-//     chain, including the emptiness verdict.
+//   - a chain of Constrain calls (single-edge closure after tightening) vs
+//     the same bounds written entrywise + full Close, including the
+//     emptiness verdict — once with every bound of a second random zone (an
+//     intersection), once with a short list of arbitrary constraints (a
+//     guard).
 //
 // The seed corpus under testdata/fuzz pins the known-delicate shapes (bounds
-// re-derived through untouched clocks, empty intersections, batch guards on
+// re-derived through untouched clocks, empty intersections, several guards on
 // one clock); `go test` replays it on every run, and CI additionally runs a
 // short -fuzz smoke.
 func FuzzIncrementalClose(f *testing.F) {
@@ -68,40 +70,10 @@ func FuzzIncrementalClose(f *testing.F) {
 		}
 		assertCanonical(t, "ExtraLU", incLU)
 
-		// --- Intersect: CloseTouched (tightening) vs full Close ---
-		o := buildFuzzZone(r, dim)
-		incI := z.Copy()
-		refI := z.Copy()
-		refChanged := false
-		for i := 0; i < dim; i++ {
-			for j := 0; j < dim; j++ {
-				if o.At(i, j) < refI.At(i, j) {
-					refI.set(i, j, o.At(i, j))
-					refChanged = true
-				}
-			}
-		}
-		okRef := !refI.IsEmpty()
-		if refChanged {
-			okRef = refI.Close()
-		}
-		okInc := incI.IntersectTouched(o, NewTouched(dim))
-		if okInc != okRef {
-			t.Fatalf("Intersect emptiness diverges: inc=%v ref=%v on %s ∩ %s", okInc, okRef, z, o)
-		}
-		if okRef {
-			if !incI.Eq(refI) {
-				t.Fatalf("Intersect diverges:\n got %s\nwant %s", incI, refI)
-			}
-			assertCanonical(t, "Intersect", incI)
-		}
+		// --- Constrain chains (tightening) vs full Close ---
+		checkConstrainChain(t, "intersection", z, zoneCons(buildFuzzZone(r, dim)))
 
-		// --- batched deferred tightening vs sequential Constrain ---
 		nc := 1 + int(r.next())%4
-		type con struct {
-			i, j int
-			b    Bound
-		}
 		cons := make([]con, 0, nc)
 		for k := 0; k < nc; k++ {
 			i := int(r.next()) % dim
@@ -116,41 +88,33 @@ func FuzzIncrementalClose(f *testing.F) {
 			}
 			cons = append(cons, con{i, j, b})
 		}
-		seq := z.Copy()
-		okSeq := true
-		for _, c := range cons {
-			if !seq.Constrain(c.i, c.j, c.b) {
-				okSeq = false
-				break
-			}
-		}
-		bat := z.Copy()
-		tch := NewTouched(dim)
-		okBat := true
-		for _, c := range cons {
-			if !bat.TightenDeferred(c.i, c.j, c.b, tch) {
-				okBat = false
-				break
-			}
-		}
-		if okBat {
-			if tch.Len() == 0 {
-				okBat = !bat.IsEmpty()
-			} else {
-				okBat = bat.CloseTouched(tch)
-			}
-		}
-		if okSeq != okBat {
-			t.Fatalf("batch emptiness diverges: seq=%v batch=%v (%d constraints on %s)",
-				okSeq, okBat, len(cons), z)
-		}
-		if okSeq {
-			if !seq.Eq(bat) {
-				t.Fatalf("batch diverges:\n got %s\nwant %s", bat, seq)
-			}
-			assertCanonical(t, "batch constrain", bat)
-		}
+		checkConstrainChain(t, "guard", z, cons)
 	})
+}
+
+// checkConstrainChain intersects z with the conjunction of cons twice — one
+// Constrain per constraint, stopping at the first that empties the zone, and
+// entrywise tightening followed by a full Close — and fails unless the two
+// agree on emptiness and, when nonempty, on every bound.
+func checkConstrainChain(t *testing.T, op string, z *DBM, cons []con) {
+	t.Helper()
+	seq := z.Copy()
+	okSeq := true
+	for _, c := range cons {
+		if !seq.Constrain(c.i, c.j, c.b) {
+			okSeq = false
+			break
+		}
+	}
+	ref := z.Copy()
+	okRef := tightenFullClose(ref, cons)
+	if okSeq != okRef {
+		t.Fatalf("%s emptiness diverges: Constrain chain=%v full close=%v (%d constraints on %s)",
+			op, okSeq, okRef, len(cons), z)
+	}
+	if okRef && !seq.Eq(ref) {
+		t.Fatalf("%s diverges:\n got %s\nwant %s\nfrom %s", op, seq, ref, z)
+	}
 }
 
 // byteReader hands out fuzz input bytes, repeating 0 when exhausted.

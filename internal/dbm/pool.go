@@ -48,9 +48,6 @@ func (s *Slabs) Pool(dim int) *Pool {
 	return &Pool{dim: dim, slabs: s}
 }
 
-// Dim returns the dimension of the matrices managed by the pool.
-func (p *Pool) Dim() int { return p.dim }
-
 // Get returns a DBM of the pool's dimension with unspecified contents. The
 // caller must fully initialize it (e.g. with CopyFrom or SetInit) before
 // relying on any entry.

@@ -1,14 +1,14 @@
 package dbm
 
-// Touched is a small set of clock indices used by the incremental
-// canonicalization API (CloseTouched, CloseRows) to record which rows and
-// columns of a DBM an operation modified, so that re-canonicalization can be
-// restricted to them instead of re-running the full O(n³) Floyd–Warshall.
+// Touched is a small set of clock indices in which extrapolation records the
+// rows and columns of a DBM it loosened, so that CloseRows can restrict
+// re-canonicalization to them instead of re-running the full O(n³)
+// Floyd–Warshall.
 //
 // A Touched is reusable scratch: Reset costs O(elements added), Add and Has
 // are O(1), and after the initial allocation no operation allocates — the
-// exploration hot loop keeps one per worker (in its succCtx) under the same
-// recycling rules as pooled zones. A Touched is NOT safe for concurrent use.
+// exploration hot loop keeps a rows/columns pair per worker (in its succCtx)
+// under the same recycling rules as pooled zones. A Touched is NOT safe for concurrent use.
 type Touched struct {
 	mark []bool
 	list []int32

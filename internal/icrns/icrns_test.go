@@ -295,18 +295,37 @@ func TestVerifyDeadlineViolationHasTrace(t *testing.T) {
 	}
 }
 
+// TestWitnessTraceForCheapCell drives what `icrns -cell ... -witness` runs:
+// the cell, then a trace realizing its result. That is two explorations —
+// the witness search does not measure the cell again.
 func TestWitnessTraceForCheapCell(t *testing.T) {
-	trace, res, err := Witness(Table1Rows[4], ColPO, CellOptions{Cfg: DefaultConfig()})
+	mon := &core.Monitor{}
+	mon.EnableProfile(core.ProfileConfig{})
+	opts := CellOptions{Cfg: DefaultConfig(), Monitor: mon}
+	res, err := Cell(Table1Rows[4], ColPO, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MS.FloatString(3) != "79.076" {
-		t.Errorf("witness WCRT = %s, want 79.076", res.MS.FloatString(3))
+		t.Errorf("cell WCRT = %s, want 79.076", res.MS.FloatString(3))
+	}
+	trace, err := Witness(Table1Rows[4], ColPO, res, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, step := range []string{"HandleKeyPress", "DatabaseLookup", "UpdateScreen", "OBS.watch->seen"} {
 		if !strings.Contains(trace, step) {
 			t.Errorf("critical-instant trace missing %q", step)
 		}
+	}
+	explorations := 0
+	for _, sp := range mon.Profile().Phases {
+		if sp.Name == "explore" {
+			explorations++
+		}
+	}
+	if explorations != 2 {
+		t.Errorf("cell plus witness ran %d explorations, want 2", explorations)
 	}
 }
 

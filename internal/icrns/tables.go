@@ -322,16 +322,17 @@ func FormatTable2(t map[Row]map[Table2Tool]string) string {
 }
 
 // Witness returns a critical-instant trace for one Table 1 cell: a symbolic
-// schedule realizing the worst-case response time. This is the capability
-// the paper highlights — "some results found by simulation could be
-// falsified by showing the counter example from the model checker".
-func Witness(row Row, col Column, opts CellOptions) (string, arch.WCRTResult, error) {
+// schedule realizing res, the worst-case response time Cell computed for it,
+// at the cost of one more exploration. This is the capability the paper
+// highlights — "some results found by simulation could be falsified by
+// showing the counter example from the model checker".
+func Witness(row Row, col Column, res arch.WCRTResult, opts CellOptions) (string, error) {
 	sys, reqs := Build(row.Combo, col, opts.Cfg)
 	req := reqs[row.Req]
 	if req == nil {
-		return "", arch.WCRTResult{}, fmt.Errorf("icrns: requirement %s not in combo %v", row.Req, row.Combo)
+		return "", fmt.Errorf("icrns: requirement %s not in combo %v", row.Req, row.Combo)
 	}
-	return arch.WCRTWitness(sys, req,
+	return arch.WitnessForResult(sys, req, res,
 		arch.Options{HorizonMS: HorizonMS(row.Req)},
 		opts.coreOpts())
 }

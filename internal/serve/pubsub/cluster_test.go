@@ -273,10 +273,17 @@ func TestReplicatedCacheServesAnyFrontend(t *testing.T) {
 	if got := totalExplorations(nodes); got != 1 {
 		t.Fatalf("seed cost %d explorations, want 1", got)
 	}
-	// Every replica heard the announcement.
+	// Every replica hears the announcement — after the job shows done, not
+	// before: the completion is published once the job is terminal and
+	// delivered asynchronously, so wait for each replica (the resubmissions
+	// below expect a cache hit) instead of asserting on the instant.
+	deadline := time.Now().Add(time.Minute)
 	for i, n := range nodes {
-		if n.cache.Len() != 1 {
-			t.Errorf("node %d replicated %d results, want 1", i, n.cache.Len())
+		for n.cache.Len() != 1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("node %d replicated %d results, want 1", i, n.cache.Len())
+			}
+			time.Sleep(time.Millisecond)
 		}
 	}
 	for i, n := range nodes[1:] {

@@ -94,10 +94,8 @@ func CEqVar(x Clock, v IntVar) []Constraint {
 
 // ApplyConstraints intersects zone z with every constraint in cs under the
 // variable valuation vars, reporting whether the zone stays nonempty. Each
-// constraint pays one O(n²) single-edge closure (dbm.Constrain), which is
-// optimal when the constraints mention distinct clocks — location invariants
-// are the typical case. When several constraints share clocks (two-sided
-// guards, equality guards), ApplyConstraintsTouched amortizes the closures.
+// constraint pays one O(n²) single-edge closure (dbm.Constrain); it is the
+// one tightening path of the engine, for guards and invariants alike.
 func ApplyConstraints(z *dbm.DBM, cs []Constraint, vars []int64) bool {
 	for _, c := range cs {
 		if !z.Constrain(int(c.I), int(c.J), c.Resolve(vars)) {
@@ -105,28 +103,6 @@ func ApplyConstraints(z *dbm.DBM, cs []Constraint, vars []int64) bool {
 		}
 	}
 	return true
-}
-
-// ApplyConstraintsTouched intersects z with every constraint in cs like
-// ApplyConstraints but defers re-canonicalization: all bounds are written
-// first (dbm.TightenDeferred, recording the touched clocks into t) and one
-// CloseTouched over the touched set restores canonical form. Total cost is
-// O(|t|·n²) against ApplyConstraints' O(len(cs)·n²), so it wins exactly when
-// the constraints mention fewer distinct clocks than there are constraints;
-// callers on the hot path gate on that (see the successor engine's guard
-// application). Both paths produce the canonical form of the same
-// intersection, so the resulting DBM is bit-identical either way.
-func ApplyConstraintsTouched(z *dbm.DBM, cs []Constraint, vars []int64, t *dbm.Touched) bool {
-	t.Reset()
-	for _, c := range cs {
-		if !z.TightenDeferred(int(c.I), int(c.J), c.Resolve(vars), t) {
-			return false
-		}
-	}
-	if t.Len() == 0 {
-		return !z.IsEmpty()
-	}
-	return z.CloseTouched(t)
 }
 
 // ConstraintsFeasible reports whether no single constraint in cs alone
