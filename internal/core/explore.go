@@ -166,14 +166,20 @@ type frontier interface {
 }
 
 // listFrontier is the sequential waiting list: FIFO for BFS, LIFO for
-// DFS/RDFS (successor shuffling happens in the worker loop). waiting, when
-// non-nil, mirrors len(list) atomically so Monitor.Snapshot can read the
-// backlog from another goroutine without racing the worker's appends; it is
-// allocated only for monitored runs, so the ordinary sequential hot path
+// DFS/RDFS (successor shuffling happens in the worker loop). The waiting
+// states are list[head:]; BFS pops by advancing head and the slots before it
+// are reused — on empty the list restarts at slot 0, and once head passes
+// half the slice the tail is copied down — so one backing array of about
+// twice the widest level serves the whole sweep, where a list re-sliced at
+// its front would walk an ever-regrown array through every state stored.
+// waiting, when non-nil, mirrors the backlog atomically so Monitor.Snapshot
+// can read it from another goroutine without racing the worker's appends; it
+// is allocated only for monitored runs, so the ordinary sequential hot path
 // pays no atomics.
 type listFrontier struct {
 	order   Order
 	list    []*State
+	head    int           // BFS only: index of the next state to pop
 	waiting *atomic.Int64 // non-nil only when a Monitor samples the run
 	stop    *atomic.Bool
 }
@@ -186,13 +192,20 @@ func (f *listFrontier) push(_ int, s *State) {
 }
 
 func (f *listFrontier) pop(_ int) *State {
-	if f.stop.Load() || len(f.list) == 0 {
+	if f.stop.Load() || f.head == len(f.list) {
 		return nil
 	}
 	var s *State
 	if f.order == BFS {
-		s = f.list[0]
-		f.list = f.list[1:]
+		s = f.list[f.head]
+		f.head++
+		switch {
+		case f.head == len(f.list):
+			f.list, f.head = f.list[:0], 0
+		case f.head > len(f.list)/2:
+			// At most as many slots move as were popped since the last move.
+			f.list, f.head = f.list[:copy(f.list, f.list[f.head:])], 0
+		}
 	} else {
 		s = f.list[len(f.list)-1]
 		f.list = f.list[:len(f.list)-1]

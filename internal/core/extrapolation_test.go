@@ -10,8 +10,9 @@ import (
 // TestStoredZonesStayCanonical sweeps full zone graphs and asserts every
 // stored zone is bit-identical to its own full Floyd–Warshall re-closure.
 // This is a complete oracle for the incremental canonicalization the
-// successor engine uses (dbm.Constrain chains under guards and invariants,
-// dbm.CloseRows after extrapolation): the incremental updates only ever
+// successor engine uses (dbm.Constrain chains under guards, one
+// dbm.DelayUnder for the invariants and the delay, dbm.CloseRows after
+// extrapolation): the incremental updates only ever
 // lower entries toward path sums, so they can never undershoot the true
 // shortest-path values — an inexact result is therefore always
 // non-canonical, and canonical means bit-identical to the full closure. The

@@ -75,23 +75,19 @@ func newEngine(net *ta.Network) (*engine, error) {
 // subsumed must be released back into pool by the explorer.
 //
 // Fork census (continued from the dbm package comment; scripts/traffic.sh
-// prints it): a fired transition tightens its zone one way, ta.ApplyConstraints
-// for guards and invariants alike. Two forks of the enumeration have no
-// traffic on any workload of BENCHMARK.json — binary rendezvous (successors)
-// and urgentPairEnabled (delayAllowed): arch-compiled networks declare only
-// broadcast channels, the generated .ta models none. Both stay, they are
-// semantics of the .ta language, covered by this package's tests.
+// prints it): a fired transition tightens its zone with ta.ApplyConstraints
+// for its guards and with ONE dbm.DelayUnder for the invariants of the whole
+// new location vector, delay included (closeInPlace). Two forks of the
+// enumeration have no traffic on any workload of BENCHMARK.json — binary
+// rendezvous (successors) and urgentPairEnabled (delayAllowed): arch-compiled
+// networks declare only broadcast channels, the generated .ta models none.
+// Both stay, they are semantics of the .ta language, covered by this
+// package's tests.
 type succCtx struct {
 	pool *dbm.Pool
 	zone *dbm.DBM
 
-	// tRows/tCols collect the rows and columns extrapolation loosens, so
-	// canonicalization after it re-runs Floyd–Warshall only over those
-	// (dbm.CloseRows) instead of the full O(n³) pass. Like the scratch zone
-	// they are owned by the ctx, reused across fires, and never escape into
-	// states or stores — the same recycling rules as pooled zones keep the
-	// hot path allocation-free.
-	tRows, tCols *dbm.Touched
+	closeScratch
 
 	locs  []ta.LocID  // scratch location vector, len = #processes
 	vars  []int64     // scratch variable valuation, len = #variables
@@ -130,6 +126,29 @@ type succCtx struct {
 	keepLabels bool
 }
 
+// closeScratch is what closeInPlace works in besides the zone itself. It is
+// owned by one worker (embedded in its succCtx; initial builds a throwaway
+// one), reused across fires, and never escapes into states or stores — the
+// same recycling rules as pooled zones keep the hot path allocation-free.
+type closeScratch struct {
+	// inv collects the resolved invariant bounds of the new location vector,
+	// the tightest per clock, for the one dbm.DelayUnder call that applies
+	// them.
+	inv *dbm.UpperBounds
+	// rows/cols collect the rows and columns extrapolation loosens, so
+	// canonicalization after it re-runs Floyd–Warshall only over those
+	// (dbm.CloseRows) instead of the full O(n³) pass.
+	rows, cols *dbm.Touched
+}
+
+func (e *engine) newCloseScratch() closeScratch {
+	return closeScratch{
+		inv:  dbm.NewUpperBounds(e.dim),
+		rows: dbm.NewTouched(e.dim),
+		cols: dbm.NewTouched(e.dim),
+	}
+}
+
 // partRun is a contiguous range of ctx.receivers belonging to one process.
 type partRun struct{ start, end int }
 
@@ -140,16 +159,15 @@ func (e *engine) newCtx(slabs *dbm.Slabs) *succCtx {
 	nChans := len(e.net.Chans)
 	ints := make([]int32, 3*nChans)
 	return &succCtx{
-		pool:       slabs.Pool(e.dim),
-		zone:       dbm.New(e.dim),
-		tRows:      dbm.NewTouched(e.dim),
-		tCols:      dbm.NewTouched(e.dim),
-		locs:       make([]ta.LocID, len(e.net.Procs)),
-		vars:       make([]int64, len(e.net.Vars)),
-		chanBuf:    make([]LabelPart, e.bucketLen),
-		chanLen:    ints[: 2*nChans : 2*nChans],
-		active:     ints[2*nChans : 2*nChans : 3*nChans],
-		keepLabels: true,
+		pool:         slabs.Pool(e.dim),
+		zone:         dbm.New(e.dim),
+		closeScratch: e.newCloseScratch(),
+		locs:         make([]ta.LocID, len(e.net.Procs)),
+		vars:         make([]int64, len(e.net.Vars)),
+		chanBuf:      make([]LabelPart, e.bucketLen),
+		chanLen:      ints[: 2*nChans : 2*nChans],
+		active:       ints[2*nChans : 2*nChans : 3*nChans],
+		keepLabels:   true,
 	}
 }
 
@@ -205,10 +223,10 @@ func (e *engine) initial() (*State, error) {
 	}
 	vars := e.net.InitialVars()
 	z := dbm.New(e.dim)
-	if !e.applyInvariants(z, locs, vars) {
+	sc := e.newCloseScratch()
+	if !e.closeInPlace(z, locs, vars, &sc) {
 		return nil, fmt.Errorf("core: initial state violates an invariant")
 	}
-	e.closeInPlace(z, locs, vars, dbm.NewTouched(e.dim), dbm.NewTouched(e.dim))
 	return &State{Locs: locs, Vars: vars, Zone: z}, nil
 }
 
@@ -443,10 +461,9 @@ func (e *engine) fire(ctx *succCtx, s *State, label Label) (*State, error) {
 			z.Reset(int(r.Clock), r.Value)
 		}
 	}
-	if !e.applyInvariants(z, locs, vars) {
+	if !e.closeInPlace(z, locs, vars, &ctx.closeScratch) {
 		return nil, nil
 	}
-	e.closeInPlace(z, locs, vars, ctx.tRows, ctx.tCols)
 	ns := ctx.getState()
 	copy(ns.Locs, locs)
 	copy(ns.Vars, vars)
@@ -466,25 +483,38 @@ func (e *engine) applyGuards(z *dbm.DBM, parts []LabelPart, vars []int64) bool {
 	return true
 }
 
-// closeInPlace applies the delay closure (when permitted by urgency),
-// re-applies invariants, and extrapolates — producing the canonical stored
-// form of a symbolic state in place. rows/cols are the caller's touched-set
-// scratch (per-worker in succCtx): extrapolation records the rows and
-// columns it loosens there and re-canonicalizes only those (dbm.CloseRows),
-// which removes the full Floyd–Warshall from the hot path while staying
-// bit-identical to it.
-func (e *engine) closeInPlace(z *dbm.DBM, locs []ta.LocID, vars []int64, rows, cols *dbm.Touched) {
-	if e.delayAllowed(locs, vars) {
-		z.Up()
-		// Invariants held before the delay and only constrain from above, so
-		// this intersection cannot empty the zone.
-		e.applyInvariants(z, locs, vars)
+// closeInPlace turns the zone a transition produced (guards, frees and resets
+// applied) into the canonical stored form of the symbolic state at locs, in
+// place: intersected with the invariant of every location of the vector,
+// delay-closed under them when urgency permits, and extrapolated. It reports
+// false — an invariant-violating state, no successor — when the invariants
+// empty the zone.
+//
+// The invariants are gathered once, resolved under vars and reduced to the
+// tightest bound per clock in sc.inv, and a single dbm.DelayUnder applies
+// them, delay included: O(k·n + n²) for the vector's k bounded clocks,
+// however many of them bite. Extrapolation then records the rows and columns
+// it loosens in sc.rows/sc.cols and re-canonicalizes only those
+// (dbm.CloseRows). Both steps are exact, so the stored zone is bit-identical
+// to what the full Floyd–Warshall would give.
+func (e *engine) closeInPlace(z *dbm.DBM, locs []ta.LocID, vars []int64, sc *closeScratch) bool {
+	sc.inv.Reset()
+	for pi, l := range locs {
+		for _, c := range e.net.Procs[pi].Locations[l].Invariant {
+			// Finalize admits only xI ≺ bound as an invariant (J is the
+			// reference clock).
+			sc.inv.Lower(int(c.I), c.Resolve(vars))
+		}
+	}
+	if !z.DelayUnder(sc.inv, e.delayAllowed(locs, vars)) {
+		return false
 	}
 	if e.extraLU {
-		z.ExtraLUTouched(e.net.LowerConsts, e.net.UpperConsts, rows, cols)
+		z.ExtraLUTouched(e.net.LowerConsts, e.net.UpperConsts, sc.rows, sc.cols)
 	} else {
-		z.ExtraMTouched(e.net.MaxConsts, rows, cols)
+		z.ExtraMTouched(e.net.MaxConsts, sc.rows, sc.cols)
 	}
+	return true
 }
 
 // delayAllowed implements the urgency rule: no delay while any process is in
@@ -575,15 +605,4 @@ func (e *engine) urgentPairEnabled(locs []ta.LocID, vars []int64, c ta.ChanID) b
 	// A pair exists unless every enabled emitter and receiver live in the
 	// same single process.
 	return emitMany || recvMany || emitProc != recvProc
-}
-
-// applyInvariants intersects z with the invariant of every current location
-// under the given variable valuation, reporting nonemptiness.
-func (e *engine) applyInvariants(z *dbm.DBM, locs []ta.LocID, vars []int64) bool {
-	for pi, l := range locs {
-		if !ta.ApplyConstraints(z, e.net.Procs[pi].Locations[l].Invariant, vars) {
-			return false
-		}
-	}
-	return true
 }

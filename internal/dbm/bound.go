@@ -11,16 +11,20 @@
 // # Restoring canonical form
 //
 // Inclusion checks and the passed store need every zone closed (each bound
-// the tightest the others imply). There are exactly three ways back to that
+// the tightest the others imply). There are exactly four ways back to that
 // form, and each has traffic:
 //
 //   - Constrain, after one bound was tightened: the single-edge O(n²) update.
-//     Every guard and invariant is a chain of these (ta.ApplyConstraints);
-//     there is no batched variant.
+//     Every clock guard is a chain of these (ta.ApplyConstraints); there is
+//     no batched variant for arbitrary constraints.
+//   - DelayUnder, for a set of single-clock upper bounds — the invariants of
+//     a whole location vector — with or without the delay before them: one
+//     O(k·n + n²) pass, exact because every added edge ends in clock 0. Once
+//     per fired transition and once for the initial state.
 //   - CloseRows, after extrapolation loosened the rows and columns it
 //     recorded in a Touched: all pivots, updates restricted to those.
 //   - Close, the full O(n³) Floyd–Warshall: CloseRows' dense fallback, and
-//     the reference the tests compare the other two against.
+//     the reference the tests compare the other three against.
 //
 // Fork census: the data-dependent forks on this path and the workloads of
 // BENCHMARK.json measured on each side (scripts/traffic.sh prints the table;
@@ -28,6 +32,14 @@
 //
 //   - CloseRows: sparse path on all five; dense fallback to Close on table1,
 //     variants and serve_cold, never on archchain and fischer.
+//   - DelayUnder: with delay on all five; without delay (an urgent or
+//     committed location in the target vector) on all but fischer, and then
+//     always through the already-satisfied exit. A row tightened below its
+//     pre-delay bound and an emptied zone on none: a zone that met its guards
+//     met the target invariants too, everywhere in the benchmark. Both stay,
+//     they are what an invariant that bites means (a target tighter than the
+//     guard, a variable deadline), pinned by TestDelayUnder, FuzzDelayUnder
+//     and core's TestTargetInvariantDisablesTransition.
 //   - EncodeCompact: 16-bit on all five; 32-bit on table1 and serve_cold;
 //     64-bit on none — kept, it is input-range handling (model constants
 //     beyond 2³⁰), pinned by compact_test.go.

@@ -201,9 +201,16 @@ func (d *DBM) CloseRows(rows, cols *Touched) bool {
 
 // Constrain intersects the zone with the constraint xi - xj ≺ c given as a
 // Bound, restoring canonical form. It reports whether the result is nonempty.
+//
+// The zone must be canonical and nonempty on entry — what every zone of the
+// exploration loop is, and what a chain of Constrain calls that stops at the
+// first false keeps. Under that precondition the reverse-path test below
+// decides emptiness on its own (a negative cycle has to use the new edge), so
+// neither the no-op path nor the update scans the diagonal. A caller holding
+// a possibly-empty matrix asks IsEmpty.
 func (d *DBM) Constrain(i, j int, b Bound) bool {
-	if b == Infinity || b >= d.At(i, j) {
-		return !d.IsEmpty()
+	if b >= d.At(i, j) {
+		return true
 	}
 	// The new bound contradicts the reverse path: emptiness check first.
 	if Add(d.At(j, i), b) < LEZero {
@@ -231,7 +238,7 @@ func (d *DBM) Constrain(i, j int, b Bound) bool {
 			}
 		}
 	}
-	return !d.IsEmpty()
+	return true
 }
 
 // Up removes all upper bounds on clocks, computing the set of time successors

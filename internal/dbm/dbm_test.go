@@ -155,6 +155,104 @@ func TestConstrainEmpties(t *testing.T) {
 	}
 }
 
+func TestUpperBoundsSet(t *testing.T) {
+	u := NewUpperBounds(4)
+	u.Lower(2, LE(7))
+	u.Lower(1, Infinity) // the absent bound records nothing
+	u.Lower(2, LT(7))    // tighter: replaces
+	u.Lower(2, LE(9))    // looser: ignored
+	u.Lower(3, LE(0))
+	if len(u.list) != 2 || u.list[0] != 2 || u.list[1] != 3 {
+		t.Fatalf("bounded clocks = %v, want [2 3]", u.list)
+	}
+	if u.b[1] != Infinity || u.b[2] != LT(7) || u.b[3] != LE(0) {
+		t.Fatalf("bounds = %v, want [inf inf <7 <=0]", u.b)
+	}
+	u.Reset()
+	if len(u.list) != 0 || u.b[2] != Infinity || u.b[3] != Infinity {
+		t.Fatalf("Reset left %v / %v", u.list, u.b)
+	}
+}
+
+// TestDelayUnder walks the kernel's cases one at a time on zones small enough
+// to read. Every case also runs through checkDelayUnder, i.e. against Up plus
+// a Constrain chain, against the full Close, and against the two-application
+// form (intersect, delay, intersect again).
+func TestDelayUnder(t *testing.T) {
+	// x1 ∈ [0,4], x2 = 0: x1 ran for up to 4, then x2 was reset.
+	lag := func() *DBM {
+		d := New(3)
+		d.Up()
+		d.Constrain(1, 0, LE(4))
+		d.Reset(2, 0)
+		return d
+	}
+	// x1 ≥ 3 and nothing else (x2 = x1 - anything in [0, x1]).
+	late := func() *DBM {
+		d := New(3)
+		d.Up()
+		d.Reset(2, 0)
+		d.Up()
+		d.Constrain(0, 1, LE(-3))
+		return d
+	}
+	up := func(d *DBM) *DBM { d.Up(); return d }
+	x1, x2 := 1, 2
+	cases := []struct {
+		name  string
+		zone  *DBM
+		cons  []con
+		delay bool
+		empty bool
+		sup   map[int]Bound // expected upper bounds, per clock
+		same  *DBM          // non-nil: the result must equal this zone
+	}{
+		{name: "weak bound", zone: lag(), cons: []con{{x1, 0, LE(2)}},
+			sup: map[int]Bound{x1: LE(2), x2: LE(0)}},
+		{name: "strict bound", zone: lag(), cons: []con{{x1, 0, LT(2)}},
+			sup: map[int]Bound{x1: LT(2), x2: LE(0)}},
+		{name: "two bounds on one clock, tighter last", zone: lag(), cons: []con{{x1, 0, LE(3)}, {x1, 0, LT(2)}},
+			sup: map[int]Bound{x1: LT(2)}},
+		{name: "two bounds on one clock, tighter first", zone: lag(), cons: []con{{x1, 0, LT(2)}, {x1, 0, LE(3)}},
+			sup: map[int]Bound{x1: LT(2)}},
+		{name: "strict bound at the lower bound empties", zone: late(), cons: []con{{x1, 0, LT(3)}}, empty: true},
+		{name: "strict bound at the lower bound empties under delay too", zone: late(), cons: []con{{x1, 0, LT(3)}},
+			delay: true, empty: true},
+		{name: "weak bound at the lower bound keeps the point", zone: late(), cons: []con{{x1, 0, LE(3)}},
+			sup: map[int]Bound{x1: LE(3), x2: LE(3)}},
+		{name: "negative bound empties", zone: lag(), cons: []con{{x2, 0, LE(-1)}}, empty: true},
+		{name: "second bound empties after the first held", zone: late(), cons: []con{{x2, 0, LE(9)}, {x1, 0, LE(2)}},
+			delay: true, empty: true},
+		{name: "delay up to a bound on the other clock", zone: lag(), cons: []con{{x2, 0, LE(5)}}, delay: true,
+			// x1 - x2 ≤ 4 carries x2's bound over: x1 ≤ 9.
+			sup: map[int]Bound{x1: LE(9), x2: LE(5)}},
+		{name: "delay under a bound that bit before the delay", zone: lag(), cons: []con{{x1, 0, LE(2)}}, delay: true,
+			sup: map[int]Bound{x1: LE(2), x2: LE(2)}},
+		{name: "delay under no bound is Up", zone: lag(), delay: true, same: up(lag())},
+		{name: "delay leaves an uncoupled clock unbounded", zone: func() *DBM { d := lag(); d.Free(x2); return d }(),
+			cons: []con{{x1, 0, LE(6)}}, delay: true,
+			sup: map[int]Bound{x1: LE(6), x2: Infinity}},
+		{name: "already satisfied: no change", zone: lag(), cons: []con{{x1, 0, LE(4)}, {x2, 0, LE(0)}}, same: lag()},
+		{name: "no bound, no delay: no change", zone: lag(), same: lag()},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got := checkDelayUnder(t, c.zone, c.cons, c.delay)
+			if (got == nil) != c.empty {
+				t.Fatalf("nonempty = %v, want %v", got != nil, !c.empty)
+			}
+			for clock, want := range c.sup {
+				if s := got.Sup(clock); s != want {
+					t.Errorf("Sup(x%d) = %v, want %v in %s", clock, s, want, got)
+				}
+			}
+			if c.same != nil && !got.Eq(c.same) {
+				t.Errorf("got %s, want %s", got, c.same)
+			}
+		})
+	}
+}
+
 func TestFree(t *testing.T) {
 	d := New(3)
 	d.Up()

@@ -99,13 +99,7 @@ func FuzzIncrementalClose(f *testing.F) {
 func checkConstrainChain(t *testing.T, op string, z *DBM, cons []con) {
 	t.Helper()
 	seq := z.Copy()
-	okSeq := true
-	for _, c := range cons {
-		if !seq.Constrain(c.i, c.j, c.b) {
-			okSeq = false
-			break
-		}
-	}
+	okSeq := constrainChain(seq, cons)
 	ref := z.Copy()
 	okRef := tightenFullClose(ref, cons)
 	if okSeq != okRef {
@@ -115,6 +109,101 @@ func checkConstrainChain(t *testing.T, op string, z *DBM, cons []con) {
 	if okRef && !seq.Eq(ref) {
 		t.Fatalf("%s diverges:\n got %s\nwant %s\nfrom %s", op, seq, ref, z)
 	}
+}
+
+// FuzzDelayUnder is the differential harness for the invariant kernel: a
+// random canonical nonempty zone, a random list of single-clock upper bounds
+// (weak and strict, possibly several on one clock, possibly below the zone's
+// lower bounds), with and without delay — checkDelayUnder compares the one
+// DelayUnder call against every slower spelling of the same zone. The seed
+// corpus under testdata/fuzz pins one input per shape: bounds that bite only
+// after the delay, two bounds on one clock, a strict bound that empties the
+// zone and the weak one at the same constant that does not, a negative bound,
+// a bound reaching a clock through a diagonal, the already-satisfied exit,
+// and a delay under no bound at all.
+func FuzzDelayUnder(f *testing.F) {
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &byteReader{data: data}
+		dim := 2 + int(r.next())%5
+		z := buildFuzzZone(r, dim)
+		delay := r.next()%2 == 1
+		nb := int(r.next()) % 6
+		cons := make([]con, 0, nb)
+		for k := 0; k < nb; k++ {
+			c := 1 + int(r.next())%(dim-1)
+			v := int64(r.next()%30) - 3
+			b := LE(v)
+			if r.next()%2 == 0 {
+				b = LT(v)
+			}
+			cons = append(cons, con{c, 0, b})
+		}
+		checkDelayUnder(t, z, cons, delay)
+	})
+}
+
+// checkDelayUnder applies the upper bounds of cons (each xi - x0 ≺ b) to the
+// canonical nonempty zone z with one DelayUnder call and fails unless the
+// result agrees — on emptiness and, when nonempty, on every bound — with
+//
+//   - Up (when delaying) followed by one Constrain per bound,
+//   - Up followed by entrywise tightening and the full Close, and
+//   - the two-application form of the semantics: the Constrain chain before
+//     the delay, to decide emptiness, and again after Up.
+//
+// An empty result must read as empty through IsEmpty, a nonempty one must be
+// canonical. It returns the nonempty result, or nil.
+func checkDelayUnder(t *testing.T, z *DBM, cons []con, delay bool) *DBM {
+	t.Helper()
+	ub := NewUpperBounds(z.Dim())
+	for _, c := range cons {
+		ub.Lower(c.i, c.b)
+	}
+	got := z.Copy()
+	ok := got.DelayUnder(ub, delay)
+
+	seq, full, twice := z.Copy(), z.Copy(), z.Copy()
+	okTwice := constrainChain(twice, cons)
+	if delay {
+		seq.Up()
+		full.Up()
+		if okTwice {
+			twice.Up()
+			okTwice = constrainChain(twice, cons)
+		}
+	}
+	okSeq := constrainChain(seq, cons)
+	okFull := tightenFullClose(full, cons)
+	if ok != okSeq || ok != okFull || ok != okTwice {
+		t.Fatalf("emptiness diverges: DelayUnder=%v Constrain chain=%v full close=%v two applications=%v (delay=%v, %v on %s)",
+			ok, okSeq, okFull, okTwice, delay, cons, z)
+	}
+	if !ok {
+		if !got.IsEmpty() {
+			t.Fatalf("empty result not marked on the diagonal: %s (delay=%v, %v on %s)", got, delay, cons, z)
+		}
+		return nil
+	}
+	for name, ref := range map[string]*DBM{"Constrain chain": seq, "full close": full, "two applications": twice} {
+		if !got.Eq(ref) {
+			t.Fatalf("DelayUnder diverges from %s:\n got %s\nwant %s\nfrom %s (delay=%v, %v)",
+				name, got, ref, z, delay, cons)
+		}
+	}
+	assertCanonical(t, "DelayUnder", got)
+	return got
+}
+
+// constrainChain applies one Constrain per constraint, stopping at the first
+// that empties the zone, and reports whether the zone stayed nonempty.
+func constrainChain(d *DBM, cons []con) bool {
+	for _, c := range cons {
+		if !d.Constrain(c.i, c.j, c.b) {
+			return false
+		}
+	}
+	return true
 }
 
 // byteReader hands out fuzz input bytes, repeating 0 when exhausted.

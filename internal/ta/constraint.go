@@ -94,8 +94,9 @@ func CEqVar(x Clock, v IntVar) []Constraint {
 
 // ApplyConstraints intersects zone z with every constraint in cs under the
 // variable valuation vars, reporting whether the zone stays nonempty. Each
-// constraint pays one O(n²) single-edge closure (dbm.Constrain); it is the
-// one tightening path of the engine, for guards and invariants alike.
+// constraint pays one O(n²) single-edge closure (dbm.Constrain). z must be
+// canonical and nonempty. The engine tightens guards this way; invariants,
+// all single-clock upper bounds, go through dbm.DelayUnder as one batch.
 func ApplyConstraints(z *dbm.DBM, cs []Constraint, vars []int64) bool {
 	for _, c := range cs {
 		if !z.Constrain(int(c.I), int(c.J), c.Resolve(vars)) {

@@ -153,11 +153,34 @@ type cmpGuard struct {
 func (g cmpGuard) Eval(v []int64) bool { return g.op.eval(g.l.Eval(v), g.r.Eval(v)) }
 func (g cmpGuard) String() string      { return fmt.Sprintf("%s %s %s", g.l, g.op, g.r) }
 
-// Cmp returns the guard l op r.
-func Cmp(l Expr, op CmpOp, r Expr) Guard { return cmpGuard{l, op, r} }
+// Cmp returns the guard l op r. A variable compared against a constant — the
+// shape of nearly every data guard, and the only one the .ta parser and the
+// architecture compiler emit per atom — comes back as the flat form VarCmp
+// builds.
+func Cmp(l Expr, op CmpOp, r Expr) Guard {
+	if v, ok := l.(varExpr); ok {
+		if k, ok := r.(constExpr); ok {
+			return VarCmp(IntVar(v), op, int64(k))
+		}
+	}
+	return cmpGuard{l, op, r}
+}
+
+// varCmpGuard is cmpGuard{V(iv), op, C(k)} without the two operand
+// interfaces: the successor engine evaluates dozens of these per popped state
+// (observer and dispatch guards), and this form costs one dynamic call where
+// the tree costs three.
+type varCmpGuard struct {
+	iv IntVar
+	op CmpOp
+	k  int64
+}
+
+func (g varCmpGuard) Eval(v []int64) bool { return g.op.eval(v[g.iv.ID], g.k) }
+func (g varCmpGuard) String() string      { return fmt.Sprintf("%s %s %d", g.iv.Name, g.op, g.k) }
 
 // VarCmp returns the common guard iv op k.
-func VarCmp(iv IntVar, op CmpOp, k int64) Guard { return cmpGuard{V(iv), op, C(k)} }
+func VarCmp(iv IntVar, op CmpOp, k int64) Guard { return varCmpGuard{iv, op, k} }
 
 type andGuard []Guard
 

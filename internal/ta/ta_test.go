@@ -283,6 +283,40 @@ func TestQuickCmpOpMatchesGo(t *testing.T) {
 	}
 }
 
+// TestFlatVarCmpMatchesTree pins the flat variable-against-constant guard
+// (VarCmp, and Cmp on the same operands — the .ta parser's spelling) to the
+// generic comparison tree: same value for every operator on either side of
+// and at the constant, same text.
+func TestFlatVarCmpMatchesTree(t *testing.T) {
+	pad := IntVar{0, "pad"}
+	x := IntVar{1, "pending"}
+	for _, op := range []CmpOp{Eq, Ne, Lt, Le, Gt, Ge} {
+		for _, k := range []int64{-1, 0, 7} {
+			tree := cmpGuard{V(x), op, C(k)}
+			for _, g := range []Guard{VarCmp(x, op, k), Cmp(V(x), op, C(k))} {
+				if _, flat := g.(varCmpGuard); !flat {
+					t.Fatalf("%s: got %T, want the flat form", tree, g)
+				}
+				if g.String() != tree.String() {
+					t.Errorf("flat form prints %q, tree prints %q", g, tree)
+				}
+				for _, val := range []int64{k - 1, k, k + 1} {
+					v := []int64{99, val} // indexed by VarID: pad, pending
+					if got, want := g.Eval(v), tree.Eval(v); got != want {
+						t.Errorf("%s at %d: flat %v, tree %v", tree, val, got, want)
+					}
+				}
+			}
+		}
+	}
+	// Any other operand shape stays a tree.
+	for _, g := range []Guard{Cmp(C(3), Lt, V(x)), Cmp(V(x), Lt, V(pad)), Cmp(Plus(V(x), C(1)), Eq, C(2))} {
+		if _, tree := g.(cmpGuard); !tree {
+			t.Errorf("%s: got %T, want the generic comparison", g, g)
+		}
+	}
+}
+
 func TestStringRendering(t *testing.T) {
 	a := IntVar{0, "a"}
 	g := And(VarCmp(a, Gt, 0), Not(VarCmp(a, Eq, 3)))

@@ -49,6 +49,12 @@ go tool cover -func="$tmp/all.cov" |
 # and matched as plain text.
 forks='CloseRows sparse path|internal/dbm/dbm.go|func (d *DBM) CloseRows(|m := d.m
 CloseRows dense fallback to Close|internal/dbm/dbm.go|func (d *DBM) CloseRows(|return d.Close()
+DelayUnder calls|internal/dbm/upper.go|func (d *DBM) DelayUnder(|r0 := m[:n]
+DelayUnder delay (rows rebounded)|internal/dbm/upper.go|func (d *DBM) DelayUnder(|rp[0] = u
+DelayUnder no delay|internal/dbm/upper.go|func (d *DBM) DelayUnder(|bites := false
+DelayUnder no delay, already holds|internal/dbm/upper.go|func (d *DBM) DelayUnder(|return true
+DelayUnder row tightened|internal/dbm/upper.go|func (d *DBM) DelayUnder(|for q, r0q := range r0
+DelayUnder emptied|internal/dbm/upper.go|func (d *DBM) DelayUnder(|return false
 EncodeCompact 16-bit|internal/dbm/compact.go|func EncodeCompact(|width = 2
 EncodeCompact 32-bit|internal/dbm/compact.go|func EncodeCompact(|width = 4
 EncodeCompact 64-bit|internal/dbm/compact.go|func EncodeCompact(|PutUint64(pay[
