@@ -22,9 +22,10 @@ import (
 //   - States are counted at admission by the existing e.stored counter; the
 //     state budget is one extra compare on the admission path.
 //   - Worker-side zone bytes are known at pool get/put: every full matrix in
-//     the run — worker scratch, admitted states still in flight — is drawn
-//     from some worker's dbm.Pool, whose gets/reuses counters already record
-//     how many matrices it allocated (gets − reuses). At each checkpoint a
+//     the run is worker scratch — the state being expanded and its successors
+//     until the store has decided on them — drawn from some worker's
+//     dbm.Pool, whose gets/reuses counters already record how many matrices
+//     it allocated (gets − reuses). At each checkpoint a
 //     worker publishes its own pool's allocation into its perWorker cell
 //     (a plain store, single writer) and sums all cells against the
 //     limit. The cells are allocated only when a memory budget is
@@ -33,9 +34,10 @@ import (
 //     passed store tracks the exact bytes of its entries, zone-record
 //     segments, compact zone buffers and interned discrete vectors
 //     (store.go), and the checkpoint adds that live total
-//     (passedSet.bytes) to the worker cells. Compression behind
-//     the admission boundary is therefore budget-visible: the same model
-//     fits a smaller MaxBytes than it would with full stored DBMs.
+//     (passedSet.bytes) to the worker cells. That total is also what the
+//     waiting states cost: a state waits as the payload the store packed of
+//     it (an orphaned payload stays charged until its state is popped), so
+//     the frontier adds no zone bytes of its own.
 
 // ErrStateBudget reports an exploration stopped because Options.StateBudget
 // unique states had been admitted. The accompanying Stats are the partial
@@ -75,19 +77,14 @@ type memBudget struct {
 	limit int64
 	// zoneBytes is the size of one pooled matrix (dim² bounds).
 	zoneBytes int64
-	// base charges the one allocation made before workers start: the initial
-	// state's zone (its packed store copy is inside the stored-bytes total).
-	base int64
 	// cells hold each worker's published zone-allocation bytes.
 	cells perWorker[atomic.Int64]
 }
 
 func newMemBudget(limit int64, dim, workers int) *memBudget {
-	zb := dbm.ZoneBytes(dim)
 	return &memBudget{
 		limit:     limit,
-		zoneBytes: zb,
-		base:      zb,
+		zoneBytes: dbm.ZoneBytes(dim),
 		cells:     make(perWorker[atomic.Int64], workers),
 	}
 }
@@ -101,7 +98,7 @@ func (b *memBudget) publish(w int, pool *dbm.Pool) {
 // exceeded sums every worker's published bytes plus the passed store's
 // actual packed footprint against the limit.
 func (b *memBudget) exceeded(storedBytes int64) bool {
-	total := b.base + storedBytes
+	total := storedBytes
 	for i := range b.cells {
 		total += b.cells.at(i).Load()
 	}

@@ -166,12 +166,15 @@ type frontier interface {
 }
 
 // listFrontier is the sequential waiting list: FIFO for BFS, LIFO for
-// DFS/RDFS (successor shuffling happens in the worker loop). The waiting
-// states are list[head:]; BFS pops by advancing head and the slots before it
-// are reused — on empty the list restarts at slot 0, and once head passes
-// half the slice the tail is copied down — so one backing array of about
-// twice the widest level serves the whole sweep, where a list re-sliced at
-// its front would walk an ever-regrown array through every state stored.
+// DFS/RDFS (successor shuffling happens in the worker loop). A waiting state
+// holds no matrix — its zone is the payload State.packed references, decoded
+// by the worker after pop — so the list costs a pointer and a small struct
+// per state whatever the dimension. The waiting states are list[head:]; BFS
+// pops by advancing head and the slots before it are reused — on empty the
+// list restarts at slot 0, and once head passes half the slice the tail is
+// copied down — so one backing array of about twice the widest level serves
+// the whole sweep, where a list re-sliced at its front would walk an
+// ever-regrown array through every state stored.
 // waiting, when non-nil, mirrors the backlog atomically so Monitor.Snapshot
 // can read it from another goroutine without racing the worker's appends; it
 // is allocated only for monitored runs, so the ordinary sequential hot path
@@ -425,9 +428,10 @@ func (e *explorer) runContained(w int) {
 	e.run(w)
 }
 
-// run is the worker loop, identical for both frontiers: pop, expand, admit
-// successors, feed the query set, recycle the expanded state. Statistics
-// accumulate in locals and flush once on exit.
+// run is the worker loop, identical for both frontiers: pop, unpack the zone,
+// expand, admit successors, feed the query set, park what was admitted,
+// recycle the expanded state. Statistics accumulate in locals and flush once
+// on exit.
 func (e *explorer) run(w int) {
 	ctx := e.c.eng.newCtx(&e.slabs)
 	// Parent-log records hold successor indices, not labels, so the worker
@@ -494,6 +498,8 @@ func (e *explorer) run(w int) {
 			return
 		}
 		nPopped++
+		ctx.restoreZone(s)
+		e.passed.release(s)
 		var err error
 		succs, err = e.c.eng.successors(ctx, s, succs[:0])
 		if err != nil {
@@ -541,11 +547,13 @@ func (e *explorer) run(w int) {
 				e.stop.Store(true)
 				return
 			}
+			// The queries have seen the matrix; the state waits without it.
+			ctx.releaseZone(sc.state)
 			e.front.push(w, sc.state)
 		}
 		e.front.expanded(w)
-		// s is fully expanded and the passed store holds its own copies of
-		// everything admitted, so recycle it wholesale.
+		// s is fully expanded and nothing admitted references it, so recycle
+		// it wholesale.
 		ctx.putState(s)
 	}
 }
@@ -651,6 +659,9 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 			}
 			e.front = lf
 		}
+		// init waits like any admitted state: as its payload (its matrix is
+		// a heap one, so it goes to the collector and not to a pool).
+		init.Zone = nil
 		e.front.push(0, init)
 	}
 	// Attach the monitor strictly after e.front is in place: the atomic

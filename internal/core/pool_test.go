@@ -29,6 +29,9 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 		t.Fatal("admission must draw the packed copy from the compact pool")
 	}
 
+	// small is popped and expanded: its record is the payload's only holder.
+	st.release(small)
+
 	big := mkState(locs, vars, 20)
 	if !st.add(big) {
 		t.Fatal("covering zone must be admitted")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dbm"
 	"repro/internal/ta"
 )
 
@@ -72,7 +73,9 @@ type Options struct {
 	// — entries, zone-record segments, packed zone buffers and interned
 	// discrete vectors (passedSet.bytes) — exceed this many bytes, the run
 	// fails with ErrMemoryBudget and partial Stats via the same
-	// between-expansions abort point as Cancel. 0 means unlimited.
+	// between-expansions abort point as Cancel. 0 means unlimited. A waiting
+	// state's zone is charged as the packed payload in that footprint — the
+	// one copy there is of it — and matrices only as the workers' scratch.
 	// Accounting is per-worker (budget.go) and adds nothing to the visitor
 	// path; frontier slots, parent logs and query accumulators are not
 	// counted.
@@ -178,7 +181,13 @@ func (c *Checker) Network() *ta.Network { return c.net }
 // symbolic states, but clock suprema computed under it are upper bounds
 // rather than exact values — do not combine with SupClock when exactness
 // matters. See the engine documentation for the mechanism.
-func (c *Checker) SetCoarseExtrapolation(coarse bool) { c.eng.extraLU = coarse }
+func (c *Checker) SetCoarseExtrapolation(coarse bool) {
+	if coarse {
+		c.eng.bounds = dbm.NewExtraLU(c.net.LowerConsts, c.net.UpperConsts)
+	} else {
+		c.eng.bounds = dbm.NewExtraM(c.net.MaxConsts)
+	}
+}
 
 // ExploreResult is the outcome of a reachability exploration.
 type ExploreResult struct {

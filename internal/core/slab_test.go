@@ -157,9 +157,8 @@ func TestResultsSurviveLaterSweeps(t *testing.T) {
 // TestPoisonCatchesRetainedZone introduces the alias the ownership rule
 // forbids — a visitor that keeps admitted states' zones past its sweep — and
 // requires the poison to expose it: this is what the tests above would see if
-// a result aliased slab memory. Only the two matrices that never came from a
-// slab (the initial state's and the worker's first scratch zone, both plain
-// heap) may read as zones afterwards.
+// a result aliased slab memory. Only the one matrix that never came from a
+// slab (the initial state's, plain heap) may read as a zone afterwards.
 func TestPoisonCatchesRetainedZone(t *testing.T) {
 	grid, _, _, _ := buildGrid(t)
 	c, err := NewChecker(grid)
@@ -182,8 +181,8 @@ func TestPoisonCatchesRetainedZone(t *testing.T) {
 			intact++
 		}
 	}
-	if intact == len(retained) || intact > 2 {
-		t.Errorf("%d of %d zones retained past their sweep still read as zones; want at most the 2 heap ones",
+	if intact == len(retained) || intact > 1 {
+		t.Errorf("%d of %d zones retained past their sweep still read as zones; want at most the heap one",
 			intact, len(retained))
 	}
 }

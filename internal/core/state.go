@@ -26,7 +26,18 @@ import (
 type State struct {
 	Locs []ta.LocID
 	Vars []int64
+	// Zone is the state's canonical zone. Every state a caller can see has
+	// one: visitors, deadlock observers, FoundState and trace steps. Inside
+	// the explorer it is nil exactly while the state waits in the frontier,
+	// when packed stands in for it.
 	Zone *dbm.DBM
+
+	// packed references the payload the passed store packed of Zone when it
+	// admitted the state — the store's buffer, not a copy — from admission
+	// until the worker that pops the state has decoded it and released the
+	// reference (passedSet.release; "Zone ownership" in store.go). nil in
+	// any state that is not between those two points.
+	packed dbm.Compact
 
 	// key caches discreteHash(Locs, Vars); 0 means not yet computed
 	// (discreteHash never returns 0). The discrete part of a state is

@@ -17,7 +17,13 @@ import (
 // the interface is what the tests' reference and shadow stores substitute
 // through (Options.passed).
 type passedSet interface {
+	// add admits s unless it is subsumed. An admitted state leaves with
+	// s.packed referencing the packed copy of its zone, a reference the
+	// caller gives back with exactly one release.
 	add(s *State) bool
+	// release gives back the payload reference add handed s, once the caller
+	// has decoded it.
+	release(s *State)
 	size() int
 	// bytes reports the actual stored footprint: entries, zone records,
 	// packed zone buffers and interned discrete vectors.
@@ -81,31 +87,55 @@ type passedSet interface {
 //
 // # Zone ownership
 //
-// The store NEVER aliases the zone of an admitted state: on admission it
-// packs its own compact copy (dbm.EncodeCompact into a buffer from the
-// shard-owned dbm.CompactPool). This is what makes recycling sound — a
-// pruned (subsumed) stored zone is referenced by nothing but its record and
-// its buffer can be released back into the compact pool immediately, even
-// while the pruned state is still sitting in a waiting list or arena with
-// its own zone. The full protocol:
+// An admitted zone has ONE long-lived copy: the payload the store packs on
+// admission (dbm.EncodeCompact into a buffer from the shard-owned
+// dbm.CompactPool). The store never aliases a state's matrix, and full
+// matrices live only in the workers' pools as scratch; what a waiting state
+// keeps of its zone is a reference to the store's payload. So a payload has
+// up to two holders — its record and its waiting state — and the holder mark
+// in its header (dbm.Compact byte [1]) says which: held by both, held by the
+// record alone (zero, the state was popped), or orphaned (the record was
+// pruned while the state still waits). The mark is read and written only by
+// whoever holds the entry; the payload behind it is immutable until the
+// buffer is recycled, which happens only when the last holder lets go. The
+// full protocol:
 //
 //   - engine.fire materializes successors from a per-worker succCtx (pooled
 //     scratch DBM, scratch locs/vars/parts, and the dbm.Touched sets the
 //     incremental canonicalization records into — all reused across fires,
 //     none escaping into states or stores); clock-disabled transitions
-//     allocate nothing. The state owns its zone.
-//   - store.add(s) packs s.Zone on admission into a compact-pool buffer;
-//     s keeps ownership of its own (full) zone.
-//   - If add reports false (subsumed), the caller releases s.Zone — the
-//     state is about to be discarded and nothing else references it.
-//     Subsumed and fully expanded states, on both frontiers, are released
-//     wholesale via succCtx.putState.
-//   - Pruned compact copies are released into the compact pool inside add,
-//     and the record that referenced one drops the reference in the same
-//     step: a buffer has exactly one referencing record until then.
+//     allocate nothing. A fresh successor owns its matrix.
+//   - store.add(s) packs s.Zone on admission, marks the payload held by both
+//     and points s.packed at it. If add reports false (subsumed), the caller
+//     recycles s wholesale via succCtx.putState — nothing else references it.
+//   - explorer.run feeds the admitted state to the queries, which read
+//     s.Zone, and then parks it: succCtx.releaseZone puts the matrix back
+//     into the worker's pool and the state waits in the frontier with
+//     Zone == nil (explore does the same to the initial state, whose heap
+//     matrix goes to the collector). Those two are the only hand-offs; no
+//     state waits with a matrix.
+//   - A stored zone covered by a later admission is pruned inside add
+//     whether or not its state was expanded — exploration order, and with it
+//     every count and trace, does not depend on the store's bookkeeping. If
+//     the record was the payload's only holder the buffer goes back to the
+//     compact pool at once; if the state still waits the payload is marked
+//     orphaned and stays charged to bytes() until it is released.
+//   - The worker that pops a state decodes s.packed into a matrix from its
+//     own pool — without holding the entry: the payload cannot change while
+//     the state holds it, and no dbm kernel touches the mark — and then calls
+//     release, which takes the entry (for a parallel run, the shard lock):
+//     an orphaned buffer goes back to the shard's compact pool, any other is
+//     marked as the record's alone. The expanded state is recycled via
+//     succCtx.putState like a subsumed one.
+//   - A run that stops early (visitor, MaxStates, cancel, budget, panic)
+//     leaves waiting states holding payloads; nothing releases them, and
+//     nothing has to: states, records and pools die with the run.
 //
-// The worker-side succCtx scratch and dbm.Pool recycling are untouched:
-// compression lives entirely behind the admission boundary.
+// Fork census (continued from the dbm package comment; scripts/traffic.sh
+// prints it): a prune meets a payload whose state still waits, and release
+// later recycles the orphan, on table1 and variants (about half their
+// prunes) and on archchain (every prune there: 6,836 of 77,613 admissions);
+// fischer and serve_cold prune nothing at all.
 //
 // Where the bytes come from, and when they go back: the matrices of the
 // workers' pools and the payloads of the shards' compact pools are carved
@@ -116,14 +146,17 @@ type passedSet interface {
 // later sweep overwrites that memory, so the rules above have one more
 // clause: nothing a caller can see may alias slab memory. Today that holds
 // because every such value is a heap copy — a completing query captures
-// cloneState(s), never s (explorer.completeQuery); trace replay runs on a
-// heap ctx (newCtx(nil)) from a heap initial state (engine.initial), so every
+// cloneState(s), never s (explorer.completeQuery), at a point where s has its
+// matrix (just admitted, or just decoded); trace replay runs on a heap ctx
+// (newCtx(nil)) from a heap initial state (engine.initial), so every
 // TraceStep owns plain heap zones; SupResult and MaxVar carry bounds and
 // integers, not zones; a visitor may not retain a state beyond the call.
 // The one place this changes is a new kind of result: if it holds a *State,
 // a *dbm.DBM or a dbm.Compact, it must copy before explore returns. The
-// package's tests run with released slabs poisoned (slab_test.go), so an
-// alias shows up as garbage in the first test that looks at the result.
+// package's tests run with released slabs and recycled payloads poisoned
+// (slab_test.go), so an alias — a result into a slab, or a waiting state into
+// a payload the store already recycled — shows up as garbage in the first
+// test that looks.
 type store struct {
 	shards perWorker[shard]
 	mask   uint64 // len(shards)-1; the count is a power of two
@@ -132,8 +165,9 @@ type store struct {
 	locked bool
 	zones  atomic.Int64
 	// zoneBytes tracks the bytes currently held for stored zones — entries,
-	// record segments and packed payloads; a Monitor samples bytes() while
-	// workers add.
+	// record segments and packed payloads, orphaned ones included until their
+	// waiting state releases them; a Monitor samples bytes() while workers
+	// add.
 	zoneBytes atomic.Int64
 	// contended counts adds that found their shard lock held (TryLock
 	// failed) and had to block — the sweep profile's store-contention total.
@@ -158,10 +192,21 @@ type shard struct {
 // zoneRec is one stored zone in an entry's admission index.
 type zoneRec struct {
 	sig dbm.Signature
-	// z is the packed zone, a buffer owned by the store that recycles
-	// through its compact pool on prune; nil in a slot not in use.
+	// z is the packed zone, a buffer from the shard's compact pool that goes
+	// back there when its last holder lets go (see heldByBoth); nil in a
+	// slot not in use.
 	z dbm.Compact
 }
+
+// Holder marks of a payload (dbm.Compact.Holder; "Zone ownership" above).
+// Zero, the mark a fresh payload has, means the record is the only holder.
+const (
+	// heldByBoth: the record and the admitted state, which still waits.
+	heldByBoth = 1
+	// orphaned: the record was pruned; the waiting state is the only holder
+	// and its release recycles the buffer.
+	orphaned = 2
+)
 
 // zoneSeg is an overflow segment of an entry's record list. Each new segment
 // doubles the capacity of the list until segments reach maxSegRecs slots, so
@@ -304,7 +349,8 @@ func lookupEntry(buckets map[uint64]*storeEntry, s *State, it *internTable) *sto
 
 // admit implements the subsumption protocol on one entry: reject s if a
 // stored zone includes it, otherwise prune stored zones covered by it
-// (recycling their buffers into pool) and store a packed copy of s.Zone.
+// (recycling into pool the buffers no waiting state holds, orphaning the
+// others) and store a packed copy of s.Zone, which s.packed then references.
 // It returns the change in the number of stored zones (0 when s was
 // subsumed; any admission nets at least +1 minus prunes) and the change in
 // stored bytes — payloads, record segments, and the entry itself when this
@@ -349,8 +395,12 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool) (delta int, bytesDel
 		recs := scan.chunk(rem)
 		for i := range recs {
 			if r := &recs[i]; r.sig.Leq(&sig) && r.z.SubsetEqDBM(zone) {
-				bytesDelta -= int64(len(r.z))
-				pool.Put(r.z)
+				if r.z.Holder() == heldByBoth {
+					r.z.SetHolder(orphaned)
+				} else {
+					bytesDelta -= int64(len(r.z))
+					pool.Put(r.z)
+				}
 				r.z = nil
 				pruned++
 			}
@@ -362,6 +412,8 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool) (delta int, bytesDel
 	}
 	r := &tail.chunk(1)[0]
 	r.sig, r.z = sig, dbm.EncodeCompact(zone, pool)
+	r.z.SetHolder(heldByBoth)
+	s.packed = r.z
 	e.n += 1 - pruned
 	return 1 - pruned, bytesDelta + int64(len(r.z)) + tail.grown, true
 }
@@ -392,6 +444,25 @@ func (st *store) add(s *State) bool {
 		st.zoneBytes.Add(bytesDelta)
 	}
 	return admitted
+}
+
+// release gives back the payload reference of a state add admitted, after
+// the caller has decoded it: an orphaned buffer is recycled, any other stays
+// with its record.
+func (st *store) release(s *State) {
+	c := s.packed
+	s.packed = nil
+	sh := st.shards.at(int(s.discreteKey() & st.mask))
+	if st.locked {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+	}
+	if c.Holder() == orphaned {
+		sh.cpool.Put(c)
+		st.zoneBytes.Add(-int64(len(c)))
+	} else {
+		c.SetHolder(0)
+	}
 }
 
 // size returns the number of stored maximal zones.

@@ -75,8 +75,13 @@ func (st *refStore) add(s *State) bool {
 	e.zs = append(keep, s.Zone.Copy())
 	st.zones++
 	st.zbytes += dbm.ZoneBytes(s.Zone.Dim())
+	// The waiting state's payload is a heap buffer of its own: the reference
+	// never recycles anything, so there is nothing for release to do.
+	s.packed = dbm.EncodeCompact(s.Zone, nil)
 	return true
 }
+
+func (st *refStore) release(s *State) { s.packed = nil }
 
 func (st *refStore) size() int {
 	st.mu.Lock()
@@ -107,11 +112,20 @@ type shadowStore struct {
 func (sh *shadowStore) add(s *State) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	// The reference goes first, so that the payload an admitted state leaves
+	// with is the one of the store under test.
+	b := sh.ref.add(s)
 	a := sh.fast.add(s)
-	if b := sh.ref.add(s); a != b {
+	if a != b {
 		sh.disagreements.Add(1)
 	}
 	return a
+}
+
+func (sh *shadowStore) release(s *State) {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	sh.fast.release(s)
 }
 
 func (sh *shadowStore) size() int                         { return sh.fast.size() }
@@ -367,7 +381,9 @@ func TestSegmentedListLockstep(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := w; i < len(states); i += workers {
-						sh.add(states[i])
+						if sh.add(states[i]) {
+							sh.release(states[i])
+						}
 					}
 				}(w)
 			}

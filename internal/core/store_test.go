@@ -149,7 +149,9 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 	if st.bytes() != 0 {
 		t.Fatalf("empty store bytes = %d, want 0", st.bytes())
 	}
-	st.add(mkState(locs, vars, 10))
+	first := mkState(locs, vars, 10)
+	st.add(first)
+	st.release(first)
 	after1 := st.bytes()
 	if after1 <= 0 {
 		t.Fatalf("bytes after one admission = %d, want > 0", after1)
@@ -164,9 +166,20 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 	if st.bytes() != after1 {
 		t.Errorf("bytes changed on subsumed add: %d -> %d", after1, st.bytes())
 	}
-	st.add(mkState(locs, vars, 20)) // prunes the x<=10 zone
+	second := mkState(locs, vars, 20)
+	st.add(second) // prunes the x<=10 zone
 	if st.bytes() != after1 {
 		t.Errorf("bytes after prune+admit = %d, want %d (same-size swap)", st.bytes(), after1)
+	}
+	// Pruned while its state still waits, a payload stays charged until the
+	// state releases it.
+	st.add(mkState(locs, vars, 30)) // orphans the x<=20 payload
+	if want := after1 + int64(8+4*2); st.bytes() != want {
+		t.Errorf("bytes with an orphaned payload = %d, want %d", st.bytes(), want)
+	}
+	st.release(second)
+	if st.bytes() != after1 {
+		t.Errorf("bytes after the orphan's release = %d, want %d", st.bytes(), after1)
 	}
 	// An incomparable zone needs a second record: one more payload plus the
 	// entry's first overflow segment, which holds a single slot.

@@ -47,7 +47,14 @@ func TestPStoreConcurrentSubsumingAdds(t *testing.T) {
 						if w%2 == 1 {
 							step = depth - s
 						}
-						st.add(&State{Locs: locs, Vars: vars, Zone: mkZone(c, step)})
+						// Half the workers pop what they admit, so releases
+						// race the prunes that orphan their payloads; the
+						// other half's states wait forever.
+						s := &State{Locs: locs, Vars: vars, Zone: mkZone(c, step)}
+						if st.add(s) && w%4 < 2 {
+							s.packed.DecodeInto(s.Zone)
+							st.release(s)
+						}
 					}
 				}
 			}(w)

@@ -18,14 +18,15 @@ import (
 type engine struct {
 	net *ta.Network
 	dim int
-	// extraLU switches to the coarser Extra_LU abstraction. It is sound
-	// for location reachability but NOT for exact clock suprema: dropping
-	// the matrix rows of clocks that only appear in lower-bound guards
-	// (U = 0) forgets inter-clock orderings and can inflate a measured
-	// clock's upper bound (see TestExtraLUInflatesSuprema). The engine
-	// therefore defaults to Extra_M; LU is exposed for pure reachability
-	// workloads via Checker.SetCoarseExtrapolation.
-	extraLU bool
+	// bounds are the per-clock bounds extrapolation compares zone entries
+	// against, built from the finalized network's constants: Extra_M's by
+	// default, the coarser Extra_LU's after SetCoarseExtrapolation(true). LU
+	// is sound for location reachability but NOT for exact clock suprema:
+	// dropping the matrix rows of clocks that only appear in lower-bound
+	// guards (U = 0) forgets inter-clock orderings and can inflate a measured
+	// clock's upper bound (see TestExtraLUInflatesSuprema), which is why it
+	// is opt-in, for pure reachability workloads.
+	bounds dbm.ExtraBounds
 	// legacyScan routes successor enumeration and the urgency test through
 	// the pre-index per-channel rescan (succ_scan.go). Test-only: the
 	// differential oracle drives both enumerators over one model and
@@ -47,7 +48,7 @@ func newEngine(net *ta.Network) (*engine, error) {
 	if !net.Finalized() {
 		return nil, fmt.Errorf("core: network %s must be finalized before analysis", net.Name)
 	}
-	e := &engine{net: net, dim: net.NumClocks()}
+	e := &engine{net: net, dim: net.NumClocks(), bounds: dbm.NewExtraM(net.MaxConsts)}
 	nChans := len(net.Chans)
 	offs := make([]int32, 2*nChans)
 	e.emOff = offs[:nChans:nChans]
@@ -71,8 +72,9 @@ func newEngine(net *ta.Network) (*engine, error) {
 //
 // Zone ownership: zone is the current scratch matrix, owned by the ctx. On
 // a successful fire it is detached into the new State (which then owns it)
-// and replaced from pool. Zones of states that the passed store rejects as
-// subsumed must be released back into pool by the explorer.
+// and replaced from pool. The explorer releases it back into pool as soon as
+// the passed store has decided: at once when the state is subsumed, after the
+// queries have seen it when it is admitted (see "Zone ownership" in store.go).
 //
 // Fork census (continued from the dbm package comment; scripts/traffic.sh
 // prints it): a fired transition tightens its zone with ta.ApplyConstraints
@@ -158,9 +160,10 @@ type partRun struct{ start, end int }
 func (e *engine) newCtx(slabs *dbm.Slabs) *succCtx {
 	nChans := len(e.net.Chans)
 	ints := make([]int32, 3*nChans)
+	pool := slabs.Pool(e.dim)
 	return &succCtx{
-		pool:         slabs.Pool(e.dim),
-		zone:         dbm.New(e.dim),
+		pool:         pool,
+		zone:         pool.Get(), // contents unspecified; fire overwrites it
 		closeScratch: e.newCloseScratch(),
 		locs:         make([]ta.LocID, len(e.net.Procs)),
 		vars:         make([]int64, len(e.net.Vars)),
@@ -201,13 +204,27 @@ func (ctx *succCtx) getState() *State {
 	}
 }
 
+// releaseZone puts a state's matrix back into the DBM pool: the state is
+// about to wait in the frontier, where its packed payload stands in for it,
+// or to be recycled.
+func (ctx *succCtx) releaseZone(s *State) {
+	ctx.pool.Put(s.Zone)
+	s.Zone = nil
+}
+
+// restoreZone gives a state popped from the frontier its matrix back, decoded
+// from the payload it waited with into a pooled matrix.
+func (ctx *succCtx) restoreZone(s *State) {
+	s.Zone = ctx.pool.Get()
+	s.packed.DecodeInto(s.Zone)
+}
+
 // putState releases a state the explorer no longer references: its zone
 // goes back to the DBM pool and the struct (with its discrete vectors) onto
 // the free list. The caller must guarantee nothing else aliases the state —
 // see the ownership protocol in store.go.
 func (ctx *succCtx) putState(s *State) {
-	ctx.pool.Put(s.Zone)
-	s.Zone = nil
+	ctx.releaseZone(s)
 	if len(s.Locs) == len(ctx.locs) && len(s.Vars) == len(ctx.vars) {
 		ctx.states = append(ctx.states, s)
 	}
@@ -509,11 +526,7 @@ func (e *engine) closeInPlace(z *dbm.DBM, locs []ta.LocID, vars []int64, sc *clo
 	if !z.DelayUnder(sc.inv, e.delayAllowed(locs, vars)) {
 		return false
 	}
-	if e.extraLU {
-		z.ExtraLUTouched(e.net.LowerConsts, e.net.UpperConsts, sc.rows, sc.cols)
-	} else {
-		z.ExtraMTouched(e.net.MaxConsts, sc.rows, sc.cols)
-	}
+	z.Extrapolate(&e.bounds, sc.rows, sc.cols)
 	return true
 }
 

@@ -40,9 +40,10 @@
 //     they are what an invariant that bites means (a target tighter than the
 //     guard, a variable deadline), pinned by TestDelayUnder, FuzzDelayUnder
 //     and core's TestTargetInvariantDisablesTransition.
-//   - EncodeCompact: 16-bit on all five; 32-bit on table1 and serve_cold;
-//     64-bit on none — kept, it is input-range handling (model constants
-//     beyond 2³⁰), pinned by compact_test.go.
+//   - EncodeCompact, once per admitted state, and DecodeInto, once per popped
+//     one: 16-bit on all five; 32-bit on table1 and serve_cold; 64-bit on
+//     none — kept, it is input-range handling (model constants beyond 2³⁰),
+//     pinned by compact_test.go.
 package dbm
 
 import (

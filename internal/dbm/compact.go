@@ -14,7 +14,11 @@ import (
 // Layout:
 //
 //	[0]     width code: 2, 4 or 8 (bytes per bound)
-//	[1]     reserved (zero)
+//	[1]     holder mark: zero out of EncodeCompact, and then the buffer's
+//	        owner's to use (Holder, SetHolder) — no kernel of this package
+//	        reads or writes it, so the owner may change it while another
+//	        goroutine decodes the payload. internal/core's store keeps there
+//	        whether a waiting state still references the buffer.
 //	[2:4]   dim, uint16 little-endian
 //	[4:8]   reserved (zero; keeps 64-bit payloads 8-byte aligned)
 //	[8:]    dim² bounds, row-major, width bytes each, little-endian
@@ -108,6 +112,12 @@ func (c Compact) Dim() int { return int(binary.LittleEndian.Uint16(c[2:4])) }
 // Width returns the payload width in bytes per bound (2, 4 or 8).
 func (c Compact) Width() int { return int(c[0]) }
 
+// Holder returns the holder mark, header byte [1] (see the layout above).
+func (c Compact) Holder() byte { return c[1] }
+
+// SetHolder sets the holder mark.
+func (c Compact) SetHolder(h byte) { c[1] = h }
+
 // EncodeCompact packs a canonical DBM into the narrowest width that holds all
 // its finite bounds, drawing the buffer from p (which may be nil for a plain
 // allocation). The bounds themselves are stored encoded, so the pack is a
@@ -139,25 +149,32 @@ func EncodeCompact(d *DBM, p *CompactPool) Compact {
 	binary.LittleEndian.PutUint16(c[2:4], uint16(d.dim))
 	binary.LittleEndian.PutUint32(c[4:8], 0)
 	pay := c[compactHeader:]
+	// The narrow widths build whole 64-bit words, four (two) lanes to a
+	// store. The width was chosen so that every finite bound lies strictly
+	// below the sentinel, hence min(b, sentinel) is the encoding of both the
+	// finite bounds and Infinity, without a branch.
+	m := d.m
 	switch width {
 	case 2:
-		for i, b := range d.m {
-			v := int16(math.MaxInt16)
-			if b != Infinity {
-				v = int16(b)
-			}
-			binary.LittleEndian.PutUint16(pay[i*2:], uint16(v))
+		for ; len(m) >= 4; m, pay = m[4:], pay[8:] {
+			binary.LittleEndian.PutUint64(pay, uint64(uint16(min(m[0], math.MaxInt16)))|
+				uint64(uint16(min(m[1], math.MaxInt16)))<<16|
+				uint64(uint16(min(m[2], math.MaxInt16)))<<32|
+				uint64(uint16(min(m[3], math.MaxInt16)))<<48)
+		}
+		for i, b := range m {
+			binary.LittleEndian.PutUint16(pay[i*2:], uint16(min(b, math.MaxInt16)))
 		}
 	case 4:
-		for i, b := range d.m {
-			v := int32(math.MaxInt32)
-			if b != Infinity {
-				v = int32(b)
-			}
-			binary.LittleEndian.PutUint32(pay[i*4:], uint32(v))
+		for ; len(m) >= 2; m, pay = m[2:], pay[8:] {
+			binary.LittleEndian.PutUint64(pay, uint64(uint32(min(m[0], math.MaxInt32)))|
+				uint64(uint32(min(m[1], math.MaxInt32)))<<32)
+		}
+		for i, b := range m {
+			binary.LittleEndian.PutUint32(pay[i*4:], uint32(min(b, math.MaxInt32)))
 		}
 	default:
-		for i, b := range d.m {
+		for i, b := range m {
 			binary.LittleEndian.PutUint64(pay[i*8:], uint64(b))
 		}
 	}
@@ -243,36 +260,59 @@ func (c Compact) SubsetEqDBM(d *DBM) bool {
 	return true
 }
 
-// DecodeInto unpacks the zone into d, which must have the same dimension.
+// DecodeInto unpacks the zone into d, which must have the same dimension. The
+// narrow widths split one 64-bit load into its four (two) lanes; the
+// sentinel test on each lane is a conditional move, not a branch.
 func (c Compact) DecodeInto(d *DBM) {
 	if d.dim != c.Dim() {
 		panic("dbm: dimension mismatch in DecodeInto")
 	}
 	pay := c[compactHeader:]
+	m := d.m
 	switch c[0] {
 	case 2:
-		for i := range d.m {
-			v := int16(binary.LittleEndian.Uint16(pay[i*2:]))
-			if v == math.MaxInt16 {
-				d.m[i] = Infinity
-			} else {
-				d.m[i] = Bound(v)
-			}
+		for ; len(m) >= 4; m, pay = m[4:], pay[8:] {
+			w := binary.LittleEndian.Uint64(pay)
+			m[0] = widen16(int16(w))
+			m[1] = widen16(int16(w >> 16))
+			m[2] = widen16(int16(w >> 32))
+			m[3] = widen16(int16(w >> 48))
+		}
+		for i := range m {
+			m[i] = widen16(int16(binary.LittleEndian.Uint16(pay[i*2:])))
 		}
 	case 4:
-		for i := range d.m {
-			v := int32(binary.LittleEndian.Uint32(pay[i*4:]))
-			if v == math.MaxInt32 {
-				d.m[i] = Infinity
-			} else {
-				d.m[i] = Bound(v)
-			}
+		for ; len(m) >= 2; m, pay = m[2:], pay[8:] {
+			w := binary.LittleEndian.Uint64(pay)
+			m[0] = widen32(int32(w))
+			m[1] = widen32(int32(w >> 32))
+		}
+		for i := range m {
+			m[i] = widen32(int32(binary.LittleEndian.Uint32(pay[i*4:])))
 		}
 	default:
-		for i := range d.m {
-			d.m[i] = Bound(binary.LittleEndian.Uint64(pay[i*8:]))
+		for i := range m {
+			m[i] = Bound(binary.LittleEndian.Uint64(pay[i*8:]))
 		}
 	}
+}
+
+// widen16 and widen32 map a packed bound back to a Bound: the sentinel to
+// Infinity, anything else to itself.
+func widen16(v int16) Bound {
+	b := Bound(v)
+	if v == math.MaxInt16 {
+		b = Infinity
+	}
+	return b
+}
+
+func widen32(v int32) Bound {
+	b := Bound(v)
+	if v == math.MaxInt32 {
+		b = Infinity
+	}
+	return b
 }
 
 // Decode unpacks the zone into a fresh DBM.
@@ -328,12 +368,18 @@ func (p *CompactPool) get(n int) Compact {
 }
 
 // Put returns a buffer to the pool for reuse. The caller must not retain the
-// buffer afterwards.
+// buffer afterwards: the next get of that size overwrites it, and under
+// PoisonReleased Put itself does, at once.
 func (p *CompactPool) Put(c Compact) {
 	if p == nil || cap(c) == 0 {
 		return
 	}
 	c = c[:cap(c)]
+	if poisonReleased.Load() {
+		for i := range c {
+			c[i] = poisonByte
+		}
+	}
 	p.free[len(c)] = append(p.free[len(c)], c)
 }
 

@@ -1,7 +1,10 @@
 package dbm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -161,35 +164,102 @@ func TestCompactPoolRecycles(t *testing.T) {
 	}
 }
 
+// compactFuzzDims are the dimensions the packing fuzzers draw from. With dim²
+// bounds to a payload, the odd ones leave the word-wide kernels a tail after
+// their last whole 64-bit word at both narrow widths, the even ones none.
+var compactFuzzDims = [...]int{1, 2, 3, 4, 5, 6, 7}
+
+// compactFuzzEdges are the encoded bounds on either side of what the two
+// narrow widths can hold — the sentinels, which must escape to the next
+// width, and their neighbours, which must not — with the width a zone whose
+// extreme bound is that one packs to.
+var compactFuzzEdges = [...]struct {
+	b     Bound
+	width int
+}{
+	{math.MaxInt16 - 1, 2}, {math.MaxInt16, 4}, {math.MinInt16, 2}, {math.MinInt16 - 1, 4},
+	{math.MaxInt32 - 1, 4}, {math.MaxInt32, 8}, {math.MinInt32, 4}, {math.MinInt32 - 1, 8},
+}
+
+// compactFuzzShape reads the two bytes that shape the zones of one packing
+// fuzz input. The first picks how the small constants of buildFuzzZone reach
+// the wider encodings: 0, 1, 2 scale every value (by 1, 2¹⁴, 2³³); 3 to 10
+// plant compactFuzzEdges[k-3] as the bound of clock 1 — from above when it is
+// positive, from below when negative — which is then the zone's extreme bound
+// and decides the width (reported; 0 when the input does not pin it). The
+// second byte picks the dimension. build draws one zone of that shape.
+func compactFuzzShape(r *byteReader) (dim, width int, build func() *DBM) {
+	sel := int(r.next()) % (3 + len(compactFuzzEdges))
+	dim = compactFuzzDims[int(r.next())%len(compactFuzzDims)]
+	if dim == 1 {
+		return 1, 2, func() *DBM { return New(1) }
+	}
+	if sel < 3 {
+		scale := [...]int64{1, 1 << 14, 1 << 33}[sel]
+		return dim, 0, func() *DBM { return scaleZone(buildFuzzZone(r, dim), scale) }
+	}
+	edge := compactFuzzEdges[sel-3]
+	return dim, edge.width, func() *DBM {
+		z := buildFuzzZone(r, dim)
+		z.Free(1)
+		if edge.b > 0 {
+			z.Constrain(1, 0, edge.b)
+		} else {
+			z.Constrain(0, 1, edge.b)
+		}
+		return z
+	}
+}
+
+// addCompactShapeSeeds seeds a packing fuzzer with every (first byte, second
+// byte) pair compactFuzzShape tells apart, each followed by one op program
+// for two zones: delays, bounds from both sides, a reset, a freed clock (so
+// Infinity entries) and a diagonal constraint.
+func addCompactShapeSeeds(f *testing.F) {
+	program := []byte{
+		9, 0, 2, 0, 20, 3, 1, 3, 1, 0, 4, 0, 4, 1, 5, 1, 2, 9, 2, 1, 24, 0, 3, 0, 5,
+		7, 0, 2, 1, 12, 0, 3, 0, 2, 4, 0, 5, 2, 1, 6, 2, 0, 18, 0,
+	}
+	for d := range compactFuzzDims {
+		for sel := 0; sel < 3+len(compactFuzzEdges); sel++ {
+			f.Add(append([]byte{byte(sel), byte(d)}, program...))
+		}
+	}
+}
+
 // FuzzCompactRoundTrip is the encode/decode identity oracle: any canonical
-// zone the exploration could produce — pushed through all three widths via
-// value scaling — must decode bit-identically, with the header dimension
-// matching the full form.
+// zone the exploration could produce — pushed through all three widths by
+// scaling its values or planting a bound next to a sentinel — must decode
+// bit-identically, with the header dimension matching the full form, at the
+// width its extreme bound calls for, and byte for byte what the per-element
+// reference packs. The seeds cover every shape compactFuzzShape knows: each
+// dimension at each scale and with each edge planted.
 func FuzzCompactRoundTrip(f *testing.F) {
+	addCompactShapeSeeds(f)
 	f.Add([]byte{0})
 	// Wide dimension with frees: Infinity sentinels in every row.
-	f.Add([]byte{4, 1, 4, 1, 4, 2, 4, 3, 9, 2, 1, 30})
-	// Scale selector high: 64-bit escape path.
-	f.Add([]byte{250, 2, 0, 1, 2, 9, 2, 1, 30, 0, 3, 1, 5})
-	// Mid scale: 32-bit payload.
-	f.Add([]byte{129, 3, 0, 2, 1, 10, 5, 1, 2, 2, 5})
+	f.Add([]byte{0, 4, 1, 4, 1, 4, 2, 4, 3, 9, 2, 1, 30})
+	// 64-bit escape path.
+	f.Add([]byte{2, 2, 0, 1, 2, 9, 2, 1, 30, 0, 3, 1, 5})
+	// 32-bit payload.
+	f.Add([]byte{1, 3, 0, 2, 1, 10, 5, 1, 2, 2, 5})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &byteReader{data: data}
-		scale := int64(1)
-		switch r.next() % 3 {
-		case 1:
-			scale = 1 << 14
-		case 2:
-			scale = 1 << 33
-		}
-		dim := 2 + int(r.next())%5
-		z := scaleZone(buildFuzzZone(r, dim), scale)
+		dim, width, build := compactFuzzShape(r)
+		z := build()
+		assertCanonical(t, "fuzz zone", z)
 		c := EncodeCompact(z, nil)
 		if c.Dim() != dim {
 			t.Fatalf("header dim = %d, want %d", c.Dim(), dim)
 		}
+		if width != 0 && c.Width() != width {
+			t.Fatalf("width = %d, want %d for %s", c.Width(), width, z)
+		}
 		if got := c.Decode(); !got.Eq(z) {
 			t.Fatalf("round trip diverges (width %d):\n got %s\nwant %s", c.Width(), got, z)
+		}
+		if ref := refEncodeCompact(z); !bytes.Equal(c, ref) {
+			t.Fatalf("packed bytes differ from the per-element reference (width %d):\n got %x\nwant %x", c.Width(), c, ref)
 		}
 		// Round trip again through a pooled buffer: recycling must not leak
 		// stale bytes into a fresh encode.
@@ -206,23 +276,16 @@ func FuzzCompactRoundTrip(f *testing.F) {
 // SubsetEq on arbitrary canonical zone pairs at every width. (The pre-filter
 // that runs before them in the store has its own oracle, FuzzSignatureMonotone.)
 func FuzzCompactSubsetEq(f *testing.F) {
+	addCompactShapeSeeds(f)
 	f.Add([]byte{0})
 	// A pair where one strictly includes the other.
-	f.Add([]byte{1, 0, 2, 1, 9, 2, 1, 30, 0, 0, 2, 1, 5, 2, 1, 12})
+	f.Add([]byte{0, 1, 2, 1, 9, 2, 1, 30, 0, 0, 2, 1, 5, 2, 1, 12})
 	// Incomparable pair at the 32-bit width.
-	f.Add([]byte{130, 2, 5, 2, 1, 3, 0, 3, 1, 5, 12, 40, 7, 0, 8, 1, 2, 9})
+	f.Add([]byte{1, 2, 5, 2, 1, 3, 0, 3, 1, 5, 12, 40, 7, 0, 8, 1, 2, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &byteReader{data: data}
-		scale := int64(1)
-		switch r.next() % 3 {
-		case 1:
-			scale = 1 << 14
-		case 2:
-			scale = 1 << 33
-		}
-		dim := 2 + int(r.next())%5
-		z := scaleZone(buildFuzzZone(r, dim), scale)
-		o := scaleZone(buildFuzzZone(r, dim), scale)
+		_, _, build := compactFuzzShape(r)
+		z, o := build(), build()
 		c := EncodeCompact(z, nil)
 		if got, want := c.ContainsDBM(o), o.SubsetEq(z); got != want {
 			t.Fatalf("ContainsDBM = %v, full SubsetEq = %v\n z=%s\n o=%s", got, want, z, o)
@@ -231,6 +294,135 @@ func FuzzCompactSubsetEq(f *testing.F) {
 			t.Fatalf("SubsetEqDBM = %v, full SubsetEq = %v\n z=%s\n o=%s", got, want, z, o)
 		}
 	})
+}
+
+// refEncodeCompact is EncodeCompact written one bound at a time: the packing
+// the word-wide kernel must reproduce byte for byte.
+func refEncodeCompact(d *DBM) Compact {
+	width := 2
+	for _, b := range d.m {
+		switch {
+		case b == Infinity:
+		case b < math.MinInt32 || b >= math.MaxInt32:
+			width = 8
+		case (b < math.MinInt16 || b >= math.MaxInt16) && width < 4:
+			width = 4
+		}
+	}
+	c := make(Compact, compactHeader+len(d.m)*width)
+	c[0] = byte(width)
+	binary.LittleEndian.PutUint16(c[2:4], uint16(d.dim))
+	for i, b := range d.m {
+		at := c[compactHeader+i*width:]
+		switch {
+		case width == 8:
+			binary.LittleEndian.PutUint64(at, uint64(b))
+		case width == 4 && b == Infinity:
+			binary.LittleEndian.PutUint32(at, math.MaxInt32)
+		case width == 4:
+			binary.LittleEndian.PutUint32(at, uint32(int32(b)))
+		case b == Infinity:
+			binary.LittleEndian.PutUint16(at, math.MaxInt16)
+		default:
+			binary.LittleEndian.PutUint16(at, uint16(int16(b)))
+		}
+	}
+	return c
+}
+
+// refDecodeCompact is DecodeInto written one bound at a time.
+func refDecodeCompact(c Compact) []Bound {
+	width := int(c[0])
+	out := make([]Bound, (len(c)-compactHeader)/width)
+	for i := range out {
+		at := c[compactHeader+i*width:]
+		switch width {
+		case 2:
+			out[i] = Bound(int16(binary.LittleEndian.Uint16(at)))
+			if out[i] == math.MaxInt16 {
+				out[i] = Infinity
+			}
+		case 4:
+			out[i] = Bound(int32(binary.LittleEndian.Uint32(at)))
+			if out[i] == math.MaxInt32 {
+				out[i] = Infinity
+			}
+		default:
+			out[i] = Bound(binary.LittleEndian.Uint64(at))
+		}
+	}
+	return out
+}
+
+// TestCompactKernelsMatchPerElementReference pins the word-wide pack and
+// unpack kernels against the per-element ones above, on matrices laid out to
+// hit what whole words can get wrong: every dimension parity (a tail after
+// the last word or none), every width, and — by rotating one palette of
+// values through the matrix — every value in every lane, the sentinels'
+// neighbours and Infinity included. The kernels do not need a canonical
+// zone, so the matrices are raw.
+func TestCompactKernelsMatchPerElementReference(t *testing.T) {
+	palettes := map[int][]Bound{
+		2: {0, 1, -1, math.MaxInt16 - 1, math.MinInt16, Infinity, 7, -300, Infinity},
+		4: {0, math.MaxInt16, math.MinInt16 - 1, -1, math.MaxInt32 - 1, math.MinInt32, Infinity, 1 << 20, Infinity},
+		8: {0, math.MaxInt32, math.MinInt32 - 1, -1, Infinity - 1, math.MinInt64, Infinity, 1 << 40, Infinity},
+	}
+	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 22} {
+		for width, palette := range palettes {
+			for rot := range palette {
+				d := &DBM{dim: dim, m: make([]Bound, dim*dim)}
+				for i := range d.m {
+					d.m[i] = palette[(i+rot)%len(palette)]
+				}
+				c, ref := EncodeCompact(d, nil), refEncodeCompact(d)
+				if dim*dim >= len(palette) && c.Width() != width {
+					t.Fatalf("dim %d rot %d: width %d, want %d", dim, rot, c.Width(), width)
+				}
+				if !bytes.Equal(c, ref) {
+					t.Fatalf("dim %d width %d rot %d: packed\n got %x\nwant %x", dim, c.Width(), rot, c, ref)
+				}
+				got := &DBM{dim: dim, m: make([]Bound, dim*dim)}
+				c.DecodeInto(got)
+				if want := refDecodeCompact(ref); !slices.Equal(got.m, want) || !slices.Equal(got.m, d.m) {
+					t.Fatalf("dim %d width %d rot %d: unpacked\n got %v\n ref %v\nfrom %v", dim, c.Width(), rot, got.m, want, d.m)
+				}
+			}
+		}
+	}
+}
+
+// TestCompactHolderMark pins header byte [1]: the owner's to set, untouched
+// by the kernels, and zero again on a buffer that went through the pool —
+// also when Put scribbled over it.
+func TestCompactHolderMark(t *testing.T) {
+	for _, poisoning := range []bool{false, true} {
+		PoisonReleased(poisoning)
+		p := NewCompactPool()
+		z := mkZone(t, 3, 1, 6)
+		c := EncodeCompact(z, p)
+		if c.Holder() != 0 {
+			t.Fatalf("fresh payload has holder mark %d", c.Holder())
+		}
+		c.SetHolder(2)
+		if !c.Decode().Eq(z) || !c.ContainsDBM(z) || !c.SubsetEqDBM(z) || c.Dim() != 3 || c.Width() != 2 {
+			t.Error("a set holder mark changed what the payload reads as")
+		}
+		p.Put(c)
+		if poisoning && c[0] == 2 {
+			t.Error("Put did not scribble over the recycled payload")
+		}
+		c2 := EncodeCompact(mkZone(t, 3, 2, 8), p)
+		if &c2[0] != &c[0] {
+			t.Fatal("same-size encode did not reuse the buffer")
+		}
+		if c2.Holder() != 0 {
+			t.Errorf("recycled payload came back with holder mark %d", c2.Holder())
+		}
+		if !c2.Decode().Eq(mkZone(t, 3, 2, 8)) {
+			t.Error("recycled payload holds wrong contents")
+		}
+	}
+	PoisonReleased(false)
 }
 
 // lane returns lane k of a signature.

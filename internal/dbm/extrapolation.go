@@ -26,39 +26,83 @@ func (d *DBM) ExtraM(max []int64) bool {
 	return d.ExtraMTouched(max, NewTouched(d.dim), NewTouched(d.dim))
 }
 
-// ExtraMTouched is ExtraM with caller-provided scratch: the rows of dropped
-// upper bounds and the columns of relaxed lower bounds are collected into
-// rows and cols (previous contents discarded), and canonical form is
-// restored with CloseRows over just those — O((|rows|+|cols|)·n²) instead of
-// the full O(n³) Floyd–Warshall, bit-identical to it by CloseRows'
-// loosening argument. The zone must be canonical and nonempty on entry, as
-// everywhere in the exploration loop.
+// ExtraMTouched is ExtraM with caller-provided scratch; see Extrapolate, which
+// it calls with the bounds of max built on the spot. The exploration hot path
+// builds them once (NewExtraM) and calls Extrapolate itself.
 func (d *DBM) ExtraMTouched(max []int64, rows, cols *Touched) bool {
+	return d.ExtraLUTouched(max, max, rows, cols)
+}
+
+// ExtraBounds is what an extrapolation compares the entries of a zone
+// against, per clock and in encoded form, so that the dim² loop of
+// Extrapolate indexes two vectors instead of rebuilding two bounds per entry.
+// Immutable once built, and safe to share between goroutines.
+type ExtraBounds struct {
+	// hi[i] is (≤ U(xi)): an upper bound on xi, relative to any clock, beyond
+	// it is dropped. The reference clock has Infinity here — row 0 holds no
+	// upper bounds.
+	hi []Bound
+	// lo[j] is (< −L(xj)): a lower bound on xj below it is relaxed to it. The
+	// reference clock's constant is 0.
+	lo []Bound
+}
+
+// stackClocks is the dimension up to which the []int64 entry points build
+// their ExtraBounds in a stack buffer; larger zones allocate one.
+const stackClocks = 64
+
+// NewExtraM returns the bounds of Extra_M for the given maximal constants
+// (see ExtraM; max[0] is ignored).
+func NewExtraM(max []int64) ExtraBounds { return NewExtraLU(max, max) }
+
+// NewExtraLU returns the bounds of Extra_LU for the given lower and upper
+// constants (see ExtraLU; index 0 of both is ignored).
+func NewExtraLU(lower, upper []int64) ExtraBounds {
+	dim := len(upper)
+	return makeExtraBounds(heap.bounds(2 * dim)[:0], lower, upper, dim)
+}
+
+// makeExtraBounds appends the two vectors to buf, which it may outgrow.
+func makeExtraBounds(buf []Bound, lower, upper []int64, dim int) ExtraBounds {
+	buf = append(buf, Infinity)
+	for _, u := range upper[1:dim] {
+		buf = append(buf, LE(u))
+	}
+	buf = append(buf, LT(0))
+	for _, l := range lower[1:dim] {
+		buf = append(buf, LT(-l))
+	}
+	return ExtraBounds{hi: buf[:dim:dim], lo: buf[dim:]}
+}
+
+// Extrapolate abstracts every bound beyond x — the one loop behind ExtraM and
+// ExtraLU — and restores canonical form. The rows of dropped upper bounds and
+// the columns of relaxed lower bounds are collected into rows and cols
+// (previous contents discarded), and canonical form is restored with
+// CloseRows over just those — O((|rows|+|cols|)·n²) instead of the full O(n³)
+// Floyd–Warshall, bit-identical to it by CloseRows' loosening argument. The
+// zone must be canonical and nonempty on entry, as everywhere in the
+// exploration loop. It reports whether any bound changed.
+func (d *DBM) Extrapolate(x *ExtraBounds, rows, cols *Touched) bool {
 	n := d.dim
 	rows.Reset()
 	cols.Reset()
-	mc := func(i int) int64 {
-		if i == 0 {
-			return 0
-		}
-		return max[i]
-	}
-	for i := 0; i < n; i++ {
+	lo := x.lo[:n]
+	for i, hi := range x.hi[:n] {
 		ri := d.m[i*n : i*n+n]
-		hi := LE(mc(i))
 		for j, b := range ri {
 			if i == j || b == Infinity {
 				continue
 			}
-			if i != 0 && b > hi {
-				// Upper bound on xi (relative to xj) beyond xi's max
-				// constant: drop it.
+			if b > hi {
+				// Upper bound on xi (relative to xj) beyond xi's constant:
+				// drop it.
 				ri[j] = Infinity
 				rows.Add(i)
-			} else if lo := LT(-mc(j)); b < lo {
-				// Lower bound on xj below -max: relax to the strict bound at
-				// the max constant.
-				ri[j] = lo
+			} else if b < lo[j] {
+				// Lower bound on xj below its negated constant: relax to the
+				// strict bound at the constant.
+				ri[j] = lo[j]
 				cols.Add(j)
 			}
 		}
@@ -86,43 +130,10 @@ func (d *DBM) ExtraLU(lower, upper []int64) bool {
 	return d.ExtraLUTouched(lower, upper, NewTouched(d.dim), NewTouched(d.dim))
 }
 
-// ExtraLUTouched is ExtraLU with caller-provided scratch, restoring
-// canonical form incrementally exactly like ExtraMTouched.
+// ExtraLUTouched is ExtraLU with caller-provided scratch, the Extra_LU
+// counterpart of ExtraMTouched.
 func (d *DBM) ExtraLUTouched(lower, upper []int64, rows, cols *Touched) bool {
-	n := d.dim
-	rows.Reset()
-	cols.Reset()
-	up := func(i int) int64 {
-		if i == 0 {
-			return 0
-		}
-		return upper[i]
-	}
-	lo := func(j int) int64 {
-		if j == 0 {
-			return 0
-		}
-		return lower[j]
-	}
-	for i := 0; i < n; i++ {
-		ri := d.m[i*n : i*n+n]
-		hi := LE(up(i))
-		for j, b := range ri {
-			if i == j || b == Infinity {
-				continue
-			}
-			if i != 0 && b > hi {
-				ri[j] = Infinity
-				rows.Add(i)
-			} else if low := LT(-lo(j)); b < low {
-				ri[j] = low
-				cols.Add(j)
-			}
-		}
-	}
-	if rows.Len() == 0 && cols.Len() == 0 {
-		return false
-	}
-	d.CloseRows(rows, cols)
-	return true
+	var buf [2 * stackClocks]Bound
+	x := makeExtraBounds(buf[:0], lower, upper, d.dim)
+	return d.Extrapolate(&x, rows, cols)
 }

@@ -115,10 +115,16 @@ func (s *Slabs) Release() {
 // code no Compact has.
 const poison = Bound(-0x2152411021524111) // 0xDEADBEEFDEADBEEF
 
+// poisonByte is the byte CompactPool.Put fills a recycled payload with under
+// PoisonReleased: a width code no Compact has, and as packed bounds nothing a
+// canonical zone decodes to (the diagonal turns negative).
+const poisonByte = 0xDE
+
 var poisonReleased atomic.Bool
 
 // PoisonReleased makes Release overwrite every slab with a sentinel before
-// caching it, so that a value still aliasing released memory is corrupted at
-// once and deterministically, not whenever a later sweep happens to carve the
-// same bytes. For tests; nothing on a production path turns it on.
+// caching it, and CompactPool.Put every payload it takes back, so that a
+// value still aliasing released memory is corrupted at once and
+// deterministically, not whenever a later sweep or admission happens to reuse
+// the same bytes. For tests; nothing on a production path turns it on.
 func PoisonReleased(on bool) { poisonReleased.Store(on) }

@@ -6,8 +6,8 @@
 #   (a) the functions of internal/dbm, internal/ta and internal/core that no
 #       workload executed, and
 #   (b) for every data-dependent fork left on the zone path (the census in
-#       the internal/dbm package comment and on core's succCtx), how often
-#       each workload took it (0 = never).
+#       the internal/dbm package comment, on core's succCtx and in core's
+#       store comment), how often each workload took it (0 = never).
 # It is a report, not a gate: it fails only when a workload fails or a fork's
 # anchor no longer resolves to a line of the source. Everything it writes goes
 # to a temporary directory. Used by the CI bench-smoke job and runnable
@@ -58,6 +58,12 @@ DelayUnder emptied|internal/dbm/upper.go|func (d *DBM) DelayUnder(|return false
 EncodeCompact 16-bit|internal/dbm/compact.go|func EncodeCompact(|width = 2
 EncodeCompact 32-bit|internal/dbm/compact.go|func EncodeCompact(|width = 4
 EncodeCompact 64-bit|internal/dbm/compact.go|func EncodeCompact(|PutUint64(pay[
+DecodeInto 16-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[0] = widen16(
+DecodeInto 32-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[0] = widen32(
+DecodeInto 64-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|Uint64(pay[i*8:])
+prune recycles a payload at once|internal/core/store.go|func (e *storeEntry) admit(|pool.Put(r.z)
+prune orphans a waiting payload|internal/core/store.go|func (e *storeEntry) admit(|SetHolder(orphaned)
+release recycles an orphan at pop|internal/core/store.go|func (st *store) release(|sh.cpool.Put(c)
 binary rendezvous|internal/core/succ.go|func (e *engine) successors(|append(ctx.parts[:0], emp, rcp)
 urgentPairEnabled|internal/core/succ.go|func (e *engine) urgentPairEnabled(|emitSeen, emitMany := false, false'
 
