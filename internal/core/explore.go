@@ -330,6 +330,10 @@ type explorer struct {
 	// slabs is the sweep's slab set: the workers' zone pools and the store's
 	// compact pools carve from it, and explore releases it (see there).
 	slabs dbm.Slabs
+	// initScratch is what the initial state is closed and admitted with,
+	// before any worker has a succCtx; part of the explorer so that it costs
+	// no allocation of its own.
+	initScratch closeScratch
 
 	// hasCheck caches "Cancel, Deadline, or MaxBytes configured" so the
 	// worker loop pays a single predictable branch when none is.
@@ -522,7 +526,7 @@ func (e *explorer) run(w int) {
 		}
 		for _, sc := range succs {
 			nTransitions++
-			if !e.passed.add(sc.state) {
+			if !e.passed.add(sc.state, &ctx.closeScratch) {
 				// Subsumed: the state is discarded and nothing else
 				// references it, so it is recycled wholesale.
 				ctx.putState(sc.state)
@@ -567,11 +571,11 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	start := time.Now()
 	workers, parallel := opts.parallelism()
 	var res ExploreResult
-	init, err := c.eng.initial()
+	e := &explorer{c: c, opts: opts, queries: queries, initScratch: c.eng.newCloseScratch()}
+	init, err := c.eng.initial(&e.initScratch)
 	if err != nil {
 		return res, err
 	}
-	e := &explorer{c: c, opts: opts, queries: queries}
 	// The sweep's slabs go back to the process-wide cache once per run, on
 	// every way out of this function: strictly after the worker barrier and
 	// after every Query.finish and replayTrace below, when the frontier's
@@ -625,9 +629,9 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		if parallel {
 			shards = parallelShards
 		}
-		e.passed = newStore(shards, &e.slabs)
+		e.passed = newStore(shards, &e.slabs, &c.eng.bounds)
 	}
-	e.passed.add(init)
+	e.passed.add(init, &e.initScratch)
 	e.stored.Store(1)
 	init.ref = noRef
 	if e.logs != nil {
@@ -697,6 +701,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 
 	res.Duration = time.Since(start)
 	res.Stored = int(e.stored.Load())
+	res.Live = e.passed.size()
 	res.Popped = int(e.popped.Load())
 	res.Transitions = int(e.transitions.Load())
 	res.Deadlocks = int(e.deadlocks.Load())
@@ -731,8 +736,11 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 // recorded index. Every returned TraceStep owns a freshly materialized
 // state, zone, and label (chunk-backed Parts stay alive through the Label
 // references after the replay ctx is dropped), so the trace stays valid
-// after the exploration's pools are gone. Sibling successors of each step
-// are recycled into the replay ctx; the selected states are never put back,
+// after the exploration's pools are gone. The engine fires raw zones, and
+// what the sweep expanded was the zone the store had widened, so replay
+// widens — with the same bounds — the initial state and the one successor it
+// selects per step, exactly where the sweep did; the siblings are recycled
+// into the replay ctx as they are. The selected states are never put back,
 // so their zones are safe to retain. The replay double-checks each step
 // against the recorded discrete key and fails loudly on any divergence — by
 // construction there is none, since enumeration is a pure function of the
@@ -752,10 +760,11 @@ func (c *Checker) replayTrace(logs *parentLogs, ref int64) ([]TraceStep, error) 
 	slices.Reverse(chain)
 
 	ctx := c.eng.newCtx(nil) // keepLabels: replay materializes the labels
-	cur, err := c.eng.initial()
+	cur, err := c.eng.initial(&ctx.closeScratch)
 	if err != nil {
 		return nil, err
 	}
+	cur.Zone.Extrapolate(&c.eng.bounds, ctx.rows, ctx.cols)
 	if cur.discreteKey() != chain[0].key {
 		return nil, fmt.Errorf("core: internal: trace log root does not match the initial state")
 	}
@@ -783,6 +792,7 @@ func (c *Checker) replayTrace(logs *parentLogs, ref int64) ([]TraceStep, error) 
 			return nil, fmt.Errorf("core: internal: trace replay diverged after %s",
 				succs[chosen].label.Format(c.net))
 		}
+		ns.Zone.Extrapolate(&c.eng.bounds, ctx.rows, ctx.cols)
 		steps = append(steps, TraceStep{Label: succs[chosen].label, State: ns})
 		cur = ns
 	}

@@ -62,14 +62,15 @@ func TestTargetInvariantDisablesTransition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		init, err := c.eng.initial()
+		ctx := c.eng.newCtx(nil)
+		init, err := c.eng.initial(&ctx.closeScratch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := init.Zone.Sup(int(x.ID)); got != dbm.LE(5) {
 			t.Fatalf("initial sup x = %v, want <=5", got)
 		}
-		succs, err := c.eng.successors(c.eng.newCtx(nil), init, nil)
+		succs, err := c.eng.successors(ctx, init, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,12 +14,12 @@ import (
 // (b) the packed copy never aliases the state's full zone — mutating one
 // never corrupts the other.
 func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
-	st := newStore(1, nil)
+	st := testStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 
 	small := mkState(locs, vars, 10)
-	if !st.add(small) {
+	if !admit(st, small) {
 		t.Fatal("first zone must be admitted")
 	}
 	// The store must have packed its own buffer for small.Zone.
@@ -33,7 +33,7 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 	st.release(small)
 
 	big := mkState(locs, vars, 20)
-	if !st.add(big) {
+	if !admit(st, big) {
 		t.Fatal("covering zone must be admitted")
 	}
 	// small's packed copy was pruned and released inside Add, and the pack
@@ -55,10 +55,10 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 	// x<=20 still subsumes x<=15, and x<=25 is still new.
 	big.Zone.SetInit()
 	small.Zone.SetInit()
-	if st.add(mkState(locs, vars, 15)) {
+	if admit(st, mkState(locs, vars, 15)) {
 		t.Error("stored zone corrupted: x<=15 no longer subsumed")
 	}
-	if !st.add(mkState(locs, vars, 25)) {
+	if !admit(st, mkState(locs, vars, 25)) {
 		t.Error("stored zone corrupted: x<=25 not admitted")
 	}
 }
@@ -67,18 +67,18 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 // contract: mutating a state's zone after admission must not change what
 // the store believes, because the store owns an independent copy.
 func TestAddDoesNotRetainCallerZone(t *testing.T) {
-	st := newStore(1, nil)
+	st := testStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 
 	s := mkState(locs, vars, 10)
-	if !st.add(s) {
+	if !admit(st, s) {
 		t.Fatal("zone must be admitted")
 	}
 	// Simulate the explorer recycling the state's own zone.
 	s.Zone.SetInit()
 
-	if st.add(mkState(locs, vars, 8)) {
+	if admit(st, mkState(locs, vars, 8)) {
 		t.Error("store lost the admitted zone x<=10 after the caller's copy was recycled")
 	}
 }

@@ -127,8 +127,13 @@ type Options struct {
 
 // Stats reports exploration effort.
 type Stats struct {
-	// Stored counts unique (non-subsumed) symbolic states.
+	// Stored counts admissions: successors (and the initial state) no stored
+	// zone included when they arrived. Some are pruned later, covered by a
+	// larger admission; Live counts what is left.
 	Stored int
+	// Live counts the zones still stored when the sweep ended, Stored minus
+	// the prunes.
+	Live int
 	// Popped counts states taken from the waiting list and expanded.
 	Popped int
 	// Transitions counts generated successor states, including subsumed ones.
@@ -146,6 +151,7 @@ type Stats struct {
 // single place so a field added to Stats is never silently dropped.
 func (s *Stats) Add(o Stats) {
 	s.Stored += o.Stored
+	s.Live += o.Live
 	s.Popped += o.Popped
 	s.Transitions += o.Transitions
 	s.Deadlocks += o.Deadlocks
@@ -182,11 +188,16 @@ func (c *Checker) Network() *ta.Network { return c.net }
 // rather than exact values — do not combine with SupClock when exactness
 // matters. See the engine documentation for the mechanism.
 func (c *Checker) SetCoarseExtrapolation(coarse bool) {
+	bounds := dbm.NewExtraM(c.net.MaxConsts)
 	if coarse {
-		c.eng.bounds = dbm.NewExtraLU(c.net.LowerConsts, c.net.UpperConsts)
-	} else {
-		c.eng.bounds = dbm.NewExtraM(c.net.MaxConsts)
+		bounds = dbm.NewExtraLU(c.net.LowerConsts, c.net.UpperConsts)
 	}
+	bounds, err := checkedBounds(bounds)
+	if err != nil {
+		// Only a constant vector edited after Finalize gets here.
+		panic(err)
+	}
+	c.eng.bounds = bounds
 }
 
 // ExploreResult is the outcome of a reachability exploration.

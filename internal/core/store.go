@@ -17,10 +17,12 @@ import (
 // the interface is what the tests' reference and shadow stores substitute
 // through (Options.passed).
 type passedSet interface {
-	// add admits s unless it is subsumed. An admitted state leaves with
-	// s.packed referencing the packed copy of its zone, a reference the
-	// caller gives back with exactly one release.
-	add(s *State) bool
+	// add admits s, whose zone is raw (canonical, not extrapolated), unless
+	// it is subsumed. An admitted state leaves with its zone extrapolated in
+	// place — sc is the calling worker's scratch for that — and s.packed
+	// referencing the packed copy of it, a reference the caller gives back
+	// with exactly one release. A subsumed state is left as it came.
+	add(s *State, sc *closeScratch) bool
 	// release gives back the payload reference add handed s, once the caller
 	// has decoded it.
 	release(s *State)
@@ -104,9 +106,14 @@ type passedSet interface {
 //     scratch DBM, scratch locs/vars/parts, and the dbm.Touched sets the
 //     incremental canonicalization records into — all reused across fires,
 //     none escaping into states or stores); clock-disabled transitions
-//     allocate nothing. A fresh successor owns its matrix.
-//   - store.add(s) packs s.Zone on admission, marks the payload held by both
-//     and points s.packed at it. If add reports false (subsumed), the caller
+//     allocate nothing. A fresh successor owns its matrix, which holds the
+//     raw zone.
+//   - store.add(s, sc) receives that raw zone. On admission it extrapolates
+//     s.Zone in place (the one place a sweep widens a zone; sc is the calling
+//     worker's scratch, so under a shard lock nothing shared is written but
+//     the entry), packs it, marks the payload held by both and points
+//     s.packed at it: the caller gets back the stored zone in s.Zone. If add
+//     reports false (subsumed), s.Zone is still the raw zone and the caller
 //     recycles s wholesale via succCtx.putState — nothing else references it.
 //   - explorer.run feeds the admitted state to the queries, which read
 //     s.Zone, and then parks it: succCtx.releaseZone puts the matrix back
@@ -132,7 +139,10 @@ type passedSet interface {
 //     nothing has to: states, records and pools die with the run.
 //
 // Fork census (continued from the dbm package comment; scripts/traffic.sh
-// prints it): a prune meets a payload whose state still waits, and release
+// prints it): a successor is subsumed on its raw zone — 65% of fischer's
+// (84,825 of 131,186 per sweep), 28% of archchain's (30,060 of 107,673), 23%
+// of table1's — or admitted and widened, the dbm comment's Extrapolate row.
+// A prune meets a payload whose state still waits, and release
 // later recycles the orphan, on table1 and variants (about half their
 // prunes) and on archchain (every prune there: 6,836 of 77,613 admissions);
 // fischer and serve_cold prune nothing at all.
@@ -160,6 +170,9 @@ type passedSet interface {
 type store struct {
 	shards perWorker[shard]
 	mask   uint64 // len(shards)-1; the count is a power of two
+	// bounds are what an admitted zone is extrapolated against: the engine's,
+	// idempotent (see "Admission index").
+	bounds *dbm.ExtraBounds
 	// locked is false for the single-shard store of a sequential run, whose
 	// one worker needs no lock.
 	locked bool
@@ -318,9 +331,9 @@ func (e *storeEntry) matches(locs []ta.LocID, vars []int64) bool {
 
 // newStore returns a store with the given shard count, a power of two; one
 // shard means one worker and no locking. Packed payloads are carved from
-// slabs (nil: from the heap).
-func newStore(shards int, slabs *dbm.Slabs) *store {
-	st := &store{shards: make(perWorker[shard], shards), mask: uint64(shards - 1), locked: shards > 1}
+// slabs (nil: from the heap); admitted zones are extrapolated against bounds.
+func newStore(shards int, slabs *dbm.Slabs, bounds *dbm.ExtraBounds) *store {
+	st := &store{shards: make(perWorker[shard], shards), mask: uint64(shards - 1), locked: shards > 1, bounds: bounds}
 	for i := range st.shards {
 		sh := st.shards.at(i)
 		sh.buckets = make(map[uint64]*storeEntry)
@@ -348,7 +361,8 @@ func lookupEntry(buckets map[uint64]*storeEntry, s *State, it *internTable) *sto
 }
 
 // admit implements the subsumption protocol on one entry: reject s if a
-// stored zone includes it, otherwise prune stored zones covered by it
+// stored zone includes its raw zone, otherwise extrapolate s.Zone in place
+// against x (scratch: sc.rows, sc.cols), prune stored zones covered by it
 // (recycling into pool the buffers no waiting state holds, orphaning the
 // others) and store a packed copy of s.Zone, which s.packed then references.
 // It returns the change in the number of stored zones (0 when s was
@@ -359,8 +373,10 @@ func lookupEntry(buckets map[uint64]*storeEntry, s *State, it *internTable) *sto
 // Both inclusion directions are pre-filtered by the signature: d ⊆ z forces
 // sig(d) ≤ sig(z) in every lane, so a non-inclusion usually costs a compare
 // of two records that are already in cache instead of a dim² scan of a
-// payload that is not.
-func (e *storeEntry) admit(s *State, pool *dbm.CompactPool) (delta int, bytesDelta int64, admitted bool) {
+// payload that is not. The raw zone's signature is at most the widened one's,
+// so the reject pre-filter passes a little more often than it would on the
+// widened zone; the exact check still decides.
+func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, sc *closeScratch) (delta int, bytesDelta int64, admitted bool) {
 	if faultinject.Enabled {
 		// Chaos site inside compact admission: an injected error escalates to
 		// a panic so containment takes the exact path a real encoder or
@@ -376,8 +392,8 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool) (delta int, bytesDel
 	}
 	zone := s.Zone
 	sig := dbm.SignatureOf(zone)
-	// First pass: pure subsumption check, no mutation. It leaves tail just
-	// past the last record, where an admission appends.
+	// First pass: pure subsumption check on the raw zone, no mutation. It
+	// leaves tail just past the last record, where an admission appends.
 	tail := e.cursor()
 	for rem := e.n; rem > 0; {
 		recs := tail.chunk(rem)
@@ -387,6 +403,11 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool) (delta int, bytesDel
 			}
 		}
 		rem -= len(recs)
+	}
+	// A survivor becomes the zone the store keeps; its signature moves only
+	// if widening changed it (how often is the model's: the dbm fork census).
+	if zone.Extrapolate(x, sc.rows, sc.cols) {
+		sig = dbm.SignatureOf(zone)
 	}
 	// Second pass: release the stored zones the new one covers.
 	pruned := 0
@@ -420,7 +441,7 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool) (delta int, bytesDel
 
 // add inserts the state unless it is subsumed, reporting whether it is new.
 // See the type comment for the zone-ownership protocol.
-func (st *store) add(s *State) bool {
+func (st *store) add(s *State, sc *closeScratch) bool {
 	sh := st.shards.at(int(s.discreteKey() & st.mask))
 	if st.locked {
 		// The unlock is deferred so a panic inside the admission (contained
@@ -436,7 +457,7 @@ func (st *store) add(s *State) bool {
 		}
 		defer sh.mu.Unlock()
 	}
-	delta, bytesDelta, admitted := lookupEntry(sh.buckets, s, &sh.intern).admit(s, sh.cpool)
+	delta, bytesDelta, admitted := lookupEntry(sh.buckets, s, &sh.intern).admit(s, sh.cpool, st.bounds, sc)
 	if delta != 0 {
 		st.zones.Add(int64(delta))
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,8 +15,12 @@ import (
 // This file is the compact-store differential oracle: a full-DBM reference
 // implementation of passedSet (the pre-compression store semantics — plain
 // copied matrices, entrywise SubsetEq, no signatures, no interning) is run
-// against the compact store through the Options.passed injection hook. Two
-// modes:
+// against the compact store through the Options.passed injection hook. The
+// reference also keeps the admission order the engine had before the store
+// decided on raw zones: it extrapolates what it is given FIRST and decides on
+// the widened zone. So every differential run below is at the same time the
+// engine-level check of E(y) ⊆ r ⟺ y ⊆ r ("Admission index" in store.go).
+// Two modes:
 //
 //   - Shadow mode: one sweep drives BOTH stores behind a serializing mutex
 //     and every single admission decision must agree. This works under
@@ -24,12 +30,15 @@ import (
 //     injected reference — must be bit-identical in verdicts, Stats, and
 //     replayed traces, proving the store swap is invisible end to end.
 
-// refStore is the reference passedSet: full-DBM zones, linear subsumption.
+// refStore is the reference passedSet: full-DBM zones, linear subsumption,
+// every zone extrapolated before anything is decided about it.
 type refStore struct {
 	mu      sync.Mutex
+	bounds  *dbm.ExtraBounds
 	buckets map[uint64][]*refEntry
 	zones   int
 	zbytes  int64
+	pruned  int // stored zones a later admission covered
 }
 
 type refEntry struct {
@@ -39,13 +48,14 @@ type refEntry struct {
 	zs   []*dbm.DBM
 }
 
-func newRefStore() *refStore {
-	return &refStore{buckets: make(map[uint64][]*refEntry)}
+func newRefStore(bounds *dbm.ExtraBounds) *refStore {
+	return &refStore{bounds: bounds, buckets: make(map[uint64][]*refEntry)}
 }
 
-func (st *refStore) add(s *State) bool {
+func (st *refStore) add(s *State, sc *closeScratch) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	s.Zone.Extrapolate(st.bounds, sc.rows, sc.cols)
 	h := s.discreteKey()
 	var e *refEntry
 	for _, cand := range st.buckets[h] {
@@ -67,6 +77,7 @@ func (st *refStore) add(s *State) bool {
 	for _, z := range e.zs {
 		if z.SubsetEq(s.Zone) {
 			st.zones--
+			st.pruned++
 			st.zbytes -= dbm.ZoneBytes(z.Dim())
 		} else {
 			keep = append(keep, z)
@@ -101,23 +112,31 @@ func (st *refStore) contention() int64                 { return 0 }
 // shadowStore drives the compact store under test and the reference in
 // lockstep: the mutex serializes concurrent admissions so both stores see
 // the identical sequence, making per-decision equality a sound assertion
-// even with Workers > 1.
+// even with Workers > 1. The reference works on a copy of the raw zone, so
+// the store under test still gets it raw; when both admit, the zone the store
+// left in the state must be the one the reference widened.
 type shadowStore struct {
 	mu            sync.Mutex
 	fast          passedSet
 	ref           *refStore
 	disagreements atomic.Int64
+	// rejectedUnwidened counts the rejections in which the two stores decided
+	// on different zones: the raw one was subsumed and extrapolation would
+	// have changed it (y ⊆ r and E(y) ≠ y).
+	rejectedUnwidened atomic.Int64
 }
 
-func (sh *shadowStore) add(s *State) bool {
+func (sh *shadowStore) add(s *State, sc *closeScratch) bool {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	// The reference goes first, so that the payload an admitted state leaves
-	// with is the one of the store under test.
-	b := sh.ref.add(s)
-	a := sh.fast.add(s)
-	if a != b {
+	widened := &State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()}
+	b := sh.ref.add(widened, sc)
+	a := sh.fast.add(s, sc)
+	if a != b || (a && !s.Zone.Eq(widened.Zone)) {
 		sh.disagreements.Add(1)
+	}
+	if !a && !s.Zone.Eq(widened.Zone) {
+		sh.rejectedUnwidened.Add(1)
 	}
 	return a
 }
@@ -149,8 +168,8 @@ func TestCompactStoreShadowMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast := newStore(shape.shards, nil)
-		sh := &shadowStore{fast: fast, ref: newRefStore()}
+		fast := newStore(shape.shards, nil, &c.eng.bounds)
+		sh := &shadowStore{fast: fast, ref: newRefStore(&c.eng.bounds)}
 		res, err := c.Explore(Options{Workers: shape.workers, passed: sh}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -165,6 +184,152 @@ func TestCompactStoreShadowMatchesReference(t *testing.T) {
 			t.Errorf("%+v: Stats.Stored=%d, stored zones=%d", shape, res.Stored, sh.ref.size())
 		}
 		checkStoreLayout(t, fast)
+	}
+}
+
+// buildFischer is Fischer's mutual-exclusion protocol for n processes (write
+// bound 2, wait constant 3): high branching, most successors subsumed, and
+// nearly every zone changed by extrapolation — the clocks of idle and
+// critical processes run far past their constants.
+func buildFischer(t *testing.T, n int) *ta.Network {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("system:fischer\n")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "clock:x%d\n", i)
+	}
+	fmt.Fprintf(&b, "int:id:0:0:%d\n", n)
+	for i := 1; i <= n; i++ {
+		p := fmt.Sprintf("P%d", i)
+		fmt.Fprintf(&b, "process:%s\n", p)
+		fmt.Fprintf(&b, "location:%s:idle{initial}\n", p)
+		fmt.Fprintf(&b, "location:%s:req{invariant: x%d<=2}\n", p, i)
+		fmt.Fprintf(&b, "location:%s:wait\n", p)
+		fmt.Fprintf(&b, "location:%s:cs\n", p)
+		fmt.Fprintf(&b, "edge:%s:idle:req{guard: id==0; do: x%d=0}\n", p, i)
+		fmt.Fprintf(&b, "edge:%s:req:wait{guard: x%d<=2; do: id=%d, x%d=0}\n", p, i, i, i)
+		fmt.Fprintf(&b, "edge:%s:wait:req{guard: id==0; do: x%d=0}\n", p, i)
+		fmt.Fprintf(&b, "edge:%s:wait:cs{guard: x%d>3 && id==%d}\n", p, i, i)
+		fmt.Fprintf(&b, "edge:%s:cs:idle{do: id=0}\n", p)
+	}
+	n2, err := ta.Parse(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n2
+}
+
+// TestRawAdmissionMatchesWidenFirst is the engine-level check of the lemma
+// admission rests on: the store decides on the raw zone and widens what it
+// admits, the reference widens first and decides on the widened zone, and on
+// whole sweeps — Extra_M and Extra_LU, one worker and four racing ones, one
+// shard, 4 and 64 — every decision and every admitted zone must be the same.
+// The sweeps must reach the case the lemma is about: a raw zone rejected that
+// extrapolation would have changed.
+func TestRawAdmissionMatchesWidenFirst(t *testing.T) {
+	nets := []*ta.Network{buildFischer(t, 3), buildWidening(t, 6), testRadioNet(t), testDiagNet(t)}
+	grid, _, _, _ := buildGrid(t)
+	nets = append(nets, grid)
+	for _, net := range nets {
+		for _, coarse := range []bool{false, true} {
+			var lemmaCases int64
+			for _, shape := range storeShapes {
+				c, err := NewChecker(net)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.SetCoarseExtrapolation(coarse)
+				fast := newStore(shape.shards, nil, &c.eng.bounds)
+				sh := &shadowStore{fast: fast, ref: newRefStore(&c.eng.bounds)}
+				if _, err := c.Explore(Options{Workers: shape.workers, MaxStates: 20_000, passed: sh}, nil); err != nil {
+					t.Fatal(err)
+				}
+				if d := sh.disagreements.Load(); d != 0 {
+					t.Errorf("%s coarse=%v %+v: %d admissions diverged from widen-first", net.Name, coarse, shape, d)
+				}
+				checkStoreLayout(t, fast)
+				lemmaCases += sh.rejectedUnwidened.Load()
+			}
+			if net.Name == "fischer" && lemmaCases == 0 {
+				t.Errorf("fischer coarse=%v: no raw zone was rejected that extrapolation would have changed", coarse)
+			}
+		}
+	}
+}
+
+// widenSpy checks what add does to the zone it is handed, one sequential
+// admission at a time.
+type widenSpy struct {
+	passedSet
+	t      *testing.T
+	bounds *dbm.ExtraBounds
+	// rejected are the matrices of subsumed states; recycled counts those
+	// that came back as a later successor's matrix.
+	rejected map[*dbm.DBM]bool
+	recycled int
+	adds     int
+	changed  int // admissions whose zone extrapolation changed
+}
+
+func (w *widenSpy) add(s *State, sc *closeScratch) bool {
+	w.adds++
+	if w.rejected[s.Zone] {
+		w.recycled++
+		delete(w.rejected, s.Zone)
+	}
+	matrix, raw := s.Zone, s.Zone.Copy()
+	ok := w.passedSet.add(s, sc)
+	if s.Zone != matrix {
+		w.t.Fatalf("admission %d: add replaced the state's matrix", w.adds)
+	}
+	if !ok {
+		// Left as it came; the worker recycles it wholesale.
+		if !s.Zone.Eq(raw) || s.packed != nil {
+			w.t.Errorf("admission %d: a subsumed state was modified", w.adds)
+		}
+		w.rejected[matrix] = true
+		return false
+	}
+	dim := raw.Dim()
+	want := raw.Copy()
+	if want.Extrapolate(w.bounds, dbm.NewTouched(dim), dbm.NewTouched(dim)) {
+		w.changed++
+	}
+	if !s.Zone.Eq(want) || !s.packed.Decode().Eq(want) {
+		w.t.Errorf("admission %d: zone and payload must both be the raw zone extrapolated once", w.adds)
+	}
+	return true
+}
+
+// TestAdmissionWidensOnceAndRecyclesRejects pins what passedSet.add does to
+// the zone it is handed, the initial state's included (the first add of a
+// sweep): a subsumed state comes back untouched, its matrix goes back to the
+// worker's pool and is fired into again; an admitted one comes back holding
+// the raw zone extrapolated exactly once, in the same matrix, with the payload
+// packed from that. Rejected matrices live in the sweep's slabs, so under the
+// package's poisoning all of them read as garbage once the sweep has ended.
+func TestAdmissionWidensOnceAndRecyclesRejects(t *testing.T) {
+	c, err := NewChecker(buildFischer(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spy := &widenSpy{passedSet: newStore(1, nil, &c.eng.bounds), t: t, bounds: &c.eng.bounds,
+		rejected: map[*dbm.DBM]bool{}}
+	res, err := c.Explore(Options{passed: spy}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spy.adds != res.Transitions+1 {
+		t.Errorf("%d adds for %d transitions and the initial state", spy.adds, res.Transitions)
+	}
+	if spy.changed == 0 || spy.recycled == 0 {
+		t.Errorf("%d admissions changed by extrapolation, %d rejected matrices reused: the model no longer reaches the paths under test",
+			spy.changed, spy.recycled)
+	}
+	for z := range spy.rejected {
+		if !poisoned(z) {
+			t.Fatal("the matrix of a subsumed state does not read as released slab memory")
+		}
 	}
 }
 
@@ -197,7 +362,7 @@ func TestCompactStoreSweepBitIdenticalToReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	atBusy := func(s *State) bool { return s.Locs[3] == busy }
-	ref := func() Options { return Options{passed: newRefStore()} }
+	ref := func() Options { return Options{passed: newRefStore(&c.eng.bounds)} }
 
 	// Plain sweep: full Stats equality.
 	cres, err := c.Explore(Options{}, nil)
@@ -371,8 +536,8 @@ func TestSegmentedListLockstep(t *testing.T) {
 
 	for _, shape := range storeShapes {
 		workers := shape.workers
-		fast := newStore(shape.shards, nil)
-		sh := &shadowStore{fast: fast, ref: newRefStore()}
+		fast := testStore(shape.shards)
+		sh := &shadowStore{fast: fast, ref: newRefStore(&keepAll)}
 		phase := func(name string, states ...*State) {
 			t.Helper()
 			var wg sync.WaitGroup
@@ -381,7 +546,7 @@ func TestSegmentedListLockstep(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := w; i < len(states); i += workers {
-						if sh.add(states[i]) {
+						if admit(sh, states[i]) {
 							sh.release(states[i])
 						}
 					}

@@ -14,6 +14,22 @@ func mkState(locs []ta.LocID, vars []int64, hi int64) *State {
 	return &State{Locs: locs, Vars: vars, Zone: z}
 }
 
+// keepAll are extrapolation bounds beyond every zone the store tests build by
+// hand (at most three clocks): a store with them keeps what it is given.
+var keepAll = func() dbm.ExtraBounds {
+	const far = 1 << 40
+	return dbm.NewExtraM([]int64{0, far, far, far})
+}()
+
+// testStore returns a heap-backed store for tests that drive it directly.
+func testStore(shards int) *store { return newStore(shards, nil, &keepAll) }
+
+// admit is add with a scratch of its own, for callers that are not workers.
+func admit(st passedSet, s *State) bool {
+	dim := s.Zone.Dim()
+	return st.add(s, &closeScratch{rows: dbm.NewTouched(dim), cols: dbm.NewTouched(dim)})
+}
+
 // entriesOf returns every entry of a bucket map, collision chains included.
 func entriesOf(buckets map[uint64]*storeEntry) []*storeEntry {
 	var out []*storeEntry
@@ -47,19 +63,19 @@ func (e *storeEntry) liveZones() []dbm.Compact {
 }
 
 func TestStoreSubsumption(t *testing.T) {
-	st := newStore(1, nil)
+	st := testStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
-	if !st.add(mkState(locs, vars, 10)) {
+	if !admit(st, mkState(locs, vars, 10)) {
 		t.Fatal("first state must be new")
 	}
-	if st.add(mkState(locs, vars, 5)) {
+	if admit(st, mkState(locs, vars, 5)) {
 		t.Error("included zone must be subsumed")
 	}
 	if st.size() != 1 {
 		t.Errorf("store length = %d, want 1", st.size())
 	}
-	if !st.add(mkState(locs, vars, 20)) {
+	if !admit(st, mkState(locs, vars, 20)) {
 		t.Error("larger zone must be admitted")
 	}
 	// The larger zone covers the earlier one, which must have been pruned.
@@ -69,10 +85,10 @@ func TestStoreSubsumption(t *testing.T) {
 }
 
 func TestStoreDistinguishesDiscreteParts(t *testing.T) {
-	st := newStore(1, nil)
-	if !st.add(mkState([]ta.LocID{0}, []int64{0}, 10)) ||
-		!st.add(mkState([]ta.LocID{1}, []int64{0}, 10)) ||
-		!st.add(mkState([]ta.LocID{0}, []int64{1}, 10)) {
+	st := testStore(1)
+	if !admit(st, mkState([]ta.LocID{0}, []int64{0}, 10)) ||
+		!admit(st, mkState([]ta.LocID{1}, []int64{0}, 10)) ||
+		!admit(st, mkState([]ta.LocID{0}, []int64{1}, 10)) {
 		t.Fatal("distinct discrete parts must all be admitted")
 	}
 	if st.size() != 3 {
@@ -81,14 +97,14 @@ func TestStoreDistinguishesDiscreteParts(t *testing.T) {
 }
 
 func TestStoreIncomparableZonesCoexist(t *testing.T) {
-	st := newStore(1, nil)
+	st := testStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 	// x <= 10 and x >= 5 (upper bound infinity) are incomparable.
 	a := mkState(locs, vars, 10)
 	b := &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}
 	b.Zone.Constrain(0, 1, dbm.LE(-5))
-	if !st.add(a) || !st.add(b) {
+	if !admit(st, a) || !admit(st, b) {
 		t.Fatal("incomparable zones must both be admitted")
 	}
 	if st.size() != 2 {
@@ -108,14 +124,14 @@ func TestPStoreMatchesStore(t *testing.T) {
 		mkState([]ta.LocID{1}, []int64{0}, 7),
 	}
 	for _, shards := range []int{4, 64} {
-		seq := newStore(1, nil)
-		par := newStore(shards, nil)
+		seq := testStore(1)
+		par := testStore(shards)
 		if seq.locked || !par.locked {
 			t.Fatalf("locked: 1 shard %v, %d shards %v; want false, true", seq.locked, shards, par.locked)
 		}
 		for i, s := range states {
-			a := seq.add(&State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
-			b := par.add(&State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
+			a := admit(seq, &State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
+			b := admit(par, &State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
 			if a != b {
 				t.Errorf("%d shards, state %d: one-shard add=%v sharded add=%v", shards, i, a, b)
 			}
@@ -141,7 +157,7 @@ func TestPStoreMatchesStore(t *testing.T) {
 // must grow on admission, shrink when a covering zone prunes a stored one,
 // and stay put on subsumption.
 func TestStoreTracksStoredBytes(t *testing.T) {
-	st := newStore(1, nil)
+	st := testStore(1)
 	// Distinct contents so the locs and vars vectors intern separately (the
 	// table is content-addressed across both kinds).
 	locs := []ta.LocID{3}
@@ -150,7 +166,7 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 		t.Fatalf("empty store bytes = %d, want 0", st.bytes())
 	}
 	first := mkState(locs, vars, 10)
-	st.add(first)
+	admit(st, first)
 	st.release(first)
 	after1 := st.bytes()
 	if after1 <= 0 {
@@ -162,18 +178,18 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 	if want := int64(8+4*2) + entryBytes + 16; after1 != want {
 		t.Errorf("bytes after one admission = %d, want %d", after1, want)
 	}
-	st.add(mkState(locs, vars, 5)) // subsumed
+	admit(st, mkState(locs, vars, 5)) // subsumed
 	if st.bytes() != after1 {
 		t.Errorf("bytes changed on subsumed add: %d -> %d", after1, st.bytes())
 	}
 	second := mkState(locs, vars, 20)
-	st.add(second) // prunes the x<=10 zone
+	admit(st, second) // prunes the x<=10 zone
 	if st.bytes() != after1 {
 		t.Errorf("bytes after prune+admit = %d, want %d (same-size swap)", st.bytes(), after1)
 	}
 	// Pruned while its state still waits, a payload stays charged until the
 	// state releases it.
-	st.add(mkState(locs, vars, 30)) // orphans the x<=20 payload
+	admit(st, mkState(locs, vars, 30)) // orphans the x<=20 payload
 	if want := after1 + int64(8+4*2); st.bytes() != want {
 		t.Errorf("bytes with an orphaned payload = %d, want %d", st.bytes(), want)
 	}
@@ -185,7 +201,7 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 	// entry's first overflow segment, which holds a single slot.
 	b := &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}
 	b.Zone.Constrain(0, 1, dbm.LE(-25))
-	st.add(b)
+	admit(st, b)
 	if want := after1 + int64(8+4*2) + segBytes + recBytes; st.bytes() != want {
 		t.Errorf("bytes after a second zone = %d, want %d", st.bytes(), want)
 	}
@@ -195,11 +211,11 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 // location vector or variable valuation across distinct discrete states must
 // collapse to one shared slice each.
 func TestStoreInternsDiscreteVectors(t *testing.T) {
-	st := newStore(1, nil)
+	st := testStore(1)
 	// Same locs, three different vars: locs interned once, hit twice.
-	st.add(mkState([]ta.LocID{7}, []int64{0}, 10))
-	st.add(mkState([]ta.LocID{7}, []int64{1}, 10))
-	st.add(mkState([]ta.LocID{7}, []int64{2}, 10))
+	admit(st, mkState([]ta.LocID{7}, []int64{0}, 10))
+	admit(st, mkState([]ta.LocID{7}, []int64{1}, 10))
+	admit(st, mkState([]ta.LocID{7}, []int64{2}, 10))
 	hits, misses := st.internStats()
 	if hits != 2 {
 		t.Errorf("intern hits = %d, want 2 (repeated location vector)", hits)

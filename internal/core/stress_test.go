@@ -33,7 +33,7 @@ func TestPStoreConcurrentSubsumingAdds(t *testing.T) {
 	}
 
 	for _, shape := range []struct{ shards, workers int }{{1, 1}, {4, 8}, {64, 8}} {
-		st := newStore(shape.shards, nil)
+		st := testStore(shape.shards)
 		var wg sync.WaitGroup
 		wg.Add(shape.workers)
 		for w := 0; w < shape.workers; w++ {
@@ -51,7 +51,7 @@ func TestPStoreConcurrentSubsumingAdds(t *testing.T) {
 						// race the prunes that orphan their payloads; the
 						// other half's states wait forever.
 						s := &State{Locs: locs, Vars: vars, Zone: mkZone(c, step)}
-						if st.add(s) && w%4 < 2 {
+						if admit(st, s) && w%4 < 2 {
 							s.packed.DecodeInto(s.Zone)
 							st.release(s)
 						}

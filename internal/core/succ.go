@@ -10,7 +10,9 @@ import (
 // engine computes symbolic initial states and successors following UPPAAL
 // semantics: delay closure subject to invariants, urgency (urgent locations,
 // urgent channels), committed locations, binary and broadcast
-// synchronization, and maximal-constant extrapolation.
+// synchronization. The zones it returns are raw — canonical, not
+// extrapolated: maximal-constant extrapolation (bounds) is applied by whoever
+// keeps a zone, the passed store on admission and replayTrace per step.
 //
 // The engine itself is immutable after construction (safe to share between
 // goroutines); all mutable scratch state lives in a succCtx, of which every
@@ -20,7 +22,8 @@ type engine struct {
 	dim int
 	// bounds are the per-clock bounds extrapolation compares zone entries
 	// against, built from the finalized network's constants: Extra_M's by
-	// default, the coarser Extra_LU's after SetCoarseExtrapolation(true). LU
+	// default, the coarser Extra_LU's after SetCoarseExtrapolation(true).
+	// Always idempotent (checkedBounds): the store decides on raw zones. LU
 	// is sound for location reachability but NOT for exact clock suprema:
 	// dropping the matrix rows of clocks that only appear in lower-bound
 	// guards (U = 0) forgets inter-clock orderings and can inflate a measured
@@ -48,7 +51,11 @@ func newEngine(net *ta.Network) (*engine, error) {
 	if !net.Finalized() {
 		return nil, fmt.Errorf("core: network %s must be finalized before analysis", net.Name)
 	}
-	e := &engine{net: net, dim: net.NumClocks(), bounds: dbm.NewExtraM(net.MaxConsts)}
+	bounds, err := checkedBounds(dbm.NewExtraM(net.MaxConsts))
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{net: net, dim: net.NumClocks(), bounds: bounds}
 	nChans := len(net.Chans)
 	offs := make([]int32, 2*nChans)
 	e.emOff = offs[:nChans:nChans]
@@ -65,6 +72,17 @@ func newEngine(net *ta.Network) (*engine, error) {
 	return e, nil
 }
 
+// checkedBounds guards the one thing admission relies on (store.go,
+// "Admission index"): a stored zone is a fixed point of its extrapolation,
+// which needs every constant to be >= 0. Finalize pads the networks'
+// constant vectors with 0, so only a hand-edited vector fails here.
+func checkedBounds(x dbm.ExtraBounds) (dbm.ExtraBounds, error) {
+	if !x.Idempotent() {
+		return x, fmt.Errorf("core: negative extrapolation constant: a stored zone would not be a fixed point of its own extrapolation")
+	}
+	return x, nil
+}
+
 // succCtx is the per-worker scratch state of the successor engine. The hot
 // path writes candidate successors into these buffers and only materializes
 // heap objects once a transition is known to fire, so clock-disabled
@@ -75,6 +93,8 @@ func newEngine(net *ta.Network) (*engine, error) {
 // and replaced from pool. The explorer releases it back into pool as soon as
 // the passed store has decided: at once when the state is subsumed, after the
 // queries have seen it when it is admitted (see "Zone ownership" in store.go).
+// The zone of a fired successor is raw; the store widens it — with this ctx's
+// rows/cols, handed to passedSet.add — only if it admits it.
 //
 // Fork census (continued from the dbm package comment; scripts/traffic.sh
 // prints it): a fired transition tightens its zone with ta.ApplyConstraints
@@ -128,10 +148,12 @@ type succCtx struct {
 	keepLabels bool
 }
 
-// closeScratch is what closeInPlace works in besides the zone itself. It is
-// owned by one worker (embedded in its succCtx; initial builds a throwaway
-// one), reused across fires, and never escapes into states or stores — the
-// same recycling rules as pooled zones keep the hot path allocation-free.
+// closeScratch is what turning a fired zone into a stored one works in besides
+// the zone itself: closeInPlace uses inv, the widening of an admitted zone
+// rows and cols. It is owned by one worker (embedded in its succCtx; the
+// explorer holds one for the initial state), reused across fires and
+// admissions, and never escapes into states or stores — the same recycling
+// rules as pooled zones keep the hot path allocation-free.
 type closeScratch struct {
 	// inv collects the resolved invariant bounds of the new location vector,
 	// the tightest per clock, for the one dbm.DelayUnder call that applies
@@ -232,16 +254,16 @@ func (ctx *succCtx) putState(s *State) {
 
 // initial computes the initial symbolic state: all processes in their initial
 // locations, variables at initial values, all clocks zero, then delay-closed
-// and extrapolated. The returned state owns its zone (it is not pooled).
-func (e *engine) initial() (*State, error) {
+// — raw, like a fired successor. The returned state owns its zone (it is not
+// pooled).
+func (e *engine) initial(sc *closeScratch) (*State, error) {
 	locs := make([]ta.LocID, len(e.net.Procs))
 	for i, p := range e.net.Procs {
 		locs[i] = p.Init
 	}
 	vars := e.net.InitialVars()
 	z := dbm.New(e.dim)
-	sc := e.newCloseScratch()
-	if !e.closeInPlace(z, locs, vars, &sc) {
+	if !e.closeInPlace(z, locs, vars, sc) {
 		return nil, fmt.Errorf("core: initial state violates an invariant")
 	}
 	return &State{Locs: locs, Vars: vars, Zone: z}, nil
@@ -439,9 +461,9 @@ func (e *engine) broadcastCombos(ctx *succCtx, ch *ta.Channel, em LabelPart,
 // fire executes one transition symbolically. It returns (nil, nil) when the
 // transition is clock-disabled or leads to an invariant-violating state —
 // paths that touch only ctx scratch and allocate nothing. On success the
-// scratch zone is detached into the returned state and replaced from the
-// pool, so the per-transition allocation cost is one pooled Get (amortized
-// zero) plus the discrete-vector clones.
+// scratch zone — raw, see closeInPlace — is detached into the returned state
+// and replaced from the pool, so the per-transition allocation cost is one
+// pooled Get (amortized zero) plus the discrete-vector clones.
 func (e *engine) fire(ctx *succCtx, s *State, label Label) (*State, error) {
 	// Quick reject: a guard constraint that alone contradicts the parent
 	// zone disables the transition without copying the matrix. This is the
@@ -501,19 +523,19 @@ func (e *engine) applyGuards(z *dbm.DBM, parts []LabelPart, vars []int64) bool {
 }
 
 // closeInPlace turns the zone a transition produced (guards, frees and resets
-// applied) into the canonical stored form of the symbolic state at locs, in
-// place: intersected with the invariant of every location of the vector,
-// delay-closed under them when urgency permits, and extrapolated. It reports
-// false — an invariant-violating state, no successor — when the invariants
-// empty the zone.
+// applied) into the raw zone of the symbolic state at locs, in place:
+// intersected with the invariant of every location of the vector and
+// delay-closed under them when urgency permits — canonical, NOT extrapolated.
+// It reports false — an invariant-violating state, no successor — when the
+// invariants empty the zone.
 //
 // The invariants are gathered once, resolved under vars and reduced to the
 // tightest bound per clock in sc.inv, and a single dbm.DelayUnder applies
 // them, delay included: O(k·n + n²) for the vector's k bounded clocks,
-// however many of them bite. Extrapolation then records the rows and columns
-// it loosens in sc.rows/sc.cols and re-canonicalizes only those
-// (dbm.CloseRows). Both steps are exact, so the stored zone is bit-identical
-// to what the full Floyd–Warshall would give.
+// however many of them bite, and exact, so the zone is bit-identical to what
+// the full Floyd–Warshall would give. Extrapolation is not this function's
+// job: most fired zones are subsumed, which the store can tell from the raw
+// zone (storeEntry.admit), so only an admitted zone is widened.
 func (e *engine) closeInPlace(z *dbm.DBM, locs []ta.LocID, vars []int64, sc *closeScratch) bool {
 	sc.inv.Reset()
 	for pi, l := range locs {
@@ -523,11 +545,7 @@ func (e *engine) closeInPlace(z *dbm.DBM, locs []ta.LocID, vars []int64, sc *clo
 			sc.inv.Lower(int(c.I), c.Resolve(vars))
 		}
 	}
-	if !z.DelayUnder(sc.inv, e.delayAllowed(locs, vars)) {
-		return false
-	}
-	z.Extrapolate(&e.bounds, sc.rows, sc.cols)
-	return true
+	return z.DelayUnder(sc.inv, e.delayAllowed(locs, vars))
 }
 
 // delayAllowed implements the urgency rule: no delay while any process is in

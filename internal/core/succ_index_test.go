@@ -349,7 +349,7 @@ func TestEnumerationOrderContract(t *testing.T) {
 	for _, kind := range []ta.ChanKind{ta.Binary, ta.Broadcast} {
 		net := contractNet(t, kind)
 		eI, eL, ctxI, ctxL := enginePair(t, net)
-		s, err := eI.initial()
+		s, err := eI.initial(&ctxI.closeScratch)
 		if err != nil {
 			t.Fatal(err)
 		}

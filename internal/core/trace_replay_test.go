@@ -48,20 +48,23 @@ func sameState(a, b *State) bool {
 // assertTraceValid re-fires the trace through the successor engine: step 0
 // must equal the initial symbolic state, and every later step must be one of
 // the enabled successors of its predecessor with the recorded label and the
-// exact same symbolic state (discrete part and zone).
+// exact same symbolic state (discrete part and zone). Trace states are stored
+// states, so the oracle extrapolates what the engine fires — every successor,
+// not only the one replay selects — before it compares.
 func assertTraceValid(t *testing.T, c *Checker, trace []TraceStep) {
 	t.Helper()
 	if len(trace) == 0 {
 		t.Fatal("empty trace")
 	}
-	init, err := c.eng.initial()
+	ctx := c.eng.newCtx(nil)
+	init, err := c.eng.initial(&ctx.closeScratch)
 	if err != nil {
 		t.Fatal(err)
 	}
+	init.Zone.Extrapolate(&c.eng.bounds, ctx.rows, ctx.cols)
 	if !sameState(trace[0].State, init) {
 		t.Fatalf("trace step 0 is not the initial state: %s", trace[0].State.Format(c.net))
 	}
-	ctx := c.eng.newCtx(nil)
 	cur := init
 	for i, step := range trace[1:] {
 		succs, err := c.eng.successors(ctx, cur, nil)
@@ -70,6 +73,7 @@ func assertTraceValid(t *testing.T, c *Checker, trace []TraceStep) {
 		}
 		var match *State
 		for _, sc := range succs {
+			sc.state.Zone.Extrapolate(&c.eng.bounds, ctx.rows, ctx.cols)
 			if sameLabel(sc.label, step.Label) && sameState(sc.state, step.State) {
 				match = sc.state
 				break

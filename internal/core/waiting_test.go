@@ -63,10 +63,10 @@ type holderSpy struct {
 	orphans int
 }
 
-func (h *holderSpy) add(s *State) bool {
+func (h *holderSpy) add(s *State, sc *closeScratch) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.passedSet.add(s)
+	return h.passedSet.add(s, sc)
 }
 
 func (h *holderSpy) release(s *State) {
@@ -95,8 +95,8 @@ func admissions(t *testing.T, c *Checker, opts Options) ([]*State, Stats) {
 
 func sameSweep(t *testing.T, what string, got, want []*State, gs, ws Stats) {
 	t.Helper()
-	if gs.Stored != ws.Stored || gs.Popped != ws.Popped || gs.Transitions != ws.Transitions ||
-		gs.Deadlocks != ws.Deadlocks {
+	if gs.Stored != ws.Stored || gs.Live != ws.Live || gs.Popped != ws.Popped ||
+		gs.Transitions != ws.Transitions || gs.Deadlocks != ws.Deadlocks {
 		t.Errorf("%s: stats %+v, reference %+v", what, gs, ws)
 	}
 	if len(got) != len(want) {
@@ -125,13 +125,19 @@ func TestWaitingStatesOutliveTheirRecords(t *testing.T) {
 	for _, order := range []Order{BFS, DFS, RDFS} {
 		opts := Options{Order: order, Seed: 7}
 		refOpts := opts
-		refOpts.passed = newRefStore()
+		ref := newRefStore(&c.eng.bounds)
+		refOpts.passed = ref
 		want, wantStats := admissions(t, c, refOpts)
+		// Stored counts admissions, Live what the prunes left of them.
+		if ref.pruned == 0 || wantStats.Stored-wantStats.Live != ref.pruned {
+			t.Errorf("%s: Stored %d - Live %d, want the reference's %d prunes (> 0)",
+				order, wantStats.Stored, wantStats.Live, ref.pruned)
+		}
 
 		got, gotStats := admissions(t, c, opts)
 		sameSweep(t, order.String()+", slab store", got, want, gotStats, wantStats)
 
-		st := newStore(1, nil)
+		st := newStore(1, nil, &c.eng.bounds)
 		spy := &holderSpy{passedSet: st}
 		spyOpts := opts
 		spyOpts.passed = spy
@@ -151,6 +157,28 @@ func TestWaitingStatesOutliveTheirRecords(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLiveEqualsStoredWithoutPrunes: Fischer's protocol prunes nothing, so
+// every admission is still stored when the sweep ends.
+func TestLiveEqualsStoredWithoutPrunes(t *testing.T) {
+	c, err := NewChecker(buildFischer(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Explore(Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Live != res.Stored || res.Stored == 0 {
+		t.Errorf("Live = %d, Stored = %d: want them equal", res.Live, res.Stored)
+	}
+	var sum Stats
+	sum.Add(res.Stats)
+	sum.Add(res.Stats)
+	if sum.Live != 2*res.Live {
+		t.Errorf("Stats.Add: Live = %d, want %d", sum.Live, 2*res.Live)
 	}
 }
 
@@ -175,7 +203,7 @@ func TestWaitingStatesParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{4, 64} {
-		sh := &shadowStore{fast: newStore(shards, nil), ref: newRefStore()}
+		sh := &shadowStore{fast: newStore(shards, nil, &c.eng.bounds), ref: newRefStore(&c.eng.bounds)}
 		par, err := c.SupClock(x.ID, atEnd, Options{Workers: 4, passed: sh})
 		if err != nil {
 			t.Fatal(err)
@@ -201,7 +229,7 @@ func TestDeadlockObservedOnDecodedZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, order := range []Order{BFS, DFS} {
-		want, err := c.CheckDeadlockFree(Options{Order: order, passed: newRefStore()})
+		want, err := c.CheckDeadlockFree(Options{Order: order, passed: newRefStore(&c.eng.bounds)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,20 +322,20 @@ func TestStopWithStatesWaitingLeavesCheckerReusable(t *testing.T) {
 // admission the new payload reuses one, and the other must read as garbage,
 // not as the zone it held.
 func TestPoisonCatchesRecycledPayload(t *testing.T) {
-	st := newStore(1, nil)
+	st := testStore(1)
 	locs, vars := []ta.LocID{0}, []int64{0}
 	low := mkState(locs, vars, 10)
 	high := &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}
 	high.Zone.Constrain(0, 1, dbm.LE(-20))
 	var stale []dbm.Compact
 	for _, s := range []*State{low, high} {
-		if !st.add(s) {
+		if !admit(st, s) {
 			t.Fatal("incomparable zones must both be admitted")
 		}
 		stale = append(stale, s.packed)
 		st.release(s)
 	}
-	if !st.add(&State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}) || st.size() != 1 {
+	if !admit(st, &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}) || st.size() != 1 {
 		t.Fatal("the universe must prune both stored zones")
 	}
 	garbage := 0

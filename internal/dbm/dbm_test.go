@@ -821,3 +821,34 @@ func TestQuickExtraLUCoarserThanExtraM(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNegativeConstantNotIdempotent keeps the counter-example behind
+// ExtraBounds.Idempotent: with a never-compared clock (M = -1) beside one
+// with M = 0, the first application relaxes x2 - x1 <= 0 to x2 - x1 < 1 — the
+// strict bound at x1's negated constant — which is beyond x2's constant, so a
+// second application drops it. A zone that came out of Extrapolate is then
+// not a fixed point, and deciding inclusion before or after extrapolating
+// gives different answers: r ⊆ r, but E(r) ⊄ r.
+func TestNegativeConstantNotIdempotent(t *testing.T) {
+	x := NewExtraM([]int64{0, -1, 0})
+	if x.Idempotent() {
+		t.Fatal("bounds with a negative constant must not report idempotence")
+	}
+	if ok := NewExtraM([]int64{0, 0, 0}); !ok.Idempotent() {
+		t.Fatal("bounds of constants >= 0 must report idempotence")
+	}
+	rows, cols := NewTouched(3), NewTouched(3)
+	r := New(3)
+	r.Up() // x1 == x2, both unbounded
+	r.Extrapolate(&x, rows, cols)
+	if got := r.At(2, 1); got != LT(1) {
+		t.Fatalf("first application left x2 - x1 %v, want <1", got)
+	}
+	er := r.Copy()
+	if !er.Extrapolate(&x, rows, cols) || er.At(2, 1) != Infinity {
+		t.Fatalf("second application must drop the bound the first relaxed, got %s", er)
+	}
+	if er.SubsetEq(r) {
+		t.Fatal("E(r) ⊆ r: the counter-example no longer separates the two orders")
+	}
+}

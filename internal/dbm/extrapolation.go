@@ -37,6 +37,20 @@ func (d *DBM) ExtraMTouched(max []int64, rows, cols *Touched) bool {
 // against, per clock and in encoded form, so that the dim² loop of
 // Extrapolate indexes two vectors instead of rebuilding two bounds per entry.
 // Immutable once built, and safe to share between goroutines.
+//
+// When every lo[j] ≤ hi[i] (Idempotent; constants ≥ 0 guarantee it) a zone r
+// that came out of Extrapolate is a fixed point of it, r = E(r): each entry of
+// E(z) lies between z's and what the per-entry map made of z's, and a relaxed
+// entry lo[j] is not beyond hi[i], so mapping E(z) again gives a matrix
+// between E(z) and the first mapped one — and closing either gives E(z), by
+// value (the changed flag may still be up). With E monotone (the per-entry
+// map is non-decreasing and closure preserves the entrywise order) and only
+// ever loosening, that gives, for any canonical y, E(y) ⊆ r ⟺ y ⊆ r — which
+// is why the passed store of internal/core decides subsumption on the raw
+// zone and extrapolates only what it admits (FuzzSubsumedBeforeExtrapolate).
+// A negative constant breaks the fixed point
+// (TestNegativeConstantNotIdempotent); ExtraM and ExtraLU keep accepting one,
+// for direct callers that apply them once.
 type ExtraBounds struct {
 	// hi[i] is (≤ U(xi)): an upper bound on xi, relative to any clock, beyond
 	// it is dropped. The reference clock has Infinity here — row 0 holds no
@@ -73,6 +87,22 @@ func makeExtraBounds(buf []Bound, lower, upper []int64, dim int) ExtraBounds {
 		buf = append(buf, LT(-l))
 	}
 	return ExtraBounds{hi: buf[:dim:dim], lo: buf[dim:]}
+}
+
+// Idempotent reports whether every lower bound of x is at most every upper
+// bound of it, as when all constants are ≥ 0: the condition under which
+// extrapolated zones are fixed points of Extrapolate; see the type comment.
+func (x *ExtraBounds) Idempotent() bool {
+	loMax := x.lo[0]
+	for _, l := range x.lo {
+		loMax = max(loMax, l)
+	}
+	for _, h := range x.hi {
+		if h < loMax {
+			return false
+		}
+	}
+	return true
 }
 
 // Extrapolate abstracts every bound beyond x — the one loop behind ExtraM and

@@ -195,6 +195,78 @@ func checkDelayUnder(t *testing.T, z *DBM, cons []con, delay bool) *DBM {
 	return got
 }
 
+// FuzzSubsumedBeforeExtrapolate checks the equivalence the passed store of
+// internal/core decides by (see ExtraBounds): for a canonical zone y and a
+// stored zone r = E(r0), y ⊆ r exactly when E(y) ⊆ r, and E(y) is a fixed
+// point of E — under Extra_M and under Extra_LU, constants ≥ 0. r0 is an
+// independent random zone, a loosening of y (so that y ⊆ r, the case a
+// reject on the raw zone relies on) or a tightening of it. The seed corpus
+// under testdata/fuzz pins both answers, with and without a y that
+// extrapolation changes.
+func FuzzSubsumedBeforeExtrapolate(f *testing.F) {
+	f.Add([]byte{0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := &byteReader{data: data}
+		dim := 2 + int(r.next())%6
+		y := buildFuzzZone(r, dim)
+		var r0 *DBM
+		switch r.next() % 3 {
+		case 0:
+			r0 = buildFuzzZone(r, dim)
+		case 1:
+			r0 = y.Copy()
+			for k := int(r.next()) % 3; k >= 0; k-- {
+				if r.next()%2 == 0 {
+					r0.Up()
+				} else {
+					r0.Free(1 + int(r.next())%(dim-1))
+				}
+			}
+		case 2:
+			r0 = y.Copy()
+			if c := 1 + int(r.next())%(dim-1); !r0.Constrain(c, 0, LE(int64(r.next()%25))) {
+				r0 = y.Copy()
+			}
+		}
+		max := make([]int64, dim)
+		lower := make([]int64, dim)
+		upper := make([]int64, dim)
+		for c := 1; c < dim; c++ {
+			max[c] = int64(r.next() % 24)
+			lower[c] = int64(r.next() % 24)
+			upper[c] = int64(r.next() % 24)
+		}
+		checkSubsumedBeforeExtrapolate(t, "Extra_M", y, r0, NewExtraM(max))
+		checkSubsumedBeforeExtrapolate(t, "Extra_LU", y, r0, NewExtraLU(lower, upper))
+	})
+}
+
+// checkSubsumedBeforeExtrapolate fails unless deciding y ⊆ E(r0) on the raw
+// y and on E(y) agree and E(y) is a fixed point. It reports which case the
+// input was: y subsumed, y changed by extrapolation.
+func checkSubsumedBeforeExtrapolate(t *testing.T, op string, y, r0 *DBM, x ExtraBounds) (subsumed, changed bool) {
+	t.Helper()
+	if !x.Idempotent() {
+		t.Fatalf("%s: bounds of constants >= 0 must be idempotent", op)
+	}
+	rows, cols := NewTouched(y.Dim()), NewTouched(y.Dim())
+	r := r0.Copy()
+	r.Extrapolate(&x, rows, cols)
+	ey := y.Copy()
+	changed = ey.Extrapolate(&x, rows, cols)
+	subsumed = y.SubsetEq(r)
+	if got := ey.SubsetEq(r); got != subsumed {
+		t.Fatalf("%s: y ⊆ r is %v but E(y) ⊆ r is %v\n   y %s\nE(y) %s\n   r %s", op, subsumed, got, y, ey, r)
+	}
+	// By value: the flag may be up again, for a dropped bound that closure
+	// re-derives through other clocks both times.
+	again := ey.Copy()
+	if again.Extrapolate(&x, rows, cols); !again.Eq(ey) {
+		t.Fatalf("%s: E(E(y)) != E(y)\n   E(y) %s\nE(E(y)) %s", op, ey, again)
+	}
+	return subsumed, changed
+}
+
 // constrainChain applies one Constrain per constraint, stopping at the first
 // that empties the zone, and reports whether the zone stayed nonempty.
 func constrainChain(d *DBM, cons []con) bool {

@@ -160,14 +160,27 @@ func TestTable2ToolOrderingAL(t *testing.T) {
 
 func TestCellFallbackProducesLowerBound(t *testing.T) {
 	// A deliberately tiny budget forces the structured-testing fallback;
-	// the result must be a non-exact lower bound below the true value.
+	// the result must be a non-exact lower bound below the true value. A
+	// profile-enabled monitor must see both sweeps, the truncated one and the
+	// fallback.
+	mon := &core.Monitor{}
+	mon.EnableProfile(core.ProfileConfig{})
 	res, err := Cell(Table1Rows[1], ColPNO, CellOptions{
-		Cfg: DefaultConfig(), MaxStates: 300, FallbackStates: 2000, Seed: 7})
+		Cfg: DefaultConfig(), MaxStates: 300, FallbackStates: 2000, Seed: 7, Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Exact {
 		t.Error("budgeted cell must not be exact")
+	}
+	explorations := 0
+	for _, sp := range mon.Profile().Phases {
+		if sp.Name == "explore" {
+			explorations++
+		}
+	}
+	if explorations != 2 {
+		t.Errorf("truncated cell recorded %d explore spans, want 2 (exhaustive sweep, rdf fallback)", explorations)
 	}
 	// Exact truth: the unloaded chain plus one DatabaseLookup and one
 	// UpdateScreen of interference.

@@ -67,11 +67,21 @@ type CellOptions struct {
 	Monitor *core.Monitor
 }
 
-// coreOpts maps the shared exploration knobs onto engine options; the
-// randomized fallback runs override MaxStates and Order on top of it.
+// coreOpts maps the shared exploration knobs onto engine options.
 func (o CellOptions) coreOpts() core.Options {
 	return core.Options{MaxStates: o.MaxStates, MaxBytes: o.MaxBytes,
 		Workers: o.Workers, Monitor: o.Monitor}
+}
+
+// fallbackOpts are the engine options of the structured-testing fallback a
+// truncated cell gets: the shared knobs (memory bound, monitor) with the
+// randomized depth-first order, its seed and its own state cap on top — and
+// always one worker, because the seeded RDFS stream, and with it the lower
+// bound a cell reports, is reproducible only sequentially.
+func (o CellOptions) fallbackOpts() core.Options {
+	fb := o.coreOpts()
+	fb.Order, fb.Seed, fb.MaxStates, fb.Workers = core.RDFS, o.Seed, o.FallbackStates, 1
+	return fb
 }
 
 // Cell computes one Table 1 cell: the WCRT of row.Req under column col.
@@ -94,8 +104,7 @@ func Cell(row Row, col Column, opts CellOptions) (arch.WCRTResult, error) {
 		return res, nil
 	}
 	// Structured-testing fallback: randomized depth-first lower bound.
-	fb, err := arch.AnalyzeWCRT(sys, req, copts, core.Options{Order: core.RDFS, Seed: opts.Seed,
-		MaxStates: opts.FallbackStates, MaxBytes: opts.MaxBytes})
+	fb, err := arch.AnalyzeWCRT(sys, req, copts, opts.fallbackOpts())
 	if err != nil {
 		return res, err
 	}
@@ -137,8 +146,7 @@ func Cells(combo Combo, col Column, reqNames []string, opts CellOptions) (map[st
 			// sweep was truncated, so tighten each lower bound with a
 			// randomized depth-first run of its own observer.
 			fb, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: HorizonMS(req.Name)},
-				core.Options{Order: core.RDFS, Seed: opts.Seed,
-					MaxStates: opts.FallbackStates, MaxBytes: opts.MaxBytes})
+				opts.fallbackOpts())
 			if err != nil {
 				return nil, err
 			}

@@ -46,7 +46,11 @@ go tool cover -func="$tmp/all.cov" |
 # A fork is named by the first line containing `stmt` after the first line
 # containing `fn` in `file` — a statement inside the branch in question — so
 # the table survives edits elsewhere in the file. Fields are separated by '|'
-# and matched as plain text.
+# and matched as plain text. The three "admit:" rows split a workload's
+# transitions: a successor is subsumed on its raw zone, before any
+# extrapolation, or it is admitted and widened — the only Extrapolate calls of
+# a sweep, so unchanged + changed = admissions. (The unchanged row is anchored
+# inside dbm.Extrapolate, which trace replay also calls, once per step.)
 forks='CloseRows sparse path|internal/dbm/dbm.go|func (d *DBM) CloseRows(|m := d.m
 CloseRows dense fallback to Close|internal/dbm/dbm.go|func (d *DBM) CloseRows(|return d.Close()
 DelayUnder calls|internal/dbm/upper.go|func (d *DBM) DelayUnder(|r0 := m[:n]
@@ -61,6 +65,9 @@ EncodeCompact 64-bit|internal/dbm/compact.go|func EncodeCompact(|PutUint64(pay[
 DecodeInto 16-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[0] = widen16(
 DecodeInto 32-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[0] = widen32(
 DecodeInto 64-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|Uint64(pay[i*8:])
+admit: subsumed on the raw zone|internal/core/store.go|func (e *storeEntry) admit(|return 0, 0, false
+admit: widened, unchanged|internal/dbm/extrapolation.go|func (d *DBM) Extrapolate(|return false
+admit: widened, changed|internal/core/store.go|func (e *storeEntry) admit(|sig = dbm.SignatureOf(zone)
 prune recycles a payload at once|internal/core/store.go|func (e *storeEntry) admit(|pool.Put(r.z)
 prune orphans a waiting payload|internal/core/store.go|func (e *storeEntry) admit(|SetHolder(orphaned)
 release recycles an orphan at pop|internal/core/store.go|func (st *store) release(|sh.cpool.Put(c)
