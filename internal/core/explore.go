@@ -582,7 +582,10 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	// states, the store's payloads and the workers' pools are referenced by
 	// nothing that survives the return (see "Zone ownership" in store.go).
 	// Canceled, budget-failed and panic-contained runs release too: a slab is
-	// raw bytes, and whoever carves it next initializes what it carves.
+	// raw bytes, and whoever carves it next initializes what it carves. The
+	// order is load-bearing: a goroutine still touching carved memory after
+	// this point does not read garbage, it faults once the next release has
+	// unmapped the slab.
 	defer e.slabs.Release()
 	hasAbort := opts.Cancel != nil || !opts.Deadline.IsZero()
 	e.hasCheck = hasAbort || opts.MaxBytes > 0

@@ -13,7 +13,10 @@ import (
 // trace-replay oracles, the store oracles, the parallel stress tests — with
 // release-time poisoning on: each sweep's slabs are overwritten with a
 // sentinel the moment explore hands them back, so a result that still aliases
-// slab memory is garbage by the time its test looks at it.
+// slab memory is garbage by the time its test looks at it — or, once a later
+// sweep's release has freed the slab, no memory at all: slabs are mappings
+// outside -race builds (dbm.Slabs), and the test dies of a fault at the
+// address of the alias. Both mean the same bug.
 func TestMain(m *testing.M) {
 	dbm.PoisonReleased(true)
 	os.Exit(m.Run())
@@ -159,6 +162,14 @@ func TestResultsSurviveLaterSweeps(t *testing.T) {
 // requires the poison to expose it: this is what the tests above would see if
 // a result aliased slab memory. Only the one matrix that never came from a
 // slab (the initial state's, plain heap) may read as a zone afterwards.
+//
+// Reading the retained zones at all is legal only because the second sweep
+// is as large as the first: it takes over every slab the first released, so
+// all of them are still mapped (and poisoned again) when it releases in turn.
+// After a smaller sweep the slabs it left in the cache would have been
+// unmapped by its release, and the loop below would fault instead of finding
+// poison — which is what a retained zone does in production, where nothing
+// poisons. There is deliberately no test that does that.
 func TestPoisonCatchesRetainedZone(t *testing.T) {
 	grid, _, _, _ := buildGrid(t)
 	c, err := NewChecker(grid)

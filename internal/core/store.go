@@ -153,8 +153,10 @@ type passedSet interface {
 // set to a process-wide cache exactly once per run — after the worker
 // barrier, after every Query.finish and every replayTrace, and also when the
 // run was canceled, ran out of budget or contained a panic. From then on a
-// later sweep overwrites that memory, so the rules above have one more
-// clause: nothing a caller can see may alias slab memory. Today that holds
+// later sweep overwrites that memory, and the release after next unmaps it
+// (slabs are mappings, not Go memory: a reference into one keeps nothing
+// alive, see dbm.Slabs), so the rules above have one more clause: nothing a
+// caller can see may alias slab memory. Today that holds
 // because every such value is a heap copy — a completing query captures
 // cloneState(s), never s (explorer.completeQuery), at a point where s has its
 // matrix (just admitted, or just decoded); trace replay runs on a heap ctx
@@ -166,7 +168,7 @@ type passedSet interface {
 // package's tests run with released slabs and recycled payloads poisoned
 // (slab_test.go), so an alias — a result into a slab, or a waiting state into
 // a payload the store already recycled — shows up as garbage in the first
-// test that looks.
+// test that looks, or as a fault if the slab is gone by then.
 type store struct {
 	shards perWorker[shard]
 	mask   uint64 // len(shards)-1; the count is a power of two

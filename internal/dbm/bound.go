@@ -54,6 +54,22 @@
 //     one: 16-bit on all five; 32-bit on table1 and serve_cold; 64-bit on
 //     none — kept, it is input-range handling (model constants beyond 2³⁰),
 //     pinned by compact_test.go.
+//
+// # Zone memory
+//
+// Matrices and packed payloads of a sweep are carved from 256 KiB slabs
+// (slab.go; Slabs is one owner's set). On unix a slab is an anonymous mapping
+// and not Go memory: the collector neither scans it nor counts it towards the
+// heap goal, so a stored zone costs its packed bytes in resident memory once,
+// not once more in garbage allowed before the next cycle. The price is the
+// ownership rule's sharp edge. A carved slice keeps nothing alive — the set
+// does, and after Release the process-wide cache, which holds exactly the set
+// released last. A value that aliases a slab past its set's Release reads
+// whatever the next owner wrote; past the Release after that the slab is
+// unmapped and the read faults. Values that outlive a set are heap copies
+// (DBM.Copy, the nil set). SlabStats is the account of this memory;
+// runtime.MemStats and heap profiles no longer contain it. Race builds, and
+// platforms without Mmap, keep slabs on the Go heap (slab_heap.go).
 package dbm
 
 import (

@@ -23,8 +23,8 @@ package dbm
 // caller must not retain the pointer — the matrix will be reused and
 // overwritten. A matrix from a pool attached to a slab set must additionally
 // not be referenced after the set's Release: the next owner of the slab
-// overwrites it. Only a standalone pool (NewPool) hands out matrices that may
-// outlive it.
+// overwrites it, and the release after that unmaps it (see Slabs). Only a
+// standalone pool (NewPool) hands out matrices that may outlive it.
 type Pool struct {
 	dim   int
 	slabs *Slabs // nil: standalone, every matrix is its own heap allocation

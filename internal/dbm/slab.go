@@ -8,7 +8,10 @@ import (
 
 // This file is the package's one allocation path for bound matrices and
 // packed payloads: nothing else in internal/dbm or internal/core calls make
-// for either (CI's lint job checks it).
+// for either (CI's lint job checks it). The memory of a slab comes from the
+// build's one slab source: slab_mmap.go (anonymous mappings, outside the Go
+// heap) or slab_heap.go (no Mmap on the platform, or a race build), chosen by
+// build constraints; the same job keeps Mmap and Munmap inside the first.
 
 // slabBytes is the size of one slab. A sweep's smallest working set is one
 // slab, so the size is what a twenty-state design-space variant keeps
@@ -26,13 +29,72 @@ const (
 
 // slab is raw pointer-free memory; it carries no structure between owners.
 // It is an array of Bound so that matrices are carved without a conversion
-// and payloads start 8-byte aligned.
+// and payloads start 8-byte aligned. Its memory comes from newSlab and goes
+// back through freeSlab, the build's slab source; nothing in this file
+// depends on which one that is.
 type slab [slabWords]Bound
 
-// slabCache holds the slabs no sweep owns, process-wide. A sync.Pool is the
-// whole policy: the collector trims what stays idle over two cycles, a busy
-// process keeps what it keeps reusing, and there is nothing to configure.
-var slabCache = sync.Pool{New: func() any { return new(slab) }}
+// slabCache holds the slabs no sweep owns, process-wide: exactly the set
+// released last. Release swaps the set it is handed for what was cached and
+// frees that, so an idle process keeps at most the last released set, a
+// process running sweeps back to back hands each one its predecessor's
+// touched pages, and there is nothing to configure: no size, no timer, no
+// collector hook.
+var slabCache struct {
+	mu   sync.Mutex
+	free []*slab // taken from the end
+}
+
+// Slab accounting, in bytes: what the slab source holds mapped, what sets
+// hold, what the cache holds. They are the only view of zone memory left once
+// slabs are mapped — runtime.MemStats and heap profiles no longer contain it.
+var slabMapped, slabInUse, slabCached atomic.Int64
+
+// SlabStats reports the process's slab memory in bytes: mapped is what the
+// slab source currently holds from the operating system, inUse what live sets
+// have taken, cached what the last Release left for the next owner. With
+// mapped slabs, mapped == inUse + cached; slabs on the Go heap (every slab of
+// a build without mappings, one that stood in for a failed mapping) count in
+// inUse and cached only, so inUse + cached - mapped is what the collector
+// still sees.
+func SlabStats() (mapped, inUse, cached int64) {
+	return slabMapped.Load(), slabInUse.Load(), slabCached.Load()
+}
+
+// takeSlab returns a slab no one else owns, cached if there is one.
+func takeSlab() *slab {
+	c := &slabCache
+	c.mu.Lock()
+	slabInUse.Add(slabBytes)
+	n := len(c.free)
+	if n == 0 {
+		c.mu.Unlock()
+		return newSlab()
+	}
+	sl := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	slabCached.Add(-slabBytes)
+	c.mu.Unlock()
+	return sl
+}
+
+// giveSlabs makes released the cache's contents, frees what the cache held
+// before and returns that slice, emptied, for the caller to reuse.
+func giveSlabs(released []*slab) []*slab {
+	c := &slabCache
+	c.mu.Lock()
+	old := c.free
+	c.free = released
+	slabInUse.Add(-int64(len(released)) * slabBytes)
+	slabCached.Add(int64(len(released)-len(old)) * slabBytes)
+	c.mu.Unlock()
+	for i, sl := range old {
+		freeSlab(sl)
+		old[i] = nil
+	}
+	return old[:0]
+}
 
 // Slabs is the slab set of one owner — for the explorer, one sweep. Pools
 // attached to it (Slabs.Pool, Slabs.CompactPool) carve their matrices and
@@ -48,12 +110,17 @@ var slabCache = sync.Pool{New: func() any { return new(slab) }}
 // pools share one set); it takes the set's lock once per matrix or payload a
 // free list could not supply, which is rare next to the work done on one.
 //
-// Ownership: everything carved from a set is overwritten by a later owner
-// after Release. The owner must therefore release only when nothing carved
-// is referenced any more, and must never let carved memory reach a caller
-// that outlives it — such values are heap copies (DBM.Copy, the zero Pool).
-// Released memory has unspecified contents; every consumer fully initializes
-// what it carves (Pool.Get's contract, EncodeCompact).
+// Ownership: the set, and after Release the cache, is what keeps carved
+// memory in existence — a matrix or payload carved from a slab does not. A
+// mapped slab is not Go memory, so no reference to a piece of it holds it:
+// after Release the next owner overwrites the piece, and after the Release
+// that follows (of any set, anywhere in the process) the slab is unmapped and
+// reading the piece faults — it does not read stale bytes. The owner must
+// therefore release only when nothing carved is referenced any more, and must
+// never let carved memory reach a caller that outlives it — such values are
+// heap copies (DBM.Copy, the zero Pool). Released memory has unspecified
+// contents; every consumer fully initializes what it carves (Pool.Get's
+// contract, EncodeCompact).
 //
 // The zero value is an empty set ready for use. A nil *Slabs allocates every
 // piece from the heap, which is what standalone pools do.
@@ -75,7 +142,7 @@ func (s *Slabs) bounds(n int) []Bound {
 	}
 	s.mu.Lock()
 	if len(s.held) == 0 || s.used+n > slabWords {
-		s.held = append(s.held, slabCache.Get().(*slab))
+		s.held = append(s.held, takeSlab())
 		s.used = 0
 	}
 	b := s.held[len(s.held)-1][s.used : s.used+n : s.used+n]
@@ -91,23 +158,24 @@ func (s *Slabs) compact(n int) Compact {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), n)
 }
 
-// Release returns every slab of the set to the process-wide cache. The set is
-// empty afterwards and may be used again. See the type comment for when an
+// Release makes the set's slabs the process-wide cache and frees the slabs
+// cached before. The set is empty afterwards and may be used again; releasing
+// an empty set leaves the cache as it is. See the type comment for when an
 // owner may call it.
 func (s *Slabs) Release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fill := poisonReleased.Load()
-	for i, sl := range s.held {
-		if fill {
+	if len(s.held) == 0 {
+		return
+	}
+	if poisonReleased.Load() {
+		for _, sl := range s.held {
 			for j := range sl {
 				sl[j] = poison
 			}
 		}
-		slabCache.Put(sl)
-		s.held[i] = nil
 	}
-	s.held, s.used = s.held[:0], 0
+	s.held, s.used = giveSlabs(s.held), 0
 }
 
 // poison is what PoisonReleased writes over released slabs: as a Bound it is

@@ -53,10 +53,16 @@ func TestSlabsCarveDisjoint(t *testing.T) {
 // TestSlabsReleasePoisons pins the ownership rule from the test side: with
 // poisoning on, what was carved from a set is garbage after Release, while
 // standalone pools, heap copies and matrices too big to carve are untouched.
-// The set itself stays usable.
+// Reading the garbage is legal only because the released set is still the
+// cache: Release frees what was cached before it, never what it was handed,
+// so the slab stays mapped until the next Release — and the next owner, here
+// the set itself, is handed that very slab.
 func TestSlabsReleasePoisons(t *testing.T) {
 	PoisonReleased(true)
 	defer PoisonReleased(false)
+	var older Slabs
+	older.Pool(6).Get().SetInit()
+	older.Release() // cached now, freed by the Release under test
 	var s Slabs
 	carved := s.Pool(6).Get()
 	carved.SetInit()
@@ -84,7 +90,13 @@ func TestSlabsReleasePoisons(t *testing.T) {
 	if len(s.held) != 0 {
 		t.Fatalf("set still holds %d slabs after Release", len(s.held))
 	}
+	if _, _, cached := SlabStats(); cached != slabBytes {
+		t.Errorf("cache holds %d bytes after Release, want the released set's %d", cached, slabBytes)
+	}
 	again := s.Pool(6).Get()
+	if &again.m[0] != &carved.m[0] {
+		t.Error("the next owner was not handed the slab just released")
+	}
 	again.SetInit()
 	if len(s.held) != 1 || !again.Eq(kept) {
 		t.Error("set not usable after Release")

@@ -15,6 +15,8 @@
 //	serve/dispatch — fired as a proxy job starts routing to its owner node;
 //	                 an injected error degrades the dispatch to local compute,
 //	                 a panic is contained like any other job crash
+//	dbm/mmap       — fired before a zone slab is mapped; an injected error is a
+//	                 refused mapping, and the slab comes from the heap instead
 //
 // The registry is concurrency-safe: chaos tests run parallel sweeps under
 // -race while the armed fault fires on some worker.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/dbm"
 	"repro/internal/serve/api"
 	"repro/internal/wire"
 )
@@ -242,18 +243,20 @@ func rate(hits, of int64) float64 {
 
 // handleHealthz reports graded health, not a flat 200: the body carries the
 // admission pressure (queue depth, CPU-token and memory-budget saturation),
-// the result-cache hit rate, and the node's cluster view (node id, peer
-// count, remote hit rate), and when admission is saturated — new submissions
-// would be shed — the endpoint flips to ok:false / 503 so load balancers
-// steer traffic away while the node keeps draining its backlog and serving
-// cached results. Degradation is judged per node: a saturated node sheds even
-// when its peers are idle.
+// the result-cache hit rate, the zone slab memory the process holds (in use
+// plus cached — what /v1/metrics splits by state), and the node's cluster view
+// (node id, peer count, remote hit rate), and when admission is saturated —
+// new submissions would be shed — the endpoint flips to ok:false / 503 so
+// load balancers steer traffic away while the node keeps draining its backlog
+// and serving cached results. Degradation is judged per node: a saturated
+// node sheds even when its peers are idle.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	active, retained := s.jobs.counts()
 	c := s.Stats()
 	inUse := s.tokens.inUse()
 	degraded := active >= s.cfg.MaxActiveJobs
 	storedBytes, ihits, imisses := s.jobs.storedFootprint()
+	_, slabInUse, slabCached := dbm.SlabStats()
 	body := map[string]any{
 		"ok":                    !degraded,
 		"degraded":              degraded,
@@ -268,6 +271,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"memory_budget_bytes":   s.cfg.MemoryBudget,
 		"memory_in_use_bytes":   s.tokens.bytesInUse(),
 		"stored_zone_bytes":     storedBytes,
+		"zone_slab_bytes":       slabInUse + slabCached,
 		"intern_hit_rate":       rate(ihits, ihits+imisses),
 		"shed_total":            c.Shed,
 		"result_cache_hit_rate": rate(c.ResultHits, c.Submissions),

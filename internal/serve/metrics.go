@@ -3,6 +3,7 @@ package serve
 import (
 	"time"
 
+	"repro/internal/dbm"
 	"repro/internal/obs"
 )
 
@@ -70,6 +71,16 @@ func (s *Server) buildRegistry() {
 	g("taserved_stored_zone_bytes", "Live explorations' resident passed-store bytes.", func() int64 { b, _, _ := s.jobs.storedFootprint(); return b })
 	g("taserved_intern_hits_total", "Live explorations' discrete-vector intern hits.", func() int64 { _, h, _ := s.jobs.storedFootprint(); return h })
 	g("taserved_intern_misses_total", "Live explorations' discrete-vector intern misses.", func() int64 { _, _, miss := s.jobs.storedFootprint(); return miss })
+	// Zone slabs are mapped, not allocated (internal/dbm): the Go runtime's
+	// own metrics and heap profiles do not contain them, so without these two
+	// the process's resident memory cannot be accounted for from its output.
+	// Process-wide, like the cache itself.
+	slab := func(state string, fn func() int64) {
+		g("taserved_zone_slab_bytes", "Zone slab memory held by running sweeps (in_use) and kept for the next one (cached).",
+			fn, obs.Label{Name: "state", Value: state})
+	}
+	slab("in_use", func() int64 { _, inUse, _ := dbm.SlabStats(); return inUse })
+	slab("cached", func() int64 { _, _, cached := dbm.SlabStats(); return cached })
 	c("taserved_shed_total", "Submissions rejected 429 at admission.", s.shed.Load)
 	g("taserved_node_info", "Static node identity; the node label carries the id.",
 		func() int64 { return 1 }, obs.Label{Name: "node", Value: s.dispatch.Self()})

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -40,6 +41,7 @@ func TestMetricsAliasAndLint(t *testing.T) {
 		"taserved_submissions_total", "taserved_jobs_active",
 		"taserved_job_queue_wait_seconds", "taserved_job_admission_wait_seconds",
 		"taserved_job_compute_seconds", "taserved_job_replicate_seconds",
+		"taserved_zone_slab_bytes",
 	} {
 		if !strings.Contains(string(v1), "# TYPE "+fam+" ") {
 			t.Errorf("family %s missing from exposition", fam)
@@ -47,6 +49,63 @@ func TestMetricsAliasAndLint(t *testing.T) {
 	}
 	if !strings.Contains(string(v1), `taserved_job_compute_seconds_bucket{le="+Inf"} 1`) {
 		t.Errorf("compute histogram did not record the job:\n%s", v1)
+	}
+}
+
+// slabGauges scrapes /v1/metrics and returns the two zone-slab series.
+func slabGauges(t *testing.T, base string) (inUse, cached int64) {
+	t.Helper()
+	code, body := getBody(t, base+"/v1/metrics")
+	if code != 200 {
+		t.Fatalf("/v1/metrics: HTTP %d", code)
+	}
+	read := func(state string) int64 {
+		series := `taserved_zone_slab_bytes{state="` + state + `"} `
+		_, rest, ok := strings.Cut(string(body), series)
+		if !ok {
+			t.Fatalf("series %s missing from exposition:\n%s", series, body)
+		}
+		line, _, _ := strings.Cut(rest, "\n")
+		n, err := strconv.ParseInt(line, 10, 64)
+		if err != nil {
+			t.Fatalf("%s%s: %v", series, line, err)
+		}
+		return n
+	}
+	return read("in_use"), read("cached")
+}
+
+// TestZoneSlabGauges scrapes the slab series before, during and after a
+// sweep. Zone memory is mapped, not allocated, so these are the service's
+// only account of it: a running sweep shows as in_use, and what it releases
+// stays as cached — the whole of it, for the next sweep — and is reported on
+// /v1/healthz as well.
+func TestZoneSlabGauges(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	idle, _ := slabGauges(t, ts.URL)
+
+	sr := submit(t, ts.URL, hugeSubmit(29, 0))
+	if st := awaitProgress(t, ts.URL, sr.JobID, 2000, time.Minute); st.State != StateRunning {
+		t.Fatalf("job %s: %s (%s), want running mid-sweep", sr.JobID, st.State, st.Error)
+	}
+	during, _ := slabGauges(t, ts.URL)
+	if during <= idle {
+		t.Errorf("in_use %d while a sweep with 2000 stored states runs, %d before it", during, idle)
+	}
+
+	postJSON(t, ts.URL+"/v1/jobs/"+sr.JobID+"/cancel", nil)
+	await(t, ts.URL, sr.JobID, 30*time.Second)
+	after, cached := slabGauges(t, ts.URL)
+	if after != idle || cached < during-idle {
+		t.Errorf("after the sweep: in_use %d (idle %d), cached %d; want the sweep's %d bytes cached", after, idle, cached, during-idle)
+	}
+	_, body := getBody(t, ts.URL+"/v1/healthz")
+	var h map[string]any
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h["zone_slab_bytes"] != float64(after+cached) {
+		t.Errorf("healthz zone_slab_bytes = %v, want in_use + cached = %d", h["zone_slab_bytes"], after+cached)
 	}
 }
 
