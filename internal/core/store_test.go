@@ -172,10 +172,11 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 	if after1 <= 0 {
 		t.Fatalf("bytes after one admission = %d, want > 0", after1)
 	}
-	// dim 2 zones fit the 16-bit width: 8-byte header + 4 bounds × 2 bytes,
-	// plus the entry that holds the zone's record inline and the two
-	// interned vectors (one word each).
-	if want := int64(8+4*2) + entryBytes + 16; after1 != want {
+	// The packed zone, whatever the layout makes of it, plus the entry that
+	// holds the zone's record inline and the two interned vectors (one word
+	// each).
+	packed := func(s *State) int64 { return int64(len(dbm.EncodeCompact(s.Zone, nil))) }
+	if want := packed(first) + entryBytes + 16; after1 != want {
 		t.Errorf("bytes after one admission = %d, want %d", after1, want)
 	}
 	admit(st, mkState(locs, vars, 5)) // subsumed
@@ -190,19 +191,23 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 	// Pruned while its state still waits, a payload stays charged until the
 	// state releases it.
 	admit(st, mkState(locs, vars, 30)) // orphans the x<=20 payload
-	if want := after1 + int64(8+4*2); st.bytes() != want {
+	if want := after1 + packed(second); st.bytes() != want {
 		t.Errorf("bytes with an orphaned payload = %d, want %d", st.bytes(), want)
 	}
 	st.release(second)
 	if st.bytes() != after1 {
 		t.Errorf("bytes after the orphan's release = %d, want %d", st.bytes(), after1)
 	}
-	// An incomparable zone needs a second record: one more payload plus the
-	// entry's first overflow segment, which holds a single slot.
+	// An incomparable zone needs a second record: one more payload — a
+	// shorter one, no row is stored for a clock nothing bounds from above —
+	// plus the entry's first overflow segment, which holds a single slot.
 	b := &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}
 	b.Zone.Constrain(0, 1, dbm.LE(-25))
+	if packed(b) >= packed(first) {
+		t.Fatalf("setup: the unbounded zone packs to %d bytes, the bounded one to %d", packed(b), packed(first))
+	}
 	admit(st, b)
-	if want := after1 + int64(8+4*2) + segBytes + recBytes; st.bytes() != want {
+	if want := after1 + packed(b) + segBytes + recBytes; st.bytes() != want {
 		t.Errorf("bytes after a second zone = %d, want %d", st.bytes(), want)
 	}
 }

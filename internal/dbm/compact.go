@@ -3,13 +3,15 @@ package dbm
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
-// Compact is a stored zone in packed form: an 8-byte header followed by the
-// dim² bounds at a narrow fixed width. Canonical DBMs in extrapolated
-// explorations have all finite bounds clamped to the model horizon, so almost
-// every stored zone fits 16-bit (or at worst 32-bit) encoded bounds; the full
-// 64-bit form remains as a width escape so the encoding is total.
+// Compact is a stored zone in packed form: an 8-byte header, a row mask, and
+// the bounds of the rows the mask keeps, at a narrow fixed width. Canonical
+// DBMs in extrapolated explorations have all finite bounds clamped to the
+// model horizon, so almost every stored zone fits 16-bit (or at worst 32-bit)
+// encoded bounds; the full 64-bit form remains as a width escape so the
+// encoding is total.
 //
 // Layout:
 //
@@ -20,8 +22,22 @@ import (
 //	        goroutine decodes the payload. internal/core's store keeps there
 //	        whether a waiting state still references the buffer.
 //	[2:4]   dim, uint16 little-endian
-//	[4:8]   reserved (zero; keeps 64-bit payloads 8-byte aligned)
-//	[8:]    dim² bounds, row-major, width bytes each, little-endian
+//	[4:8]   reserved (zero)
+//	[8:8+M] row mask, ⌈dim/64⌉ 64-bit little-endian words (M bytes; the rows
+//	        behind it start 8-byte aligned): bit r%64 of word r/64 — bit r%8
+//	        of byte r/8 — is set when row r is omitted, padding bits are zero
+//	[8+M:]  the kept rows in row order, dim bounds each, width bytes a bound,
+//	        little-endian
+//
+// An omitted row is one whose off-diagonal bounds are all Infinity and whose
+// diagonal is (≤, 0): a clock with no upper bound against anything, which
+// event-model and observer clocks are between their resets. Nothing of it is
+// stored but its mask bit, and it decodes to exactly that row, so the packing
+// is lossless for every matrix (a row of Infinity around any other diagonal,
+// which no canonical zone has, is kept like any row). A payload is therefore
+// 8 + M + keptRows·dim·width bytes, and payloads of one exploration differ in
+// length. Row 0 of a canonical zone is never omitted beyond dimension 1: its
+// bounds say that clocks are not negative.
 //
 // Narrow widths store the encoded Bound (value<<1|weak) as int16/int32 with
 // math.MaxInt16/math.MaxInt32 as the Infinity sentinel; width 8 stores the
@@ -118,20 +134,56 @@ func (c Compact) Holder() byte { return c[1] }
 // SetHolder sets the holder mark.
 func (c Compact) SetHolder(h byte) { c[1] = h }
 
+// rows returns what follows the header and the row mask of a dim-clock
+// payload: the bounds of its kept rows.
+func (c Compact) rows(dim int) []byte { return c[compactHeader+(dim+63)/64*8:] }
+
+// keptRun returns the end of the run of kept rows that starts at row r — r
+// itself when that row is omitted. A run ends with its mask word, so a longer
+// stretch of kept rows comes as several runs. The kernels below walk a payload
+// run by run: the rows of a run are contiguous in the matrix and in the
+// payload, which is where the flat loops of a layout without a mask apply.
+func (c Compact) keptRun(r, dim int) int {
+	word := binary.LittleEndian.Uint64(c[compactHeader+r>>6<<3:])
+	return min(r+bits.TrailingZeros64(word>>(r&63)), (r|63)+1, dim)
+}
+
 // EncodeCompact packs a canonical DBM into the narrowest width that holds all
-// its finite bounds, drawing the buffer from p (which may be nil for a plain
-// allocation). The bounds themselves are stored encoded, so the pack is a
-// single scan plus a single copy — no per-entry decode.
+// its finite bounds, leaving out the rows that bound nothing (see Compact),
+// and draws the buffer from p (which may be nil for a plain allocation). The
+// bounds themselves are stored encoded, so the pack is a single scan plus a
+// single copy — no per-entry decode.
 func EncodeCompact(d *DBM, p *CompactPool) Compact {
+	dim := d.dim
+	// The length of the buffer depends on what the scan finds, so the mask is
+	// collected on the stack first (heap beyond 256 clocks).
+	var stack [4]uint64
+	mask := stack[:]
+	if n := (dim + 63) / 64; n <= len(stack) {
+		mask = mask[:n]
+	} else {
+		mask = make([]uint64, n)
+	}
 	lo, hi := Bound(math.MaxInt64), Bound(math.MinInt64)
-	for _, b := range d.m {
-		if b != Infinity {
-			if b < lo {
-				lo = b
+	kept := dim
+	for r := 0; r < dim; r++ {
+		row := d.m[r*dim : (r+1)*dim]
+		finite := 0
+		for _, b := range row {
+			if b != Infinity {
+				finite++
+				if b < lo {
+					lo = b
+				}
+				if b > hi {
+					hi = b
+				}
 			}
-			if b > hi {
-				hi = b
-			}
+		}
+		// One finite bound, and it is the diagonal's (≤, 0).
+		if finite == 1 && row[r] == LEZero {
+			mask[r>>6] |= 1 << (r & 63)
+			kept--
 		}
 	}
 	width := 8
@@ -142,40 +194,51 @@ func EncodeCompact(d *DBM, p *CompactPool) Compact {
 	case lo >= math.MinInt32 && hi < math.MaxInt32:
 		width = 4
 	}
-	n := d.dim * d.dim
-	c := p.get(compactHeader + n*width)
+	c := p.get(compactHeader + 8*len(mask) + kept*dim*width)
 	c[0] = byte(width)
 	c[1] = 0
-	binary.LittleEndian.PutUint16(c[2:4], uint16(d.dim))
+	binary.LittleEndian.PutUint16(c[2:4], uint16(dim))
 	binary.LittleEndian.PutUint32(c[4:8], 0)
 	pay := c[compactHeader:]
+	for _, word := range mask {
+		binary.LittleEndian.PutUint64(pay, word)
+		pay = pay[8:]
+	}
 	// The narrow widths build whole 64-bit words, four (two) lanes to a
 	// store. The width was chosen so that every finite bound lies strictly
 	// below the sentinel, hence min(b, sentinel) is the encoding of both the
 	// finite bounds and Infinity, without a branch.
-	m := d.m
-	switch width {
-	case 2:
-		for ; len(m) >= 4; m, pay = m[4:], pay[8:] {
-			binary.LittleEndian.PutUint64(pay, uint64(uint16(min(m[0], math.MaxInt16)))|
-				uint64(uint16(min(m[1], math.MaxInt16)))<<16|
-				uint64(uint16(min(m[2], math.MaxInt16)))<<32|
-				uint64(uint16(min(m[3], math.MaxInt16)))<<48)
+	for r := 0; r < dim; {
+		end := c.keptRun(r, dim)
+		if end == r {
+			r++
+			continue
 		}
-		for i, b := range m {
-			binary.LittleEndian.PutUint16(pay[i*2:], uint16(min(b, math.MaxInt16)))
-		}
-	case 4:
-		for ; len(m) >= 2; m, pay = m[2:], pay[8:] {
-			binary.LittleEndian.PutUint64(pay, uint64(uint32(min(m[0], math.MaxInt32)))|
-				uint64(uint32(min(m[1], math.MaxInt32)))<<32)
-		}
-		for i, b := range m {
-			binary.LittleEndian.PutUint32(pay[i*4:], uint32(min(b, math.MaxInt32)))
-		}
-	default:
-		for i, b := range m {
-			binary.LittleEndian.PutUint64(pay[i*8:], uint64(b))
+		m := d.m[r*dim : end*dim]
+		r = end
+		switch width {
+		case 2:
+			for ; len(m) >= 4; m, pay = m[4:], pay[8:] {
+				binary.LittleEndian.PutUint64(pay, uint64(uint16(min(m[0], math.MaxInt16)))|
+					uint64(uint16(min(m[1], math.MaxInt16)))<<16|
+					uint64(uint16(min(m[2], math.MaxInt16)))<<32|
+					uint64(uint16(min(m[3], math.MaxInt16)))<<48)
+			}
+			for ; len(m) > 0; m, pay = m[1:], pay[2:] {
+				binary.LittleEndian.PutUint16(pay, uint16(min(m[0], math.MaxInt16)))
+			}
+		case 4:
+			for ; len(m) >= 2; m, pay = m[2:], pay[8:] {
+				binary.LittleEndian.PutUint64(pay, uint64(uint32(min(m[0], math.MaxInt32)))|
+					uint64(uint32(min(m[1], math.MaxInt32)))<<32)
+			}
+			for ; len(m) > 0; m, pay = m[1:], pay[4:] {
+				binary.LittleEndian.PutUint32(pay, uint32(min(m[0], math.MaxInt32)))
+			}
+		default:
+			for ; len(m) > 0; m, pay = m[1:], pay[8:] {
+				binary.LittleEndian.PutUint64(pay, uint64(m[0]))
+			}
 		}
 	}
 	return c
@@ -184,115 +247,159 @@ func EncodeCompact(d *DBM, p *CompactPool) Compact {
 // ContainsDBM reports whether d ⊆ c, i.e. every bound of d is at most the
 // corresponding packed bound. Both zones must be canonical and of equal
 // dimension. The packed payload is compared in place — no decode, no
-// allocation.
+// allocation — and an omitted row is skipped: anything fits under no
+// constraint.
 func (c Compact) ContainsDBM(d *DBM) bool {
-	pay := c[compactHeader:]
-	switch c[0] {
-	case 2:
-		for i, b := range d.m {
-			v := int16(binary.LittleEndian.Uint16(pay[i*2:]))
-			if v == math.MaxInt16 {
-				continue // packed entry is Infinity, anything fits
+	dim := d.dim
+	width, pay := int(c[0]), c.rows(dim)
+	for r := 0; r < dim; {
+		end := c.keptRun(r, dim)
+		if end == r {
+			r++
+			continue
+		}
+		m := d.m[r*dim : end*dim]
+		r = end
+		switch width {
+		case 2:
+			for i, b := range m {
+				v := int16(binary.LittleEndian.Uint16(pay[i*2:]))
+				if v == math.MaxInt16 {
+					continue // packed entry is Infinity, anything fits
+				}
+				if b > Bound(v) {
+					return false
+				}
 			}
-			if b > Bound(v) {
-				return false
+		case 4:
+			for i, b := range m {
+				v := int32(binary.LittleEndian.Uint32(pay[i*4:]))
+				if v == math.MaxInt32 {
+					continue
+				}
+				if b > Bound(v) {
+					return false
+				}
+			}
+		default:
+			for i, b := range m {
+				if b > Bound(binary.LittleEndian.Uint64(pay[i*8:])) {
+					return false
+				}
 			}
 		}
-	case 4:
-		for i, b := range d.m {
-			v := int32(binary.LittleEndian.Uint32(pay[i*4:]))
-			if v == math.MaxInt32 {
-				continue
-			}
-			if b > Bound(v) {
-				return false
-			}
-		}
-	default:
-		for i, b := range d.m {
-			if b > Bound(binary.LittleEndian.Uint64(pay[i*8:])) {
-				return false
-			}
-		}
+		pay = pay[len(m)*width:]
 	}
 	return true
 }
 
 // SubsetEqDBM reports whether c ⊆ d, i.e. every packed bound is at most the
 // corresponding bound of d. Both zones must be canonical and of equal
-// dimension. Like ContainsDBM this runs on the packed payload directly.
+// dimension. Like ContainsDBM this runs on the packed payload directly; an
+// omitted row fits only a row of d that bounds nothing either.
 func (c Compact) SubsetEqDBM(d *DBM) bool {
-	pay := c[compactHeader:]
-	switch c[0] {
-	case 2:
-		for i, b := range d.m {
-			v := int16(binary.LittleEndian.Uint16(pay[i*2:]))
-			if v == math.MaxInt16 {
-				if b != Infinity {
+	dim := d.dim
+	width, pay := int(c[0]), c.rows(dim)
+	for r := 0; r < dim; {
+		end := c.keptRun(r, dim)
+		if end == r {
+			for i, b := range d.m[r*dim : (r+1)*dim] {
+				if b != Infinity && i != r {
 					return false // packed Infinity exceeds any finite bound
 				}
-				continue
 			}
-			if Bound(v) > b {
-				return false
-			}
+			r++
+			continue
 		}
-	case 4:
-		for i, b := range d.m {
-			v := int32(binary.LittleEndian.Uint32(pay[i*4:]))
-			if v == math.MaxInt32 {
-				if b != Infinity {
+		m := d.m[r*dim : end*dim]
+		r = end
+		switch width {
+		case 2:
+			for i, b := range m {
+				v := int16(binary.LittleEndian.Uint16(pay[i*2:]))
+				if v == math.MaxInt16 {
+					if b != Infinity {
+						return false
+					}
+					continue
+				}
+				if Bound(v) > b {
 					return false
 				}
-				continue
 			}
-			if Bound(v) > b {
-				return false
+		case 4:
+			for i, b := range m {
+				v := int32(binary.LittleEndian.Uint32(pay[i*4:]))
+				if v == math.MaxInt32 {
+					if b != Infinity {
+						return false
+					}
+					continue
+				}
+				if Bound(v) > b {
+					return false
+				}
+			}
+		default:
+			for i, b := range m {
+				if Bound(binary.LittleEndian.Uint64(pay[i*8:])) > b {
+					return false
+				}
 			}
 		}
-	default:
-		for i, b := range d.m {
-			if Bound(binary.LittleEndian.Uint64(pay[i*8:])) > b {
-				return false
-			}
-		}
+		pay = pay[len(m)*width:]
 	}
 	return true
 }
 
-// DecodeInto unpacks the zone into d, which must have the same dimension. The
-// narrow widths split one 64-bit load into its four (two) lanes; the
-// sentinel test on each lane is a conditional move, not a branch.
+// DecodeInto unpacks the zone into d, which must have the same dimension: an
+// omitted row as Infinity around its (≤, 0) diagonal, a kept one from its
+// bounds. The narrow widths split one 64-bit load into its four (two) lanes;
+// the sentinel test on each lane is a conditional move, not a branch.
 func (c Compact) DecodeInto(d *DBM) {
-	if d.dim != c.Dim() {
+	dim := d.dim
+	if dim != c.Dim() {
 		panic("dbm: dimension mismatch in DecodeInto")
 	}
-	pay := c[compactHeader:]
-	m := d.m
-	switch c[0] {
-	case 2:
-		for ; len(m) >= 4; m, pay = m[4:], pay[8:] {
-			w := binary.LittleEndian.Uint64(pay)
-			m[0] = widen16(int16(w))
-			m[1] = widen16(int16(w >> 16))
-			m[2] = widen16(int16(w >> 32))
-			m[3] = widen16(int16(w >> 48))
+	width, pay := int(c[0]), c.rows(dim)
+	for r := 0; r < dim; {
+		end := c.keptRun(r, dim)
+		if end == r {
+			m := d.m[r*dim : (r+1)*dim]
+			for i := range m {
+				m[i] = Infinity
+			}
+			m[r] = LEZero
+			r++
+			continue
 		}
-		for i := range m {
-			m[i] = widen16(int16(binary.LittleEndian.Uint16(pay[i*2:])))
-		}
-	case 4:
-		for ; len(m) >= 2; m, pay = m[2:], pay[8:] {
-			w := binary.LittleEndian.Uint64(pay)
-			m[0] = widen32(int32(w))
-			m[1] = widen32(int32(w >> 32))
-		}
-		for i := range m {
-			m[i] = widen32(int32(binary.LittleEndian.Uint32(pay[i*4:])))
-		}
-	default:
-		for i := range m {
-			m[i] = Bound(binary.LittleEndian.Uint64(pay[i*8:]))
+		m := d.m[r*dim : end*dim]
+		r = end
+		switch width {
+		case 2:
+			for ; len(m) >= 4; m, pay = m[4:], pay[8:] {
+				w := binary.LittleEndian.Uint64(pay)
+				m[0] = widen16(int16(w))
+				m[1] = widen16(int16(w >> 16))
+				m[2] = widen16(int16(w >> 32))
+				m[3] = widen16(int16(w >> 48))
+			}
+			for ; len(m) > 0; m, pay = m[1:], pay[2:] {
+				m[0] = widen16(int16(binary.LittleEndian.Uint16(pay)))
+			}
+		case 4:
+			for ; len(m) >= 2; m, pay = m[2:], pay[8:] {
+				w := binary.LittleEndian.Uint64(pay)
+				m[0] = widen32(int32(w))
+				m[1] = widen32(int32(w >> 32))
+			}
+			for ; len(m) > 0; m, pay = m[1:], pay[4:] {
+				m[0] = widen32(int32(binary.LittleEndian.Uint32(pay)))
+			}
+		default:
+			for ; len(m) > 0; m, pay = m[1:], pay[8:] {
+				m[0] = Bound(binary.LittleEndian.Uint64(pay))
+			}
 		}
 	}
 }
@@ -325,10 +432,14 @@ func (c Compact) Decode() *DBM {
 // CompactPool recycles Compact buffers by exact byte length, the packed
 // counterpart of Pool for stored zones: pruned (subsumed) store entries are
 // Put back and the next admission of a same-sized zone reuses the buffer.
-// Exact lengths (not power-of-two classes) matter here: every zone of one
-// exploration has the same dimension, so a store sees at most three distinct
-// buffer sizes — one per encoding width — and class rounding would only
-// inflate every stored zone's capacity (up to 2×) for no extra reuse.
+// Every zone of one exploration has the same dimension, but a payload's
+// length also depends on its width and on how many of its rows are omitted,
+// so a store sees up to dim+1 lengths per width. Measured on the benchmark's
+// archchain workload (22 clocks, one width): a sweep packs 11 distinct
+// lengths, 544 to 984 bytes, and all of its 6,836 pruned buffers are handed
+// out again before it ends. Exact lengths (not power-of-two or per-row
+// classes) therefore lose no reuse there, and rounding would only give back
+// part of what omitting rows saves.
 // A pool is NOT safe for concurrent use — the passed store owns one per shard
 // and only touches it while holding the shard. Buffers the free lists cannot
 // supply are carved out of the pool's slab set (slab.go), under the ownership

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -61,8 +62,9 @@ func TestCompactRoundTripWidths(t *testing.T) {
 		if !into.Eq(z) {
 			t.Errorf("%s: DecodeInto diverges", tc.name)
 		}
-		if len(c) != compactHeader+z.Dim()*z.Dim()*tc.width {
-			t.Errorf("%s: len = %d, want %d", tc.name, len(c), compactHeader+z.Dim()*z.Dim()*tc.width)
+		// Header, one mask word, every row: clock 2 left zero with clock 1.
+		if want := compactHeader + 8 + z.Dim()*z.Dim()*tc.width; len(c) != want {
+			t.Errorf("%s: len = %d, want %d", tc.name, len(c), want)
 		}
 	}
 }
@@ -142,6 +144,101 @@ func TestCompactInfinityEntries(t *testing.T) {
 	}
 }
 
+// TestCompactOmittedRows pins the row mask at its edges: which rows it leaves
+// out, what that does to the length, and that all four kernels read an omitted
+// row as the row it stands for.
+func TestCompactOmittedRows(t *testing.T) {
+	// bounded returns the zone where the listed clocks lie in [0, 10+c] and
+	// nothing bounds the others — what Up leaves of a zone whose other clocks
+	// were all freed.
+	bounded := func(dim int, clocks ...int) *DBM {
+		z := Universe(dim)
+		for _, c := range clocks {
+			if c < dim && !z.Constrain(c, 0, LE(int64(10+c))) {
+				t.Fatalf("dim %d: bounding clock %d emptied the zone", dim, c)
+			}
+		}
+		return z
+	}
+	// check packs z and compares the payload with the layout: exactly the
+	// rows of kept stored, the length that follows, a lossless round trip,
+	// and both inclusions agreeing with the full form against every other.
+	check := func(name string, z *DBM, kept []int, others ...*DBM) Compact {
+		t.Helper()
+		assertCanonical(t, name, z)
+		c := EncodeCompact(z, nil)
+		for r := 0; r < z.Dim(); r++ {
+			if c.omitted(r) == slices.Contains(kept, r) {
+				t.Errorf("%s: row %d omitted = %v, kept rows are %v", name, r, c.omitted(r), kept)
+			}
+		}
+		if want := compactHeader + (z.Dim()+63)/64*8 + len(kept)*z.Dim()*2; len(c) != want {
+			t.Errorf("%s: %d bytes, want %d", name, len(c), want)
+		}
+		if !bytes.Equal(c, refEncodeCompact(z)) {
+			t.Errorf("%s: payload differs from the per-element reference", name)
+		}
+		into := scaleZone(z, 3) // stale contents DecodeInto must overwrite, omitted rows too
+		if c.DecodeInto(into); !into.Eq(z) || !c.Decode().Eq(z) {
+			t.Errorf("%s: round trip diverges:\n got %s\nwant %s", name, into, z)
+		}
+		for i, o := range append(others, z) {
+			if got, want := c.ContainsDBM(o), o.SubsetEq(z); got != want {
+				t.Errorf("%s: ContainsDBM(other %d) = %v, full SubsetEq = %v", name, i, got, want)
+			}
+			if got, want := c.SubsetEqDBM(o), z.SubsetEq(o); got != want {
+				t.Errorf("%s: SubsetEqDBM(other %d) = %v, full SubsetEq = %v", name, i, got, want)
+			}
+		}
+		return c
+	}
+
+	// Dimension 1 is row 0 alone, with no bound beside its diagonal.
+	if c := check("dim 1", New(1), nil); len(c) != compactHeader+8 {
+		t.Errorf("dim 1: %d bytes, want header and mask only", len(c))
+	}
+	// No clock bounded: every clock's row goes, row 0 (clocks are not
+	// negative) stays.
+	for _, dim := range []int{2, 5, 22} {
+		check("universe", Universe(dim), []int{0}, New(dim), bounded(dim, 1))
+	}
+	// An omitted row against a matrix with one finite bound in that row, and
+	// the same matrix packed: a kept row that is Infinity in all entries but
+	// one.
+	free, one := Universe(3), Universe(3)
+	if !one.Constrain(2, 1, LE(5)) {
+		t.Fatal("setup: x2 - x1 <= 5 emptied the universe")
+	}
+	if one.At(2, 0) != Infinity || one.At(2, 1) != LE(5) || one.At(1, 0) != Infinity || one.At(1, 2) != Infinity {
+		t.Fatalf("setup: want row 2 finite at column 1 only and row 1 free, got %s", one)
+	}
+	if c := check("all free", free, []int{0}, one); c.SubsetEqDBM(one) || !c.ContainsDBM(one) {
+		t.Error("an omitted row must contain, and not fit under, a row with one finite bound")
+	}
+	if c := check("one finite bound", one, []int{0, 2}, free); !c.SubsetEqDBM(free) || c.ContainsDBM(free) {
+		t.Error("a row kept for one finite bound must fit under, and not contain, a free row")
+	}
+	// The ends of the mask's 64-bit words: rows 63 | 64 and 127 | 128, kept
+	// and omitted on either side, and the last row of the matrix.
+	for _, dim := range []int{64, 65, 130} {
+		for _, kept := range [][]int{
+			{0, 1, 63, 128},
+			{0, 62, 64, 127, 129},
+			{0, 63, 64, 127, 128},
+			{0, dim - 1},
+		} {
+			kept = slices.DeleteFunc(slices.Clone(kept), func(r int) bool { return r >= dim })
+			z := bounded(dim, kept[1:]...)
+			// One more clock bounded at each word's end, and one fewer.
+			check("mask word end", z, kept,
+				bounded(dim, append([]int{63}, kept[1:]...)...),
+				bounded(dim, append([]int{64}, kept[1:]...)...),
+				bounded(dim, append([]int{dim - 1}, kept[1:]...)...),
+				bounded(dim, kept[2:]...), bounded(dim, kept[1:len(kept)-1]...), Universe(dim))
+		}
+	}
+}
+
 func TestCompactPoolRecycles(t *testing.T) {
 	p := NewCompactPool()
 	z := mkZone(t, 3, 1, 6)
@@ -164,10 +261,11 @@ func TestCompactPoolRecycles(t *testing.T) {
 	}
 }
 
-// compactFuzzDims are the dimensions the packing fuzzers draw from. With dim²
-// bounds to a payload, the odd ones leave the word-wide kernels a tail after
-// their last whole 64-bit word at both narrow widths, the even ones none.
-var compactFuzzDims = [...]int{1, 2, 3, 4, 5, 6, 7}
+// compactFuzzDims are the dimensions the packing fuzzers draw from. With dim
+// bounds to a row, the odd ones leave the word-wide kernels a tail after a
+// row's last whole 64-bit word at both narrow widths, 4 none, 2 and 6 at one;
+// 64, 65 and 130 end a mask word, start the second and reach into the third.
+var compactFuzzDims = [...]int{1, 2, 3, 4, 5, 6, 7, 64, 65, 130}
 
 // compactFuzzEdges are the encoded bounds on either side of what the two
 // narrow widths can hold — the sentinels, which must escape to the next
@@ -187,20 +285,31 @@ var compactFuzzEdges = [...]struct {
 // plant compactFuzzEdges[k-3] as the bound of clock 1 — from above when it is
 // positive, from below when negative — which is then the zone's extreme bound
 // and decides the width (reported; 0 when the input does not pin it). The
-// second byte picks the dimension. build draws one zone of that shape.
+// second byte picks the dimension. build draws one zone of that shape: an op
+// program for buildFuzzZone, then one byte that, when odd, frees a clock —
+// programs seldom end on a free, and a packed zone with no omitted row never
+// reaches the kernels' other branch (TestCompactFuzzOmitsRows holds the share
+// of inputs that do).
 func compactFuzzShape(r *byteReader) (dim, width int, build func() *DBM) {
 	sel := int(r.next()) % (3 + len(compactFuzzEdges))
 	dim = compactFuzzDims[int(r.next())%len(compactFuzzDims)]
 	if dim == 1 {
 		return 1, 2, func() *DBM { return New(1) }
 	}
+	zone := func() *DBM {
+		z := buildFuzzZone(r, dim)
+		if k := int(r.next()); k%2 == 1 {
+			z.Free(1 + k/2%(dim-1))
+		}
+		return z
+	}
 	if sel < 3 {
 		scale := [...]int64{1, 1 << 14, 1 << 33}[sel]
-		return dim, 0, func() *DBM { return scaleZone(buildFuzzZone(r, dim), scale) }
+		return dim, 0, func() *DBM { return scaleZone(zone(), scale) }
 	}
 	edge := compactFuzzEdges[sel-3]
 	return dim, edge.width, func() *DBM {
-		z := buildFuzzZone(r, dim)
+		z := zone()
 		z.Free(1)
 		if edge.b > 0 {
 			z.Constrain(1, 0, edge.b)
@@ -211,18 +320,81 @@ func compactFuzzShape(r *byteReader) (dim, width int, build func() *DBM) {
 	}
 }
 
-// addCompactShapeSeeds seeds a packing fuzzer with every (first byte, second
-// byte) pair compactFuzzShape tells apart, each followed by one op program
-// for two zones: delays, bounds from both sides, a reset, a freed clock (so
-// Infinity entries) and a diagonal constraint.
-func addCompactShapeSeeds(f *testing.F) {
-	program := []byte{
-		9, 0, 2, 0, 20, 3, 1, 3, 1, 0, 4, 0, 4, 1, 5, 1, 2, 9, 2, 1, 24, 0, 3, 0, 5,
-		7, 0, 2, 1, 12, 0, 3, 0, 2, 4, 0, 5, 2, 1, 6, 2, 0, 18, 0,
-	}
+// compactShapeSeeds returns every (first byte, second byte) pair
+// compactFuzzShape tells apart, each followed by the op programs of two
+// zones: delays, bounds from both sides, a reset, a freed clock that a
+// diagonal constraint bounds again (so Infinity entries in kept rows), and the
+// byte that frees a clock for good — after the first zone's program in every
+// other seed, after the second's in the rest, so that the zone packed and the
+// zone it is compared with both come with and without omitted rows.
+func compactShapeSeeds() (seeds [][]byte) {
+	first := []byte{7, 0, 2, 0, 20, 3, 1, 3, 1, 0, 4, 0, 4, 1, 5, 1, 2, 9, 2, 1, 24, 0, 3, 0, 5}
+	second := []byte{4, 0, 2, 1, 12, 0, 3, 0, 2, 4, 0, 5, 2, 1, 6, 2, 0, 18}
 	for d := range compactFuzzDims {
 		for sel := 0; sel < 3+len(compactFuzzEdges); sel++ {
-			f.Add(append([]byte{byte(sel), byte(d)}, program...))
+			free := byte((d + sel) % 2 * 3) // 3: odd, and clock 2 where there is one
+			seed := append([]byte{byte(sel), byte(d)}, first...)
+			seed = append(append(append(seed, free), second...), 3-free)
+			seeds = append(seeds, seed)
+		}
+	}
+	return seeds
+}
+
+func addCompactShapeSeeds(f *testing.F) {
+	for _, seed := range compactShapeSeeds() {
+		f.Add(seed)
+	}
+}
+
+// TestCompactFuzzOmitsRows holds the packing fuzzers to the branches the row
+// mask added, so that an edit to their generator cannot quietly stop reaching
+// them: of FuzzCompactSubsetEq's inputs — random bytes, and its shape seeds —
+// a fixed share must pack to a payload with an omitted row, and among those
+// SubsetEqDBM must meet both a matrix whose rows are free wherever the
+// payload's are and one with a finite bound in such a row.
+func TestCompactFuzzOmitsRows(t *testing.T) {
+	count := func(inputs [][]byte) (omitting, fit, exceed int) {
+		for _, data := range inputs {
+			r := &byteReader{data: data}
+			_, _, build := compactFuzzShape(r)
+			z, o := build(), build()
+			c := EncodeCompact(z, nil)
+			if z.Dim() == 1 || omittedRows(c) == 0 {
+				continue
+			}
+			omitting++
+			fits := true
+			for r := 0; r < z.Dim(); r++ {
+				fits = fits && (!c.omitted(r) || refOmitted(o, r))
+			}
+			if fits {
+				fit++
+			} else {
+				exceed++
+			}
+		}
+		return
+	}
+	rng := rand.New(rand.NewSource(1))
+	random := make([][]byte, 2000)
+	for i := range random {
+		random[i] = make([]byte, 96)
+		rng.Read(random[i])
+	}
+	for _, tc := range []struct {
+		name   string
+		inputs [][]byte
+	}{{"random", random}, {"seeds", compactShapeSeeds()}} {
+		omitting, fit, exceed := count(tc.inputs)
+		t.Logf("%s: %d inputs, %d pack with an omitted row; against the second zone %d fit, %d exceed",
+			tc.name, len(tc.inputs), omitting, fit, exceed)
+		if omitting*3 < len(tc.inputs) {
+			t.Errorf("%s: %d of %d inputs pack with an omitted row, want a third", tc.name, omitting, len(tc.inputs))
+		}
+		if fit*20 < len(tc.inputs) || exceed*20 < len(tc.inputs) {
+			t.Errorf("%s: omitted rows meet a free row in %d and a bounded one in %d of %d inputs, want a twentieth each",
+				tc.name, fit, exceed, len(tc.inputs))
 		}
 	}
 }
@@ -233,7 +405,10 @@ func addCompactShapeSeeds(f *testing.F) {
 // bit-identically, with the header dimension matching the full form, at the
 // width its extreme bound calls for, and byte for byte what the per-element
 // reference packs. The seeds cover every shape compactFuzzShape knows: each
-// dimension at each scale and with each edge planted.
+// dimension at each scale and with each edge planted. The corpus under
+// testdata/fuzz adds the row mask's edges by name: dimension 1 (row 0 alone),
+// every clock's row omitted, a row kept for one finite bound, and clocks
+// freed on both sides of a mask word's end at dimensions 64, 65 and 130.
 func FuzzCompactRoundTrip(f *testing.F) {
 	addCompactShapeSeeds(f)
 	f.Add([]byte{0})
@@ -247,7 +422,9 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		r := &byteReader{data: data}
 		dim, width, build := compactFuzzShape(r)
 		z := build()
-		assertCanonical(t, "fuzz zone", z)
+		if dim <= 7 { // a check of the generator; its O(dim³) would be the fuzzer's whole budget at 130
+			assertCanonical(t, "fuzz zone", z)
+		}
 		c := EncodeCompact(z, nil)
 		if c.Dim() != dim {
 			t.Fatalf("header dim = %d, want %d", c.Dim(), dim)
@@ -275,6 +452,10 @@ func FuzzCompactRoundTrip(f *testing.F) {
 // inclusion directions (ContainsDBM, SubsetEqDBM) must agree with full-DBM
 // SubsetEq on arbitrary canonical zone pairs at every width. (The pre-filter
 // that runs before them in the store has its own oracle, FuzzSignatureMonotone.)
+// The corpus under testdata/fuzz names the pairs an omitted row decides: one
+// meeting a row with a single finite bound (in either role), two zones that
+// omit the same rows, and pairs that differ in one row next to a mask word's
+// end.
 func FuzzCompactSubsetEq(f *testing.F) {
 	addCompactShapeSeeds(f)
 	f.Add([]byte{0})
@@ -296,8 +477,33 @@ func FuzzCompactSubsetEq(f *testing.F) {
 	})
 }
 
-// refEncodeCompact is EncodeCompact written one bound at a time: the packing
-// the word-wide kernel must reproduce byte for byte.
+// refOmitted is the layout's rule for leaving row r of d out of a payload,
+// one entry at a time: Infinity everywhere but a (≤, 0) diagonal.
+func refOmitted(d *DBM, r int) bool {
+	for j := 0; j < d.dim; j++ {
+		if b := d.At(r, j); (j == r && b != LEZero) || (j != r && b != Infinity) {
+			return false
+		}
+	}
+	return true
+}
+
+// omitted reports whether c's mask leaves row r out.
+func (c Compact) omitted(r int) bool { return c[compactHeader+r/8]>>(r%8)&1 != 0 }
+
+// omittedRows counts the rows c leaves out.
+func omittedRows(c Compact) (n int) {
+	for r := 0; r < c.Dim(); r++ {
+		if c.omitted(r) {
+			n++
+		}
+	}
+	return n
+}
+
+// refEncodeCompact is EncodeCompact written one bound at a time, with the row
+// mask as the 64-bit words the layout states: the packing the word-wide
+// kernel must reproduce byte for byte.
 func refEncodeCompact(d *DBM) Compact {
 	width := 2
 	for _, b := range d.m {
@@ -309,22 +515,29 @@ func refEncodeCompact(d *DBM) Compact {
 			width = 4
 		}
 	}
-	c := make(Compact, compactHeader+len(d.m)*width)
+	c := make(Compact, compactHeader+(d.dim+63)/64*8)
 	c[0] = byte(width)
 	binary.LittleEndian.PutUint16(c[2:4], uint16(d.dim))
-	for i, b := range d.m {
-		at := c[compactHeader+i*width:]
-		switch {
-		case width == 8:
-			binary.LittleEndian.PutUint64(at, uint64(b))
-		case width == 4 && b == Infinity:
-			binary.LittleEndian.PutUint32(at, math.MaxInt32)
-		case width == 4:
-			binary.LittleEndian.PutUint32(at, uint32(int32(b)))
-		case b == Infinity:
-			binary.LittleEndian.PutUint16(at, math.MaxInt16)
-		default:
-			binary.LittleEndian.PutUint16(at, uint16(int16(b)))
+	for r := 0; r < d.dim; r++ {
+		if refOmitted(d, r) {
+			word := c[compactHeader+r/64*8:]
+			binary.LittleEndian.PutUint64(word, binary.LittleEndian.Uint64(word)|1<<(r%64))
+			continue
+		}
+		for j := 0; j < d.dim; j++ {
+			b := d.At(r, j)
+			switch {
+			case width == 8:
+				c = binary.LittleEndian.AppendUint64(c, uint64(b))
+			case width == 4 && b == Infinity:
+				c = binary.LittleEndian.AppendUint32(c, math.MaxInt32)
+			case width == 4:
+				c = binary.LittleEndian.AppendUint32(c, uint32(int32(b)))
+			case b == Infinity:
+				c = binary.LittleEndian.AppendUint16(c, math.MaxInt16)
+			default:
+				c = binary.LittleEndian.AppendUint16(c, uint16(int16(b)))
+			}
 		}
 	}
 	return c
@@ -332,59 +545,120 @@ func refEncodeCompact(d *DBM) Compact {
 
 // refDecodeCompact is DecodeInto written one bound at a time.
 func refDecodeCompact(c Compact) []Bound {
-	width := int(c[0])
-	out := make([]Bound, (len(c)-compactHeader)/width)
-	for i := range out {
-		at := c[compactHeader+i*width:]
-		switch width {
-		case 2:
-			out[i] = Bound(int16(binary.LittleEndian.Uint16(at)))
-			if out[i] == math.MaxInt16 {
-				out[i] = Infinity
+	width, dim := int(c[0]), int(binary.LittleEndian.Uint16(c[2:4]))
+	at := c[compactHeader+(dim+63)/64*8:]
+	out := make([]Bound, 0, dim*dim)
+	for r := 0; r < dim; r++ {
+		if binary.LittleEndian.Uint64(c[compactHeader+r/64*8:])>>(r%64)&1 == 1 {
+			for j := 0; j < dim; j++ {
+				if j == r {
+					out = append(out, LEZero)
+				} else {
+					out = append(out, Infinity)
+				}
 			}
-		case 4:
-			out[i] = Bound(int32(binary.LittleEndian.Uint32(at)))
-			if out[i] == math.MaxInt32 {
-				out[i] = Infinity
-			}
-		default:
-			out[i] = Bound(binary.LittleEndian.Uint64(at))
+			continue
 		}
+		for j := 0; j < dim; j, at = j+1, at[width:] {
+			var b Bound
+			switch width {
+			case 2:
+				if b = Bound(int16(binary.LittleEndian.Uint16(at))); b == math.MaxInt16 {
+					b = Infinity
+				}
+			case 4:
+				if b = Bound(int32(binary.LittleEndian.Uint32(at))); b == math.MaxInt32 {
+					b = Infinity
+				}
+			default:
+				b = Bound(binary.LittleEndian.Uint64(at))
+			}
+			out = append(out, b)
+		}
+	}
+	if len(at) != 0 {
+		panic("refDecodeCompact: payload longer than its mask says")
 	}
 	return out
 }
 
 // TestCompactKernelsMatchPerElementReference pins the word-wide pack and
 // unpack kernels against the per-element ones above, on matrices laid out to
-// hit what whole words can get wrong: every dimension parity (a tail after
-// the last word or none), every width, and — by rotating one palette of
-// values through the matrix — every value in every lane, the sentinels'
-// neighbours and Infinity included. The kernels do not need a canonical
-// zone, so the matrices are raw.
+// hit what whole words and the row mask can get wrong: every dimension parity
+// (a tail after a row's last word or none) and the dimensions around a mask
+// word's end, every width, by rotating one palette of values through the
+// matrix every value in every lane, the sentinels' neighbours and Infinity
+// included, and rows that bound nothing in every position, next to the two
+// kinds of row that almost do. The kernels do not need a canonical zone, so
+// the matrices are raw.
 func TestCompactKernelsMatchPerElementReference(t *testing.T) {
 	palettes := map[int][]Bound{
 		2: {0, 1, -1, math.MaxInt16 - 1, math.MinInt16, Infinity, 7, -300, Infinity},
 		4: {0, math.MaxInt16, math.MinInt16 - 1, -1, math.MaxInt32 - 1, math.MinInt32, Infinity, 1 << 20, Infinity},
 		8: {0, math.MaxInt32, math.MinInt32 - 1, -1, Infinity - 1, math.MinInt64, Infinity, 1 << 40, Infinity},
 	}
-	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 22} {
+	// free says which rows of a matrix are overwritten with one that bounds
+	// nothing; rot shifts the pattern along with the palette.
+	frees := []struct {
+		name string
+		free func(r, rot, dim int) bool
+	}{
+		{"none", func(r, rot, dim int) bool { return false }},
+		{"every third", func(r, rot, dim int) bool { return (r+rot)%3 == 0 }},
+		{"all but row 0", func(r, rot, dim int) bool { return r != 0 }},
+		{"all", func(r, rot, dim int) bool { return true }},
+		{"last of each mask word", func(r, rot, dim int) bool { return r%64 == 63 || r == dim-1 }},
+		{"first of each mask word", func(r, rot, dim int) bool { return r%64 == 0 }},
+	}
+	for _, dim := range []int{1, 2, 3, 4, 5, 7, 8, 22, 64, 65, 130} {
 		for width, palette := range palettes {
 			for rot := range palette {
-				d := &DBM{dim: dim, m: make([]Bound, dim*dim)}
-				for i := range d.m {
-					d.m[i] = palette[(i+rot)%len(palette)]
-				}
-				c, ref := EncodeCompact(d, nil), refEncodeCompact(d)
-				if dim*dim >= len(palette) && c.Width() != width {
-					t.Fatalf("dim %d rot %d: width %d, want %d", dim, rot, c.Width(), width)
-				}
-				if !bytes.Equal(c, ref) {
-					t.Fatalf("dim %d width %d rot %d: packed\n got %x\nwant %x", dim, c.Width(), rot, c, ref)
-				}
-				got := &DBM{dim: dim, m: make([]Bound, dim*dim)}
-				c.DecodeInto(got)
-				if want := refDecodeCompact(ref); !slices.Equal(got.m, want) || !slices.Equal(got.m, d.m) {
-					t.Fatalf("dim %d width %d rot %d: unpacked\n got %v\n ref %v\nfrom %v", dim, c.Width(), rot, got.m, want, d.m)
+				for _, f := range frees {
+					d := &DBM{dim: dim, m: make([]Bound, dim*dim)}
+					for i := range d.m {
+						d.m[i] = palette[(i+rot)%len(palette)]
+					}
+					omitted := 0
+					for r := 0; r < dim; r++ {
+						if !f.free(r, rot, dim) {
+							continue
+						}
+						row := d.m[r*dim : (r+1)*dim]
+						for j := range row {
+							row[j] = Infinity
+						}
+						// One row in three that looks free is not: its
+						// diagonal is not (≤, 0), or one entry is a bound.
+						switch row[r] = LEZero; {
+						case dim > 1 && (r+rot)%3 == 1:
+							row[r] = palette[0]
+						case dim > 1 && (r+rot)%3 == 2:
+							row[(r+1)%dim] = palette[1]
+						default:
+							omitted++
+						}
+					}
+					c, ref := EncodeCompact(d, nil), refEncodeCompact(d)
+					if f.name == "none" && dim*dim >= len(palette) && c.Width() != width {
+						t.Fatalf("dim %d rot %d: width %d, want %d", dim, rot, c.Width(), width)
+					}
+					if !bytes.Equal(c, ref) {
+						t.Fatalf("dim %d width %d rot %d free %s: packed\n got %x\nwant %x", dim, c.Width(), rot, f.name, c, ref)
+					}
+					if dim == 1 && d.m[0] == LEZero {
+						omitted = 1 // freed or not: the palette has (≤, 0) too
+					}
+					if got := omittedRows(c); got != omitted {
+						t.Fatalf("dim %d width %d rot %d free %s: %d rows omitted, want %d", dim, c.Width(), rot, f.name, got, omitted)
+					}
+					if want := compactHeader + (dim+63)/64*8 + (dim-omitted)*dim*c.Width(); len(c) != want {
+						t.Fatalf("dim %d width %d rot %d free %s: %d bytes, want %d", dim, c.Width(), rot, f.name, len(c), want)
+					}
+					got := &DBM{dim: dim, m: make([]Bound, dim*dim)}
+					c.DecodeInto(got)
+					if want := refDecodeCompact(ref); !slices.Equal(got.m, want) || !slices.Equal(got.m, d.m) {
+						t.Fatalf("dim %d width %d rot %d free %s: unpacked\n got %v\n ref %v\nfrom %v", dim, c.Width(), rot, f.name, got.m, want, d.m)
+					}
 				}
 			}
 		}

@@ -353,14 +353,14 @@ func TestTouchedSet(t *testing.T) {
 	s.Add(2)
 	s.Add(0)
 	s.Add(2) // duplicate
-	if s.Len() != 2 || !s.Has(2) || !s.Has(0) || s.Has(1) {
-		t.Fatalf("set contents wrong: %v", s.Clocks())
+	if s.Len() != 2 || !s.mark[2] || !s.mark[0] || s.mark[1] {
+		t.Fatalf("set contents wrong: %v", s.list)
 	}
-	if got := s.Clocks(); len(got) != 2 || got[0] != 2 || got[1] != 0 {
+	if got := s.list; len(got) != 2 || got[0] != 2 || got[1] != 0 {
 		t.Fatalf("insertion order lost: %v", got)
 	}
 	s.Reset()
-	if s.Len() != 0 || s.Has(2) || s.Has(0) {
+	if s.Len() != 0 || s.mark[2] || s.mark[0] {
 		t.Fatal("Reset must empty the set")
 	}
 }
@@ -385,7 +385,7 @@ func TestCloseRowsRederivesDroppedBound(t *testing.T) {
 	if !d.ExtraMTouched(max, rows, cols) {
 		t.Fatal("extrapolation must report a change")
 	}
-	if !rows.Has(1) {
+	if !rows.mark[1] {
 		t.Error("row 1 must be recorded as touched")
 	}
 	// Reference: the same loosening scan followed by a full Close.

@@ -5,8 +5,8 @@ package dbm
 // re-canonicalization to them instead of re-running the full O(n³)
 // Floyd–Warshall.
 //
-// A Touched is reusable scratch: Reset costs O(elements added), Add and Has
-// are O(1), and after the initial allocation no operation allocates — the
+// A Touched is reusable scratch: Reset costs O(elements added), Add is
+// O(1), and after the initial allocation no operation allocates — the
 // exploration hot loop keeps a rows/columns pair per worker (in its succCtx)
 // under the same recycling rules as pooled zones. A Touched is NOT safe for concurrent use.
 type Touched struct {
@@ -38,12 +38,5 @@ func (t *Touched) Add(c int) {
 	}
 }
 
-// Has reports whether clock c is in the set.
-func (t *Touched) Has(c int) bool { return t.mark[c] }
-
 // Len returns the number of distinct clocks recorded.
 func (t *Touched) Len() int { return len(t.list) }
-
-// Clocks returns the recorded clocks in insertion order. The slice aliases
-// the set's storage and is invalidated by Reset and Add.
-func (t *Touched) Clocks() []int32 { return t.list }

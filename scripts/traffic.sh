@@ -61,10 +61,15 @@ DelayUnder row tightened|internal/dbm/upper.go|func (d *DBM) DelayUnder(|for q, 
 DelayUnder emptied|internal/dbm/upper.go|func (d *DBM) DelayUnder(|return false
 EncodeCompact 16-bit|internal/dbm/compact.go|func EncodeCompact(|width = 2
 EncodeCompact 32-bit|internal/dbm/compact.go|func EncodeCompact(|width = 4
-EncodeCompact 64-bit|internal/dbm/compact.go|func EncodeCompact(|PutUint64(pay[
+EncodeCompact 64-bit|internal/dbm/compact.go|func EncodeCompact(|PutUint64(pay, uint64(m[0]))
+EncodeCompact row omitted|internal/dbm/compact.go|func EncodeCompact(|kept--
 DecodeInto 16-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[0] = widen16(
 DecodeInto 32-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[0] = widen32(
-DecodeInto 64-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|Uint64(pay[i*8:])
+DecodeInto 64-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[0] = Bound(
+DecodeInto row omitted|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[r] = LEZero
+ContainsDBM row omitted|internal/dbm/compact.go|func (c Compact) ContainsDBM(|r++
+SubsetEqDBM row omitted|internal/dbm/compact.go|func (c Compact) SubsetEqDBM(|range d.m[r*dim : (r+1)*dim]
+SubsetEqDBM row omitted, d bounded|internal/dbm/compact.go|func (c Compact) SubsetEqDBM(|return false // packed Infinity exceeds
 admit: subsumed on the raw zone|internal/core/store.go|func (e *storeEntry) admit(|return 0, 0, false
 admit: widened, unchanged|internal/dbm/extrapolation.go|func (d *DBM) Extrapolate(|return false
 admit: widened, changed|internal/core/store.go|func (e *storeEntry) admit(|sig = dbm.SignatureOf(zone)
