@@ -21,9 +21,9 @@
 //
 // The server prints "taserved: listening on http://HOST:PORT" once ready
 // (with -addr :0 the kernel picks the port; the line is the way to learn
-// it). SIGINT/SIGTERM trigger a graceful shutdown: the listener stops, every
-// running job is cooperatively canceled mid-sweep, and the process exits 0
-// once the jobs drain.
+// it). SIGINT/SIGTERM trigger a graceful shutdown: intake closes, every
+// running job is cooperatively canceled mid-sweep (a client waiting on one
+// reads "canceled"), the listener drains, and the process exits 0.
 //
 // See the README's "Serving analyses" section for the API and curl examples.
 package main
@@ -107,15 +107,20 @@ func main() {
 		fmt.Printf("taserved: %v, shutting down\n", s)
 	}
 
-	// Graceful shutdown: stop accepting, then cancel running sweeps through
-	// the engine's cooperative cancellation and wait for the jobs to drain.
+	// Graceful shutdown, jobs first: cancel the running sweeps through the
+	// engine's cooperative cancellation and let them drain while the listener
+	// still answers, so a client parked in a status wait reads its job's final
+	// "canceled" rather than a dropped connection, and a new submission is told
+	// 503 shutting_down. Shutdown ends whatever waits are left, so the
+	// listener's own drain below never sits out a parked handler.
+	drainErr := srv.Shutdown(*shutTimeout)
 	closeCtx, cancel := context.WithTimeout(context.Background(), *shutTimeout)
 	defer cancel()
 	if err := httpSrv.Shutdown(closeCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "taserved: http shutdown:", err)
 	}
-	if err := srv.Shutdown(*shutTimeout); err != nil {
-		fatal(err)
+	if drainErr != nil {
+		fatal(drainErr)
 	}
 	fmt.Println("taserved: drained, bye")
 }

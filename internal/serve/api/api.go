@@ -94,7 +94,15 @@ type SubmitResponse struct {
 	Created bool `json:"created"`
 }
 
-// StatusResponse is the body answering GET /v1/jobs/{id}.
+// StatusResponse is the body answering GET /v1/jobs/{id}: the job as of the
+// moment the server answers. Without a query that moment is at once. With
+// ?wait_ms=N (a non-negative decimal integer; anything else is 400
+// bad_request) the server holds the answer until the job is terminal or N
+// milliseconds have passed, whichever is first — N above the server's cap of
+// 30 s is clamped to it, not refused — and also answers early when the caller
+// goes away or the node starts shutting down. The body is the same either
+// way, so a waiter tells "finished" from "timed out" by State; an unknown id
+// is 404 without waiting.
 type StatusResponse struct {
 	JobID       string       `json:"job_id"`
 	Kind        string       `json:"kind"`

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -26,6 +27,9 @@ import (
 type Client struct {
 	base string
 	hc   *http.Client
+	// maxWait is the longest wait Await asks of the server in one call:
+	// maxAwaitWait, except in this package's tests.
+	maxWait time.Duration
 }
 
 // New returns a client for the node at base (e.g. "http://127.0.0.1:8080").
@@ -34,7 +38,7 @@ func New(base string, httpClient *http.Client) *Client {
 	if httpClient == nil {
 		httpClient = http.DefaultClient
 	}
-	return &Client{base: strings.TrimRight(base, "/"), hc: httpClient}
+	return &Client{base: strings.TrimRight(base, "/"), hc: httpClient, maxWait: maxAwaitWait}
 }
 
 // APIError is a non-2xx response: the HTTP status plus the decoded
@@ -124,9 +128,21 @@ func (c *Client) Submit(ctx context.Context, req *api.SubmitRequest) (*api.Submi
 	return &sr, nil
 }
 
-// Status fetches one job's state and live progress.
+// Status fetches one job's state and live progress, as of now.
 func (c *Client) Status(ctx context.Context, id string) (*api.StatusResponse, error) {
-	status, body, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
+	return c.StatusWait(ctx, id, 0)
+}
+
+// StatusWait is Status with a server-side wait: the server holds its answer
+// until the job is terminal or wait has passed (whole milliseconds; it clamps
+// the wait to its own cap, 30 s), and answers early — with whatever state the
+// job is in — when it starts shutting down. wait <= 0 is the plain call.
+func (c *Client) StatusWait(ctx context.Context, id string, wait time.Duration) (*api.StatusResponse, error) {
+	path := "/v1/jobs/" + id
+	if wait > 0 {
+		path += "?wait_ms=" + strconv.FormatInt(max(wait.Milliseconds(), 1), 10) // a sub-ms wait still waits
+	}
+	status, body, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -140,26 +156,60 @@ func (c *Client) Status(ctx context.Context, id string) (*api.StatusResponse, er
 	return &st, nil
 }
 
-// Await polls Status until the job reaches a terminal state or the context
-// ends. interval <= 0 selects a 2ms poll (tests want tight loops; production
-// callers should pass something kinder).
+// maxAwaitWait is the longest wait Await asks of the server in one call. It
+// equals the server's cap: asking for more would be clamped, and Await would
+// take the clamped answer for an early one and pause before asking again.
+const maxAwaitWait = 30 * time.Second
+
+// Await blocks until the job reaches a terminal state or the context ends,
+// and returns the last status it saw (with ctx.Err() in the second case). It
+// does not poll: each call is a StatusWait for what is left of the context
+// (at most maxAwaitWait), which the server answers the moment the job turns
+// terminal, and a wait that ran its full length is followed by the next one
+// at once. interval is only the pause after a wait that came back non-terminal
+// early — from a server that ignores wait_ms, or from a node that is draining
+// — so that such a server is polled, not hammered; interval <= 0 selects 2ms.
 func (c *Client) Await(ctx context.Context, id string, interval time.Duration) (*api.StatusResponse, error) {
 	if interval <= 0 {
 		interval = 2 * time.Millisecond
 	}
+	var (
+		last  *api.StatusResponse
+		pause *time.Timer // created on the first early answer, reset after
+	)
 	for {
-		st, err := c.Status(ctx, id)
+		wait := c.maxWait
+		if deadline, ok := ctx.Deadline(); ok {
+			// Whole milliseconds, as the wire carries them, and never zero:
+			// the last sliver of a context is cut short by the context.
+			wait = max(min(wait, time.Until(deadline)).Truncate(time.Millisecond), time.Millisecond)
+		}
+		asked := time.Now()
+		st, err := c.StatusWait(ctx, id, wait)
 		if err != nil {
+			if ctx.Err() != nil {
+				return last, ctx.Err()
+			}
 			return nil, err
 		}
+		last = st
 		switch st.State {
 		case api.StateDone, api.StateFailed, api.StateCanceled:
 			return st, nil
 		}
+		if time.Since(asked) >= wait {
+			continue
+		}
+		if pause == nil {
+			pause = time.NewTimer(interval)
+			defer pause.Stop()
+		} else {
+			pause.Reset(interval)
+		}
 		select {
 		case <-ctx.Done():
-			return st, ctx.Err()
-		case <-time.After(interval):
+			return last, ctx.Err()
+		case <-pause.C:
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"repro/internal/dbm"
@@ -19,7 +21,8 @@ import (
 // Handler returns the HTTP API. The whole contract is versioned under /v1/.
 //
 //	POST /v1/jobs              submit an analysis; returns the job id
-//	GET  /v1/jobs/{id}         status + live progress
+//	GET  /v1/jobs/{id}         status + live progress; ?wait_ms=N holds the
+//	                           answer until the job is terminal or N ms pass
 //	GET  /v1/jobs/{id}/result  the wire result (done jobs only)
 //	GET  /v1/jobs/{id}/trace   captured witness traces
 //	GET  /v1/jobs/{id}/profile lifecycle spans + sweep profile (terminal jobs)
@@ -131,11 +134,59 @@ func (s *Server) jobFromPath(w http.ResponseWriter, r *http.Request) *job {
 	return j
 }
 
+// maxStatusWait caps wait_ms; a longer request is clamped to it, not refused.
+// Thirty seconds sits under the 60 s idle timeout that proxies and load
+// balancers commonly apply to a silent connection, and is long enough that
+// following a sweep of any length costs two requests a minute. It is a
+// property of the protocol, not of a deployment, so it is not configurable:
+// a client that wants longer asks again.
+const maxStatusWait = 30 * time.Second
+
+// parseWaitMS reads the wait_ms query value of a status request: absent means
+// no wait (the plain status call), a non-negative decimal integer is that many
+// milliseconds clamped to maxStatusWait, anything else is a bad request.
+func parseWaitMS(v string) (time.Duration, error) {
+	if v == "" {
+		return 0, nil
+	}
+	ms, err := strconv.ParseInt(v, 10, 64)
+	if err != nil || ms < 0 {
+		return 0, badRequest("wait_ms must be a non-negative integer of milliseconds, got %q", v)
+	}
+	return time.Duration(min(ms, maxStatusWait.Milliseconds())) * time.Millisecond, nil
+}
+
+// awaitTerminal parks a status request until the job turns terminal, d passes,
+// the request ends (the client went away) or the server starts shutting down —
+// whichever is first. The caller reads the job's state afterwards either way.
+func (s *Server) awaitTerminal(ctx context.Context, j *job, d time.Duration) {
+	if d <= 0 || j.terminal() {
+		return
+	}
+	s.statusWaiters.Add(1)
+	defer s.statusWaiters.Add(-1)
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-j.done:
+	case <-timer.C:
+	case <-ctx.Done():
+	case <-s.closing:
+	}
+}
+
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
+	s.statusRequests.Add(1)
 	j := s.jobFromPath(w, r)
 	if j == nil {
 		return
 	}
+	wait, err := parseWaitMS(r.URL.Query().Get("wait_ms"))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	s.awaitTerminal(r.Context(), j, wait)
 	state, errMsg, started, finished := j.snapshot()
 	p := j.mon.Snapshot()
 	resp := StatusResponse{
@@ -244,7 +295,8 @@ func rate(hits, of int64) float64 {
 // handleHealthz reports graded health, not a flat 200: the body carries the
 // admission pressure (queue depth, CPU-token and memory-budget saturation),
 // the result-cache hit rate, the zone slab memory the process holds (in use
-// plus cached — what /v1/metrics splits by state), and the node's cluster view
+// plus cached — what /v1/metrics splits by state), the status requests parked
+// in a wait_ms wait, and the node's cluster view
 // (node id, peer count, remote hit rate), and when admission is saturated —
 // new submissions would be shed — the endpoint flips to ok:false / 503 so
 // load balancers steer traffic away while the node keeps draining its backlog
@@ -279,6 +331,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"peer_count":            len(s.dispatch.Nodes()),
 		"remote_hit_rate":       rate(c.RemoteHits, c.Submissions),
 		"replicated_results":    s.results.Len(),
+		"status_waiters":        s.statusWaiters.Load(),
 	}
 	if s.cfg.MemoryBudget > 0 {
 		// Saturation takes the worse of the two memory views: granted

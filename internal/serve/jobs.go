@@ -212,7 +212,7 @@ type job struct {
 	result   []byte            // raw wire JSON, valid when state == done
 	traces   map[string]string // captured witness traces, by requirement / query
 	spans    []obs.Span        // lifecycle spans, appended as each stage ends
-	done     chan struct{}     // closed on any terminal state
+	done     chan struct{}     // closed once the job is terminal and accounted for
 }
 
 func newJob(id, kind string, workers int, memBytes int64, deadline time.Time) *job {
@@ -264,6 +264,7 @@ func (j *job) setRunning() {
 // wire.CodeForError names for err: the canceled class ends the job canceled,
 // every other named class (DeadlineExceeded, the budget failures) fails it
 // under exactly that name, and unnamed errors fail it under their message.
+// It does not close done: execute does, once the outcome is accounted for.
 func (j *job) finish(result []byte, traces map[string]string, err error) (code string) {
 	code = wire.CodeForError(err)
 	j.mu.Lock()
@@ -284,7 +285,6 @@ func (j *job) finish(result []byte, traces map[string]string, err error) (code s
 		j.errMsg = err.Error()
 	}
 	j.mu.Unlock()
-	close(j.done)
 	return code
 }
 
@@ -387,11 +387,14 @@ func (m *jobManager) submit(id, kind string, workers int, memBytes int64, deadli
 // execute is a job's goroutine, and its tail the single place a job turns
 // terminal: whichever stage produced the outcome — the admission queue, the
 // sweep, a proxy's wait — it is finished, observed and retained here, once.
+// done closes last, so whoever it wakes — a status request parked on the job —
+// finds the outcome already counted, announced and in the table's accounts.
 func (m *jobManager) execute(j *job, run runFunc) {
 	defer m.wg.Done()
 	result, traces, err := m.admitAndRun(j, run)
 	m.onFinish(j, j.finish(result, traces, err))
 	m.onTerminal(j)
+	close(j.done)
 }
 
 func (m *jobManager) admitAndRun(j *job, run runFunc) ([]byte, map[string]string, error) {

@@ -98,4 +98,9 @@ func (s *Server) buildRegistry() {
 	if mi, ok := s.dispatch.(metricsInstrumenter); ok {
 		mi.InstrumentMetrics(r)
 	}
+
+	// Registered last, so every family above scrapes exactly as it did before
+	// these two existed.
+	c("taserved_status_requests_total", "Status requests received (GET /v1/jobs/{id}), waiting or not.", s.statusRequests.Load)
+	g("taserved_status_waiters", "Status requests parked in a wait_ms wait right now.", s.statusWaiters.Load)
 }

@@ -18,22 +18,6 @@ import (
 // routing — must keep the blast radius at one job and one node, with the
 // cluster still answering correctly.
 
-// learnJobID derives a submission's content-addressed job id on a throwaway
-// single-node server (content addressing is deterministic and backend-free),
-// so cluster chaos tests can pick the NON-owner frontend deterministically —
-// submitting to the owner first would replicate the result and short-circuit
-// the proxy path the fault targets.
-func learnJobID(t *testing.T, req *api.SubmitRequest) string {
-	t.Helper()
-	s := serve.New(serve.Config{CPUTokens: 2})
-	t.Cleanup(func() { _ = s.Shutdown(10 * time.Second) })
-	resp, err := s.Submit(req)
-	if err != nil {
-		t.Fatalf("learning job id: %v", err)
-	}
-	return resp.JobID
-}
-
 // nonOwnerOf picks a cluster frontend that does not own the key.
 func nonOwnerOf(t *testing.T, nodes []*clusterNode, key string) *clusterNode {
 	t.Helper()

@@ -82,6 +82,22 @@ func readFile(t *testing.T, path string) string {
 	return string(data)
 }
 
+// learnJobID derives a submission's content-addressed job id on a throwaway
+// single-node server (content addressing is deterministic and backend-free),
+// so a test can pick the NON-owner frontend deterministically — submitting
+// to the owner first would replicate the result and short-circuit the proxy
+// path under test.
+func learnJobID(t *testing.T, req *api.SubmitRequest) string {
+	t.Helper()
+	s := serve.New(serve.Config{CPUTokens: 2})
+	t.Cleanup(func() { _ = s.Shutdown(10 * time.Second) })
+	resp, err := s.Submit(req)
+	if err != nil {
+		t.Fatalf("learning job id: %v", err)
+	}
+	return resp.JobID
+}
+
 // submitAwait pushes one submission through a node's typed client and waits
 // for the terminal state.
 func submitAwait(t *testing.T, n *clusterNode, req *api.SubmitRequest, timeout time.Duration) (*api.SubmitResponse, *api.StatusResponse) {
@@ -338,9 +354,16 @@ func TestErrorsNeverReplicated(t *testing.T) {
 			t.Errorf("node %d replicated a failure (%d cached results)", i, n.cache.Len())
 		}
 	}
-	// Each attempt recomputed: failures are never served from anywhere.
-	if got := totalExplorations(nodes); got != 2 {
-		t.Errorf("two failed submissions cost %d explorations, want 2 (recompute, never cache)", got)
+	// Each attempt recomputed: failures are never served from anywhere. The
+	// count is awaited, not read at this instant: the broker replays the key's
+	// retained first failure to the second proxy's watch, which may end that
+	// proxy before the owner's goroutine for the second envelope has started
+	// its sweep — and a client that waits instead of polling is back here
+	// that early.
+	for deadline := time.Now().Add(10 * time.Second); totalExplorations(nodes) != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("two failed submissions cost %d explorations, want 2 (recompute, never cache)", totalExplorations(nodes))
+		}
 	}
 }
 
@@ -379,5 +402,95 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 		if !ok || !bytes.Equal(got.Result, want) {
 			t.Errorf("node %d cached bytes changed under duplicate announcements", i)
 		}
+	}
+}
+
+// TestWaitOnProxyJob parks a status wait on a non-owner frontend's proxy job
+// while the owner does not exist yet, then boots the owner: the wait must end
+// when the relayed completion is adopted — not at its timeout — and the
+// frontend must serve the owner's bytes.
+func TestWaitOnProxyJob(t *testing.T) {
+	req := &api.SubmitRequest{Kind: "arch", Model: readFile(t, "../../../testdata/tiny.json"),
+		Options: api.SubmitOptions{HorizonMS: 100}}
+	id := learnJobID(t, req)
+
+	broker := pubsub.NewMemBroker()
+	ids := []string{"n0", "n1"}
+	boot := map[string]func() *client.Client{}
+	var ownerID string
+	for _, self := range ids {
+		d, c, err := pubsub.NewNode(broker, self, ids, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ownerID = d.Owner(id)
+		boot[self] = func() *client.Client {
+			s := serve.New(serve.Config{CPUTokens: 2, Dispatch: d, Results: c})
+			ts := httptest.NewServer(s.Handler())
+			t.Cleanup(func() {
+				ts.Close()
+				_ = s.Shutdown(10 * time.Second)
+			})
+			return client.New(ts.URL, nil)
+		}
+	}
+	frontendID := ids[0]
+	if frontendID == ownerID {
+		frontendID = ids[1]
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	frontend := boot[frontendID]()
+	sr, err := frontend.Submit(ctx, req)
+	if err != nil || sr.JobID != id || !sr.Created {
+		t.Fatalf("frontend submit = %+v, %v", sr, err)
+	}
+	type answer struct {
+		st  *api.StatusResponse
+		err error
+		at  time.Time
+	}
+	got := make(chan answer, 1)
+	go func() {
+		st, err := frontend.StatusWait(ctx, id, 30*time.Second)
+		got <- answer{st, err, time.Now()}
+	}()
+	for {
+		text, err := frontend.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := client.Metric(text, "taserved_status_waiters"); n == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case a := <-got:
+		t.Fatalf("the wait was answered (%+v, %v) before any node could compute", a.st, a.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	// The owner subscribes, hears the retained envelope, computes, announces.
+	booted := time.Now()
+	owner := boot[ownerID]()
+	a := <-got
+	if a.err != nil || a.st.State != api.StateDone {
+		t.Fatalf("wait on the proxy = %+v, %v; want done", a.st, a.err)
+	}
+	if lag := a.at.Sub(booted); lag > 5*time.Second {
+		t.Errorf("the wait ended %v after the owner booted", lag)
+	}
+	want, err := owner.Result(ctx, id)
+	if err != nil {
+		t.Fatalf("owner result: %v", err)
+	}
+	have, err := frontend.Result(ctx, id)
+	if err != nil {
+		t.Fatalf("frontend result: %v", err)
+	}
+	if !bytes.Equal(have, want) {
+		t.Errorf("the frontend serves different bytes than the owner:\n%s\n%s", have, want)
 	}
 }

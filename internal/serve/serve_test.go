@@ -73,7 +73,7 @@ func submit(t *testing.T, base string, req SubmitRequest) SubmitResponse {
 	return *sr
 }
 
-// await polls through the typed client until the job reaches a terminal
+// await waits through the typed client until the job reaches a terminal
 // state.
 func await(t *testing.T, base, id string, timeout time.Duration) StatusResponse {
 	t.Helper()

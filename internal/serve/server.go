@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -145,6 +146,13 @@ type Server struct {
 	dispatched   atomic.Int64 // submissions routed to a peer (proxy jobs)
 	remoteHits   atomic.Int64 // submissions answered with peer-computed bytes
 	fallbacks    atomic.Int64 // dispatches degraded to local compute
+	// The status endpoint's own two numbers, bumped by its handler only.
+	statusRequests atomic.Int64 // GET /v1/jobs/{id} calls received, any outcome
+	statusWaiters  atomic.Int64 // of those, parked in a wait_ms wait right now
+	// closing is closed by EndWaits: every parked status wait returns and
+	// later ones do not park.
+	closing   chan struct{}
+	closeOnce sync.Once
 	// dispatchDown latches a backend that failed to register its envelope
 	// handler at startup: routing is bypassed entirely (everything computes
 	// locally) because this node could never serve jobs it owns.
@@ -162,6 +170,7 @@ func New(cfg Config) *Server {
 		compiled: newFlightCache[*arch.CompiledSet](maxCompiled),
 		dispatch: cfg.Dispatch,
 		results:  cfg.Results,
+		closing:  make(chan struct{}),
 	}
 	s.jobs = newJobManager(s.tokens, cfg.MaxActiveJobs, cfg.MaxFinishedJobs, s.jobFinished, s.observeSpan)
 	s.buildRegistry()
@@ -176,15 +185,28 @@ func New(cfg Config) *Server {
 
 // Shutdown stops intake, cancels every live job through the same cooperative
 // mechanism the cancel endpoint uses, waits (bounded) for job goroutines to
-// drain, and releases the dispatch backend's subscriptions. The HTTP
-// listener is the caller's to close (http.Server.Shutdown first, then this).
+// drain, ends the status waits still parked (EndWaits), and releases the
+// dispatch backend's subscriptions. The HTTP listener is the caller's to
+// close. Closing it after this call is the kinder order: the listener keeps
+// answering while the jobs drain, so a client parked in a status wait reads
+// its job's final "canceled" and new submissions are told 503 shutting_down.
+// A caller that drains its listener first must end the waits itself, or its
+// drain sits out every parked one: http.Server.RegisterOnShutdown(s.EndWaits).
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.jobs.close()
 	err := s.jobs.wait(timeout)
+	s.EndWaits()
 	if cerr := s.dispatch.Close(); err == nil {
 		err = cerr
 	}
 	return err
+}
+
+// EndWaits answers every status request parked in a wait_ms wait with its
+// job's state as of now, and makes later waits answer at once: from here on
+// the status endpoint behaves as it does without the parameter. Idempotent.
+func (s *Server) EndWaits() {
+	s.closeOnce.Do(func() { close(s.closing) })
 }
 
 // Counters is a point-in-time view of the server's work, exposed for tests

@@ -1,0 +1,427 @@
+package serve
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/obs"
+	"repro/internal/serve/client"
+	"repro/internal/wire"
+)
+
+// statusAnswer is what one GET /v1/jobs/{id} came back with.
+type statusAnswer struct {
+	code int
+	body []byte
+	took time.Duration
+	err  error
+}
+
+// getStatus issues GET /v1/jobs/{id}?query (query verbatim, "" for the plain
+// call). It reports failures instead of failing a test, so waiters can run it
+// on goroutines of their own.
+func getStatus(base, id, query string) (a statusAnswer) {
+	url := base + "/v1/jobs/" + id
+	if query != "" {
+		url += "?" + query
+	}
+	begin := time.Now()
+	resp, err := http.Get(url)
+	if err != nil {
+		return statusAnswer{err: err}
+	}
+	defer resp.Body.Close()
+	a.code = resp.StatusCode
+	a.body, a.err = io.ReadAll(resp.Body)
+	a.took = time.Since(begin)
+	return a
+}
+
+func waitStatus(t *testing.T, base, id, query string) (int, []byte, time.Duration) {
+	t.Helper()
+	a := getStatus(base, id, query)
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	return a.code, a.body, a.took
+}
+
+// parkThen issues a 30 s wait on the job, runs then once the server has parked
+// it, and returns what the wait was answered with.
+func parkThen(t *testing.T, s *Server, base, id string, then func()) (int, []byte, time.Duration) {
+	t.Helper()
+	got := make(chan statusAnswer, 1)
+	go func() { got <- getStatus(base, id, "wait_ms=30000") }()
+	waitParked(t, s, 1)
+	then()
+	a := <-got
+	if a.err != nil {
+		t.Fatal(a.err)
+	}
+	return a.code, a.body, a.took
+}
+
+func decodeStatus(t *testing.T, body []byte) StatusResponse {
+	t.Helper()
+	var st StatusResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("decoding status %s: %v", body, err)
+	}
+	return st
+}
+
+// waitParked blocks until exactly n status requests are parked on s.
+func waitParked(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); s.statusWaiters.Load() != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d status waiters parked, want %d", s.statusWaiters.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func cancelJob(t *testing.T, base, id string) {
+	t.Helper()
+	if code, body := postJSON(t, base+"/v1/jobs/"+id+"/cancel", nil); code != http.StatusOK {
+		t.Fatalf("cancel: %d: %s", code, body)
+	}
+}
+
+// prompt is the slack the tests grant an answer that should come "at once":
+// far under any wait they ask for, far over a loaded CI host's scheduling.
+const prompt = 2 * time.Second
+
+// TestStatusWait is the table of the waiting status call: what ends a wait,
+// and what the caller reads when it ends.
+func TestStatusWait(t *testing.T) {
+	s, ts := testServer(t, Config{CPUTokens: 1})
+	// One token: running holds it, so queued and quick wait behind it.
+	running := submit(t, ts.URL, hugeSubmit(47, 0))
+	awaitProgress(t, ts.URL, running.JobID, 500, time.Minute)
+	queued := submit(t, ts.URL, hugeSubmit(53, 0))
+	expiring := submit(t, ts.URL, hugeSubmit(59, 200))
+	quick := submit(t, ts.URL, SubmitRequest{Kind: "arch", Model: tinyArchModel(t),
+		Options: SubmitOptions{HorizonMS: 100}})
+
+	t.Run("non-terminal answers at the timeout", func(t *testing.T) {
+		for id, want := range map[string]string{running.JobID: StateRunning, queued.JobID: StateQueued} {
+			code, body, took := waitStatus(t, ts.URL, id, "wait_ms=80")
+			if code != http.StatusOK {
+				t.Fatalf("status: %d: %s", code, body)
+			}
+			if st := decodeStatus(t, body); st.State != want || st.FinishedAt != nil {
+				t.Errorf("%s job after an 80ms wait: %s finished=%v", want, st.State, st.FinishedAt)
+			}
+			if took < 80*time.Millisecond || took > prompt {
+				t.Errorf("%s job: an 80ms wait answered after %v", want, took)
+			}
+		}
+	})
+
+	t.Run("deadline expiry mid-wait", func(t *testing.T) {
+		code, body, took := waitStatus(t, ts.URL, expiring.JobID, "wait_ms=30000")
+		st := decodeStatus(t, body)
+		if code != http.StatusOK || st.State != StateFailed || st.Error != wire.CodeDeadlineExceeded {
+			t.Fatalf("expired job: HTTP %d %s (%q), want failed (DeadlineExceeded)", code, st.State, st.Error)
+		}
+		if took > prompt {
+			t.Errorf("a 200ms deadline ended the wait after %v", took)
+		}
+	})
+
+	t.Run("unknown id is 404 without waiting", func(t *testing.T) {
+		code, body, took := waitStatus(t, ts.URL, "nope", "wait_ms=30000")
+		var er wire.ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || code != http.StatusNotFound || er.Code != wire.CodeNotFound {
+			t.Errorf("unknown id: HTTP %d %s", code, body)
+		}
+		if took > prompt {
+			t.Errorf("unknown id answered after %v", took)
+		}
+	})
+
+	t.Run("malformed wait_ms is 400", func(t *testing.T) {
+		for _, v := range []string{"-1", "abc", "1e3", "1.5", "0x10", "%205", "99999999999999999999"} {
+			code, body, _ := waitStatus(t, ts.URL, running.JobID, "wait_ms="+v)
+			var er wire.ErrorResponse
+			if err := json.Unmarshal(body, &er); err != nil || code != http.StatusBadRequest || er.Code != wire.CodeBadRequest {
+				t.Errorf("wait_ms=%s: HTTP %d %s, want 400 %s", v, code, body, wire.CodeBadRequest)
+			}
+		}
+	})
+
+	t.Run("cancel mid-wait", func(t *testing.T) {
+		code, body, took := parkThen(t, s, ts.URL, queued.JobID, func() { cancelJob(t, ts.URL, queued.JobID) })
+		if st := decodeStatus(t, body); code != http.StatusOK || st.State != StateCanceled {
+			t.Fatalf("canceled job: HTTP %d %s (%q)", code, st.State, st.Error)
+		}
+		if took > prompt {
+			t.Errorf("the wait was answered %v after it began", took)
+		}
+	})
+
+	t.Run("finishing mid-wait answers at the finish", func(t *testing.T) {
+		// quick is queued behind running; canceling running lets it through.
+		code, body, _ := parkThen(t, s, ts.URL, quick.JobID, func() { cancelJob(t, ts.URL, running.JobID) })
+		answered := time.Now()
+		st := decodeStatus(t, body)
+		if code != http.StatusOK || st.State != StateDone || st.FinishedAt == nil {
+			t.Fatalf("quick job: HTTP %d %s (%q)", code, st.State, st.Error)
+		}
+		// A few ms in practice; the bound only has to tell a wake-up from a
+		// poll interval or the timeout.
+		if lag := answered.Sub(*st.FinishedAt); lag > 100*time.Millisecond {
+			t.Errorf("answer reached the caller %v after finished_at", lag)
+		}
+	})
+
+	t.Run("terminal answers at once, above the cap is clamped", func(t *testing.T) {
+		_, plain, _ := waitStatus(t, ts.URL, quick.JobID, "")
+		for _, q := range []string{"wait_ms=30000", "wait_ms=86400000", "wait_ms=0", "wait_ms="} {
+			code, body, took := waitStatus(t, ts.URL, quick.JobID, q)
+			if code != http.StatusOK || took > prompt {
+				t.Errorf("%s on a done job: HTTP %d after %v", q, code, took)
+			}
+			if string(body) != string(plain) {
+				t.Errorf("%s renders a different body than the plain call:\n%s\n%s", q, body, plain)
+			}
+		}
+		if d, err := parseWaitMS("86400000"); err != nil || d != maxStatusWait {
+			t.Errorf("parseWaitMS above the cap = %v, %v; want %v", d, err, maxStatusWait)
+		}
+	})
+
+	if n := s.statusWaiters.Load(); n != 0 {
+		t.Errorf("%d status waiters left parked", n)
+	}
+}
+
+// TestStatusWaitHerd parks 64 waiters on one job and ends it once: every one
+// of them wakes on that single finish with the terminal state, and the two
+// status families account for exactly what happened.
+func TestStatusWaitHerd(t *testing.T) {
+	const herd = 64
+	s, ts := testServer(t, Config{CPUTokens: 1})
+	sr := submit(t, ts.URL, hugeSubmit(61, 0))
+	before := s.statusRequests.Load()
+
+	answers := make([]statusAnswer, herd)
+	var wg sync.WaitGroup
+	for i := range answers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			answers[i] = getStatus(ts.URL, sr.JobID, "wait_ms=30000")
+		}()
+	}
+	waitParked(t, s, herd)
+	if h := healthz(t, ts.URL); h["status_waiters"] != float64(herd) {
+		t.Errorf("healthz status_waiters = %v with %d parked", h["status_waiters"], herd)
+	}
+	begin := time.Now()
+	cancelJob(t, ts.URL, sr.JobID)
+	wg.Wait()
+	if took := time.Since(begin); took > prompt {
+		t.Errorf("the herd took %v to wake", took)
+	}
+	for i, a := range answers {
+		if a.err != nil || a.code != http.StatusOK || decodeStatus(t, a.body).State != StateCanceled {
+			t.Errorf("waiter %d read HTTP %d %s (%v), want canceled", i, a.code, a.body, a.err)
+		}
+	}
+
+	_, body := getBody(t, ts.URL+"/v1/metrics")
+	text := string(body)
+	if errs := obs.Lint(strings.NewReader(text)); len(errs) > 0 {
+		t.Fatalf("exposition fails lint: %v", errs)
+	}
+	if n, _ := client.Metric(text, "taserved_status_requests_total"); n != before+herd {
+		t.Errorf("taserved_status_requests_total = %d, want %d", n, before+herd)
+	}
+	if n, ok := client.Metric(text, "taserved_status_waiters"); !ok || n != 0 {
+		t.Errorf("taserved_status_waiters = %d (present %v) after the herd woke, want 0", n, ok)
+	}
+	// Both register after every older family, so those scrape as they did.
+	if i := strings.Index(text, "# HELP taserved_status_requests_total"); i < 0 ||
+		strings.Contains(text[i:], "# HELP taserved_job_") || strings.Contains(text[i:], "# HELP taserved_replicated_results") {
+		t.Errorf("the status families are not the last of the exposition")
+	}
+}
+
+func healthz(t *testing.T, base string) map[string]any {
+	t.Helper()
+	_, body := getBody(t, base+"/v1/healthz")
+	var h map[string]any
+	if err := json.Unmarshal(body, &h); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestStatusWaitDisconnect walks away from a parked wait: the handler must
+// notice and return, leaving no goroutine behind.
+func TestStatusWaitDisconnect(t *testing.T) {
+	s, ts := testServer(t, Config{CPUTokens: 1})
+	sr := submit(t, ts.URL, hugeSubmit(67, 0))
+	awaitProgress(t, ts.URL, sr.JobID, 500, time.Minute)
+	http.DefaultTransport.(*http.Transport).CloseIdleConnections()
+
+	// The waiter gets a transport of its own, so that dropping its connection
+	// is exactly what the test does and nothing else.
+	tr := &http.Transport{}
+	cl := client.New(ts.URL, &http.Client{Transport: tr})
+	time.Sleep(20 * time.Millisecond) // let the closed connections' goroutines exit
+	baseline := runtime.NumGoroutine()
+
+	ctx, hangUp := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := cl.StatusWait(ctx, sr.JobID, 30*time.Second)
+		errc <- err
+	}()
+	waitParked(t, s, 1)
+	hangUp()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("abandoned wait returned %v, want context.Canceled", err)
+	}
+	tr.CloseIdleConnections()
+	waitParked(t, s, 0)
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines, %d before the abandoned wait:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancelJob(t, ts.URL, sr.JobID)
+	await(t, ts.URL, sr.JobID, 30*time.Second)
+}
+
+// liveNode is a Server behind a real http.Server, the way cmd/taserved wears
+// it, so the tests can drain the listener the way the binary does.
+type liveNode struct {
+	srv    *Server
+	http   *http.Server
+	served chan error
+	base   string
+}
+
+func startLiveNode(t *testing.T, cfg Config) *liveNode {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &liveNode{srv: New(cfg), served: make(chan error, 1), base: "http://" + ln.Addr().String()}
+	n.http = &http.Server{Handler: n.srv.Handler()}
+	go func() { n.served <- n.http.Serve(ln) }()
+	return n
+}
+
+// drainListener is http.Server.Shutdown under a budget far above the bound
+// the tests assert.
+func (n *liveNode) drainListener(t *testing.T) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := n.http.Shutdown(ctx); err != nil {
+		t.Errorf("http shutdown: %v", err)
+	}
+	if err := <-n.served; !errors.Is(err, http.ErrServerClosed) {
+		t.Errorf("serve returned %v", err)
+	}
+}
+
+// TestShutdownWithParkedWaiter is the fix for a wait outliving the server, in
+// both orders a program can stop a node.
+func TestShutdownWithParkedWaiter(t *testing.T) {
+	// parked starts a hopeless job on n and a client waiting on it.
+	type awaited struct {
+		st  *StatusResponse
+		err error
+	}
+	parked := func(t *testing.T, n *liveNode, lastPeriod int64) (id string, tr *http.Transport, got chan awaited) {
+		sr := submit(t, n.base, hugeSubmit(lastPeriod, 0))
+		awaitProgress(t, n.base, sr.JobID, 500, time.Minute)
+		tr = &http.Transport{}
+		got = make(chan awaited, 1)
+		go func() {
+			st, err := client.New(n.base, &http.Client{Transport: tr}).Await(context.Background(), sr.JobID, 0)
+			got <- awaited{st, err}
+		}()
+		waitParked(t, n.srv, 1)
+		return sr.JobID, tr, got
+	}
+
+	// cmd/taserved's order: jobs first. The waiter is answered by its job
+	// turning terminal, while the listener is still up to carry the answer.
+	t.Run("jobs first: the client reads canceled", func(t *testing.T) {
+		n := startLiveNode(t, Config{})
+		_, tr, got := parked(t, n, 71)
+		defer tr.CloseIdleConnections()
+		begin := time.Now()
+		if err := n.srv.Shutdown(20 * time.Second); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		n.drainListener(t)
+		if took := time.Since(begin); took > time.Second {
+			t.Errorf("shutdown with a parked waiter took %v", took)
+		}
+		if a := <-got; a.err != nil || a.st.State != StateCanceled {
+			t.Errorf("waiting client read %+v, %v; want canceled", a.st, a.err)
+		}
+	})
+
+	// The other order — listener first, as the benchmark's nodes and most
+	// embedders stop — with the hook Shutdown's comment prescribes: the drain
+	// does not sit out the wait even though the job is still running.
+	t.Run("listener first: EndWaits frees the drain", func(t *testing.T) {
+		n := startLiveNode(t, Config{})
+		n.http.RegisterOnShutdown(n.srv.EndWaits)
+		id, tr, got := parked(t, n, 73)
+		defer tr.CloseIdleConnections()
+		begin := time.Now()
+		n.drainListener(t)
+		if took := time.Since(begin); took > time.Second {
+			t.Errorf("draining the listener under a parked waiter took %v", took)
+		}
+		if j := n.srv.jobs.get(id); j == nil || j.terminal() {
+			t.Fatalf("the job ended before the server was told to stop")
+		}
+		// The waiter was answered "running" and its next call found no
+		// listener: Await reports that, with nothing left parked.
+		if a := <-got; a.err == nil {
+			t.Errorf("Await against a closed listener returned %+v", a.st)
+		}
+		if err := n.srv.Shutdown(20 * time.Second); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		if took := time.Since(begin); took > time.Second {
+			t.Errorf("the whole stop took %v", took)
+		}
+	})
+
+	// After EndWaits the endpoint is the plain one: a wait does not park.
+	t.Run("no wait parks after EndWaits", func(t *testing.T) {
+		s, ts := testServer(t, Config{})
+		sr := submit(t, ts.URL, hugeSubmit(79, 0))
+		s.EndWaits()
+		s.EndWaits() // idempotent
+		code, body, took := waitStatus(t, ts.URL, sr.JobID, "wait_ms=30000")
+		if st := decodeStatus(t, body); code != http.StatusOK || st.State == StateCanceled || took > prompt {
+			t.Errorf("wait after EndWaits: HTTP %d %s after %v", code, st.State, took)
+		}
+		cancelJob(t, ts.URL, sr.JobID)
+	})
+}

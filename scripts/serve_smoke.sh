@@ -3,7 +3,7 @@
 #
 # Builds taserved, boots it on a kernel-assigned port, drives the full job
 # lifecycle with the typed Go client (scripts/servesmoke: healthz, arch
-# submit → poll → result, result-cache hit on resubmission, a combined ta
+# submit → wait → result, result-cache hit on resubmission, a combined ta
 # query set, metrics), then checks a graceful SIGTERM shutdown (must exit 0
 # after draining). Used by the CI serve-smoke job and runnable locally:
 #

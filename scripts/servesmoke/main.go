@@ -88,18 +88,28 @@ func taRequest(dir string) *api.SubmitRequest {
 		Options: api.SubmitOptions{MaxConst: 20}}
 }
 
-// submitAwait submits and polls to a terminal state, failing unless done.
+// submitAwait submits and waits for a terminal state, failing unless done.
+// Await waits on the server (GET /v1/jobs/{id}?wait_ms=), so the node's own
+// metrics must show that following the job to its end took one status request
+// at most, and that no waiter is left parked once it has ended.
 func submitAwait(ctx context.Context, c *client.Client, req *api.SubmitRequest) *api.StatusResponse {
+	before := metric(ctx, c, "taserved_status_requests_total")
 	sr, err := c.Submit(ctx, req)
 	if err != nil {
 		fail("submit: %v", err)
 	}
-	st, err := c.Await(ctx, sr.JobID, 25*time.Millisecond)
+	st, err := c.Await(ctx, sr.JobID, 0)
 	if err != nil {
 		fail("awaiting %s: %v", sr.JobID, err)
 	}
 	if st.State != api.StateDone {
 		fail("job %s ended %s (%s)", sr.JobID, st.State, st.Error)
+	}
+	if n := metric(ctx, c, "taserved_status_requests_total") - before; n > 1 {
+		fail("awaiting %s took %d status requests, want at most 1 (is Await polling?)", sr.JobID, n)
+	}
+	if n := metric(ctx, c, "taserved_status_waiters"); n != 0 {
+		fail("%d status waiters still parked after %s ended", n, sr.JobID)
 	}
 	return st
 }
@@ -229,7 +239,7 @@ func checkProfile(ctx context.Context, c *client.Client, id string, wantSweep bo
 }
 
 // smokeSingle drives one already-running server through the full lifecycle:
-// health, arch submit/poll/result, cache hit on resubmission, combined ta
+// health, arch submit/wait/result, cache hit on resubmission, combined ta
 // query set, metrics.
 func smokeSingle(url, testdata string) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
@@ -241,7 +251,7 @@ func smokeSingle(url, testdata string) {
 		fail("healthz ok=%v err=%v", ok, err)
 	}
 
-	step("arch submit + poll")
+	step("arch submit + wait")
 	req := archRequest(testdata)
 	st := submitAwait(ctx, c, req)
 
@@ -278,6 +288,7 @@ func smokeSingle(url, testdata string) {
 	step("histogram/gauge families + exposition lint")
 	requireFamilies(ctx, c, "node", append([]string{
 		"taserved_jobs_active", "taserved_stored_zone_bytes",
+		"taserved_status_requests_total", "taserved_status_waiters",
 	}, jobSpanFamilies...)...)
 }
 
