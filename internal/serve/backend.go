@@ -29,8 +29,9 @@ type Dispatch interface {
 	// caller should fall back to computing locally.
 	Send(owner string, envelope []byte) error
 	// Watch subscribes to completion events for one content key. The handler
-	// runs at least once per announced completion (duplicates possible) and
-	// additionally receives a synthetic failed event with code
+	// runs at least once per completion announced from here on (duplicates
+	// possible), is replayed a done completion announced earlier — never an
+	// earlier failure or cancel — and additionally receives a synthetic failed event with code
 	// wire.CodeDispatchFailed if the transport dies while watching — a
 	// watcher must never hang on a broker that went away. The returned
 	// cancel function releases the subscription.

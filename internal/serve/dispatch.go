@@ -28,7 +28,9 @@ import (
 // proxyRun builds the run closure of a proxy job: subscribe to the key's
 // completion topic, ship the request to the owner as its envelope, wait for
 // the relayed terminal event. Watch starts before Send so the completion of a
-// fast owner cannot slip between the two.
+// fast owner cannot slip between the two — which is also why the backend need
+// not replay failures: the outcome of the attempt this envelope starts, joins
+// or is refused for is announced after the watch is in place.
 func (s *Server) proxyRun(sub *submission, req *SubmitRequest, owner string) runFunc {
 	return func(j *job) ([]byte, map[string]string, error) {
 		if faultinject.Enabled {
@@ -88,7 +90,7 @@ func (s *Server) localFallback(sub *submission, j *job) ([]byte, map[string]stri
 // adoptEvent turns a relayed completion into this job's outcome. Done events
 // carry the owner's wire bytes verbatim — they are returned untouched and
 // fed to the replicated cache. Failure codes are mapped back to the core
-// sentinels (wire.ErrorForCode) so job.finish names — and jobFinished counts —
+// sentinels (wire.ErrorForCode) so job.finish names — and countOutcome counts —
 // them identically to a local failure; unnamed failures travel as their
 // message.
 func (s *Server) adoptEvent(ev api.CompletionEvent) ([]byte, map[string]string, error) {
@@ -137,22 +139,27 @@ func (s *Server) handleEnvelope(envelope []byte) {
 	}
 }
 
-// jobFinished is the jobManager's onFinish hook, called once per executed job
-// as it turns terminal. It counts aborts from the failure class finish just
-// derived — so a job canceled or expired while queued for admission, a
-// proxy's own cancel or deadline, and a relayed remote abort are accounted
-// exactly like one that landed mid-sweep — then relays the terminal state
-// cluster-wide. Proxy and fallback jobs (workers == 0) stay silent —
-// announcing is the owner's job, and a proxy's local abort (cancel, deadline)
-// must never overwrite the retained real completion of its key. The local
-// backend reduces the relay to a snapshot and two no-ops.
-func (s *Server) jobFinished(j *job, code string) {
+// countOutcome is the jobManager's onOutcome hook, called once per executed
+// job just before it turns terminal. It counts aborts from the failure class
+// of the job's error — so a job canceled or expired while queued for
+// admission, a proxy's own cancel or deadline, and a relayed remote abort are
+// accounted exactly like one that landed mid-sweep.
+func (s *Server) countOutcome(code string) {
 	switch code {
 	case wire.CodeCanceled:
 		s.canceled.Add(1)
 	case wire.CodeDeadlineExceeded:
 		s.expired.Add(1)
 	}
+}
+
+// jobFinished is the jobManager's onFinish hook, called once per executed job
+// right after it turned terminal: it relays the terminal state cluster-wide.
+// Proxy and fallback jobs (workers == 0) stay silent — announcing is the
+// owner's job, and a proxy's local abort (cancel, deadline) must never
+// overwrite the retained real completion of its key. The local backend
+// reduces the relay to a snapshot and two no-ops.
+func (s *Server) jobFinished(j *job) {
 	if j.workers == 0 {
 		return
 	}

@@ -157,8 +157,9 @@ func parseWaitMS(v string) (time.Duration, error) {
 }
 
 // awaitTerminal parks a status request until the job turns terminal, d passes,
-// the request ends (the client went away) or the server starts shutting down —
-// whichever is first. The caller reads the job's state afterwards either way.
+// the request ends (the client went away) or Shutdown is through with the
+// jobs — whichever is first. The caller reads the job's state afterwards
+// either way.
 func (s *Server) awaitTerminal(ctx context.Context, j *job, d time.Duration) {
 	if d <= 0 || j.terminal() {
 		return

@@ -212,7 +212,7 @@ type job struct {
 	result   []byte            // raw wire JSON, valid when state == done
 	traces   map[string]string // captured witness traces, by requirement / query
 	spans    []obs.Span        // lifecycle spans, appended as each stage ends
-	done     chan struct{}     // closed once the job is terminal and accounted for
+	done     chan struct{}     // closed on any terminal state
 }
 
 func newJob(id, kind string, workers int, memBytes int64, deadline time.Time) *job {
@@ -260,13 +260,12 @@ func (j *job) setRunning() {
 	j.mu.Unlock()
 }
 
-// finish moves the job to its terminal state and returns the failure class
+// finish moves the job to its terminal state, code being the failure class
 // wire.CodeForError names for err: the canceled class ends the job canceled,
 // every other named class (DeadlineExceeded, the budget failures) fails it
 // under exactly that name, and unnamed errors fail it under their message.
-// It does not close done: execute does, once the outcome is accounted for.
-func (j *job) finish(result []byte, traces map[string]string, err error) (code string) {
-	code = wire.CodeForError(err)
+// execute calls it holding the table's lock.
+func (j *job) finish(result []byte, traces map[string]string, err error, code string) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	switch {
@@ -285,7 +284,7 @@ func (j *job) finish(result []byte, traces map[string]string, err error) (code s
 		j.errMsg = err.Error()
 	}
 	j.mu.Unlock()
-	return code
+	close(j.done)
 }
 
 // snapshot reads the job's current state fields consistently.
@@ -311,12 +310,15 @@ func (j *job) terminal() bool {
 type jobManager struct {
 	tokens *cpuTokens
 
-	// onFinish observes every executed job turning terminal, with the failure
-	// class finish derived (adopted cache hits excluded — they were accounted
-	// and announced by the node that computed them). The server counts aborts
-	// and announces completions to the dispatch backend from it. Called
-	// outside m.mu.
-	onFinish func(j *job, code string)
+	// Two hooks observe every executed job's end (adopted cache hits excluded
+	// — they were accounted and announced by the node that computed them),
+	// both called outside m.mu. onOutcome gets the failure class just before
+	// the job turns terminal: the server counts aborts from it, so whoever the
+	// job's done channel wakes reads counters that already include it.
+	// onFinish gets the terminal job: the server announces its completion to
+	// the dispatch backend from it, off the path of anyone waiting on the job.
+	onOutcome func(code string)
+	onFinish  func(j *job)
 
 	// onSpan observes every recorded lifecycle span — the server's histogram
 	// feed. Called outside m.mu.
@@ -339,9 +341,10 @@ var (
 )
 
 func newJobManager(tokens *cpuTokens, maxActive, maxFinished int,
-	onFinish func(*job, string), onSpan func(string, time.Duration)) *jobManager {
+	onOutcome func(string), onFinish func(*job), onSpan func(string, time.Duration)) *jobManager {
 	return &jobManager{
 		tokens:      tokens,
+		onOutcome:   onOutcome,
 		onFinish:    onFinish,
 		onSpan:      onSpan,
 		jobs:        make(map[string]*job),
@@ -386,15 +389,23 @@ func (m *jobManager) submit(id, kind string, workers int, memBytes int64, deadli
 
 // execute is a job's goroutine, and its tail the single place a job turns
 // terminal: whichever stage produced the outcome — the admission queue, the
-// sweep, a proxy's wait — it is finished, observed and retained here, once.
-// done closes last, so whoever it wakes — a status request parked on the job —
-// finds the outcome already counted, announced and in the table's accounts.
+// sweep, a proxy's wait — it is counted, finished and retained here, once.
+// The job turns terminal under the table's lock, so its state, its done
+// channel and the table's accounts (active, the retained-results LRU) move
+// together: whoever done wakes — a status request parked on the job — finds
+// the node's numbers already past this job, and a resubmission that sees the
+// failed state finds the entry already retained to replace.
 func (m *jobManager) execute(j *job, run runFunc) {
 	defer m.wg.Done()
 	result, traces, err := m.admitAndRun(j, run)
-	m.onFinish(j, j.finish(result, traces, err))
-	m.onTerminal(j)
-	close(j.done)
+	code := wire.CodeForError(err)
+	m.onOutcome(code)
+	m.mu.Lock()
+	m.active--
+	j.finish(result, traces, err, code)
+	m.retainLocked(j)
+	m.mu.Unlock()
+	m.onFinish(j)
 }
 
 func (m *jobManager) admitAndRun(j *job, run runFunc) ([]byte, map[string]string, error) {
@@ -445,21 +456,6 @@ func runContained(j *job, run runFunc) (result []byte, traces map[string]string,
 		}
 	}
 	return run(j)
-}
-
-// onTerminal moves the job into the retained-results LRU and evicts beyond
-// the bound. The insert is guarded: between j.finish() and this call a
-// resubmission may have observed the failed/canceled state and replaced the
-// table entry under the same id — inserting the stale job then would orphan
-// a list element (no finIndex entry) and wedge the eviction loop. A replaced
-// job is simply dropped.
-func (m *jobManager) onTerminal(j *job) {
-	m.mu.Lock()
-	m.active--
-	if m.jobs[j.id] == j {
-		m.retainLocked(j)
-	}
-	m.mu.Unlock()
 }
 
 // twinLocked returns the live or successfully finished job under id,

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/serve/api"
 	"repro/internal/serve/client"
 )
 
@@ -121,9 +122,18 @@ func TestJobProfileEndpoint(t *testing.T) {
 		t.Fatalf("job: %s (%s)", st.State, st.Error)
 	}
 
-	pr, err := client.New(ts.URL, nil).Profile(context.Background(), sr.JobID)
-	if err != nil {
-		t.Fatalf("profile: %v", err)
+	// The replicate span is recorded after the job turns terminal — the
+	// announce is kept off the path of whoever waits on the job — so a profile
+	// read this early may be one span short: fetch until it is whole.
+	var pr *api.ProfileResponse
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		var err error
+		if pr, err = client.New(ts.URL, nil).Profile(context.Background(), sr.JobID); err != nil {
+			t.Fatalf("profile: %v", err)
+		}
+		if len(pr.Spans) == 4 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if pr.JobID != sr.JobID || pr.State != StateDone || pr.WallNS <= 0 {
 		t.Fatalf("profile header = %+v, want done job with positive wall time", pr)

@@ -23,13 +23,15 @@ import (
 var ErrClosed = errors.New("pubsub: broker is closed")
 
 // Broker is the minimal transport contract the adapters need. Delivery is
-// at-least-once from the subscriber's point of view: a topic retains its last
-// message and replays it to new subscribers (join-after-publish), so a
-// handler may see a message twice and must be idempotent.
+// at-least-once from the subscriber's point of view: a topic replays its last
+// retained message to new subscribers (join-after-publish), so a handler may
+// see a message twice and must be idempotent.
 type Broker interface {
-	// Publish delivers msg to every current subscriber of topic and retains
-	// it as the topic's last message for future subscribers.
-	Publish(topic string, msg []byte) error
+	// Publish delivers msg to every current subscriber of topic. With retain
+	// it also becomes the topic's last message, replayed to future
+	// subscribers; without, it reaches the current ones only and whatever the
+	// topic retained before stays.
+	Publish(topic string, msg []byte, retain bool) error
 	// Subscribe registers fn for topic messages, replaying the retained
 	// message first if one exists. The returned cancel releases the
 	// subscription.
@@ -82,15 +84,17 @@ func (b *memBroker) topicLocked(name string) *memTopic {
 	return t
 }
 
-func (b *memBroker) Publish(topic string, msg []byte) error {
+func (b *memBroker) Publish(topic string, msg []byte, retain bool) error {
 	b.mu.Lock()
 	if b.isClosed() {
 		b.mu.Unlock()
 		return ErrClosed
 	}
 	t := b.topicLocked(topic)
-	t.retained = msg
-	t.hasMsg = true
+	if retain {
+		t.retained = msg
+		t.hasMsg = true
+	}
 	fns := make([]func([]byte), 0, len(t.subs))
 	for _, fn := range t.subs {
 		fns = append(fns, fn)

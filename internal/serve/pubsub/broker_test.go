@@ -50,6 +50,48 @@ func TestWatchJoinAfterPublish(t *testing.T) {
 	}
 }
 
+// TestWatchNeverReplaysFailure announces a failed and a canceled completion
+// before anyone watches the key: a later Watch must hear neither (a failure
+// belongs to the attempt that produced it; the watcher's own envelope earns a
+// recompute), while a done completion announced before them is still replayed.
+func TestWatchNeverReplaysFailure(t *testing.T) {
+	broker := pubsub.NewMemBroker()
+	d, _, err := pubsub.NewNode(broker, "n0", []string{"n0", "n1"}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	watch := func(key string) []api.CompletionEvent {
+		var got []api.CompletionEvent
+		cancel, err := d.Watch(key, func(ev api.CompletionEvent) { got = append(got, ev) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel() // the replay, if any, is delivered inside Watch
+		return got
+	}
+	for _, ev := range []api.CompletionEvent{
+		{Key: "k1", Node: "n1", State: api.StateFailed, Error: wire.CodeStateBudget},
+		{Key: "k1", Node: "n1", State: api.StateCanceled, Error: wire.CodeCanceled},
+	} {
+		if err := d.Announce(ev); err != nil {
+			t.Fatal(err)
+		}
+		if got := watch("k1"); len(got) != 0 {
+			t.Fatalf("late watcher was replayed %+v", got)
+		}
+	}
+	done := api.CompletionEvent{Key: "k2", Node: "n1", State: api.StateDone, Result: []byte("r")}
+	failed := api.CompletionEvent{Key: "k2", Node: "n1", State: api.StateFailed, Error: wire.CodeDeadlineExceeded}
+	for _, ev := range []api.CompletionEvent{done, failed} {
+		if err := d.Announce(ev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := watch("k2"); len(got) != 1 || got[0].State != api.StateDone {
+		t.Fatalf("late watcher of a done key got %+v, want the done event alone", got)
+	}
+}
+
 // TestWatchAtLeastOnceDuplicates announces the same completion repeatedly:
 // the watcher hears every delivery (the broker does not dedupe), which is
 // exactly why the manager's event handling must be idempotent.

@@ -110,7 +110,8 @@ func (d *Dispatcher) Owner(key string) string { return d.ring.owner(key) }
 
 func (d *Dispatcher) Send(owner string, envelope []byte) error {
 	start := time.Now()
-	err := d.broker.Publish("dispatch."+owner, envelope)
+	// Retained: an owner that subscribes late still hears the envelope.
+	err := d.broker.Publish("dispatch."+owner, envelope, true)
 	if d.sendHist != nil {
 		d.sendHist.ObserveSince(start)
 	}
@@ -155,21 +156,28 @@ func (d *Dispatcher) Watch(key string, fn func(api.CompletionEvent)) (func(), er
 	return cancel, nil
 }
 
+// Announce retains done events only. A result is immutable, so replaying it
+// to a watcher that joins after the fact is the answer that watcher wants. A
+// failure is the outcome of one attempt: every proxy watches before it sends
+// its envelope, so the failure of the attempt that envelope starts (or joins,
+// or is refused by) reaches it live, and replaying an earlier attempt's
+// failure would answer a resubmission without the recompute it is owed.
 func (d *Dispatcher) Announce(ev api.CompletionEvent) error {
 	msg, err := json.Marshal(ev)
 	if err != nil {
 		return err
 	}
+	retain := ev.State == api.StateDone
 	start := time.Now()
 	defer func() {
 		if d.announceHist != nil {
 			d.announceHist.ObserveSince(start)
 		}
 	}()
-	if err := d.broker.Publish("complete."+ev.Key, msg); err != nil {
+	if err := d.broker.Publish("complete."+ev.Key, msg, retain); err != nil {
 		return err
 	}
-	return d.broker.Publish("completions", msg)
+	return d.broker.Publish("completions", msg, retain)
 }
 
 func (d *Dispatcher) Receive(fn func(envelope []byte)) error {

@@ -149,8 +149,8 @@ type Server struct {
 	// The status endpoint's own two numbers, bumped by its handler only.
 	statusRequests atomic.Int64 // GET /v1/jobs/{id} calls received, any outcome
 	statusWaiters  atomic.Int64 // of those, parked in a wait_ms wait right now
-	// closing is closed by EndWaits: every parked status wait returns and
-	// later ones do not park.
+	// closing is closed by Shutdown once the jobs have drained or run out of
+	// time to: every status wait still parked returns, later ones do not park.
 	closing   chan struct{}
 	closeOnce sync.Once
 	// dispatchDown latches a backend that failed to register its envelope
@@ -172,7 +172,7 @@ func New(cfg Config) *Server {
 		results:  cfg.Results,
 		closing:  make(chan struct{}),
 	}
-	s.jobs = newJobManager(s.tokens, cfg.MaxActiveJobs, cfg.MaxFinishedJobs, s.jobFinished, s.observeSpan)
+	s.jobs = newJobManager(s.tokens, cfg.MaxActiveJobs, cfg.MaxFinishedJobs, s.countOutcome, s.jobFinished, s.observeSpan)
 	s.buildRegistry()
 	if err := s.dispatch.Receive(s.handleEnvelope); err != nil {
 		// A node that cannot receive envelopes must not advertise ownership:
@@ -185,28 +185,20 @@ func New(cfg Config) *Server {
 
 // Shutdown stops intake, cancels every live job through the same cooperative
 // mechanism the cancel endpoint uses, waits (bounded) for job goroutines to
-// drain, ends the status waits still parked (EndWaits), and releases the
-// dispatch backend's subscriptions. The HTTP listener is the caller's to
-// close. Closing it after this call is the kinder order: the listener keeps
-// answering while the jobs drain, so a client parked in a status wait reads
-// its job's final "canceled" and new submissions are told 503 shutting_down.
-// A caller that drains its listener first must end the waits itself, or its
-// drain sits out every parked one: http.Server.RegisterOnShutdown(s.EndWaits).
+// drain, and releases the dispatch backend's subscriptions. The HTTP listener
+// is the caller's to close, after this call: it keeps answering while the
+// jobs drain, so a client parked in a status wait reads its job's final
+// "canceled" and a new submission is told 503 shutting_down. A wait on a job
+// that did not drain in time is ended here, so the listener's own drain never
+// sits out a parked handler.
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.jobs.close()
 	err := s.jobs.wait(timeout)
-	s.EndWaits()
+	s.closeOnce.Do(func() { close(s.closing) })
 	if cerr := s.dispatch.Close(); err == nil {
 		err = cerr
 	}
 	return err
-}
-
-// EndWaits answers every status request parked in a wait_ms wait with its
-// job's state as of now, and makes later waits answer at once: from here on
-// the status endpoint behaves as it does without the parameter. Idempotent.
-func (s *Server) EndWaits() {
-	s.closeOnce.Do(func() { close(s.closing) })
 }
 
 // Counters is a point-in-time view of the server's work, exposed for tests

@@ -343,85 +343,65 @@ func (n *liveNode) drainListener(t *testing.T) {
 	}
 }
 
-// TestShutdownWithParkedWaiter is the fix for a wait outliving the server, in
-// both orders a program can stop a node.
+// TestShutdownWithParkedWaiter is the fix for a wait outliving the server: a
+// node with a running job and a client waiting on it stops in well under a
+// second, and the client reads the job's final state.
 func TestShutdownWithParkedWaiter(t *testing.T) {
-	// parked starts a hopeless job on n and a client waiting on it.
+	n := startLiveNode(t, Config{})
+	sr := submit(t, n.base, hugeSubmit(71, 0))
+	awaitProgress(t, n.base, sr.JobID, 500, time.Minute)
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
 	type awaited struct {
 		st  *StatusResponse
 		err error
 	}
-	parked := func(t *testing.T, n *liveNode, lastPeriod int64) (id string, tr *http.Transport, got chan awaited) {
-		sr := submit(t, n.base, hugeSubmit(lastPeriod, 0))
-		awaitProgress(t, n.base, sr.JobID, 500, time.Minute)
-		tr = &http.Transport{}
-		got = make(chan awaited, 1)
-		go func() {
-			st, err := client.New(n.base, &http.Client{Transport: tr}).Await(context.Background(), sr.JobID, 0)
-			got <- awaited{st, err}
-		}()
-		waitParked(t, n.srv, 1)
-		return sr.JobID, tr, got
-	}
+	got := make(chan awaited, 1)
+	go func() {
+		st, err := client.New(n.base, &http.Client{Transport: tr}).Await(context.Background(), sr.JobID, 0)
+		got <- awaited{st, err}
+	}()
+	waitParked(t, n.srv, 1)
 
-	// cmd/taserved's order: jobs first. The waiter is answered by its job
+	// Jobs first, as cmd/taserved stops: the waiter is answered by its job
 	// turning terminal, while the listener is still up to carry the answer.
-	t.Run("jobs first: the client reads canceled", func(t *testing.T) {
-		n := startLiveNode(t, Config{})
-		_, tr, got := parked(t, n, 71)
-		defer tr.CloseIdleConnections()
-		begin := time.Now()
-		if err := n.srv.Shutdown(20 * time.Second); err != nil {
-			t.Fatalf("shutdown: %v", err)
-		}
-		n.drainListener(t)
-		if took := time.Since(begin); took > time.Second {
-			t.Errorf("shutdown with a parked waiter took %v", took)
-		}
-		if a := <-got; a.err != nil || a.st.State != StateCanceled {
-			t.Errorf("waiting client read %+v, %v; want canceled", a.st, a.err)
-		}
-	})
+	begin := time.Now()
+	if err := n.srv.Shutdown(20 * time.Second); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	n.drainListener(t)
+	if took := time.Since(begin); took > time.Second {
+		t.Errorf("shutdown with a parked waiter took %v", took)
+	}
+	if a := <-got; a.err != nil || a.st.State != StateCanceled {
+		t.Errorf("waiting client read %+v, %v; want canceled", a.st, a.err)
+	}
+}
 
-	// The other order — listener first, as the benchmark's nodes and most
-	// embedders stop — with the hook Shutdown's comment prescribes: the drain
-	// does not sit out the wait even though the job is still running.
-	t.Run("listener first: EndWaits frees the drain", func(t *testing.T) {
-		n := startLiveNode(t, Config{})
-		n.http.RegisterOnShutdown(n.srv.EndWaits)
-		id, tr, got := parked(t, n, 73)
-		defer tr.CloseIdleConnections()
-		begin := time.Now()
-		n.drainListener(t)
-		if took := time.Since(begin); took > time.Second {
-			t.Errorf("draining the listener under a parked waiter took %v", took)
-		}
-		if j := n.srv.jobs.get(id); j == nil || j.terminal() {
-			t.Fatalf("the job ended before the server was told to stop")
-		}
-		// The waiter was answered "running" and its next call found no
-		// listener: Await reports that, with nothing left parked.
-		if a := <-got; a.err == nil {
-			t.Errorf("Await against a closed listener returned %+v", a.st)
-		}
-		if err := n.srv.Shutdown(20 * time.Second); err != nil {
-			t.Fatalf("shutdown: %v", err)
-		}
-		if took := time.Since(begin); took > time.Second {
-			t.Errorf("the whole stop took %v", took)
+// TestShutdownEndsWaitOnStuckJob parks a wait on a job that ignores its cancel
+// signal: Shutdown gives up on the job at its timeout and must end the wait
+// then, or the listener's drain would sit it out; later waits do not park.
+func TestShutdownEndsWaitOnStuckJob(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	release := make(chan struct{})
+	defer close(release)
+	stuck := func(*job) ([]byte, map[string]string, error) {
+		<-release
+		return nil, nil, errors.New("released")
+	}
+	if _, _, err := s.jobs.submit("stuck", "ta", 1, 0, time.Time{}, stuck); err != nil {
+		t.Fatal(err)
+	}
+	code, body, took := parkThen(t, s, ts.URL, "stuck", func() {
+		if err := s.Shutdown(50 * time.Millisecond); err == nil {
+			t.Error("shutdown reported a drained server with a job still running")
 		}
 	})
-
-	// After EndWaits the endpoint is the plain one: a wait does not park.
-	t.Run("no wait parks after EndWaits", func(t *testing.T) {
-		s, ts := testServer(t, Config{})
-		sr := submit(t, ts.URL, hugeSubmit(79, 0))
-		s.EndWaits()
-		s.EndWaits() // idempotent
-		code, body, took := waitStatus(t, ts.URL, sr.JobID, "wait_ms=30000")
-		if st := decodeStatus(t, body); code != http.StatusOK || st.State == StateCanceled || took > prompt {
-			t.Errorf("wait after EndWaits: HTTP %d %s after %v", code, st.State, took)
-		}
-		cancelJob(t, ts.URL, sr.JobID)
-	})
+	if st := decodeStatus(t, body); code != http.StatusOK || st.State != StateRunning || took > prompt {
+		t.Errorf("wait on the stuck job: HTTP %d %s after %v", code, st.State, took)
+	}
+	code, body, took = waitStatus(t, ts.URL, "stuck", "wait_ms=30000")
+	if st := decodeStatus(t, body); code != http.StatusOK || st.State != StateRunning || took > prompt {
+		t.Errorf("wait after shutdown: HTTP %d %s after %v", code, st.State, took)
+	}
 }

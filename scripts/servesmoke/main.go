@@ -334,8 +334,8 @@ func smokeCluster(n int, testdata string) {
 	}
 	defer func() {
 		for _, nd := range nodes {
-			_ = nd.http.Close()
 			_ = nd.server.Shutdown(10 * time.Second)
+			_ = nd.http.Close()
 		}
 	}()
 
