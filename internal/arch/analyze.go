@@ -98,10 +98,11 @@ func AnalyzeAll(sys *System, reqs []*Requirement, copts Options, opts core.Optio
 // Analyze computes every requirement's worst-case response time from the
 // already-compiled set with ONE exploration: one SupClockQuery per observer
 // clock on one core.RunQueries sweep. It is the analysis half of AnalyzeAll,
-// split out so callers that cache compiled networks (internal/serve) can pay
-// compilation once and run any number of independent explorations against the
-// same CompiledSet — the set is immutable after CompileAll and safe for
-// concurrent Analyze calls, each of which builds its own checker state.
+// split out so callers that keep compiled networks (internal/serve's cache,
+// icrns.Cells' sweep and its fallback run) can pay compilation once and run
+// any number of independent explorations against the same CompiledSet — the
+// set is immutable after CompileAll and safe for concurrent Analyze calls,
+// each of which builds its own checker state.
 func (cs *CompiledSet) Analyze(opts core.Options) (*AllResult, error) {
 	checker, err := core.NewChecker(cs.Net)
 	if err != nil {

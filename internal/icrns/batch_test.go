@@ -1,12 +1,17 @@
 package icrns
 
 import (
+	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/dbm"
+	"repro/internal/rtc"
+	"repro/internal/sim"
+	"repro/internal/symta"
 )
 
 // This file is the case-study half of the batch-vs-sequential oracle (the
@@ -117,26 +122,212 @@ func TestBatchWitnessFromSharedNetwork(t *testing.T) {
 	}
 }
 
-// TestBatchCellsFallbackProducesLowerBounds exercises the truncated-sweep
-// path of Cells on the expensive ChangeVolume combination: a tiny budget
-// truncates the shared sweep, and every cell must degrade to a non-exact
-// lower bound via the per-cell randomized depth-first fallback, exactly
-// like Cell's.
-func TestBatchCellsFallbackProducesLowerBounds(t *testing.T) {
-	names := []string{ReqHandleTMC, ReqK2A, ReqA2V}
-	cells, err := Cells(ComboCV, ColPO, names, CellOptions{
-		Cfg: DefaultConfig(), MaxStates: 2000, FallbackStates: 3000, Seed: 1,
-	})
+// cvReqNames are the requirements of the ChangeVolume+HandleTMC combination,
+// the half of Table 1 no budget of these tests explores exhaustively.
+var cvReqNames = []string{ReqHandleTMC, ReqK2A, ReqA2V}
+
+// assertInBracket checks res against the sandwich benchmark/expected applies
+// to every Table 1 cell: the contention-free sum of the steps the requirement
+// spans from below, the smaller of the rtc and symta bounds from above.
+func assertInBracket(t *testing.T, combo Combo, col Column, res arch.WCRTResult) {
+	t.Helper()
+	sys, reqs := Build(combo, col, DefaultConfig())
+	req := reqs[res.Req.Name]
+	chain := new(big.Rat)
+	for i := req.FromStep + 1; i <= req.ToStep; i++ {
+		chain.Add(chain, req.Scenario.Steps[i].DurationMS())
+	}
+	mpa, err := rtc.Analyze(sys, []*arch.Requirement{req})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range names {
+	busy, err := symta.Analyze(sys, []*arch.Requirement{req})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper := mpa[req.Name].MS
+	if busy[req.Name].MS.Cmp(upper) < 0 {
+		upper = busy[req.Name].MS
+	}
+	if res.MS.Cmp(chain) < 0 || res.MS.Cmp(upper) > 0 {
+		t.Errorf("%s (%v, %v) = %s is outside [%s, %s]", req.Name, combo, col,
+			res, chain.FloatString(3), upper.FloatString(3))
+	}
+}
+
+// exploreSpans counts the explorations a profile-enabled monitor recorded.
+func exploreSpans(mon *core.Monitor) int {
+	n := 0
+	for _, sp := range mon.Profile().Phases {
+		if sp.Name == "explore" {
+			n++
+		}
+	}
+	return n
+}
+
+// TestBatchCellsFallbackProducesLowerBounds exercises the truncated-sweep
+// path of Cells on the expensive ChangeVolume combination: a tiny budget
+// truncates the shared sweep, ONE randomized depth-first run of the same
+// network follows for the whole group, and every cell is the larger of its
+// two non-exact lower bounds.
+func TestBatchCellsFallbackProducesLowerBounds(t *testing.T) {
+	mon := &core.Monitor{}
+	mon.EnableProfile(core.ProfileConfig{})
+	opts := CellOptions{Cfg: DefaultConfig(), MaxStates: 2000, FallbackStates: 3000, Seed: 1, Monitor: mon}
+	cells, err := Cells(ComboCV, ColPO, cvReqNames, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := exploreSpans(mon); n != 2 {
+		t.Errorf("truncated group of %d requirements ran %d explorations, want 2 (shared sweep, shared fallback)",
+			len(cvReqNames), n)
+	}
+	bfsOpts := opts
+	bfsOpts.FallbackStates, bfsOpts.Monitor = 0, nil
+	bfs, err := Cells(ComboCV, ColPO, cvReqNames, bfsOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Monitor = nil
+	again, err := Cells(ComboCV, ColPO, cvReqNames, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The benchmark counts sweeps by distinct Stats, so every bound the one
+	// fallback run produced must carry that run's Stats.
+	var fallback *core.Stats
+	for _, name := range cvReqNames {
 		res := cells[name]
 		if res.Exact {
 			t.Errorf("%s: a 2000-state budget cannot be exact on ComboCV", name)
 		}
 		if res.MS.Sign() <= 0 {
 			t.Errorf("%s: fallback lower bound must be positive, got %s", name, res.MS.RatString())
+		}
+		if res.MS.Cmp(bfs[name].MS) < 0 {
+			t.Errorf("%s: %s is below the truncated sweep's own bound %s", name, res, bfs[name])
+		}
+		if r := again[name]; r.MS.Cmp(res.MS) != 0 || r.Attained != res.Attained || r.Exact != res.Exact {
+			t.Errorf("%s: seed %d gave %s, then %s", name, opts.Seed, res, r)
+		}
+		if res.MS.Cmp(bfs[name].MS) > 0 {
+			if fallback == nil {
+				fallback = &res.Stats
+			} else if res.Stats != *fallback {
+				t.Errorf("%s: fallback bound carries stats %+v != %+v — more than one fallback run?",
+					name, res.Stats, *fallback)
+			}
+		}
+	}
+	if fallback == nil {
+		t.Fatal("no bound came from the fallback; the shared-Stats check is vacuous")
+	}
+
+	opts.Seed = 2
+	reseeded, err := Cells(ComboCV, ColPO, cvReqNames, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range cvReqNames {
+		assertInBracket(t, ComboCV, ColPO, reseeded[name])
+	}
+}
+
+// TestGroupFallbackBoundsStayBelowExhaustive runs the group fallback where
+// the truth is known: on AL·pno every bound of a doubly truncated call lies
+// between the chain sum and the exhaustive value.
+func TestGroupFallbackBoundsStayBelowExhaustive(t *testing.T) {
+	exact, err := Cells(ComboAL, ColPNO, alReqNames, CellOptions{Cfg: DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := Cells(ComboAL, ColPNO, alReqNames, CellOptions{
+		Cfg: DefaultConfig(), MaxStates: 1000, FallbackStates: 3000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{ReqHandleTMC: "239.081", ReqAddressLookup: "79.076"} {
+		if got := exact[name].MS.FloatString(3); got != want || !exact[name].Exact {
+			t.Fatalf("exhaustive %s (pno) = %s, want %s", name, exact[name], want)
+		}
+		res := cells[name]
+		if res.Exact {
+			t.Errorf("%s: both sweeps were truncated, the bound cannot be exact", name)
+		}
+		if res.MS.Cmp(exact[name].MS) > 0 {
+			t.Errorf("%s: lower bound %s exceeds the exhaustive %s", name, res, exact[name])
+		}
+		assertInBracket(t, ComboAL, ColPNO, res)
+	}
+}
+
+// TestFallbackThatFinishesIsExact pins that a fallback run which stays under
+// its budget is an exhaustive exploration: its results replace the truncated
+// sweep's and are reported as exact, through Cell and Cells alike.
+func TestFallbackThatFinishesIsExact(t *testing.T) {
+	opts := CellOptions{Cfg: DefaultConfig(), MaxStates: 100, FallbackStates: 100000, Seed: 1}
+	res, err := Cell(Table1Rows[1], ColPO, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.String(); got != "172.106" {
+		t.Errorf("Cell(HandleTMC + AL, po) = %q, want the exact 172.106", got)
+	}
+	cells, err := Cells(ComboAL, ColPO, alReqNames, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{ReqHandleTMC: "172.106", ReqAddressLookup: "79.076"} {
+		if got := cells[name].String(); got != want {
+			t.Errorf("%s = %q, want the exact %s", name, got, want)
+		}
+		if st := cells[name].Stats; st.Truncated || st != cells[ReqHandleTMC].Stats {
+			t.Errorf("%s carries stats %+v, want the finished fallback's", name, st)
+		}
+	}
+}
+
+// TestFallbackMemoryBudgetFailsTheCall gives the fallback more states than
+// the memory bound holds: the truncated sweep fits, the fallback does not,
+// and its core.ErrMemoryBudget must be the call's error — memory is a hard
+// resource, never a reason to answer from the truncated sweep alone.
+func TestFallbackMemoryBudgetFailsTheCall(t *testing.T) {
+	opts := CellOptions{Cfg: DefaultConfig(), MaxStates: 100, MaxBytes: 256 << 10}
+	if _, err := Cells(ComboAL, ColPNO, alReqNames, opts); err != nil {
+		t.Fatalf("the truncated sweep alone must fit the memory bound: %v", err)
+	}
+	opts.FallbackStates = 100000
+	if cells, err := Cells(ComboAL, ColPNO, alReqNames, opts); !errors.Is(err, core.ErrMemoryBudget) {
+		t.Errorf("Cells = %v, %v; want core.ErrMemoryBudget from the fallback", cells, err)
+	}
+}
+
+// TestTable2CheckerColumnsMatchTable2Cell pins that Table2's grouped checker
+// columns print what the one-cell entry point prints, on the AL rows — the
+// budget explores their 5,077-state pno group exhaustively and truncates only
+// the ChangeVolume groups.
+func TestTable2CheckerColumnsMatchTable2Cell(t *testing.T) {
+	opts := Table2Options{
+		Cell: CellOptions{Cfg: DefaultConfig(), MaxStates: 6000, FallbackStates: 1000, Seed: 1},
+		Sim:  sim.Options{Seed: 1, HorizonMS: 2000, Replications: 1},
+	}
+	grid, err := Table2(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range Table1Rows {
+		if row.Combo != ComboAL {
+			continue
+		}
+		for tool := range checkerColumns {
+			want, err := Table2Cell(row, tool, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := grid[row][tool]; got != want || strings.HasPrefix(got, ">") {
+				t.Errorf("%s %v: Table2 printed %q, Table2Cell %q; want equal exact values", row.Label, tool, got, want)
+			}
 		}
 	}
 }

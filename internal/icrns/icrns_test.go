@@ -173,13 +173,7 @@ func TestCellFallbackProducesLowerBound(t *testing.T) {
 	if res.Exact {
 		t.Error("budgeted cell must not be exact")
 	}
-	explorations := 0
-	for _, sp := range mon.Profile().Phases {
-		if sp.Name == "explore" {
-			explorations++
-		}
-	}
-	if explorations != 2 {
+	if explorations := exploreSpans(mon); explorations != 2 {
 		t.Errorf("truncated cell recorded %d explore spans, want 2 (exhaustive sweep, rdf fallback)", explorations)
 	}
 	// Exact truth: the unloaded chain plus one DatabaseLookup and one
@@ -331,13 +325,7 @@ func TestWitnessTraceForCheapCell(t *testing.T) {
 			t.Errorf("critical-instant trace missing %q", step)
 		}
 	}
-	explorations := 0
-	for _, sp := range mon.Profile().Phases {
-		if sp.Name == "explore" {
-			explorations++
-		}
-	}
-	if explorations != 2 {
+	if explorations := exploreSpans(mon); explorations != 2 {
 		t.Errorf("cell plus witness ran %d explorations, want 2", explorations)
 	}
 }

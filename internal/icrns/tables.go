@@ -47,9 +47,13 @@ type CellOptions struct {
 	Cfg Config
 	// MaxStates caps the exhaustive exploration; 0 = unlimited.
 	MaxStates int
-	// FallbackStates, when the exhaustive run is truncated, bounds a
-	// randomized depth-first "structured testing" run that produces a lower
-	// bound — the paper's df/rdf mode. 0 disables the fallback.
+	// FallbackStates, when an exhaustive sweep is truncated, bounds ONE
+	// randomized depth-first "structured testing" run of the network that
+	// sweep explored — the paper's df/rdf mode. The budget is per truncated
+	// sweep, shared by every requirement the sweep measures, not per cell. A
+	// run that stays under it has explored the whole space and yields exact
+	// values; one that reaches it yields lower bounds. 0 disables the
+	// fallback.
 	FallbackStates int
 	// Seed feeds the randomized fallback search.
 	Seed int64
@@ -62,8 +66,9 @@ type CellOptions struct {
 	// hard resource. 0 = unbounded.
 	MaxBytes int64
 	// Monitor, when set, observes every exploration these options feed — the
-	// -profile-out hookup. A profile-enabled monitor records each cell's
-	// sweep; an exhausted cell's rdf fallback appends a second explore span.
+	// -profile-out hookup. A profile-enabled monitor records one explore span
+	// per (combination, column) sweep and a second one when that sweep is
+	// truncated and falls back, however many requirements it carries.
 	Monitor *core.Monitor
 }
 
@@ -74,45 +79,23 @@ func (o CellOptions) coreOpts() core.Options {
 }
 
 // fallbackOpts are the engine options of the structured-testing fallback a
-// truncated cell gets: the shared knobs (memory bound, monitor) with the
+// truncated sweep gets: the shared knobs (memory bound, monitor) with the
 // randomized depth-first order, its seed and its own state cap on top — and
 // always one worker, because the seeded RDFS stream, and with it the lower
-// bound a cell reports, is reproducible only sequentially.
+// bounds a group reports, is reproducible only sequentially.
 func (o CellOptions) fallbackOpts() core.Options {
 	fb := o.coreOpts()
 	fb.Order, fb.Seed, fb.MaxStates, fb.Workers = core.RDFS, o.Seed, o.FallbackStates, 1
 	return fb
 }
 
-// Cell computes one Table 1 cell: the WCRT of row.Req under column col.
-// When the exhaustive search exceeds its budget the result degrades to a
-// lower bound obtained by randomized depth-first search, exactly as the
-// paper reports "> 400.000 (df)" entries.
+// Cell computes one Table 1 cell: the WCRT of row.Req under column col. It is
+// Cells with one requirement, so a search that exceeds its budget degrades to
+// a randomized depth-first lower bound, exactly as the paper reports
+// "> 400.000 (df)" entries.
 func Cell(row Row, col Column, opts CellOptions) (arch.WCRTResult, error) {
-	sys, reqs := Build(row.Combo, col, opts.Cfg)
-	req := reqs[row.Req]
-	if req == nil {
-		return arch.WCRTResult{}, fmt.Errorf("icrns: requirement %s not in combo %v", row.Req, row.Combo)
-	}
-	copts := arch.Options{HorizonMS: HorizonMS(row.Req)}
-	res, err := arch.AnalyzeWCRT(sys, req, copts,
-		opts.coreOpts())
-	if err != nil {
-		return res, err
-	}
-	if res.Exact || opts.FallbackStates == 0 {
-		return res, nil
-	}
-	// Structured-testing fallback: randomized depth-first lower bound.
-	fb, err := arch.AnalyzeWCRT(sys, req, copts, opts.fallbackOpts())
-	if err != nil {
-		return res, err
-	}
-	if fb.MS.Cmp(res.MS) > 0 {
-		fb.Exact = false
-		return fb, nil
-	}
-	return res, nil
+	cells, err := Cells(row.Combo, col, []string{row.Req}, opts)
+	return cells[row.Req], err
 }
 
 // batchHorizons is the per-requirement horizon rule shared by every batch
@@ -123,8 +106,13 @@ var batchHorizons = func(r *arch.Requirement) int64 { return HorizonMS(r.Name) }
 // (combination, column) pair from a SINGLE compilation and a SINGLE
 // exploration: one measuring observer per requirement in one network
 // (arch.CompileAll), one supremum query per observer on one sweep
-// (arch.AnalyzeAll). Cells whose shared exhaustive sweep is truncated fall
-// back to the same per-cell randomized depth-first lower bound Cell uses.
+// (CompiledSet.Analyze). When that sweep is truncated and
+// opts.FallbackStates > 0, ONE randomized depth-first run of the same
+// compiled network follows — every observer is a pure listener, so one path
+// measures all the requirements at once. A fallback that finishes has explored
+// the whole space and its exact results replace the sweep's; one that is
+// truncated too leaves each requirement the larger of its two lower bounds,
+// with the Stats of the run the bound came from.
 func Cells(combo Combo, col Column, reqNames []string, opts CellOptions) (map[string]arch.WCRTResult, error) {
 	sys, reqs := Build(combo, col, opts.Cfg)
 	ordered := make([]*arch.Requirement, len(reqNames))
@@ -133,67 +121,78 @@ func Cells(combo Combo, col Column, reqNames []string, opts CellOptions) (map[st
 			return nil, fmt.Errorf("icrns: requirement %s not in combo %v", name, combo)
 		}
 	}
-	all, err := arch.AnalyzeAll(sys, ordered, arch.Options{HorizonMSFor: batchHorizons},
-		opts.coreOpts())
+	cs, err := arch.CompileAll(sys, ordered, arch.Options{HorizonMSFor: batchHorizons})
 	if err != nil {
 		return nil, err
 	}
-	out := map[string]arch.WCRTResult{}
-	for i, req := range ordered {
-		res := all.Results[i]
-		if !res.Exact && opts.FallbackStates > 0 {
-			// Structured-testing fallback, per cell as in Cell: the batch
-			// sweep was truncated, so tighten each lower bound with a
-			// randomized depth-first run of its own observer.
-			fb, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: HorizonMS(req.Name)},
-				opts.fallbackOpts())
-			if err != nil {
-				return nil, err
-			}
-			if fb.MS.Cmp(res.MS) > 0 {
-				fb.Exact = false
-				res = fb
+	all, err := cs.Analyze(opts.coreOpts())
+	if err != nil {
+		return nil, err
+	}
+	results := all.Results
+	if all.Stats.Truncated && opts.FallbackStates > 0 {
+		fb, err := cs.Analyze(opts.fallbackOpts())
+		if err != nil {
+			return nil, err
+		}
+		if !fb.Stats.Truncated {
+			results = fb.Results
+		} else {
+			for i, res := range fb.Results {
+				if res.MS.Cmp(results[i].MS) > 0 {
+					results[i] = res
+				}
 			}
 		}
-		out[req.Name] = res
+	}
+	out := make(map[string]arch.WCRTResult, len(ordered))
+	for i, req := range ordered {
+		out[req.Name] = results[i]
 	}
 	return out, nil
 }
 
-// Table1 computes the full Table 1 grid. The five rows split into two
-// application combinations; each (combination, column) group is answered by
-// one compilation and one exploration via Cells, so the whole grid costs
-// 2 × 5 sweeps instead of 5 × 5. Cells whose exhaustive exploration exceeds
-// the budget are reported as "> bound" rows.
-func Table1(opts CellOptions) (map[Row]map[Column]arch.WCRTResult, error) {
-	out := map[Row]map[Column]arch.WCRTResult{}
-	groups := map[Combo][]Row{}
-	for _, row := range Table1Rows {
-		out[row] = map[Column]arch.WCRTResult{}
-		groups[row.Combo] = append(groups[row.Combo], row)
-	}
-	// Combo iteration order follows the rows' first appearance, so a row
-	// with a new combination is computed rather than silently dropped.
+// sweepColumn answers every Table 1 row under col with one Cells call per
+// application combination — one compilation and one exploration for all the
+// rows of a (combination, column) group — and hands each row's result to put.
+// Combinations run in the order of their first row, so a row with a new
+// combination is computed rather than silently dropped.
+func sweepColumn(col Column, opts CellOptions, put func(Row, arch.WCRTResult)) error {
 	var combos []Combo
+	names := map[Combo][]string{}
 	for _, row := range Table1Rows {
-		if len(groups[row.Combo]) > 0 && row == groups[row.Combo][0] {
+		if names[row.Combo] == nil {
 			combos = append(combos, row.Combo)
 		}
+		names[row.Combo] = append(names[row.Combo], row.Req)
+	}
+	for _, combo := range combos {
+		cells, err := Cells(combo, col, names[combo], opts)
+		if err != nil {
+			return fmt.Errorf("combo %v col %v: %w", combo, col, err)
+		}
+		for _, row := range Table1Rows {
+			if row.Combo == combo {
+				put(row, cells[row.Req])
+			}
+		}
+	}
+	return nil
+}
+
+// Table1 computes the full Table 1 grid. The five rows split into two
+// application combinations and each (combination, column) group is one Cells
+// call, so the whole grid costs 2 × 5 sweeps plus at most one fallback run
+// per truncated group. Cells whose group exceeds both budgets are reported as
+// "> bound" rows.
+func Table1(opts CellOptions) (map[Row]map[Column]arch.WCRTResult, error) {
+	out := map[Row]map[Column]arch.WCRTResult{}
+	for _, row := range Table1Rows {
+		out[row] = map[Column]arch.WCRTResult{}
 	}
 	for _, col := range Columns {
-		for _, combo := range combos {
-			rows := groups[combo]
-			names := make([]string, len(rows))
-			for i, r := range rows {
-				names[i] = r.Req
-			}
-			cells, err := Cells(combo, col, names, opts)
-			if err != nil {
-				return nil, fmt.Errorf("combo %v col %v: %w", combo, col, err)
-			}
-			for _, r := range rows {
-				out[r][col] = cells[r.Req]
-			}
+		if err := sweepColumn(col, opts, func(r Row, res arch.WCRTResult) { out[r][col] = res }); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -247,6 +246,10 @@ func (t Table2Tool) String() string {
 	return "?tool"
 }
 
+// checkerColumns maps the model-checker tools of Table 2 to the Table 1
+// column each one analyzes.
+var checkerColumns = map[Table2Tool]Column{ToolUppaalPO: ColPO, ToolUppaalPNO: ColPNO}
+
 // Table2Options tunes the tool-comparison run.
 type Table2Options struct {
 	Cell CellOptions
@@ -258,11 +261,7 @@ type Table2Options struct {
 func Table2Cell(row Row, tool Table2Tool, opts Table2Options) (string, error) {
 	switch tool {
 	case ToolUppaalPO, ToolUppaalPNO:
-		col := ColPNO
-		if tool == ToolUppaalPO {
-			col = ColPO
-		}
-		res, err := Cell(row, col, opts.Cell)
+		res, err := Cell(row, checkerColumns[tool], opts.Cell)
 		if err != nil {
 			return "", err
 		}
@@ -295,12 +294,24 @@ func Table2Cell(row Row, tool Table2Tool, opts Table2Options) (string, error) {
 	return "", fmt.Errorf("icrns: unknown tool %v", tool)
 }
 
-// Table2 computes the full tool-comparison grid.
+// Table2 computes the full tool-comparison grid. The two checker columns are
+// swept like Table 1 columns — four Cells calls for their ten cells, each
+// equal to Table2Cell's wherever the sweep is exhaustive; the other tools go
+// through Table2Cell.
 func Table2(opts Table2Options) (map[Row]map[Table2Tool]string, error) {
 	out := map[Row]map[Table2Tool]string{}
 	for _, row := range Table1Rows {
 		out[row] = map[Table2Tool]string{}
-		for _, tool := range Table2Tools {
+	}
+	for _, tool := range Table2Tools {
+		if col, ok := checkerColumns[tool]; ok {
+			err := sweepColumn(col, opts.Cell, func(r Row, res arch.WCRTResult) { out[r][tool] = res.String() })
+			if err != nil {
+				return nil, fmt.Errorf("tool %v: %w", tool, err)
+			}
+			continue
+		}
+		for _, row := range Table1Rows {
 			cell, err := Table2Cell(row, tool, opts)
 			if err != nil {
 				return nil, fmt.Errorf("row %q tool %v: %w", row.Label, tool, err)
