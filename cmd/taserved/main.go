@@ -25,7 +25,7 @@
 // running job is cooperatively canceled mid-sweep (a client waiting on one
 // reads "canceled"), the listener drains, and the process exits 0.
 //
-// See the README's "Serving analyses" section for the API and curl examples.
+// See the README's "Serving API" section for the API and curl examples.
 package main
 
 import (

@@ -165,74 +165,12 @@ func (r WCRTResult) MeetsDeadline(deadlineMS *big.Rat) bool {
 	return r.Exact && !r.ViolatesDeadline(deadlineMS)
 }
 
-// AnalyzeWCRTBinary reproduces the paper's methodology (Property 1): binary
-// search for the smallest C with AG(seen → y < C). hiMS bounds the search
-// from above in milliseconds. The result's MS is the supremum implied by the
-// minimal C under integer time: the WCRT lies in [C-1, C) model units.
-// The zone graph is identical across thresholds, so BinarySearchWCRT answers
-// every threshold from one exploration's supremum reduction rather than
-// re-exploring per iteration; the returned MinimalC is unchanged.
-func AnalyzeWCRTBinary(sys *System, req *Requirement, copts Options,
-	opts core.Options, hiMS int64) (WCRTResult, int64, error) {
-	copts = copts.withDefaults()
-	if hiMS <= 0 {
-		hiMS = copts.HorizonMS
-	}
-	if copts.HorizonMS < hiMS {
-		copts.HorizonMS = hiMS
-	}
-	c, err := Compile(sys, req, copts)
-	if err != nil {
-		return WCRTResult{}, 0, err
-	}
-	checker, err := core.NewChecker(c.Net)
-	if err != nil {
-		return WCRTResult{}, 0, err
-	}
-	hiUnits, err := toUnits(new(big.Rat).SetInt64(hiMS), c.Scale)
-	if err != nil {
-		return WCRTResult{}, 0, err
-	}
-	bs, err := checker.BinarySearchWCRT(c.Obs.Y.ID, c.AtSeen(), 0, hiUnits, opts)
-	if err != nil {
-		return WCRTResult{}, 0, err
-	}
-	res := WCRTResult{Req: req, Stats: bs.TotalStats}
-	if !bs.Holds {
-		res.MS = c.UnitsToMS(hiUnits)
-		res.BeyondHorizon = true
-		return res, bs.MinimalC, nil
-	}
-	// AG(y < C) holds minimally at C, so the supremum is at most C and
-	// above C-1; report C-1 which equals the exact value whenever the
-	// supremum is attained at an integer (always true in a scaled model).
-	res.MS = c.UnitsToMS(bs.MinimalC - 1)
-	res.Attained = true
-	res.Exact = true
-	return res, bs.MinimalC, nil
-}
-
-// WCRTWitness returns a human-readable symbolic trace to a configuration
-// that realizes the requirement's worst-case response time: the "critical
-// instant" schedule. It first computes the WCRT, then searches for a seen
-// state whose observer clock reaches it. Both passes honor
-// opts.Workers — the unified engine reconstructs witness traces from its
-// per-worker parent logs, so critical-instant extraction scales with cores.
-func WCRTWitness(sys *System, req *Requirement, copts Options, opts core.Options) (string, WCRTResult, error) {
-	res, err := AnalyzeWCRT(sys, req, copts, opts)
-	if err != nil {
-		return "", res, err
-	}
-	trace, err := WitnessForResult(sys, req, res, copts, opts)
-	return trace, res, err
-}
-
 // WitnessForResult materializes a critical-instant trace for an
 // already-computed WCRT: one reachability sweep to a seen state whose
 // observer clock reaches the known bound, with no re-measurement. Callers
 // holding batch results (AnalyzeAll, or a cached service verdict) get the
-// trace for the cost of a single extra exploration; WCRTWitness is the
-// compute-then-witness convenience over it.
+// trace for the cost of a single extra exploration. It honors opts.Workers:
+// the engine reconstructs witness traces from its per-worker parent logs.
 func WitnessForResult(sys *System, req *Requirement, res WCRTResult, copts Options, opts core.Options) (string, error) {
 	c, err := Compile(sys, req, copts)
 	if err != nil {

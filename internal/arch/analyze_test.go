@@ -8,14 +8,24 @@ import (
 	"repro/internal/core"
 )
 
-func TestWCRTWitnessTrace(t *testing.T) {
-	// The non-preemptive blocking case: the witness must show lo being
-	// dispatched before hi, the trace ending at the observer's seen state.
-	sys, hi, _ := contended(SchedFP)
-	trace, res, err := WCRTWitness(sys, EndToEnd("hi", hi), Options{HorizonMS: 100}, core.Options{})
+// witness computes the requirement's WCRT and then a critical-instant trace
+// for it, the two steps every caller of WitnessForResult runs.
+func witness(t *testing.T, sys *System, req *Requirement) (string, WCRTResult) {
+	t.Helper()
+	copts := Options{HorizonMS: 100}
+	res := mustWCRT(t, sys, req, copts, core.Options{})
+	trace, err := WitnessForResult(sys, req, res, copts, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return trace, res
+}
+
+func TestWitnessForResultTrace(t *testing.T) {
+	// The non-preemptive blocking case: the witness must show lo being
+	// dispatched before hi, the trace ending at the observer's seen state.
+	sys, hi, _ := contended(SchedFP)
+	trace, res := witness(t, sys, EndToEnd("hi", hi))
 	if res.MS.RatString() != "15" {
 		t.Fatalf("witness WCRT = %s, want 15", res.MS.RatString())
 	}
@@ -27,12 +37,9 @@ func TestWCRTWitnessTrace(t *testing.T) {
 	}
 }
 
-func TestWCRTWitnessUncontended(t *testing.T) {
+func TestWitnessForResultUncontended(t *testing.T) {
 	sys, req := pipeline(Sporadic(MS(100, 1)))
-	trace, res, err := WCRTWitness(sys, req, Options{HorizonMS: 100}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	trace, res := witness(t, sys, req)
 	if res.MS.RatString() != "30" {
 		t.Fatalf("witness WCRT = %s, want 30", res.MS.RatString())
 	}

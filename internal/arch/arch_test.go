@@ -189,12 +189,26 @@ func TestBinarySearchAgreesWithSup(t *testing.T) {
 	sys, hi, _ := contended(SchedFP)
 	req := EndToEnd("hi", hi)
 	sup := mustWCRT(t, sys, req, Options{HorizonMS: 100}, core.Options{})
-	bin, _, err := AnalyzeWCRTBinary(sys, req, Options{HorizonMS: 100}, core.Options{}, 100)
+	// The paper's Property 1: the least C with AG(seen → y < C) lies one
+	// model time unit above an attained supremum.
+	c, err := Compile(sys, req, Options{HorizonMS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sup.MS.Cmp(bin.MS) != 0 {
-		t.Errorf("sup %s != binary search %s", sup.MS.RatString(), bin.MS.RatString())
+	checker, err := core.NewChecker(c.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hi100, err := toUnits(big.NewRat(100, 1), c.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := checker.BinarySearchWCRT(c.Obs.Y.ID, c.AtSeen(), 0, hi100, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bin := c.UnitsToMS(bs.MinimalC - 1); !bs.Holds || sup.MS.Cmp(bin) != 0 {
+		t.Errorf("sup %s != binary search %s (holds=%v)", sup.MS.RatString(), bin.RatString(), bs.Holds)
 	}
 }
 

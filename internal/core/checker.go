@@ -80,7 +80,7 @@ type SupResult struct {
 	// on the sequential and the parallel path alike. For bounded results no
 	// witness is recorded (the supremum emerges from the whole sweep, not
 	// one stop state); use Reachable against the computed bound to
-	// materialize one, as arch.WCRTWitness does.
+	// materialize one, as arch.WitnessForResult does.
 	Witness []TraceStep
 }
 
@@ -248,7 +248,6 @@ type maxVarAcc struct {
 // anywhere, sequential or parallel.
 func (c *Checker) MaxVar(v ta.VarID, cond func(*State) bool, opts Options) (MaxVarResult, error) {
 	q := NewMaxVarQuery(v, cond)
-	opts.noTrace = true // the query never requests a trace; skip parent logs
 	_, err := c.RunQueries(opts, q)
 	return q.Result, err
 }

@@ -577,9 +577,6 @@ func TestStatsAndStrings(t *testing.T) {
 	if res.Stats.String() == "" || BFS.String() != "bfs" || DFS.String() != "df" || RDFS.String() != "rdf" {
 		t.Error("string renderings broken")
 	}
-	if c.Network() != n {
-		t.Error("Network accessor broken")
-	}
 }
 
 func TestUnfinalizedNetworkRejected(t *testing.T) {

@@ -147,11 +147,28 @@ func TestMaxVarTracksQueueDepth(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	res, err := c.MaxVar(rec.ID, nil, Options{})
+	// The query never asks for a trace, so the sweep must run without parent
+	// logs: the condition looks at the live explorer through the monitor.
+	mon := &Monitor{}
+	looked, logged := 0, 0
+	res, err := c.MaxVar(rec.ID, func(*State) bool {
+		if v := mon.v.Load(); v != nil {
+			if e := v.e.Load(); e != nil {
+				looked++
+				if e.logs != nil {
+					logged++
+				}
+			}
+		}
+		return true
+	}, Options{Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Seen || res.Min != 0 || res.Max != 1 {
 		t.Errorf("rec range = [%d,%d] seen=%v, want [0,1]", res.Min, res.Max, res.Seen)
+	}
+	if looked == 0 || logged != 0 {
+		t.Errorf("parent logs present at %d of %d visits of a MaxVar-only sweep, want 0 of some", logged, looked)
 	}
 }

@@ -604,8 +604,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	e.live.Store(int64(len(queries)))
 	// Parent logs exist exactly when a trace can be requested: a query may
 	// complete with a witness. Trace-free query sets (MaxVar alone) need
-	// none; opts.noTrace additionally forces them off for in-package callers
-	// that can prove they never replay.
+	// none.
 	needTrace := false
 	for _, q := range queries {
 		qs := q.state()
@@ -619,7 +618,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 			needTrace = true
 		}
 	}
-	if needTrace && !opts.noTrace {
+	if needTrace {
 		e.logs = newParentLogs(workers)
 	}
 

@@ -20,7 +20,7 @@ import (
 //
 // eqpair and synceq carry the guard shapes — more constraints than distinct
 // clocks — that once selected a batched tightening path; their stored counts
-// and suprema (Extra_M) were recorded on the last commit that had it.
+// and suprema were recorded on the last commit that had it.
 func TestStoredZonesStayCanonical(t *testing.T) {
 	inputs := []struct {
 		name   string
@@ -36,51 +36,47 @@ func TestStoredZonesStayCanonical(t *testing.T) {
 		{name: "synceq", net: testSyncEqNet(t), stored: 62, clock: "x", at: "Q.busy && P.wait", sup: dbm.LE(1)},
 	}
 	for _, in := range inputs {
-		for _, coarse := range []bool{false, true} {
-			c, err := NewChecker(in.net)
-			if err != nil {
-				t.Fatal(err)
+		c, err := NewChecker(in.net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		visited := 0
+		_, _, stats, err := c.Reachable(func(s *State) bool {
+			visited++
+			re := s.Zone.Copy()
+			re.Close()
+			if !s.Zone.Eq(re) {
+				t.Errorf("%s: stored zone not canonical:\n got %s\nwant %s", in.name, s.Zone, re)
 			}
-			c.SetCoarseExtrapolation(coarse)
-			visited := 0
-			_, _, stats, err := c.Reachable(func(s *State) bool {
-				visited++
-				re := s.Zone.Copy()
-				re.Close()
-				if !s.Zone.Eq(re) {
-					t.Errorf("%s coarse=%v: stored zone not canonical:\n got %s\nwant %s",
-						in.name, coarse, s.Zone, re)
-				}
-				return false
-			}, Options{MaxStates: 20_000})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if visited == 0 {
-				t.Fatalf("%s: sweep visited no states", in.name)
-			}
-			if coarse || in.stored == 0 {
-				continue
-			}
-			if stats.Stored != in.stored {
-				t.Errorf("%s: stored %d states, want %d", in.name, stats.Stored, in.stored)
-			}
-			clock, err := FindClock(in.net, in.clock)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cond, err := ParsePredicate(in.net, in.at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sup, err := c.SupClock(clock.ID, cond, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sup.Seen || sup.Unbounded || sup.Max != in.sup {
-				t.Errorf("%s: sup %s @ %s = %v (seen=%v unbounded=%v), want %v",
-					in.name, in.clock, in.at, sup.Max, sup.Seen, sup.Unbounded, in.sup)
-			}
+			return false
+		}, Options{MaxStates: 20_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if visited == 0 {
+			t.Fatalf("%s: sweep visited no states", in.name)
+		}
+		if in.stored == 0 {
+			continue
+		}
+		if stats.Stored != in.stored {
+			t.Errorf("%s: stored %d states, want %d", in.name, stats.Stored, in.stored)
+		}
+		clock, err := FindClock(in.net, in.clock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cond, err := ParsePredicate(in.net, in.at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup, err := c.SupClock(clock.ID, cond, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sup.Seen || sup.Unbounded || sup.Max != in.sup {
+			t.Errorf("%s: sup %s @ %s = %v (seen=%v unbounded=%v), want %v",
+				in.name, in.clock, in.at, sup.Max, sup.Seen, sup.Unbounded, in.sup)
 		}
 	}
 }
@@ -205,34 +201,4 @@ func testDiagNet(t *testing.T) *ta.Network {
 		t.Fatal(err)
 	}
 	return n
-}
-
-// TestExtraLUPreservesReachability shows the flip side: for pure location
-// reachability LU agrees with M while (typically) storing fewer states.
-func TestExtraLUPreservesReachability(t *testing.T) {
-	n := ta.NewNetwork("reach")
-	x := n.AddClock("x")
-	g := n.AddClock("g")
-	p := n.AddProcess("P")
-	l0 := p.AddLocation("l0", ta.Normal, ta.CLE(x, 10))
-	l1 := p.AddLocation("l1", ta.Normal)
-	// g only appears in a lower-bound guard: LU drops its upper rows.
-	p.AddEdge(ta.Edge{Src: l0, Dst: l0, ClockGuard: ta.CEq(x, 10),
-		Resets: []ta.Reset{{Clock: x.ID, Value: 0}}})
-	p.AddEdge(ta.Edge{Src: l0, Dst: l1,
-		ClockGuard: []ta.Constraint{ta.CGE(g, 25)}})
-	if err := n.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	for _, coarse := range []bool{false, true} {
-		c, _ := NewChecker(n)
-		c.SetCoarseExtrapolation(coarse)
-		found, _, _, err := c.Reachable(func(s *State) bool { return s.Locs[0] == l1 }, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !found {
-			t.Errorf("coarse=%v: l1 must be reachable", coarse)
-		}
-	}
 }

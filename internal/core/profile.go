@@ -21,23 +21,21 @@ import (
 // stride, reads only counters it owns (loop locals, its steal cell, the
 // shared store's atomics), and never takes a lock.
 
-// ProfileConfig tunes the sweep-profile recorder. Zero values select the
-// documented defaults.
+// ProfileConfig tunes the sweep-profile recorder. The zero value selects the
+// documented default.
 type ProfileConfig struct {
 	// SampleEvery is the per-worker sampling stride in expansions, rounded
 	// up to a power of two so the loop test is one mask. Default 256.
 	SampleEvery int
-	// MaxSamples bounds each worker's ring; once full, the oldest samples
-	// are overwritten and counted as Dropped. Default 512.
-	MaxSamples int
 }
+
+// maxSamples bounds each worker's ring; once full, the oldest samples are
+// overwritten and counted as Dropped.
+const maxSamples = 512
 
 func (c ProfileConfig) withDefaults() ProfileConfig {
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = 256
-	}
-	if c.MaxSamples <= 0 {
-		c.MaxSamples = 512
 	}
 	return c
 }
@@ -127,7 +125,6 @@ func (r *profRecorder) getLast() *SweepProfile {
 type profRun struct {
 	rec   *profRecorder
 	mask  int64
-	max   int
 	rings perWorker[profRing]
 }
 
@@ -143,10 +140,9 @@ func (r *profRecorder) newRun(workers int) *profRun {
 	for mask < int64(every) {
 		mask <<= 1
 	}
-	pr := &profRun{rec: r, mask: mask - 1, max: r.cfg.MaxSamples,
-		rings: make(perWorker[profRing], workers)}
+	pr := &profRun{rec: r, mask: mask - 1, rings: make(perWorker[profRing], workers)}
 	for i := range pr.rings {
-		pr.rings.at(i).samples = make([]WorkerSample, 0, r.cfg.MaxSamples)
+		pr.rings.at(i).samples = make([]WorkerSample, 0, maxSamples)
 	}
 	return pr
 }
@@ -167,10 +163,10 @@ func (e *explorer) sampleProfile(w int, nPopped, nTransitions int64, gets, reuse
 		Frontier:    e.front.depth(),
 		StoredBytes: e.passed.bytes(),
 	}
-	if len(ring.samples) < pr.max {
+	if len(ring.samples) < maxSamples {
 		ring.samples = append(ring.samples, s)
 	} else {
-		ring.samples[ring.n%pr.max] = s
+		ring.samples[ring.n%maxSamples] = s
 	}
 	ring.n++
 }
@@ -192,7 +188,7 @@ func (pr *profRun) finalize(e *explorer, totals Progress) {
 			ws.Dropped = r.n - len(r.samples)
 			// The ring wrapped: rotate so the retained samples read oldest
 			// first.
-			at := r.n % pr.max
+			at := r.n % maxSamples
 			ws.Samples = append(append([]WorkerSample(nil), r.samples[at:]...), r.samples[:at]...)
 		} else {
 			ws.Samples = append([]WorkerSample(nil), r.samples...)
@@ -217,9 +213,6 @@ func (pr *profRun) finalize(e *explorer, totals Progress) {
 func (m *Monitor) EnableProfile(cfg ProfileConfig) {
 	m.prof.Store(newProfRecorder(cfg))
 }
-
-// ProfileEnabled reports whether EnableProfile has been called.
-func (m *Monitor) ProfileEnabled() bool { return m.prof.Load() != nil }
 
 // noopEnd is the shared closer BeginPhase hands out when profiling is off,
 // so the disabled path allocates no closure.

@@ -17,7 +17,7 @@ func TestSweepProfilePhasesAndSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := &Monitor{}
-	mon.EnableProfile(ProfileConfig{SampleEvery: 1, MaxSamples: 8})
+	mon.EnableProfile(ProfileConfig{SampleEvery: 1})
 	parseStart := time.Now().Add(-time.Millisecond)
 	mon.RecordPhase("parse", parseStart, time.Now())
 
@@ -60,11 +60,11 @@ func TestSweepProfilePhasesAndSeries(t *testing.T) {
 	if len(ws.Samples) == 0 {
 		t.Fatal("stride-1 sampling recorded no samples")
 	}
-	// The grid stores far more than 8 states, so the bounded ring must have
+	// The grid expands more states than a ring holds, so the ring must have
 	// wrapped, and the retained samples must read oldest-first with the
 	// worker's cumulative counters nondecreasing.
 	if ws.Dropped == 0 {
-		t.Errorf("expected ring overflow with MaxSamples=8 on %d expansions", stats.Stored)
+		t.Errorf("expected a %d-sample ring to overflow on %d expansions", maxSamples, stats.Stored)
 	}
 	// At stride 1 the worker samples once per pop, plus the stride-boundary
 	// sample before the first counted pop.
@@ -127,9 +127,6 @@ func TestProfileDisabledRecordsNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	mon := &Monitor{}
-	if mon.ProfileEnabled() {
-		t.Fatal("zero-value monitor reports profiling enabled")
-	}
 	end := mon.BeginPhase("explore")
 	end()
 	mon.RecordPhase("parse", time.Now(), time.Now())

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/dbm"
 	"repro/internal/ta"
 )
 
@@ -114,10 +113,6 @@ type Options struct {
 	// observes one exploration at a time.
 	Monitor *Monitor
 
-	// noTrace disables parent logging for in-package queries that can prove
-	// they never request a trace (MaxVar). Zero value keeps logging on
-	// whenever a query could stop the run with a trace.
-	noTrace bool
 	// passed, when non-nil, replaces the run's passed-state store. Test-only:
 	// the compact-store oracle injects a full-DBM reference implementation to
 	// differentially check admission (store_oracle_test.go). Must be safe for
@@ -146,19 +141,6 @@ type Stats struct {
 	Duration time.Duration
 }
 
-// Add accumulates o into s: counters and Duration sum, Truncated ORs.
-// Multi-run analyses (binary search, table sweeps) aggregate through this
-// single place so a field added to Stats is never silently dropped.
-func (s *Stats) Add(o Stats) {
-	s.Stored += o.Stored
-	s.Live += o.Live
-	s.Popped += o.Popped
-	s.Transitions += o.Transitions
-	s.Deadlocks += o.Deadlocks
-	s.Truncated = s.Truncated || o.Truncated
-	s.Duration += o.Duration
-}
-
 func (s Stats) String() string {
 	return fmt.Sprintf("stored=%d popped=%d transitions=%d truncated=%v in %v",
 		s.Stored, s.Popped, s.Transitions, s.Truncated, s.Duration.Round(time.Millisecond))
@@ -177,27 +159,6 @@ func NewChecker(net *ta.Network) (*Checker, error) {
 		return nil, err
 	}
 	return &Checker{net: net, eng: eng}, nil
-}
-
-// Network returns the analyzed network.
-func (c *Checker) Network() *ta.Network { return c.net }
-
-// SetCoarseExtrapolation switches the explorer to the Extra_LU abstraction.
-// LU preserves location reachability (safety/deadlock checking) with fewer
-// symbolic states, but clock suprema computed under it are upper bounds
-// rather than exact values — do not combine with SupClock when exactness
-// matters. See the engine documentation for the mechanism.
-func (c *Checker) SetCoarseExtrapolation(coarse bool) {
-	bounds := dbm.NewExtraM(c.net.MaxConsts)
-	if coarse {
-		bounds = dbm.NewExtraLU(c.net.LowerConsts, c.net.UpperConsts)
-	}
-	bounds, err := checkedBounds(bounds)
-	if err != nil {
-		// Only a constant vector edited after Finalize gets here.
-		panic(err)
-	}
-	c.eng.bounds = bounds
 }
 
 // ExploreResult is the outcome of a reachability exploration.

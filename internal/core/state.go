@@ -136,11 +136,6 @@ func boundStr(b dbm.Bound) string {
 	return fmt.Sprintf("%d", b.Value())
 }
 
-// FormatVerbose renders the state with the full zone constraint system.
-func (s *State) FormatVerbose(net *ta.Network) string {
-	return s.Format(net) + " " + s.Zone.String()
-}
-
 // LabelKind classifies the synchronization of a transition label. The zero
 // value LabelNone marks the pseudo-label of the initial state in traces.
 type LabelKind uint8

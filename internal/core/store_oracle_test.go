@@ -222,8 +222,8 @@ func buildFischer(t *testing.T, n int) *ta.Network {
 // TestRawAdmissionMatchesWidenFirst is the engine-level check of the lemma
 // admission rests on: the store decides on the raw zone and widens what it
 // admits, the reference widens first and decides on the widened zone, and on
-// whole sweeps — Extra_M and Extra_LU, one worker and four racing ones, one
-// shard, 4 and 64 — every decision and every admitted zone must be the same.
+// whole sweeps — one worker and four racing ones, one shard, 4 and 64 —
+// every decision and every admitted zone must be the same.
 // The sweeps must reach the case the lemma is about: a raw zone rejected that
 // extrapolation would have changed.
 func TestRawAdmissionMatchesWidenFirst(t *testing.T) {
@@ -231,28 +231,25 @@ func TestRawAdmissionMatchesWidenFirst(t *testing.T) {
 	grid, _, _, _ := buildGrid(t)
 	nets = append(nets, grid)
 	for _, net := range nets {
-		for _, coarse := range []bool{false, true} {
-			var lemmaCases int64
-			for _, shape := range storeShapes {
-				c, err := NewChecker(net)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.SetCoarseExtrapolation(coarse)
-				fast := newStore(shape.shards, nil, &c.eng.bounds)
-				sh := &shadowStore{fast: fast, ref: newRefStore(&c.eng.bounds)}
-				if _, err := c.Explore(Options{Workers: shape.workers, MaxStates: 20_000, passed: sh}, nil); err != nil {
-					t.Fatal(err)
-				}
-				if d := sh.disagreements.Load(); d != 0 {
-					t.Errorf("%s coarse=%v %+v: %d admissions diverged from widen-first", net.Name, coarse, shape, d)
-				}
-				checkStoreLayout(t, fast)
-				lemmaCases += sh.rejectedUnwidened.Load()
+		var lemmaCases int64
+		for _, shape := range storeShapes {
+			c, err := NewChecker(net)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if net.Name == "fischer" && lemmaCases == 0 {
-				t.Errorf("fischer coarse=%v: no raw zone was rejected that extrapolation would have changed", coarse)
+			fast := newStore(shape.shards, nil, &c.eng.bounds)
+			sh := &shadowStore{fast: fast, ref: newRefStore(&c.eng.bounds)}
+			if _, err := c.Explore(Options{Workers: shape.workers, MaxStates: 20_000, passed: sh}, nil); err != nil {
+				t.Fatal(err)
 			}
+			if d := sh.disagreements.Load(); d != 0 {
+				t.Errorf("%s %+v: %d admissions diverged from widen-first", net.Name, shape, d)
+			}
+			checkStoreLayout(t, fast)
+			lemmaCases += sh.rejectedUnwidened.Load()
+		}
+		if net.Name == "fischer" && lemmaCases == 0 {
+			t.Errorf("fischer: no raw zone was rejected that extrapolation would have changed")
 		}
 	}
 }

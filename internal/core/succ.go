@@ -21,14 +21,10 @@ type engine struct {
 	net *ta.Network
 	dim int
 	// bounds are the per-clock bounds extrapolation compares zone entries
-	// against, built from the finalized network's constants: Extra_M's by
-	// default, the coarser Extra_LU's after SetCoarseExtrapolation(true).
-	// Always idempotent (checkedBounds): the store decides on raw zones. LU
-	// is sound for location reachability but NOT for exact clock suprema:
-	// dropping the matrix rows of clocks that only appear in lower-bound
-	// guards (U = 0) forgets inter-clock orderings and can inflate a measured
-	// clock's upper bound (see TestExtraLUInflatesSuprema), which is why it
-	// is opt-in, for pure reachability workloads.
+	// against: Extra_M's, built from the finalized network's constants.
+	// Always idempotent (newEngine checks): the store decides on raw zones.
+	// Extra_LU gave Fischer-5 the same 46,361 stored / 131,185 fired as
+	// Extra_M, inflates clock suprema, and was deleted in PR 28.
 	bounds dbm.ExtraBounds
 	// legacyScan routes successor enumeration and the urgency test through
 	// the pre-index per-channel rescan (succ_scan.go). Test-only: the
@@ -51,9 +47,13 @@ func newEngine(net *ta.Network) (*engine, error) {
 	if !net.Finalized() {
 		return nil, fmt.Errorf("core: network %s must be finalized before analysis", net.Name)
 	}
-	bounds, err := checkedBounds(dbm.NewExtraM(net.MaxConsts))
-	if err != nil {
-		return nil, err
+	// The one thing admission relies on (store.go, "Admission index"): a
+	// stored zone is a fixed point of its extrapolation, which needs every
+	// constant to be >= 0. Finalize pads the networks' constant vectors with
+	// 0, so only a hand-edited vector fails here.
+	bounds := dbm.NewExtraM(net.MaxConsts)
+	if !bounds.Idempotent() {
+		return nil, fmt.Errorf("core: negative extrapolation constant: a stored zone would not be a fixed point of its own extrapolation")
 	}
 	e := &engine{net: net, dim: net.NumClocks(), bounds: bounds}
 	nChans := len(net.Chans)
@@ -70,17 +70,6 @@ func newEngine(net *ta.Network) (*engine, error) {
 	}
 	e.bucketLen = int(off)
 	return e, nil
-}
-
-// checkedBounds guards the one thing admission relies on (store.go,
-// "Admission index"): a stored zone is a fixed point of its extrapolation,
-// which needs every constant to be >= 0. Finalize pads the networks'
-// constant vectors with 0, so only a hand-edited vector fails here.
-func checkedBounds(x dbm.ExtraBounds) (dbm.ExtraBounds, error) {
-	if !x.Idempotent() {
-		return x, fmt.Errorf("core: negative extrapolation constant: a stored zone would not be a fixed point of its own extrapolation")
-	}
-	return x, nil
 }
 
 // succCtx is the per-worker scratch state of the successor engine. The hot

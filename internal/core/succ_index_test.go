@@ -193,7 +193,7 @@ func compareSuccessors(t testing.TB, net *ta.Network, eI, eL *engine, ctxI, ctxL
 			for j := 0; j < za.Dim(); j++ {
 				if za.At(i, j) != zb.At(i, j) {
 					t.Fatalf("state %s succ %d: zone differs at (%d,%d): %s vs %s",
-						s.Format(net), k, i, j, a.state.FormatVerbose(net), b.state.FormatVerbose(net))
+						s.Format(net), k, i, j, za, zb)
 				}
 			}
 		}

@@ -174,12 +174,6 @@ func TestLiveEqualsStoredWithoutPrunes(t *testing.T) {
 	if res.Live != res.Stored || res.Stored == 0 {
 		t.Errorf("Live = %d, Stored = %d: want them equal", res.Live, res.Stored)
 	}
-	var sum Stats
-	sum.Add(res.Stats)
-	sum.Add(res.Stats)
-	if sum.Live != 2*res.Live {
-		t.Errorf("Stats.Add: Live = %d, want %d", sum.Live, 2*res.Live)
-	}
 }
 
 // TestWaitingStatesParallel is the Workers > 1 twin: the shadow store checks

@@ -7,12 +7,12 @@
 package crosscheck
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/core"
-	"repro/internal/dbm"
 	"repro/internal/rtc"
 	"repro/internal/sim"
 	"repro/internal/symta"
@@ -127,14 +127,25 @@ func TestBinaryVsSupOnRandomSystems(t *testing.T) {
 		if !supRes.Exact {
 			continue
 		}
-		binRes, _, err := arch.AnalyzeWCRTBinary(sys, req, arch.Options{HorizonMS: 400},
-			core.Options{}, 400)
+		c, err := arch.Compile(sys, req, arch.Options{HorizonMS: 400})
+		if err != nil {
+			t.Fatalf("trial %d compile: %v", trial, err)
+		}
+		checker, err := core.NewChecker(c.Net)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		hi, err := arch.ToUnits(big.NewRat(400, 1), c.Scale)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		bs, err := checker.BinarySearchWCRT(c.Obs.Y.ID, c.AtSeen(), 0, hi, core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d binary: %v", trial, err)
 		}
-		if supRes.MS.Cmp(binRes.MS) != 0 {
-			t.Errorf("trial %d %s: sup %s != binary %s", trial, req.Name,
-				supRes.MS.FloatString(4), binRes.MS.FloatString(4))
+		if bin := c.UnitsToMS(bs.MinimalC - 1); !bs.Holds || supRes.MS.Cmp(bin) != 0 {
+			t.Errorf("trial %d %s: sup %s != binary %s (holds=%v)", trial, req.Name,
+				supRes.MS.FloatString(4), bin.FloatString(4), bs.Holds)
 		}
 	}
 }
@@ -186,60 +197,6 @@ func TestTDMACrossEngines(t *testing.T) {
 			t.Errorf("%s: sim %s exceeds exact %s", req.Name,
 				simRes[req.Name].MaxMS.FloatString(3), exact.MS.FloatString(3))
 		}
-	}
-}
-
-// TestExtraLUInflatesSuprema documents why the engine defaults to Extra_M:
-// under Extra_LU, a sporadic generator's clock (which only appears in
-// lower-bound guards, so U = 0) loses all its upper-bound matrix rows, and
-// with them the orderings between arrivals and the rest of the system. On a
-// TDMA bus this admits a spurious second arrival inside the minimum
-// separation window, queueing behind the first and inflating the measured
-// worst-case response time beyond the true supremum.
-func TestExtraLUInflatesSuprema(t *testing.T) {
-	sys := arch.NewSystem("tdma")
-	bus := sys.AddBus("BUS", 8, arch.SchedTDMA)
-	a := sys.AddScenario("a", 2, arch.Sporadic(arch.MS(60, 1)))
-	a.Transfer("am", bus, 3)
-	b := sys.AddScenario("b", 1, arch.Sporadic(arch.MS(60, 1)))
-	b.Transfer("bm", bus, 4)
-	bus.TDMA = &arch.TDMAConfig{
-		CycleMS: arch.MS(20, 1),
-		Slots: []arch.TDMASlot{
-			{Scenario: a, StartMS: arch.MS(0, 1), EndMS: arch.MS(5, 1)},
-			{Scenario: b, StartMS: arch.MS(10, 1), EndMS: arch.MS(15, 1)},
-		},
-	}
-	req := arch.EndToEnd("b", b)
-
-	compiled, err := arch.Compile(sys, req, arch.Options{HorizonMS: 300})
-	if err != nil {
-		t.Fatal(err)
-	}
-	supWith := func(coarse bool) dbm.Bound {
-		checker, err := core.NewChecker(compiled.Net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checker.SetCoarseExtrapolation(coarse)
-		res, err := checker.SupClock(compiled.Obs.Y.ID, func(s *core.State) bool {
-			return s.Locs[compiled.Obs.Proc] == compiled.Obs.Seen
-		}, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Max
-	}
-	exact := supWith(false)
-	coarse := supWith(true)
-	if exact >= coarse {
-		t.Errorf("expected LU to strictly inflate the supremum: exact %v vs LU %v", exact, coarse)
-	}
-	// Cross-check the exact value: worst case is one full cycle plus the
-	// transfer, 24ms in model units.
-	scale := compiled.Scale.Int64()
-	if exact != dbm.LE(24*scale) {
-		t.Errorf("exact sup = %v, want <=%d", exact, 24*scale)
 	}
 }
 

@@ -99,11 +99,9 @@ type Bound int64
 // Infinity is the absent constraint xi - xj < ∞.
 const Infinity Bound = math.MaxInt64
 
-// LEZero is the bound (≤, 0), the diagonal value of every canonical DBM.
+// LEZero is the bound (≤, 0), the diagonal value of every canonical DBM; a
+// diagonal entry below it signals emptiness.
 const LEZero Bound = 1
-
-// LTZero is the bound (<, 0); a diagonal entry below LEZero signals emptiness.
-const LTZero Bound = 0
 
 // MakeBound encodes the bound (value ≺) where weak selects ≤ (true) or < (false).
 func MakeBound(value int64, weak bool) Bound {

@@ -287,12 +287,17 @@ func TestRelation(t *testing.T) {
 	}
 }
 
+// extraM applies Extra_M with scratch of its own.
+func extraM(d *DBM, max []int64) bool {
+	return d.ExtraMTouched(max, NewTouched(d.Dim()), NewTouched(d.Dim()))
+}
+
 func TestExtraMDropsLargeBounds(t *testing.T) {
 	d := New(2)
 	d.Up()
 	d.Constrain(1, 0, LE(100))
 	d.Constrain(0, 1, LE(-90)) // 90 <= x1 <= 100
-	d.ExtraM([]int64{0, 10})   // max constant of x1 is 10
+	extraM(d, []int64{0, 10})  // max constant of x1 is 10
 	if d.Sup(1) != Infinity {
 		t.Errorf("upper bound above max must be dropped, got %v", d.Sup(1))
 	}
@@ -307,7 +312,7 @@ func TestExtraMKeepsSmallBounds(t *testing.T) {
 	d.Up()
 	d.Constrain(1, 0, LE(7))
 	before := d.Copy()
-	d.ExtraM([]int64{0, 10})
+	extraM(d, []int64{0, 10})
 	if !d.Eq(before) {
 		t.Error("bounds within the max constant must be unchanged")
 	}
@@ -320,27 +325,18 @@ func TestExtrapolationReportsChanges(t *testing.T) {
 	d := New(2)
 	d.Up()
 	d.Constrain(1, 0, LE(7))
-	if d.ExtraM([]int64{0, 10}) {
+	if extraM(d, []int64{0, 10}) {
 		t.Error("ExtraM within the box must report changed=false")
-	}
-	if d.ExtraLU([]int64{0, 10}, []int64{0, 10}) {
-		t.Error("ExtraLU within the box must report changed=false")
 	}
 	// Abstracting case: bounds beyond the constants must report true.
 	e := New(2)
 	e.Up()
 	e.Constrain(1, 0, LE(100))
-	if !e.ExtraM([]int64{0, 10}) {
+	if !extraM(e, []int64{0, 10}) {
 		t.Error("ExtraM dropping a bound must report changed=true")
 	}
-	f := New(2)
-	f.Up()
-	f.Constrain(1, 0, LE(100))
-	if !f.ExtraLU([]int64{0, 10}, []int64{0, 10}) {
-		t.Error("ExtraLU dropping a bound must report changed=true")
-	}
 	// Idempotence: re-extrapolating the already-abstracted zone is a no-op.
-	if e.ExtraM([]int64{0, 10}) {
+	if extraM(e, []int64{0, 10}) {
 		t.Error("ExtraM must be idempotent: second application reports changed=false")
 	}
 }
@@ -626,7 +622,7 @@ func TestQuickExtraMPreservesSmallPoints(t *testing.T) {
 		d := randomZone(r, 3)
 		max := []int64{0, 15, 15}
 		e := d.Copy()
-		e.ExtraM(max)
+		extraM(e, max)
 		if !d.SubsetEq(e) {
 			return false
 		}
@@ -802,22 +798,6 @@ func TestQuickResetOverridesReset(t *testing.T) {
 		return d1.Eq(d2)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickExtraLUCoarserThanExtraM(t *testing.T) {
-	// With U split below M, Extra_LU must include everything Extra_M keeps.
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := randomZone(r, 3)
-		m := d.Copy()
-		m.ExtraM([]int64{0, 12, 12})
-		lu := d.Copy()
-		lu.ExtraLU([]int64{0, 12, 3}, []int64{0, 3, 12})
-		return m.SubsetEq(lu) || m.Eq(lu)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

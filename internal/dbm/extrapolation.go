@@ -1,15 +1,15 @@
 package dbm
 
-// ExtraM applies the classical maximal-constant extrapolation (Extra_M from
-// Behrmann et al., "Lower and Upper Bounds in Zone Based Abstractions of
-// Timed Automata") and restores canonical form.
+// ExtraMTouched applies the classical maximal-constant extrapolation (Extra_M
+// from Behrmann et al., "Lower and Upper Bounds in Zone Based Abstractions of
+// Timed Automata") and restores canonical form, with caller-provided scratch.
 //
 // max[c] is the largest constant clock c is ever compared against in guards,
 // invariants, or properties; a negative value means the clock is never
 // compared and all its bounds may be abstracted away. max[0] is ignored and
 // treated as 0.
 //
-// Soundness: two zones that agree after ExtraM are bisimilar with respect to
+// Soundness: two zones that agree after Extra_M are bisimilar with respect to
 // all constraints bounded by max, so reachability of any location/guard in
 // the model is preserved. Upper bounds of clocks beyond their max constant
 // become Infinity; callers computing sup values (e.g. WCRT) must therefore
@@ -20,17 +20,13 @@ package dbm
 // Re-canonicalization runs only in that case; the common steady-state case —
 // a zone already inside the extrapolation box — is a read-only scan. Callers
 // can use the flag to skip downstream work that only matters when the zone
-// actually coarsened. This wrapper allocates its own scratch; the
-// exploration hot path calls ExtraMTouched with pooled scratch instead.
-func (d *DBM) ExtraM(max []int64) bool {
-	return d.ExtraMTouched(max, NewTouched(d.dim), NewTouched(d.dim))
-}
-
-// ExtraMTouched is ExtraM with caller-provided scratch; see Extrapolate, which
-// it calls with the bounds of max built on the spot. The exploration hot path
-// builds them once (NewExtraM) and calls Extrapolate itself.
+// actually coarsened. It calls Extrapolate with the bounds of max built on
+// the spot; the exploration hot path builds them once (NewExtraM) and calls
+// Extrapolate itself.
 func (d *DBM) ExtraMTouched(max []int64, rows, cols *Touched) bool {
-	return d.ExtraLUTouched(max, max, rows, cols)
+	var buf [2 * stackClocks]Bound
+	x := makeExtraBounds(buf[:0], max[:d.dim])
+	return d.Extrapolate(&x, rows, cols)
 }
 
 // ExtraBounds is what an extrapolation compares the entries of a zone
@@ -49,14 +45,14 @@ func (d *DBM) ExtraMTouched(max []int64, rows, cols *Touched) bool {
 // is why the passed store of internal/core decides subsumption on the raw
 // zone and extrapolates only what it admits (FuzzSubsumedBeforeExtrapolate).
 // A negative constant breaks the fixed point
-// (TestNegativeConstantNotIdempotent); ExtraM and ExtraLU keep accepting one,
-// for direct callers that apply them once.
+// (TestNegativeConstantNotIdempotent); ExtraMTouched keeps accepting one, for
+// direct callers that apply it once.
 type ExtraBounds struct {
-	// hi[i] is (≤ U(xi)): an upper bound on xi, relative to any clock, beyond
+	// hi[i] is (≤ M(xi)): an upper bound on xi, relative to any clock, beyond
 	// it is dropped. The reference clock has Infinity here — row 0 holds no
 	// upper bounds.
 	hi []Bound
-	// lo[j] is (< −L(xj)): a lower bound on xj below it is relaxed to it. The
+	// lo[j] is (< −M(xj)): a lower bound on xj below it is relaxed to it. The
 	// reference clock's constant is 0.
 	lo []Bound
 }
@@ -66,25 +62,21 @@ type ExtraBounds struct {
 const stackClocks = 64
 
 // NewExtraM returns the bounds of Extra_M for the given maximal constants
-// (see ExtraM; max[0] is ignored).
-func NewExtraM(max []int64) ExtraBounds { return NewExtraLU(max, max) }
-
-// NewExtraLU returns the bounds of Extra_LU for the given lower and upper
-// constants (see ExtraLU; index 0 of both is ignored).
-func NewExtraLU(lower, upper []int64) ExtraBounds {
-	dim := len(upper)
-	return makeExtraBounds(heap.bounds(2 * dim)[:0], lower, upper, dim)
+// (see ExtraMTouched; max[0] is ignored).
+func NewExtraM(max []int64) ExtraBounds {
+	return makeExtraBounds(heap.bounds(2 * len(max))[:0], max)
 }
 
 // makeExtraBounds appends the two vectors to buf, which it may outgrow.
-func makeExtraBounds(buf []Bound, lower, upper []int64, dim int) ExtraBounds {
+func makeExtraBounds(buf []Bound, max []int64) ExtraBounds {
+	dim := len(max)
 	buf = append(buf, Infinity)
-	for _, u := range upper[1:dim] {
-		buf = append(buf, LE(u))
+	for _, m := range max[1:] {
+		buf = append(buf, LE(m))
 	}
 	buf = append(buf, LT(0))
-	for _, l := range lower[1:dim] {
-		buf = append(buf, LT(-l))
+	for _, m := range max[1:] {
+		buf = append(buf, LT(-m))
 	}
 	return ExtraBounds{hi: buf[:dim:dim], lo: buf[dim:]}
 }
@@ -105,14 +97,13 @@ func (x *ExtraBounds) Idempotent() bool {
 	return true
 }
 
-// Extrapolate abstracts every bound beyond x — the one loop behind ExtraM and
-// ExtraLU — and restores canonical form. The rows of dropped upper bounds and
-// the columns of relaxed lower bounds are collected into rows and cols
-// (previous contents discarded), and canonical form is restored with
-// CloseRows over just those — O((|rows|+|cols|)·n²) instead of the full O(n³)
-// Floyd–Warshall, bit-identical to it by CloseRows' loosening argument. The
-// zone must be canonical and nonempty on entry, as everywhere in the
-// exploration loop. It reports whether any bound changed.
+// Extrapolate abstracts every bound beyond x and restores canonical form. The
+// rows of dropped upper bounds and the columns of relaxed lower bounds are
+// collected into rows and cols (previous contents discarded), and canonical
+// form is restored with CloseRows over just those — O((|rows|+|cols|)·n²)
+// instead of the full O(n³) Floyd–Warshall, bit-identical to it by CloseRows'
+// loosening argument. The zone must be canonical and nonempty on entry, as
+// everywhere in the exploration loop. It reports whether any bound changed.
 func (d *DBM) Extrapolate(x *ExtraBounds, rows, cols *Touched) bool {
 	n := d.dim
 	rows.Reset()
@@ -142,28 +133,4 @@ func (d *DBM) Extrapolate(x *ExtraBounds, rows, cols *Touched) bool {
 	}
 	d.CloseRows(rows, cols)
 	return true
-}
-
-// ExtraLU applies lower/upper-bound extrapolation (Extra_LU from the same
-// paper): upper-bound entries beyond U(x_i) are dropped, and lower bounds
-// below -L(x_j) are relaxed to (< -L(x_j)). Because guards that bound a
-// clock from below can only test it against L and guards from above against
-// U, the abstraction preserves reachability while being coarser than ExtraM
-// (which uses max(L,U) on both sides). Canonical form is restored.
-//
-// As with ExtraM, the upper bound of any clock c with a registered U(c) at
-// least as large as the values of interest is preserved exactly, so WCRT
-// suprema remain exact under the same horizon discipline. Like ExtraM it
-// reports whether any bound changed, re-canonicalizes only then, and has a
-// pooled-scratch variant ExtraLUTouched for the hot path.
-func (d *DBM) ExtraLU(lower, upper []int64) bool {
-	return d.ExtraLUTouched(lower, upper, NewTouched(d.dim), NewTouched(d.dim))
-}
-
-// ExtraLUTouched is ExtraLU with caller-provided scratch, the Extra_LU
-// counterpart of ExtraMTouched.
-func (d *DBM) ExtraLUTouched(lower, upper []int64, rows, cols *Touched) bool {
-	var buf [2 * stackClocks]Bound
-	x := makeExtraBounds(buf[:0], lower, upper, d.dim)
-	return d.Extrapolate(&x, rows, cols)
 }

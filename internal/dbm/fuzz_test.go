@@ -11,8 +11,8 @@ import (
 // then each is checked bit-for-bit against a full-Floyd–Warshall reference
 // on a copy:
 //
-//   - ExtraMTouched / ExtraLUTouched (CloseRows after loosening) vs the
-//     loosening scan + full Close, including the changed flag;
+//   - ExtraMTouched (CloseRows after loosening) vs the loosening scan + full
+//     Close, including the changed flag;
 //   - a chain of Constrain calls (single-edge closure after tightening) vs
 //     the same bounds written entrywise + full Close, including the
 //     emptiness verdict — once with every bound of a second random zone (an
@@ -40,14 +40,7 @@ func FuzzIncrementalClose(f *testing.F) {
 		}
 
 		// --- extrapolation: CloseRows (loosening) vs full Close ---
-		max := make([]int64, dim)
-		lower := make([]int64, dim)
-		upper := make([]int64, dim)
-		for c := 1; c < dim; c++ {
-			max[c] = int64(r.next()%24) - 2 // negative = never compared
-			lower[c] = int64(r.next()%24) - 2
-			upper[c] = int64(r.next()%24) - 2
-		}
+		max := fuzzConsts(r, dim, -2) // negative = never compared
 		rows, cols := NewTouched(dim), NewTouched(dim)
 
 		inc := z.Copy()
@@ -59,16 +52,6 @@ func FuzzIncrementalClose(f *testing.F) {
 			t.Fatalf("ExtraM diverges:\n got %s\nwant %s\nfrom %s", inc, ref, z)
 		}
 		assertCanonical(t, "ExtraM", inc)
-
-		incLU := z.Copy()
-		refLU := z.Copy()
-		if incLU.ExtraLUTouched(lower, upper, rows, cols) != extraLUFullClose(refLU, lower, upper) {
-			t.Fatalf("ExtraLU changed flag diverges on %s", z)
-		}
-		if !incLU.Eq(refLU) {
-			t.Fatalf("ExtraLU diverges:\n got %s\nwant %s\nfrom %s", incLU, refLU, z)
-		}
-		assertCanonical(t, "ExtraLU", incLU)
 
 		// --- Constrain chains (tightening) vs full Close ---
 		checkConstrainChain(t, "intersection", z, zoneCons(buildFuzzZone(r, dim)))
@@ -198,11 +181,10 @@ func checkDelayUnder(t *testing.T, z *DBM, cons []con, delay bool) *DBM {
 // FuzzSubsumedBeforeExtrapolate checks the equivalence the passed store of
 // internal/core decides by (see ExtraBounds): for a canonical zone y and a
 // stored zone r = E(r0), y ⊆ r exactly when E(y) ⊆ r, and E(y) is a fixed
-// point of E — under Extra_M and under Extra_LU, constants ≥ 0. r0 is an
-// independent random zone, a loosening of y (so that y ⊆ r, the case a
-// reject on the raw zone relies on) or a tightening of it. The seed corpus
-// under testdata/fuzz pins both answers, with and without a y that
-// extrapolation changes.
+// point of E — under Extra_M, constants ≥ 0. r0 is an independent random
+// zone, a loosening of y (so that y ⊆ r, the case a reject on the raw zone
+// relies on) or a tightening of it. The seed corpus under testdata/fuzz pins
+// both answers, with and without a y that extrapolation changes.
 func FuzzSubsumedBeforeExtrapolate(f *testing.F) {
 	f.Add([]byte{0})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -228,16 +210,8 @@ func FuzzSubsumedBeforeExtrapolate(f *testing.F) {
 				r0 = y.Copy()
 			}
 		}
-		max := make([]int64, dim)
-		lower := make([]int64, dim)
-		upper := make([]int64, dim)
-		for c := 1; c < dim; c++ {
-			max[c] = int64(r.next() % 24)
-			lower[c] = int64(r.next() % 24)
-			upper[c] = int64(r.next() % 24)
-		}
+		max := fuzzConsts(r, dim, 0)
 		checkSubsumedBeforeExtrapolate(t, "Extra_M", y, r0, NewExtraM(max))
-		checkSubsumedBeforeExtrapolate(t, "Extra_LU", y, r0, NewExtraLU(lower, upper))
 	})
 }
 
@@ -335,42 +309,17 @@ func buildFuzzZone(r *byteReader, dim int) *DBM {
 	return d
 }
 
-// extraLUFullClose is the pre-incremental ExtraLU reference: loosen per the
-// Extra_LU rules, then run the full Floyd–Warshall.
-func extraLUFullClose(d *DBM, lower, upper []int64) bool {
-	n := d.Dim()
-	changed := false
-	up := func(i int) int64 {
-		if i == 0 {
-			return 0
-		}
-		return upper[i]
+// fuzzConsts reads one maximal constant per clock, in [shift, shift+24). The
+// committed corpora carry two more bytes per clock, which are skipped so that
+// every file keeps building the zones its name describes.
+func fuzzConsts(r *byteReader, dim int, shift int64) []int64 {
+	max := make([]int64, dim)
+	for c := 1; c < dim; c++ {
+		max[c] = int64(r.next()%24) + shift
+		r.next()
+		r.next()
 	}
-	lo := func(j int) int64 {
-		if j == 0 {
-			return 0
-		}
-		return lower[j]
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			b := d.At(i, j)
-			if i == j || b == Infinity {
-				continue
-			}
-			if i != 0 && b > LE(up(i)) {
-				d.set(i, j, Infinity)
-				changed = true
-			} else if low := LT(-lo(j)); b < low {
-				d.set(i, j, low)
-				changed = true
-			}
-		}
-	}
-	if changed {
-		d.Close()
-	}
-	return changed
+	return max
 }
 
 // assertCanonical fails unless d is bit-identical to its own full re-closure

@@ -12,7 +12,6 @@
 package icrns
 
 import (
-	"fmt"
 	"math/big"
 
 	"repro/internal/arch"
@@ -190,18 +189,4 @@ func Build(combo Combo, col Column, cfg Config) (*arch.System, map[string]*arch.
 		reqs[ReqAddressLookup] = arch.EndToEnd(ReqAddressLookup, al)
 	}
 	return sys, reqs
-}
-
-// ComboFor returns the application combination in which a requirement is
-// analyzed, following Table 1's rows.
-func ComboFor(req string) (Combo, error) {
-	switch req {
-	case ReqK2A, ReqA2V:
-		return ComboCV, nil
-	case ReqAddressLookup:
-		return ComboAL, nil
-	case ReqHandleTMC:
-		return ComboCV, nil // disambiguated by the caller for the +AL row
-	}
-	return 0, fmt.Errorf("icrns: unknown requirement %q", req)
 }

@@ -217,18 +217,6 @@ func TestBuildShape(t *testing.T) {
 	}
 }
 
-func TestComboFor(t *testing.T) {
-	if c, err := ComboFor(ReqK2A); err != nil || c != ComboCV {
-		t.Errorf("ComboFor(K2A) = %v, %v", c, err)
-	}
-	if c, err := ComboFor(ReqAddressLookup); err != nil || c != ComboAL {
-		t.Errorf("ComboFor(AddressLookup) = %v, %v", c, err)
-	}
-	if _, err := ComboFor("nope"); err == nil {
-		t.Error("unknown requirement must error")
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	res, err := Cell(Table1Rows[4], ColPO, CellOptions{Cfg: DefaultConfig()})
 	if err != nil {

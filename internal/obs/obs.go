@@ -1,5 +1,5 @@
 // Package obs is the repository's dependency-free observability kit: a
-// Prometheus-text metrics registry (counters, gauges, fixed-bucket
+// Prometheus-text metrics registry (sampled counters and gauges, fixed-bucket
 // histograms), wall-clock spans (Span/SpanList) for phase profiles, and an
 // exposition-format validator (Lint) shared by tests and scripts/metricslint.
 //
@@ -8,10 +8,10 @@
 // The registry deliberately offers two kinds of write paths with different
 // contracts:
 //
-//   - Counter.Add / Histogram.Observe are atomic read-modify-writes. They are
-//     for event-scoped paths — a job submitted, a dispatch sent — where the
-//     event itself costs orders of magnitude more than one contended atomic.
-//     They must NEVER be called per explored state.
+//   - Histogram.Observe is a set of atomic read-modify-writes. It is for
+//     event-scoped paths — a job submitted, a dispatch sent — where the event
+//     itself costs orders of magnitude more than one contended atomic. It
+//     must NEVER be called per explored state.
 //   - Per-state (hot-path) telemetry goes through the engine's own
 //     per-worker slots (core's perWorker): exactly one goroutine writes a
 //     slot, with plain atomic stores (never an RMW, never a lock), and the
@@ -70,8 +70,7 @@ type family struct {
 // metric is one series of a family. Exactly one of the value sources is set.
 type metric struct {
 	labels []Label
-	val    *atomic.Int64 // Counter / Gauge
-	fn     func() int64  // CounterFunc / GaugeFunc
+	fn     func() int64 // CounterFunc / GaugeFunc
 	hist   *Histogram
 }
 
@@ -79,28 +78,6 @@ type metric struct {
 func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
-
-// Counter is a monotonically increasing event counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter. Event-scoped paths only — see the package
-// ownership rules.
-func (c *Counter) Add(delta int64) { c.v.Add(delta) }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value reads the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // register adds one series under name, creating or reusing the family.
 // Registration is setup-time work: it panics on programmer errors (invalid
@@ -131,20 +108,6 @@ func (r *Registry) register(name, help string, kind metricKind, m *metric) {
 		}
 	}
 	f.metrics = append(f.metrics, m)
-}
-
-// Counter registers and returns a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, kindCounter, &metric{labels: labels, val: &c.v})
-	return c
-}
-
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, kindGauge, &metric{labels: labels, val: &g.v})
-	return g
 }
 
 // CounterFunc registers a counter series whose value is sampled from fn at
@@ -224,13 +187,10 @@ func (r *Registry) WriteText(w io.Writer) error {
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, m := range f.metrics {
-			switch {
-			case m.hist != nil:
+			if m.hist != nil {
 				writeHistogram(&b, f.name, m)
-			case m.fn != nil:
+			} else {
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, renderLabels(m.labels), m.fn())
-			default:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, renderLabels(m.labels), m.val.Load())
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -69,15 +70,14 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 // /metrics alias test in serve relies on.
 func TestWriteTextLintsCleanAndByteStable(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("events_total", "events seen")
-	g := r.Gauge("depth", "current depth")
+	var events atomic.Int64
+	r.CounterFunc("events_total", "events seen", events.Load)
+	r.GaugeFunc("depth", "current depth", func() int64 { return -12 })
 	r.CounterFunc("derived_total", "derived", func() int64 { return 7 })
 	r.GaugeFunc("temp", "sampled", func() int64 { return -3 })
 	h := r.Histogram("lat_seconds", `latency with "quotes" and \ slash`, []float64{0.1, 2.5},
 		Label{Name: "op", Value: `a"b\c`})
-	c.Add(41)
-	c.Inc()
-	g.Set(-12)
+	events.Add(42)
 	h.Observe(0.05)
 	h.Observe(3)
 
@@ -115,19 +115,20 @@ func TestRegistryPanics(t *testing.T) {
 		}()
 		fn()
 	}
-	mustPanic("invalid name", func() { NewRegistry().Counter("0bad", "") })
+	zero := func() int64 { return 0 }
+	mustPanic("invalid name", func() { NewRegistry().CounterFunc("0bad", "", zero) })
 	mustPanic("reserved le label", func() {
-		NewRegistry().Counter("x_total", "", Label{Name: "le", Value: "1"})
+		NewRegistry().CounterFunc("x_total", "", zero, Label{Name: "le", Value: "1"})
 	})
 	mustPanic("kind mismatch", func() {
 		r := NewRegistry()
-		r.Counter("x_total", "")
-		r.Gauge("x_total", "")
+		r.CounterFunc("x_total", "", zero)
+		r.GaugeFunc("x_total", "", zero)
 	})
 	mustPanic("duplicate series", func() {
 		r := NewRegistry()
-		r.Counter("x_total", "")
-		r.Counter("x_total", "")
+		r.CounterFunc("x_total", "", zero)
+		r.CounterFunc("x_total", "", zero)
 	})
 	mustPanic("non-ascending bounds", func() {
 		NewRegistry().Histogram("h_seconds", "", []float64{1, 1})

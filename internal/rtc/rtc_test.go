@@ -202,3 +202,27 @@ func TestRemainingServiceMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestHorizontalDevMatchesDelayBound pins delayBound on a single stream on
+// unit service to the horizontal deviation between the stream's staircase
+// demand curve and the service curve, as the min-plus curve algebra computed
+// it before it was removed (PR 28).
+func TestHorizontalDevMatchesDelayBound(t *testing.T) {
+	for _, c := range []struct {
+		a    Arrival
+		want int64
+	}{
+		{Arrival{P: 20, J: 0, C: 5}, 5},
+		{Arrival{P: 20, J: 20, C: 5}, 10},
+		{Arrival{P: 20, J: 40, C: 5}, 15},
+		{Arrival{P: 15, J: 7, C: 4}, 4},
+	} {
+		db, err := delayBound(&task{name: "t", c: c.a.C, in: c.a}, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if db != c.want {
+			t.Errorf("%+v: delay bound %d, want horizontal deviation %d", c.a, db, c.want)
+		}
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -57,16 +58,6 @@ func (e *APIError) Error() string {
 		return fmt.Sprintf("taserved: %s (%s, HTTP %d)", msg, e.Body.Code, e.Status)
 	}
 	return fmt.Sprintf("taserved: %s (HTTP %d)", msg, e.Status)
-}
-
-// Retryable reports whether the server marked this rejection as worth
-// retrying (overload shedding), and after how long including the requested
-// jitter budget.
-func (e *APIError) Retryable() (time.Duration, bool) {
-	if e.Body.RetryAfterMS <= 0 {
-		return 0, false
-	}
-	return time.Duration(e.Body.RetryAfterMS+e.Body.RetryJitterMS) * time.Millisecond, true
 }
 
 func (c *Client) do(ctx context.Context, method, path string, body any) (int, []byte, error) {
@@ -232,7 +223,7 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 func (c *Client) Trace(ctx context.Context, id, req string) (map[string]string, error) {
 	path := "/v1/jobs/" + id + "/trace"
 	if req != "" {
-		path += "?req=" + req
+		path += "?" + url.Values{"req": {req}}.Encode()
 	}
 	status, body, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {

@@ -4,13 +4,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/serve/api"
 	"repro/internal/wire"
 )
@@ -149,5 +152,139 @@ func TestStatusOmitsTheParameter(t *testing.T) {
 	}
 	if _, err := c.StatusWait(context.Background(), "j", 1500*time.Millisecond); err != nil || waited != "wait_ms=1500" {
 		t.Errorf("StatusWait requested ?%s, %v", waited, err)
+	}
+}
+
+// tinyArch is testdata/tiny.json with requirement names that need escaping in
+// a query string.
+const tinyArch = `{
+  "name": "tiny",
+  "processors": [{"name": "A", "mips": 10, "sched": "fp"}, {"name": "B", "mips": 20, "sched": "fp-preemptive"}],
+  "buses": [{"name": "BUS", "kbit_per_sec": 8, "sched": "fp"}],
+  "scenarios": [{
+    "name": "job", "priority": 1,
+    "arrival": {"kind": "po", "period_ms": "100", "offset_ms": "0"},
+    "steps": [
+      {"name": "opA", "processor": "A", "instructions": 100000},
+      {"name": "msg", "bus": "BUS", "bytes": 10},
+      {"name": "opB", "processor": "B", "instructions": 200000}
+    ]
+  }],
+  "requirements": [
+    {"name": "end to end & back", "scenario": "job", "from": -1, "to": 2},
+    {"name": "k2a+v", "scenario": "job", "from": -1, "to": 0}
+  ]
+}`
+
+// endlessTA renders a network too large to sweep within a test's patience
+// (six free generators with co-prime periods and a deep shared counter): a
+// job against it ends only by cancellation or shutdown.
+func endlessTA() string {
+	var b strings.Builder
+	b.WriteString("system:huge\nclock:sx\nint:rec:0:0:40\nchan:hurry:urgent-broadcast\n")
+	for i, p := range []int{7, 11, 13, 17, 19, 23} {
+		fmt.Fprintf(&b, "clock:gx%d\nprocess:GEN%d\n", i, i)
+		fmt.Fprintf(&b, "location:GEN%d:tick{initial; invariant: gx%d<=%d}\n", i, i, p)
+		fmt.Fprintf(&b, "edge:GEN%d:tick:tick{guard: gx%d==%d && rec<40; do: rec=rec+1, gx%d=0}\n", i, i, p, i)
+	}
+	b.WriteString("process:SRV\nlocation:SRV:idle{initial}\nlocation:SRV:busy{invariant: sx<=2}\n")
+	b.WriteString("edge:SRV:idle:busy{guard: rec>0; sync: hurry!; do: rec=rec-1, sx=0}\n")
+	b.WriteString("edge:SRV:busy:idle{guard: sx==2}\n")
+	return b.String()
+}
+
+// realNode serves the real handler of a node with one CPU token.
+func realNode(t *testing.T) *Client {
+	t.Helper()
+	s := serve.New(serve.Config{CPUTokens: 1})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		_ = s.Shutdown(10 * time.Second)
+		ts.Close()
+	})
+	return New(ts.URL, nil)
+}
+
+// TestTraceEscapesTheRequirementName: a requirement is named by its model's
+// author, so the name travels as an escaped query value — a space, an '&' or
+// a '+' in it selects that requirement's trace and no other.
+func TestTraceEscapesTheRequirementName(t *testing.T) {
+	c := realNode(t)
+	ctx := context.Background()
+	sr, err := c.Submit(ctx, &api.SubmitRequest{Kind: "arch", Model: tinyArch,
+		Options: api.SubmitOptions{HorizonMS: 100, Witness: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Await(ctx, sr.JobID, 0); err != nil || st.State != api.StateDone {
+		t.Fatalf("Await = %+v, %v", st, err)
+	}
+	all, err := c.Trace(ctx, sr.JobID, "")
+	if err != nil || len(all) != 2 {
+		t.Fatalf("Trace of every requirement = %d traces, %v; want 2", len(all), err)
+	}
+	for _, name := range []string{"end to end & back", "k2a+v"} {
+		one, err := c.Trace(ctx, sr.JobID, name)
+		if err != nil {
+			t.Errorf("Trace(%q): %v", name, err)
+			continue
+		}
+		if len(one) != 1 || one[name] == "" || one[name] != all[name] {
+			t.Errorf("Trace(%q) = %q, want that requirement's trace alone", name, one)
+		}
+	}
+	var ae *APIError
+	if _, err := c.Trace(ctx, sr.JobID, "end to end"); !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+		t.Errorf("Trace of an unknown requirement: %v, want a 404 APIError", err)
+	}
+}
+
+// TestCancelQueuedJob: a job waiting for the node's one CPU token is canceled
+// where it waits — it reads canceled without ever having started — and its
+// running neighbour is left alone.
+func TestCancelQueuedJob(t *testing.T) {
+	c := realNode(t)
+	ctx := context.Background()
+	endless := func(q wire.TAQuery) *api.SubmitRequest {
+		return &api.SubmitRequest{Kind: "ta", Model: endlessTA(), Queries: []wire.TAQuery{q}}
+	}
+	running, err := c.Submit(ctx, endless(wire.TAQuery{Kind: "deadlock"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		st, err := c.Status(ctx, running.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == api.StateRunning {
+			break
+		}
+		if st.State != api.StateQueued {
+			t.Fatalf("the endless job is %s (%s)", st.State, st.Error)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	queued, err := c.Submit(ctx, endless(wire.TAQuery{Kind: "safety", Pred: "rec<=40"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cancellation is cooperative: the answer carries the state as of the
+	// request, queued or already canceled.
+	cr, err := c.Cancel(ctx, queued.JobID)
+	if err != nil || cr.JobID != queued.JobID || (cr.State != api.StateQueued && cr.State != api.StateCanceled) {
+		t.Fatalf("Cancel of the queued job = %+v, %v", cr, err)
+	}
+	if st, err := c.Await(ctx, queued.JobID, 0); err != nil || st.State != api.StateCanceled || st.StartedAt != nil {
+		t.Fatalf("the queued job reads %+v, %v after Cancel; want canceled and never started", st, err)
+	}
+	if st, err := c.Status(ctx, running.JobID); err != nil || st.State != api.StateRunning {
+		t.Errorf("the running job is %+v, %v after its neighbour's cancel", st, err)
+	}
+	if _, err := c.Cancel(ctx, running.JobID); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Await(ctx, running.JobID, 0); err != nil || st.State != api.StateCanceled {
+		t.Errorf("Await after Cancel = %+v, %v; want canceled", st, err)
 	}
 }

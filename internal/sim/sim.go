@@ -12,7 +12,6 @@ package sim
 
 import (
 	"container/heap"
-	"fmt"
 	"math/big"
 	"math/rand"
 	"sort"
@@ -459,16 +458,4 @@ func (r *run) dispatch(now int64, res *resource) {
 	inst := res.queue[best]
 	res.queue = append(res.queue[:best], res.queue[best+1:]...)
 	r.start(now, res, inst)
-}
-
-// FormatResults renders the campaign results in Table 2 style.
-func FormatResults(results map[string]*Result, names []string) string {
-	s := ""
-	for _, n := range names {
-		r := results[n]
-		s += fmt.Sprintf("%-16s max=%s ms p99=%s p95=%s p50=%s mean=%s ms (n=%d)\n",
-			n, r.MaxMS.FloatString(3), r.P99MS.FloatString(3), r.P95MS.FloatString(3),
-			r.P50MS.FloatString(3), r.MeanMS.FloatString(3), r.Completed)
-	}
-	return s
 }

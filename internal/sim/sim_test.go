@@ -171,17 +171,6 @@ func TestNondetSchedulerRuns(t *testing.T) {
 	}
 }
 
-func TestFormatResults(t *testing.T) {
-	sys, hiReq, _ := contended(arch.SchedFP, arch.KindPeriodicUnknownOffset)
-	res, err := Simulate(sys, []*arch.Requirement{hiReq}, Options{Seed: 1, HorizonMS: 500, Replications: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := FormatResults(res, []string{"hi"}); s == "" {
-		t.Error("FormatResults must render")
-	}
-}
-
 func TestReproducibility(t *testing.T) {
 	sys, hiReq, _ := contended(arch.SchedFP, arch.KindSporadic)
 	a, err := Simulate(sys, []*arch.Requirement{hiReq}, Options{Seed: 9, HorizonMS: 2000, Replications: 5})

@@ -125,13 +125,3 @@ func ConstraintsFeasible(z *dbm.DBM, cs []Constraint, vars []int64) bool {
 	}
 	return true
 }
-
-// SatisfiedBy reports whether the (canonical, nonempty) zone z intersects all
-// constraints in cs without mutating z.
-func SatisfiedBy(z *dbm.DBM, cs []Constraint, vars []int64) bool {
-	if len(cs) == 0 {
-		return true
-	}
-	w := z.Copy()
-	return ApplyConstraints(w, cs, vars)
-}

@@ -250,12 +250,6 @@ type Network struct {
 	// any guard or invariant (plus any extra registered via
 	// EnsureMaxConst); computed by Finalize and consumed by extrapolation.
 	MaxConsts []int64
-	// LowerConsts[c] / UpperConsts[c] split MaxConsts by the side of the
-	// comparison, enabling the coarser Extra_LU abstraction: LowerConsts
-	// covers guards bounding c from below (c > k, c >= k), UpperConsts
-	// covers upper bounds and invariants (c < k, c <= k).
-	LowerConsts []int64
-	UpperConsts []int64
 
 	// The network-level half of the compiled transition index, built by
 	// Finalize and immutable afterwards. chanEmitProcs[c]/chanRecvProcs[c]
@@ -326,23 +320,15 @@ func (n *Network) InitialVars() []int64 {
 }
 
 // EnsureMaxConst raises the recorded maximal constant of clock c to at least
-// k on both comparison sides. Callers measuring sup values of a clock (e.g.
-// WCRT observers) must register their observation horizon here before
-// Finalize, otherwise extrapolation may abstract the bound away.
+// k. Callers measuring sup values of a clock (e.g. WCRT observers) must
+// register their observation horizon here before Finalize, otherwise
+// extrapolation may abstract the bound away.
 func (n *Network) EnsureMaxConst(c ClockID, k int64) {
 	for int(c) >= len(n.MaxConsts) {
 		n.MaxConsts = append(n.MaxConsts, 0)
-		n.LowerConsts = append(n.LowerConsts, 0)
-		n.UpperConsts = append(n.UpperConsts, 0)
 	}
 	if k > n.MaxConsts[c] {
 		n.MaxConsts[c] = k
-	}
-	if k > n.LowerConsts[c] {
-		n.LowerConsts[c] = k
-	}
-	if k > n.UpperConsts[c] {
-		n.UpperConsts[c] = k
 	}
 }
 

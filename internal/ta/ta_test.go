@@ -253,19 +253,6 @@ func TestApplyConstraints(t *testing.T) {
 	}
 }
 
-func TestSatisfiedByDoesNotMutate(t *testing.T) {
-	x := Clock{1, "x"}
-	z := dbm.New(2)
-	z.Up()
-	before := z.Copy()
-	if !SatisfiedBy(z, []Constraint{CGE(x, 3)}, nil) {
-		t.Error("delayed zone intersects x>=3")
-	}
-	if !z.Eq(before) {
-		t.Error("SatisfiedBy must not mutate the zone")
-	}
-}
-
 func TestQuickCmpOpMatchesGo(t *testing.T) {
 	f := func(a, b int64) bool {
 		v := []int64{a, b}

@@ -14,16 +14,10 @@ func (n *Network) Finalize() error {
 	if len(n.Procs) == 0 {
 		return fmt.Errorf("ta: network %s has no processes", n.Name)
 	}
-	// Grow the constant tables to the clock count, preserving entries
+	// Grow the constant table to the clock count, preserving entries
 	// registered via EnsureMaxConst.
 	for len(n.MaxConsts) < len(n.Clocks) {
 		n.MaxConsts = append(n.MaxConsts, 0)
-	}
-	for len(n.LowerConsts) < len(n.Clocks) {
-		n.LowerConsts = append(n.LowerConsts, 0)
-	}
-	for len(n.UpperConsts) < len(n.Clocks) {
-		n.UpperConsts = append(n.UpperConsts, 0)
 	}
 
 	for pi, p := range n.Procs {
@@ -82,12 +76,6 @@ func (n *Network) Finalize() error {
 				}
 				if r.Value > n.MaxConsts[r.Clock] {
 					n.MaxConsts[r.Clock] = r.Value
-				}
-				if r.Value > n.UpperConsts[r.Clock] {
-					n.UpperConsts[r.Clock] = r.Value
-				}
-				if r.Value > n.LowerConsts[r.Clock] {
-					n.LowerConsts[r.Clock] = r.Value
 				}
 			}
 			switch e.Sync.Dir {
@@ -317,10 +305,9 @@ func (n *Network) checkConstraint(c Constraint) error {
 }
 
 // recordConst folds the constraint's constant into the per-clock constant
-// tables used by extrapolation. A constraint xI - xJ ≺ c bounds xI from
-// above (upper constant of I) and xJ from below (lower constant of J).
-// Dynamic bounds contribute the largest magnitude their variable's declared
-// range admits.
+// table used by extrapolation: a constraint xI - xJ ≺ c bounds xI from above
+// and xJ from below, so it counts for both. Dynamic bounds contribute the
+// largest magnitude their variable's declared range admits.
 func (n *Network) recordConst(c Constraint) error {
 	var v int64
 	if c.VarBound {
@@ -334,21 +321,11 @@ func (n *Network) recordConst(c Constraint) error {
 	} else {
 		v = abs64(c.Bound.Value())
 	}
-	if c.I != 0 {
-		if v > n.MaxConsts[c.I] {
-			n.MaxConsts[c.I] = v
-		}
-		if v > n.UpperConsts[c.I] {
-			n.UpperConsts[c.I] = v
-		}
+	if c.I != 0 && v > n.MaxConsts[c.I] {
+		n.MaxConsts[c.I] = v
 	}
-	if c.J != 0 {
-		if v > n.MaxConsts[c.J] {
-			n.MaxConsts[c.J] = v
-		}
-		if v > n.LowerConsts[c.J] {
-			n.LowerConsts[c.J] = v
-		}
+	if c.J != 0 && v > n.MaxConsts[c.J] {
+		n.MaxConsts[c.J] = v
 	}
 	return nil
 }
