@@ -54,12 +54,6 @@ func AnalyzeWCRT(sys *System, req *Requirement, copts Options, opts core.Options
 	return all.Results[0], nil
 }
 
-// AtSeen returns the state predicate "the observer is in its seen location".
-func (c *Compiled) AtSeen() func(*core.State) bool {
-	proc, seen := c.Obs.Proc, c.Obs.Seen
-	return func(s *core.State) bool { return s.Locs[proc] == seen }
-}
-
 // AllResult is the outcome of AnalyzeAll: every requirement's worst-case
 // response time measured in ONE exploration of one compiled network.
 type AllResult struct {
@@ -188,12 +182,12 @@ func WitnessForResult(sys *System, req *Requirement, res WCRTResult, copts Optio
 		return "", fmt.Errorf("arch: internal: WCRT %s not integral in model units", res.MS.RatString())
 	}
 	v := bound.Num().Int64()
-	atSeen := c.AtSeen()
+	atSeen, y := c.AtSeen(0), c.Obs[0].Y.ID
 	found, trace, _, err := checker.Reachable(func(s *core.State) bool {
 		if !atSeen(s) {
 			return false
 		}
-		sup := s.Zone.Sup(int(c.Obs.Y.ID))
+		sup := s.Zone.Sup(int(y))
 		if res.Attained {
 			return sup >= dbm.LE(v)
 		}
@@ -275,14 +269,14 @@ func VerifyDeadline(sys *System, req *Requirement, deadlineMS *big.Rat,
 			deadlineMS.RatString())
 	}
 	v := bound.Num().Int64()
-	atSeen := c.AtSeen()
+	atSeen, y := c.AtSeen(0), c.Obs[0].Y.ID
 	res, err := checker.CheckSafety(core.Property{
 		Desc: fmt.Sprintf("%s < %s ms", req.Name, deadlineMS.RatString()),
 		Holds: func(s *core.State) bool {
 			if !atSeen(s) {
 				return true
 			}
-			return s.Zone.Sup(int(c.Obs.Y.ID)) < dbm.LE(v)
+			return s.Zone.Sup(int(y)) < dbm.LE(v)
 		},
 	}, opts)
 	if err != nil {

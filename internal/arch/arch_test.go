@@ -203,7 +203,7 @@ func TestBinarySearchAgreesWithSup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bs, err := checker.BinarySearchWCRT(c.Obs.Y.ID, c.AtSeen(), 0, hi100, core.Options{})
+	bs, err := checker.BinarySearchWCRT(c.Obs[0].Y.ID, c.AtSeen(0), 0, hi100, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,20 +43,6 @@ type Observer struct {
 	Y    ta.Clock
 }
 
-// Compiled is a system description translated to a network of timed automata
-// with one measuring observer for the requirement.
-type Compiled struct {
-	Sys     *System
-	Req     *Requirement
-	Net     *ta.Network
-	Scale   *big.Int // model time units per millisecond
-	Horizon int64    // observation horizon in units
-	Obs     Observer
-}
-
-// UnitsToMS converts a model-time value to exact milliseconds.
-func (c *Compiled) UnitsToMS(u int64) *big.Rat { return unitsToMS(u, c.Scale) }
-
 // CompiledSet is a system description translated once for a whole set of
 // requirements: one network carrying N measuring observers (Fig. 9), each
 // with its own clock and "seen" location, listening on shared broadcast
@@ -91,19 +77,12 @@ func (cs *CompiledSet) AtSeen(i int) func(*core.State) bool {
 // (Fig. 4 or Fig. 5 depending on the scheduler), one per bus (Fig. 6), one
 // environment automaton per scenario (Fig. 7a–d, Fig. 8), and one measuring
 // observer (Fig. 9) for the requirement. It is the one-requirement special
-// case of CompileAll, and produces the identical network it always has.
-func Compile(sys *System, req *Requirement, opts Options) (*Compiled, error) {
+// case of CompileAll: the observer is Obs[0], its horizon Horizons[0].
+func Compile(sys *System, req *Requirement, opts Options) (*CompiledSet, error) {
 	if req == nil {
 		return nil, fmt.Errorf("arch: Compile needs a requirement to observe")
 	}
-	cs, err := CompileAll(sys, []*Requirement{req}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{
-		Sys: sys, Req: req, Net: cs.Net,
-		Scale: cs.Scale, Horizon: cs.Horizons[0], Obs: cs.Obs[0],
-	}, nil
+	return CompileAll(sys, []*Requirement{req}, opts)
 }
 
 // CompileAll translates the system plus every requirement into ONE network:

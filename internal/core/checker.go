@@ -9,11 +9,9 @@ import (
 
 // parallelism is the single place Options.Workers is interpreted: it reports
 // whether the unified explorer runs on the work-stealing parallel frontier
-// and with how many workers. Every query kind routes through it — Explore
-// consults it directly, so trace-producing queries (CheckSafety, Reachable,
-// CheckDeadlockFree, SupClock witnesses) honor Workers exactly like the
-// trace-free reductions; parallel runs reconstruct their traces from the
-// per-worker parent logs (explore.go).
+// and with how many workers. Every query kind routes through it; parallel
+// runs reconstruct their traces from the per-worker parent logs
+// (explore.go).
 func (o Options) parallelism() (workers int, parallel bool) {
 	if o.Workers <= 1 {
 		return 1, false
@@ -220,34 +218,4 @@ func (c *Checker) CheckDeadlockFree(opts Options) (DeadlockResult, error) {
 		return DeadlockResult{}, err
 	}
 	return q.Result, nil
-}
-
-// MaxVarResult is the outcome of MaxVar.
-type MaxVarResult struct {
-	Stats
-	// Max is the largest value the variable takes over all reachable
-	// states; Min is the smallest.
-	Max, Min int64
-	// Seen reports whether any state matched the condition.
-	Seen bool
-}
-
-// maxVarAcc is one worker's range accumulator.
-type maxVarAcc struct {
-	max, min int64
-	seen     bool
-}
-
-// MaxVar computes the range of an integer variable over all reachable states
-// satisfying cond (nil means all states) — e.g. the peak queue depth of a
-// pending-events counter, or the largest preemption accumulator D, the
-// quantity the paper's Section 3.1 asks to bound before model checking.
-//
-// It is a thin wrapper over a one-element query set (MaxVarQuery): the
-// reduction is per-worker and merges at the exploration barrier, no lock
-// anywhere, sequential or parallel.
-func (c *Checker) MaxVar(v ta.VarID, cond func(*State) bool, opts Options) (MaxVarResult, error) {
-	q := NewMaxVarQuery(v, cond)
-	_, err := c.RunQueries(opts, q)
-	return q.Result, err
 }

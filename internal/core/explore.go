@@ -319,7 +319,6 @@ type explorer struct {
 	c       *Checker
 	opts    Options
 	queries []Query // the attached query set (may be empty: plain sweep)
-	deadQs  []Query // subset of queries observing deadlocked states
 	passed  passedSet
 	front   frontier
 	logs    *parentLogs // nil when no trace can be requested
@@ -512,7 +511,7 @@ func (e *explorer) run(w int) {
 		}
 		if len(succs) == 0 {
 			nDeadlocks++
-			for _, q := range e.deadQs {
+			for _, q := range e.queries {
 				if q.state().done.Load() {
 					continue
 				}
@@ -602,23 +601,15 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		e.budget = newMemBudget(opts.MaxBytes, c.eng.dim, workers)
 	}
 	e.live.Store(int64(len(queries)))
-	// Parent logs exist exactly when a trace can be requested: a query may
-	// complete with a witness. Trace-free query sets (MaxVar alone) need
-	// none.
-	needTrace := false
 	for _, q := range queries {
 		qs := q.state()
 		qs.used = true
 		qs.init()
 		q.prepare(workers)
-		if q.observesDeadlocks() {
-			e.deadQs = append(e.deadQs, q)
-		}
-		if q.wantsTrace() {
-			needTrace = true
-		}
 	}
-	if needTrace {
+	// Parent logs exist exactly when a trace can be requested: every query
+	// kind may complete with a witness, a query-less sweep has none.
+	if len(queries) > 0 {
 		e.logs = newParentLogs(workers)
 	}
 

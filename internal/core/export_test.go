@@ -1,8 +1,15 @@
 package core
 
-// SetLegacyEnumerator routes every enumeration of checker c — successors and
-// the urgency test — through the retained pre-index per-channel rescan
-// (succ_scan.go). Test-only: external differential-oracle tests (package
-// core_test) drive case-study networks through both enumerators and assert
-// identical verdicts, sup values, stats, and replayed traces.
-func SetLegacyEnumerator(c *Checker, on bool) { c.eng.legacyScan = on }
+import (
+	"testing"
+
+	"repro/internal/ta"
+)
+
+// DiffExplore compares the successor engine with the index-free reference on
+// every admitted state of net (succ_index_test.go), for the external test
+// package's case-study networks.
+func DiffExplore(t testing.TB, net *ta.Network, maxStates int) {
+	t.Helper()
+	diffExplore(t, net, maxStates)
+}

@@ -79,9 +79,9 @@ func discreteReach(t *testing.T, net *ta.Network, ceil int64) map[string]bool {
 				continue
 			}
 			for pi, p := range net.Procs {
-				for _, ei := range p.OutEdges(locs[pi]) {
+				for ei := range p.Edges {
 					e := &p.Edges[ei]
-					if e.Sync.Dir == ta.Emit && e.Sync.Chan == ta.ChanID(ci) &&
+					if e.Src == locs[pi] && e.Sync.Dir == ta.Emit && e.Sync.Chan == ta.ChanID(ci) &&
 						ta.EvalGuard(e.Guard, vars) {
 						return true
 					}
@@ -185,9 +185,9 @@ func discreteReach(t *testing.T, net *ta.Network, ceil int64) map[string]bool {
 		}
 
 		for pi, p := range net.Procs {
-			for _, ei := range p.OutEdges(cur.locs[pi]) {
+			for ei := range p.Edges {
 				e := &p.Edges[ei]
-				if !ta.EvalGuard(e.Guard, cur.vars) {
+				if e.Src != cur.locs[pi] || !ta.EvalGuard(e.Guard, cur.vars) {
 					continue
 				}
 				switch e.Sync.Dir {
@@ -202,9 +202,9 @@ func discreteReach(t *testing.T, net *ta.Network, ceil int64) map[string]bool {
 							if qi == pi {
 								continue
 							}
-							for _, ri := range q.OutEdges(cur.locs[qi]) {
+							for ri := range q.Edges {
 								r := &q.Edges[ri]
-								if r.Sync.Dir == ta.Recv && r.Sync.Chan == e.Sync.Chan &&
+								if r.Src == cur.locs[qi] && r.Sync.Dir == ta.Recv && r.Sync.Chan == e.Sync.Chan &&
 									ta.EvalGuard(r.Guard, cur.vars) {
 									parts = append(parts, [2]int{qi, ri})
 									break // deterministic receiver choice
@@ -217,9 +217,9 @@ func discreteReach(t *testing.T, net *ta.Network, ceil int64) map[string]bool {
 							if qi == pi {
 								continue
 							}
-							for _, ri := range q.OutEdges(cur.locs[qi]) {
+							for ri := range q.Edges {
 								r := &q.Edges[ri]
-								if r.Sync.Dir == ta.Recv && r.Sync.Chan == e.Sync.Chan &&
+								if r.Src == cur.locs[qi] && r.Sync.Dir == ta.Recv && r.Sync.Chan == e.Sync.Chan &&
 									ta.EvalGuard(r.Guard, cur.vars) {
 									fire([][2]int{{pi, ei}, {qi, ri}})
 								}

@@ -52,7 +52,6 @@ func TestPerWorkerSlotsApart(t *testing.T) {
 	checkSlotsApart(t, func(p *atomic.Int64, w int) { p.Store(p.Load() + 1) })
 	checkSlotsApart(t, func(p *profRing, w int) { p.n++ })
 	checkSlotsApart(t, func(p *supAcc, w int) { p.seen = true })
-	checkSlotsApart(t, func(p *maxVarAcc, w int) { p.max = int64(w) })
 	checkSlotsApart(t, func(p *workerLog, w int) { p.n++ })
 	checkSlotsApart(t, func(p *shard, w int) { p.mu.Lock(); p.intern.hits.Add(1); p.mu.Unlock() })
 }

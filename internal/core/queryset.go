@@ -20,11 +20,10 @@ import (
 //
 // Every query can complete independently: a reach query completes at its
 // first matching state, a supremum query when its clock escapes the
-// observation horizon, a deadlock query at the first deadlocked state, and a
-// var-maximum query never (it needs the whole sweep). The explorer keeps an
-// atomic count of still-live queries; the completion that drops it to zero
-// stops the sweep, so a one-element query set early-stops exactly like the
-// dedicated methods always have.
+// observation horizon, and a deadlock query at the first deadlocked state.
+// The explorer keeps an atomic count of still-live queries; the completion
+// that drops it to zero stops the sweep, so a one-element query set
+// early-stops exactly like the dedicated methods always have.
 //
 // # Ownership rules (extends the protocol in store.go / explore.go)
 //
@@ -58,7 +57,7 @@ func (qs *queryState) init() {
 }
 
 // Query is one measurement riding a query-set exploration (RunQueries). The
-// concrete kinds — ReachQuery, SupClockQuery, MaxVarQuery, DeadlockQuery —
+// concrete kinds — ReachQuery, SupClockQuery, DeadlockQuery —
 // are the composable building blocks the dedicated Checker methods are thin
 // wrappers over. The interface is sealed: its methods are unexported because
 // they are the engine-facing half of the ownership protocol above.
@@ -68,14 +67,9 @@ type Query interface {
 	// visit observes one newly admitted state on worker w; returning true
 	// completes the query. It must not retain s or its zone.
 	visit(w int, s *State) bool
-	// observesDeadlocks reports whether onDeadlock should be fed.
-	observesDeadlocks() bool
 	// onDeadlock observes a deadlocked (successor-less) state; same
 	// contract as visit.
 	onDeadlock(w int, s *State) bool
-	// wantsTrace reports whether the query may request a trace replay, i.e.
-	// whether the run needs parent logs.
-	wantsTrace() bool
 	// state returns the shared completion bookkeeping.
 	state() *queryState
 	// finish merges per-worker state and materializes results; it runs
@@ -131,9 +125,7 @@ func NewReachQuery(pred func(*State) bool) *ReachQuery {
 
 func (q *ReachQuery) prepare(int)                 {}
 func (q *ReachQuery) visit(_ int, s *State) bool  { return q.Pred(s) }
-func (q *ReachQuery) observesDeadlocks() bool     { return false }
 func (q *ReachQuery) onDeadlock(int, *State) bool { return false }
-func (q *ReachQuery) wantsTrace() bool            { return true }
 func (q *ReachQuery) state() *queryState          { return &q.qs }
 
 func (q *ReachQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
@@ -189,9 +181,7 @@ func (q *SupClockQuery) visit(w int, s *State) bool {
 	return false
 }
 
-func (q *SupClockQuery) observesDeadlocks() bool     { return false }
 func (q *SupClockQuery) onDeadlock(int, *State) bool { return false }
-func (q *SupClockQuery) wantsTrace() bool            { return true }
 func (q *SupClockQuery) state() *queryState          { return &q.qs }
 
 func (q *SupClockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
@@ -215,70 +205,6 @@ func (q *SupClockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error 
 	return nil
 }
 
-// MaxVarQuery computes the range of an integer variable over every reachable
-// state satisfying Cond (nil means all states). It never completes early and
-// never requests a trace, so a set of only MaxVarQueries runs without parent
-// logs.
-type MaxVarQuery struct {
-	Var  ta.VarID
-	Cond func(*State) bool
-
-	// Result carries the range exactly as Checker.MaxVar reports it; its
-	// Stats are the shared exploration effort of the whole query set.
-	Result MaxVarResult
-
-	accs perWorker[maxVarAcc]
-	qs   queryState
-}
-
-// NewMaxVarQuery returns a var-maximum query for one RunQueries call.
-func NewMaxVarQuery(v ta.VarID, cond func(*State) bool) *MaxVarQuery {
-	return &MaxVarQuery{Var: v, Cond: cond}
-}
-
-func (q *MaxVarQuery) prepare(workers int) {
-	q.accs = make(perWorker[maxVarAcc], workers)
-	for w := range q.accs {
-		q.accs.at(w).max, q.accs.at(w).min = -1<<62, 1<<62-1
-	}
-}
-
-func (q *MaxVarQuery) visit(w int, s *State) bool {
-	if q.Cond != nil && !q.Cond(s) {
-		return false
-	}
-	acc := q.accs.at(w)
-	acc.seen = true
-	if v := s.Vars[q.Var]; v > acc.max {
-		acc.max = v
-	}
-	if v := s.Vars[q.Var]; v < acc.min {
-		acc.min = v
-	}
-	return false
-}
-
-func (q *MaxVarQuery) observesDeadlocks() bool     { return false }
-func (q *MaxVarQuery) onDeadlock(int, *State) bool { return false }
-func (q *MaxVarQuery) wantsTrace() bool            { return false }
-func (q *MaxVarQuery) state() *queryState          { return &q.qs }
-
-func (q *MaxVarQuery) finish(_ *Checker, _ *parentLogs, stats Stats) error {
-	out := MaxVarResult{Max: -1 << 62, Min: 1<<62 - 1, Stats: stats}
-	for i := range q.accs {
-		acc := q.accs.at(i)
-		out.Seen = out.Seen || acc.seen
-		if acc.max > out.Max {
-			out.Max = acc.max
-		}
-		if acc.min < out.Min {
-			out.Min = acc.min
-		}
-	}
-	q.Result = out
-	return nil
-}
-
 // DeadlockQuery asks whether any reachable state deadlocks; it completes at
 // the first deadlocked state with a witness trace. Alone in a query set it
 // stops the sweep there (Checker.CheckDeadlockFree's behavior); in a larger
@@ -296,9 +222,7 @@ func NewDeadlockQuery() *DeadlockQuery { return &DeadlockQuery{} }
 
 func (q *DeadlockQuery) prepare(int)                 {}
 func (q *DeadlockQuery) visit(int, *State) bool      { return false }
-func (q *DeadlockQuery) observesDeadlocks() bool     { return true }
 func (q *DeadlockQuery) onDeadlock(int, *State) bool { return true }
-func (q *DeadlockQuery) wantsTrace() bool            { return true }
 func (q *DeadlockQuery) state() *queryState          { return &q.qs }
 
 func (q *DeadlockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/dbm"
-	"repro/internal/ta"
 )
 
 // This file is the batch-vs-sequential oracle of the query-set engine: a
@@ -26,7 +25,6 @@ func TestQuerySetMatchesDedicatedMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	atBusy := func(s *State) bool { return s.Locs[3] == busy }
-	var rec ta.VarID // the grid's single variable
 
 	// Oracles: one exploration each, the historical shape.
 	oReach, oTrace, _, err := c.Reachable(atBusy, Options{})
@@ -38,10 +36,6 @@ func TestQuerySetMatchesDedicatedMethods(t *testing.T) {
 		t.Fatal(err)
 	}
 	oSupY, err := c.SupClock(y.ID, atBusy, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	oMax, err := c.MaxVar(rec, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +51,8 @@ func TestQuerySetMatchesDedicatedMethods(t *testing.T) {
 		reach := NewReachQuery(atBusy)
 		sup := NewSupClockQuery(sx.ID, atBusy)
 		supY := NewSupClockQuery(y.ID, atBusy) // completes early (unbounded)
-		maxv := NewMaxVarQuery(rec, nil)
 		dead := NewDeadlockQuery()
-		stats, err := c.RunQueries(Options{Workers: workers}, reach, sup, supY, maxv, dead)
+		stats, err := c.RunQueries(Options{Workers: workers}, reach, sup, supY, dead)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,27 +88,22 @@ func TestQuerySetMatchesDedicatedMethods(t *testing.T) {
 			t.Errorf("workers %d: sup witness does not end in an unbounded target state", workers)
 		}
 
-		if maxv.Result.Max != oMax.Max || maxv.Result.Min != oMax.Min || maxv.Result.Seen != oMax.Seen {
-			t.Errorf("workers %d: batch maxvar (%d,%d,%v) != oracle (%d,%d,%v)", workers,
-				maxv.Result.Max, maxv.Result.Min, maxv.Result.Seen, oMax.Max, oMax.Min, oMax.Seen)
-		}
-
 		if dead.Result.Free != oDead.Free {
 			t.Errorf("workers %d: batch deadlock-free = %v, oracle %v", workers, dead.Result.Free, oDead.Free)
 		}
 
 		// One sweep: every query's embedded Stats are the shared run's.
-		for i, got := range []Stats{reach.Stats, sup.Result.Stats, supY.Result.Stats,
-			maxv.Result.Stats, dead.Result.Stats} {
+		for i, got := range []Stats{reach.Stats, sup.Result.Stats, supY.Result.Stats, dead.Result.Stats} {
 			if got != stats {
 				t.Errorf("workers %d: query %d carries stats %+v, want the shared %+v", workers, i, got, stats)
 			}
 		}
-		// The MaxVar query pins the sweep to the full reachable graph, so
-		// the one shared sweep must have explored at least as much as the
-		// full-sweep oracle (racy double-admission may add a few).
-		if stats.Stored < oMax.Stored {
-			t.Errorf("workers %d: shared sweep stored %d < full graph %d", workers, stats.Stored, oMax.Stored)
+		// The bounded sup query never completes, so it pins the sweep to the
+		// full reachable graph: the one shared sweep must have explored at
+		// least as much as the full-sweep oracle (racy double-admission may
+		// add a few).
+		if stats.Stored < oSup.Stored {
+			t.Errorf("workers %d: shared sweep stored %d < full graph %d", workers, stats.Stored, oSup.Stored)
 		}
 	}
 }
@@ -151,33 +139,37 @@ func TestQuerySetShortCircuits(t *testing.T) {
 
 // TestQuerySetPartialCompletionKeepsSweepAlive pins the other half of the
 // contract: one completed query must NOT stop a sweep that other queries
-// still need — the reach query completes almost immediately, the max-var
-// query still sees the whole graph.
+// still need — the reach query completes almost immediately, the bounded
+// supremum query still sees the whole graph.
 func TestQuerySetPartialCompletionKeepsSweepAlive(t *testing.T) {
-	n, _, _, busy := buildGrid(t)
+	n, sx, _, busy := buildGrid(t)
 	c, err := NewChecker(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oMax, err := c.MaxVar(0, nil, Options{})
+	atBusy := func(s *State) bool { return s.Locs[3] == busy }
+	oSup, err := c.SupClock(sx.ID, atBusy, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	reach := NewReachQuery(func(s *State) bool { return s.Locs[3] == busy })
-	maxv := NewMaxVarQuery(0, nil)
-	stats, err := c.RunQueries(Options{}, reach, maxv)
+	if oSup.Unbounded {
+		t.Fatal("grid's sx clock must stay within the horizon (a whole-sweep query)")
+	}
+	reach := NewReachQuery(atBusy)
+	sup := NewSupClockQuery(sx.ID, atBusy)
+	stats, err := c.RunQueries(Options{}, reach, sup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reach.Found {
 		t.Fatal("busy must be reachable")
 	}
-	if maxv.Result.Max != oMax.Max || maxv.Result.Min != oMax.Min {
-		t.Errorf("max-var over the shared sweep (%d,%d) != full-graph oracle (%d,%d)",
-			maxv.Result.Max, maxv.Result.Min, oMax.Max, oMax.Min)
+	if sup.Result.Max != oSup.Max || sup.Result.Seen != oSup.Seen {
+		t.Errorf("sup over the shared sweep %v/%v != full-graph oracle %v/%v",
+			sup.Result.Max, sup.Result.Seen, oSup.Max, oSup.Seen)
 	}
-	if stats.Stored < oMax.Stored {
-		t.Errorf("sweep stopped early at %d states although a query needed all %d", stats.Stored, oMax.Stored)
+	if stats.Stored < oSup.Stored {
+		t.Errorf("sweep stopped early at %d states although a query needed all %d", stats.Stored, oSup.Stored)
 	}
 }
 

@@ -161,8 +161,8 @@ type passedSet interface {
 // cloneState(s), never s (explorer.completeQuery), at a point where s has its
 // matrix (just admitted, or just decoded); trace replay runs on a heap ctx
 // (newCtx(nil)) from a heap initial state (engine.initial), so every
-// TraceStep owns plain heap zones; SupResult and MaxVar carry bounds and
-// integers, not zones; a visitor may not retain a state beyond the call.
+// TraceStep owns plain heap zones; SupResult carries bounds, not zones; a
+// visitor may not retain a state beyond the call.
 // The one place this changes is a new kind of result: if it holds a *State,
 // a *dbm.DBM or a dbm.Compact, it must copy before explore returns. The
 // package's tests run with released slabs and recycled payloads poisoned

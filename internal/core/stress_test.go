@@ -247,26 +247,3 @@ func TestWSDequeConcurrentStealers(t *testing.T) {
 		t.Fatalf("consumed %d distinct states, want %d", len(seen), total)
 	}
 }
-
-// TestMaxVarParallelMatchesSequential pins the Options.Workers routing for
-// MaxVar, the second trace-free query kind.
-func TestMaxVarParallelMatchesSequential(t *testing.T) {
-	n, _, _, _ := buildGrid(t)
-	c, err := NewChecker(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rec ta.VarID // the single variable of the grid network
-	seq, err := c.MaxVar(rec, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := c.MaxVar(rec, nil, Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Max != par.Max || seq.Min != par.Min || seq.Seen != par.Seen {
-		t.Errorf("MaxVar parallel (%d,%d,%v) != sequential (%d,%d,%v)",
-			par.Max, par.Min, par.Seen, seq.Max, seq.Min, seq.Seen)
-	}
-}

@@ -26,11 +26,6 @@ type engine struct {
 	// Extra_LU gave Fischer-5 the same 46,361 stored / 131,185 fired as
 	// Extra_M, inflates clock suprema, and was deleted in PR 28.
 	bounds dbm.ExtraBounds
-	// legacyScan routes successor enumeration and the urgency test through
-	// the pre-index per-channel rescan (succ_scan.go). Test-only: the
-	// differential oracle drives both enumerators over one model and
-	// asserts bit-identical results (succ_index_test.go).
-	legacyScan bool
 
 	// emOff/rcOff are the per-channel segment starts of the enabled-edge
 	// buckets inside succCtx.chanBuf: channel c's enabled emitters occupy
@@ -115,9 +110,7 @@ type succCtx struct {
 	chanLen []int32
 	active  []int32
 
-	emitters  []LabelPart // legacy scan enumerator: per-channel enabled emit edges
-	receivers []LabelPart // legacy scan enumerator: per-channel enabled receive edges
-	runs      []partRun   // broadcast receiver grouping
+	runs []partRun // broadcast receiver grouping
 
 	// states is a free list of State objects (with their discrete vectors)
 	// released by the explorer via putState. Store entries clone the
@@ -131,9 +124,9 @@ type succCtx struct {
 	chunk []LabelPart
 
 	// keepLabels controls whether fired labels get stable Parts copies.
-	// Explorations with parent logging on need them (log records keep
-	// labels for trace replay, explore.go); trace-free sweeps turn this
-	// off and successors nil the Parts instead.
+	// Trace replay needs them; exploration workers turn this off (parent-log
+	// records keep successor indices, explore.go) and successors nil the
+	// Parts instead.
 	keepLabels bool
 }
 
@@ -162,7 +155,8 @@ func (e *engine) newCloseScratch() closeScratch {
 	}
 }
 
-// partRun is a contiguous range of ctx.receivers belonging to one process.
+// partRun is a contiguous range of a channel's receiver bucket belonging to
+// one process.
 type partRun struct{ start, end int }
 
 // newCtx returns a fresh scratch context for one exploration worker, its zone
@@ -281,12 +275,19 @@ type succ struct {
 // exactly once before the enabled ones are bucketed into the per-channel
 // scratch segments of ctx.chanBuf. Rendezvous pairs and broadcast combos are
 // then enumerated over only the populated channels, in ascending channel
-// order. The resulting succ stream is bit-identical to the legacy
-// per-channel rescan (successorsScan), which the differential oracle pins.
+// order. The enumeration-order contract, which parent logs, traces and
+// verdict bytes depend on:
+//
+//  1. tau fires first, in (process, edge index) order;
+//  2. channels fire in ascending channel order;
+//  3. within a channel, enabled emitters and receivers are grouped by
+//     process in increasing process order, each group in edge index order;
+//  4. binary rendezvous enumerate emitter-major, broadcast combos emitter
+//     by emitter.
+//
+// The index-free reference in succ_ref_test.go, which reads only what the
+// network declares, pins the stream state by state.
 func (e *engine) successors(ctx *succCtx, s *State, out []succ) ([]succ, error) {
-	if e.legacyScan {
-		return e.successorsScan(ctx, s, out)
-	}
 	// Reset the buckets the previous enumeration touched. Doing it on entry
 	// (rather than exit) keeps the scratch self-healing across error paths.
 	for _, ci := range ctx.active {
@@ -414,8 +415,8 @@ func (e *engine) successors(ctx *succCtx, s *State, out []succ) ([]succ, error) 
 // transitions for one emitter: every process with at least one enabled
 // receive edge participates with exactly one of them; processes without
 // enabled receive edges are skipped. receivers must be grouped by process
-// (as produced by enabledSyncEdges), so the grouping is a single scan over
-// contiguous runs instead of a map.
+// (as the bucketing in successors produces them), so the grouping is a
+// single scan over contiguous runs instead of a map.
 func (e *engine) broadcastCombos(ctx *succCtx, ch *ta.Channel, em LabelPart,
 	receivers []LabelPart, try func(Label)) {
 	runs := ctx.runs[:0]
@@ -543,9 +544,6 @@ func (e *engine) closeInPlace(z *dbm.DBM, locs []ta.LocID, vars []int64, sc *clo
 // validation). The compiled index narrows the channel test to the urgent
 // channels and, per channel, to the processes that actually own edges on it.
 func (e *engine) delayAllowed(locs []ta.LocID, vars []int64) bool {
-	if e.legacyScan {
-		return e.delayAllowedScan(locs, vars)
-	}
 	for pi, l := range locs {
 		if e.net.Procs[pi].NoDelayLoc(l) {
 			return false

@@ -2,10 +2,7 @@
 // package: arch imports core, so these cannot live in-package). The compiled
 // ICRNS networks exercise the index at realistic scale — broadcast completion
 // channels shared by several observers, urgent dispatch channels, committed
-// pass-through locations — and the oracle asserts the indexed enumerator and
-// the legacy per-channel rescan agree on everything observable: sup values,
-// stats, verdicts, and replayed traces, sequentially and with Workers=4 (the
-// CI -race job runs both).
+// pass-through locations.
 package core_test
 
 import (
@@ -16,10 +13,15 @@ import (
 	"repro/internal/icrns"
 )
 
-// caseCheckers compiles the multi-requirement ICRNS combination once and
-// returns indexed and legacy checkers over the same network.
-func caseCheckers(t *testing.T) (*arch.CompiledSet, *core.Checker, *core.Checker) {
-	t.Helper()
+// TestCaseStudyIndexedMatchesScan compares the successor engine with the
+// index-free reference on every state of the whole AL·pno sweep with two
+// observers. Equal successor streams on every admitted state make every
+// sweep of this network equal — its stats, its suprema sequentially and with
+// Workers=4, and its replayed traces, which select successors by position.
+func TestCaseStudyIndexedMatchesScan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("case-study sweep in -short mode")
+	}
 	sys, all := icrns.Build(icrns.ComboAL, icrns.ColPNO, icrns.DefaultConfig())
 	reqs := []*arch.Requirement{all[icrns.ReqHandleTMC], all[icrns.ReqAddressLookup]}
 	cs, err := arch.CompileAll(sys, reqs, arch.Options{
@@ -28,105 +30,5 @@ func caseCheckers(t *testing.T) (*arch.CompiledSet, *core.Checker, *core.Checker
 	if err != nil {
 		t.Fatal(err)
 	}
-	cI, err := core.NewChecker(cs.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cL, err := core.NewChecker(cs.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core.SetLegacyEnumerator(cL, true)
-	return cs, cI, cL
-}
-
-// runSups measures every observer's supremum in one sweep.
-func runSups(t *testing.T, cs *arch.CompiledSet, c *core.Checker, opts core.Options) ([]core.SupResult, core.Stats) {
-	t.Helper()
-	sups := make([]*core.SupClockQuery, len(cs.Reqs))
-	queries := make([]core.Query, len(cs.Reqs))
-	for i := range cs.Reqs {
-		sups[i] = core.NewSupClockQuery(cs.Obs[i].Y.ID, cs.AtSeen(i))
-		queries[i] = sups[i]
-	}
-	stats, err := c.RunQueries(opts, queries...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := make([]core.SupResult, len(sups))
-	for i, q := range sups {
-		out[i] = q.Result
-	}
-	return out, stats
-}
-
-func TestCaseStudyIndexedMatchesScan(t *testing.T) {
-	if testing.Short() {
-		t.Skip("case-study sweep in -short mode")
-	}
-	cs, cI, cL := caseCheckers(t)
-
-	// Sequential: sup values AND full stats must agree — the enumeration
-	// order fixes the sweep exactly.
-	supI, statsI := runSups(t, cs, cI, core.Options{})
-	supL, statsL := runSups(t, cs, cL, core.Options{})
-	if statsI.Stored != statsL.Stored || statsI.Popped != statsL.Popped ||
-		statsI.Transitions != statsL.Transitions || statsI.Deadlocks != statsL.Deadlocks {
-		t.Fatalf("sequential stats differ: indexed %+v, legacy %+v", statsI, statsL)
-	}
-	for i := range supI {
-		if supI[i].Max != supL[i].Max || supI[i].Seen != supL[i].Seen ||
-			supI[i].Unbounded != supL[i].Unbounded {
-			t.Fatalf("observer %d: sup %v/%v/%v indexed vs %v/%v/%v legacy", i,
-				supI[i].Max, supI[i].Seen, supI[i].Unbounded,
-				supL[i].Max, supL[i].Seen, supL[i].Unbounded)
-		}
-	}
-
-	// Workers=4: sup values are deterministic (the sweep is exhaustive);
-	// stats are scheduling-dependent and not compared.
-	supI4, _ := runSups(t, cs, cI, core.Options{Workers: 4})
-	supL4, _ := runSups(t, cs, cL, core.Options{Workers: 4})
-	for i := range supI4 {
-		if supI4[i].Max != supL4[i].Max || supI4[i].Seen != supL4[i].Seen ||
-			supI4[i].Unbounded != supL4[i].Unbounded {
-			t.Fatalf("observer %d parallel: sup %v indexed vs %v legacy", i,
-				supI4[i].Max, supL4[i].Max)
-		}
-	}
-}
-
-// TestCaseStudyTraceIdentical pins the replayed-trace bytes: parent-log
-// records keep only successor indices, so an enumeration-order change would
-// replay a different — or no — trace. Sequential runs make the found state
-// and its trace deterministic.
-func TestCaseStudyTraceIdentical(t *testing.T) {
-	if testing.Short() {
-		t.Skip("case-study sweep in -short mode")
-	}
-	cs, cI, cL := caseCheckers(t)
-	pred := cs.AtSeen(0)
-
-	foundI, traceI, statsI, err := cI.Reachable(pred, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	foundL, traceL, statsL, err := cL.Reachable(pred, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if foundI != foundL {
-		t.Fatalf("reachability verdict differs: %v indexed, %v legacy", foundI, foundL)
-	}
-	if !foundI {
-		t.Fatal("observer seen location unreachable — predicate broken")
-	}
-	if statsI.Stored != statsL.Stored || statsI.Popped != statsL.Popped {
-		t.Fatalf("reachable stats differ: indexed %+v, legacy %+v", statsI, statsL)
-	}
-	fI := core.FormatTrace(cs.Net, traceI)
-	fL := core.FormatTrace(cs.Net, traceL)
-	if fI != fL {
-		t.Fatalf("replayed traces differ:\nindexed:\n%s\nlegacy:\n%s", fI, fL)
-	}
+	core.DiffExplore(t, cs.Net, 0)
 }

@@ -2,16 +2,17 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ta"
 )
 
-// This file is the differential oracle pinning the tentpole invariant of the
-// compiled successor index: the one-pass indexed enumerator (succ.go) must
-// produce a succ stream BIT-IDENTICAL to the legacy per-channel rescan
-// (succ_scan.go) — same labels, same enumeration order, same successor
-// states, same zones, same errors. Enumeration order is load-bearing:
+// This file is the differential oracle of the compiled successor index: the
+// one-pass indexed enumerator (succ.go) must produce a succ stream
+// BIT-IDENTICAL to the index-free reference (succ_ref_test.go) — same
+// labels, same enumeration order, same successor states, same zones, same
+// errors, same urgency verdicts. Enumeration order is load-bearing:
 // parent-log records keep only the successor index, so replay selects by
 // position; verdict bytes and traces inherit the order.
 
@@ -118,43 +119,25 @@ func randClockGuard(r *rand.Rand, clocks []ta.Clock) ta.Constraint {
 	return ta.CGE(c, k)
 }
 
-// enginePair returns indexed and legacy engines over the same network, each
-// with its own scratch context.
-func enginePair(t testing.TB, net *ta.Network) (eI, eL *engine, ctxI, ctxL *succCtx) {
+// compareSuccessors runs the engine and the reference (succ_ref_test.go) on
+// one state and fails unless the two succ streams are bit-identical and the
+// urgency tests agree, on s and on every successor's discrete state. It
+// returns the engine's stream; the reference's states are recycled.
+func compareSuccessors(t testing.TB, net *ta.Network, e *engine, ctxI, ctxR *succCtx, s *State) []succ {
 	t.Helper()
-	cI, err := NewChecker(net)
-	if err != nil {
-		t.Fatal(err)
+	si, errI := e.successors(ctxI, s, nil)
+	sr, errR := refSuccessors(e, ctxR, s)
+	if (errI == nil) != (errR == nil) {
+		t.Fatalf("state %s: indexed err=%v, reference err=%v", s.Format(net), errI, errR)
 	}
-	cL, err := NewChecker(net)
-	if err != nil {
-		t.Fatal(err)
+	if errI != nil && errI.Error() != errR.Error() {
+		t.Fatalf("state %s: error mismatch: %q vs %q", s.Format(net), errI, errR)
 	}
-	cL.eng.legacyScan = true
-	return cI.eng, cL.eng, cI.eng.newCtx(nil), cL.eng.newCtx(nil)
-}
-
-// compareSuccessors runs both enumerators on one state and fails unless the
-// two succ streams are bit-identical. It also cross-checks the urgency test.
-// Returns the indexed stream (legacy states are recycled).
-func compareSuccessors(t testing.TB, net *ta.Network, eI, eL *engine, ctxI, ctxL *succCtx, s *State) []succ {
-	t.Helper()
-	si, errI := eI.successors(ctxI, s, nil)
-	sl, errL := eL.successors(ctxL, s, nil)
-	if (errI == nil) != (errL == nil) {
-		t.Fatalf("state %s: indexed err=%v, legacy err=%v", s.Format(net), errI, errL)
-	}
-	if errI != nil {
-		if errI.Error() != errL.Error() {
-			t.Fatalf("state %s: error mismatch: %q vs %q", s.Format(net), errI, errL)
-		}
-		return nil
-	}
-	if len(si) != len(sl) {
-		t.Fatalf("state %s: %d indexed successors, %d legacy", s.Format(net), len(si), len(sl))
+	if len(si) != len(sr) {
+		t.Fatalf("state %s: %d indexed successors, %d reference", s.Format(net), len(si), len(sr))
 	}
 	for k := range si {
-		a, b := si[k], sl[k]
+		a, b := si[k], sr[k]
 		if a.idx != b.idx {
 			t.Fatalf("state %s succ %d: idx %d vs %d", s.Format(net), k, a.idx, b.idx)
 		}
@@ -172,18 +155,7 @@ func compareSuccessors(t testing.TB, net *ta.Network, eI, eL *engine, ctxI, ctxL
 					a.label.Parts[i], b.label.Parts[i])
 			}
 		}
-		sameDiscrete := true
-		for i := range a.state.Locs {
-			if a.state.Locs[i] != b.state.Locs[i] {
-				sameDiscrete = false
-			}
-		}
-		for i := range a.state.Vars {
-			if a.state.Vars[i] != b.state.Vars[i] {
-				sameDiscrete = false
-			}
-		}
-		if !sameDiscrete {
+		if !slices.Equal(a.state.Locs, b.state.Locs) || !slices.Equal(a.state.Vars, b.state.Vars) {
 			t.Fatalf("state %s succ %d: discrete mismatch: %s vs %s", s.Format(net), k,
 				a.state.Format(net), b.state.Format(net))
 		}
@@ -197,30 +169,50 @@ func compareSuccessors(t testing.TB, net *ta.Network, eI, eL *engine, ctxI, ctxL
 				}
 			}
 		}
+		// fire delay-closed the successor under the engine's urgency test.
+		if dI, dR := e.delayAllowed(a.state.Locs, a.state.Vars), refDelayAllowed(net, a.state.Locs, a.state.Vars); dI != dR {
+			t.Fatalf("state %s succ %d: delayAllowed %v indexed, %v reference", s.Format(net), k, dI, dR)
+		}
 	}
-	if dI, dL := eI.delayAllowed(s.Locs, s.Vars), eL.delayAllowed(s.Locs, s.Vars); dI != dL {
-		t.Fatalf("state %s: delayAllowed %v indexed, %v legacy", s.Format(net), dI, dL)
+	if dI, dR := e.delayAllowed(s.Locs, s.Vars), refDelayAllowed(net, s.Locs, s.Vars); dI != dR {
+		t.Fatalf("state %s: delayAllowed %v indexed, %v reference", s.Format(net), dI, dR)
 	}
-	for _, sc := range sl {
-		ctxL.putState(sc.state)
+	for _, sc := range sr {
+		ctxR.putState(sc.state)
 	}
 	return si
 }
 
-// diffExplore walks the reachable zone graph (bounded by maxStates) with the
-// indexed enumerator and compares both enumerators on every stored state.
-func diffExplore(t testing.TB, net *ta.Network, maxStates int) {
+// diffTraffic counts how often a diffExplore run took the two forks of the
+// enumeration no benchmark workload reaches (see the fork census on
+// succCtx): binary-rendezvous successors, and admitted states whose delay an
+// enabled urgent binary pair forbids while no location does.
+type diffTraffic struct {
+	binarySyncs, urgentPairs int
+}
+
+// diffExplore walks the reachable zone graph (bounded by maxStates; 0 is the
+// whole graph) and compares the engine with the reference on every admitted
+// state. Equal streams on every admitted state make the sweeps, their stats,
+// suprema and replayed traces equal too.
+func diffExplore(t testing.TB, net *ta.Network, maxStates int) diffTraffic {
 	t.Helper()
-	eI, eL, ctxI, ctxL := enginePair(t, net)
-	driver, err := NewChecker(net)
+	c, err := NewChecker(net)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctxI, ctxR := c.eng.newCtx(nil), c.eng.newCtx(nil)
+	var traffic diffTraffic
 	checked := 0
-	_, err = driver.Explore(Options{MaxStates: maxStates}, func(s *State) bool {
-		succs := compareSuccessors(t, net, eI, eL, ctxI, ctxL, s)
-		for _, sc := range succs {
+	_, err = c.Explore(Options{MaxStates: maxStates}, func(s *State) bool {
+		for _, sc := range compareSuccessors(t, net, c.eng, ctxI, ctxR, s) {
+			if sc.label.Kind == LabelSync {
+				traffic.binarySyncs++
+			}
 			ctxI.putState(sc.state)
+		}
+		if refUrgentPairForbidsDelay(net, s) {
+			traffic.urgentPairs++
 		}
 		checked++
 		return false
@@ -231,58 +223,73 @@ func diffExplore(t testing.TB, net *ta.Network, maxStates int) {
 	if checked == 0 {
 		t.Fatal("no states compared")
 	}
+	return traffic
 }
 
+// refUrgentPairForbidsDelay reports whether s lets time pass by its
+// locations but an urgent binary channel has an enabled pair.
+func refUrgentPairForbidsDelay(net *ta.Network, s *State) bool {
+	for pi, l := range s.Locs {
+		if k := net.Procs[pi].Locations[l].Kind; k == ta.UrgentLoc || k == ta.Committed {
+			return false
+		}
+	}
+	for ci, ch := range net.Chans {
+		if ch.Kind == ta.BinaryUrgent && refUrgentPair(net, s.Locs, s.Vars, ta.ChanID(ci)) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestSuccessorsIndexedMatchesScanRandom runs the comparison over a random
+// corpus. It is the only check of the binary-rendezvous and urgent-pair
+// forks, so it also fails if the corpus stops reaching either.
 func TestSuccessorsIndexedMatchesScanRandom(t *testing.T) {
+	var total diffTraffic
 	for seed := int64(0); seed < 60; seed++ {
-		diffExplore(t, randNet(seed), 400)
+		tr := diffExplore(t, randNet(seed), 400)
+		total.binarySyncs += tr.binarySyncs
+		total.urgentPairs += tr.urgentPairs
+	}
+	t.Logf("binary-rendezvous successors: %d, urgent-pair states: %d", total.binarySyncs, total.urgentPairs)
+	if total.binarySyncs == 0 || total.urgentPairs == 0 {
+		t.Fatalf("the random corpus no longer reaches both forks: %+v", total)
 	}
 }
 
-// TestSuccessorsIndexedMatchesScanFullRun compares whole explorations:
-// stats sequentially (the stream order makes them deterministic), deadlock
-// verdicts both sequentially and with Workers=4 (run under -race in CI).
+// TestSuccessorsIndexedMatchesScanFullRun extends the comparison deeper into
+// the first twelve random networks.
 func TestSuccessorsIndexedMatchesScanFullRun(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		net := randNet(seed)
-		cI, err := NewChecker(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cL, err := NewChecker(net)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cL.eng.legacyScan = true
-
-		rI, errI := cI.Explore(Options{MaxStates: 3000}, nil)
-		rL, errL := cL.Explore(Options{MaxStates: 3000}, nil)
-		if (errI == nil) != (errL == nil) {
-			t.Fatalf("seed %d: err %v vs %v", seed, errI, errL)
-		}
-		if errI != nil {
-			continue
-		}
-		if rI.Stored != rL.Stored || rI.Popped != rL.Popped ||
-			rI.Transitions != rL.Transitions || rI.Deadlocks != rL.Deadlocks {
-			t.Fatalf("seed %d: stats differ: indexed %+v, legacy %+v", seed, rI.Stats, rL.Stats)
-		}
-
-		dI, errI := cI.CheckDeadlockFree(Options{MaxStates: 3000, Workers: 4})
-		dL, errL := cL.CheckDeadlockFree(Options{MaxStates: 3000, Workers: 4})
-		if (errI == nil) != (errL == nil) {
-			t.Fatalf("seed %d: parallel err %v vs %v", seed, errI, errL)
-		}
-		if errI == nil && dI.Free != dL.Free {
-			t.Fatalf("seed %d: parallel deadlock verdict %v vs %v", seed, dI.Free, dL.Free)
-		}
+		diffExplore(t, randNet(seed), 3000)
 	}
 }
 
-// FuzzSuccessorsIndexed fuzzes the differential oracle over generator seeds:
-// any seed whose random network enumerates differently under the two
-// implementations is a counterexample to the tentpole invariant. Committed
-// seeds live in testdata/fuzz/FuzzSuccessorsIndexed.
+// TestUrgentPairNeedsTwoProcesses pins an urgent-pair case the random corpus
+// does not reach: a process enabled on both ends of an urgent binary channel
+// cannot synchronize with itself, so time may pass.
+func TestUrgentPairNeedsTwoProcesses(t *testing.T) {
+	n := ta.NewNetwork("selfpair")
+	x := n.AddClock("x")
+	u := n.AddChan("u", ta.BinaryUrgent)
+	p := n.AddProcess("P")
+	l0 := p.AddLocation("l0", ta.Normal, ta.CLE(x, 3))
+	p.AddEdge(ta.Edge{Src: l0, Dst: l0, Sync: ta.Sync{Chan: u.ID, Dir: ta.Emit}})
+	p.AddEdge(ta.Edge{Src: l0, Dst: l0, Sync: ta.Sync{Chan: u.ID, Dir: ta.Recv}})
+	if err := n.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	if !refDelayAllowed(n, []ta.LocID{l0}, nil) {
+		t.Fatal("the reference forbids delay on a self-pair")
+	}
+	diffExplore(t, n, 0)
+}
+
+// FuzzSuccessorsIndexed fuzzes the comparison over generator seeds: any seed
+// whose random network the engine enumerates differently from the reference
+// is a counterexample. Committed seeds live in
+// testdata/fuzz/FuzzSuccessorsIndexed.
 func FuzzSuccessorsIndexed(f *testing.F) {
 	for _, seed := range []int64{0, 1, 7, 42, 1234, 99999} {
 		f.Add(seed)
@@ -342,20 +349,25 @@ func assertGrouped(t *testing.T, what string, parts []LabelPart) {
 	}
 }
 
-// TestEnumerationOrderContract pins the grouped-by-process bucket order on
-// both enumerators, and that the indexed buckets hold exactly what the legacy
-// rescan collects, channel by channel.
+// TestEnumerationOrderContract pins the grouped-by-process bucket order of
+// the engine, and that its buckets hold exactly the edges the reference
+// finds enabled, channel by channel.
 func TestEnumerationOrderContract(t *testing.T) {
 	for _, kind := range []ta.ChanKind{ta.Binary, ta.Broadcast} {
 		net := contractNet(t, kind)
-		eI, eL, ctxI, ctxL := enginePair(t, net)
-		s, err := eI.initial(&ctxI.closeScratch)
+		c, err := NewChecker(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := c.eng
+		ctxI, ctxR := e.newCtx(nil), e.newCtx(nil)
+		s, err := e.initial(&ctxI.closeScratch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Run the indexed enumerator once; its per-channel buckets stay
 		// inspectable in ctxI until the next call.
-		succs := compareSuccessors(t, net, eI, eL, ctxI, ctxL, s)
+		succs := compareSuccessors(t, net, e, ctxI, ctxR, s)
 		if len(succs) == 0 {
 			t.Fatal("contract network has no successors")
 		}
@@ -363,26 +375,13 @@ func TestEnumerationOrderContract(t *testing.T) {
 			ctxI.putState(sc.state)
 		}
 		for ci := range net.Chans {
-			em := ctxI.chanBuf[eI.emOff[ci] : eI.emOff[ci]+ctxI.chanLen[2*ci]]
-			rc := ctxI.chanBuf[eI.rcOff[ci] : eI.rcOff[ci]+ctxI.chanLen[2*ci+1]]
+			em := ctxI.chanBuf[e.emOff[ci] : e.emOff[ci]+ctxI.chanLen[2*ci]]
+			rc := ctxI.chanBuf[e.rcOff[ci] : e.rcOff[ci]+ctxI.chanLen[2*ci+1]]
 			assertGrouped(t, "indexed emitters", em)
 			assertGrouped(t, "indexed receivers", rc)
-			lem, lrc := eL.enabledSyncEdges(ctxL, s, ta.ChanID(ci))
-			assertGrouped(t, "legacy emitters", lem)
-			assertGrouped(t, "legacy receivers", lrc)
-			if len(em) != len(lem) || len(rc) != len(lrc) {
-				t.Fatalf("chan %d: bucket sizes differ: (%d,%d) indexed vs (%d,%d) legacy",
-					ci, len(em), len(rc), len(lem), len(lrc))
-			}
-			for i := range em {
-				if em[i] != lem[i] {
-					t.Fatalf("chan %d emitter %d: %+v vs %+v", ci, i, em[i], lem[i])
-				}
-			}
-			for i := range rc {
-				if rc[i] != lrc[i] {
-					t.Fatalf("chan %d receiver %d: %+v vs %+v", ci, i, rc[i], lrc[i])
-				}
+			rem, rrc := refEnabled(net, s.Locs, s.Vars, ta.ChanID(ci))
+			if !slices.Equal(em, rem) || !slices.Equal(rc, rrc) {
+				t.Fatalf("chan %d: buckets (%+v, %+v), reference (%+v, %+v)", ci, em, rc, rem, rrc)
 			}
 		}
 	}

@@ -139,7 +139,7 @@ func TestBinaryVsSupOnRandomSystems(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		bs, err := checker.BinarySearchWCRT(c.Obs.Y.ID, c.AtSeen(), 0, hi, core.Options{})
+		bs, err := checker.BinarySearchWCRT(c.Obs[0].Y.ID, c.AtSeen(0), 0, hi, core.Options{})
 		if err != nil {
 			t.Fatalf("trial %d binary: %v", trial, err)
 		}

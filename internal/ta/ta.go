@@ -163,7 +163,7 @@ type Edge struct {
 
 // SyncEdge is one entry of the per-location synchronization index built by
 // Finalize: a synchronizing out-edge of the location together with its
-// channel and direction, in OutEdges order. The successor engine's one-pass
+// channel and direction, in edge index order. The successor engine's one-pass
 // enabled-edge collection iterates these instead of rescanning every
 // out-edge once per channel.
 type SyncEdge struct {
@@ -179,14 +179,11 @@ type Process struct {
 	Edges     []Edge
 	Init      LocID
 
-	// outEdges[l] lists indices into Edges with Src == l; built by Finalize.
-	outEdges [][]int
-
 	// The compiled transition index, built by Finalize and immutable
 	// afterwards (consumed lock-free by every exploration worker). Both
 	// per-location lists are CSR-style flat arrays: location l owns
 	// tauIdx[tauOff[l]:tauOff[l+1]] and syncIdx[syncOff[l]:syncOff[l+1]],
-	// each in OutEdges order.
+	// the edges with Src == l, each in edge index order.
 	tauOff  []int32
 	tauIdx  []int32 // indices into Edges of tau out-edges
 	syncOff []int32
@@ -209,16 +206,12 @@ func (p *Process) AddEdge(e Edge) {
 	p.Edges = append(p.Edges, e)
 }
 
-// OutEdges returns the indices of the edges leaving location l. Valid only
-// after Network.Finalize.
-func (p *Process) OutEdges(l LocID) []int { return p.outEdges[l] }
-
 // TauEdges returns the indices of the internal (tau) edges leaving location
-// l, in OutEdges order. Valid only after Network.Finalize.
+// l, in edge index order. Valid only after Network.Finalize.
 func (p *Process) TauEdges(l LocID) []int32 { return p.tauIdx[p.tauOff[l]:p.tauOff[l+1]] }
 
 // SyncEdges returns the synchronizing edges leaving location l with their
-// channel and direction, in OutEdges order. Valid only after
+// channel and direction, in edge index order. Valid only after
 // Network.Finalize.
 func (p *Process) SyncEdges(l LocID) []SyncEdge { return p.syncIdx[p.syncOff[l]:p.syncOff[l+1]] }
 

@@ -33,11 +33,17 @@ func TestBuilderBasics(t *testing.T) {
 	if err := n.Finalize(); err != nil {
 		t.Fatalf("Finalize: %v", err)
 	}
-	if got := p.OutEdges(idle); len(got) != 1 || got[0] != 0 {
-		t.Errorf("OutEdges(idle) = %v", got)
+	if got := p.SyncEdges(idle); len(got) != 1 || got[0] != (SyncEdge{Chan: c.ID, Dir: Emit, Edge: 0}) {
+		t.Errorf("SyncEdges(idle) = %v", got)
 	}
-	if got := p.OutEdges(busy); len(got) != 1 || got[0] != 1 {
-		t.Errorf("OutEdges(busy) = %v", got)
+	if got := p.TauEdges(idle); len(got) != 0 {
+		t.Errorf("TauEdges(idle) = %v", got)
+	}
+	if got := p.TauEdges(busy); len(got) != 1 || got[0] != 1 {
+		t.Errorf("TauEdges(busy) = %v", got)
+	}
+	if got := p.SyncEdges(busy); len(got) != 0 {
+		t.Errorf("SyncEdges(busy) = %v", got)
 	}
 	if n.MaxConsts[x.ID] != 5 {
 		t.Errorf("MaxConsts[x] = %d, want 5", n.MaxConsts[x.ID])

@@ -117,7 +117,7 @@ func (n *Network) Finalize() error {
 }
 
 // buildIndex compiles the transition index the successor engine consumes:
-// per-location tau and sync edge lists (CSR layout, OutEdges order),
+// per-location tau and sync edge lists (CSR layout, edge index order),
 // per-location committed/no-delay flags, the channel→participating-process
 // tables, per-channel edge counts, and the urgent-channel list. Everything
 // built here is immutable after Finalize — exploration workers read it
@@ -127,14 +127,10 @@ func (n *Network) buildIndex() {
 	// Finalize runs once per network, but compiled pipelines (arch →
 	// AnalyzeAll) rebuild their network per analysis, so the build itself
 	// must not allocate per process — gated benchmarks count every alloc.
-	totOff, totTau, totSync, totLoc, totEdge, maxLoc := 0, 0, 0, 0, 0, 0
+	totOff, totTau, totSync, totLoc := 0, 0, 0, 0
 	for _, p := range n.Procs {
 		totOff += 2 * (len(p.Locations) + 1)
 		totLoc += 2 * len(p.Locations)
-		totEdge += len(p.Edges)
-		if len(p.Locations) > maxLoc {
-			maxLoc = len(p.Locations)
-		}
 		for _, e := range p.Edges {
 			if e.Sync.Dir == Tau {
 				totTau++
@@ -143,70 +139,47 @@ func (n *Network) buildIndex() {
 			}
 		}
 	}
-
-	// outEdges first (CSR as well — the per-location headers and the edge
-	// indices all live in two arrays); the tau/sync split below reads it.
-	oeHeaders := make([][]int, totLoc/2)
-	flat := make([]int, totEdge)
-	scratch := make([]int32, maxLoc)
-	hpos, fpos := 0, 0
-	for _, p := range n.Procs {
-		nLocs := len(p.Locations)
-		p.outEdges = oeHeaders[hpos : hpos+nLocs : hpos+nLocs]
-		hpos += nLocs
-		cnt := scratch[:nLocs]
-		for i := range cnt {
-			cnt[i] = 0
-		}
-		for _, e := range p.Edges {
-			cnt[e.Src]++
-		}
-		for l := 0; l < nLocs; l++ {
-			k := int(cnt[l])
-			p.outEdges[l] = flat[fpos : fpos : fpos+k]
-			fpos += k
-		}
-		for ei := range p.Edges {
-			src := p.Edges[ei].Src
-			p.outEdges[src] = append(p.outEdges[src], ei)
-		}
-	}
 	i32 := make([]int32, totOff+totTau)
 	edges := make([]SyncEdge, totSync)
 	flags := make([]bool, totLoc)
 	for _, p := range n.Procs {
 		nLocs := len(p.Locations)
-		nTau, nSync := 0, 0
-		for _, e := range p.Edges {
-			if e.Sync.Dir == Tau {
-				nTau++
-			} else {
-				nSync++
-			}
-		}
-		// Full-slice caps keep appends inside each process's segment.
+		// Count each location's edges, then prefix-sum: off[l] is where
+		// location l ends, and off[nLocs] the total.
 		p.tauOff, i32 = i32[:nLocs+1:nLocs+1], i32[nLocs+1:]
 		p.syncOff, i32 = i32[:nLocs+1:nLocs+1], i32[nLocs+1:]
-		p.tauIdx, i32 = i32[:0:nTau], i32[nTau:]
-		p.syncIdx, edges = edges[:0:nSync], edges[nSync:]
+		for _, e := range p.Edges {
+			if e.Sync.Dir == Tau {
+				p.tauOff[e.Src]++
+			} else {
+				p.syncOff[e.Src]++
+			}
+		}
+		for l := 1; l <= nLocs; l++ {
+			p.tauOff[l] += p.tauOff[l-1]
+			p.syncOff[l] += p.syncOff[l-1]
+		}
+		nTau, nSync := p.tauOff[nLocs], p.syncOff[nLocs]
+		p.tauIdx, i32 = i32[:nTau:nTau], i32[nTau:]
+		p.syncIdx, edges = edges[:nSync:nSync], edges[nSync:]
+		// Fill back to front, moving off[l] down to where location l starts:
+		// each location's edges land in edge index order.
+		for ei := len(p.Edges) - 1; ei >= 0; ei-- {
+			e := &p.Edges[ei]
+			if e.Sync.Dir == Tau {
+				p.tauOff[e.Src]--
+				p.tauIdx[p.tauOff[e.Src]] = int32(ei)
+			} else {
+				p.syncOff[e.Src]--
+				p.syncIdx[p.syncOff[e.Src]] = SyncEdge{Chan: e.Sync.Chan, Dir: e.Sync.Dir, Edge: int32(ei)}
+			}
+		}
 		p.committed, flags = flags[:nLocs:nLocs], flags[nLocs:]
 		p.noDelay, flags = flags[:nLocs:nLocs], flags[nLocs:]
 		for l, loc := range p.Locations {
 			p.committed[l] = loc.Kind == Committed
 			p.noDelay[l] = loc.Kind == UrgentLoc || loc.Kind == Committed
-			p.tauOff[l] = int32(len(p.tauIdx))
-			p.syncOff[l] = int32(len(p.syncIdx))
-			for _, ei := range p.outEdges[l] {
-				e := &p.Edges[ei]
-				if e.Sync.Dir == Tau {
-					p.tauIdx = append(p.tauIdx, int32(ei))
-				} else {
-					p.syncIdx = append(p.syncIdx, SyncEdge{Chan: e.Sync.Chan, Dir: e.Sync.Dir, Edge: int32(ei)})
-				}
-			}
 		}
-		p.tauOff[nLocs] = int32(len(p.tauIdx))
-		p.syncOff[nLocs] = int32(len(p.syncIdx))
 	}
 
 	// Channel tables, same treatment: count first (the last-proc scratch
