@@ -52,6 +52,15 @@ func sameState(a, b *State) bool {
 // not only the one replay selects — before it compares.
 func assertTraceValid(t *testing.T, c *Checker, trace []TraceStep) {
 	t.Helper()
+	replayTrace(t, c, trace, func(ctx *succCtx, s *State) ([]succ, error) {
+		return c.eng.successors(ctx, s, nil)
+	})
+}
+
+// replayTrace is assertTraceValid with the enumerator that proposes each
+// step's candidates as a parameter.
+func replayTrace(t testing.TB, c *Checker, trace []TraceStep, next func(*succCtx, *State) ([]succ, error)) {
+	t.Helper()
 	if len(trace) == 0 {
 		t.Fatal("empty trace")
 	}
@@ -66,7 +75,7 @@ func assertTraceValid(t *testing.T, c *Checker, trace []TraceStep) {
 	}
 	cur := init
 	for i, step := range trace[1:] {
-		succs, err := c.eng.successors(ctx, cur, nil)
+		succs, err := next(ctx, cur)
 		if err != nil {
 			t.Fatal(err)
 		}
