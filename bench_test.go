@@ -1,12 +1,13 @@
-// Package repro_test holds the twelve benchmark rows CI's bench-gate job holds
-// to exact allocs/op and near-exact B/op ceilings (scripts/benchgate.go,
+// Package repro_test holds the thirteen benchmark rows CI's bench-gate job
+// holds to exact allocs/op and near-exact B/op ceilings (scripts/benchgate.go,
 // scripts/bench_baseline.json): Table 1 cells of Hendriks & Verhoef, "Timed
 // Automata Based Analysis of Embedded System Architectures" (IPPS 2006) that
 // the exact zone-based checker sweeps exhaustively, the Table 2 checker row,
-// the batch multi-requirement sweep, a channel-scaling series, and a
-// two-dimension slab-recycling row. They run the sequential engine with fixed
-// seeds, which is what makes their allocation counts a contract. Time is
-// judged by the repository's benchmark (benchmark/README.md), not here.
+// the batch multi-requirement sweep, a channel-scaling series, the fixed cost
+// of one small sweep, and a two-dimension slab-recycling row. They run the
+// sequential engine with fixed seeds, which is what makes their allocation
+// counts a contract. Time is judged by the repository's benchmark
+// (benchmark/README.md), not here.
 package repro_test
 
 import (
@@ -80,8 +81,9 @@ func BenchmarkTable1_HandleTMC_AL_po_Budgeted(b *testing.B) {
 // BenchmarkTable1_HandleTMC_AL_po_Profiled is the profiled twin: the same
 // cell with a sweep profile attached (phase spans, per-worker sampled
 // series). Its baseline sits a fixed handful of allocs/op above the plain
-// twin — the per-run ring buffers — while the plain twin's unchanged exact
-// baseline pins the profile-DISABLED hot path to zero extra allocations.
+// twin — the recorder, the finalized series, and a ring grown to the run's
+// few samples — while the plain twin's exact baseline pins the
+// profile-DISABLED hot path to zero extra allocations.
 func BenchmarkTable1_HandleTMC_AL_po_Profiled(b *testing.B) {
 	b.ReportAllocs()
 	row := icrns.Table1Rows[1]
@@ -194,6 +196,30 @@ func benchMultiReqScaling(b *testing.B, n int) {
 func BenchmarkMultiReq_Scaling_1(b *testing.B) { benchMultiReqScaling(b, 1) }
 func BenchmarkMultiReq_Scaling_4(b *testing.B) { benchMultiReqScaling(b, 4) }
 func BenchmarkMultiReq_Scaling_8(b *testing.B) { benchMultiReqScaling(b, 8) }
+
+// --- The fixed cost of one small sweep ---
+
+// BenchmarkSmallSweep runs one 9-state exploration of the 1-scenario scaling
+// system per iteration, compiled once outside the loop: the per-run cost a
+// design study pays for every alternative it tries. Its gated B/op has a
+// slack of 2 KB, so per-run bookkeeping sized for a big sweep instead of
+// this one (a 20 KB parent-log block, a 32 KB sample ring) fails the gate.
+func BenchmarkSmallSweep(b *testing.B) {
+	sys, reqs := scalingSystem(1)
+	cs, err := arch.CompileAll(sys, reqs, arch.Options{HorizonMS: 120})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var res *arch.AllResult
+	for i := 0; i < b.N; i++ {
+		if res, err = cs.Analyze(core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Stats.Stored), "states")
+}
 
 // BenchmarkRecycled_TwoDims runs two sweeps of different dimension back to
 // back per iteration — the HandleTMC AL pno cell (11×11 zones) and the

@@ -45,16 +45,22 @@ const abortCheckMask = 31
 //
 // Trace queries used to be pinned to the sequential explorer because only it
 // kept an arena of live parent states. The unified engine instead keeps a
-// shared trace arena of per-worker append-only parent logs: when worker w
-// admits a state, it appends one record (parent ref, discrete key,
-// successor index) to its own log and stamps the state with the record's
-// ref (worker index in the high bits, log index in the low bits). Records
-// hold three packed integers only — NEVER zone pointers, State pointers, or
-// label copies — so state recycling (succCtx.putState) stays sound and the
-// zone-ownership protocol of store.go is untouched. The records live in
-// fixed-size segment arrays (logSeg): 20 bytes per admitted state instead
-// of one 80-byte record struct with a retained label, which is what makes
-// always-on trace logging cheap enough for the big sweeps.
+// shared trace arena of per-worker append-only parent logs, so every query
+// kind honors Options.Workers (Options.parallelism routes them all). When a
+// trace can be requested — the query set is non-empty — every admitted state
+// gets one 20-byte record (parent ref, discrete key, successor index)
+// appended to its admitting worker's log, and the state is stamped with the
+// record's ref in State.ref (worker index in the high bits, the record's
+// segment and offset in the low bits), which the expanding worker reads; the
+// frontier's atomics order the two accesses. Records hold three packed
+// integers only — NEVER zone pointers, State pointers, or label copies — so
+// state recycling (succCtx.putState) stays sound and the zone-ownership
+// protocol of store.go is untouched. Packing a record into 20 bytes, instead
+// of one 80-byte record struct with a retained label, is what makes
+// always-on trace logging cheap enough for the big sweeps; segments that
+// grow with the log (logSeg) are what make it cheap for the many small
+// sweeps of a design study, a few dozen states each, which log into a few
+// hundred bytes rather than a big sweep's block.
 //
 // When a run stops at a state (visitor match or deadlock), the trace is
 // stitched back across the logs: parent refs are followed from the stop
@@ -72,7 +78,8 @@ const abortCheckMask = 31
 // initial state, before workers start). No locks are needed.
 
 const (
-	// refWorkerShift packs a parent-log reference as worker<<shift | index.
+	// refWorkerShift packs a parent-log reference as
+	// worker<<refWorkerShift | segment<<logSegShift | offset.
 	refWorkerShift = 40
 	refIndexMask   = 1<<refWorkerShift - 1
 	// noRef marks "no record": the parent of the initial state, or any
@@ -80,35 +87,85 @@ const (
 	noRef int64 = -1
 )
 
-// logSegShift sizes one parent-log segment: 1024 records per segment keeps
-// the append path at two shifts and a mask while bounding the waste of a
-// short log to one segment.
+// Parent-log segments grow with the log: segment k holds
+// 1<<min(logSegFirstShift+k, logSegShift) records — 32, 64, …, 512 for the
+// first 992 admissions, 1024 for every later segment. A short log wastes at
+// most as many slots as it holds (a 3-state sweep logs into 32 slots, 640
+// bytes); a long one fills 1024-record blocks as before, so a big sweep logs
+// into the same bytes. No segment is ever copied or moved, and a ref carries
+// its (segment, offset) pair, so resolving it is two shifts, a mask and one
+// branch whatever the segment sizes.
 const (
-	logSegShift = 10
-	logSegSize  = 1 << logSegShift
-	logSegMask  = logSegSize - 1
+	logSegFirstShift = 5
+	logSegShift      = 10
+	logSegSize       = 1 << logSegShift
+	logSegMask       = logSegSize - 1
+	// logSmallSegs counts the growing segments before the full blocks.
+	logSmallSegs = logSegShift - logSegFirstShift
 )
 
-// logSeg is one fixed-size block of admission records, stored as parallel
-// arrays: parent refs, discrete keys, and successor indices pack to 20
-// bytes per record with no per-record struct or label retention.
+// logLink is the parent ref and discrete key of one record.
+type logLink struct {
+	// parent is the ref of the record the state was fired from; noRef for
+	// the initial state.
+	parent int64
+	// key is the admitted state's discrete key, used as a consistency check
+	// during replay.
+	key uint64
+}
+
+// logSeg is one segment of admission records as parallel slices of one
+// length: links and successor indices pack to 20 bytes per record with no
+// per-record struct padding or label retention. steps holds the index of the
+// fired transition in the parent's deterministic successor enumeration
+// (succ.idx).
 type logSeg struct {
-	// parents holds the ref of the record each state was fired from; noRef
-	// for the initial state.
-	parents [logSegSize]int64
-	// keys holds the discrete key of each admitted state, used as a
-	// consistency check during replay.
-	keys [logSegSize]uint64
-	// steps holds the index of the fired transition in the parent's
-	// deterministic successor enumeration (succ.idx).
+	links []logLink
+	steps []int32
+}
+
+// logBlock is the storage of one full segment, reached through an 8-byte
+// pointer. The growing segments keep their headers inline in workerLog, and
+// each of their slices is an exact allocation size class, so the segments
+// before the first block cost less than the one block they replace. A long
+// log's directory is one pointer per block, as it always was.
+type logBlock struct {
+	links [logSegSize]logLink
 	steps [logSegSize]int32
 }
 
 // workerLog is one worker's append-only record log, grown segment by
 // segment.
 type workerLog struct {
-	segs []*logSeg
-	n    int
+	cur    logSeg // the segment being filled
+	n      int    // records in cur
+	segs   int    // segments opened so far
+	small  [logSmallSegs]logSeg
+	blocks []*logBlock // segments logSmallSegs, logSmallSegs+1, …
+}
+
+// open starts the log's next segment.
+func (l *workerLog) open() {
+	if k := l.segs; k < logSmallSegs {
+		size := 1 << (logSegFirstShift + k)
+		l.small[k] = logSeg{make([]logLink, size), make([]int32, size)}
+		l.cur = l.small[k]
+	} else {
+		b := new(logBlock)
+		l.blocks = append(l.blocks, b)
+		l.cur = logSeg{b.links[:], b.steps[:]}
+	}
+	l.segs++
+	l.n = 0
+}
+
+// seg returns segment k.
+func (l *workerLog) seg(k int) logSeg {
+	if k < logSmallSegs {
+		return l.small[k]
+	}
+	b := l.blocks[k-logSmallSegs]
+	return logSeg{b.links[:], b.steps[:]}
 }
 
 // parentLogs is the shared trace arena: one append-only log per worker.
@@ -124,23 +181,22 @@ func newParentLogs(workers int) *parentLogs {
 // Owner only.
 func (t *parentLogs) record(w int, parent int64, key uint64, step int32) int64 {
 	l := t.logs.at(w)
-	i := l.n
-	if i&logSegMask == 0 {
-		l.segs = append(l.segs, &logSeg{})
+	if l.n == len(l.cur.steps) {
+		l.open()
 	}
-	sg := l.segs[i>>logSegShift]
-	sg.parents[i&logSegMask] = parent
-	sg.keys[i&logSegMask] = key
-	sg.steps[i&logSegMask] = step
+	i := l.n
+	l.cur.links[i] = logLink{parent, key}
+	l.cur.steps[i] = step
 	l.n = i + 1
-	return int64(w)<<refWorkerShift | int64(i)
+	return int64(w)<<refWorkerShift | int64(l.segs-1)<<logSegShift | int64(i)
 }
 
 // at resolves a ref. Only sound after the worker barrier.
 func (t *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
-	i := int(ref & refIndexMask)
-	sg := t.logs.at(int(ref >> refWorkerShift)).segs[i>>logSegShift]
-	return sg.parents[i&logSegMask], sg.keys[i&logSegMask], sg.steps[i&logSegMask]
+	i := ref & refIndexMask
+	sg := t.logs.at(int(ref >> refWorkerShift)).seg(int(i >> logSegShift))
+	ln := sg.links[i&logSegMask]
+	return ln.parent, ln.key, sg.steps[i&logSegMask]
 }
 
 // frontier schedules admitted states between push and expansion. push and
@@ -491,7 +547,7 @@ func (e *explorer) run(w int) {
 			// Sweep-profile sampling: every (mask+1)-th expansion the worker
 			// appends one point to its own ring — loop locals, its steal
 			// cell, and a few shared atomics. The disabled path is the nil
-			// check alone, and the rings were allocated at attach, so an
+			// check alone, and only this branch grows a ring, so an
 			// unprofiled sweep provably gains zero allocations.
 			gets, reuses := ctx.pool.Stats()
 			e.sampleProfile(w, nPopped, nTransitions, gets, reuses)

@@ -12,14 +12,27 @@ import (
 // and a sampled per-worker time series of the exploration's behavior —
 // throughput, frontier depth, steal counts, pool traffic, store footprint.
 //
-// The cost contract mirrors budget.go: everything the recorder needs per
-// run (the rings, the sampling mask) is allocated only when EnableProfile
-// was called, and the worker loop's disabled path is one nil check — the
-// bench gate (Table1_HandleTMC_AL_po vs ..._Profiled) pins the disabled
-// sweep to exactly its historical allocs/op. Sampling itself is single-
-// writer work: each worker appends to its own ring at a fixed expansion
-// stride, reads only counters it owns (loop locals, its steal cell, the
-// shared store's atomics), and never takes a lock.
+// The cost contract mirrors budget.go:
+//
+//   - Opt-in and alloc-free when off. Everything the recorder needs per run
+//     (the rings, the sampling mask) exists only when EnableProfile was
+//     called, and the worker loop's disabled path is one nil check. The
+//     bench gate pins the disabled sweep to exactly its historical
+//     allocs/op through the Table1_HandleTMC_AL_po / ..._Profiled twin
+//     pair; a regression there is hot-path telemetry leaking.
+//   - Sized to the run. A ring starts empty and grows by append up to
+//     maxSamples, so a sweep of a few dozen states holds one or two
+//     samples, not a big sweep's ring. The run's rings live until finalize
+//     has copied the series into the recorder; monView.setDone then drops
+//     them, so of a finished run a Monitor keeps its totals, its per-worker
+//     progress cells and its SweepProfile, and nothing else.
+//   - Ring ownership. Each worker appends to its own padded ring at a
+//     power-of-two expansion stride, reads only counters it owns (loop
+//     locals, its steal cell, the shared store's atomics), and never takes
+//     a lock. finalize runs strictly after the worker barrier, so the rings
+//     are quiescent when frozen. Live scrapes (Monitor.Snapshot,
+//     Monitor.Profile) read the cells and the previous completed run only;
+//     TestProfileScrapeDuringSweep hammers this under -race.
 
 // ProfileConfig tunes the sweep-profile recorder. The zero value selects the
 // documented default.
@@ -29,7 +42,8 @@ type ProfileConfig struct {
 	SampleEvery int
 }
 
-// maxSamples bounds each worker's ring; once full, the oldest samples are
+// maxSamples bounds each worker's ring (32 KB of samples at most); the ring
+// grows by append until it holds this many, then the oldest samples are
 // overwritten and counted as Dropped.
 const maxSamples = 512
 
@@ -128,10 +142,11 @@ type profRun struct {
 	rings perWorker[profRing]
 }
 
-// profRing is one worker's bounded sample ring.
+// profRing is one worker's bounded sample ring; it starts empty and grows
+// by append to at most maxSamples.
 type profRing struct {
 	samples []WorkerSample
-	n       int // total samples taken; ring index is n % cap
+	n       int // total samples taken; once wrapped, the ring index is n % maxSamples
 }
 
 func (r *profRecorder) newRun(workers int) *profRun {
@@ -140,11 +155,7 @@ func (r *profRecorder) newRun(workers int) *profRun {
 	for mask < int64(every) {
 		mask <<= 1
 	}
-	pr := &profRun{rec: r, mask: mask - 1, rings: make(perWorker[profRing], workers)}
-	for i := range pr.rings {
-		pr.rings.at(i).samples = make([]WorkerSample, 0, maxSamples)
-	}
-	return pr
+	return &profRun{rec: r, mask: mask - 1, rings: make(perWorker[profRing], workers)}
 }
 
 // sample appends one point to worker w's ring. Owner only: the worker loop

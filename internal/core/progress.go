@@ -57,16 +57,19 @@ func (c *workerCounts) publish(popped, transitions, deadlocks int64) {
 	c.deadlocks.Store(deadlocks)
 }
 
-// monView binds a Monitor to one exploration run. The explorer pointer is
-// dropped at completion so a long-retained Monitor (a finished service job
-// in a result cache) pins only the final totals — never the run's passed
-// store, parent logs, or zones.
+// monView binds a Monitor to one exploration run. The explorer pointer and
+// the profile rings are dropped at completion, so a long-retained Monitor (a
+// finished service job in a result cache) pins only the final totals, the
+// per-worker cells and the finalized SweepProfile — never the run's passed
+// store, parent logs, zones or sample rings.
 type monView struct {
 	e     atomic.Pointer[explorer]
 	cells perWorker[workerCounts]
 	// prof is the run's profile sampling state; nil unless the Monitor has
 	// profiling enabled (EnableProfile), so a plain monitored run allocates
-	// nothing for it.
+	// nothing for it, and nil again once setDone has finalized it. Only the
+	// exploring goroutine touches it: attach before the workers start,
+	// setDone after their barrier.
 	prof *profRun
 	// final holds the exact flushed totals once the run is over; stored
 	// strictly before e is cleared, so a Snapshot that finds e nil re-reads
@@ -74,7 +77,8 @@ type monView struct {
 	final atomic.Pointer[Progress]
 }
 
-// setDone freezes the run's exact totals and releases the explorer.
+// setDone freezes the run's exact totals and releases the explorer and the
+// sample rings.
 func (v *monView) setDone() {
 	e := v.e.Load()
 	if e == nil {
@@ -94,8 +98,9 @@ func (v *monView) setDone() {
 	if v.prof != nil {
 		// The worker barrier has passed: the sample rings are quiescent, so
 		// the run's series freezes into the recorder before the explorer is
-		// released.
+		// released, and the rings go with it.
 		v.prof.finalize(e, p)
+		v.prof = nil
 	}
 	v.final.Store(&p)
 	v.e.Store(nil)

@@ -225,9 +225,11 @@ func newJob(id, kind string, workers int, memBytes int64, deadline time.Time) *j
 		done:     make(chan struct{}),
 	}
 	// Every served job records its sweep profile (phase spans + sampled
-	// per-worker series) for GET /v1/jobs/{id}/profile. The recorder costs a
-	// few KB of rings per run — noise next to a sweep — and nothing at all on
-	// jobs that never run one (proxies, adopted results).
+	// per-worker series) for GET /v1/jobs/{id}/profile. A run's sample rings
+	// grow with its sweep (64 B per sample, at most 32 KB per worker) and are
+	// dropped once the series is finalized, so a finished job keeps only that
+	// series; jobs that never run a sweep (proxies, adopted results) pay
+	// nothing at all.
 	j.mon.EnableProfile(core.ProfileConfig{})
 	return j
 }
