@@ -58,9 +58,9 @@ func BenchmarkTable1_AddressLookup_pno(b *testing.B) {
 // BenchmarkTable1_HandleTMC_AL_po_Budgeted is the budgeted twin of the
 // HandleTMC_AL_po cell: the same exhaustive sweep under a zone-memory budget
 // far too high to ever trip. Its CI baseline (scripts/bench_baseline.json)
-// sits a fixed handful of allocs/op above the unbudgeted twin — the one-time
-// per-run budget cells — pinning the accounting itself to zero allocations
-// on the per-state hot path.
+// equals the unbudgeted twin's allocs/op: the budget sums the worker cells
+// every run publishes anyway, so the accounting allocates nothing, per run
+// or per state.
 func BenchmarkTable1_HandleTMC_AL_po_Budgeted(b *testing.B) {
 	b.ReportAllocs()
 	row := icrns.Table1Rows[1]

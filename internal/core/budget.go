@@ -3,9 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
-
-	"repro/internal/dbm"
 )
 
 // This file is the resource-budget substrate of the unified explorer: hard
@@ -16,8 +13,7 @@ import (
 // does: workers stop between expansions, partial Stats are returned, and the
 // checker stays reusable.
 //
-// Accounting follows the engine's per-worker single-writer style — no new
-// atomics on the visitor path:
+// Accounting adds nothing to the visitor path:
 //
 //   - States are counted at admission by the existing e.stored counter; the
 //     state budget is one extra compare on the admission path.
@@ -25,19 +21,19 @@ import (
 //     the run is worker scratch — the state being expanded and its successors
 //     until the store has decided on them — drawn from some worker's
 //     dbm.Pool, whose gets/reuses counters already record how many matrices
-//     it allocated (gets − reuses). At each checkpoint a
-//     worker publishes its own pool's allocation into its perWorker cell
-//     (a plain store, single writer) and sums all cells against the
-//     limit. The cells are allocated only when a memory budget is
-//     configured, so unbudgeted runs pay nothing — not even the allocation.
+//     it allocated (gets − reuses). Every worker publishes that allocation
+//     into its workerCell (perworker.go) at each checkpoint on every run,
+//     with its expansion counters; a budgeted worker then sums all the
+//     cells against the limit. The budget owns no cells of its own and
+//     allocates nothing.
 //   - Store-side bytes are charged at their ACTUAL packed footprint: the
 //     passed store tracks the exact bytes of its entries, zone-record
 //     segments, compact zone buffers and interned discrete vectors
-//     (store.go), and the checkpoint adds that live total
-//     (passedSet.bytes) to the worker cells. That total is also what the
-//     waiting states cost: a state waits as the payload the store packed of
-//     it (an orphaned payload stays charged until its state is popped), so
-//     the frontier adds no zone bytes of its own.
+//     (store.go), and the check adds that live total (passedSet.bytes) to
+//     the cells. That total is also what the waiting states cost: a state
+//     waits as the payload the store packed of it (an orphaned payload stays
+//     charged until its state is popped), so the frontier adds no zone bytes
+//     of its own.
 
 // ErrStateBudget reports an exploration stopped because Options.StateBudget
 // unique states had been admitted. The accompanying Stats are the partial
@@ -70,37 +66,4 @@ type PanicError struct {
 
 func (p *PanicError) Error() string {
 	return fmt.Sprintf("core: worker %d panicked: %v", p.Worker, p.Value)
-}
-
-// memBudget accounts a run's zone memory against Options.MaxBytes.
-type memBudget struct {
-	limit int64
-	// zoneBytes is the size of one pooled matrix (dim² bounds).
-	zoneBytes int64
-	// cells hold each worker's published zone-allocation bytes.
-	cells perWorker[atomic.Int64]
-}
-
-func newMemBudget(limit int64, dim, workers int) *memBudget {
-	return &memBudget{
-		limit:     limit,
-		zoneBytes: dbm.ZoneBytes(dim),
-		cells:     make(perWorker[atomic.Int64], workers),
-	}
-}
-
-// publish stores worker w's pool allocation into its cell; single writer.
-func (b *memBudget) publish(w int, pool *dbm.Pool) {
-	gets, reuses := pool.Stats()
-	b.cells.at(w).Store(int64(gets-reuses) * b.zoneBytes)
-}
-
-// exceeded sums every worker's published bytes plus the passed store's
-// actual packed footprint against the limit.
-func (b *memBudget) exceeded(storedBytes int64) bool {
-	total := storedBytes
-	for i := range b.cells {
-		total += b.cells.at(i).Load()
-	}
-	return total > b.limit
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -188,9 +190,79 @@ func TestDeadlineWinsOverCancel(t *testing.T) {
 	}
 }
 
-// TestMonitorFinalSnapshotMatchesStats requires a post-run Snapshot to equal
-// the run's exact Stats, for both frontiers.
+// TestMonitorFinalSnapshotMatchesStats requires a post-run Snapshot, and a
+// profiled run's Profile().Totals, to equal the run's exact Stats, for both
+// frontiers, plain, under a memory budget that never trips, and profiled:
+// every reader sums the same worker cells.
 func TestMonitorFinalSnapshotMatchesStats(t *testing.T) {
+	modes := []struct {
+		name    string
+		opts    Options
+		profile bool
+	}{
+		{"plain", Options{}, false},
+		{"budgeted", Options{MaxBytes: 1 << 40}, false},
+		{"profiled", Options{}, true},
+	}
+	for _, mode := range modes {
+		for _, workers := range []int{1, 4} {
+			n, _, _, _ := buildGrid(t)
+			c, err := NewChecker(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mon Monitor
+			if mode.profile {
+				mon.EnableProfile(ProfileConfig{SampleEvery: 8})
+			}
+			opts := mode.opts
+			opts.Workers, opts.Monitor = workers, &mon
+			res, err := c.Explore(opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("%s/workers=%d", mode.name, workers)
+			p := mon.Snapshot()
+			if p.Running {
+				t.Errorf("%s: monitor still Running after the run returned", name)
+			}
+			matches := func(p Progress) bool {
+				return p.Stored == int64(res.Stored) && p.Popped == int64(res.Popped) &&
+					p.Transitions == int64(res.Transitions) && p.Deadlocks == int64(res.Deadlocks)
+			}
+			if !matches(p) {
+				t.Errorf("%s: final snapshot %+v != stats %+v", name, p, res.Stats)
+			}
+			// The readers agreeing is not enough: they sum the same cells. An
+			// exhaustive sweep expands every state it stored, so the cells
+			// are exact only if every worker published on its way out.
+			if res.Popped != res.Stored {
+				t.Errorf("%s: exhaustive sweep popped %d of %d stored states", name, res.Popped, res.Stored)
+			}
+			if p.Frontier != 0 {
+				t.Errorf("%s: final snapshot frontier = %d, want 0", name, p.Frontier)
+			}
+			if p.Workers != workers {
+				t.Errorf("%s: snapshot workers = %d", name, p.Workers)
+			}
+			if mode.profile {
+				prof := mon.Profile()
+				if prof == nil || !matches(prof.Totals) {
+					t.Errorf("%s: profile totals %+v != stats %+v", name, prof, res.Stats)
+				}
+			} else if mon.Profile() != nil {
+				t.Errorf("%s: an unprofiled monitor recorded a profile", name)
+			}
+		}
+	}
+}
+
+// TestMonitorLiveSnapshot samples the monitor mid-sweep (from the visitor,
+// which runs on a worker goroutine) and requires a plausible in-flight view
+// on every sample: running, a backlog that is never negative, no more states
+// popped than stored, stored at least as large as the admissions seen, and a
+// backlog that shows at some point.
+func TestMonitorLiveSnapshot(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		n, _, _, _ := buildGrid(t)
 		c, err := NewChecker(n)
@@ -198,66 +270,44 @@ func TestMonitorFinalSnapshotMatchesStats(t *testing.T) {
 			t.Fatal(err)
 		}
 		var mon Monitor
-		res, err := c.Explore(Options{Workers: workers, Monitor: &mon}, nil)
+		var mu sync.Mutex
+		var bad []Progress
+		var sampled bool
+		var snap Progress
+		var maxFrontier int64
+		_, err = c.Explore(Options{Workers: workers, Monitor: &mon}, func(*State) bool {
+			p := mon.Snapshot()
+			if p == (Progress{}) {
+				return false // the initial state is visited before the monitor attaches
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if p.Frontier < 0 || p.Popped > p.Stored || !p.Running {
+				bad = append(bad, p)
+			}
+			maxFrontier = max(maxFrontier, p.Frontier)
+			if p.Stored >= 100 && !sampled {
+				sampled, snap = true, p
+			}
+			return false
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := mon.Snapshot()
-		if p.Running {
-			t.Errorf("workers=%d: monitor still Running after the run returned", workers)
+		if len(bad) > 0 {
+			t.Errorf("workers=%d: %d implausible live samples, first %+v", workers, len(bad), bad[0])
 		}
-		if p.Stored != int64(res.Stored) || p.Popped != int64(res.Popped) ||
-			p.Transitions != int64(res.Transitions) || p.Deadlocks != int64(res.Deadlocks) {
-			t.Errorf("workers=%d: final snapshot %+v != stats %+v", workers, p, res.Stats)
+		if !sampled {
+			t.Fatalf("workers=%d: sweep too small to sample at 100 stored states", workers)
 		}
-		if p.Frontier != 0 {
-			t.Errorf("workers=%d: final snapshot frontier = %d, want 0", workers, p.Frontier)
+		if snap.Stored < 100 {
+			t.Errorf("workers=%d: mid-sweep snapshot stored = %d, want >= 100", workers, snap.Stored)
 		}
-		if p.Workers != workers {
-			t.Errorf("workers=%d: snapshot workers = %d", workers, p.Workers)
+		// The grid's backlog is narrow but not empty: admitted-but-unpopped
+		// states must have shown at some point of the sweep.
+		if maxFrontier <= 0 {
+			t.Errorf("workers=%d: frontier never rose above 0 across the sweep", workers)
 		}
-	}
-}
-
-// TestMonitorLiveSnapshot samples the monitor mid-sweep (from the visitor,
-// which runs on a worker goroutine) and requires a plausible in-flight view:
-// running, stored at least as large as the admissions seen, backlog visible.
-func TestMonitorLiveSnapshot(t *testing.T) {
-	n, _, _, _ := buildGrid(t)
-	c, err := NewChecker(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mon Monitor
-	var sampled atomic.Bool
-	var snap Progress
-	var maxFrontier int64
-	_, err = c.Explore(Options{Monitor: &mon}, func(*State) bool {
-		p := mon.Snapshot()
-		if p.Frontier > maxFrontier {
-			maxFrontier = p.Frontier
-		}
-		if p.Stored >= 100 && sampled.CompareAndSwap(false, true) {
-			snap = p
-		}
-		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sampled.Load() {
-		t.Fatal("sweep too small to sample at 100 stored states")
-	}
-	if !snap.Running {
-		t.Error("mid-sweep snapshot not Running")
-	}
-	if snap.Stored < 100 {
-		t.Errorf("mid-sweep snapshot stored = %d, want >= 100", snap.Stored)
-	}
-	// The grid's BFS backlog is narrow but not empty: the depth counter must
-	// have registered waiting states at some point of the sweep.
-	if maxFrontier <= 0 {
-		t.Errorf("frontier depth never rose above 0 across the sweep")
 	}
 }
 

@@ -210,15 +210,6 @@ type frontier interface {
 	// expanded (every successor pushed); the parallel frontier counts these
 	// against its termination barrier.
 	expanded(w int)
-	// depth reports the current backlog — states admitted but not yet fully
-	// expanded — for progress monitoring. Safe to call from any goroutine
-	// while workers run; the value is a relaxed snapshot.
-	depth() int64
-	// steals reports how many states worker w has taken from other workers'
-	// deques so far — the work-stealing balance signal the sweep profiler
-	// samples. Always 0 for the sequential frontier. Safe from any goroutine
-	// (per-worker single-writer cells).
-	steals(w int) int64
 }
 
 // listFrontier is the sequential waiting list: FIFO for BFS, LIFO for
@@ -231,24 +222,14 @@ type frontier interface {
 // copied down — so one backing array of about twice the widest level serves
 // the whole sweep, where a list re-sliced at its front would walk an
 // ever-regrown array through every state stored.
-// waiting, when non-nil, mirrors the backlog atomically so Monitor.Snapshot
-// can read it from another goroutine without racing the worker's appends; it
-// is allocated only for monitored runs, so the ordinary sequential hot path
-// pays no atomics.
 type listFrontier struct {
-	order   Order
-	list    []*State
-	head    int           // BFS only: index of the next state to pop
-	waiting *atomic.Int64 // non-nil only when a Monitor samples the run
-	stop    *atomic.Bool
+	order Order
+	list  []*State
+	head  int // BFS only: index of the next state to pop
+	stop  *atomic.Bool
 }
 
-func (f *listFrontier) push(_ int, s *State) {
-	f.list = append(f.list, s)
-	if f.waiting != nil {
-		f.waiting.Add(1)
-	}
-}
+func (f *listFrontier) push(_ int, s *State) { f.list = append(f.list, s) }
 
 func (f *listFrontier) pop(_ int) *State {
 	if f.stop.Load() || f.head == len(f.list) {
@@ -269,22 +250,10 @@ func (f *listFrontier) pop(_ int) *State {
 		s = f.list[len(f.list)-1]
 		f.list = f.list[:len(f.list)-1]
 	}
-	if f.waiting != nil {
-		f.waiting.Add(-1)
-	}
 	return s
 }
 
 func (f *listFrontier) expanded(int) {}
-
-func (f *listFrontier) steals(int) int64 { return 0 }
-
-func (f *listFrontier) depth() int64 {
-	if f.waiting == nil {
-		return 0
-	}
-	return f.waiting.Load()
-}
 
 // dequeFrontier is the work-stealing frontier: one Chase–Lev deque per
 // worker (LIFO expansion, FIFO steals) and a pending counter as termination
@@ -295,25 +264,23 @@ func (f *listFrontier) depth() int64 {
 type dequeFrontier struct {
 	deques []*wsDeque
 	rngs   []*rand.Rand // per-worker victim selection
-	// stealCells counts successful steals per thief: worker w bumps its own
-	// cell (single-writer load+store, never an RMW) on each steal, so the
-	// sweep profiler and steal totals read live without perturbing the
-	// scheduling path.
-	stealCells perWorker[atomic.Int64]
-	pending    atomic.Int64
-	stop       *atomic.Bool
+	// cells are the run's worker cells: worker w counts its successful
+	// steals in its own cell (single-writer load+store, never an RMW).
+	cells   perWorker[workerCell]
+	pending atomic.Int64
+	stop    *atomic.Bool
 }
 
 // dequeStartCap is the ring size the deques start from; they double on
 // overflow, so it only shapes early-run growth churn.
 const dequeStartCap = 64
 
-func newDequeFrontier(workers int, seed int64, stop *atomic.Bool) *dequeFrontier {
+func newDequeFrontier(cells perWorker[workerCell], seed int64, stop *atomic.Bool) *dequeFrontier {
 	f := &dequeFrontier{
-		deques:     make([]*wsDeque, workers),
-		rngs:       make([]*rand.Rand, workers),
-		stealCells: make(perWorker[atomic.Int64], workers),
-		stop:       stop,
+		deques: make([]*wsDeque, len(cells)),
+		rngs:   make([]*rand.Rand, len(cells)),
+		cells:  cells,
+		stop:   stop,
 	}
 	for i := range f.deques {
 		f.deques[i] = newWSDeque(dequeStartCap)
@@ -339,7 +306,7 @@ func (f *dequeFrontier) pop(w int) *State {
 		for attempt := 0; s == nil && attempt < 2*len(f.deques); attempt++ {
 			if v := f.deques[rng.Intn(len(f.deques))]; v != me {
 				if s = v.steal(); s != nil {
-					c := f.stealCells.at(w)
+					c := &f.cells.at(w).steals
 					c.Store(c.Load() + 1)
 				}
 			}
@@ -363,14 +330,12 @@ func (f *dequeFrontier) pop(w int) *State {
 
 func (f *dequeFrontier) expanded(int) { f.pending.Add(-1) }
 
-func (f *dequeFrontier) depth() int64 { return f.pending.Load() }
-
-func (f *dequeFrontier) steals(w int) int64 { return f.stealCells.at(w).Load() }
-
 // explorer carries the shared mutable state of one exploration run. The only
 // shared structures are the passed store, the frontier, the parent logs
 // (per-worker ownership), the queries' per-worker accumulators and completion
-// atomics, and the atomics below.
+// atomics, the worker cells — the one place a worker publishes its counts,
+// read by Stats, the Monitor, the memory budget and the profile alike — and
+// the atomics below.
 type explorer struct {
 	c       *Checker
 	opts    Options
@@ -380,7 +345,12 @@ type explorer struct {
 	logs    *parentLogs // nil when no trace can be requested
 	mon     *monView    // nil when no Monitor is attached
 	prof    *profRun    // nil unless the Monitor has profiling enabled
-	budget  *memBudget  // nil when no memory budget is configured
+
+	// cells holds one workerCell per worker. A sequential run's one cell is
+	// seqCell, embedded here, so that a plain sweep allocates nothing for it
+	// and still takes the one code path.
+	cells   perWorker[workerCell]
+	seqCell [1]slot[workerCell]
 
 	// slabs is the sweep's slab set: the workers' zone pools and the store's
 	// compact pools carve from it, and explore releases it (see there).
@@ -400,13 +370,10 @@ type explorer struct {
 	// query-less sweep keeps it at zero and never stops early: the visit
 	// path guards on len(queries), and only completeQuery reads the
 	// decremented count.
-	live        atomic.Int64
-	stored      atomic.Int64
-	popped      atomic.Int64
-	transitions atomic.Int64
-	deadlocks   atomic.Int64
-	truncated   atomic.Bool
-	firstErr    atomic.Pointer[error]
+	live      atomic.Int64
+	stored    atomic.Int64
+	truncated atomic.Bool
+	firstErr  atomic.Pointer[error]
 }
 
 func (e *explorer) fail(err error) {
@@ -476,7 +443,7 @@ func (e *explorer) visitAdmitted(w int, s *State) (stopSweep bool) {
 // collector along with the rest of the run's pools, so a possibly-corrupt
 // state is never recycled — only the raw slab bytes underneath are, after
 // the barrier, by explore — and the other workers drain promptly through the
-// stop flag that fail raises. The deferred stats flush inside run still lands
+// stop flag that fail raises. The deferred publish inside run still lands
 // during unwinding, so partial Stats stay accurate.
 func (e *explorer) runContained(w int) {
 	defer func() {
@@ -489,8 +456,8 @@ func (e *explorer) runContained(w int) {
 
 // run is the worker loop, identical for both frontiers: pop, unpack the zone,
 // expand, admit successors, feed the query set, park what was admitted,
-// recycle the expanded state. Statistics accumulate in locals and flush once
-// on exit.
+// recycle the expanded state. Statistics accumulate in locals, published
+// into the worker's cell at each checkpoint and once more on exit.
 func (e *explorer) run(w int) {
 	ctx := e.c.eng.newCtx(&e.slabs)
 	// Parent-log records hold successor indices, not labels, so the worker
@@ -503,28 +470,28 @@ func (e *explorer) run(w int) {
 	}
 	var succs []succ
 	var nPopped, nTransitions, nDeadlocks int64
-	var cell *workerCounts
-	if e.mon != nil {
-		cell = e.mon.cells.at(w)
+	cell := e.cells.at(w)
+	zoneBytes := dbm.ZoneBytes(e.c.eng.dim)
+	publish := func() {
+		gets, reuses := ctx.pool.Stats()
+		cell.publish(nPopped, nTransitions, nDeadlocks, int64(gets-reuses)*zoneBytes)
 	}
-	defer func() {
-		e.popped.Add(nPopped)
-		e.transitions.Add(nTransitions)
-		e.deadlocks.Add(nDeadlocks)
-	}()
+	// The exit publish makes the cell exact however the worker leaves:
+	// drained, stopped, aborted, failed, or unwinding from a panic.
+	defer publish()
 	for {
-		if e.hasCheck && nPopped&abortCheckMask == 0 {
-			if err := e.abortErr(); err != nil {
-				e.fail(err)
-				return
-			}
-			if e.budget != nil {
-				// Publish this worker's pool allocation and test the global
-				// sum — single-writer stores plus a few loads, only between
-				// expansions, only when a budget is configured. The passed
-				// store contributes its actual packed footprint.
-				e.budget.publish(w, ctx.pool)
-				if e.budget.exceeded(e.passed.bytes()) {
+		if nPopped&abortCheckMask == 0 {
+			// The between-expansions checkpoint: four single-writer stores
+			// into this worker's own cell, then the abort and budget checks
+			// when any is configured.
+			publish()
+			if e.hasCheck {
+				if err := e.abortErr(); err != nil {
+					e.fail(err)
+					return
+				}
+				// The passed store adds its actual packed footprint.
+				if e.opts.MaxBytes > 0 && sumCells(e.cells).zoneBytes+e.passed.bytes() > e.opts.MaxBytes {
 					e.fail(ErrMemoryBudget)
 					return
 				}
@@ -536,18 +503,11 @@ func (e *explorer) run(w int) {
 				return
 			}
 		}
-		if cell != nil {
-			// Live-progress publication: single-writer relaxed stores of the
-			// loop locals into this worker's own cell, summed on read by
-			// Monitor.Snapshot. Never an RMW, never contended — the hot path
-			// cost is two or three uncontended stores per expansion.
-			cell.publish(nPopped, nTransitions, nDeadlocks)
-		}
 		if e.prof != nil && nPopped&e.prof.mask == 0 {
 			// Sweep-profile sampling: every (mask+1)-th expansion the worker
-			// appends one point to its own ring — loop locals, its steal
-			// cell, and a few shared atomics. The disabled path is the nil
-			// check alone, and only this branch grows a ring, so an
+			// appends one point to its own cell's ring — loop locals, the
+			// run's cells, and a few shared atomics. The disabled path is the
+			// nil check alone, and only this branch grows a ring, so an
 			// unprofiled sweep provably gains zero allocations.
 			gets, reuses := ctx.pool.Stats()
 			e.sampleProfile(w, nPopped, nTransitions, gets, reuses)
@@ -627,6 +587,10 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	workers, parallel := opts.parallelism()
 	var res ExploreResult
 	e := &explorer{c: c, opts: opts, queries: queries, initScratch: c.eng.newCloseScratch()}
+	e.cells = e.seqCell[:]
+	if parallel {
+		e.cells = make(perWorker[workerCell], workers)
+	}
 	init, err := c.eng.initial(&e.initScratch)
 	if err != nil {
 		return res, err
@@ -652,9 +616,6 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 			res.Duration = time.Since(start)
 			return res, aerr
 		}
-	}
-	if opts.MaxBytes > 0 {
-		e.budget = newMemBudget(opts.MaxBytes, c.eng.dim, workers)
 	}
 	e.live.Store(int64(len(queries)))
 	for _, q := range queries {
@@ -704,13 +665,9 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	}
 	if !drained {
 		if parallel {
-			e.front = newDequeFrontier(workers, opts.Seed, &e.stop)
+			e.front = newDequeFrontier(e.cells, opts.Seed, &e.stop)
 		} else {
-			lf := &listFrontier{order: opts.Order, stop: &e.stop}
-			if opts.Monitor != nil {
-				lf.waiting = new(atomic.Int64)
-			}
-			e.front = lf
+			e.front = &listFrontier{order: opts.Order, stop: &e.stop}
 		}
 		// init waits like any admitted state: as its payload (its matrix is
 		// a heap one, so it goes to the collector and not to a pool).
@@ -722,7 +679,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	// Snapshot reads it.
 	endExplore := noopEnd
 	if opts.Monitor != nil {
-		e.mon = opts.Monitor.attach(e, workers)
+		e.mon = opts.Monitor.attach(e)
 		e.prof = e.mon.prof
 		endExplore = opts.Monitor.BeginPhase("explore")
 	}
@@ -743,17 +700,18 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	}
 	endExplore()
 	if e.mon != nil {
-		// Workers are done and their deferred flushes have landed in the
-		// explorer atomics; later Snapshots read those exact totals.
+		// Workers are done and their exit publishes have landed in the
+		// cells; later Snapshots read those exact totals.
 		e.mon.setDone()
 	}
 
 	res.Duration = time.Since(start)
 	res.Stored = int(e.stored.Load())
 	res.Live = e.passed.size()
-	res.Popped = int(e.popped.Load())
-	res.Transitions = int(e.transitions.Load())
-	res.Deadlocks = int(e.deadlocks.Load())
+	t := sumCells(e.cells)
+	res.Popped = int(t.popped)
+	res.Transitions = int(t.transitions)
+	res.Deadlocks = int(t.deadlocks)
 	res.Truncated = e.truncated.Load()
 	if ep := e.firstErr.Load(); ep != nil {
 		// Finish the queries anyway so partial reductions remain readable,

@@ -91,12 +91,12 @@ func TestTargetInvariantDisablesTransition(t *testing.T) {
 }
 
 // TestListFrontierReusesSlots: BFS pops in push order however pushes and pops
-// interleave, the backlog mirror follows, and the backing array stays within
+// interleave, the backlog is list[head:], and the backing array stays within
 // a small multiple of the widest backlog instead of growing with the number
 // of states that ever passed through.
 func TestListFrontierReusesSlots(t *testing.T) {
 	var stop atomic.Bool
-	f := &listFrontier{order: BFS, waiting: new(atomic.Int64), stop: &stop}
+	f := &listFrontier{order: BFS, stop: &stop}
 	states := make([]*State, 10_000)
 	for i := range states {
 		states[i] = &State{}
@@ -121,12 +121,12 @@ func TestListFrontierReusesSlots(t *testing.T) {
 	for next < len(states) {
 		pop(3) // backlog oscillates around 40
 		push(3)
-		if d := f.depth(); d != int64(next-popped) {
-			t.Fatalf("depth() = %d with %d waiting", d, next-popped)
+		if d := len(f.list) - f.head; d != next-popped {
+			t.Fatalf("list[head:] holds %d with %d waiting", d, next-popped)
 		}
 	}
 	pop(next - popped)
-	if f.pop(0) != nil || f.depth() != 0 {
+	if f.pop(0) != nil || len(f.list) != f.head {
 		t.Fatal("drained frontier must pop nil at depth 0")
 	}
 	if c := cap(f.list); c > 256 {

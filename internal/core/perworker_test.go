@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -48,9 +47,11 @@ func checkSlotsApart[T any](t *testing.T, write func(p *T, w int)) {
 // TestPerWorkerSlotsApart covers every perWorker instantiation in the
 // package.
 func TestPerWorkerSlotsApart(t *testing.T) {
-	checkSlotsApart(t, func(p *workerCounts, w int) { p.publish(int64(w), int64(w), int64(w)) })
-	checkSlotsApart(t, func(p *atomic.Int64, w int) { p.Store(p.Load() + 1) })
-	checkSlotsApart(t, func(p *profRing, w int) { p.n++ })
+	checkSlotsApart(t, func(p *workerCell, w int) {
+		p.publish(int64(w), int64(w), int64(w), int64(w))
+		p.steals.Store(p.steals.Load() + 1)
+		p.ring.n++
+	})
 	checkSlotsApart(t, func(p *supAcc, w int) { p.seen = true })
 	checkSlotsApart(t, func(p *workerLog, w int) { p.n++ })
 	checkSlotsApart(t, func(p *shard, w int) { p.mu.Lock(); p.intern.hits.Add(1); p.mu.Unlock() })

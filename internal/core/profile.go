@@ -12,27 +12,29 @@ import (
 // and a sampled per-worker time series of the exploration's behavior —
 // throughput, frontier depth, steal counts, pool traffic, store footprint.
 //
-// The cost contract mirrors budget.go:
+// The cost contract:
 //
-//   - Opt-in and alloc-free when off. Everything the recorder needs per run
-//     (the rings, the sampling mask) exists only when EnableProfile was
-//     called, and the worker loop's disabled path is one nil check. The
-//     bench gate pins the disabled sweep to exactly its historical
-//     allocs/op through the Table1_HandleTMC_AL_po / ..._Profiled twin
-//     pair; a regression there is hot-path telemetry leaking.
-//   - Sized to the run. A ring starts empty and grows by append up to
-//     maxSamples, so a sweep of a few dozen states holds one or two
-//     samples, not a big sweep's ring. The run's rings live until finalize
-//     has copied the series into the recorder; monView.setDone then drops
-//     them, so of a finished run a Monitor keeps its totals, its per-worker
-//     progress cells and its SweepProfile, and nothing else.
-//   - Ring ownership. Each worker appends to its own padded ring at a
-//     power-of-two expansion stride, reads only counters it owns (loop
-//     locals, its steal cell, the shared store's atomics), and never takes
-//     a lock. finalize runs strictly after the worker barrier, so the rings
-//     are quiescent when frozen. Live scrapes (Monitor.Snapshot,
-//     Monitor.Profile) read the cells and the previous completed run only;
-//     TestProfileScrapeDuringSweep hammers this under -race.
+//   - Opt-in and alloc-free when off. The sampling mask exists only when
+//     EnableProfile was called, and the worker loop's disabled path is one
+//     nil check. The counters a sample reads are the worker's cell
+//     (perworker.go), which every run publishes anyway. The bench gate pins
+//     the disabled sweep to exactly its historical allocs/op through the
+//     Table1_HandleTMC_AL_po / ..._Profiled twin pair; a regression there is
+//     hot-path telemetry leaking.
+//   - Sized to the run. A worker's ring lives in its workerCell, starts
+//     empty and grows by append up to maxSamples, so a sweep of a few dozen
+//     states holds one or two samples, not a big sweep's ring. finalize
+//     copies the series into the recorder; monView.setDone then drops the
+//     explorer, and the cells and their rings go with it, so of a finished
+//     run a Monitor keeps its totals and its SweepProfile, and nothing else.
+//   - Ring ownership. Each worker appends to its own cell's ring at a
+//     power-of-two expansion stride, reads only what it owns or what is
+//     shared and atomic (loop locals, the run's cells, the store's
+//     counters), and never takes a lock. finalize runs strictly after the
+//     worker barrier, so the rings are quiescent when frozen. Live scrapes
+//     (Monitor.Snapshot, Monitor.Profile) read the cells' atomics and the
+//     previous completed run only; TestProfileScrapeDuringSweep hammers this
+//     under -race.
 
 // ProfileConfig tunes the sweep-profile recorder. The zero value selects the
 // documented default.
@@ -69,7 +71,8 @@ type WorkerSample struct {
 	// its live allocation.
 	PoolGets   int64 `json:"pool_gets"`
 	PoolReuses int64 `json:"pool_reuses"`
-	// Frontier is the global backlog at sample time.
+	// Frontier is the global backlog at sample time: states admitted, not
+	// yet popped, relaxed like Progress.Frontier.
 	Frontier int64 `json:"frontier"`
 	// StoredBytes is the passed store's global footprint (passedSet.bytes)
 	// at sample time.
@@ -135,11 +138,11 @@ func (r *profRecorder) getLast() *SweepProfile {
 }
 
 // profRun is the per-run sampling state, allocated at attach time only for
-// profile-enabled monitors — a disabled run allocates nothing.
+// profile-enabled monitors — a disabled run allocates nothing. The samples
+// themselves live in the run's worker cells.
 type profRun struct {
-	rec   *profRecorder
-	mask  int64
-	rings perWorker[profRing]
+	rec  *profRecorder
+	mask int64
 }
 
 // profRing is one worker's bounded sample ring; it starts empty and grows
@@ -149,31 +152,32 @@ type profRing struct {
 	n       int // total samples taken; once wrapped, the ring index is n % maxSamples
 }
 
-func (r *profRecorder) newRun(workers int) *profRun {
+func (r *profRecorder) newRun() *profRun {
 	every := r.cfg.SampleEvery
 	mask := int64(1)
 	for mask < int64(every) {
 		mask <<= 1
 	}
-	return &profRun{rec: r, mask: mask - 1, rings: make(perWorker[profRing], workers)}
+	return &profRun{rec: r, mask: mask - 1}
 }
 
-// sample appends one point to worker w's ring. Owner only: the worker loop
-// calls this at its sampling stride; nothing else writes the ring until the
-// barrier.
+// sampleProfile appends one point to worker w's ring. Owner only: the worker
+// loop calls this at its sampling stride; nothing else writes the ring until
+// the barrier.
 func (e *explorer) sampleProfile(w int, nPopped, nTransitions int64, gets, reuses int) {
-	pr := e.prof
-	ring := pr.rings.at(w)
+	cell := e.cells.at(w)
+	p, _ := e.progress()
 	s := WorkerSample{
 		AtNS:        time.Now().UnixNano(),
 		Popped:      nPopped,
 		Transitions: nTransitions,
-		Steals:      e.front.steals(w),
+		Steals:      cell.steals.Load(),
 		PoolGets:    int64(gets),
 		PoolReuses:  int64(reuses),
-		Frontier:    e.front.depth(),
-		StoredBytes: e.passed.bytes(),
+		Frontier:    p.Frontier,
+		StoredBytes: p.StoredBytes,
 	}
+	ring := &cell.ring
 	if len(ring.samples) < maxSamples {
 		ring.samples = append(ring.samples, s)
 	} else {
@@ -185,15 +189,16 @@ func (e *explorer) sampleProfile(w int, nPopped, nTransitions int64, gets, reuse
 // finalize freezes the run's series into the recorder. Called from
 // monView.setDone, strictly after the worker barrier, so the rings are
 // quiescent.
-func (pr *profRun) finalize(e *explorer, totals Progress) {
+func (pr *profRun) finalize(e *explorer, totals Progress, t cellTotals) {
 	p := &SweepProfile{
-		Workers:     len(pr.rings),
+		Workers:     len(e.cells),
 		SampleEvery: int(pr.mask + 1),
+		Steals:      t.steals,
 		Totals:      totals,
 	}
-	p.Series = make([]WorkerSeries, len(pr.rings))
-	for w := range pr.rings {
-		r := pr.rings.at(w)
+	p.Series = make([]WorkerSeries, len(e.cells))
+	for w := range e.cells {
+		r := &e.cells.at(w).ring
 		ws := WorkerSeries{Worker: w}
 		if r.n > len(r.samples) {
 			ws.Dropped = r.n - len(r.samples)
@@ -206,11 +211,6 @@ func (pr *profRun) finalize(e *explorer, totals Progress) {
 		}
 		p.Series[w] = ws
 	}
-	if e.front != nil {
-		for w := range pr.rings {
-			p.Steals += e.front.steals(w)
-		}
-	}
 	if e.passed != nil {
 		p.StoreContention = e.passed.contention()
 	}
@@ -218,7 +218,7 @@ func (pr *profRun) finalize(e *explorer, totals Progress) {
 }
 
 // EnableProfile switches the monitor's next runs to profiled mode: phase
-// spans accumulate and every attached exploration allocates sampling rings.
+// spans accumulate and every attached exploration fills sampling rings.
 // Call before the run starts; calling it again replaces the configuration
 // and clears previously recorded data.
 func (m *Monitor) EnableProfile(cfg ProfileConfig) {

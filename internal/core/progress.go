@@ -4,13 +4,15 @@ import "sync/atomic"
 
 // This file is the live-progress view of the unified explorer: a Monitor
 // attached through Options.Monitor lets another goroutine sample a running
-// exploration (states stored, expansion counters, frontier backlog) without
-// perturbing it. The mechanism follows the per-worker ownership style of the
-// rest of the engine: every worker publishes its loop-local counters into its
-// own perWorker cell with plain atomic stores (single writer, never a
-// read-modify-write, never contended), and Snapshot sums the cells. Once the
-// run finishes, Snapshot switches to the explorer's exact flushed totals, so
-// a final sample equals the run's Stats.
+// exploration (states stored, expansion counters, backlog) without
+// perturbing it. It adds no write of its own: the workers publish into their
+// run's workerCells (perworker.go) at the between-expansions checkpoint
+// whether or not a Monitor is attached, and Snapshot sums the cells, so a
+// monitored sweep runs the very loop an unmonitored one does. The monitor
+// attaches strictly after the frontier is in place: the atomic store in
+// attach publishes every explorer field Snapshot reads. Once the run is
+// over, setDone freezes the cells' exact sums (the workers' exit publish has
+// landed) and drops the explorer, so a final sample equals the run's Stats.
 
 // Progress is a point-in-time view of one exploration.
 type Progress struct {
@@ -22,8 +24,9 @@ type Progress struct {
 	Transitions int64
 	// Deadlocks counts expanded states with no action successor so far.
 	Deadlocks int64
-	// Frontier is the current backlog: states admitted but not yet fully
-	// expanded. Zero once the run is over.
+	// Frontier is the current backlog: states admitted, not yet popped.
+	// While running it is relaxed by at most 32 expansions per worker (the
+	// publication interval); zero once the run is over.
 	Frontier int64
 	// StoredBytes is the passed store's actual footprint: entries, zone
 	// records, packed zone buffers and interned discrete vectors (see
@@ -43,64 +46,54 @@ type Progress struct {
 	Running bool
 }
 
-// workerCounts is one worker's published counters.
-type workerCounts struct {
-	popped      atomic.Int64
-	transitions atomic.Int64
-	deadlocks   atomic.Int64
+// progress reads the run's counters. The cells are loaded before stored, so
+// the backlog stored − Σpopped is never negative: every popped state was
+// admitted first, and stored only grows.
+func (e *explorer) progress() (Progress, cellTotals) {
+	t := sumCells(e.cells)
+	p := Progress{
+		Workers:     len(e.cells),
+		Stored:      e.stored.Load(),
+		Popped:      t.popped,
+		Transitions: t.transitions,
+		Deadlocks:   t.deadlocks,
+	}
+	p.Frontier = p.Stored - p.Popped
+	if e.passed != nil {
+		p.StoredBytes = e.passed.bytes()
+		p.InternHits, p.InternMisses = e.passed.internStats()
+	}
+	return p, t
 }
 
-// publish stores the worker's loop locals; single writer per cell.
-func (c *workerCounts) publish(popped, transitions, deadlocks int64) {
-	c.popped.Store(popped)
-	c.transitions.Store(transitions)
-	c.deadlocks.Store(deadlocks)
-}
-
-// monView binds a Monitor to one exploration run. The explorer pointer and
-// the profile rings are dropped at completion, so a long-retained Monitor (a
-// finished service job in a result cache) pins only the final totals, the
-// per-worker cells and the finalized SweepProfile — never the run's passed
-// store, parent logs, zones or sample rings.
+// monView binds a Monitor to one exploration run. The explorer pointer is
+// dropped at completion, so a long-retained Monitor (a finished service job
+// in a result cache) pins only the final totals and the finalized
+// SweepProfile — never the run's passed store, parent logs, zones or cells
+// and the sample rings in them.
 type monView struct {
-	e     atomic.Pointer[explorer]
-	cells perWorker[workerCounts]
+	e atomic.Pointer[explorer]
 	// prof is the run's profile sampling state; nil unless the Monitor has
 	// profiling enabled (EnableProfile), so a plain monitored run allocates
-	// nothing for it, and nil again once setDone has finalized it. Only the
-	// exploring goroutine touches it: attach before the workers start,
-	// setDone after their barrier.
+	// nothing for it.
 	prof *profRun
-	// final holds the exact flushed totals once the run is over; stored
-	// strictly before e is cleared, so a Snapshot that finds e nil re-reads
-	// final and always gets it.
+	// final holds the exact totals once the run is over; stored strictly
+	// before e is cleared, so a Snapshot that finds e nil re-reads final and
+	// always gets it.
 	final atomic.Pointer[Progress]
 }
 
-// setDone freezes the run's exact totals and releases the explorer and the
-// sample rings.
+// setDone freezes the run's exact totals and releases the explorer. Called
+// strictly after the worker barrier.
 func (v *monView) setDone() {
 	e := v.e.Load()
 	if e == nil {
 		return
 	}
-	p := Progress{
-		Workers:     len(v.cells),
-		Stored:      e.stored.Load(),
-		Popped:      e.popped.Load(),
-		Transitions: e.transitions.Load(),
-		Deadlocks:   e.deadlocks.Load(),
-	}
-	if e.passed != nil {
-		p.StoredBytes = e.passed.bytes()
-		p.InternHits, p.InternMisses = e.passed.internStats()
-	}
+	p, t := e.progress()
+	p.Frontier = 0
 	if v.prof != nil {
-		// The worker barrier has passed: the sample rings are quiescent, so
-		// the run's series freezes into the recorder before the explorer is
-		// released, and the rings go with it.
-		v.prof.finalize(e, p)
-		v.prof = nil
+		v.prof.finalize(e, p, t)
 	}
 	v.final.Store(&p)
 	v.e.Store(nil)
@@ -121,10 +114,10 @@ type Monitor struct {
 // attach binds the monitor to a starting run. Called by explore strictly
 // after the explorer's frontier is in place, so the atomic store here orders
 // every explorer field Snapshot reads.
-func (m *Monitor) attach(e *explorer, workers int) *monView {
-	v := &monView{cells: make(perWorker[workerCounts], workers)}
+func (m *Monitor) attach(e *explorer) *monView {
+	v := &monView{}
 	if r := m.prof.Load(); r != nil {
-		v.prof = r.newRun(workers)
+		v.prof = r.newRun()
 	}
 	v.e.Store(e)
 	m.v.Store(v)
@@ -151,19 +144,7 @@ func (m *Monitor) Snapshot() Progress {
 		}
 		return Progress{}
 	}
-	p := Progress{Workers: len(v.cells), Stored: e.stored.Load(), Running: true}
-	if e.passed != nil {
-		p.StoredBytes = e.passed.bytes()
-		p.InternHits, p.InternMisses = e.passed.internStats()
-	}
-	for i := range v.cells {
-		c := v.cells.at(i)
-		p.Popped += c.popped.Load()
-		p.Transitions += c.transitions.Load()
-		p.Deadlocks += c.deadlocks.Load()
-	}
-	if f := e.front; f != nil {
-		p.Frontier = f.depth()
-	}
+	p, _ := e.progress()
+	p.Running = true
 	return p
 }

@@ -105,8 +105,9 @@ func TestSmallSweepLogsIntoSmallSegment(t *testing.T) {
 
 // TestFinishedRunKeepsNoRing runs a profiled 3-state sweep at stride 2 (two
 // samples) and checks that its ring grew only to what it held, that the
-// finished monitor's view no longer references the run's rings, and that
-// the finalized series is still served.
+// finished monitor's view no longer references the run's explorer (and with
+// it the cells that hold the rings), and that the finalized series is still
+// served.
 func TestFinishedRunKeepsNoRing(t *testing.T) {
 	c, err := NewChecker(buildChain(t))
 	if err != nil {
@@ -115,11 +116,11 @@ func TestFinishedRunKeepsNoRing(t *testing.T) {
 	mon := &Monitor{}
 	mon.EnableProfile(ProfileConfig{SampleEvery: 2})
 	// The sequential sweep runs the predicate on the exploring goroutine,
-	// which is also the one that attaches the rings and drops them.
-	var run *profRun
+	// which is also the one that attaches the explorer and drops it.
+	var run *explorer
 	q := NewReachQuery(func(*State) bool {
 		if v := mon.v.Load(); v != nil && v.prof != nil {
-			run = v.prof
+			run = v.e.Load()
 		}
 		return false
 	})
@@ -129,10 +130,10 @@ func TestFinishedRunKeepsNoRing(t *testing.T) {
 	if run == nil {
 		t.Fatal("the profiled run exposed no rings while live")
 	}
-	if v := mon.v.Load(); v.prof != nil {
-		t.Error("the finished run's view still holds its profRun")
+	if v := mon.v.Load(); v.e.Load() != nil {
+		t.Error("the finished run's view still holds its explorer")
 	}
-	ring := run.rings.at(0)
+	ring := &run.cells.at(0).ring
 	if ring.n != 2 || len(ring.samples) != 2 {
 		t.Fatalf("ring took %d samples, holds %d, want 2 and 2", ring.n, len(ring.samples))
 	}

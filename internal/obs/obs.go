@@ -13,8 +13,8 @@
 //     itself costs orders of magnitude more than one contended atomic. It
 //     must NEVER be called per explored state.
 //   - Per-state (hot-path) telemetry goes through the engine's own
-//     per-worker slots (core's perWorker): exactly one goroutine writes a
-//     slot, with plain atomic stores (never an RMW, never a lock), and the
+//     per-worker cells (core's workerCell): exactly one goroutine writes a
+//     cell, with plain atomic stores (never an RMW, never a lock), and the
 //     scrape side merges lock-free by summing. CounterFunc/GaugeFunc bridge
 //     such externally-owned values into the exposition.
 //

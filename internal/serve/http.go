@@ -366,8 +366,11 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
+	// terminal first: finish sets the state before it closes done, so the
+	// snapshot taken after a true terminal() always reads a terminal state.
+	term := j.terminal()
 	state, errMsg, _, finished := j.snapshot()
-	if !j.terminal() {
+	if !term {
 		writeNotReady(w, state, errMsg)
 		return
 	}

@@ -75,6 +75,8 @@ func TestSameQuestionSameKey(t *testing.T) {
 			r.Queries[1].Pred, r.Queries[1].Clock = "RAD.busy", "x"
 			r.Options.Seed, r.Options.HorizonMS, r.Options.QueueCap, r.Options.Witness = 7, 5, 3, true
 		}), true},
+		{"negative max_states is unlimited", ta(plain), ta(func(r *SubmitRequest) { r.Options.MaxStates = -5 }), true},
+		{"negative deadline_ms is the default deadline", ta(plain), ta(func(r *SubmitRequest) { r.Options.DeadlineMS = -1 }), true},
 		{"arch defaults spelled out", arch(plain),
 			arch(func(r *SubmitRequest) { r.Options.QueueCap = 8; r.Requirements = []string{"e2e", "first-op"} }), true},
 

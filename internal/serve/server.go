@@ -316,11 +316,11 @@ func (s *Server) intake(req *SubmitRequest) (*submission, error) {
 	sub := &submission{spec: jobSpec{
 		Kind:        req.Kind,
 		Workers:     workers,
-		MaxStates:   req.Options.MaxStates,
+		MaxStates:   max(req.Options.MaxStates, 0),
 		StateBudget: max(req.Options.StateBudget, 0),
 		MaxBytes:    maxBytes,
 		Order:       order.String(),
-		DeadlineMS:  req.Options.DeadlineMS,
+		DeadlineMS:  max(req.Options.DeadlineMS, 0),
 	}}
 	// The seed only feeds rdf shuffling.
 	if order == core.RDFS {
