@@ -30,10 +30,10 @@ import (
 //     passed store tracks the exact bytes of its entries, zone-record
 //     segments, compact zone buffers and interned discrete vectors
 //     (store.go), and the check adds that live total (passedSet.bytes) to
-//     the cells. That total is also what the waiting states cost: a state
-//     waits as the payload the store packed of it (an orphaned payload stays
-//     charged until its state is popped), so the frontier adds no zone bytes
-//     of its own.
+//     the cells. That total is also what the waiting states cost in zone
+//     bytes: a state waits as a node that references the payload the store
+//     packed of it (an orphaned payload stays charged until its node is
+//     popped), so the frontier adds no zone bytes of its own.
 
 // ErrStateBudget reports an exploration stopped because Options.StateBudget
 // unique states had been admitted. The accompanying Stats are the partial

@@ -51,14 +51,14 @@ const abortCheckMask = 31
 // gets one 20-byte record (parent ref, discrete key, successor index)
 // appended to its admitting worker's log, and the state is stamped with the
 // record's ref in State.ref (worker index in the high bits, the record's
-// segment and offset in the low bits), which the expanding worker reads; the
-// frontier's atomics order the two accesses. Records hold three packed
-// integers only — NEVER zone pointers, State pointers, or label copies — so
-// state recycling (succCtx.putState) stays sound and the zone-ownership
-// protocol of store.go is untouched. Packing a record into 20 bytes, instead
-// of one 80-byte record struct with a retained label, is what makes
-// always-on trace logging cheap enough for the big sweeps; segments that
-// grow with the log (logSeg) are what make it cheap for the many small
+// segment and offset in the low bits), which its waiting node carries to the
+// expanding worker; the frontier's atomics order the two accesses. Records
+// hold three packed integers only — NEVER zone pointers, State pointers, or
+// label copies — so state recycling (succCtx.putState) stays sound and the
+// zone-ownership protocol of store.go is untouched. Packing a record into 20
+// bytes, instead of one 80-byte record struct with a retained label, is what
+// makes always-on trace logging cheap enough for the big sweeps; segments
+// that grow with the log (logSeg) are what make it cheap for the many small
 // sweeps of a design study, a few dozen states each, which log into a few
 // hundred bytes rather than a big sweep's block.
 //
@@ -199,13 +199,76 @@ func (t *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 	return ln.parent, ln.key, sg.steps[i&logSegMask]
 }
 
-// frontier schedules admitted states between push and expansion. push and
+// # Frontier
+//
+// One engine, two frontiers: explorer.run is the single worker loop.
+// Workers <= 1 runs it inline over a listFrontier (BFS/DFS/RDFS); Workers > 1
+// runs it on goroutines over a dequeFrontier of Chase–Lev deques (wsqueue.go)
+// with randomized stealing and a pending counter as termination barrier. The
+// only shared mutable structures are the passed store, the frontier, the
+// parent logs (per-worker ownership), the worker cells and the explorer's
+// atomics.
+//
+// A frontier holds waiting nodes, not States. The node of an admitted state
+// references what the store already keeps of it — the entry, whose interned
+// vectors are its discrete part, and the packed payload of its zone — plus
+// the two words the store does not keep, its parent-log ref and its discrete
+// key. So a waiting state costs one small fixed-size node whatever the
+// dimension and the process count, and it cannot hold a matrix: the store
+// owns the only copy of its zone until it is popped. The life of a state:
+//
+//   - fired: engine.fire materializes a State from the worker's free list
+//     (succCtx.getState), owning a pooled matrix with the raw zone;
+//   - decided: passedSet.add either subsumes it — the State goes straight
+//     back to the free list (succCtx.putState) — or admits it, widening the
+//     zone in place and handing back the entry and a payload reference;
+//   - visited: the queries see the admitted State with its matrix;
+//   - parked: succCtx.park fills a node with entry, payload, ref and key,
+//     and recycles the State, its matrix with it; the node is pushed;
+//   - popped: succCtx.unpark rebuilds a pooled State from the node — the
+//     entry's vectors, key and ref, the payload decoded into a pooled
+//     matrix — and recycles the node; passedSet.release gives the payload
+//     back;
+//   - expanded: its successors are fired, decided, visited and parked, and
+//     the State goes back to the free list.
+//
+// A worker therefore holds at most one expanded State and its fired
+// successors at a time: a sweep allocates States in proportion to its widest
+// expansion, not its widest frontier. Nodes go onto the free list of the
+// worker that pops (or steals) them, and a worker carves new ones from
+// blocks sized to the run — 2, 4, 8, … up to 256 nodes (succCtx.park) — so
+// a sweep allocates nodes in proportion to its widest frontier, and a sweep
+// of a few dozen states a block or two.
+//
+// Visitors run concurrently under Workers > 1 and must not retain a state
+// beyond the call: the State they see is recycled as soon as the queries
+// have seen it (an admitted one) or it is expanded (a deadlocked one), and
+// its matrix with it. FoundState and replayed trace states are exempt: both
+// are caller-owned clones (explorer.completeQuery, replayTrace).
+
+// waiting is a node of the frontier: an admitted state between its push and
+// its pop.
+type waiting struct {
+	// entry is the store entry that admitted the state. Its interned locs
+	// and vrs are the state's discrete part; they never change once the
+	// entry is published, so the popping worker reads them without holding
+	// the entry.
+	entry *storeEntry
+	// packed references the payload the store packed of the admitted zone —
+	// the store's buffer, not a copy — until the popping worker has decoded
+	// it and released it (passedSet.release; "Zone ownership" in store.go).
+	packed dbm.Compact
+	ref    int64  // the state's parent-log ref (State.ref)
+	key    uint64 // the state's discrete key (State.key)
+}
+
+// frontier schedules waiting nodes between push and expansion. push and
 // expanded are called by the worker that admitted/expanded the state; pop
 // returns nil when the exploration is over for that worker (no work
 // anywhere, or the stop flag is up).
 type frontier interface {
-	push(w int, s *State)
-	pop(w int) *State
+	push(w int, n *waiting)
+	pop(w int) *waiting
 	// expanded signals that a state obtained from pop has been fully
 	// expanded (every successor pushed); the parallel frontier counts these
 	// against its termination barrier.
@@ -213,31 +276,39 @@ type frontier interface {
 }
 
 // listFrontier is the sequential waiting list: FIFO for BFS, LIFO for
-// DFS/RDFS (successor shuffling happens in the worker loop). A waiting state
-// holds no matrix — its zone is the payload State.packed references, decoded
-// by the worker after pop — so the list costs a pointer and a small struct
-// per state whatever the dimension. The waiting states are list[head:]; BFS
-// pops by advancing head and the slots before it are reused — on empty the
-// list restarts at slot 0, and once head passes half the slice the tail is
-// copied down — so one backing array of about twice the widest level serves
-// the whole sweep, where a list re-sliced at its front would walk an
-// ever-regrown array through every state stored.
+// DFS/RDFS (successor shuffling happens in the worker loop). It costs a
+// pointer per waiting state, besides the node. The waiting nodes are
+// list[head:]; BFS pops by advancing head and the slots before it are
+// reused — on empty the list restarts at slot 0, and once head passes half
+// the slice the tail is copied down — so one backing array of about twice
+// the widest level serves the whole sweep, where a list re-sliced at its
+// front would walk an ever-regrown array through every state stored. The
+// list holds pointers, not the nodes themselves: with the reused head slots
+// and append's doubling, it runs to up to four slots per waiting state,
+// which at a node's 48 bytes costs more than the node and one 8-byte slot
+// (held by value, the nodes put 11% more on fischer's alloc_mb_per_verdict
+// than the States they replaced).
 type listFrontier struct {
 	order Order
-	list  []*State
-	head  int // BFS only: index of the next state to pop
+	list  []*waiting
+	head  int // BFS only: index of the next node to pop
 	stop  *atomic.Bool
 }
 
-func (f *listFrontier) push(_ int, s *State) { f.list = append(f.list, s) }
+// listStartCap is the slot count a sequential run's list starts with: about
+// what the small sweeps of a design study keep waiting at once, in one
+// allocation instead of growing through one, two and four slots.
+const listStartCap = 4
 
-func (f *listFrontier) pop(_ int) *State {
+func (f *listFrontier) push(_ int, n *waiting) { f.list = append(f.list, n) }
+
+func (f *listFrontier) pop(_ int) *waiting {
 	if f.stop.Load() || f.head == len(f.list) {
 		return nil
 	}
-	var s *State
+	var n *waiting
 	if f.order == BFS {
-		s = f.list[f.head]
+		n = f.list[f.head]
 		f.head++
 		switch {
 		case f.head == len(f.list):
@@ -247,10 +318,10 @@ func (f *listFrontier) pop(_ int) *State {
 			f.list, f.head = f.list[:copy(f.list, f.list[f.head:])], 0
 		}
 	} else {
-		s = f.list[len(f.list)-1]
+		n = f.list[len(f.list)-1]
 		f.list = f.list[:len(f.list)-1]
 	}
-	return s
+	return n
 }
 
 func (f *listFrontier) expanded(int) {}
@@ -289,12 +360,12 @@ func newDequeFrontier(cells perWorker[workerCell], seed int64, stop *atomic.Bool
 	return f
 }
 
-func (f *dequeFrontier) push(w int, s *State) {
+func (f *dequeFrontier) push(w int, n *waiting) {
 	f.pending.Add(1)
-	f.deques[w].push(s)
+	f.deques[w].push(n)
 }
 
-func (f *dequeFrontier) pop(w int) *State {
+func (f *dequeFrontier) pop(w int) *waiting {
 	me := f.deques[w]
 	rng := f.rngs[w]
 	idleSpins := 0
@@ -302,17 +373,17 @@ func (f *dequeFrontier) pop(w int) *State {
 		if f.stop.Load() {
 			return nil
 		}
-		s := me.pop()
-		for attempt := 0; s == nil && attempt < 2*len(f.deques); attempt++ {
+		n := me.pop()
+		for attempt := 0; n == nil && attempt < 2*len(f.deques); attempt++ {
 			if v := f.deques[rng.Intn(len(f.deques))]; v != me {
-				if s = v.steal(); s != nil {
+				if n = v.steal(); n != nil {
 					c := &f.cells.at(w).steals
 					c.Store(c.Load() + 1)
 				}
 			}
 		}
-		if s != nil {
-			return s
+		if n != nil {
+			return n
 		}
 		if f.pending.Load() == 0 {
 			return nil
@@ -359,6 +430,12 @@ type explorer struct {
 	// before any worker has a succCtx; part of the explorer so that it costs
 	// no allocation of its own.
 	initScratch closeScratch
+	// initNode is the initial state's waiting node, and initState that
+	// state once it waits: worker 0 takes its struct and vectors as its
+	// first free State. Both are part of the explorer so that they cost no
+	// allocation of their own.
+	initNode  waiting
+	initState *State
 
 	// hasCheck caches "Cancel, Deadline, or MaxBytes configured" so the
 	// worker loop pays a single predictable branch when none is.
@@ -454,15 +531,20 @@ func (e *explorer) runContained(w int) {
 	e.run(w)
 }
 
-// run is the worker loop, identical for both frontiers: pop, unpack the zone,
-// expand, admit successors, feed the query set, park what was admitted,
-// recycle the expanded state. Statistics accumulate in locals, published
-// into the worker's cell at each checkpoint and once more on exit.
+// run is the worker loop, identical for both frontiers: pop a node and
+// rebuild its state, expand, admit successors, feed the query set, park what
+// was admitted, recycle the expanded state. Statistics accumulate in locals,
+// published into the worker's cell at each checkpoint and once more on exit.
 func (e *explorer) run(w int) {
 	ctx := e.c.eng.newCtx(&e.slabs)
 	// Parent-log records hold successor indices, not labels, so the worker
 	// loop never needs stable label copies — replay rebuilds them on demand.
 	ctx.keepLabels = false
+	if w == 0 && e.initState != nil {
+		// Its matrix is a heap one, not a pool's: it goes to the collector.
+		e.initState.Zone = nil
+		ctx.states = append(ctx.states, e.initState)
+	}
 	var shuffle *rand.Rand
 	if e.opts.Order == RDFS {
 		// Worker 0 reproduces the sequential RDFS stream for a given seed.
@@ -512,13 +594,13 @@ func (e *explorer) run(w int) {
 			gets, reuses := ctx.pool.Stats()
 			e.sampleProfile(w, nPopped, nTransitions, gets, reuses)
 		}
-		s := e.front.pop(w)
-		if s == nil {
+		node := e.front.pop(w)
+		if node == nil {
 			return
 		}
 		nPopped++
-		ctx.restoreZone(s)
-		e.passed.release(s)
+		s, payload := ctx.unpark(node)
+		e.passed.release(s, payload)
 		var err error
 		succs, err = e.c.eng.successors(ctx, s, succs[:0])
 		if err != nil {
@@ -541,7 +623,8 @@ func (e *explorer) run(w int) {
 		}
 		for _, sc := range succs {
 			nTransitions++
-			if !e.passed.add(sc.state, &ctx.closeScratch) {
+			entry, payload := e.passed.add(sc.state, &ctx.closeScratch)
+			if entry == nil {
 				// Subsumed: the state is discarded and nothing else
 				// references it, so it is recycled wholesale.
 				ctx.putState(sc.state)
@@ -566,9 +649,8 @@ func (e *explorer) run(w int) {
 				e.stop.Store(true)
 				return
 			}
-			// The queries have seen the matrix; the state waits without it.
-			ctx.releaseZone(sc.state)
-			e.front.push(w, sc.state)
+			// The queries have seen the state; it waits as a node.
+			e.front.push(w, ctx.park(sc.state, entry, payload))
 		}
 		e.front.expanded(w)
 		// s is fully expanded and nothing admitted references it, so recycle
@@ -598,7 +680,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	// The sweep's slabs go back to the process-wide cache once per run, on
 	// every way out of this function: strictly after the worker barrier and
 	// after every Query.finish and replayTrace below, when the frontier's
-	// states, the store's payloads and the workers' pools are referenced by
+	// nodes, the store's payloads and the workers' pools are referenced by
 	// nothing that survives the return (see "Zone ownership" in store.go).
 	// Canceled, budget-failed and panic-contained runs release too: a slab is
 	// raw bytes, and whoever carves it next initializes what it carves. The
@@ -641,7 +723,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		}
 		e.passed = newStore(shards, &e.slabs, &c.eng.bounds)
 	}
-	e.passed.add(init, &e.initScratch)
+	entry, payload := e.passed.add(init, &e.initScratch)
 	e.stored.Store(1)
 	init.ref = noRef
 	if e.logs != nil {
@@ -667,12 +749,13 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		if parallel {
 			e.front = newDequeFrontier(e.cells, opts.Seed, &e.stop)
 		} else {
-			e.front = &listFrontier{order: opts.Order, stop: &e.stop}
+			e.front = &listFrontier{order: opts.Order, list: make([]*waiting, 0, listStartCap), stop: &e.stop}
 		}
-		// init waits like any admitted state: as its payload (its matrix is
-		// a heap one, so it goes to the collector and not to a pool).
-		init.Zone = nil
-		e.front.push(0, init)
+		// init waits like any admitted state, as a node, and its State goes
+		// to worker 0's free list.
+		e.initNode = waiting{entry: entry, packed: payload, ref: init.ref, key: init.discreteKey()}
+		e.front.push(0, &e.initNode)
+		e.initState = init
 	}
 	// Attach the monitor strictly after e.front is in place: the atomic
 	// publication inside attach orders the frontier write before any

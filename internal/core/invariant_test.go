@@ -97,28 +97,27 @@ func TestTargetInvariantDisablesTransition(t *testing.T) {
 func TestListFrontierReusesSlots(t *testing.T) {
 	var stop atomic.Bool
 	f := &listFrontier{order: BFS, stop: &stop}
-	states := make([]*State, 10_000)
-	for i := range states {
-		states[i] = &State{}
+	nodes := make([]*waiting, 10_000)
+	for i := range nodes {
+		nodes[i] = &waiting{}
 	}
 	next, popped := 0, 0
 	push := func(k int) {
-		for ; k > 0 && next < len(states); k-- {
-			f.push(0, states[next])
+		for ; k > 0 && next < len(nodes); k-- {
+			f.push(0, nodes[next])
 			next++
 		}
 	}
 	pop := func(k int) {
 		for ; k > 0; k-- {
-			s := f.pop(0)
-			if s != states[popped] {
-				t.Fatalf("pop %d returned the wrong state", popped)
+			if f.pop(0) != nodes[popped] {
+				t.Fatalf("pop %d returned the wrong node", popped)
 			}
 			popped++
 		}
 	}
 	push(40)
-	for next < len(states) {
+	for next < len(nodes) {
 		pop(3) // backlog oscillates around 40
 		push(3)
 		if d := len(f.list) - f.head; d != next-popped {
@@ -134,9 +133,9 @@ func TestListFrontierReusesSlots(t *testing.T) {
 	}
 	// LIFO orders are untouched by the head index.
 	f = &listFrontier{order: DFS, stop: &stop}
-	f.push(0, states[0])
-	f.push(0, states[1])
-	if f.pop(0) != states[1] || f.pop(0) != states[0] || f.pop(0) != nil {
+	f.push(0, nodes[0])
+	f.push(0, nodes[1])
+	if f.pop(0) != nodes[1] || f.pop(0) != nodes[0] || f.pop(0) != nil {
 		t.Error("DFS must pop in reverse push order")
 	}
 }

@@ -19,7 +19,8 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 	vars := []int64{0}
 
 	small := mkState(locs, vars, 10)
-	if !admit(st, small) {
+	held := admit(st, small)
+	if held == nil {
 		t.Fatal("first zone must be admitted")
 	}
 	// The store must have packed its own buffer for small.Zone.
@@ -30,10 +31,10 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 	}
 
 	// small is popped and expanded: its record is the payload's only holder.
-	st.release(small)
+	st.release(small, held)
 
 	big := mkState(locs, vars, 20)
-	if !admit(st, big) {
+	if admit(st, big) == nil {
 		t.Fatal("covering zone must be admitted")
 	}
 	// small's packed copy was pruned and released inside Add, and the pack
@@ -55,10 +56,10 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 	// x<=20 still subsumes x<=15, and x<=25 is still new.
 	big.Zone.SetInit()
 	small.Zone.SetInit()
-	if admit(st, mkState(locs, vars, 15)) {
+	if admit(st, mkState(locs, vars, 15)) != nil {
 		t.Error("stored zone corrupted: x<=15 no longer subsumed")
 	}
-	if !admit(st, mkState(locs, vars, 25)) {
+	if admit(st, mkState(locs, vars, 25)) == nil {
 		t.Error("stored zone corrupted: x<=25 not admitted")
 	}
 }
@@ -72,13 +73,13 @@ func TestAddDoesNotRetainCallerZone(t *testing.T) {
 	vars := []int64{0}
 
 	s := mkState(locs, vars, 10)
-	if !admit(st, s) {
+	if admit(st, s) == nil {
 		t.Fatal("zone must be admitted")
 	}
 	// Simulate the explorer recycling the state's own zone.
 	s.Zone.SetInit()
 
-	if admit(st, mkState(locs, vars, 8)) {
+	if admit(st, mkState(locs, vars, 8)) != nil {
 		t.Error("store lost the admitted zone x<=10 after the caller's copy was recycled")
 	}
 }

@@ -76,7 +76,7 @@ type Options struct {
 	// state's zone is charged as the packed payload in that footprint — the
 	// one copy there is of it — and matrices only as the workers' scratch.
 	// Accounting is per-worker (budget.go) and adds nothing to the visitor
-	// path; frontier slots, parent logs and query accumulators are not
+	// path; frontier nodes, parent logs and query accumulators are not
 	// counted.
 	MaxBytes int64
 	// Workers > 1 runs the exploration — every query kind, traces included —

@@ -26,18 +26,13 @@ import (
 type State struct {
 	Locs []ta.LocID
 	Vars []int64
-	// Zone is the state's canonical zone. Every state a caller can see has
-	// one: visitors, deadlock observers, FoundState and trace steps. Inside
-	// the explorer it is nil exactly while the state waits in the frontier,
-	// when packed stands in for it.
+	// Zone is the state's canonical zone, never nil: a State exists only
+	// while a worker holds it — fired and not yet decided, admitted and being
+	// visited, or popped and being expanded — or after a caller was handed
+	// one (FoundState, trace steps). A state that waits in the frontier is
+	// not a State but a waiting node, which references the store's packed
+	// payload instead of a matrix (explore.go).
 	Zone *dbm.DBM
-
-	// packed references the payload the passed store packed of Zone when it
-	// admitted the state — the store's buffer, not a copy — from admission
-	// until the worker that pops the state has decoded it and released the
-	// reference (passedSet.release; "Zone ownership" in store.go). nil in
-	// any state that is not between those two points.
-	packed dbm.Compact
 
 	// key caches discreteHash(Locs, Vars); 0 means not yet computed
 	// (discreteHash never returns 0). The discrete part of a state is
@@ -47,10 +42,10 @@ type State struct {
 	key uint64
 
 	// ref is the state's admission record in the exploration's parent logs
-	// (explore.go), noRef when parent logging is off. It is written once by
-	// the admitting worker before the state reaches a frontier and read by
-	// the worker that later expands it; the frontier's atomics order the
-	// two accesses.
+	// (explore.go), noRef when parent logging is off. The admitting worker
+	// writes it before the visitors see the state and copies it into the
+	// waiting node; the worker that pops the node writes it back into the
+	// state it rebuilds.
 	ref int64
 }
 

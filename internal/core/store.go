@@ -19,13 +19,15 @@ import (
 type passedSet interface {
 	// add admits s, whose zone is raw (canonical, not extrapolated), unless
 	// it is subsumed. An admitted state leaves with its zone extrapolated in
-	// place — sc is the calling worker's scratch for that — and s.packed
-	// referencing the packed copy of it, a reference the caller gives back
-	// with exactly one release. A subsumed state is left as it came.
-	add(s *State, sc *closeScratch) bool
-	// release gives back the payload reference add handed s, once the caller
-	// has decoded it.
-	release(s *State)
+	// place — sc is the calling worker's scratch for that — and add returns
+	// the entry that admitted it, whose interned vectors are the state's
+	// discrete part, and a reference to the packed copy of the zone, which
+	// the caller gives back with exactly one release. A subsumed state is
+	// left as it came, and add returns a nil entry.
+	add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact)
+	// release gives back a payload reference add handed out, once the caller
+	// has decoded it into s — the state rebuilt from its waiting node.
+	release(s *State, payload dbm.Compact)
 	size() int
 	// bytes reports the actual stored footprint: entries, zone records,
 	// packed zone buffers and interned discrete vectors.
@@ -65,7 +67,9 @@ type passedSet interface {
 // vectors. Entries intern those vectors (see internTable): location vectors
 // and variable valuations repeat heavily across entries, so each unique
 // vector is stored once per shard — never an alias of a state's slices,
-// since states recycle and entries do not.
+// since states recycle and entries do not. A waiting node keeps its entry,
+// not vectors of its own: the popping worker copies the state's discrete
+// part back out of the interned ones.
 //
 // # Admission index
 //
@@ -93,14 +97,14 @@ type passedSet interface {
 // admission (dbm.EncodeCompact into a buffer from the shard-owned
 // dbm.CompactPool). The store never aliases a state's matrix, and full
 // matrices live only in the workers' pools as scratch; what a waiting state
-// keeps of its zone is a reference to the store's payload. So a payload has
-// up to two holders — its record and its waiting state — and the holder mark
-// in its header (dbm.Compact byte [1]) says which: held by both, held by the
-// record alone (zero, the state was popped), or orphaned (the record was
-// pruned while the state still waits). The mark is read and written only by
-// whoever holds the entry; the payload behind it is immutable until the
-// buffer is recycled, which happens only when the last holder lets go. The
-// full protocol:
+// keeps of its zone is its waiting node's reference to the store's payload
+// (waiting.packed, explore.go). So a payload has up to two holders — its
+// record and the waiting node — and the holder mark in its header
+// (dbm.Compact byte [1]) says which: held by both, held by the record alone
+// (zero, the node was popped), or orphaned (the record was pruned while the
+// node still waits). The mark is read and written only by whoever holds the
+// entry; the payload behind it is immutable until the buffer is recycled,
+// which happens only when the last holder lets go. The full protocol:
 //
 //   - engine.fire materializes successors from a per-worker succCtx (pooled
 //     scratch DBM, scratch locs/vars/parts, and the dbm.Touched sets the
@@ -111,38 +115,40 @@ type passedSet interface {
 //   - store.add(s, sc) receives that raw zone. On admission it extrapolates
 //     s.Zone in place (the one place a sweep widens a zone; sc is the calling
 //     worker's scratch, so under a shard lock nothing shared is written but
-//     the entry), packs it, marks the payload held by both and points
-//     s.packed at it: the caller gets back the stored zone in s.Zone. If add
-//     reports false (subsumed), s.Zone is still the raw zone and the caller
-//     recycles s wholesale via succCtx.putState — nothing else references it.
+//     the entry), packs it, marks the payload held by both and hands back
+//     the entry and the payload: the caller keeps the stored zone in s.Zone.
+//     If add returns a nil entry (subsumed), s.Zone is still the raw zone and
+//     the caller recycles s wholesale via succCtx.putState — nothing else
+//     references it.
 //   - explorer.run feeds the admitted state to the queries, which read
-//     s.Zone, and then parks it: succCtx.releaseZone puts the matrix back
-//     into the worker's pool and the state waits in the frontier with
-//     Zone == nil (explore does the same to the initial state, whose heap
-//     matrix goes to the collector). Those two are the only hand-offs; no
-//     state waits with a matrix.
+//     s.Zone, and then parks it: it pushes a waiting node of the entry, the
+//     payload reference, the ref and the key, and recycles s, its matrix with
+//     it (the initial state's heap matrix goes to the collector instead). A
+//     node has no field for a matrix, so no state waits with one.
 //   - A stored zone covered by a later admission is pruned inside add
 //     whether or not its state was expanded — exploration order, and with it
 //     every count and trace, does not depend on the store's bookkeeping. If
 //     the record was the payload's only holder the buffer goes back to the
-//     compact pool at once; if the state still waits the payload is marked
+//     compact pool at once; if the node still waits the payload is marked
 //     orphaned and stays charged to bytes() until it is released.
-//   - The worker that pops a state decodes s.packed into a matrix from its
-//     own pool — without holding the entry: the payload cannot change while
-//     the state holds it, and no dbm kernel touches the mark — and then calls
-//     release, which takes the entry (for a parallel run, the shard lock):
-//     an orphaned buffer goes back to the shard's compact pool, any other is
-//     marked as the record's alone. The expanded state is recycled via
+//   - The worker that pops a node rebuilds its state (succCtx.unpark): the
+//     entry's vectors, and the payload decoded into a matrix from its own
+//     pool — without holding the entry: the vectors never change once the
+//     entry is published, the payload cannot change while the node holds
+//     it, and no dbm kernel touches the mark. Then it calls release, which
+//     takes the entry (for a parallel run, the shard lock): an orphaned
+//     buffer goes back to the shard's compact pool, any other is marked as
+//     the record's alone. The expanded state is recycled via
 //     succCtx.putState like a subsumed one.
 //   - A run that stops early (visitor, MaxStates, cancel, budget, panic)
-//     leaves waiting states holding payloads; nothing releases them, and
-//     nothing has to: states, records and pools die with the run.
+//     leaves waiting nodes holding payloads; nothing releases them, and
+//     nothing has to: nodes, records and pools die with the run.
 //
 // Fork census (continued from the dbm package comment; scripts/traffic.sh
 // prints it): a successor is subsumed on its raw zone — 65% of fischer's
 // (84,825 of 131,186 per sweep), 28% of archchain's (30,060 of 107,673), 23%
 // of table1's — or admitted and widened, the dbm comment's Extrapolate row.
-// A prune meets a payload whose state still waits, and release
+// A prune meets a payload whose node still waits, and release
 // later recycles the orphan, on table1 and variants (about half their
 // prunes) and on archchain (every prune there: 6,836 of 77,613 admissions);
 // fischer and serve_cold prune nothing at all.
@@ -166,7 +172,7 @@ type passedSet interface {
 // The one place this changes is a new kind of result: if it holds a *State,
 // a *dbm.DBM or a dbm.Compact, it must copy before explore returns. The
 // package's tests run with released slabs and recycled payloads poisoned
-// (slab_test.go), so an alias — a result into a slab, or a waiting state into
+// (slab_test.go), so an alias — a result into a slab, or a waiting node into
 // a payload the store already recycled — shows up as garbage in the first
 // test that looks, or as a fault if the slab is gone by then.
 type store struct {
@@ -180,9 +186,9 @@ type store struct {
 	locked bool
 	zones  atomic.Int64
 	// zoneBytes tracks the bytes currently held for stored zones — entries,
-	// record segments and packed payloads, orphaned ones included until their
-	// waiting state releases them; a Monitor samples bytes() while workers
-	// add.
+	// record segments and packed payloads, orphaned ones included until the
+	// worker that pops their waiting node releases them; a Monitor samples
+	// bytes() while workers add.
 	zoneBytes atomic.Int64
 	// contended counts adds that found their shard lock held (TryLock
 	// failed) and had to block — the sweep profile's store-contention total.
@@ -216,9 +222,9 @@ type zoneRec struct {
 // Holder marks of a payload (dbm.Compact.Holder; "Zone ownership" above).
 // Zero, the mark a fresh payload has, means the record is the only holder.
 const (
-	// heldByBoth: the record and the admitted state, which still waits.
+	// heldByBoth: the record and the admitted state's waiting node.
 	heldByBoth = 1
-	// orphaned: the record was pruned; the waiting state is the only holder
+	// orphaned: the record was pruned; the waiting node is the only holder
 	// and its release recycles the buffer.
 	orphaned = 2
 )
@@ -366,11 +372,12 @@ func lookupEntry(buckets map[uint64]*storeEntry, s *State, it *internTable) *sto
 // stored zone includes its raw zone, otherwise extrapolate s.Zone in place
 // against x (scratch: sc.rows, sc.cols), prune stored zones covered by it
 // (recycling into pool the buffers no waiting state holds, orphaning the
-// others) and store a packed copy of s.Zone, which s.packed then references.
-// It returns the change in the number of stored zones (0 when s was
-// subsumed; any admission nets at least +1 minus prunes) and the change in
-// stored bytes — payloads, record segments, and the entry itself when this
-// is its first zone. The caller must hold the entry (see the store comment).
+// others) and store a packed copy of s.Zone, which it returns for the
+// state's waiting node to hold (nil when s was subsumed). It also returns
+// the change in the number of stored zones (0 when s was subsumed; any
+// admission nets at least +1 minus prunes) and the change in stored bytes —
+// payloads, record segments, and the entry itself when this is its first
+// zone. The caller must hold the entry (see the store comment).
 //
 // Both inclusion directions are pre-filtered by the signature: d ⊆ z forces
 // sig(d) ≤ sig(z) in every lane, so a non-inclusion usually costs a compare
@@ -378,7 +385,7 @@ func lookupEntry(buckets map[uint64]*storeEntry, s *State, it *internTable) *sto
 // payload that is not. The raw zone's signature is at most the widened one's,
 // so the reject pre-filter passes a little more often than it would on the
 // widened zone; the exact check still decides.
-func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, sc *closeScratch) (delta int, bytesDelta int64, admitted bool) {
+func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, sc *closeScratch) (delta int, bytesDelta int64, payload dbm.Compact) {
 	if faultinject.Enabled {
 		// Chaos site inside compact admission: an injected error escalates to
 		// a panic so containment takes the exact path a real encoder or
@@ -401,7 +408,7 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, 
 		recs := tail.chunk(rem)
 		for i := range recs {
 			if r := &recs[i]; sig.Leq(&r.sig) && r.z.ContainsDBM(zone) {
-				return 0, 0, false
+				return 0, 0, nil
 			}
 		}
 		rem -= len(recs)
@@ -436,14 +443,14 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, 
 	r := &tail.chunk(1)[0]
 	r.sig, r.z = sig, dbm.EncodeCompact(zone, pool)
 	r.z.SetHolder(heldByBoth)
-	s.packed = r.z
 	e.n += 1 - pruned
-	return 1 - pruned, bytesDelta + int64(len(r.z)) + tail.grown, true
+	return 1 - pruned, bytesDelta + int64(len(r.z)) + tail.grown, r.z
 }
 
-// add inserts the state unless it is subsumed, reporting whether it is new.
-// See the type comment for the zone-ownership protocol.
-func (st *store) add(s *State, sc *closeScratch) bool {
+// add inserts the state unless it is subsumed, handing back the entry and
+// the payload a new state waits with (nil, nil when it is subsumed). See the
+// type comment for the zone-ownership protocol.
+func (st *store) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	sh := st.shards.at(int(s.discreteKey() & st.mask))
 	if st.locked {
 		// The unlock is deferred so a panic inside the admission (contained
@@ -459,22 +466,24 @@ func (st *store) add(s *State, sc *closeScratch) bool {
 		}
 		defer sh.mu.Unlock()
 	}
-	delta, bytesDelta, admitted := lookupEntry(sh.buckets, s, &sh.intern).admit(s, sh.cpool, st.bounds, sc)
+	e := lookupEntry(sh.buckets, s, &sh.intern)
+	delta, bytesDelta, payload := e.admit(s, sh.cpool, st.bounds, sc)
 	if delta != 0 {
 		st.zones.Add(int64(delta))
 	}
 	if bytesDelta != 0 {
 		st.zoneBytes.Add(bytesDelta)
 	}
-	return admitted
+	if payload == nil {
+		return nil, nil
+	}
+	return e, payload
 }
 
-// release gives back the payload reference of a state add admitted, after
-// the caller has decoded it: an orphaned buffer is recycled, any other stays
-// with its record.
-func (st *store) release(s *State) {
-	c := s.packed
-	s.packed = nil
+// release gives back the payload reference c of the state s was rebuilt
+// from, after the caller has decoded it: an orphaned buffer is recycled, any
+// other stays with its record.
+func (st *store) release(s *State, c dbm.Compact) {
 	sh := st.shards.at(int(s.discreteKey() & st.mask))
 	if st.locked {
 		sh.mu.Lock()

@@ -46,13 +46,25 @@ type refEntry struct {
 	locs []ta.LocID
 	vars []int64
 	zs   []*dbm.DBM
+	// words is what add hands back for a waiting node: an entry holding only
+	// the discrete vectors, widened to words as the store's interned ones.
+	words *storeEntry
+}
+
+// toWords copies a discrete vector into the words an entry holds.
+func toWords[T ~int | ~int64](xs []T) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = uint64(x)
+	}
+	return out
 }
 
 func newRefStore(bounds *dbm.ExtraBounds) *refStore {
 	return &refStore{bounds: bounds, buckets: make(map[uint64][]*refEntry)}
 }
 
-func (st *refStore) add(s *State, sc *closeScratch) bool {
+func (st *refStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s.Zone.Extrapolate(st.bounds, sc.rows, sc.cols)
@@ -65,12 +77,13 @@ func (st *refStore) add(s *State, sc *closeScratch) bool {
 		}
 	}
 	if e == nil {
-		e = &refEntry{key: h, locs: slices.Clone(s.Locs), vars: slices.Clone(s.Vars)}
+		e = &refEntry{key: h, locs: slices.Clone(s.Locs), vars: slices.Clone(s.Vars),
+			words: &storeEntry{locs: toWords(s.Locs), vrs: toWords(s.Vars)}}
 		st.buckets[h] = append(st.buckets[h], e)
 	}
 	for _, z := range e.zs {
 		if s.Zone.SubsetEq(z) {
-			return false
+			return nil, nil
 		}
 	}
 	keep := e.zs[:0]
@@ -86,13 +99,12 @@ func (st *refStore) add(s *State, sc *closeScratch) bool {
 	e.zs = append(keep, s.Zone.Copy())
 	st.zones++
 	st.zbytes += dbm.ZoneBytes(s.Zone.Dim())
-	// The waiting state's payload is a heap buffer of its own: the reference
+	// The waiting node's payload is a heap buffer of its own: the reference
 	// never recycles anything, so there is nothing for release to do.
-	s.packed = dbm.EncodeCompact(s.Zone, nil)
-	return true
+	return e.words, dbm.EncodeCompact(s.Zone, nil)
 }
 
-func (st *refStore) release(s *State) { s.packed = nil }
+func (st *refStore) release(*State, dbm.Compact) {}
 
 func (st *refStore) size() int {
 	st.mu.Lock()
@@ -114,7 +126,8 @@ func (st *refStore) contention() int64                 { return 0 }
 // the identical sequence, making per-decision equality a sound assertion
 // even with Workers > 1. The reference works on a copy of the raw zone, so
 // the store under test still gets it raw; when both admit, the zone the store
-// left in the state must be the one the reference widened.
+// left in the state must be the one the reference widened, and the entry it
+// handed back must hold the state's discrete part.
 type shadowStore struct {
 	mu            sync.Mutex
 	fast          passedSet
@@ -126,25 +139,26 @@ type shadowStore struct {
 	rejectedUnwidened atomic.Int64
 }
 
-func (sh *shadowStore) add(s *State, sc *closeScratch) bool {
+func (sh *shadowStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	widened := &State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()}
-	b := sh.ref.add(widened, sc)
-	a := sh.fast.add(s, sc)
-	if a != b || (a && !s.Zone.Eq(widened.Zone)) {
+	b, _ := sh.ref.add(widened, sc)
+	entry, payload := sh.fast.add(s, sc)
+	a := entry != nil
+	if a != (b != nil) || (a && (!s.Zone.Eq(widened.Zone) || !entry.matches(s.Locs, s.Vars))) {
 		sh.disagreements.Add(1)
 	}
 	if !a && !s.Zone.Eq(widened.Zone) {
 		sh.rejectedUnwidened.Add(1)
 	}
-	return a
+	return entry, payload
 }
 
-func (sh *shadowStore) release(s *State) {
+func (sh *shadowStore) release(s *State, c dbm.Compact) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.fast.release(s)
+	sh.fast.release(s, c)
 }
 
 func (sh *shadowStore) size() int                         { return sh.fast.size() }
@@ -268,34 +282,34 @@ type widenSpy struct {
 	changed  int // admissions whose zone extrapolation changed
 }
 
-func (w *widenSpy) add(s *State, sc *closeScratch) bool {
+func (w *widenSpy) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	w.adds++
 	if w.rejected[s.Zone] {
 		w.recycled++
 		delete(w.rejected, s.Zone)
 	}
 	matrix, raw := s.Zone, s.Zone.Copy()
-	ok := w.passedSet.add(s, sc)
+	entry, payload := w.passedSet.add(s, sc)
 	if s.Zone != matrix {
 		w.t.Fatalf("admission %d: add replaced the state's matrix", w.adds)
 	}
-	if !ok {
+	if entry == nil {
 		// Left as it came; the worker recycles it wholesale.
-		if !s.Zone.Eq(raw) || s.packed != nil {
+		if !s.Zone.Eq(raw) || payload != nil {
 			w.t.Errorf("admission %d: a subsumed state was modified", w.adds)
 		}
 		w.rejected[matrix] = true
-		return false
+		return nil, nil
 	}
 	dim := raw.Dim()
 	want := raw.Copy()
 	if want.Extrapolate(w.bounds, dbm.NewTouched(dim), dbm.NewTouched(dim)) {
 		w.changed++
 	}
-	if !s.Zone.Eq(want) || !s.packed.Decode().Eq(want) {
+	if !s.Zone.Eq(want) || !payload.Decode().Eq(want) {
 		w.t.Errorf("admission %d: zone and payload must both be the raw zone extrapolated once", w.adds)
 	}
-	return true
+	return entry, payload
 }
 
 // TestAdmissionWidensOnceAndRecyclesRejects pins what passedSet.add does to
@@ -543,8 +557,8 @@ func TestSegmentedListLockstep(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := w; i < len(states); i += workers {
-						if admit(sh, states[i]) {
-							sh.release(states[i])
+						if c := admit(sh, states[i]); c != nil {
+							sh.release(states[i], c)
 						}
 					}
 				}(w)

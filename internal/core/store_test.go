@@ -25,9 +25,12 @@ var keepAll = func() dbm.ExtraBounds {
 func testStore(shards int) *store { return newStore(shards, nil, &keepAll) }
 
 // admit is add with a scratch of its own, for callers that are not workers.
-func admit(st passedSet, s *State) bool {
+// It returns the payload an admitted state waits with, nil when s is
+// subsumed.
+func admit(st passedSet, s *State) dbm.Compact {
 	dim := s.Zone.Dim()
-	return st.add(s, &closeScratch{rows: dbm.NewTouched(dim), cols: dbm.NewTouched(dim)})
+	_, payload := st.add(s, &closeScratch{rows: dbm.NewTouched(dim), cols: dbm.NewTouched(dim)})
+	return payload
 }
 
 // entriesOf returns every entry of a bucket map, collision chains included.
@@ -66,16 +69,16 @@ func TestStoreSubsumption(t *testing.T) {
 	st := testStore(1)
 	locs := []ta.LocID{0}
 	vars := []int64{0}
-	if !admit(st, mkState(locs, vars, 10)) {
+	if admit(st, mkState(locs, vars, 10)) == nil {
 		t.Fatal("first state must be new")
 	}
-	if admit(st, mkState(locs, vars, 5)) {
+	if admit(st, mkState(locs, vars, 5)) != nil {
 		t.Error("included zone must be subsumed")
 	}
 	if st.size() != 1 {
 		t.Errorf("store length = %d, want 1", st.size())
 	}
-	if !admit(st, mkState(locs, vars, 20)) {
+	if admit(st, mkState(locs, vars, 20)) == nil {
 		t.Error("larger zone must be admitted")
 	}
 	// The larger zone covers the earlier one, which must have been pruned.
@@ -86,9 +89,9 @@ func TestStoreSubsumption(t *testing.T) {
 
 func TestStoreDistinguishesDiscreteParts(t *testing.T) {
 	st := testStore(1)
-	if !admit(st, mkState([]ta.LocID{0}, []int64{0}, 10)) ||
-		!admit(st, mkState([]ta.LocID{1}, []int64{0}, 10)) ||
-		!admit(st, mkState([]ta.LocID{0}, []int64{1}, 10)) {
+	if admit(st, mkState([]ta.LocID{0}, []int64{0}, 10)) == nil ||
+		admit(st, mkState([]ta.LocID{1}, []int64{0}, 10)) == nil ||
+		admit(st, mkState([]ta.LocID{0}, []int64{1}, 10)) == nil {
 		t.Fatal("distinct discrete parts must all be admitted")
 	}
 	if st.size() != 3 {
@@ -104,7 +107,7 @@ func TestStoreIncomparableZonesCoexist(t *testing.T) {
 	a := mkState(locs, vars, 10)
 	b := &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}
 	b.Zone.Constrain(0, 1, dbm.LE(-5))
-	if !admit(st, a) || !admit(st, b) {
+	if admit(st, a) == nil || admit(st, b) == nil {
 		t.Fatal("incomparable zones must both be admitted")
 	}
 	if st.size() != 2 {
@@ -130,8 +133,8 @@ func TestPStoreMatchesStore(t *testing.T) {
 			t.Fatalf("locked: 1 shard %v, %d shards %v; want false, true", seq.locked, shards, par.locked)
 		}
 		for i, s := range states {
-			a := admit(seq, &State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
-			b := admit(par, &State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()})
+			a := admit(seq, &State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()}) != nil
+			b := admit(par, &State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()}) != nil
 			if a != b {
 				t.Errorf("%d shards, state %d: one-shard add=%v sharded add=%v", shards, i, a, b)
 			}
@@ -166,8 +169,7 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 		t.Fatalf("empty store bytes = %d, want 0", st.bytes())
 	}
 	first := mkState(locs, vars, 10)
-	admit(st, first)
-	st.release(first)
+	st.release(first, admit(st, first))
 	after1 := st.bytes()
 	if after1 <= 0 {
 		t.Fatalf("bytes after one admission = %d, want > 0", after1)
@@ -184,7 +186,7 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 		t.Errorf("bytes changed on subsumed add: %d -> %d", after1, st.bytes())
 	}
 	second := mkState(locs, vars, 20)
-	admit(st, second) // prunes the x<=10 zone
+	held := admit(st, second) // prunes the x<=10 zone
 	if st.bytes() != after1 {
 		t.Errorf("bytes after prune+admit = %d, want %d (same-size swap)", st.bytes(), after1)
 	}
@@ -194,7 +196,7 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 	if want := after1 + packed(second); st.bytes() != want {
 		t.Errorf("bytes with an orphaned payload = %d, want %d", st.bytes(), want)
 	}
-	st.release(second)
+	st.release(second, held)
 	if st.bytes() != after1 {
 		t.Errorf("bytes after the orphan's release = %d, want %d", st.bytes(), after1)
 	}

@@ -51,9 +51,9 @@ func TestPStoreConcurrentSubsumingAdds(t *testing.T) {
 						// race the prunes that orphan their payloads; the
 						// other half's states wait forever.
 						s := &State{Locs: locs, Vars: vars, Zone: mkZone(c, step)}
-						if admit(st, s) && w%4 < 2 {
-							s.packed.DecodeInto(s.Zone)
-							st.release(s)
+						if c := admit(st, s); c != nil && w%4 < 2 {
+							c.DecodeInto(s.Zone)
+							st.release(s, c)
 						}
 					}
 				}
@@ -155,23 +155,23 @@ func TestExploreParallelStressMatchesSequential(t *testing.T) {
 // disciplines, including ring growth past the initial capacity.
 func TestWSDequeSequential(t *testing.T) {
 	d := newWSDeque(64)
-	states := make([]*State, 200) // > initial ring capacity, forces grow
-	for i := range states {
-		states[i] = &State{Vars: []int64{int64(i)}}
-		d.push(states[i])
+	nodes := make([]*waiting, 200) // > initial ring capacity, forces grow
+	for i := range nodes {
+		nodes[i] = &waiting{key: uint64(i)}
+		d.push(nodes[i])
 	}
-	if got := d.steal(); got != states[0] {
-		t.Errorf("steal returned %v, want oldest state 0", got.Vars)
+	if got := d.steal(); got != nodes[0] {
+		t.Errorf("steal returned node %d, want oldest node 0", got.key)
 	}
-	if got := d.pop(); got != states[len(states)-1] {
-		t.Errorf("pop returned %v, want newest state", got.Vars)
+	if got := d.pop(); got != nodes[len(nodes)-1] {
+		t.Errorf("pop returned node %d, want newest node", got.key)
 	}
 	seen := 0
 	for d.pop() != nil {
 		seen++
 	}
-	if seen != len(states)-2 {
-		t.Errorf("drained %d states, want %d", seen, len(states)-2)
+	if seen != len(nodes)-2 {
+		t.Errorf("drained %d nodes, want %d", seen, len(nodes)-2)
 	}
 	if d.pop() != nil || d.steal() != nil {
 		t.Error("empty deque must return nil")
@@ -179,16 +179,16 @@ func TestWSDequeSequential(t *testing.T) {
 }
 
 // TestWSDequeConcurrentStealers pushes from the owner while thieves drain
-// concurrently; every pushed state must be consumed exactly once.
+// concurrently; every pushed node must be consumed exactly once.
 func TestWSDequeConcurrentStealers(t *testing.T) {
 	const total = 20000
 	const thieves = 4
 	d := newWSDeque(64)
 	var mu sync.Mutex
-	seen := make(map[int64]int, total)
-	record := func(s *State) {
+	seen := make(map[uint64]int, total)
+	record := func(n *waiting) {
 		mu.Lock()
-		seen[s.Vars[0]]++
+		seen[n.key]++
 		mu.Unlock()
 	}
 	var wg sync.WaitGroup
@@ -198,19 +198,19 @@ func TestWSDequeConcurrentStealers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
-				if s := d.steal(); s != nil {
-					record(s)
+				if n := d.steal(); n != nil {
+					record(n)
 					continue
 				}
 				select {
 				case <-done:
 					// Final drain after the owner stopped.
 					for {
-						s := d.steal()
-						if s == nil {
+						n := d.steal()
+						if n == nil {
 							return
 						}
-						record(s)
+						record(n)
 					}
 				default:
 				}
@@ -218,32 +218,32 @@ func TestWSDequeConcurrentStealers(t *testing.T) {
 		}()
 	}
 	for i := 0; i < total; i++ {
-		d.push(&State{Vars: []int64{int64(i)}})
+		d.push(&waiting{key: uint64(i)})
 		if i%3 == 0 {
-			if s := d.pop(); s != nil {
-				record(s)
+			if n := d.pop(); n != nil {
+				record(n)
 			}
 		}
 	}
 	for {
-		s := d.pop()
-		if s == nil {
+		n := d.pop()
+		if n == nil {
 			break
 		}
-		record(s)
+		record(n)
 	}
 	close(done)
 	wg.Wait()
-	for i := int64(0); i < total; i++ {
+	for i := uint64(0); i < total; i++ {
 		switch seen[i] {
 		case 1:
 		case 0:
-			t.Fatalf("state %d lost", i)
+			t.Fatalf("node %d lost", i)
 		default:
-			t.Fatalf("state %d consumed %d times", i, seen[i])
+			t.Fatalf("node %d consumed %d times", i, seen[i])
 		}
 	}
 	if len(seen) != total {
-		t.Fatalf("consumed %d distinct states, want %d", len(seen), total)
+		t.Fatalf("consumed %d distinct nodes, want %d", len(seen), total)
 	}
 }

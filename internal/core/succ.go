@@ -113,10 +113,16 @@ type succCtx struct {
 	runs []partRun // broadcast receiver grouping
 
 	// states is a free list of State objects (with their discrete vectors)
-	// released by the explorer via putState. Store entries clone the
-	// discrete vectors of admitted states (store.go), so recycling a state
-	// can never corrupt the passed store.
+	// released by the explorer via putState. Store entries intern copies of
+	// the discrete vectors of admitted states (store.go), so recycling a
+	// state can never corrupt the passed store.
 	states []*State
+	// nodes is the free list of the waiting nodes this worker popped, and
+	// block the one it carves new nodes from, next its first unused one (see
+	// park).
+	nodes []*waiting
+	block []waiting
+	next  int
 
 	// chunk is a bump allocator for the Label.Parts of fired transitions:
 	// stable copies are carved out of large blocks instead of one
@@ -209,30 +215,65 @@ func (ctx *succCtx) getState() *State {
 	}
 }
 
-// releaseZone puts a state's matrix back into the DBM pool: the state is
-// about to wait in the frontier, where its packed payload stands in for it,
-// or to be recycled.
-func (ctx *succCtx) releaseZone(s *State) {
-	ctx.pool.Put(s.Zone)
-	s.Zone = nil
-}
-
-// restoreZone gives a state popped from the frontier its matrix back, decoded
-// from the payload it waited with into a pooled matrix.
-func (ctx *succCtx) restoreZone(s *State) {
-	s.Zone = ctx.pool.Get()
-	s.packed.DecodeInto(s.Zone)
-}
-
 // putState releases a state the explorer no longer references: its zone
 // goes back to the DBM pool and the struct (with its discrete vectors) onto
 // the free list. The caller must guarantee nothing else aliases the state —
 // see the ownership protocol in store.go.
 func (ctx *succCtx) putState(s *State) {
-	ctx.releaseZone(s)
+	ctx.pool.Put(s.Zone)
+	s.Zone = nil
 	if len(s.Locs) == len(ctx.locs) && len(s.Vars) == len(ctx.vars) {
 		ctx.states = append(ctx.states, s)
 	}
+}
+
+// Node blocks grow with the run: the first holds nodeBlockMin nodes, each
+// later one twice as many as the one before, up to nodeBlockMax.
+const (
+	nodeBlockMin = 2
+	nodeBlockMax = 256
+)
+
+// park turns an admitted state, which the queries have seen, into the node
+// it waits as — entry and payload are what passedSet.add handed back — and
+// recycles the state (see "Frontier" in explore.go).
+func (ctx *succCtx) park(s *State, entry *storeEntry, payload dbm.Compact) *waiting {
+	var n *waiting
+	if k := len(ctx.nodes); k > 0 {
+		n = ctx.nodes[k-1]
+		ctx.nodes = ctx.nodes[:k-1]
+	} else {
+		if ctx.next == len(ctx.block) {
+			ctx.block = make([]waiting, min(max(2*len(ctx.block), nodeBlockMin), nodeBlockMax))
+			ctx.next = 0
+		}
+		n = &ctx.block[ctx.next]
+		ctx.next++
+	}
+	*n = waiting{entry: entry, packed: payload, ref: s.ref, key: s.discreteKey()}
+	ctx.putState(s)
+	return n
+}
+
+// unpark rebuilds the state a popped node waited as: a pooled State with the
+// entry's vectors, the node's key and ref, and the payload decoded into a
+// pooled matrix. The node goes onto the free list; the payload is returned
+// for the caller to give back through passedSet.release.
+func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
+	s := ctx.getState()
+	for i, l := range n.entry.locs {
+		s.Locs[i] = ta.LocID(l)
+	}
+	for i, v := range n.entry.vrs {
+		s.Vars[i] = int64(v)
+	}
+	s.key, s.ref = n.key, n.ref
+	s.Zone = ctx.pool.Get()
+	payload := n.packed
+	payload.DecodeInto(s.Zone)
+	*n = waiting{}
+	ctx.nodes = append(ctx.nodes, n)
+	return s, payload
 }
 
 // initial computes the initial symbolic state: all processes in their initial

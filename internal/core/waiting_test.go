@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,10 +11,11 @@ import (
 	"repro/internal/ta"
 )
 
-// This file tests the lifetime of a waiting state's zone: between admission
-// and pop a state holds no matrix, only a reference to the payload the store
-// packed of it, and the store may prune that payload's record in the
-// meantime (see "Zone ownership" in store.go).
+// This file tests the lifetime of a waiting state: between admission and pop
+// it is a waiting node, which holds no matrix and no discrete vectors — only
+// the store entry that admitted it and a reference to the payload the store
+// packed of its zone — and the store may prune that payload's record in the
+// meantime (see "Frontier" in explore.go and "Zone ownership" in store.go).
 
 // buildWidening constructs a model in which every level of the zone graph
 // prunes stored zones whose states still wait. P steps through one location;
@@ -54,28 +56,73 @@ func buildWidening(t *testing.T, steps int64) *ta.Network {
 	return n
 }
 
-// holderSpy counts the releases that found their payload orphaned. Its mutex
+// holderSpy follows every waiting state across its wait. At admission it
+// records the state's discrete part against the payload add handed out — a
+// buffer the store cannot recycle while the node holds it, so its address
+// names the node until the release. At release, which the worker calls right
+// after the pop rebuilt the state from the node, the rebuilt Locs, Vars and
+// discrete key must equal the recorded ones. It counts the pops, the ones
+// that diverged, and the ones that found their payload orphaned. Its mutex
 // serializes add and release, so reading the mark outside the inner store's
 // own guard is sound with racing workers too.
 type holderSpy struct {
 	passedSet
-	mu      sync.Mutex
-	orphans int
+	mu       sync.Mutex
+	admitted map[*byte]admission
+	pops     int
+	diverged int
+	orphans  int
 }
 
-func (h *holderSpy) add(s *State, sc *closeScratch) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.passedSet.add(s, sc)
+// admission is what a state was when the store admitted it.
+type admission struct {
+	locs []ta.LocID
+	vars []int64
+	key  uint64
 }
 
-func (h *holderSpy) release(s *State) {
+func newHolderSpy(inner passedSet) *holderSpy {
+	return &holderSpy{passedSet: inner, admitted: map[*byte]admission{}}
+}
+
+func (h *holderSpy) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if s.packed.Holder() == orphaned {
+	entry, payload := h.passedSet.add(s, sc)
+	if entry != nil {
+		h.admitted[&payload[0]] = admission{slices.Clone(s.Locs), slices.Clone(s.Vars), s.discreteKey()}
+	}
+	return entry, payload
+}
+
+func (h *holderSpy) release(s *State, c dbm.Compact) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.pops++
+	a, ok := h.admitted[&c[0]]
+	delete(h.admitted, &c[0])
+	if !ok || !slices.Equal(s.Locs, a.locs) || !slices.Equal(s.Vars, a.vars) || s.key != a.key {
+		h.diverged++
+	}
+	if c.Holder() == orphaned {
 		h.orphans++
 	}
-	h.passedSet.release(s)
+	h.passedSet.release(s, c)
+}
+
+// checkPops requires every pop to have rebuilt the state it admitted, and the
+// orphan path to have run.
+func (h *holderSpy) checkPops(t *testing.T, what string, popped int) {
+	t.Helper()
+	if h.pops != popped {
+		t.Errorf("%s: %d releases for %d pops", what, h.pops, popped)
+	}
+	if h.diverged != 0 {
+		t.Errorf("%s: %d of %d popped states were not rebuilt as admitted", what, h.diverged, h.pops)
+	}
+	if h.orphans == 0 {
+		t.Errorf("%s: no state was popped after its record was pruned; the model no longer reaches the path under test", what)
+	}
 }
 
 // admissions runs a plain sweep and returns a copy of every admitted state in
@@ -113,7 +160,8 @@ func sameSweep(t *testing.T, what string, got, want []*State, gs, ws Stats) {
 // sequential order with the slab-backed store, with a heap-backed store under
 // a holderSpy, and with the full-DBM reference: all three must admit the same
 // states in the same order — a state popped after its record was pruned
-// expands from its own zone — and the orphan path must actually have run.
+// expands from its own zone — every pop must rebuild the state that was
+// admitted, and the orphan path must actually have run.
 // When the sweep is over every state was popped: each live payload is back
 // to its record alone, and the compact pool's books balance (gets served
 // from fresh memory = live payloads + free buffers).
@@ -138,14 +186,12 @@ func TestWaitingStatesOutliveTheirRecords(t *testing.T) {
 		sameSweep(t, order.String()+", slab store", got, want, gotStats, wantStats)
 
 		st := newStore(1, nil, &c.eng.bounds)
-		spy := &holderSpy{passedSet: st}
+		spy := newHolderSpy(st)
 		spyOpts := opts
 		spyOpts.passed = spy
 		got, gotStats = admissions(t, c, spyOpts)
 		sameSweep(t, order.String()+", heap store", got, want, gotStats, wantStats)
-		if spy.orphans == 0 {
-			t.Errorf("%s: no state was popped after its record was pruned; the model no longer reaches the path under test", order)
-		}
+		spy.checkPops(t, order.String(), gotStats.Popped)
 		checkStoreLayout(t, st)
 		// Every buffer the pool ever carved is a live record's or back in
 		// the pool: no orphan was left out, no held buffer was recycled.
@@ -177,10 +223,13 @@ func TestLiveEqualsStoredWithoutPrunes(t *testing.T) {
 }
 
 // TestWaitingStatesParallel is the Workers > 1 twin: the shadow store checks
-// every admission decision against the reference while four workers decode
-// payloads lock-free and release them under the shard lock (-race covers the
-// mark byte written beside a payload being read), and the reductions must
-// equal the sequential ones.
+// every admission decision against the reference while four workers rebuild
+// stolen and owned nodes lock-free — the entry's vectors, the payload
+// decoded — and release them under the shard lock (-race covers the mark
+// byte written beside a payload being read, and the entry's other fields
+// written beside the vectors being copied). A holderSpy around the shadow
+// requires every pop to rebuild the state that was admitted, orphans
+// included, and the reductions must equal the sequential ones.
 func TestWaitingStatesParallel(t *testing.T) {
 	n := buildWidening(t, 12)
 	c, err := NewChecker(n)
@@ -198,16 +247,111 @@ func TestWaitingStatesParallel(t *testing.T) {
 	}
 	for _, shards := range []int{4, 64} {
 		sh := &shadowStore{fast: newStore(shards, nil, &c.eng.bounds), ref: newRefStore(&c.eng.bounds)}
-		par, err := c.SupClock(x.ID, atEnd, Options{Workers: 4, passed: sh})
+		spy := newHolderSpy(sh)
+		par, err := c.SupClock(x.ID, atEnd, Options{Workers: 4, passed: spy})
 		if err != nil {
 			t.Fatal(err)
 		}
+		spy.checkPops(t, fmt.Sprintf("%d shards", shards), par.Popped)
 		if d := sh.disagreements.Load(); d != 0 {
 			t.Errorf("%d shards: %d admission decisions diverged from the reference", shards, d)
 		}
 		if par.Max != seq.Max || par.Seen != seq.Seen || par.Unbounded != seq.Unbounded {
 			t.Errorf("%d shards: sup (%v,%v,%v), sequential (%v,%v,%v)", shards,
 				par.Max, par.Seen, par.Unbounded, seq.Max, seq.Seen, seq.Unbounded)
+		}
+	}
+}
+
+// buildIndependent constructs procs processes that never interact: each
+// counts its own variable from 0 to steps, one step per transition, and owns
+// one clock that nothing constrains. Every state has at most procs
+// successors, while a sweep's frontier grows with steps: a breadth-first
+// level of the (steps+1)^procs grid, or the untaken siblings along a
+// depth-first path.
+func buildIndependent(t *testing.T, procs int, steps int64) *ta.Network {
+	t.Helper()
+	n := ta.NewNetwork("independent")
+	for i := 0; i < procs; i++ {
+		n.AddClock(fmt.Sprintf("x%d", i))
+		c := n.AddVar(fmt.Sprintf("c%d", i), 0, 0, steps)
+		p := n.AddProcess(fmt.Sprintf("P%d", i))
+		l := p.AddLocation("l", ta.Normal)
+		p.AddEdge(ta.Edge{Src: l, Dst: l, Guard: ta.VarCmp(c, ta.Lt, steps), Update: ta.Inc(c, 1)})
+	}
+	if err := n.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// stateSpy records every State a sweep hands the store — each fired
+// successor at add, the initial state included, and each state rebuilt from
+// a popped node at release — which is every State the sweep's workers use,
+// and the widest frontier: admissions not yet released.
+type stateSpy struct {
+	passedSet
+	mu              sync.Mutex
+	seen            map[*State]bool
+	waiting, widest int
+}
+
+func (sp *stateSpy) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	sp.seen[s] = true
+	entry, payload := sp.passedSet.add(s, sc)
+	if entry != nil {
+		sp.waiting++
+		sp.widest = max(sp.widest, sp.waiting)
+	}
+	return entry, payload
+}
+
+func (sp *stateSpy) release(s *State, c dbm.Compact) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	sp.seen[s] = true
+	sp.waiting--
+	sp.passedSet.release(s, c)
+}
+
+// TestSweepStatesBoundedByExpansion pins that a sweep allocates States in
+// proportion to its widest expansion, not its widest frontier: a worker holds
+// the state it expands and that state's fired successors, and every other
+// state waits as a node. On a model whose frontier is far wider than its
+// branching, breadth- and depth-first, on one worker and on four, the
+// distinct States the store ever sees must stay within what the workers'
+// expansions can hold at once — per worker the expanded state plus one per
+// process, plus the initial state.
+func TestSweepStatesBoundedByExpansion(t *testing.T) {
+	const procs, steps = 2, 63
+	c, err := NewChecker(buildIndependent(t, procs, steps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, order := range []Order{BFS, DFS} {
+		for _, workers := range []int{1, 4} {
+			what := fmt.Sprintf("%s, %d workers", order, workers)
+			shards := 1
+			if workers > 1 {
+				shards = parallelShards
+			}
+			spy := &stateSpy{passedSet: newStore(shards, nil, &c.eng.bounds), seen: map[*State]bool{}}
+			res, err := c.Explore(Options{Order: order, Workers: workers, passed: spy}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stored < (steps+1)*(steps+1) {
+				t.Fatalf("%s: %d stored, want at least the %d grid points", what, res.Stored, (steps+1)*(steps+1))
+			}
+			bound := workers*(procs+1) + 1
+			if spy.widest < 4*bound {
+				t.Fatalf("%s: widest frontier %d, want at least 4 x %d: the model no longer tests the bound", what, spy.widest, bound)
+			}
+			if len(spy.seen) > bound {
+				t.Errorf("%s: the sweep used %d States, want at most %d (widest frontier %d)", what, len(spy.seen), bound, spy.widest)
+			}
 		}
 	}
 }
@@ -323,13 +467,14 @@ func TestPoisonCatchesRecycledPayload(t *testing.T) {
 	high.Zone.Constrain(0, 1, dbm.LE(-20))
 	var stale []dbm.Compact
 	for _, s := range []*State{low, high} {
-		if !admit(st, s) {
+		c := admit(st, s)
+		if c == nil {
 			t.Fatal("incomparable zones must both be admitted")
 		}
-		stale = append(stale, s.packed)
-		st.release(s)
+		stale = append(stale, c)
+		st.release(s, c)
 	}
-	if !admit(st, &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}) || st.size() != 1 {
+	if admit(st, &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}) == nil || st.size() != 1 {
 		t.Fatal("the universe must prune both stored zones")
 	}
 	garbage := 0

@@ -2,7 +2,7 @@ package core
 
 import "sync/atomic"
 
-// wsDeque is a Chase–Lev work-stealing deque of symbolic states. The owning
+// wsDeque is a Chase–Lev work-stealing deque of waiting nodes. The owning
 // worker pushes and pops at the bottom (LIFO, cache-friendly depth-first
 // expansion); idle workers steal from the top (FIFO, coarse-grained units
 // near the root of the search tree). The implementation follows Chase &
@@ -23,15 +23,15 @@ type wsDeque struct {
 // ring.
 type wsRing struct {
 	mask int64
-	slot []atomic.Pointer[State]
+	slot []atomic.Pointer[waiting]
 }
 
 func newWSRing(capacity int64) *wsRing {
-	return &wsRing{mask: capacity - 1, slot: make([]atomic.Pointer[State], capacity)}
+	return &wsRing{mask: capacity - 1, slot: make([]atomic.Pointer[waiting], capacity)}
 }
 
-func (r *wsRing) get(i int64) *State    { return r.slot[i&r.mask].Load() }
-func (r *wsRing) put(i int64, s *State) { r.slot[i&r.mask].Store(s) }
+func (r *wsRing) get(i int64) *waiting    { return r.slot[i&r.mask].Load() }
+func (r *wsRing) put(i int64, n *waiting) { r.slot[i&r.mask].Store(n) }
 func (r *wsRing) grow(top, bottom int64) *wsRing {
 	n := newWSRing((r.mask + 1) * 2)
 	for i := top; i < bottom; i++ {
@@ -48,8 +48,8 @@ func newWSDeque(capacity int64) *wsDeque {
 	return d
 }
 
-// push appends s at the bottom. Owner only.
-func (d *wsDeque) push(s *State) {
+// push appends n at the bottom. Owner only.
+func (d *wsDeque) push(n *waiting) {
 	b := d.bottom.Load()
 	t := d.top.Load()
 	r := d.ring.Load()
@@ -57,13 +57,13 @@ func (d *wsDeque) push(s *State) {
 		r = r.grow(t, b)
 		d.ring.Store(r)
 	}
-	r.put(b, s)
+	r.put(b, n)
 	d.bottom.Store(b + 1)
 }
 
-// pop removes and returns the most recently pushed state, or nil when the
+// pop removes and returns the most recently pushed node, or nil when the
 // deque is empty. Owner only.
-func (d *wsDeque) pop() *State {
+func (d *wsDeque) pop() *waiting {
 	b := d.bottom.Load() - 1
 	r := d.ring.Load()
 	d.bottom.Store(b)
@@ -73,29 +73,29 @@ func (d *wsDeque) pop() *State {
 		d.bottom.Store(t)
 		return nil
 	}
-	s := r.get(b)
+	n := r.get(b)
 	if t == b {
 		// Last element: race with thieves for it.
 		if !d.top.CompareAndSwap(t, t+1) {
-			s = nil // a thief got it
+			n = nil // a thief got it
 		}
 		d.bottom.Store(t + 1)
 	}
-	return s
+	return n
 }
 
-// steal removes and returns the oldest state, or nil when the deque is
+// steal removes and returns the oldest node, or nil when the deque is
 // empty or the steal lost a race (callers just move on to another victim).
-func (d *wsDeque) steal() *State {
+func (d *wsDeque) steal() *waiting {
 	t := d.top.Load()
 	b := d.bottom.Load()
 	if t >= b {
 		return nil
 	}
 	r := d.ring.Load()
-	s := r.get(t)
+	n := r.get(t)
 	if !d.top.CompareAndSwap(t, t+1) {
 		return nil
 	}
-	return s
+	return n
 }
