@@ -27,8 +27,8 @@ import (
 //     cells against the limit. The budget owns no cells of its own and
 //     allocates nothing.
 //   - Store-side bytes are charged at their ACTUAL packed footprint: the
-//     passed store tracks the exact bytes of its entries, zone-record
-//     segments, compact zone buffers and interned discrete vectors
+//     passed store tracks the exact bytes of its entries with their packed
+//     discrete keys, zone-record segments and compact zone buffers
 //     (store.go), and the check adds that live total (passedSet.bytes) to
 //     the cells. That total is also what the waiting states cost in zone
 //     bytes: a state waits as a node that references the payload the store

@@ -210,8 +210,8 @@ func (t *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 // atomics.
 //
 // A frontier holds waiting nodes, not States. The node of an admitted state
-// references what the store already keeps of it — the entry, whose interned
-// vectors are its discrete part, and the packed payload of its zone — plus
+// references what the store already keeps of it — the entry, whose key is
+// its discrete part, packed, and the packed payload of its zone — plus
 // the two words the store does not keep, its parent-log ref and its discrete
 // key. So a waiting state costs one small fixed-size node whatever the
 // dimension and the process count, and it cannot hold a matrix: the store
@@ -226,9 +226,9 @@ func (t *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 //   - parked: succCtx.park fills a node with entry, payload, ref and key,
 //     and recycles the State, its matrix with it; the node is pushed;
 //   - popped: succCtx.unpark rebuilds a pooled State from the node — the
-//     entry's vectors, key and ref, the payload decoded into a pooled
-//     matrix — and recycles the node; passedSet.release gives the payload
-//     back;
+//     entry's key decoded, the node's key and ref, the payload decoded into
+//     a pooled matrix — and recycles the node; passedSet.release gives the
+//     payload back;
 //   - expanded: its successors are fired, decided, visited and parked, and
 //     the State goes back to the free list.
 //
@@ -249,10 +249,10 @@ func (t *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 // waiting is a node of the frontier: an admitted state between its push and
 // its pop.
 type waiting struct {
-	// entry is the store entry that admitted the state. Its interned locs
-	// and vrs are the state's discrete part; they never change once the
-	// entry is published, so the popping worker reads them without holding
-	// the entry.
+	// entry is the store entry that admitted the state. Its key is the
+	// state's discrete part, packed; it never changes once the entry is
+	// published, so the popping worker decodes it without holding the
+	// entry.
 	entry *storeEntry
 	// packed references the payload the store packed of the admitted zone —
 	// the store's buffer, not a copy — until the popping worker has decoded
@@ -721,7 +721,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		if parallel {
 			shards = parallelShards
 		}
-		e.passed = newStore(shards, &e.slabs, &c.eng.bounds)
+		e.passed = newStore(shards, &e.slabs, &c.eng.bounds, &c.eng.keys)
 	}
 	entry, payload := e.passed.add(init, &e.initScratch)
 	e.stored.Store(1)

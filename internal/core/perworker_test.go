@@ -54,5 +54,5 @@ func TestPerWorkerSlotsApart(t *testing.T) {
 	})
 	checkSlotsApart(t, func(p *supAcc, w int) { p.seen = true })
 	checkSlotsApart(t, func(p *workerLog, w int) { p.n++ })
-	checkSlotsApart(t, func(p *shard, w int) { p.mu.Lock(); p.intern.hits.Add(1); p.mu.Unlock() })
+	checkSlotsApart(t, func(p *shard, w int) { p.mu.Lock(); p.found.Add(1); p.mu.Unlock() })
 }

@@ -28,14 +28,16 @@ type Progress struct {
 	// While running it is relaxed by at most 32 expansions per worker (the
 	// publication interval); zero once the run is over.
 	Frontier int64
-	// StoredBytes is the passed store's actual footprint: entries, zone
-	// records, packed zone buffers and interned discrete vectors (see
+	// StoredBytes is the passed store's actual footprint: entries with their
+	// packed discrete keys, zone records and packed zone buffers (see
 	// store.go).
 	StoredBytes int64
-	// InternHits and InternMisses count discrete-vector intern-table
-	// lookups that found (resp. created) a shared vector; the hit rate
-	// hits/(hits+misses) measures how much discrete-state memory the
-	// interning collapsed.
+	// InternHits and InternMisses count the store's entry lookups, one per
+	// state offered to it: a hit found the entry of the state's discrete
+	// part, whatever became of the zone, and a miss created the entry, so
+	// misses are the distinct discrete states stored. The hit rate
+	// hits/(hits+misses) is the share of states that land on a discrete
+	// state already seen.
 	InternHits   int64
 	InternMisses int64
 	// Workers is the worker count of the observed run.

@@ -61,6 +61,25 @@ func (qs *queryState) init() {
 // are the composable building blocks the dedicated Checker methods are thin
 // wrappers over. The interface is sealed: its methods are unexported because
 // they are the engine-facing half of the ownership protocol above.
+//
+// Reduction ownership, which every kind keeps and the engine relies on:
+//
+//   - A query that reduces owns one cache-line-padded accumulator per
+//     worker (a perWorker, allocated in prepare; SupClockQuery's supAcc).
+//     visit(w, s) and onDeadlock(w, s) touch only accumulator w, and finish
+//     merges them at the exploration barrier — NEVER a lock on the visitor
+//     path.
+//   - Completion is a once-only CAS on queryState.done
+//     (explorer.completeQuery). The completing worker captures a
+//     caller-owned clone of the state plus its parent-log ref, never the
+//     live state: that one is recycled if the sweep goes on.
+//   - The atomic live-query count short-circuits the sweep when it reaches
+//     zero, which keeps the historical early stop of one-element sets:
+//     CheckSafety, Reachable, SupClock and CheckDeadlockFree are thin
+//     wrappers over a set of one.
+//   - Every kind may complete with a witness, so parent logs exist exactly
+//     when the set is non-empty. Traces are replayed strictly after the
+//     barrier, from refs, once per completed query.
 type Query interface {
 	// prepare allocates per-worker reduction state before the run.
 	prepare(workers int)

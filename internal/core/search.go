@@ -69,8 +69,8 @@ type Options struct {
 	StateBudget int
 	// MaxBytes bounds the run's zone memory: once the full matrices the
 	// workers' pools have allocated plus the passed store's actual footprint
-	// — entries, zone-record segments, packed zone buffers and interned
-	// discrete vectors (passedSet.bytes) — exceed this many bytes, the run
+	// — entries with their packed discrete keys, zone-record segments and
+	// packed zone buffers (passedSet.bytes) — exceed this many bytes, the run
 	// fails with ErrMemoryBudget and partial Stats via the same
 	// between-expansions abort point as Cancel. 0 means unlimited. A waiting
 	// state's zone is charged as the packed payload in that footprint — the

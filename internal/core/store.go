@@ -1,13 +1,13 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/dbm"
 	"repro/internal/faultinject"
-	"repro/internal/ta"
 )
 
 // passedSet is the passed-state interface of the unified explorer; the worker
@@ -20,19 +20,20 @@ type passedSet interface {
 	// add admits s, whose zone is raw (canonical, not extrapolated), unless
 	// it is subsumed. An admitted state leaves with its zone extrapolated in
 	// place — sc is the calling worker's scratch for that — and add returns
-	// the entry that admitted it, whose interned vectors are the state's
-	// discrete part, and a reference to the packed copy of the zone, which
-	// the caller gives back with exactly one release. A subsumed state is
-	// left as it came, and add returns a nil entry.
+	// the entry that admitted it, whose key is the state's discrete part,
+	// and a reference to the packed copy of the zone, which the caller gives
+	// back with exactly one release. A subsumed state is left as it came,
+	// and add returns a nil entry.
 	add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact)
 	// release gives back a payload reference add handed out, once the caller
 	// has decoded it into s — the state rebuilt from its waiting node.
 	release(s *State, payload dbm.Compact)
 	size() int
 	// bytes reports the actual stored footprint: entries, zone records,
-	// packed zone buffers and interned discrete vectors.
+	// packed zone buffers and the entries' discrete keys.
 	bytes() int64
-	// internStats reports discrete-vector intern-table hits and misses.
+	// internStats reports the entry lookups of admission: hits found the
+	// discrete state's entry, misses created it.
 	internStats() (hits, misses int64)
 	// contention counts admissions that found their shard lock held and had
 	// to wait (always 0 for a sequential run).
@@ -50,26 +51,36 @@ type passedSet interface {
 //
 // The bucket space is split over a power-of-two number of shards by the low
 // bits of the discrete hash, and each shard owns its bucket map, compact
-// pool and intern table outright — a discrete state always hashes to the
-// same shard, so repeats of its vectors intern within that shard. A
-// sequential run (Workers <= 1) has one shard and a single worker, which is
-// the guard: add takes no lock. A parallel run has parallelShards of them,
-// each behind its own mutex, so workers exploring disjoint regions of the
-// zone graph rarely contend. Everything below that says "whoever holds the
-// entry" means exactly that: the one sequential worker, or the holder of
-// the shard lock.
+// pool and key arena outright — a discrete state always hashes to the same
+// shard, so its entry is found within that shard. A sequential run
+// (Workers <= 1) has one shard and a single worker, which is the guard: add
+// takes no lock. A parallel run has parallelShards of them, each behind its
+// own mutex, so workers exploring disjoint regions of the zone graph rarely
+// contend. Everything below that says "whoever holds the entry" means
+// exactly that: the one sequential worker, or the holder of the shard lock.
 //
 // # Keys
 //
 // Discrete hashes are cached per State (State.key); the bucket maps are keyed
 // by that hash and a storeEntry does not repeat it — entries whose hashes
-// collide chain through storeEntry.next and are told apart by their discrete
-// vectors. Entries intern those vectors (see internTable): location vectors
-// and variable valuations repeat heavily across entries, so each unique
-// vector is stored once per shard — never an alias of a state's slices,
-// since states recycle and entries do not. A waiting node keeps its entry,
-// not vectors of its own: the popping worker copies the state's discrete
-// part back out of the interned ones.
+// collide chain through storeEntry.next and are told apart by their keys. An
+// entry's key is its discrete state bit-packed by the engine's
+// discretePacker (discrete.go): every location and variable is a field just
+// wide enough for its declared range, so table1's 19 variables and the
+// locations of its processes fit in 3 words. Packing is exact, not a hash:
+// a field holds every value of its range, and no state outside the ranges
+// ever reaches the store — Finalize checks initial values and location
+// references, and engine.fire checks every variable after every update
+// (ta.Network.CheckVarBounds) — so two states share a key exactly when they
+// share their discrete part. Keys are carved from a per-shard word arena
+// whose blocks grow with the run (keyBlockMin to keyBlockMax words), so a
+// new entry costs one allocation, its own, and a small sweep one small
+// block. A lookup packs the state into the arena's next free words and
+// compares keys word by word; a match leaves those words free for the next
+// lookup, a new entry keeps them. A key never aliases a state's slices, since
+// states recycle and entries do not. A waiting node keeps its entry, not
+// vectors of its own: the popping worker decodes the state's discrete part
+// from the key.
 //
 // # Admission index
 //
@@ -132,8 +143,8 @@ type passedSet interface {
 //     compact pool at once; if the node still waits the payload is marked
 //     orphaned and stays charged to bytes() until it is released.
 //   - The worker that pops a node rebuilds its state (succCtx.unpark): the
-//     entry's vectors, and the payload decoded into a matrix from its own
-//     pool — without holding the entry: the vectors never change once the
+//     entry's key decoded, and the payload decoded into a matrix from its own
+//     pool — without holding the entry: the key never changes once the
 //     entry is published, the payload cannot change while the node holds
 //     it, and no dbm kernel touches the mark. Then it calls release, which
 //     takes the entry (for a parallel run, the shard lock): an orphaned
@@ -181,14 +192,16 @@ type store struct {
 	// bounds are what an admitted zone is extrapolated against: the engine's,
 	// idempotent (see "Admission index").
 	bounds *dbm.ExtraBounds
+	// keys packs a state's discrete part into its entry's key: the engine's.
+	keys *discretePacker
 	// locked is false for the single-shard store of a sequential run, whose
 	// one worker needs no lock.
 	locked bool
 	zones  atomic.Int64
-	// zoneBytes tracks the bytes currently held for stored zones — entries,
-	// record segments and packed payloads, orphaned ones included until the
-	// worker that pops their waiting node releases them; a Monitor samples
-	// bytes() while workers add.
+	// zoneBytes tracks the bytes currently held for stored zones — entries
+	// with their keys, record segments and packed payloads, orphaned ones
+	// included until the worker that pops their waiting node releases them;
+	// a Monitor samples bytes() while workers add.
 	zoneBytes atomic.Int64
 	// contended counts adds that found their shard lock held (TryLock
 	// failed) and had to block — the sweep profile's store-contention total.
@@ -207,8 +220,22 @@ type shard struct {
 	// rare entries whose hashes collide chain through storeEntry.next.
 	buckets map[uint64]*storeEntry
 	cpool   *dbm.CompactPool
-	intern  internTable
+	// keys is the unused rest of the arena block entry keys are carved from,
+	// keyBlock the length of that block.
+	keys     []uint64
+	keyBlock int
+	// found and created count the entry lookups that found the discrete
+	// state's entry and that created it (internStats). Atomics: the Monitor
+	// reads them while workers add.
+	found, created atomic.Int64
 }
+
+// Key-arena blocks grow with the run: the first holds keyBlockMin words,
+// each later one twice as many as the one before, up to keyBlockMax.
+const (
+	keyBlockMin = 64
+	keyBlockMax = 4096
+)
 
 // zoneRec is one stored zone in an entry's admission index.
 type zoneRec struct {
@@ -254,11 +281,9 @@ const (
 type storeEntry struct {
 	// next chains the entries of one bucket.
 	next *storeEntry
-	// locs and vrs are the interned location vector and variable valuation:
-	// shared with every other entry (and log, in principle) holding the same
-	// vector, owned by the store's intern table, immutable once published.
-	locs []uint64
-	vrs  []uint64
+	// key is the packed discrete state ("Keys" above), carved from the
+	// shard's arena and immutable once the entry is published.
+	key []uint64
 	// n counts the stored maximal zones. Their records occupy the first n
 	// slots of the list: first, then the segments of more in chain order.
 	// Most entries hold a single zone and never grow a segment.
@@ -318,53 +343,49 @@ func (e *storeEntry) compact(live int) recCursor {
 	return to
 }
 
-// matches reports whether the entry represents the discrete state (locs,
-// vars): one slices.Equal-style scan.
-func (e *storeEntry) matches(locs []ta.LocID, vars []int64) bool {
-	if len(e.locs) != len(locs) || len(e.vrs) != len(vars) {
-		return false
-	}
-	for i, l := range locs {
-		if e.locs[i] != uint64(l) {
-			return false
-		}
-	}
-	for i, v := range vars {
-		if e.vrs[i] != uint64(v) {
-			return false
-		}
-	}
-	return true
-}
+// matches reports whether the entry represents the discrete state packed
+// as key.
+func (e *storeEntry) matches(key []uint64) bool { return slices.Equal(e.key, key) }
 
 // newStore returns a store with the given shard count, a power of two; one
 // shard means one worker and no locking. Packed payloads are carved from
-// slabs (nil: from the heap); admitted zones are extrapolated against bounds.
-func newStore(shards int, slabs *dbm.Slabs, bounds *dbm.ExtraBounds) *store {
-	st := &store{shards: make(perWorker[shard], shards), mask: uint64(shards - 1), locked: shards > 1, bounds: bounds}
+// slabs (nil: from the heap); admitted zones are extrapolated against bounds;
+// entry keys are packed by keys.
+func newStore(shards int, slabs *dbm.Slabs, bounds *dbm.ExtraBounds, keys *discretePacker) *store {
+	st := &store{shards: make(perWorker[shard], shards), mask: uint64(shards - 1), locked: shards > 1,
+		bounds: bounds, keys: keys}
 	for i := range st.shards {
 		sh := st.shards.at(i)
 		sh.buckets = make(map[uint64]*storeEntry)
 		sh.cpool = slabs.CompactPool()
-		sh.intern.m = make(map[uint64][][]uint64)
 	}
 	return st
 }
 
-// lookupEntry finds or creates the bucket entry for s's discrete state.
-// Entry creation interns the discrete vectors through it: repeats across
-// entries collapse to one shared slice each, and states stay recyclable
-// (succCtx.putState) because the interned copies never alias s.
-func lookupEntry(buckets map[uint64]*storeEntry, s *State, it *internTable) *storeEntry {
+// lookupEntry finds or creates the bucket entry for s's discrete state. It
+// packs s into the next free words of the arena: a new entry keeps them as
+// its key, a found one leaves them for the next lookup. Either way the key
+// is a copy, so states stay recyclable (succCtx.putState).
+func (sh *shard) lookupEntry(s *State, keys *discretePacker) *storeEntry {
+	n := keys.words
+	if len(sh.keys) < n {
+		sh.keyBlock = min(max(2*sh.keyBlock, keyBlockMin), keyBlockMax)
+		sh.keys = make([]uint64, max(sh.keyBlock, n))
+	}
+	key := sh.keys[:n:n]
+	keys.pack(s.Locs, s.Vars, key)
 	h := s.discreteKey()
-	head := buckets[h]
+	head := sh.buckets[h]
 	for e := head; e != nil; e = e.next {
-		if e.matches(s.Locs, s.Vars) {
+		if e.matches(key) {
+			sh.found.Add(1)
 			return e
 		}
 	}
-	e := &storeEntry{next: head, locs: intern(it, s.Locs), vrs: intern(it, s.Vars)}
-	buckets[h] = e
+	sh.keys = sh.keys[n:]
+	e := &storeEntry{next: head, key: key}
+	sh.buckets[h] = e
+	sh.created.Add(1)
 	return e
 }
 
@@ -376,8 +397,8 @@ func lookupEntry(buckets map[uint64]*storeEntry, s *State, it *internTable) *sto
 // state's waiting node to hold (nil when s was subsumed). It also returns
 // the change in the number of stored zones (0 when s was subsumed; any
 // admission nets at least +1 minus prunes) and the change in stored bytes —
-// payloads, record segments, and the entry itself when this is its first
-// zone. The caller must hold the entry (see the store comment).
+// payloads, record segments, and the entry with its key when this is its
+// first zone. The caller must hold the entry (see the store comment).
 //
 // Both inclusion directions are pre-filtered by the signature: d ⊆ z forces
 // sig(d) ≤ sig(z) in every lane, so a non-inclusion usually costs a compare
@@ -397,7 +418,7 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, 
 	}
 	if e.n == 0 {
 		// An entry without zones is one lookupEntry just made for s.
-		bytesDelta = entryBytes
+		bytesDelta = entryBytes + 8*int64(len(e.key))
 	}
 	zone := s.Zone
 	sig := dbm.SignatureOf(zone)
@@ -466,7 +487,7 @@ func (st *store) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 		}
 		defer sh.mu.Unlock()
 	}
-	e := lookupEntry(sh.buckets, s, &sh.intern)
+	e := sh.lookupEntry(s, st.keys)
 	delta, bytesDelta, payload := e.admit(s, sh.cpool, st.bounds, sc)
 	if delta != 0 {
 		st.zones.Add(int64(delta))
@@ -500,75 +521,17 @@ func (st *store) release(s *State, c dbm.Compact) {
 // size returns the number of stored maximal zones.
 func (st *store) size() int { return int(st.zones.Load()) }
 
-// bytes returns the stored footprint: entries, zone records, packed zones
-// and interned vectors.
-func (st *store) bytes() int64 {
-	total := st.zoneBytes.Load()
-	for i := range st.shards {
-		total += st.shards.at(i).intern.bytes.Load()
-	}
-	return total
-}
+// bytes returns the stored footprint: entries with their keys, zone
+// records and packed zones.
+func (st *store) bytes() int64 { return st.zoneBytes.Load() }
 
 func (st *store) internStats() (hits, misses int64) {
 	for i := range st.shards {
-		hits += st.shards.at(i).intern.hits.Load()
-		misses += st.shards.at(i).intern.misses.Load()
+		hits += st.shards.at(i).found.Load()
+		misses += st.shards.at(i).created.Load()
 	}
 	return hits, misses
 }
 
 // contention counts adds that had to wait for a shard lock.
 func (st *store) contention() int64 { return st.contended.Load() }
-
-// internTable deduplicates the discrete vectors held by a shard's entries:
-// location vectors and variable valuations are interned separately (each
-// repeats across many entries even though their combination is unique per
-// entry), content-addressed by a word-wise hash with full collision
-// comparison. Lookups and inserts happen under whatever guards the shard;
-// the counters are atomics because the Monitor and the memory budget read
-// them while workers add.
-type internTable struct {
-	m      map[uint64][][]uint64
-	hits   atomic.Int64
-	misses atomic.Int64
-	bytes  atomic.Int64
-}
-
-const (
-	internOffset = 14695981039346656037
-	internPrime  = 0x9E3779B97F4A7C15
-)
-
-// intern returns the canonical interned copy of a location vector or a
-// variable valuation, allocating only on first sight of the content.
-func intern[T ~int | ~int64](t *internTable, xs []T) []uint64 {
-	h := uint64(internOffset) ^ uint64(len(xs))
-	for _, x := range xs {
-		h = (h ^ uint64(x)) * internPrime
-	}
-	for _, cand := range t.m[h] {
-		if len(cand) != len(xs) {
-			continue
-		}
-		eq := true
-		for i, x := range xs {
-			if cand[i] != uint64(x) {
-				eq = false
-				break
-			}
-		}
-		if eq {
-			t.hits.Add(1)
-			return cand
-		}
-	}
-	v := make([]uint64, len(xs))
-	for i, x := range xs {
-		v[i] = uint64(x)
-	}
-	t.m[h] = append(t.m[h], v)
-	t.misses.Add(1)
-	t.bytes.Add(int64(len(v)) * 8)
-	return v
-}

@@ -14,13 +14,13 @@ import (
 
 // This file is the compact-store differential oracle: a full-DBM reference
 // implementation of passedSet (the pre-compression store semantics — plain
-// copied matrices, entrywise SubsetEq, no signatures, no interning) is run
-// against the compact store through the Options.passed injection hook. The
-// reference also keeps the admission order the engine had before the store
-// decided on raw zones: it extrapolates what it is given FIRST and decides on
-// the widened zone. So every differential run below is at the same time the
-// engine-level check of E(y) ⊆ r ⟺ y ⊆ r ("Admission index" in store.go).
-// Two modes:
+// copied matrices, entrywise SubsetEq, no signatures, discrete parts compared
+// as slices) is run against the compact store through the Options.passed
+// injection hook. The reference also keeps the admission order the engine
+// had before the store decided on raw zones: it extrapolates what it is given
+// FIRST and decides on the widened zone. So every differential run below is
+// at the same time the engine-level check of E(y) ⊆ r ⟺ y ⊆ r ("Admission
+// index" in store.go). Two modes:
 //
 //   - Shadow mode: one sweep drives BOTH stores behind a serializing mutex
 //     and every single admission decision must agree. This works under
@@ -35,6 +35,7 @@ import (
 type refStore struct {
 	mu      sync.Mutex
 	bounds  *dbm.ExtraBounds
+	keys    *discretePacker
 	buckets map[uint64][]*refEntry
 	zones   int
 	zbytes  int64
@@ -46,22 +47,15 @@ type refEntry struct {
 	locs []ta.LocID
 	vars []int64
 	zs   []*dbm.DBM
-	// words is what add hands back for a waiting node: an entry holding only
-	// the discrete vectors, widened to words as the store's interned ones.
-	words *storeEntry
+	// packed is what add hands back for a waiting node: an entry holding
+	// only the discrete part, packed into a key as the store's are.
+	packed *storeEntry
 }
 
-// toWords copies a discrete vector into the words an entry holds.
-func toWords[T ~int | ~int64](xs []T) []uint64 {
-	out := make([]uint64, len(xs))
-	for i, x := range xs {
-		out[i] = uint64(x)
-	}
-	return out
-}
-
-func newRefStore(bounds *dbm.ExtraBounds) *refStore {
-	return &refStore{bounds: bounds, buckets: make(map[uint64][]*refEntry)}
+// newRefStore returns a reference store whose waiting entries are keyed by
+// keys — the engine's, or the one the store under test packs with.
+func newRefStore(bounds *dbm.ExtraBounds, keys *discretePacker) *refStore {
+	return &refStore{bounds: bounds, keys: keys, buckets: make(map[uint64][]*refEntry)}
 }
 
 func (st *refStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
@@ -77,8 +71,10 @@ func (st *refStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 		}
 	}
 	if e == nil {
+		key := make([]uint64, st.keys.words)
+		st.keys.pack(s.Locs, s.Vars, key)
 		e = &refEntry{key: h, locs: slices.Clone(s.Locs), vars: slices.Clone(s.Vars),
-			words: &storeEntry{locs: toWords(s.Locs), vrs: toWords(s.Vars)}}
+			packed: &storeEntry{key: key}}
 		st.buckets[h] = append(st.buckets[h], e)
 	}
 	for _, z := range e.zs {
@@ -101,7 +97,7 @@ func (st *refStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	st.zbytes += dbm.ZoneBytes(s.Zone.Dim())
 	// The waiting node's payload is a heap buffer of its own: the reference
 	// never recycles anything, so there is nothing for release to do.
-	return e.words, dbm.EncodeCompact(s.Zone, nil)
+	return e.packed, dbm.EncodeCompact(s.Zone, nil)
 }
 
 func (st *refStore) release(*State, dbm.Compact) {}
@@ -127,7 +123,7 @@ func (st *refStore) contention() int64                 { return 0 }
 // even with Workers > 1. The reference works on a copy of the raw zone, so
 // the store under test still gets it raw; when both admit, the zone the store
 // left in the state must be the one the reference widened, and the entry it
-// handed back must hold the state's discrete part.
+// handed back must decode to the state's discrete part.
 type shadowStore struct {
 	mu            sync.Mutex
 	fast          passedSet
@@ -137,6 +133,17 @@ type shadowStore struct {
 	// on different zones: the raw one was subsumed and extrapolation would
 	// have changed it (y ⊆ r and E(y) ≠ y).
 	rejectedUnwidened atomic.Int64
+	// decoded counts the admissions whose entry key was decoded and
+	// compared with the admitted state's vectors.
+	decoded atomic.Int64
+}
+
+// decodesTo reports whether the entry's key decodes, with keys, to exactly
+// the discrete part of s.
+func decodesTo(keys *discretePacker, e *storeEntry, s *State) bool {
+	locs, vars := make([]ta.LocID, len(s.Locs)), make([]int64, len(s.Vars))
+	keys.unpack(e.key, locs, vars)
+	return slices.Equal(locs, s.Locs) && slices.Equal(vars, s.Vars)
 }
 
 func (sh *shadowStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
@@ -146,8 +153,11 @@ func (sh *shadowStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact
 	b, _ := sh.ref.add(widened, sc)
 	entry, payload := sh.fast.add(s, sc)
 	a := entry != nil
-	if a != (b != nil) || (a && (!s.Zone.Eq(widened.Zone) || !entry.matches(s.Locs, s.Vars))) {
+	if a != (b != nil) || (a && (!s.Zone.Eq(widened.Zone) || !decodesTo(sh.ref.keys, entry, s))) {
 		sh.disagreements.Add(1)
+	}
+	if a {
+		sh.decoded.Add(1)
 	}
 	if !a && !s.Zone.Eq(widened.Zone) {
 		sh.rejectedUnwidened.Add(1)
@@ -182,14 +192,17 @@ func TestCompactStoreShadowMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast := newStore(shape.shards, nil, &c.eng.bounds)
-		sh := &shadowStore{fast: fast, ref: newRefStore(&c.eng.bounds)}
+		fast := newStore(shape.shards, nil, &c.eng.bounds, &c.eng.keys)
+		sh := &shadowStore{fast: fast, ref: newRefStore(&c.eng.bounds, &c.eng.keys)}
 		res, err := c.Explore(Options{Workers: shape.workers, passed: sh}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := sh.disagreements.Load(); d != 0 {
 			t.Errorf("%+v: %d admission decisions diverged from the reference store", shape, d)
+		}
+		if got := sh.decoded.Load(); got != int64(res.Stored) {
+			t.Errorf("%+v: %d entry keys decoded for %d admissions", shape, got, res.Stored)
 		}
 		if fast.size() != sh.ref.size() {
 			t.Errorf("%+v: compact store holds %d zones, reference %d", shape, fast.size(), sh.ref.size())
@@ -251,8 +264,8 @@ func TestRawAdmissionMatchesWidenFirst(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast := newStore(shape.shards, nil, &c.eng.bounds)
-			sh := &shadowStore{fast: fast, ref: newRefStore(&c.eng.bounds)}
+			fast := newStore(shape.shards, nil, &c.eng.bounds, &c.eng.keys)
+			sh := &shadowStore{fast: fast, ref: newRefStore(&c.eng.bounds, &c.eng.keys)}
 			if _, err := c.Explore(Options{Workers: shape.workers, MaxStates: 20_000, passed: sh}, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +337,7 @@ func TestAdmissionWidensOnceAndRecyclesRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spy := &widenSpy{passedSet: newStore(1, nil, &c.eng.bounds), t: t, bounds: &c.eng.bounds,
+	spy := &widenSpy{passedSet: newStore(1, nil, &c.eng.bounds, &c.eng.keys), t: t, bounds: &c.eng.bounds,
 		rejected: map[*dbm.DBM]bool{}}
 	res, err := c.Explore(Options{passed: spy}, nil)
 	if err != nil {
@@ -373,7 +386,7 @@ func TestCompactStoreSweepBitIdenticalToReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	atBusy := func(s *State) bool { return s.Locs[3] == busy }
-	ref := func() Options { return Options{passed: newRefStore(&c.eng.bounds)} }
+	ref := func() Options { return Options{passed: newRefStore(&c.eng.bounds, &c.eng.keys)} }
 
 	// Plain sweep: full Stats equality.
 	cres, err := c.Explore(Options{}, nil)
@@ -548,7 +561,7 @@ func TestSegmentedListLockstep(t *testing.T) {
 	for _, shape := range storeShapes {
 		workers := shape.workers
 		fast := testStore(shape.shards)
-		sh := &shadowStore{fast: fast, ref: newRefStore(&keepAll)}
+		sh := &shadowStore{fast: fast, ref: newRefStore(&keepAll, &testKeys)}
 		phase := func(name string, states ...*State) {
 			t.Helper()
 			var wg sync.WaitGroup

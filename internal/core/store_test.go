@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dbm"
@@ -21,8 +22,13 @@ var keepAll = func() dbm.ExtraBounds {
 	return dbm.NewExtraM([]int64{0, far, far, far})
 }()
 
+// testKeys packs the discrete parts the store tests build by hand: one
+// process of up to 1<<16 locations and one variable of the full int64 range,
+// two words whose variable field straddles them.
+var testKeys = packerFor([]int{1 << 16}, []ta.VarDecl{{Name: "v", Min: math.MinInt64, Max: math.MaxInt64}})
+
 // testStore returns a heap-backed store for tests that drive it directly.
-func testStore(shards int) *store { return newStore(shards, nil, &keepAll) }
+func testStore(shards int) *store { return newStore(shards, nil, &keepAll, &testKeys) }
 
 // admit is add with a scratch of its own, for callers that are not workers.
 // It returns the payload an admitted state waits with, nil when s is
@@ -142,14 +148,9 @@ func TestPStoreMatchesStore(t *testing.T) {
 		if seq.size() != par.size() {
 			t.Errorf("%d shards: zone counts differ: %d vs %d", shards, seq.size(), par.size())
 		}
-		// Entry, record and packed zone bytes agree exactly; intern bytes may
-		// differ (each shard interns for itself, so cross-shard repeats are
-		// stored once per shard).
-		if seq.zoneBytes.Load() != par.zoneBytes.Load() {
-			t.Errorf("%d shards: zone bytes differ: %d vs %d", shards, seq.zoneBytes.Load(), par.zoneBytes.Load())
-		}
-		if seq.bytes() <= 0 || par.bytes() < seq.bytes() {
-			t.Errorf("%d shards: stored bytes implausible: one shard %d, sharded %d", shards, seq.bytes(), par.bytes())
+		// Entry, key, record and packed zone bytes agree exactly.
+		if seq.bytes() <= 0 || par.bytes() != seq.bytes() {
+			t.Errorf("%d shards: stored bytes differ: one shard %d, sharded %d", shards, seq.bytes(), par.bytes())
 		}
 		checkStoreLayout(t, seq)
 		checkStoreLayout(t, par)
@@ -161,8 +162,6 @@ func TestPStoreMatchesStore(t *testing.T) {
 // and stay put on subsumption.
 func TestStoreTracksStoredBytes(t *testing.T) {
 	st := testStore(1)
-	// Distinct contents so the locs and vars vectors intern separately (the
-	// table is content-addressed across both kinds).
 	locs := []ta.LocID{3}
 	vars := []int64{0}
 	if st.bytes() != 0 {
@@ -175,10 +174,9 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 		t.Fatalf("bytes after one admission = %d, want > 0", after1)
 	}
 	// The packed zone, whatever the layout makes of it, plus the entry that
-	// holds the zone's record inline and the two interned vectors (one word
-	// each).
+	// holds the zone's record inline and its key.
 	packed := func(s *State) int64 { return int64(len(dbm.EncodeCompact(s.Zone, nil))) }
-	if want := packed(first) + entryBytes + 16; after1 != want {
+	if want := packed(first) + entryBytes + 8*int64(testKeys.words); after1 != want {
 		t.Errorf("bytes after one admission = %d, want %d", after1, want)
 	}
 	admit(st, mkState(locs, vars, 5)) // subsumed
@@ -214,30 +212,52 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 	}
 }
 
-// TestStoreInternsDiscreteVectors pins the intern table: repeats of a
-// location vector or variable valuation across distinct discrete states must
-// collapse to one shared slice each.
-func TestStoreInternsDiscreteVectors(t *testing.T) {
+// TestStoreLookupCounts pins what internStats counts: every admission
+// looks its discrete state's entry up, and hits are lookups that found the
+// entry, subsumed states included; misses are the entries created.
+func TestStoreLookupCounts(t *testing.T) {
 	st := testStore(1)
-	// Same locs, three different vars: locs interned once, hit twice.
 	admit(st, mkState([]ta.LocID{7}, []int64{0}, 10))
+	admit(st, mkState([]ta.LocID{7}, []int64{0}, 5)) // subsumed: a hit
 	admit(st, mkState([]ta.LocID{7}, []int64{1}, 10))
-	admit(st, mkState([]ta.LocID{7}, []int64{2}, 10))
-	hits, misses := st.internStats()
-	if hits != 2 {
-		t.Errorf("intern hits = %d, want 2 (repeated location vector)", hits)
+	admit(st, mkState([]ta.LocID{7}, []int64{1}, 20)) // prunes: a hit
+	admit(st, mkState([]ta.LocID{8}, []int64{1}, 10))
+	if hits, misses := st.internStats(); hits != 2 || misses != 3 {
+		t.Errorf("lookups: %d hits, %d misses; want 2, 3", hits, misses)
 	}
-	// Misses: locs{7}, vars{0}, vars{1}, vars{2}.
-	if misses != 4 {
-		t.Errorf("intern misses = %d, want 4", misses)
+	if entries := entriesOf(st.shards.at(0).buckets); len(entries) != 3 {
+		t.Errorf("entries = %d, want 3", len(entries))
 	}
-	entries := entriesOf(st.shards.at(0).buckets)
-	if len(entries) != 3 {
-		t.Fatalf("entries = %d, want 3", len(entries))
+}
+
+// TestStoreNewEntryAllocs pins what a new discrete state costs the heap: its
+// entry, one object. The key is carved from the shard's arena, whose blocks
+// grow with the run, and the payload from the run's slabs, so admitting
+// zones at n distinct new discrete states allocates about one object each —
+// the rest is the arena's and the bucket map's growth, amortized.
+func TestStoreNewEntryAllocs(t *testing.T) {
+	const n = 2000
+	keys := packerFor([]int{5}, []ta.VarDecl{{Name: "v", Min: -n, Max: n}})
+	var slabs dbm.Slabs
+	defer slabs.Release()
+	st := newStore(1, &slabs, &keepAll, &keys)
+	states := make([]*State, n+1) // AllocsPerRun calls once more to warm up
+	for i := range states {
+		states[i] = mkState([]ta.LocID{ta.LocID(i % 5)}, []int64{int64(n - 2*i)}, 10)
+		states[i].discreteKey()
 	}
-	for _, e := range entries[1:] {
-		if &e.locs[0] != &entries[0].locs[0] {
-			t.Error("repeated location vectors not shared between entries")
+	sc := &closeScratch{rows: dbm.NewTouched(2), cols: dbm.NewTouched(2)}
+	next := 0
+	allocs := testing.AllocsPerRun(n, func() {
+		if e, _ := st.add(states[next], sc); e == nil {
+			t.Fatalf("state %d was subsumed", next)
 		}
+		next++
+	})
+	if allocs > 1.2 {
+		t.Errorf("%.2f allocations per new discrete state, want <= 1.2", allocs)
+	}
+	if _, misses := st.internStats(); misses != n+1 {
+		t.Errorf("%d entries created for %d distinct discrete states", misses, n+1)
 	}
 }

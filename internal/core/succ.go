@@ -26,6 +26,9 @@ type engine struct {
 	// Extra_LU gave Fischer-5 the same 46,361 stored / 131,185 fired as
 	// Extra_M, inflates clock suprema, and was deleted in PR 28.
 	bounds dbm.ExtraBounds
+	// keys packs a state's discrete part into the passed store's entry keys
+	// and decodes a popped state's back out of them (succCtx.unpark).
+	keys discretePacker
 
 	// emOff/rcOff are the per-channel segment starts of the enabled-edge
 	// buckets inside succCtx.chanBuf: channel c's enabled emitters occupy
@@ -50,7 +53,7 @@ func newEngine(net *ta.Network) (*engine, error) {
 	if !bounds.Idempotent() {
 		return nil, fmt.Errorf("core: negative extrapolation constant: a stored zone would not be a fixed point of its own extrapolation")
 	}
-	e := &engine{net: net, dim: net.NumClocks(), bounds: bounds}
+	e := &engine{net: net, dim: net.NumClocks(), bounds: bounds, keys: newDiscretePacker(net)}
 	nChans := len(net.Chans)
 	offs := make([]int32, 2*nChans)
 	e.emOff = offs[:nChans:nChans]
@@ -95,6 +98,8 @@ type succCtx struct {
 
 	closeScratch
 
+	keys *discretePacker // the engine's, for unpark
+
 	locs  []ta.LocID  // scratch location vector, len = #processes
 	vars  []int64     // scratch variable valuation, len = #variables
 	parts []LabelPart // scratch label under construction
@@ -113,9 +118,9 @@ type succCtx struct {
 	runs []partRun // broadcast receiver grouping
 
 	// states is a free list of State objects (with their discrete vectors)
-	// released by the explorer via putState. Store entries intern copies of
-	// the discrete vectors of admitted states (store.go), so recycling a
-	// state can never corrupt the passed store.
+	// released by the explorer via putState. Store entries keep packed
+	// copies of the discrete parts of admitted states (store.go), so
+	// recycling a state can never corrupt the passed store.
 	states []*State
 	// nodes is the free list of the waiting nodes this worker popped, and
 	// block the one it carves new nodes from, next its first unused one (see
@@ -176,6 +181,7 @@ func (e *engine) newCtx(slabs *dbm.Slabs) *succCtx {
 		pool:         pool,
 		zone:         pool.Get(), // contents unspecified; fire overwrites it
 		closeScratch: e.newCloseScratch(),
+		keys:         &e.keys,
 		locs:         make([]ta.LocID, len(e.net.Procs)),
 		vars:         make([]int64, len(e.net.Vars)),
 		chanBuf:      make([]LabelPart, e.bucketLen),
@@ -256,17 +262,12 @@ func (ctx *succCtx) park(s *State, entry *storeEntry, payload dbm.Compact) *wait
 }
 
 // unpark rebuilds the state a popped node waited as: a pooled State with the
-// entry's vectors, the node's key and ref, and the payload decoded into a
+// discrete part decoded from the entry's key, the node's key and ref, and the payload decoded into a
 // pooled matrix. The node goes onto the free list; the payload is returned
 // for the caller to give back through passedSet.release.
 func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
 	s := ctx.getState()
-	for i, l := range n.entry.locs {
-		s.Locs[i] = ta.LocID(l)
-	}
-	for i, v := range n.entry.vrs {
-		s.Vars[i] = int64(v)
-	}
+	ctx.keys.unpack(n.entry.key, s.Locs, s.Vars)
 	s.key, s.ref = n.key, n.ref
 	s.Zone = ctx.pool.Get()
 	payload := n.packed

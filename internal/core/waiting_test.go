@@ -173,7 +173,7 @@ func TestWaitingStatesOutliveTheirRecords(t *testing.T) {
 	for _, order := range []Order{BFS, DFS, RDFS} {
 		opts := Options{Order: order, Seed: 7}
 		refOpts := opts
-		ref := newRefStore(&c.eng.bounds)
+		ref := newRefStore(&c.eng.bounds, &c.eng.keys)
 		refOpts.passed = ref
 		want, wantStats := admissions(t, c, refOpts)
 		// Stored counts admissions, Live what the prunes left of them.
@@ -185,7 +185,7 @@ func TestWaitingStatesOutliveTheirRecords(t *testing.T) {
 		got, gotStats := admissions(t, c, opts)
 		sameSweep(t, order.String()+", slab store", got, want, gotStats, wantStats)
 
-		st := newStore(1, nil, &c.eng.bounds)
+		st := newStore(1, nil, &c.eng.bounds, &c.eng.keys)
 		spy := newHolderSpy(st)
 		spyOpts := opts
 		spyOpts.passed = spy
@@ -246,7 +246,7 @@ func TestWaitingStatesParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{4, 64} {
-		sh := &shadowStore{fast: newStore(shards, nil, &c.eng.bounds), ref: newRefStore(&c.eng.bounds)}
+		sh := &shadowStore{fast: newStore(shards, nil, &c.eng.bounds, &c.eng.keys), ref: newRefStore(&c.eng.bounds, &c.eng.keys)}
 		spy := newHolderSpy(sh)
 		par, err := c.SupClock(x.ID, atEnd, Options{Workers: 4, passed: spy})
 		if err != nil {
@@ -337,7 +337,7 @@ func TestSweepStatesBoundedByExpansion(t *testing.T) {
 			if workers > 1 {
 				shards = parallelShards
 			}
-			spy := &stateSpy{passedSet: newStore(shards, nil, &c.eng.bounds), seen: map[*State]bool{}}
+			spy := &stateSpy{passedSet: newStore(shards, nil, &c.eng.bounds, &c.eng.keys), seen: map[*State]bool{}}
 			res, err := c.Explore(Options{Order: order, Workers: workers, passed: spy}, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -367,7 +367,7 @@ func TestDeadlockObservedOnDecodedZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, order := range []Order{BFS, DFS} {
-		want, err := c.CheckDeadlockFree(Options{Order: order, passed: newRefStore(&c.eng.bounds)})
+		want, err := c.CheckDeadlockFree(Options{Order: order, passed: newRefStore(&c.eng.bounds, &c.eng.keys)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -134,11 +134,11 @@ type ProgressBody struct {
 	Frontier    int64 `json:"frontier"`
 	Workers     int   `json:"workers"`
 	Running     bool  `json:"running"`
-	// StoredBytes is the passed store's actual resident footprint: entries,
-	// zone records, packed zone bytes and interned discrete vectors.
+	// StoredBytes is the passed store's actual resident footprint: entries
+	// with their packed discrete keys, zone records and packed zone bytes.
 	StoredBytes int64 `json:"stored_bytes"`
-	// InternHits / InternMisses count discrete-vector intern lookups; the hit
-	// rate is the store's discrete-part sharing factor.
+	// InternHits / InternMisses count the store's entry lookups: a hit found
+	// its discrete state's entry, a miss created one (core.Progress).
 	InternHits   int64 `json:"intern_hits"`
 	InternMisses int64 `json:"intern_misses"`
 }

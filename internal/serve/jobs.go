@@ -534,8 +534,8 @@ func (m *jobManager) get(id string) *job {
 }
 
 // storedFootprint sums the live explorations' actual passed-store footprint
-// (core.Progress.StoredBytes) and the intern hit/miss totals across every
-// non-terminal job. Terminal jobs are skipped — their
+// (core.Progress.StoredBytes) and the entry-lookup hit/miss totals
+// (core.Progress.InternHits/InternMisses) across every non-terminal job. Terminal jobs are skipped — their
 // stores are already unreachable and collected; counting them would report
 // memory the process no longer holds. Snapshots are taken outside m.mu (a
 // Monitor sums per-worker counters) so a slow sample never blocks submission.

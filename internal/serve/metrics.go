@@ -69,8 +69,8 @@ func (s *Server) buildRegistry() {
 	g("taserved_memory_budget_bytes", "Global zone-memory budget (0 = unmetered).", func() int64 { return s.cfg.MemoryBudget })
 	g("taserved_memory_in_use_bytes", "Memory-budget bytes currently granted.", s.tokens.bytesInUse)
 	g("taserved_stored_zone_bytes", "Live explorations' resident passed-store bytes.", func() int64 { b, _, _ := s.jobs.storedFootprint(); return b })
-	g("taserved_intern_hits_total", "Live explorations' discrete-vector intern hits.", func() int64 { _, h, _ := s.jobs.storedFootprint(); return h })
-	g("taserved_intern_misses_total", "Live explorations' discrete-vector intern misses.", func() int64 { _, _, miss := s.jobs.storedFootprint(); return miss })
+	g("taserved_intern_hits_total", "Live explorations' store entry lookups that found their discrete state's entry.", func() int64 { _, h, _ := s.jobs.storedFootprint(); return h })
+	g("taserved_intern_misses_total", "Live explorations' store entries created, one per distinct discrete state.", func() int64 { _, _, miss := s.jobs.storedFootprint(); return miss })
 	// Zone slabs are mapped, not allocated (internal/dbm): the Go runtime's
 	// own metrics and heap profiles do not contain them, so without these two
 	// the process's resident memory cannot be accounted for from its output.
