@@ -102,7 +102,9 @@ type SubmitResponse struct {
 // 30 s is clamped to it, not refused — and also answers early when the caller
 // goes away or the node starts shutting down. The body is the same either
 // way, so a waiter tells "finished" from "timed out" by State; an unknown id
-// is 404 without waiting.
+// is 404 without waiting. With ?result=1 (the only value it takes; anything
+// else is 400 bad_request) a done job's answer also carries Result, so a
+// waiter reads the verdict without a GET …/result of its own.
 type StatusResponse struct {
 	JobID       string       `json:"job_id"`
 	Kind        string       `json:"kind"`
@@ -112,6 +114,11 @@ type StatusResponse struct {
 	StartedAt   *time.Time   `json:"started_at,omitempty"`
 	FinishedAt  *time.Time   `json:"finished_at,omitempty"`
 	Progress    ProgressBody `json:"progress"`
+	// Result is a done job's raw wire JSON, byte-identical to GET
+	// …/result, present only when the call asked with ?result=1. Like
+	// CompletionEvent.Result it travels base64: embedded raw, the status
+	// body's indenting encoder would re-format it.
+	Result []byte `json:"result,omitempty"`
 }
 
 // CancelResponse is the body answering POST /v1/jobs/{id}/cancel: the job's

@@ -3,9 +3,10 @@
 // operational endpoints, speaking the internal/serve/api contract. Every
 // call takes a context; non-2xx responses surface as *APIError carrying the
 // HTTP status and the structured wire.ErrorResponse body (including the
-// server's retry guidance on overload rejections). The package depends only
-// on the contract types, so server-side tests can use it without import
-// cycles.
+// server's retry guidance on overload rejections). A done job's verdict rides
+// home on the status wait that saw it finish, so Submit, Await and Result
+// together cost two round trips. The package depends only on the contract
+// types, so server-side tests can use it without import cycles.
 package client
 
 import (
@@ -18,6 +19,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/serve/api"
@@ -31,6 +33,12 @@ type Client struct {
 	// maxWait is the longest wait Await asks of the server in one call:
 	// maxAwaitWait, except in this package's tests.
 	maxWait time.Duration
+
+	// handedData is the wire result the last done Await brought back for job
+	// handedID, kept for the Result call on that id that normally follows.
+	mu         sync.Mutex
+	handedID   string
+	handedData []byte
 }
 
 // New returns a client for the node at base (e.g. "http://127.0.0.1:8080").
@@ -88,15 +96,27 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (int, []
 	return resp.StatusCode, out, nil
 }
 
-// apiError decodes a non-2xx body into an *APIError; bodies that are not a
-// wire.ErrorResponse (e.g. the 409 job-state bodies) keep their raw text as
-// the message.
+// apiError decodes a non-2xx body into an *APIError. The 409 a job answers
+// while it has nothing to give yet ({"state": …, "error": …}) becomes the
+// one-line message "job is <state>[: <error>]"; other bodies that are not a
+// wire.ErrorResponse keep their raw text as the message.
 func apiError(status int, body []byte) *APIError {
 	e := &APIError{Status: status}
-	if json.Unmarshal(body, &e.Body) != nil || e.Body.Error == "" {
-		if e.Body.Error == "" {
-			e.Body.Error = strings.TrimSpace(string(body))
+	var b struct {
+		wire.ErrorResponse
+		State string `json:"state"`
+	}
+	if json.Unmarshal(body, &b) == nil {
+		e.Body = b.ErrorResponse
+		if b.State != "" {
+			e.Body.Error = "job is " + b.State
+			if b.Error != "" {
+				e.Body.Error += ": " + b.Error
+			}
 		}
+	}
+	if e.Body.Error == "" {
+		e.Body.Error = strings.TrimSpace(string(body))
 	}
 	return e
 }
@@ -129,9 +149,19 @@ func (c *Client) Status(ctx context.Context, id string) (*api.StatusResponse, er
 // the wait to its own cap, 30 s), and answers early — with whatever state the
 // job is in — when it starts shutting down. wait <= 0 is the plain call.
 func (c *Client) StatusWait(ctx context.Context, id string, wait time.Duration) (*api.StatusResponse, error) {
-	path := "/v1/jobs/" + id
+	return c.statusWait(ctx, id, wait, false)
+}
+
+// statusWait is StatusWait that, with withResult, also asks for a done job's
+// wire result in the answer (?result=1).
+func (c *Client) statusWait(ctx context.Context, id string, wait time.Duration, withResult bool) (*api.StatusResponse, error) {
+	path, sep := "/v1/jobs/"+id, "?"
 	if wait > 0 {
-		path += "?wait_ms=" + strconv.FormatInt(max(wait.Milliseconds(), 1), 10) // a sub-ms wait still waits
+		path += sep + "wait_ms=" + strconv.FormatInt(max(wait.Milliseconds(), 1), 10) // a sub-ms wait still waits
+		sep = "&"
+	}
+	if withResult {
+		path += sep + "result=1"
 	}
 	status, body, err := c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
@@ -160,6 +190,10 @@ const maxAwaitWait = 30 * time.Second
 // at once. interval is only the pause after a wait that came back non-terminal
 // early — from a server that ignores wait_ms, or from a node that is draining
 // — so that such a server is polled, not hammered; interval <= 0 selects 2ms.
+//
+// Each wait also asks for the verdict (?result=1). When the job is done, Await
+// keeps the bytes the answer carried for the next Result call on that id and
+// returns the status without them (Result is nil).
 func (c *Client) Await(ctx context.Context, id string, interval time.Duration) (*api.StatusResponse, error) {
 	if interval <= 0 {
 		interval = 2 * time.Millisecond
@@ -176,7 +210,7 @@ func (c *Client) Await(ctx context.Context, id string, interval time.Duration) (
 			wait = max(min(wait, time.Until(deadline)).Truncate(time.Millisecond), time.Millisecond)
 		}
 		asked := time.Now()
-		st, err := c.StatusWait(ctx, id, wait)
+		st, err := c.statusWait(ctx, id, wait, true)
 		if err != nil {
 			if ctx.Err() != nil {
 				return last, ctx.Err()
@@ -185,7 +219,15 @@ func (c *Client) Await(ctx context.Context, id string, interval time.Duration) (
 		}
 		last = st
 		switch st.State {
-		case api.StateDone, api.StateFailed, api.StateCanceled:
+		case api.StateDone:
+			if st.Result != nil {
+				c.mu.Lock()
+				c.handedID, c.handedData = id, st.Result
+				c.mu.Unlock()
+				st.Result = nil
+			}
+			return st, nil
+		case api.StateFailed, api.StateCanceled:
 			return st, nil
 		}
 		if time.Since(asked) >= wait {
@@ -205,9 +247,29 @@ func (c *Client) Await(ctx context.Context, id string, interval time.Duration) (
 	}
 }
 
+// takeHanded returns and forgets the kept wire result when it is id's, and
+// nil otherwise.
+func (c *Client) takeHanded(id string) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.handedID != id || c.handedData == nil {
+		return nil
+	}
+	data := c.handedData
+	c.handedID, c.handedData = "", nil
+	return data
+}
+
 // Result returns a done job's raw wire bytes, exactly as the server stored
-// them — callers comparing against CLI output must not re-encode.
+// them — callers comparing against CLI output must not re-encode. Right after
+// an Await that saw the job done it returns the bytes that wait brought back
+// and sends nothing; the client keeps one such result, handed over once, so
+// any other call — a second Result, another id, a Result racing another
+// Await, a server that did not send the bytes — asks GET …/result.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
+	if data := c.takeHanded(id); data != nil {
+		return data, nil
+	}
 	status, body, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/result", nil)
 	if err != nil {
 		return nil, err

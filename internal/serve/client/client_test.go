@@ -1,6 +1,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -286,5 +288,204 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	if st, err := c.Await(ctx, running.JobID, 0); err != nil || st.State != api.StateCanceled {
 		t.Errorf("Await after Cancel = %+v, %v; want canceled", st, err)
+	}
+}
+
+// countingNode serves the real handler of a node with one CPU token and
+// counts the requests that reach it.
+func countingNode(t *testing.T) (*Client, *atomic.Int64) {
+	t.Helper()
+	s := serve.New(serve.Config{CPUTokens: 1})
+	h := s.Handler()
+	var requests atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		_ = s.Shutdown(10 * time.Second)
+		ts.Close()
+	})
+	return New(ts.URL, nil), &requests
+}
+
+// submitTiny submits tinyArch at the given horizon and awaits it done.
+func submitTiny(t *testing.T, c *Client, horizonMS int64) string {
+	t.Helper()
+	ctx := context.Background()
+	sr, err := c.Submit(ctx, &api.SubmitRequest{Kind: "arch", Model: tinyArch,
+		Options: api.SubmitOptions{HorizonMS: horizonMS}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Await(ctx, sr.JobID, 0)
+	if err != nil || st.State != api.StateDone {
+		t.Fatalf("Await = %+v, %v", st, err)
+	}
+	if st.Result != nil {
+		t.Errorf("Await returned a status with %d result bytes, want none", len(st.Result))
+	}
+	return sr.JobID
+}
+
+// TestResultAfterAwaitIsHandedOver: the verdict rides home on the wait that
+// saw the job finish, so the Result after it sends nothing; it is handed over
+// once, and every other Result asks the server for the same bytes.
+func TestResultAfterAwaitIsHandedOver(t *testing.T) {
+	c, requests := countingNode(t)
+	ctx := context.Background()
+	other := submitTiny(t, c, 150)
+	id := submitTiny(t, c, 100)
+
+	before := requests.Load()
+	handed, err := c.Result(ctx, id)
+	if err != nil || len(handed) == 0 {
+		t.Fatalf("Result after Await = %q, %v", handed, err)
+	}
+	if n := requests.Load() - before; n != 0 {
+		t.Errorf("Result right after Await sent %d requests, want 0", n)
+	}
+	served, err := New(c.base, nil).Result(ctx, id)
+	if err != nil || !bytes.Equal(handed, served) {
+		t.Errorf("handed-over result differs from GET …/result (%v):\n%s\n%s", err, handed, served)
+	}
+
+	t.Run("a second Result asks the server", func(t *testing.T) {
+		before := requests.Load()
+		again, err := c.Result(ctx, id)
+		if err != nil || !bytes.Equal(again, served) || requests.Load()-before != 1 {
+			t.Errorf("second Result = %d bytes, %v after %d requests; want the served bytes after 1",
+				len(again), err, requests.Load()-before)
+		}
+	})
+
+	t.Run("another id asks the server and leaves the kept result", func(t *testing.T) {
+		id := submitTiny(t, c, 200)
+		before := requests.Load()
+		got, err := c.Result(ctx, other)
+		sent := requests.Load() - before
+		want, _ := New(c.base, nil).Result(ctx, other)
+		if err != nil || !bytes.Equal(got, want) || sent != 1 {
+			t.Errorf("Result of another id = %d bytes, %v after %d requests; want the served bytes after 1", len(got), err, sent)
+		}
+		before = requests.Load()
+		if _, err := c.Result(ctx, id); err != nil || requests.Load() != before {
+			t.Errorf("Result of the awaited id after another id's: %v, %d requests", err, requests.Load()-before)
+		}
+	})
+}
+
+// TestResultFromAServerThatIgnoresTheParameter: a node that answers the wait
+// without the bytes leaves Result to fetch them.
+func TestResultFromAServerThatIgnoresTheParameter(t *testing.T) {
+	var asked, fetched atomic.Bool
+	c, calls := fakeNode(t, func(r *http.Request, _ int, _ time.Duration) string {
+		if r.URL.Query().Get("result") == "1" {
+			asked.Store(true)
+		}
+		if strings.HasSuffix(r.URL.Path, "/result") {
+			fetched.Store(true)
+		}
+		return api.StateDone
+	})
+	ctx := context.Background()
+	if st, err := c.Await(ctx, "j", 0); err != nil || st.State != api.StateDone {
+		t.Fatalf("Await = %+v, %v", st, err)
+	}
+	if !asked.Load() {
+		t.Error("Await did not ask for the result")
+	}
+	if _, err := c.Result(ctx, "j"); err != nil || !fetched.Load() || calls.Load() != 2 {
+		t.Errorf("Result: %v after %d calls (fetched %v); want one GET …/result", err, calls.Load(), fetched.Load())
+	}
+}
+
+// TestConcurrentAwaitResultPairs: the client keeps one handed-over result, so
+// pairs racing on one client must each read their own job's bytes — from the
+// hand-over or from the server.
+func TestConcurrentAwaitResultPairs(t *testing.T) {
+	c := realNode(t)
+	ctx := context.Background()
+	const pairs = 8
+	var wg sync.WaitGroup
+	got := make([][]byte, pairs)
+	ids := make([]string, pairs)
+	for i := range pairs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sr, err := c.Submit(ctx, &api.SubmitRequest{Kind: "arch", Model: tinyArch,
+				Options: api.SubmitOptions{HorizonMS: int64(100 + 10*i)}})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ids[i] = sr.JobID
+			if st, err := c.Await(ctx, sr.JobID, 0); err != nil || st.State != api.StateDone {
+				t.Errorf("Await = %+v, %v", st, err)
+				return
+			}
+			if got[i], err = c.Result(ctx, sr.JobID); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	fresh := New(c.base, nil)
+	for i, id := range ids {
+		want, err := fresh.Result(ctx, id)
+		if err != nil || !bytes.Equal(got[i], want) {
+			t.Errorf("pair %d read\n%s\nits job serves (%v)\n%s", i, got[i], err, want)
+		}
+	}
+}
+
+// TestNotReadyIsOneLine: the 409 of a job with nothing to give yet reads as
+// its state, and its failure when it has one, on one line.
+func TestNotReadyIsOneLine(t *testing.T) {
+	c := realNode(t)
+	ctx := context.Background()
+	sr, err := c.Submit(ctx, &api.SubmitRequest{Kind: "ta", Model: endlessTA(),
+		Queries: []wire.TAQuery{{Kind: "deadlock"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		st, err := c.Status(ctx, sr.JobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == api.StateRunning {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	calls := map[string]func() error{
+		"Result":  func() error { _, err := c.Result(ctx, sr.JobID); return err },
+		"Trace":   func() error { _, err := c.Trace(ctx, sr.JobID, ""); return err },
+		"Profile": func() error { _, err := c.Profile(ctx, sr.JobID); return err },
+	}
+	for name, call := range calls {
+		var ae *APIError
+		if err := call(); !errors.As(err, &ae) || ae.Status != http.StatusConflict ||
+			err.Error() != "taserved: job is running (HTTP 409)" {
+			t.Errorf("%s of a running job: %v", name, err)
+		}
+	}
+	if _, err := c.Cancel(ctx, sr.JobID); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := c.Await(ctx, sr.JobID, 0); err != nil || st.State != api.StateCanceled {
+		t.Fatalf("Await after Cancel = %+v, %v", st, err)
+	}
+	// A canceled job has its profile; the other two still answer 409, and
+	// the trace 409 names no failure.
+	for name, want := range map[string]string{
+		"Result": "taserved: job is canceled: canceled (HTTP 409)",
+		"Trace":  "taserved: job is canceled (HTTP 409)",
+	} {
+		if err := calls[name](); err == nil || err.Error() != want {
+			t.Errorf("%s of a canceled job: %v, want %q", name, err, want)
+		}
 	}
 }

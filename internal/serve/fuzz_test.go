@@ -64,7 +64,9 @@ func FuzzSubmitDecode(f *testing.F) {
 // FuzzStatusQuery sends arbitrary query strings to the status endpoint of a
 // finished job (so an accepted wait has nothing to wait for): the answer is
 // the status or a 400 bad_request, parseWaitMS never yields a wait outside
-// [0, maxStatusWait], and the table still holds that one job and no other.
+// [0, maxStatusWait], the status carries the job's result bytes exactly when
+// the query asks with result=1 — a result of any other value is the 400 —
+// and the table still holds that one job and no other.
 func FuzzStatusQuery(f *testing.F) {
 	s := New(Config{CPUTokens: 1})
 	j, _ := s.jobs.adopt("fuzzed", api.CompletionEvent{Key: "fuzzed", Kind: "ta", State: StateDone, Result: []byte("{}")})
@@ -80,10 +82,24 @@ func FuzzStatusQuery(f *testing.F) {
 		if wait < 0 || wait > maxStatusWait || (err != nil && wait != 0) {
 			t.Fatalf("parseWaitMS(%q) = %v, %v", values.Get("wait_ms"), wait, err)
 		}
-		if err != nil {
+		badResult := values.Has("result") && values.Get("result") != "1"
+		if err != nil || badResult {
 			requireRefusal(t, rec, map[int]string{http.StatusBadRequest: wire.CodeBadRequest})
 		} else if rec.Code != http.StatusOK {
 			t.Fatalf("HTTP %d for an acceptable query: %s", rec.Code, rec.Body)
+		} else {
+			var members map[string]json.RawMessage
+			if err := json.Unmarshal(rec.Body.Bytes(), &members); err != nil {
+				t.Fatalf("status body %s: %v", rec.Body, err)
+			}
+			raw, has := members["result"]
+			var result []byte
+			if has && json.Unmarshal(raw, &result) != nil {
+				t.Fatalf("result member %s is not base64 bytes", raw)
+			}
+			if has != values.Has("result") || (has && string(result) != "{}") {
+				t.Fatalf("query %q: status carries result %s (present %v)", query, result, has)
+			}
 		}
 		requireTable(t, s, 1)
 	})

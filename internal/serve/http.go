@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -22,7 +23,8 @@ import (
 //
 //	POST /v1/jobs              submit an analysis; returns the job id
 //	GET  /v1/jobs/{id}         status + live progress; ?wait_ms=N holds the
-//	                           answer until the job is terminal or N ms pass
+//	                           answer until the job is terminal or N ms pass;
+//	                           ?result=1 adds a done job's wire result
 //	GET  /v1/jobs/{id}/result  the wire result (done jobs only)
 //	GET  /v1/jobs/{id}/trace   captured witness traces
 //	GET  /v1/jobs/{id}/profile lifecycle spans + sweep profile (terminal jobs)
@@ -156,6 +158,19 @@ func parseWaitMS(v string) (time.Duration, error) {
 	return time.Duration(min(ms, maxStatusWait.Milliseconds())) * time.Millisecond, nil
 }
 
+// parseResultFlag reads the result query value of a status request: absent
+// means the plain status body, 1 asks for a done job's wire result in it as
+// well, anything else is a bad request.
+func parseResultFlag(q url.Values) (bool, error) {
+	if !q.Has("result") {
+		return false, nil
+	}
+	if v := q.Get("result"); v != "1" {
+		return false, badRequest("result must be 1, got %q", v)
+	}
+	return true, nil
+}
+
 // awaitTerminal parks a status request until the job turns terminal, d passes,
 // the request ends (the client went away) or Shutdown is through with the
 // jobs — whichever is first. The caller reads the job's state afterwards
@@ -182,7 +197,13 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	wait, err := parseWaitMS(r.URL.Query().Get("wait_ms"))
+	q := r.URL.Query()
+	wait, err := parseWaitMS(q.Get("wait_ms"))
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	withResult, err := parseResultFlag(q)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -215,6 +236,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !finished.IsZero() {
 		resp.FinishedAt = &finished
 	}
+	if withResult && state == StateDone {
+		resp.Result = j.resultBytes()
+	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -238,11 +262,8 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeNotReady(w, state, errMsg)
 		return
 	}
-	j.mu.Lock()
-	data := j.result
-	j.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(data)
+	_, _ = w.Write(j.resultBytes())
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {

@@ -296,6 +296,14 @@ func (j *job) snapshot() (state, errMsg string, started, finished time.Time) {
 	return j.state, j.errMsg, j.started, j.finished
 }
 
+// resultBytes reads a done job's stored wire bytes; they never change once
+// the job is done.
+func (j *job) resultBytes() []byte {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.result
+}
+
 // terminal reports whether the job reached a final state.
 func (j *job) terminal() bool {
 	select {

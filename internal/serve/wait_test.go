@@ -1,12 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve/api"
 	"repro/internal/serve/client"
 	"repro/internal/wire"
 )
@@ -55,12 +59,12 @@ func waitStatus(t *testing.T, base, id, query string) (int, []byte, time.Duratio
 	return a.code, a.body, a.took
 }
 
-// parkThen issues a 30 s wait on the job, runs then once the server has parked
-// it, and returns what the wait was answered with.
-func parkThen(t *testing.T, s *Server, base, id string, then func()) (int, []byte, time.Duration) {
+// parkThen issues the waiting status call GET /v1/jobs/{id}?query, runs then
+// once the server has parked it, and returns what the wait was answered with.
+func parkThen(t *testing.T, s *Server, base, id, query string, then func()) (int, []byte, time.Duration) {
 	t.Helper()
 	got := make(chan statusAnswer, 1)
-	go func() { got <- getStatus(base, id, "wait_ms=30000") }()
+	go func() { got <- getStatus(base, id, query) }()
 	waitParked(t, s, 1)
 	then()
 	a := <-got
@@ -161,7 +165,7 @@ func TestStatusWait(t *testing.T) {
 	})
 
 	t.Run("cancel mid-wait", func(t *testing.T) {
-		code, body, took := parkThen(t, s, ts.URL, queued.JobID, func() { cancelJob(t, ts.URL, queued.JobID) })
+		code, body, took := parkThen(t, s, ts.URL, queued.JobID, "wait_ms=30000", func() { cancelJob(t, ts.URL, queued.JobID) })
 		if st := decodeStatus(t, body); code != http.StatusOK || st.State != StateCanceled {
 			t.Fatalf("canceled job: HTTP %d %s (%q)", code, st.State, st.Error)
 		}
@@ -172,7 +176,7 @@ func TestStatusWait(t *testing.T) {
 
 	t.Run("finishing mid-wait answers at the finish", func(t *testing.T) {
 		// quick is queued behind running; canceling running lets it through.
-		code, body, _ := parkThen(t, s, ts.URL, quick.JobID, func() { cancelJob(t, ts.URL, running.JobID) })
+		code, body, _ := parkThen(t, s, ts.URL, quick.JobID, "wait_ms=30000", func() { cancelJob(t, ts.URL, running.JobID) })
 		answered := time.Now()
 		st := decodeStatus(t, body)
 		if code != http.StatusOK || st.State != StateDone || st.FinishedAt == nil {
@@ -392,7 +396,7 @@ func TestShutdownEndsWaitOnStuckJob(t *testing.T) {
 	if _, _, err := s.jobs.submit("stuck", "ta", 1, 0, time.Time{}, stuck); err != nil {
 		t.Fatal(err)
 	}
-	code, body, took := parkThen(t, s, ts.URL, "stuck", func() {
+	code, body, took := parkThen(t, s, ts.URL, "stuck", "wait_ms=30000", func() {
 		if err := s.Shutdown(50 * time.Millisecond); err == nil {
 			t.Error("shutdown reported a drained server with a job still running")
 		}
@@ -403,5 +407,121 @@ func TestShutdownEndsWaitOnStuckJob(t *testing.T) {
 	code, body, took = waitStatus(t, ts.URL, "stuck", "wait_ms=30000")
 	if st := decodeStatus(t, body); code != http.StatusOK || st.State != StateRunning || took > prompt {
 		t.Errorf("wait after shutdown: HTTP %d %s after %v", code, st.State, took)
+	}
+}
+
+// hasResultKey reports whether a status body carries a "result" member.
+func hasResultKey(t *testing.T, body []byte) bool {
+	t.Helper()
+	var members map[string]json.RawMessage
+	if err := json.Unmarshal(body, &members); err != nil {
+		t.Fatalf("decoding status %s: %v", body, err)
+	}
+	_, ok := members["result"]
+	return ok
+}
+
+// TestStatusWaitResult is the table of ?result=1: a done job's answer carries
+// the very bytes GET …/result serves, and no other answer has a result key.
+func TestStatusWaitResult(t *testing.T) {
+	s, ts := testServer(t, Config{CPUTokens: 1})
+	archJob := submit(t, ts.URL, SubmitRequest{Kind: "arch", Model: tinyArchModel(t),
+		Options: SubmitOptions{HorizonMS: 100}})
+	// Its query text and sup verdict hold "<=", which wire.Encode stores as
+	// \u003c=: the answer must carry that spelling and wire.Encode's
+	// indentation, not a re-encoding of either.
+	taJob := submit(t, ts.URL, SubmitRequest{Kind: "ta", Model: tinyTAModel(t),
+		Queries: []wire.TAQuery{{Kind: "sup", Clock: "x", Pred: "RAD.busy"}, {Kind: "safety", Pred: "rec<=4"}},
+		Options: SubmitOptions{MaxConst: 20}})
+
+	t.Run("done answers carry the stored bytes", func(t *testing.T) {
+		for kind, id := range map[string]string{"arch": archJob.JobID, "ta": taJob.JobID} {
+			code, body, _ := waitStatus(t, ts.URL, id, "wait_ms=30000&result=1")
+			st := decodeStatus(t, body)
+			if code != http.StatusOK || st.State != StateDone {
+				t.Fatalf("%s job: HTTP %d %s (%q)", kind, code, st.State, st.Error)
+			}
+			code, want := getBody(t, ts.URL+"/v1/jobs/"+id+"/result")
+			if code != http.StatusOK || !bytes.Equal(st.Result, want) {
+				t.Errorf("%s job: the status carries\n%s\nGET …/result (HTTP %d) serves\n%s", kind, st.Result, code, want)
+			}
+			if kind == "ta" && !bytes.Contains(st.Result, []byte(`"rec\u003c=4"`)) {
+				t.Errorf("ta result %s does not hold the stored query text", st.Result)
+			}
+			if _, again, _ := waitStatus(t, ts.URL, id, "result=1"); !bytes.Equal(decodeStatus(t, again).Result, want) {
+				t.Errorf("%s job: result=1 without a wait carries %s", kind, again)
+			}
+			for _, q := range []string{"", "wait_ms=30000"} {
+				if _, body, _ := waitStatus(t, ts.URL, id, q); hasResultKey(t, body) {
+					t.Errorf("%s job: ?%s carries a result: %s", kind, q, body)
+				}
+			}
+		}
+	})
+
+	// One token: running holds it, so queued and expiring wait behind it.
+	running := submit(t, ts.URL, hugeSubmit(73, 0))
+	awaitProgress(t, ts.URL, running.JobID, 500, time.Minute)
+	queued := submit(t, ts.URL, hugeSubmit(79, 0))
+	expiring := submit(t, ts.URL, hugeSubmit(83, 200))
+
+	t.Run("a timed-out wait has no result", func(t *testing.T) {
+		code, body, _ := waitStatus(t, ts.URL, running.JobID, "wait_ms=80&result=1")
+		if st := decodeStatus(t, body); code != http.StatusOK || st.State != StateRunning || hasResultKey(t, body) {
+			t.Errorf("running job after an 80ms wait: HTTP %d %s", code, body)
+		}
+	})
+
+	t.Run("a failed wait has no result", func(t *testing.T) {
+		code, body, _ := waitStatus(t, ts.URL, expiring.JobID, "wait_ms=30000&result=1")
+		if st := decodeStatus(t, body); code != http.StatusOK || st.State != StateFailed || hasResultKey(t, body) {
+			t.Errorf("expired job: HTTP %d %s", code, body)
+		}
+	})
+
+	t.Run("a canceled wait has no result", func(t *testing.T) {
+		code, body, _ := parkThen(t, s, ts.URL, queued.JobID, "wait_ms=30000&result=1",
+			func() { cancelJob(t, ts.URL, queued.JobID) })
+		if st := decodeStatus(t, body); code != http.StatusOK || st.State != StateCanceled || hasResultKey(t, body) {
+			t.Errorf("canceled job: HTTP %d %s", code, body)
+		}
+	})
+
+	cancelJob(t, ts.URL, running.JobID)
+	await(t, ts.URL, running.JobID, 30*time.Second)
+}
+
+// TestStatusBodyBytes pins what a caller reads without ?result: the plain and
+// the wait_ms-only status bodies of a done and a failed job are the bytes
+// under testdata/, captured before the status call took the parameter.
+func TestStatusBodyBytes(t *testing.T) {
+	at := time.Date(2024, 5, 6, 7, 8, 9, 10, time.UTC)
+	s := New(Config{CPUTokens: 1})
+	defer s.Shutdown(time.Second)
+	for _, id := range []string{"done", "failed"} {
+		j, _ := s.jobs.adopt(id, api.CompletionEvent{Key: id, Kind: "ta", State: StateDone, Result: []byte(`{"sup": "<=3"}`)})
+		j.submitted = at
+		j.mu.Lock()
+		j.started, j.finished = at.Add(time.Millisecond), at.Add(2*time.Millisecond)
+		if id == "failed" {
+			j.state, j.errMsg, j.result = StateFailed, wire.CodeDeadlineExceeded, nil
+		}
+		j.mu.Unlock()
+	}
+	h := s.Handler()
+	for _, id := range []string{"done", "failed"} {
+		want, err := os.ReadFile("testdata/status_" + id + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"", "wait_ms=0", "wait_ms=250"} {
+			req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id, nil)
+			req.URL.RawQuery = q
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Errorf("%s job, ?%s: HTTP %d\n%s\nwant\n%s", id, q, rec.Code, rec.Body, want)
+			}
+		}
 	}
 }

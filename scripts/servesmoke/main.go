@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -89,9 +90,9 @@ func taRequest(dir string) *api.SubmitRequest {
 }
 
 // submitAwait submits and waits for a terminal state, failing unless done.
-// Await waits on the server (GET /v1/jobs/{id}?wait_ms=), so the node's own
-// metrics must show that following the job to its end took one status request
-// at most, and that no waiter is left parked once it has ended.
+// Await waits on the server (GET /v1/jobs/{id}?wait_ms=&result=1), so the
+// node's own metrics must show that following the job to its end took one
+// status request at most, and that no waiter is left parked once it has ended.
 func submitAwait(ctx context.Context, c *client.Client, req *api.SubmitRequest) *api.StatusResponse {
 	before := metric(ctx, c, "taserved_status_requests_total")
 	sr, err := c.Submit(ctx, req)
@@ -112,6 +113,24 @@ func submitAwait(ctx context.Context, c *client.Client, req *api.SubmitRequest) 
 		fail("%d status waiters still parked after %s ended", n, sr.JobID)
 	}
 	return st
+}
+
+// handedResult reads a job's result right after its Await — the bytes that
+// wait brought back, handed over by the client — and fails unless a second
+// Result, which asks the server, reads the same bytes.
+func handedResult(ctx context.Context, c *client.Client, id string) []byte {
+	handed, err := c.Result(ctx, id)
+	if err != nil {
+		fail("result: %v", err)
+	}
+	served, err := c.Result(ctx, id)
+	if err != nil {
+		fail("result again: %v", err)
+	}
+	if !bytes.Equal(handed, served) {
+		fail("the result handed over by Await differs from the server's:\n%s\n%s", handed, served)
+	}
+	return handed
 }
 
 // checkArchResult decodes a tiny.json result body and verifies the known
@@ -255,12 +274,8 @@ func smokeSingle(url, testdata string) {
 	req := archRequest(testdata)
 	st := submitAwait(ctx, c, req)
 
-	step("result")
-	body, err := c.Result(ctx, st.JobID)
-	if err != nil {
-		fail("result: %v", err)
-	}
-	checkArchResult(body)
+	step("result (handed over by the wait, then from the server)")
+	checkArchResult(handedResult(ctx, c, st.JobID))
 
 	step("result-cache hit on resubmission")
 	sr, err := c.Submit(ctx, req)
@@ -276,11 +291,7 @@ func smokeSingle(url, testdata string) {
 
 	step("ta submit (combined sup + deadlock sweep)")
 	st = submitAwait(ctx, c, taRequest(testdata))
-	body, err = c.Result(ctx, st.JobID)
-	if err != nil {
-		fail("ta result: %v", err)
-	}
-	checkTAResult(body)
+	checkTAResult(handedResult(ctx, c, st.JobID))
 
 	step("job profile (spans + sweep phases)")
 	checkProfile(ctx, c, st.JobID, true)
