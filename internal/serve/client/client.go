@@ -219,15 +219,13 @@ func (c *Client) Await(ctx context.Context, id string, interval time.Duration) (
 		}
 		last = st
 		switch st.State {
-		case api.StateDone:
-			if st.Result != nil {
+		case api.StateDone, api.StateFailed, api.StateCanceled:
+			if st.Result != nil { // only a done answer carries one
 				c.mu.Lock()
 				c.handedID, c.handedData = id, st.Result
 				c.mu.Unlock()
 				st.Result = nil
 			}
-			return st, nil
-		case api.StateFailed, api.StateCanceled:
 			return st, nil
 		}
 		if time.Since(asked) >= wait {
@@ -252,7 +250,7 @@ func (c *Client) Await(ctx context.Context, id string, interval time.Duration) (
 func (c *Client) takeHanded(id string) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.handedID != id || c.handedData == nil {
+	if c.handedID != id {
 		return nil
 	}
 	data := c.handedData
