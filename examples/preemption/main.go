@@ -62,16 +62,14 @@ func main() {
 	// completes: D never exceeds 20 + 2*5 = 30 ms.
 	scale := compiled.Scale.Int64()
 	bound := 30 * scale
-	res, err := checker.CheckSafety(core.Property{
-		Desc:  "preemption accumulator bounded",
-		Holds: func(s *core.State) bool { return s.Vars[dIdx] <= bound },
-	}, core.Options{})
-	if err != nil {
+	// AG(D <= 30ms) holds exactly when no state with D > 30ms is reachable.
+	over := core.NewReachQuery(func(s *core.State) bool { return s.Vars[dIdx] > bound })
+	if _, err := checker.RunQueries(core.Options{}, over); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nAG(D <= 30ms): %v  (%s)\n", res.Holds, res.Stats)
-	if !res.Holds {
-		fmt.Println(core.FormatTrace(compiled.Net, res.Counterexample))
+	fmt.Printf("\nAG(D <= 30ms): %v  (%s)\n", !over.Found, over.Stats)
+	if over.Found {
+		fmt.Println(core.FormatTrace(compiled.Net, over.Trace))
 	}
 	_ = ta.NoSync // keep the low-level package visible to readers
 }

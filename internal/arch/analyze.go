@@ -140,7 +140,7 @@ func (cs *CompiledSet) Analyze(opts core.Options) (*AllResult, error) {
 // observation horizon must cover the deadline for a BeyondHorizon result to
 // soundly count as a violation (VerifyDeadline and icrns.Verify arrange
 // that). On a truncated (non-Exact) result, false means only "no violation
-// observed", exactly like a truncated CheckSafety pass.
+// observed", exactly like a truncated VerifyDeadline that found no counterexample.
 func (r WCRTResult) ViolatesDeadline(deadlineMS *big.Rat) bool {
 	if r.BeyondHorizon {
 		return true
@@ -183,7 +183,7 @@ func WitnessForResult(sys *System, req *Requirement, res WCRTResult, copts Optio
 	}
 	v := bound.Num().Int64()
 	atSeen, y := c.AtSeen(0), c.Obs[0].Y.ID
-	found, trace, _, err := checker.Reachable(func(s *core.State) bool {
+	q := core.NewReachQuery(func(s *core.State) bool {
 		if !atSeen(s) {
 			return false
 		}
@@ -192,14 +192,14 @@ func WitnessForResult(sys *System, req *Requirement, res WCRTResult, copts Optio
 			return sup >= dbm.LE(v)
 		}
 		return sup >= dbm.LT(v)
-	}, opts)
-	if err != nil {
+	})
+	if _, err := checker.RunQueries(opts, q); err != nil {
 		return "", err
 	}
-	if !found {
+	if !q.Found {
 		return "", fmt.Errorf("arch: no witness found at the computed bound (truncated search?)")
 	}
-	return core.FormatTrace(c.Net, trace), nil
+	return core.FormatTrace(c.Net, q.Trace), nil
 }
 
 // DeadlockResult is the outcome of CheckDeadlockFree at the architecture
@@ -230,10 +230,11 @@ func CheckDeadlockFree(sys *System, req *Requirement, copts Options, opts core.O
 	if err != nil {
 		return DeadlockResult{}, err
 	}
-	res, err := checker.CheckDeadlockFree(opts)
-	if err != nil {
+	q := core.NewDeadlockQuery()
+	if _, err := checker.RunQueries(opts, q); err != nil {
 		return DeadlockResult{}, err
 	}
+	res := q.Result
 	out := DeadlockResult{Free: res.Free, Stats: res.Stats}
 	if !res.Free {
 		out.Trace = core.FormatTrace(c.Net, res.Witness)
@@ -270,20 +271,16 @@ func VerifyDeadline(sys *System, req *Requirement, deadlineMS *big.Rat,
 	}
 	v := bound.Num().Int64()
 	atSeen, y := c.AtSeen(0), c.Obs[0].Y.ID
-	res, err := checker.CheckSafety(core.Property{
-		Desc: fmt.Sprintf("%s < %s ms", req.Name, deadlineMS.RatString()),
-		Holds: func(s *core.State) bool {
-			if !atSeen(s) {
-				return true
-			}
-			return s.Zone.Sup(int(y)) < dbm.LE(v)
-		},
-	}, opts)
-	if err != nil {
+	// AG(seen → y < v) is asked as the reachability of its negation: a seen
+	// state whose observer clock can reach v.
+	q := core.NewReachQuery(func(s *core.State) bool {
+		return atSeen(s) && s.Zone.Sup(int(y)) >= dbm.LE(v)
+	})
+	if _, err := checker.RunQueries(opts, q); err != nil {
 		return false, "", err
 	}
-	if res.Holds {
+	if !q.Found {
 		return true, "", nil
 	}
-	return false, core.FormatTrace(c.Net, res.Counterexample), nil
+	return false, core.FormatTrace(c.Net, q.Trace), nil
 }

@@ -185,30 +185,34 @@ func TestEventModelOrdering(t *testing.T) {
 	}
 }
 
-func TestBinarySearchAgreesWithSup(t *testing.T) {
+// TestVerifyDeadlineAgreesWithSup checks the measured supremum against the
+// paper's Property 1, AG(seen → y < d), compiled and model-checked on its
+// own: at d = WCRT it holds exactly when the bound is only approached, and
+// one model time unit later it holds.
+func TestVerifyDeadlineAgreesWithSup(t *testing.T) {
 	sys, hi, _ := contended(SchedFP)
 	req := EndToEnd("hi", hi)
 	sup := mustWCRT(t, sys, req, Options{HorizonMS: 100}, core.Options{})
-	// The paper's Property 1: the least C with AG(seen → y < C) lies one
-	// model time unit above an attained supremum.
-	c, err := Compile(sys, req, Options{HorizonMS: 100})
+	scale, err := sys.TimeScale()
 	if err != nil {
 		t.Fatal(err)
 	}
-	checker, err := core.NewChecker(c.Net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hi100, err := toUnits(big.NewRat(100, 1), c.Scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := checker.BinarySearchWCRT(c.Obs[0].Y.ID, c.AtSeen(0), 0, hi100, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bin := c.UnitsToMS(bs.MinimalC - 1); !bs.Holds || sup.MS.Cmp(bin) != 0 {
-		t.Errorf("sup %s != binary search %s (holds=%v)", sup.MS.RatString(), bin.RatString(), bs.Holds)
+	unit := new(big.Rat).SetFrac(big.NewInt(1), scale)
+	for _, tc := range []struct {
+		d    *big.Rat
+		want bool
+	}{
+		{sup.MS, !sup.Attained},
+		{new(big.Rat).Add(sup.MS, unit), true},
+	} {
+		ok, _, err := VerifyDeadline(sys, req, tc.d, Options{HorizonMS: 100}, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok != tc.want {
+			t.Errorf("AG(seen → y < %s) = %v, want %v (sup %s, attained=%v)",
+				tc.d.RatString(), ok, tc.want, sup.MS.RatString(), sup.Attained)
+		}
 	}
 }
 

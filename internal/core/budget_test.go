@@ -60,7 +60,9 @@ func TestMemoryBudgetMidSweep(t *testing.T) {
 
 // TestMaxStatesStaysSoft pins the budget/truncation split: MaxStates alone
 // keeps its historical soft semantics — Truncated set, no error — which the
-// icrns structured-testing fallback and BinarySearchWCRT rely on.
+// icrns structured-testing fallback relies on. A truncated supremum is a
+// lower bound that can already refute a deadline: the grid's first busy
+// states, within the first 200 admissions, attain sx = 2.
 func TestMaxStatesStaysSoft(t *testing.T) {
 	n := buildHuge(t)
 	c, err := NewChecker(n)
@@ -73,6 +75,19 @@ func TestMaxStatesStaysSoft(t *testing.T) {
 	}
 	if !res.Truncated {
 		t.Error("MaxStates run did not report truncation")
+	}
+
+	g, sx, _, busy := buildGrid(t)
+	if c, err = NewChecker(g); err != nil {
+		t.Fatal(err)
+	}
+	q := NewSupClockQuery(sx.ID, func(s *State) bool { return s.Locs[3] == busy })
+	if _, err := c.RunQueries(Options{MaxStates: 200}, q); err != nil {
+		t.Fatalf("MaxStates must truncate, not fail: %v", err)
+	}
+	if !q.Result.Truncated || q.Result.Max < dbm.LE(1) {
+		t.Errorf("truncated sup = %v (truncated=%v), want a refutation of sx < 1 within 200 states",
+			q.Result.Max, q.Result.Truncated)
 	}
 }
 

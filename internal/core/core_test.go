@@ -43,10 +43,11 @@ func TestSupClockWeakBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.SupClock(y.ID, atLoc(p, 0, "L1"), Options{})
-	if err != nil {
+	q := NewSupClockQuery(y.ID, atLoc(p, 0, "L1"))
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	res := q.Result
 	if !res.Seen || res.Unbounded {
 		t.Fatalf("unexpected result %+v", res)
 	}
@@ -61,10 +62,11 @@ func TestSupClockStrictBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.SupClock(y.ID, atLoc(p, 0, "L1"), Options{})
-	if err != nil {
+	q := NewSupClockQuery(y.ID, atLoc(p, 0, "L1"))
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	res := q.Result
 	if res.Max != dbm.LT(10) {
 		t.Errorf("sup y = %v, want <10 (never attained)", res.Max)
 	}
@@ -88,59 +90,13 @@ func TestSupClockUnboundedBeyondHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	res, err := c.SupClock(y.ID, atLoc(p, 0, "L1"), Options{})
-	if err != nil {
+	q := NewSupClockQuery(y.ID, atLoc(p, 0, "L1"))
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	res := q.Result
 	if !res.Unbounded {
 		t.Errorf("expected Unbounded without a registered horizon, got %+v", res)
-	}
-}
-
-func TestBinarySearchMatchesSup(t *testing.T) {
-	n, y, p := buildSimple(t, false)
-	c, _ := NewChecker(n)
-	bs, err := c.BinarySearchWCRT(y.ID, atLoc(p, 0, "L1"), 0, 100, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bs.Holds {
-		t.Fatal("property must hold below 100")
-	}
-	// Sup is (≤ 10), attained, so AG(y < C) first holds at C = 11.
-	if bs.MinimalC != 11 {
-		t.Errorf("MinimalC = %d, want 11", bs.MinimalC)
-	}
-
-	n2, y2, p2 := buildSimple(t, true)
-	c2, _ := NewChecker(n2)
-	bs2, err := c2.BinarySearchWCRT(y2.ID, atLoc(p2, 0, "L1"), 0, 100, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sup is (< 10), never attained, so AG(y < C) already holds at C = 10.
-	if bs2.MinimalC != 10 {
-		t.Errorf("MinimalC = %d, want 10 for strict sup", bs2.MinimalC)
-	}
-}
-
-func TestBinarySearchFailsAtHorizon(t *testing.T) {
-	n, y, p := buildSimple(t, false)
-	c, _ := NewChecker(n)
-	bs, err := c.BinarySearchWCRT(y.ID, atLoc(p, 0, "L1"), 0, 5, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs.Holds {
-		t.Error("property cannot hold at C=5 when sup is 10")
-	}
-}
-
-func TestBinarySearchRejectsBadInterval(t *testing.T) {
-	n, y, p := buildSimple(t, false)
-	c, _ := NewChecker(n)
-	if _, err := c.BinarySearchWCRT(y.ID, atLoc(p, 0, "L1"), 5, 5, Options{}); err == nil {
-		t.Error("empty interval must be rejected")
 	}
 }
 
@@ -165,10 +121,11 @@ func TestUrgentChannelForbidsDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	res, err := c.SupClock(y.ID, atLoc(p, 0, "L1"), Options{})
-	if err != nil {
+	q := NewSupClockQuery(y.ID, atLoc(p, 0, "L1"))
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	res := q.Result
 	if res.Max != dbm.LE(0) {
 		t.Errorf("sup y at L1 = %v, want <=0 (urgent transition)", res.Max)
 	}
@@ -197,10 +154,11 @@ func TestNonUrgentChannelAllowsDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	res, err := c.SupClock(y.ID, atLoc(p, 0, "L1"), Options{})
-	if err != nil {
+	q := NewSupClockQuery(y.ID, atLoc(p, 0, "L1"))
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	res := q.Result
 	if !res.Unbounded {
 		t.Errorf("sup y at L1 should be unbounded for a lazy channel, got %v", res.Max)
 	}
@@ -223,26 +181,26 @@ func TestBinarySyncPairsProcesses(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	found, trace, _, err := c.Reachable(func(st *State) bool {
+	q := NewReachQuery(func(st *State) bool {
 		return st.Locs[0] == s1 && st.Locs[1] == r1
-	}, Options{})
-	if err != nil {
+	})
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
-	if !found {
+	if !q.Found {
 		t.Fatal("binary sync must move both processes")
 	}
-	if len(trace) != 2 {
-		t.Errorf("trace length = %d, want 2 (init + sync)", len(trace))
+	if len(q.Trace) != 2 {
+		t.Errorf("trace length = %d, want 2 (init + sync)", len(q.Trace))
 	}
 	// A state where only one side moved must be unreachable.
-	half, _, _, err := c.Reachable(func(st *State) bool {
+	half := NewReachQuery(func(st *State) bool {
 		return (st.Locs[0] == s1) != (st.Locs[1] == r1)
-	}, Options{})
-	if err != nil {
+	})
+	if _, err := c.RunQueries(Options{}, half); err != nil {
 		t.Fatal(err)
 	}
-	if half {
+	if half.Found {
 		t.Error("binary sync must be atomic")
 	}
 }
@@ -258,11 +216,11 @@ func TestBinarySyncBlocksWithoutPartner(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	found, _, _, err := c.Reachable(func(st *State) bool { return st.Locs[0] == s1 }, Options{})
-	if err != nil {
+	q := NewReachQuery(func(st *State) bool { return st.Locs[0] == s1 })
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
-	if found {
+	if q.Found {
 		t.Error("binary emit without receiver must block")
 	}
 }
@@ -288,7 +246,7 @@ func TestBroadcastReachesAllReceivers(t *testing.T) {
 	c, _ := NewChecker(n)
 	// All receivers move in the same transition: a state with the sender
 	// moved but any receiver left behind must be unreachable.
-	partial, _, _, err := c.Reachable(func(st *State) bool {
+	partial := NewReachQuery(func(st *State) bool {
 		if st.Locs[0] != s1 {
 			return false
 		}
@@ -298,14 +256,14 @@ func TestBroadcastReachesAllReceivers(t *testing.T) {
 			}
 		}
 		return false
-	}, Options{})
-	if err != nil {
+	})
+	if _, err := c.RunQueries(Options{}, partial); err != nil {
 		t.Fatal(err)
 	}
-	if partial {
+	if partial.Found {
 		t.Error("broadcast must move every enabled receiver atomically")
 	}
-	all, _, _, err := c.Reachable(func(st *State) bool {
+	all := NewReachQuery(func(st *State) bool {
 		if st.Locs[0] != s1 {
 			return false
 		}
@@ -315,11 +273,11 @@ func TestBroadcastReachesAllReceivers(t *testing.T) {
 			}
 		}
 		return true
-	}, Options{})
-	if err != nil {
+	})
+	if _, err := c.RunQueries(Options{}, all); err != nil {
 		t.Fatal(err)
 	}
-	if !all {
+	if !all.Found {
 		t.Error("broadcast with all receivers must be reachable")
 	}
 }
@@ -335,11 +293,11 @@ func TestBroadcastWithoutReceiversFires(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	found, _, _, err := c.Reachable(func(st *State) bool { return st.Locs[0] == s1 }, Options{})
-	if err != nil {
+	q := NewReachQuery(func(st *State) bool { return st.Locs[0] == s1 })
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
-	if !found {
+	if !q.Found {
 		t.Error("broadcast emit must not block without receivers")
 	}
 }
@@ -363,13 +321,13 @@ func TestCommittedLocationHasPriority(t *testing.T) {
 	}
 	c, _ := NewChecker(n)
 	// B moving while A is still committed would give b=1, a=0.
-	bad, _, _, err := c.Reachable(func(st *State) bool {
+	q := NewReachQuery(func(st *State) bool {
 		return st.Vars[vB.ID] == 1 && st.Vars[vA.ID] == 0
-	}, Options{})
-	if err != nil {
+	})
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
-	if bad {
+	if q.Found {
 		t.Error("non-committed process fired while another was committed")
 	}
 	_ = a1
@@ -391,10 +349,11 @@ func TestUrgentLocationForbidsDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	res, err := c.SupClock(y.ID, atLoc(p, 0, "L2"), Options{})
-	if err != nil {
+	q := NewSupClockQuery(y.ID, atLoc(p, 0, "L2"))
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	res := q.Result
 	// y must be exactly 3 at L2: delay happened only at L0.
 	if res.Max != dbm.LE(3) {
 		t.Errorf("sup y at L2 = %v, want <=3", res.Max)
@@ -462,11 +421,11 @@ func TestSearchOrdersAgreeOnReachability(t *testing.T) {
 	c, _ := NewChecker(n)
 	pred := func(st *State) bool { return st.Vars[v.ID] == 3 }
 	for _, order := range []Order{BFS, DFS, RDFS} {
-		found, _, _, err := c.Reachable(pred, Options{Order: order, Seed: 42})
-		if err != nil {
+		q := NewReachQuery(pred)
+		if _, err := c.RunQueries(Options{Order: order, Seed: 42}, q); err != nil {
 			t.Fatal(err)
 		}
-		if !found {
+		if !q.Found {
 			t.Errorf("order %v: v==3 must be reachable", order)
 		}
 	}
@@ -485,29 +444,26 @@ func TestSafetyCounterexampleTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	sr, err := c.CheckSafety(Property{
-		Desc:  "v stays below 2",
-		Holds: func(st *State) bool { return st.Vars[v.ID] < 2 },
-	}, Options{})
-	if err != nil {
+	// AG(v < 2) is violated exactly when v >= 2 is reachable.
+	violation := NewReachQuery(func(st *State) bool { return st.Vars[v.ID] >= 2 })
+	if _, err := c.RunQueries(Options{}, violation); err != nil {
 		t.Fatal(err)
 	}
-	if sr.Holds {
+	if !violation.Found {
 		t.Fatal("property must be violated")
 	}
-	if len(sr.Counterexample) != 3 {
-		t.Errorf("counterexample length = %d, want 3 (init + two ticks)", len(sr.Counterexample))
+	if len(violation.Trace) != 3 {
+		t.Errorf("counterexample length = %d, want 3 (init + two ticks)", len(violation.Trace))
 	}
-	if s := FormatTrace(n, sr.Counterexample); s == "" {
+	if s := FormatTrace(n, violation.Trace); s == "" {
 		t.Error("trace must render")
 	}
-	// Error case: the checker with a vacuous property holds.
-	sr2, err := c.CheckSafety(Property{Desc: "true", Holds: func(*State) bool { return true }},
-		Options{})
-	if err != nil {
+	// Error case: the vacuous property AG(true) holds, as false is unreachable.
+	vacuous := NewReachQuery(func(*State) bool { return false })
+	if _, err := c.RunQueries(Options{}, vacuous); err != nil {
 		t.Fatal(err)
 	}
-	if !sr2.Holds {
+	if vacuous.Found {
 		t.Error("vacuous property must hold")
 	}
 }
@@ -541,36 +497,33 @@ func TestPeriodicServerResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	sr, err := c.CheckSafety(Property{
-		Desc:  "no queueing",
-		Holds: func(st *State) bool { return st.Vars[rec.ID] <= 1 },
-	}, Options{})
-	if err != nil {
+	queued := NewReachQuery(func(st *State) bool { return st.Vars[rec.ID] > 1 })
+	if _, err := c.RunQueries(Options{}, queued); err != nil {
 		t.Fatal(err)
 	}
-	if !sr.Holds {
+	if queued.Found {
 		t.Errorf("requests must never queue with P=10, C=3:\n%s",
-			FormatTrace(n, sr.Counterexample))
+			FormatTrace(n, queued.Trace))
 	}
-	// Binary search on the server's busy clock: minimal C with
-	// AG(busy → sx < C) is 4 because sx attains 3.
-	bs, err := c.BinarySearchWCRT(sx.ID, func(st *State) bool { return st.Locs[1] == busy },
-		0, 20, Options{})
-	if err != nil {
+	// The server's busy clock attains 3, so the least C with
+	// AG(busy → sx < C) is 4.
+	busyQ := NewSupClockQuery(sx.ID, func(st *State) bool { return st.Locs[1] == busy })
+	if _, err := c.RunQueries(Options{}, busyQ); err != nil {
 		t.Fatal(err)
 	}
-	if !bs.Holds || bs.MinimalC != 4 {
-		t.Errorf("minimal C = %d (holds=%v), want 4", bs.MinimalC, bs.Holds)
+	if busyQ.Result.Max != dbm.LE(3) {
+		t.Errorf("sup sx while busy = %v, want <=3", busyQ.Result.Max)
 	}
 }
 
 func TestStatsAndStrings(t *testing.T) {
 	n, y, p := buildSimple(t, false)
 	c, _ := NewChecker(n)
-	res, err := c.SupClock(y.ID, atLoc(p, 0, "L1"), Options{})
-	if err != nil {
+	q := NewSupClockQuery(y.ID, atLoc(p, 0, "L1"))
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	res := q.Result
 	if res.Stored < 2 || res.Popped < 1 {
 		t.Errorf("implausible stats: %+v", res.Stats)
 	}

@@ -20,10 +20,11 @@ func TestDeadlockDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	res, err := c.CheckDeadlockFree(Options{})
-	if err != nil {
+	q := NewDeadlockQuery()
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	res := q.Result
 	if res.Free {
 		t.Fatal("absorbing location must be reported as a deadlock")
 	}
@@ -43,10 +44,11 @@ func TestDeadlockFreeCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	res, err := c.CheckDeadlockFree(Options{})
-	if err != nil {
+	q := NewDeadlockQuery()
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	res := q.Result
 	if !res.Free {
 		t.Errorf("cycling automaton must be deadlock free:\n%s",
 			FormatTrace(n, res.Witness))
@@ -68,10 +70,11 @@ func TestBlockedBinarySyncIsDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	res, err := c.CheckDeadlockFree(Options{})
-	if err != nil {
+	q := NewDeadlockQuery()
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	res := q.Result
 	if res.Free {
 		t.Error("unmatched binary emit must deadlock")
 	}
@@ -115,10 +118,11 @@ func TestFreeClockMergesStates(t *testing.T) {
 			resWith.Stored, resWithout.Stored)
 	}
 	// Freed-clock zones must still constrain the other clock normally.
-	sup, err := cWith.SupClock(1, func(s *State) bool { return s.Vars[0] == 3 }, Options{})
-	if err != nil {
+	q := NewSupClockQuery(1, func(s *State) bool { return s.Vars[0] == 3 })
+	if _, err := cWith.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	sup := q.Result
 	if sup.Max != dbm.LE(10) {
 		t.Errorf("x sup = %v, want <=10", sup.Max)
 	}
@@ -149,18 +153,18 @@ func TestQueueDepthStaysWithinOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	safe, err := c.CheckSafety(Property{Desc: "rec <= 1", Holds: func(s *State) bool { return s.Vars[rec.ID] <= 1 }}, Options{})
-	if err != nil {
+	queued := NewReachQuery(func(s *State) bool { return s.Vars[rec.ID] > 1 })
+	if _, err := c.RunQueries(Options{}, queued); err != nil {
 		t.Fatal(err)
 	}
-	if !safe.Holds {
-		t.Errorf("rec reaches 2:\n%s", FormatTrace(n, safe.Counterexample))
+	if queued.Found {
+		t.Errorf("rec reaches 2:\n%s", FormatTrace(n, queued.Trace))
 	}
-	found, _, _, err := c.Reachable(func(s *State) bool { return s.Vars[rec.ID] == 1 }, Options{})
-	if err != nil {
+	one := NewReachQuery(func(s *State) bool { return s.Vars[rec.ID] == 1 })
+	if _, err := c.RunQueries(Options{}, one); err != nil {
 		t.Fatal(err)
 	}
-	if !found {
+	if !one.Found {
 		t.Error("rec = 1 must be reachable")
 	}
 }

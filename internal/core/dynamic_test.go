@@ -41,22 +41,23 @@ func TestDynamicDeadlineExtension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.SupClock(y.ID, func(s *State) bool { return s.Locs[0] == done }, Options{})
-	if err != nil {
+	resQ := NewSupClockQuery(y.ID, func(s *State) bool { return s.Locs[0] == done })
+	if _, err := c.RunQueries(Options{}, resQ); err != nil {
 		t.Fatal(err)
 	}
+	res := resQ.Result
 	// Q fires at time 2 (forced by its invariant), extending D from 5 to 8,
 	// so P completes exactly at time 8 — never at the original 5.
 	if res.Max != dbm.LE(8) {
 		t.Errorf("sup y at done = %v, want <=8 (deadline extended)", res.Max)
 	}
-	lo, _, _, err := c.Reachable(func(s *State) bool {
+	lo := NewReachQuery(func(s *State) bool {
 		return s.Locs[0] == done && s.Zone.Sup(int(y.ID)) < dbm.LE(8)
-	}, Options{})
-	if err != nil {
+	})
+	if _, err := c.RunQueries(Options{}, lo); err != nil {
 		t.Fatal(err)
 	}
-	if lo {
+	if lo.Found {
 		t.Error("completion before the extended deadline must be impossible")
 	}
 }
@@ -76,13 +77,13 @@ func TestDynamicGuardLowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	early, _, _, err := c.Reachable(func(s *State) bool {
+	q := NewReachQuery(func(s *State) bool {
 		return s.Locs[0] == l1 && s.Zone.Sup(int(y.ID)) < dbm.LE(7)
-	}, Options{})
-	if err != nil {
+	})
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
-	if early {
+	if q.Found {
 		t.Error("transition must not fire before x >= D = 7")
 	}
 }

@@ -425,6 +425,13 @@ type explorer struct {
 
 	// slabs is the sweep's slab set: the workers' zone pools and the store's
 	// compact pools carve from it, and explore releases it (see there).
+	// Nothing caller-visible may alias it: FoundState is a cloneState copy,
+	// trace replay runs on a heap ctx (newCtx(nil)) from the heap initial
+	// state, and results carry bounds and integers. A new result kind that
+	// holds a *State, *dbm.DBM or dbm.Compact must copy before explore
+	// returns. The package's tests run with released slabs and recycled
+	// payloads poisoned (TestMain in slab_test.go), so an alias reads as
+	// garbage in whichever test looks at it.
 	slabs dbm.Slabs
 	// initScratch is what the initial state is closed and admitted with,
 	// before any worker has a succCtx; part of the explorer so that it costs
@@ -535,6 +542,16 @@ func (e *explorer) runContained(w int) {
 // rebuild its state, expand, admit successors, feed the query set, park what
 // was admitted, recycle the expanded state. Statistics accumulate in locals,
 // published into the worker's cell at each checkpoint and once more on exit.
+//
+// Cooperative abort: Options.Cancel and Options.Deadline are polled here
+// every abortCheckMask+1 expansions, strictly between expansions. A worker
+// never aborts while it holds a popped state mid-fire, so every state is
+// either recycled through its succCtx or abandoned with the run's pools, and
+// a canceled sweep leaves the checker reusable
+// (TestCancelLeavesEngineReusable). Aborts surface as ErrCanceled or
+// ErrDeadlineExceeded with partial Stats; the deadline wins when both fired.
+// A run explore refuses before it starts (Cancel already closed, Deadline
+// already past) does not mark its queries used.
 func (e *explorer) run(w int) {
 	ctx := e.c.eng.newCtx(&e.slabs)
 	// Parent-log records hold successor indices, not labels, so the worker

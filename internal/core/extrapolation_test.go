@@ -41,7 +41,7 @@ func TestStoredZonesStayCanonical(t *testing.T) {
 			t.Fatal(err)
 		}
 		visited := 0
-		_, _, stats, err := c.Reachable(func(s *State) bool {
+		q := NewReachQuery(func(s *State) bool {
 			visited++
 			re := s.Zone.Copy()
 			re.Close()
@@ -49,7 +49,8 @@ func TestStoredZonesStayCanonical(t *testing.T) {
 				t.Errorf("%s: stored zone not canonical:\n got %s\nwant %s", in.name, s.Zone, re)
 			}
 			return false
-		}, Options{MaxStates: 20_000})
+		})
+		stats, err := c.RunQueries(Options{MaxStates: 20_000}, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,10 +71,11 @@ func TestStoredZonesStayCanonical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sup, err := c.SupClock(clock.ID, cond, Options{})
-		if err != nil {
+		supQ := NewSupClockQuery(clock.ID, cond)
+		if _, err := c.RunQueries(Options{}, supQ); err != nil {
 			t.Fatal(err)
 		}
+		sup := supQ.Result
 		if !sup.Seen || sup.Unbounded || sup.Max != in.sup {
 			t.Errorf("%s: sup %s @ %s = %v (seen=%v unbounded=%v), want %v",
 				in.name, in.clock, in.at, sup.Max, sup.Seen, sup.Unbounded, in.sup)

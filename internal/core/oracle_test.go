@@ -334,7 +334,7 @@ func TestZoneEngineMatchesDiscreteOracle(t *testing.T) {
 // TestParallelEngineMatchesSequentialOracle extends the oracle sweep across
 // both scheduling paths of the unified engine: on random closed models the
 // parallel explorer must reach exactly the discrete projections the
-// sequential one reaches, Reachable verdicts must agree, and every parallel
+// sequential one reaches, reach verdicts must agree, and every parallel
 // witness trace must replay through the successor engine (trace validity,
 // not trace equality — the parallel path may find a different run).
 func TestParallelEngineMatchesSequentialOracle(t *testing.T) {
@@ -373,26 +373,26 @@ func TestParallelEngineMatchesSequentialOracle(t *testing.T) {
 				t.Errorf("trial %d: state %s reached in parallel but not sequentially", trial, k)
 			}
 		}
-		// Cross-check one Reachable verdict per trial: the last process
+		// Cross-check one reach verdict per trial: the last process
 		// leaving its initial location (reachable on most random models,
 		// unreachable on some — both verdicts must agree either way).
 		pred := func(s *State) bool { return s.Locs[1] != net.Procs[1].Init }
-		sFound, sTrace, _, err := c.Reachable(pred, Options{MaxStates: 100000})
-		if err != nil {
+		seqQ := NewReachQuery(pred)
+		if _, err := c.RunQueries(Options{MaxStates: 100000}, seqQ); err != nil {
 			t.Fatal(err)
 		}
-		pFound, pTrace, _, err := c.Reachable(pred, Options{MaxStates: 100000, Workers: 4})
-		if err != nil {
+		parQ := NewReachQuery(pred)
+		if _, err := c.RunQueries(Options{MaxStates: 100000, Workers: 4}, parQ); err != nil {
 			t.Fatal(err)
 		}
-		if sFound != pFound {
-			t.Errorf("trial %d: Reachable verdicts disagree: sequential=%v parallel=%v",
-				trial, sFound, pFound)
+		if seqQ.Found != parQ.Found {
+			t.Errorf("trial %d: reach verdicts disagree: sequential=%v parallel=%v",
+				trial, seqQ.Found, parQ.Found)
 		}
-		if sFound {
-			assertTraceValid(t, c, sTrace)
-			assertTraceValid(t, c, pTrace)
-			if !pred(pTrace[len(pTrace)-1].State) {
+		if seqQ.Found {
+			assertTraceValid(t, c, seqQ.Trace)
+			assertTraceValid(t, c, parQ.Trace)
+			if !pred(parQ.Trace[len(parQ.Trace)-1].State) {
 				t.Errorf("trial %d: parallel witness does not end in the target", trial)
 			}
 		}

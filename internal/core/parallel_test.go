@@ -71,14 +71,16 @@ func TestParallelSupMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	cond := func(s *State) bool { return s.Locs[3] == busy }
-	seq, err := c.SupClock(sx.ID, cond, Options{})
-	if err != nil {
+	seqQ := NewSupClockQuery(sx.ID, cond)
+	if _, err := c.RunQueries(Options{}, seqQ); err != nil {
 		t.Fatal(err)
 	}
-	par, err := c.SupClock(sx.ID, cond, Options{Workers: 4})
-	if err != nil {
+	seq := seqQ.Result
+	parQ := NewSupClockQuery(sx.ID, cond)
+	if _, err := c.RunQueries(Options{Workers: 4}, parQ); err != nil {
 		t.Fatal(err)
 	}
+	par := parQ.Result
 	if seq.Max != par.Max || seq.Unbounded != par.Unbounded || seq.Seen != par.Seen {
 		t.Errorf("parallel sup %v (unbounded=%v) != sequential %v (unbounded=%v)",
 			par.Max, par.Unbounded, seq.Max, seq.Unbounded)

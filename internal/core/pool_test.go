@@ -107,10 +107,11 @@ func TestSuccessorsSurviveSubsumedSiblingRecycling(t *testing.T) {
 	if r1.Stored != r2.Stored || r1.Transitions != r2.Transitions {
 		t.Errorf("exploration not deterministic under recycling: %v vs %v", r1.Stats, r2.Stats)
 	}
-	sup, err := c.SupClock(sx.ID, func(s *State) bool { return s.Locs[3] == busy }, Options{})
-	if err != nil {
+	q := NewSupClockQuery(sx.ID, func(s *State) bool { return s.Locs[3] == busy })
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	sup := q.Result
 	if sup.Max != dbm.LE(2) {
 		t.Errorf("busy clock sup = %v, want <=2", sup.Max)
 	}

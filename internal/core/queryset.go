@@ -22,8 +22,8 @@ import (
 // first matching state, a supremum query when its clock escapes the
 // observation horizon, and a deadlock query at the first deadlocked state.
 // The explorer keeps an atomic count of still-live queries; the completion
-// that drops it to zero stops the sweep, so a one-element query set
-// early-stops exactly like the dedicated methods always have.
+// that drops it to zero stops the sweep, so a one-element query set stops
+// where a single-question search would: a reach query at its first match.
 //
 // # Ownership rules (extends the protocol in store.go / explore.go)
 //
@@ -57,10 +57,10 @@ func (qs *queryState) init() {
 }
 
 // Query is one measurement riding a query-set exploration (RunQueries). The
-// concrete kinds — ReachQuery, SupClockQuery, DeadlockQuery —
-// are the composable building blocks the dedicated Checker methods are thin
-// wrappers over. The interface is sealed: its methods are unexported because
-// they are the engine-facing half of the ownership protocol above.
+// concrete kinds — ReachQuery, SupClockQuery, DeadlockQuery — are the only
+// way to ask the checker a question: a safety property AG p is the
+// ReachQuery of ¬p. The interface is sealed: its methods are unexported
+// because they are the engine-facing half of the ownership protocol above.
 //
 // Reduction ownership, which every kind keeps and the engine relies on:
 //
@@ -74,9 +74,8 @@ func (qs *queryState) init() {
 //     caller-owned clone of the state plus its parent-log ref, never the
 //     live state: that one is recycled if the sweep goes on.
 //   - The atomic live-query count short-circuits the sweep when it reaches
-//     zero, which keeps the historical early stop of one-element sets:
-//     CheckSafety, Reachable, SupClock and CheckDeadlockFree are thin
-//     wrappers over a set of one.
+//     zero, so a set of one stops at its first answer: a reach or deadlock
+//     query at its first witness, a supremum query at an unbounded clock.
 //   - Every kind may complete with a witness, so parent logs exist exactly
 //     when the set is non-empty. Traces are replayed strictly after the
 //     barrier, from refs, once per completed query.
@@ -160,12 +159,20 @@ func (q *ReachQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
 // satisfying Cond (the single-pass WCRT measurement). It completes early
 // only when the clock is extrapolated to infinity — nothing larger can be
 // learned — recording a witness to the first unbounded state.
+//
+// It replaces the paper's binary search over Property 1: because an
+// observer's "seen" location is committed, no delay is folded into those
+// states, so the zone's upper bound on the measuring clock is exactly the
+// response time, and AG(Cond → Clock < C) holds exactly when the supremum is
+// below (≤ C). The clock's maximal constant (ta.Network.EnsureMaxConst)
+// must be at least the largest value of interest; beyond it the result
+// degrades to Unbounded.
 type SupClockQuery struct {
 	Clock ta.ClockID
 	Cond  func(*State) bool
 
-	// Result carries the supremum exactly as Checker.SupClock reports it;
-	// its Stats are the shared exploration effort of the whole query set.
+	// Result carries the supremum; its Stats are the shared exploration
+	// effort of the whole query set.
 	Result SupResult
 
 	accs perWorker[supAcc]
@@ -226,11 +233,13 @@ func (q *SupClockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error 
 
 // DeadlockQuery asks whether any reachable state deadlocks; it completes at
 // the first deadlocked state with a witness trace. Alone in a query set it
-// stops the sweep there (Checker.CheckDeadlockFree's behavior); in a larger
-// set the sweep keeps serving the remaining queries.
+// stops the sweep there; in a larger set the sweep keeps serving the
+// remaining queries. Because stored states are closed under delay, a state
+// without an action successor admits no escape at any later time point
+// (UPPAAL's "deadlock" property).
 type DeadlockQuery struct {
-	// Result carries the verdict exactly as Checker.CheckDeadlockFree
-	// reports it; its Stats are the shared effort of the whole query set.
+	// Result carries the verdict; its Stats are the shared effort of the
+	// whole query set.
 	Result DeadlockResult
 
 	qs queryState

@@ -8,12 +8,12 @@ import (
 
 // This file is the batch-vs-sequential oracle of the query-set engine: a
 // query set attached to ONE sweep must produce exactly the answers the
-// dedicated one-query-per-exploration methods produce, sequentially and on
+// same queries produce one per exploration, sequentially and on
 // the work-stealing frontier (run under -race by CI).
 
 // TestQuerySetMatchesDedicatedMethods attaches one query of every kind to a
-// single RunQueries sweep and compares each answer against its dedicated
-// method run in isolation.
+// single RunQueries sweep and compares each answer against the same query
+// run alone, one exploration each.
 func TestQuerySetMatchesDedicatedMethods(t *testing.T) {
 	n, sx, _, busy := buildGrid(t)
 	c, err := NewChecker(n)
@@ -26,23 +26,26 @@ func TestQuerySetMatchesDedicatedMethods(t *testing.T) {
 	}
 	atBusy := func(s *State) bool { return s.Locs[3] == busy }
 
-	// Oracles: one exploration each, the historical shape.
-	oReach, oTrace, _, err := c.Reachable(atBusy, Options{})
-	if err != nil {
+	// Oracles: one exploration each.
+	oReach := NewReachQuery(atBusy)
+	if _, err := c.RunQueries(Options{}, oReach); err != nil {
 		t.Fatal(err)
 	}
-	oSup, err := c.SupClock(sx.ID, atBusy, Options{})
-	if err != nil {
+	oSupQ := NewSupClockQuery(sx.ID, atBusy)
+	if _, err := c.RunQueries(Options{}, oSupQ); err != nil {
 		t.Fatal(err)
 	}
-	oSupY, err := c.SupClock(y.ID, atBusy, Options{})
-	if err != nil {
+	oSup := oSupQ.Result
+	oSupYQ := NewSupClockQuery(y.ID, atBusy)
+	if _, err := c.RunQueries(Options{}, oSupYQ); err != nil {
 		t.Fatal(err)
 	}
-	oDead, err := c.CheckDeadlockFree(Options{})
-	if err != nil {
+	oSupY := oSupYQ.Result
+	oDeadQ := NewDeadlockQuery()
+	if _, err := c.RunQueries(Options{}, oDeadQ); err != nil {
 		t.Fatal(err)
 	}
+	oDead := oDeadQ.Result
 	if !oSupY.Unbounded {
 		t.Fatal("grid's y clock must be beyond the horizon (the early-completion case)")
 	}
@@ -57,10 +60,10 @@ func TestQuerySetMatchesDedicatedMethods(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if reach.Found != oReach {
-			t.Errorf("workers %d: batch reach = %v, oracle %v", workers, reach.Found, oReach)
+		if reach.Found != oReach.Found {
+			t.Errorf("workers %d: batch reach = %v, oracle %v", workers, reach.Found, oReach.Found)
 		}
-		if len(reach.Trace) == 0 || len(oTrace) == 0 {
+		if len(reach.Trace) == 0 || len(oReach.Trace) == 0 {
 			t.Fatalf("workers %d: reach query must carry a trace", workers)
 		}
 		assertTraceValid(t, c, reach.Trace)
@@ -148,10 +151,11 @@ func TestQuerySetPartialCompletionKeepsSweepAlive(t *testing.T) {
 		t.Fatal(err)
 	}
 	atBusy := func(s *State) bool { return s.Locs[3] == busy }
-	oSup, err := c.SupClock(sx.ID, atBusy, Options{})
-	if err != nil {
+	q := NewSupClockQuery(sx.ID, atBusy)
+	if _, err := c.RunQueries(Options{}, q); err != nil {
 		t.Fatal(err)
 	}
+	oSup := q.Result
 	if oSup.Unbounded {
 		t.Fatal("grid's sx clock must stay within the horizon (a whole-sweep query)")
 	}
@@ -189,70 +193,5 @@ func TestQueriesAreSingleUse(t *testing.T) {
 	}
 	if _, err := c.RunQueries(Options{}, nil); err == nil {
 		t.Error("a nil query must fail")
-	}
-}
-
-// TestBinarySearchWCRTSingleSweep asserts the rebuilt Property 1 procedure:
-// one exploration total (no re-exploration per bisection threshold), with
-// the minimal C implied by the supremum it would previously re-verify.
-func TestBinarySearchWCRTSingleSweep(t *testing.T) {
-	n, sx, _, busy := buildGrid(t)
-	c, err := NewChecker(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cond := func(s *State) bool { return s.Locs[3] == busy }
-	sup, err := c.SupClock(sx.ID, cond, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs, err := c.BinarySearchWCRT(sx.ID, cond, 0, 100, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs.Iterations != 1 {
-		t.Errorf("binary search ran %d explorations, want exactly 1", bs.Iterations)
-	}
-	if bs.TotalStats.Stored != sup.Stored || bs.TotalStats.Popped != sup.Popped {
-		t.Errorf("binary search effort %+v != one supremum sweep %+v", bs.TotalStats, sup.Stats)
-	}
-	// sup is (≤ 2): AG(cond → sx < C) first holds at C = 3.
-	if !bs.Holds || bs.MinimalC != sup.Max.Value()+1 {
-		t.Errorf("MinimalC = %d (holds=%v), want %d", bs.MinimalC, bs.Holds, sup.Max.Value()+1)
-	}
-	// The interval refutation case: hi at the supremum itself must fail.
-	bs2, err := c.BinarySearchWCRT(sx.ID, cond, 0, sup.Max.Value(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs2.Holds {
-		t.Errorf("AG(cond → sx < %d) cannot hold when the supremum attains %d", sup.Max.Value(), sup.Max.Value())
-	}
-}
-
-// TestBinarySearchWCRTTruncatedRefutes pins the budgeted behavior of the
-// single-sweep rebuild: a truncated sweep whose partial supremum already
-// reaches hi refutes definitively (the per-threshold procedure would have
-// stopped at that same counterexample), while an inconclusive truncation
-// stays an error.
-func TestBinarySearchWCRTTruncatedRefutes(t *testing.T) {
-	n, sx, _, busy := buildGrid(t)
-	c, err := NewChecker(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cond := func(s *State) bool { return s.Locs[3] == busy }
-	// The first busy state appears within a handful of admissions and
-	// attains sx = 2, so AG(cond → sx < 1) is refuted within the budget.
-	bs, err := c.BinarySearchWCRT(sx.ID, cond, 0, 1, Options{MaxStates: 200})
-	if err != nil {
-		t.Fatalf("refutation within budget must not error: %v", err)
-	}
-	if bs.Holds {
-		t.Error("AG(cond → sx < 1) must be refuted")
-	}
-	// A hi the partial supremum cannot reach stays inconclusive.
-	if _, err := c.BinarySearchWCRT(sx.ID, cond, 0, 100, Options{MaxStates: 200}); err == nil {
-		t.Error("inconclusive truncated search must error")
 	}
 }

@@ -58,10 +58,11 @@ func gridResults(t *testing.T, c *Checker, busy ta.LocID, opts Options) keptResu
 	if err != nil {
 		t.Fatal(err)
 	}
-	unb, err := c.SupClock(y.ID, func(*State) bool { return true }, opts)
-	if err != nil {
+	unbQ := NewSupClockQuery(y.ID, func(*State) bool { return true })
+	if _, err := c.RunQueries(opts, unbQ); err != nil {
 		t.Fatal(err)
 	}
+	unb := unbQ.Result
 	if !unb.Unbounded || len(unb.Witness) < 2 {
 		t.Fatalf("sup y: unbounded=%v, %d witness steps", unb.Unbounded, len(unb.Witness))
 	}
@@ -69,10 +70,11 @@ func gridResults(t *testing.T, c *Checker, busy ta.LocID, opts Options) keptResu
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup, err := c.SupClock(sx.ID, func(s *State) bool { return s.Locs[3] == busy }, opts)
-	if err != nil {
+	supQ := NewSupClockQuery(sx.ID, func(s *State) bool { return s.Locs[3] == busy })
+	if _, err := c.RunQueries(opts, supQ); err != nil {
 		t.Fatal(err)
 	}
+	sup := supQ.Result
 	return keptResults{found: res.FoundState, trace: res.Trace, witness: unb.Witness, sup: sup}
 }
 

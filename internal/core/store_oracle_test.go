@@ -420,14 +420,16 @@ func TestCompactStoreSweepBitIdenticalToReference(t *testing.T) {
 	sameTrace(t, "witness", cfound.Trace, rfound.Trace)
 
 	// Exact clock supremum.
-	csup, err := c.SupClock(sx.ID, atBusy, Options{})
-	if err != nil {
+	csupQ := NewSupClockQuery(sx.ID, atBusy)
+	if _, err := c.RunQueries(Options{}, csupQ); err != nil {
 		t.Fatal(err)
 	}
-	rsup, err := c.SupClock(sx.ID, atBusy, ref())
-	if err != nil {
+	csup := csupQ.Result
+	rsupQ := NewSupClockQuery(sx.ID, atBusy)
+	if _, err := c.RunQueries(ref(), rsupQ); err != nil {
 		t.Fatal(err)
 	}
+	rsup := rsupQ.Result
 	if csup.Max != rsup.Max || csup.Seen != rsup.Seen || csup.Unbounded != rsup.Unbounded {
 		t.Errorf("sup diverges: compact (%v,%v,%v), reference (%v,%v,%v)",
 			csup.Max, csup.Seen, csup.Unbounded, rsup.Max, rsup.Seen, rsup.Unbounded)

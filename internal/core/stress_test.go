@@ -119,10 +119,11 @@ func TestExploreParallelStressMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqSup, err := c.SupClock(sx.ID, atBusy, Options{})
-	if err != nil {
+	seqSupQ := NewSupClockQuery(sx.ID, atBusy)
+	if _, err := c.RunQueries(Options{}, seqSupQ); err != nil {
 		t.Fatal(err)
 	}
+	seqSup := seqSupQ.Result
 	rounds := 8
 	if testing.Short() {
 		rounds = 2
@@ -138,10 +139,11 @@ func TestExploreParallelStressMatchesSequential(t *testing.T) {
 				t.Errorf("round %d workers %d: parallel stored %d < sequential %d",
 					r, workers, par.Stored, seq.Stored)
 			}
-			sup, err := c.SupClock(sx.ID, atBusy, Options{Seed: int64(r), Workers: workers})
-			if err != nil {
+			supQ := NewSupClockQuery(sx.ID, atBusy)
+			if _, err := c.RunQueries(Options{Seed: int64(r), Workers: workers}, supQ); err != nil {
 				t.Fatal(err)
 			}
+			sup := supQ.Result
 			if sup.Max != seqSup.Max || sup.Seen != seqSup.Seen || sup.Unbounded != seqSup.Unbounded {
 				t.Errorf("round %d workers %d: parallel sup %v/%v/%v != sequential %v/%v/%v",
 					r, workers, sup.Max, sup.Seen, sup.Unbounded,

@@ -328,7 +328,15 @@ type succ struct {
 //     by emitter.
 //
 // The index-free reference in succ_ref_test.go, which reads only what the
-// network declares, pins the stream state by state.
+// network declares, pins the stream state by state, together with
+// delayAllowed, on every admitted state (diffExplore in succ_index_test.go
+// and succ_index_case_test.go, FuzzSuccessorsIndexed).
+//
+// The index is shared and read-only (ta.Network.buildIndex); the
+// per-channel buckets are per-worker scratch. ctx.chanBuf, segmented by the
+// engine's precomputed emOff / rcOff offsets, follows the recycling rules of
+// pooled zones: reset per expansion, reused across fires, and never escaping
+// into states, labels or stores.
 func (e *engine) successors(ctx *succCtx, s *State, out []succ) ([]succ, error) {
 	// Reset the buckets the previous enumeration touched. Doing it on entry
 	// (rather than exit) keeps the scratch self-healing across error paths.

@@ -54,29 +54,31 @@ func TestCaseStudyTraceIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	found1, trace1, stats1, err := c.Reachable(pred, core.Options{})
+	first := core.NewReachQuery(pred)
+	stats1, err := c.RunQueries(core.Options{}, first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !found1 {
+	if !first.Found {
 		t.Fatal("observer seen location unreachable — predicate broken")
 	}
-	if !pred(trace1[len(trace1)-1].State) {
+	if !pred(first.Trace[len(first.Trace)-1].State) {
 		t.Fatal("witness does not end in the observer's seen location")
 	}
-	core.ReplayTraceByReference(t, c, trace1)
+	core.ReplayTraceByReference(t, c, first.Trace)
 
-	found2, trace2, stats2, err := c.Reachable(pred, core.Options{})
+	second := core.NewReachQuery(pred)
+	stats2, err := c.RunQueries(core.Options{}, second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if found1 != found2 {
-		t.Fatalf("reachability verdict differs between runs: %v, %v", found1, found2)
+	if first.Found != second.Found {
+		t.Fatalf("reachability verdict differs between runs: %v, %v", first.Found, second.Found)
 	}
 	if stats1.Stored != stats2.Stored || stats1.Popped != stats2.Popped {
 		t.Fatalf("reachable stats differ between runs: %+v, %+v", stats1, stats2)
 	}
-	f1, f2 := core.FormatTrace(cs.Net, trace1), core.FormatTrace(cs.Net, trace2)
+	f1, f2 := core.FormatTrace(cs.Net, first.Trace), core.FormatTrace(cs.Net, second.Trace)
 	if f1 != f2 {
 		t.Fatalf("replayed traces differ between runs:\nfirst:\n%s\nsecond:\n%s", f1, f2)
 	}

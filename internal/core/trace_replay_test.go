@@ -118,10 +118,8 @@ func TestSafetyCounterexampleReplaysBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prop := Property{
-		Desc:  "rec stays below 2",
-		Holds: func(s *State) bool { return s.Vars[0] < 2 },
-	}
+	// AG(rec < 2) is violated exactly when rec >= 2 is reachable.
+	violates := func(s *State) bool { return s.Vars[0] >= 2 }
 	verdicts := map[string]bool{}
 	for _, tc := range []struct {
 		name string
@@ -130,20 +128,20 @@ func TestSafetyCounterexampleReplaysBothEngines(t *testing.T) {
 		{"sequential", Options{}},
 		{"parallel", Options{Workers: 4}},
 	} {
-		sr, err := c.CheckSafety(prop, tc.opts)
-		if err != nil {
+		q := NewReachQuery(violates)
+		if _, err := c.RunQueries(tc.opts, q); err != nil {
 			t.Fatal(err)
 		}
-		verdicts[tc.name] = sr.Holds
-		if sr.Holds {
+		verdicts[tc.name] = !q.Found
+		if !q.Found {
 			continue
 		}
-		if len(sr.Counterexample) == 0 {
+		if len(q.Trace) == 0 {
 			t.Fatalf("%s: violated property must carry a counterexample", tc.name)
 		}
-		assertTraceValid(t, c, sr.Counterexample)
-		last := sr.Counterexample[len(sr.Counterexample)-1].State
-		if prop.Holds(last) {
+		assertTraceValid(t, c, q.Trace)
+		last := q.Trace[len(q.Trace)-1].State
+		if !violates(last) {
 			t.Errorf("%s: counterexample does not end in a violating state", tc.name)
 		}
 	}
@@ -156,7 +154,7 @@ func TestSafetyCounterexampleReplaysBothEngines(t *testing.T) {
 	}
 }
 
-// TestReachableWitnessReplaysBothEngines compares Reachable across both
+// TestReachableWitnessReplaysBothEngines compares a ReachQuery across both
 // engines and replays both witnesses.
 func TestReachableWitnessReplaysBothEngines(t *testing.T) {
 	n, _, _, busy := buildGrid(t)
@@ -172,24 +170,24 @@ func TestReachableWitnessReplaysBothEngines(t *testing.T) {
 		{"sequential", Options{}},
 		{"parallel", Options{Workers: 4}},
 	} {
-		found, trace, _, err := c.Reachable(atBusy, tc.opts)
-		if err != nil {
+		q := NewReachQuery(atBusy)
+		if _, err := c.RunQueries(tc.opts, q); err != nil {
 			t.Fatal(err)
 		}
-		if !found {
+		if !q.Found {
 			t.Fatalf("%s: busy must be reachable", tc.name)
 		}
-		if len(trace) == 0 {
+		if len(q.Trace) == 0 {
 			t.Fatalf("%s: witness must be non-nil", tc.name)
 		}
-		assertTraceValid(t, c, trace)
-		if !atBusy(trace[len(trace)-1].State) {
+		assertTraceValid(t, c, q.Trace)
+		if !atBusy(q.Trace[len(q.Trace)-1].State) {
 			t.Errorf("%s: witness does not end in a busy state", tc.name)
 		}
 	}
 }
 
-// TestSupClockUnboundedWitnessReplaysBothEngines drives the one SupClock
+// TestSupClockUnboundedWitnessReplaysBothEngines drives the one SupClockQuery
 // case that stops with a witness — an extrapolated-to-infinity clock — on
 // both engines. The grid's y clock is never reset, so its supremum at any
 // busy state lies beyond the horizon.
@@ -211,10 +209,11 @@ func TestSupClockUnboundedWitnessReplaysBothEngines(t *testing.T) {
 		{"sequential", Options{}},
 		{"parallel", Options{Workers: 4}},
 	} {
-		sup, err := c.SupClock(y.ID, atBusy, tc.opts)
-		if err != nil {
+		q := NewSupClockQuery(y.ID, atBusy)
+		if _, err := c.RunQueries(tc.opts, q); err != nil {
 			t.Fatal(err)
 		}
+		sup := q.Result
 		if !sup.Unbounded || !sup.Seen {
 			t.Fatalf("%s: y at busy must be beyond the horizon (unbounded=%v seen=%v)",
 				tc.name, sup.Unbounded, sup.Seen)
@@ -230,7 +229,7 @@ func TestSupClockUnboundedWitnessReplaysBothEngines(t *testing.T) {
 	}
 }
 
-// TestDeadlockWitnessReplaysBothEngines compares CheckDeadlockFree across
+// TestDeadlockWitnessReplaysBothEngines compares a DeadlockQuery across
 // both engines on a deadlocking model and replays both witnesses.
 func TestDeadlockWitnessReplaysBothEngines(t *testing.T) {
 	n := ta.NewNetwork("dead")
@@ -253,10 +252,11 @@ func TestDeadlockWitnessReplaysBothEngines(t *testing.T) {
 		{"sequential", Options{}},
 		{"parallel", Options{Workers: 4}},
 	} {
-		res, err := c.CheckDeadlockFree(tc.opts)
-		if err != nil {
+		q := NewDeadlockQuery()
+		if _, err := c.RunQueries(tc.opts, q); err != nil {
 			t.Fatal(err)
 		}
+		res := q.Result
 		if res.Free {
 			t.Fatalf("%s: absorbing location must be reported as a deadlock", tc.name)
 		}
@@ -287,15 +287,15 @@ func TestParallelTraceStressReplays(t *testing.T) {
 	}
 	for r := 0; r < rounds; r++ {
 		for _, workers := range []int{2, 4, 8} {
-			found, trace, _, err := c.Reachable(deep, Options{Seed: int64(r), Workers: workers})
-			if err != nil {
+			q := NewReachQuery(deep)
+			if _, err := c.RunQueries(Options{Seed: int64(r), Workers: workers}, q); err != nil {
 				t.Fatal(err)
 			}
-			if !found || len(trace) == 0 {
+			if !q.Found || len(q.Trace) == 0 {
 				t.Fatalf("round %d workers %d: deep state must be reachable with a trace", r, workers)
 			}
-			assertTraceValid(t, c, trace)
-			if !deep(trace[len(trace)-1].State) {
+			assertTraceValid(t, c, q.Trace)
+			if !deep(q.Trace[len(q.Trace)-1].State) {
 				t.Errorf("round %d workers %d: trace does not end in the target", r, workers)
 			}
 		}

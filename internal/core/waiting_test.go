@@ -241,17 +241,19 @@ func TestWaitingStatesParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	atEnd := func(s *State) bool { return s.Vars[0] == 12 }
-	seq, err := c.SupClock(x.ID, atEnd, Options{})
-	if err != nil {
+	seqQ := NewSupClockQuery(x.ID, atEnd)
+	if _, err := c.RunQueries(Options{}, seqQ); err != nil {
 		t.Fatal(err)
 	}
+	seq := seqQ.Result
 	for _, shards := range []int{4, 64} {
 		sh := &shadowStore{fast: newStore(shards, nil, &c.eng.bounds, &c.eng.keys), ref: newRefStore(&c.eng.bounds, &c.eng.keys)}
 		spy := newHolderSpy(sh)
-		par, err := c.SupClock(x.ID, atEnd, Options{Workers: 4, passed: spy})
-		if err != nil {
+		parQ := NewSupClockQuery(x.ID, atEnd)
+		if _, err := c.RunQueries(Options{Workers: 4, passed: spy}, parQ); err != nil {
 			t.Fatal(err)
 		}
+		par := parQ.Result
 		spy.checkPops(t, fmt.Sprintf("%d shards", shards), par.Popped)
 		if d := sh.disagreements.Load(); d != 0 {
 			t.Errorf("%d shards: %d admission decisions diverged from the reference", shards, d)
@@ -367,14 +369,16 @@ func TestDeadlockObservedOnDecodedZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, order := range []Order{BFS, DFS} {
-		want, err := c.CheckDeadlockFree(Options{Order: order, passed: newRefStore(&c.eng.bounds, &c.eng.keys)})
-		if err != nil {
+		wantQ := NewDeadlockQuery()
+		if _, err := c.RunQueries(Options{Order: order, passed: newRefStore(&c.eng.bounds, &c.eng.keys)}, wantQ); err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.CheckDeadlockFree(Options{Order: order})
-		if err != nil {
+		want := wantQ.Result
+		gotQ := NewDeadlockQuery()
+		if _, err := c.RunQueries(Options{Order: order}, gotQ); err != nil {
 			t.Fatal(err)
 		}
+		got := gotQ.Result
 		if got.Free || want.Free {
 			t.Fatalf("%s: the widening model must deadlock (free: %v, reference %v)", order, got.Free, want.Free)
 		}
@@ -384,10 +388,11 @@ func TestDeadlockObservedOnDecodedZone(t *testing.T) {
 		sameTrace(t, order.String()+" deadlock witness", got.Witness, want.Witness)
 		assertTraceValid(t, c, got.Witness)
 	}
-	par, err := c.CheckDeadlockFree(Options{Workers: 4})
-	if err != nil {
+	parQ := NewDeadlockQuery()
+	if _, err := c.RunQueries(Options{Workers: 4}, parQ); err != nil {
 		t.Fatal(err)
 	}
+	par := parQ.Result
 	if par.Free {
 		t.Fatal("parallel sweep missed the deadlock")
 	}

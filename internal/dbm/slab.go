@@ -39,7 +39,8 @@ type slab [slabWords]Bound
 // frees that, so an idle process keeps at most the last released set, a
 // process running sweeps back to back hands each one its predecessor's
 // touched pages, and there is nothing to configure: no size, no timer, no
-// collector hook.
+// collector hook. If a workload's resident set suffers, change slabBytes; do
+// not add a cap, option, flag or environment variable.
 var slabCache struct {
 	mu   sync.Mutex
 	free []*slab // taken from the end

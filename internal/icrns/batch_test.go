@@ -107,16 +107,16 @@ func TestBatchWitnessFromSharedNetwork(t *testing.T) {
 	v := bound.Num().Int64()
 	atSeen := cs.AtSeen(1)
 	yID := int(cs.Obs[1].Y.ID)
-	found, trace, _, err := checker.Reachable(func(s *core.State) bool {
+	q := core.NewReachQuery(func(s *core.State) bool {
 		return atSeen(s) && s.Zone.Sup(yID) >= dbm.LE(v)
-	}, core.Options{})
-	if err != nil {
+	})
+	if _, err := checker.RunQueries(core.Options{}, q); err != nil {
 		t.Fatal(err)
 	}
-	if !found || len(trace) == 0 {
+	if !q.Found || len(q.Trace) == 0 {
 		t.Fatal("the batch-computed WCRT must be realizable on the shared network")
 	}
-	last := trace[len(trace)-1].State
+	last := q.Trace[len(q.Trace)-1].State
 	if !atSeen(last) || last.Zone.Sup(yID) < dbm.LE(v) {
 		t.Error("witness does not end in a seen state attaining the bound")
 	}

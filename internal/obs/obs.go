@@ -20,6 +20,16 @@
 //
 // Scrapes (WriteText) read everything through atomic loads or caller
 // callbacks; they never lock a hot path.
+//
+// # Exposition stability
+//
+// The registry renders families in registration order, so unchanged values
+// scrape byte-identically. Every taserved_* family name is a contract for
+// dashboards, the smoke tools and the benchmark. Values owned elsewhere are
+// bridged in through CounterFunc / GaugeFunc, which add no hot-path writes.
+// Lint is the single format validator: unit tests, scripts/metricslint and
+// the smoke tool all run it, and every new family must pass it in CI
+// (serve-smoke and cluster-smoke).
 package obs
 
 import (

@@ -404,7 +404,9 @@ func (m *jobManager) submit(id, kind string, workers int, memBytes int64, deadli
 // channel and the table's accounts (active, the retained-results LRU) move
 // together: whoever done wakes — a status request parked on the job — finds
 // the node's numbers already past this job, and a resubmission that sees the
-// failed state finds the entry already retained to replace.
+// failed state finds the entry already retained to replace. The abort
+// counters are updated just before, from wire.CodeForError; the job's
+// announce (onFinish, the replicate span) comes after, off the waiters' path.
 func (m *jobManager) execute(j *job, run runFunc) {
 	defer m.wg.Done()
 	result, traces, err := m.admitAndRun(j, run)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/arch"
 	"repro/internal/core"
@@ -81,9 +82,12 @@ func resolveArch(s *Server, req *SubmitRequest, spec *jobSpec) (any, error) {
 	if len(names) == 0 {
 		return nil, badRequest("arch model has no requirements")
 	}
-	for _, n := range names {
+	for i, n := range names {
 		if m.byName[n] == nil {
 			return nil, badRequest("unknown requirement %q", n)
+		}
+		if slices.Contains(names[:i], n) {
+			return nil, badRequest("requirement %q named twice", n)
 		}
 	}
 	for n := range req.Options.HorizonMSByReq {

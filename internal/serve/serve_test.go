@@ -236,6 +236,7 @@ func TestSubmitValidation(t *testing.T) {
 		"bad order":       {Kind: "arch", Model: tinyArchModel(t), Options: SubmitOptions{Order: "dfs"}},
 		"bad arch model":  {Kind: "arch", Model: "{not json"},
 		"unknown req":     {Kind: "arch", Model: tinyArchModel(t), Requirements: []string{"ghost"}},
+		"duplicate req":   {Kind: "arch", Model: tinyArchModel(t), Requirements: []string{"e2e", "e2e"}},
 		"bad horizon req": {Kind: "arch", Model: tinyArchModel(t), Options: SubmitOptions{HorizonMSByReq: map[string]int64{"ghost": 5}}},
 		"ta no queries":   {Kind: "ta", Model: tinyTAModel(t)},
 		"ta bad query":    {Kind: "ta", Model: tinyTAModel(t), Queries: []wire.TAQuery{{Kind: "warp"}}},

@@ -118,6 +118,43 @@ const (
 // Server is the job service: it owns admission, the job table, the caches,
 // the backend seams, and the HTTP facade over them. Create with New, mount
 // Handler, stop with Shutdown.
+//
+// One pipeline: intake is the only derivation of a job id (HTTP and
+// envelope paths), compute the only path from an admitted job to verdict
+// bytes, kinds.go the only fork on "arch" / "ta" (CI-linted), and the tail
+// of jobManager.execute the only place a job turns terminal.
+//
+// Cache ownership: three caches, the parsed model by source hash (models),
+// the compiled network by model, requirement set, horizons and queue cap
+// (compiled), and results by the full normalized-submission hash (the job
+// table: job id == content key). Their values are immutable after
+// construction — ta.Network after Finalize, arch.CompiledSet after
+// CompileAll — which is what makes concurrent CompiledSet.Analyze calls on
+// one cached value sound; each call builds its own checker and explorer
+// state. Singleflight: the first caller computes, concurrent twins wait, and
+// errors are never cached. Failed and canceled jobs are dropped on
+// resubmission, never served from cache.
+//
+// Admission: a job holds its workers' CPU tokens for its whole sweep (FIFO,
+// no overtaking), so the pool bounds the exploration goroutines across jobs.
+// Queue-time and proxy-wait aborts come from one helper (awaitAbortable),
+// which returns the same core error sentinels as sweep-time aborts, so wire
+// states and abort counters are uniform.
+//
+// Status waits (awaitTerminal, maxStatusWait in http.go): a wait selects on
+// the job's done channel, its timer, the request context and closing, and
+// never holds a lock, a grant or a table slot. A status call without result
+// keeps its body byte for byte (TestStatusBodyBytes); ?result=1 adds a done
+// job's stored bytes as base64 result, byte-identical to GET …/result, and
+// any other value is 400. client.Await asks with it and keeps one (id,
+// bytes) slot that the next Result on that id takes; any other Result sends
+// the GET. There is one stop order: Shutdown (jobs drain, then closing),
+// then the listener.
+//
+// Wire oracles: serve_test.go round-trips the case-study models through HTTP
+// against arch.AnalyzeAll, race_test.go pins one-exploration singleflight
+// under -race, and key_test.go pins two golden content keys and the
+// canonicalization table.
 type Server struct {
 	cfg    Config
 	start  time.Time

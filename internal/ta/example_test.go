@@ -40,14 +40,12 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := checker.CheckSafety(core.Property{
-		Desc:  "no queueing",
-		Holds: func(s *core.State) bool { return s.Vars[rec.ID] <= 1 },
-	}, core.Options{})
-	if err != nil {
+	// AG(rec <= 1) is the unreachability of rec > 1.
+	queued := core.NewReachQuery(func(s *core.State) bool { return s.Vars[rec.ID] > 1 })
+	if _, err := checker.RunQueries(core.Options{}, queued); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("AG(rec <= 1):", res.Holds)
+	fmt.Println("AG(rec <= 1):", !queued.Found)
 	// Output: AG(rec <= 1): true
 }
 
@@ -77,11 +75,10 @@ edge:SRV:busy:idle{guard: sx==3}
 		log.Fatal(err)
 	}
 	busy := net.ProcByName("SRV").LocByName("busy")
-	sup, err := checker.SupClock(2, func(s *core.State) bool { return s.Locs[1] == busy },
-		core.Options{})
-	if err != nil {
+	sup := core.NewSupClockQuery(2, func(s *core.State) bool { return s.Locs[1] == busy })
+	if _, err := checker.RunQueries(core.Options{}, sup); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("sup(sx) while busy:", sup.Max)
+	fmt.Println("sup(sx) while busy:", sup.Result.Max)
 	// Output: sup(sx) while busy: <=3
 }

@@ -121,7 +121,8 @@ func (n *Network) Finalize() error {
 // per-location committed/no-delay flags, the channel→participating-process
 // tables, per-channel edge counts, and the urgent-channel list. Everything
 // built here is immutable after Finalize — exploration workers read it
-// concurrently without synchronization.
+// concurrently without synchronization, and write only their own scratch
+// (core's engine.successors).
 func (n *Network) buildIndex() {
 	// The whole per-location index is carved out of three backing arrays.
 	// Finalize runs once per network, but compiled pipelines (arch →

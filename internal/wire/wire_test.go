@@ -20,7 +20,7 @@ func tinyTA(t *testing.T) string {
 }
 
 // TestTARunMatchesDirectQueries runs the four query kinds through the shared
-// TARun path and checks each verdict against the dedicated checker methods.
+// TARun path and checks each verdict against the known answers on tiny.ta.
 func TestTARunMatchesDirectQueries(t *testing.T) {
 	specs := []TAQuery{
 		{Kind: "reach", Pred: "RAD.busy"},
