@@ -30,12 +30,12 @@ func benchCell(b *testing.B, row icrns.Row, col icrns.Column, budget int) {
 		Cfg: icrns.DefaultConfig(), MaxStates: budget, FallbackStates: budget, Seed: 1,
 	}
 	var res arch.WCRTResult
-	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = icrns.Cell(row, col, opts)
+		cells, err := icrns.Cells(row.Combo, col, []string{row.Req}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
+		res = cells[row.Req]
 	}
 	ms, _ := res.MS.Float64()
 	b.ReportMetric(ms, "wcrt_ms")
@@ -66,12 +66,12 @@ func BenchmarkTable1_HandleTMC_AL_po_Budgeted(b *testing.B) {
 	row := icrns.Table1Rows[1]
 	opts := icrns.CellOptions{Cfg: icrns.DefaultConfig(), Seed: 1, MaxBytes: 1 << 40}
 	var res arch.WCRTResult
-	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = icrns.Cell(row, icrns.ColPO, opts)
+		cells, err := icrns.Cells(row.Combo, icrns.ColPO, []string{row.Req}, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
+		res = cells[row.Req]
 	}
 	ms, _ := res.MS.Float64()
 	b.ReportMetric(ms, "wcrt_ms")
@@ -89,17 +89,17 @@ func BenchmarkTable1_HandleTMC_AL_po_Profiled(b *testing.B) {
 	row := icrns.Table1Rows[1]
 	var mon *core.Monitor
 	var res arch.WCRTResult
-	var err error
 	for i := 0; i < b.N; i++ {
 		// A fresh monitor per iteration keeps the profiling cost (rings,
 		// span list) a constant per run, so allocs/op is exact.
 		mon = &core.Monitor{}
 		mon.EnableProfile(core.ProfileConfig{})
-		res, err = icrns.Cell(row, icrns.ColPO,
+		cells, err := icrns.Cells(row.Combo, icrns.ColPO, []string{row.Req},
 			icrns.CellOptions{Cfg: icrns.DefaultConfig(), Seed: 1, Monitor: mon})
 		if err != nil {
 			b.Fatal(err)
 		}
+		res = cells[row.Req]
 	}
 	if prof := mon.Profile(); prof == nil || len(prof.Phases) == 0 {
 		b.Fatal("profiled run recorded no phases")
@@ -120,7 +120,11 @@ func BenchmarkTable2_UppaalPNO(b *testing.B) {
 	sys, req := table2System()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 500}, core.Options{}); err != nil {
+		cs, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMS: 500})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cs.Analyze(core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,16 +143,17 @@ func multiReqSystem() (*arch.System, []*arch.Requirement) {
 func multiReqHorizon(r *arch.Requirement) int64 { return icrns.HorizonMS(r.Name) }
 
 // BenchmarkMultiReq_AL_pno_Batch answers both requirements from ONE
-// compiled network and ONE exploration (arch.AnalyzeAll).
+// compiled network (arch.CompileAll) and ONE exploration (CompiledSet.Analyze).
 func BenchmarkMultiReq_AL_pno_Batch(b *testing.B) {
 	b.ReportAllocs()
 	sys, reqs := multiReqSystem()
 	var res *arch.AllResult
-	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = arch.AnalyzeAll(sys, reqs,
-			arch.Options{HorizonMSFor: multiReqHorizon}, core.Options{})
+		cs, err := arch.CompileAll(sys, reqs, arch.Options{HorizonMSFor: multiReqHorizon})
 		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err = cs.Analyze(core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -183,10 +188,12 @@ func benchMultiReqScaling(b *testing.B, n int) {
 	b.ReportAllocs()
 	sys, reqs := scalingSystem(n)
 	var res *arch.AllResult
-	var err error
 	for i := 0; i < b.N; i++ {
-		res, err = arch.AnalyzeAll(sys, reqs, arch.Options{HorizonMS: 120}, core.Options{})
+		cs, err := arch.CompileAll(sys, reqs, arch.Options{HorizonMS: 120})
 		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err = cs.Analyze(core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -235,15 +242,19 @@ func BenchmarkRecycled_TwoDims(b *testing.B) {
 	sys, reqs := scalingSystem(8)
 	states := 0
 	for i := 0; i < b.N; i++ {
-		cell, err := icrns.Cell(row, icrns.ColPNO, cellOpts)
+		cells, err := icrns.Cells(row.Combo, icrns.ColPNO, []string{row.Req}, cellOpts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		all, err := arch.AnalyzeAll(sys, reqs, arch.Options{HorizonMS: 120}, core.Options{})
+		cs, err := arch.CompileAll(sys, reqs, arch.Options{HorizonMS: 120})
 		if err != nil {
 			b.Fatal(err)
 		}
-		states = cell.Stats.Stored + all.Stats.Stored
+		all, err := cs.Analyze(core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		states = cells[row.Req].Stats.Stored + all.Stats.Stored
 	}
 	b.ReportMetric(float64(states), "states")
 }

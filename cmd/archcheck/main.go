@@ -11,12 +11,13 @@
 //
 // With no -req, every requirement in the file is analyzed. The uppaal engine
 // compiles the analyzed requirements into ONE network — one measuring
-// observer each — and answers every WCRT from a single exploration
-// (arch.AnalyzeAll). -workers defaults to the number of CPUs; parallel runs
+// observer each (arch.CompileAll) — and answers every WCRT from a single
+// exploration (CompiledSet.Analyze). -workers defaults to the number of CPUs; parallel runs
 // return the same verdicts and bounds as sequential ones and reconstruct
 // replay-valid traces (which run a trace documents may differ between
-// schedules). -deadlock checks the compiled system for reachable deadlocked
-// configurations instead of computing WCRTs.
+// schedules). -deadlock checks the system compiled with the first
+// requirement's observer for reachable deadlocked configurations instead of
+// computing WCRTs (CompiledSet.DeadlockFree).
 //
 // -json emits the machine-readable result instead of the text report: the
 // exact wire format (internal/wire.ArchResponse) the taserved analysis
@@ -106,8 +107,9 @@ func main() {
 		fmt.Print(sys.DOT())
 		return
 	}
+	aopts := arch.Options{HorizonMS: *horizon}
 	if *dot || *uppaal {
-		compiled, err := arch.Compile(sys, reqs[0], arch.Options{HorizonMS: *horizon})
+		compiled, err := arch.CompileAll(sys, reqs[:1], aopts)
 		if err != nil {
 			fatal(err)
 		}
@@ -130,37 +132,24 @@ func main() {
 		StateBudget: *stateBudget, MaxBytes: *maxBytes, Workers: *workers,
 		Monitor: mon}
 
-	if *jsonOut {
-		if *engine != "uppaal" || *deadlock {
-			fatal(fmt.Errorf("-json supports the uppaal WCRT analysis only"))
-		}
-		// The batch path answers any number of requirements (one included)
-		// from one exploration and is exactly what taserved runs, so the
-		// emitted bytes match a service result for the same submission.
-		res, err := arch.AnalyzeAll(sys, reqs, arch.Options{HorizonMS: *horizon}, copts)
-		if err != nil {
-			fatal(err)
-		}
-		out, err := wire.Encode(wire.FromAllResult(res))
-		if err == nil {
-			_, err = os.Stdout.Write(out)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
+	if *jsonOut && (*engine != "uppaal" || *deadlock) {
+		fatal(fmt.Errorf("-json supports the uppaal WCRT analysis only"))
 	}
 
 	if *deadlock {
 		// Deadlock freedom is a property of the whole compiled system; the
 		// first requirement only selects the observer compiled alongside it.
-		res, err := arch.CheckDeadlockFree(sys, reqs[0], arch.Options{HorizonMS: *horizon}, copts)
+		cs, err := arch.CompileAll(sys, reqs[:1], aopts)
+		if err != nil {
+			fatal(err)
+		}
+		res, err := cs.DeadlockFree(copts)
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("deadlock-free = %v   [%s]\n", res.Free, res.Stats)
 		if !res.Free {
-			fmt.Print(res.Trace)
+			fmt.Print(core.FormatTrace(cs.Net, res.Witness))
 			os.Exit(1)
 		}
 		return
@@ -168,9 +157,27 @@ func main() {
 
 	switch *engine {
 	case "uppaal":
-		res, err := arch.AnalyzeAll(sys, reqs, arch.Options{HorizonMS: *horizon}, copts)
+		cs, err := arch.CompileAll(sys, reqs, aopts)
 		if err != nil {
 			fatal(err)
+		}
+		res, err := cs.Analyze(copts)
+		if err != nil {
+			fatal(err)
+		}
+		if *jsonOut {
+			// The batch path answers any number of requirements (one
+			// included) from one exploration and is exactly what taserved
+			// runs, so the emitted bytes match a service result for the
+			// same submission.
+			out, err := wire.Encode(wire.FromAllResult(res))
+			if err == nil {
+				_, err = os.Stdout.Write(out)
+			}
+			if err != nil {
+				fatal(err)
+			}
+			return
 		}
 		for i, req := range reqs {
 			r := res.Results[i]

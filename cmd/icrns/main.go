@@ -11,13 +11,14 @@
 // event models; Table 2 compares the model checker against the simulation,
 // busy-window, and real-time-calculus engines. Table 1 rows are grouped by
 // application combination and answered through the batch engine
-// (arch.AnalyzeAll): each (combination, column) group is ONE compiled
-// network with one measuring observer per requirement and ONE exploration,
-// as is each -verify column. A group whose exhaustive exploration exceeds
-// -budget states gets ONE randomized depth-first run of -fallback states on
-// the same network, shared by its requirements: if that run finishes the cells
-// are exact after all, otherwise they are reported as "> bound" lower bounds,
-// exactly like the paper's df/rdf rows.
+// (icrns.Cells): each (combination, column) group is ONE compiled network
+// (arch.CompileAll) with one measuring observer per requirement and ONE
+// exploration (CompiledSet.Analyze), as is each -verify column; a -cell is
+// the group of its one requirement. A group whose exhaustive exploration
+// exceeds -budget states gets ONE randomized depth-first run of -fallback
+// states on the same network, shared by its requirements: if that run
+// finishes the cells are exact after all, otherwise they are reported as
+// "> bound" lower bounds, exactly like the paper's df/rdf rows.
 package main
 
 import (
@@ -111,10 +112,11 @@ func main() {
 			fatal(err)
 		}
 		start := time.Now()
-		res, err := icrns.Cell(row, col, cellOpts)
+		cells, err := icrns.Cells(row.Combo, col, []string{row.Req}, cellOpts)
 		if err != nil {
 			fatal(err)
 		}
+		res := cells[row.Req]
 		fmt.Printf("%s under %v: %s ms (%s) in %v\n",
 			row.Label, col, res, res.Stats, time.Since(start).Round(time.Millisecond))
 		if *witness && res.Exact {

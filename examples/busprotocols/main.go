@@ -32,12 +32,16 @@ func main() {
 		for _, req := range []string{icrns.ReqHandleTMC, icrns.ReqAddressLookup} {
 			sys, reqs := icrns.Build(icrns.ComboAL, icrns.ColPNO, cfg)
 			start := time.Now()
-			res, err := arch.AnalyzeWCRT(sys, reqs[req],
-				arch.Options{HorizonMS: icrns.HorizonMS(req)},
-				core.Options{MaxStates: 2_000_000})
+			cs, err := arch.CompileAll(sys, []*arch.Requirement{reqs[req]},
+				arch.Options{HorizonMS: icrns.HorizonMS(req)})
 			if err != nil {
 				log.Fatal(err)
 			}
+			all, err := cs.Analyze(core.Options{MaxStates: 2_000_000})
+			if err != nil {
+				log.Fatal(err)
+			}
+			res := all.Results[0]
 			fmt.Printf("  %-16s WCRT = %s ms  (%d states, %v)\n",
 				req, res, res.Stats.Stored, time.Since(start).Round(time.Millisecond))
 		}

@@ -28,19 +28,23 @@ func main() {
 	for _, sched := range []arch.SchedKind{arch.SchedNondet, arch.SchedFP, arch.SchedFPPreempt} {
 		sys, urgentReq, bulkReq := build(sched)
 		fmt.Printf("scheduler: %v\n", sched)
-		for _, req := range []*arch.Requirement{urgentReq, bulkReq} {
-			res, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 500}, core.Options{})
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("  %-8s WCRT = %s ms\n", req.Name, res)
+		cs, err := arch.CompileAll(sys, []*arch.Requirement{urgentReq, bulkReq}, arch.Options{HorizonMS: 500})
+		if err != nil {
+			log.Fatal(err)
+		}
+		all, err := cs.Analyze(core.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, res := range all.Results {
+			fmt.Printf("  %-8s WCRT = %s ms\n", res.Req.Name, res)
 		}
 	}
 
 	// The paper warns that D must provably stay finite. Compile the
 	// preemptive model and check AG(D <= isr-budget) mechanically.
 	sys, urgentReq, _ := build(arch.SchedFPPreempt)
-	compiled, err := arch.Compile(sys, urgentReq, arch.Options{HorizonMS: 500})
+	compiled, err := arch.CompileAll(sys, []*arch.Requirement{urgentReq}, arch.Options{HorizonMS: 500})
 	if err != nil {
 		log.Fatal(err)
 	}

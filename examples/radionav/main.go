@@ -33,10 +33,11 @@ func main() {
 	opts := icrns.CellOptions{Cfg: icrns.DefaultConfig(), MaxStates: 2_000_000}
 	for _, c := range cells {
 		start := time.Now()
-		res, err := icrns.Cell(c.row, c.col, opts)
+		cells, err := icrns.Cells(c.row.Combo, c.col, []string{c.row.Req}, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
+		res := cells[c.row.Req]
 		fmt.Printf("%-30s %-16v = %s ms   paper: %s   (%d states, %v)\n",
 			c.row.Label, c.col, res, c.paper,
 			res.Stats.Stored, time.Since(start).Round(time.Millisecond))

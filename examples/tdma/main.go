@@ -46,11 +46,15 @@ func build(tdma bool, ctrlArrival arch.EventModel) (*arch.System, *arch.Requirem
 }
 
 func wcrt(sys *arch.System, req *arch.Requirement) string {
-	res, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 300}, core.Options{})
+	cs, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMS: 300})
 	if err != nil {
 		log.Fatal(err)
 	}
-	return res.String()
+	all, err := cs.Analyze(core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return all.Results[0].String()
 }
 
 func main() {

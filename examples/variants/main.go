@@ -71,12 +71,16 @@ func main() {
 	for _, v := range variants {
 		sys, reqs := v.build()
 		row := fmt.Sprintf("%-50s", v.name)
-		for _, name := range []string{"TMC", "AL"} {
-			res, err := arch.AnalyzeWCRT(sys, reqs[name],
-				arch.Options{HorizonMS: 1500}, core.Options{Workers: 2})
-			if err != nil {
-				log.Fatal(err)
-			}
+		cs, err := arch.CompileAll(sys, []*arch.Requirement{reqs["TMC"], reqs["AL"]},
+			arch.Options{HorizonMS: 1500})
+		if err != nil {
+			log.Fatal(err)
+		}
+		all, err := cs.Analyze(core.Options{Workers: 2})
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, res := range all.Results {
 			row += fmt.Sprintf(" %-14s", res)
 		}
 		fmt.Println(row)

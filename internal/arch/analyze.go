@@ -36,28 +36,11 @@ func (r WCRTResult) String() string {
 	return "> " + v
 }
 
-// AnalyzeWCRT compiles the system with a measuring observer for req and
-// computes the worst-case response time as the supremum of the observer
-// clock over all reachable "seen" states. It is the one-requirement special
-// case of AnalyzeAll: one observer in the network, one supremum query on the
-// sweep.
-//
-// With copts/opts zero values this is the paper's exhaustive analysis. For
-// intractable cases set opts.MaxStates and opts.Order (DFS or RDFS) to
-// reproduce the paper's "structured testing" mode: the result is then a
-// lower bound (Exact=false).
-func AnalyzeWCRT(sys *System, req *Requirement, copts Options, opts core.Options) (WCRTResult, error) {
-	all, err := AnalyzeAll(sys, []*Requirement{req}, copts, opts)
-	if err != nil {
-		return WCRTResult{}, err
-	}
-	return all.Results[0], nil
-}
-
-// AllResult is the outcome of AnalyzeAll: every requirement's worst-case
-// response time measured in ONE exploration of one compiled network.
+// AllResult is the outcome of CompiledSet.Analyze: every requirement's
+// worst-case response time measured in ONE exploration of one compiled
+// network.
 type AllResult struct {
-	// Results holds one WCRT per requirement, parallel to the reqs argument.
+	// Results holds one WCRT per requirement, parallel to CompiledSet.Reqs.
 	// Each result's Stats equal the shared Stats below — there is only one
 	// sweep; do not sum them across requirements.
 	Results []WCRTResult
@@ -65,38 +48,24 @@ type AllResult struct {
 	Stats core.Stats
 }
 
-// AnalyzeAll compiles the system ONCE with a measuring observer per
-// requirement (CompileAll) and computes every worst-case response time from
-// a single exploration: one SupClockQuery per observer clock attached to one
-// core.RunQueries sweep. This replaces k requirements × 1 exploration with 1
-// exploration — the dominant cost of the paper's Table 1/2 reproduction.
+// Analyze computes every requirement's worst-case response time as the
+// supremum of its observer clock over all reachable "seen" states, from ONE
+// exploration: one SupClockQuery per observer clock on one core.RunQueries
+// sweep. This replaces k requirements × 1 exploration with 1 exploration —
+// the dominant cost of the paper's Table 1/2 reproduction. Each observer in
+// the shared network is a pure listener, so its measured supremum equals the
+// one it measures compiled alone; the Stats differ, of course — the shared
+// network carries every observer.
 //
-// Verdicts and bounds match per-requirement AnalyzeWCRT exactly: each
-// observer in the shared network is a pure listener, so its measured
-// supremum equals the one it measures compiled alone. Stats differ, of
-// course — the shared network carries every observer. For deadline verdicts
-// over the same sweep, test each result with WCRTResult.MeetsDeadline /
-// ViolatesDeadline.
+// With a zero opts this is the paper's exhaustive analysis. For intractable
+// cases set opts.MaxStates and opts.Order (DFS or RDFS) to reproduce the
+// paper's "structured testing" mode: a truncated sweep degrades every
+// requirement to a lower bound (Exact=false).
 //
-// opts.MaxStates budgets the single shared sweep; a truncated sweep
-// degrades every requirement to a lower bound (Exact=false), as in
-// AnalyzeWCRT.
-func AnalyzeAll(sys *System, reqs []*Requirement, copts Options, opts core.Options) (*AllResult, error) {
-	cs, err := CompileAll(sys, reqs, copts)
-	if err != nil {
-		return nil, err
-	}
-	return cs.Analyze(opts)
-}
-
-// Analyze computes every requirement's worst-case response time from the
-// already-compiled set with ONE exploration: one SupClockQuery per observer
-// clock on one core.RunQueries sweep. It is the analysis half of AnalyzeAll,
-// split out so callers that keep compiled networks (internal/serve's cache,
-// icrns.Cells' sweep and its fallback run) can pay compilation once and run
-// any number of independent explorations against the same CompiledSet — the
-// set is immutable after CompileAll and safe for concurrent Analyze calls,
-// each of which builds its own checker state.
+// The set is immutable after CompileAll and safe for concurrent Analyze
+// calls, each of which builds its own checker state, so callers that keep
+// compiled networks (internal/serve's cache, icrns.Cells' sweep and its
+// fallback run) pay compilation once and run any number of explorations.
 func (cs *CompiledSet) Analyze(opts core.Options) (*AllResult, error) {
 	checker, err := core.NewChecker(cs.Net)
 	if err != nil {
@@ -140,7 +109,8 @@ func (cs *CompiledSet) Analyze(opts core.Options) (*AllResult, error) {
 // observation horizon must cover the deadline for a BeyondHorizon result to
 // soundly count as a violation (VerifyDeadline and icrns.Verify arrange
 // that). On a truncated (non-Exact) result, false means only "no violation
-// observed", exactly like a truncated VerifyDeadline that found no counterexample.
+// observed", exactly like a truncated VerifyDeadline that found no
+// counterexample: a deadline is proven met by Exact && !ViolatesDeadline.
 func (r WCRTResult) ViolatesDeadline(deadlineMS *big.Rat) bool {
 	if r.BeyondHorizon {
 		return true
@@ -152,131 +122,101 @@ func (r WCRTResult) ViolatesDeadline(deadlineMS *big.Rat) bool {
 	return cmp > 0 // the bound is only approached: y < MS always
 }
 
-// MeetsDeadline reports whether the requirement provably satisfies
-// "response < deadlineMS": the bound is exact and strictly below the
-// deadline. A truncated or beyond-horizon result never proves a deadline.
-func (r WCRTResult) MeetsDeadline(deadlineMS *big.Rat) bool {
-	return r.Exact && !r.ViolatesDeadline(deadlineMS)
-}
-
-// WitnessForResult materializes a critical-instant trace for an
-// already-computed WCRT: one reachability sweep to a seen state whose
-// observer clock reaches the known bound, with no re-measurement. Callers
-// holding batch results (AnalyzeAll, or a cached service verdict) get the
-// trace for the cost of a single extra exploration. It honors opts.Workers:
-// the engine reconstructs witness traces from its per-worker parent logs.
-func WitnessForResult(sys *System, req *Requirement, res WCRTResult, copts Options, opts core.Options) (string, error) {
-	c, err := Compile(sys, req, copts)
+// Witness materializes a critical-instant trace for requirement i's
+// already-computed WCRT res: one reachability sweep to a state where observer
+// i is seen and its clock reaches the known bound, with no re-measurement.
+// Callers holding batch results (Analyze, or a cached service verdict) get
+// the trace for the cost of a single extra exploration. It honors
+// opts.Workers: the engine reconstructs witness traces from its per-worker
+// parent logs.
+func (cs *CompiledSet) Witness(i int, res WCRTResult, opts core.Options) (string, error) {
+	q, err := cs.reachSeen(i, res.MS, res.Attained, opts)
 	if err != nil {
-		return "", err
-	}
-	checker, err := core.NewChecker(c.Net)
-	if err != nil {
-		return "", err
-	}
-	// The witness state allows the observer clock to reach the bound:
-	// its upper bound is at least (≤ value) — or (< value) when the
-	// supremum is approached rather than attained.
-	bound := new(big.Rat).Mul(res.MS, new(big.Rat).SetInt(c.Scale))
-	if !bound.IsInt() {
-		return "", fmt.Errorf("arch: internal: WCRT %s not integral in model units", res.MS.RatString())
-	}
-	v := bound.Num().Int64()
-	atSeen, y := c.AtSeen(0), c.Obs[0].Y.ID
-	q := core.NewReachQuery(func(s *core.State) bool {
-		if !atSeen(s) {
-			return false
-		}
-		sup := s.Zone.Sup(int(y))
-		if res.Attained {
-			return sup >= dbm.LE(v)
-		}
-		return sup >= dbm.LT(v)
-	})
-	if _, err := checker.RunQueries(opts, q); err != nil {
 		return "", err
 	}
 	if !q.Found {
 		return "", fmt.Errorf("arch: no witness found at the computed bound (truncated search?)")
 	}
-	return core.FormatTrace(c.Net, q.Trace), nil
+	return core.FormatTrace(cs.Net, q.Trace), nil
 }
 
-// DeadlockResult is the outcome of CheckDeadlockFree at the architecture
-// level.
-type DeadlockResult struct {
-	// Free reports whether no reachable configuration of the compiled
-	// system (tasks, schedulers, buses, environment, observer) deadlocks.
-	Free bool
-	// Trace is a formatted symbolic run into the deadlocked configuration
-	// when Free is false.
-	Trace string
-	Stats core.Stats
+// reachSeen runs one reachability sweep for a state where observer i is seen
+// and its clock can reach ms: its upper bound is at least (≤ ms), or (< ms)
+// when reached is false — a supremum that is approached rather than
+// attained.
+func (cs *CompiledSet) reachSeen(i int, ms *big.Rat, reached bool, opts core.Options) (*core.ReachQuery, error) {
+	checker, err := core.NewChecker(cs.Net)
+	if err != nil {
+		return nil, err
+	}
+	v, err := toUnits(ms, cs.Scale)
+	if err != nil {
+		return nil, err
+	}
+	bound := dbm.LT(v)
+	if reached {
+		bound = dbm.LE(v)
+	}
+	atSeen, y := cs.AtSeen(i), int(cs.Obs[i].Y.ID)
+	q := core.NewReachQuery(func(s *core.State) bool { return atSeen(s) && s.Zone.Sup(y) >= bound })
+	if _, err := checker.RunQueries(opts, q); err != nil {
+		return nil, err
+	}
+	return q, nil
 }
 
-// CheckDeadlockFree verifies that the compiled system has no reachable
+// DeadlockFree verifies that the compiled system has no reachable
 // deadlocked configuration — a modeling-sanity check for architecture
 // descriptions (a deadlock here means the scheduler, bus, or environment
 // automata wedge each other, e.g. an event model that outpaces a full
-// queue). The requirement only selects which observer is compiled in; the
-// verdict concerns the whole system. opts.Workers parallelizes the search,
-// witness trace included.
-func CheckDeadlockFree(sys *System, req *Requirement, copts Options, opts core.Options) (DeadlockResult, error) {
-	c, err := Compile(sys, req, copts)
+// queue). The verdict concerns the whole network, observers included.
+// opts.Workers parallelizes the search, witness trace included; format a
+// deadlock witness with core.FormatTrace(cs.Net, res.Witness).
+func (cs *CompiledSet) DeadlockFree(opts core.Options) (core.DeadlockResult, error) {
+	checker, err := core.NewChecker(cs.Net)
 	if err != nil {
-		return DeadlockResult{}, err
-	}
-	checker, err := core.NewChecker(c.Net)
-	if err != nil {
-		return DeadlockResult{}, err
+		return core.DeadlockResult{}, err
 	}
 	q := core.NewDeadlockQuery()
 	if _, err := checker.RunQueries(opts, q); err != nil {
-		return DeadlockResult{}, err
+		return core.DeadlockResult{}, err
 	}
-	res := q.Result
-	out := DeadlockResult{Free: res.Free, Stats: res.Stats}
-	if !res.Free {
-		out.Trace = core.FormatTrace(c.Net, res.Witness)
+	return q.Result, nil
+}
+
+// HorizonCovering returns the observation horizon horizonMS raised, when it
+// falls below the deadline, to twice the deadline rounded up to whole
+// milliseconds: an observer whose horizon covers the deadline keeps the
+// bound through extrapolation, so a BeyondHorizon result soundly counts as a
+// violation. VerifyDeadline and icrns.Verify apply it.
+func HorizonCovering(horizonMS int64, deadlineMS *big.Rat) int64 {
+	d := new(big.Int).Add(deadlineMS.Num(), new(big.Int).Sub(deadlineMS.Denom(), big.NewInt(1)))
+	d.Div(d, deadlineMS.Denom())
+	if horizonMS < d.Int64() {
+		return d.Int64() * 2
 	}
-	return out, nil
+	return horizonMS
 }
 
 // VerifyDeadline checks the timeliness requirement "response < deadlineMS"
 // by model checking AG(seen → y < deadline) directly — the paper's
-// Property 1 with the deadline as the constant. On violation it returns a
+// Property 1 with the deadline as the constant, which must be a whole number
+// of model time units (System.TimeScale). On violation it returns a
 // counterexample trace leading to a response that reaches the deadline.
 func VerifyDeadline(sys *System, req *Requirement, deadlineMS *big.Rat,
 	copts Options, opts core.Options) (bool, string, error) {
+	// The effective horizon of req (HorizonMSFor overrides HorizonMS) must
+	// cover the deadline so extrapolation keeps the bound.
 	copts = copts.withDefaults()
-	// The horizon must cover the deadline so extrapolation keeps the bound.
-	d := new(big.Rat).Set(deadlineMS)
-	dCeil := new(big.Int).Add(d.Num(), new(big.Int).Sub(d.Denom(), big.NewInt(1)))
-	dCeil.Div(dCeil, d.Denom())
-	if copts.HorizonMS < dCeil.Int64() {
-		copts.HorizonMS = dCeil.Int64() * 2
-	}
-	c, err := Compile(sys, req, copts)
+	copts.HorizonMS, copts.HorizonMSFor = HorizonCovering(copts.horizonMS(req), deadlineMS), nil
+	c, err := CompileAll(sys, []*Requirement{req}, copts)
 	if err != nil {
 		return false, "", err
 	}
-	checker, err := core.NewChecker(c.Net)
+	// AG(seen → y < d) is asked as the reachability of its negation: a seen
+	// state whose observer clock can reach d.
+	q, err := c.reachSeen(0, deadlineMS, true, opts)
 	if err != nil {
-		return false, "", err
-	}
-	bound := new(big.Rat).Mul(deadlineMS, new(big.Rat).SetInt(c.Scale))
-	if !bound.IsInt() {
-		return false, "", fmt.Errorf("arch: deadline %s ms is not integral in model units; refine the time base",
-			deadlineMS.RatString())
-	}
-	v := bound.Num().Int64()
-	atSeen, y := c.AtSeen(0), c.Obs[0].Y.ID
-	// AG(seen → y < v) is asked as the reachability of its negation: a seen
-	// state whose observer clock can reach v.
-	q := core.NewReachQuery(func(s *core.State) bool {
-		return atSeen(s) && s.Zone.Sup(int(y)) >= dbm.LE(v)
-	})
-	if _, err := checker.RunQueries(opts, q); err != nil {
 		return false, "", err
 	}
 	if !q.Found {

@@ -7,32 +7,34 @@ import (
 	"repro/internal/core"
 )
 
-// This file is the arch-level batch-vs-sequential oracle: AnalyzeAll over a
-// requirement set (one compilation, one exploration) must reproduce the
-// per-requirement AnalyzeWCRT verdicts, suprema, and attainment flags
-// bit-for-bit, on the stress networks that exercise every scheduler
+// This file is the arch-level batch-vs-sequential oracle: Analyze of a set
+// compiled for many requirements (one compilation, one exploration) must
+// reproduce the verdicts, suprema, and attainment flags of each requirement
+// compiled alone bit-for-bit, on the stress networks that exercise every scheduler
 // template. The icrns case-study half of the oracle lives in
 // internal/icrns/batch_test.go.
 
-// assertBatchMatchesSingles runs AnalyzeAll over reqs and AnalyzeWCRT per
-// requirement with the same options, comparing every verdict, and asserts
+// assertBatchMatchesSingles analyzes reqs compiled together and each
+// requirement compiled alone with the same options, comparing every verdict,
+// and asserts
 // the batch performed exactly one exploration (every per-requirement Stats
 // equal the shared sweep's).
 func assertBatchMatchesSingles(t *testing.T, sys *System, reqs []*Requirement,
 	copts Options, opts core.Options) *AllResult {
 	t.Helper()
-	all, err := AnalyzeAll(sys, reqs, copts, opts)
+	cs, err := CompileAll(sys, reqs, copts)
 	if err != nil {
-		t.Fatalf("AnalyzeAll: %v", err)
+		t.Fatalf("CompileAll: %v", err)
+	}
+	all, err := cs.Analyze(opts)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
 	}
 	if len(all.Results) != len(reqs) {
-		t.Fatalf("AnalyzeAll returned %d results for %d requirements", len(all.Results), len(reqs))
+		t.Fatalf("Analyze returned %d results for %d requirements", len(all.Results), len(reqs))
 	}
 	for i, req := range reqs {
-		single, err := AnalyzeWCRT(sys, req, copts, opts)
-		if err != nil {
-			t.Fatalf("AnalyzeWCRT(%s): %v", req.Name, err)
-		}
+		single := mustWCRT(t, sys, req, copts, opts)
 		got := all.Results[i]
 		if got.Req != req {
 			t.Errorf("result %d is for %v, want %s", i, got.Req, req.Name)
@@ -107,15 +109,20 @@ func TestAnalyzeAllPerRequirementHorizons(t *testing.T) {
 		HorizonMS:    100,
 		HorizonMSFor: func(r *Requirement) int64 { return perReq[r.Name] },
 	}
-	all, err := AnalyzeAll(sys, reqs, copts, core.Options{})
+	cs, err := CompileAll(sys, reqs, copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The horizons must actually differ inside the compiled set.
+	if cs.Horizons[0] == cs.Horizons[1] {
+		t.Errorf("per-requirement horizons not applied: %v", cs.Horizons)
+	}
+	all, err := cs.Analyze(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, req := range reqs {
-		single, err := AnalyzeWCRT(sys, req, Options{HorizonMS: perReq[req.Name]}, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		single := mustWCRT(t, sys, req, Options{HorizonMS: perReq[req.Name]}, core.Options{})
 		got := all.Results[i]
 		if got.MS.Cmp(single.MS) != 0 || got.Attained != single.Attained ||
 			got.Exact != single.Exact || got.BeyondHorizon != single.BeyondHorizon {
@@ -124,24 +131,16 @@ func TestAnalyzeAllPerRequirementHorizons(t *testing.T) {
 				single.MS.RatString(), perReq[req.Name])
 		}
 	}
-	// The horizons must actually differ inside the compiled set.
-	cs, err := CompileAll(sys, reqs, copts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cs.Horizons[0] == cs.Horizons[1] {
-		t.Errorf("per-requirement horizons not applied: %v", cs.Horizons)
-	}
 }
 
 // TestAnalyzeAllValidation covers the batch-specific error paths.
 func TestAnalyzeAllValidation(t *testing.T) {
 	sys, hi, _ := contended(SchedFP)
-	if _, err := AnalyzeAll(sys, nil, Options{}, core.Options{}); err == nil {
+	if _, err := CompileAll(sys, nil, Options{}); err == nil {
 		t.Error("empty requirement set must fail")
 	}
 	r1, r2 := EndToEnd("same", hi), EndToEnd("same", hi)
-	if _, err := AnalyzeAll(sys, []*Requirement{r1, r2}, Options{}, core.Options{}); err == nil {
+	if _, err := CompileAll(sys, []*Requirement{r1, r2}, Options{}); err == nil {
 		t.Error("duplicate requirement names must fail")
 	}
 	if _, err := CompileAll(sys, []*Requirement{nil}, Options{}); err == nil {
@@ -149,15 +148,13 @@ func TestAnalyzeAllValidation(t *testing.T) {
 	}
 }
 
-// TestDeadlineVerdictHelpers pins MeetsDeadline / ViolatesDeadline against
-// VerifyDeadline, the model-checking formulation of the same property.
+// TestDeadlineVerdictHelpers pins ViolatesDeadline (and "proven met",
+// Exact && !ViolatesDeadline) against VerifyDeadline, the model-checking
+// formulation of the same property.
 func TestDeadlineVerdictHelpers(t *testing.T) {
 	sys, hi, _ := contended(SchedFP)
 	req := EndToEnd("hi", hi)
-	res, err := AnalyzeWCRT(sys, req, Options{HorizonMS: 100}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustWCRT(t, sys, req, Options{HorizonMS: 100}, core.Options{})
 	// WCRT(hi) = 15 ms, attained.
 	for _, tc := range []struct {
 		deadline int64
@@ -166,8 +163,8 @@ func TestDeadlineVerdictHelpers(t *testing.T) {
 		{10, false}, {15, false}, {16, true}, {100, true},
 	} {
 		d := new(big.Rat).SetInt64(tc.deadline)
-		if got := res.MeetsDeadline(d); got != tc.meets {
-			t.Errorf("MeetsDeadline(%d) = %v, want %v (WCRT %s attained=%v)",
+		if got := res.Exact && !res.ViolatesDeadline(d); got != tc.meets {
+			t.Errorf("met(%d) = %v, want %v (WCRT %s attained=%v)",
 				tc.deadline, got, tc.meets, res.MS.RatString(), res.Attained)
 		}
 		ok, _, err := VerifyDeadline(sys, req, d, Options{HorizonMS: 100}, core.Options{})
@@ -175,7 +172,7 @@ func TestDeadlineVerdictHelpers(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ok != tc.meets {
-			t.Errorf("VerifyDeadline(%d) = %v disagrees with MeetsDeadline = %v", tc.deadline, ok, tc.meets)
+			t.Errorf("VerifyDeadline(%d) = %v disagrees with the measured verdict %v", tc.deadline, ok, tc.meets)
 		}
 		if res.ViolatesDeadline(d) == tc.meets {
 			t.Errorf("ViolatesDeadline(%d) must be the negation on an exact result", tc.deadline)

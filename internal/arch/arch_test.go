@@ -21,11 +21,15 @@ func pipeline(arrival EventModel) (*System, *Requirement) {
 
 func mustWCRT(t *testing.T, sys *System, req *Requirement, copts Options, opts core.Options) WCRTResult {
 	t.Helper()
-	res, err := AnalyzeWCRT(sys, req, copts, opts)
+	cs, err := CompileAll(sys, []*Requirement{req}, copts)
 	if err != nil {
-		t.Fatalf("AnalyzeWCRT(%s): %v", req.Name, err)
+		t.Fatalf("CompileAll(%s): %v", req.Name, err)
 	}
-	return res
+	all, err := cs.Analyze(opts)
+	if err != nil {
+		t.Fatalf("Analyze(%s): %v", req.Name, err)
+	}
+	return all.Results[0]
 }
 
 func wantMS(t *testing.T, res WCRTResult, num, den int64) {
@@ -82,8 +86,11 @@ func TestOverloadSurfacesAsQueueError(t *testing.T) {
 	p := sys.AddProcessor("P", 10, SchedFP)
 	sc := sys.AddScenario("s", 1, Periodic(MS(8, 1), MS(0, 1)))
 	sc.Compute("op", p, 100000)
-	_, err := AnalyzeWCRT(sys, EndToEnd("e2e", sc), Options{QueueCap: 4, HorizonMS: 200}, core.Options{})
-	if err == nil {
+	cs, err := CompileAll(sys, []*Requirement{EndToEnd("e2e", sc)}, Options{QueueCap: 4, HorizonMS: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cs.Analyze(core.Options{}); err == nil {
 		t.Fatal("overloaded system must be reported via queue-cap violation")
 	}
 }
@@ -220,11 +227,8 @@ func TestTruncatedSearchIsLowerBound(t *testing.T) {
 	sys, hi, _ := contended(SchedFP)
 	req := EndToEnd("hi", hi)
 	exact := mustWCRT(t, sys, req, Options{HorizonMS: 100}, core.Options{})
-	res, err := AnalyzeWCRT(sys, req, Options{HorizonMS: 100},
+	res := mustWCRT(t, sys, req, Options{HorizonMS: 100},
 		core.Options{Order: core.RDFS, Seed: 1, MaxStates: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if res.Exact && res.Stats.Truncated {
 		t.Error("truncated search must not claim exactness")
 	}
@@ -266,14 +270,14 @@ func TestPreemptiveThreeClassesRejected(t *testing.T) {
 		sc.Compute("op", p, 1000)
 	}
 	req := EndToEnd("r", sys.Scenarios[0])
-	if _, err := Compile(sys, req, Options{}); err == nil {
+	if _, err := CompileAll(sys, []*Requirement{req}, Options{}); err == nil {
 		t.Error("three priority classes on a preemptive resource must be rejected")
 	}
 }
 
 func TestCompiledStructure(t *testing.T) {
 	sys, req := pipeline(Sporadic(MS(100, 1)))
-	c, err := Compile(sys, req, Options{})
+	c, err := CompileAll(sys, []*Requirement{req}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

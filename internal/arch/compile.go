@@ -18,12 +18,21 @@ type Options struct {
 	// milliseconds: response times up to this value are computed exactly,
 	// anything beyond reports as unbounded. Default 2000.
 	HorizonMS int64
-	// HorizonMSFor optionally overrides HorizonMS per requirement in batch
-	// compilation (CompileAll, AnalyzeAll), so requirements with very
-	// different time scales each get a tight extrapolation horizon in the
-	// shared network. nil, or a non-positive return, falls back to
-	// HorizonMS.
+	// HorizonMSFor optionally overrides HorizonMS per requirement, so
+	// requirements with very different time scales each get a tight
+	// extrapolation horizon in the one network CompileAll builds. nil, or a
+	// non-positive return, falls back to HorizonMS.
 	HorizonMSFor func(*Requirement) int64
+}
+
+// horizonMS is req's effective observation horizon in milliseconds.
+func (o Options) horizonMS(req *Requirement) int64 {
+	if o.HorizonMSFor != nil {
+		if h := o.HorizonMSFor(req); h > 0 {
+			return h
+		}
+	}
+	return o.HorizonMS
 }
 
 func (o Options) withDefaults() Options {
@@ -46,11 +55,13 @@ type Observer struct {
 // CompiledSet is a system description translated once for a whole set of
 // requirements: one network carrying N measuring observers (Fig. 9), each
 // with its own clock and "seen" location, listening on shared broadcast
-// completion channels. One exploration of this network answers every
-// requirement (see AnalyzeAll); the observers are pure listeners — they
-// never emit, guard only their own variables, and pass through committed
-// zero-time states — so each one measures exactly what it would measure
-// compiled alone.
+// completion channels. It is the one handle to a compiled architecture:
+// every question is a method — Analyze (every WCRT from one exploration),
+// Witness (a critical-instant trace for one of them) and DeadlockFree. The
+// observers are pure listeners — they never emit, guard only their own
+// variables, and pass through committed zero-time states — so each one
+// measures exactly what it would measure compiled alone, and a set of one
+// requirement is the single-requirement analysis.
 type CompiledSet struct {
 	Sys   *System
 	Reqs  []*Requirement
@@ -72,26 +83,15 @@ func (cs *CompiledSet) AtSeen(i int) func(*core.State) bool {
 	return func(s *core.State) bool { return s.Locs[proc] == seen }
 }
 
-// Compile translates the system plus one requirement into a network of timed
-// automata following the paper's patterns: one automaton per processor
-// (Fig. 4 or Fig. 5 depending on the scheduler), one per bus (Fig. 6), one
-// environment automaton per scenario (Fig. 7a–d, Fig. 8), and one measuring
-// observer (Fig. 9) for the requirement. It is the one-requirement special
-// case of CompileAll: the observer is Obs[0], its horizon Horizons[0].
-func Compile(sys *System, req *Requirement, opts Options) (*CompiledSet, error) {
-	if req == nil {
-		return nil, fmt.Errorf("arch: Compile needs a requirement to observe")
-	}
-	return CompileAll(sys, []*Requirement{req}, opts)
-}
-
-// CompileAll translates the system plus every requirement into ONE network:
-// the environment, processor, and bus automata are built exactly once, and
-// one measuring observer per requirement is attached. Observation signals
-// (injection of a scenario, completion of a step) become broadcast channels
-// shared by every observer that listens to them, so a step completion that
-// ends one requirement's span and starts another's is a single edge heard by
-// both observers.
+// CompileAll translates the system plus every requirement into ONE network
+// of timed automata following the paper's patterns: one automaton per
+// processor (Fig. 4 or Fig. 5 depending on the scheduler), one per bus
+// (Fig. 6), one environment automaton per scenario (Fig. 7a–d, Fig. 8),
+// built exactly once, and one measuring observer (Fig. 9) per requirement.
+// Observation signals (injection of a scenario, completion of a step) become
+// broadcast channels shared by every observer that listens to them, so a
+// step completion that ends one requirement's span and starts another's is a
+// single edge heard by both observers.
 //
 // The horizon of each observer comes from Options.HorizonMSFor when set,
 // else Options.HorizonMS. Requirement names must be unique within one
@@ -126,13 +126,7 @@ func CompileAll(sys *System, reqs []*Requirement, opts Options) (*CompiledSet, e
 	}
 	horizons := make([]int64, len(reqs))
 	for i, req := range reqs {
-		ms := opts.HorizonMS
-		if opts.HorizonMSFor != nil {
-			if h := opts.HorizonMSFor(req); h > 0 {
-				ms = h
-			}
-		}
-		if horizons[i], err = toUnits(new(big.Rat).SetInt64(ms), scale); err != nil {
+		if horizons[i], err = toUnits(new(big.Rat).SetInt64(opts.horizonMS(req)), scale); err != nil {
 			return nil, err
 		}
 	}

@@ -19,11 +19,16 @@ func Example() {
 	job.Compute("work", cpu, 100_000). // 10 ms
 						Transfer("result", bus, 10) // 10 ms
 
-	res, err := arch.AnalyzeWCRT(sys, arch.EndToEnd("e2e", job),
-		arch.Options{HorizonMS: 100}, core.Options{})
+	cs, err := arch.CompileAll(sys, []*arch.Requirement{arch.EndToEnd("e2e", job)},
+		arch.Options{HorizonMS: 100})
 	if err != nil {
 		log.Fatal(err)
 	}
+	all, err := cs.Analyze(core.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := all.Results[0]
 	fmt.Printf("WCRT = %s ms (exact: %v)\n", res.MS.FloatString(3), res.Exact)
 	// Output: WCRT = 20.000 ms (exact: true)
 }

@@ -39,10 +39,7 @@ func TestParseSystemRoundTrip(t *testing.T) {
 	if len(reqs) != 1 || reqs[0].Name != "e2e" {
 		t.Fatalf("requirements not parsed: %+v", reqs)
 	}
-	res, err := AnalyzeWCRT(sys, reqs[0], Options{HorizonMS: 100}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustWCRT(t, sys, reqs[0], Options{HorizonMS: 100}, core.Options{})
 	if res.MS.RatString() != "30" {
 		t.Errorf("parsed pipeline WCRT = %s, want 30", res.MS.RatString())
 	}
@@ -161,11 +158,19 @@ func TestMarshalSystemRoundTrip(t *testing.T) {
 		if string(out) != string(out2) {
 			t.Errorf("%s: marshal not a fixed point after one round trip:\n%s\nvs\n%s", name, out, out2)
 		}
-		a1, err := AnalyzeAll(sys, reqs, Options{HorizonMS: 200}, core.Options{})
+		cs1, err := CompileAll(sys, reqs, Options{HorizonMS: 200})
+		if err != nil {
+			t.Fatalf("%s: compile original: %v", name, err)
+		}
+		a1, err := cs1.Analyze(core.Options{})
 		if err != nil {
 			t.Fatalf("%s: analyze original: %v", name, err)
 		}
-		a2, err := AnalyzeAll(sys2, reqs2, Options{HorizonMS: 200}, core.Options{})
+		cs2, err := CompileAll(sys2, reqs2, Options{HorizonMS: 200})
+		if err != nil {
+			t.Fatalf("%s: compile round-tripped: %v", name, err)
+		}
+		a2, err := cs2.Analyze(core.Options{})
 		if err != nil {
 			t.Fatalf("%s: analyze round-tripped: %v", name, err)
 		}
@@ -197,11 +202,19 @@ func TestMarshalSystemProgrammatic(t *testing.T) {
 	if err != nil {
 		t.Fatalf("re-parse: %v\n%s", err, data)
 	}
-	a1, err := AnalyzeAll(sys, reqs, Options{HorizonMS: 100}, core.Options{})
+	cs1, err := CompileAll(sys, reqs, Options{HorizonMS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := AnalyzeAll(sys2, reqs2, Options{HorizonMS: 100}, core.Options{})
+	a1, err := cs1.Analyze(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs2, err := CompileAll(sys2, reqs2, Options{HorizonMS: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a2, err := cs2.Analyze(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,10 +244,7 @@ func TestParseSystemTDMA(t *testing.T) {
 	if sys.Buses[0].TDMA == nil || len(sys.Buses[0].TDMA.Slots) != 1 {
 		t.Fatal("TDMA table not parsed")
 	}
-	res, err := AnalyzeWCRT(sys, reqs[0], Options{HorizonMS: 200}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustWCRT(t, sys, reqs[0], Options{HorizonMS: 200}, core.Options{})
 	if res.MS.RatString() != "23" {
 		t.Errorf("parsed TDMA WCRT = %s, want 23", res.MS.FloatString(3))
 	}

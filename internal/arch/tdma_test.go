@@ -27,10 +27,7 @@ func tdmaSystem(t *testing.T) (*System, *Requirement) {
 
 func TestTDMAWorstCaseWaitsFullCycle(t *testing.T) {
 	sys, req := tdmaSystem(t)
-	res, err := AnalyzeWCRT(sys, req, Options{HorizonMS: 200}, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustWCRT(t, sys, req, Options{HorizonMS: 200}, core.Options{})
 	if res.MS.RatString() != "23" {
 		t.Errorf("TDMA WCRT = %s ms, want 23 (full cycle + transfer)", res.MS.FloatString(3))
 	}
@@ -55,14 +52,15 @@ func TestTDMATwoSlotsIsolateScenarios(t *testing.T) {
 			{Scenario: b, StartMS: MS(10, 1), EndMS: MS(15, 1)},
 		},
 	}
-	resA, err := AnalyzeWCRT(sys, EndToEnd("a", a), Options{HorizonMS: 200}, core.Options{})
+	cs, err := CompileAll(sys, []*Requirement{EndToEnd("a", a), EndToEnd("b", b)}, Options{HorizonMS: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := AnalyzeWCRT(sys, EndToEnd("b", b), Options{HorizonMS: 200}, core.Options{})
+	all, err := cs.Analyze(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	resA, resB := all.Results[0], all.Results[1]
 	if resA.MS.RatString() != "23" {
 		t.Errorf("scenario a WCRT = %s, want 23", resA.MS.FloatString(3))
 	}
@@ -95,7 +93,7 @@ func TestTDMAValidation(t *testing.T) {
 	bus.TDMA = &TDMAConfig{CycleMS: MS(20, 1), Slots: []TDMASlot{
 		{Scenario: sc, StartMS: MS(0, 1), EndMS: MS(2, 1)},
 	}}
-	if _, err := Compile(sys, EndToEnd("e", sc), Options{}); err == nil {
+	if _, err := CompileAll(sys, []*Requirement{EndToEnd("e", sc)}, Options{}); err == nil {
 		t.Error("message longer than its slot must be rejected at compile time")
 	}
 	// A processor cannot be TDMA.
@@ -116,7 +114,7 @@ func TestTDMAValidation(t *testing.T) {
 		{Scenario: other, StartMS: MS(0, 1), EndMS: MS(5, 1)},
 	}}
 	_ = other
-	if _, err := Compile(sys3, EndToEnd("e", sc3), Options{}); err == nil {
+	if _, err := CompileAll(sys3, []*Requirement{EndToEnd("e", sc3)}, Options{}); err == nil {
 		t.Error("traffic without a slot must be rejected at compile time")
 	}
 }

@@ -30,7 +30,7 @@ type SupResult struct {
 	// on the sequential and the parallel path alike. For bounded results no
 	// witness is recorded (the supremum emerges from the whole sweep, not
 	// one stop state); run a ReachQuery against the computed bound to
-	// materialize one, as arch.WitnessForResult does.
+	// materialize one, as arch.CompiledSet.Witness does.
 	Witness []TraceStep
 }
 

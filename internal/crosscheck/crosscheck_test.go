@@ -71,11 +71,15 @@ func TestCrossEngineAgreement(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		sys, reqs := randomSystem(r)
 		for _, req := range reqs {
-			exact, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 400},
-				core.Options{MaxStates: 400_000})
+			cs, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMS: 400})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, req.Name, err)
 			}
+			all, err := cs.Analyze(core.Options{MaxStates: 400_000})
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, req.Name, err)
+			}
+			exact := all.Results[0]
 			if !exact.Exact {
 				continue // beyond budget: cannot compare against a bound
 			}
@@ -112,20 +116,29 @@ func TestCrossEngineAgreement(t *testing.T) {
 // answering the paper's Property 1 on random systems: the measured supremum
 // and AG(seen → y < d) compiled and model-checked on its own. At d = WCRT
 // the property holds exactly when the bound is only approached; one model
-// time unit later it holds.
+// time unit later it holds. VerifyDeadline raises the requirement's
+// effective horizon to cover d, whether HorizonMS or HorizonMSFor set it.
 func TestVerifyDeadlineVsSupOnRandomSystems(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cross-validation sweep is slow")
+	}
+	horizons := map[string]arch.Options{
+		"HorizonMS":    {HorizonMS: 400},
+		"HorizonMSFor": {HorizonMSFor: func(*arch.Requirement) int64 { return 1 }},
 	}
 	r := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 6; trial++ {
 		sys, reqs := randomSystem(r)
 		req := reqs[trial%2]
-		supRes, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 400},
-			core.Options{MaxStates: 300_000})
+		cs, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMS: 400})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
+		all, err := cs.Analyze(core.Options{MaxStates: 300_000})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		supRes := all.Results[0]
 		if !supRes.Exact {
 			continue
 		}
@@ -141,13 +154,15 @@ func TestVerifyDeadlineVsSupOnRandomSystems(t *testing.T) {
 			{supRes.MS, !supRes.Attained},
 			{new(big.Rat).Add(supRes.MS, unit), true},
 		} {
-			ok, _, err := arch.VerifyDeadline(sys, req, tc.d, arch.Options{HorizonMS: 400}, core.Options{})
-			if err != nil {
-				t.Fatalf("trial %d verify: %v", trial, err)
-			}
-			if ok != tc.want {
-				t.Errorf("trial %d %s: AG(seen → y < %s) = %v, want %v (sup %s, attained=%v)",
-					trial, req.Name, tc.d.FloatString(4), ok, tc.want, supRes.MS.FloatString(4), supRes.Attained)
+			for form, copts := range horizons {
+				ok, _, err := arch.VerifyDeadline(sys, req, tc.d, copts, core.Options{})
+				if err != nil {
+					t.Fatalf("trial %d verify: %v", trial, err)
+				}
+				if ok != tc.want {
+					t.Errorf("trial %d %s, horizon by %s: AG(seen → y < %s) = %v, want %v (sup %s, attained=%v)",
+						trial, req.Name, form, tc.d.FloatString(4), ok, tc.want, supRes.MS.FloatString(4), supRes.Attained)
+				}
 			}
 		}
 	}
@@ -183,11 +198,16 @@ func TestTDMACrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, req := range reqs {
-		exact, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 300}, core.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+	cs, err := arch.CompileAll(sys, reqs, arch.Options{HorizonMS: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := cs.Analyze(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, exact := range all.Results {
+		req := exact.Req
 		if symtaRes[req.Name].MS.Cmp(exact.MS) != 0 {
 			t.Errorf("%s: symta %s != exact %s (the TDMA formula is exact here)",
 				req.Name, symtaRes[req.Name].MS.FloatString(3), exact.MS.FloatString(3))
@@ -245,10 +265,15 @@ func TestTDMABurstyBacklog(t *testing.T) {
 	}
 	req := arch.EndToEnd("bulk", bulk)
 
-	exact, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 300}, core.Options{})
+	cs, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMS: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
+	all, err := cs.Analyze(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := all.Results[0]
 	// The release deadlines of the bursty stream couple with the grant
 	// phase: the burst of three can only form right at an event deadline,
 	// which the exact analysis exploits (59 ms) and the phase-oblivious

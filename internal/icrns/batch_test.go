@@ -16,35 +16,42 @@ import (
 
 // This file is the case-study half of the batch-vs-sequential oracle (the
 // stress-network half lives in internal/arch/analyze_all_test.go): the
-// acceptance bar for the query-set engine is that AnalyzeAll over the
-// paper's requirements performs exactly ONE exploration and reproduces the
-// per-requirement results bit for bit.
+// acceptance bar for the query-set engine is that Analyze of the paper's
+// requirements compiled together performs exactly ONE exploration and
+// reproduces the per-requirement results bit for bit.
 
 // alReqNames are the requirements of the AddressLookup+HandleTMC
 // combination, the exhaustively tractable half of Table 1.
 var alReqNames = []string{ReqHandleTMC, ReqAddressLookup}
 
-// TestAnalyzeAllMatchesPerRequirementCells compares the batch API against
-// per-requirement Cell on the exhaustive ComboAL columns, sequentially and
-// with Workers > 1 (run under -race by CI), and asserts the
+// TestAnalyzeAllMatchesPerRequirementCells compares the batch compilation
+// against each requirement compiled alone on the exhaustive ComboAL columns,
+// sequentially and with Workers > 1 (run under -race by CI), and asserts the
 // one-exploration invariant through the shared Stats.
 func TestAnalyzeAllMatchesPerRequirementCells(t *testing.T) {
 	for _, col := range []Column{ColPO, ColPNO} {
 		sys, reqs := Build(ComboAL, col, DefaultConfig())
 		ordered := []*arch.Requirement{reqs[ReqHandleTMC], reqs[ReqAddressLookup]}
+		cs, err := arch.CompileAll(sys, ordered, arch.Options{HorizonMSFor: batchHorizons})
+		if err != nil {
+			t.Fatalf("col %v: %v", col, err)
+		}
 		for _, workers := range []int{1, 3} {
-			all, err := arch.AnalyzeAll(sys, ordered, arch.Options{HorizonMSFor: batchHorizons},
-				core.Options{Workers: workers})
+			opts := core.Options{Workers: workers}
+			all, err := cs.Analyze(opts)
 			if err != nil {
 				t.Fatalf("col %v workers %d: %v", col, workers, err)
 			}
 			for i, req := range ordered {
-				row := Row{Req: req.Name, Combo: ComboAL}
-				single, err := Cell(Row{Req: req.Name, Combo: ComboAL, Label: row.Req}, col,
-					CellOptions{Cfg: DefaultConfig(), Workers: workers})
+				one, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMSFor: batchHorizons})
 				if err != nil {
-					t.Fatalf("col %v: Cell(%s): %v", col, req.Name, err)
+					t.Fatalf("col %v: compile %s alone: %v", col, req.Name, err)
 				}
+				alone, err := one.Analyze(opts)
+				if err != nil {
+					t.Fatalf("col %v: analyze %s alone: %v", col, req.Name, err)
+				}
+				single := alone.Results[0]
 				got := all.Results[i]
 				if got.MS.Cmp(single.MS) != 0 || got.Attained != single.Attained ||
 					got.Exact != single.Exact || got.BeyondHorizon != single.BeyondHorizon {
@@ -90,7 +97,7 @@ func TestBatchWitnessFromSharedNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := arch.AnalyzeAll(sys, ordered, arch.Options{HorizonMSFor: batchHorizons}, core.Options{})
+	all, err := cs.Analyze(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,17 +271,19 @@ func TestGroupFallbackBoundsStayBelowExhaustive(t *testing.T) {
 
 // TestFallbackThatFinishesIsExact pins that a fallback run which stays under
 // its budget is an exhaustive exploration: its results replace the truncated
-// sweep's and are reported as exact, through Cell and Cells alike.
+// sweep's and are reported as exact, for a group of one requirement and of
+// two alike.
 func TestFallbackThatFinishesIsExact(t *testing.T) {
 	opts := CellOptions{Cfg: DefaultConfig(), MaxStates: 100, FallbackStates: 100000, Seed: 1}
-	res, err := Cell(Table1Rows[1], ColPO, opts)
+	cells, err := Cells(ComboAL, ColPO, []string{ReqHandleTMC}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cells[ReqHandleTMC]
 	if got := res.String(); got != "172.106" {
-		t.Errorf("Cell(HandleTMC + AL, po) = %q, want the exact 172.106", got)
+		t.Errorf("Cells(HandleTMC + AL, po) = %q, want the exact 172.106", got)
 	}
-	cells, err := Cells(ComboAL, ColPO, alReqNames, opts)
+	cells, err = Cells(ComboAL, ColPO, alReqNames, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

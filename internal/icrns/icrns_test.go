@@ -46,10 +46,11 @@ func TestTMCPlusALSynchronousCell(t *testing.T) {
 	// Table 1, row "HandleTMC (+ AddressLookup)", column po: with all
 	// offsets zero the applications never collide and the WCRT equals the
 	// unloaded chain exactly.
-	res, err := Cell(Table1Rows[1], ColPO, CellOptions{Cfg: DefaultConfig()})
+	cells, err := Cells(ComboAL, ColPO, []string{ReqHandleTMC}, CellOptions{Cfg: DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cells[ReqHandleTMC]
 	sys, _ := Build(ComboAL, ColPO, DefaultConfig())
 	want := chainSum(sys.ScenarioByName("TMC"))
 	if res.MS.Cmp(want) != 0 {
@@ -67,10 +68,11 @@ func TestALConstantAcrossColumnsPO_PNO(t *testing.T) {
 	// queues behind itself.
 	want := "79.076"
 	for _, col := range []Column{ColPO, ColPNO} {
-		res, err := Cell(Table1Rows[4], col, CellOptions{Cfg: DefaultConfig()})
+		cells, err := Cells(ComboAL, col, []string{ReqAddressLookup}, CellOptions{Cfg: DefaultConfig()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := cells[ReqAddressLookup]
 		if got := res.MS.FloatString(3); got != want {
 			t.Errorf("AddressLookup %v = %s, want %s", col, got, want)
 		}
@@ -82,10 +84,11 @@ func TestTMCPlusALAsynchronousCell(t *testing.T) {
 	// DatabaseLookup (44.248) plus one UpdateScreen (22.727) of
 	// interference on top of the chain; exact value 239.081 (the paper
 	// prints the truncation 239.080).
-	res, err := Cell(Table1Rows[1], ColPNO, CellOptions{Cfg: DefaultConfig()})
+	cells, err := Cells(ComboAL, ColPNO, []string{ReqHandleTMC}, CellOptions{Cfg: DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cells[ReqHandleTMC]
 	if got := res.MS.FloatString(3); got != "239.081" {
 		t.Errorf("TMC+AL pno = %s ms, want 239.081", got)
 	}
@@ -95,10 +98,11 @@ func TestRealisticBusRaisesAL(t *testing.T) {
 	// Ablation: with a realistic non-preemptive bus, a bulk TMC transfer
 	// (7.111 ms) can block the AddressLookup request, so its WCRT exceeds
 	// the unloaded chain.
-	res, err := Cell(Table1Rows[4], ColPNO, CellOptions{Cfg: RealisticBusConfig()})
+	cells, err := Cells(ComboAL, ColPNO, []string{ReqAddressLookup}, CellOptions{Cfg: RealisticBusConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cells[ReqAddressLookup]
 	floor, _ := new(big.Rat).SetString("79.076")
 	if res.MS.Cmp(floor) <= 0 {
 		t.Errorf("realistic bus should add blocking: AL pno = %s", res.MS.FloatString(3))
@@ -111,10 +115,11 @@ func TestColumnsMonotoneForTMC(t *testing.T) {
 	opts := CellOptions{Cfg: DefaultConfig()}
 	var prev *big.Rat
 	for _, col := range []Column{ColPO, ColPNO} {
-		res, err := Cell(Table1Rows[1], col, opts)
+		cells, err := Cells(ComboAL, col, []string{ReqHandleTMC}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		res := cells[ReqHandleTMC]
 		if prev != nil && res.MS.Cmp(prev) < 0 {
 			t.Errorf("column %v decreased the TMC WCRT", col)
 		}
@@ -130,10 +135,15 @@ func TestTable2ToolOrderingAL(t *testing.T) {
 	sys, reqs := Build(ComboAL, ColPNO, cfg)
 	req := reqs[ReqAddressLookup]
 
-	exact, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 500}, core.Options{})
+	cs, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMS: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
+	all, err := cs.Analyze(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := all.Results[0]
 	simRes, err := sim.Simulate(sys, []*arch.Requirement{req},
 		sim.Options{Seed: 3, HorizonMS: 20000, Replications: 5})
 	if err != nil {
@@ -165,11 +175,12 @@ func TestCellFallbackProducesLowerBound(t *testing.T) {
 	// fallback.
 	mon := &core.Monitor{}
 	mon.EnableProfile(core.ProfileConfig{})
-	res, err := Cell(Table1Rows[1], ColPNO, CellOptions{
+	cells, err := Cells(ComboAL, ColPNO, []string{ReqHandleTMC}, CellOptions{
 		Cfg: DefaultConfig(), MaxStates: 300, FallbackStates: 2000, Seed: 7, Monitor: mon})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cells[ReqHandleTMC]
 	if res.Exact {
 		t.Error("budgeted cell must not be exact")
 	}
@@ -218,10 +229,11 @@ func TestBuildShape(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	res, err := Cell(Table1Rows[4], ColPO, CellOptions{Cfg: DefaultConfig()})
+	cells, err := Cells(ComboAL, ColPO, []string{ReqAddressLookup}, CellOptions{Cfg: DefaultConfig()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cells[ReqAddressLookup]
 	grid := map[Row]map[Column]arch.WCRTResult{}
 	for _, row := range Table1Rows {
 		grid[row] = map[Column]arch.WCRTResult{}
@@ -297,10 +309,11 @@ func TestWitnessTraceForCheapCell(t *testing.T) {
 	mon := &core.Monitor{}
 	mon.EnableProfile(core.ProfileConfig{})
 	opts := CellOptions{Cfg: DefaultConfig(), Monitor: mon}
-	res, err := Cell(Table1Rows[4], ColPO, opts)
+	cells, err := Cells(ComboAL, ColPO, []string{ReqAddressLookup}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := cells[ReqAddressLookup]
 	if res.MS.FloatString(3) != "79.076" {
 		t.Errorf("cell WCRT = %s, want 79.076", res.MS.FloatString(3))
 	}

@@ -89,15 +89,6 @@ func (o CellOptions) fallbackOpts() core.Options {
 	return fb
 }
 
-// Cell computes one Table 1 cell: the WCRT of row.Req under column col. It is
-// Cells with one requirement, so a search that exceeds its budget degrades to
-// a randomized depth-first lower bound, exactly as the paper reports
-// "> 400.000 (df)" entries.
-func Cell(row Row, col Column, opts CellOptions) (arch.WCRTResult, error) {
-	cells, err := Cells(row.Combo, col, []string{row.Req}, opts)
-	return cells[row.Req], err
-}
-
 // batchHorizons is the per-requirement horizon rule shared by every batch
 // compilation of the case study.
 var batchHorizons = func(r *arch.Requirement) int64 { return HorizonMS(r.Name) }
@@ -261,11 +252,11 @@ type Table2Options struct {
 func Table2Cell(row Row, tool Table2Tool, opts Table2Options) (string, error) {
 	switch tool {
 	case ToolUppaalPO, ToolUppaalPNO:
-		res, err := Cell(row, checkerColumns[tool], opts.Cell)
+		cells, err := Cells(row.Combo, checkerColumns[tool], []string{row.Req}, opts.Cell)
 		if err != nil {
 			return "", err
 		}
-		return res.String(), nil
+		return cells[row.Req].String(), nil
 	case ToolPOOSL:
 		sys, reqs := Build(row.Combo, ColPNO, opts.Cell.Cfg)
 		req := reqs[row.Req]
@@ -341,7 +332,7 @@ func FormatTable2(t map[Row]map[Table2Tool]string) string {
 }
 
 // Witness returns a critical-instant trace for one Table 1 cell: a symbolic
-// schedule realizing res, the worst-case response time Cell computed for it,
+// schedule realizing res, the worst-case response time Cells computed for it,
 // at the cost of one more exploration. This is the capability the paper
 // highlights — "some results found by simulation could be falsified by
 // showing the counter example from the model checker".
@@ -351,9 +342,11 @@ func Witness(row Row, col Column, res arch.WCRTResult, opts CellOptions) (string
 	if req == nil {
 		return "", fmt.Errorf("icrns: requirement %s not in combo %v", row.Req, row.Combo)
 	}
-	return arch.WitnessForResult(sys, req, res,
-		arch.Options{HorizonMS: HorizonMS(row.Req)},
-		opts.coreOpts())
+	cs, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMS: HorizonMS(row.Req)})
+	if err != nil {
+		return "", err
+	}
+	return cs.Witness(0, res, opts.coreOpts())
 }
 
 // Deadlines lists the timeliness requirements annotated in the paper's
@@ -392,17 +385,13 @@ func Verify(combo Combo, col Column, opts CellOptions) (map[string]bool, error) 
 		ordered[i] = reqs[name]
 	}
 	horizons := func(r *arch.Requirement) int64 {
-		h := HorizonMS(r.Name)
-		d := deadlines[r.Name]
-		dCeil := new(big.Int).Add(d.Num(), new(big.Int).Sub(d.Denom(), big.NewInt(1)))
-		dCeil.Div(dCeil, d.Denom())
-		if h < dCeil.Int64() {
-			h = dCeil.Int64() * 2
-		}
-		return h
+		return arch.HorizonCovering(HorizonMS(r.Name), deadlines[r.Name])
 	}
-	all, err := arch.AnalyzeAll(sys, ordered, arch.Options{HorizonMSFor: horizons},
-		opts.coreOpts())
+	cs, err := arch.CompileAll(sys, ordered, arch.Options{HorizonMSFor: horizons})
+	if err != nil {
+		return nil, fmt.Errorf("verify %v: %w", combo, err)
+	}
+	all, err := cs.Analyze(opts.coreOpts())
 	if err != nil {
 		return nil, fmt.Errorf("verify %v: %w", combo, err)
 	}

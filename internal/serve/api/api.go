@@ -48,11 +48,14 @@ type SubmitRequest struct {
 // content key: two submissions share a job (and its cached result) exactly
 // when their normalized forms coincide.
 type SubmitOptions struct {
-	// HorizonMS is the arch observation horizon (default 2000).
+	// HorizonMS is the arch observation horizon (default 2000; negative is
+	// rejected).
 	HorizonMS int64 `json:"horizon_ms,omitempty"`
-	// HorizonMSByReq overrides the horizon per requirement.
+	// HorizonMSByReq overrides the horizon per requirement; an entry that is
+	// not positive falls back to HorizonMS.
 	HorizonMSByReq map[string]int64 `json:"horizon_ms_by_req,omitempty"`
-	// QueueCap bounds the arch pending-event counters (default 8).
+	// QueueCap bounds the arch pending-event counters (default 8; negative
+	// is rejected).
 	QueueCap int64 `json:"queue_cap,omitempty"`
 	// Workers is the exploration parallelism of this job — also the number
 	// of CPU tokens it holds while running. Clamped to [1, CPUTokens].
@@ -72,7 +75,8 @@ type SubmitOptions struct {
 	Order string `json:"order,omitempty"`
 	// Seed feeds rdf shuffling.
 	Seed int64 `json:"seed,omitempty"`
-	// MaxConst is the extrapolation horizon for ta sup queries.
+	// MaxConst is the extrapolation horizon for ta sup queries (0 or
+	// negative: the model's own constants).
 	MaxConst int64 `json:"max_const,omitempty"`
 	// DeadlineMS bounds the job's wall clock from submission (admission wait
 	// included); 0 selects the server default. An expired job fails with

@@ -79,6 +79,17 @@ func TestSameQuestionSameKey(t *testing.T) {
 		{"negative deadline_ms is the default deadline", ta(plain), ta(func(r *SubmitRequest) { r.Options.DeadlineMS = -1 }), true},
 		{"arch defaults spelled out", arch(plain),
 			arch(func(r *SubmitRequest) { r.Options.QueueCap = 8; r.Requirements = []string{"e2e", "first-op"} }), true},
+		{"per-requirement horizons that are not positive", arch(plain),
+			arch(func(r *SubmitRequest) { r.Options.HorizonMSByReq = map[string]int64{"e2e": 0, "first-op": -3} }), true},
+		{"per-requirement horizon equal to horizon_ms", arch(plain),
+			arch(func(r *SubmitRequest) { r.Options.HorizonMSByReq = map[string]int64{"e2e": 100} }), true},
+		{"per-requirement horizon of a requirement not asked",
+			arch(func(r *SubmitRequest) { r.Requirements = []string{"e2e"} }),
+			arch(func(r *SubmitRequest) {
+				r.Requirements, r.Options.HorizonMSByReq = []string{"e2e"}, map[string]int64{"first-op": 50}
+			}), true},
+		{"max_const 0 and -1", ta(func(r *SubmitRequest) { r.Options.MaxConst = 0 }),
+			ta(func(r *SubmitRequest) { r.Options.MaxConst = -1 }), true},
 
 		{"rdf with two seeds",
 			ta(func(r *SubmitRequest) { r.Options.Order, r.Options.Seed = "rdf", 1 }),
@@ -88,6 +99,8 @@ func TestSameQuestionSameKey(t *testing.T) {
 			arch(func(r *SubmitRequest) { r.Requirements = []string{"e2e", "first-op"} }),
 			arch(func(r *SubmitRequest) { r.Requirements = []string{"first-op", "e2e"} }), false},
 		{"witness on an arch job", arch(plain), arch(func(r *SubmitRequest) { r.Options.Witness = true }), false},
+		{"per-requirement horizon that differs", arch(plain),
+			arch(func(r *SubmitRequest) { r.Options.HorizonMSByReq = map[string]int64{"e2e": 50} }), false},
 	} {
 		a, b := contentKey(t, s, tc.a), contentKey(t, s, tc.b)
 		if (a == b) != tc.same {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/arch"
@@ -48,7 +49,14 @@ type archModel struct {
 	byName map[string]*arch.Requirement
 }
 
+// resolveArch rejects what the compiler rejects (a negative horizon or queue
+// cap) and canonicalizes what it ignores to the default: zero is the default
+// horizon or cap, and a per-requirement horizon that is not positive, equals
+// the job's horizon, or names a requirement outside the job is dropped.
 func resolveArch(s *Server, req *SubmitRequest, spec *jobSpec) (any, error) {
+	if req.Options.HorizonMS < 0 || req.Options.QueueCap < 0 {
+		return nil, badRequest("horizon_ms and queue_cap must not be negative")
+	}
 	spec.HorizonMS, spec.QueueCap = req.Options.HorizonMS, req.Options.QueueCap
 	if spec.HorizonMS == 0 {
 		spec.HorizonMS = 2000
@@ -90,13 +98,21 @@ func resolveArch(s *Server, req *SubmitRequest, spec *jobSpec) (any, error) {
 			return nil, badRequest("requirement %q named twice", n)
 		}
 	}
-	for n := range req.Options.HorizonMSByReq {
+	inert := func(n string, h int64) bool { return h <= 0 || h == spec.HorizonMS || !slices.Contains(names, n) }
+	anyInert := false
+	for n, h := range req.Options.HorizonMSByReq {
 		if m.byName[n] == nil {
 			return nil, badRequest("horizon_ms_by_req names unknown requirement %q", n)
 		}
+		anyInert = anyInert || inert(n, h)
 	}
 	spec.Requirements = names
 	spec.HorizonMSByReq = req.Options.HorizonMSByReq
+	if anyInert {
+		// Drop on a copy: the request's map is the caller's.
+		spec.HorizonMSByReq = maps.Clone(spec.HorizonMSByReq)
+		maps.DeleteFunc(spec.HorizonMSByReq, inert)
+	}
 	return m, nil
 }
 
@@ -139,15 +155,20 @@ func bindArch(s *Server, spec *jobSpec, model any) (sweep, error) {
 		var traces map[string]string
 		if spec.Witness {
 			// Witness traces reuse the batch verdicts (no re-measurement): one
-			// reachability sweep per requirement, counted like any other
-			// exploration. The sweeps honor the job's cancel/deadline but not
-			// its Monitor — final status progress keeps mirroring the main
-			// sweep's stats, not the last witness run's.
+			// reachability sweep per requirement, on that requirement compiled
+			// alone, counted like any other exploration. The sweeps honor the
+			// job's cancel/deadline but not its Monitor — final status
+			// progress keeps mirroring the main sweep's stats, not the last
+			// witness run's.
 			opts.Monitor = nil
 			traces = make(map[string]string, len(reqs))
 			for i, r := range reqs {
 				s.explorations.Add(1)
-				trace, werr := arch.WitnessForResult(m.sys, r, all.Results[i], copts, opts)
+				var trace string
+				one, werr := arch.CompileAll(m.sys, []*arch.Requirement{r}, copts)
+				if werr == nil {
+					trace, werr = one.Witness(0, all.Results[i], opts)
+				}
 				switch {
 				case werr == nil:
 					traces[r.Name] = trace
@@ -188,8 +209,9 @@ func resolveTA(s *Server, req *SubmitRequest, spec *jobSpec) (any, error) {
 		}
 		spec.Queries[i] = q
 	}
+	// ParseTAModel ignores a max_const that is not positive.
 	if supKey != "" {
-		spec.MaxConst = req.Options.MaxConst
+		spec.MaxConst = max(req.Options.MaxConst, 0)
 	}
 	spec.ModelHash = hashBytes("ta", req.Model, supKey, fmt.Sprint(spec.MaxConst))
 	net, _, err := s.models.do(spec.ModelHash, func() (any, error) {

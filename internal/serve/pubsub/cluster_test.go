@@ -119,7 +119,7 @@ func submitAwait(t *testing.T, n *clusterNode, req *api.SubmitRequest, timeout t
 // oracle: the paper's AL-combination case-study cells submitted to every node
 // of a three-node cluster must come back byte-for-byte identical from all
 // frontends — the bytes of the one node that computed, relayed or replicated
-// verbatim — and semantically identical to a direct arch.AnalyzeAll call.
+// verbatim — and semantically identical to a direct CompiledSet.Analyze call.
 // One submission fan-out costs one exploration cluster-wide.
 func TestClusterOracleCaseStudyModels(t *testing.T) {
 	_, nodes := newCluster(t, 3, serve.Config{CPUTokens: 2})
@@ -139,9 +139,12 @@ func TestClusterOracleCaseStudyModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := arch.AnalyzeAll(sys, reqs,
-			arch.Options{HorizonMSFor: func(r *arch.Requirement) int64 { return horizons[r.Name] }},
-			core.Options{Workers: 1})
+		cs, err := arch.CompileAll(sys, reqs,
+			arch.Options{HorizonMSFor: func(r *arch.Requirement) int64 { return horizons[r.Name] }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := cs.Analyze(core.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ import (
 // goroutines submit the identical model + query set concurrently and the
 // server must collapse them onto ONE job — exactly one parse, one compile,
 // one exploration — with every response byte-identical, and the verdicts
-// bit-identical to a direct arch.AnalyzeAll call. Run under -race in CI.
+// bit-identical to a direct CompiledSet.Analyze call. Run under -race in CI.
 func TestThunderingHerdSingleflight(t *testing.T) {
 	s, ts := testServer(t, Config{CPUTokens: 4})
 	model := tinyArchModel(t)
@@ -89,13 +89,17 @@ func TestThunderingHerdSingleflight(t *testing.T) {
 	}
 
 	// Bit-identical to the library path: same wire encoding of a direct
-	// AnalyzeAll with the same options (Workers matches the submission so
-	// even the sweep counters agree).
+	// CompiledSet.Analyze with the same options (Workers matches the
+	// submission so even the sweep counters agree).
 	sys, reqs, err := arch.ParseSystem([]byte(model))
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := arch.AnalyzeAll(sys, reqs, arch.Options{HorizonMS: 100}, core.Options{Workers: 2})
+	cs, err := arch.CompileAll(sys, reqs, arch.Options{HorizonMS: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := cs.Analyze(core.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

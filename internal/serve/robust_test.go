@@ -197,8 +197,11 @@ func TestOverBudgetJobFailsAloneBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := arch.AnalyzeAll(sys, reqs, arch.Options{HorizonMS: 100, QueueCap: 8},
-		core.Options{Workers: 1})
+	cs, err := arch.CompileAll(sys, reqs, arch.Options{HorizonMS: 100, QueueCap: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := cs.Analyze(core.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -124,7 +124,8 @@ func tinyTAModel(t *testing.T) string {
 // paper's case-study models (the Table 1 AL-combination cells, whose po/pno
 // columns are also Table 2's Uppaal columns): the verdicts served over HTTP
 // must be bit-identical — same exact rational strings, same flags, same
-// sweep counters — to a direct arch.AnalyzeAll call with the same horizons.
+// sweep counters — to a direct CompiledSet.Analyze call with the same
+// horizons.
 func TestHTTPOracleCaseStudyModels(t *testing.T) {
 	_, ts := testServer(t, Config{CPUTokens: 2})
 	names := []string{icrns.ReqHandleTMC, icrns.ReqAddressLookup}
@@ -142,9 +143,12 @@ func TestHTTPOracleCaseStudyModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		direct, err := arch.AnalyzeAll(sys, reqs,
-			arch.Options{HorizonMSFor: func(r *arch.Requirement) int64 { return horizons[r.Name] }},
-			core.Options{Workers: 1})
+		cs, err := arch.CompileAll(sys, reqs,
+			arch.Options{HorizonMSFor: func(r *arch.Requirement) int64 { return horizons[r.Name] }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := cs.Analyze(core.Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,6 +242,8 @@ func TestSubmitValidation(t *testing.T) {
 		"unknown req":     {Kind: "arch", Model: tinyArchModel(t), Requirements: []string{"ghost"}},
 		"duplicate req":   {Kind: "arch", Model: tinyArchModel(t), Requirements: []string{"e2e", "e2e"}},
 		"bad horizon req": {Kind: "arch", Model: tinyArchModel(t), Options: SubmitOptions{HorizonMSByReq: map[string]int64{"ghost": 5}}},
+		"neg horizon":     {Kind: "arch", Model: tinyArchModel(t), Options: SubmitOptions{HorizonMS: -5}},
+		"neg queue cap":   {Kind: "arch", Model: tinyArchModel(t), Options: SubmitOptions{QueueCap: -2}},
 		"ta no queries":   {Kind: "ta", Model: tinyTAModel(t)},
 		"ta bad query":    {Kind: "ta", Model: tinyTAModel(t), Queries: []wire.TAQuery{{Kind: "warp"}}},
 		"ta bad model":    {Kind: "ta", Model: "system:", Queries: []wire.TAQuery{{Kind: "deadlock"}}},

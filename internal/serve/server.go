@@ -152,7 +152,7 @@ const (
 // then the listener.
 //
 // Wire oracles: serve_test.go round-trips the case-study models through HTTP
-// against arch.AnalyzeAll, race_test.go pins one-exploration singleflight
+// against a direct arch.CompileAll + CompiledSet.Analyze, race_test.go pins one-exploration singleflight
 // under -race, and key_test.go pins two golden content keys and the
 // canonicalization table.
 type Server struct {

@@ -77,14 +77,15 @@ func TestSimulationUnderestimatesModelChecker(t *testing.T) {
 	// maximum is at most the exact WCRT from the model checker.
 	for _, sched := range []arch.SchedKind{arch.SchedFP, arch.SchedFPPreempt} {
 		sys, hiReq, loReq := contended(sched, arch.KindPeriodicUnknownOffset)
-		exactHi, err := arch.AnalyzeWCRT(sys, hiReq, arch.Options{HorizonMS: 100}, core.Options{})
+		cs, err := arch.CompileAll(sys, []*arch.Requirement{hiReq, loReq}, arch.Options{HorizonMS: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
-		exactLo, err := arch.AnalyzeWCRT(sys, loReq, arch.Options{HorizonMS: 100}, core.Options{})
+		all, err := cs.Analyze(core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		exactHi, exactLo := all.Results[0], all.Results[1]
 		simRes, err := Simulate(sys, []*arch.Requirement{hiReq, loReq},
 			Options{Seed: 7, HorizonMS: 4000, Replications: 10})
 		if err != nil {

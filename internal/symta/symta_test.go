@@ -113,11 +113,16 @@ func TestBoundsDominateModelChecker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, req := range []*arch.Requirement{hiReq, loReq} {
-			exact, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 200}, core.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
+		cs, err := arch.CompileAll(sys, []*arch.Requirement{hiReq, loReq}, arch.Options{HorizonMS: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		all, err := cs.Analyze(core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, exact := range all.Results {
+			req := exact.Req
 			if ana[req.Name].MS.Cmp(exact.MS) < 0 {
 				t.Errorf("sched %v %s: analytic bound %s below exact %s",
 					sched, req.Name, ana[req.Name].MS.FloatString(3), exact.MS.FloatString(3))
@@ -142,10 +147,15 @@ func TestChainJitterPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := arch.AnalyzeWCRT(sys, req, arch.Options{HorizonMS: 200}, core.Options{})
+	cs, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMS: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
+	all, err := cs.Analyze(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := all.Results[0]
 	if ana["e2e"].MS.Cmp(exact.MS) < 0 {
 		t.Errorf("chain bound %s below exact %s",
 			ana["e2e"].MS.FloatString(3), exact.MS.FloatString(3))

@@ -126,7 +126,7 @@ func (n *Network) Finalize() error {
 func (n *Network) buildIndex() {
 	// The whole per-location index is carved out of three backing arrays.
 	// Finalize runs once per network, but compiled pipelines (arch →
-	// AnalyzeAll) rebuild their network per analysis, so the build itself
+	// CompileAll) rebuild their network per analysis, so the build itself
 	// must not allocate per process — gated benchmarks count every alloc.
 	totOff, totTau, totSync, totLoc := 0, 0, 0, 0
 	for _, p := range n.Procs {

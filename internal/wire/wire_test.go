@@ -98,7 +98,11 @@ func TestFromAllResultExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := arch.AnalyzeAll(sys, reqs, arch.Options{HorizonMS: 100}, core.Options{})
+	cs, err := arch.CompileAll(sys, reqs, arch.Options{HorizonMS: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := cs.Analyze(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
