@@ -192,8 +192,9 @@ func TestDeadlineWinsOverCancel(t *testing.T) {
 
 // TestMonitorFinalSnapshotMatchesStats requires a post-run Snapshot, and a
 // profiled run's Profile().Totals, to equal the run's exact Stats, for both
-// frontiers, plain, under a memory budget that never trips, and profiled:
-// every reader sums the same worker cells.
+// frontiers, plain, under a memory budget that never trips, and profiled,
+// each also with the sequential sweep's lookahead helper engaged: every
+// reader sums the same worker cells.
 func TestMonitorFinalSnapshotMatchesStats(t *testing.T) {
 	modes := []struct {
 		name    string
@@ -203,6 +204,9 @@ func TestMonitorFinalSnapshotMatchesStats(t *testing.T) {
 		{"plain", Options{}, false},
 		{"budgeted", Options{MaxBytes: 1 << 40}, false},
 		{"profiled", Options{}, true},
+		{"plain+lookahead", Options{lookahead: lookaheadOn}, false},
+		{"budgeted+lookahead", Options{MaxBytes: 1 << 40, lookahead: lookaheadOn}, false},
+		{"profiled+lookahead", Options{lookahead: lookaheadOn}, true},
 	}
 	for _, mode := range modes {
 		for _, workers := range []int{1, 4} {

@@ -4,6 +4,7 @@ package core
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,6 +53,52 @@ func TestChaosWorkerPanicContained(t *testing.T) {
 			after.Popped != want.Popped || after.Deadlocks != want.Deadlocks {
 			t.Errorf("workers=%d: post-chaos sweep %+v differs from fresh checker %+v",
 				workers, after.Stats, want.Stats)
+		}
+	}
+}
+
+// TestChaosLookaheadPanicContained injects a panic and an error into the
+// expansions of a breadth-first sweep whose lookahead helper is forced on, so
+// both fire on the helper goroutine while it holds expansions, and requires
+// the error the inline run gives — a *PanicError carrying the helper's stack,
+// the injected error — with the same partial Stats, then a checker as good as
+// a fresh one.
+func TestChaosLookaheadPanicContained(t *testing.T) {
+	defer faultinject.Reset()
+	n, _, _, _ := buildGrid(t)
+	c, err := NewChecker(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewChecker(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats := admissions(t, fresh, Options{})
+	bang := errors.New("chaos: expansion failed")
+	for _, kind := range []faultinject.Kind{faultinject.KindPanic, faultinject.KindError} {
+		var stats [2]Stats
+		for i, m := range lookaheadModes {
+			faultinject.Set("core/worker", faultinject.Fault{Kind: kind, After: 50, Err: bang})
+			res, err := c.Explore(Options{lookahead: m}, nil)
+			faultinject.Clear("core/worker")
+			var pe *PanicError
+			switch {
+			case kind == faultinject.KindError:
+				if !errors.Is(err, bang) {
+					t.Fatalf("lookahead mode %d: err = %v, want the injected error", m, err)
+				}
+			case !errors.As(err, &pe):
+				t.Fatalf("lookahead mode %d: err = %v, want *PanicError", m, err)
+			case m == lookaheadOn && !strings.Contains(string(pe.Stack), "(*lookahead).serve"):
+				t.Errorf("the panic was not raised on the helper:\n%s", pe.Stack)
+			}
+			stats[i] = res.Stats
+			got, gotStats := admissions(t, c, Options{})
+			sameSweep(t, "the sweep after", got, want, gotStats, wantStats)
+		}
+		if !sameStats(stats[0], stats[1]) {
+			t.Errorf("fault kind %d: partial stats %+v with the helper, %+v without", kind, stats[0], stats[1])
 		}
 	}
 }

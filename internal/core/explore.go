@@ -35,8 +35,11 @@ const abortCheckMask = 31
 // statistics path, and one trace mechanism; they differ only in the frontier
 // that schedules waiting states:
 //
-//   - Workers <= 1: a listFrontier (BFS/DFS/RDFS discipline), executed
-//     inline on the calling goroutine; the store has one unlocked shard.
+//   - Workers <= 1: a listFrontier (BFS/DFS/RDFS discipline), executed on
+//     the calling goroutine; the store has one unlocked shard. A large
+//     breadth-first sweep moves the firing of successors to a lookahead
+//     helper goroutine, and keeps everything else — admission included —
+//     on the calling one, in the same order ("Lookahead", below).
 //   - Workers > 1: a dequeFrontier of Chase–Lev work-stealing deques
 //     (wsqueue.go), executed by that many worker goroutines; the store's
 //     shards are locked.
@@ -202,7 +205,9 @@ func (t *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 // # Frontier
 //
 // One engine, two frontiers: explorer.run is the single worker loop.
-// Workers <= 1 runs it inline over a listFrontier (BFS/DFS/RDFS); Workers > 1
+// Workers <= 1 runs it on the calling goroutine over a listFrontier
+// (BFS/DFS/RDFS) — a breadth-first sweep past lookaheadAfter expansions with
+// its expansions fired ahead on a helper goroutine ("Lookahead"); Workers > 1
 // runs it on goroutines over a dequeFrontier of Chase–Lev deques (wsqueue.go)
 // with randomized stealing and a pending counter as termination barrier. The
 // only shared mutable structures are the passed store, the frontier, the
@@ -227,18 +232,19 @@ func (t *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 //     and recycles the State, its matrix with it; the node is pushed;
 //   - popped: succCtx.unpark rebuilds a pooled State from the node — the
 //     entry's key decoded, the node's key and ref, the payload decoded into
-//     a pooled matrix — and recycles the node; passedSet.release gives the
-//     payload back;
+//     a pooled matrix — the popping worker recycles the node
+//     (succCtx.putNode), and passedSet.release gives the payload back;
 //   - expanded: its successors are fired, decided, visited and parked, and
 //     the State goes back to the free list.
 //
 // A worker therefore holds at most one expanded State and its fired
-// successors at a time: a sweep allocates States in proportion to its widest
-// expansion, not its widest frontier. Nodes go onto the free list of the
-// worker that pops (or steals) them, and a worker carves new ones from
-// blocks sized to the run — 2, 4, 8, … up to 256 nodes (succCtx.park) — so
-// a sweep allocates nodes in proportion to its widest frontier, and a sweep
-// of a few dozen states a block or two.
+// successors at a time — a worker with a lookahead helper one per expansion
+// in flight, lookaheadDepth+1 — so a sweep allocates States in proportion to
+// its widest expansion, not its widest frontier. Nodes go onto the free
+// list of the worker that pops (or steals) them, and a worker carves new
+// ones from blocks sized to the run — 2, 4, 8, … up to 256 nodes
+// (succCtx.park) — so a sweep allocates nodes in proportion to its widest
+// frontier, and a sweep of a few dozen states a block or two.
 //
 // Visitors run concurrently under Workers > 1 and must not retain a state
 // beyond the call: the State they see is recycled as soon as the queries
@@ -538,10 +544,12 @@ func (e *explorer) runContained(w int) {
 	e.run(w)
 }
 
-// run is the worker loop, identical for both frontiers: pop a node and
-// rebuild its state, expand, admit successors, feed the query set, park what
-// was admitted, recycle the expanded state. Statistics accumulate in locals,
-// published into the worker's cell at each checkpoint and once more on exit.
+// run is the worker loop, identical for both frontiers: take the next
+// expanded state — pop a node, rebuild its state and fire its successors,
+// inline or, once it engages, on the lookahead helper — then admit the
+// successors, feed the query set, park what was admitted and recycle the
+// expanded state. Statistics accumulate in locals, published into the
+// worker's cell at each checkpoint and once more on exit.
 //
 // Cooperative abort: Options.Cancel and Options.Deadline are polled here
 // every abortCheckMask+1 expansions, strictly between expansions. A worker
@@ -571,13 +579,32 @@ func (e *explorer) run(w int) {
 	var nPopped, nTransitions, nDeadlocks int64
 	cell := e.cells.at(w)
 	zoneBytes := dbm.ZoneBytes(e.c.eng.dim)
+	// ahead is the lookahead helper once it has engaged, after aheadFrom
+	// expansions, and nil while expansions run inline; its pool counts are
+	// the worker's too.
+	var ahead *lookahead
+	aheadFrom := e.opts.lookaheadFrom()
+	poolStats := func() (gets, reuses int) {
+		gets, reuses = ctx.pool.Stats()
+		if ahead != nil {
+			gets, reuses = gets+ahead.own.v.gets, reuses+ahead.own.v.reuses
+		}
+		return gets, reuses
+	}
 	publish := func() {
-		gets, reuses := ctx.pool.Stats()
+		gets, reuses := poolStats()
 		cell.publish(nPopped, nTransitions, nDeadlocks, int64(gets-reuses)*zoneBytes)
 	}
 	// The exit publish makes the cell exact however the worker leaves:
-	// drained, stopped, aborted, failed, or unwinding from a panic.
+	// drained, stopped, aborted, failed, or unwinding from a panic. Before
+	// it, the helper is stopped and waited for: explore releases the slabs
+	// its expansions carve from once run has returned.
 	defer publish()
+	defer func() {
+		if ahead != nil {
+			ahead.stop()
+		}
+	}()
 	for {
 		if nPopped&abortCheckMask == 0 {
 			// The between-expansions checkpoint: four single-writer stores
@@ -596,30 +623,33 @@ func (e *explorer) run(w int) {
 				}
 			}
 		}
-		if faultinject.Enabled {
-			if err := faultinject.Fire("core/worker"); err != nil {
-				e.fail(err)
-				return
-			}
-		}
 		if e.prof != nil && nPopped&e.prof.mask == 0 {
 			// Sweep-profile sampling: every (mask+1)-th expansion the worker
 			// appends one point to its own cell's ring — loop locals, the
 			// run's cells, and a few shared atomics. The disabled path is the
 			// nil check alone, and only this branch grows a ring, so an
 			// unprofiled sweep provably gains zero allocations.
-			gets, reuses := ctx.pool.Stats()
+			gets, reuses := poolStats()
 			e.sampleProfile(w, nPopped, nTransitions, gets, reuses)
 		}
-		node := e.front.pop(w)
+		if nPopped == aheadFrom {
+			ahead = e.startLookahead(ctx)
+		}
+		var node *waiting
+		var s *State
+		var payload dbm.Compact
+		var err error
+		if ahead != nil {
+			node, s, payload, succs, err = ahead.next(e.front, ctx)
+		} else if node = e.front.pop(w); node != nil {
+			s, payload, succs, err = e.expand(ctx, node, succs[:0])
+		}
 		if node == nil {
 			return
 		}
+		ctx.putNode(node)
 		nPopped++
-		s, payload := ctx.unpark(node)
 		e.passed.release(s, payload)
-		var err error
-		succs, err = e.c.eng.successors(ctx, s, succs[:0])
 		if err != nil {
 			e.fail(err)
 			return
@@ -674,6 +704,221 @@ func (e *explorer) run(w int) {
 		// it wholesale.
 		ctx.putState(s)
 	}
+}
+
+// expand rebuilds the state a popped node waited as and fires its
+// successors into out. It is the part of an expansion that is a pure
+// function of the node — it reads the node, its entry's key and its payload,
+// and writes only ctx — so the lookahead helper can run it ahead of the
+// worker that admits. The payload is the worker's to release, the error its
+// to fail the run with; a state whose expansion failed has been rebuilt.
+func (e *explorer) expand(ctx *succCtx, n *waiting, out []succ) (*State, dbm.Compact, []succ, error) {
+	s, payload := ctx.unpark(n)
+	if faultinject.Enabled {
+		if err := faultinject.Fire("core/worker"); err != nil {
+			return s, payload, out, err
+		}
+	}
+	out, err := e.c.eng.successors(ctx, s, out)
+	return s, payload, out, err
+}
+
+// # Lookahead
+//
+// A sequential breadth-first sweep splits its worker loop over two
+// goroutines once it has expanded lookaheadAfter states, when
+// GOMAXPROCS allows two to run. The calling goroutine keeps everything that
+// reads or writes shared run state, in the order of an inline run: the
+// frontier, the store's add and release, the parent logs, the query visits,
+// the worker cell and the abort and budget checks. A helper goroutine runs
+// expand, the part of an expansion that is a pure function of the popped
+// node. FIFO pushes go to the tail of the list, so the caller may pop up to
+// lookaheadDepth nodes beyond the one it admits and hand them to the helper;
+// their expansions come back in pop order, and every admission, prune,
+// visit, log record and count happens exactly as it would inline. DFS and
+// RDFS never engage it: under LIFO order the next pop depends on the
+// current expansion's pushes.
+//
+// The two meet in a ring of lookaheadDepth+1 slots, one per expansion in
+// flight — the one the caller admits among them — indexed by two counters,
+// sent (written by the caller) and done (written by the helper). A slot
+// carries a node in, and its rebuilt state, payload and fired successors
+// back. Neither side blocks: a caller ahead of the helper, or a helper with
+// nothing to expand, yields. States go back to the ctx that allocated them:
+// the caller's ctx is lent (succCtx.lent), collects the States it frees, and
+// passes the batch with the next node it hands over, and the helper recycles
+// it before that node's expansion; the nodes the helper has read go onto the
+// caller's free list. The helper reads a payload before the caller releases
+// it, and writes none: a prune the caller makes meanwhile changes only the
+// holder mark, which decoding does not read.
+//
+// The helper's pool counts, as of the last expansion the caller has taken,
+// join the caller's in its cell. A helper panic comes back in its slot and
+// fails the run when the caller takes it, where an inline run would have
+// panicked. The caller stops the helper and waits for it to exit before run
+// returns, however it returns.
+
+const (
+	// lookaheadDepth is how many nodes the helper may expand beyond the one
+	// the caller admits.
+	lookaheadDepth = 8
+	// lookaheadAfter is how many states a sweep expands inline before the
+	// helper engages, so that the small sweeps of a design study, a few
+	// hundred states at most, never pay for starting it.
+	lookaheadAfter = 1024
+)
+
+// lookaheadMode is the test seam Options.lookahead.
+type lookaheadMode uint8
+
+const (
+	lookaheadAuto lookaheadMode = iota // as lookaheadFrom decides
+	lookaheadOn                        // from the first expansion, whatever GOMAXPROCS
+	lookaheadOff                       // never
+)
+
+// lookaheadFrom returns after how many expansions a run's worker engages
+// the lookahead helper, or -1 for never.
+func (o Options) lookaheadFrom() int64 {
+	if _, parallel := o.parallelism(); parallel || o.Order != BFS || o.lookahead == lookaheadOff {
+		return -1
+	}
+	if o.lookahead == lookaheadOn {
+		return 0
+	}
+	if runtime.GOMAXPROCS(0) < 2 {
+		return -1
+	}
+	return lookaheadAfter
+}
+
+// expansion is one slot of the lookahead ring.
+type expansion struct {
+	node *waiting // in: the popped node
+	back []*State // in: States to recycle into the helper's ctx first
+	// out: what expand returned, the helper's pool counts after it, and a
+	// helper panic.
+	s            *State
+	payload      dbm.Compact
+	succs        []succ
+	err          error
+	gets, reuses int
+	crash        *PanicError
+}
+
+// lookahead is the helper of one run's worker. Each side polls the counter
+// the other writes, so the two counters, and the caller's own tally, sit in
+// slots of a cache line each (perworker.go).
+type lookahead struct {
+	slots  [lookaheadDepth + 1]expansion
+	e      *explorer
+	ctx    *succCtx // the helper's own
+	quit   atomic.Bool
+	exited chan struct{}
+	// sent counts the slots the caller has handed over, done those the
+	// helper has expanded.
+	sent, done slot[atomic.Int64]
+	own        slot[aheadTally]
+}
+
+// aheadTally is the caller's own: the slots it has taken, and the helper's
+// pool counts as of the last one.
+type aheadTally struct {
+	taken        int64
+	gets, reuses int
+}
+
+// startLookahead starts the helper for the worker whose ctx is ctx, between
+// two of its expansions.
+func (e *explorer) startLookahead(ctx *succCtx) *lookahead {
+	la := &lookahead{e: e, ctx: e.c.eng.newCtx(&e.slabs), exited: make(chan struct{})}
+	la.ctx.keepLabels = false
+	ctx.lent = true
+	go la.serve()
+	return la
+}
+
+// next hands the helper every node the frontier has, up to the ring's
+// capacity, and returns the oldest expansion in flight: its node and what
+// expand returned for it. A nil node means the frontier is empty with
+// nothing in flight, or the helper crashed, which has failed the run.
+func (la *lookahead) next(front frontier, ctx *succCtx) (*waiting, *State, dbm.Compact, []succ, error) {
+	ring := int64(len(la.slots))
+	own := &la.own.v
+	sent := la.sent.v.Load()
+	for ; sent-own.taken < ring; sent++ {
+		n := front.pop(0)
+		if n == nil {
+			break
+		}
+		x := &la.slots[sent%ring]
+		x.node = n
+		x.back, ctx.back = ctx.back, x.back
+		la.sent.v.Store(sent + 1)
+	}
+	if own.taken == sent {
+		return nil, nil, nil, nil, nil
+	}
+	for la.done.v.Load() <= own.taken {
+		runtime.Gosched()
+	}
+	x := &la.slots[own.taken%ring]
+	own.taken++
+	if x.crash != nil {
+		la.e.fail(x.crash)
+		return nil, nil, nil, nil, nil
+	}
+	own.gets, own.reuses = x.gets, x.reuses
+	return x.node, x.s, x.payload, x.succs, x.err
+}
+
+// serve is the helper goroutine: expand each slot the caller hands over, in
+// order, until told to quit or crashed.
+func (la *lookahead) serve() {
+	defer close(la.exited)
+	ring := int64(len(la.slots))
+	for i := int64(0); ; i++ {
+		for la.sent.v.Load() <= i {
+			if la.quit.Load() {
+				return
+			}
+			runtime.Gosched()
+		}
+		if la.quit.Load() {
+			return
+		}
+		crashed := la.expand(&la.slots[i%ring])
+		la.done.v.Store(i + 1)
+		if crashed {
+			return
+		}
+	}
+}
+
+// expand recycles a slot's batch of States and expands its node, containing
+// a panic in the slot: the helper's ctx is then abandoned with the run's
+// pools, as a crashed worker's is (runContained).
+func (la *lookahead) expand(x *expansion) (crashed bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			x.crash = &PanicError{Worker: 0, Value: r, Stack: debug.Stack()}
+			crashed = true
+		}
+	}()
+	for i, s := range x.back {
+		la.ctx.putState(s)
+		x.back[i] = nil
+	}
+	x.back = x.back[:0]
+	x.s, x.payload, x.succs, x.err = la.e.expand(la.ctx, x.node, x.succs[:0])
+	x.gets, x.reuses = la.ctx.pool.Stats()
+	return false
+}
+
+// stop tells the helper to quit and waits until it has.
+func (la *lookahead) stop() {
+	la.quit.Store(true)
+	<-la.exited
 }
 
 // explore runs the unified engine over one query set (possibly empty: a

@@ -24,3 +24,14 @@ func ReplayTraceByReference(t testing.TB, c *Checker, trace []TraceStep) {
 		return refSuccessors(c.eng, ctx, s)
 	})
 }
+
+// WithLookahead returns o with the sequential sweep's lookahead helper
+// forced on from the first expansion, or forced off (explore.go,
+// "Lookahead").
+func WithLookahead(o Options, on bool) Options {
+	o.lookahead = lookaheadOff
+	if on {
+		o.lookahead = lookaheadOn
+	}
+	return o
+}

@@ -1,0 +1,249 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"repro/internal/dbm"
+	"repro/internal/ta"
+)
+
+// lookaheadModes are the two runs every differential test of the lookahead
+// helper compares: forced on from the first expansion, and forced off.
+var lookaheadModes = [2]lookaheadMode{lookaheadOn, lookaheadOff}
+
+// sameStats reports whether two runs agree on every counter of their Stats.
+func sameStats(a, b Stats) bool {
+	return a.Stored == b.Stored && a.Live == b.Live && a.Popped == b.Popped &&
+		a.Transitions == b.Transitions && a.Deadlocks == b.Deadlocks && a.Truncated == b.Truncated
+}
+
+// lookaheadAgrees runs the sweeps of net in every sequential order with the
+// lookahead helper forced on and forced off, and requires the two to be the
+// same sweep: equal Stats and every admitted state equal, in order, and on a
+// query set — a deadlock query, the supremum of the first clock and a reach
+// query for the last state the plain sweep admitted — equal verdicts,
+// found states and witness traces. Depth-first orders never engage the
+// helper, so a helper that popped ahead under them would fail here.
+func lookaheadAgrees(t *testing.T, name string, net *ta.Network, maxStates int) {
+	t.Helper()
+	c, err := NewChecker(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, order := range []Order{BFS, DFS, RDFS} {
+		what := fmt.Sprintf("%s, %s", name, order)
+		opts := func(m lookaheadMode) Options {
+			return Options{Order: order, Seed: 7, MaxStates: maxStates, lookahead: m}
+		}
+		got, gs := admissions(t, c, opts(lookaheadOn))
+		want, ws := admissions(t, c, opts(lookaheadOff))
+		sameSweep(t, what+", plain sweep", got, want, gs, ws)
+		last := want[len(want)-1]
+		type answers struct {
+			stats Stats
+			dl    *DeadlockQuery
+			sup   *SupClockQuery
+			reach *ReachQuery
+		}
+		var runs [2]answers
+		for i, m := range lookaheadModes {
+			a := answers{
+				dl:  NewDeadlockQuery(),
+				sup: NewSupClockQuery(net.Clocks[1].ID, func(*State) bool { return true }),
+				reach: NewReachQuery(func(s *State) bool {
+					return slices.Equal(s.Locs, last.Locs) && slices.Equal(s.Vars, last.Vars)
+				}),
+			}
+			if a.stats, err = c.RunQueries(opts(m), a.dl, a.sup, a.reach); err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = a
+		}
+		on, off := runs[0], runs[1]
+		if !sameStats(on.stats, off.stats) {
+			t.Errorf("%s, queries: stats %+v with the helper, %+v without", what, on.stats, off.stats)
+		}
+		if on.dl.Result.Free != off.dl.Result.Free {
+			t.Errorf("%s: deadlock-free %v with the helper, %v without", what, on.dl.Result.Free, off.dl.Result.Free)
+		}
+		sameTrace(t, what+", deadlock witness", on.dl.Result.Witness, off.dl.Result.Witness)
+		so, sf := on.sup.Result, off.sup.Result
+		if so.Seen != sf.Seen || so.Max != sf.Max || so.Unbounded != sf.Unbounded {
+			t.Errorf("%s: supremum %+v with the helper, %+v without", what, so, sf)
+		}
+		sameTrace(t, what+", supremum witness", so.Witness, sf.Witness)
+		ro, rf := on.reach, off.reach
+		if ro.Found != rf.Found || (ro.Found && !sameState(ro.FoundState, rf.FoundState)) {
+			t.Errorf("%s: reach found %v with the helper, %v without, or on a different state", what, ro.Found, rf.Found)
+		}
+		sameTrace(t, what+", reach trace", ro.Trace, rf.Trace)
+	}
+}
+
+// TestLookaheadIsANoOp pins that the lookahead helper changes no answer of
+// a sequential sweep: Fischer-4, the networks of the store oracles, and the
+// first twelve networks of diffExplore's random corpus as deep as it goes.
+func TestLookaheadIsANoOp(t *testing.T) {
+	grid, _, _, _ := buildGrid(t)
+	nets := []struct {
+		name      string
+		net       *ta.Network
+		maxStates int
+	}{
+		{"fischer-4", buildFischer(t, 4), 0},
+		{"widening", buildWidening(t, 6), 0},
+		{"radio", testRadioNet(t), 0},
+		{"diag", testDiagNet(t), 0},
+		{"grid", grid, 0},
+		{"independent", buildIndependent(t, 2, 40), 0},
+	}
+	for seed := int64(0); seed < 12; seed++ {
+		nets = append(nets, struct {
+			name      string
+			net       *ta.Network
+			maxStates int
+		}{fmt.Sprintf("random %d", seed), randNet(seed), 3000})
+	}
+	for _, n := range nets {
+		lookaheadAgrees(t, n.name, n.net, n.maxStates)
+	}
+}
+
+// TestLookaheadStopPaths stops breadth-first sweeps of the huge model — far
+// too large to finish — every way a sweep can stop early (a visitor's panic,
+// Cancel, Deadline, MaxStates, StateBudget, MaxBytes) while the helper holds
+// expansions: it is forced on from the first expansion, and the huge
+// model's frontier keeps its ring full. Each stop must give the same error
+// and the same partial Stats as the inline run, and must leave the checker
+// to a later sweep — one that carves the slabs the stopped sweep's helper
+// read, which the race detector and the package's release-time poison
+// watch — identical to a fresh checker's.
+func TestLookaheadStopPaths(t *testing.T) {
+	n := buildHuge(t)
+	c, err := NewChecker(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewChecker(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := Options{MaxStates: 1000}
+	want, wantStats := admissions(t, fresh, probe)
+
+	// A visitor that acts once, at the given admission: visitors run on the
+	// calling goroutine, in admission order, so it acts at the same point of
+	// both runs.
+	at := func(k int, act func()) func(*State) bool {
+		seen := 0
+		return func(*State) bool {
+			if seen++; seen == k {
+				act()
+			}
+			return false
+		}
+	}
+	is := func(target error) func(error) bool {
+		return func(err error) bool { return errors.Is(err, target) }
+	}
+	panicked := func(err error) bool {
+		var pe *PanicError
+		return errors.As(err, &pe)
+	}
+	stops := []struct {
+		name string
+		want func(error) bool
+		run  func(m lookaheadMode) (Stats, error)
+	}{
+		{"Panic", panicked, func(m lookaheadMode) (Stats, error) {
+			res, err := c.Explore(Options{lookahead: m}, at(500, func() { panic("visitor crash") }))
+			return res.Stats, err
+		}},
+		{"Cancel", is(ErrCanceled), func(m lookaheadMode) (Stats, error) {
+			cancel := make(chan struct{})
+			res, err := c.Explore(Options{Cancel: cancel, lookahead: m}, at(500, func() { close(cancel) }))
+			return res.Stats, err
+		}},
+		{"Deadline", is(ErrDeadlineExceeded), func(m lookaheadMode) (Stats, error) {
+			// The deadline passes inside the visitor, so the next checkpoint
+			// is where both runs stop — unless the sweep was too slow to
+			// reach the visitor before it; then again, with more time.
+			for wait := 50 * time.Millisecond; ; wait *= 2 {
+				deadline, reached := time.Now().Add(wait), false
+				res, err := c.Explore(Options{Deadline: deadline, lookahead: m}, at(500, func() {
+					reached = true
+					time.Sleep(time.Until(deadline) + time.Millisecond)
+				}))
+				if reached || wait > 10*time.Second {
+					return res.Stats, err
+				}
+			}
+		}},
+		{"MaxStates", is(nil), func(m lookaheadMode) (Stats, error) {
+			res, err := c.Explore(Options{MaxStates: 1000, lookahead: m}, nil)
+			return res.Stats, err
+		}},
+		{"StateBudget", is(ErrStateBudget), func(m lookaheadMode) (Stats, error) {
+			res, err := c.Explore(Options{StateBudget: 1000, lookahead: m}, nil)
+			return res.Stats, err
+		}},
+		{"MaxBytes", is(ErrMemoryBudget), func(m lookaheadMode) (Stats, error) {
+			// Crossed at the first checkpoint after the helper engages; see
+			// TestLookaheadMemoryBudget for budgets crossed later.
+			res, err := c.Explore(Options{MaxBytes: 8 << 10, lookahead: m}, nil)
+			return res.Stats, err
+		}},
+	}
+	for _, stop := range stops {
+		var stats [2]Stats
+		for i, m := range lookaheadModes {
+			s, err := stop.run(m)
+			if !stop.want(err) {
+				t.Fatalf("%s, lookahead mode %d: unexpected err = %v", stop.name, m, err)
+			}
+			if s.Popped <= lookaheadDepth {
+				t.Fatalf("%s, lookahead mode %d: stopped after %d expansions, before the helper's ring could fill", stop.name, m, s.Popped)
+			}
+			stats[i] = s
+			got, gotStats := admissions(t, c, probe)
+			sameSweep(t, stop.name+", the sweep after", got, want, gotStats, wantStats)
+		}
+		if !sameStats(stats[0], stats[1]) {
+			t.Errorf("%s: partial stats %+v with the helper, %+v without", stop.name, stats[0], stats[1])
+		}
+	}
+}
+
+// TestLookaheadMemoryBudget pins what MaxBytes charges for the helper: the
+// matrices its pool holds for the expansions in flight, at most
+// lookaheadDepth+1 of them, each the expanded state, its successors and a
+// scratch matrix. The store's footprint is the same at every checkpoint of
+// both runs, so a budget stops the helper's run no later than the inline
+// one, and the same budget raised by that many matrices no earlier.
+func TestLookaheadMemoryBudget(t *testing.T) {
+	n := buildHuge(t)
+	c, err := NewChecker(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A state of the huge model has at most one successor per process.
+	inFlight := int64(lookaheadDepth+1) * int64(len(n.Procs)+2) * dbm.ZoneBytes(n.NumClocks())
+	popped := func(budget int64, m lookaheadMode) int {
+		res, err := c.Explore(Options{MaxBytes: budget, lookahead: m}, nil)
+		if !errors.Is(err, ErrMemoryBudget) {
+			t.Fatalf("budget %d, lookahead mode %d: err = %v, want ErrMemoryBudget", budget, m, err)
+		}
+		return res.Popped
+	}
+	for _, budget := range []int64{64 << 10, 256 << 10, 1 << 20} {
+		inline := popped(budget, lookaheadOff)
+		if lo, hi := popped(budget, lookaheadOn), popped(budget+inFlight, lookaheadOn); lo > inline || hi < inline {
+			t.Errorf("budget %d: the helper's run stopped after %d expansions, and %d with %d bytes more; the inline run after %d",
+				budget, lo, hi, inFlight, inline)
+		}
+	}
+}

@@ -87,7 +87,13 @@ type Options struct {
 	// flags. Parallel runs reconstruct counterexamples and witnesses from
 	// per-worker parent logs (see explore.go), so trace queries scale with
 	// cores too. Visitors and property predicates are invoked concurrently
-	// when Workers > 1 and must be safe for concurrent use.
+	// when Workers > 1 and must be safe for concurrent use. A sequential
+	// breadth-first sweep past its first 1,024 expansions uses a second core
+	// when GOMAXPROCS allows: a lookahead helper goroutine fires the
+	// successors of the next states while the calling goroutine admits, and
+	// the sweep — counts, order, traces — is the one an inline run makes;
+	// visitors and predicates still run on the calling goroutine only
+	// (explore.go, "Lookahead").
 	Workers int
 
 	// Cancel, when non-nil, cancels the exploration cooperatively: once the
@@ -118,6 +124,11 @@ type Options struct {
 	// differentially check admission (store_oracle_test.go). Must be safe for
 	// concurrent use when Workers > 1.
 	passed passedSet
+	// lookahead, when set, overrides when a sequential breadth-first sweep
+	// engages its lookahead helper (explore.go, "Lookahead"). Test-only:
+	// the differential tests run every sweep with it forced on from the
+	// first expansion and forced off.
+	lookahead lookaheadMode
 }
 
 // Stats reports exploration effort.

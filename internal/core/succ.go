@@ -122,6 +122,13 @@ type succCtx struct {
 	// copies of the discrete parts of admitted states (store.go), so
 	// recycling a state can never corrupt the passed store.
 	states []*State
+	// lent is set once a lookahead helper expands for this ctx's worker
+	// (explore.go, "Lookahead"): the States the worker frees were allocated
+	// by the helper's ctx, so putState collects them, zones and all, in back,
+	// and the worker hands the batch to the helper with the next node it
+	// passes on.
+	lent bool
+	back []*State
 	// nodes is the free list of the waiting nodes this worker popped, and
 	// block the one it carves new nodes from, next its first unused one (see
 	// park).
@@ -223,9 +230,14 @@ func (ctx *succCtx) getState() *State {
 
 // putState releases a state the explorer no longer references: its zone
 // goes back to the DBM pool and the struct (with its discrete vectors) onto
-// the free list. The caller must guarantee nothing else aliases the state —
-// see the ownership protocol in store.go.
+// the free list — or, when the ctx is lent, onto the batch for the helper
+// whose ctx allocated it. The caller must guarantee nothing else aliases the
+// state — see the ownership protocol in store.go.
 func (ctx *succCtx) putState(s *State) {
+	if ctx.lent {
+		ctx.back = append(ctx.back, s)
+		return
+	}
 	ctx.pool.Put(s.Zone)
 	s.Zone = nil
 	if len(s.Locs) == len(ctx.locs) && len(s.Vars) == len(ctx.vars) {
@@ -262,9 +274,10 @@ func (ctx *succCtx) park(s *State, entry *storeEntry, payload dbm.Compact) *wait
 }
 
 // unpark rebuilds the state a popped node waited as: a pooled State with the
-// discrete part decoded from the entry's key, the node's key and ref, and the payload decoded into a
-// pooled matrix. The node goes onto the free list; the payload is returned
-// for the caller to give back through passedSet.release.
+// discrete part decoded from the entry's key, the node's key and ref, and
+// the payload decoded into a pooled matrix. It only reads the node, which
+// the popping worker recycles (putNode); the payload is returned for that
+// worker to give back through passedSet.release.
 func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
 	s := ctx.getState()
 	ctx.keys.unpack(n.entry.key, s.Locs, s.Vars)
@@ -272,9 +285,14 @@ func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
 	s.Zone = ctx.pool.Get()
 	payload := n.packed
 	payload.DecodeInto(s.Zone)
+	return s, payload
+}
+
+// putNode puts a node this worker popped, and whose state has been rebuilt,
+// onto the worker's free list.
+func (ctx *succCtx) putNode(n *waiting) {
 	*n = waiting{}
 	ctx.nodes = append(ctx.nodes, n)
-	return s, payload
 }
 
 // initial computes the initial symbolic state: all processes in their initial

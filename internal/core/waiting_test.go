@@ -319,41 +319,54 @@ func (sp *stateSpy) release(s *State, c dbm.Compact) {
 }
 
 // TestSweepStatesBoundedByExpansion pins that a sweep allocates States in
-// proportion to its widest expansion, not its widest frontier: a worker holds
-// the state it expands and that state's fired successors, and every other
-// state waits as a node. On a model whose frontier is far wider than its
-// branching, breadth- and depth-first, on one worker and on four, the
-// distinct States the store ever sees must stay within what the workers'
-// expansions can hold at once — per worker the expanded state plus one per
-// process, plus the initial state.
+// proportion to the expansions it has in flight, not to its widest frontier:
+// an expansion holds the expanded state and that state's fired successors,
+// and every other state waits as a node. On a model whose frontier is far
+// wider than its branching, breadth- and depth-first, on one worker and on
+// four, the distinct States the store ever sees must stay within what the
+// expansions in flight can hold at once — per expansion the expanded state
+// plus one per process, plus the initial state. The deque has one expansion
+// in flight per worker; the sequential list one, and with its lookahead
+// helper engaged (forced on from the first expansion here) one more per
+// node the helper may expand ahead of the admitting caller.
 func TestSweepStatesBoundedByExpansion(t *testing.T) {
-	const procs, steps = 2, 63
+	const procs, steps = 2, 127
 	c, err := NewChecker(buildIndependent(t, procs, steps))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, order := range []Order{BFS, DFS} {
-		for _, workers := range []int{1, 4} {
-			what := fmt.Sprintf("%s, %d workers", order, workers)
-			shards := 1
-			if workers > 1 {
-				shards = parallelShards
-			}
-			spy := &stateSpy{passedSet: newStore(shards, nil, &c.eng.bounds, &c.eng.keys), seen: map[*State]bool{}}
-			res, err := c.Explore(Options{Order: order, Workers: workers, passed: spy}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Stored < (steps+1)*(steps+1) {
-				t.Fatalf("%s: %d stored, want at least the %d grid points", what, res.Stored, (steps+1)*(steps+1))
-			}
-			bound := workers*(procs+1) + 1
-			if spy.widest < 4*bound {
-				t.Fatalf("%s: widest frontier %d, want at least 4 x %d: the model no longer tests the bound", what, spy.widest, bound)
-			}
-			if len(spy.seen) > bound {
-				t.Errorf("%s: the sweep used %d States, want at most %d (widest frontier %d)", what, len(spy.seen), bound, spy.widest)
-			}
+	runs := []struct {
+		order     Order
+		workers   int
+		lookahead lookaheadMode
+		inFlight  int
+	}{
+		{BFS, 1, lookaheadOff, 1},
+		{BFS, 1, lookaheadOn, 1 + lookaheadDepth},
+		{BFS, 4, lookaheadAuto, 4},
+		{DFS, 1, lookaheadAuto, 1},
+		{DFS, 4, lookaheadAuto, 4},
+	}
+	for _, r := range runs {
+		what := fmt.Sprintf("%s, %d workers, lookahead mode %d", r.order, r.workers, r.lookahead)
+		shards := 1
+		if r.workers > 1 {
+			shards = parallelShards
+		}
+		spy := &stateSpy{passedSet: newStore(shards, nil, &c.eng.bounds, &c.eng.keys), seen: map[*State]bool{}}
+		res, err := c.Explore(Options{Order: r.order, Workers: r.workers, passed: spy, lookahead: r.lookahead}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stored < (steps+1)*(steps+1) {
+			t.Fatalf("%s: %d stored, want at least the %d grid points", what, res.Stored, (steps+1)*(steps+1))
+		}
+		bound := r.inFlight*(procs+1) + 1
+		if spy.widest < 4*bound {
+			t.Fatalf("%s: widest frontier %d, want at least 4 x %d: the model no longer tests the bound", what, spy.widest, bound)
+		}
+		if len(spy.seen) > bound {
+			t.Errorf("%s: the sweep used %d States, want at most %d (widest frontier %d)", what, len(spy.seen), bound, spy.widest)
 		}
 	}
 }

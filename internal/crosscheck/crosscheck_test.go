@@ -9,6 +9,7 @@ package crosscheck
 import (
 	"math/big"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/arch"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/rtc"
 	"repro/internal/sim"
 	"repro/internal/symta"
+	"repro/internal/wire"
 )
 
 // randomSystem generates a small well-formed two-application system with
@@ -109,6 +111,62 @@ func TestCrossEngineAgreement(t *testing.T) {
 					trial, req.Name, rtcRes[req.Name].MS.FloatString(3), exact.MS.FloatString(3))
 			}
 		}
+	}
+}
+
+// TestLookaheadAgreesOnRandomSystems analyzes random systems with one
+// processor for the runtime and with two. A sequential breadth-first sweep
+// engages its lookahead helper after its first 1,024 expansions when
+// GOMAXPROCS allows two goroutines to run (internal/core, "Lookahead"), so
+// the two runs of every sweep long enough differ exactly in the helper: the
+// wire bytes and every witness trace must be equal.
+func TestLookaheadAgreesOnRandomSystems(t *testing.T) {
+	if testing.Short() {
+		t.Skip("random-system sweeps are slow")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	r := rand.New(rand.NewSource(2006))
+	engaged := 0
+	for trial := 0; trial < 12; trial++ {
+		sys, reqs := randomSystem(r)
+		cs, err := arch.CompileAll(sys, reqs, arch.Options{HorizonMS: 400})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		var verdicts [2]string
+		for i, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			all, err := cs.Analyze(core.Options{MaxStates: 400_000})
+			if err != nil {
+				t.Fatalf("trial %d, GOMAXPROCS %d: %v", trial, procs, err)
+			}
+			if i == 0 && all.Stats.Popped > 1024 {
+				engaged++
+			}
+			resp := wire.FromAllResult(all)
+			resp.Stats.DurationNS = 0
+			data, err := wire.Encode(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verdicts[i] = string(data)
+			for j, res := range all.Results {
+				if !res.Exact {
+					continue
+				}
+				trace, err := cs.Witness(j, res, core.Options{})
+				if err != nil {
+					t.Fatalf("trial %d, GOMAXPROCS %d, witness %d: %v", trial, procs, j, err)
+				}
+				verdicts[i] += trace
+			}
+		}
+		if verdicts[0] != verdicts[1] {
+			t.Errorf("trial %d: verdicts differ\nGOMAXPROCS 1:\n%s\nGOMAXPROCS 2:\n%s", trial, verdicts[0], verdicts[1])
+		}
+	}
+	if engaged == 0 {
+		t.Fatal("no sweep was long enough to engage the lookahead helper")
 	}
 }
 

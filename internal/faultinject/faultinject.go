@@ -10,7 +10,9 @@
 // Sites are plain strings agreed between the instrumented code and the chaos
 // tests:
 //
-//	core/worker    — fired once per expansion in the explorer worker loop
+//	core/worker    — fired once per expansion, on the goroutine that expands:
+//	                 an explorer worker, or a sequential sweep's lookahead
+//	                 helper
 //	serve/job      — fired when a job transitions to running, before its sweep
 //	serve/dispatch — fired as a proxy job starts routing to its owner node;
 //	                 an injected error degrades the dispatch to local compute,

@@ -62,7 +62,11 @@ type (
 // Config tunes one Server. Zero values select the documented defaults.
 type Config struct {
 	// CPUTokens is the global admission budget: the maximum number of
-	// exploration workers running at once across all jobs. Default: NumCPU.
+	// exploration workers running at once across all jobs, one token each.
+	// A sequential breadth-first sweep large enough also runs a lookahead
+	// helper goroutine beside its one worker, on its one token (internal/core,
+	// "Lookahead"); GOMAXPROCS, not the tokens, bounds what runs at once.
+	// Default: NumCPU.
 	CPUTokens int
 	// MaxActiveJobs bounds jobs queued or running; submissions beyond it are
 	// rejected with 429. Default 64.
@@ -136,7 +140,8 @@ const (
 // resubmission, never served from cache.
 //
 // Admission: a job holds its workers' CPU tokens for its whole sweep (FIFO,
-// no overtaking), so the pool bounds the exploration goroutines across jobs.
+// no overtaking), so the pool bounds the exploration workers across jobs —
+// a large sequential sweep's lookahead helper rides on its worker's token.
 // Queue-time and proxy-wait aborts come from one helper (awaitAbortable),
 // which returns the same core error sentinels as sweep-time aborts, so wire
 // states and abort counters are uniform.
