@@ -7,17 +7,14 @@
 //
 //	archcheck -model system.json [-req name] [-engine uppaal|sim|symta|rtc]
 //	          [-horizon ms] [-order bfs|df|rdf] [-max-states n] [-seed n]
-//	          [-sim-reps n] [-sim-horizon ms] [-workers n] [-deadlock]
+//	          [-sim-reps n] [-sim-horizon ms] [-deadlock]
 //
 // With no -req, every requirement in the file is analyzed. The uppaal engine
 // compiles the analyzed requirements into ONE network — one measuring
 // observer each (arch.CompileAll) — and answers every WCRT from a single
-// exploration (CompiledSet.Analyze). -workers defaults to the number of CPUs; parallel runs
-// return the same verdicts and bounds as sequential ones and reconstruct
-// replay-valid traces (which run a trace documents may differ between
-// schedules). -deadlock checks the system compiled with the first
-// requirement's observer for reachable deadlocked configurations instead of
-// computing WCRTs (CompiledSet.DeadlockFree).
+// exploration (CompiledSet.Analyze). -deadlock checks the system compiled
+// with the first requirement's observer for reachable deadlocked
+// configurations instead of computing WCRTs (CompiledSet.DeadlockFree).
 //
 // -json emits the machine-readable result instead of the text report: the
 // exact wire format (internal/wire.ArchResponse) the taserved analysis
@@ -30,7 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/arch"
@@ -59,7 +55,6 @@ func main() {
 		dot         = flag.Bool("dot", false, "print the compiled timed-automata network as Graphviz DOT and exit")
 		uppaal      = flag.Bool("uppaal", false, "print the compiled network as UPPAAL 4.x XML and exit")
 		deploy      = flag.Bool("deploy", false, "print the deployment diagram (Figure 1 style) as Graphviz DOT and exit")
-		workers     = flag.Int("workers", runtime.NumCPU(), "parallel exploration workers, 1 = sequential (uppaal engine)")
 		deadlock    = flag.Bool("deadlock", false, "check the compiled system for deadlocks instead of computing WCRTs")
 		jsonOut     = flag.Bool("json", false, "emit the result as JSON (the taserved wire format; uppaal WCRT analysis only)")
 	)
@@ -129,8 +124,7 @@ func main() {
 	// engine's core options; compile time shows up inside the engine calls,
 	// the exploration itself records the explore/trace-replay phases.
 	copts := core.Options{Order: ord, Seed: *seed, MaxStates: *maxStates,
-		StateBudget: *stateBudget, MaxBytes: *maxBytes, Workers: *workers,
-		Monitor: mon}
+		StateBudget: *stateBudget, MaxBytes: *maxBytes, Monitor: mon}
 
 	if *jsonOut && (*engine != "uppaal" || *deadlock) {
 		fatal(fmt.Errorf("-json supports the uppaal WCRT analysis only"))

@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -50,8 +49,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "seed for randomized search and simulation")
 		simReps    = flag.Int("sim-reps", 20, "simulation replications (table 2)")
 		simHorizon = flag.Int64("sim-horizon", 60000, "simulated ms per replication (table 2)")
-		workers    = flag.Int("workers", runtime.NumCPU(),
-			"parallel exploration workers per cell; exhaustive cells are schedule-independent, but budget-truncated \"> N\" lower bounds vary run-to-run unless -workers 1")
 	)
 	flag.Parse()
 	stopProf, err := prof.Start()
@@ -71,7 +68,7 @@ func main() {
 	}
 	cellOpts := icrns.CellOptions{
 		Cfg: cfg, MaxStates: *budget, FallbackStates: *fallback, Seed: *seed,
-		Workers: *workers, MaxBytes: *maxBytes, Monitor: prof.Monitor(),
+		MaxBytes: *maxBytes, Monitor: prof.Monitor(),
 	}
 
 	if *verify != "" {

@@ -20,18 +20,16 @@
 // between the CLI and the service without re-parsing anything.
 //
 // Options: -order bfs|df|rdf, -seed, -max-states, -max-const (extrapolation
-// horizon for the sup clock), -workers (parallel exploration; defaults to
-// the number of CPUs and applies to every query, counterexample and witness
-// traces included). -cpuprofile/-memprofile write runtime/pprof profiles of
-// the run for hot-path inspection; -profile-out captures the engine's sweep
-// profile (parse/compile/explore phase spans + per-worker series) as JSON.
+// horizon for the sup clock). -cpuprofile/-memprofile write runtime/pprof
+// profiles of the run for hot-path inspection; -profile-out captures the
+// engine's sweep profile (parse/compile/explore phase spans + sampled series)
+// as JSON.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -58,7 +56,6 @@ func main() {
 		stateBudget = flag.Int("state-budget", 0, "hard state budget: exceeding it fails the run (0 = unbounded)")
 		maxBytes    = flag.Int64("max-bytes", 0, "zone-memory budget in bytes: exceeding it fails the run (0 = unbounded)")
 		maxConst    = flag.Int64("max-const", 0, "extrapolation horizon for the sup clock")
-		workers     = flag.Int("workers", runtime.NumCPU(), "parallel exploration workers (1 = sequential)")
 	)
 	flag.Parse()
 	if *modelPath == "" {
@@ -84,10 +81,6 @@ func main() {
 	opts.MaxStates = *maxStates
 	opts.StateBudget = *stateBudget
 	opts.MaxBytes = *maxBytes
-	// Routing between the sequential and parallel frontier happens inside
-	// core (Options.parallelism): every query kind honors Workers, and
-	// parallel runs reconstruct traces from per-worker parent logs.
-	opts.Workers = *workers
 
 	if *dot || *uppaal {
 		net, err := ta.Parse(string(data))

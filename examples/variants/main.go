@@ -76,7 +76,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		all, err := cs.Analyze(core.Options{Workers: 2})
+		all, err := cs.Analyze(core.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

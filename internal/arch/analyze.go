@@ -126,9 +126,8 @@ func (r WCRTResult) ViolatesDeadline(deadlineMS *big.Rat) bool {
 // already-computed WCRT res: one reachability sweep to a state where observer
 // i is seen and its clock reaches the known bound, with no re-measurement.
 // Callers holding batch results (Analyze, or a cached service verdict) get
-// the trace for the cost of a single extra exploration. It honors
-// opts.Workers: the engine reconstructs witness traces from its per-worker
-// parent logs.
+// the trace for the cost of a single extra exploration, the same trace at
+// any opts.Workers.
 func (cs *CompiledSet) Witness(i int, res WCRTResult, opts core.Options) (string, error) {
 	q, err := cs.reachSeen(i, res.MS, res.Attained, opts)
 	if err != nil {
@@ -170,8 +169,7 @@ func (cs *CompiledSet) reachSeen(i int, ms *big.Rat, reached bool, opts core.Opt
 // descriptions (a deadlock here means the scheduler, bus, or environment
 // automata wedge each other, e.g. an event model that outpaces a full
 // queue). The verdict concerns the whole network, observers included.
-// opts.Workers parallelizes the search, witness trace included; format a
-// deadlock witness with core.FormatTrace(cs.Net, res.Witness).
+// Format a deadlock witness with core.FormatTrace(cs.Net, res.Witness).
 func (cs *CompiledSet) DeadlockFree(opts core.Options) (core.DeadlockResult, error) {
 	checker, err := core.NewChecker(cs.Net)
 	if err != nil {

@@ -59,7 +59,7 @@ func assertBatchMatchesSingles(t *testing.T, sys *System, reqs []*Requirement,
 
 // TestAnalyzeAllContended covers the Fig. 4/5 processor templates: both
 // scenarios of the contended system measured at once, non-preemptive and
-// preemptive, sequentially and on the work-stealing frontier.
+// preemptive, at Workers 1 and 3.
 func TestAnalyzeAllContended(t *testing.T) {
 	for _, sched := range []SchedKind{SchedFP, SchedFPPreempt, SchedNondet} {
 		sys, hi, lo := contended(sched)

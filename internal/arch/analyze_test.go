@@ -72,8 +72,8 @@ func tinySystem(t *testing.T) (*System, []*Requirement) {
 }
 
 // TestDeadlockFreeTiny runs what `archcheck -deadlock` runs on the
-// checked-in tiny model: the compiled system never wedges, sequentially or on
-// the parallel frontier.
+// checked-in tiny model: the compiled system never wedges, at Workers 1 or
+// 4.
 func TestDeadlockFreeTiny(t *testing.T) {
 	sys, reqs := tinySystem(t)
 	cs, err := CompileAll(sys, reqs[:1], Options{HorizonMS: 100})

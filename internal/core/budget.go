@@ -5,27 +5,27 @@ import (
 	"fmt"
 )
 
-// This file is the resource-budget substrate of the unified explorer: hard
+// This file is the resource-budget substrate of the explorer: hard
 // state and memory ceilings that turn a runaway sweep into a partial result
 // instead of an OOM kill. Both budgets surface through the same cooperative
 // abort point as cancellation (the between-expansions checkpoint in
 // explorer.run), so a budget breach honors every ownership invariant a cancel
-// does: workers stop between expansions, partial Stats are returned, and the
-// checker stays reusable.
+// does: the loop stops between expansions, partial Stats are returned, and
+// the checker stays reusable.
 //
 // Accounting adds nothing to the visitor path:
 //
 //   - States are counted at admission by the existing e.stored counter; the
 //     state budget is one extra compare on the admission path.
-//   - Worker-side zone bytes are known at pool get/put: every full matrix in
-//     the run is worker scratch — the state being expanded and its successors
-//     until the store has decided on them — drawn from some worker's
-//     dbm.Pool, whose gets/reuses counters already record how many matrices
-//     it allocated (gets − reuses). Every worker publishes that allocation
-//     into its workerCell (perworker.go) at each checkpoint on every run,
-//     with its expansion counters; a budgeted worker then sums all the
-//     cells against the limit. The budget owns no cells of its own and
-//     allocates nothing.
+//   - Pool-side zone bytes are known at pool get/put: every full matrix in
+//     the run is scratch — the state being expanded and its successors
+//     until the store has decided on them — drawn from the loop's or the
+//     lookahead helper's dbm.Pool, whose gets/reuses counters already record
+//     how many matrices it allocated (gets − reuses). The loop publishes
+//     that allocation, the helper's included, into the run's workerCell
+//     (perworker.go) at each checkpoint on every run, with its expansion
+//     counters; a budgeted run then checks the cell against the limit. The
+//     budget owns no cell of its own and allocates nothing.
 //   - Store-side bytes are charged at their ACTUAL packed footprint: the
 //     passed store tracks the exact bytes of its entries with their packed
 //     discrete keys, zone-record segments and compact zone buffers
@@ -47,16 +47,18 @@ var ErrStateBudget = errors.New("core: exploration state budget exceeded")
 // to the abort; the Checker remains reusable.
 var ErrMemoryBudget = errors.New("core: exploration memory budget exceeded")
 
-// PanicError is the per-run error a contained worker crash converts into: the
-// run fails like a canceled one (partial Stats, reusable Checker) instead of
-// taking the process down. The panicked worker abandons its succCtx — and
-// with it every zone and state it owned; no structure of the failed run is
+// PanicError is the per-run error a contained crash — of the admitting loop,
+// a visitor it calls, or the lookahead helper — converts into: the run fails
+// like a canceled one (partial Stats, reusable Checker) instead of taking the
+// process down. The crashed goroutine abandons its succCtx — and with it
+// every zone and state it owned; no structure of the failed run is
 // ever reused: its free lists, states, store entries and records are
 // garbage once explore returns. What later runs do get is the run's slab
 // memory, released like any other run's — raw bytes with no structure to be
 // corrupt, every piece of which its next owner initializes in full.
 type PanicError struct {
-	// Worker is the index of the crashed worker.
+	// Worker is always 0: a run has one admitting loop, and a crash of its
+	// lookahead helper is reported as the loop's.
 	Worker int
 	// Value is the recovered panic value.
 	Value any

@@ -9,7 +9,8 @@ import (
 )
 
 // TestStateBudgetMidSweep arms a hard state budget against the hopeless
-// graph and requires ErrStateBudget with partial stats, on both frontiers.
+// graph and requires ErrStateBudget with partial stats, inline and with the
+// lookahead helper in flight (helperAt).
 func TestStateBudgetMidSweep(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		n := buildHuge(t)
@@ -17,14 +18,13 @@ func TestStateBudgetMidSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Explore(Options{Workers: workers, StateBudget: 5000}, nil)
+		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), StateBudget: 5000}, nil)
 		if !errors.Is(err, ErrStateBudget) {
 			t.Fatalf("workers=%d: err = %v, want ErrStateBudget", workers, err)
 		}
-		// Partial stats: the budget trips at admission, so the count sits at
-		// the cap give or take the per-worker batches in flight.
-		if res.Stored < 5000 {
-			t.Errorf("workers=%d: stored %d, want >= 5000", workers, res.Stored)
+		// Partial stats: the budget trips at admission, one past the cap.
+		if res.Stored != 5001 {
+			t.Errorf("workers=%d: stored %d, want 5001", workers, res.Stored)
 		}
 		if res.Popped == 0 {
 			t.Errorf("workers=%d: partial stats missing popped count", workers)
@@ -36,7 +36,8 @@ func TestStateBudgetMidSweep(t *testing.T) {
 }
 
 // TestMemoryBudgetMidSweep bounds the hopeless sweep by zone bytes and
-// requires a prompt ErrMemoryBudget with partial stats, on both frontiers.
+// requires a prompt ErrMemoryBudget with partial stats, inline and with the
+// lookahead helper in flight.
 func TestMemoryBudgetMidSweep(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		n := buildHuge(t)
@@ -45,7 +46,7 @@ func TestMemoryBudgetMidSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		res, err := c.Explore(Options{Workers: workers, MaxBytes: 1 << 20}, nil)
+		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), MaxBytes: 1 << 20}, nil)
 		if !errors.Is(err, ErrMemoryBudget) {
 			t.Fatalf("workers=%d: err = %v, want ErrMemoryBudget", workers, err)
 		}
@@ -155,9 +156,10 @@ func TestBudgetedQueriesStayReusable(t *testing.T) {
 
 // TestWorkerPanicContained crashes the sweep from a visitor predicate — the
 // same goroutine a corrupt engine state would crash — and requires the run to
-// fail with a *PanicError instead of killing the process, on both frontiers.
+// fail with a *PanicError instead of killing the process, inline and with the
+// lookahead helper in flight.
 // The same checker must then produce a full sweep bit-identical to a fresh
-// checker's: the panicked worker abandoned its pools, nothing corrupt was
+// checker's: the crashed loop abandoned its pools, nothing corrupt was
 // recycled.
 func TestWorkerPanicContained(t *testing.T) {
 	for _, workers := range []int{1, 4} {
@@ -166,7 +168,7 @@ func TestWorkerPanicContained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = c.Explore(Options{Workers: workers}, func(s *State) bool {
+		_, err = c.Explore(Options{Workers: workers, lookahead: helperAt(workers)}, func(s *State) bool {
 			panic("visitor crash for containment test")
 		})
 		var pe *PanicError

@@ -46,7 +46,7 @@ func buildHuge(t *testing.T) *ta.Network {
 
 // TestCancelMidSweep closes the cancel channel from inside the sweep (after
 // a fixed number of admissions) and requires a prompt ErrCanceled with
-// partial stats, sequentially and on the work-stealing frontier.
+// partial stats, inline and with the lookahead helper in flight (helperAt).
 func TestCancelMidSweep(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		n := buildHuge(t)
@@ -64,7 +64,7 @@ func TestCancelMidSweep(t *testing.T) {
 			return false
 		}
 		start := time.Now()
-		res, err := c.Explore(Options{Workers: workers, Cancel: cancel}, visit)
+		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), Cancel: cancel}, visit)
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
 		}
@@ -133,7 +133,7 @@ func TestDeadlineMidSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		res, err := c.Explore(Options{Workers: workers, Deadline: start.Add(50 * time.Millisecond)}, nil)
+		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), Deadline: start.Add(50 * time.Millisecond)}, nil)
 		if !errors.Is(err, ErrDeadlineExceeded) {
 			t.Fatalf("workers=%d: err = %v, want ErrDeadlineExceeded", workers, err)
 		}
@@ -191,10 +191,10 @@ func TestDeadlineWinsOverCancel(t *testing.T) {
 }
 
 // TestMonitorFinalSnapshotMatchesStats requires a post-run Snapshot, and a
-// profiled run's Profile().Totals, to equal the run's exact Stats, for both
-// frontiers, plain, under a memory budget that never trips, and profiled,
-// each also with the sequential sweep's lookahead helper engaged: every
-// reader sums the same worker cells.
+// profiled run's Profile().Totals, to equal the run's exact Stats, at
+// Workers 1 and 4, plain, under a memory budget that never trips, and
+// profiled, each also with the lookahead helper engaged: every reader loads
+// the same cell.
 func TestMonitorFinalSnapshotMatchesStats(t *testing.T) {
 	modes := []struct {
 		name    string
@@ -237,17 +237,14 @@ func TestMonitorFinalSnapshotMatchesStats(t *testing.T) {
 			if !matches(p) {
 				t.Errorf("%s: final snapshot %+v != stats %+v", name, p, res.Stats)
 			}
-			// The readers agreeing is not enough: they sum the same cells. An
-			// exhaustive sweep expands every state it stored, so the cells
-			// are exact only if every worker published on its way out.
+			// The readers agreeing is not enough: they load the same cell. An
+			// exhaustive sweep expands every state it stored, so the cell is
+			// exact only if the loop published on its way out.
 			if res.Popped != res.Stored {
 				t.Errorf("%s: exhaustive sweep popped %d of %d stored states", name, res.Popped, res.Stored)
 			}
 			if p.Frontier != 0 {
 				t.Errorf("%s: final snapshot frontier = %d, want 0", name, p.Frontier)
-			}
-			if p.Workers != workers {
-				t.Errorf("%s: snapshot workers = %d", name, p.Workers)
 			}
 			if mode.profile {
 				prof := mon.Profile()
@@ -262,7 +259,7 @@ func TestMonitorFinalSnapshotMatchesStats(t *testing.T) {
 }
 
 // TestMonitorLiveSnapshot samples the monitor mid-sweep (from the visitor,
-// which runs on a worker goroutine) and requires a plausible in-flight view
+// which runs on the admitting goroutine) and requires a plausible in-flight view
 // on every sample: running, a backlog that is never negative, no more states
 // popped than stored, stored at least as large as the admissions seen, and a
 // backlog that shows at some point.
@@ -279,7 +276,7 @@ func TestMonitorLiveSnapshot(t *testing.T) {
 		var sampled bool
 		var snap Progress
 		var maxFrontier int64
-		_, err = c.Explore(Options{Workers: workers, Monitor: &mon}, func(*State) bool {
+		_, err = c.Explore(Options{Workers: workers, lookahead: helperAt(workers), Monitor: &mon}, func(*State) bool {
 			p := mon.Snapshot()
 			if p == (Progress{}) {
 				return false // the initial state is visited before the monitor attaches

@@ -2,18 +2,6 @@ package core
 
 import "repro/internal/dbm"
 
-// parallelism is the single place Options.Workers is interpreted: it reports
-// whether the unified explorer runs on the work-stealing parallel frontier
-// and with how many workers. Every query kind routes through it; parallel
-// runs reconstruct their traces from the per-worker parent logs
-// (explore.go).
-func (o Options) parallelism() (workers int, parallel bool) {
-	if o.Workers <= 1 {
-		return 1, false
-	}
-	return o.Workers, true
-}
-
 // SupResult is the outcome of a SupClockQuery.
 type SupResult struct {
 	Stats
@@ -26,15 +14,15 @@ type SupResult struct {
 	// infinity by extrapolation in some condition state, i.e. the supremum
 	// lies beyond the registered maximal constant (observation horizon).
 	Unbounded bool
-	// Witness is a trace to the first unbounded state when Unbounded is set,
-	// on the sequential and the parallel path alike. For bounded results no
-	// witness is recorded (the supremum emerges from the whole sweep, not
-	// one stop state); run a ReachQuery against the computed bound to
-	// materialize one, as arch.CompiledSet.Witness does.
+	// Witness is a trace to the first unbounded state when Unbounded is set.
+	// For bounded results no witness is recorded (the supremum emerges from
+	// the whole sweep, not one stop state); run a ReachQuery against the
+	// computed bound to materialize one, as arch.CompiledSet.Witness does.
 	Witness []TraceStep
 }
 
-// supAcc is one worker's supremum accumulator.
+// supAcc is a SupClockQuery's running supremum. Its zero value is the
+// start: max is dbm.LT(0), below every clock value.
 type supAcc struct {
 	max  dbm.Bound
 	seen bool

@@ -21,7 +21,7 @@ import (
 // initial values or location references are out of range, and engine.fire
 // refuses a transition whose updates leave a variable's range
 // (ta.Network.CheckVarBounds). It is immutable once built and shared by
-// every worker.
+// every ctx.
 type discretePacker struct {
 	locs  []keyField // one per process
 	vars  []keyField // one per variable

@@ -96,7 +96,7 @@ func TestTargetInvariantDisablesTransition(t *testing.T) {
 // of states that ever passed through.
 func TestListFrontierReusesSlots(t *testing.T) {
 	var stop atomic.Bool
-	f := &listFrontier{order: BFS, stop: &stop}
+	f := &frontier{order: BFS, stop: &stop}
 	nodes := make([]*waiting, 10_000)
 	for i := range nodes {
 		nodes[i] = &waiting{}
@@ -104,13 +104,13 @@ func TestListFrontierReusesSlots(t *testing.T) {
 	next, popped := 0, 0
 	push := func(k int) {
 		for ; k > 0 && next < len(nodes); k-- {
-			f.push(0, nodes[next])
+			f.push(nodes[next])
 			next++
 		}
 	}
 	pop := func(k int) {
 		for ; k > 0; k-- {
-			if f.pop(0) != nodes[popped] {
+			if f.pop() != nodes[popped] {
 				t.Fatalf("pop %d returned the wrong node", popped)
 			}
 			popped++
@@ -125,17 +125,17 @@ func TestListFrontierReusesSlots(t *testing.T) {
 		}
 	}
 	pop(next - popped)
-	if f.pop(0) != nil || len(f.list) != f.head {
+	if f.pop() != nil || len(f.list) != f.head {
 		t.Fatal("drained frontier must pop nil at depth 0")
 	}
 	if c := cap(f.list); c > 256 {
 		t.Errorf("backing array grew to %d slots for a backlog of about 40", c)
 	}
 	// LIFO orders are untouched by the head index.
-	f = &listFrontier{order: DFS, stop: &stop}
-	f.push(0, nodes[0])
-	f.push(0, nodes[1])
-	if f.pop(0) != nodes[1] || f.pop(0) != nodes[0] || f.pop(0) != nil {
+	f = &frontier{order: DFS, stop: &stop}
+	f.push(nodes[0])
+	f.push(nodes[1])
+	if f.pop() != nodes[1] || f.pop() != nodes[0] || f.pop() != nil {
 		t.Error("DFS must pop in reverse push order")
 	}
 }

@@ -2,13 +2,10 @@ package core
 
 import (
 	"errors"
-	"fmt"
-	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/dbm"
-	"repro/internal/ta"
 )
 
 // lookaheadModes are the two runs every differential test of the lookahead
@@ -21,95 +18,14 @@ func sameStats(a, b Stats) bool {
 		a.Transitions == b.Transitions && a.Deadlocks == b.Deadlocks && a.Truncated == b.Truncated
 }
 
-// lookaheadAgrees runs the sweeps of net in every sequential order with the
-// lookahead helper forced on and forced off, and requires the two to be the
-// same sweep: equal Stats and every admitted state equal, in order, and on a
-// query set — a deadlock query, the supremum of the first clock and a reach
-// query for the last state the plain sweep admitted — equal verdicts,
-// found states and witness traces. Depth-first orders never engage the
-// helper, so a helper that popped ahead under them would fail here.
-func lookaheadAgrees(t *testing.T, name string, net *ta.Network, maxStates int) {
-	t.Helper()
-	c, err := NewChecker(net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, order := range []Order{BFS, DFS, RDFS} {
-		what := fmt.Sprintf("%s, %s", name, order)
-		opts := func(m lookaheadMode) Options {
-			return Options{Order: order, Seed: 7, MaxStates: maxStates, lookahead: m}
-		}
-		got, gs := admissions(t, c, opts(lookaheadOn))
-		want, ws := admissions(t, c, opts(lookaheadOff))
-		sameSweep(t, what+", plain sweep", got, want, gs, ws)
-		last := want[len(want)-1]
-		type answers struct {
-			stats Stats
-			dl    *DeadlockQuery
-			sup   *SupClockQuery
-			reach *ReachQuery
-		}
-		var runs [2]answers
-		for i, m := range lookaheadModes {
-			a := answers{
-				dl:  NewDeadlockQuery(),
-				sup: NewSupClockQuery(net.Clocks[1].ID, func(*State) bool { return true }),
-				reach: NewReachQuery(func(s *State) bool {
-					return slices.Equal(s.Locs, last.Locs) && slices.Equal(s.Vars, last.Vars)
-				}),
-			}
-			if a.stats, err = c.RunQueries(opts(m), a.dl, a.sup, a.reach); err != nil {
-				t.Fatal(err)
-			}
-			runs[i] = a
-		}
-		on, off := runs[0], runs[1]
-		if !sameStats(on.stats, off.stats) {
-			t.Errorf("%s, queries: stats %+v with the helper, %+v without", what, on.stats, off.stats)
-		}
-		if on.dl.Result.Free != off.dl.Result.Free {
-			t.Errorf("%s: deadlock-free %v with the helper, %v without", what, on.dl.Result.Free, off.dl.Result.Free)
-		}
-		sameTrace(t, what+", deadlock witness", on.dl.Result.Witness, off.dl.Result.Witness)
-		so, sf := on.sup.Result, off.sup.Result
-		if so.Seen != sf.Seen || so.Max != sf.Max || so.Unbounded != sf.Unbounded {
-			t.Errorf("%s: supremum %+v with the helper, %+v without", what, so, sf)
-		}
-		sameTrace(t, what+", supremum witness", so.Witness, sf.Witness)
-		ro, rf := on.reach, off.reach
-		if ro.Found != rf.Found || (ro.Found && !sameState(ro.FoundState, rf.FoundState)) {
-			t.Errorf("%s: reach found %v with the helper, %v without, or on a different state", what, ro.Found, rf.Found)
-		}
-		sameTrace(t, what+", reach trace", ro.Trace, rf.Trace)
-	}
-}
-
 // TestLookaheadIsANoOp pins that the lookahead helper changes no answer of
-// a sequential sweep: Fischer-4, the networks of the store oracles, and the
-// first twelve networks of diffExplore's random corpus as deep as it goes.
+// a sweep: every network of equalityNets, in every order, with the helper
+// forced on from the first expansion against forced off.
 func TestLookaheadIsANoOp(t *testing.T) {
-	grid, _, _, _ := buildGrid(t)
-	nets := []struct {
-		name      string
-		net       *ta.Network
-		maxStates int
-	}{
-		{"fischer-4", buildFischer(t, 4), 0},
-		{"widening", buildWidening(t, 6), 0},
-		{"radio", testRadioNet(t), 0},
-		{"diag", testDiagNet(t), 0},
-		{"grid", grid, 0},
-		{"independent", buildIndependent(t, 2, 40), 0},
-	}
-	for seed := int64(0); seed < 12; seed++ {
-		nets = append(nets, struct {
-			name      string
-			net       *ta.Network
-			maxStates int
-		}{fmt.Sprintf("random %d", seed), randNet(seed), 3000})
-	}
-	for _, n := range nets {
-		lookaheadAgrees(t, n.name, n.net, n.maxStates)
+	off := setting{workers: 1, lookahead: lookaheadOff}
+	on := setting{workers: 1, lookahead: lookaheadOn}
+	for _, n := range equalityNets(t) {
+		sweepsAgree(t, n.name, n.net, n.maxStates, off, []setting{on})
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/ta"
@@ -331,12 +330,11 @@ func TestZoneEngineMatchesDiscreteOracle(t *testing.T) {
 	}
 }
 
-// TestParallelEngineMatchesSequentialOracle extends the oracle sweep across
-// both scheduling paths of the unified engine: on random closed models the
-// parallel explorer must reach exactly the discrete projections the
-// sequential one reaches, reach verdicts must agree, and every parallel
-// witness trace must replay through the successor engine (trace validity,
-// not trace equality — the parallel path may find a different run).
+// TestParallelEngineMatchesSequentialOracle extends the oracle sweep to the
+// engine's other settings: on random closed models a run at Workers 4 with
+// the lookahead helper forced on must reach exactly the discrete projections
+// the inline Workers 1 run reaches, reach verdicts must agree, and the two
+// witness traces must replay through the successor engine and be one trace.
 func TestParallelEngineMatchesSequentialOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oracle sweep is slow")
@@ -350,11 +348,8 @@ func TestParallelEngineMatchesSequentialOracle(t *testing.T) {
 		}
 		collect := func(workers int) map[string]bool {
 			out := map[string]bool{}
-			var mu sync.Mutex
-			_, err := c.Explore(Options{MaxStates: 100000, Workers: workers}, func(s *State) bool {
-				mu.Lock()
+			_, err := c.Explore(Options{MaxStates: 100000, Workers: workers, lookahead: helperAt(workers)}, func(s *State) bool {
 				out[fmt.Sprint(s.Locs)+"|"+fmt.Sprint(s.Vars)] = true
-				mu.Unlock()
 				return false
 			})
 			if err != nil {
@@ -365,12 +360,12 @@ func TestParallelEngineMatchesSequentialOracle(t *testing.T) {
 		seq, par := collect(1), collect(4)
 		for k := range seq {
 			if !par[k] {
-				t.Errorf("trial %d: state %s reached sequentially but not in parallel", trial, k)
+				t.Errorf("trial %d: state %s reached at Workers 1 but not at 4", trial, k)
 			}
 		}
 		for k := range par {
 			if !seq[k] {
-				t.Errorf("trial %d: state %s reached in parallel but not sequentially", trial, k)
+				t.Errorf("trial %d: state %s reached at Workers 4 but not at 1", trial, k)
 			}
 		}
 		// Cross-check one reach verdict per trial: the last process
@@ -382,19 +377,20 @@ func TestParallelEngineMatchesSequentialOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		parQ := NewReachQuery(pred)
-		if _, err := c.RunQueries(Options{MaxStates: 100000, Workers: 4}, parQ); err != nil {
+		if _, err := c.RunQueries(Options{MaxStates: 100000, Workers: 4, lookahead: lookaheadOn}, parQ); err != nil {
 			t.Fatal(err)
 		}
 		if seqQ.Found != parQ.Found {
-			t.Errorf("trial %d: reach verdicts disagree: sequential=%v parallel=%v",
+			t.Errorf("trial %d: reach verdicts disagree: Workers 1 %v, Workers 4 %v",
 				trial, seqQ.Found, parQ.Found)
 		}
 		if seqQ.Found {
 			assertTraceValid(t, c, seqQ.Trace)
 			assertTraceValid(t, c, parQ.Trace)
 			if !pred(parQ.Trace[len(parQ.Trace)-1].State) {
-				t.Errorf("trial %d: parallel witness does not end in the target", trial)
+				t.Errorf("trial %d: Workers 4 witness does not end in the target", trial)
 			}
+			sameTrace(t, fmt.Sprintf("trial %d witness", trial), parQ.Trace, seqQ.Trace)
 		}
 		if t.Failed() {
 			t.Fatalf("trial %d network:\n%s", trial, net.DOT())

@@ -39,6 +39,13 @@ func buildGrid(t *testing.T) (*ta.Network, ta.Clock, *ta.Process, ta.LocID) {
 	return n, sx, srv, busy
 }
 
+// The tests in this file pin that Options.Workers selects nothing: a run at
+// any worker count, with the lookahead helper idle, engaged by the auto
+// rule or forced on, is the run Workers: 1 makes — the same Stats, the same
+// verdicts and the same witnesses. equality_test.go runs the full table.
+
+// TestParallelMatchesSequentialStateCount: a plain sweep stores, pops and
+// fires exactly as many states at Workers 4 as at Workers 1.
 func TestParallelMatchesSequentialStateCount(t *testing.T) {
 	n, _, _, _ := buildGrid(t)
 	c, err := NewChecker(n)
@@ -53,19 +60,15 @@ func TestParallelMatchesSequentialStateCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Racy double-admission can store a state twice, so the parallel count
-	// may exceed the sequential one slightly, never undercut it.
-	if par.Stored < seq.Stored {
-		t.Errorf("parallel stored %d < sequential %d", par.Stored, seq.Stored)
-	}
-	if par.Stored > seq.Stored+seq.Stored/10+8 {
-		t.Errorf("parallel stored %d unreasonably above sequential %d", par.Stored, seq.Stored)
+	if !sameStats(par.Stats, seq.Stats) {
+		t.Errorf("Workers: 4 stats %v, Workers: 1 %v", par.Stats, seq.Stats)
 	}
 }
 
+// TestParallelSupMatchesSequential: the supremum and its Stats are the same
+// at Workers 4.
 func TestParallelSupMatchesSequential(t *testing.T) {
-	n, sx, srv, busy := buildGrid(t)
-	_ = srv
+	n, sx, _, busy := buildGrid(t)
 	c, err := NewChecker(n)
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +84,9 @@ func TestParallelSupMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	par := parQ.Result
-	if seq.Max != par.Max || seq.Unbounded != par.Unbounded || seq.Seen != par.Seen {
-		t.Errorf("parallel sup %v (unbounded=%v) != sequential %v (unbounded=%v)",
-			par.Max, par.Unbounded, seq.Max, seq.Unbounded)
+	if seq.Max != par.Max || seq.Unbounded != par.Unbounded || seq.Seen != par.Seen || !sameStats(seq.Stats, par.Stats) {
+		t.Errorf("Workers: 4 sup %v (unbounded=%v) %v != Workers: 1 %v (unbounded=%v) %v",
+			par.Max, par.Unbounded, par.Stats, seq.Max, seq.Unbounded, seq.Stats)
 	}
 	if seq.Max != dbm.LE(2) {
 		t.Errorf("server busy clock sup = %v, want <=2", seq.Max)
@@ -102,41 +105,99 @@ func TestParallelErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	if _, err := c.Explore(Options{Workers: 4}, nil); err == nil {
-		t.Error("variable overflow must propagate from workers")
+	for _, m := range lookaheadModes {
+		if _, err := c.Explore(Options{Workers: 4, lookahead: m}, nil); err == nil {
+			t.Errorf("lookahead mode %d: variable overflow must fail the run", m)
+		}
 	}
 }
 
+// TestParallelVisitorStops: a visitor stop at Workers 4 finds the state and
+// the trace Workers 1 finds.
 func TestParallelVisitorStops(t *testing.T) {
 	n, _, _, busy := buildGrid(t)
 	c, _ := NewChecker(n)
-	res, err := c.Explore(Options{Workers: 4}, func(s *State) bool {
-		return s.Locs[3] == busy
-	})
+	atBusy := func(s *State) bool { return s.Locs[3] == busy }
+	seq, err := c.Explore(Options{}, atBusy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Found || res.FoundState == nil {
-		t.Fatal("parallel visitor stop must record the found state")
+	res, err := c.Explore(Options{Workers: 4}, atBusy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Found || res.FoundState == nil || !sameState(res.FoundState, seq.FoundState) {
+		t.Fatal("a Workers: 4 visitor stop must record the state Workers: 1 stops at")
 	}
 	if len(res.Trace) == 0 {
-		t.Fatal("parallel visitor stop must reconstruct a trace")
+		t.Fatal("a Workers: 4 visitor stop must reconstruct a trace")
 	}
-	last := res.Trace[len(res.Trace)-1].State
-	if last.Locs[3] != busy {
-		t.Error("parallel trace must end in the found state")
-	}
+	sameTrace(t, "Workers: 4 visitor trace", res.Trace, seq.Trace)
 	assertTraceValid(t, c, res.Trace)
 }
 
+// TestParallelMaxStatesTruncates: Workers 4 truncates where Workers 1 does.
 func TestParallelMaxStatesTruncates(t *testing.T) {
 	n, _, _, _ := buildGrid(t)
 	c, _ := NewChecker(n)
+	seq, err := c.Explore(Options{MaxStates: 50}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := c.Explore(Options{MaxStates: 50, Workers: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Truncated {
-		t.Error("parallel exploration must truncate at MaxStates")
+	if !res.Truncated || !sameStats(res.Stats, seq.Stats) {
+		t.Errorf("Workers: 4 truncated run %v, Workers: 1 %v", res.Stats, seq.Stats)
+	}
+}
+
+// TestExploreParallelStressMatchesSequential runs the grid again and again
+// at several worker counts and seeds with the lookahead helper forced on,
+// and requires every run to equal the inline Workers: 1 run. Run with -race
+// to exercise the helper's ring.
+func TestExploreParallelStressMatchesSequential(t *testing.T) {
+	n, sx, _, busy := buildGrid(t)
+	atBusy := func(s *State) bool { return s.Locs[3] == busy }
+	c, err := NewChecker(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := c.Explore(Options{lookahead: lookaheadOff}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqSupQ := NewSupClockQuery(sx.ID, atBusy)
+	if _, err := c.RunQueries(Options{lookahead: lookaheadOff}, seqSupQ); err != nil {
+		t.Fatal(err)
+	}
+	seqSup := seqSupQ.Result
+	rounds := 8
+	if testing.Short() {
+		rounds = 2
+	}
+	for r := 0; r < rounds; r++ {
+		for _, workers := range []int{2, 4, 8} {
+			opts := Options{Seed: int64(r), Workers: workers, lookahead: lookaheadOn}
+			par, err := c.Explore(opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameStats(par.Stats, seq.Stats) {
+				t.Errorf("round %d workers %d: stats %v, inline %v", r, workers, par.Stats, seq.Stats)
+			}
+			supQ := NewSupClockQuery(sx.ID, atBusy)
+			if _, err := c.RunQueries(opts, supQ); err != nil {
+				t.Fatal(err)
+			}
+			sup := supQ.Result
+			if sup.Max != seqSup.Max || sup.Seen != seqSup.Seen || sup.Unbounded != seqSup.Unbounded ||
+				!sameStats(sup.Stats, seqSup.Stats) {
+				t.Errorf("round %d workers %d: sup %v/%v/%v %v != inline %v/%v/%v %v",
+					r, workers, sup.Max, sup.Seen, sup.Unbounded, sup.Stats,
+					seqSup.Max, seqSup.Seen, seqSup.Unbounded, seqSup.Stats)
+			}
+		}
 	}
 }

@@ -14,7 +14,7 @@ import (
 // (b) the packed copy never aliases the state's full zone — mutating one
 // never corrupts the other.
 func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
-	st := testStore(1)
+	st := testStore()
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 
@@ -24,7 +24,7 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 		t.Fatal("first zone must be admitted")
 	}
 	// The store must have packed its own buffer for small.Zone.
-	cpool := st.shards.at(0).cpool
+	cpool := st.cpool
 	gets0, _ := cpool.Stats()
 	if gets0 == 0 {
 		t.Fatal("admission must draw the packed copy from the compact pool")
@@ -68,7 +68,7 @@ func TestStorePrunedZoneRecycledWithoutAliasing(t *testing.T) {
 // contract: mutating a state's zone after admission must not change what
 // the store believes, because the store owns an independent copy.
 func TestAddDoesNotRetainCallerZone(t *testing.T) {
-	st := testStore(1)
+	st := testStore()
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 

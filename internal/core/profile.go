@@ -9,42 +9,42 @@ import (
 
 // This file is the sweep-profile recorder: an opt-in extension of Monitor
 // that captures per-phase spans (parse → compile → explore → trace-replay)
-// and a sampled per-worker time series of the exploration's behavior —
-// throughput, frontier depth, steal counts, pool traffic, store footprint.
+// and a sampled time series of the exploration's behavior — throughput,
+// frontier depth, pool traffic, store footprint.
 //
 // The cost contract:
 //
 //   - Opt-in and alloc-free when off. The sampling mask exists only when
-//     EnableProfile was called, and the worker loop's disabled path is one
-//     nil check. The counters a sample reads are the worker's cell
+//     EnableProfile was called, and the admitting loop's disabled path is one
+//     nil check. The counters a sample reads are the run's cell
 //     (perworker.go), which every run publishes anyway. The bench gate pins
 //     the disabled sweep to exactly its historical allocs/op through the
 //     Table1_HandleTMC_AL_po / ..._Profiled twin pair; a regression there is
 //     hot-path telemetry leaking.
-//   - Sized to the run. A worker's ring lives in its workerCell, starts
+//   - Sized to the run. The ring lives in the run's workerCell, starts
 //     empty and grows by append up to maxSamples, so a sweep of a few dozen
 //     states holds one or two samples, not a big sweep's ring. finalize
 //     copies the series into the recorder; monView.setDone then drops the
-//     explorer, and the cells and their rings go with it, so of a finished
-//     run a Monitor keeps its totals and its SweepProfile, and nothing else.
-//   - Ring ownership. Each worker appends to its own cell's ring at a
+//     explorer, and the cell and its ring go with it, so of a finished run a
+//     Monitor keeps its totals and its SweepProfile, and nothing else.
+//   - Ring ownership. The admitting loop appends to the ring at a
 //     power-of-two expansion stride, reads only what it owns or what is
-//     shared and atomic (loop locals, the run's cells, the store's
-//     counters), and never takes a lock. finalize runs strictly after the
-//     worker barrier, so the rings are quiescent when frozen. Live scrapes
-//     (Monitor.Snapshot, Monitor.Profile) read the cells' atomics and the
+//     shared and atomic (loop locals, the run's cell, the store's counters),
+//     and never takes a lock. finalize runs strictly after the loop has
+//     returned, so the ring is quiescent when frozen. Live scrapes
+//     (Monitor.Snapshot, Monitor.Profile) read the cell's atomics and the
 //     previous completed run only; TestProfileScrapeDuringSweep hammers this
 //     under -race.
 
 // ProfileConfig tunes the sweep-profile recorder. The zero value selects the
 // documented default.
 type ProfileConfig struct {
-	// SampleEvery is the per-worker sampling stride in expansions, rounded
+	// SampleEvery is the sampling stride in expansions, rounded
 	// up to a power of two so the loop test is one mask. Default 256.
 	SampleEvery int
 }
 
-// maxSamples bounds each worker's ring (32 KB of samples at most); the ring
+// maxSamples bounds the ring (32 KB of samples at most); the ring
 // grows by append until it holds this many, then the oldest samples are
 // overwritten and counted as Dropped.
 const maxSamples = 512
@@ -56,19 +56,17 @@ func (c ProfileConfig) withDefaults() ProfileConfig {
 	return c
 }
 
-// WorkerSample is one point of a worker's time series. Counters are the
-// worker's own cumulative totals at sample time, so rates (states/sec) are
-// first differences over AtNS.
+// WorkerSample is one point of a run's time series. Counters are cumulative
+// totals at sample time, so rates (states/sec) are first differences over
+// AtNS.
 type WorkerSample struct {
 	// AtNS is the sample time in Unix nanoseconds.
 	AtNS int64 `json:"at_ns"`
-	// Popped and Transitions are the worker's cumulative expansion counters.
+	// Popped and Transitions are the cumulative expansion counters.
 	Popped      int64 `json:"popped"`
 	Transitions int64 `json:"transitions"`
-	// Steals counts states this worker has taken from other workers' deques.
-	Steals int64 `json:"steals"`
-	// PoolGets / PoolReuses are the worker's zone-pool traffic; the gap is
-	// its live allocation.
+	// PoolGets / PoolReuses are the run's zone-pool traffic, the lookahead
+	// helper's included; the gap is its live allocation.
 	PoolGets   int64 `json:"pool_gets"`
 	PoolReuses int64 `json:"pool_reuses"`
 	// Frontier is the global backlog at sample time: states admitted, not
@@ -79,7 +77,7 @@ type WorkerSample struct {
 	StoredBytes int64 `json:"stored_bytes"`
 }
 
-// WorkerSeries is one worker's sampled time series.
+// WorkerSeries is a run's sampled time series. A run has one, Worker 0.
 type WorkerSeries struct {
 	Worker int `json:"worker"`
 	// Dropped counts samples overwritten by the bounded ring; the retained
@@ -89,21 +87,21 @@ type WorkerSeries struct {
 }
 
 // SweepProfile is the structured profile of a monitored run: phase spans
-// plus the per-worker series and run-wide contention totals of the most
-// recently completed exploration. Phases accumulate across runs on the same
-// Monitor (a CLI records parse/compile before the sweep; icrns fallback
-// reruns append a second explore span); Series/Steals/StoreContention/Totals
-// describe the latest completed run only.
+// plus the series and totals of the most recently completed exploration.
+// Phases accumulate across runs on the same Monitor (a CLI records
+// parse/compile before the sweep; icrns fallback reruns append a second
+// explore span); Series/Totals describe the latest completed run only.
 type SweepProfile struct {
+	// Workers is the number of series, 1 for every run.
 	Workers     int            `json:"workers"`
 	SampleEvery int            `json:"sample_every"`
 	Phases      []obs.Span     `json:"phases"`
 	Series      []WorkerSeries `json:"series,omitempty"`
-	// Steals totals successful deque steals across workers (0 for
-	// sequential runs).
+	// Steals is always 0: the engine has no work-stealing frontier. The
+	// field stays for the benchmark's steals row.
 	Steals int64 `json:"steals"`
-	// StoreContention counts shard-lock acquisitions that had to wait,
-	// summed over the sharded passed store (0 for sequential runs).
+	// StoreContention is always 0: the passed store has no locks. The field
+	// stays for the benchmark's store_contention row.
 	StoreContention int64 `json:"store_contention"`
 	// Totals are the run's exact final counters (equal to Stats).
 	Totals Progress `json:"totals"`
@@ -139,13 +137,13 @@ func (r *profRecorder) getLast() *SweepProfile {
 
 // profRun is the per-run sampling state, allocated at attach time only for
 // profile-enabled monitors — a disabled run allocates nothing. The samples
-// themselves live in the run's worker cells.
+// themselves live in the run's cell.
 type profRun struct {
 	rec  *profRecorder
 	mask int64
 }
 
-// profRing is one worker's bounded sample ring; it starts empty and grows
+// profRing is a run's bounded sample ring; it starts empty and grows
 // by append to at most maxSamples.
 type profRing struct {
 	samples []WorkerSample
@@ -161,23 +159,20 @@ func (r *profRecorder) newRun() *profRun {
 	return &profRun{rec: r, mask: mask - 1}
 }
 
-// sampleProfile appends one point to worker w's ring. Owner only: the worker
-// loop calls this at its sampling stride; nothing else writes the ring until
-// the barrier.
-func (e *explorer) sampleProfile(w int, nPopped, nTransitions int64, gets, reuses int) {
-	cell := e.cells.at(w)
-	p, _ := e.progress()
+// sampleProfile appends one point to the run's ring. The loop calls this at
+// its sampling stride; nothing else writes the ring until it has returned.
+func (e *explorer) sampleProfile(nPopped, nTransitions int64, gets, reuses int) {
+	p := e.progress()
 	s := WorkerSample{
 		AtNS:        time.Now().UnixNano(),
 		Popped:      nPopped,
 		Transitions: nTransitions,
-		Steals:      cell.steals.Load(),
 		PoolGets:    int64(gets),
 		PoolReuses:  int64(reuses),
 		Frontier:    p.Frontier,
 		StoredBytes: p.StoredBytes,
 	}
-	ring := &cell.ring
+	ring := &e.cell.ring
 	if len(ring.samples) < maxSamples {
 		ring.samples = append(ring.samples, s)
 	} else {
@@ -187,34 +182,26 @@ func (e *explorer) sampleProfile(w int, nPopped, nTransitions int64, gets, reuse
 }
 
 // finalize freezes the run's series into the recorder. Called from
-// monView.setDone, strictly after the worker barrier, so the rings are
+// monView.setDone, strictly after the loop has returned, so the ring is
 // quiescent.
-func (pr *profRun) finalize(e *explorer, totals Progress, t cellTotals) {
-	p := &SweepProfile{
-		Workers:     len(e.cells),
+func (pr *profRun) finalize(e *explorer, totals Progress) {
+	r := &e.cell.ring
+	ws := WorkerSeries{}
+	if r.n > len(r.samples) {
+		ws.Dropped = r.n - len(r.samples)
+		// The ring wrapped: rotate so the retained samples read oldest
+		// first.
+		at := r.n % maxSamples
+		ws.Samples = append(append([]WorkerSample(nil), r.samples[at:]...), r.samples[:at]...)
+	} else {
+		ws.Samples = append([]WorkerSample(nil), r.samples...)
+	}
+	pr.rec.setLast(&SweepProfile{
+		Workers:     1,
 		SampleEvery: int(pr.mask + 1),
-		Steals:      t.steals,
+		Series:      []WorkerSeries{ws},
 		Totals:      totals,
-	}
-	p.Series = make([]WorkerSeries, len(e.cells))
-	for w := range e.cells {
-		r := &e.cells.at(w).ring
-		ws := WorkerSeries{Worker: w}
-		if r.n > len(r.samples) {
-			ws.Dropped = r.n - len(r.samples)
-			// The ring wrapped: rotate so the retained samples read oldest
-			// first.
-			at := r.n % maxSamples
-			ws.Samples = append(append([]WorkerSample(nil), r.samples[at:]...), r.samples[:at]...)
-		} else {
-			ws.Samples = append([]WorkerSample(nil), r.samples...)
-		}
-		p.Series[w] = ws
-	}
-	if e.passed != nil {
-		p.StoreContention = e.passed.contention()
-	}
-	pr.rec.setLast(p)
+	})
 }
 
 // EnableProfile switches the monitor's next runs to profiled mode: phase
@@ -250,11 +237,11 @@ func (m *Monitor) RecordPhase(name string, start, end time.Time) {
 }
 
 // Profile snapshots the recorded profile: the accumulated phase spans plus
-// the per-worker series of the most recently completed run. It returns nil
+// the series of the most recently completed run. It returns nil
 // until profiling is enabled and something has been recorded. Safe from any
 // goroutine; while a run is live it reports the previous completed run's
-// series (the live run's rings are single-writer and unreadable until the
-// barrier).
+// series (the live run's ring is single-writer and unreadable until the
+// loop has returned).
 func (m *Monitor) Profile() *SweepProfile {
 	r := m.prof.Load()
 	if r == nil {

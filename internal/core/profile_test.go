@@ -84,36 +84,40 @@ func TestSweepProfilePhasesAndSeries(t *testing.T) {
 	}
 }
 
-// TestSweepProfileParallel checks the parallel recorder: one ring per
-// worker and run-wide steal/contention totals wired to the work-stealing
-// frontier and sharded store.
+// TestSweepProfileParallel checks the profile of a run at Workers 4 with the
+// lookahead helper forced on: one series, samples in it, the steal and
+// contention totals at zero, and totals equal to the Workers: 1 run's.
 func TestSweepProfileParallel(t *testing.T) {
 	n, _, _, _ := buildGrid(t)
 	c, err := NewChecker(n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq, err := c.Explore(Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mon := &Monitor{}
 	mon.EnableProfile(ProfileConfig{SampleEvery: 1})
-	if _, err := c.Explore(Options{Workers: 4, Monitor: mon}, nil); err != nil {
+	if _, err := c.Explore(Options{Workers: 4, Monitor: mon, lookahead: lookaheadOn}, nil); err != nil {
 		t.Fatal(err)
 	}
 	p := mon.Profile()
 	if p == nil {
-		t.Fatal("Profile() = nil after a monitored parallel run")
+		t.Fatal("Profile() = nil after a monitored run")
 	}
-	if p.Workers != 4 || len(p.Series) != 4 {
-		t.Fatalf("Workers=%d Series=%d, want 4/4", p.Workers, len(p.Series))
+	if p.Workers != 1 || len(p.Series) != 1 {
+		t.Fatalf("Workers=%d Series=%d, want 1/1", p.Workers, len(p.Series))
 	}
-	if p.Steals < 0 || p.StoreContention < 0 {
-		t.Fatalf("negative totals: steals=%d contention=%d", p.Steals, p.StoreContention)
+	if p.Steals != 0 || p.StoreContention != 0 {
+		t.Fatalf("steals=%d contention=%d, want 0 and 0", p.Steals, p.StoreContention)
 	}
-	total := 0
-	for _, ws := range p.Series {
-		total += len(ws.Samples)
+	if len(p.Series[0].Samples) == 0 {
+		t.Error("no sample recorded at stride 1")
 	}
-	if total == 0 {
-		t.Error("no worker recorded a sample at stride 1")
+	if p.Totals.Stored != int64(seq.Stored) || p.Totals.Popped != int64(seq.Popped) ||
+		p.Totals.Transitions != int64(seq.Transitions) {
+		t.Errorf("profile totals %+v, Workers: 1 stats %v", p.Totals, seq.Stats)
 	}
 }
 
@@ -140,8 +144,9 @@ func TestProfileDisabledRecordsNothing(t *testing.T) {
 
 // TestProfileScrapeDuringSweep hammers the monitor's read side — Snapshot
 // and Profile, the paths a live /v1/metrics scrape and profile poll take —
-// while a parallel profiled sweep runs. The -race build is the assertion:
-// scrapes must never race the single-writer cells or the sampling rings.
+// while a profiled sweep runs with its lookahead helper. The -race build is
+// the assertion: scrapes must never race the single-writer cell or the
+// sampling ring.
 func TestProfileScrapeDuringSweep(t *testing.T) {
 	n, _, _, _ := buildGrid(t)
 	c, err := NewChecker(n)
@@ -173,13 +178,13 @@ func TestProfileScrapeDuringSweep(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Explore(Options{Workers: 4, Monitor: mon}, nil); err != nil {
+		if _, err := c.Explore(Options{Workers: 4, Monitor: mon, lookahead: lookaheadOn}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if p := mon.Profile(); p == nil || len(p.Series) != 4 {
+	if p := mon.Profile(); p == nil || len(p.Series) != 1 {
 		t.Fatal("profile missing after concurrent scrapes")
 	}
 }

@@ -2,16 +2,16 @@ package core
 
 import "sync/atomic"
 
-// This file is the live-progress view of the unified explorer: a Monitor
+// This file is the live-progress view of the explorer: a Monitor
 // attached through Options.Monitor lets another goroutine sample a running
 // exploration (states stored, expansion counters, backlog) without
-// perturbing it. It adds no write of its own: the workers publish into their
-// run's workerCells (perworker.go) at the between-expansions checkpoint
-// whether or not a Monitor is attached, and Snapshot sums the cells, so a
+// perturbing it. It adds no write of its own: the loop publishes into its
+// run's workerCell (perworker.go) at the between-expansions checkpoint
+// whether or not a Monitor is attached, and Snapshot loads the cell, so a
 // monitored sweep runs the very loop an unmonitored one does. The monitor
 // attaches strictly after the frontier is in place: the atomic store in
 // attach publishes every explorer field Snapshot reads. Once the run is
-// over, setDone freezes the cells' exact sums (the workers' exit publish has
+// over, setDone freezes the cell's exact counts (the loop's exit publish has
 // landed) and drops the explorer, so a final sample equals the run's Stats.
 
 // Progress is a point-in-time view of one exploration.
@@ -25,8 +25,8 @@ type Progress struct {
 	// Deadlocks counts expanded states with no action successor so far.
 	Deadlocks int64
 	// Frontier is the current backlog: states admitted, not yet popped.
-	// While running it is relaxed by at most 32 expansions per worker (the
-	// publication interval); zero once the run is over.
+	// While running it is relaxed by at most 32 expansions (the publication
+	// interval); zero once the run is over.
 	Frontier int64
 	// StoredBytes is the passed store's actual footprint: entries with their
 	// packed discrete keys, zone records and packed zone buffers (see
@@ -40,39 +40,35 @@ type Progress struct {
 	// state already seen.
 	InternHits   int64
 	InternMisses int64
-	// Workers is the worker count of the observed run.
-	Workers int
 	// Running reports whether the observed exploration is still going. While
 	// true, the counters are a relaxed (slightly stale, never torn) view;
 	// once false they are the run's exact totals.
 	Running bool
 }
 
-// progress reads the run's counters. The cells are loaded before stored, so
-// the backlog stored − Σpopped is never negative: every popped state was
+// progress reads the run's counters. The cell is loaded before stored, so
+// the backlog stored − popped is never negative: every popped state was
 // admitted first, and stored only grows.
-func (e *explorer) progress() (Progress, cellTotals) {
-	t := sumCells(e.cells)
+func (e *explorer) progress() Progress {
 	p := Progress{
-		Workers:     len(e.cells),
-		Stored:      e.stored.Load(),
-		Popped:      t.popped,
-		Transitions: t.transitions,
-		Deadlocks:   t.deadlocks,
+		Popped:      e.cell.popped.Load(),
+		Transitions: e.cell.transitions.Load(),
+		Deadlocks:   e.cell.deadlocks.Load(),
 	}
+	p.Stored = e.stored.Load()
 	p.Frontier = p.Stored - p.Popped
 	if e.passed != nil {
 		p.StoredBytes = e.passed.bytes()
 		p.InternHits, p.InternMisses = e.passed.internStats()
 	}
-	return p, t
+	return p
 }
 
 // monView binds a Monitor to one exploration run. The explorer pointer is
 // dropped at completion, so a long-retained Monitor (a finished service job
 // in a result cache) pins only the final totals and the finalized
-// SweepProfile — never the run's passed store, parent logs, zones or cells
-// and the sample rings in them.
+// SweepProfile — never the run's passed store, parent logs, zones or cell
+// and the sample ring in it.
 type monView struct {
 	e atomic.Pointer[explorer]
 	// prof is the run's profile sampling state; nil unless the Monitor has
@@ -86,16 +82,16 @@ type monView struct {
 }
 
 // setDone freezes the run's exact totals and releases the explorer. Called
-// strictly after the worker barrier.
+// strictly after the loop has returned.
 func (v *monView) setDone() {
 	e := v.e.Load()
 	if e == nil {
 		return
 	}
-	p, t := e.progress()
+	p := e.progress()
 	p.Frontier = 0
 	if v.prof != nil {
-		v.prof.finalize(e, p, t)
+		v.prof.finalize(e, p)
 	}
 	v.final.Store(&p)
 	v.e.Store(nil)
@@ -109,7 +105,7 @@ func (v *monView) setDone() {
 type Monitor struct {
 	v atomic.Pointer[monView]
 	// prof, when set (EnableProfile), upgrades every attached run to
-	// profiled mode: phase spans plus sampled per-worker series (profile.go).
+	// profiled mode: phase spans plus a sampled series (profile.go).
 	prof atomic.Pointer[profRecorder]
 }
 
@@ -146,7 +142,7 @@ func (m *Monitor) Snapshot() Progress {
 		}
 		return Progress{}
 	}
-	p, _ := e.progress()
+	p := e.progress()
 	p.Running = true
 	return p
 }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/ta"
 )
 
-// This file is the query-set layer of the unified engine: instead of one
+// This file is the query-set layer of the engine: instead of one
 // exploration per question, any number of queries attach to a *single* sweep
-// of the zone graph and reduce over it concurrently. The paper answers each
+// of the zone graph and reduce over it. The paper answers each
 // requirement with its own observer and its own model-checking run; compiling
 // all observers into one network (arch.CompileAll) and attaching one
 // SupClockQuery per observer to one RunQueries call turns k requirements ×
@@ -27,24 +27,25 @@ import (
 //
 // # Ownership rules (extends the protocol in store.go / explore.go)
 //
-//   - Per-worker reduction state: a query allocates one perWorker
-//     accumulator per worker in prepare(); visit(w, s) touches only
-//     accumulator w, and finish() merges them strictly after the exploration
-//     barrier. The visitor path never takes a lock.
+//   - Reduction state: a query that reduces keeps one accumulator, which
+//     visit and onDeadlock update on the admitting goroutine — the only one
+//     that calls them — and finish reads strictly after the loop has
+//     returned. The visitor path never takes a lock.
 //   - States are NOT retained: when a query completes on a state that the
 //     sweep still needs (other queries live), the state will be recycled, so
 //     completion captures a caller-owned clone (cloneState) plus the state's
-//     parent-log ref. Traces are replayed from the logs after the barrier.
+//     parent-log ref. Traces are replayed from the log after the loop has
+//     returned.
 //   - A Query is single-use: it carries its results after the run. Reusing
 //     one in a second RunQueries call is an error.
 
 // queryState is the completion bookkeeping shared by every query kind.
 type queryState struct {
 	// done flips exactly once, when the query has learned everything it
-	// needs from the sweep. Workers check it to stop feeding the query.
+	// needs from the sweep. The loop checks it to stop feeding the query.
 	done atomic.Bool
 	// ref is the parent-log ref of the completing state (noRef when parent
-	// logging is off), read only after the worker barrier.
+	// logging is off), read only after the loop has returned.
 	ref atomic.Int64
 	// found is a caller-owned clone of the completing state.
 	found atomic.Pointer[State]
@@ -64,34 +65,31 @@ func (qs *queryState) init() {
 //
 // Reduction ownership, which every kind keeps and the engine relies on:
 //
-//   - A query that reduces owns one cache-line-padded accumulator per
-//     worker (a perWorker, allocated in prepare; SupClockQuery's supAcc).
-//     visit(w, s) and onDeadlock(w, s) touch only accumulator w, and finish
-//     merges them at the exploration barrier — NEVER a lock on the visitor
-//     path.
+//   - A query that reduces owns one accumulator (SupClockQuery's supAcc).
+//     visit(s) and onDeadlock(s) update it on the admitting goroutine, and
+//     finish reads it once the loop has returned — NEVER a lock on the
+//     visitor path.
 //   - Completion is a once-only CAS on queryState.done
-//     (explorer.completeQuery). The completing worker captures a
-//     caller-owned clone of the state plus its parent-log ref, never the
-//     live state: that one is recycled if the sweep goes on.
+//     (explorer.completeQuery). Completion captures a caller-owned clone of
+//     the state plus its parent-log ref, never the live state: that one is
+//     recycled if the sweep goes on.
 //   - The atomic live-query count short-circuits the sweep when it reaches
 //     zero, so a set of one stops at its first answer: a reach or deadlock
 //     query at its first witness, a supremum query at an unbounded clock.
 //   - Every kind may complete with a witness, so parent logs exist exactly
 //     when the set is non-empty. Traces are replayed strictly after the
-//     barrier, from refs, once per completed query.
+//     loop has returned, from refs, once per completed query.
 type Query interface {
-	// prepare allocates per-worker reduction state before the run.
-	prepare(workers int)
-	// visit observes one newly admitted state on worker w; returning true
-	// completes the query. It must not retain s or its zone.
-	visit(w int, s *State) bool
+	// visit observes one newly admitted state; returning true completes the
+	// query. It must not retain s or its zone.
+	visit(s *State) bool
 	// onDeadlock observes a deadlocked (successor-less) state; same
 	// contract as visit.
-	onDeadlock(w int, s *State) bool
+	onDeadlock(s *State) bool
 	// state returns the shared completion bookkeeping.
 	state() *queryState
-	// finish merges per-worker state and materializes results; it runs
-	// strictly after the worker barrier.
+	// finish materializes results; it runs strictly after the loop has
+	// returned.
 	finish(c *Checker, logs *parentLogs, stats Stats) error
 }
 
@@ -141,10 +139,9 @@ func NewReachQuery(pred func(*State) bool) *ReachQuery {
 	return &ReachQuery{Pred: pred}
 }
 
-func (q *ReachQuery) prepare(int)                 {}
-func (q *ReachQuery) visit(_ int, s *State) bool  { return q.Pred(s) }
-func (q *ReachQuery) onDeadlock(int, *State) bool { return false }
-func (q *ReachQuery) state() *queryState          { return &q.qs }
+func (q *ReachQuery) visit(s *State) bool    { return q.Pred(s) }
+func (q *ReachQuery) onDeadlock(*State) bool { return false }
+func (q *ReachQuery) state() *queryState     { return &q.qs }
 
 func (q *ReachQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
 	q.Stats = stats
@@ -175,8 +172,8 @@ type SupClockQuery struct {
 	// effort of the whole query set.
 	Result SupResult
 
-	accs perWorker[supAcc]
-	qs   queryState
+	acc supAcc
+	qs  queryState
 }
 
 // NewSupClockQuery returns a clock-supremum query for one RunQueries call.
@@ -184,41 +181,26 @@ func NewSupClockQuery(clock ta.ClockID, cond func(*State) bool) *SupClockQuery {
 	return &SupClockQuery{Clock: clock, Cond: cond}
 }
 
-func (q *SupClockQuery) prepare(workers int) {
-	q.accs = make(perWorker[supAcc], workers)
-	for w := range q.accs {
-		q.accs.at(w).max = dbm.LT(0)
-	}
-}
-
-func (q *SupClockQuery) visit(w int, s *State) bool {
+func (q *SupClockQuery) visit(s *State) bool {
 	if !q.Cond(s) {
 		return false
 	}
-	acc := q.accs.at(w)
-	acc.seen = true
+	q.acc.seen = true
 	b := s.Zone.Sup(int(q.Clock))
 	if b == dbm.Infinity {
 		return true // nothing larger can be learned; complete with a witness
 	}
-	if b > acc.max {
-		acc.max = b
+	if b > q.acc.max {
+		q.acc.max = b
 	}
 	return false
 }
 
-func (q *SupClockQuery) onDeadlock(int, *State) bool { return false }
-func (q *SupClockQuery) state() *queryState          { return &q.qs }
+func (q *SupClockQuery) onDeadlock(*State) bool { return false }
+func (q *SupClockQuery) state() *queryState     { return &q.qs }
 
 func (q *SupClockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
-	out := SupResult{Max: dbm.LT(0), Stats: stats}
-	for i := range q.accs {
-		acc := q.accs.at(i)
-		out.Seen = out.Seen || acc.seen
-		if acc.max > out.Max {
-			out.Max = acc.max
-		}
-	}
+	out := SupResult{Max: q.acc.max, Stats: stats, Seen: q.acc.seen}
 	if q.qs.done.Load() {
 		out.Seen = true
 		out.Unbounded = true
@@ -248,10 +230,9 @@ type DeadlockQuery struct {
 // NewDeadlockQuery returns a deadlock-freedom query for one RunQueries call.
 func NewDeadlockQuery() *DeadlockQuery { return &DeadlockQuery{} }
 
-func (q *DeadlockQuery) prepare(int)                 {}
-func (q *DeadlockQuery) visit(int, *State) bool      { return false }
-func (q *DeadlockQuery) onDeadlock(int, *State) bool { return true }
-func (q *DeadlockQuery) state() *queryState          { return &q.qs }
+func (q *DeadlockQuery) visit(*State) bool      { return false }
+func (q *DeadlockQuery) onDeadlock(*State) bool { return true }
+func (q *DeadlockQuery) state() *queryState     { return &q.qs }
 
 func (q *DeadlockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
 	q.Result = DeadlockResult{Stats: stats, Free: stats.Deadlocks == 0}
@@ -261,15 +242,16 @@ func (q *DeadlockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error 
 }
 
 // RunQueries evaluates every query in ONE exploration of the zone graph.
-// Each query reduces into per-worker state on the shared sweep and completes
-// independently; when all queries have completed, the sweep short-circuits.
-// Results land on the query values themselves; the returned Stats are the
-// shared effort of the single exploration (each query's embedded Stats equal
-// it). Queries are single-use.
+// Each query reduces over the shared sweep and completes independently; when
+// all queries have completed, the sweep short-circuits. Results land on the
+// query values themselves; the returned Stats are the shared effort of the
+// single exploration (each query's embedded Stats equal it). Queries are
+// single-use.
 //
-// Workers > 1 runs the sweep on the work-stealing parallel frontier;
-// predicates and conditions are then evaluated concurrently and must be safe
-// for concurrent use, exactly like Explore visitors.
+// Every answer — verdicts, suprema, witnesses, Stats counts — is a function
+// of the network and of Options' Order, Seed, MaxStates and budgets only:
+// Options.Workers and GOMAXPROCS change none of it. Predicates and
+// conditions are evaluated on the calling goroutine, one state at a time.
 func (c *Checker) RunQueries(opts Options, queries ...Query) (Stats, error) {
 	qs := make([]Query, 0, len(queries))
 	for i, q := range queries {

@@ -28,43 +28,39 @@ func buildChain(t *testing.T) *ta.Network {
 	return n
 }
 
-// segSizes lists the record capacity of each segment of worker w's log.
-func segSizes(l *parentLogs, w int) []int {
+// segSizes lists the record capacity of each segment of a log.
+func segSizes(l *parentLogs) []int {
 	var sizes []int
-	for k, wl := 0, l.logs.at(w); k < wl.segs; k++ {
-		sizes = append(sizes, len(wl.seg(k).steps))
+	for k := 0; k < l.segs; k++ {
+		sizes = append(sizes, len(l.seg(k).steps))
 	}
 	return sizes
 }
 
 // TestParentLogRefsResolveAcrossSegments records past the first seven
-// segment boundaries on two workers of one log and resolves a ref on each
-// side of every boundary.
+// segment boundaries of one log and resolves a ref on each side of every
+// boundary.
 func TestParentLogRefsResolveAcrossSegments(t *testing.T) {
-	logs := newParentLogs(4)
+	logs := new(parentLogs)
+	if sizes := segSizes(logs); len(sizes) != 0 {
+		t.Errorf("an empty log holds segments %v", sizes)
+	}
 	probes := []int{0, 31, 32, 95, 96, 991, 992, 2015, 2016}
 	// Scrambled steps take both signs and set high bits.
 	step := func(i int) int32 { return int32(uint32(i) * 0x9E3779B1) }
-	for _, w := range []int{0, 3} {
-		refs := make([]int64, 2017)
-		for i := range refs {
-			refs[i] = logs.record(w, int64(i)-1, uint64(w)<<32|uint64(i), step(i))
-		}
-		for _, i := range probes {
-			parent, key, st := logs.at(refs[i])
-			if parent != int64(i)-1 || key != uint64(w)<<32|uint64(i) || st != step(i) {
-				t.Errorf("worker %d record %d resolves to (%d, %#x, %d)", w, i, parent, key, st)
-			}
-		}
-		want := []int{32, 64, 128, 256, 512, 1024, 1024}
-		if sizes := segSizes(logs, w); !slices.Equal(sizes, want) {
-			t.Errorf("worker %d segment sizes %v, want %v", w, sizes, want)
+	refs := make([]int64, 2017)
+	for i := range refs {
+		refs[i] = logs.record(int64(i)-1, 3<<32|uint64(i), step(i))
+	}
+	for _, i := range probes {
+		parent, key, st := logs.at(refs[i])
+		if parent != int64(i)-1 || key != 3<<32|uint64(i) || st != step(i) {
+			t.Errorf("record %d resolves to (%d, %#x, %d)", i, parent, key, st)
 		}
 	}
-	for _, w := range []int{1, 2} {
-		if sizes := segSizes(logs, w); len(sizes) != 0 {
-			t.Errorf("worker %d never recorded but holds segments %v", w, sizes)
-		}
+	want := []int{32, 64, 128, 256, 512, 1024, 1024}
+	if sizes := segSizes(logs); !slices.Equal(sizes, want) {
+		t.Errorf("segment sizes %v, want %v", sizes, want)
 	}
 }
 
@@ -98,7 +94,7 @@ func TestSmallSweepLogsIntoSmallSegment(t *testing.T) {
 	if probe.logs == nil {
 		t.Fatal("a query run kept no parent logs")
 	}
-	if sizes := segSizes(probe.logs, 0); !slices.Equal(sizes, []int{32}) {
+	if sizes := segSizes(probe.logs); !slices.Equal(sizes, []int{32}) {
 		t.Errorf("3-state sweep logs into segments %v, want one of 32 slots", sizes)
 	}
 }
@@ -106,7 +102,7 @@ func TestSmallSweepLogsIntoSmallSegment(t *testing.T) {
 // TestFinishedRunKeepsNoRing runs a profiled 3-state sweep at stride 2 (two
 // samples) and checks that its ring grew only to what it held, that the
 // finished monitor's view no longer references the run's explorer (and with
-// it the cells that hold the rings), and that the finalized series is still
+// it the cell that holds the ring), and that the finalized series is still
 // served.
 func TestFinishedRunKeepsNoRing(t *testing.T) {
 	c, err := NewChecker(buildChain(t))
@@ -115,7 +111,7 @@ func TestFinishedRunKeepsNoRing(t *testing.T) {
 	}
 	mon := &Monitor{}
 	mon.EnableProfile(ProfileConfig{SampleEvery: 2})
-	// The sequential sweep runs the predicate on the exploring goroutine,
+	// The sweep runs the predicate on the exploring goroutine,
 	// which is also the one that attaches the explorer and drops it.
 	var run *explorer
 	q := NewReachQuery(func(*State) bool {
@@ -133,7 +129,7 @@ func TestFinishedRunKeepsNoRing(t *testing.T) {
 	if v := mon.v.Load(); v.e.Load() != nil {
 		t.Error("the finished run's view still holds its explorer")
 	}
-	ring := &run.cells.at(0).ring
+	ring := &run.cell.ring
 	if ring.n != 2 || len(ring.samples) != 2 {
 		t.Fatalf("ring took %d samples, holds %d, want 2 and 2", ring.n, len(ring.samples))
 	}

@@ -46,20 +46,15 @@ func ParseOrder(s string) (Order, error) {
 
 // Options configures an exploration.
 type Options struct {
-	// Order is the search order (default BFS). The parallel frontier always
-	// expands its local deque depth-first and steals breadth-first, so with
-	// Workers > 1 the field only shapes per-worker successor handling (RDFS
-	// still shuffles) and the global order is nondeterministic.
+	// Order is the search order (default BFS).
 	Order Order
-	// Seed seeds the RDFS shuffling and the parallel frontier's victim
-	// selection.
+	// Seed seeds the RDFS shuffling; the same seed gives the same sweep.
 	Seed int64
 	// MaxStates truncates the exploration after storing this many states;
 	// 0 means unlimited. A truncated run turns exact answers into bounds,
-	// exactly as the paper's depth-first "structured testing" mode does.
-	// With Workers > 1 the admitted subset — and hence the truncated bound —
-	// depends on scheduling; keep Workers at 1 when seeded reproducibility
-	// of truncated bounds matters.
+	// exactly as the paper's depth-first "structured testing" mode does. The
+	// admitted subset, and with it every truncated bound, is a function of
+	// the network, Order, Seed and MaxStates alone.
 	MaxStates int
 	// StateBudget is the hard counterpart of MaxStates: admitting more than
 	// this many unique states fails the run with ErrStateBudget and partial
@@ -68,44 +63,39 @@ type Options struct {
 	// when exceeding the cap must be an error the caller cannot miss.
 	StateBudget int
 	// MaxBytes bounds the run's zone memory: once the full matrices the
-	// workers' pools have allocated plus the passed store's actual footprint
+	// run's pools have allocated plus the passed store's actual footprint
 	// — entries with their packed discrete keys, zone-record segments and
 	// packed zone buffers (passedSet.bytes) — exceed this many bytes, the run
 	// fails with ErrMemoryBudget and partial Stats via the same
 	// between-expansions abort point as Cancel. 0 means unlimited. A waiting
 	// state's zone is charged as the packed payload in that footprint — the
-	// one copy there is of it — and matrices only as the workers' scratch.
-	// Accounting is per-worker (budget.go) and adds nothing to the visitor
-	// path; frontier nodes, parent logs and query accumulators are not
-	// counted.
+	// one copy there is of it — and matrices only as the pools' scratch.
+	// Accounting (budget.go) adds nothing to the visitor path; frontier
+	// nodes, parent logs and query accumulators are not counted.
 	MaxBytes int64
-	// Workers > 1 runs the exploration — every query kind, traces included —
-	// on the work-stealing parallel frontier with that many goroutines; 0 or
-	// 1 selects the sequential frontier. The routing decision is
-	// Options.parallelism (checker.go), the single place the field is
-	// interpreted, shared by every entry point including the cmd/ -workers
-	// flags. Parallel runs reconstruct counterexamples and witnesses from
-	// per-worker parent logs (see explore.go), so trace queries scale with
-	// cores too. Visitors and property predicates are invoked concurrently
-	// when Workers > 1 and must be safe for concurrent use. A sequential
+	// Workers selects nothing: every run is the one admitting loop on the
+	// calling goroutine (explore.go), and every count, verdict, trace and
+	// encoded byte is the same at any value and any GOMAXPROCS. A
 	// breadth-first sweep past its first 1,024 expansions uses a second core
 	// when GOMAXPROCS allows: a lookahead helper goroutine fires the
 	// successors of the next states while the calling goroutine admits, and
 	// the sweep — counts, order, traces — is the one an inline run makes;
-	// visitors and predicates still run on the calling goroutine only
-	// (explore.go, "Lookahead").
+	// visitors and predicates run on the calling goroutine only (explore.go,
+	// "Lookahead"). The field stays for callers that still set it; the
+	// service's workers option sizes a job's CPU grant instead.
 	Workers int
 
 	// Cancel, when non-nil, cancels the exploration cooperatively: once the
-	// channel is closed (or receives), every worker stops within a bounded
-	// number of expansions and the run returns ErrCanceled with the partial
-	// Stats accumulated so far. Cancellation honors the pool and parent-log
-	// ownership invariants — workers abort only between expansions, so every
-	// state is either recycled through its owning succCtx or abandoned to the
-	// garbage collector with the per-run pools; nothing dangles into a later
-	// run (the run's slabs are released to later runs as raw bytes, after the
-	// worker barrier like those of a completed run). Typically wired to a context's Done channel by callers that manage
-	// jobs (internal/serve).
+	// channel is closed (or receives), the run stops within a bounded number
+	// of expansions and returns ErrCanceled with the partial Stats
+	// accumulated so far. Cancellation honors the pool and parent-log
+	// ownership invariants — the loop aborts only between expansions, so
+	// every state is either recycled through its owning succCtx or abandoned
+	// to the garbage collector with the per-run pools; nothing dangles into a
+	// later run (the run's slabs are released to later runs as raw bytes,
+	// after the loop has returned, like those of a completed run). Typically
+	// wired to a context's Done channel by callers that manage jobs
+	// (internal/serve).
 	Cancel <-chan struct{}
 	// Deadline, when nonzero, bounds the exploration by wall clock: a run
 	// still going when the deadline passes stops cooperatively like Cancel
@@ -115,17 +105,15 @@ type Options struct {
 	Deadline time.Time
 	// Monitor, when non-nil, publishes live progress of the run: states
 	// stored/popped/transitions and the frontier backlog, sampled lock-free
-	// from per-worker relaxed counters (see Monitor.Snapshot). A Monitor
+	// from the run's relaxed counters (see Monitor.Snapshot). A Monitor
 	// observes one exploration at a time.
 	Monitor *Monitor
 
 	// passed, when non-nil, replaces the run's passed-state store. Test-only:
 	// the compact-store oracle injects a full-DBM reference implementation to
-	// differentially check admission (store_oracle_test.go). Must be safe for
-	// concurrent use when Workers > 1.
+	// differentially check admission (store_oracle_test.go).
 	passed passedSet
-	// lookahead, when set, overrides when a sequential breadth-first sweep
-	// engages its lookahead helper (explore.go, "Lookahead"). Test-only:
+	// lookahead, when set, overrides when a breadth-first sweep engages its lookahead helper (explore.go, "Lookahead"). Test-only:
 	// the differential tests run every sweep with it forced on from the
 	// first expansion and forced off.
 	lookahead lookaheadMode
@@ -185,20 +173,16 @@ type ExploreResult struct {
 	Trace []TraceStep
 }
 
-// Explore performs symbolic reachability from the initial state, sequentially
-// or work-stealing-parallel according to Options.Workers. The visitor is
-// invoked once for every newly stored (non-subsumed) state, including the
-// initial one; returning true stops the search with Found set and a trace to
-// the state. A nil visitor explores the full reachable zone graph.
+// Explore performs symbolic reachability from the initial state. The
+// visitor is invoked once for every newly stored (non-subsumed) state,
+// including the initial one, on the calling goroutine; returning true stops
+// the search with Found set and a trace to the state. A nil visitor explores
+// the full reachable zone graph.
 //
-// The visitor must not retain a state (or its zone) beyond the call on
-// either path: the unified engine recycles every fully-expanded state, so a
-// retained pointer is silently overwritten with later states' data.
-// FoundState and the replayed trace states are exempt. With Workers > 1 the
-// visitor is additionally called concurrently from several workers and must
-// be safe for concurrent use. Subsumption remains sound under concurrency: a
-// state admitted by two workers simultaneously is expanded at most twice
-// (harmless), never lost.
+// The visitor must not retain a state (or its zone) beyond the call: the
+// engine recycles every fully-expanded state, so a retained pointer is
+// silently overwritten with later states' data. FoundState and the replayed
+// trace states are exempt.
 func (c *Checker) Explore(opts Options, visit func(*State) bool) (ExploreResult, error) {
 	var rq *ReachQuery
 	var queries []Query

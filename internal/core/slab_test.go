@@ -202,11 +202,12 @@ func TestPoisonCatchesRetainedZone(t *testing.T) {
 
 // TestSlabsRecycleAcrossConcurrentSweeps is the -race stress for the slab
 // set and the process-wide cache: sweeps of different dimension run back to
-// back on several goroutines at once (as taserved jobs do), sequential and
-// with Workers > 1, so per-worker pools and per-shard compact pools carve
-// from one set concurrently while other sweeps release theirs. Every sweep
-// must reproduce the sequential oracle of its network, and every witness must
-// replay once all of them are done.
+// back on several goroutines at once (as taserved jobs do), at several worker
+// counts and with the lookahead helper forced on at every other one, so the
+// loops' and helpers' pools and the stores' compact pools carve from one set
+// concurrently while other sweeps release theirs. Every sweep must reproduce
+// the oracle of its network exactly, and every witness must replay once all
+// of them are done.
 func TestSlabsRecycleAcrossConcurrentSweeps(t *testing.T) {
 	grid, _, _, busy := buildGrid(t)
 	nets := []*ta.Network{grid, testRadioNet(t), testDiagNet(t)}
@@ -247,13 +248,12 @@ func TestSlabsRecycleAcrossConcurrentSweeps(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				res, err := c.Explore(Options{Workers: workers, Seed: int64(r)}, nil)
+				res, err := c.Explore(Options{Workers: workers, Seed: int64(r), lookahead: helperAt(workers)}, nil)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				// Racy double-admission may store a state twice, never fewer.
-				if res.Stored < want[i] || (workers == 1 && res.Stored != want[i]) {
+				if res.Stored != want[i] {
 					t.Errorf("goroutine %d round %d: %s with %d workers stored %d, want %d",
 						g, r, nets[i].Name, workers, res.Stored, want[i])
 				}

@@ -27,7 +27,7 @@ type State struct {
 	Locs []ta.LocID
 	Vars []int64
 	// Zone is the state's canonical zone, never nil: a State exists only
-	// while a worker holds it — fired and not yet decided, admitted and being
+	// while a ctx holds it — fired and not yet decided, admitted and being
 	// visited, or popped and being expanded — or after a caller was handed
 	// one (FoundState, trace steps). A state that waits in the frontier is
 	// not a State but a waiting node, which references the store's packed
@@ -41,11 +41,11 @@ type State struct {
 	// so the lazy fill is race-free.
 	key uint64
 
-	// ref is the state's admission record in the exploration's parent logs
-	// (explore.go), noRef when parent logging is off. The admitting worker
+	// ref is the state's admission record in the exploration's parent log
+	// (explore.go), noRef when parent logging is off. The admitting loop
 	// writes it before the visitors see the state and copies it into the
-	// waiting node; the worker that pops the node writes it back into the
-	// state it rebuilds.
+	// waiting node; the ctx that rebuilds the state from the node writes it
+	// back.
 	ref int64
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -10,16 +9,16 @@ import (
 	"repro/internal/faultinject"
 )
 
-// passedSet is the passed-state interface of the unified explorer; the worker
+// passedSet is the passed-state interface of the explorer; the admitting
 // loop only ever talks to this. bytes and internStats are live views for the
 // memory budget and progress monitor; both are safe to call from other
-// goroutines while workers add. The engine has one implementation (store);
+// goroutines while the loop adds. The engine has one implementation (store);
 // the interface is what the tests' reference and shadow stores substitute
 // through (Options.passed).
 type passedSet interface {
 	// add admits s, whose zone is raw (canonical, not extrapolated), unless
 	// it is subsumed. An admitted state leaves with its zone extrapolated in
-	// place — sc is the calling worker's scratch for that — and add returns
+	// place — sc is the caller's scratch for that — and add returns
 	// the entry that admitted it, whose key is the state's discrete part,
 	// and a reference to the packed copy of the zone, which the caller gives
 	// back with exactly one release. A subsumed state is left as it came,
@@ -35,9 +34,6 @@ type passedSet interface {
 	// internStats reports the entry lookups of admission: hits found the
 	// discrete state's entry, misses created it.
 	internStats() (hits, misses int64)
-	// contention counts admissions that found their shard lock held and had
-	// to wait (always 0 for a sequential run).
-	contention() int64
 }
 
 // store is the passed-state list: per discrete state (location vector plus
@@ -47,21 +43,18 @@ type passedSet interface {
 // standard inclusion-checking subsumption that makes zone-graph exploration
 // terminate.
 //
-// # Shards, and who guards an entry
+// # Who guards an entry
 //
-// The bucket space is split over a power-of-two number of shards by the low
-// bits of the discrete hash, and each shard owns its bucket map, compact
-// pool and key arena outright — a discrete state always hashes to the same
-// shard, so its entry is found within that shard. A sequential run
-// (Workers <= 1) has one shard and a single worker, which is the guard: add
-// takes no lock. A parallel run has parallelShards of them, each behind its
-// own mutex, so workers exploring disjoint regions of the zone graph rarely
-// contend. Everything below that says "whoever holds the entry" means
-// exactly that: the one sequential worker, or the holder of the shard lock.
+// The store has one owner, the admitting loop (explore.go), which is the
+// guard: add and release take no lock. Everything below that says "whoever
+// holds the entry" means that loop. The lookahead helper reads an entry's
+// key and a payload it was handed, both immutable while it reads them, and
+// writes neither. The counters are atomics only because a Monitor reads
+// them from another goroutine.
 //
 // # Keys
 //
-// Discrete hashes are cached per State (State.key); the bucket maps are keyed
+// Discrete hashes are cached per State (State.key); the bucket map is keyed
 // by that hash and a storeEntry does not repeat it — entries whose hashes
 // collide chain through storeEntry.next and are told apart by their keys. An
 // entry's key is its discrete state bit-packed by the engine's
@@ -72,15 +65,14 @@ type passedSet interface {
 // ever reaches the store — Finalize checks initial values and location
 // references, and engine.fire checks every variable after every update
 // (ta.Network.CheckVarBounds) — so two states share a key exactly when they
-// share their discrete part. Keys are carved from a per-shard word arena
-// whose blocks grow with the run (keyBlockMin to keyBlockMax words), so a
-// new entry costs one allocation, its own, and a small sweep one small
-// block. A lookup packs the state into the arena's next free words and
+// share their discrete part. Keys are carved from a word arena whose blocks
+// grow with the run (keyBlockMin to keyBlockMax words), so a new entry costs
+// one allocation, its own, and a small sweep one small block. A lookup packs the state into the arena's next free words and
 // compares keys word by word; a match leaves those words free for the next
 // lookup, a new entry keeps them. A key never aliases a state's slices, since
 // states recycle and entries do not. A waiting node keeps its entry, not
-// vectors of its own: the popping worker decodes the state's discrete part
-// from the key.
+// vectors of its own: the state's discrete part is decoded from the key
+// when its node is popped.
 //
 // # Admission index
 //
@@ -105,9 +97,9 @@ type passedSet interface {
 // # Zone ownership
 //
 // An admitted zone has ONE long-lived copy: the payload the store packs on
-// admission (dbm.EncodeCompact into a buffer from the shard-owned
+// admission (dbm.EncodeCompact into a buffer from the store's
 // dbm.CompactPool). The store never aliases a state's matrix, and full
-// matrices live only in the workers' pools as scratch; what a waiting state
+// matrices live only in the loop's and the helper's pools as scratch; what a waiting state
 // keeps of its zone is its waiting node's reference to the store's payload
 // (waiting.packed, explore.go). So a payload has up to two holders — its
 // record and the waiting node — and the holder mark in its header
@@ -117,16 +109,15 @@ type passedSet interface {
 // entry; the payload behind it is immutable until the buffer is recycled,
 // which happens only when the last holder lets go. The full protocol:
 //
-//   - engine.fire materializes successors from a per-worker succCtx (pooled
+//   - engine.fire materializes successors from a succCtx (pooled
 //     scratch DBM, scratch locs/vars/parts, and the dbm.Touched sets the
 //     incremental canonicalization records into — all reused across fires,
 //     none escaping into states or stores); clock-disabled transitions
 //     allocate nothing. A fresh successor owns its matrix, which holds the
 //     raw zone.
 //   - store.add(s, sc) receives that raw zone. On admission it extrapolates
-//     s.Zone in place (the one place a sweep widens a zone; sc is the calling
-//     worker's scratch, so under a shard lock nothing shared is written but
-//     the entry), packs it, marks the payload held by both and hands back
+//     s.Zone in place (the one place a sweep widens a zone; sc is the
+//     caller's scratch), packs it, marks the payload held by both and hands back
 //     the entry and the payload: the caller keeps the stored zone in s.Zone.
 //     If add returns a nil entry (subsumed), s.Zone is still the raw zone and
 //     the caller recycles s wholesale via succCtx.putState — nothing else
@@ -142,14 +133,13 @@ type passedSet interface {
 //     the record was the payload's only holder the buffer goes back to the
 //     compact pool at once; if the node still waits the payload is marked
 //     orphaned and stays charged to bytes() until it is released.
-//   - The worker that pops a node rebuilds its state (succCtx.unpark): the
-//     entry's key decoded, and the payload decoded into a matrix from its own
-//     pool — without holding the entry: the key never changes once the
-//     entry is published, the payload cannot change while the node holds
-//     it, and no dbm kernel touches the mark. Then it calls release, which
-//     takes the entry (for a parallel run, the shard lock): an orphaned
-//     buffer goes back to the shard's compact pool, any other is marked as
-//     the record's alone. The expanded state is recycled via
+//   - A popped node's state is rebuilt (succCtx.unpark, inline or on the
+//     lookahead helper): the entry's key decoded, and the payload decoded
+//     into a matrix from the rebuilding ctx's pool — without holding the
+//     entry: the key never changes once the entry is published, the payload
+//     cannot change while the node holds it, and no dbm kernel touches the
+//     mark. Then the loop calls release: an orphaned buffer goes back to the
+//     store's compact pool, any other is marked as the record's alone. The expanded state is recycled via
 //     succCtx.putState like a subsumed one.
 //   - A run that stops early (visitor, MaxStates, cancel, budget, panic)
 //     leaves waiting nodes holding payloads; nothing releases them, and
@@ -165,10 +155,10 @@ type passedSet interface {
 // fischer and serve_cold prune nothing at all.
 //
 // Where the bytes come from, and when they go back: the matrices of the
-// workers' pools and the payloads of the shards' compact pools are carved
-// from one dbm.Slabs set per run (explorer.slabs), and explore releases the
-// set to a process-wide cache exactly once per run — after the worker
-// barrier, after every Query.finish and every replayTrace, and also when the
+// ctxs' pools and the payloads of the store's compact pool are carved from
+// one dbm.Slabs set per run (explorer.slabs), and explore releases the set
+// to a process-wide cache exactly once per run — after the loop has
+// returned, after every Query.finish and every replayTrace, and also when the
 // run was canceled, ran out of budget or contained a panic. From then on a
 // later sweep overwrites that memory, and the release after next unmaps it
 // (slabs are mappings, not Go memory: a reference into one keeps nothing
@@ -187,46 +177,28 @@ type passedSet interface {
 // a payload the store already recycled — shows up as garbage in the first
 // test that looks, or as a fault if the slab is gone by then.
 type store struct {
-	shards perWorker[shard]
-	mask   uint64 // len(shards)-1; the count is a power of two
-	// bounds are what an admitted zone is extrapolated against: the engine's,
-	// idempotent (see "Admission index").
-	bounds *dbm.ExtraBounds
-	// keys packs a state's discrete part into its entry's key: the engine's.
-	keys *discretePacker
-	// locked is false for the single-shard store of a sequential run, whose
-	// one worker needs no lock.
-	locked bool
-	zones  atomic.Int64
-	// zoneBytes tracks the bytes currently held for stored zones — entries
-	// with their keys, record segments and packed payloads, orphaned ones
-	// included until the worker that pops their waiting node releases them;
-	// a Monitor samples bytes() while workers add.
-	zoneBytes atomic.Int64
-	// contended counts adds that found their shard lock held (TryLock
-	// failed) and had to block — the sweep profile's store-contention total.
-	contended atomic.Int64
-}
-
-// parallelShards is the shard count of a parallel run's store. Every
-// measurement so far ran on one or two cores; if a multi-core one wants
-// another value, change this or derive it from Workers.
-const parallelShards = 64
-
-// shard is one independently owned part of the store.
-type shard struct {
-	mu sync.Mutex
 	// buckets maps a discrete hash (State.discreteKey) to its entry; the
 	// rare entries whose hashes collide chain through storeEntry.next.
 	buckets map[uint64]*storeEntry
 	cpool   *dbm.CompactPool
-	// keys is the unused rest of the arena block entry keys are carved from,
-	// keyBlock the length of that block.
-	keys     []uint64
-	keyBlock int
+	// arena is the unused rest of the block entry keys are carved from,
+	// arenaBlock the length of that block.
+	arena      []uint64
+	arenaBlock int
+	// bounds are what an admitted zone is extrapolated against: the engine's,
+	// idempotent (see "Admission index").
+	bounds *dbm.ExtraBounds
+	// keys packs a state's discrete part into its entry's key: the engine's.
+	keys  *discretePacker
+	zones atomic.Int64
+	// zoneBytes tracks the bytes currently held for stored zones — entries
+	// with their keys, record segments and packed payloads, orphaned ones
+	// included until the loop releases their waiting node's reference; a
+	// Monitor samples bytes() while the loop adds.
+	zoneBytes atomic.Int64
 	// found and created count the entry lookups that found the discrete
 	// state's entry and that created it (internStats). Atomics: the Monitor
-	// reads them while workers add.
+	// reads them while the loop adds.
 	found, created atomic.Int64
 }
 
@@ -240,7 +212,7 @@ const (
 // zoneRec is one stored zone in an entry's admission index.
 type zoneRec struct {
 	sig dbm.Signature
-	// z is the packed zone, a buffer from the shard's compact pool that goes
+	// z is the packed zone, a buffer from the store's compact pool that goes
 	// back there when its last holder lets go (see heldByBoth); nil in a
 	// slot not in use.
 	z dbm.Compact
@@ -282,7 +254,7 @@ type storeEntry struct {
 	// next chains the entries of one bucket.
 	next *storeEntry
 	// key is the packed discrete state ("Keys" above), carved from the
-	// shard's arena and immutable once the entry is published.
+	// store's arena and immutable once the entry is published.
 	key []uint64
 	// n counts the stored maximal zones. Their records occupy the first n
 	// slots of the list: first, then the segments of more in chain order.
@@ -347,45 +319,37 @@ func (e *storeEntry) compact(live int) recCursor {
 // as key.
 func (e *storeEntry) matches(key []uint64) bool { return slices.Equal(e.key, key) }
 
-// newStore returns a store with the given shard count, a power of two; one
-// shard means one worker and no locking. Packed payloads are carved from
-// slabs (nil: from the heap); admitted zones are extrapolated against bounds;
-// entry keys are packed by keys.
-func newStore(shards int, slabs *dbm.Slabs, bounds *dbm.ExtraBounds, keys *discretePacker) *store {
-	st := &store{shards: make(perWorker[shard], shards), mask: uint64(shards - 1), locked: shards > 1,
-		bounds: bounds, keys: keys}
-	for i := range st.shards {
-		sh := st.shards.at(i)
-		sh.buckets = make(map[uint64]*storeEntry)
-		sh.cpool = slabs.CompactPool()
-	}
-	return st
+// newStore returns an empty store. Packed payloads are carved from slabs
+// (nil: from the heap); admitted zones are extrapolated against bounds; entry
+// keys are packed by keys.
+func newStore(slabs *dbm.Slabs, bounds *dbm.ExtraBounds, keys *discretePacker) *store {
+	return &store{buckets: make(map[uint64]*storeEntry), cpool: slabs.CompactPool(), bounds: bounds, keys: keys}
 }
 
 // lookupEntry finds or creates the bucket entry for s's discrete state. It
 // packs s into the next free words of the arena: a new entry keeps them as
 // its key, a found one leaves them for the next lookup. Either way the key
 // is a copy, so states stay recyclable (succCtx.putState).
-func (sh *shard) lookupEntry(s *State, keys *discretePacker) *storeEntry {
-	n := keys.words
-	if len(sh.keys) < n {
-		sh.keyBlock = min(max(2*sh.keyBlock, keyBlockMin), keyBlockMax)
-		sh.keys = make([]uint64, max(sh.keyBlock, n))
+func (st *store) lookupEntry(s *State) *storeEntry {
+	n := st.keys.words
+	if len(st.arena) < n {
+		st.arenaBlock = min(max(2*st.arenaBlock, keyBlockMin), keyBlockMax)
+		st.arena = make([]uint64, max(st.arenaBlock, n))
 	}
-	key := sh.keys[:n:n]
-	keys.pack(s.Locs, s.Vars, key)
+	key := st.arena[:n:n]
+	st.keys.pack(s.Locs, s.Vars, key)
 	h := s.discreteKey()
-	head := sh.buckets[h]
+	head := st.buckets[h]
 	for e := head; e != nil; e = e.next {
 		if e.matches(key) {
-			sh.found.Add(1)
+			st.found.Add(1)
 			return e
 		}
 	}
-	sh.keys = sh.keys[n:]
+	st.arena = st.arena[n:]
 	e := &storeEntry{next: head, key: key}
-	sh.buckets[h] = e
-	sh.created.Add(1)
+	st.buckets[h] = e
+	st.created.Add(1)
 	return e
 }
 
@@ -410,8 +374,7 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, 
 	if faultinject.Enabled {
 		// Chaos site inside compact admission: an injected error escalates to
 		// a panic so containment takes the exact path a real encoder or
-		// inclusion-scan crash would — explorer.runContained for the worker,
-		// the deferred unlock for a locked shard.
+		// inclusion-scan crash would — explorer.runContained.
 		if err := faultinject.Fire("core/store"); err != nil {
 			panic(err)
 		}
@@ -472,23 +435,8 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, 
 // the payload a new state waits with (nil, nil when it is subsumed). See the
 // type comment for the zone-ownership protocol.
 func (st *store) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
-	sh := st.shards.at(int(s.discreteKey() & st.mask))
-	if st.locked {
-		// The unlock is deferred so a panic inside the admission (contained
-		// per worker by explorer.runContained) releases the shard instead of
-		// hanging every other worker that hashes to it; the open-coded defer
-		// costs no allocation. The run is failing at that point, so the
-		// possibly half-admitted entry is only ever read by workers about to
-		// observe the stop flag — and the store's entries, like the pools'
-		// free lists, die with the run; only raw slab bytes outlive it.
-		if !sh.mu.TryLock() {
-			st.contended.Add(1)
-			sh.mu.Lock()
-		}
-		defer sh.mu.Unlock()
-	}
-	e := sh.lookupEntry(s, st.keys)
-	delta, bytesDelta, payload := e.admit(s, sh.cpool, st.bounds, sc)
+	e := st.lookupEntry(s)
+	delta, bytesDelta, payload := e.admit(s, st.cpool, st.bounds, sc)
 	if delta != 0 {
 		st.zones.Add(int64(delta))
 	}
@@ -504,14 +452,9 @@ func (st *store) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 // release gives back the payload reference c of the state s was rebuilt
 // from, after the caller has decoded it: an orphaned buffer is recycled, any
 // other stays with its record.
-func (st *store) release(s *State, c dbm.Compact) {
-	sh := st.shards.at(int(s.discreteKey() & st.mask))
-	if st.locked {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
+func (st *store) release(_ *State, c dbm.Compact) {
 	if c.Holder() == orphaned {
-		sh.cpool.Put(c)
+		st.cpool.Put(c)
 		st.zoneBytes.Add(-int64(len(c)))
 	} else {
 		c.SetHolder(0)
@@ -525,13 +468,4 @@ func (st *store) size() int { return int(st.zones.Load()) }
 // records and packed zones.
 func (st *store) bytes() int64 { return st.zoneBytes.Load() }
 
-func (st *store) internStats() (hits, misses int64) {
-	for i := range st.shards {
-		hits += st.shards.at(i).found.Load()
-		misses += st.shards.at(i).created.Load()
-	}
-	return hits, misses
-}
-
-// contention counts adds that had to wait for a shard lock.
-func (st *store) contention() int64 { return st.contended.Load() }
+func (st *store) internStats() (hits, misses int64) { return st.found.Load(), st.created.Load() }

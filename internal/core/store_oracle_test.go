@@ -23,9 +23,8 @@ import (
 // index" in store.go). Two modes:
 //
 //   - Shadow mode: one sweep drives BOTH stores behind a serializing mutex
-//     and every single admission decision must agree. This works under
-//     Workers > 1 too, where comparing two separate runs would be unsound
-//     (racy double-admission makes counts scheduling-dependent).
+//     and every single admission decision must agree. The mutex also lets
+//     racing adders drive one store directly (TestSegmentedListLockstep).
 //   - Replacement mode: two sequential sweeps — default compact store vs
 //     injected reference — must be bit-identical in verdicts, Stats, and
 //     replayed traces, proving the store swap is invisible end to end.
@@ -115,12 +114,11 @@ func (st *refStore) bytes() int64 {
 }
 
 func (st *refStore) internStats() (hits, misses int64) { return 0, 0 }
-func (st *refStore) contention() int64                 { return 0 }
 
 // shadowStore drives the compact store under test and the reference in
 // lockstep: the mutex serializes concurrent admissions so both stores see
 // the identical sequence, making per-decision equality a sound assertion
-// even with Workers > 1. The reference works on a copy of the raw zone, so
+// even with racing adders. The reference works on a copy of the raw zone, so
 // the store under test still gets it raw; when both admit, the zone the store
 // left in the state must be the one the reference widened, and the entry it
 // handed back must decode to the state's discrete part.
@@ -174,41 +172,35 @@ func (sh *shadowStore) release(s *State, c dbm.Compact) {
 func (sh *shadowStore) size() int                         { return sh.fast.size() }
 func (sh *shadowStore) bytes() int64                      { return sh.fast.bytes() }
 func (sh *shadowStore) internStats() (hits, misses int64) { return sh.fast.internStats() }
-func (sh *shadowStore) contention() int64                 { return sh.fast.contention() }
-
-// storeShapes are the store configurations the store tests cover: the
-// unlocked single shard a sequential run gets, driven by one worker, and
-// locked stores of few and of many shards driven by racing workers.
-var storeShapes = []struct{ shards, workers int }{{1, 1}, {4, 4}, {64, 4}}
 
 // TestCompactStoreShadowMatchesReference asserts every admission decision of
-// the compact store (one unlocked shard, and sharded) equals the full-DBM
-// reference's on a real exploration, sequentially and with racing workers
-// (-race covers the concurrent paths).
+// the compact store equals the full-DBM reference's on a real exploration,
+// with successors fired inline and on the lookahead helper (-race covers the
+// helper's reads of entries and payloads the store owns).
 func TestCompactStoreShadowMatchesReference(t *testing.T) {
-	for _, shape := range storeShapes {
+	for _, mode := range lookaheadModes {
 		n, _, _, _ := buildGrid(t)
 		c, err := NewChecker(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast := newStore(shape.shards, nil, &c.eng.bounds, &c.eng.keys)
+		fast := newStore(nil, &c.eng.bounds, &c.eng.keys)
 		sh := &shadowStore{fast: fast, ref: newRefStore(&c.eng.bounds, &c.eng.keys)}
-		res, err := c.Explore(Options{Workers: shape.workers, passed: sh}, nil)
+		res, err := c.Explore(Options{lookahead: mode, passed: sh}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d := sh.disagreements.Load(); d != 0 {
-			t.Errorf("%+v: %d admission decisions diverged from the reference store", shape, d)
+			t.Errorf("lookahead mode %d: %d admission decisions diverged from the reference store", mode, d)
 		}
 		if got := sh.decoded.Load(); got != int64(res.Stored) {
-			t.Errorf("%+v: %d entry keys decoded for %d admissions", shape, got, res.Stored)
+			t.Errorf("lookahead mode %d: %d entry keys decoded for %d admissions", mode, got, res.Stored)
 		}
 		if fast.size() != sh.ref.size() {
-			t.Errorf("%+v: compact store holds %d zones, reference %d", shape, fast.size(), sh.ref.size())
+			t.Errorf("lookahead mode %d: compact store holds %d zones, reference %d", mode, fast.size(), sh.ref.size())
 		}
 		if res.Stored != sh.ref.size() {
-			t.Errorf("%+v: Stats.Stored=%d, stored zones=%d", shape, res.Stored, sh.ref.size())
+			t.Errorf("lookahead mode %d: Stats.Stored=%d, stored zones=%d", mode, res.Stored, sh.ref.size())
 		}
 		checkStoreLayout(t, fast)
 	}
@@ -249,7 +241,7 @@ func buildFischer(t *testing.T, n int) *ta.Network {
 // TestRawAdmissionMatchesWidenFirst is the engine-level check of the lemma
 // admission rests on: the store decides on the raw zone and widens what it
 // admits, the reference widens first and decides on the widened zone, and on
-// whole sweeps — one worker and four racing ones, one shard, 4 and 64 —
+// whole sweeps — successors fired inline and on the lookahead helper —
 // every decision and every admitted zone must be the same.
 // The sweeps must reach the case the lemma is about: a raw zone rejected that
 // extrapolation would have changed.
@@ -259,18 +251,18 @@ func TestRawAdmissionMatchesWidenFirst(t *testing.T) {
 	nets = append(nets, grid)
 	for _, net := range nets {
 		var lemmaCases int64
-		for _, shape := range storeShapes {
+		for _, mode := range lookaheadModes {
 			c, err := NewChecker(net)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast := newStore(shape.shards, nil, &c.eng.bounds, &c.eng.keys)
+			fast := newStore(nil, &c.eng.bounds, &c.eng.keys)
 			sh := &shadowStore{fast: fast, ref: newRefStore(&c.eng.bounds, &c.eng.keys)}
-			if _, err := c.Explore(Options{Workers: shape.workers, MaxStates: 20_000, passed: sh}, nil); err != nil {
+			if _, err := c.Explore(Options{lookahead: mode, MaxStates: 20_000, passed: sh}, nil); err != nil {
 				t.Fatal(err)
 			}
 			if d := sh.disagreements.Load(); d != 0 {
-				t.Errorf("%s %+v: %d admissions diverged from widen-first", net.Name, shape, d)
+				t.Errorf("%s lookahead mode %d: %d admissions diverged from widen-first", net.Name, mode, d)
 			}
 			checkStoreLayout(t, fast)
 			lemmaCases += sh.rejectedUnwidened.Load()
@@ -337,7 +329,7 @@ func TestAdmissionWidensOnceAndRecyclesRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spy := &widenSpy{passedSet: newStore(1, nil, &c.eng.bounds, &c.eng.keys), t: t, bounds: &c.eng.bounds,
+	spy := &widenSpy{passedSet: newStore(nil, &c.eng.bounds, &c.eng.keys), t: t, bounds: &c.eng.bounds,
 		rejected: map[*dbm.DBM]bool{}}
 	res, err := c.Explore(Options{passed: spy}, nil)
 	if err != nil {
@@ -436,15 +428,6 @@ func TestCompactStoreSweepBitIdenticalToReference(t *testing.T) {
 	}
 }
 
-// storeParts lists the independently owned parts of a store: its shards.
-func storeParts(st *store) []*shard {
-	parts := make([]*shard, len(st.shards))
-	for i := range parts {
-		parts[i] = st.shards.at(i)
-	}
-	return parts
-}
-
 // checkStoreLayout asserts the record-list invariants of every entry of a
 // quiescent compact store: the first n slots of an entry hold live records
 // whose signature is the signature of the zone they reference, every slot
@@ -454,40 +437,38 @@ func storeParts(st *store) []*shard {
 func checkStoreLayout(t *testing.T, st *store) {
 	t.Helper()
 	live := 0
-	for _, part := range storeParts(st) {
-		owned := map[*byte]bool{}
-		for _, e := range entriesOf(part.buckets) {
-			slots := e.slots()
-			if e.n < 1 || e.n > len(slots) {
-				t.Fatalf("entry holds n=%d records in %d slots", e.n, len(slots))
-			}
-			total := 1
-			for seg := e.more; seg != nil; seg = seg.next {
-				if want := min(total, maxSegRecs); len(seg.recs) != want {
-					t.Errorf("segment after %d slots has %d, want %d", total, len(seg.recs), want)
-				}
-				total += len(seg.recs)
-			}
-			for i, r := range slots {
-				if i >= e.n {
-					if r.z != nil {
-						t.Errorf("slot %d past the %d live records still references a buffer", i, e.n)
-					}
-					continue
-				}
-				if r.z == nil {
-					t.Fatalf("live record %d of %d has no payload", i, e.n)
-				}
-				if sig := dbm.SignatureOf(r.z.Decode()); r.sig != sig {
-					t.Errorf("record %d: stored signature %x, zone's is %x", i, r.sig, sig)
-				}
-				if owned[&r.z[0]] {
-					t.Errorf("record %d shares its buffer with another record", i)
-				}
-				owned[&r.z[0]] = true
-			}
-			live += e.n
+	owned := map[*byte]bool{}
+	for _, e := range entriesOf(st.buckets) {
+		slots := e.slots()
+		if e.n < 1 || e.n > len(slots) {
+			t.Fatalf("entry holds n=%d records in %d slots", e.n, len(slots))
 		}
+		total := 1
+		for seg := e.more; seg != nil; seg = seg.next {
+			if want := min(total, maxSegRecs); len(seg.recs) != want {
+				t.Errorf("segment after %d slots has %d, want %d", total, len(seg.recs), want)
+			}
+			total += len(seg.recs)
+		}
+		for i, r := range slots {
+			if i >= e.n {
+				if r.z != nil {
+					t.Errorf("slot %d past the %d live records still references a buffer", i, e.n)
+				}
+				continue
+			}
+			if r.z == nil {
+				t.Fatalf("live record %d of %d has no payload", i, e.n)
+			}
+			if sig := dbm.SignatureOf(r.z.Decode()); r.sig != sig {
+				t.Errorf("record %d: stored signature %x, zone's is %x", i, r.sig, sig)
+			}
+			if owned[&r.z[0]] {
+				t.Errorf("record %d shares its buffer with another record", i)
+			}
+			owned[&r.z[0]] = true
+		}
+		live += e.n
 	}
 	if live != st.size() {
 		t.Errorf("entries hold %d live records, size() = %d", live, st.size())
@@ -495,7 +476,7 @@ func checkStoreLayout(t *testing.T, st *store) {
 }
 
 // checkPoolDisjoint asserts that no slot of any entry — live or spare —
-// references a buffer that sits in its part's CompactPool. The pool has no
+// references a buffer that sits in the store's CompactPool. The pool has no
 // listing, so it is drained instead: every buffer it ever allocated is
 // either referenced by exactly one live record or free, so packing sample
 // (a zone of the one buffer size the store holds) must be served by reuse
@@ -503,32 +484,30 @@ func checkStoreLayout(t *testing.T, st *store) {
 // may be one a record still points to.
 func checkPoolDisjoint(t *testing.T, st *store, sample *dbm.DBM) {
 	t.Helper()
-	for _, part := range storeParts(st) {
-		held := map[*byte]bool{}
-		live := 0
-		for _, e := range entriesOf(part.buckets) {
-			live += e.n
-			for _, r := range e.slots() {
-				if r.z != nil {
-					held[&r.z[0]] = true
-				}
+	held := map[*byte]bool{}
+	live := 0
+	for _, e := range entriesOf(st.buckets) {
+		live += e.n
+		for _, r := range e.slots() {
+			if r.z != nil {
+				held[&r.z[0]] = true
 			}
 		}
-		gets, reuses := part.cpool.Stats()
-		free := gets - reuses - live
-		for i := 0; i < free; i++ {
-			c := dbm.EncodeCompact(sample, part.cpool)
-			if held[&c[0]] {
-				t.Fatalf("a record references a buffer that was returned to the pool")
-			}
+	}
+	gets, reuses := st.cpool.Stats()
+	free := gets - reuses - live
+	for i := 0; i < free; i++ {
+		c := dbm.EncodeCompact(sample, st.cpool)
+		if held[&c[0]] {
+			t.Fatalf("a record references a buffer that was returned to the pool")
 		}
-		if _, after := part.cpool.Stats(); after-reuses != free {
-			t.Errorf("pool served %d of %d expected reuses: a pruned buffer was not returned", after-reuses, free)
-		}
-		dbm.EncodeCompact(sample, part.cpool)
-		if _, after := part.cpool.Stats(); after-reuses != free {
-			t.Errorf("pool held more than the %d buffers pruning released", free)
-		}
+	}
+	if _, after := st.cpool.Stats(); after-reuses != free {
+		t.Errorf("pool served %d of %d expected reuses: a pruned buffer was not returned", after-reuses, free)
+	}
+	dbm.EncodeCompact(sample, st.cpool)
+	if _, after := st.cpool.Stats(); after-reuses != free {
+		t.Errorf("pool held more than the %d buffers pruning released", free)
 	}
 }
 
@@ -541,9 +520,8 @@ func checkPoolDisjoint(t *testing.T, st *store, sample *dbm.DBM) {
 // must equal the reference's; after every phase the list must hold exactly
 // the reference's zones in the reference's order, and the layout invariants
 // must hold. Sequentially the slot each zone occupies is known, so the prune
-// runs are aimed; with four racing adders (serialized by the shadow, -race
-// covers the shard paths) on four shards and on 64 the same zones arrive in
-// arbitrary order.
+// runs are aimed; with four racing adders (serialized by the shadow) the same
+// zones arrive in arbitrary order.
 func TestSegmentedListLockstep(t *testing.T) {
 	const n = 200 // antichain size: slots 0 | 1 | 2-3 | 4-7 | 8-15 | 16-31 | 32-47 | … | 192-207
 	locs, vars := []ta.LocID{0}, []int64{0}
@@ -560,9 +538,9 @@ func TestSegmentedListLockstep(t *testing.T) {
 	odd := func(k int) *State { return box(int64(2*k+1), int64(2*(n-k)-1)) }
 	cover := func(a, b int) *State { return box(int64(2*b), int64(2*(n-a))) }
 
-	for _, shape := range storeShapes {
-		workers := shape.workers
-		fast := testStore(shape.shards)
+	for _, workers := range []int{1, 4} {
+		shape := fmt.Sprintf("%d adders", workers)
+		fast := testStore()
 		sh := &shadowStore{fast: fast, ref: newRefStore(&keepAll, &testKeys)}
 		phase := func(name string, states ...*State) {
 			t.Helper()
@@ -580,22 +558,20 @@ func TestSegmentedListLockstep(t *testing.T) {
 			}
 			wg.Wait()
 			if d := sh.disagreements.Load(); d != 0 {
-				t.Fatalf("%+v %s: %d decisions diverged from the reference", shape, name, d)
+				t.Fatalf("%s %s: %d decisions diverged from the reference", shape, name, d)
 			}
 			checkStoreLayout(t, fast)
 			var got []dbm.Compact
-			for _, part := range storeParts(fast) {
-				for _, e := range entriesOf(part.buckets) {
-					got = append(got, e.liveZones()...)
-				}
+			for _, e := range entriesOf(fast.buckets) {
+				got = append(got, e.liveZones()...)
 			}
 			want := sh.ref.buckets[states[0].discreteKey()][0].zs
 			if len(got) != len(want) {
-				t.Fatalf("%+v %s: %d zones stored, reference %d", shape, name, len(got), len(want))
+				t.Fatalf("%s %s: %d zones stored, reference %d", shape, name, len(got), len(want))
 			}
 			for i := range got {
 				if !got[i].Decode().Eq(want[i]) {
-					t.Fatalf("%+v %s: record %d is not the reference's zone %d", shape, name, i, i)
+					t.Fatalf("%s %s: record %d is not the reference's zone %d", shape, name, i, i)
 				}
 			}
 		}
@@ -608,7 +584,7 @@ func TestSegmentedListLockstep(t *testing.T) {
 
 		phase("grow", seq(even, 0, n)...)
 		if fast.size() != n {
-			t.Fatalf("%+v: antichain of %d stored as %d zones", shape, n, fast.size())
+			t.Fatalf("%s: antichain of %d stored as %d zones", shape, n, fast.size())
 		}
 		// Aimed from the tail down, so that an earlier prune does not move a
 		// later one's targets: each cover is appended past slot 128.
@@ -621,7 +597,7 @@ func TestSegmentedListLockstep(t *testing.T) {
 		phase("re-grow", seq(odd, 0, n)...)
 		phase("collapse", cover(0, n))
 		if fast.size() != 1 {
-			t.Fatalf("%+v: a zone covering everything left %d zones", shape, fast.size())
+			t.Fatalf("%s: a zone covering everything left %d zones", shape, fast.size())
 		}
 		phase("re-grow from one", seq(func(k int) *State { return box(int64(2*n+1+k), int64(3*n-k)) }, 0, n/2)...)
 		checkPoolDisjoint(t, fast, even(0).Zone)

@@ -28,9 +28,9 @@ var keepAll = func() dbm.ExtraBounds {
 var testKeys = packerFor([]int{1 << 16}, []ta.VarDecl{{Name: "v", Min: math.MinInt64, Max: math.MaxInt64}})
 
 // testStore returns a heap-backed store for tests that drive it directly.
-func testStore(shards int) *store { return newStore(shards, nil, &keepAll, &testKeys) }
+func testStore() *store { return newStore(nil, &keepAll, &testKeys) }
 
-// admit is add with a scratch of its own, for callers that are not workers.
+// admit is add with a scratch of its own, for callers outside a sweep.
 // It returns the payload an admitted state waits with, nil when s is
 // subsumed.
 func admit(st passedSet, s *State) dbm.Compact {
@@ -72,7 +72,7 @@ func (e *storeEntry) liveZones() []dbm.Compact {
 }
 
 func TestStoreSubsumption(t *testing.T) {
-	st := testStore(1)
+	st := testStore()
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 	if admit(st, mkState(locs, vars, 10)) == nil {
@@ -94,7 +94,7 @@ func TestStoreSubsumption(t *testing.T) {
 }
 
 func TestStoreDistinguishesDiscreteParts(t *testing.T) {
-	st := testStore(1)
+	st := testStore()
 	if admit(st, mkState([]ta.LocID{0}, []int64{0}, 10)) == nil ||
 		admit(st, mkState([]ta.LocID{1}, []int64{0}, 10)) == nil ||
 		admit(st, mkState([]ta.LocID{0}, []int64{1}, 10)) == nil {
@@ -106,7 +106,7 @@ func TestStoreDistinguishesDiscreteParts(t *testing.T) {
 }
 
 func TestStoreIncomparableZonesCoexist(t *testing.T) {
-	st := testStore(1)
+	st := testStore()
 	locs := []ta.LocID{0}
 	vars := []int64{0}
 	// x <= 10 and x >= 5 (upper bound infinity) are incomparable.
@@ -121,47 +121,11 @@ func TestStoreIncomparableZonesCoexist(t *testing.T) {
 	}
 }
 
-// TestPStoreMatchesStore feeds the same states to the unlocked one-shard
-// store and to locked stores of 4 and 64 shards: sharding and locking must
-// not change a decision or a stored byte.
-func TestPStoreMatchesStore(t *testing.T) {
-	states := []*State{
-		mkState([]ta.LocID{0}, []int64{0}, 10),
-		mkState([]ta.LocID{0}, []int64{0}, 5),
-		mkState([]ta.LocID{0}, []int64{0}, 20),
-		mkState([]ta.LocID{1}, []int64{0}, 7),
-		mkState([]ta.LocID{1}, []int64{0}, 7),
-	}
-	for _, shards := range []int{4, 64} {
-		seq := testStore(1)
-		par := testStore(shards)
-		if seq.locked || !par.locked {
-			t.Fatalf("locked: 1 shard %v, %d shards %v; want false, true", seq.locked, shards, par.locked)
-		}
-		for i, s := range states {
-			a := admit(seq, &State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()}) != nil
-			b := admit(par, &State{Locs: s.Locs, Vars: s.Vars, Zone: s.Zone.Copy()}) != nil
-			if a != b {
-				t.Errorf("%d shards, state %d: one-shard add=%v sharded add=%v", shards, i, a, b)
-			}
-		}
-		if seq.size() != par.size() {
-			t.Errorf("%d shards: zone counts differ: %d vs %d", shards, seq.size(), par.size())
-		}
-		// Entry, key, record and packed zone bytes agree exactly.
-		if seq.bytes() <= 0 || par.bytes() != seq.bytes() {
-			t.Errorf("%d shards: stored bytes differ: one shard %d, sharded %d", shards, seq.bytes(), par.bytes())
-		}
-		checkStoreLayout(t, seq)
-		checkStoreLayout(t, par)
-	}
-}
-
 // TestStoreTracksStoredBytes pins the actual-footprint accounting: bytes()
 // must grow on admission, shrink when a covering zone prunes a stored one,
 // and stay put on subsumption.
 func TestStoreTracksStoredBytes(t *testing.T) {
-	st := testStore(1)
+	st := testStore()
 	locs := []ta.LocID{3}
 	vars := []int64{0}
 	if st.bytes() != 0 {
@@ -216,7 +180,7 @@ func TestStoreTracksStoredBytes(t *testing.T) {
 // looks its discrete state's entry up, and hits are lookups that found the
 // entry, subsumed states included; misses are the entries created.
 func TestStoreLookupCounts(t *testing.T) {
-	st := testStore(1)
+	st := testStore()
 	admit(st, mkState([]ta.LocID{7}, []int64{0}, 10))
 	admit(st, mkState([]ta.LocID{7}, []int64{0}, 5)) // subsumed: a hit
 	admit(st, mkState([]ta.LocID{7}, []int64{1}, 10))
@@ -225,13 +189,13 @@ func TestStoreLookupCounts(t *testing.T) {
 	if hits, misses := st.internStats(); hits != 2 || misses != 3 {
 		t.Errorf("lookups: %d hits, %d misses; want 2, 3", hits, misses)
 	}
-	if entries := entriesOf(st.shards.at(0).buckets); len(entries) != 3 {
+	if entries := entriesOf(st.buckets); len(entries) != 3 {
 		t.Errorf("entries = %d, want 3", len(entries))
 	}
 }
 
 // TestStoreNewEntryAllocs pins what a new discrete state costs the heap: its
-// entry, one object. The key is carved from the shard's arena, whose blocks
+// entry, one object. The key is carved from the store's arena, whose blocks
 // grow with the run, and the payload from the run's slabs, so admitting
 // zones at n distinct new discrete states allocates about one object each —
 // the rest is the arena's and the bucket map's growth, amortized.
@@ -240,7 +204,7 @@ func TestStoreNewEntryAllocs(t *testing.T) {
 	keys := packerFor([]int{5}, []ta.VarDecl{{Name: "v", Min: -n, Max: n}})
 	var slabs dbm.Slabs
 	defer slabs.Release()
-	st := newStore(1, &slabs, &keepAll, &keys)
+	st := newStore(&slabs, &keepAll, &keys)
 	states := make([]*State, n+1) // AllocsPerRun calls once more to warm up
 	for i := range states {
 		states[i] = mkState([]ta.LocID{ta.LocID(i % 5)}, []int64{int64(n - 2*i)}, 10)

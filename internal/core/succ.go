@@ -15,8 +15,8 @@ import (
 // keeps a zone, the passed store on admission and replayTrace per step.
 //
 // The engine itself is immutable after construction (safe to share between
-// goroutines); all mutable scratch state lives in a succCtx, of which every
-// exploration worker owns exactly one.
+// goroutines); all mutable scratch state lives in a succCtx, of which the
+// admitting loop, its lookahead helper and a trace replay each own one.
 type engine struct {
 	net *ta.Network
 	dim int
@@ -70,7 +70,7 @@ func newEngine(net *ta.Network) (*engine, error) {
 	return e, nil
 }
 
-// succCtx is the per-worker scratch state of the successor engine. The hot
+// succCtx is the scratch state of one goroutine of the successor engine. The hot
 // path writes candidate successors into these buffers and only materializes
 // heap objects once a transition is known to fire, so clock-disabled
 // transitions (the common case) allocate nothing.
@@ -122,14 +122,14 @@ type succCtx struct {
 	// copies of the discrete parts of admitted states (store.go), so
 	// recycling a state can never corrupt the passed store.
 	states []*State
-	// lent is set once a lookahead helper expands for this ctx's worker
-	// (explore.go, "Lookahead"): the States the worker frees were allocated
+	// lent is set once a lookahead helper expands for this ctx's loop
+	// (explore.go, "Lookahead"): the States the loop frees were allocated
 	// by the helper's ctx, so putState collects them, zones and all, in back,
-	// and the worker hands the batch to the helper with the next node it
+	// and the loop hands the batch to the helper with the next node it
 	// passes on.
 	lent bool
 	back []*State
-	// nodes is the free list of the waiting nodes this worker popped, and
+	// nodes is the free list of the waiting nodes this ctx's loop popped, and
 	// block the one it carves new nodes from, next its first unused one (see
 	// park).
 	nodes []*waiting
@@ -276,8 +276,8 @@ func (ctx *succCtx) park(s *State, entry *storeEntry, payload dbm.Compact) *wait
 // unpark rebuilds the state a popped node waited as: a pooled State with the
 // discrete part decoded from the entry's key, the node's key and ref, and
 // the payload decoded into a pooled matrix. It only reads the node, which
-// the popping worker recycles (putNode); the payload is returned for that
-// worker to give back through passedSet.release.
+// the admitting loop recycles (putNode); the payload is returned for the
+// loop to give back through passedSet.release.
 func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
 	s := ctx.getState()
 	ctx.keys.unpack(n.entry.key, s.Locs, s.Vars)
@@ -288,8 +288,8 @@ func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
 	return s, payload
 }
 
-// putNode puts a node this worker popped, and whose state has been rebuilt,
-// onto the worker's free list.
+// putNode puts a node the loop popped, and whose state has been rebuilt,
+// onto the loop's free list.
 func (ctx *succCtx) putNode(n *waiting) {
 	*n = waiting{}
 	ctx.nodes = append(ctx.nodes, n)
@@ -351,7 +351,7 @@ type succ struct {
 // and succ_index_case_test.go, FuzzSuccessorsIndexed).
 //
 // The index is shared and read-only (ta.Network.buildIndex); the
-// per-channel buckets are per-worker scratch. ctx.chanBuf, segmented by the
+// per-channel buckets are per-ctx scratch. ctx.chanBuf, segmented by the
 // engine's precomputed emOff / rcOff offsets, follows the recycling rules of
 // pooled zones: reset per expansion, reused across fires, and never escaping
 // into states, labels or stores.

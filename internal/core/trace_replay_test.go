@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dbm"
@@ -8,12 +9,13 @@ import (
 )
 
 // This file is the trace-replay oracle: every counterexample or witness a
-// query returns — from the sequential and the parallel engine alike — is
-// re-fired through the successor engine, asserting that each step is an
-// enabled transition of its predecessor and that the path ends in the state
-// the query stopped on. Run together with the rest of the core package
-// under -race (CI does), these tests exercise the parent-log stitching
-// across concurrently written worker logs.
+// query returns — inline, and at Workers 4 with the lookahead helper firing
+// successors — is re-fired through the successor engine, asserting that each
+// step is an enabled transition of its predecessor and that the path ends in
+// the state the query stopped on; and the two runs must return the same
+// trace. Run together with the rest of the core package under -race (CI
+// does), these tests exercise the parent-log stitching while the helper
+// reads the store.
 
 func sameLabel(a, b Label) bool {
 	if a.Kind != b.Kind || a.Chan != b.Chan || len(a.Parts) != len(b.Parts) {
@@ -109,9 +111,8 @@ func assertDeadlocked(t *testing.T, c *Checker, trace []TraceStep) {
 }
 
 // TestSafetyCounterexampleReplaysBothEngines runs the same violated safety
-// property sequentially and with 4 workers: both verdicts must agree and
-// both counterexamples must replay (trace validity, not trace equality —
-// the parallel path may find a different violating run).
+// property inline and at Workers 4 with the helper on: both verdicts must
+// agree, both counterexamples must replay, and they must be one trace.
 func TestSafetyCounterexampleReplaysBothEngines(t *testing.T) {
 	n, _, _, _ := buildGrid(t)
 	c, err := NewChecker(n)
@@ -121,18 +122,20 @@ func TestSafetyCounterexampleReplaysBothEngines(t *testing.T) {
 	// AG(rec < 2) is violated exactly when rec >= 2 is reachable.
 	violates := func(s *State) bool { return s.Vars[0] >= 2 }
 	verdicts := map[string]bool{}
+	var traces [][]TraceStep
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"sequential", Options{}},
-		{"parallel", Options{Workers: 4}},
+		{"workers=4", Options{Workers: 4, lookahead: lookaheadOn}},
 	} {
 		q := NewReachQuery(violates)
 		if _, err := c.RunQueries(tc.opts, q); err != nil {
 			t.Fatal(err)
 		}
 		verdicts[tc.name] = !q.Found
+		traces = append(traces, q.Trace)
 		if !q.Found {
 			continue
 		}
@@ -145,17 +148,19 @@ func TestSafetyCounterexampleReplaysBothEngines(t *testing.T) {
 			t.Errorf("%s: counterexample does not end in a violating state", tc.name)
 		}
 	}
-	if verdicts["sequential"] != verdicts["parallel"] {
-		t.Errorf("verdicts disagree: sequential=%v parallel=%v",
-			verdicts["sequential"], verdicts["parallel"])
+	if verdicts["sequential"] != verdicts["workers=4"] {
+		t.Errorf("verdicts disagree: sequential=%v workers=4 %v",
+			verdicts["sequential"], verdicts["workers=4"])
 	}
+	sameTrace(t, "workers=4 counterexample", traces[1], traces[0])
 	if verdicts["sequential"] {
 		t.Error("rec reaches 2 in the grid; property must be violated")
 	}
 }
 
-// TestReachableWitnessReplaysBothEngines compares a ReachQuery across both
-// engines and replays both witnesses.
+// TestReachableWitnessReplaysBothEngines compares a ReachQuery inline and at
+// Workers 4 with the helper on, replays both witnesses and requires them to
+// be one trace.
 func TestReachableWitnessReplaysBothEngines(t *testing.T) {
 	n, _, _, busy := buildGrid(t)
 	c, err := NewChecker(n)
@@ -163,12 +168,13 @@ func TestReachableWitnessReplaysBothEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	atBusy := func(s *State) bool { return s.Locs[3] == busy }
+	var traces [][]TraceStep
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"sequential", Options{}},
-		{"parallel", Options{Workers: 4}},
+		{"workers=4", Options{Workers: 4, lookahead: lookaheadOn}},
 	} {
 		q := NewReachQuery(atBusy)
 		if _, err := c.RunQueries(tc.opts, q); err != nil {
@@ -184,12 +190,15 @@ func TestReachableWitnessReplaysBothEngines(t *testing.T) {
 		if !atBusy(q.Trace[len(q.Trace)-1].State) {
 			t.Errorf("%s: witness does not end in a busy state", tc.name)
 		}
+		traces = append(traces, q.Trace)
 	}
+	sameTrace(t, "workers=4 witness", traces[1], traces[0])
 }
 
 // TestSupClockUnboundedWitnessReplaysBothEngines drives the one SupClockQuery
-// case that stops with a witness — an extrapolated-to-infinity clock — on
-// both engines. The grid's y clock is never reset, so its supremum at any
+// case that stops with a witness — an extrapolated-to-infinity clock —
+// inline and at Workers 4 with the helper on; the witnesses must be one
+// trace. The grid's y clock is never reset, so its supremum at any
 // busy state lies beyond the horizon.
 func TestSupClockUnboundedWitnessReplaysBothEngines(t *testing.T) {
 	n, _, _, busy := buildGrid(t)
@@ -202,12 +211,13 @@ func TestSupClockUnboundedWitnessReplaysBothEngines(t *testing.T) {
 		t.Fatal(err)
 	}
 	atBusy := func(s *State) bool { return s.Locs[3] == busy }
+	var traces [][]TraceStep
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"sequential", Options{}},
-		{"parallel", Options{Workers: 4}},
+		{"workers=4", Options{Workers: 4, lookahead: lookaheadOn}},
 	} {
 		q := NewSupClockQuery(y.ID, atBusy)
 		if _, err := c.RunQueries(tc.opts, q); err != nil {
@@ -226,11 +236,14 @@ func TestSupClockUnboundedWitnessReplaysBothEngines(t *testing.T) {
 		if !atBusy(last.State) || last.State.Zone.Sup(int(y.ID)) != dbm.Infinity {
 			t.Errorf("%s: witness does not end in an unbounded busy state", tc.name)
 		}
+		traces = append(traces, sup.Witness)
 	}
+	sameTrace(t, "workers=4 witness", traces[1], traces[0])
 }
 
-// TestDeadlockWitnessReplaysBothEngines compares a DeadlockQuery across
-// both engines on a deadlocking model and replays both witnesses.
+// TestDeadlockWitnessReplaysBothEngines compares a DeadlockQuery inline and
+// at Workers 4 with the helper on, on a deadlocking model, replays both
+// witnesses and requires them to be one trace.
 func TestDeadlockWitnessReplaysBothEngines(t *testing.T) {
 	n := ta.NewNetwork("dead")
 	x := n.AddClock("x")
@@ -245,12 +258,13 @@ func TestDeadlockWitnessReplaysBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var traces [][]TraceStep
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
 		{"sequential", Options{}},
-		{"parallel", Options{Workers: 4}},
+		{"workers=4", Options{Workers: 4, lookahead: lookaheadOn}},
 	} {
 		q := NewDeadlockQuery()
 		if _, err := c.RunQueries(tc.opts, q); err != nil {
@@ -265,13 +279,15 @@ func TestDeadlockWitnessReplaysBothEngines(t *testing.T) {
 		}
 		assertTraceValid(t, c, res.Witness)
 		assertDeadlocked(t, c, res.Witness)
+		traces = append(traces, res.Witness)
 	}
+	sameTrace(t, "workers=4 witness", traces[1], traces[0])
 }
 
-// TestParallelTraceStressReplays hammers the parallel trace machinery: many
-// rounds at several worker counts, every returned trace replayed. Together
-// with -race this exercises concurrent parent-log appends and cross-log
-// stitching.
+// TestParallelTraceStressReplays hammers the trace machinery with the
+// lookahead helper on: many rounds at several worker counts, every returned
+// trace replayed and equal to the inline run's. Together with -race this
+// exercises parent-log appends beside the helper's reads.
 func TestParallelTraceStressReplays(t *testing.T) {
 	n, _, _, busy := buildGrid(t)
 	c, err := NewChecker(n)
@@ -281,6 +297,10 @@ func TestParallelTraceStressReplays(t *testing.T) {
 	// A deep target: the server has been busy and all generators have
 	// re-armed at least once.
 	deep := func(s *State) bool { return s.Locs[3] == busy && s.Vars[0] >= 2 }
+	inline := NewReachQuery(deep)
+	if _, err := c.RunQueries(Options{lookahead: lookaheadOff}, inline); err != nil {
+		t.Fatal(err)
+	}
 	rounds := 6
 	if testing.Short() {
 		rounds = 2
@@ -288,9 +308,10 @@ func TestParallelTraceStressReplays(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		for _, workers := range []int{2, 4, 8} {
 			q := NewReachQuery(deep)
-			if _, err := c.RunQueries(Options{Seed: int64(r), Workers: workers}, q); err != nil {
+			if _, err := c.RunQueries(Options{Seed: int64(r), Workers: workers, lookahead: lookaheadOn}, q); err != nil {
 				t.Fatal(err)
 			}
+			sameTrace(t, fmt.Sprintf("round %d workers %d", r, workers), q.Trace, inline.Trace)
 			if !q.Found || len(q.Trace) == 0 {
 				t.Fatalf("round %d workers %d: deep state must be reachable with a trace", r, workers)
 			}

@@ -185,7 +185,7 @@ func TestWaitingStatesOutliveTheirRecords(t *testing.T) {
 		got, gotStats := admissions(t, c, opts)
 		sameSweep(t, order.String()+", slab store", got, want, gotStats, wantStats)
 
-		st := newStore(1, nil, &c.eng.bounds, &c.eng.keys)
+		st := newStore(nil, &c.eng.bounds, &c.eng.keys)
 		spy := newHolderSpy(st)
 		spyOpts := opts
 		spyOpts.passed = spy
@@ -196,7 +196,7 @@ func TestWaitingStatesOutliveTheirRecords(t *testing.T) {
 		// Every buffer the pool ever carved is a live record's or back in
 		// the pool: no orphan was left out, no held buffer was recycled.
 		checkPoolDisjoint(t, st, got[0].Zone)
-		for _, e := range entriesOf(st.shards.at(0).buckets) {
+		for _, e := range entriesOf(st.buckets) {
 			for _, z := range e.liveZones() {
 				if z.Holder() != 0 {
 					t.Errorf("%s: a stored payload is still marked %d after every state was popped", order, z.Holder())
@@ -222,14 +222,15 @@ func TestLiveEqualsStoredWithoutPrunes(t *testing.T) {
 	}
 }
 
-// TestWaitingStatesParallel is the Workers > 1 twin: the shadow store checks
-// every admission decision against the reference while four workers rebuild
-// stolen and owned nodes lock-free — the entry's vectors, the payload
-// decoded — and release them under the shard lock (-race covers the mark
-// byte written beside a payload being read, and the entry's other fields
-// written beside the vectors being copied). A holderSpy around the shadow
-// requires every pop to rebuild the state that was admitted, orphans
-// included, and the reductions must equal the sequential ones.
+// TestWaitingStatesParallel is the two-goroutine twin: the shadow store
+// checks every admission decision against the reference while the lookahead
+// helper, forced on from the first expansion, rebuilds nodes — the entry's
+// key decoded, the payload decoded — beside the admitting goroutine, which
+// prunes, orphans and releases them (-race covers the mark byte written
+// beside a payload being read, and the entry's other fields written beside
+// the key being decoded). A holderSpy around the shadow requires every pop
+// to rebuild the state that was admitted, orphans included, and the
+// reduction and the Stats must equal the inline run's, at Workers 1 and 4.
 func TestWaitingStatesParallel(t *testing.T) {
 	n := buildWidening(t, 12)
 	c, err := NewChecker(n)
@@ -246,21 +247,22 @@ func TestWaitingStatesParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := seqQ.Result
-	for _, shards := range []int{4, 64} {
-		sh := &shadowStore{fast: newStore(shards, nil, &c.eng.bounds, &c.eng.keys), ref: newRefStore(&c.eng.bounds, &c.eng.keys)}
+	for _, workers := range []int{1, 4} {
+		sh := &shadowStore{fast: newStore(nil, &c.eng.bounds, &c.eng.keys), ref: newRefStore(&c.eng.bounds, &c.eng.keys)}
 		spy := newHolderSpy(sh)
 		parQ := NewSupClockQuery(x.ID, atEnd)
-		if _, err := c.RunQueries(Options{Workers: 4, passed: spy}, parQ); err != nil {
+		if _, err := c.RunQueries(Options{Workers: workers, passed: spy, lookahead: lookaheadOn}, parQ); err != nil {
 			t.Fatal(err)
 		}
 		par := parQ.Result
-		spy.checkPops(t, fmt.Sprintf("%d shards", shards), par.Popped)
+		what := fmt.Sprintf("%d workers", workers)
+		spy.checkPops(t, what, par.Popped)
 		if d := sh.disagreements.Load(); d != 0 {
-			t.Errorf("%d shards: %d admission decisions diverged from the reference", shards, d)
+			t.Errorf("%s: %d admission decisions diverged from the reference", what, d)
 		}
-		if par.Max != seq.Max || par.Seen != seq.Seen || par.Unbounded != seq.Unbounded {
-			t.Errorf("%d shards: sup (%v,%v,%v), sequential (%v,%v,%v)", shards,
-				par.Max, par.Seen, par.Unbounded, seq.Max, seq.Seen, seq.Unbounded)
+		if par.Max != seq.Max || par.Seen != seq.Seen || par.Unbounded != seq.Unbounded || !sameStats(par.Stats, seq.Stats) {
+			t.Errorf("%s: sup (%v,%v,%v) %v, inline (%v,%v,%v) %v", what,
+				par.Max, par.Seen, par.Unbounded, par.Stats, seq.Max, seq.Seen, seq.Unbounded, seq.Stats)
 		}
 	}
 }
@@ -289,7 +291,7 @@ func buildIndependent(t *testing.T, procs int, steps int64) *ta.Network {
 
 // stateSpy records every State a sweep hands the store — each fired
 // successor at add, the initial state included, and each state rebuilt from
-// a popped node at release — which is every State the sweep's workers use,
+// a popped node at release — which is every State the sweep uses,
 // and the widest frontier: admissions not yet released.
 type stateSpy struct {
 	passedSet
@@ -322,13 +324,15 @@ func (sp *stateSpy) release(s *State, c dbm.Compact) {
 // proportion to the expansions it has in flight, not to its widest frontier:
 // an expansion holds the expanded state and that state's fired successors,
 // and every other state waits as a node. On a model whose frontier is far
-// wider than its branching, breadth- and depth-first, on one worker and on
-// four, the distinct States the store ever sees must stay within what the
+// wider than its branching, breadth- and depth-first, at Workers 1 and 4,
+// the distinct States the store ever sees must stay within what the
 // expansions in flight can hold at once — per expansion the expanded state
-// plus one per process, plus the initial state. The deque has one expansion
-// in flight per worker; the sequential list one, and with its lookahead
-// helper engaged (forced on from the first expansion here) one more per
-// node the helper may expand ahead of the admitting caller.
+// plus one per process, plus the initial state. An inline sweep has one
+// expansion in flight, and one with its lookahead helper engaged (forced on
+// from the first expansion here) one more per node the helper may expand
+// ahead of the admitting caller. Engaged by the auto rule when GOMAXPROCS
+// allows, the helper starts with a ctx of its own, and the States of the
+// inline expansions before it stay with the caller's: one expansion more.
 func TestSweepStatesBoundedByExpansion(t *testing.T) {
 	const procs, steps = 2, 127
 	c, err := NewChecker(buildIndependent(t, procs, steps))
@@ -343,17 +347,13 @@ func TestSweepStatesBoundedByExpansion(t *testing.T) {
 	}{
 		{BFS, 1, lookaheadOff, 1},
 		{BFS, 1, lookaheadOn, 1 + lookaheadDepth},
-		{BFS, 4, lookaheadAuto, 4},
+		{BFS, 4, lookaheadAuto, 2 + lookaheadDepth},
 		{DFS, 1, lookaheadAuto, 1},
-		{DFS, 4, lookaheadAuto, 4},
+		{DFS, 4, lookaheadAuto, 1},
 	}
 	for _, r := range runs {
 		what := fmt.Sprintf("%s, %d workers, lookahead mode %d", r.order, r.workers, r.lookahead)
-		shards := 1
-		if r.workers > 1 {
-			shards = parallelShards
-		}
-		spy := &stateSpy{passedSet: newStore(shards, nil, &c.eng.bounds, &c.eng.keys), seen: map[*State]bool{}}
+		spy := &stateSpy{passedSet: newStore(nil, &c.eng.bounds, &c.eng.keys), seen: map[*State]bool{}}
 		res, err := c.Explore(Options{Order: r.order, Workers: r.workers, passed: spy, lookahead: r.lookahead}, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -407,8 +407,16 @@ func TestDeadlockObservedOnDecodedZone(t *testing.T) {
 	}
 	par := parQ.Result
 	if par.Free {
-		t.Fatal("parallel sweep missed the deadlock")
+		t.Fatal("Workers: 4 sweep missed the deadlock")
 	}
+	seqQ := NewDeadlockQuery()
+	if _, err := c.RunQueries(Options{}, seqQ); err != nil {
+		t.Fatal(err)
+	}
+	if !sameStats(par.Stats, seqQ.Result.Stats) {
+		t.Errorf("Workers: 4 stats %v, Workers: 1 %v", par.Stats, seqQ.Result.Stats)
+	}
+	sameTrace(t, "Workers: 4 deadlock witness", par.Witness, seqQ.Result.Witness)
 	assertTraceValid(t, c, par.Witness)
 }
 
@@ -478,7 +486,7 @@ func TestStopWithStatesWaitingLeavesCheckerReusable(t *testing.T) {
 // admission the new payload reuses one, and the other must read as garbage,
 // not as the zone it held.
 func TestPoisonCatchesRecycledPayload(t *testing.T) {
-	st := testStore(1)
+	st := testStore()
 	locs, vars := []ta.LocID{0}, []int64{0}
 	low := mkState(locs, vars, 10)
 	high := &State{Locs: locs, Vars: vars, Zone: dbm.Universe(2)}

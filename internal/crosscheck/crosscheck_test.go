@@ -3,7 +3,9 @@
 // discrete-event simulator must never observe more than the exact WCRT from
 // the zone-based model checker, and the two analytic techniques must never
 // report less. This is the tool ordering of the paper's Table 2, asserted
-// mechanically across many random systems.
+// mechanically across many random systems. The zone engine also answers to a
+// discrete-time reference checker of its own (digitize_test.go) that shares
+// no code with it.
 package crosscheck
 
 import (

@@ -365,3 +365,35 @@ func TestVerifyBatchMatchesVerifyDeadline(t *testing.T) {
 		}
 	}
 }
+
+// TestTruncatedGroupIgnoresWorkers pins the one-answer rule where it used to
+// break: a truncated Table 1 group — its breadth-first sweep stopped at
+// MaxStates, then one seeded rdf fallback, truncated too — reports the same
+// "> bound" cells and the same Stats at Workers 4, run twice, as at
+// Workers 1.
+func TestTruncatedGroupIgnoresWorkers(t *testing.T) {
+	opts := CellOptions{Cfg: DefaultConfig(), MaxStates: 3000, FallbackStates: 3000, Seed: 1}
+	want, err := Cells(ComboCV, ColPO, cvReqNames, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Workers = 4
+	for run := 1; run <= 2; run++ {
+		got, err := Cells(ComboCV, ColPO, cvReqNames, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range cvReqNames {
+			g, w := got[name], want[name]
+			if w.Exact {
+				t.Fatalf("%s: the group was not truncated, so the test shows nothing", name)
+			}
+			gs, ws := g.Stats, w.Stats
+			gs.Duration, ws.Duration = 0, 0
+			if g.String() != w.String() || g.Attained != w.Attained || g.BeyondHorizon != w.BeyondHorizon || gs != ws {
+				t.Errorf("run %d, %s: Workers 4 gives %s (att=%v) %v, Workers 1 %s (att=%v) %v",
+					run, name, g, g.Attained, gs, w, w.Attained, ws)
+			}
+		}
+	}
+}

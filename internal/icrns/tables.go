@@ -57,8 +57,9 @@ type CellOptions struct {
 	FallbackStates int
 	// Seed feeds the randomized fallback search.
 	Seed int64
-	// Workers > 1 enables parallel exploration per cell, witness traces
-	// included.
+	// Workers selects nothing: every cell, truncated "> bound" ones
+	// included, is the same at any value (core.Options.Workers). The field
+	// stays for callers that still set it.
 	Workers int
 	// MaxBytes bounds each exploration's zone memory; exceeding it fails the
 	// cell with core.ErrMemoryBudget instead of exhausting the host. Unlike
@@ -74,18 +75,15 @@ type CellOptions struct {
 
 // coreOpts maps the shared exploration knobs onto engine options.
 func (o CellOptions) coreOpts() core.Options {
-	return core.Options{MaxStates: o.MaxStates, MaxBytes: o.MaxBytes,
-		Workers: o.Workers, Monitor: o.Monitor}
+	return core.Options{MaxStates: o.MaxStates, MaxBytes: o.MaxBytes, Monitor: o.Monitor}
 }
 
 // fallbackOpts are the engine options of the structured-testing fallback a
 // truncated sweep gets: the shared knobs (memory bound, monitor) with the
-// randomized depth-first order, its seed and its own state cap on top — and
-// always one worker, because the seeded RDFS stream, and with it the lower
-// bounds a group reports, is reproducible only sequentially.
+// randomized depth-first order, its seed and its own state cap on top.
 func (o CellOptions) fallbackOpts() core.Options {
 	fb := o.coreOpts()
-	fb.Order, fb.Seed, fb.MaxStates, fb.Workers = core.RDFS, o.Seed, o.FallbackStates, 1
+	fb.Order, fb.Seed, fb.MaxStates = core.RDFS, o.Seed, o.FallbackStates
 	return fb
 }
 

@@ -57,9 +57,12 @@ type SubmitOptions struct {
 	// QueueCap bounds the arch pending-event counters (default 8; negative
 	// is rejected).
 	QueueCap int64 `json:"queue_cap,omitempty"`
-	// Workers is the exploration parallelism of this job — also the number
-	// of CPU tokens it holds while running. Clamped to [1, CPUTokens].
-	// Default 1 (service throughput comes from concurrent jobs).
+	// Workers is the number of CPU tokens this job holds while running, and
+	// it scales the job's default share of the memory budget. Clamped to
+	// [1, CPUTokens]. Default 1 (service throughput comes from concurrent
+	// jobs). It sizes the grant only: the exploration, and with it every
+	// verdict, count and trace, is the same at any value. It is part of the
+	// content key, so the same model at two values is two jobs.
 	Workers int `json:"workers,omitempty"`
 	// MaxStates truncates the exploration (0 = exhaustive).
 	MaxStates int `json:"max_states,omitempty"`
@@ -136,15 +139,17 @@ type CancelResponse struct {
 }
 
 // ProgressBody is the live view of a running exploration, sampled from the
-// engine's per-worker counters.
+// engine's counters.
 type ProgressBody struct {
 	Stored      int64 `json:"stored"`
 	Popped      int64 `json:"popped"`
 	Transitions int64 `json:"transitions"`
 	Deadlocks   int64 `json:"deadlocks"`
 	Frontier    int64 `json:"frontier"`
-	Workers     int   `json:"workers"`
-	Running     bool  `json:"running"`
+	// Workers is the job's CPU-token grant (SubmitOptions.Workers after
+	// clamping); 0 for a job that runs on another node.
+	Workers int  `json:"workers"`
+	Running bool `json:"running"`
 	// StoredBytes is the passed store's actual resident footprint: entries
 	// with their packed discrete keys, zone records and packed zone bytes.
 	StoredBytes int64 `json:"stored_bytes"`

@@ -223,7 +223,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			Transitions:  p.Transitions,
 			Deadlocks:    p.Deadlocks,
 			Frontier:     p.Frontier,
-			Workers:      p.Workers,
+			Workers:      j.workers,
 			Running:      p.Running,
 			StoredBytes:  p.StoredBytes,
 			InternHits:   p.InternHits,
@@ -380,8 +380,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // handleProfile serves a terminal job's profile: its lifecycle spans
 // (queue-wait, admission-wait, compute, replicate) plus — when the job ran a
-// sweep on this node — the engine's phase spans and sampled per-worker
-// series. Non-terminal jobs answer 409, like /result.
+// sweep on this node — the engine's phase spans and sampled series. Non-terminal jobs answer 409, like /result.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	j := s.jobFromPath(w, r)
 	if j == nil {

@@ -25,13 +25,13 @@ const (
 
 // This file is the execution half of the service: a global resource
 // admission controller and a bounded job manager. Every analysis job declares
-// how many exploration workers it will run and how many bytes of zone memory
-// it may grow to, and must hold that grant — CPU tokens plus a memory slice
-// of the server's global budget — for the duration of its sweep. k
-// simultaneous analyses (each itself parallel) therefore never oversubscribe
-// the host's cores or its RAM: worker goroutines are capped by the token
-// pool, resident zone memory by the byte pool, and excess jobs queue FIFO at
-// admission instead of thrashing the scheduler. The memory grant doubles as
+// how many CPU tokens it takes (its workers option) and how many bytes of
+// zone memory it may grow to, and must hold that grant — CPU tokens plus a
+// memory slice of the server's global budget — for the duration of its
+// sweep. k simultaneous analyses therefore never oversubscribe the host's
+// cores or its RAM: running sweeps are capped by the token pool, resident
+// zone memory by the byte pool, and excess jobs queue FIFO at admission
+// instead of thrashing the scheduler. The memory grant doubles as
 // the job's core.Options.MaxBytes, so a job that outgrows what it was
 // admitted with fails alone (ErrMemoryBudget, partial stats) instead of
 // OOM-killing the node and every queued job with it.
@@ -224,12 +224,11 @@ func newJob(id, kind string, workers int, memBytes int64, deadline time.Time) *j
 		state:    StateQueued,
 		done:     make(chan struct{}),
 	}
-	// Every served job records its sweep profile (phase spans + sampled
-	// per-worker series) for GET /v1/jobs/{id}/profile. A run's sample rings
-	// grow with its sweep (64 B per sample, at most 32 KB per worker) and are
-	// dropped once the series is finalized, so a finished job keeps only that
-	// series; jobs that never run a sweep (proxies, adopted results) pay
-	// nothing at all.
+	// Every served job records its sweep profile (phase spans + a sampled
+	// series) for GET /v1/jobs/{id}/profile. A run's sample ring grows with
+	// its sweep (64 B per sample, at most 32 KB) and is dropped once the
+	// series is finalized, so a finished job keeps only that series; jobs
+	// that never run a sweep (proxies, adopted results) pay nothing at all.
 	j.mon.EnableProfile(core.ProfileConfig{})
 	return j
 }
@@ -548,7 +547,7 @@ func (m *jobManager) get(id string) *job {
 // (core.Progress.InternHits/InternMisses) across every non-terminal job. Terminal jobs are skipped — their
 // stores are already unreachable and collected; counting them would report
 // memory the process no longer holds. Snapshots are taken outside m.mu (a
-// Monitor sums per-worker counters) so a slow sample never blocks submission.
+// Monitor loads the run's counters) so a slow sample never blocks submission.
 func (m *jobManager) storedFootprint() (bytes, hits, misses int64) {
 	m.mu.Lock()
 	live := make([]*job, 0, len(m.jobs))

@@ -61,12 +61,12 @@ type (
 
 // Config tunes one Server. Zero values select the documented defaults.
 type Config struct {
-	// CPUTokens is the global admission budget: the maximum number of
-	// exploration workers running at once across all jobs, one token each.
-	// A sequential breadth-first sweep large enough also runs a lookahead
-	// helper goroutine beside its one worker, on its one token (internal/core,
-	// "Lookahead"); GOMAXPROCS, not the tokens, bounds what runs at once.
-	// Default: NumCPU.
+	// CPUTokens is the global admission budget: the number of tokens the
+	// running jobs hold between them, each job as many as its workers
+	// option asks for (clamped to this). A sweep runs on one goroutine, and
+	// a breadth-first sweep large enough also runs a lookahead helper beside
+	// it (internal/core, "Lookahead"); GOMAXPROCS, not the tokens, bounds
+	// what runs at once. Default: NumCPU.
 	CPUTokens int
 	// MaxActiveJobs bounds jobs queued or running; submissions beyond it are
 	// rejected with 429. Default 64.
@@ -139,9 +139,9 @@ const (
 // errors are never cached. Failed and canceled jobs are dropped on
 // resubmission, never served from cache.
 //
-// Admission: a job holds its workers' CPU tokens for its whole sweep (FIFO,
-// no overtaking), so the pool bounds the exploration workers across jobs —
-// a large sequential sweep's lookahead helper rides on its worker's token.
+// Admission: a job holds its granted CPU tokens for its whole sweep (FIFO,
+// no overtaking), so the pool bounds the jobs running at once — a large
+// breadth-first sweep's lookahead helper rides on the job's grant.
 // Queue-time and proxy-wait aborts come from one helper (awaitAbortable),
 // which returns the same core error sentinels as sweep-time aborts, so wire
 // states and abort counters are uniform.
@@ -495,7 +495,6 @@ func coreOptions(spec jobSpec, j *job) core.Options {
 		MaxStates:   spec.MaxStates,
 		StateBudget: spec.StateBudget,
 		MaxBytes:    spec.MaxBytes,
-		Workers:     spec.Workers,
 		Cancel:      j.cancelCh,
 		Deadline:    j.deadline,
 		Monitor:     j.mon,
