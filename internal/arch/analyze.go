@@ -126,8 +126,7 @@ func (r WCRTResult) ViolatesDeadline(deadlineMS *big.Rat) bool {
 // already-computed WCRT res: one reachability sweep to a state where observer
 // i is seen and its clock reaches the known bound, with no re-measurement.
 // Callers holding batch results (Analyze, or a cached service verdict) get
-// the trace for the cost of a single extra exploration, the same trace at
-// any opts.Workers.
+// the trace for the cost of a single extra exploration.
 func (cs *CompiledSet) Witness(i int, res WCRTResult, opts core.Options) (string, error) {
 	q, err := cs.reachSeen(i, res.MS, res.Attained, opts)
 	if err != nil {

@@ -77,9 +77,8 @@ type WorkerSample struct {
 	StoredBytes int64 `json:"stored_bytes"`
 }
 
-// WorkerSeries is a run's sampled time series. A run has one, Worker 0.
+// WorkerSeries is a run's sampled time series. A run has one.
 type WorkerSeries struct {
-	Worker int `json:"worker"`
 	// Dropped counts samples overwritten by the bounded ring; the retained
 	// Samples are the newest ones, oldest first.
 	Dropped int            `json:"dropped"`
@@ -92,8 +91,6 @@ type WorkerSeries struct {
 // parse/compile before the sweep; icrns fallback reruns append a second
 // explore span); Series/Totals describe the latest completed run only.
 type SweepProfile struct {
-	// Workers is the number of series, 1 for every run.
-	Workers     int            `json:"workers"`
 	SampleEvery int            `json:"sample_every"`
 	Phases      []obs.Span     `json:"phases"`
 	Series      []WorkerSeries `json:"series,omitempty"`
@@ -197,7 +194,6 @@ func (pr *profRun) finalize(e *explorer, totals Progress) {
 		ws.Samples = append([]WorkerSample(nil), r.samples...)
 	}
 	pr.rec.setLast(&SweepProfile{
-		Workers:     1,
 		SampleEvery: int(pr.mask + 1),
 		Series:      []WorkerSeries{ws},
 		Totals:      totals,

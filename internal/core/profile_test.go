@@ -29,8 +29,8 @@ func TestSweepProfilePhasesAndSeries(t *testing.T) {
 	if p == nil {
 		t.Fatal("Profile() = nil after a monitored run")
 	}
-	if p.Workers != 1 || len(p.Series) != 1 {
-		t.Fatalf("Workers=%d Series=%d, want 1/1", p.Workers, len(p.Series))
+	if len(p.Series) != 1 {
+		t.Fatalf("Series=%d, want 1", len(p.Series))
 	}
 	if p.Totals.Stored != int64(stats.Stored) {
 		t.Errorf("Totals.Stored = %d, want the run's %d", p.Totals.Stored, stats.Stored)
@@ -106,8 +106,8 @@ func TestSweepProfileParallel(t *testing.T) {
 	if p == nil {
 		t.Fatal("Profile() = nil after a monitored run")
 	}
-	if p.Workers != 1 || len(p.Series) != 1 {
-		t.Fatalf("Workers=%d Series=%d, want 1/1", p.Workers, len(p.Series))
+	if len(p.Series) != 1 {
+		t.Fatalf("Series=%d, want 1", len(p.Series))
 	}
 	if p.Steals != 0 || p.StoreContention != 0 {
 		t.Fatalf("steals=%d contention=%d, want 0 and 0", p.Steals, p.StoreContention)

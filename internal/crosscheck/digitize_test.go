@@ -24,15 +24,40 @@ import (
 // with every constant at most the horizon, no guard or invariant tells two
 // values past it apart.
 
-// digital is the referee's answer for one network.
-type digital struct {
+// refAnswer is a referee's answer for one network.
+type refAnswer struct {
 	// reach holds the discrete part, projectionKey(locs, vars), of every
 	// reachable state.
 	reach map[string]bool
-	// sup[p][l][x] is the largest value of clock x over the reachable states
-	// with process p in location l, capped at horizon+1 (beyond the
-	// horizon), or -1 when no such state is reachable.
+	// sup[p][l][x] is the supremum of clock x over the reachable states with
+	// process p in location l, encoded so that max orders it: 2c for ≤ c
+	// (attained), 2c+1 for < c+1 (approached), 2(horizon+1) for beyond the
+	// horizon, and -1 when no such state is reachable.
 	sup [][][]int64
+}
+
+// newRefAnswer returns an answer with nothing reached yet.
+func newRefAnswer(net *ta.Network) refAnswer {
+	a := refAnswer{reach: map[string]bool{}, sup: make([][][]int64, len(net.Procs))}
+	for p, proc := range net.Procs {
+		a.sup[p] = make([][]int64, len(proc.Locations))
+		for l := range proc.Locations {
+			a.sup[p][l] = make([]int64, len(net.Clocks))
+			for x := range a.sup[p][l] {
+				a.sup[p][l][x] = -1
+			}
+		}
+	}
+	return a
+}
+
+// discrete is what the discrete semantics below reads of a state: its
+// locations and variables, and a test of clock constraints on its clock
+// part — integer values here, regions in region_test.go.
+type discrete struct {
+	locs  []ta.LocID
+	vars  []int64
+	holds func([]ta.Constraint) bool
 }
 
 func projectionKey(locs []ta.LocID, vars []int64) string { return fmt.Sprint(locs, vars) }
@@ -50,8 +75,12 @@ func (s dstate) clone() dstate {
 	return dstate{append([]ta.LocID(nil), s.locs...), append([]int64(nil), s.vars...), append([]int64(nil), s.clks...)}
 }
 
+func (s dstate) discrete() discrete {
+	return discrete{s.locs, s.vars, s.holds}
+}
+
 // holds evaluates a conjunction of clock constraints xI − xJ ≺ b.
-func holds(cs []ta.Constraint, s dstate) bool {
+func (s dstate) holds(cs []ta.Constraint) bool {
 	for _, c := range cs {
 		b := c.Resolve(s.vars)
 		d := s.clks[c.I] - s.clks[c.J]
@@ -71,14 +100,14 @@ type part struct {
 // enabled lists process p's edges out of its location with direction dir on
 // channel ch (ch ignored for tau) whose data guard holds; clockToo also
 // requires the clock guard.
-func enabled(net *ta.Network, s dstate, p int, dir ta.SyncDir, ch ta.ChanID, clockToo bool) []part {
+func enabled(net *ta.Network, s discrete, p int, dir ta.SyncDir, ch ta.ChanID, clockToo bool) []part {
 	var out []part
 	for ei := range net.Procs[p].Edges {
 		e := &net.Procs[p].Edges[ei]
 		if e.Src != s.locs[p] || e.Sync.Dir != dir || (dir != ta.Tau && e.Sync.Chan != ch) {
 			continue
 		}
-		if ta.EvalGuard(e.Guard, s.vars) && (!clockToo || holds(e.ClockGuard, s)) {
+		if ta.EvalGuard(e.Guard, s.vars) && (!clockToo || s.holds(e.ClockGuard)) {
 			out = append(out, part{p, e})
 		}
 	}
@@ -88,7 +117,7 @@ func enabled(net *ta.Network, s dstate, p int, dir ta.SyncDir, ch ta.ChanID, clo
 // transitions lists the action transitions of s the committed-location rule
 // admits: a transition must move a process in a committed location when any
 // process is in one.
-func transitions(net *ta.Network, s dstate) [][]part {
+func transitions(net *ta.Network, s discrete) [][]part {
 	committed := func(p int) bool { return net.Procs[p].Locations[s.locs[p]].Kind == ta.Committed }
 	anyCommitted := false
 	for p := range net.Procs {
@@ -150,9 +179,9 @@ func transitions(net *ta.Network, s dstate) [][]part {
 }
 
 // invariantsHold checks every process's location invariant.
-func invariantsHold(net *ta.Network, s dstate) bool {
+func invariantsHold(net *ta.Network, s discrete) bool {
 	for p, l := range s.locs {
-		if !holds(net.Procs[p].Locations[l].Invariant, s) {
+		if !s.holds(net.Procs[p].Locations[l].Invariant) {
 			return false
 		}
 	}
@@ -163,7 +192,7 @@ func invariantsHold(net *ta.Network, s dstate) bool {
 // or committed location, while an urgent broadcast channel has a
 // data-enabled emitter, or while an urgent binary channel has a data-enabled
 // emitter and receiver in two processes.
-func delayAllowed(net *ta.Network, s dstate) bool {
+func delayAllowed(net *ta.Network, s discrete) bool {
 	for p, l := range s.locs {
 		if k := net.Procs[p].Locations[l].Kind; k == ta.UrgentLoc || k == ta.Committed {
 			return false
@@ -193,7 +222,7 @@ func delayAllowed(net *ta.Network, s dstate) bool {
 
 // digitalReach explores net's integer-time semantics with every clock capped
 // at horizon+1.
-func digitalReach(net *ta.Network, horizon int64) digital {
+func digitalReach(net *ta.Network, horizon int64) refAnswer {
 	capAt := horizon + 1
 	init := dstate{make([]ta.LocID, len(net.Procs)), make([]int64, len(net.Vars)), make([]int64, len(net.Clocks))}
 	for p, proc := range net.Procs {
@@ -202,16 +231,7 @@ func digitalReach(net *ta.Network, horizon int64) digital {
 	for v, decl := range net.Vars {
 		init.vars[v] = decl.Init
 	}
-	d := digital{reach: map[string]bool{}, sup: make([][][]int64, len(net.Procs))}
-	for p, proc := range net.Procs {
-		d.sup[p] = make([][]int64, len(proc.Locations))
-		for l := range proc.Locations {
-			d.sup[p][l] = make([]int64, len(net.Clocks))
-			for x := range d.sup[p][l] {
-				d.sup[p][l][x] = -1
-			}
-		}
-	}
+	d := newRefAnswer(net)
 	seen := map[string]bool{}
 	var work []dstate
 	visit := func(s dstate) {
@@ -220,7 +240,7 @@ func digitalReach(net *ta.Network, horizon int64) digital {
 			work = append(work, s)
 		}
 	}
-	if invariantsHold(net, init) {
+	if invariantsHold(net, init.discrete()) {
 		visit(init)
 	}
 	for len(work) > 0 {
@@ -229,19 +249,19 @@ func digitalReach(net *ta.Network, horizon int64) digital {
 		d.reach[projectionKey(s.locs, s.vars)] = true
 		for p, l := range s.locs {
 			for x := 1; x < len(s.clks); x++ {
-				d.sup[p][l][x] = max(d.sup[p][l][x], s.clks[x])
+				d.sup[p][l][x] = max(d.sup[p][l][x], 2*s.clks[x])
 			}
 		}
-		if delayAllowed(net, s) {
+		if delayAllowed(net, s.discrete()) {
 			next := s.clone()
 			for x := 1; x < len(next.clks); x++ {
 				next.clks[x] = min(next.clks[x]+1, capAt)
 			}
-			if invariantsHold(net, next) {
+			if invariantsHold(net, next.discrete()) {
 				visit(next)
 			}
 		}
-		for _, tr := range transitions(net, s) {
+		for _, tr := range transitions(net, s.discrete()) {
 			// Updates in part order (the emitter first), on the values the
 			// guards were evaluated on; then every move and reset.
 			next := s.clone()
@@ -254,7 +274,7 @@ func digitalReach(net *ta.Network, horizon int64) digital {
 					next.clks[r.Clock] = min(r.Value, capAt)
 				}
 			}
-			if invariantsHold(net, next) {
+			if invariantsHold(net, next.discrete()) {
 				visit(next)
 			}
 		}
@@ -266,15 +286,18 @@ func digitalReach(net *ta.Network, horizon int64) digital {
 // every constant genClosedNet writes.
 const refHorizon = 5
 
-// genClosedNet builds a small closed network from r: 2 or 3 processes of 2
-// or 3 locations (normal, urgent or committed) on a cycle plus a few more
-// edges, at most 3 clocks, 1 or 2 variables in [0, 2] written only with
-// constants, and one or two channels of any of the four kinds. Clock guards and invariants compare one
-// clock with a constant of at most 4 (x ≤ c, x ≥ c, x == c); channels whose
-// kind forbids clock guards on an edge get none there. Every clock's
-// extrapolation constant is raised to refHorizon, so the engine measures a
-// clock up to it exactly.
-func genClosedNet(r *rand.Rand, i int) *ta.Network {
+// genClosedNet builds a small network from r: 2 or 3 processes of 2 or 3
+// locations (normal, urgent or committed) on a cycle plus a few more edges,
+// at most 3 clocks, 1 or 2 variables in [0, 2] written only with constants,
+// and one or two channels of any of the four kinds. Clock guards and
+// invariants compare one clock with a constant of at most 4: closed (x ≤ c,
+// x ≥ c, x == c) unless strict, which also draws x < c and x > c guards and
+// x < c invariants. Channels whose kind forbids clock guards on an edge get
+// none there. Every clock's extrapolation constant is raised to refHorizon,
+// so the engine measures a clock up to it exactly. Without strict the
+// generator makes none of strict's extra draws, so a seed's closed networks
+// do not depend on it.
+func genClosedNet(r *rand.Rand, i int, strict bool) *ta.Network {
 	n := ta.NewNetwork(fmt.Sprintf("closed%d", i))
 	clocks := make([]ta.Clock, 1+r.Intn(3))
 	for k := range clocks {
@@ -291,11 +314,19 @@ func genClosedNet(r *rand.Rand, i int) *ta.Network {
 	}
 	clockConstraint := func() []ta.Constraint {
 		x, c := clocks[r.Intn(len(clocks))], int64(r.Intn(5))
-		switch r.Intn(3) {
+		forms := 3
+		if strict {
+			forms = 5
+		}
+		switch r.Intn(forms) {
 		case 0:
 			return []ta.Constraint{ta.CLE(x, c)}
 		case 1:
 			return []ta.Constraint{ta.CGE(x, c)}
+		case 3:
+			return []ta.Constraint{ta.CLT(x, c)}
+		case 4:
+			return []ta.Constraint{ta.CGT(x, c)}
 		}
 		return ta.CEq(x, c)
 	}
@@ -313,7 +344,12 @@ func genClosedNet(r *rand.Rand, i int) *ta.Network {
 			}
 			var inv []ta.Constraint
 			if r.Intn(5) < 2 {
-				inv = append(inv, ta.CLE(clocks[r.Intn(len(clocks))], int64(1+r.Intn(4))))
+				x, c := clocks[r.Intn(len(clocks))], int64(1+r.Intn(4))
+				if strict && r.Intn(2) == 0 {
+					inv = append(inv, ta.CLT(x, c))
+				} else {
+					inv = append(inv, ta.CLE(x, c))
+				}
 			}
 			proc.AddLocation(fmt.Sprintf("l%d", l), kind, inv...)
 		}

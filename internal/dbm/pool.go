@@ -10,8 +10,9 @@ package dbm
 // at three widths) back to back, so the cache holds raw slabs that any of
 // them can carve (see Slabs).
 //
-// A Pool is NOT safe for concurrent use: every worker of a parallel
-// exploration owns its own Pool. Matrices may migrate between pools (a DBM
+// A Pool is NOT safe for concurrent use: each goroutine of an exploration —
+// the admitting loop, and a breadth-first sweep's lookahead helper — owns its
+// own Pool. Matrices may migrate between pools (a DBM
 // obtained from one pool may be released into another of the same
 // dimension); a Pool only hands out matrices of its own dimension and
 // silently drops mismatched ones on Put.

@@ -107,8 +107,9 @@ func giveSlabs(released []*slab) []*slab {
 // variants workload alone has 20,000); raw slabs serve all of them from one
 // cache.
 //
-// Carving is safe for concurrent use (per-worker pools and per-shard compact
-// pools share one set); it takes the set's lock once per matrix or payload a
+// Carving is safe for concurrent use (a sweep's two zone pools — the
+// admitting loop's and its lookahead helper's — and its store's compact pool
+// share one set); it takes the set's lock once per matrix or payload a
 // free list could not supply, which is rare next to the work done on one.
 //
 // Ownership: the set, and after Release the cache, is what keeps carved

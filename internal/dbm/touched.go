@@ -7,8 +7,9 @@ package dbm
 //
 // A Touched is reusable scratch: Reset costs O(elements added), Add is
 // O(1), and after the initial allocation no operation allocates — the
-// exploration hot loop keeps a rows/columns pair per worker (in its succCtx)
-// under the same recycling rules as pooled zones. A Touched is NOT safe for concurrent use.
+// exploration hot loop keeps a rows/columns pair per expanding goroutine (in
+// its succCtx) under the same recycling rules as pooled zones. A Touched is
+// NOT safe for concurrent use.
 type Touched struct {
 	mark []bool
 	list []int32

@@ -7,7 +7,7 @@ package dbm
 //
 // Like Touched it is reusable scratch: Reset costs O(clocks bounded), Lower
 // is O(1), nothing allocates after construction; the successor engine keeps
-// one per worker. NOT safe for concurrent use.
+// one per expanding goroutine (in its succCtx). NOT safe for concurrent use.
 type UpperBounds struct {
 	b    []Bound // per clock; Infinity = unbounded
 	list []int32 // the clocks with a finite entry in b, insertion order

@@ -11,7 +11,7 @@
 // tests:
 //
 //	core/worker    — fired once per expansion, on the goroutine that expands:
-//	                 an explorer worker, or a sequential sweep's lookahead
+//	                 the admitting loop, or a breadth-first sweep's lookahead
 //	                 helper
 //	serve/job      — fired when a job transitions to running, before its sweep
 //	serve/dispatch — fired as a proxy job starts routing to its owner node;
@@ -20,8 +20,8 @@
 //	dbm/mmap       — fired before a zone slab is mapped; an injected error is a
 //	                 refused mapping, and the slab comes from the heap instead
 //
-// The registry is concurrency-safe: chaos tests run parallel sweeps under
-// -race while the armed fault fires on some worker.
+// The registry is concurrency-safe: chaos tests run sweeps under -race while
+// the armed fault fires on the admitting loop or on the lookahead helper.
 package faultinject
 
 import (
@@ -46,7 +46,7 @@ const (
 	// internal-error scenario.
 	KindError
 	// KindDelay sleeps for the fault's Delay and keeps going — the
-	// slow-worker scenario.
+	// slow-expansion or slow-job scenario.
 	KindDelay
 )
 

@@ -12,10 +12,10 @@
 //     event-scoped paths — a job submitted, a dispatch sent — where the event
 //     itself costs orders of magnitude more than one contended atomic. It
 //     must NEVER be called per explored state.
-//   - Per-state (hot-path) telemetry goes through the engine's own
-//     per-worker cells (core's workerCell): exactly one goroutine writes a
-//     cell, with plain atomic stores (never an RMW, never a lock), and the
-//     scrape side merges lock-free by summing. CounterFunc/GaugeFunc bridge
+//   - Per-state (hot-path) telemetry goes through the engine's own run
+//     cell (core's workerCell): exactly one goroutine, the admitting loop,
+//     writes it, with plain atomic stores (never an RMW, never a lock), and
+//     the scrape side loads it lock-free. CounterFunc/GaugeFunc bridge
 //     such externally-owned values into the exposition.
 //
 // Scrapes (WriteText) read everything through atomic loads or caller
@@ -121,8 +121,8 @@ func (r *Registry) register(name, help string, kind metricKind, m *metric) {
 }
 
 // CounterFunc registers a counter series whose value is sampled from fn at
-// scrape time — the bridge for counters owned elsewhere (padded per-worker
-// cells, existing atomics). fn must be safe to call from any goroutine and
+// scrape time — the bridge for counters owned elsewhere (the engine's run
+// cell, existing atomics). fn must be safe to call from any goroutine and
 // should be monotone.
 func (r *Registry) CounterFunc(name, help string, fn func() int64, labels ...Label) {
 	r.register(name, help, kindCounter, &metric{labels: labels, fn: fn})

@@ -3,7 +3,7 @@
 // successor engine can be measured on the real workloads (a Table 1 sweep,
 // a batch analysis) instead of synthetic benchmarks only. The -profile-out
 // flag additionally captures the engine's own sweep profile (phase spans +
-// sampled per-worker series, core.SweepProfile) as JSON.
+// the sweep's sampled series, core.SweepProfile) as JSON.
 package profflag
 
 import (
@@ -31,7 +31,7 @@ func Register() *Profiles {
 	p := &Profiles{}
 	flag.StringVar(&p.cpu, "cpuprofile", "", "write a CPU profile of the run to this file")
 	flag.StringVar(&p.mem, "memprofile", "", "write a heap profile to this file at exit")
-	flag.StringVar(&p.out, "profile-out", "", "write the sweep profile (phase spans + per-worker series) as JSON to this file")
+	flag.StringVar(&p.out, "profile-out", "", "write the sweep profile (phase spans + sampled series) as JSON to this file")
 	return p
 }
 

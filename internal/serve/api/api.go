@@ -18,8 +18,8 @@ import (
 
 // Job states on the wire.
 const (
-	StateQueued   = "queued"   // admitted, waiting for CPU tokens
-	StateRunning  = "running"  // holding tokens, sweep in progress
+	StateQueued   = "queued"   // admitted, waiting for a CPU token
+	StateRunning  = "running"  // holding its token, sweep in progress
 	StateDone     = "done"     // result available
 	StateFailed   = "failed"   // analysis error (DeadlineExceeded included)
 	StateCanceled = "canceled" // canceled by a client or by shutdown
@@ -57,13 +57,6 @@ type SubmitOptions struct {
 	// QueueCap bounds the arch pending-event counters (default 8; negative
 	// is rejected).
 	QueueCap int64 `json:"queue_cap,omitempty"`
-	// Workers is the number of CPU tokens this job holds while running, and
-	// it scales the job's default share of the memory budget. Clamped to
-	// [1, CPUTokens]. Default 1 (service throughput comes from concurrent
-	// jobs). It sizes the grant only: the exploration, and with it every
-	// verdict, count and trace, is the same at any value. It is part of the
-	// content key, so the same model at two values is two jobs.
-	Workers int `json:"workers,omitempty"`
 	// MaxStates truncates the exploration (0 = exhaustive).
 	MaxStates int `json:"max_states,omitempty"`
 	// StateBudget hard-caps the exploration: exceeding it fails the job with
@@ -146,10 +139,7 @@ type ProgressBody struct {
 	Transitions int64 `json:"transitions"`
 	Deadlocks   int64 `json:"deadlocks"`
 	Frontier    int64 `json:"frontier"`
-	// Workers is the job's CPU-token grant (SubmitOptions.Workers after
-	// clamping); 0 for a job that runs on another node.
-	Workers int  `json:"workers"`
-	Running bool `json:"running"`
+	Running     bool  `json:"running"`
 	// StoredBytes is the passed store's actual resident footprint: entries
 	// with their packed discrete keys, zone records and packed zone bytes.
 	StoredBytes int64 `json:"stored_bytes"`
@@ -174,7 +164,7 @@ type ProfileResponse struct {
 	// compute, replicate), absolute Unix-ns intervals in recording order.
 	Spans []obs.Span `json:"spans"`
 	// Sweep is the engine's core.SweepProfile JSON — phase spans (parse,
-	// compile, explore, trace-replay) plus the sampled per-worker series —
+	// compile, explore, trace-replay) plus the sweep's sampled series —
 	// present only when this node ran the sweep (absent for proxied and
 	// adopted results). Kept raw so the api package does not depend on core.
 	Sweep json.RawMessage `json:"sweep,omitempty"`

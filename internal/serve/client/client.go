@@ -300,7 +300,7 @@ func (c *Client) Trace(ctx context.Context, id, req string) (map[string]string, 
 }
 
 // Profile returns a terminal job's profile: lifecycle spans plus — when the
-// serving node ran the sweep — the engine's phase spans and per-worker
+// serving node ran the sweep — the engine's phase spans and sampled
 // series. Non-terminal jobs answer 409 (surfaced as an *APIError).
 func (c *Client) Profile(ctx context.Context, id string) (*api.ProfileResponse, error) {
 	status, body, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/profile", nil)

@@ -17,7 +17,7 @@ import (
 // reduces to a no-op under the default local backend.
 //
 // Ownership invariant: exactly one node — dispatch.Owner(key) — computes a
-// content key; every other frontend holds a proxy job (workers == 0, no
+// content key; every other frontend holds a proxy job (job.remote, no
 // grant) that waits on the key's completion topic. The owner's job table
 // dedupes concurrent envelopes exactly like concurrent local submissions, so
 // the cluster-wide exploration count for one key is 1. Degraded paths
@@ -80,10 +80,10 @@ func (s *Server) proxyRun(sub *submission, req *SubmitRequest, owner string) run
 // real grant first — degraded routing never bypasses admission control.
 func (s *Server) localFallback(sub *submission, j *job) ([]byte, map[string]string, error) {
 	s.fallbacks.Add(1)
-	if err := s.tokens.acquire(j.cancelCh, j.deadline, sub.spec.Workers, sub.spec.MaxBytes); err != nil {
+	if err := s.tokens.acquire(j.cancelCh, j.deadline, sub.spec.MaxBytes); err != nil {
 		return nil, nil, err
 	}
-	defer s.tokens.release(sub.spec.Workers, sub.spec.MaxBytes)
+	defer s.tokens.release(sub.spec.MaxBytes)
 	return s.compute(sub)(j)
 }
 
@@ -130,7 +130,7 @@ func (s *Server) handleEnvelope(envelope []byte) {
 	// Completion (including a joined live twin's) is announced by the
 	// onFinish hook; an already-done twin was announced when it finished and
 	// its event is retained by the broker for late subscribers.
-	_, _, err = s.jobs.submit(sub.id, sub.spec.Kind, sub.spec.Workers, sub.spec.MaxBytes, sub.deadline, s.compute(sub))
+	_, _, err = s.jobs.submit(sub.id, sub.spec.Kind, false, sub.spec.MaxBytes, sub.deadline, s.compute(sub))
 	if err != nil {
 		_ = s.dispatch.Announce(api.CompletionEvent{
 			Key: sub.id, Node: s.dispatch.Self(), Kind: sub.spec.Kind,
@@ -155,12 +155,12 @@ func (s *Server) countOutcome(code string) {
 
 // jobFinished is the jobManager's onFinish hook, called once per executed job
 // right after it turned terminal: it relays the terminal state cluster-wide.
-// Proxy and fallback jobs (workers == 0) stay silent — announcing is the
+// Proxy and fallback jobs (job.remote) stay silent — announcing is the
 // owner's job, and a proxy's local abort (cancel, deadline) must never
 // overwrite the retained real completion of its key. The local backend
 // reduces the relay to a snapshot and two no-ops.
 func (s *Server) jobFinished(j *job) {
-	if j.workers == 0 {
+	if j.remote {
 		return
 	}
 	state, errMsg, _, _ := j.snapshot()

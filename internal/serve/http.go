@@ -223,7 +223,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			Transitions:  p.Transitions,
 			Deadlocks:    p.Deadlocks,
 			Frontier:     p.Frontier,
-			Workers:      j.workers,
 			Running:      p.Running,
 			StoredBytes:  p.StoredBytes,
 			InternHits:   p.InternHits,

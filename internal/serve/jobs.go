@@ -24,17 +24,18 @@ const (
 )
 
 // This file is the execution half of the service: a global resource
-// admission controller and a bounded job manager. Every analysis job declares
-// how many CPU tokens it takes (its workers option) and how many bytes of
-// zone memory it may grow to, and must hold that grant — CPU tokens plus a
-// memory slice of the server's global budget — for the duration of its
-// sweep. k simultaneous analyses therefore never oversubscribe the host's
-// cores or its RAM: running sweeps are capped by the token pool, resident
-// zone memory by the byte pool, and excess jobs queue FIFO at admission
-// instead of thrashing the scheduler. The memory grant doubles as
-// the job's core.Options.MaxBytes, so a job that outgrows what it was
-// admitted with fails alone (ErrMemoryBudget, partial stats) instead of
-// OOM-killing the node and every queued job with it.
+// admission controller and a bounded job manager. Every job that computes
+// holds one CPU token plus a memory slice of the server's global budget (the
+// bytes of zone memory it may grow to) for the duration of its sweep. A token
+// is one running sweep: a breadth-first sweep past 1,024 expansions also runs
+// a lookahead helper on a second core (internal/core, "Lookahead") without a
+// second token. k simultaneous analyses therefore never oversubscribe the
+// host's RAM: running sweeps are capped by the token pool, resident zone
+// memory by the byte pool, and excess jobs queue FIFO at admission instead of
+// thrashing the scheduler. The memory grant doubles as the job's
+// core.Options.MaxBytes, so a job that outgrows what it was admitted with
+// fails alone (ErrMemoryBudget, partial stats) instead of OOM-killing the node
+// and every queued job with it.
 
 // Job states on the wire — aliases of the api contract.
 const (
@@ -74,9 +75,9 @@ func awaitAbortable[T any](ready <-chan T, cancel <-chan struct{}, deadline time
 
 // cpuTokens is the admission controller: a FIFO counting semaphore over the
 // host's CPU budget and, when the server configures one, its memory budget.
-// A waiter is granted atomically — all its tokens and all its bytes, or
-// nothing — and waiters never overtake (head-of-line order), so a wide job
-// cannot starve behind a stream of narrow ones.
+// A waiter is granted atomically — one token and all its bytes, or nothing —
+// and waiters never overtake (head-of-line order), so a job with a large
+// memory grant cannot starve behind a stream of small ones.
 type cpuTokens struct {
 	mu         sync.Mutex
 	total      int
@@ -87,7 +88,6 @@ type cpuTokens struct {
 }
 
 type tokenWait struct {
-	n       int
 	bytes   int64
 	ready   chan struct{}
 	granted bool
@@ -104,23 +104,23 @@ func newCPUTokens(total int, budgetBytes int64) *cpuTokens {
 		totalBytes: budgetBytes, availBytes: budgetBytes, waiters: list.New()}
 }
 
-// fitsLocked reports whether a grant of (n, bytes) fits the free resources.
-func (t *cpuTokens) fitsLocked(n int, bytes int64) bool {
-	return t.avail >= n && (t.totalBytes == 0 || t.availBytes >= bytes)
+// fitsLocked reports whether a grant of one token and bytes fits the free
+// resources.
+func (t *cpuTokens) fitsLocked(bytes int64) bool {
+	return t.avail > 0 && (t.totalBytes == 0 || t.availBytes >= bytes)
 }
 
-// acquire blocks until the (n tokens, bytes) grant lands or the job aborts
-// (awaitAbortable). n must already be clamped to [1, total] and bytes to
-// [0, totalBytes].
-func (t *cpuTokens) acquire(cancel <-chan struct{}, deadline time.Time, n int, bytes int64) error {
+// acquire blocks until the grant of one token and bytes lands or the job
+// aborts (awaitAbortable). bytes must already be clamped to [0, totalBytes].
+func (t *cpuTokens) acquire(cancel <-chan struct{}, deadline time.Time, bytes int64) error {
 	t.mu.Lock()
-	if t.waiters.Len() == 0 && t.fitsLocked(n, bytes) {
-		t.avail -= n
+	if t.waiters.Len() == 0 && t.fitsLocked(bytes) {
+		t.avail--
 		t.availBytes -= bytes
 		t.mu.Unlock()
 		return nil
 	}
-	w := &tokenWait{n: n, bytes: bytes, ready: make(chan struct{})}
+	w := &tokenWait{bytes: bytes, ready: make(chan struct{})}
 	el := t.waiters.PushBack(w)
 	t.mu.Unlock()
 
@@ -132,7 +132,7 @@ func (t *cpuTokens) acquire(cancel <-chan struct{}, deadline time.Time, n int, b
 	if w.granted {
 		// The grant raced the abort: keep it consistent by returning the
 		// resources; the caller sees the abort.
-		t.avail += n
+		t.avail++
 		t.availBytes += bytes
 		t.grantLocked()
 	} else {
@@ -143,10 +143,10 @@ func (t *cpuTokens) acquire(cancel <-chan struct{}, deadline time.Time, n int, b
 	return aborted
 }
 
-// release returns a grant and wakes eligible waiters.
-func (t *cpuTokens) release(n int, bytes int64) {
+// release returns a grant of one token and bytes and wakes eligible waiters.
+func (t *cpuTokens) release(bytes int64) {
 	t.mu.Lock()
-	t.avail += n
+	t.avail++
 	t.availBytes += bytes
 	t.grantLocked()
 	t.mu.Unlock()
@@ -156,10 +156,10 @@ func (t *cpuTokens) release(n int, bytes int64) {
 func (t *cpuTokens) grantLocked() {
 	for t.waiters.Len() > 0 {
 		w := t.waiters.Front().Value.(*tokenWait)
-		if !t.fitsLocked(w.n, w.bytes) {
+		if !t.fitsLocked(w.bytes) {
 			return
 		}
-		t.avail -= w.n
+		t.avail--
 		t.availBytes -= w.bytes
 		w.granted = true
 		close(w.ready)
@@ -195,11 +195,14 @@ func (t *cpuTokens) waiting() int {
 type job struct {
 	id        string
 	kind      string // "arch" | "ta"
-	workers   int    // CPU tokens held while running
-	memBytes  int64  // memory-budget bytes held while running (0 = unmetered)
+	memBytes  int64  // memory-budget bytes its grant holds (0 = unmetered)
 	submitted time.Time
 	deadline  time.Time // zero = unbounded
 	mon       *core.Monitor
+	// remote marks a job whose answer another node computes: a proxy waiting
+	// on its owner, or an adopted result. It takes no grant and is never
+	// announced.
+	remote bool
 
 	cancelOnce sync.Once
 	cancelCh   chan struct{}
@@ -215,9 +218,9 @@ type job struct {
 	done     chan struct{}     // closed on any terminal state
 }
 
-func newJob(id, kind string, workers int, memBytes int64, deadline time.Time) *job {
+func newJob(id, kind string, remote bool, memBytes int64, deadline time.Time) *job {
 	j := &job{
-		id: id, kind: kind, workers: workers, memBytes: memBytes,
+		id: id, kind: kind, remote: remote, memBytes: memBytes,
 		submitted: time.Now(), deadline: deadline,
 		mon:      &core.Monitor{},
 		cancelCh: make(chan struct{}),
@@ -372,7 +375,7 @@ type runFunc func(j *job) ([]byte, map[string]string, error)
 // when absent. An existing live or successfully-finished job is shared
 // (created=false — the singleflight/result-cache path); a failed or canceled
 // one is replaced by a fresh attempt.
-func (m *jobManager) submit(id, kind string, workers int, memBytes int64, deadline time.Time, run runFunc) (*job, bool, error) {
+func (m *jobManager) submit(id, kind string, remote bool, memBytes int64, deadline time.Time, run runFunc) (*job, bool, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -386,7 +389,7 @@ func (m *jobManager) submit(id, kind string, workers int, memBytes int64, deadli
 		m.mu.Unlock()
 		return nil, false, errBusy
 	}
-	j := newJob(id, kind, workers, memBytes, deadline)
+	j := newJob(id, kind, remote, memBytes, deadline)
 	m.jobs[id] = j
 	m.active++
 	m.wg.Add(1)
@@ -422,16 +425,16 @@ func (m *jobManager) execute(j *job, run runFunc) {
 func (m *jobManager) admitAndRun(j *job, run runFunc) ([]byte, map[string]string, error) {
 	entered := time.Now()
 	m.span(j, spanQueueWait, j.submitted, entered)
-	// A proxy job (workers == 0) holds no grant: the compute — and its
-	// admission — happens on the node that owns the content key; this
-	// goroutine only waits for the relayed completion.
-	if j.workers > 0 {
-		err := m.tokens.acquire(j.cancelCh, j.deadline, j.workers, j.memBytes)
+	// A proxy job holds no grant: the compute — and its admission — happens
+	// on the node that owns the content key; this goroutine only waits for
+	// the relayed completion.
+	if !j.remote {
+		err := m.tokens.acquire(j.cancelCh, j.deadline, j.memBytes)
 		m.span(j, spanAdmissionWait, entered, time.Now())
 		if err != nil {
 			return nil, nil, err
 		}
-		defer m.tokens.release(j.workers, j.memBytes)
+		defer m.tokens.release(j.memBytes)
 	}
 	j.setRunning()
 	computeStart := time.Now()
@@ -452,8 +455,8 @@ func (m *jobManager) span(j *job, name string, start, end time.Time) {
 // fails that job alone instead of killing the process and every queued job
 // with it. The grant release, finish, and LRU insertion around it all run
 // normally afterwards, so a panicked job leaks neither tokens nor bytes nor
-// a table slot. (The exploration's own workers are additionally contained
-// inside core; this recover catches everything outside them.)
+// a table slot. (The sweep's lookahead helper is additionally contained
+// inside core; this recover catches everything outside it.)
 func runContained(j *job, run runFunc) (result []byte, traces map[string]string, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -521,7 +524,7 @@ func (m *jobManager) adopt(id string, ev api.CompletionEvent) (*job, bool) {
 	if j := m.twinLocked(id); j != nil {
 		return j, false
 	}
-	j := newJob(id, ev.Kind, 0, 0, time.Time{})
+	j := newJob(id, ev.Kind, true, 0, time.Time{})
 	j.mu.Lock()
 	j.state = StateDone
 	j.started = j.submitted

@@ -23,17 +23,18 @@ func tinyTARequest(t *testing.T) SubmitRequest {
 }
 
 // TestGoldenContentKeys pins the content keys of the two checked-in tiny
-// models under the default Config to the values recorded before intake was
-// unified: the key is the job id clients hold and the replicated-cache
-// address fleet members must agree on, so a refactor of normalization must
-// not move it.
+// models under the default Config: the key is the job id clients hold and
+// the replicated-cache address fleet members must agree on, so a refactor of
+// normalization must not move it. The values moved once, when the workers
+// option left the normalized spec (it sized the admission grant and could
+// not change the answer); they were recorded then.
 func TestGoldenContentKeys(t *testing.T) {
 	s := New(Config{})
 	arch := SubmitRequest{Kind: "arch", Model: tinyArchModel(t), Options: SubmitOptions{HorizonMS: 100}}
-	if got, want := contentKey(t, s, arch), "0336e2c6ce53b6117c191f1ba6128cd84a145745524b033dcbb211233ff62a6c"; got != want {
+	if got, want := contentKey(t, s, arch), "0a7fa1d40f23a9bd31d7777e6d7542a145ad76a052aa5c954367f73adad9c45d"; got != want {
 		t.Errorf("arch key = %s, want %s", got, want)
 	}
-	if got, want := contentKey(t, s, tinyTARequest(t)), "6402d86374473d96cd3a1aee0454a037f07977db2bc91deb53393442fc8ddb90"; got != want {
+	if got, want := contentKey(t, s, tinyTARequest(t)), "5c3cd808492c19e68a6b897a133b87cff03de191f18d0696a6d9c5772db49702"; got != want {
 		t.Errorf("ta key = %s, want %s", got, want)
 	}
 }

@@ -184,8 +184,8 @@ func TestJobProfileEndpoint(t *testing.T) {
 			t.Errorf("sweep phase %s missing (got %+v)", name, sweep.Phases)
 		}
 	}
-	if sweep.Workers < 1 || len(sweep.Series) != sweep.Workers {
-		t.Errorf("sweep has %d series for %d workers", len(sweep.Series), sweep.Workers)
+	if len(sweep.Series) != 1 {
+		t.Errorf("sweep has %d series, want exactly one", len(sweep.Series))
 	}
 	if sweep.Totals.Stored == 0 {
 		t.Error("sweep totals empty, want the run's exact counters")

@@ -155,7 +155,7 @@ func TestClusterOracleCaseStudyModels(t *testing.T) {
 			Kind:         "arch",
 			Model:        string(src),
 			Requirements: names,
-			Options:      api.SubmitOptions{HorizonMSByReq: horizons, Workers: 1},
+			Options:      api.SubmitOptions{HorizonMSByReq: horizons},
 		}
 		var bodies [][]byte
 		for i, n := range nodes {

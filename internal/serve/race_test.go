@@ -23,7 +23,7 @@ func TestThunderingHerdSingleflight(t *testing.T) {
 	req := SubmitRequest{
 		Kind:    "arch",
 		Model:   model,
-		Options: SubmitOptions{HorizonMS: 100, Workers: 2},
+		Options: SubmitOptions{HorizonMS: 100},
 	}
 
 	const n = 16
@@ -89,8 +89,8 @@ func TestThunderingHerdSingleflight(t *testing.T) {
 	}
 
 	// Bit-identical to the library path: same wire encoding of a direct
-	// CompiledSet.Analyze with the same options (Workers matches the
-	// submission so even the sweep counters agree).
+	// CompiledSet.Analyze with the same options, down to the sweep
+	// counters.
 	sys, reqs, err := arch.ParseSystem([]byte(model))
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestThunderingHerdSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := cs.Analyze(core.Options{Workers: 2})
+	direct, err := cs.Analyze(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -261,11 +261,11 @@ func canonicalArchBytes(t *testing.T, data []byte) []byte {
 // even when CPU tokens are free, and is granted atomically on release.
 func TestMemoryGrantAdmission(t *testing.T) {
 	tok := newCPUTokens(4, 1000)
-	if err := tok.acquire(nil, time.Time{}, 1, 700); err != nil {
+	if err := tok.acquire(nil, time.Time{}, 700); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- tok.acquire(nil, time.Time{}, 1, 700) }()
+	go func() { errc <- tok.acquire(nil, time.Time{}, 700) }()
 	waitQueued(t, tok, 1)
 	select {
 	case err := <-errc:
@@ -275,14 +275,14 @@ func TestMemoryGrantAdmission(t *testing.T) {
 	if got := tok.bytesInUse(); got != 700 {
 		t.Fatalf("bytesInUse = %d, want 700", got)
 	}
-	tok.release(1, 700)
+	tok.release(700)
 	if err := <-errc; err != nil {
 		t.Fatalf("queued grant after release: %v", err)
 	}
 	if got := tok.bytesInUse(); got != 700 {
 		t.Fatalf("bytesInUse after handoff = %d, want 700", got)
 	}
-	tok.release(1, 700)
+	tok.release(700)
 	if tok.inUse() != 0 || tok.bytesInUse() != 0 {
 		t.Fatalf("resources leaked: tokens=%d bytes=%d", tok.inUse(), tok.bytesInUse())
 	}
@@ -308,36 +308,36 @@ func waitQueued(t *testing.T, tok *cpuTokens, n int) {
 func TestQueuedCancelVersusGrant(t *testing.T) {
 	// Order 1: cancel strictly before any grant is possible.
 	tok := newCPUTokens(1, 0)
-	if err := tok.acquire(nil, time.Time{}, 1, 0); err != nil {
+	if err := tok.acquire(nil, time.Time{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	cancel := make(chan struct{})
 	errc := make(chan error, 1)
-	go func() { errc <- tok.acquire(cancel, time.Time{}, 1, 0) }()
+	go func() { errc <- tok.acquire(cancel, time.Time{}, 0) }()
 	waitQueued(t, tok, 1)
 	close(cancel)
 	if err := <-errc; !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("cancel-first: err = %v, want ErrCanceled", err)
 	}
-	tok.release(1, 0)
+	tok.release(0)
 	if tok.inUse() != 0 {
 		t.Fatalf("cancel-first leaked %d tokens", tok.inUse())
 	}
 
 	// Order 2: grant strictly before the cancel fires.
-	if err := tok.acquire(nil, time.Time{}, 1, 0); err != nil {
+	if err := tok.acquire(nil, time.Time{}, 0); err != nil {
 		t.Fatal(err)
 	}
 	cancel = make(chan struct{})
 	errc = make(chan error, 1)
-	go func() { errc <- tok.acquire(cancel, time.Time{}, 1, 0) }()
+	go func() { errc <- tok.acquire(cancel, time.Time{}, 0) }()
 	waitQueued(t, tok, 1)
-	tok.release(1, 0)
+	tok.release(0)
 	if err := <-errc; err != nil {
 		t.Fatalf("grant-first: err = %v, want nil", err)
 	}
 	close(cancel) // late cancel of an already-granted waiter is a no-op
-	tok.release(1, 0)
+	tok.release(0)
 	if tok.inUse() != 0 {
 		t.Fatalf("grant-first leaked %d tokens", tok.inUse())
 	}
@@ -346,20 +346,20 @@ func TestQueuedCancelVersusGrant(t *testing.T) {
 	// wins inside acquire, the accounting must return to zero.
 	for i := 0; i < 200; i++ {
 		tok := newCPUTokens(1, 64)
-		if err := tok.acquire(nil, time.Time{}, 1, 64); err != nil {
+		if err := tok.acquire(nil, time.Time{}, 64); err != nil {
 			t.Fatal(err)
 		}
 		cancel := make(chan struct{})
 		errc := make(chan error, 1)
-		go func() { errc <- tok.acquire(cancel, time.Time{}, 1, 64) }()
+		go func() { errc <- tok.acquire(cancel, time.Time{}, 64) }()
 		waitQueued(t, tok, 1)
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); tok.release(1, 64) }()
+		go func() { defer wg.Done(); tok.release(64) }()
 		go func() { defer wg.Done(); close(cancel) }()
 		wg.Wait()
 		if err := <-errc; err == nil {
-			tok.release(1, 64)
+			tok.release(64)
 		} else if !errors.Is(err, core.ErrCanceled) {
 			t.Fatalf("iteration %d: err = %v", i, err)
 		}
@@ -371,29 +371,28 @@ func TestQueuedCancelVersusGrant(t *testing.T) {
 
 // TestMemoryGrantDefaultsAndClamps pins intake's grant resolution: a
 // declared max_bytes is clamped to the global budget, and an undeclared one
-// defaults to the worker-proportional fair share.
+// defaults to the fair share of one token, budget / tokens.
 func TestMemoryGrantDefaultsAndClamps(t *testing.T) {
-	s := New(Config{CPUTokens: 4, MemoryBudget: 4000})
 	model := tinyArchModel(t)
 	for _, tc := range []struct {
-		name    string
-		opts    SubmitOptions
-		want    int64
-		workers int
+		name   string
+		tokens int
+		opts   SubmitOptions
+		want   int64
 	}{
-		{"default fair share", SubmitOptions{HorizonMS: 100}, 1000, 1},
-		{"fair share scales with workers", SubmitOptions{HorizonMS: 100, Workers: 2}, 2000, 2},
-		{"declared passes through", SubmitOptions{HorizonMS: 100, MaxBytes: 1500}, 1500, 1},
-		{"declared clamped to budget", SubmitOptions{HorizonMS: 100, MaxBytes: 1 << 40}, 4000, 1},
-		{"negative treated as unset", SubmitOptions{HorizonMS: 100, MaxBytes: -5}, 1000, 1},
+		{"default fair share", 4, SubmitOptions{HorizonMS: 100}, 1000},
+		{"fair share is budget / tokens", 5, SubmitOptions{HorizonMS: 100}, 800},
+		{"declared passes through", 4, SubmitOptions{HorizonMS: 100, MaxBytes: 1500}, 1500},
+		{"declared clamped to budget", 4, SubmitOptions{HorizonMS: 100, MaxBytes: 1 << 40}, 4000},
+		{"negative treated as unset", 4, SubmitOptions{HorizonMS: 100, MaxBytes: -5}, 1000},
 	} {
+		s := New(Config{CPUTokens: tc.tokens, MemoryBudget: 4000})
 		sub, err := s.intake(&SubmitRequest{Kind: "arch", Model: model, Options: tc.opts})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if spec := sub.spec; spec.MaxBytes != tc.want || spec.Workers != tc.workers {
-			t.Errorf("%s: grant=%d workers=%d, want %d/%d",
-				tc.name, spec.MaxBytes, spec.Workers, tc.want, tc.workers)
+		if got := sub.spec.MaxBytes; got != tc.want {
+			t.Errorf("%s: grant=%d, want %d", tc.name, got, tc.want)
 		}
 	}
 	// Without a server budget, declared bytes pass through unclamped (pure

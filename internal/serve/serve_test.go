@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -158,7 +160,7 @@ func TestHTTPOracleCaseStudyModels(t *testing.T) {
 			Kind:         "arch",
 			Model:        string(src),
 			Requirements: names,
-			Options:      SubmitOptions{HorizonMSByReq: horizons, Workers: 1},
+			Options:      SubmitOptions{HorizonMSByReq: horizons},
 		})
 		st := await(t, ts.URL, sr.JobID, 2*time.Minute)
 		if st.State != StateDone {
@@ -344,17 +346,129 @@ func TestWitnessTraces(t *testing.T) {
 	}
 }
 
-// TestWorkersClamped pins the admission contract: a job cannot ask for more
-// parallelism than the global CPU budget.
-func TestWorkersClamped(t *testing.T) {
+// rawWithWorkers is req's JSON body with options.workers set: the option
+// is gone from the contract, and a client that still sends it must be
+// served as if it had not.
+func rawWithWorkers(t *testing.T, req SubmitRequest, workers int) map[string]any {
+	t.Helper()
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(data, &body); err != nil {
+		t.Fatal(err)
+	}
+	body["options"].(map[string]any)["workers"] = workers
+	return body
+}
+
+// postSubmit posts a raw submission body and decodes the accepted answer.
+func postSubmit(t *testing.T, base string, body any) SubmitResponse {
+	t.Helper()
+	code, out := postJSON(t, base+"/v1/jobs", body)
+	if code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("submit: %d: %s", code, out)
+	}
+	var sr SubmitResponse
+	if err := json.Unmarshal(out, &sr); err != nil {
+		t.Fatal(err)
+	}
+	return sr
+}
+
+// holdTAJobs makes every ta job block in its compile phase — admitted,
+// running and holding its token — until the returned release is called (and
+// at the latest at cleanup). It swaps the kind table's ta entry for the
+// test's life; the package's tests do not run in parallel.
+func holdTAJobs(t *testing.T) (release func()) {
+	orig := kinds["ta"]
+	gate := make(chan struct{})
+	kinds["ta"] = kind{orig.resolve, func(s *Server, spec *jobSpec, model any) (sweep, error) {
+		<-gate
+		return orig.bind(s, spec, model)
+	}}
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(func() {
+		release()
+		kinds["ta"] = orig
+	})
+	return release
+}
+
+// awaitRunning polls until the job reads running.
+func awaitRunning(t *testing.T, base, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, body, _ := waitStatus(t, base, id, "")
+		st := decodeStatus(t, body)
+		if st.State == StateRunning {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s, want running", id, st.State)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// tokensInUse reads taserved_cpu_tokens_in_use from /v1/metrics.
+func tokensInUse(t *testing.T, base string) string {
+	t.Helper()
+	_, body := getBody(t, base+"/v1/metrics")
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "taserved_cpu_tokens_in_use "); ok {
+			return v
+		}
+	}
+	t.Fatalf("metrics lack taserved_cpu_tokens_in_use:\n%s", body)
+	return ""
+}
+
+// TestJobHoldsOneToken pins the admission contract: every job that computes
+// holds exactly one CPU token, whatever workers value a client still sends,
+// so two such jobs on a two-token server run side by side.
+func TestJobHoldsOneToken(t *testing.T) {
 	_, ts := testServer(t, Config{CPUTokens: 2})
-	sr := submit(t, ts.URL, SubmitRequest{Kind: "arch", Model: tinyArchModel(t),
-		Options: SubmitOptions{HorizonMS: 100, Workers: 64}})
-	st := await(t, ts.URL, sr.JobID, time.Minute)
-	if st.State != StateDone {
+	release := holdTAJobs(t)
+	a := tinyTARequest(t)
+	b := tinyTARequest(t)
+	b.Queries = b.Queries[1:]
+	first := postSubmit(t, ts.URL, rawWithWorkers(t, a, 2))
+	awaitRunning(t, ts.URL, first.JobID)
+	if got := tokensInUse(t, ts.URL); got != "1" {
+		t.Errorf("one running job asking for 2 workers holds %s tokens, want 1", got)
+	}
+	second := postSubmit(t, ts.URL, rawWithWorkers(t, b, 2))
+	awaitRunning(t, ts.URL, second.JobID)
+	if got := tokensInUse(t, ts.URL); got != "2" {
+		t.Errorf("two running jobs hold %s tokens, want 2", got)
+	}
+	release()
+	for _, id := range []string{first.JobID, second.JobID} {
+		if st := await(t, ts.URL, id, time.Minute); st.State != StateDone {
+			t.Errorf("job %s: %s (%s)", id, st.State, st.Error)
+		}
+	}
+}
+
+// TestWorkersOptionIgnored: two submissions that differ only in the workers
+// value a client still sends are one question, so one job and one
+// exploration.
+func TestWorkersOptionIgnored(t *testing.T) {
+	s, ts := testServer(t, Config{CPUTokens: 4})
+	req := SubmitRequest{Kind: "arch", Model: tinyArchModel(t), Options: SubmitOptions{HorizonMS: 100}}
+	one := postSubmit(t, ts.URL, rawWithWorkers(t, req, 1))
+	four := postSubmit(t, ts.URL, rawWithWorkers(t, req, 4))
+	if one.JobID != four.JobID {
+		t.Fatalf("workers 1 and 4 gave jobs %s and %s, want one", one.JobID, four.JobID)
+	}
+	if st := await(t, ts.URL, one.JobID, time.Minute); st.State != StateDone {
 		t.Fatalf("job: %s (%s)", st.State, st.Error)
 	}
-	if st.Progress.Workers != 2 {
-		t.Errorf("workers = %d, want clamped to 2", st.Progress.Workers)
+	if n := s.Stats().Explorations; n != 1 {
+		t.Errorf("Explorations = %d, want 1", n)
 	}
 }

@@ -61,12 +61,11 @@ type (
 
 // Config tunes one Server. Zero values select the documented defaults.
 type Config struct {
-	// CPUTokens is the global admission budget: the number of tokens the
-	// running jobs hold between them, each job as many as its workers
-	// option asks for (clamped to this). A sweep runs on one goroutine, and
-	// a breadth-first sweep large enough also runs a lookahead helper beside
-	// it (internal/core, "Lookahead"); GOMAXPROCS, not the tokens, bounds
-	// what runs at once. Default: NumCPU.
+	// CPUTokens is the global admission budget: the number of sweeps that
+	// run at once, each job that computes holding one token. A sweep runs on
+	// one goroutine, and a breadth-first sweep past 1,024 expansions also
+	// runs a lookahead helper on a second core without a second token
+	// (internal/core, "Lookahead"). Default: NumCPU.
 	CPUTokens int
 	// MaxActiveJobs bounds jobs queued or running; submissions beyond it are
 	// rejected with 429. Default 64.
@@ -78,9 +77,9 @@ type Config struct {
 	// not set deadline_ms. Zero = unbounded.
 	DefaultDeadline time.Duration
 	// MemoryBudget is the global zone-memory budget in bytes. When set, every
-	// job holds a memory grant alongside its CPU tokens while running: its
+	// job holds a memory grant alongside its CPU token while running: its
 	// requested max_bytes (clamped to the budget), or a fair share of
-	// MemoryBudget/CPUTokens per worker when the submission does not ask.
+	// MemoryBudget/CPUTokens when the submission does not ask.
 	// The grant is also the job's core memory budget, so one runaway
 	// submission fails alone with MemoryBudgetExceeded instead of OOM-killing
 	// the node. Zero = memory unmetered.
@@ -139,9 +138,9 @@ const (
 // errors are never cached. Failed and canceled jobs are dropped on
 // resubmission, never served from cache.
 //
-// Admission: a job holds its granted CPU tokens for its whole sweep (FIFO,
-// no overtaking), so the pool bounds the jobs running at once — a large
-// breadth-first sweep's lookahead helper rides on the job's grant.
+// Admission: a job holds one CPU token for its whole sweep (FIFO, no
+// overtaking), so the pool bounds the jobs running at once — a large
+// breadth-first sweep's lookahead helper rides on the job's token.
 // Queue-time and proxy-wait aborts come from one helper (awaitAbortable),
 // which returns the same core error sentinels as sweep-time aborts, so wire
 // states and abort counters are uniform.
@@ -294,7 +293,6 @@ type jobSpec struct {
 	HorizonMS      int64            `json:"horizon_ms"`
 	HorizonMSByReq map[string]int64 `json:"horizon_ms_by_req,omitempty"`
 	QueueCap       int64            `json:"queue_cap"`
-	Workers        int              `json:"workers"`
 	MaxStates      int              `json:"max_states"`
 	StateBudget    int              `json:"state_budget"`
 	MaxBytes       int64            `json:"max_bytes"`
@@ -342,22 +340,20 @@ func (s *Server) intake(req *SubmitRequest) (*submission, error) {
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	workers := min(max(req.Options.Workers, 1), s.cfg.CPUTokens)
 	// Resolve the job's memory grant against the global budget: a declared
-	// max_bytes is clamped to the budget; an undeclared one defaults to a
-	// fair share of the budget proportional to the job's CPU grant. Without
-	// a server budget the declared value passes through as a pure per-job
-	// core budget (no admission hold).
+	// max_bytes is clamped to the budget; an undeclared one defaults to the
+	// fair share of one token, MemoryBudget/CPUTokens. Without a server
+	// budget the declared value passes through as a pure per-job core budget
+	// (no admission hold).
 	maxBytes := max(req.Options.MaxBytes, 0)
 	if budget := s.cfg.MemoryBudget; budget > 0 {
 		if maxBytes == 0 {
-			maxBytes = budget / int64(s.cfg.CPUTokens) * int64(workers)
+			maxBytes = budget / int64(s.cfg.CPUTokens)
 		}
 		maxBytes = max(min(maxBytes, budget), 1)
 	}
 	sub := &submission{spec: jobSpec{
 		Kind:        req.Kind,
-		Workers:     workers,
 		MaxStates:   max(req.Options.MaxStates, 0),
 		StateBudget: max(req.Options.StateBudget, 0),
 		MaxBytes:    maxBytes,
@@ -421,14 +417,14 @@ func (s *Server) Submit(req *SubmitRequest) (*SubmitResponse, error) {
 	// Route: the ring's owner computes; everyone else proxies. A backend that
 	// never came up routes everything locally.
 	owner := s.dispatch.Owner(sub.id)
-	run, workers, memBytes := s.compute(sub), sub.spec.Workers, sub.spec.MaxBytes
+	run := s.compute(sub)
 	proxy := owner != s.dispatch.Self() && !s.dispatchDown.Load()
 	if proxy {
 		// A proxy holds no grant: the compute (and its admission) happens on
 		// the owner node.
-		run, workers, memBytes = s.proxyRun(sub, req, owner), 0, 0
+		run = s.proxyRun(sub, req, owner)
 	}
-	j, created, err := s.jobs.submit(sub.id, sub.spec.Kind, workers, memBytes, sub.deadline, run)
+	j, created, err := s.jobs.submit(sub.id, sub.spec.Kind, proxy, sub.spec.MaxBytes, sub.deadline, run)
 	if err != nil {
 		return nil, s.reject(err)
 	}

@@ -393,7 +393,7 @@ func TestShutdownEndsWaitOnStuckJob(t *testing.T) {
 		<-release
 		return nil, nil, errors.New("released")
 	}
-	if _, _, err := s.jobs.submit("stuck", "ta", 1, 0, time.Time{}, stuck); err != nil {
+	if _, _, err := s.jobs.submit("stuck", "ta", false, 0, time.Time{}, stuck); err != nil {
 		t.Fatal(err)
 	}
 	code, body, took := parkThen(t, s, ts.URL, "stuck", "wait_ms=30000", func() {

@@ -180,7 +180,8 @@ type Process struct {
 	Init      LocID
 
 	// The compiled transition index, built by Finalize and immutable
-	// afterwards (consumed lock-free by every exploration worker). Both
+	// afterwards (consumed lock-free by the admitting loop and the lookahead
+	// helper of every exploration). Both
 	// per-location lists are CSR-style flat arrays: location l owns
 	// tauIdx[tauOff[l]:tauOff[l+1]] and syncIdx[syncOff[l]:syncOff[l+1]],
 	// the edges with Src == l, each in edge index order.

@@ -234,9 +234,8 @@ func checkProfile(ctx context.Context, c *client.Client, id string, wantSweep bo
 		return
 	}
 	var sweep struct {
-		Workers int        `json:"workers"`
-		Phases  []obs.Span `json:"phases"`
-		Series  []struct {
+		Phases []obs.Span `json:"phases"`
+		Series []struct {
 			Samples []json.RawMessage `json:"samples"`
 		} `json:"series"`
 	}
@@ -252,8 +251,8 @@ func checkProfile(ctx context.Context, c *client.Client, id string, wantSweep bo
 			fail("profile %s: sweep phase %s missing (got %+v)", id, name, sweep.Phases)
 		}
 	}
-	if sweep.Workers < 1 || len(sweep.Series) != sweep.Workers {
-		fail("profile %s: %d series for %d workers", id, len(sweep.Series), sweep.Workers)
+	if len(sweep.Series) != 1 {
+		fail("profile %s: %d series, want exactly one", id, len(sweep.Series))
 	}
 }
 
