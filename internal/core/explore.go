@@ -43,16 +43,18 @@ const abortCheckMask = 31
 // When a trace can be requested — the query set is non-empty — every
 // admitted state gets one 20-byte record (parent ref, discrete key, successor
 // index) appended to the run's parent log, and the state is stamped with the
-// record's ref in State.ref (the record's segment and offset), which its
+// record's ref in State.ref (the record's block and offset), which its
 // waiting node carries to its expansion. Records hold three packed integers
 // only — NEVER zone pointers, State pointers, or label copies — so state
 // recycling (succCtx.putState) stays sound and the zone-ownership protocol
 // of store.go is untouched. Packing a record into 20 bytes, instead of one
 // 80-byte record struct with a retained label, is what makes always-on trace
-// logging cheap enough for the big sweeps; segments that grow with the log
-// (logSeg) are what make it cheap for the many small sweeps of a design
-// study, a few dozen states each, which log into a few hundred bytes rather
-// than a big sweep's block.
+// logging cheap enough for the big sweeps. The log is a list of
+// logBlockSize-record blocks carved from the run's slabs (explorer.slabs), so
+// it costs the collector nothing — no allocation, no scan — and a sweep of a
+// few dozen states logs into the one slab it already holds; the blocks go
+// back with the slabs at explore's one Release, after the last replay has
+// read them.
 //
 // When a run stops at a state (visitor match or deadlock), the trace is
 // stitched back from the log: parent refs are followed from the stop record
@@ -72,21 +74,12 @@ const abortCheckMask = 31
 // ref when parent logging is off.
 const noRef int64 = -1
 
-// Parent-log segments grow with the log: segment k holds
-// 1<<min(logSegFirstShift+k, logSegShift) records — 32, 64, …, 512 for the
-// first 992 admissions, 1024 for every later segment. A short log wastes at
-// most as many slots as it holds (a 3-state sweep logs into 32 slots, 640
-// bytes); a long one fills 1024-record blocks as before, so a big sweep logs
-// into the same bytes. No segment is ever copied or moved, and a ref carries
-// its (segment, offset) pair, so resolving it is two shifts, a mask and one
-// branch whatever the segment sizes.
+// A ref is block<<logShift | offset, so resolving it is a shift, a mask and
+// two loads.
 const (
-	logSegFirstShift = 5
-	logSegShift      = 10
-	logSegSize       = 1 << logSegShift
-	logSegMask       = logSegSize - 1
-	// logSmallSegs counts the growing segments before the full blocks.
-	logSmallSegs = logSegShift - logSegFirstShift
+	logShift     = 10
+	logBlockSize = 1 << logShift
+	logMask      = logBlockSize - 1
 )
 
 // logLink is the parent ref and discrete key of one record.
@@ -99,78 +92,46 @@ type logLink struct {
 	key uint64
 }
 
-// logSeg is one segment of admission records as parallel slices of one
-// length: links and successor indices pack to 20 bytes per record with no
-// per-record struct padding or label retention. steps holds the index of the
-// fired transition in the parent's deterministic successor enumeration
-// (succ.idx).
-type logSeg struct {
-	links []logLink
-	steps []int32
-}
-
-// logBlock is the storage of one full segment, reached through an 8-byte
-// pointer. The growing segments keep their headers inline in parentLogs, and
-// each of their slices is an exact allocation size class, so the segments
-// before the first block cost less than the one block they replace. A long
-// log's directory is one pointer per block, as it always was.
+// logBlock is one block of admission records as parallel arrays: links and
+// successor indices pack to 20 bytes per record with no per-record struct
+// padding or label retention. steps holds the index of the fired transition
+// in the parent's deterministic successor enumeration (succ.idx).
 type logBlock struct {
-	links [logSegSize]logLink
-	steps [logSegSize]int32
+	links [logBlockSize]logLink
+	steps [logBlockSize]int32
 }
 
 // parentLogs is the run's trace arena: an append-only record log, grown
-// segment by segment.
+// block by block.
 type parentLogs struct {
-	cur    logSeg // the segment being filled
-	n      int    // records in cur
-	segs   int    // segments opened so far
-	small  [logSmallSegs]logSeg
-	blocks []*logBlock // segments logSmallSegs, logSmallSegs+1, …
+	slabs  *dbm.Slabs // what blocks are carved from; nil: the heap
+	blocks []*logBlock
+	n      int // records in the last block
+	// dir is the directory of the first blocks, so that a small sweep's log
+	// allocates nothing of its own.
+	dir [4]*logBlock
 }
 
-// open starts the log's next segment.
-func (l *parentLogs) open() {
-	if k := l.segs; k < logSmallSegs {
-		size := 1 << (logSegFirstShift + k)
-		l.small[k] = logSeg{make([]logLink, size), make([]int32, size)}
-		l.cur = l.small[k]
-	} else {
-		b := new(logBlock)
-		l.blocks = append(l.blocks, b)
-		l.cur = logSeg{b.links[:], b.steps[:]}
-	}
-	l.segs++
-	l.n = 0
-}
-
-// seg returns segment k.
-func (l *parentLogs) seg(k int) logSeg {
-	if k < logSmallSegs {
-		return l.small[k]
-	}
-	b := l.blocks[k-logSmallSegs]
-	return logSeg{b.links[:], b.steps[:]}
-}
-
-// record appends an admission record and returns its ref,
-// segment<<logSegShift | offset.
+// record appends an admission record and returns its ref.
 func (l *parentLogs) record(parent int64, key uint64, step int32) int64 {
-	if l.n == len(l.cur.steps) {
-		l.open()
+	if len(l.blocks) == 0 || l.n == logBlockSize {
+		if l.blocks == nil {
+			l.blocks = l.dir[:0]
+		}
+		l.blocks = append(l.blocks, dbm.Carve[logBlock](l.slabs))
+		l.n = 0
 	}
-	i := l.n
-	l.cur.links[i] = logLink{parent, key}
-	l.cur.steps[i] = step
+	b, i := l.blocks[len(l.blocks)-1], l.n
+	b.links[i] = logLink{parent, key}
+	b.steps[i] = step
 	l.n = i + 1
-	return int64(l.segs-1)<<logSegShift | int64(i)
+	return int64(len(l.blocks)-1)<<logShift | int64(i)
 }
 
 // at resolves a ref. Only sound after the loop has returned.
 func (l *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
-	sg := l.seg(int(ref >> logSegShift))
-	ln := sg.links[ref&logSegMask]
-	return ln.parent, ln.key, sg.steps[ref&logSegMask]
+	b, i := l.blocks[ref>>logShift], ref&logMask
+	return b.links[i].parent, b.links[i].key, b.steps[i]
 }
 
 // # Frontier
@@ -297,15 +258,15 @@ type explorer struct {
 	// Monitor, the memory budget and the profile alike.
 	cell workerCell
 
-	// slabs is the sweep's slab set: the loop's and the helper's zone pools
-	// and the store's compact pool carve from it, and explore releases it
-	// (see there). Nothing caller-visible may alias it: FoundState is a
-	// cloneState copy, trace replay runs on a heap ctx (newCtx(nil)) from the
-	// heap initial state, and results carry bounds and integers. A new result
-	// kind that holds a *State, *dbm.DBM or dbm.Compact must copy before
-	// explore returns. The package's tests run with released slabs and
-	// recycled payloads poisoned (TestMain in slab_test.go), so an alias reads
-	// as garbage in whichever test looks at it.
+	// slabs is the sweep's slab set: the loop's and the helper's zone pools, the
+	// store (entries, keys, records, payloads) and the parent log carve from it,
+	// and explore releases it (see there). Nothing caller-visible may alias it:
+	// FoundState is a cloneState copy, trace replay runs on a heap ctx
+	// (newCtx(nil)) from the heap initial state, and results carry bounds and
+	// integers. A new result kind that holds a *State, *dbm.DBM or dbm.Compact
+	// must copy before explore returns. The package's tests run with released
+	// slabs and recycled payloads poisoned (TestMain in slab_test.go), so an
+	// alias reads as garbage in whichever test looks at it.
 	slabs dbm.Slabs
 	// initScratch is what the initial state is closed and admitted with,
 	// before the loop has a succCtx; part of the explorer so that it costs no
@@ -624,10 +585,14 @@ func (e *explorer) expand(ctx *succCtx, n *waiting, out []succ) (*State, dbm.Com
 // holder mark, which decoding does not read.
 //
 // The helper's pool counts, as of the last expansion the caller has taken,
-// join the caller's in its cell. A helper panic comes back in its slot and
-// fails the run when the caller takes it, where an inline run would have
-// panicked. The caller stops the helper and waits for it to exit before run
-// returns, however it returns.
+// join the caller's in its cell. So do the two stage-bound counts, once the
+// helper has stopped: the caller's polls for an expansion the helper has not
+// finished, and the helper's polls for a node to expand. Many of the first
+// mean the sweep is bound by expansion, many of the second by admission
+// (SweepProfile.CallerWaits, HelperIdle). A helper panic comes back in its
+// slot and fails the run when the caller takes it, where an inline run would
+// have panicked. The caller stops the helper and waits for it to exit before
+// run returns, however it returns.
 
 const (
 	// lookaheadDepth is how many nodes the helper may expand beyond the one
@@ -692,11 +657,12 @@ type lookahead struct {
 	own        slot[aheadTally]
 }
 
-// aheadTally is the caller's own: the slots it has taken, and the helper's
-// pool counts as of the last one.
+// aheadTally is the caller's own: the slots it has taken, the helper's pool
+// counts as of the last one, and its polls for an expansion not yet done.
 type aheadTally struct {
 	taken        int64
 	gets, reuses int
+	waits        int64
 }
 
 // startLookahead starts the helper for the loop whose ctx is ctx, between
@@ -731,6 +697,7 @@ func (la *lookahead) next(front *frontier, ctx *succCtx) (*waiting, *State, dbm.
 		return nil, nil, nil, nil, nil
 	}
 	for la.done.v.Load() <= own.taken {
+		own.waits++
 		runtime.Gosched()
 	}
 	x := &la.slots[own.taken%ring]
@@ -744,26 +711,27 @@ func (la *lookahead) next(front *frontier, ctx *succCtx) (*waiting, *State, dbm.
 }
 
 // serve is the helper goroutine: expand each slot the caller hands over, in
-// order, until told to quit or crashed.
+// order, until told to quit or crashed, and publish how often it polled for a
+// node to expand.
 func (la *lookahead) serve() {
 	defer close(la.exited)
 	ring := int64(len(la.slots))
+	var idle int64
 	for i := int64(0); ; i++ {
-		for la.sent.v.Load() <= i {
-			if la.quit.Load() {
-				return
-			}
+		for la.sent.v.Load() <= i && !la.quit.Load() {
+			idle++
 			runtime.Gosched()
 		}
 		if la.quit.Load() {
-			return
+			break
 		}
 		crashed := la.expand(&la.slots[i%ring])
 		la.done.v.Store(i + 1)
 		if crashed {
-			return
+			break
 		}
 	}
+	la.e.cell.helperIdle.Store(idle)
 }
 
 // expand recycles a slot's batch of States and expands its node, containing
@@ -786,10 +754,12 @@ func (la *lookahead) expand(x *expansion) (crashed bool) {
 	return false
 }
 
-// stop tells the helper to quit and waits until it has.
+// stop tells the helper to quit, waits until it has, and publishes the
+// caller's waits for it.
 func (la *lookahead) stop() {
 	la.quit.Store(true)
 	<-la.exited
+	la.e.cell.callerWaits.Store(la.own.v.waits)
 }
 
 // explore runs the engine over one query set (possibly empty: a plain
@@ -835,7 +805,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	// Parent logs exist exactly when a trace can be requested: every query
 	// kind may complete with a witness, a query-less sweep has none.
 	if len(queries) > 0 {
-		e.logs = new(parentLogs)
+		e.logs = &parentLogs{slabs: &e.slabs}
 	}
 
 	// Test hook: a caller-supplied passed set replaces the store, so the

@@ -163,3 +163,33 @@ func TestLookaheadMemoryBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestLookaheadStageCounts pins the stage-bound counts a profiled sweep
+// reports: with the helper forced on, the caller waits for an expansion at
+// least once (at the start, before the helper has expanded anything) and the
+// helper polls for a node at least once (at the end, while the caller admits
+// the last expansion), and both reach the profile; a sweep that runs inline
+// reports zero for both.
+func TestLookaheadStageCounts(t *testing.T) {
+	grid, _, _, _ := buildGrid(t)
+	c, err := NewChecker(grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range lookaheadModes {
+		mon := &Monitor{}
+		mon.EnableProfile(ProfileConfig{})
+		if _, err := c.Explore(Options{Monitor: mon, lookahead: mode}, nil); err != nil {
+			t.Fatal(err)
+		}
+		p := mon.Profile()
+		if p == nil {
+			t.Fatalf("lookahead mode %d: no profile", mode)
+		}
+		engaged := p.CallerWaits > 0 && p.HelperIdle > 0
+		inline := p.CallerWaits == 0 && p.HelperIdle == 0
+		if mode == lookaheadOn && !engaged || mode == lookaheadOff && !inline {
+			t.Errorf("lookahead mode %d: caller waits %d, helper idle polls %d", mode, p.CallerWaits, p.HelperIdle)
+		}
+	}
+}

@@ -34,7 +34,11 @@ type workerCell struct {
 	// zoneBytes is the run's pooled matrix allocation (pool gets − reuses,
 	// the helper's included, times one matrix's bytes).
 	zoneBytes atomic.Int64
-	ring      profRing
+	// callerWaits and helperIdle are the lookahead's stage-bound counts
+	// ("Lookahead" in explore.go), each stored once, by the goroutine that
+	// counted it, when the helper stops: zero for a run that never engaged it.
+	callerWaits, helperIdle atomic.Int64
+	ring                    profRing
 }
 
 // publish stores the loop's locals; single writer.

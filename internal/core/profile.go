@@ -100,6 +100,13 @@ type SweepProfile struct {
 	// StoreContention is always 0: the passed store has no locks. The field
 	// stays for the benchmark's store_contention row.
 	StoreContention int64 `json:"store_contention"`
+	// CallerWaits counts the admitting goroutine's polls for an expansion the
+	// lookahead helper had not finished, HelperIdle the helper's polls for a
+	// node to expand ("Lookahead" in explore.go): the first says the sweep
+	// waited on expansion, the second that it was bound by admission. Both
+	// are 0 for a sweep that never engaged the helper.
+	CallerWaits int64 `json:"caller_waits"`
+	HelperIdle  int64 `json:"helper_idle"`
 	// Totals are the run's exact final counters (equal to Stats).
 	Totals Progress `json:"totals"`
 }
@@ -196,6 +203,8 @@ func (pr *profRun) finalize(e *explorer, totals Progress) {
 	pr.rec.setLast(&SweepProfile{
 		SampleEvery: int(pr.mask + 1),
 		Series:      []WorkerSeries{ws},
+		CallerWaits: e.cell.callerWaits.Load(),
+		HelperIdle:  e.cell.helperIdle.Load(),
 		Totals:      totals,
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/ta"
@@ -28,27 +27,17 @@ func buildChain(t *testing.T) *ta.Network {
 	return n
 }
 
-// segSizes lists the record capacity of each segment of a log.
-func segSizes(l *parentLogs) []int {
-	var sizes []int
-	for k := 0; k < l.segs; k++ {
-		sizes = append(sizes, len(l.seg(k).steps))
-	}
-	return sizes
-}
-
-// TestParentLogRefsResolveAcrossSegments records past the first seven
-// segment boundaries of one log and resolves a ref on each side of every
-// boundary.
+// TestParentLogRefsResolveAcrossSegments records past two block boundaries
+// of one log and resolves a ref on each side of every boundary.
 func TestParentLogRefsResolveAcrossSegments(t *testing.T) {
 	logs := new(parentLogs)
-	if sizes := segSizes(logs); len(sizes) != 0 {
-		t.Errorf("an empty log holds segments %v", sizes)
+	if len(logs.blocks) != 0 {
+		t.Errorf("an empty log holds %d blocks", len(logs.blocks))
 	}
-	probes := []int{0, 31, 32, 95, 96, 991, 992, 2015, 2016}
+	probes := []int{0, 1, logBlockSize - 1, logBlockSize, 2*logBlockSize - 1, 2 * logBlockSize}
 	// Scrambled steps take both signs and set high bits.
 	step := func(i int) int32 { return int32(uint32(i) * 0x9E3779B1) }
-	refs := make([]int64, 2017)
+	refs := make([]int64, 2*logBlockSize+1)
 	for i := range refs {
 		refs[i] = logs.record(int64(i)-1, 3<<32|uint64(i), step(i))
 	}
@@ -58,44 +47,8 @@ func TestParentLogRefsResolveAcrossSegments(t *testing.T) {
 			t.Errorf("record %d resolves to (%d, %#x, %d)", i, parent, key, st)
 		}
 	}
-	want := []int{32, 64, 128, 256, 512, 1024, 1024}
-	if sizes := segSizes(logs); !slices.Equal(sizes, want) {
-		t.Errorf("segment sizes %v, want %v", sizes, want)
-	}
-}
-
-// logProbe is a never-completing reach query that keeps the run's parent
-// logs, which the engine hands every query at finish.
-type logProbe struct {
-	*ReachQuery
-	logs *parentLogs
-}
-
-func (p *logProbe) finish(c *Checker, logs *parentLogs, stats Stats) error {
-	p.logs = logs
-	return p.ReachQuery.finish(c, logs, stats)
-}
-
-// TestSmallSweepLogsIntoSmallSegment pins that a 3-state sweep's parent log
-// is one 32-record segment, not a big sweep's 1024-record block.
-func TestSmallSweepLogsIntoSmallSegment(t *testing.T) {
-	c, err := NewChecker(buildChain(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe := &logProbe{ReachQuery: NewReachQuery(func(*State) bool { return false })}
-	stats, err := c.RunQueries(Options{}, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Stored != 3 {
-		t.Fatalf("chain stored %d states, want 3", stats.Stored)
-	}
-	if probe.logs == nil {
-		t.Fatal("a query run kept no parent logs")
-	}
-	if sizes := segSizes(probe.logs); !slices.Equal(sizes, []int{32}) {
-		t.Errorf("3-state sweep logs into segments %v, want one of 32 slots", sizes)
+	if len(logs.blocks) != 3 {
+		t.Errorf("%d records fill %d blocks, want 3", len(refs), len(logs.blocks))
 	}
 }
 

@@ -166,12 +166,14 @@ func TestResultsSurviveLaterSweeps(t *testing.T) {
 // slab (the initial state's, plain heap) may read as a zone afterwards.
 //
 // Reading the retained zones at all is legal only because the second sweep
-// is as large as the first: it takes over every slab the first released, so
-// all of them are still mapped (and poisoned again) when it releases in turn.
-// After a smaller sweep the slabs it left in the cache would have been
-// unmapped by its release, and the loop below would fault instead of finding
-// poison — which is what a retained zone does in production, where nothing
-// poisons. There is deliberately no test that does that.
+// is as large as the first: it runs the same query set, so it carves as much
+// — zones, store records and parent log alike — and takes over every slab the
+// first released, so all of them are still mapped (and poisoned again) when
+// it releases in turn. After a smaller sweep (a query-less one logs nothing)
+// the slabs it left in the cache would have been unmapped by its release, and
+// the loop below would fault instead of finding poison — which is what a
+// retained zone does in production, where nothing poisons. There is
+// deliberately no test that does that.
 func TestPoisonCatchesRetainedZone(t *testing.T) {
 	grid, _, _, _ := buildGrid(t)
 	c, err := NewChecker(grid)
@@ -185,7 +187,7 @@ func TestPoisonCatchesRetainedZone(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Explore(Options{}, nil); err != nil {
+	if _, err := c.Explore(Options{}, func(*State) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	intact := 0

@@ -65,14 +65,14 @@ type passedSet interface {
 // ever reaches the store — Finalize checks initial values and location
 // references, and engine.fire checks every variable after every update
 // (ta.Network.CheckVarBounds) — so two states share a key exactly when they
-// share their discrete part. Keys are carved from a word arena whose blocks
-// grow with the run (keyBlockMin to keyBlockMax words), so a new entry costs
-// one allocation, its own, and a small sweep one small block. A lookup packs the state into the arena's next free words and
-// compares keys word by word; a match leaves those words free for the next
-// lookup, a new entry keeps them. A key never aliases a state's slices, since
-// states recycle and entries do not. A waiting node keeps its entry, not
-// vectors of its own: the state's discrete part is decoded from the key
-// when its node is popped.
+// share their discrete part. Keys are cut from a word arena whose
+// keyBlock-word blocks are carved from the run's slabs, like the entries
+// themselves, so a new entry costs the heap nothing. A lookup packs the state
+// into the arena's next free words and compares keys word by word; a match
+// leaves those words free for the next lookup, a new entry keeps them. A key
+// never aliases a state's slices, since states recycle and entries do not. A
+// waiting node keeps its entry, not vectors of its own: the state's discrete
+// part is decoded from the key when its node is popped.
 //
 // # Admission index
 //
@@ -89,10 +89,10 @@ type passedSet interface {
 // (store_oracle_test.go, FuzzSignatureMonotone).
 //
 // Records and signatures are owned by their entry, read or written only by
-// whoever holds the entry, and never alias a State. Segments are never
-// reallocated, copied or freed: a list grows by linking a new segment and
-// shrinks by moving later records down over pruned ones, and a slot no
-// longer in use holds no payload reference.
+// whoever holds the entry, and never alias a State. Segments are carved from
+// the run's slabs and never reallocated, copied or freed: a list grows by
+// linking a new segment and shrinks by moving later records down over pruned
+// ones, and a slot no longer in use holds no payload reference.
 //
 // # Zone ownership
 //
@@ -143,7 +143,8 @@ type passedSet interface {
 //     succCtx.putState like a subsumed one.
 //   - A run that stops early (visitor, MaxStates, cancel, budget, panic)
 //     leaves waiting nodes holding payloads; nothing releases them, and
-//     nothing has to: nodes, records and pools die with the run.
+//     nothing has to: nodes and pools die with the run, entries, records and
+//     payloads go back with its slabs.
 //
 // Fork census (continued from the dbm package comment; scripts/traffic.sh
 // prints it): a successor is subsumed on its raw zone — 65% of fischer's
@@ -154,37 +155,56 @@ type passedSet interface {
 // prunes) and on archchain (every prune there: 6,836 of 77,613 admissions);
 // fischer and serve_cold prune nothing at all.
 //
-// Where the bytes come from, and when they go back: the matrices of the
-// ctxs' pools and the payloads of the store's compact pool are carved from
-// one dbm.Slabs set per run (explorer.slabs), and explore releases the set
-// to a process-wide cache exactly once per run — after the loop has
-// returned, after every Query.finish and every replayTrace, and also when the
-// run was canceled, ran out of budget or contained a panic. From then on a
-// later sweep overwrites that memory, and the release after next unmaps it
-// (slabs are mappings, not Go memory: a reference into one keeps nothing
-// alive, see dbm.Slabs), so the rules above have one more clause: nothing a
-// caller can see may alias slab memory. Today that holds
-// because every such value is a heap copy — a completing query captures
-// cloneState(s), never s (explorer.completeQuery), at a point where s has its
-// matrix (just admitted, or just decoded); trace replay runs on a heap ctx
-// (newCtx(nil)) from a heap initial state (engine.initial), so every
+// # Where the bytes come from
+//
+// The matrices of the ctxs' pools, and everything the store keeps — entries,
+// key blocks, record segments and the payloads of its compact pool — are
+// carved from one dbm.Slabs set per run (explorer.slabs), as are the parent
+// log's record blocks (explore.go, "Trace reconstruction"); a store built
+// with a nil set (the tests' standalone stores) takes each from the heap
+// instead. So a stored state costs the collector nothing: no object to
+// allocate, none to scan, nothing counted towards the heap goal. What stays
+// on the heap is what the collector must see, because it points at heap
+// memory or is reached from it: the bucket map, the waiting nodes and the
+// frontier's list. Carved memory is invisible to the collector, so it obeys
+// dbm.Carve's rule: it points only into its own set — an entry at its key and
+// its next entry, a record at its payload, a segment at the next — never at a
+// heap object, which nothing would keep alive. A payload too large for a slab
+// piece is such a heap object; the set itself keeps it until Release. A test
+// store behind Options.passed may hand back heap entries and heap payloads
+// (the reference store's), which is sound because only a waiting node, a heap
+// object the collector scans, ever holds them.
+//
+// explore releases the set to a process-wide cache exactly once per run —
+// after the loop has returned, after every Query.finish and every
+// replayTrace, and also when the run was canceled, ran out of budget or
+// contained a panic. From then on a later sweep overwrites that memory, and
+// the release after next unmaps it (slabs are mappings, not Go memory: a
+// reference into one keeps nothing alive, see dbm.Slabs), so the rules above
+// have one more clause: nothing a caller can see may alias slab memory. Today
+// that holds because every such value is a heap copy — a completing query
+// captures cloneState(s), never s (explorer.completeQuery), at a point where
+// s has its matrix (just admitted, or just decoded); trace replay runs on a
+// heap ctx (newCtx(nil)) from a heap initial state (engine.initial), so every
 // TraceStep owns plain heap zones; SupResult carries bounds, not zones; a
-// visitor may not retain a state beyond the call.
-// The one place this changes is a new kind of result: if it holds a *State,
-// a *dbm.DBM or a dbm.Compact, it must copy before explore returns. The
-// package's tests run with released slabs and recycled payloads poisoned
-// (slab_test.go), so an alias — a result into a slab, or a waiting node into
-// a payload the store already recycled — shows up as garbage in the first
-// test that looks, or as a fault if the slab is gone by then.
+// visitor may not retain a state beyond the call. The one place this changes
+// is a new kind of result: if it holds a *State, a *dbm.DBM or a dbm.Compact,
+// it must copy before explore returns. The package's tests run with released
+// slabs and recycled payloads poisoned (slab_test.go), so an alias — a result
+// into a slab, or a waiting node into a payload the store already recycled —
+// shows up as garbage in the first test that looks, or as a fault if the slab
+// is gone by then; carve_test.go walks a finished store to check that it
+// points only into its own slabs.
 type store struct {
 	// buckets maps a discrete hash (State.discreteKey) to its entry; the
 	// rare entries whose hashes collide chain through storeEntry.next.
 	buckets map[uint64]*storeEntry
-	cpool   *dbm.CompactPool
-	// arena is the unused rest of the block entry keys are carved from,
-	// arenaBlock the length of that block.
-	arena      []uint64
-	arenaBlock int
+	// slabs is what entries, record segments, key blocks and (through cpool)
+	// payloads are carved from: the run's set, or nil for the heap.
+	slabs *dbm.Slabs
+	cpool *dbm.CompactPool
+	// arena is the unused rest of the key block entry keys are carved from.
+	arena []uint64
 	// bounds are what an admitted zone is extrapolated against: the engine's,
 	// idempotent (see "Admission index").
 	bounds *dbm.ExtraBounds
@@ -202,12 +222,9 @@ type store struct {
 	found, created atomic.Int64
 }
 
-// Key-arena blocks grow with the run: the first holds keyBlockMin words,
-// each later one twice as many as the one before, up to keyBlockMax.
-const (
-	keyBlockMin = 64
-	keyBlockMax = 4096
-)
+// keyBlock is the length in words of a key-arena block: 4 KiB of a slab, a
+// few hundred keys.
+const keyBlock = 512
 
 // zoneRec is one stored zone in an entry's admission index.
 type zoneRec struct {
@@ -271,20 +288,25 @@ type recCursor struct {
 	seen int       // slots of the segments before recs
 	// link is where the segment after recs hangs, or will hang.
 	link **zoneSeg
-	// grown is the bytes of the segments this cursor had to allocate.
+	// slabs is what a segment the cursor appends is carved from; grown is
+	// the bytes of the segments it carved.
+	slabs *dbm.Slabs
 	grown int64
 }
 
-func (e *storeEntry) cursor() recCursor { return recCursor{recs: e.first[:], link: &e.more} }
+func (e *storeEntry) cursor(slabs *dbm.Slabs) recCursor {
+	return recCursor{recs: e.first[:], link: &e.more, slabs: slabs}
+}
 
 // chunk hands out the next run of slots that are contiguous in memory, at
-// most max of them, stepping into the following segment — allocating it at
-// the end of the chain — once the current one is used up.
+// most max of them, stepping into the following segment — carving it at the
+// end of the chain — once the current one is used up.
 func (c *recCursor) chunk(max int) []zoneRec {
 	if c.i == len(c.recs) {
 		seg := *c.link
 		if seg == nil {
-			seg = &zoneSeg{recs: make([]zoneRec, min(c.seen+len(c.recs), maxSegRecs))}
+			seg = dbm.Carve[zoneSeg](c.slabs)
+			seg.recs = dbm.CarveSlice[zoneRec](c.slabs, min(c.seen+len(c.recs), maxSegRecs))
 			*c.link = seg
 			c.grown += segBytes + int64(len(seg.recs))*recBytes
 		}
@@ -298,9 +320,10 @@ func (c *recCursor) chunk(max int) []zoneRec {
 
 // compact closes the holes a prune left in the list — slots whose payload
 // reference was dropped — by moving the live records that remain down over
-// them in list order, and returns the cursor just past the last one.
-func (e *storeEntry) compact(live int) recCursor {
-	from, to := e.cursor(), e.cursor()
+// them in list order, and returns the cursor just past the last one, which
+// carves from slabs.
+func (e *storeEntry) compact(live int, slabs *dbm.Slabs) recCursor {
+	from, to := e.cursor(slabs), e.cursor(slabs)
 	for kept := 0; kept < live; {
 		src := &from.chunk(1)[0]
 		if src.z == nil {
@@ -319,11 +342,11 @@ func (e *storeEntry) compact(live int) recCursor {
 // as key.
 func (e *storeEntry) matches(key []uint64) bool { return slices.Equal(e.key, key) }
 
-// newStore returns an empty store. Packed payloads are carved from slabs
-// (nil: from the heap); admitted zones are extrapolated against bounds; entry
-// keys are packed by keys.
+// newStore returns an empty store. Entries, records, keys and packed
+// payloads are carved from slabs (nil: from the heap); admitted zones are
+// extrapolated against bounds; entry keys are packed by keys.
 func newStore(slabs *dbm.Slabs, bounds *dbm.ExtraBounds, keys *discretePacker) *store {
-	return &store{buckets: make(map[uint64]*storeEntry), cpool: slabs.CompactPool(), bounds: bounds, keys: keys}
+	return &store{buckets: make(map[uint64]*storeEntry), slabs: slabs, cpool: slabs.CompactPool(), bounds: bounds, keys: keys}
 }
 
 // lookupEntry finds or creates the bucket entry for s's discrete state. It
@@ -333,8 +356,7 @@ func newStore(slabs *dbm.Slabs, bounds *dbm.ExtraBounds, keys *discretePacker) *
 func (st *store) lookupEntry(s *State) *storeEntry {
 	n := st.keys.words
 	if len(st.arena) < n {
-		st.arenaBlock = min(max(2*st.arenaBlock, keyBlockMin), keyBlockMax)
-		st.arena = make([]uint64, max(st.arenaBlock, n))
+		st.arena = dbm.CarveSlice[uint64](st.slabs, max(keyBlock, n))
 	}
 	key := st.arena[:n:n]
 	st.keys.pack(s.Locs, s.Vars, key)
@@ -347,7 +369,8 @@ func (st *store) lookupEntry(s *State) *storeEntry {
 		}
 	}
 	st.arena = st.arena[n:]
-	e := &storeEntry{next: head, key: key}
+	e := dbm.Carve[storeEntry](st.slabs)
+	e.next, e.key = head, key
 	st.buckets[h] = e
 	st.created.Add(1)
 	return e
@@ -370,7 +393,7 @@ func (st *store) lookupEntry(s *State) *storeEntry {
 // payload that is not. The raw zone's signature is at most the widened one's,
 // so the reject pre-filter passes a little more often than it would on the
 // widened zone; the exact check still decides.
-func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, sc *closeScratch) (delta int, bytesDelta int64, payload dbm.Compact) {
+func (e *storeEntry) admit(s *State, slabs *dbm.Slabs, pool *dbm.CompactPool, x *dbm.ExtraBounds, sc *closeScratch) (delta int, bytesDelta int64, payload dbm.Compact) {
 	if faultinject.Enabled {
 		// Chaos site inside compact admission: an injected error escalates to
 		// a panic so containment takes the exact path a real encoder or
@@ -387,7 +410,7 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, 
 	sig := dbm.SignatureOf(zone)
 	// First pass: pure subsumption check on the raw zone, no mutation. It
 	// leaves tail just past the last record, where an admission appends.
-	tail := e.cursor()
+	tail := e.cursor(slabs)
 	for rem := e.n; rem > 0; {
 		recs := tail.chunk(rem)
 		for i := range recs {
@@ -404,7 +427,7 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, 
 	}
 	// Second pass: release the stored zones the new one covers.
 	pruned := 0
-	scan := e.cursor()
+	scan := e.cursor(slabs)
 	for rem := e.n; rem > 0; {
 		recs := scan.chunk(rem)
 		for i := range recs {
@@ -422,7 +445,7 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, 
 		rem -= len(recs)
 	}
 	if pruned > 0 {
-		tail = e.compact(e.n - pruned)
+		tail = e.compact(e.n-pruned, slabs)
 	}
 	r := &tail.chunk(1)[0]
 	r.sig, r.z = sig, dbm.EncodeCompact(zone, pool)
@@ -436,7 +459,7 @@ func (e *storeEntry) admit(s *State, pool *dbm.CompactPool, x *dbm.ExtraBounds, 
 // type comment for the zone-ownership protocol.
 func (st *store) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	e := st.lookupEntry(s)
-	delta, bytesDelta, payload := e.admit(s, st.cpool, st.bounds, sc)
+	delta, bytesDelta, payload := e.admit(s, st.slabs, st.cpool, st.bounds, sc)
 	if delta != 0 {
 		st.zones.Add(int64(delta))
 	}

@@ -445,8 +445,8 @@ func (c Compact) Decode() *DBM {
 // out again before it ends. Exact lengths (not power-of-two or per-row
 // classes) therefore lose no reuse there, and rounding would only give back
 // part of what omitting rows saves.
-// A pool is NOT safe for concurrent use — the passed store owns one per shard
-// and only touches it while holding the shard. Buffers the free lists cannot
+// A pool is NOT safe for concurrent use — the passed store owns one, and only
+// the admitting loop touches it. Buffers the free lists cannot
 // supply are carved out of the pool's slab set (slab.go), under the ownership
 // rule stated there.
 type CompactPool struct {

@@ -7,8 +7,9 @@ import (
 )
 
 // This file is the package's one allocation path for bound matrices and
-// packed payloads: nothing else in internal/dbm or internal/core calls make
-// for either (CI's lint job checks it). The memory of a slab comes from the
+// packed payloads, and the one carve of a sweep's store structures (Carve,
+// CarveSlice): nothing else in internal/dbm or internal/core calls make for
+// any of them (CI's lint job checks it). The memory of a slab comes from the
 // build's one slab source: slab_mmap.go (anonymous mappings, outside the Go
 // heap) or slab_heap.go (no Mmap on the platform, or a race build), chosen by
 // build constraints; the same job keeps Mmap and Munmap inside the first.
@@ -23,15 +24,25 @@ const (
 	// carveMax is the largest piece cut out of a slab. A bigger request
 	// (more than 64 clocks at full width) would leave up to its own size
 	// unused at the end of every slab, and at 32 KiB apiece the heap's cost
-	// per object no longer matters, so it is allocated on its own.
+	// per object no longer matters, so it is allocated on its own — and kept
+	// by the set until Release (Slabs.big).
 	carveMax = slabWords / 8
 )
 
-// slab is raw pointer-free memory; it carries no structure between owners.
-// It is an array of Bound so that matrices are carved without a conversion
-// and payloads start 8-byte aligned. Its memory comes from newSlab and goes
-// back through freeSlab, the build's slab source; nothing in this file
-// depends on which one that is.
+// slab is raw memory; it carries no structure between owners. It is an array
+// of Bound so that matrices are carved without a conversion and every piece
+// starts 8-byte aligned. Its memory comes from newSlab and goes back through
+// freeSlab, the build's slab source; nothing in this file depends on which
+// one that is.
+//
+// The collector never scans a slab: a mapped one is not Go memory, a heap
+// one is a pointer-free object. Pieces carved from it may still hold
+// pointers (Carve), under one rule: carved memory points only into its own
+// set — its slabs, or a heap piece the set keeps — never at anything else the
+// collector manages, which a pointer the collector cannot see would not keep
+// alive. Such a piece is zeroed through its pointer-free view before its first
+// typed store, so a write barrier never reads a stale word the previous owner
+// left there as a pointer.
 type slab [slabWords]Bound
 
 // slabCache holds the slabs no sweep owns, process-wide: exactly the set
@@ -99,18 +110,21 @@ func giveSlabs(released []*slab) []*slab {
 
 // Slabs is the slab set of one owner — for the explorer, one sweep. Pools
 // attached to it (Slabs.Pool, Slabs.CompactPool) carve their matrices and
-// payloads out of its slabs instead of allocating each one, and Release hands
-// every slab back to the process-wide cache for the next owner, of whatever
-// dimension and packing width. Why slabs and not a sync.Pool of matrices: a
-// cache of typed objects serves one dimension and one width, and the callers
-// of this package run models of every dimension back to back (the benchmark's
-// variants workload alone has 20,000); raw slabs serve all of them from one
-// cache.
+// payloads out of its slabs instead of allocating each one, the owner's own
+// structures that live exactly as long (a sweep's store entries, record
+// segments, keys and parent log) are carved by Carve and CarveSlice, and
+// Release hands every slab back to the process-wide cache for the next owner,
+// of whatever dimension and packing width. Why slabs and not a sync.Pool of
+// matrices: a cache of typed objects serves one dimension and one width, and
+// the callers of this package run models of every dimension back to back (the
+// benchmark's variants workload alone has 20,000); raw slabs serve all of them
+// from one cache.
 //
 // Carving is safe for concurrent use (a sweep's two zone pools — the
-// admitting loop's and its lookahead helper's — and its store's compact pool
-// share one set); it takes the set's lock once per matrix or payload a
-// free list could not supply, which is rare next to the work done on one.
+// admitting loop's and its lookahead helper's — and its store share one
+// set); it takes the set's lock once per matrix or payload a free list could
+// not supply and once per carved structure, which is rare next to the work
+// done on one.
 //
 // Ownership: the set, and after Release the cache, is what keeps carved
 // memory in existence — a matrix or payload carved from a slab does not. A
@@ -122,7 +136,13 @@ func giveSlabs(released []*slab) []*slab {
 // never let carved memory reach a caller that outlives it — such values are
 // heap copies (DBM.Copy, the zero Pool). Released memory has unspecified
 // contents; every consumer fully initializes what it carves (Pool.Get's
-// contract, EncodeCompact).
+// contract, EncodeCompact), and Carve zeroes it first.
+//
+// Pieces larger than carveMax come from the heap, and the set keeps each of
+// them until Release, exactly like a slab: the record that references a
+// payload may itself be carved, and the collector, which never scans carved
+// memory, would otherwise free the payload under it. After Release such a
+// piece is the collector's, not the cache's.
 //
 // The zero value is an empty set ready for use. A nil *Slabs allocates every
 // piece from the heap, which is what standalone pools do.
@@ -131,6 +151,8 @@ type Slabs struct {
 	held []*slab
 	// used counts the words carved from the last slab of held.
 	used int
+	// big keeps the pieces larger than carveMax until Release (see above).
+	big [][]Bound
 }
 
 // heap is the nil set, for values that belong to no sweep: each piece is its
@@ -139,8 +161,15 @@ var heap *Slabs
 
 // bounds returns n bounds with unspecified contents, capacity n.
 func (s *Slabs) bounds(n int) []Bound {
-	if s == nil || n > carveMax {
+	if s == nil {
 		return make([]Bound, n)
+	}
+	if n > carveMax {
+		b := make([]Bound, n)
+		s.mu.Lock()
+		s.big = append(s.big, b)
+		s.mu.Unlock()
+		return b
 	}
 	s.mu.Lock()
 	if len(s.held) == 0 || s.used+n > slabWords {
@@ -160,6 +189,56 @@ func (s *Slabs) compact(n int) Compact {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(w))), n)
 }
 
+// Carve returns a zeroed T carved from s, or new(T) from a nil set. The piece
+// lives exactly as long as the set. The collector never scans it, so T may
+// hold pointers only into s's own carved memory (the slab type comment): a
+// pointer to anything else would not keep its target alive.
+func Carve[T any](s *Slabs) *T {
+	if s == nil {
+		return new(T)
+	}
+	var t T
+	return (*T)(s.zeroed(unsafe.Sizeof(t)))
+}
+
+// CarveSlice returns n zeroed Ts carved from s, or make([]T, n) from a nil
+// set, under Carve's rule.
+func CarveSlice[T any](s *Slabs, n int) []T {
+	if s == nil {
+		return make([]T, n)
+	}
+	var t T
+	return unsafe.Slice((*T)(s.zeroed(uintptr(n)*unsafe.Sizeof(t))), n)
+}
+
+// zeroed carves size bytes, word-aligned like every piece (no Go type needs
+// more), and clears them through their pointer-free view.
+func (s *Slabs) zeroed(size uintptr) unsafe.Pointer {
+	w := s.bounds(int((size + 7) / 8))
+	clear(w)
+	return unsafe.Pointer(unsafe.SliceData(w))
+}
+
+// Holds reports whether p points into memory the set has carved and not yet
+// released: one of its slabs, or a heap piece it keeps. For tests, which
+// check Carve's rule with it.
+func (s *Slabs) Holds(p unsafe.Pointer) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	a := uintptr(p)
+	for _, sl := range s.held {
+		if base := uintptr(unsafe.Pointer(sl)); base <= a && a < base+slabBytes {
+			return true
+		}
+	}
+	for _, b := range s.big {
+		if base := uintptr(unsafe.Pointer(unsafe.SliceData(b))); base <= a && a < base+uintptr(len(b))*8 {
+			return true
+		}
+	}
+	return false
+}
+
 // Release makes the set's slabs the process-wide cache and frees the slabs
 // cached before. The set is empty afterwards and may be used again; releasing
 // an empty set leaves the cache as it is. See the type comment for when an
@@ -167,6 +246,7 @@ func (s *Slabs) compact(n int) Compact {
 func (s *Slabs) Release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.big = nil // heap memory: the collector's from here on
 	if len(s.held) == 0 {
 		return
 	}

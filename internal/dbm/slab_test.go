@@ -3,6 +3,7 @@ package dbm
 import (
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestSlabsCarveDisjoint fills matrices and payloads carved from one set —
@@ -145,5 +146,84 @@ func TestSlabsConcurrentCarving(t *testing.T) {
 		}
 		wg.Wait()
 		s.Release()
+	}
+}
+
+// carved is a pointer-carrying structure of the kind Carve serves: a link, a
+// slice header and a count.
+type carved struct {
+	next *carved
+	key  []uint64
+	n    int
+}
+
+func (c *carved) zero() bool { return c.next == nil && c.key == nil && cap(c.key) == 0 && c.n == 0 }
+
+// TestCarveZeroesRecycledMemory carves pointer-carrying pieces out of a slab
+// the previous owner left poisoned, and requires every word zero before the
+// caller's first typed store: a write barrier reads the word a pointer store
+// overwrites, and it must never find the previous owner's bytes there.
+func TestCarveZeroesRecycledMemory(t *testing.T) {
+	PoisonReleased(true)
+	defer PoisonReleased(false)
+	var prev Slabs
+	prev.bounds(carveMax)
+	recycled := prev.held[0]
+	prev.Release() // the cache now, so still mapped
+	if recycled[0] != poison {
+		t.Fatal("setup: the released slab is not poisoned")
+	}
+	var s Slabs
+	defer s.Release()
+	one := Carve[carved](&s)
+	many := CarveSlice[carved](&s, 100)
+	if len(s.held) != 1 || s.held[0] != recycled {
+		t.Fatal("setup: the carves did not land in the recycled slab")
+	}
+	if !one.zero() {
+		t.Errorf("Carve handed out %+v, want the zero value", *one)
+	}
+	for i := range many {
+		if !many[i].zero() {
+			t.Fatalf("CarveSlice element %d is %+v, want the zero value", i, many[i])
+		}
+	}
+	one.next, one.key = &many[0], CarveSlice[uint64](&s, 3)
+	many[0].n = 7
+	if one.next.n != 7 || len(one.key) != 3 || cap(many) != 100 {
+		t.Error("carved pieces do not read back what was stored in them")
+	}
+	if h := Carve[carved](nil); !h.zero() || s.Holds(unsafe.Pointer(h)) {
+		t.Error("the nil set's Carve is not a zeroed heap object")
+	}
+}
+
+// TestSlabsKeepOversizedPieces pins that a set keeps what it had to take from
+// the heap — a piece larger than carveMax — until Release, and that Holds
+// knows both kinds of memory a set carves and nothing else.
+func TestSlabsKeepOversizedPieces(t *testing.T) {
+	var s Slabs
+	small := CarveSlice[uint64](&s, 8)
+	big := CarveSlice[uint64](&s, carveMax+1)
+	if len(s.big) != 1 || &s.big[0][0] != (*Bound)(unsafe.Pointer(&big[0])) {
+		t.Fatalf("the set keeps %d oversized pieces, want the one carved", len(s.big))
+	}
+	heapWord := new(uint64)
+	for _, c := range []struct {
+		what string
+		p    unsafe.Pointer
+		want bool
+	}{
+		{"small piece", unsafe.Pointer(&small[7]), true},
+		{"oversized piece", unsafe.Pointer(&big[carveMax]), true},
+		{"heap word", unsafe.Pointer(heapWord), false},
+	} {
+		if got := s.Holds(c.p); got != c.want {
+			t.Errorf("Holds(%s) = %v, want %v", c.what, got, c.want)
+		}
+	}
+	s.Release()
+	if len(s.big) != 0 || s.Holds(unsafe.Pointer(&big[0])) || s.Holds(unsafe.Pointer(&small[0])) {
+		t.Error("the set still holds its pieces after Release")
 	}
 }
