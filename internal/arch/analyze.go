@@ -147,7 +147,7 @@ func (cs *CompiledSet) reachSeen(i int, ms *big.Rat, reached bool, opts core.Opt
 	if err != nil {
 		return nil, err
 	}
-	v, err := toUnits(ms, cs.Scale)
+	v, err := toUnits(ms, cs.Scale, timeField{"requirement", cs.Reqs[i].Name, "reach bound"})
 	if err != nil {
 		return nil, err
 	}

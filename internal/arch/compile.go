@@ -126,7 +126,7 @@ func CompileAll(sys *System, reqs []*Requirement, opts Options) (*CompiledSet, e
 	}
 	horizons := make([]int64, len(reqs))
 	for i, req := range reqs {
-		if horizons[i], err = toUnits(new(big.Rat).SetInt64(opts.horizonMS(req)), scale); err != nil {
+		if horizons[i], err = toUnits(new(big.Rat).SetInt64(opts.horizonMS(req)), scale, timeField{"requirement", req.Name, "horizon"}); err != nil {
 			return nil, err
 		}
 	}
@@ -220,7 +220,7 @@ type builder struct {
 	starts, ends []ta.ChanID
 }
 
-func (b *builder) units(r *big.Rat) (int64, error) { return toUnits(r, b.scale) }
+func (b *builder) units(r *big.Rat, f timeField) (int64, error) { return toUnits(r, b.scale, f) }
 
 // injectChan returns (creating on first use) the broadcast channel that
 // announces event injections of scenario sc.
@@ -275,13 +275,13 @@ func (b *builder) buildEnv(sc *Scenario) error {
 	x := b.net.AddClock(sc.Name + ".env.x")
 	p := b.net.AddProcess("ENV_" + sc.Name)
 
-	period, err := b.units(m.PeriodMS)
+	period, err := b.units(m.PeriodMS, timeField{"scenario", sc.Name, "period_ms"})
 	if err != nil {
 		return err
 	}
 	switch m.Kind {
 	case KindPeriodic:
-		offset, err := b.units(m.OffsetMS)
+		offset, err := b.units(m.OffsetMS, timeField{"scenario", sc.Name, "offset_ms"})
 		if err != nil {
 			return err
 		}
@@ -312,7 +312,7 @@ func (b *builder) buildEnv(sc *Scenario) error {
 			Resets:     []ta.Reset{{Clock: x.ID, Value: 0}}, Update: release, Sync: sync})
 
 	case KindPeriodicJitter:
-		jitter, err := b.units(m.JitterMS)
+		jitter, err := b.units(m.JitterMS, timeField{"scenario", sc.Name, "jitter_ms"})
 		if err != nil {
 			return err
 		}
@@ -336,11 +336,11 @@ func (b *builder) buildEnv(sc *Scenario) error {
 func (b *builder) buildBurstyEnv(sc *Scenario, p *ta.Process, x ta.Clock,
 	release ta.Update, sync ta.Sync, period int64) error {
 	m := sc.Arrival
-	jitter, err := b.units(m.JitterMS)
+	jitter, err := b.units(m.JitterMS, timeField{"scenario", sc.Name, "jitter_ms"})
 	if err != nil {
 		return err
 	}
-	minSep, err := b.units(m.MinSepMS)
+	minSep, err := b.units(m.MinSepMS, timeField{"scenario", sc.Name, "min_sep_ms"})
 	if err != nil {
 		return err
 	}
@@ -418,7 +418,10 @@ func (b *builder) completion(op rop) (ta.Update, ta.Sync) {
 // operations.
 func (b *builder) buildResources() error {
 	for _, p := range b.sys.Processors {
-		ops := b.opsOn(func(st *Step) bool { return st.Proc == p })
+		ops, err := b.opsOn(func(st *Step) bool { return st.Proc == p })
+		if err != nil {
+			return err
+		}
 		if len(ops) == 0 {
 			continue
 		}
@@ -427,7 +430,10 @@ func (b *builder) buildResources() error {
 		}
 	}
 	for _, bus := range b.sys.Buses {
-		ops := b.opsOn(func(st *Step) bool { return st.Bus == bus })
+		ops, err := b.opsOn(func(st *Step) bool { return st.Bus == bus })
+		if err != nil {
+			return err
+		}
 		if len(ops) == 0 {
 			continue
 		}
@@ -451,7 +457,7 @@ func (b *builder) buildResources() error {
 // their scenario's next slot.
 func (b *builder) buildTDMABus(bus *Bus, ops []rop) error {
 	cfg := bus.TDMA
-	cycle, err := b.units(cfg.CycleMS)
+	cycle, err := b.units(cfg.CycleMS, timeField{"bus", bus.Name, "cycle_ms"})
 	if err != nil {
 		return err
 	}
@@ -468,11 +474,11 @@ func (b *builder) buildTDMABus(bus *Bus, ops []rop) error {
 		if sl == nil {
 			return fmt.Errorf("arch: bus %s: scenario %s has traffic but no TDMA slot", bus.Name, sc.Name)
 		}
-		start, err := b.units(sl.StartMS)
+		start, err := b.units(sl.StartMS, timeField{"bus", bus.Name, "start_ms"})
 		if err != nil {
 			return err
 		}
-		end, err := b.units(sl.EndMS)
+		end, err := b.units(sl.EndMS, timeField{"bus", bus.Name, "end_ms"})
 		if err != nil {
 			return err
 		}
@@ -498,7 +504,7 @@ func (b *builder) buildTDMABus(bus *Bus, ops []rop) error {
 		if !scenarios[sl.Scenario] {
 			continue // slot for a scenario without traffic here: skip
 		}
-		start, err := b.units(sl.StartMS)
+		start, err := b.units(sl.StartMS, timeField{"bus", bus.Name, "start_ms"})
 		if err != nil {
 			return err
 		}
@@ -546,7 +552,7 @@ func (b *builder) buildTDMABus(bus *Bus, ops []rop) error {
 	return nil
 }
 
-func (b *builder) opsOn(sel func(*Step) bool) []rop {
+func (b *builder) opsOn(sel func(*Step) bool) ([]rop, error) {
 	var ops []rop
 	for _, sc := range b.sys.Scenarios {
 		for i := range sc.Steps {
@@ -554,13 +560,13 @@ func (b *builder) opsOn(sel func(*Step) bool) []rop {
 			if !sel(st) {
 				continue
 			}
-			dur, err := toUnits(st.DurationMS(), b.scale)
+			name := sc.Name + "." + st.Name
+			dur, err := toUnits(st.DurationMS(), b.scale, timeField{"step", name, "duration"})
 			if err != nil {
-				// computeScale covered every duration; treat as internal.
-				panic("arch: duration not integral under computed scale: " + err.Error())
+				return nil, err
 			}
 			op := rop{
-				name: sc.Name + "." + st.Name,
+				name: name,
 				sc:   sc, step: i,
 				in:   b.qv[sc][i],
 				dur:  dur,
@@ -573,7 +579,7 @@ func (b *builder) opsOn(sel func(*Step) bool) []rop {
 			ops = append(ops, op)
 		}
 	}
-	return ops
+	return ops, nil
 }
 
 // dispatchGuard returns the data guard for dispatching op under the given
@@ -696,7 +702,7 @@ func (b *builder) preemptionBudget(name string, his, los []rop) (int64, error) {
 	}
 	periods := make([]int64, len(his))
 	for i, h := range his {
-		p, err := b.units(h.sc.Arrival.PeriodMS)
+		p, err := b.units(h.sc.Arrival.PeriodMS, timeField{"scenario", h.sc.Name, "period_ms"})
 		if err != nil {
 			return 0, err
 		}

@@ -1,9 +1,12 @@
 package arch
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dbm"
 )
 
 const pipelineJSON = `{
@@ -255,5 +258,47 @@ func TestParseSystemTDMA(t *testing.T) {
 	  "steps":[{"name":"m","bus":"B","bytes":3}]}]}`
 	if _, _, err := ParseSystem([]byte(bad)); err == nil {
 		t.Error("unknown slot scenario must be rejected")
+	}
+}
+
+// TestCompileClockConstantEdges pins both sides of dbm.MaxConstant for the
+// time values of a system description: a value of exactly the largest clock
+// constant in model time units compiles, one unit more is refused by name —
+// the field, and the scenario it belongs to — instead of wrapping into a
+// negative or infinite bound.
+func TestCompileClockConstantEdges(t *testing.T) {
+	const max = int64(dbm.MaxConstant)
+	cases := []struct {
+		name, arrival, field string
+		horizon              bool
+	}{
+		{"po period", `{"kind": "po", "period_ms": "%d", "offset_ms": "0"}`, "scenario job period_ms", false},
+		{"pno period", `{"kind": "pno", "period_ms": "%d"}`, "scenario job period_ms", false},
+		{"sp period", `{"kind": "sp", "period_ms": "%d"}`, "scenario job period_ms", false},
+		{"horizon", `{"kind": "po", "period_ms": "100", "offset_ms": "0"}`, "requirement e2e horizon", true},
+	}
+	for _, c := range cases {
+		for _, k := range []int64{max, max + 1} {
+			js := strings.Replace(pipelineJSON, `{"kind": "po", "period_ms": "100", "offset_ms": "0"}`,
+				strings.ReplaceAll(c.arrival, "%d", fmt.Sprint(k)), 1)
+			sys, reqs, err := ParseSystem([]byte(js))
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			var opts Options
+			if c.horizon {
+				opts.HorizonMS = k
+			}
+			_, err = CompileAll(sys, reqs, opts)
+			if k == max {
+				if err != nil {
+					t.Errorf("%s: the largest constant %d is refused: %v", c.name, k, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), c.field) || !strings.Contains(err.Error(), fmt.Sprint(max)) {
+				t.Errorf("%s: %d compiles to %v, want a refusal naming %q and the largest constant", c.name, k, err, c.field)
+			}
+		}
 	}
 }

@@ -3,6 +3,9 @@ package arch
 import (
 	"fmt"
 	"math/big"
+	"strings"
+
+	"repro/internal/dbm"
 )
 
 // computeScale returns the least common multiple L of the denominators of
@@ -39,26 +42,35 @@ func lcm(a, b *big.Int) *big.Int {
 	return out.Mul(out, b)
 }
 
-// toUnits converts the exact millisecond value r to integer model time units
-// under the given scale. It errs if the value is not integral (which cannot
-// happen for scales from computeScale) or too large.
-func toUnits(r *big.Rat, scale *big.Int) (int64, error) {
+// timeField names where a time value comes from — a field of a scenario,
+// step, bus or requirement — for toUnits' errors; kind and name may be
+// empty.
+type timeField struct{ kind, name, field string }
+
+func (f timeField) String() string { return strings.TrimSpace(f.kind + " " + f.name + " " + f.field) }
+
+// toUnits converts the exact millisecond value r of field f to integer model
+// time units under the given scale. It errs, naming f, if the value is not
+// integral (which cannot happen for scales from computeScale), negative, or
+// beyond dbm.MaxConstant units: a clock constant any larger would overflow
+// the sum of two bounds.
+func toUnits(r *big.Rat, scale *big.Int, f timeField) (int64, error) {
 	if r == nil {
 		return 0, nil
 	}
 	v := new(big.Rat).Mul(r, new(big.Rat).SetInt(scale))
 	if !v.IsInt() {
-		return 0, fmt.Errorf("arch: %s ms is not integral at scale 1/%s ms", r.RatString(), scale)
+		return 0, fmt.Errorf("arch: %s: %s ms is not integral at scale 1/%s ms", f, r.RatString(), scale)
 	}
 	n := v.Num()
-	if !n.IsInt64() {
-		return 0, fmt.Errorf("arch: %s ms overflows the model time base", r.RatString())
+	if n.Sign() < 0 {
+		return 0, fmt.Errorf("arch: %s: negative duration %s ms", f, r.RatString())
 	}
-	u := n.Int64()
-	if u < 0 {
-		return 0, fmt.Errorf("arch: negative duration %s ms", r.RatString())
+	if !n.IsInt64() || n.Int64() > dbm.MaxConstant {
+		return 0, fmt.Errorf("arch: %s: %s ms is %s time units of 1/%s ms, beyond the largest clock constant %d",
+			f, r.RatString(), n, scale, int64(dbm.MaxConstant))
 	}
-	return u, nil
+	return n.Int64(), nil
 }
 
 // unitsToMS converts a model-time value back to exact milliseconds.
@@ -73,7 +85,9 @@ func unitsToMS(u int64, scale *big.Int) *big.Rat {
 func (s *System) TimeScale() (*big.Int, error) { return computeScale(s) }
 
 // ToUnits converts exact milliseconds to integer time units under scale.
-func ToUnits(r *big.Rat, scale *big.Int) (int64, error) { return toUnits(r, scale) }
+func ToUnits(r *big.Rat, scale *big.Int) (int64, error) {
+	return toUnits(r, scale, timeField{field: "time value"})
+}
 
 // UnitsToMS converts integer time units back to exact milliseconds.
 func UnitsToMS(u int64, scale *big.Int) *big.Rat { return unitsToMS(u, scale) }

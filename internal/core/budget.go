@@ -31,9 +31,11 @@ import (
 //     discrete keys, zone-record segments and compact zone buffers
 //     (store.go), and the check adds that live total (passedSet.bytes) to
 //     the cells. That total is also what the waiting states cost in zone
-//     bytes: a state waits as a node that references the payload the store
-//     packed of it (an orphaned payload stays charged until its node is
-//     popped), so the frontier adds no zone bytes of its own.
+//     bytes: a state waits as a 40-byte node, in a frontier block carved from
+//     the run's slabs, that references the payload the store packed of it
+//     (an orphaned payload stays charged until its node is popped), so the
+//     frontier adds no zone bytes of its own. Its blocks, like the store's
+//     bucket index, are bookkeeping and are not charged.
 
 // ErrStateBudget reports an exploration stopped because Options.StateBudget
 // unique states had been admitted. The accompanying Stats are the partial

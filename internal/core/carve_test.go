@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -10,23 +11,56 @@ import (
 )
 
 // The tests in this file pin where a sweep's bookkeeping lives: store
-// entries, record segments, entry keys and parent-log blocks are carved from
-// the run's slab set ("Where the bytes come from" in store.go), point only
-// into that set, and cost the collector nothing; waiting nodes and the
-// frontier list stay on the heap.
+// entries with their keys, the bucket index, record segments, frontier
+// blocks and parent-log blocks are carved from the run's slab set ("Where
+// the bytes come from" in store.go), point only into that set, and cost the
+// collector nothing.
 
 // carveProbe is a never-completing reach query that captures the run's
 // explorer from its predicate — through the Monitor, while the run is live —
-// and walks the run's store and parent log in finish, after the loop has
-// returned and before explore releases the run's slabs.
+// and walks the run's frontier there, and its store, frontier and parent log
+// in finish, after the loop has returned and before explore releases the
+// run's slabs.
 type carveProbe struct {
 	*ReachQuery
 	t    *testing.T
 	mon  *Monitor
 	run  *explorer
-	seen int // frontier nodes checked while the run was live
-	// entries, segs, recs and blocks count what the walk found.
-	entries, segs, recs, blocks int
+	seen int // waiting nodes checked while the run was live
+	// entries, segs, recs, heads, fronts and blocks count what the walk
+	// found.
+	entries, segs, recs, heads, fronts, blocks int
+}
+
+// holds reports an error unless ptr is the run's carved memory.
+func (p *carveProbe) holds(what string, ptr unsafe.Pointer) {
+	p.t.Helper()
+	if !p.run.slabs.Holds(ptr) {
+		p.t.Errorf("%s at %p is not the run's carved memory", what, ptr)
+	}
+}
+
+// frontBlocks returns the blocks of a breadth-first frontier, head to tail,
+// then its free ones, and calls node on every node waiting in them.
+func frontBlocks(f *frontier, node func(*waiting)) []*frontBlock {
+	var out []*frontBlock
+	for b, i := f.head, f.hi; b != nil; b, i = b.link, 0 {
+		out = append(out, b)
+		end := len(b.nodes)
+		if b == f.tail {
+			end = f.ti
+		}
+		for ; i < end; i++ {
+			node(&b.nodes[i])
+		}
+		if b == f.tail {
+			break
+		}
+	}
+	for b := f.free; b != nil; b = b.link {
+		out = append(out, b)
+	}
+	return out
 }
 
 func newCarveProbe(t *testing.T) *carveProbe {
@@ -40,17 +74,14 @@ func newCarveProbe(t *testing.T) *carveProbe {
 			return false
 		}
 		// The predicate runs on the admitting goroutine, which owns the
-		// frontier: its list and its nodes are the collector's.
-		if f := p.run.front; cap(f.list) > 0 {
-			if p.run.slabs.Holds(unsafe.Pointer(unsafe.SliceData(f.list[:1]))) {
-				t.Error("the frontier list is carved from the run's slabs")
-			}
-			for _, n := range f.list[f.head:] {
-				if p.run.slabs.Holds(unsafe.Pointer(n)) {
-					t.Error("a waiting node is carved from the run's slabs")
-				}
-				p.seen++
-			}
+		// frontier: its blocks, and the entries and payloads its nodes point
+		// at, are the run's.
+		for _, b := range frontBlocks(&p.run.front, func(n *waiting) {
+			p.holds("waiting node's entry", unsafe.Pointer(n.entry))
+			p.holds("waiting node's payload", unsafe.Pointer(unsafe.SliceData(n.packed)))
+			p.seen++
+		}) {
+			p.holds("frontier block", unsafe.Pointer(b))
 		}
 		return false
 	})
@@ -58,13 +89,7 @@ func newCarveProbe(t *testing.T) *carveProbe {
 }
 
 func (p *carveProbe) finish(c *Checker, logs *parentLogs, stats Stats) error {
-	t, slabs := p.t, &p.run.slabs
-	holds := func(what string, ptr unsafe.Pointer) {
-		t.Helper()
-		if !slabs.Holds(ptr) {
-			t.Errorf("%s at %p is not the run's carved memory", what, ptr)
-		}
-	}
+	t := p.t
 	rec := func(r *zoneRec, live bool) {
 		t.Helper()
 		if !live {
@@ -73,39 +98,48 @@ func (p *carveProbe) finish(c *Checker, logs *parentLogs, stats Stats) error {
 			}
 			return
 		}
-		holds("payload", unsafe.Pointer(unsafe.SliceData(r.z)))
+		p.holds("payload", unsafe.Pointer(unsafe.SliceData(r.z)))
 		p.recs++
 	}
 	st := p.run.passed.(*store)
-	for _, head := range st.buckets {
-		for e := head; e != nil; e = e.next {
-			p.entries++
-			holds("entry", unsafe.Pointer(e))
-			holds("key", unsafe.Pointer(unsafe.SliceData(e.key)))
-			rec(&e.first[0], e.n > 0)
-			slot := 1
-			for seg := e.more; seg != nil; seg = seg.next {
-				p.segs++
-				holds("segment", unsafe.Pointer(seg))
-				holds("record slots", unsafe.Pointer(unsafe.SliceData(seg.recs)))
-				for i := range seg.recs {
-					rec(&seg.recs[i], slot < e.n)
-					slot++
-				}
+	p.holds("index directory", unsafe.Pointer(unsafe.SliceData(st.index.dir)))
+	for _, heads := range st.index.dir {
+		p.heads++
+		p.holds("head block", unsafe.Pointer(heads))
+	}
+	for _, e := range entriesOf(st) {
+		p.entries++
+		p.holds("entry", unsafe.Pointer(e))
+		key := e.key(st.keys.words)
+		p.holds("key", unsafe.Pointer(&key[len(key)-1]))
+		rec(&e.first[0], e.n > 0)
+		slot := 1
+		for seg := e.more; seg != nil; seg = seg.next {
+			p.segs++
+			p.holds("segment", unsafe.Pointer(seg))
+			p.holds("record slots", unsafe.Pointer(unsafe.SliceData(seg.recs)))
+			for i := range seg.recs {
+				rec(&seg.recs[i], slot < int(e.n))
+				slot++
 			}
 		}
 	}
+	for _, b := range frontBlocks(&p.run.front, func(*waiting) {}) {
+		p.fronts++
+		p.holds("frontier block", unsafe.Pointer(b))
+	}
 	for _, b := range logs.blocks {
 		p.blocks++
-		holds("log block", unsafe.Pointer(b))
+		p.holds("log block", unsafe.Pointer(b))
 	}
 	return p.ReachQuery.finish(c, logs, stats)
 }
 
 // TestCarvedStorePointsIntoItsSlabs walks a finished sweep's store before its
-// release: every entry, key, record segment, payload and log block must be
-// the sweep's own carved memory — the rule that makes it safe for the
-// collector not to see them — and no waiting node or frontier list may be.
+// release: every entry with its key, index block, record segment, payload,
+// frontier block and log block must be the sweep's own carved memory — the
+// rule that makes it safe for the collector not to see them — and so must
+// every entry and payload a waiting node points at while the sweep runs.
 func TestCarvedStorePointsIntoItsSlabs(t *testing.T) {
 	grid, _, _, _ := buildGrid(t)
 	c, err := NewChecker(grid)
@@ -118,9 +152,9 @@ func TestCarvedStorePointsIntoItsSlabs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.entries == 0 || p.segs == 0 || p.blocks == 0 || p.seen == 0 {
-			t.Fatalf("lookahead mode %d: walked %d entries, %d segments, %d log blocks, %d nodes; want each > 0",
-				mode, p.entries, p.segs, p.blocks, p.seen)
+		if p.entries == 0 || p.segs == 0 || p.heads == 0 || p.fronts == 0 || p.blocks == 0 || p.seen == 0 {
+			t.Fatalf("lookahead mode %d: walked %d entries, %d segments, %d head blocks, %d frontier blocks, %d log blocks, %d nodes; want each > 0",
+				mode, p.entries, p.segs, p.heads, p.fronts, p.blocks, p.seen)
 		}
 		if p.recs != stats.Live {
 			t.Errorf("lookahead mode %d: walked %d live records, the store holds %d", mode, p.recs, stats.Live)
@@ -184,11 +218,11 @@ func TestOversizedPayloadSurvivesCollection(t *testing.T) {
 	}
 }
 
-// TestSmallSweepBookkeepingAllocatesNothing admits and logs the three states
-// of a small sweep into a store and a parent log carved from one slab set,
-// and requires that entries, keys, records, payloads and log blocks cost no
-// heap allocation at all. What stays on the heap is set up before: the
-// bucket map's first group and the set's first slab.
+// TestSmallSweepBookkeepingAllocatesNothing admits, logs and parks the three
+// states of a small sweep into a store, a parent log and a frontier carved
+// from one slab set, and requires that entries, keys, index, records,
+// payloads, log blocks and waiting nodes cost no heap allocation at all. The
+// set's first slab is taken before.
 func TestSmallSweepBookkeepingAllocatesNothing(t *testing.T) {
 	c, err := NewChecker(buildChain(t))
 	if err != nil {
@@ -212,17 +246,17 @@ func TestSmallSweepBookkeepingAllocatesNothing(t *testing.T) {
 	var slabs dbm.Slabs
 	defer slabs.Release()
 	dbm.Carve[uint64](&slabs)
+	var stop atomic.Bool
 	type sweep struct {
 		st     *store
 		logs   *parentLogs
+		front  *frontier
 		states []*State
 	}
 	sweeps := make([]sweep, runs+1) // AllocsPerRun calls once more to warm up
 	for i := range sweeps {
-		sw := sweep{st: newStore(&slabs, &c.eng.bounds, &c.eng.keys), logs: &parentLogs{slabs: &slabs}}
-		// The map allocates its first group at its first insert.
-		sw.st.buckets[0] = nil
-		delete(sw.st.buckets, 0)
+		sw := sweep{st: newStore(&slabs, &c.eng.bounds, &c.eng.keys), logs: &parentLogs{slabs: &slabs},
+			front: &frontier{order: BFS, stop: &stop, slabs: &slabs}}
 		for _, s := range chain {
 			s = cloneState(s)
 			s.discreteKey()
@@ -236,10 +270,12 @@ func TestSmallSweepBookkeepingAllocatesNothing(t *testing.T) {
 		next++
 		ref := noRef
 		for i, s := range sw.states {
-			if e, _ := sw.st.add(s, &ctx.closeScratch); e == nil {
+			e, payload := sw.st.add(s, &ctx.closeScratch)
+			if e == nil {
 				t.Fatalf("chain state %d was subsumed", i)
 			}
 			ref = sw.logs.record(ref, s.discreteKey(), 0)
+			*sw.front.push() = waiting{entry: e, packed: payload, ref: ref}
 		}
 	})
 	if allocs != 0 {

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/dbm"
 	"repro/internal/faultinject"
@@ -44,17 +45,19 @@ const abortCheckMask = 31
 // admitted state gets one 20-byte record (parent ref, discrete key, successor
 // index) appended to the run's parent log, and the state is stamped with the
 // record's ref in State.ref (the record's block and offset), which its
-// waiting node carries to its expansion. Records hold three packed integers
+// waiting node carries to its expansion (the node's one word the store does
+// not keep, "Frontier" below). Records hold three packed integers
 // only — NEVER zone pointers, State pointers, or label copies — so state
 // recycling (succCtx.putState) stays sound and the zone-ownership protocol
 // of store.go is untouched. Packing a record into 20 bytes, instead of one
 // 80-byte record struct with a retained label, is what makes always-on trace
 // logging cheap enough for the big sweeps. The log is a list of
 // logBlockSize-record blocks carved from the run's slabs (explorer.slabs), so
-// it costs the collector nothing — no allocation, no scan — and a sweep of a
-// few dozen states logs into the one slab it already holds; the blocks go
-// back with the slabs at explore's one Release, after the last replay has
-// read them.
+// it costs the collector nothing per record — no allocation, no scan — and a
+// sweep of a few dozen states logs into the one slab it already holds; only
+// the list of blocks is a heap slice, past its first four entries, doubling
+// once per doubling of the sweep. The blocks go back with the slabs at
+// explore's one Release, after the last replay has read them.
 //
 // When a run stops at a state (visitor match or deadlock), the trace is
 // stitched back from the log: parent refs are followed from the stop record
@@ -138,12 +141,12 @@ func (l *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 //
 // The waiting list (frontier) holds waiting nodes, not States. The node of
 // an admitted state references what the store already keeps of it — the
-// entry, whose key is its discrete part, packed, and the packed payload of
-// its zone — plus the two words the store does not keep, its parent-log ref
-// and its discrete key. So a waiting state costs one small fixed-size node
-// whatever the dimension and the process count, and it cannot hold a matrix:
-// the store owns the only copy of its zone until it is popped. The life of a
-// state:
+// entry, whose key is its discrete part, packed, and whose hash is its
+// discrete key, and the packed payload of its zone — plus the one word the
+// store does not keep, its parent-log ref. So a waiting state costs one
+// 40-byte node whatever the dimension and the process count, and it cannot
+// hold a matrix: the store owns the only copy of its zone until it is
+// popped. The life of a state:
 //
 //   - fired: engine.fire materializes a State from a ctx's free list
 //     (succCtx.getState), owning a pooled matrix with the raw zone;
@@ -151,22 +154,29 @@ func (l *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 //     back to the free list (succCtx.putState) — or admits it, widening the
 //     zone in place and handing back the entry and a payload reference;
 //   - visited: the queries see the admitted State with its matrix;
-//   - parked: succCtx.park fills a node with entry, payload, ref and key,
-//     and recycles the State, its matrix with it; the node is pushed;
-//   - popped: succCtx.unpark rebuilds a pooled State from the node — the
-//     entry's key decoded, the node's key and ref, the payload decoded into
-//     a pooled matrix — the node goes back to the loop's free list
-//     (succCtx.putNode), and passedSet.release gives the payload back;
+//   - parked: succCtx.park writes its node — entry, payload and ref — into
+//     the frontier's tail slot and recycles the State, its matrix with it;
+//   - popped: the node is copied out of its slot, and succCtx.unpark
+//     rebuilds a pooled State from it — the entry's key decoded, its hash
+//     and the node's ref, the payload decoded into a pooled matrix — and
+//     passedSet.release gives the payload back;
 //   - expanded: its successors are fired, decided, visited and parked, and
 //     the State goes back to the free list.
 //
 // The loop therefore holds at most one expanded State and its fired
 // successors at a time — one per expansion in flight, lookaheadDepth+1, once
 // the lookahead helper is engaged — so a sweep allocates States in
-// proportion to its widest expansion, not its widest frontier. The loop
-// carves new nodes from blocks sized to the run — 2, 4, 8, … up to 256 nodes
-// (succCtx.park) — so a sweep allocates nodes in proportion to its widest
-// frontier, and a sweep of a few dozen states a block or two.
+// proportion to its widest expansion, not its widest frontier.
+//
+// The frontier keeps its nodes by value in blocks of frontBlockNodes, 4 KiB
+// each, carved from the run's slabs: a FIFO queue of blocks for BFS, a stack
+// of them for DFS and RDFS (successor shuffling happens in the loop). A block
+// emptied by pops goes onto a free list, and the next block a push needs
+// comes from there before anything is carved, so a sweep carves blocks in
+// proportion to its widest frontier, a sweep of a few dozen states one
+// block, and the collector sees none of it: a node points only at its entry
+// and payload, both the run's carved memory or, behind a test store, heap
+// objects that store keeps alive ("Where the bytes come from" in store.go).
 //
 // Visitors run on the calling goroutine and must not retain a state beyond
 // the call: the State they see is recycled as soon as the queries have seen
@@ -178,65 +188,99 @@ func (l *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 // its pop.
 type waiting struct {
 	// entry is the store entry that admitted the state. Its key is the
-	// state's discrete part, packed; it never changes once the entry is
-	// published, so the lookahead helper decodes it without the store.
+	// state's discrete part, packed, and its hash the state's discrete key;
+	// neither changes once the entry is published, so the lookahead helper
+	// reads them without the store.
 	entry *storeEntry
 	// packed references the payload the store packed of the admitted zone —
 	// the store's buffer, not a copy — until the state has been rebuilt from
 	// it and the loop has released it (passedSet.release; "Zone ownership"
 	// in store.go).
 	packed dbm.Compact
-	ref    int64  // the state's parent-log ref (State.ref)
-	key    uint64 // the state's discrete key (State.key)
+	ref    int64 // the state's parent-log ref (State.ref)
 }
 
-// frontier is the waiting list: FIFO for BFS, LIFO for DFS/RDFS (successor
-// shuffling happens in the loop). pop returns nil when the list is empty or
-// the stop flag is up. It costs a pointer per waiting state, besides the
-// node. The waiting nodes are list[head:]; BFS pops by advancing head and
-// the slots before it are reused — on empty the list restarts at slot 0, and
-// once head passes half the slice the tail is copied down — so one backing
-// array of about twice the widest level serves the whole sweep, where a list
-// re-sliced at its front would walk an ever-regrown array through every
-// state stored. The list holds pointers, not the nodes themselves: with the
-// reused head slots and append's doubling, it runs to up to four slots per
-// waiting state, which at a node's 48 bytes costs more than the node and one
-// 8-byte slot (held by value, the nodes put 11% more on fischer's
-// alloc_mb_per_verdict than the States they replaced).
+// frontBlockNodes is how many nodes one frontier block holds: as many as fit
+// in 4 KiB beside the block's 8-byte link.
+const frontBlockNodes = (4096 - 8) / unsafe.Sizeof(waiting{})
+
+// frontBlock is a block of the frontier.
+type frontBlock struct {
+	// link is, under BFS, the next block towards the tail, and under DFS and
+	// RDFS the block below; on the free list, the next free block.
+	link  *frontBlock
+	nodes [frontBlockNodes]waiting
+}
+
+// frontier is the waiting list: FIFO for BFS, LIFO for DFS/RDFS. pop reports
+// false when the list is empty or the stop flag is up.
 type frontier struct {
 	order Order
-	list  []*waiting
-	head  int // BFS only: index of the next node to pop
 	stop  *atomic.Bool
+	slabs *dbm.Slabs // what blocks are carved from
+	// head is the block BFS pops from, at slot hi; tail the block pushes go
+	// to, at slot ti — the top of the stack under DFS and RDFS, where only
+	// the bottom block may be empty.
+	head, tail *frontBlock
+	hi, ti     int
+	free       *frontBlock // emptied blocks
 }
 
-// listStartCap is the slot count a run's list starts with: about what the
-// small sweeps of a design study keep waiting at once, in one allocation
-// instead of growing through one, two and four slots.
-const listStartCap = 4
-
-func (f *frontier) push(n *waiting) { f.list = append(f.list, n) }
-
-func (f *frontier) pop() *waiting {
-	if f.stop.Load() || f.head == len(f.list) {
-		return nil
-	}
-	var n *waiting
-	if f.order == BFS {
-		n = f.list[f.head]
-		f.head++
-		switch {
-		case f.head == len(f.list):
-			f.list, f.head = f.list[:0], 0
-		case f.head > len(f.list)/2:
-			// At most as many slots move as were popped since the last move.
-			f.list, f.head = f.list[:copy(f.list, f.list[f.head:])], 0
+// push returns the tail slot the next node is written into.
+func (f *frontier) push() *waiting {
+	if f.tail == nil || f.ti == len(f.tail.nodes) {
+		b := f.free
+		if b != nil {
+			f.free, b.link = b.link, nil
+		} else {
+			b = dbm.Carve[frontBlock](f.slabs)
 		}
-	} else {
-		n = f.list[len(f.list)-1]
-		f.list = f.list[:len(f.list)-1]
+		switch {
+		case f.order != BFS:
+			b.link = f.tail
+		case f.tail == nil:
+			f.head, f.hi = b, 0
+		default:
+			f.tail.link = b
+		}
+		f.tail, f.ti = b, 0
 	}
+	n := &f.tail.nodes[f.ti]
+	f.ti++
 	return n
+}
+
+// pop copies the next node into n.
+func (f *frontier) pop(n *waiting) bool {
+	if f.stop.Load() || f.tail == nil {
+		return false
+	}
+	if f.order != BFS {
+		if f.ti == 0 {
+			return false
+		}
+		f.ti--
+		*n = f.tail.nodes[f.ti]
+		if b := f.tail; f.ti == 0 && b.link != nil {
+			f.tail, f.ti = b.link, len(b.nodes)
+			f.free, b.link = b, f.free
+		}
+		return true
+	}
+	if f.head == f.tail && f.hi == f.ti {
+		return false
+	}
+	*n = f.head.nodes[f.hi]
+	f.hi++
+	switch b := f.head; {
+	case b == f.tail && f.hi == f.ti:
+		// Empty: the one block starts over.
+		f.hi, f.ti = 0, 0
+	case f.hi == len(b.nodes):
+		f.head, f.hi = b.link, 0
+		f.free, b.link = b, f.free
+	}
+	return true
 }
 
 // explorer carries the mutable state of one exploration run. What another
@@ -249,7 +293,7 @@ type explorer struct {
 	opts    Options
 	queries []Query // the attached query set (may be empty: plain sweep)
 	passed  passedSet
-	front   *frontier
+	front   frontier
 	logs    *parentLogs // nil when no trace can be requested
 	mon     *monView    // nil when no Monitor is attached
 	prof    *profRun    // nil unless the Monitor has profiling enabled
@@ -258,13 +302,14 @@ type explorer struct {
 	// Monitor, the memory budget and the profile alike.
 	cell workerCell
 
-	// slabs is the sweep's slab set: the loop's and the helper's zone pools, the
-	// store (entries, keys, records, payloads) and the parent log carve from it,
-	// and explore releases it (see there). Nothing caller-visible may alias it:
-	// FoundState is a cloneState copy, trace replay runs on a heap ctx
-	// (newCtx(nil)) from the heap initial state, and results carry bounds and
-	// integers. A new result kind that holds a *State, *dbm.DBM or dbm.Compact
-	// must copy before explore returns. The package's tests run with released
+	// slabs is the sweep's slab set: the loop's and the helper's zone pools,
+	// the store (entries with their keys, index, records, payloads), the
+	// frontier and the parent log carve from it, and explore releases it (see
+	// there). Nothing caller-visible may alias it: FoundState is a cloneState
+	// copy, trace replay runs on a heap ctx (newCtx(nil)) from the heap
+	// initial state, and results carry bounds and integers. A new result kind
+	// that holds a *State, *dbm.DBM or dbm.Compact must copy before explore
+	// returns. The package's tests run with released
 	// slabs and recycled payloads poisoned (TestMain in slab_test.go), so an
 	// alias reads as garbage in whichever test looks at it.
 	slabs dbm.Slabs
@@ -272,11 +317,8 @@ type explorer struct {
 	// before the loop has a succCtx; part of the explorer so that it costs no
 	// allocation of its own.
 	initScratch closeScratch
-	// initNode is the initial state's waiting node, and initState that
-	// state once it waits: the loop takes its struct and vectors as its first
-	// free State. Both are part of the explorer so that they cost no
-	// allocation of their own.
-	initNode  waiting
+	// initState is the initial state once it waits: the loop takes its
+	// struct and vectors as its first free State.
 	initState *State
 
 	// hasCheck caches "Cancel, Deadline, or MaxBytes configured" so the
@@ -402,6 +444,7 @@ func (e *explorer) run() {
 		shuffle = rand.New(rand.NewSource(e.opts.Seed))
 	}
 	var succs []succ
+	var node waiting // what an inline expansion pops into
 	var nPopped, nTransitions, nDeadlocks int64
 	cell := &e.cell
 	zoneBytes := dbm.ZoneBytes(e.c.eng.dim)
@@ -461,19 +504,18 @@ func (e *explorer) run() {
 		if nPopped == aheadFrom {
 			ahead = e.startLookahead(ctx)
 		}
-		var node *waiting
+		var popped bool
 		var s *State
 		var payload dbm.Compact
 		var err error
 		if ahead != nil {
-			node, s, payload, succs, err = ahead.next(e.front, ctx)
-		} else if node = e.front.pop(); node != nil {
-			s, payload, succs, err = e.expand(ctx, node, succs[:0])
+			popped, s, payload, succs, err = ahead.next(&e.front, ctx)
+		} else if popped = e.front.pop(&node); popped {
+			s, payload, succs, err = e.expand(ctx, &node, succs[:0])
 		}
-		if node == nil {
+		if !popped {
 			return
 		}
-		ctx.putNode(node)
 		nPopped++
 		e.passed.release(s, payload)
 		if err != nil {
@@ -523,7 +565,7 @@ func (e *explorer) run() {
 				return
 			}
 			// The queries have seen the state; it waits as a node.
-			e.front.push(ctx.park(sc.state, entry, payload))
+			ctx.park(&e.front, sc.state, entry, payload)
 		}
 		// s is fully expanded and nothing admitted references it, so recycle
 		// it wholesale.
@@ -574,15 +616,16 @@ func (e *explorer) expand(ctx *succCtx, n *waiting, out []succ) (*State, dbm.Com
 // The two meet in a ring of lookaheadDepth+1 slots, one per expansion in
 // flight — the one the caller admits among them — indexed by two counters,
 // sent (written by the caller) and done (written by the helper). A slot
-// carries a node in, and its rebuilt state, payload and fired successors
-// back. Neither side blocks: a caller ahead of the helper, or a helper with
-// nothing to expand, yields. States go back to the ctx that allocated them:
-// the caller's ctx is lent (succCtx.lent), collects the States it frees, and
-// passes the batch with the next node it hands over, and the helper recycles
-// it before that node's expansion; the nodes the helper has read go onto the
-// caller's free list. The helper reads a payload before the caller releases
-// it, and writes none: a prune the caller makes meanwhile changes only the
-// holder mark, which decoding does not read.
+// carries a node in — by value: the caller pops the node straight into the
+// slot, so the frontier block it came from may be reused at once — and its
+// rebuilt state, payload and fired successors back. Neither side blocks: a
+// caller ahead of the helper, or a helper with nothing to expand, yields.
+// States go back to the ctx that allocated them: the caller's ctx is lent
+// (succCtx.lent), collects the States it frees, and passes the batch with the
+// next node it hands over, and the helper recycles it before that node's
+// expansion. The helper reads a payload before the caller releases it, and
+// writes none: a prune the caller makes meanwhile changes only the holder
+// mark, which decoding does not read.
 //
 // The helper's pool counts, as of the last expansion the caller has taken,
 // join the caller's in its cell. So do the two stage-bound counts, once the
@@ -630,7 +673,7 @@ func (o Options) lookaheadFrom() int64 {
 
 // expansion is one slot of the lookahead ring.
 type expansion struct {
-	node *waiting // in: the popped node
+	node waiting  // in: the popped node
 	back []*State // in: States to recycle into the helper's ctx first
 	// out: what expand returned, the helper's pool counts after it, and a
 	// helper panic.
@@ -676,25 +719,23 @@ func (e *explorer) startLookahead(ctx *succCtx) *lookahead {
 }
 
 // next hands the helper every node the frontier has, up to the ring's
-// capacity, and returns the oldest expansion in flight: its node and what
-// expand returned for it. A nil node means the frontier is empty with
-// nothing in flight, or the helper crashed, which has failed the run.
-func (la *lookahead) next(front *frontier, ctx *succCtx) (*waiting, *State, dbm.Compact, []succ, error) {
+// capacity, and returns what expand returned for the oldest expansion in
+// flight. It reports false when the frontier is empty with nothing in
+// flight, or the helper crashed, which has failed the run.
+func (la *lookahead) next(front *frontier, ctx *succCtx) (bool, *State, dbm.Compact, []succ, error) {
 	ring := int64(len(la.slots))
 	own := &la.own.v
 	sent := la.sent.v.Load()
 	for ; sent-own.taken < ring; sent++ {
-		n := front.pop()
-		if n == nil {
+		x := &la.slots[sent%ring]
+		if !front.pop(&x.node) {
 			break
 		}
-		x := &la.slots[sent%ring]
-		x.node = n
 		x.back, ctx.back = ctx.back, x.back
 		la.sent.v.Store(sent + 1)
 	}
 	if own.taken == sent {
-		return nil, nil, nil, nil, nil
+		return false, nil, nil, nil, nil
 	}
 	for la.done.v.Load() <= own.taken {
 		own.waits++
@@ -704,10 +745,10 @@ func (la *lookahead) next(front *frontier, ctx *succCtx) (*waiting, *State, dbm.
 	own.taken++
 	if x.crash != nil {
 		la.e.fail(x.crash)
-		return nil, nil, nil, nil, nil
+		return false, nil, nil, nil, nil
 	}
 	own.gets, own.reuses = x.gets, x.reuses
-	return x.node, x.s, x.payload, x.succs, x.err
+	return true, x.s, x.payload, x.succs, x.err
 }
 
 // serve is the helper goroutine: expand each slot the caller hands over, in
@@ -749,7 +790,7 @@ func (la *lookahead) expand(x *expansion) (crashed bool) {
 		x.back[i] = nil
 	}
 	x.back = x.back[:0]
-	x.s, x.payload, x.succs, x.err = la.e.expand(la.ctx, x.node, x.succs[:0])
+	x.s, x.payload, x.succs, x.err = la.e.expand(la.ctx, &x.node, x.succs[:0])
 	x.gets, x.reuses = la.ctx.pool.Stats()
 	return false
 }
@@ -838,11 +879,10 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		}()
 	}
 	if !drained {
-		e.front = &frontier{order: opts.Order, list: make([]*waiting, 0, listStartCap), stop: &e.stop}
+		e.front = frontier{order: opts.Order, stop: &e.stop, slabs: &e.slabs}
 		// init waits like any admitted state, as a node, and its State goes
 		// to the loop's free list.
-		e.initNode = waiting{entry: entry, packed: payload, ref: init.ref, key: init.discreteKey()}
-		e.front.push(&e.initNode)
+		*e.front.push() = waiting{entry: entry, packed: payload, ref: init.ref}
 		e.initState = init
 	}
 	// Attach the monitor strictly after e.front is in place: the atomic

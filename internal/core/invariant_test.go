@@ -90,52 +90,73 @@ func TestTargetInvariantDisablesTransition(t *testing.T) {
 	}
 }
 
-// TestListFrontierReusesSlots: BFS pops in push order however pushes and pops
-// interleave, the backlog is list[head:], and the backing array stays within
-// a small multiple of the widest backlog instead of growing with the number
-// of states that ever passed through.
-func TestListFrontierReusesSlots(t *testing.T) {
+// TestBlockFrontierOrderAndReuse: BFS pops in push order and DFS in reverse
+// push order however pushes and pops interleave, a drained frontier pops
+// nothing until the next push, the stop flag ends the pops, and the blocks
+// carved stay within what the widest backlog needs instead of growing with
+// the number of nodes that ever passed through.
+func TestBlockFrontierOrderAndReuse(t *testing.T) {
 	var stop atomic.Bool
-	f := &frontier{order: BFS, stop: &stop}
-	nodes := make([]*waiting, 10_000)
-	for i := range nodes {
-		nodes[i] = &waiting{}
-	}
-	next, popped := 0, 0
-	push := func(k int) {
-		for ; k > 0 && next < len(nodes); k-- {
-			f.push(nodes[next])
-			next++
-		}
-	}
-	pop := func(k int) {
-		for ; k > 0; k-- {
-			if f.pop() != nodes[popped] {
-				t.Fatalf("pop %d returned the wrong node", popped)
+	var slabs dbm.Slabs
+	defer slabs.Release()
+	for _, order := range []Order{BFS, DFS} {
+		f := &frontier{order: order, stop: &stop, slabs: &slabs}
+		carved := map[*frontBlock]bool{}
+		var model []int64 // the refs waiting, in push order
+		next, widest := int64(0), 0
+		push := func(k int) {
+			for ; k > 0; k-- {
+				*f.push() = waiting{ref: next}
+				carved[f.tail] = true
+				model = append(model, next)
+				next++
+				widest = max(widest, len(model))
 			}
-			popped++
 		}
-	}
-	push(40)
-	for next < len(nodes) {
-		pop(3) // backlog oscillates around 40
-		push(3)
-		if d := len(f.list) - f.head; d != next-popped {
-			t.Fatalf("list[head:] holds %d with %d waiting", d, next-popped)
+		pop := func(k int) {
+			for ; k > 0; k-- {
+				var n waiting
+				if !f.pop(&n) {
+					t.Fatalf("%v: pop found nothing with %d waiting", order, len(model))
+				}
+				var want int64
+				if order == BFS {
+					want, model = model[0], model[1:]
+				} else {
+					want, model = model[len(model)-1], model[:len(model)-1]
+				}
+				if n.ref != want {
+					t.Fatalf("%v: popped node %d, want %d", order, n.ref, want)
+				}
+			}
 		}
-	}
-	pop(next - popped)
-	if f.pop() != nil || len(f.list) != f.head {
-		t.Fatal("drained frontier must pop nil at depth 0")
-	}
-	if c := cap(f.list); c > 256 {
-		t.Errorf("backing array grew to %d slots for a backlog of about 40", c)
-	}
-	// LIFO orders are untouched by the head index.
-	f = &frontier{order: DFS, stop: &stop}
-	f.push(nodes[0])
-	f.push(nodes[1])
-	if f.pop() != nodes[1] || f.pop() != nodes[0] || f.pop() != nil {
-		t.Error("DFS must pop in reverse push order")
+		// The backlog oscillates around 250 nodes, then empties, grows past
+		// three blocks, and climbs by a node every other step.
+		push(250)
+		for next < 10_000 {
+			pop(3)
+			push(3)
+		}
+		pop(len(model))
+		if f.pop(new(waiting)) {
+			t.Fatalf("%v: a drained frontier popped a node", order)
+		}
+		push(int(3*frontBlockNodes + 7))
+		for i := 0; i < 2_000; i++ {
+			push(i % 5)
+			pop(i % 4)
+		}
+		if d := int(frontBlockNodes); len(carved) > widest/d+2 {
+			t.Errorf("%v: %d blocks carved for a widest backlog of %d (%d nodes a block)", order, len(carved), widest, d)
+		}
+		stop.Store(true)
+		if f.pop(new(waiting)) {
+			t.Errorf("%v: popped a node with the stop flag up", order)
+		}
+		stop.Store(false)
+		pop(len(model))
+		if f.pop(new(waiting)) {
+			t.Fatalf("%v: a drained frontier popped a node", order)
+		}
 	}
 }

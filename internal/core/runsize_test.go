@@ -1,13 +1,15 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/ta"
 )
 
-// The tests in this file pin that a run's bookkeeping — its parent logs and
-// its profile rings — is sized to the run and does not outlive it.
+// The tests in this file pin that a run's bookkeeping — its store, frontier,
+// parent logs and profile rings — is sized to the run and does not outlive
+// it, and that what it keeps per state costs the heap nothing.
 
 // buildChain constructs P: L0 → L1 → L2 with one clock and no guards: a
 // 3-state sweep that ends in a deadlock.
@@ -95,5 +97,42 @@ func TestFinishedRunKeepsNoRing(t *testing.T) {
 	}
 	if p.Totals.Stored != 3 {
 		t.Errorf("profile totals %+v, want 3 stored", p.Totals)
+	}
+}
+
+// TestSweepHeapAllocsFlatInStates runs Fischer-5 with a query attached (so
+// the parent log is on) to 2,000 and to 40,000 stored states and requires
+// the two sweeps' heap allocations to differ by at most 16: entries with
+// their keys, the bucket index, records, payloads, waiting nodes and log
+// blocks are carved from the sweep's slabs, so only directories that double
+// (the slab set's, the log's) may grow, a few times each. Expansions run
+// inline: with the lookahead helper, the States in flight depend on how far
+// it runs ahead, which the scheduler decides. Each size keeps the fewest of
+// three runs, so an allocation of the runtime's own does not count.
+func TestSweepHeapAllocsFlatInStates(t *testing.T) {
+	c, err := NewChecker(buildFischer(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(maxStates int) uint64 {
+		fewest := ^uint64(0)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := c.Explore(Options{MaxStates: maxStates, lookahead: lookaheadOff}, func(*State) bool { return false })
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stored != maxStates {
+				t.Fatalf("the sweep stored %d states, want %d", res.Stored, maxStates)
+			}
+			fewest = min(fewest, after.Mallocs-before.Mallocs)
+		}
+		return fewest
+	}
+	small, large := allocs(2_000), allocs(40_000)
+	if large > small+16 {
+		t.Errorf("a sweep of 40,000 states made %d heap allocations, one of 2,000 made %d: want at most 16 more", large, small)
 	}
 }

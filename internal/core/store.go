@@ -54,25 +54,39 @@ type passedSet interface {
 //
 // # Keys
 //
-// Discrete hashes are cached per State (State.key); the bucket map is keyed
-// by that hash and a storeEntry does not repeat it — entries whose hashes
-// collide chain through storeEntry.next and are told apart by their keys. An
-// entry's key is its discrete state bit-packed by the engine's
-// discretePacker (discrete.go): every location and variable is a field just
-// wide enough for its declared range, so table1's 19 variables and the
-// locations of its processes fit in 3 words. Packing is exact, not a hash:
-// a field holds every value of its range, and no state outside the ranges
-// ever reaches the store — Finalize checks initial values and location
-// references, and engine.fire checks every variable after every update
-// (ta.Network.CheckVarBounds) — so two states share a key exactly when they
-// share their discrete part. Keys are cut from a word arena whose
-// keyBlock-word blocks are carved from the run's slabs, like the entries
-// themselves, so a new entry costs the heap nothing. A lookup packs the state
-// into the arena's next free words and compares keys word by word; a match
-// leaves those words free for the next lookup, a new entry keeps them. A key
+// Discrete hashes are cached per State (State.key), and every entry keeps
+// its state's: the bucket index is keyed by it (see below), and a waiting
+// node reads its state's hash back from its entry. An entry's key is its
+// discrete state bit-packed by the engine's discretePacker (discrete.go):
+// every location and variable is a field just wide enough for its declared
+// range, so table1's 19 variables and the locations of its processes fit in
+// 3 words. Packing is exact, not a hash: a field holds every value of its
+// range, and no state outside the ranges ever reaches the store — Finalize
+// checks initial values and location references, and engine.fire checks
+// every variable after every update (ta.Network.CheckVarBounds) — so two
+// states share a key exactly when they share their discrete part. The key
+// is carved inline, right after its entry (dbm.CarveTail: discretePacker.words
+// words, the same for every entry of a store), so an entry and its key are
+// one piece and the entry spends no slice header on it. A lookup packs the
+// state into the key of the store's spare entry and compares hashes, then
+// keys word by word, along its bucket's chain; a match leaves the spare for
+// the next lookup, a miss publishes the spare itself as the new entry. A key
 // never aliases a state's slices, since states recycle and entries do not. A
 // waiting node keeps its entry, not vectors of its own: the state's discrete
 // part is decoded from the key when its node is popped.
+//
+// # Bucket index
+//
+// The index is a chained hash table: a power-of-two number of bucket heads,
+// in blocks of 4 KiB carved from the run's slabs and reached through a
+// carved directory, and chains linked through storeEntry.next. A hash's
+// bucket is its low bits. The table doubles when it holds more entries than
+// buckets: it carves head blocks for the new upper half only, and splits each
+// old chain in place on the hash bit the doubling adds — no entry moves, no
+// hash is recomputed, and no dead table is left behind (only the directory,
+// 8 bytes per block, is copied). So the index costs 8 to 16 bytes per entry,
+// where the Go map from hash to entry it replaced cost 20 to 36 and sat on
+// the collector's heap.
 //
 // # Admission index
 //
@@ -123,10 +137,11 @@ type passedSet interface {
 //     the caller recycles s wholesale via succCtx.putState — nothing else
 //     references it.
 //   - explorer.run feeds the admitted state to the queries, which read
-//     s.Zone, and then parks it: it pushes a waiting node of the entry, the
-//     payload reference, the ref and the key, and recycles s, its matrix with
-//     it (the initial state's heap matrix goes to the collector instead). A
-//     node has no field for a matrix, so no state waits with one.
+//     s.Zone, and then parks it: it writes a waiting node of the entry, the
+//     payload reference and the ref into the frontier's tail slot, and
+//     recycles s, its matrix with it (the initial state's heap matrix goes to
+//     the collector instead). A node has no field for a matrix, so no state
+//     waits with one.
 //   - A stored zone covered by a later admission is pruned inside add
 //     whether or not its state was expanded — exploration order, and with it
 //     every count and trace, does not depend on the store's bookkeeping. If
@@ -134,17 +149,18 @@ type passedSet interface {
 //     compact pool at once; if the node still waits the payload is marked
 //     orphaned and stays charged to bytes() until it is released.
 //   - A popped node's state is rebuilt (succCtx.unpark, inline or on the
-//     lookahead helper): the entry's key decoded, and the payload decoded
-//     into a matrix from the rebuilding ctx's pool — without holding the
-//     entry: the key never changes once the entry is published, the payload
+//     lookahead helper): the entry's key decoded and its hash copied, and the
+//     payload decoded into a matrix from the rebuilding ctx's pool — without
+//     holding the entry: key and hash never change once the entry is
+//     published, the payload
 //     cannot change while the node holds it, and no dbm kernel touches the
 //     mark. Then the loop calls release: an orphaned buffer goes back to the
-//     store's compact pool, any other is marked as the record's alone. The expanded state is recycled via
-//     succCtx.putState like a subsumed one.
+//     store's compact pool, any other is marked as the record's alone. The
+//     expanded state is recycled via succCtx.putState like a subsumed one.
 //   - A run that stops early (visitor, MaxStates, cancel, budget, panic)
 //     leaves waiting nodes holding payloads; nothing releases them, and
-//     nothing has to: nodes and pools die with the run, entries, records and
-//     payloads go back with its slabs.
+//     nothing has to: pools die with the run, and nodes, entries, records
+//     and payloads go back with its slabs.
 //
 // Fork census (continued from the dbm package comment; scripts/traffic.sh
 // prints it): a successor is subsumed on its raw zone — 65% of fischer's
@@ -157,23 +173,28 @@ type passedSet interface {
 //
 // # Where the bytes come from
 //
-// The matrices of the ctxs' pools, and everything the store keeps — entries,
-// key blocks, record segments and the payloads of its compact pool — are
-// carved from one dbm.Slabs set per run (explorer.slabs), as are the parent
-// log's record blocks (explore.go, "Trace reconstruction"); a store built
-// with a nil set (the tests' standalone stores) takes each from the heap
-// instead. So a stored state costs the collector nothing: no object to
-// allocate, none to scan, nothing counted towards the heap goal. What stays
-// on the heap is what the collector must see, because it points at heap
-// memory or is reached from it: the bucket map, the waiting nodes and the
-// frontier's list. Carved memory is invisible to the collector, so it obeys
-// dbm.Carve's rule: it points only into its own set — an entry at its key and
-// its next entry, a record at its payload, a segment at the next — never at a
-// heap object, which nothing would keep alive. A payload too large for a slab
-// piece is such a heap object; the set itself keeps it until Release. A test
-// store behind Options.passed may hand back heap entries and heap payloads
-// (the reference store's), which is sound because only a waiting node, a heap
-// object the collector scans, ever holds them.
+// The matrices of the ctxs' pools, and everything the store keeps — entries
+// with their keys, the bucket index, record segments and the payloads of its
+// compact pool — are carved from one dbm.Slabs set per run (explorer.slabs),
+// as are the frontier's node blocks and the parent log's record blocks
+// (explore.go, "Frontier" and "Trace reconstruction"); a store built with a
+// nil set (the tests' standalone stores) takes each from the heap instead.
+// So a sweep's bookkeeping costs the collector nothing: no object to
+// allocate per state, none to scan, nothing counted towards the heap goal.
+// What a sweep still allocates on the heap is sized by the model, not by the
+// states it stores: its ctxs and their States, the free lists of its pools,
+// and the slab and log-block directories. Carved memory is invisible to the
+// collector, so it obeys dbm.Carve's rule: it points only into its own set —
+// an entry at its next entry and its segments, a record at its payload, a
+// segment at the next, a head at its entry, a waiting node at its entry and
+// payload — never at a heap object, which nothing would keep alive. A
+// payload too large for a slab piece is such a heap object; the set itself
+// keeps it until Release. A test store behind Options.passed hands the
+// carved frontier heap entries and heap payloads, so it must keep every one
+// of them alive itself until the sweep is over: a standalone store's entries
+// hang in its heap index, and its standalone compact pool keeps every buffer
+// it allocated (dbm.CompactPool); the reference store keeps the entries and
+// payloads it hands out.
 //
 // explore releases the set to a process-wide cache exactly once per run —
 // after the loop has returned, after every Query.finish and every
@@ -196,15 +217,16 @@ type passedSet interface {
 // is gone by then; carve_test.go walks a finished store to check that it
 // points only into its own slabs.
 type store struct {
-	// buckets maps a discrete hash (State.discreteKey) to its entry; the
-	// rare entries whose hashes collide chain through storeEntry.next.
-	buckets map[uint64]*storeEntry
-	// slabs is what entries, record segments, key blocks and (through cpool)
-	// payloads are carved from: the run's set, or nil for the heap.
+	// index finds the entry of a discrete hash ("Bucket index" above).
+	index bucketIndex
+	// spare is the entry the next lookup packs its key into: a miss
+	// publishes it, a hit leaves it for the next lookup; nil until needed.
+	spare *storeEntry
+	// slabs is what entries with their keys, the index, record segments and
+	// (through cpool) payloads are carved from: the run's set, or nil for the
+	// heap.
 	slabs *dbm.Slabs
 	cpool *dbm.CompactPool
-	// arena is the unused rest of the key block entry keys are carved from.
-	arena []uint64
 	// bounds are what an admitted zone is extrapolated against: the engine's,
 	// idempotent (see "Admission index").
 	bounds *dbm.ExtraBounds
@@ -222,9 +244,71 @@ type store struct {
 	found, created atomic.Int64
 }
 
-// keyBlock is the length in words of a key-arena block: 4 KiB of a slab, a
-// few hundred keys.
-const keyBlock = 512
+// A head block is 4 KiB of bucket heads.
+const (
+	headShift = 9
+	headBlock = 1 << headShift
+)
+
+// bucketIndex is the store's chained hash table ("Bucket index" above).
+type bucketIndex struct {
+	// dir holds the head blocks in bucket order: bucket b's head is
+	// dir[b>>headShift][b%headBlock].
+	dir     []*[headBlock]*storeEntry
+	entries int
+}
+
+// newBucketIndex returns an index of one head block carved from slabs.
+func newBucketIndex(slabs *dbm.Slabs) bucketIndex {
+	dir := dbm.CarveSlice[*[headBlock]*storeEntry](slabs, 1)
+	dir[0] = dbm.Carve[[headBlock]*storeEntry](slabs)
+	return bucketIndex{dir: dir}
+}
+
+// head returns the head of hash h's bucket.
+func (x *bucketIndex) head(h uint64) **storeEntry {
+	b := h & (uint64(len(x.dir))<<headShift - 1)
+	return &x.dir[b>>headShift][b%headBlock]
+}
+
+// insert links e, whose hash is set, at the front of its bucket — head is
+// what head(e.hash) returned — and doubles the table once it holds more
+// entries than buckets.
+func (x *bucketIndex) insert(head **storeEntry, e *storeEntry, slabs *dbm.Slabs) {
+	e.next, *head = *head, e
+	x.entries++
+	if x.entries > len(x.dir)*headBlock {
+		x.grow(slabs)
+	}
+}
+
+// grow doubles the buckets: it carves the upper half's head blocks and a
+// directory twice as long, and splits every chain in place on the hash bit
+// the doubling adds, keeping the order within each half.
+func (x *bucketIndex) grow(slabs *dbm.Slabs) {
+	old := len(x.dir)
+	dir := dbm.CarveSlice[*[headBlock]*storeEntry](slabs, 2*old)
+	copy(dir, x.dir)
+	for i := old; i < 2*old; i++ {
+		dir[i] = dbm.Carve[[headBlock]*storeEntry](slabs)
+	}
+	x.dir = dir
+	bit := uint64(old) << headShift
+	for i, lo := range dir[:old] {
+		hi := dir[old+i]
+		for j, e := range lo {
+			loTail, hiTail := &lo[j], &hi[j]
+			for ; e != nil; e = e.next {
+				if e.hash&bit == 0 {
+					*loTail, loTail = e, &e.next
+				} else {
+					*hiTail, hiTail = e, &e.next
+				}
+			}
+			*loTail, *hiTail = nil, nil
+		}
+	}
+}
 
 // zoneRec is one stored zone in an entry's admission index.
 type zoneRec struct {
@@ -267,18 +351,27 @@ const (
 	segBytes   = int64(unsafe.Sizeof(zoneSeg{}))
 )
 
+// storeEntry is one discrete state of the store. Its key follows it in
+// memory (see "Keys" above).
 type storeEntry struct {
 	// next chains the entries of one bucket.
 	next *storeEntry
-	// key is the packed discrete state ("Keys" above), carved from the
-	// store's arena and immutable once the entry is published.
-	key []uint64
+	// hash is the state's discrete hash (State.key), immutable once the
+	// entry is published.
+	hash uint64
 	// n counts the stored maximal zones. Their records occupy the first n
 	// slots of the list: first, then the segments of more in chain order.
 	// Most entries hold a single zone and never grow a segment.
-	n     int
+	n     int32
 	first [1]zoneRec
 	more  *zoneSeg
+}
+
+// key returns the entry's packed discrete state ("Keys" above): the words
+// words carved right after it. It never changes once the entry is published,
+// so the lookahead helper decodes it without the store.
+func (e *storeEntry) key(words int) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Add(unsafe.Pointer(e), entryBytes)), words)
 }
 
 // recCursor walks the record slots of one entry in list order.
@@ -338,41 +431,46 @@ func (e *storeEntry) compact(live int, slabs *dbm.Slabs) recCursor {
 	return to
 }
 
-// matches reports whether the entry represents the discrete state packed
-// as key.
-func (e *storeEntry) matches(key []uint64) bool { return slices.Equal(e.key, key) }
-
-// newStore returns an empty store. Entries, records, keys and packed
-// payloads are carved from slabs (nil: from the heap); admitted zones are
-// extrapolated against bounds; entry keys are packed by keys.
+// newStore returns an empty store. Entries with their keys, the index,
+// records and packed payloads are carved from slabs (nil: from the heap);
+// admitted zones are extrapolated against bounds; entry keys are packed by
+// keys.
 func newStore(slabs *dbm.Slabs, bounds *dbm.ExtraBounds, keys *discretePacker) *store {
-	return &store{buckets: make(map[uint64]*storeEntry), slabs: slabs, cpool: slabs.CompactPool(), bounds: bounds, keys: keys}
+	return &store{index: newBucketIndex(slabs), slabs: slabs, cpool: slabs.CompactPool(), bounds: bounds, keys: keys}
 }
 
-// lookupEntry finds or creates the bucket entry for s's discrete state. It
-// packs s into the next free words of the arena: a new entry keeps them as
-// its key, a found one leaves them for the next lookup. Either way the key
-// is a copy, so states stay recyclable (succCtx.putState).
+// newEntry returns a zeroed entry followed by room for a key of words words,
+// carved from slabs (nil: one heap object).
+func newEntry(slabs *dbm.Slabs, words int) *storeEntry {
+	return dbm.CarveTail[storeEntry](slabs, words)
+}
+
+// lookupEntry finds or creates the entry for s's discrete state. It packs s
+// into the spare entry's key: a new entry is the spare itself, a found one
+// leaves it for the next lookup. Either way the key is a copy, so states stay
+// recyclable (succCtx.putState). A new entry is charged to zoneBytes with its
+// key; add admits its state, since it has no zone to be subsumed by.
 func (st *store) lookupEntry(s *State) *storeEntry {
 	n := st.keys.words
-	if len(st.arena) < n {
-		st.arena = dbm.CarveSlice[uint64](st.slabs, max(keyBlock, n))
+	if st.spare == nil {
+		st.spare = newEntry(st.slabs, n)
 	}
-	key := st.arena[:n:n]
+	key := st.spare.key(n)
 	st.keys.pack(s.Locs, s.Vars, key)
 	h := s.discreteKey()
-	head := st.buckets[h]
-	for e := head; e != nil; e = e.next {
-		if e.matches(key) {
+	head := st.index.head(h)
+	for e := *head; e != nil; e = e.next {
+		if e.hash == h && slices.Equal(e.key(n), key) {
 			st.found.Add(1)
 			return e
 		}
 	}
-	st.arena = st.arena[n:]
-	e := dbm.Carve[storeEntry](st.slabs)
-	e.next, e.key = head, key
-	st.buckets[h] = e
+	e := st.spare
+	st.spare = nil
+	e.hash = h
+	st.index.insert(head, e, st.slabs)
 	st.created.Add(1)
+	st.zoneBytes.Add(entryBytes + 8*int64(n))
 	return e
 }
 
@@ -384,8 +482,8 @@ func (st *store) lookupEntry(s *State) *storeEntry {
 // state's waiting node to hold (nil when s was subsumed). It also returns
 // the change in the number of stored zones (0 when s was subsumed; any
 // admission nets at least +1 minus prunes) and the change in stored bytes —
-// payloads, record segments, and the entry with its key when this is its
-// first zone. The caller must hold the entry (see the store comment).
+// payloads and record segments. The caller must hold the entry (see the
+// store comment).
 //
 // Both inclusion directions are pre-filtered by the signature: d ⊆ z forces
 // sig(d) ≤ sig(z) in every lane, so a non-inclusion usually costs a compare
@@ -402,16 +500,12 @@ func (e *storeEntry) admit(s *State, slabs *dbm.Slabs, pool *dbm.CompactPool, x 
 			panic(err)
 		}
 	}
-	if e.n == 0 {
-		// An entry without zones is one lookupEntry just made for s.
-		bytesDelta = entryBytes + 8*int64(len(e.key))
-	}
 	zone := s.Zone
 	sig := dbm.SignatureOf(zone)
 	// First pass: pure subsumption check on the raw zone, no mutation. It
 	// leaves tail just past the last record, where an admission appends.
 	tail := e.cursor(slabs)
-	for rem := e.n; rem > 0; {
+	for rem := int(e.n); rem > 0; {
 		recs := tail.chunk(rem)
 		for i := range recs {
 			if r := &recs[i]; sig.Leq(&r.sig) && r.z.ContainsDBM(zone) {
@@ -428,7 +522,7 @@ func (e *storeEntry) admit(s *State, slabs *dbm.Slabs, pool *dbm.CompactPool, x 
 	// Second pass: release the stored zones the new one covers.
 	pruned := 0
 	scan := e.cursor(slabs)
-	for rem := e.n; rem > 0; {
+	for rem := int(e.n); rem > 0; {
 		recs := scan.chunk(rem)
 		for i := range recs {
 			if r := &recs[i]; r.sig.Leq(&sig) && r.z.SubsetEqDBM(zone) {
@@ -445,12 +539,12 @@ func (e *storeEntry) admit(s *State, slabs *dbm.Slabs, pool *dbm.CompactPool, x 
 		rem -= len(recs)
 	}
 	if pruned > 0 {
-		tail = e.compact(e.n-pruned, slabs)
+		tail = e.compact(int(e.n)-pruned, slabs)
 	}
 	r := &tail.chunk(1)[0]
 	r.sig, r.z = sig, dbm.EncodeCompact(zone, pool)
 	r.z.SetHolder(heldByBoth)
-	e.n += 1 - pruned
+	e.n += int32(1 - pruned)
 	return 1 - pruned, bytesDelta + int64(len(r.z)) + tail.grown, r.z
 }
 

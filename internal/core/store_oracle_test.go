@@ -39,6 +39,10 @@ type refStore struct {
 	zones   int
 	zbytes  int64
 	pruned  int // stored zones a later admission covered
+	// handed keeps every payload add hands out alive: a waiting node, which
+	// holds it until its pop, lives in carved frontier memory the collector
+	// does not scan.
+	handed []dbm.Compact
 }
 
 type refEntry struct {
@@ -47,7 +51,7 @@ type refEntry struct {
 	vars []int64
 	zs   []*dbm.DBM
 	// packed is what add hands back for a waiting node: an entry holding
-	// only the discrete part, packed into a key as the store's are.
+	// only the discrete hash and part, packed into a key as the store's are.
 	packed *storeEntry
 }
 
@@ -70,10 +74,10 @@ func (st *refStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 		}
 	}
 	if e == nil {
-		key := make([]uint64, st.keys.words)
-		st.keys.pack(s.Locs, s.Vars, key)
-		e = &refEntry{key: h, locs: slices.Clone(s.Locs), vars: slices.Clone(s.Vars),
-			packed: &storeEntry{key: key}}
+		packed := newEntry(nil, st.keys.words)
+		packed.hash = h
+		st.keys.pack(s.Locs, s.Vars, packed.key(st.keys.words))
+		e = &refEntry{key: h, locs: slices.Clone(s.Locs), vars: slices.Clone(s.Vars), packed: packed}
 		st.buckets[h] = append(st.buckets[h], e)
 	}
 	for _, z := range e.zs {
@@ -96,7 +100,9 @@ func (st *refStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	st.zbytes += dbm.ZoneBytes(s.Zone.Dim())
 	// The waiting node's payload is a heap buffer of its own: the reference
 	// never recycles anything, so there is nothing for release to do.
-	return e.packed, dbm.EncodeCompact(s.Zone, nil)
+	payload := dbm.EncodeCompact(s.Zone, nil)
+	st.handed = append(st.handed, payload)
+	return e.packed, payload
 }
 
 func (st *refStore) release(*State, dbm.Compact) {}
@@ -137,11 +143,11 @@ type shadowStore struct {
 }
 
 // decodesTo reports whether the entry's key decodes, with keys, to exactly
-// the discrete part of s.
+// the discrete part of s, and its hash is the state's.
 func decodesTo(keys *discretePacker, e *storeEntry, s *State) bool {
 	locs, vars := make([]ta.LocID, len(s.Locs)), make([]int64, len(s.Vars))
-	keys.unpack(e.key, locs, vars)
-	return slices.Equal(locs, s.Locs) && slices.Equal(vars, s.Vars)
+	keys.unpack(e.key(keys.words), locs, vars)
+	return slices.Equal(locs, s.Locs) && slices.Equal(vars, s.Vars) && e.hash == s.discreteKey()
 }
 
 func (sh *shadowStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
@@ -438,9 +444,9 @@ func checkStoreLayout(t *testing.T, st *store) {
 	t.Helper()
 	live := 0
 	owned := map[*byte]bool{}
-	for _, e := range entriesOf(st.buckets) {
+	for _, e := range entriesOf(st) {
 		slots := e.slots()
-		if e.n < 1 || e.n > len(slots) {
+		if e.n < 1 || int(e.n) > len(slots) {
 			t.Fatalf("entry holds n=%d records in %d slots", e.n, len(slots))
 		}
 		total := 1
@@ -451,7 +457,7 @@ func checkStoreLayout(t *testing.T, st *store) {
 			total += len(seg.recs)
 		}
 		for i, r := range slots {
-			if i >= e.n {
+			if i >= int(e.n) {
 				if r.z != nil {
 					t.Errorf("slot %d past the %d live records still references a buffer", i, e.n)
 				}
@@ -468,7 +474,7 @@ func checkStoreLayout(t *testing.T, st *store) {
 			}
 			owned[&r.z[0]] = true
 		}
-		live += e.n
+		live += int(e.n)
 	}
 	if live != st.size() {
 		t.Errorf("entries hold %d live records, size() = %d", live, st.size())
@@ -486,8 +492,8 @@ func checkPoolDisjoint(t *testing.T, st *store, sample *dbm.DBM) {
 	t.Helper()
 	held := map[*byte]bool{}
 	live := 0
-	for _, e := range entriesOf(st.buckets) {
-		live += e.n
+	for _, e := range entriesOf(st) {
+		live += int(e.n)
 		for _, r := range e.slots() {
 			if r.z != nil {
 				held[&r.z[0]] = true
@@ -562,7 +568,7 @@ func TestSegmentedListLockstep(t *testing.T) {
 			}
 			checkStoreLayout(t, fast)
 			var got []dbm.Compact
-			for _, e := range entriesOf(fast.buckets) {
+			for _, e := range entriesOf(fast) {
 				got = append(got, e.liveZones()...)
 			}
 			want := sh.ref.buckets[states[0].discreteKey()][0].zs

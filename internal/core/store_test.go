@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dbm"
 	"repro/internal/ta"
@@ -39,12 +40,14 @@ func admit(st passedSet, s *State) dbm.Compact {
 	return payload
 }
 
-// entriesOf returns every entry of a bucket map, collision chains included.
-func entriesOf(buckets map[uint64]*storeEntry) []*storeEntry {
+// entriesOf returns every entry of a store's bucket index, chains included.
+func entriesOf(st *store) []*storeEntry {
 	var out []*storeEntry
-	for _, e := range buckets {
-		for ; e != nil; e = e.next {
-			out = append(out, e)
+	for _, heads := range st.index.dir {
+		for _, e := range heads {
+			for ; e != nil; e = e.next {
+				out = append(out, e)
+			}
 		}
 	}
 	return out
@@ -189,15 +192,14 @@ func TestStoreLookupCounts(t *testing.T) {
 	if hits, misses := st.internStats(); hits != 2 || misses != 3 {
 		t.Errorf("lookups: %d hits, %d misses; want 2, 3", hits, misses)
 	}
-	if entries := entriesOf(st.buckets); len(entries) != 3 {
+	if entries := entriesOf(st); len(entries) != 3 {
 		t.Errorf("entries = %d, want 3", len(entries))
 	}
 }
 
 // TestStoreNewEntryAllocs pins what a new discrete state costs the heap:
-// nothing of its own. Its entry, its key (from the store's key arena) and its
-// payload are carved from the run's slabs, so admitting zones at n distinct
-// new discrete states allocates only the bucket map's growth, amortized.
+// nothing. Its entry with its key, its bucket head — the index's growth
+// included — and its payload are carved from the run's slabs.
 func TestStoreNewEntryAllocs(t *testing.T) {
 	const n = 2000
 	keys := packerFor([]int{5}, []ta.VarDecl{{Name: "v", Min: -n, Max: n}})
@@ -222,5 +224,56 @@ func TestStoreNewEntryAllocs(t *testing.T) {
 	}
 	if _, misses := st.internStats(); misses != n+1 {
 		t.Errorf("%d entries created for %d distinct discrete states", misses, n+1)
+	}
+}
+
+// TestStoreEntryFits88Bytes pins the entry's size: its key carved inline
+// after it, a 32-bit zone count beside it and its discrete hash in it. The
+// key follows at entryBytes, so that must keep the words 8-byte aligned.
+func TestStoreEntryFits88Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(storeEntry{}); size > 88 || size%8 != 0 {
+		t.Errorf("a store entry is %d bytes, want at most 88 and a multiple of 8", size)
+	}
+	if size := unsafe.Sizeof(waiting{}); size > 40 {
+		t.Errorf("a waiting node is %d bytes, want at most 40", size)
+	}
+}
+
+// TestBucketIndexSplitsInPlace inserts entries whose hashes all start in
+// three buckets and grows the index through three doublings: every entry
+// must stay in the chain of its hash's bucket under the current mask, each
+// chain newest first, and no entry may be lost or duplicated.
+func TestBucketIndexSplitsInPlace(t *testing.T) {
+	const n = 3 * headBlock * 2
+	var slabs dbm.Slabs
+	defer slabs.Release()
+	st := newStore(&slabs, &keepAll, &testKeys)
+	order := map[*storeEntry]int{}
+	for i := range n {
+		e := newEntry(&slabs, testKeys.words)
+		e.hash = uint64(i)<<headShift | uint64(i%3)
+		st.index.insert(st.index.head(e.hash), e, &slabs)
+		order[e] = i
+	}
+	if got, want := len(st.index.dir), 8; got != want {
+		t.Fatalf("%d entries grew the index to %d head blocks, want %d", n, got, want)
+	}
+	mask := uint64(len(st.index.dir))<<headShift - 1
+	seen := 0
+	for b := uint64(0); b <= mask; b++ {
+		last := n
+		for e := *st.index.head(b); e != nil; e = e.next {
+			if e.hash&mask != b {
+				t.Fatalf("hash %#x sits in bucket %d", e.hash, b)
+			}
+			if order[e] >= last {
+				t.Fatalf("bucket %d chains entry %d after entry %d", b, order[e], last)
+			}
+			last = order[e]
+			seen++
+		}
+	}
+	if seen != n || len(entriesOf(st)) != n {
+		t.Errorf("the chains hold %d entries (%d walked), want %d", seen, len(entriesOf(st)), n)
 	}
 }

@@ -129,12 +129,6 @@ type succCtx struct {
 	// passes on.
 	lent bool
 	back []*State
-	// nodes is the free list of the waiting nodes this ctx's loop popped, and
-	// block the one it carves new nodes from, next its first unused one (see
-	// park).
-	nodes []*waiting
-	block []waiting
-	next  int
 
 	// chunk is a bump allocator for the Label.Parts of fired transitions:
 	// stable copies are carved out of large blocks instead of one
@@ -245,54 +239,28 @@ func (ctx *succCtx) putState(s *State) {
 	}
 }
 
-// Node blocks grow with the run: the first holds nodeBlockMin nodes, each
-// later one twice as many as the one before, up to nodeBlockMax.
-const (
-	nodeBlockMin = 2
-	nodeBlockMax = 256
-)
-
 // park turns an admitted state, which the queries have seen, into the node
-// it waits as — entry and payload are what passedSet.add handed back — and
-// recycles the state (see "Frontier" in explore.go).
-func (ctx *succCtx) park(s *State, entry *storeEntry, payload dbm.Compact) *waiting {
-	var n *waiting
-	if k := len(ctx.nodes); k > 0 {
-		n = ctx.nodes[k-1]
-		ctx.nodes = ctx.nodes[:k-1]
-	} else {
-		if ctx.next == len(ctx.block) {
-			ctx.block = make([]waiting, min(max(2*len(ctx.block), nodeBlockMin), nodeBlockMax))
-			ctx.next = 0
-		}
-		n = &ctx.block[ctx.next]
-		ctx.next++
-	}
-	*n = waiting{entry: entry, packed: payload, ref: s.ref, key: s.discreteKey()}
+// it waits as — entry and payload are what passedSet.add handed back —
+// written into the tail slot of f, and recycles the state (see "Frontier" in
+// explore.go).
+func (ctx *succCtx) park(f *frontier, s *State, entry *storeEntry, payload dbm.Compact) {
+	*f.push() = waiting{entry: entry, packed: payload, ref: s.ref}
 	ctx.putState(s)
-	return n
 }
 
 // unpark rebuilds the state a popped node waited as: a pooled State with the
-// discrete part decoded from the entry's key, the node's key and ref, and
-// the payload decoded into a pooled matrix. It only reads the node, which
-// the admitting loop recycles (putNode); the payload is returned for the
-// loop to give back through passedSet.release.
+// discrete part decoded from the entry's key, the entry's hash as its key,
+// the node's ref, and the payload decoded into a pooled matrix. It only reads
+// the node; the payload is returned for the loop to give back through
+// passedSet.release.
 func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
 	s := ctx.getState()
-	ctx.keys.unpack(n.entry.key, s.Locs, s.Vars)
-	s.key, s.ref = n.key, n.ref
+	ctx.keys.unpack(n.entry.key(ctx.keys.words), s.Locs, s.Vars)
+	s.key, s.ref = n.entry.hash, n.ref
 	s.Zone = ctx.pool.Get()
 	payload := n.packed
 	payload.DecodeInto(s.Zone)
 	return s, payload
-}
-
-// putNode puts a node the loop popped, and whose state has been rebuilt,
-// onto the loop's free list.
-func (ctx *succCtx) putNode(n *waiting) {
-	*n = waiting{}
-	ctx.nodes = append(ctx.nodes, n)
 }
 
 // initial computes the initial symbolic state: all processes in their initial

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -196,13 +198,51 @@ func TestWaitingStatesOutliveTheirRecords(t *testing.T) {
 		// Every buffer the pool ever carved is a live record's or back in
 		// the pool: no orphan was left out, no held buffer was recycled.
 		checkPoolDisjoint(t, st, got[0].Zone)
-		for _, e := range entriesOf(st.buckets) {
+		for _, e := range entriesOf(st) {
 			for _, z := range e.liveZones() {
 				if z.Holder() != 0 {
 					t.Errorf("%s: a stored payload is still marked %d after every state was popped", order, z.Holder())
 				}
 			}
 		}
+	}
+}
+
+// collectingStore collects, and then scribbles over fresh buffers of the
+// payload's size, before every admission it passes on: a payload or entry
+// that only waiting nodes — carved frontier memory the collector does not
+// scan — still referenced is freed by then and likely reused, so a later pop
+// decodes garbage. It keeps nothing of what it passes on.
+type collectingStore struct {
+	passedSet
+	junk [][]byte
+}
+
+func (cs *collectingStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
+	runtime.GC()
+	for i := range cs.junk {
+		cs.junk[i] = bytes.Repeat([]byte{0xA5}, 64+i%4*64)
+	}
+	return cs.passedSet.add(s, sc)
+}
+
+// TestTestStoresKeepWhatTheyHandOut sweeps the widening model — whose pops
+// meet payloads pruned while their states waited — through a standalone
+// heap store and through the reference store, each under a collectingStore:
+// both must keep every entry and payload they hand a waiting node alive
+// until the sweep is over, so both sweeps match the slab store's.
+func TestTestStoresKeepWhatTheyHandOut(t *testing.T) {
+	c, err := NewChecker(buildWidening(t, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantStats := admissions(t, c, Options{})
+	for name, st := range map[string]passedSet{
+		"heap store":      newStore(nil, &c.eng.bounds, &c.eng.keys),
+		"reference store": newRefStore(&c.eng.bounds, &c.eng.keys),
+	} {
+		got, gotStats := admissions(t, c, Options{passed: &collectingStore{passedSet: st, junk: make([][]byte, 256)}})
+		sameSweep(t, name, got, want, gotStats, wantStats)
 	}
 }
 

@@ -104,7 +104,15 @@ const Infinity Bound = math.MaxInt64
 // diagonal entry below it signals emptiness.
 const LEZero Bound = 1
 
+// MaxConstant is the largest magnitude a model's clock constant may have: a
+// bound of it encodes to at most 2^62-1 in magnitude, so the sum of two bounds
+// — what closure, resets and Add compute — neither overflows int64 nor
+// reaches Infinity. MakeBound does not check it; the parsers and
+// ta.Network.Finalize reject a constant beyond it.
+const MaxConstant = 1<<61 - 1
+
 // MakeBound encodes the bound (value ≺) where weak selects ≤ (true) or < (false).
+// |value| must not exceed MaxConstant for sums of bounds to stay exact.
 func MakeBound(value int64, weak bool) Bound {
 	if weak {
 		return Bound(value<<1 | 1)

@@ -450,8 +450,14 @@ func (c Compact) Decode() *DBM {
 // supply are carved out of the pool's slab set (slab.go), under the ownership
 // rule stated there.
 type CompactPool struct {
-	slabs  *Slabs            // nil: standalone, every buffer is its own heap allocation
-	free   map[int][]Compact // keyed by exact buffer capacity
+	slabs *Slabs            // nil: standalone, every buffer is its own heap allocation
+	free  map[int][]Compact // keyed by exact buffer capacity
+	// kept holds every buffer a standalone pool has allocated, for as long
+	// as the pool lives, as a slab set keeps what is carved from it: a
+	// buffer may be referenced only from carved memory the collector does
+	// not scan (a sweep's frontier, when a standalone store stands in for the
+	// sweep's own).
+	kept   []Compact
 	gets   int
 	reuses int
 }
@@ -480,7 +486,11 @@ func (p *CompactPool) get(n int) Compact {
 		p.reuses++
 		return c[:n]
 	}
-	return p.slabs.compact(n)
+	c := p.slabs.compact(n)
+	if p.slabs == nil {
+		p.kept = append(p.kept, c)
+	}
+	return c
 }
 
 // Put returns a buffer to the pool for reuse. The caller must not retain the

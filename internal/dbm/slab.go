@@ -1,6 +1,7 @@
 package dbm
 
 import (
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -8,8 +9,8 @@ import (
 
 // This file is the package's one allocation path for bound matrices and
 // packed payloads, and the one carve of a sweep's store structures (Carve,
-// CarveSlice): nothing else in internal/dbm or internal/core calls make for
-// any of them (CI's lint job checks it). The memory of a slab comes from the
+// CarveSlice, CarveTail): nothing else in internal/dbm or internal/core calls
+// make for any of them (CI's lint job checks it). The memory of a slab comes from the
 // build's one slab source: slab_mmap.go (anonymous mappings, outside the Go
 // heap) or slab_heap.go (no Mmap on the platform, or a race build), chosen by
 // build constraints; the same job keeps Mmap and Munmap inside the first.
@@ -111,10 +112,11 @@ func giveSlabs(released []*slab) []*slab {
 // Slabs is the slab set of one owner — for the explorer, one sweep. Pools
 // attached to it (Slabs.Pool, Slabs.CompactPool) carve their matrices and
 // payloads out of its slabs instead of allocating each one, the owner's own
-// structures that live exactly as long (a sweep's store entries, record
-// segments, keys and parent log) are carved by Carve and CarveSlice, and
-// Release hands every slab back to the process-wide cache for the next owner,
-// of whatever dimension and packing width. Why slabs and not a sync.Pool of
+// structures that live exactly as long (a sweep's store entries with their
+// keys, record segments, bucket index, frontier and parent log) are carved by
+// Carve, CarveSlice and CarveTail, and Release hands every slab back to the
+// process-wide cache for the next owner, of whatever dimension and packing
+// width. Why slabs and not a sync.Pool of
 // matrices: a cache of typed objects serves one dimension and one width, and
 // the callers of this package run models of every dimension back to back (the
 // benchmark's variants workload alone has 20,000); raw slabs serve all of them
@@ -209,6 +211,27 @@ func CarveSlice[T any](s *Slabs, n int) []T {
 	}
 	var t T
 	return unsafe.Slice((*T)(s.zeroed(uintptr(n)*unsafe.Sizeof(t))), n)
+}
+
+// CarveTail returns a zeroed T followed directly by n zeroed words — the
+// words start unsafe.Sizeof(T) bytes past the T, which must be a multiple of
+// 8 — carved from s as one piece under Carve's rule. From a nil set the two
+// are one heap object whose type marks T's pointers and none in the words, so
+// the collector scans the first and keeps the second alive with it.
+func CarveTail[T any](s *Slabs, n int) *T {
+	var t T
+	size := unsafe.Sizeof(t)
+	if size%8 != 0 {
+		panic("dbm: CarveTail of a type whose size is not a multiple of 8")
+	}
+	if s == nil {
+		typ := reflect.StructOf([]reflect.StructField{
+			{Name: "T", Type: reflect.TypeFor[T]()},
+			{Name: "W", Type: reflect.ArrayOf(n, reflect.TypeFor[uint64]())},
+		})
+		return (*T)(reflect.New(typ).UnsafePointer())
+	}
+	return (*T)(s.zeroed(size + uintptr(n)*8))
 }
 
 // zeroed carves size bytes, word-aligned like every piece (no Go type needs

@@ -1,6 +1,8 @@
 package dbm
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -196,6 +198,41 @@ func TestCarveZeroesRecycledMemory(t *testing.T) {
 	if h := Carve[carved](nil); !h.zero() || s.Holds(unsafe.Pointer(h)) {
 		t.Error("the nil set's Carve is not a zeroed heap object")
 	}
+}
+
+// TestCarveTail carves a pointer-carrying structure with words after it, from
+// a slab set and from the nil set: the words start right after the
+// structure, every word of both is zero, and the nil set's piece is one heap
+// object that a collection neither frees under its words nor misreads — its
+// words hold values no pointer scan may follow.
+func TestCarveTail(t *testing.T) {
+	var s Slabs
+	defer s.Release()
+	for _, set := range []*Slabs{&s, nil} {
+		head := CarveTail[carved](set, 5)
+		words := unsafe.Slice((*uint64)(unsafe.Add(unsafe.Pointer(head), unsafe.Sizeof(carved{}))), 5)
+		if !head.zero() || slices.ContainsFunc(words, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("set %v: CarveTail handed out %+v and words %v, want zeros", set != nil, *head, words)
+		}
+		if got := s.Holds(unsafe.Pointer(&words[4])); got != (set != nil) {
+			t.Errorf("set %v: the last word is the set's memory: %v", set != nil, got)
+		}
+		head.next = &carved{n: 9}
+		for i := range words {
+			words[i] = 0xDEADBEEF<<3 | uint64(i)
+		}
+		runtime.GC()
+		runtime.GC()
+		if head.next.n != 9 || words[4] != 0xDEADBEEF<<3|4 {
+			t.Errorf("set %v: the piece changed across collections", set != nil)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("CarveTail of a 4-byte type did not panic")
+		}
+	}()
+	CarveTail[[4]byte](&s, 1)
 }
 
 // TestSlabsKeepOversizedPieces pins that a set keeps what it had to take from

@@ -1,9 +1,12 @@
 package ta
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/dbm"
 )
 
 // Parse builds a network from the compact textual format below, a line-based
@@ -383,9 +386,9 @@ func (p *parser) clockConstraints(cls [2]Clock, op, rhs string) ([]Constraint, e
 		}
 		return nil, fmt.Errorf("dynamic clock bound needs <=, >= or ==")
 	}
-	k, err := strconv.ParseInt(strings.TrimSpace(rhs), 10, 64)
+	k, err := clockConstant(rhs)
 	if err != nil {
-		return nil, fmt.Errorf("clock comparison needs an integer or variable bound, got %q", rhs)
+		return nil, fmt.Errorf("clock comparison needs an integer or variable bound: %w", err)
 	}
 	if y.ID != 0 {
 		switch op {
@@ -417,6 +420,20 @@ func (p *parser) clockConstraints(cls [2]Clock, op, rhs string) ([]Constraint, e
 	return nil, fmt.Errorf("unknown operator %q", op)
 }
 
+// clockConstant parses the integer literal of a clock constraint or reset,
+// which must not exceed dbm.MaxConstant in magnitude.
+func clockConstant(s string) (int64, error) {
+	s = strings.TrimSpace(s)
+	k, err := strconv.ParseInt(s, 10, 64)
+	if err != nil && !errors.Is(err, strconv.ErrRange) {
+		return 0, fmt.Errorf("got %q", s)
+	}
+	if err != nil || k > dbm.MaxConstant || k < -dbm.MaxConstant {
+		return 0, fmt.Errorf("clock constant %s is beyond the largest magnitude, %d", s, int64(dbm.MaxConstant))
+	}
+	return k, nil
+}
+
 // parseDo parses comma-separated assignments; clock targets become resets
 // (constant right-hand side) or frees (right-hand side "_").
 func (p *parser) parseDo(s string) ([]Reset, []ClockID, Update, error) {
@@ -439,9 +456,9 @@ func (p *parser) parseDo(s string) ([]Reset, []ClockID, Update, error) {
 				frees = append(frees, c.ID)
 				continue
 			}
-			v, err := strconv.ParseInt(rhs, 10, 64)
+			v, err := clockConstant(rhs)
 			if err != nil {
-				return nil, nil, nil, fmt.Errorf("clock reset needs a constant: %q", stmt)
+				return nil, nil, nil, fmt.Errorf("clock reset %q needs a constant: %w", stmt, err)
 			}
 			resets = append(resets, Reset{Clock: c.ID, Value: v})
 			continue

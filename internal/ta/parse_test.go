@@ -1,9 +1,13 @@
 package ta
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/dbm"
 )
 
 const radioTA = `
@@ -189,5 +193,70 @@ func TestParseNeverPanics(t *testing.T) {
 			}()
 			_, _ = Parse(in)
 		}()
+	}
+}
+
+// TestParseClockConstantEdges pins both sides of dbm.MaxConstant for every
+// place a .ta model writes a clock constant — a guard in either direction, a
+// clock difference, an invariant, a reset, and a dynamic bound Coef·v+Offset
+// reached through a variable's range: the largest constant parses and keeps
+// its value, one more is refused, from the parser with its line and from
+// Finalize naming the constraint.
+func TestParseClockConstantEdges(t *testing.T) {
+	const max = int64(dbm.MaxConstant)
+	model := func(decl, attrs string) string {
+		return "system:s\nclock:x\nclock:y\n" + decl + "process:P\nlocation:P:a{initial}\n" +
+			"location:P:b{" + attrs + "}\nedge:P:a:b{}\n"
+	}
+	edge := func(attrs string) string {
+		return "system:s\nclock:x\nclock:y\nprocess:P\nlocation:P:a{initial}\nedge:P:a:a{" + attrs + "}\n"
+	}
+	cases := []struct {
+		name, in string
+		line     int // the line a refusal names; 0: Finalize refuses
+	}{
+		{"guard >=", edge("guard: x>=%d"), 6},
+		{"guard >= negative", edge("guard: x>=-%d"), 6},
+		{"guard <", edge("guard: x<%d"), 6},
+		{"guard ==", edge("guard: x==%d"), 6},
+		{"difference <=", edge("guard: x-y<=%d"), 6},
+		{"invariant <=", model("", "invariant: x<=%d"), 6},
+		{"reset", edge("do: x=%d"), 6},
+		{"dynamic bound", model("int:d:0:0:%d\n", "invariant: x<=d"), 0},
+	}
+	for _, c := range cases {
+		for _, k := range []int64{max, max + 1} {
+			in := fmt.Sprintf(c.in, k)
+			net, err := Parse(in)
+			if k == max {
+				if err != nil {
+					t.Errorf("%s: the largest constant %d is refused: %v", c.name, k, err)
+				} else if got := slices.Max(net.MaxConsts); got != max {
+					t.Errorf("%s: the largest constant parses as %d", c.name, got)
+				}
+				continue
+			}
+			switch {
+			case err == nil:
+				t.Errorf("%s: constant %d beyond the largest parses", c.name, k)
+			case c.line > 0 && !strings.Contains(err.Error(), fmt.Sprintf("line %d:", c.line)):
+				t.Errorf("%s: error %q does not name line %d", c.name, err, c.line)
+			case !strings.Contains(err.Error(), fmt.Sprint(max)):
+				t.Errorf("%s: error %q does not state the largest constant", c.name, err)
+			}
+		}
+	}
+	// An overflowing literal is refused as too large, not as a non-integer.
+	if _, err := Parse(fmt.Sprintf(edge("guard: x<=%d0"), max)); err == nil || !strings.Contains(err.Error(), "beyond the largest") {
+		t.Errorf("a literal beyond int64: %v, want a refusal as too large", err)
+	}
+	// A dynamic bound's coefficient that overflows int64 times the range.
+	net := NewNetwork("coef")
+	x := net.AddClock("x")
+	d := net.AddVar("d", 0, 0, 1<<40)
+	p := net.AddProcess("P")
+	p.AddLocation("a", Normal, Constraint{I: x.ID, VarBound: true, Var: d.ID, Coef: 1 << 40, Weak: true})
+	if err := net.Finalize(); err == nil || !strings.Contains(err.Error(), "beyond the largest clock constant") {
+		t.Errorf("Coef·Max overflowing int64: %v, want a refusal", err)
 	}
 }

@@ -2,6 +2,9 @@ package ta
 
 import (
 	"fmt"
+	"math"
+
+	"repro/internal/dbm"
 )
 
 // Finalize validates the network and precomputes per-location edge indices
@@ -281,7 +284,10 @@ func (n *Network) checkConstraint(c Constraint) error {
 // recordConst folds the constraint's constant into the per-clock constant
 // table used by extrapolation: a constraint xI - xJ ≺ c bounds xI from above
 // and xJ from below, so it counts for both. Dynamic bounds contribute the
-// largest magnitude their variable's declared range admits.
+// largest magnitude their variable's declared range admits, Coef·v + Offset
+// at either end of the range, computed exactly. A constant beyond
+// dbm.MaxConstant in magnitude is an error: sums of its bounds would
+// overflow.
 func (n *Network) recordConst(c Constraint) error {
 	var v int64
 	if c.VarBound {
@@ -289,11 +295,19 @@ func (n *Network) recordConst(c Constraint) error {
 			return fmt.Errorf("dynamic bound references unknown variable %d", c.Var)
 		}
 		d := n.Vars[c.Var]
-		lo := c.Coef*d.Min + c.Offset
-		hi := c.Coef*d.Max + c.Offset
-		v = max64(abs64(lo), abs64(hi))
-	} else {
+		for _, x := range [2]int64{d.Min, d.Max} {
+			b, ok := mulAdd(c.Coef, x, c.Offset)
+			if !ok || b > dbm.MaxConstant || b < -dbm.MaxConstant {
+				return fmt.Errorf("dynamic bound %s reaches %d·%d%+d, beyond the largest clock constant %d",
+					c, c.Coef, x, c.Offset, int64(dbm.MaxConstant))
+			}
+			v = max64(v, abs64(b))
+		}
+	} else if c.Bound != dbm.Infinity {
 		v = abs64(c.Bound.Value())
+		if v > dbm.MaxConstant {
+			return fmt.Errorf("constraint %s has a constant beyond the largest, %d", c, int64(dbm.MaxConstant))
+		}
 	}
 	if c.I != 0 && v > n.MaxConsts[c.I] {
 		n.MaxConsts[c.I] = v
@@ -302,6 +316,19 @@ func (n *Network) recordConst(c Constraint) error {
 		n.MaxConsts[c.J] = v
 	}
 	return nil
+}
+
+// mulAdd returns a·b + c, and false if that overflows int64.
+func mulAdd(a, b, c int64) (int64, bool) {
+	p := a * b
+	if a != 0 && (p/a != b || a == -1 && b == math.MinInt64) {
+		return 0, false
+	}
+	s := p + c
+	if c > 0 && s < p || c < 0 && s > p {
+		return 0, false
+	}
+	return s, true
 }
 
 func abs64(v int64) int64 {
