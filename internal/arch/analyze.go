@@ -147,7 +147,7 @@ func (cs *CompiledSet) reachSeen(i int, ms *big.Rat, reached bool, opts core.Opt
 	if err != nil {
 		return nil, err
 	}
-	v, err := toUnits(ms, cs.Scale, timeField{"requirement", cs.Reqs[i].Name, "reach bound"})
+	v, err := toUnits(ms, cs.Scale, timeField{kind: "requirement", name: cs.Reqs[i].Name, field: "reach bound"})
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +198,7 @@ func HorizonCovering(horizonMS int64, deadlineMS *big.Rat) int64 {
 // VerifyDeadline checks the timeliness requirement "response < deadlineMS"
 // by model checking AG(seen → y < deadline) directly — the paper's
 // Property 1 with the deadline as the constant, which must be a whole number
-// of model time units (System.TimeScale). On violation it returns a
+// of model time units (Timing.Scale). On violation it returns a
 // counterexample trace leading to a response that reaches the deadline.
 func VerifyDeadline(sys *System, req *Requirement, deadlineMS *big.Rat,
 	copts Options, opts core.Options) (bool, string, error) {

@@ -5,14 +5,16 @@
 // requirements — and compiled into the network of timed automata of
 // Figures 4–9 for analysis with internal/core.
 //
-// All timing data is kept as exact rationals (milliseconds); the compiler
-// derives a common integer time base so the model checker computes exact
-// bounds.
+// All timing data is kept as exact rationals (milliseconds); System.Timing
+// derives the common integer time base the compiler and every other engine
+// compute with, so the model checker computes exact bounds.
 package arch
 
 import (
 	"fmt"
+	"math"
 	"math/big"
+	"math/bits"
 )
 
 // SchedKind selects the scheduling policy of a resource.
@@ -90,14 +92,14 @@ type TDMASlot struct {
 	EndMS    *big.Rat
 }
 
-// SlotFor returns the slot of the given scenario, or nil.
-func (c *TDMAConfig) SlotFor(sc *Scenario) *TDMASlot {
+// slotOf returns the index of the slot of the given scenario, or -1.
+func (c *TDMAConfig) slotOf(sc *Scenario) int {
 	for i := range c.Slots {
 		if c.Slots[i].Scenario == sc {
-			return &c.Slots[i]
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Step is one stage of a scenario: either a computation on a processor or a
@@ -141,9 +143,28 @@ func (s *Step) IsCompute() bool { return s.Proc != nil }
 // milliseconds: instructions/(MIPS·1000) or bytes·8/kbit·s⁻¹.
 func (s *Step) DurationMS() *big.Rat {
 	if s.IsCompute() {
-		return new(big.Rat).SetFrac64(s.Instructions, s.Proc.MIPS*1000)
+		return exactFrac(s.Instructions, 1, s.Proc.MIPS, 1000)
 	}
-	return new(big.Rat).SetFrac64(s.Bytes*8, s.Bus.KBitPerSec)
+	return exactFrac(s.Bytes, 8, s.Bus.KBitPerSec, 1)
+}
+
+// exactFrac returns (a·ka)/(b·kb) for ka, kb > 0 and b ≠ 0. Both products
+// are formed in int64 when they fit, and in big.Int when one would wrap.
+func exactFrac(a, ka, b, kb int64) *big.Rat {
+	if num, ok := mulFits(a, ka); ok {
+		if den, ok := mulFits(b, kb); ok {
+			return new(big.Rat).SetFrac64(num, den)
+		}
+	}
+	num := new(big.Int).Mul(big.NewInt(a), big.NewInt(ka))
+	return new(big.Rat).SetFrac(num, new(big.Int).Mul(big.NewInt(b), big.NewInt(kb)))
+}
+
+// mulFits returns a·k for k > 0, and whether a is non-negative and the
+// product fits in int64.
+func mulFits(a, k int64) (int64, bool) {
+	hi, lo := bits.Mul64(uint64(a), uint64(k))
+	return int64(lo), a >= 0 && hi == 0 && lo <= math.MaxInt64
 }
 
 // Scenario is an end-to-end application: an external event triggers a chain

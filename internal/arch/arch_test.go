@@ -200,11 +200,11 @@ func TestVerifyDeadlineAgreesWithSup(t *testing.T) {
 	sys, hi, _ := contended(SchedFP)
 	req := EndToEnd("hi", hi)
 	sup := mustWCRT(t, sys, req, Options{HorizonMS: 100}, core.Options{})
-	scale, err := sys.TimeScale()
+	tm, err := sys.Timing()
 	if err != nil {
 		t.Fatal(err)
 	}
-	unit := new(big.Rat).SetFrac(big.NewInt(1), scale)
+	unit := new(big.Rat).SetFrac(big.NewInt(1), tm.Scale)
 	for _, tc := range []struct {
 		d    *big.Rat
 		want bool
@@ -307,12 +307,12 @@ func TestTimeScaleLCM(t *testing.T) {
 	bus := sys.AddBus("BUS", 72, SchedFP)
 	sc := sys.AddScenario("s", 1, Periodic(MS(125, 4), MS(0, 1)))
 	sc.Compute("a", p, 100000).Transfer("m", bus, 4).Compute("b", n, 5000000)
-	scale, err := computeScale(sys)
+	tm, err := sys.Timing()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Denominators: 11 (22 MIPS), 113, 9 (72 kbit/s), 4 (31.25ms).
-	if scale.Int64() != 44748 {
-		t.Errorf("scale = %s, want 44748 = lcm(11,113,9,4)", scale)
+	if tm.Scale.Int64() != 44748 {
+		t.Errorf("scale = %s, want 44748 = lcm(11,113,9,4)", tm.Scale)
 	}
 }

@@ -75,7 +75,7 @@ type CompiledSet struct {
 }
 
 // UnitsToMS converts a model-time value to exact milliseconds.
-func (cs *CompiledSet) UnitsToMS(u int64) *big.Rat { return unitsToMS(u, cs.Scale) }
+func (cs *CompiledSet) UnitsToMS(u int64) *big.Rat { return UnitsToMS(u, cs.Scale) }
 
 // AtSeen returns the state predicate "observer i is in its seen location".
 func (cs *CompiledSet) AtSeen(i int) func(*core.State) bool {
@@ -120,13 +120,14 @@ func CompileAll(sys *System, reqs []*Requirement, opts Options) (*CompiledSet, e
 		}
 		names[req.Name] = true
 	}
-	scale, err := computeScale(sys)
+	tm, err := sys.timing()
 	if err != nil {
 		return nil, err
 	}
 	horizons := make([]int64, len(reqs))
 	for i, req := range reqs {
-		if horizons[i], err = toUnits(new(big.Rat).SetInt64(opts.horizonMS(req)), scale, timeField{"requirement", req.Name, "horizon"}); err != nil {
+		if horizons[i], err = toUnits(new(big.Rat).SetInt64(opts.horizonMS(req)), tm.Scale,
+			timeField{kind: "requirement", name: req.Name, field: "horizon"}); err != nil {
 			return nil, err
 		}
 	}
@@ -135,7 +136,7 @@ func CompileAll(sys *System, reqs []*Requirement, opts Options) (*CompiledSet, e
 		sys:      sys,
 		reqs:     reqs,
 		opts:     opts,
-		scale:    scale,
+		tm:       tm,
 		net:      ta.NewNetwork(sys.Name),
 		qv:       map[*Scenario][]ta.IntVar{},
 		injectCh: map[*Scenario]ta.ChanID{},
@@ -169,8 +170,8 @@ func CompileAll(sys *System, reqs []*Requirement, opts Options) (*CompiledSet, e
 		b.ends[i] = b.doneChan(req.Scenario, req.ToStep)
 	}
 
-	for _, sc := range sys.Scenarios {
-		if err := b.buildEnv(sc); err != nil {
+	for i, sc := range sys.Scenarios {
+		if err := b.buildEnv(sc, &tm.Scenarios[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -187,7 +188,7 @@ func CompileAll(sys *System, reqs []*Requirement, opts Options) (*CompiledSet, e
 	}
 	return &CompiledSet{
 		Sys: sys, Reqs: reqs, Net: b.net,
-		Scale: scale, Horizons: horizons, Obs: obs,
+		Scale: tm.Scale, Horizons: horizons, Obs: obs,
 	}, nil
 }
 
@@ -206,7 +207,7 @@ type builder struct {
 	sys   *System
 	reqs  []*Requirement
 	opts  Options
-	scale *big.Int
+	tm    *Timing
 	net   *ta.Network
 	hurry ta.Channel
 	qv    map[*Scenario][]ta.IntVar
@@ -219,8 +220,6 @@ type builder struct {
 	// to reqs.
 	starts, ends []ta.ChanID
 }
-
-func (b *builder) units(r *big.Rat, f timeField) (int64, error) { return toUnits(r, b.scale, f) }
 
 // injectChan returns (creating on first use) the broadcast channel that
 // announces event injections of scenario sc.
@@ -267,24 +266,16 @@ func (b *builder) doneSync(sc *Scenario, i int) ta.Sync {
 // Fig. 8): it feeds the first step's queue according to the arrival model
 // and announces each injection on the scenario's inject channel when
 // observed.
-func (b *builder) buildEnv(sc *Scenario) error {
-	m := sc.Arrival
+func (b *builder) buildEnv(sc *Scenario, st *ScenarioTiming) error {
 	q0 := b.qv[sc][0]
 	release := ta.Inc(q0, 1)
 	sync := b.injectSync(sc)
 	x := b.net.AddClock(sc.Name + ".env.x")
 	p := b.net.AddProcess("ENV_" + sc.Name)
 
-	period, err := b.units(m.PeriodMS, timeField{"scenario", sc.Name, "period_ms"})
-	if err != nil {
-		return err
-	}
-	switch m.Kind {
+	period, offset, jitter := st.Period, st.Offset, st.Jitter
+	switch sc.Arrival.Kind {
 	case KindPeriodic:
-		offset, err := b.units(m.OffsetMS, timeField{"scenario", sc.Name, "offset_ms"})
-		if err != nil {
-			return err
-		}
 		l0 := p.AddLocation("offset", ta.Normal, ta.CLE(x, offset))
 		l1 := p.AddLocation("run", ta.Normal, ta.CLE(x, period))
 		p.AddEdge(ta.Edge{Src: l0, Dst: l1, ClockGuard: ta.CEq(x, offset),
@@ -312,10 +303,6 @@ func (b *builder) buildEnv(sc *Scenario) error {
 			Resets:     []ta.Reset{{Clock: x.ID, Value: 0}}, Update: release, Sync: sync})
 
 	case KindPeriodicJitter:
-		jitter, err := b.units(m.JitterMS, timeField{"scenario", sc.Name, "jitter_ms"})
-		if err != nil {
-			return err
-		}
 		// rel: the k-th event is released at kP + δ, δ ∈ [0, J] (the x ≤ J
 		// invariant forces the release); wait: let the period elapse.
 		rel := p.AddLocation("rel", ta.Normal, ta.CLE(x, jitter))
@@ -325,7 +312,7 @@ func (b *builder) buildEnv(sc *Scenario) error {
 			Resets: []ta.Reset{{Clock: x.ID, Value: 0}}})
 
 	case KindBursty:
-		return b.buildBurstyEnv(sc, p, x, release, sync, period)
+		return b.buildBurstyEnv(sc, st, p, x, release, sync)
 	}
 	return nil
 }
@@ -333,17 +320,9 @@ func (b *builder) buildEnv(sc *Scenario) error {
 // buildBurstyEnv emits the Fig. 8 automaton for J > P: pending events
 // accumulate every period, each must be sent at most J after its nominal
 // release, and consecutive sends are separated by more than D.
-func (b *builder) buildBurstyEnv(sc *Scenario, p *ta.Process, x ta.Clock,
-	release ta.Update, sync ta.Sync, period int64) error {
-	m := sc.Arrival
-	jitter, err := b.units(m.JitterMS, timeField{"scenario", sc.Name, "jitter_ms"})
-	if err != nil {
-		return err
-	}
-	minSep, err := b.units(m.MinSepMS, timeField{"scenario", sc.Name, "min_sep_ms"})
-	if err != nil {
-		return err
-	}
+func (b *builder) buildBurstyEnv(sc *Scenario, st *ScenarioTiming, p *ta.Process, x ta.Clock,
+	release ta.Update, sync ta.Sync) error {
+	period, jitter, minSep := st.Period, st.Jitter, st.MinSep
 	if minSep >= period {
 		return fmt.Errorf("arch: scenario %s: bursty minimal separation must be below the period", sc.Name)
 	}
@@ -402,6 +381,7 @@ type rop struct {
 	hasNext bool
 	dur     int64
 	prio    int
+	period  int64 // of the op's scenario
 }
 
 // completion returns the update and sync of the op's completion edge:
@@ -418,10 +398,7 @@ func (b *builder) completion(op rop) (ta.Update, ta.Sync) {
 // operations.
 func (b *builder) buildResources() error {
 	for _, p := range b.sys.Processors {
-		ops, err := b.opsOn(func(st *Step) bool { return st.Proc == p })
-		if err != nil {
-			return err
-		}
+		ops := b.opsOn(func(st *Step) bool { return st.Proc == p })
 		if len(ops) == 0 {
 			continue
 		}
@@ -430,10 +407,7 @@ func (b *builder) buildResources() error {
 		}
 	}
 	for _, bus := range b.sys.Buses {
-		ops, err := b.opsOn(func(st *Step) bool { return st.Bus == bus })
-		if err != nil {
-			return err
-		}
+		ops := b.opsOn(func(st *Step) bool { return st.Bus == bus })
 		if len(ops) == 0 {
 			continue
 		}
@@ -456,42 +430,25 @@ func (b *builder) buildResources() error {
 // grants are never lazily skipped). Messages arriving mid-cycle wait for
 // their scenario's next slot.
 func (b *builder) buildTDMABus(bus *Bus, ops []rop) error {
-	cfg := bus.TDMA
-	cycle, err := b.units(cfg.CycleMS, timeField{"bus", bus.Name, "cycle_ms"})
-	if err != nil {
-		return err
-	}
+	cfg, tt := bus.TDMA, b.tm.TDMA[bus]
 	// Every scenario with traffic on this bus needs a slot wide enough for
 	// its largest message.
 	scenarios := map[*Scenario]bool{}
 	for _, op := range ops {
+		if cfg.slotOf(op.sc) < 0 {
+			return fmt.Errorf("arch: bus %s: scenario %s has traffic but no TDMA slot", bus.Name, op.sc.Name)
+		}
 		scenarios[op.sc] = true
 	}
-	slotLen := map[*Scenario]int64{}
-	grants := map[*Scenario]ta.Channel{}
-	for sc := range scenarios {
-		sl := cfg.SlotFor(sc)
-		if sl == nil {
-			return fmt.Errorf("arch: bus %s: scenario %s has traffic but no TDMA slot", bus.Name, sc.Name)
-		}
-		start, err := b.units(sl.StartMS, timeField{"bus", bus.Name, "start_ms"})
-		if err != nil {
-			return err
-		}
-		end, err := b.units(sl.EndMS, timeField{"bus", bus.Name, "end_ms"})
-		if err != nil {
-			return err
-		}
-		slotLen[sc] = end - start
-	}
 	for _, op := range ops {
-		if op.dur > slotLen[op.sc] {
+		if sl := tt.Slots[cfg.slotOf(op.sc)]; op.dur > sl.End-sl.Start {
 			return fmt.Errorf("arch: bus %s: message %s (%d units) exceeds scenario %s's slot",
 				bus.Name, op.name, op.dur, op.sc.Name)
 		}
 	}
 
 	// Cycle automaton: one location per slot start, in table order.
+	grants := map[*Scenario]ta.Channel{}
 	tc := b.net.AddClock(bus.Name + ".cycle")
 	cyc := b.net.AddProcess(bus.Name + "_CYCLE")
 	type slotEvt struct {
@@ -504,11 +461,7 @@ func (b *builder) buildTDMABus(bus *Bus, ops []rop) error {
 		if !scenarios[sl.Scenario] {
 			continue // slot for a scenario without traffic here: skip
 		}
-		start, err := b.units(sl.StartMS, timeField{"bus", bus.Name, "start_ms"})
-		if err != nil {
-			return err
-		}
-		evts = append(evts, slotEvt{start, sl.Scenario})
+		evts = append(evts, slotEvt{tt.Slots[i].Start, sl.Scenario})
 		if _, ok := grants[sl.Scenario]; !ok {
 			grants[sl.Scenario] = b.net.AddChan(
 				"grant_"+bus.Name+"_"+sl.Scenario.Name, ta.Broadcast)
@@ -521,14 +474,14 @@ func (b *builder) buildTDMABus(bus *Bus, ops []rop) error {
 	for i, e := range evts {
 		locs[i] = cyc.AddLocation(fmt.Sprintf("before_%d", i), ta.Normal, ta.CLE(tc, e.start))
 	}
-	locs[len(evts)] = cyc.AddLocation("wrap", ta.Normal, ta.CLE(tc, cycle))
+	locs[len(evts)] = cyc.AddLocation("wrap", ta.Normal, ta.CLE(tc, tt.Cycle))
 	for i, e := range evts {
 		cyc.AddEdge(ta.Edge{Src: locs[i], Dst: locs[i+1],
 			ClockGuard: ta.CEq(tc, e.start),
 			Sync:       ta.Sync{Chan: grants[e.sc].ID, Dir: ta.Emit}})
 	}
 	cyc.AddEdge(ta.Edge{Src: locs[len(evts)], Dst: locs[0],
-		ClockGuard: ta.CEq(tc, cycle),
+		ClockGuard: ta.CEq(tc, tt.Cycle),
 		Resets:     []ta.Reset{{Clock: tc.ID, Value: 0}}})
 
 	// Bus automaton: grants start transfers; transfers always fit their
@@ -552,25 +505,21 @@ func (b *builder) buildTDMABus(bus *Bus, ops []rop) error {
 	return nil
 }
 
-func (b *builder) opsOn(sel func(*Step) bool) ([]rop, error) {
+func (b *builder) opsOn(sel func(*Step) bool) []rop {
 	var ops []rop
-	for _, sc := range b.sys.Scenarios {
+	for si, sc := range b.sys.Scenarios {
 		for i := range sc.Steps {
 			st := &sc.Steps[i]
 			if !sel(st) {
 				continue
 			}
-			name := sc.Name + "." + st.Name
-			dur, err := toUnits(st.DurationMS(), b.scale, timeField{"step", name, "duration"})
-			if err != nil {
-				return nil, err
-			}
 			op := rop{
-				name: name,
+				name: sc.Name + "." + st.Name,
 				sc:   sc, step: i,
-				in:   b.qv[sc][i],
-				dur:  dur,
-				prio: st.EffectivePriority(sc),
+				in:     b.qv[sc][i],
+				dur:    b.tm.Scenarios[si].Steps[i],
+				prio:   st.EffectivePriority(sc),
+				period: b.tm.Scenarios[si].Period,
 			}
 			if i+1 < len(sc.Steps) {
 				op.next = b.qv[sc][i+1]
@@ -579,7 +528,7 @@ func (b *builder) opsOn(sel func(*Step) bool) ([]rop, error) {
 			ops = append(ops, op)
 		}
 	}
-	return ops, nil
+	return ops
 }
 
 // dispatchGuard returns the data guard for dispatching op under the given
@@ -607,29 +556,16 @@ func (b *builder) buildResource(name string, sched SchedKind, ops []rop) error {
 
 	hurrySync := ta.Sync{Chan: b.hurry.ID, Dir: ta.Emit}
 
-	if sched != SchedFPPreempt {
-		for _, op := range ops {
-			run := proc.AddLocation("run_"+op.name, ta.Normal, ta.CLE(x, op.dur))
-			proc.AddEdge(ta.Edge{
-				Src: idle, Dst: run,
-				Guard:  dispatchGuard(sched, ops, op),
-				Sync:   hurrySync,
-				Resets: []ta.Reset{{Clock: x.ID, Value: 0}},
-				Update: ta.Inc(op.in, -1),
-			})
-			upd, sync := b.completion(op)
-			proc.AddEdge(ta.Edge{Src: run, Dst: idle,
-				ClockGuard: ta.CEq(x, op.dur), Update: upd, Sync: sync})
+	// Non-preemptive schedulers run every op to completion (Fig. 4).
+	// Preemptive fixed priority (Fig. 5) supports two priority classes:
+	// the high class runs to completion and preempts the low class, whose
+	// dynamic deadline D accumulates the preemption time.
+	his, los := ops, []rop(nil)
+	if sched == SchedFPPreempt {
+		var err error
+		if his, los, err = splitClasses(name, ops); err != nil {
+			return err
 		}
-		return nil
-	}
-
-	// Preemptive fixed priority (Fig. 5). The template supports two
-	// priority classes: the high class runs to completion and preempts the
-	// low class, whose dynamic deadline D accumulates the preemption time.
-	his, los, err := splitClasses(name, ops)
-	if err != nil {
-		return err
 	}
 	for _, op := range his {
 		run := proc.AddLocation("run_"+op.name, ta.Normal, ta.CLE(x, op.dur))
@@ -700,19 +636,11 @@ func (b *builder) preemptionBudget(name string, his, los []rop) (int64, error) {
 			base = op.dur
 		}
 	}
-	periods := make([]int64, len(his))
-	for i, h := range his {
-		p, err := b.units(h.sc.Arrival.PeriodMS, timeField{"scenario", h.sc.Name, "period_ms"})
-		if err != nil {
-			return 0, err
-		}
-		periods[i] = p
-	}
 	w := base
 	for iter := 0; iter < 1000; iter++ {
 		next := base
-		for i, h := range his {
-			arrivals := b.opts.QueueCap + (w+periods[i]-1)/periods[i]
+		for _, h := range his {
+			arrivals := b.opts.QueueCap + (w+h.period-1)/h.period
 			next += arrivals * h.dur
 		}
 		if next == w {

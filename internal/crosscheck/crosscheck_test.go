@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/compos"
 	"repro/internal/core"
 	"repro/internal/rtc"
 	"repro/internal/sim"
@@ -202,11 +203,11 @@ func TestVerifyDeadlineVsSupOnRandomSystems(t *testing.T) {
 		if !supRes.Exact {
 			continue
 		}
-		scale, err := sys.TimeScale()
+		tm, err := sys.Timing()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		unit := new(big.Rat).SetFrac(big.NewInt(1), scale)
+		unit := new(big.Rat).SetFrac(big.NewInt(1), tm.Scale)
 		for _, tc := range []struct {
 			d    *big.Rat
 			want bool
@@ -283,16 +284,17 @@ func TestTDMACrossEngines(t *testing.T) {
 	}
 }
 
-// TestEtaPlusMatchesEventList cross-validates the two independent
-// implementations of the PJD upper event-count curve: symta's closed-form
-// EtaPlus and rtc's explicit critical-alignment event list.
+// TestEtaPlusMatchesEventList cross-validates the closed-form PJD upper
+// event-count curve, which busy-window analysis counts interference with and
+// real-time calculus reads its workload staircases from, against the
+// explicit critical-alignment event list the latter evaluates its curves at.
 func TestEtaPlusMatchesEventList(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		p := int64(r.Intn(20) + 1)
 		j := int64(r.Intn(60))
-		s := symta.Stream{P: p, J: j}
-		a := rtc.Arrival{P: p, J: j, C: 1}
+		s := compos.Stream{P: p, J: j}
+		events := s.Events(128) // more than the 110 a window of 50 can hold
 		for _, delta := range []int64{0, 1, p - 1, p, p + 1, j, j + p, 50} {
 			if delta < 0 {
 				continue
@@ -300,10 +302,14 @@ func TestEtaPlusMatchesEventList(t *testing.T) {
 			// EtaPlus counts events in a window of length delta; the event
 			// list realizes the same bound as arrivals strictly before
 			// delta under the critical alignment.
-			want := a.CountBefore(delta)
-			got := s.EtaPlus(delta)
-			if got != want {
-				t.Fatalf("P=%d J=%d delta=%d: symta eta+ = %d, rtc count = %d",
+			want := int64(0)
+			for _, a := range events {
+				if a < delta {
+					want++
+				}
+			}
+			if got := s.EtaPlus(delta); got != want {
+				t.Fatalf("P=%d J=%d delta=%d: eta+ = %d, event list count = %d",
 					p, j, delta, got, want)
 			}
 		}

@@ -4,6 +4,13 @@
 // priority, delay bounds as horizontal deviations between workload and
 // service curves, and jitter propagation along chains.
 //
+// The tasks, resources, event streams, interference classification and
+// global fixed point are the skeleton it shares with SymTA/S
+// (internal/compos). This package owns the local kernels: the delay bound of
+// a task on a shared resource (delayBound, over the remaining-service curve
+// remaining), its TDMA counterpart (tdmaDelayBound), and the output jitter
+// J + d a task passes on — the PJD fitting of the output curve α' = α ⊘ β.
+//
 // As the paper notes for MPA, phase (offset) information is lost in the
 // transformation to the time-interval domain, so periodic-with-offset
 // streams are analyzed like unknown-offset streams, and the results are
@@ -22,82 +29,8 @@ import (
 	"math/big"
 
 	"repro/internal/arch"
+	"repro/internal/compos"
 )
-
-// Arrival is an upper arrival curve in PJD form together with the per-event
-// resource demand C (all in integer time units).
-type Arrival struct {
-	P, J, D int64
-	C       int64
-}
-
-// Events returns the instants a_1 ≤ a_2 ≤ … of the first n events under the
-// critical alignment of the upper curve: a_q = max(0, (q-1)·P − J), spaced
-// at least D apart.
-func (a Arrival) Events(n int) []int64 {
-	out := make([]int64, n)
-	prev := int64(-1 << 62)
-	for q := 1; q <= n; q++ {
-		t := int64(q-1)*a.P - a.J
-		if t < 0 {
-			t = 0
-		}
-		if a.D > 0 && t < prev+a.D {
-			t = prev + a.D
-		}
-		out[q-1] = t
-		prev = t
-	}
-	return out
-}
-
-// CountBefore returns the number of events with a_q < t (the upper workload
-// staircase is W(t) = CountBefore(t)·C).
-func (a Arrival) CountBefore(t int64) int64 {
-	if t <= 0 {
-		return 0
-	}
-	// a_q < t  ⇔  (q-1)·P − J < t (the D spacing only delays events).
-	n := (t + a.J - 1 + a.P) / a.P // smallest count covering all q with (q-1)P-J < t
-	if n < 0 {
-		n = 0
-	}
-	if a.D > 0 {
-		// With minimal separation the q-th event happens no earlier than
-		// (q-1)·D, so at most t/D + 1 events strictly before t.
-		if m := (t-1)/a.D + 1; m < n {
-			n = m
-		}
-	}
-	return n
-}
-
-// task is one scenario step bound to a resource.
-type task struct {
-	name string
-	c    int64
-	prio int
-	// seq breaks priority ties deterministically (declaration order), the
-	// unique-priority requirement shared with busy-window analysis.
-	seq int
-	// chainC folds in same-scenario equal-priority co-residents on the same
-	// resource (FIFO partners sharing the event stream); see the symta
-	// package for the rationale.
-	chainC int64
-	sc     *arch.Scenario
-	in     Arrival
-	// tdmaCycle is the TDMA cycle length when the task runs on a
-	// time-division bus (0 otherwise).
-	tdmaCycle int64
-	// d is the computed per-component delay bound.
-	d int64
-}
-
-type resource struct {
-	name  string
-	sched arch.SchedKind
-	tasks []*task
-}
 
 // Result is the end-to-end delay bound of one requirement.
 type Result struct {
@@ -108,184 +41,27 @@ type Result struct {
 	PerStepMS []*big.Rat
 }
 
+// realTimeCalculus is MPA's part of the compositional skeleton.
+var realTimeCalculus = compos.Method{
+	Name: "rtc",
+	Shared: func(t *compos.Task, hp []*compos.Task, blocking int64, _ bool) (int64, error) {
+		return delayBound(t, hp, blocking)
+	},
+	TDMA:      tdmaDelayBound,
+	OutJitter: func(t *compos.Task) int64 { return t.R },
+}
+
 // Analyze computes MPA end-to-end delay bounds for the requirements.
 func Analyze(sys *arch.System, reqs []*arch.Requirement) (map[string]*Result, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	scale, err := sys.TimeScale()
+	spans, _, err := compos.Analyze(sys, reqs, realTimeCalculus)
 	if err != nil {
 		return nil, err
 	}
-
-	taskOf := map[*arch.Scenario][]*task{}
-	resOf := map[any]*resource{}
-	var resources []*resource
-	seq := 0
-	for _, sc := range sys.Scenarios {
-		tasks := make([]*task, len(sc.Steps))
-		for i := range sc.Steps {
-			st := &sc.Steps[i]
-			c, err := arch.ToUnits(st.DurationMS(), scale)
-			if err != nil {
-				return nil, err
-			}
-			t := &task{name: sc.Name + "." + st.Name, c: c,
-				prio: st.EffectivePriority(sc), seq: seq, sc: sc}
-			seq++
-			tasks[i] = t
-			var key any = st.Proc
-			name, sched := "", arch.SchedFP
-			if st.IsCompute() {
-				name, sched = st.Proc.Name, st.Proc.Sched
-			} else {
-				key, name, sched = st.Bus, st.Bus.Name, st.Bus.Sched
-				if st.Bus.Sched == arch.SchedTDMA {
-					cyc, err := arch.ToUnits(st.Bus.TDMA.CycleMS, scale)
-					if err != nil {
-						return nil, err
-					}
-					t.tdmaCycle = cyc
-				}
-			}
-			r := resOf[key]
-			if r == nil {
-				r = &resource{name: name, sched: sched}
-				resOf[key] = r
-				resources = append(resources, r)
-			}
-			r.tasks = append(r.tasks, t)
-		}
-		taskOf[sc] = tasks
-	}
-
-	for _, r := range resources {
-		for _, t := range r.tasks {
-			t.chainC = t.c
-			for _, o := range r.tasks {
-				if o != t && o.sc == t.sc && o.prio == t.prio {
-					t.chainC += o.c
-				}
-			}
-		}
-	}
-
-	baseStream := func(sc *arch.Scenario) (Arrival, error) {
-		m := sc.Arrival
-		p, err := arch.ToUnits(m.PeriodMS, scale)
-		if err != nil {
-			return Arrival{}, err
-		}
-		j, _ := arch.ToUnits(m.JitterMS, scale)
-		d, _ := arch.ToUnits(m.MinSepMS, scale)
-		switch m.Kind {
-		case arch.KindPeriodic, arch.KindPeriodicUnknownOffset, arch.KindSporadic:
-			return Arrival{P: p}, nil
-		case arch.KindPeriodicJitter:
-			return Arrival{P: p, J: j}, nil
-		case arch.KindBursty:
-			return Arrival{P: p, J: j, D: d}, nil
-		}
-		return Arrival{}, fmt.Errorf("rtc: unknown event kind")
-	}
-
-	// Global fixed point: propagate streams (jitter grows by the component
-	// delay), recompute per-component delays, iterate until stable.
-	for iter := 0; iter < 200; iter++ {
-		changed := false
-		for _, sc := range sys.Scenarios {
-			in, err := baseStream(sc)
-			if err != nil {
-				return nil, err
-			}
-			for _, t := range taskOf[sc] {
-				in.C = t.c
-				if t.in != in {
-					t.in = in
-					changed = true
-				}
-				// Output arrival: same period, jitter increased by this
-				// component's delay bound (the PJD fitting of the exact
-				// output curve α' = α ⊘ β).
-				in = Arrival{P: in.P, J: in.J + t.d}
-			}
-		}
-		if !changed && iter > 0 {
-			break
-		}
-		for _, r := range resources {
-			if err := analyzeResource(r); err != nil {
-				return nil, err
-			}
-		}
-	}
-
 	out := map[string]*Result{}
-	for _, req := range reqs {
-		if err := req.Validate(); err != nil {
-			return nil, err
-		}
-		tasks := taskOf[req.Scenario]
-		if tasks == nil {
-			return nil, fmt.Errorf("rtc: requirement %s references unknown scenario", req.Name)
-		}
-		res := &Result{Req: req}
-		total := int64(0)
-		for i := req.FromStep + 1; i <= req.ToStep; i++ {
-			total += tasks[i].d
-			res.PerStepMS = append(res.PerStepMS, arch.UnitsToMS(tasks[i].d, scale))
-		}
-		res.MS = arch.UnitsToMS(total, scale)
-		out[req.Name] = res
+	for i, req := range reqs {
+		out[req.Name] = &Result{Req: req, MS: spans[i].MS, PerStepMS: spans[i].PerStepMS}
 	}
 	return out, nil
-}
-
-// analyzeResource computes the per-task delay bound: the horizontal
-// deviation between the task's workload curve and the service remaining
-// after all interfering workload, evaluated exactly at the breakpoints of
-// the critical alignment.
-func analyzeResource(r *resource) error {
-	if r.sched == arch.SchedTDMA {
-		// Dedicated slots: no cross-scenario interference; each task is
-		// served one message per cycle at its slot grant.
-		for _, t := range r.tasks {
-			d, err := tdmaDelayBound(t.in, t.c, t.tdmaCycle)
-			if err != nil {
-				return fmt.Errorf("rtc: resource %s task %s: %w", r.name, t.name, err)
-			}
-			t.d = d
-		}
-		return nil
-	}
-	for _, t := range r.tasks {
-		var hp []*task
-		blocking := int64(0)
-		for _, o := range r.tasks {
-			if o == t {
-				continue
-			}
-			switch {
-			case r.sched == arch.SchedNondet:
-				hp = append(hp, o)
-				if o.c > blocking {
-					blocking = o.c
-				}
-			case o.sc == t.sc && o.prio == t.prio:
-				// Folded into chainC.
-			case o.prio > t.prio || (o.prio == t.prio && o.seq < t.seq):
-				hp = append(hp, o)
-			case r.sched != arch.SchedFPPreempt && o.c > blocking:
-				blocking = o.c
-			}
-		}
-		d, err := delayBound(t, hp, blocking)
-		if err != nil {
-			return fmt.Errorf("rtc: resource %s task %s: %w", r.name, t.name, err)
-		}
-		t.d = d
-	}
-	return nil
 }
 
 // remaining is the lower remaining-service curve after blocking and the
@@ -293,7 +69,7 @@ func analyzeResource(r *resource) error {
 // The sup over the prefix is evaluated at interval right-endpoints, which is
 // exact because the integrand rises with slope one between workload jumps.
 type remaining struct {
-	hp       []*task
+	hp       []*compos.Task
 	blocking int64
 }
 
@@ -308,7 +84,7 @@ func (r remaining) at(delta int64) int64 {
 		}
 		v := lambda - r.blocking
 		for _, h := range r.hp {
-			v -= h.in.CountBefore(lambda) * h.in.C
+			v -= h.In.EtaPlus(lambda) * h.C
 		}
 		if v > best {
 			best = v
@@ -318,12 +94,12 @@ func (r remaining) at(delta int64) int64 {
 	for _, h := range r.hp {
 		// Jump points of h's staircase below delta: evaluate just at them
 		// (the left limit of each jump is the local maximum).
-		n := h.in.CountBefore(delta)
+		n := h.In.EtaPlus(delta)
 		const maxJumps = 1 << 16
 		if n > maxJumps {
 			return best // utilization pathologies are caught by the caller
 		}
-		for _, a := range h.in.Events(int(n)) {
+		for _, a := range h.In.Events(int(n)) {
 			eval(a)
 		}
 	}
@@ -355,11 +131,13 @@ func (r remaining) inverse(w int64) (int64, error) {
 }
 
 // tdmaDelayBound bounds the response of a one-message-per-slot TDMA bus:
-// under the worst alignment grants occur at k·C after the critical instant,
-// and the q-th queued message is served at grant max(q, floor(a_q/C)+1).
-func tdmaDelayBound(in Arrival, c, cycle int64) (int64, error) {
+// under the worst alignment grants occur at k·cycle after the critical
+// instant, and the q-th queued message is served at grant
+// max(q, floor(a_q/cycle)+1).
+func tdmaDelayBound(t *compos.Task) (int64, error) {
 	const maxQ = 4096
-	arrivals := in.Events(maxQ + 1)
+	c, cycle := t.C, t.TDMACycle
+	arrivals := t.In.Events(maxQ + 1)
 	worst := int64(0)
 	for q := int64(1); q <= maxQ; q++ {
 		aq := arrivals[q-1]
@@ -382,18 +160,14 @@ func tdmaDelayBound(in Arrival, c, cycle int64) (int64, error) {
 
 // delayBound is the horizontal deviation between t's upper workload curve
 // and its lower remaining-service curve.
-func delayBound(t *task, hp []*task, blocking int64) (int64, error) {
+func delayBound(t *compos.Task, hp []*compos.Task, blocking int64) (int64, error) {
 	rem := remaining{hp: hp, blocking: blocking}
 	worst := int64(0)
 	const maxQ = 4096
-	arrivals := t.in.Events(maxQ)
-	perEvent := t.chainC
-	if perEvent < t.in.C {
-		perEvent = t.in.C
-	}
+	arrivals := t.In.Events(maxQ)
 	for q := 1; q <= maxQ; q++ {
 		aq := arrivals[q-1]
-		finish, err := rem.inverse(int64(q) * perEvent)
+		finish, err := rem.inverse(int64(q) * t.ChainC)
 		if err != nil {
 			return 0, err
 		}

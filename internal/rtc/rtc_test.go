@@ -6,13 +6,14 @@ import (
 	"testing/quick"
 
 	"repro/internal/arch"
+	"repro/internal/compos"
 	"repro/internal/core"
 )
 
 func ratMS(num, den int64) *big.Rat { return new(big.Rat).SetFrac64(num, den) }
 
 func TestEventsAndCountBefore(t *testing.T) {
-	a := Arrival{P: 10, J: 0, C: 1}
+	a := compos.Stream{P: 10, J: 0}
 	ev := a.Events(3)
 	want := []int64{0, 10, 20}
 	for i := range want {
@@ -22,12 +23,12 @@ func TestEventsAndCountBefore(t *testing.T) {
 	}
 	cases := []struct{ t, want int64 }{{0, 0}, {1, 1}, {10, 1}, {11, 2}, {21, 3}}
 	for _, c := range cases {
-		if got := a.CountBefore(c.t); got != c.want {
-			t.Errorf("CountBefore(%d) = %d, want %d", c.t, got, c.want)
+		if got := a.EtaPlus(c.t); got != c.want {
+			t.Errorf("EtaPlus(%d) = %d, want %d", c.t, got, c.want)
 		}
 	}
 
-	j := Arrival{P: 10, J: 25, C: 1}
+	j := compos.Stream{P: 10, J: 25}
 	// a_q = max(0, (q-1)*10 - 25): 0,0,0,5,15,...
 	ev = j.Events(5)
 	wantJ := []int64{0, 0, 0, 5, 15}
@@ -36,11 +37,11 @@ func TestEventsAndCountBefore(t *testing.T) {
 			t.Errorf("jittered event %d at %d, want %d", i, ev[i], wantJ[i])
 		}
 	}
-	if got := j.CountBefore(1); got != 3 {
-		t.Errorf("jittered CountBefore(1) = %d, want 3", got)
+	if got := j.EtaPlus(1); got != 3 {
+		t.Errorf("jittered EtaPlus(1) = %d, want 3", got)
 	}
 
-	d := Arrival{P: 10, J: 25, D: 2, C: 1}
+	d := compos.Stream{P: 10, J: 25, D: 2}
 	ev = d.Events(4)
 	// Separation pushes the stacked events apart: 0, 2, 4, 6.
 	wantD := []int64{0, 2, 4, 6}
@@ -52,11 +53,12 @@ func TestEventsAndCountBefore(t *testing.T) {
 }
 
 func TestQuickCountMatchesEvents(t *testing.T) {
-	// CountBefore must agree with the explicit event list.
-	f := func(p8, j8, t8 uint8) bool {
-		a := Arrival{P: int64(p8%20) + 1, J: int64(j8 % 50), C: 1}
+	// The event count (the upper workload staircase over C) must agree
+	// with the explicit event list.
+	f := func(p8, j8, d8, t8 uint8) bool {
+		a := compos.Stream{P: int64(p8%20) + 1, J: int64(j8 % 50), D: int64(d8 % 8)}
 		tt := int64(t8)
-		n := a.CountBefore(tt)
+		n := a.EtaPlus(tt)
 		ev := a.Events(int(n) + 5)
 		cnt := int64(0)
 		for _, e := range ev {
@@ -188,8 +190,8 @@ func TestOverloadDetected(t *testing.T) {
 }
 
 func TestRemainingServiceMonotone(t *testing.T) {
-	h := &task{name: "h", c: 5, in: Arrival{P: 20, J: 0, C: 5}}
-	r := remaining{hp: []*task{h}, blocking: 3}
+	h := &compos.Task{Name: "h", C: 5, In: compos.Stream{P: 20, J: 0}}
+	r := remaining{hp: []*compos.Task{h}, blocking: 3}
 	prev := int64(-1)
 	for d := int64(0); d <= 100; d += 7 {
 		v := r.at(d)
@@ -219,20 +221,20 @@ func TestRemainingServiceMonotone(t *testing.T) {
 // it before it was removed (PR 28).
 func TestHorizontalDevMatchesDelayBound(t *testing.T) {
 	for _, c := range []struct {
-		a    Arrival
-		want int64
+		in      compos.Stream
+		c, want int64
 	}{
-		{Arrival{P: 20, J: 0, C: 5}, 5},
-		{Arrival{P: 20, J: 20, C: 5}, 10},
-		{Arrival{P: 20, J: 40, C: 5}, 15},
-		{Arrival{P: 15, J: 7, C: 4}, 4},
+		{compos.Stream{P: 20, J: 0}, 5, 5},
+		{compos.Stream{P: 20, J: 20}, 5, 10},
+		{compos.Stream{P: 20, J: 40}, 5, 15},
+		{compos.Stream{P: 15, J: 7}, 4, 4},
 	} {
-		db, err := delayBound(&task{name: "t", c: c.a.C, in: c.a}, nil, 0)
+		db, err := delayBound(&compos.Task{Name: "t", C: c.c, ChainC: c.c, In: c.in}, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if db != c.want {
-			t.Errorf("%+v: delay bound %d, want horizontal deviation %d", c.a, db, c.want)
+			t.Errorf("%+v, C=%d: delay bound %d, want horizontal deviation %d", c.in, c.c, db, c.want)
 		}
 	}
 }

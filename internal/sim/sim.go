@@ -7,7 +7,9 @@
 // central observation about simulation-based performance analysis — because
 // only finitely many offset/jitter choices are exercised. The cross-check
 // tests in this package assert exactly that relation against the model
-// checker.
+// checker. Durations, arrival parameters and TDMA slots are read from the
+// system's timing view (arch.System.Timing), the integers the model checker
+// is compiled from, so a system the checker refuses is refused here too.
 package sim
 
 import (
@@ -60,14 +62,11 @@ type Result struct {
 // Simulate runs the campaign and reports per-requirement observations.
 func Simulate(sys *arch.System, reqs []*arch.Requirement, opts Options) (map[string]*Result, error) {
 	opts = opts.withDefaults()
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	scale, err := sys.TimeScale()
+	tm, err := sys.Timing()
 	if err != nil {
 		return nil, err
 	}
-	horizon, err := arch.ToUnits(new(big.Rat).SetInt64(opts.HorizonMS), scale)
+	horizon, err := tm.HorizonUnits(opts.HorizonMS, "simulation horizon_ms")
 	if err != nil {
 		return nil, err
 	}
@@ -88,10 +87,7 @@ func Simulate(sys *arch.System, reqs []*arch.Requirement, opts Options) (map[str
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for rep := 0; rep < opts.Replications; rep++ {
-		run, err := newRun(sys, scale, horizon, rand.New(rand.NewSource(rng.Int63())))
-		if err != nil {
-			return nil, err
-		}
+		run := newRun(sys, tm, horizon, rand.New(rand.NewSource(rng.Int63())))
 		run.execute()
 		for _, r := range reqs {
 			a := accs[r.Name]
@@ -116,17 +112,17 @@ func Simulate(sys *arch.System, reqs []*arch.Requirement, opts Options) (map[str
 	for name, a := range accs {
 		res := out[name]
 		res.Completed = a.count
-		res.MaxMS = arch.UnitsToMS(a.max, scale)
+		res.MaxMS = arch.UnitsToMS(a.max, tm.Scale)
 		if a.count > 0 {
-			mean := new(big.Rat).SetFrac(a.sum, new(big.Int).Mul(scale, big.NewInt(a.count)))
+			mean := new(big.Rat).SetFrac(a.sum, new(big.Int).Mul(tm.Scale, big.NewInt(a.count)))
 			res.MeanMS = mean
 		} else {
 			res.MeanMS = new(big.Rat)
 		}
 		sortInt64(a.samples)
-		res.P50MS = arch.UnitsToMS(percentile(a.samples, 50), scale)
-		res.P95MS = arch.UnitsToMS(percentile(a.samples, 95), scale)
-		res.P99MS = arch.UnitsToMS(percentile(a.samples, 99), scale)
+		res.P50MS = arch.UnitsToMS(percentile(a.samples, 50), tm.Scale)
+		res.P95MS = arch.UnitsToMS(percentile(a.samples, 95), tm.Scale)
+		res.P99MS = arch.UnitsToMS(percentile(a.samples, 99), tm.Scale)
 	}
 	return out, nil
 }
@@ -188,7 +184,6 @@ func (c *calendar) Pop() any {
 // run is one replication.
 type run struct {
 	sys      *arch.System
-	scale    *big.Int
 	horizon  int64
 	rng      *rand.Rand
 	cal      calendar
@@ -198,9 +193,9 @@ type run struct {
 	seq      int64
 }
 
-func newRun(sys *arch.System, scale *big.Int, horizon int64, rng *rand.Rand) (*run, error) {
+func newRun(sys *arch.System, tm *arch.Timing, horizon int64, rng *rand.Rand) *run {
 	r := &run{
-		sys: sys, scale: scale, horizon: horizon, rng: rng,
+		sys: sys, horizon: horizon, rng: rng,
 		res:  map[any]*resource{},
 		durs: map[*arch.Scenario][]int64{},
 	}
@@ -216,17 +211,9 @@ func newRun(sys *arch.System, scale *big.Int, horizon int64, rng *rand.Rand) (*r
 		}
 		r.res[b] = res
 	}
-	for _, sc := range sys.Scenarios {
-		durs := make([]int64, len(sc.Steps))
-		for i := range sc.Steps {
-			d, err := arch.ToUnits(sc.Steps[i].DurationMS(), scale)
-			if err != nil {
-				return nil, err
-			}
-			durs[i] = d
-		}
-		r.durs[sc] = durs
-		for _, t := range r.sampleArrivals(sc) {
+	for i, sc := range sys.Scenarios {
+		r.durs[sc] = tm.Scenarios[i].Steps
+		for _, t := range r.sampleArrivals(sc.Arrival.Kind, &tm.Scenarios[i]) {
 			inst := &instance{sc: sc, prio: sc.Priority, inject: t,
 				doneAt: make([]int64, len(sc.Steps))}
 			heap.Push(&r.cal, &event{at: t, kind: 0, inst: inst})
@@ -235,38 +222,27 @@ func newRun(sys *arch.System, scale *big.Int, horizon int64, rng *rand.Rand) (*r
 	// TDMA buses: schedule a grant per slot per cycle up to the horizon
 	// (plus slack for in-flight work).
 	for _, b := range sys.Buses {
-		res := r.res[b]
-		if res.tdma == nil {
+		tt := tm.TDMA[b]
+		if tt == nil {
 			continue
 		}
-		cycle, err := arch.ToUnits(res.tdma.CycleMS, scale)
-		if err != nil {
-			return nil, err
-		}
-		for i := range res.tdma.Slots {
-			sl := &res.tdma.Slots[i]
-			start, err := arch.ToUnits(sl.StartMS, scale)
-			if err != nil {
-				return nil, err
-			}
-			for t := start; t <= horizon+2*cycle; t += cycle {
-				heap.Push(&r.cal, &event{at: t, kind: 2, res: res, sc: sl.Scenario})
+		for i, sl := range tt.Slots {
+			for t := sl.Start; t <= horizon+2*tt.Cycle; t += tt.Cycle {
+				heap.Push(&r.cal, &event{at: t, kind: 2, res: r.res[b], sc: b.TDMA.Slots[i].Scenario})
 			}
 		}
 	}
-	return r, nil
+	return r
 }
 
-// sampleArrivals draws one concrete event stream for the scenario's arrival
-// model, up to the horizon.
-func (r *run) sampleArrivals(sc *arch.Scenario) []int64 {
-	m := sc.Arrival
-	period, _ := arch.ToUnits(m.PeriodMS, r.scale)
+// sampleArrivals draws one concrete event stream of the given kind with the
+// scenario's arrival parameters st, up to the horizon.
+func (r *run) sampleArrivals(kind arch.EventKind, st *arch.ScenarioTiming) []int64 {
+	period, jitter, minSep := st.Period, st.Jitter, st.MinSep
 	var times []int64
-	switch m.Kind {
+	switch kind {
 	case arch.KindPeriodic:
-		offset, _ := arch.ToUnits(m.OffsetMS, r.scale)
-		for t := offset; t <= r.horizon; t += period {
+		for t := st.Offset; t <= r.horizon; t += period {
 			times = append(times, t)
 		}
 	case arch.KindPeriodicUnknownOffset:
@@ -288,7 +264,6 @@ func (r *run) sampleArrivals(sc *arch.Scenario) []int64 {
 			t += gap
 		}
 	case arch.KindPeriodicJitter:
-		jitter, _ := arch.ToUnits(m.JitterMS, r.scale)
 		phase := r.rng.Int63n(period)
 		for k := int64(0); ; k++ {
 			t := phase + k*period + r.rng.Int63n(jitter+1)
@@ -298,8 +273,6 @@ func (r *run) sampleArrivals(sc *arch.Scenario) []int64 {
 			times = append(times, t)
 		}
 	case arch.KindBursty:
-		jitter, _ := arch.ToUnits(m.JitterMS, r.scale)
-		minSep, _ := arch.ToUnits(m.MinSepMS, r.scale)
 		phase := r.rng.Int63n(period)
 		var raw []int64
 		for k := int64(0); phase+k*period <= r.horizon; k++ {

@@ -5,6 +5,13 @@
 // and jitter propagation along scenario chains iterated to a global fixed
 // point.
 //
+// The tasks, resources, event streams, interference classification and
+// global fixed point are the skeleton it shares with MPA (internal/compos).
+// This package owns the local kernels: the busy window of a task on a
+// shared resource (busyWindow), its TDMA counterpart (tdmaResponse), and
+// the output jitter J + max(0, R − C) a task passes on — the response-time
+// variation of an activation that may also run at once.
+//
 // Like the real tool, the analysis is safe but not exact: every reported
 // end-to-end latency is an upper bound on the true WCRT. Also like the real
 // tool (as the paper notes), periodic streams with known offsets are
@@ -17,67 +24,8 @@ import (
 	"math/big"
 
 	"repro/internal/arch"
+	"repro/internal/compos"
 )
-
-// Stream is the standard (P, J, D) event model in integer time units:
-// period, jitter, minimal separation.
-type Stream struct {
-	P, J, D int64
-}
-
-// EtaPlus bounds the number of activations in any half-open time window of
-// positive length delta.
-func (s Stream) EtaPlus(delta int64) int64 {
-	if delta <= 0 {
-		return 0
-	}
-	n := ceilDiv(delta+s.J, s.P)
-	if s.D > 0 {
-		if m := ceilDiv(delta, s.D); m < n {
-			n = m
-		}
-	}
-	return n
-}
-
-func ceilDiv(a, b int64) int64 {
-	if a <= 0 {
-		return 0
-	}
-	return (a + b - 1) / b
-}
-
-// Task is one step of a scenario bound to a resource.
-type Task struct {
-	Name string
-	C    int64 // worst-case execution/transfer time in units
-	Prio int
-	// seq breaks priority ties deterministically (declaration order):
-	// classical busy-window analysis requires unique priorities per
-	// resource, and mutual interference between equal-priority tasks can
-	// diverge under jitter propagation.
-	seq int
-	// chainC is C plus the execution times of same-scenario equal-priority
-	// tasks on the same resource: those partners share the event stream and
-	// are served FIFO, so each activation brings their work along. Charging
-	// it inside the q-term keeps the bound above the exact WCRT without the
-	// divergent mutual-interference cycle.
-	chainC int64
-	sc     *arch.Scenario
-	In     Stream
-	// TDMACycle is the cycle length when the task runs on a time-division
-	// bus (0 otherwise).
-	TDMACycle int64
-	// R is the computed worst-case response time (from actual activation).
-	R int64
-}
-
-// resource groups the tasks sharing one processor or bus.
-type resource struct {
-	name  string
-	sched arch.SchedKind
-	tasks []*Task
-}
 
 // Result is the end-to-end latency bound of one requirement.
 type Result struct {
@@ -90,224 +38,32 @@ type Result struct {
 	Iterations int
 }
 
+// busyWindowAnalysis is SymTA/S's part of the compositional skeleton.
+var busyWindowAnalysis = compos.Method{
+	Name:      "symta",
+	Shared:    busyWindow,
+	TDMA:      tdmaResponse,
+	OutJitter: func(t *compos.Task) int64 { return max(0, t.R-t.C) },
+}
+
 // Analyze computes end-to-end latency bounds for the requirements by global
 // fixed-point iteration of per-resource busy-window analysis with jitter
 // propagation.
 func Analyze(sys *arch.System, reqs []*arch.Requirement) (map[string]*Result, error) {
-	if err := sys.Validate(); err != nil {
-		return nil, err
-	}
-	scale, err := sys.TimeScale()
+	spans, rounds, err := compos.Analyze(sys, reqs, busyWindowAnalysis)
 	if err != nil {
 		return nil, err
 	}
-
-	// One task per scenario step, resources keyed by hardware element.
-	taskOf := map[*arch.Scenario][]*Task{}
-	resOf := map[any]*resource{}
-	getRes := func(key any, name string, sched arch.SchedKind) *resource {
-		if r, ok := resOf[key]; ok {
-			return r
-		}
-		r := &resource{name: name, sched: sched}
-		resOf[key] = r
-		return r
-	}
-	var resources []*resource
-	inputStream := func(sc *arch.Scenario) (Stream, error) {
-		m := sc.Arrival
-		p, err := arch.ToUnits(m.PeriodMS, scale)
-		if err != nil {
-			return Stream{}, err
-		}
-		j, err := arch.ToUnits(m.JitterMS, scale)
-		if err != nil {
-			return Stream{}, err
-		}
-		d, err := arch.ToUnits(m.MinSepMS, scale)
-		if err != nil {
-			return Stream{}, err
-		}
-		switch m.Kind {
-		case arch.KindPeriodic, arch.KindPeriodicUnknownOffset, arch.KindSporadic:
-			return Stream{P: p}, nil
-		case arch.KindPeriodicJitter:
-			return Stream{P: p, J: j}, nil
-		case arch.KindBursty:
-			return Stream{P: p, J: j, D: d}, nil
-		}
-		return Stream{}, fmt.Errorf("symta: unknown event kind")
-	}
-
-	seq := 0
-	for _, sc := range sys.Scenarios {
-		tasks := make([]*Task, len(sc.Steps))
-		for i := range sc.Steps {
-			st := &sc.Steps[i]
-			c, err := arch.ToUnits(st.DurationMS(), scale)
-			if err != nil {
-				return nil, err
-			}
-			t := &Task{Name: sc.Name + "." + st.Name, C: c,
-				Prio: st.EffectivePriority(sc), seq: seq, sc: sc}
-			seq++
-			tasks[i] = t
-			var r *resource
-			if st.IsCompute() {
-				r = getRes(st.Proc, st.Proc.Name, st.Proc.Sched)
-			} else {
-				r = getRes(st.Bus, st.Bus.Name, st.Bus.Sched)
-				if st.Bus.Sched == arch.SchedTDMA {
-					cyc, err := arch.ToUnits(st.Bus.TDMA.CycleMS, scale)
-					if err != nil {
-						return nil, err
-					}
-					t.TDMACycle = cyc
-				}
-			}
-			if len(r.tasks) == 0 {
-				resources = append(resources, r)
-			}
-			r.tasks = append(r.tasks, t)
-		}
-		taskOf[sc] = tasks
-	}
-
-	// Same-scenario equal-priority co-residents share the event stream:
-	// fold their execution time into chainC.
-	for _, r := range resources {
-		for _, t := range r.tasks {
-			t.chainC = t.C
-			for _, o := range r.tasks {
-				if o != t && o.sc == t.sc && o.Prio == t.Prio {
-					t.chainC += o.C
-				}
-			}
-		}
-	}
-
-	// Global fixed point: analyze resources, propagate output jitter along
-	// each chain, repeat until the streams stop changing.
-	iters := 0
-	for ; iters < 200; iters++ {
-		changed := false
-		for _, sc := range sys.Scenarios {
-			in, err := inputStream(sc)
-			if err != nil {
-				return nil, err
-			}
-			for i, t := range taskOf[sc] {
-				if t.In != in {
-					t.In = in
-					changed = true
-				}
-				// The output stream keeps the period; response-time
-				// variation adds jitter (best case: execute immediately).
-				_ = i
-				in = Stream{P: in.P, J: in.J + maxI64(0, t.R-t.C), D: 0}
-			}
-		}
-		for _, r := range resources {
-			if err := analyzeResource(r); err != nil {
-				return nil, err
-			}
-		}
-		if !changed && iters > 0 {
-			break
-		}
-	}
-
 	out := map[string]*Result{}
-	for _, req := range reqs {
-		if err := req.Validate(); err != nil {
-			return nil, err
-		}
-		tasks := taskOf[req.Scenario]
-		if tasks == nil {
-			return nil, fmt.Errorf("symta: requirement %s references unknown scenario", req.Name)
-		}
-		res := &Result{Req: req, MS: new(big.Rat), Iterations: iters}
-		total := int64(0)
-		for i := req.FromStep + 1; i <= req.ToStep; i++ {
-			total += tasks[i].R
-			res.PerStepMS = append(res.PerStepMS, arch.UnitsToMS(tasks[i].R, scale))
-		}
-		res.MS = arch.UnitsToMS(total, scale)
-		out[req.Name] = res
+	for i, req := range reqs {
+		out[req.Name] = &Result{Req: req, MS: spans[i].MS, PerStepMS: spans[i].PerStepMS, Iterations: rounds}
 	}
 	return out, nil
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// analyzeResource runs the busy-window analysis for every task on one
-// resource.
-func analyzeResource(r *resource) error {
-	if r.sched == arch.SchedTDMA {
-		// Dedicated slots: no cross-scenario interference; one message per
-		// slot grant, grants every cycle under the worst alignment.
-		for _, t := range r.tasks {
-			R, err := tdmaResponse(t)
-			if err != nil {
-				return fmt.Errorf("symta: resource %s task %s: %w", r.name, t.Name, err)
-			}
-			t.R = R
-		}
-		return nil
-	}
-	for _, t := range r.tasks {
-		var (
-			interferers []*Task
-			blocking    int64
-		)
-		for _, o := range r.tasks {
-			if o == t {
-				continue
-			}
-			switch r.sched {
-			case arch.SchedNondet:
-				// Any pending work may be chosen first: everyone interferes.
-				interferers = append(interferers, o)
-			default:
-				switch {
-				case o.sc == t.sc && o.Prio == t.Prio:
-					// Folded into chainC above.
-				case o.Prio > t.Prio || (o.Prio == t.Prio && o.seq < t.seq):
-					// Higher priority interferes; cross-scenario equal
-					// priorities are broken by declaration order (the
-					// unique-priority requirement of classical busy-window
-					// analysis).
-					interferers = append(interferers, o)
-				case r.sched != arch.SchedFPPreempt && o.C > blocking:
-					// Non-preemptive: one lower-priority job may block.
-					blocking = o.C
-				}
-			}
-		}
-		if r.sched == arch.SchedNondet {
-			for _, o := range r.tasks {
-				if o != t && o.C > blocking {
-					blocking = o.C
-				}
-			}
-		}
-		R, err := busyWindow(t, interferers, blocking, r.sched != arch.SchedFPPreempt)
-		if err != nil {
-			return fmt.Errorf("symta: resource %s task %s: %w", r.name, t.Name, err)
-		}
-		t.R = R
-	}
-	return nil
-}
-
 // tdmaResponse bounds the response of a one-message-per-slot TDMA bus under
 // the worst slot alignment (grants at k·cycle after the critical instant).
-func tdmaResponse(t *Task) (int64, error) {
+func tdmaResponse(t *compos.Task) (int64, error) {
 	const maxQ = 4096
 	cycle := t.TDMACycle
 	arrival := func(q int64) int64 {
@@ -343,7 +99,7 @@ func tdmaResponse(t *Task) (int64, error) {
 
 // busyWindow computes the worst-case response time of task t under the given
 // interferers, blocking term, and preemption discipline.
-func busyWindow(t *Task, hp []*Task, blocking int64, nonPreemptive bool) (int64, error) {
+func busyWindow(t *compos.Task, hp []*compos.Task, blocking int64, preemptive bool) (int64, error) {
 	const maxQ = 4096
 	worst := int64(0)
 	for q := int64(1); ; q++ {
@@ -351,12 +107,12 @@ func busyWindow(t *Task, hp []*Task, blocking int64, nonPreemptive bool) (int64,
 			return 0, fmt.Errorf("busy window does not close (overload)")
 		}
 		var w int64
-		if nonPreemptive {
+		if !preemptive {
 			// Fixed point on the start time of the q-th activation; higher
 			// priority work arriving before the start delays it. Earlier
-			// activations carry their chain partners' work (chainC); the
+			// activations carry their chain partners' work (ChainC); the
 			// partner work of the q-th event may also precede its own step.
-			base := blocking + (q-1)*t.chainC + (t.chainC - t.C)
+			base := blocking + (q-1)*t.ChainC + (t.ChainC - t.C)
 			s := base
 			for iter := 0; ; iter++ {
 				if iter > 10000 {
@@ -373,12 +129,12 @@ func busyWindow(t *Task, hp []*Task, blocking int64, nonPreemptive bool) (int64,
 			}
 			w = s + t.C
 		} else {
-			w = blocking + q*t.chainC
+			w = blocking + q*t.ChainC
 			for iter := 0; ; iter++ {
 				if iter > 10000 {
 					return 0, fmt.Errorf("busy-window iteration diverges (overload)")
 				}
-				next := blocking + q*t.chainC
+				next := blocking + q*t.ChainC
 				for _, o := range hp {
 					next += o.In.EtaPlus(w) * o.C
 				}

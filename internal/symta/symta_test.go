@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/compos"
 	"repro/internal/core"
 )
 
 func ratMS(num, den int64) *big.Rat { return new(big.Rat).SetFrac64(num, den) }
 
 func TestEtaPlus(t *testing.T) {
-	s := Stream{P: 10, J: 0}
+	s := compos.Stream{P: 10, J: 0}
 	cases := []struct {
 		delta, want int64
 	}{
@@ -22,11 +23,11 @@ func TestEtaPlus(t *testing.T) {
 			t.Errorf("eta+(%d) = %d, want %d", c.delta, got, c.want)
 		}
 	}
-	j := Stream{P: 10, J: 15}
+	j := compos.Stream{P: 10, J: 15}
 	if got := j.EtaPlus(1); got != 2 {
 		t.Errorf("jittered eta+(1) = %d, want 2", got)
 	}
-	d := Stream{P: 10, J: 100, D: 3}
+	d := compos.Stream{P: 10, J: 100, D: 3}
 	if got := d.EtaPlus(6); got != 2 {
 		t.Errorf("min-separated eta+(6) = %d, want 2", got)
 	}
