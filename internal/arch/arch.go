@@ -281,7 +281,7 @@ func (s *System) Validate() error {
 			return fmt.Errorf("arch: scenario %s has no steps", sc.Name)
 		}
 		if err := sc.Arrival.Validate(); err != nil {
-			return fmt.Errorf("arch: scenario %s: %w", sc.Name, err)
+			return fmt.Errorf("arch: scenario %s %w", sc.Name, err)
 		}
 		for i := range sc.Steps {
 			st := &sc.Steps[i]

@@ -171,9 +171,7 @@ func CompileAll(sys *System, reqs []*Requirement, opts Options) (*CompiledSet, e
 	}
 
 	for i, sc := range sys.Scenarios {
-		if err := b.buildEnv(sc, &tm.Scenarios[i]); err != nil {
-			return nil, err
-		}
+		b.buildEnv(sc, &tm.Scenarios[i])
 	}
 	if err := b.buildResources(); err != nil {
 		return nil, err
@@ -266,7 +264,7 @@ func (b *builder) doneSync(sc *Scenario, i int) ta.Sync {
 // Fig. 8): it feeds the first step's queue according to the arrival model
 // and announces each injection on the scenario's inject channel when
 // observed.
-func (b *builder) buildEnv(sc *Scenario, st *ScenarioTiming) error {
+func (b *builder) buildEnv(sc *Scenario, st *ScenarioTiming) {
 	q0 := b.qv[sc][0]
 	release := ta.Inc(q0, 1)
 	sync := b.injectSync(sc)
@@ -312,20 +310,16 @@ func (b *builder) buildEnv(sc *Scenario, st *ScenarioTiming) error {
 			Resets: []ta.Reset{{Clock: x.ID, Value: 0}}})
 
 	case KindBursty:
-		return b.buildBurstyEnv(sc, st, p, x, release, sync)
+		b.buildBurstyEnv(sc, st, p, x, release, sync)
 	}
-	return nil
 }
 
 // buildBurstyEnv emits the Fig. 8 automaton for J > P: pending events
 // accumulate every period, each must be sent at most J after its nominal
 // release, and consecutive sends are separated by more than D.
 func (b *builder) buildBurstyEnv(sc *Scenario, st *ScenarioTiming, p *ta.Process, x ta.Clock,
-	release ta.Update, sync ta.Sync) error {
+	release ta.Update, sync ta.Sync) {
 	period, jitter, minSep := st.Period, st.Jitter, st.MinSep
-	if minSep >= period {
-		return fmt.Errorf("arch: scenario %s: bursty minimal separation must be below the period", sc.Name)
-	}
 	// Outstanding events never exceed ceil(J/P)+1.
 	cap64 := (jitter+period-1)/period + 2
 	pending := b.net.AddVar(sc.Name+".pending", 1, 0, cap64)
@@ -368,7 +362,6 @@ func (b *builder) buildBurstyEnv(sc *Scenario, st *ScenarioTiming, p *ta.Process
 	p.AddEdge(ta.Edge{Src: locB, Dst: locB,
 		ClockGuard: ta.CEq(y, period), Guard: ta.VarCmp(snd, ta.Gt, 0),
 		Resets: []ta.Reset{{Clock: y.ID, Value: 0}}, Update: ta.Inc(snd, -1)})
-	return nil
 }
 
 // rop is one operation (computation or transfer) mapped onto a resource.

@@ -84,39 +84,43 @@ func Bursty(period, jitter, minSep *big.Rat) EventModel {
 	return EventModel{Kind: KindBursty, PeriodMS: period, JitterMS: jitter, MinSepMS: minSep}
 }
 
-// Validate checks parameter consistency for the kind.
+// Validate checks parameter consistency for the kind. Every error leads with
+// the JSON field at fault.
 func (m EventModel) Validate() error {
 	pos := func(r *big.Rat) bool { return r != nil && r.Sign() > 0 }
 	nonneg := func(r *big.Rat) bool { return r == nil || r.Sign() >= 0 }
 	if !pos(m.PeriodMS) {
-		return fmt.Errorf("event model %s needs a positive period", m.Kind)
+		return fmt.Errorf("period_ms: event model %s needs a positive period", m.Kind)
 	}
 	switch m.Kind {
 	case KindPeriodic:
 		if !nonneg(m.OffsetMS) {
-			return fmt.Errorf("periodic offset must be nonnegative")
+			return fmt.Errorf("offset_ms: periodic offset must be nonnegative")
 		}
 	case KindPeriodicUnknownOffset, KindSporadic:
 		// period only
 	case KindPeriodicJitter:
 		if !pos(m.JitterMS) && !(m.JitterMS != nil && m.JitterMS.Sign() == 0) {
-			return fmt.Errorf("periodic-with-jitter needs a nonnegative jitter")
+			return fmt.Errorf("jitter_ms: periodic-with-jitter needs a nonnegative jitter")
 		}
 		if m.JitterMS.Cmp(m.PeriodMS) > 0 {
-			return fmt.Errorf("periodic-with-jitter requires J <= P; use the bursty model for J > P")
+			return fmt.Errorf("jitter_ms: periodic-with-jitter requires J <= P; use the bursty model for J > P")
 		}
 	case KindBursty:
 		if !pos(m.JitterMS) {
-			return fmt.Errorf("bursty model needs a positive jitter")
+			return fmt.Errorf("jitter_ms: bursty model needs a positive jitter")
 		}
 		if m.JitterMS.Cmp(m.PeriodMS) <= 0 {
-			return fmt.Errorf("bursty model requires J > P; use periodic-with-jitter otherwise")
+			return fmt.Errorf("jitter_ms: bursty model requires J > P; use periodic-with-jitter otherwise")
 		}
 		if !nonneg(m.MinSepMS) {
-			return fmt.Errorf("bursty minimal separation must be nonnegative")
+			return fmt.Errorf("min_sep_ms: bursty minimal separation must be nonnegative")
+		}
+		if m.MinSepMS != nil && m.MinSepMS.Cmp(m.PeriodMS) >= 0 {
+			return fmt.Errorf("min_sep_ms: bursty minimal separation must be below the period")
 		}
 	default:
-		return fmt.Errorf("unknown event kind %d", m.Kind)
+		return fmt.Errorf("kind: unknown event kind %d", m.Kind)
 	}
 	return nil
 }

@@ -15,12 +15,14 @@
 //   - the classification of a resource's other tasks into interferers and
 //     the longest blocking one;
 //   - the global fixed point of at most 200 rounds;
+//   - the bound of a task on a time-division bus (tdmaResponse), which
+//     both techniques compute alike;
 //   - the per-requirement sum of per-step bounds.
 //
-// What differs is a Method: the local kernels that bound one task, and the
-// jitter a task adds to its output stream. symta owns busy-window analysis
-// (output jitter R − C); rtc owns the delay bound of real-time calculus
-// (output jitter d).
+// What differs is a Method: the local kernel that bounds one task on a
+// shared resource, and the jitter a task adds to its output stream. symta
+// owns busy-window analysis (output jitter R − C); rtc owns the delay bound
+// of real-time calculus (output jitter d).
 //
 // Phase (offset) information is lost in the event streams, so periodic
 // streams with known offsets are analyzed like unknown-offset ones, as the
@@ -42,7 +44,7 @@ type Stream struct {
 
 // EtaPlus is the upper event-count function η⁺(Δ): the most activations in
 // any half-open time window of positive length delta. It is also the number
-// of events a_q < delta under the critical alignment (Events), so a task's
+// of events a_q < delta under the critical alignment (Event), so a task's
 // upper workload staircase in real-time calculus is EtaPlus(Δ)·C.
 func (s Stream) EtaPlus(delta int64) int64 {
 	if delta <= 0 {
@@ -65,24 +67,12 @@ func ceilDiv(a, b int64) int64 {
 	return (a + b - 1) / b
 }
 
-// Events returns the instants a_1 ≤ a_2 ≤ … of the first n events under the
-// critical alignment of the upper arrival curve: a_q = max(0, (q-1)·P − J),
-// spaced at least D apart.
-func (s Stream) Events(n int) []int64 {
-	out := make([]int64, n)
-	prev := int64(-1 << 62)
-	for q := 1; q <= n; q++ {
-		t := int64(q-1)*s.P - s.J
-		if t < 0 {
-			t = 0
-		}
-		if s.D > 0 && t < prev+s.D {
-			t = prev + s.D
-		}
-		out[q-1] = t
-		prev = t
-	}
-	return out
+// Event returns the instant a_q of the q-th event (q ≥ 1) under the
+// critical alignment of the upper arrival curve: as early as the period and
+// jitter allow, (q-1)·P − J but not before 0, and at least D after the one
+// before, so no earlier than (q-1)·D.
+func (s Stream) Event(q int64) int64 {
+	return max(0, (q-1)*s.P-s.J, (q-1)*s.D)
 }
 
 // Task is one scenario step bound to a resource.
@@ -122,9 +112,6 @@ type Method struct {
 	// and blocking is the longest lower-priority task that may hold the
 	// resource when t arrives (0 under preemption).
 	Shared func(t *Task, hp []*Task, blocking int64, preemptive bool) (int64, error)
-	// TDMA bounds task t on a time-division bus, one message per slot
-	// grant every t.TDMACycle.
-	TDMA func(t *Task) (int64, error)
 	// OutJitter is the jitter task t adds to the stream it passes on.
 	OutJitter func(t *Task) int64
 }
@@ -264,8 +251,8 @@ func inputStream(kind arch.EventKind, st *arch.ScenarioTiming) Stream {
 	return Stream{P: st.Period, J: st.Jitter, D: st.MinSep}
 }
 
-// analyzeResource bounds every task on one resource with the method's
-// kernels.
+// analyzeResource bounds every task on one resource: with the method's
+// kernel on a shared one, with tdmaResponse on a time-division bus.
 func (m Method) analyzeResource(r *resource) error {
 	for _, t := range r.tasks {
 		var (
@@ -274,7 +261,7 @@ func (m Method) analyzeResource(r *resource) error {
 		)
 		if r.sched == arch.SchedTDMA {
 			// Dedicated slots: no cross-scenario interference.
-			R, err = m.TDMA(t)
+			R, err = tdmaResponse(t)
 		} else {
 			hp, blocking := r.interference(t)
 			R, err = m.Shared(t, hp, blocking, r.sched == arch.SchedFPPreempt)
@@ -315,4 +302,28 @@ func (r *resource) interference(t *Task) (hp []*Task, blocking int64) {
 		}
 	}
 	return hp, blocking
+}
+
+// tdmaResponse bounds the response of task t on a one-message-per-slot TDMA
+// bus, one grant every t.TDMACycle: under the worst alignment grants occur
+// at k·cycle after the critical instant, and the q-th queued message is
+// served at grant max(q, floor(a_q/cycle)+1).
+func tdmaResponse(t *Task) (int64, error) {
+	const maxQ = 4096
+	cycle := t.TDMACycle
+	worst := int64(0)
+	for q := int64(1); q <= maxQ; q++ {
+		aq := t.In.Event(q)
+		k := max(q, aq/cycle+1)
+		if resp := k*cycle + t.C - aq; resp > worst {
+			worst = resp
+		}
+		// The backlog clears once the next arrival lands after the grant
+		// that served the q-th message; a fresh message then waits at most
+		// one cycle, which the q = 1 case already covers.
+		if t.In.Event(q+1) >= k*cycle {
+			return worst, nil
+		}
+	}
+	return 0, fmt.Errorf("TDMA backlog does not clear (slot rate below arrival rate)")
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 
@@ -246,7 +245,6 @@ func TestSmallSweepBookkeepingAllocatesNothing(t *testing.T) {
 	var slabs dbm.Slabs
 	defer slabs.Release()
 	dbm.Carve[uint64](&slabs)
-	var stop atomic.Bool
 	type sweep struct {
 		st     *store
 		logs   *parentLogs
@@ -256,7 +254,7 @@ func TestSmallSweepBookkeepingAllocatesNothing(t *testing.T) {
 	sweeps := make([]sweep, runs+1) // AllocsPerRun calls once more to warm up
 	for i := range sweeps {
 		sw := sweep{st: newStore(&slabs, &c.eng.bounds, &c.eng.keys), logs: &parentLogs{slabs: &slabs},
-			front: &frontier{order: BFS, stop: &stop, slabs: &slabs}}
+			front: &frontier{order: BFS, slabs: &slabs}}
 		for _, s := range chain {
 			s = cloneState(s)
 			s.discreteKey()

@@ -213,10 +213,9 @@ type frontBlock struct {
 }
 
 // frontier is the waiting list: FIFO for BFS, LIFO for DFS/RDFS. pop reports
-// false when the list is empty or the stop flag is up.
+// false when the list is empty.
 type frontier struct {
 	order Order
-	stop  *atomic.Bool
 	slabs *dbm.Slabs // what blocks are carved from
 	// head is the block BFS pops from, at slot hi; tail the block pushes go
 	// to, at slot ti — the top of the stack under DFS and RDFS, where only
@@ -252,7 +251,7 @@ func (f *frontier) push() *waiting {
 
 // pop copies the next node into n.
 func (f *frontier) pop(n *waiting) bool {
-	if f.stop.Load() || f.tail == nil {
+	if f.tail == nil {
 		return false
 	}
 	if f.order != BFS {
@@ -283,11 +282,14 @@ func (f *frontier) pop(n *waiting) bool {
 	return true
 }
 
-// explorer carries the mutable state of one exploration run. What another
-// goroutine reads while the run is live — a Monitor's Snapshot — is the
-// store's counters, the cell and the atomics below; the lookahead helper
-// reads only what it is handed and the explorer's immutable fields.
-// Everything else belongs to the admitting loop.
+// explorer carries the mutable state of one exploration run. It belongs to
+// the admitting loop, which runs on the goroutine that called explore: the
+// loop returns how it ended — drained, completed, truncated or with an error —
+// and its run state is plain data. An atomic in this package exists only for
+// a reader or writer on another goroutine, and names it: here stored and the
+// cell, which a Monitor's Snapshot reads while the run is live, beside the
+// store's counters (store.go) and the lookahead's hand-off (lookahead). The
+// helper reads only what it is handed and the explorer's immutable fields.
 type explorer struct {
 	c       *Checker
 	opts    Options
@@ -325,21 +327,16 @@ type explorer struct {
 	// loop pays a single predictable branch when none is.
 	hasCheck bool
 
-	stop atomic.Bool
 	// live counts queries that have not yet completed; the completion that
-	// drops it to zero (completeQuery) short-circuits the sweep. A
-	// query-less sweep keeps it at zero and never stops early: the visit
-	// path guards on len(queries), and only completeQuery reads the
-	// decremented count.
-	live      atomic.Int64
-	stored    atomic.Int64
-	truncated atomic.Bool
-	firstErr  atomic.Pointer[error]
-}
-
-func (e *explorer) fail(err error) {
-	e.firstErr.CompareAndSwap(nil, &err)
-	e.stop.Store(true)
+	// drops it to zero (completeQuery) ends the sweep. A query-less sweep
+	// keeps it at zero and never stops early: the visit path guards on
+	// len(queries), and only completeQuery reads the decremented count.
+	live int
+	// truncated records that the sweep stopped at Options.MaxStates.
+	truncated bool
+	// stored counts admitted states; a Monitor's Snapshot reads it from its
+	// own goroutine while the loop adds.
+	stored atomic.Int64
 }
 
 // abortErr polls the cooperative abort signals: the wall-clock deadline
@@ -360,31 +357,24 @@ func (e *explorer) abortErr() error {
 	return nil
 }
 
-// completeQuery marks q done on state s: it captures a caller-owned clone of
-// s plus its parent-log ref, and decrements the live count. It reports
-// whether the whole sweep should stop — this completion drained the query
-// set, or the stop flag is already up.
-func (e *explorer) completeQuery(q Query, s *State) (stopSweep bool) {
+// completeQuery marks the live query q done on state s: it captures a
+// caller-owned clone of s plus its parent-log ref — a query set has a log —
+// and decrements the live count. It reports whether this completion drained
+// the query set, which ends the sweep.
+func (e *explorer) completeQuery(q Query, s *State) (drained bool) {
 	qs := q.state()
-	if !qs.done.CompareAndSwap(false, true) {
-		return e.stop.Load()
-	}
-	qs.found.Store(cloneState(s))
-	if e.logs != nil {
-		qs.ref.Store(s.ref)
-	}
-	if e.live.Add(-1) == 0 {
-		e.stop.Store(true)
-		return true
-	}
-	return e.stop.Load()
+	qs.done = true
+	qs.found = cloneState(s)
+	qs.ref = s.ref
+	e.live--
+	return e.live == 0
 }
 
 // visitAdmitted feeds one newly admitted state to every live query; it
 // reports whether the sweep is over (all queries completed).
-func (e *explorer) visitAdmitted(s *State) (stopSweep bool) {
+func (e *explorer) visitAdmitted(s *State) (drained bool) {
 	for _, q := range e.queries {
-		if q.state().done.Load() {
+		if q.state().done {
 			continue
 		}
 		if q.visit(s) && e.completeQuery(q, s) {
@@ -394,29 +384,31 @@ func (e *explorer) visitAdmitted(s *State) (stopSweep bool) {
 	return false
 }
 
-// runContained executes the loop with panic containment: a crash anywhere
-// in it — engine bug, panicking visitor predicate, injected fault — becomes
-// a per-run *PanicError through the same failure path as cancellation
-// instead of killing the process. Containment honors the zone/pool ownership
-// protocol by doing nothing: the loop simply abandons its succCtx (scratch
-// zone, pool, state free list) to the garbage collector along with the rest
-// of the run's pools, so a possibly-corrupt state is never recycled — only
-// the raw slab bytes underneath are, after the loop has returned, by
-// explore. The deferred publish inside run still lands during unwinding, so
-// partial Stats stay accurate.
-func (e *explorer) runContained() {
+// contained runs f with panic containment: a crash anywhere in it — engine
+// bug, panicking visitor predicate, injected fault — becomes the run's
+// *PanicError, an error like cancellation's, instead of killing the process.
+// Containment honors the zone/pool ownership protocol by doing nothing: the
+// loop simply abandons its succCtx (scratch zone, pool, state free list) to
+// the garbage collector along with the rest of the run's pools, so a
+// possibly-corrupt state is never recycled — only the raw slab bytes
+// underneath are, after the loop has returned, by explore. The deferred
+// publish inside run still lands during unwinding, so partial Stats stay
+// accurate.
+func contained(f func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.fail(&PanicError{Value: r, Stack: debug.Stack()})
+			err = &PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	e.run()
+	return f()
 }
 
 // run is the admitting loop: take the next expanded state — pop a node,
 // rebuild its state and fire its successors, inline or, once it engages, on
 // the lookahead helper — then admit the successors, feed the query set, park
-// what was admitted and recycle the expanded state. Statistics accumulate in
+// what was admitted and recycle the expanded state. It returns when the
+// frontier is empty, the query set has completed or MaxStates truncates the
+// sweep (nil), or with the error that ends the run. Statistics accumulate in
 // locals, published into the run's cell at each checkpoint and once more on
 // exit.
 //
@@ -429,7 +421,7 @@ func (e *explorer) runContained() {
 // ErrDeadlineExceeded with partial Stats; the deadline wins when both fired.
 // A run explore refuses before it starts (Cancel already closed, Deadline
 // already past) does not mark its queries used.
-func (e *explorer) run() {
+func (e *explorer) run() error {
 	ctx := e.c.eng.newCtx(&e.slabs)
 	// Parent-log records hold successor indices, not labels, so the loop
 	// never needs stable label copies — replay rebuilds them on demand.
@@ -465,9 +457,9 @@ func (e *explorer) run() {
 		cell.publish(nPopped, nTransitions, nDeadlocks, int64(gets-reuses)*zoneBytes)
 	}
 	// The exit publish makes the cell exact however the loop leaves:
-	// drained, stopped, aborted, failed, or unwinding from a panic. Before
-	// it, the helper is stopped and waited for: explore releases the slabs
-	// its expansions carve from once run has returned.
+	// drained, completed, truncated, aborted, failed, or unwinding from a
+	// panic. Before it, the helper is stopped and waited for: explore
+	// releases the slabs its expansions carve from once run has returned.
 	defer publish()
 	defer func() {
 		if ahead != nil {
@@ -482,13 +474,11 @@ func (e *explorer) run() {
 			publish()
 			if e.hasCheck {
 				if err := e.abortErr(); err != nil {
-					e.fail(err)
-					return
+					return err
 				}
 				// The passed store adds its actual packed footprint.
 				if e.opts.MaxBytes > 0 && cell.zoneBytes.Load()+e.passed.bytes() > e.opts.MaxBytes {
-					e.fail(ErrMemoryBudget)
-					return
+					return ErrMemoryBudget
 				}
 			}
 		}
@@ -514,22 +504,21 @@ func (e *explorer) run() {
 			s, payload, succs, err = e.expand(ctx, &node, succs[:0])
 		}
 		if !popped {
-			return
+			return err
 		}
 		nPopped++
 		e.passed.release(s, payload)
 		if err != nil {
-			e.fail(err)
-			return
+			return err
 		}
 		if len(succs) == 0 {
 			nDeadlocks++
 			for _, q := range e.queries {
-				if q.state().done.Load() {
+				if q.state().done {
 					continue
 				}
 				if q.onDeadlock(s) && e.completeQuery(q, s) {
-					return
+					return nil
 				}
 			}
 		}
@@ -550,19 +539,17 @@ func (e *explorer) run() {
 				sc.state.ref = e.logs.record(s.ref, sc.state.discreteKey(), sc.idx)
 			}
 			if len(e.queries) > 0 && e.visitAdmitted(sc.state) {
-				return
+				return nil
 			}
 			// The hard state budget is checked at admission — the point the
 			// count is already in hand — and fails the run; the soft MaxStates
 			// below merely truncates it.
 			if e.opts.StateBudget > 0 && n > int64(e.opts.StateBudget) {
-				e.fail(ErrStateBudget)
-				return
+				return ErrStateBudget
 			}
 			if e.opts.MaxStates > 0 && n >= int64(e.opts.MaxStates) {
-				e.truncated.Store(true)
-				e.stop.Store(true)
-				return
+				e.truncated = true
+				return nil
 			}
 			// The queries have seen the state; it waits as a node.
 			ctx.park(&e.front, sc.state, entry, payload)
@@ -633,9 +620,9 @@ func (e *explorer) expand(ctx *succCtx, n *waiting, out []succ) (*State, dbm.Com
 // finished, and the helper's polls for a node to expand. Many of the first
 // mean the sweep is bound by expansion, many of the second by admission
 // (SweepProfile.CallerWaits, HelperIdle). A helper panic comes back in its
-// slot and fails the run when the caller takes it, where an inline run would
-// have panicked. The caller stops the helper and waits for it to exit before
-// run returns, however it returns.
+// slot, and next returns it as the run's error when the caller takes it,
+// where an inline run would have panicked. The caller stops the helper and
+// waits for it to exit before run returns, however it returns.
 
 const (
 	// lookaheadDepth is how many nodes the helper may expand beyond the one
@@ -689,13 +676,15 @@ type expansion struct {
 // the other writes, so the two counters, and the caller's own tally, sit in
 // slots of a cache line each (perworker.go).
 type lookahead struct {
-	slots  [lookaheadDepth + 1]expansion
-	e      *explorer
-	ctx    *succCtx // the helper's own
+	slots [lookaheadDepth + 1]expansion
+	e     *explorer
+	ctx   *succCtx // the helper's own
+	// quit is the caller's word to the helper goroutine to exit.
 	quit   atomic.Bool
 	exited chan struct{}
-	// sent counts the slots the caller has handed over, done those the
-	// helper has expanded.
+	// sent counts the slots the caller has handed over, which the helper
+	// goroutine polls; done those the helper has expanded, which the caller
+	// polls.
 	sent, done slot[atomic.Int64]
 	own        slot[aheadTally]
 }
@@ -721,7 +710,7 @@ func (e *explorer) startLookahead(ctx *succCtx) *lookahead {
 // next hands the helper every node the frontier has, up to the ring's
 // capacity, and returns what expand returned for the oldest expansion in
 // flight. It reports false when the frontier is empty with nothing in
-// flight, or the helper crashed, which has failed the run.
+// flight, or, with the crash as its error, when the helper crashed.
 func (la *lookahead) next(front *frontier, ctx *succCtx) (bool, *State, dbm.Compact, []succ, error) {
 	ring := int64(len(la.slots))
 	own := &la.own.v
@@ -744,8 +733,7 @@ func (la *lookahead) next(front *frontier, ctx *succCtx) (bool, *State, dbm.Comp
 	x := &la.slots[own.taken%ring]
 	own.taken++
 	if x.crash != nil {
-		la.e.fail(x.crash)
-		return false, nil, nil, nil, nil
+		return false, nil, nil, nil, x.crash
 	}
 	own.gets, own.reuses = x.gets, x.reuses
 	return true, x.s, x.payload, x.succs, x.err
@@ -777,7 +765,7 @@ func (la *lookahead) serve() {
 
 // expand recycles a slot's batch of States and expands its node, containing
 // a panic in the slot: the helper's ctx is then abandoned with the run's
-// pools, as a crashed loop's is (runContained).
+// pools, as a crashed loop's is (contained).
 func (la *lookahead) expand(x *expansion) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -837,11 +825,11 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 			return res, aerr
 		}
 	}
-	e.live.Store(int64(len(queries)))
+	e.live = len(queries)
 	for _, q := range queries {
 		qs := q.state()
 		qs.used = true
-		qs.init()
+		qs.ref = noRef
 	}
 	// Parent logs exist exactly when a trace can be requested: every query
 	// kind may complete with a witness, a query-less sweep has none.
@@ -864,22 +852,21 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	}
 
 	// The initial state is admitted like any other; if it already completes
-	// the whole query set, the sweep is skipped. The visit runs contained
-	// like the loop — it executes the same caller-supplied predicates, and a
-	// crash here must fail the run, not the process.
+	// the whole query set, or its visit fails the run, the sweep is skipped.
+	// The visit runs contained like the loop — it executes the same
+	// caller-supplied predicates, and a crash here must fail the run, not the
+	// process.
+	var runErr error
 	drained := false
 	if len(queries) > 0 {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					e.fail(&PanicError{Value: r, Stack: debug.Stack()})
-				}
-			}()
+		runErr = contained(func() error {
 			drained = e.visitAdmitted(init)
-		}()
+			return nil
+		})
 	}
-	if !drained {
-		e.front = frontier{order: opts.Order, stop: &e.stop, slabs: &e.slabs}
+	sweep := !drained && runErr == nil
+	if sweep {
+		e.front = frontier{order: opts.Order, slabs: &e.slabs}
 		// init waits like any admitted state, as a node, and its State goes
 		// to the loop's free list.
 		*e.front.push() = waiting{entry: entry, packed: payload, ref: init.ref}
@@ -894,8 +881,8 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 		e.prof = e.mon.prof
 		endExplore = opts.Monitor.BeginPhase("explore")
 	}
-	if !drained {
-		e.runContained()
+	if sweep {
+		runErr = contained(e.run)
 	}
 	endExplore()
 	if e.mon != nil {
@@ -910,14 +897,14 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	res.Popped = int(e.cell.popped.Load())
 	res.Transitions = int(e.cell.transitions.Load())
 	res.Deadlocks = int(e.cell.deadlocks.Load())
-	res.Truncated = e.truncated.Load()
-	if ep := e.firstErr.Load(); ep != nil {
+	res.Truncated = e.truncated
+	if runErr != nil {
 		// Finish the queries anyway so partial reductions remain readable,
 		// but the run error wins.
 		for _, q := range queries {
 			_ = q.finish(c, e.logs, res.Stats)
 		}
-		return res, *ep
+		return res, runErr
 	}
 	if opts.Monitor != nil && e.logs != nil {
 		// The trace-replay phase covers everything after the sweep that may

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/dbm"
@@ -92,15 +91,14 @@ func TestTargetInvariantDisablesTransition(t *testing.T) {
 
 // TestBlockFrontierOrderAndReuse: BFS pops in push order and DFS in reverse
 // push order however pushes and pops interleave, a drained frontier pops
-// nothing until the next push, the stop flag ends the pops, and the blocks
-// carved stay within what the widest backlog needs instead of growing with
-// the number of nodes that ever passed through.
+// nothing until the next push, and the blocks carved stay within what the
+// widest backlog needs instead of growing with the number of nodes that ever
+// passed through.
 func TestBlockFrontierOrderAndReuse(t *testing.T) {
-	var stop atomic.Bool
 	var slabs dbm.Slabs
 	defer slabs.Release()
 	for _, order := range []Order{BFS, DFS} {
-		f := &frontier{order: order, stop: &stop, slabs: &slabs}
+		f := &frontier{order: order, slabs: &slabs}
 		carved := map[*frontBlock]bool{}
 		var model []int64 // the refs waiting, in push order
 		next, widest := int64(0), 0
@@ -149,11 +147,6 @@ func TestBlockFrontierOrderAndReuse(t *testing.T) {
 		if d := int(frontBlockNodes); len(carved) > widest/d+2 {
 			t.Errorf("%v: %d blocks carved for a widest backlog of %d (%d nodes a block)", order, len(carved), widest, d)
 		}
-		stop.Store(true)
-		if f.pop(new(waiting)) {
-			t.Errorf("%v: popped a node with the stop flag up", order)
-		}
-		stop.Store(false)
 		pop(len(model))
 		if f.pop(new(waiting)) {
 			t.Fatalf("%v: a drained frontier popped a node", order)

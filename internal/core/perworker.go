@@ -30,6 +30,9 @@ type slot[T any] struct {
 // run's profile samples: plain memory, appended only by the loop and read
 // only after it has returned.
 type workerCell struct {
+	// popped, transitions, deadlocks and zoneBytes are atomics for a
+	// Monitor's Snapshot, which loads them on its own goroutine while the
+	// loop runs.
 	popped, transitions, deadlocks atomic.Int64
 	// zoneBytes is the run's pooled matrix allocation (pool gets − reuses,
 	// the helper's included, times one matrix's bytes).
@@ -37,6 +40,7 @@ type workerCell struct {
 	// callerWaits and helperIdle are the lookahead's stage-bound counts
 	// ("Lookahead" in explore.go), each stored once, by the goroutine that
 	// counted it, when the helper stops: zero for a run that never engaged it.
+	// helperIdle is written on the helper goroutine.
 	callerWaits, helperIdle atomic.Int64
 	ring                    profRing
 }

@@ -70,6 +70,8 @@ func (e *explorer) progress() Progress {
 // SweepProfile — never the run's passed store, parent logs, zones or cell
 // and the sample ring in it.
 type monView struct {
+	// e is the live run, loaded by Snapshot on the Monitor's goroutine and
+	// cleared by the loop's goroutine at completion.
 	e atomic.Pointer[explorer]
 	// prof is the run's profile sampling state; nil unless the Monitor has
 	// profiling enabled (EnableProfile), so a plain monitored run allocates
@@ -103,9 +105,12 @@ func (v *monView) setDone() {
 // exploration at a time — attaching it to a second run replaces the view of
 // the first; Snapshot then reports the latest run.
 type Monitor struct {
+	// v is the latest run's view, stored by the run's goroutine and loaded
+	// by Snapshot on any other.
 	v atomic.Pointer[monView]
 	// prof, when set (EnableProfile), upgrades every attached run to
-	// profiled mode: phase spans plus a sampled series (profile.go).
+	// profiled mode: phase spans plus a sampled series (profile.go). Set on
+	// the caller's goroutine, loaded by the run's.
 	prof atomic.Pointer[profRecorder]
 }
 

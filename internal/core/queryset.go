@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/dbm"
 	"repro/internal/ta"
@@ -21,9 +20,9 @@ import (
 // Every query can complete independently: a reach query completes at its
 // first matching state, a supremum query when its clock escapes the
 // observation horizon, and a deadlock query at the first deadlocked state.
-// The explorer keeps an atomic count of still-live queries; the completion
-// that drops it to zero stops the sweep, so a one-element query set stops
-// where a single-question search would: a reach query at its first match.
+// The explorer counts the queries still live; the completion that drops the
+// count to zero ends the sweep, so a one-element query set stops where a
+// single-question search would: a reach query at its first match.
 //
 // # Ownership rules (extends the protocol in store.go / explore.go)
 //
@@ -39,22 +38,19 @@ import (
 //   - A Query is single-use: it carries its results after the run. Reusing
 //     one in a second RunQueries call is an error.
 
-// queryState is the completion bookkeeping shared by every query kind.
+// queryState is the completion bookkeeping shared by every query kind,
+// written by the admitting loop and read by finish once it has returned.
 type queryState struct {
-	// done flips exactly once, when the query has learned everything it
-	// needs from the sweep. The loop checks it to stop feeding the query.
-	done atomic.Bool
-	// ref is the parent-log ref of the completing state (noRef when parent
-	// logging is off), read only after the loop has returned.
-	ref atomic.Int64
+	// done is set once, when the query has learned everything it needs from
+	// the sweep. The loop checks it to stop feeding the query.
+	done bool
+	// ref is the parent-log ref of the completing state; noRef (set by
+	// explore) while the query has not completed.
+	ref int64
 	// found is a caller-owned clone of the completing state.
-	found atomic.Pointer[State]
+	found *State
 	// used guards against attaching the same query to two runs.
 	used bool
-}
-
-func (qs *queryState) init() {
-	qs.ref.Store(noRef)
 }
 
 // Query is one measurement riding a query-set exploration (RunQueries). The
@@ -69,11 +65,11 @@ func (qs *queryState) init() {
 //     visit(s) and onDeadlock(s) update it on the admitting goroutine, and
 //     finish reads it once the loop has returned — NEVER a lock on the
 //     visitor path.
-//   - Completion is a once-only CAS on queryState.done
-//     (explorer.completeQuery). Completion captures a caller-owned clone of
-//     the state plus its parent-log ref, never the live state: that one is
-//     recycled if the sweep goes on.
-//   - The atomic live-query count short-circuits the sweep when it reaches
+//   - Completion sets queryState.done once (explorer.completeQuery); the
+//     loop feeds no done query again. Completion captures a caller-owned
+//     clone of the state plus its parent-log ref, never the live state: that
+//     one is recycled if the sweep goes on.
+//   - The explorer's count of live queries ends the sweep when it reaches
 //     zero, so a set of one stops at its first answer: a reach or deadlock
 //     query at its first witness, a supremum query at an unbounded clock.
 //   - Every kind may complete with a witness, so parent logs exist exactly
@@ -110,11 +106,10 @@ func cloneState(s *State) *State {
 // completionTrace replays the trace to the query's completing state, when
 // parent logging was on.
 func (qs *queryState) completionTrace(c *Checker, logs *parentLogs) ([]TraceStep, error) {
-	ref := qs.ref.Load()
-	if logs == nil || ref == noRef {
+	if logs == nil || qs.ref == noRef {
 		return nil, nil
 	}
-	return c.replayTrace(logs, ref)
+	return c.replayTrace(logs, qs.ref)
 }
 
 // ReachQuery asks whether a state satisfying Pred is reachable; it completes
@@ -145,8 +140,8 @@ func (q *ReachQuery) state() *queryState     { return &q.qs }
 
 func (q *ReachQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
 	q.Stats = stats
-	q.Found = q.qs.done.Load()
-	q.FoundState = q.qs.found.Load()
+	q.Found = q.qs.done
+	q.FoundState = q.qs.found
 	var err error
 	q.Trace, err = q.qs.completionTrace(c, logs)
 	return err
@@ -201,7 +196,7 @@ func (q *SupClockQuery) state() *queryState     { return &q.qs }
 
 func (q *SupClockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
 	out := SupResult{Max: q.acc.max, Stats: stats, Seen: q.acc.seen}
-	if q.qs.done.Load() {
+	if q.qs.done {
 		out.Seen = true
 		out.Unbounded = true
 		var err error

@@ -231,8 +231,10 @@ type store struct {
 	// idempotent (see "Admission index").
 	bounds *dbm.ExtraBounds
 	// keys packs a state's discrete part into its entry's key: the engine's.
-	keys  *discretePacker
-	zones atomic.Int64
+	keys *discretePacker
+	// zones counts the stored maximal zones; read once the loop has
+	// returned (size).
+	zones int64
 	// zoneBytes tracks the bytes currently held for stored zones — entries
 	// with their keys, record segments and packed payloads, orphaned ones
 	// included until the loop releases their waiting node's reference; a
@@ -555,7 +557,7 @@ func (st *store) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	e := st.lookupEntry(s)
 	delta, bytesDelta, payload := e.admit(s, st.slabs, st.cpool, st.bounds, sc)
 	if delta != 0 {
-		st.zones.Add(int64(delta))
+		st.zones += int64(delta)
 	}
 	if bytesDelta != 0 {
 		st.zoneBytes.Add(bytesDelta)
@@ -579,7 +581,7 @@ func (st *store) release(_ *State, c dbm.Compact) {
 }
 
 // size returns the number of stored maximal zones.
-func (st *store) size() int { return int(st.zones.Load()) }
+func (st *store) size() int { return int(st.zones) }
 
 // bytes returns the stored footprint: entries with their keys, zone
 // records and packed zones.

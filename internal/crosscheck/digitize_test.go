@@ -34,6 +34,11 @@ type refAnswer struct {
 	// (attained), 2c+1 for < c+1 (approached), 2(horizon+1) for beyond the
 	// horizon, and -1 when no such state is reachable.
 	sup [][][]int64
+	// leavesRange reports a reachable transition whose update takes a
+	// variable outside its declared range, which the engine refuses as an
+	// error (ta.Network.CheckVarBounds). Only regionReach looks; the
+	// generated networks write constants within range and never do.
+	leavesRange bool
 }
 
 // newRefAnswer returns an answer with nothing reached yet.

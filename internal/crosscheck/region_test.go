@@ -182,6 +182,10 @@ func regionReach(net *ta.Network, horizon int64) refAnswer {
 			for _, pt := range tr {
 				ta.ApplyUpdate(pt.edge.Update, next.vars)
 			}
+			if net.CheckVarBounds(next.vars) != nil {
+				a.leavesRange = true
+				continue
+			}
 			for _, pt := range tr {
 				next.locs[pt.proc] = pt.edge.Dst
 				for _, r := range pt.edge.Resets {

@@ -6,10 +6,11 @@
 //
 // The tasks, resources, event streams, interference classification and
 // global fixed point are the skeleton it shares with SymTA/S
-// (internal/compos). This package owns the local kernels: the delay bound of
-// a task on a shared resource (delayBound, over the remaining-service curve
-// remaining), its TDMA counterpart (tdmaDelayBound), and the output jitter
-// J + d a task passes on — the PJD fitting of the output curve α' = α ⊘ β.
+// (internal/compos), as is the bound on a time-division bus. This package
+// owns the local kernel: the delay bound of a task on a shared resource
+// (delayBound, over the remaining-service curve remaining), and the output
+// jitter J + d a task passes on — the PJD fitting of the output curve
+// α' = α ⊘ β.
 //
 // As the paper notes for MPA, phase (offset) information is lost in the
 // transformation to the time-interval domain, so periodic-with-offset
@@ -47,7 +48,6 @@ var realTimeCalculus = compos.Method{
 	Shared: func(t *compos.Task, hp []*compos.Task, blocking int64, _ bool) (int64, error) {
 		return delayBound(t, hp, blocking)
 	},
-	TDMA:      tdmaDelayBound,
 	OutJitter: func(t *compos.Task) int64 { return t.R },
 }
 
@@ -99,8 +99,8 @@ func (r remaining) at(delta int64) int64 {
 		if n > maxJumps {
 			return best // utilization pathologies are caught by the caller
 		}
-		for _, a := range h.In.Events(int(n)) {
-			eval(a)
+		for q := int64(1); q <= n; q++ {
+			eval(h.In.Event(q))
 		}
 	}
 	return best
@@ -130,53 +130,23 @@ func (r remaining) inverse(w int64) (int64, error) {
 	return hi, nil
 }
 
-// tdmaDelayBound bounds the response of a one-message-per-slot TDMA bus:
-// under the worst alignment grants occur at k·cycle after the critical
-// instant, and the q-th queued message is served at grant
-// max(q, floor(a_q/cycle)+1).
-func tdmaDelayBound(t *compos.Task) (int64, error) {
-	const maxQ = 4096
-	c, cycle := t.C, t.TDMACycle
-	arrivals := t.In.Events(maxQ + 1)
-	worst := int64(0)
-	for q := int64(1); q <= maxQ; q++ {
-		aq := arrivals[q-1]
-		k := aq/cycle + 1
-		if q > k {
-			k = q
-		}
-		if resp := k*cycle + c - aq; resp > worst {
-			worst = resp
-		}
-		// The backlog clears once the next arrival lands after the grant
-		// that served the q-th message; a fresh message then waits at most
-		// one cycle, which the q = 1 case already covers.
-		if arrivals[q] >= k*cycle {
-			return worst, nil
-		}
-	}
-	return 0, fmt.Errorf("TDMA backlog does not clear (slot rate below arrival rate)")
-}
-
 // delayBound is the horizontal deviation between t's upper workload curve
 // and its lower remaining-service curve.
 func delayBound(t *compos.Task, hp []*compos.Task, blocking int64) (int64, error) {
 	rem := remaining{hp: hp, blocking: blocking}
 	worst := int64(0)
 	const maxQ = 4096
-	arrivals := t.In.Events(maxQ)
-	for q := 1; q <= maxQ; q++ {
-		aq := arrivals[q-1]
-		finish, err := rem.inverse(int64(q) * t.ChainC)
+	for q := int64(1); q <= maxQ; q++ {
+		finish, err := rem.inverse(q * t.ChainC)
 		if err != nil {
 			return 0, err
 		}
-		if resp := finish - aq; resp > worst {
+		if resp := finish - t.In.Event(q); resp > worst {
 			worst = resp
 		}
 		// Busy period closes once the backlog clears before the next
 		// arrival.
-		if q < maxQ && finish <= arrivals[q] {
+		if q < maxQ && finish <= t.In.Event(q+1) {
 			return worst, nil
 		}
 	}

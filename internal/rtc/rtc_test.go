@@ -14,11 +14,10 @@ func ratMS(num, den int64) *big.Rat { return new(big.Rat).SetFrac64(num, den) }
 
 func TestEventsAndCountBefore(t *testing.T) {
 	a := compos.Stream{P: 10, J: 0}
-	ev := a.Events(3)
 	want := []int64{0, 10, 20}
 	for i := range want {
-		if ev[i] != want[i] {
-			t.Errorf("event %d at %d, want %d", i, ev[i], want[i])
+		if ev := a.Event(int64(i + 1)); ev != want[i] {
+			t.Errorf("event %d at %d, want %d", i, ev, want[i])
 		}
 	}
 	cases := []struct{ t, want int64 }{{0, 0}, {1, 1}, {10, 1}, {11, 2}, {21, 3}}
@@ -30,11 +29,10 @@ func TestEventsAndCountBefore(t *testing.T) {
 
 	j := compos.Stream{P: 10, J: 25}
 	// a_q = max(0, (q-1)*10 - 25): 0,0,0,5,15,...
-	ev = j.Events(5)
 	wantJ := []int64{0, 0, 0, 5, 15}
 	for i := range wantJ {
-		if ev[i] != wantJ[i] {
-			t.Errorf("jittered event %d at %d, want %d", i, ev[i], wantJ[i])
+		if ev := j.Event(int64(i + 1)); ev != wantJ[i] {
+			t.Errorf("jittered event %d at %d, want %d", i, ev, wantJ[i])
 		}
 	}
 	if got := j.EtaPlus(1); got != 3 {
@@ -42,12 +40,11 @@ func TestEventsAndCountBefore(t *testing.T) {
 	}
 
 	d := compos.Stream{P: 10, J: 25, D: 2}
-	ev = d.Events(4)
 	// Separation pushes the stacked events apart: 0, 2, 4, 6.
 	wantD := []int64{0, 2, 4, 6}
 	for i := range wantD {
-		if ev[i] != wantD[i] {
-			t.Errorf("separated event %d at %d, want %d", i, ev[i], wantD[i])
+		if ev := d.Event(int64(i + 1)); ev != wantD[i] {
+			t.Errorf("separated event %d at %d, want %d", i, ev, wantD[i])
 		}
 	}
 }
@@ -59,10 +56,9 @@ func TestQuickCountMatchesEvents(t *testing.T) {
 		a := compos.Stream{P: int64(p8%20) + 1, J: int64(j8 % 50), D: int64(d8 % 8)}
 		tt := int64(t8)
 		n := a.EtaPlus(tt)
-		ev := a.Events(int(n) + 5)
 		cnt := int64(0)
-		for _, e := range ev {
-			if e < tt {
+		for q := int64(1); q <= n+5; q++ {
+			if a.Event(q) < tt {
 				cnt++
 			}
 		}

@@ -131,7 +131,7 @@ func Simulate(sys *arch.System, reqs []*arch.Requirement, opts Options) (map[str
 type instance struct {
 	sc        *arch.Scenario
 	step      int
-	prio      int
+	prio      int // the current step's effective priority
 	inject    int64
 	seq       int64 // FIFO tiebreaker within equal priority
 	remaining int64 // work left in the current step (for preemption)
@@ -214,7 +214,7 @@ func newRun(sys *arch.System, tm *arch.Timing, horizon int64, rng *rand.Rand) *r
 	for i, sc := range sys.Scenarios {
 		r.durs[sc] = tm.Scenarios[i].Steps
 		for _, t := range r.sampleArrivals(sc.Arrival.Kind, &tm.Scenarios[i]) {
-			inst := &instance{sc: sc, prio: sc.Priority, inject: t,
+			inst := &instance{sc: sc, inject: t,
 				doneAt: make([]int64, len(sc.Steps))}
 			heap.Push(&r.cal, &event{at: t, kind: 0, inst: inst})
 		}
@@ -352,12 +352,14 @@ func (r *run) resourceOf(inst *instance) *resource {
 	return r.res[st.Bus]
 }
 
-// enqueue delivers an instance to its step's resource, possibly preempting.
-// Fresh arrivals get the step's full duration as remaining work; preempted
+// enqueue delivers an instance to its step's resource, possibly preempting,
+// at the step's priority (a step may override its scenario's). Fresh
+// arrivals get the step's full duration as remaining work; preempted
 // instances re-enter the queue keeping their banked remainder.
 func (r *run) enqueue(now int64, inst *instance) {
 	inst.seq = r.seq
 	r.seq++
+	inst.prio = inst.sc.Steps[inst.step].EffectivePriority(inst.sc)
 	inst.remaining = r.durs[inst.sc][inst.step]
 	res := r.resourceOf(inst)
 	r.offer(now, res, inst)

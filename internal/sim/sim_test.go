@@ -105,6 +105,40 @@ func TestSimulationUnderestimatesModelChecker(t *testing.T) {
 	}
 }
 
+// TestStepPriorityOverride: a step's own priority, not its scenario's, is
+// what it competes with. hi (scenario priority 1) raises its one 5 ms step to
+// 5, above lo (priority 2, 10 ms), on one preemptive CPU, so hi is never
+// blocked: the model checker's exact WCRT is 5 ms and the simulated maximum
+// may not exceed it.
+func TestStepPriorityOverride(t *testing.T) {
+	sys := arch.NewSystem("override")
+	p := sys.AddProcessor("P", 10, arch.SchedFPPreempt)
+	hi := sys.AddScenario("hi", 1, arch.PeriodicUnknownOffset(arch.MS(40, 1)))
+	hi.Compute("hop", p, 50000).WithPriority(5)
+	lo := sys.AddScenario("lo", 2, arch.PeriodicUnknownOffset(arch.MS(40, 1)))
+	lo.Compute("lop", p, 100000)
+	req := arch.EndToEnd("hi", hi)
+	cs, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMS: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := cs.Analyze(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := all.Results[0].MS
+	if exact.Cmp(ratMS(5, 1)) != 0 {
+		t.Fatalf("exact WCRT of hi = %s, want 5", exact.FloatString(3))
+	}
+	res, err := Simulate(sys, []*arch.Requirement{req}, Options{Seed: 3, HorizonMS: 4000, Replications: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res["hi"].MaxMS; got.Cmp(exact) > 0 {
+		t.Errorf("simulated hi max %s exceeds exact WCRT %s", got.FloatString(3), exact.FloatString(3))
+	}
+}
+
 func TestPreemptiveSimBeatsNonPreemptiveForHi(t *testing.T) {
 	sysN, hiN, _ := contended(arch.SchedFP, arch.KindPeriodicUnknownOffset)
 	sysP, hiP, _ := contended(arch.SchedFPPreempt, arch.KindPeriodicUnknownOffset)

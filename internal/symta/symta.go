@@ -7,10 +7,10 @@
 //
 // The tasks, resources, event streams, interference classification and
 // global fixed point are the skeleton it shares with MPA (internal/compos).
-// This package owns the local kernels: the busy window of a task on a
-// shared resource (busyWindow), its TDMA counterpart (tdmaResponse), and
-// the output jitter J + max(0, R − C) a task passes on — the response-time
-// variation of an activation that may also run at once.
+// The bound on a time-division bus is shared too. This package owns the
+// local kernel: the busy window of a task on a shared resource
+// (busyWindow), and the output jitter J + max(0, R − C) a task passes on —
+// the response-time variation of an activation that may also run at once.
 //
 // Like the real tool, the analysis is safe but not exact: every reported
 // end-to-end latency is an upper bound on the true WCRT. Also like the real
@@ -42,7 +42,6 @@ type Result struct {
 var busyWindowAnalysis = compos.Method{
 	Name:      "symta",
 	Shared:    busyWindow,
-	TDMA:      tdmaResponse,
 	OutJitter: func(t *compos.Task) int64 { return max(0, t.R-t.C) },
 }
 
@@ -59,42 +58,6 @@ func Analyze(sys *arch.System, reqs []*arch.Requirement) (map[string]*Result, er
 		out[req.Name] = &Result{Req: req, MS: spans[i].MS, PerStepMS: spans[i].PerStepMS, Iterations: rounds}
 	}
 	return out, nil
-}
-
-// tdmaResponse bounds the response of a one-message-per-slot TDMA bus under
-// the worst slot alignment (grants at k·cycle after the critical instant).
-func tdmaResponse(t *compos.Task) (int64, error) {
-	const maxQ = 4096
-	cycle := t.TDMACycle
-	arrival := func(q int64) int64 {
-		// Earliest arrival of the q-th activation in the busy window.
-		a := (q-1)*t.In.P - t.In.J
-		if a < 0 {
-			a = 0
-		}
-		if t.In.D > 0 && a < (q-1)*t.In.D {
-			a = (q - 1) * t.In.D
-		}
-		return a
-	}
-	worst := int64(0)
-	for q := int64(1); q <= maxQ; q++ {
-		aq := arrival(q)
-		k := aq/cycle + 1
-		if q > k {
-			k = q
-		}
-		if resp := k*cycle + t.C - aq; resp > worst {
-			worst = resp
-		}
-		// The backlog clears once the next arrival lands after the grant
-		// that served the q-th message; a fresh message then waits at most
-		// one cycle, which the q = 1 case already covers.
-		if arrival(q+1) >= k*cycle {
-			return worst, nil
-		}
-	}
-	return 0, fmt.Errorf("TDMA backlog does not clear (slot rate below arrival rate)")
 }
 
 // busyWindow computes the worst-case response time of task t under the given
