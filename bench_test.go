@@ -1,21 +1,27 @@
-// Package repro_test holds the thirteen benchmark rows CI's bench-gate job
+// Package repro_test holds the fourteen benchmark rows CI's bench-gate job
 // holds to exact allocs/op and near-exact B/op ceilings (scripts/benchgate.go,
 // scripts/bench_baseline.json): Table 1 cells of Hendriks & Verhoef, "Timed
 // Automata Based Analysis of Embedded System Architectures" (IPPS 2006) that
 // the exact zone-based checker sweeps exhaustively, the Table 2 checker row,
 // the batch multi-requirement sweep, a channel-scaling series, the fixed cost
-// of one small sweep, and a two-dimension slab-recycling row. They run the
-// sequential engine with fixed seeds, which is what makes their allocation
-// counts a contract. Time is judged by the repository's benchmark
-// (benchmark/README.md), not here.
+// of one small sweep, a two-dimension slab-recycling row and two Fischer
+// sweeps at once. They run the sequential engine with fixed seeds, which is
+// what makes their allocation counts a contract. Time is judged by the
+// repository's benchmark (benchmark/README.md), not here.
 package repro_test
 
 import (
+	"fmt"
+	"strings"
+	"sync"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/arch"
 	"repro/internal/core"
 	"repro/internal/icrns"
+	"repro/internal/ta"
 )
 
 // benchCell runs one Table 1 cell per iteration and reports the value and
@@ -257,4 +263,88 @@ func BenchmarkRecycled_TwoDims(b *testing.B) {
 		states = cells[row.Req].Stats.Stored + all.Stats.Stored
 	}
 	b.ReportMetric(float64(states), "states")
+}
+
+// --- Two sweeps at once ---
+
+// fischerNet is Fischer's mutual-exclusion protocol for n processes as the
+// benchmark's fischer workload writes it (write bound 2, wait constant 2):
+// 46,361 stored states at n = 5, high branching, 6-clock zones.
+func fischerNet(b *testing.B, n int) *ta.Network {
+	var src strings.Builder
+	src.WriteString("system:fischer\n")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&src, "clock:x%d\n", i)
+	}
+	fmt.Fprintf(&src, "int:id:0:0:%d\nint:incs:0:0:%d\n", n, n)
+	for i := 1; i <= n; i++ {
+		p := fmt.Sprintf("P%d", i)
+		fmt.Fprintf(&src, "process:%s\nlocation:%s:idle{initial}\nlocation:%s:req{invariant: x%d<=2}\n", p, p, p, i)
+		fmt.Fprintf(&src, "location:%s:wait\nlocation:%s:cs\n", p, p)
+		fmt.Fprintf(&src, "edge:%s:idle:req{guard: id==0; do: x%d=0}\n", p, i)
+		fmt.Fprintf(&src, "edge:%s:req:wait{guard: x%d<=2; do: id=%d, x%d=0}\n", p, i, i, i)
+		fmt.Fprintf(&src, "edge:%s:wait:req{guard: id==0; do: x%d=0}\n", p, i)
+		fmt.Fprintf(&src, "edge:%s:wait:cs{guard: x%d>2 && id==%d; do: incs=incs+1}\n", p, i, i)
+		fmt.Fprintf(&src, "edge:%s:cs:idle{do: id=0, incs=incs-1}\n", p)
+	}
+	net, err := ta.Parse(src.String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return net
+}
+
+// cpuTime is the process's user and system CPU time so far.
+func cpuTime(b *testing.B) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+}
+
+// BenchmarkTwoSweepsAtOnce runs two full Fischer-5 sweeps (deadlock
+// freedom) on two goroutines per iteration: the regime of a loaded
+// two-token service on a two-core host, where each sweep's lookahead helper
+// competes with the other sweep for a core ("Lookahead" in
+// internal/core/explore.go). It reports the process's CPU time per iteration
+// (getrusage) beside the wall time: a helper that polls for work it does not
+// have shows in cpu_ms/op. Its allocs/op carries a slack, because how many
+// matrix headers a helper takes depends on how far it runs ahead, which the
+// scheduler decides.
+func BenchmarkTwoSweepsAtOnce(b *testing.B) {
+	net := fischerNet(b, 5)
+	var checkers [2]*core.Checker
+	for i := range checkers {
+		c, err := core.NewChecker(net)
+		if err != nil {
+			b.Fatal(err)
+		}
+		checkers[i] = c
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	cpu0 := cpuTime(b)
+	var stored [2]int
+	var errs [2]error
+	for i := 0; i < b.N; i++ {
+		var wg sync.WaitGroup
+		for k, c := range checkers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				dl := core.NewDeadlockQuery()
+				stats, err := c.RunQueries(core.Options{}, dl)
+				stored[k], errs[k] = stats.Stored, err
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(cpuTime(b)-cpu0)/1e6/float64(b.N), "cpu_ms/op")
+	b.ReportMetric(float64(stored[0]+stored[1]), "states")
 }

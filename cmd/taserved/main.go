@@ -48,7 +48,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7420", "listen address (use :0 for a kernel-assigned port)")
-		cpuTokens   = flag.Int("cpu-tokens", runtime.NumCPU(), "global admission budget: sweeps that run at once, one CPU token each (a breadth-first sweep past 1,024 expansions also runs its lookahead helper on a second core, without a second token)")
+		cpuTokens   = flag.Int("cpu-tokens", runtime.NumCPU(), "global admission budget: sweeps that run at once, one CPU token each (a breadth-first sweep past 1,024 expansions also runs its lookahead helper on a second core, without a second token, so a token costs up to two cores)")
 		maxJobs     = flag.Int("max-jobs", 64, "max jobs queued or running; beyond it submissions get 429")
 		keepJobs    = flag.Int("keep-jobs", 256, "finished jobs retained as the result cache (LRU)")
 		deadlineMS  = flag.Int64("deadline-ms", 0, "default per-job wall-clock budget in ms (0 = unbounded)")

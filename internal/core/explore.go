@@ -149,7 +149,8 @@ func (l *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 // popped. The life of a state:
 //
 //   - fired: engine.fire materializes a State from a ctx's free list
-//     (succCtx.getState), owning a pooled matrix with the raw zone;
+//     (succCtx.getState), or carves a new one from the sweep's slabs
+//     (newState), owning a pooled matrix with the raw zone;
 //   - decided: passedSet.add either subsumes it — the State goes straight
 //     back to the free list (succCtx.putState) — or admits it, widening the
 //     zone in place and handing back the entry and a payload reference;
@@ -165,8 +166,10 @@ func (l *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 //
 // The loop therefore holds at most one expanded State and its fired
 // successors at a time — one per expansion in flight, lookaheadDepth+1, once
-// the lookahead helper is engaged — so a sweep allocates States in
-// proportion to its widest expansion, not its widest frontier.
+// the lookahead helper is engaged — so a sweep carves States in proportion to
+// its widest expansion, not its widest frontier, and allocates none on the
+// heap: the only heap States are the initial one, which goes to the collector
+// once it waits, and the caller-owned clones and trace steps.
 //
 // The frontier keeps its nodes by value in blocks of frontBlockNodes, 4 KiB
 // each, carved from the run's slabs: a FIFO queue of blocks for BFS, a stack
@@ -316,12 +319,8 @@ type explorer struct {
 	// alias reads as garbage in whichever test looks at it.
 	slabs dbm.Slabs
 	// initScratch is what the initial state is closed and admitted with,
-	// before the loop has a succCtx; part of the explorer so that it costs no
-	// allocation of its own.
+	// before the loop has a succCtx; carved from slabs.
 	initScratch closeScratch
-	// initState is the initial state once it waits: the loop takes its
-	// struct and vectors as its first free State.
-	initState *State
 
 	// hasCheck caches "Cancel, Deadline, or MaxBytes configured" so the
 	// loop pays a single predictable branch when none is.
@@ -426,11 +425,6 @@ func (e *explorer) run() error {
 	// Parent-log records hold successor indices, not labels, so the loop
 	// never needs stable label copies — replay rebuilds them on demand.
 	ctx.keepLabels = false
-	if e.initState != nil {
-		// Its matrix is a heap one, not a pool's: it goes to the collector.
-		e.initState.Zone = nil
-		ctx.states = append(ctx.states, e.initState)
-	}
 	var shuffle *rand.Rand
 	if e.opts.Order == RDFS {
 		shuffle = rand.New(rand.NewSource(e.opts.Seed))
@@ -613,6 +607,31 @@ func (e *explorer) expand(ctx *succCtx, n *waiting, out []succ) (*State, dbm.Com
 // expansion. The helper reads a payload before the caller releases it, and
 // writes none: a prune the caller makes meanwhile changes only the holder
 // mark, which decoding does not read.
+//
+// The helper carves from the sweep's slab set as the loop does: its ctx's
+// scratch, the States it fires and rebuilds, its slots' successor lists and
+// the caller's return batches (succCtx.grow). On the heap it costs its
+// goroutine, its ring (the lookahead struct, which holds errors and so may
+// not be carved), its ctx and pool, and blocks of matrix headers for the
+// states in flight: a Fischer-5 sweep makes at most a few dozen more heap
+// allocations with the helper than inline, whatever its size
+// (TestSweepHeapAllocsFlatInStates).
+//
+// The helper never parks: both sides poll with runtime.Gosched, so one sweep
+// keeps two cores busy for one CPU token. Parking an idle helper on a
+// one-slot channel, woken by the caller's next hand-over, was measured
+// (Fischer-5, two cores, median of 8 alternating rounds, wall / CPU ms per
+// sweep, and per pair of sweeps run at once): polling 190–205 / 295–354
+// alone, 319–358 / 630–707 as a pair; helper off 190–205 / 190–205 alone,
+// 223–239 / 384–408 as a pair. Parking after 256 or 1,024 idle polls, or after
+// 20 or 50 µs idle, parked a few times per single sweep and a few dozen per
+// pair, and stayed within the spread of polling in both regimes (pairs
+// 290–380 / 573–749). Parking at the first idle poll made pairs faster
+// (258–299 ms) and single sweeps 45% slower (285–321 ms against 186–223).
+// Parking the waiting caller as well changed nothing. Two sweeps at once are
+// slow because four goroutines hand work across two cores, not because a
+// helper spins while it waits; BenchmarkTwoSweepsAtOnce (bench_test.go)
+// measures that regime.
 //
 // The helper's pool counts, as of the last expansion the caller has taken,
 // join the caller's in its cell. So do the two stage-bound counts, once the
@@ -798,11 +817,7 @@ func (la *lookahead) stop() {
 func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) {
 	start := time.Now()
 	var res ExploreResult
-	e := &explorer{c: c, opts: opts, queries: queries, initScratch: c.eng.newCloseScratch()}
-	init, err := c.eng.initial(&e.initScratch)
-	if err != nil {
-		return res, err
-	}
+	e := &explorer{c: c, opts: opts, queries: queries}
 	// The sweep's slabs go back to the process-wide cache once per run, on
 	// every way out of this function: strictly after the loop has returned
 	// (and with it the helper) and after every Query.finish and replayTrace
@@ -814,6 +829,11 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	// still touching carved memory after this point does not read garbage,
 	// it faults once the next release has unmapped the slab.
 	defer e.slabs.Release()
+	e.initScratch = c.eng.newCloseScratch(&e.slabs)
+	init, err := c.eng.initial(&e.initScratch)
+	if err != nil {
+		return res, err
+	}
 	hasAbort := opts.Cancel != nil || !opts.Deadline.IsZero()
 	e.hasCheck = hasAbort || opts.MaxBytes > 0
 	if hasAbort {
@@ -867,10 +887,10 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	sweep := !drained && runErr == nil
 	if sweep {
 		e.front = frontier{order: opts.Order, slabs: &e.slabs}
-		// init waits like any admitted state, as a node, and its State goes
-		// to the loop's free list.
+		// init waits like any admitted state, as a node. Its State is a heap
+		// one and goes to the collector: the free list of the loop's ctx
+		// holds carved States only (succCtx.states).
 		*e.front.push() = waiting{entry: entry, packed: payload, ref: init.ref}
-		e.initState = init
 	}
 	// Attach the monitor strictly after e.front is in place: the atomic
 	// publication inside attach orders the frontier write before any

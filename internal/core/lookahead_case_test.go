@@ -5,6 +5,9 @@ package core_test
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/arch"
@@ -83,5 +86,141 @@ func TestLookaheadCaseStudyBitIdentical(t *testing.T) {
 				t.Errorf("%s: witness %d differs\nwith the helper:\n%s\nwithout:\n%s", set.name, i, onTraces[i], offTraces[i])
 			}
 		}
+	}
+}
+
+// collectEvery512 is a query that never completes and runs a full collection
+// at every 512th admitted state, while the sweep's carved States, successor
+// lists and batches are live on both of its goroutines.
+func collectEvery512() core.Query {
+	n := 0
+	return core.NewReachQuery(func(*core.State) bool {
+		if n++; n%512 == 0 {
+			runtime.GC()
+		}
+		return false
+	})
+}
+
+// fischerText is the benchmark's Fischer model as .ta text: n processes,
+// write bound 2, wait constant 2, incs counting the processes inside the
+// critical section.
+func fischerText(n int) string {
+	var b strings.Builder
+	b.WriteString("system:fischer\n")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "clock:x%d\n", i)
+	}
+	fmt.Fprintf(&b, "int:id:0:0:%d\nint:incs:0:0:%d\n", n, n)
+	for i := 1; i <= n; i++ {
+		p := fmt.Sprintf("P%d", i)
+		fmt.Fprintf(&b, "process:%s\nlocation:%s:idle{initial}\nlocation:%s:req{invariant: x%d<=2}\n", p, p, p, i)
+		fmt.Fprintf(&b, "location:%s:wait\nlocation:%s:cs\n", p, p)
+		fmt.Fprintf(&b, "edge:%s:idle:req{guard: id==0; do: x%d=0}\n", p, i)
+		fmt.Fprintf(&b, "edge:%s:req:wait{guard: x%d<=2; do: id=%d, x%d=0}\n", p, i, i, i)
+		fmt.Fprintf(&b, "edge:%s:wait:req{guard: id==0; do: x%d=0}\n", p, i)
+		fmt.Fprintf(&b, "edge:%s:wait:cs{guard: x%d>2 && id==%d; do: incs=incs+1}\n", p, i, i)
+		fmt.Fprintf(&b, "edge:%s:cs:idle{do: id=0, incs=incs-1}\n", p)
+	}
+	return b.String()
+}
+
+// fischerBytes answers mutual exclusion and deadlock freedom on Fischer-5,
+// as tacheck -json does, with extra queries attached, and returns the wire
+// bytes with the duration zeroed.
+func fischerBytes(t *testing.T, opts core.Options, extra ...core.Query) string {
+	t.Helper()
+	specs := []wire.TAQuery{{Kind: "safety", Pred: "incs <= 1"}, {Kind: "deadlock"}}
+	net, err := wire.ParseTAModel(fischerText(5), specs, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := wire.NewTARun(net, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checker, err := core.NewChecker(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := checker.RunQueries(opts, append(run.Queries(), extra...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := run.Response(stats)
+	resp.Stats.DurationNS = 0
+	data, err := wire.Encode(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// chainBytes analyzes cs as CompiledSet.Analyze does, with extra queries
+// attached to the one sweep, and returns the wire bytes with the duration
+// zeroed.
+func chainBytes(t *testing.T, cs *arch.CompiledSet, opts core.Options, extra ...core.Query) string {
+	t.Helper()
+	checker, err := core.NewChecker(cs.Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sups := make([]*core.SupClockQuery, len(cs.Reqs))
+	queries := extra
+	for i := range cs.Reqs {
+		sups[i] = core.NewSupClockQuery(cs.Obs[i].Y.ID, cs.AtSeen(i))
+		queries = append(queries, sups[i])
+	}
+	stats, err := checker.RunQueries(opts, queries...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := &arch.AllResult{Stats: stats}
+	for i, req := range cs.Reqs {
+		sup := sups[i].Result
+		res := arch.WCRTResult{Req: req, Stats: stats}
+		if sup.Unbounded {
+			res.MS, res.BeyondHorizon = cs.UnitsToMS(cs.Horizons[i]), true
+		} else {
+			res.MS, res.Attained, res.Exact = cs.UnitsToMS(sup.Max.Value()), sup.Max.Weak(), !sup.Truncated
+		}
+		all.Results = append(all.Results, res)
+	}
+	resp := wire.FromAllResult(all)
+	resp.Stats.DurationNS = 0
+	data, err := wire.Encode(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestCarveRuleUnderGCStress is the oracle for the carve rule on the helper's
+// side: Fischer-5 and the 10-scenario chain run with the helper engaged from
+// the first expansion, the collector at GOGC=1 and a full collection every
+// 512 admitted states, and must answer with the bytes and counts of the
+// inline sweep. A carved State, successor list or batch that pointed at a
+// heap object the set does not keep would see that object freed and reused
+// under it. In a race build the slabs are heap objects the collector never
+// scans, so the same holds there.
+func TestCarveRuleUnderGCStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two full sweeps under collection stress in -short mode")
+	}
+	cs := chainSet(t, 10)
+	inlineFischer := fischerBytes(t, core.WithLookahead(core.Options{}, false), collectEvery512())
+	inlineChain := chainBytes(t, cs, core.WithLookahead(core.Options{}, false), collectEvery512())
+	for _, want := range []string{`"stored": 46361`, `"stored": 77613`} {
+		if !strings.Contains(inlineFischer+inlineChain, want) {
+			t.Fatalf("the inline sweeps do not report %s:\n%s\n%s", want, inlineFischer, inlineChain)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
+	on := core.WithLookahead(core.Options{}, true)
+	if got := fischerBytes(t, on, collectEvery512()); got != inlineFischer {
+		t.Errorf("Fischer-5 under collection stress with the helper:\n%s\ninline:\n%s", got, inlineFischer)
+	}
+	if got := chainBytes(t, cs, on, collectEvery512()); got != inlineChain {
+		t.Errorf("chain of 10 under collection stress with the helper:\n%s\ninline:\n%s", got, inlineChain)
 	}
 }

@@ -92,11 +92,9 @@ type Query interface {
 // cloneState returns a fresh caller-owned copy of s (discrete vectors and
 // zone), safe to retain after the exploration's pools are recycled.
 func cloneState(s *State) *State {
-	ns := &State{
-		Locs: append([]ta.LocID(nil), s.Locs...),
-		Vars: append([]int64(nil), s.Vars...),
-		ref:  noRef,
-	}
+	ns := newState(nil, len(s.Locs), len(s.Vars))
+	copy(ns.Locs, s.Locs)
+	copy(ns.Vars, s.Vars)
 	if s.Zone != nil {
 		ns.Zone = s.Zone.Copy()
 	}

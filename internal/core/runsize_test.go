@@ -101,25 +101,30 @@ func TestFinishedRunKeepsNoRing(t *testing.T) {
 }
 
 // TestSweepHeapAllocsFlatInStates runs Fischer-5 with a query attached (so
-// the parent log is on) to 2,000 and to 40,000 stored states and requires
-// the two sweeps' heap allocations to differ by at most 16: entries with
-// their keys, the bucket index, records, payloads, waiting nodes and log
-// blocks are carved from the sweep's slabs, so only directories that double
-// (the slab set's, the log's) may grow, a few times each. Expansions run
-// inline: with the lookahead helper, the States in flight depend on how far
-// it runs ahead, which the scheduler decides. Each size keeps the fewest of
-// three runs, so an allocation of the runtime's own does not count.
+// the parent log is on) to 2,000 and to 40,000 stored states, with the
+// lookahead helper engaged from the first expansion and with expansions
+// inline, and requires each pair of sweeps' heap allocations to differ by at
+// most 16: entries with their keys, the bucket index, records, payloads,
+// waiting nodes and log blocks are carved from the sweep's slabs, and so are
+// the States in flight, their successor lists and the batches that carry
+// them back to the helper, so only directories and free lists that double
+// (the slab set's, the log's, the pools') may grow, a few times each. The
+// helper may cost at most helperAllocs allocations more than the inline
+// sweep of the same size: its goroutine, its ring, its ctx and pool, and the
+// matrix headers of the states it has in flight. Each size keeps the fewest
+// of three runs, so an allocation of the runtime's own does not count.
 func TestSweepHeapAllocsFlatInStates(t *testing.T) {
+	const helperAllocs = 32
 	c, err := NewChecker(buildFischer(t, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := func(maxStates int) uint64 {
+	allocs := func(maxStates int, mode lookaheadMode) uint64 {
 		fewest := ^uint64(0)
 		for range 3 {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			res, err := c.Explore(Options{MaxStates: maxStates, lookahead: lookaheadOff}, func(*State) bool { return false })
+			res, err := c.Explore(Options{MaxStates: maxStates, lookahead: mode}, func(*State) bool { return false })
 			runtime.ReadMemStats(&after)
 			if err != nil {
 				t.Fatal(err)
@@ -131,8 +136,18 @@ func TestSweepHeapAllocsFlatInStates(t *testing.T) {
 		}
 		return fewest
 	}
-	small, large := allocs(2_000), allocs(40_000)
-	if large > small+16 {
-		t.Errorf("a sweep of 40,000 states made %d heap allocations, one of 2,000 made %d: want at most 16 more", large, small)
+	var large [2]uint64
+	for i, mode := range lookaheadModes {
+		small := allocs(2_000, mode)
+		large[i] = allocs(40_000, mode)
+		t.Logf("helper %v: %d allocations at 2,000 states, %d at 40,000", mode == lookaheadOn, small, large[i])
+		if large[i] > small+16 {
+			t.Errorf("helper %v: a sweep of 40,000 states made %d heap allocations, one of 2,000 made %d: want at most 16 more",
+				mode == lookaheadOn, large[i], small)
+		}
+	}
+	if on, off := large[0], large[1]; on > off+helperAllocs {
+		t.Errorf("a sweep of 40,000 states made %d heap allocations with the lookahead helper and %d inline: want at most %d more",
+			on, off, helperAllocs)
 	}
 }

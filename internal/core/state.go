@@ -49,6 +49,20 @@ type State struct {
 	ref int64
 }
 
+// newState returns a State with zeroed discrete vectors of nLocs and nVars
+// entries and no zone, carved from slabs together with its vectors, so that
+// it points only into the set (and at the matrix header it is given, which
+// the set keeps too; dbm.Slabs). A nil set gives a heap State, which may
+// outlive the sweep: the initial state, FoundState clones, trace steps. It is
+// the one place a State is allocated.
+func newState(slabs *dbm.Slabs, nLocs, nVars int) *State {
+	s := dbm.Carve[State](slabs)
+	s.Locs = dbm.CarveSlice[ta.LocID](slabs, nLocs)
+	s.Vars = dbm.CarveSlice[int64](slabs, nVars)
+	s.ref = noRef
+	return s
+}
+
 // discreteKey returns the cached hash of the state's discrete part,
 // computing it on first use.
 func (s *State) discreteKey() uint64 {

@@ -93,8 +93,13 @@ func newEngine(net *ta.Network) (*engine, error) {
 // Both stay, they are semantics of the .ta language, covered by this
 // package's tests.
 type succCtx struct {
-	pool *dbm.Pool
-	zone *dbm.DBM
+	// slabs is the sweep's slab set the ctx carves its States, successor
+	// lists and return batches from (getState, grow), and its pool its
+	// matrices; nil for a heap ctx, whose States may outlive the sweep (trace
+	// replay).
+	slabs *dbm.Slabs
+	pool  *dbm.Pool
+	zone  *dbm.DBM
 
 	closeScratch
 
@@ -120,13 +125,16 @@ type succCtx struct {
 	// states is a free list of State objects (with their discrete vectors)
 	// released by the explorer via putState. Store entries keep packed
 	// copies of the discrete parts of admitted states (store.go), so
-	// recycling a state can never corrupt the passed store.
+	// recycling a state can never corrupt the passed store. Every State on
+	// the free list of a slab ctx is one getState carved: a heap State there
+	// would be referenced from carved memory (a successor list, a batch) that
+	// does not keep it alive.
 	states []*State
 	// lent is set once a lookahead helper expands for this ctx's loop
 	// (explore.go, "Lookahead"): the States the loop frees were allocated
 	// by the helper's ctx, so putState collects them, zones and all, in back,
 	// and the loop hands the batch to the helper with the next node it
-	// passes on.
+	// passes on. The batch grows into carved memory (grow).
 	lent bool
 	back []*State
 
@@ -135,10 +143,11 @@ type succCtx struct {
 	// allocation per transition. Blocks live until the ctx is dropped.
 	chunk []LabelPart
 
-	// keepLabels controls whether fired labels get stable Parts copies.
-	// Trace replay needs them; exploration workers turn this off (parent-log
-	// records keep successor indices, explore.go) and successors nil the
-	// Parts instead.
+	// keepLabels controls whether fired labels are kept, with stable Parts
+	// copies. Trace replay needs them; the admitting loop and its helper turn
+	// this off (parent-log records keep successor indices, explore.go) and
+	// successors zero the labels instead — which also keeps the channel
+	// name, a heap string, out of their carved successor lists.
 	keepLabels bool
 }
 
@@ -159,11 +168,13 @@ type closeScratch struct {
 	rows, cols *dbm.Touched
 }
 
-func (e *engine) newCloseScratch() closeScratch {
+// newCloseScratch returns the scratch of one worker, carved from slabs (a nil
+// set: the heap).
+func (e *engine) newCloseScratch(slabs *dbm.Slabs) closeScratch {
 	return closeScratch{
-		inv:  dbm.NewUpperBounds(e.dim),
-		rows: dbm.NewTouched(e.dim),
-		cols: dbm.NewTouched(e.dim),
+		inv:  slabs.UpperBounds(e.dim),
+		rows: slabs.Touched(e.dim),
+		cols: slabs.Touched(e.dim),
 	}
 }
 
@@ -174,22 +185,38 @@ type partRun struct{ start, end int }
 // newCtx returns a fresh scratch context for one exploration worker, its zone
 // pool carving from the sweep's slab set. A nil set gives a ctx on the plain
 // heap, for states that outlive the sweep (trace replay).
+//
+// A slab ctx carves its scratch vectors and closeScratch too: they live as
+// long as the ctx and point only into the set, so only the ctx itself and its
+// pool are heap objects.
 func (e *engine) newCtx(slabs *dbm.Slabs) *succCtx {
 	nChans := len(e.net.Chans)
-	ints := make([]int32, 3*nChans)
+	ints := dbm.CarveSlice[int32](slabs, 3*nChans)
 	pool := slabs.Pool(e.dim)
 	return &succCtx{
+		slabs:        slabs,
 		pool:         pool,
 		zone:         pool.Get(), // contents unspecified; fire overwrites it
-		closeScratch: e.newCloseScratch(),
+		closeScratch: e.newCloseScratch(slabs),
 		keys:         &e.keys,
-		locs:         make([]ta.LocID, len(e.net.Procs)),
-		vars:         make([]int64, len(e.net.Vars)),
-		chanBuf:      make([]LabelPart, e.bucketLen),
+		locs:         dbm.CarveSlice[ta.LocID](slabs, len(e.net.Procs)),
+		vars:         dbm.CarveSlice[int64](slabs, len(e.net.Vars)),
+		chanBuf:      dbm.CarveSlice[LabelPart](slabs, e.bucketLen),
 		chanLen:      ints[: 2*nChans : 2*nChans],
 		active:       ints[2*nChans : 2*nChans : 3*nChans],
 		keepLabels:   true,
 	}
+}
+
+// grow returns a copy of list with room for at least as many elements again,
+// carved from slabs (a nil set: the heap). The lists a ctx grows — successor
+// lists, return batches and its free list of States — hold pointers only to
+// carved States, so they may be carved under the slab rule; the outgrown copy stays in the
+// slab until the set is released, which costs at most the final size again.
+func grow[T any](slabs *dbm.Slabs, list []T) []T {
+	out := dbm.CarveSlice[T](slabs, max(8, 2*cap(list)))[:len(list)]
+	copy(out, list)
+	return out
 }
 
 // allocParts returns a stable copy of parts carved from the ctx's chunk
@@ -205,7 +232,9 @@ func (ctx *succCtx) allocParts(parts []LabelPart) []LabelPart {
 }
 
 // getState returns a recycled or fresh State with discrete vectors sized
-// for the network. The caller must fill Locs, Vars, and Zone.
+// for the network. The caller must fill Locs, Vars, and Zone. A fresh State
+// of a slab ctx is carved (newState), so the sweep's States cost the
+// collector nothing — on the loop's ctx and on its lookahead helper's alike.
 func (ctx *succCtx) getState() *State {
 	if n := len(ctx.states); n > 0 {
 		s := ctx.states[n-1]
@@ -215,11 +244,7 @@ func (ctx *succCtx) getState() *State {
 		s.ref = noRef
 		return s
 	}
-	return &State{
-		Locs: make([]ta.LocID, len(ctx.locs)),
-		Vars: make([]int64, len(ctx.vars)),
-		ref:  noRef,
-	}
+	return newState(ctx.slabs, len(ctx.locs), len(ctx.vars))
 }
 
 // putState releases a state the explorer no longer references: its zone
@@ -229,12 +254,18 @@ func (ctx *succCtx) getState() *State {
 // state — see the ownership protocol in store.go.
 func (ctx *succCtx) putState(s *State) {
 	if ctx.lent {
+		if len(ctx.back) == cap(ctx.back) {
+			ctx.back = grow(ctx.slabs, ctx.back)
+		}
 		ctx.back = append(ctx.back, s)
 		return
 	}
 	ctx.pool.Put(s.Zone)
 	s.Zone = nil
 	if len(s.Locs) == len(ctx.locs) && len(s.Vars) == len(ctx.vars) {
+		if len(ctx.states) == cap(ctx.states) {
+			ctx.states = grow(ctx.slabs, ctx.states)
+		}
 		ctx.states = append(ctx.states, s)
 	}
 }
@@ -268,16 +299,18 @@ func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
 // — raw, like a fired successor. The returned state owns its zone (it is not
 // pooled).
 func (e *engine) initial(sc *closeScratch) (*State, error) {
-	locs := make([]ta.LocID, len(e.net.Procs))
+	s := newState(nil, len(e.net.Procs), len(e.net.Vars))
 	for i, p := range e.net.Procs {
-		locs[i] = p.Init
+		s.Locs[i] = p.Init
 	}
-	vars := e.net.InitialVars()
-	z := dbm.New(e.dim)
-	if !e.closeInPlace(z, locs, vars, sc) {
+	for i, d := range e.net.Vars {
+		s.Vars[i] = d.Init
+	}
+	s.Zone = dbm.New(e.dim)
+	if !e.closeInPlace(s.Zone, s.Locs, s.Vars, sc) {
 		return nil, fmt.Errorf("core: initial state violates an invariant")
 	}
-	return &State{Locs: locs, Vars: vars, Zone: z}, nil
+	return s, nil
 }
 
 // succ is one symbolic successor together with the transition that
@@ -365,7 +398,10 @@ func (e *engine) successors(ctx *succCtx, s *State, out []succ) ([]succ, error) 
 			if ctx.keepLabels {
 				label.Parts = ctx.allocParts(label.Parts)
 			} else {
-				label.Parts = nil // scratch-backed; caller discards labels
+				label = Label{} // scratch-backed; caller discards labels
+			}
+			if len(out) == cap(out) {
+				out = grow(ctx.slabs, out)
 			}
 			out = append(out, succ{label, ns, int32(len(out) - base)})
 		}

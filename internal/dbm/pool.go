@@ -30,6 +30,9 @@ type Pool struct {
 	dim   int
 	slabs *Slabs // nil: standalone, every matrix is its own heap allocation
 	free  []*DBM
+	// hdrs is what is left of the last block of headers the set handed out
+	// (Slabs.headers).
+	hdrs []DBM
 
 	// gets/reuses instrument the pool for tests and diagnostics.
 	gets   int
@@ -61,7 +64,16 @@ func (p *Pool) Get() *DBM {
 		p.reuses++
 		return d
 	}
-	return &DBM{dim: p.dim, m: p.slabs.bounds(p.dim * p.dim)}
+	if p.slabs == nil {
+		return &DBM{dim: p.dim, m: heap.bounds(p.dim * p.dim)}
+	}
+	if len(p.hdrs) == 0 {
+		p.hdrs = p.slabs.headers()
+	}
+	d := &p.hdrs[0]
+	p.hdrs = p.hdrs[1:]
+	d.dim, d.m = p.dim, p.slabs.bounds(p.dim*p.dim)
+	return d
 }
 
 // Put releases a DBM back to the pool. nil and dimension-mismatched matrices

@@ -28,6 +28,10 @@ const (
 	// per object no longer matters, so it is allocated on its own — and kept
 	// by the set until Release (Slabs.big).
 	carveMax = slabWords / 8
+	// headerBlock is how many matrix headers a pool of a set takes from the
+	// heap at once (Slabs.headers): an eighth of the allocations of one per
+	// matrix, and a sweep of a few dozen states wastes at most seven.
+	headerBlock = 8
 )
 
 // slab is raw memory; it carries no structure between owners. It is an array
@@ -39,11 +43,13 @@ const (
 // The collector never scans a slab: a mapped one is not Go memory, a heap
 // one is a pointer-free object. Pieces carved from it may still hold
 // pointers (Carve), under one rule: carved memory points only into its own
-// set — its slabs, or a heap piece the set keeps — never at anything else the
-// collector manages, which a pointer the collector cannot see would not keep
-// alive. Such a piece is zeroed through its pointer-free view before its first
-// typed store, so a write barrier never reads a stale word the previous owner
-// left there as a pointer.
+// set — its slabs, or a heap piece the set keeps (a piece above carveMax, a
+// block of matrix headers) — never at anything else the collector manages,
+// which a pointer the collector cannot see would not keep alive: not a string
+// or a heap object that merely happens to outlive the sweep. Such a piece is
+// zeroed through its pointer-free view before its first typed store, so a
+// write barrier never reads a stale word the previous owner left there as a
+// pointer.
 type slab [slabWords]Bound
 
 // slabCache holds the slabs no sweep owns, process-wide: exactly the set
@@ -143,8 +149,11 @@ func giveSlabs(released []*slab) []*slab {
 // Pieces larger than carveMax come from the heap, and the set keeps each of
 // them until Release, exactly like a slab: the record that references a
 // payload may itself be carved, and the collector, which never scans carved
-// memory, would otherwise free the payload under it. After Release such a
-// piece is the collector's, not the cache's.
+// memory, would otherwise free the payload under it. The headers of the
+// matrices the set's pools hand out are heap pieces the set keeps for the
+// same reason (headers): a State carved by internal/core points at its
+// zone's header. After Release such a piece is the collector's, not the
+// cache's.
 //
 // The zero value is an empty set ready for use. A nil *Slabs allocates every
 // piece from the heap, which is what standalone pools do.
@@ -155,6 +164,9 @@ type Slabs struct {
 	used int
 	// big keeps the pieces larger than carveMax until Release (see above).
 	big [][]Bound
+	// hdrs keeps the blocks of matrix headers the set's pools hand out
+	// (headers) until Release.
+	hdrs [][]DBM
 }
 
 // heap is the nil set, for values that belong to no sweep: each piece is its
@@ -180,6 +192,22 @@ func (s *Slabs) bounds(n int) []Bound {
 	}
 	b := s.held[len(s.held)-1][s.used : s.used+n : s.used+n]
 	s.used += n
+	s.mu.Unlock()
+	return b
+}
+
+// headers returns a block of headerBlock zeroed matrix headers for a pool of
+// the set. The headers are heap memory, and the set keeps every block until
+// Release, as it keeps its big pieces: a header may be referenced only from
+// carved memory (a State carved by internal/core holds its zone), which
+// keeps nothing alive. They are not carved themselves, because a header must
+// outlive the set: a matrix still held after Release has to read as its
+// dimension and poisoned or unmapped bounds (PoisonReleased), not as
+// whatever the slab's next owner carved over its header.
+func (s *Slabs) headers() []DBM {
+	b := make([]DBM, headerBlock)
+	s.mu.Lock()
+	s.hdrs = append(s.hdrs, b)
 	s.mu.Unlock()
 	return b
 }
@@ -269,7 +297,7 @@ func (s *Slabs) Holds(p unsafe.Pointer) bool {
 func (s *Slabs) Release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.big = nil // heap memory: the collector's from here on
+	s.big, s.hdrs = nil, nil // heap memory: the collector's from here on
 	if len(s.held) == 0 {
 		return
 	}

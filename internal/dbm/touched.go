@@ -16,11 +16,18 @@ type Touched struct {
 }
 
 // NewTouched returns an empty set for DBMs of the given dimension.
-func NewTouched(dim int) *Touched {
+func NewTouched(dim int) *Touched { return heap.Touched(dim) }
+
+// Touched returns an empty set for DBMs of the given dimension, carved from s
+// under Carve's rule: it lives as long as the set.
+func (s *Slabs) Touched(dim int) *Touched {
 	if dim < 1 {
 		panic("dbm: touched dimension must include the reference clock")
 	}
-	return &Touched{mark: make([]bool, dim), list: make([]int32, 0, dim)}
+	t := Carve[Touched](s)
+	t.mark = CarveSlice[bool](s, dim)
+	t.list = CarveSlice[int32](s, dim)[:0]
+	return t
 }
 
 // Reset empties the set, keeping its storage.

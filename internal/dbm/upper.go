@@ -15,11 +15,16 @@ type UpperBounds struct {
 
 // NewUpperBounds returns an empty conjunction for DBMs of the given
 // dimension.
-func NewUpperBounds(dim int) *UpperBounds {
+func NewUpperBounds(dim int) *UpperBounds { return heap.UpperBounds(dim) }
+
+// UpperBounds returns an empty conjunction for DBMs of the given dimension,
+// carved from s under Carve's rule: it lives as long as the set.
+func (s *Slabs) UpperBounds(dim int) *UpperBounds {
 	if dim < 1 {
 		panic("dbm: upper-bound dimension must include the reference clock")
 	}
-	u := &UpperBounds{b: heap.bounds(dim), list: make([]int32, 0, dim)}
+	u := Carve[UpperBounds](s)
+	u.b, u.list = s.bounds(dim), CarveSlice[int32](s, dim)[:0]
 	for i := range u.b {
 		u.b[i] = Infinity
 	}

@@ -26,6 +26,7 @@
 package rtc
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 
@@ -130,9 +131,49 @@ func (r remaining) inverse(w int64) (int64, error) {
 	return hi, nil
 }
 
+// errBusyPeriod is the overload a delay bound refuses when t's busy period
+// never closes.
+var errBusyPeriod = errors.New("busy period does not close (overload)")
+
 // delayBound is the horizontal deviation between t's upper workload curve
-// and its lower remaining-service curve.
+// and its lower remaining-service curve. A resource whose long-run demand
+// exceeds its supply (overloaded) is refused before the busy-period search,
+// which could only end in an overload error, after up to 4,096 steps.
 func delayBound(t *compos.Task, hp []*compos.Task, blocking int64) (int64, error) {
+	if overloaded(t, hp) {
+		return 0, errBusyPeriod
+	}
+	return busyPeriod(t, hp, blocking)
+}
+
+// overloaded reports whether the long-run demand of t and hp on their
+// resource, U = Σ_hp C/max(P,D) + ChainC_t/max(P_t,D_t), is strictly above 1,
+// computed exactly. A stream's q-th event comes no later than
+// (q−1)·max(P,D) under the critical alignment (compos.Stream.Event), so
+// η⁺(λ) ≥ λ/max(P,D).
+//
+// Such a resource never yields a bound: suppose busyPeriod closed at
+// activation q, with f = finish(q) ≤ Event(q+1) ≤ q·max(P_t,D_t). Its
+// remaining service reached q·ChainC_t > 0 by f, so some 0 < λ ≤ f has
+// λ − B − Σ_hp η⁺_h(λ)·C_h ≥ q·ChainC_t (remaining.at is a maximum over such
+// λ, each evaluated exactly), and with B ≥ 0 and q ≥ f/max(P_t,D_t) ≥
+// λ/max(P_t,D_t) that gives λ ≥ U_hp·λ + λ·ChainC_t/max(P_t,D_t) = U·λ > λ, a
+// contradiction. So refusing it early turns no bound into an error.
+func overloaded(t *compos.Task, hp []*compos.Task) bool {
+	var u, term big.Rat
+	add := func(c int64, s compos.Stream) {
+		u.Add(&u, term.SetFrac64(c, max(s.P, s.D)))
+	}
+	for _, h := range hp {
+		add(h.C, h.In)
+	}
+	add(t.ChainC, t.In)
+	return u.Cmp(big.NewRat(1, 1)) > 0
+}
+
+// busyPeriod runs the busy period of t activation by activation: the delay
+// bound is the largest finish(q) − Event(q) before the backlog clears.
+func busyPeriod(t *compos.Task, hp []*compos.Task, blocking int64) (int64, error) {
 	rem := remaining{hp: hp, blocking: blocking}
 	worst := int64(0)
 	const maxQ = 4096
@@ -150,5 +191,5 @@ func delayBound(t *compos.Task, hp []*compos.Task, blocking int64) (int64, error
 			return worst, nil
 		}
 	}
-	return 0, fmt.Errorf("busy period does not close (overload)")
+	return 0, errBusyPeriod
 }

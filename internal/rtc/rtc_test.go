@@ -1,7 +1,9 @@
 package rtc
 
 import (
+	"fmt"
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -232,5 +234,52 @@ func TestHorizontalDevMatchesDelayBound(t *testing.T) {
 		if db != c.want {
 			t.Errorf("%+v, C=%d: delay bound %d, want horizontal deviation %d", c.in, c.c, db, c.want)
 		}
+	}
+}
+
+// TestOverloadRefusedEarlyAgreesWithBusyPeriod draws random task sets — a
+// task with a short jittered, possibly separated stream and up to two
+// interferers with long ones, long-run demands around and above 1 — and
+// requires, on every set whose demand is above 1, that delayBound refuses it
+// at once and that the busy-period search alone refuses it too: the early
+// check only skips the search, it never turns a bound into an error. The
+// interferers' periods are long so that the search, which on an overloaded
+// set runs all its 4,096 activations, evaluates few workload jumps each.
+// Demand exactly 1 is not refused.
+func TestOverloadRefusedEarlyAgreesWithBusyPeriod(t *testing.T) {
+	if db, err := delayBound(&compos.Task{Name: "t", C: 10, ChainC: 10, In: compos.Stream{P: 10}}, nil, 0); err != nil || db != 10 {
+		t.Errorf("demand exactly 1: delay bound %d, %v; want 10", db, err)
+	}
+	overloads := 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		hp := make([]*compos.Task, r.Intn(3))
+		for i := range hp {
+			p := 20000 + r.Int63n(80000)
+			in := compos.Stream{P: p, J: r.Int63n(p), D: r.Int63n(6)}
+			hp[i] = &compos.Task{Name: fmt.Sprintf("h%d", i), C: 1 + r.Int63n(p*3/5), In: in}
+		}
+		in := compos.Stream{P: 2 + r.Int63n(9), J: r.Int63n(30), D: r.Int63n(4)}
+		c := 1 + r.Int63n(2*in.P)
+		task := &compos.Task{Name: "t", C: c, ChainC: c + r.Int63n(3), In: in}
+		blocking := r.Int63n(8)
+		if !overloaded(task, hp) {
+			return true
+		}
+		overloads++
+		if _, err := delayBound(task, hp, blocking); err != errBusyPeriod {
+			t.Errorf("seed %d: delay bound refuses with %v, want %v", seed, err, errBusyPeriod)
+		}
+		bound, err := busyPeriod(task, hp, blocking)
+		if err == nil {
+			t.Errorf("seed %d: demand above 1 (%+v, %d interferers) but the busy period closes with bound %d", seed, task.In, len(hp), bound)
+		}
+		return err != nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+	if overloads < 50 {
+		t.Errorf("only %d of 200 drawn sets are overloaded; the property is barely exercised", overloads)
 	}
 }

@@ -65,7 +65,11 @@ type Config struct {
 	// run at once, each job that computes holding one token. A sweep runs on
 	// one goroutine, and a breadth-first sweep past 1,024 expansions also
 	// runs a lookahead helper on a second core without a second token
-	// (internal/core, "Lookahead"). Default: NumCPU.
+	// (internal/core, "Lookahead"). The helper polls while it waits, so such
+	// a token costs up to two cores: on two cores, two Fischer-5 sweeps under
+	// two tokens take about as long as the two one after the other, and
+	// about 1.5 times as long as two sweeps without helpers would
+	// (BenchmarkTwoSweepsAtOnce). Default: NumCPU.
 	CPUTokens int
 	// MaxActiveJobs bounds jobs queued or running; submissions beyond it are
 	// rejected with 429. Default 64.
