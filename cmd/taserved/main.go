@@ -33,6 +33,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -57,6 +58,10 @@ func main() {
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
 	)
 	flag.Parse()
+	defaultDeadline, err := deadline(*deadlineMS)
+	if err != nil {
+		fatal(err)
+	}
 
 	if *pprofAddr != "" {
 		// A dedicated mux: the profiling endpoints never touch the API
@@ -83,7 +88,7 @@ func main() {
 		CPUTokens:       *cpuTokens,
 		MaxActiveJobs:   *maxJobs,
 		MaxFinishedJobs: *keepJobs,
-		DefaultDeadline: time.Duration(*deadlineMS) * time.Millisecond,
+		DefaultDeadline: defaultDeadline,
 		MemoryBudget:    *memBudget,
 	})
 	ln, err := net.Listen("tcp", *addr)
@@ -123,6 +128,16 @@ func main() {
 		fatal(drainErr)
 	}
 	fmt.Println("taserved: drained, bye")
+}
+
+// deadline converts -deadline-ms into the default deadline, refusing a value
+// whose nanoseconds a time.Duration cannot hold: it would overflow into the
+// past and fail every job at once.
+func deadline(ms int64) (time.Duration, error) {
+	if limit := math.MaxInt64 / int64(time.Millisecond); ms > limit {
+		return 0, fmt.Errorf("-deadline-ms %d is beyond the largest, %d", ms, limit)
+	}
+	return time.Duration(ms) * time.Millisecond, nil
 }
 
 func fatal(err error) {

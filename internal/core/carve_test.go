@@ -256,9 +256,7 @@ func TestSmallSweepBookkeepingAllocatesNothing(t *testing.T) {
 		sw := sweep{st: newStore(&slabs, &c.eng.bounds, &c.eng.keys), logs: &parentLogs{slabs: &slabs},
 			front: &frontier{order: BFS, slabs: &slabs}}
 		for _, s := range chain {
-			s = cloneState(s)
-			s.discreteKey()
-			sw.states = append(sw.states, s)
+			sw.states = append(sw.states, cloneState(s))
 		}
 		sweeps[i] = sw
 	}
@@ -272,7 +270,7 @@ func TestSmallSweepBookkeepingAllocatesNothing(t *testing.T) {
 			if e == nil {
 				t.Fatalf("chain state %d was subsumed", i)
 			}
-			ref = sw.logs.record(ref, s.discreteKey(), 0)
+			ref = sw.logs.record(ref, e.hash, 0)
 			*sw.front.push() = waiting{entry: e, packed: payload, ref: ref}
 		}
 	})

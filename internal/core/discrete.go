@@ -111,6 +111,23 @@ func (p *discretePacker) unpack(key []uint64, locs []ta.LocID, vars []int64) {
 	}
 }
 
+// hash hashes a key p packed, mixing each word into an FNV-1a-style product
+// with a splitmix-style finalizer, so that the low bits the store's bucket
+// index reads depend on every field. It is the one hash of a discrete state:
+// the store keys its buckets by it (storeEntry.hash), and the parent log
+// records it for replay to check against.
+func (p *discretePacker) hash(key []uint64) uint64 {
+	const prime = 0x9E3779B97F4A7C15
+	h := uint64(14695981039346656037)
+	for _, w := range key {
+		h = (h ^ w) * prime
+	}
+	h ^= h >> 33
+	h *= 0xFF51AFD7ED558CCD
+	h ^= h >> 33
+	return h
+}
+
 // put adds the field holding x to acc, the bits of word w so far; a field
 // that closes w stores it and starts w+1 with the bits that run on.
 func (f *keyField) put(dst []uint64, acc uint64, w int, x uint64) (uint64, int) {

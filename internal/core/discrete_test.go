@@ -10,6 +10,14 @@ import (
 	"repro/internal/ta"
 )
 
+// packedHash is the hash the store gives s's discrete part: its key, packed
+// by keys, hashed (discretePacker.hash).
+func packedHash(keys *discretePacker, s *State) uint64 {
+	key := make([]uint64, keys.words)
+	keys.pack(s.Locs, s.Vars, key)
+	return keys.hash(key)
+}
+
 // checkKeys packs every valuation of the cartesian product of locs (per
 // process) and vals (per variable) and requires each key to decode back to
 // its valuation and no two keys to be equal.

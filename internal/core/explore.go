@@ -42,14 +42,14 @@ const abortCheckMask = 31
 // # Trace reconstruction
 //
 // When a trace can be requested — the query set is non-empty — every
-// admitted state gets one 20-byte record (parent ref, discrete key, successor
-// index) appended to the run's parent log, and the state is stamped with the
-// record's ref in State.ref (the record's block and offset), which its
-// waiting node carries to its expansion (the node's one word the store does
-// not keep, "Frontier" below). Records hold three packed integers
-// only — NEVER zone pointers, State pointers, or label copies — so state
-// recycling (succCtx.putState) stays sound and the zone-ownership protocol
-// of store.go is untouched. Packing a record into 20 bytes, instead of one
+// admitted state gets one 20-byte record (parent ref, its entry's hash,
+// successor index) appended to the run's parent log, and the state is stamped
+// with the record's ref in State.ref (the record's block and offset), which
+// its waiting node carries to its expansion (the node's one word the store
+// does not keep, "Frontier" below). Records hold three packed integers
+// only — NEVER zone pointers, State pointers, or label copies — so recycling
+// States (explorer.expand) stays sound and the zone-ownership protocol of
+// store.go is untouched. Packing a record into 20 bytes, instead of one
 // 80-byte record struct with a retained label, is what makes always-on trace
 // logging cheap enough for the big sweeps. The log is a list of
 // logBlockSize-record blocks carved from the run's slabs (explorer.slabs), so
@@ -85,13 +85,14 @@ const (
 	logMask      = logBlockSize - 1
 )
 
-// logLink is the parent ref and discrete key of one record.
+// logLink is the parent ref and discrete hash of one record.
 type logLink struct {
 	// parent is the ref of the record the state was fired from; noRef for
 	// the initial state.
 	parent int64
-	// key is the admitted state's discrete key, used as a consistency check
-	// during replay.
+	// key is the admitted state's discrete hash — its entry's, the hash of
+	// its packed key (discretePacker.hash) — which replay checks each
+	// re-fired state against.
 	key uint64
 }
 
@@ -141,35 +142,41 @@ func (l *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 //
 // The waiting list (frontier) holds waiting nodes, not States. The node of
 // an admitted state references what the store already keeps of it — the
-// entry, whose key is its discrete part, packed, and whose hash is its
-// discrete key, and the packed payload of its zone — plus the one word the
-// store does not keep, its parent-log ref. So a waiting state costs one
-// 40-byte node whatever the dimension and the process count, and it cannot
-// hold a matrix: the store owns the only copy of its zone until it is
-// popped. The life of a state:
+// entry, whose key is its discrete part, packed, and whose hash is that
+// key's, and the packed payload of its zone — plus the one word the store
+// does not keep, its parent-log ref. So a waiting state costs one 40-byte
+// node whatever the dimension and the process count, and it cannot hold a
+// matrix: the store owns the only copy of its zone until it is popped.
 //
-//   - fired: engine.fire materializes a State from a ctx's free list
-//     (succCtx.getState), or carves a new one from the sweep's slabs
-//     (newState), owning a pooled matrix with the raw zone;
-//   - decided: passedSet.add either subsumes it — the State goes straight
-//     back to the free list (succCtx.putState) — or admits it, widening the
-//     zone in place and handing back the entry and a payload reference;
-//   - visited: the queries see the admitted State with its matrix;
-//   - parked: succCtx.park writes its node — entry, payload and ref — into
-//     the frontier's tail slot and recycles the State, its matrix with it;
+// A State is an expansion's scratch. An expansion is one popped node: the
+// State rebuilt from it and the States of the successors fired from that,
+// all taken from the expanding ctx's free list (succCtx.getState) or carved
+// from the sweep's slabs (newState), each owning a pooled matrix. The life
+// of a state:
+//
 //   - popped: the node is copied out of its slot, and succCtx.unpark
-//     rebuilds a pooled State from it — the entry's key decoded, its hash
-//     and the node's ref, the payload decoded into a pooled matrix — and
-//     passedSet.release gives the payload back;
-//   - expanded: its successors are fired, decided, visited and parked, and
-//     the State goes back to the free list.
+//     rebuilds a State from it — the entry's key decoded, the node's ref,
+//     the payload decoded into a pooled matrix — and passedSet.release gives
+//     the payload back;
+//   - fired: engine.fire materializes each successor, raw zone and all;
+//   - decided: passedSet.add either subsumes a successor, which the loop then
+//     leaves alone, or admits it, widening the zone in place and handing
+//     back the entry and a payload reference;
+//   - visited: the queries see the admitted State with its matrix;
+//   - parked: the loop writes its node — entry, payload and ref — into the
+//     frontier's tail slot;
+//   - recycled: the next expansion in the same slot puts the whole
+//     expansion back into its ctx (succCtx.recycle) before it rebuilds its
+//     own state — successors in list order, then the expanded State,
+//     matrices and all. The loop itself never frees a State.
 //
-// The loop therefore holds at most one expanded State and its fired
-// successors at a time — one per expansion in flight, lookaheadDepth+1, once
-// the lookahead helper is engaged — so a sweep carves States in proportion to
-// its widest expansion, not its widest frontier, and allocates none on the
-// heap: the only heap States are the initial one, which goes to the collector
-// once it waits, and the caller-owned clones and trace steps.
+// Inline, the loop has one slot: it keeps its last expansion (s, succs)
+// until its next one recycles it. Under the lookahead helper each ring slot
+// is one, on the helper's ctx ("Lookahead" below). So a sweep carves States
+// in proportion to its widest expansion times its slots, not to its widest
+// frontier (TestPooledMatricesFlatInStates). The only heap States are the
+// initial one, which goes to the collector once it waits, and the
+// caller-owned clones and trace steps.
 //
 // The frontier keeps its nodes by value in blocks of frontBlockNodes, 4 KiB
 // each, carved from the run's slabs: a FIFO queue of blocks for BFS, a stack
@@ -182,18 +189,18 @@ func (l *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 // objects that store keeps alive ("Where the bytes come from" in store.go).
 //
 // Visitors run on the calling goroutine and must not retain a state beyond
-// the call: the State they see is recycled as soon as the queries have seen
-// it (an admitted one) or it is expanded (a deadlocked one), and its matrix
-// with it. FoundState and replayed trace states are exempt: both are
-// caller-owned clones (explorer.completeQuery, replayTrace).
+// the call: the State they see, admitted or deadlocked, is recycled with its
+// matrix by the next expansion in its slot. FoundState and replayed trace
+// states are exempt: both are caller-owned clones (explorer.completeQuery,
+// replayTrace).
 
 // waiting is a node of the frontier: an admitted state between its push and
 // its pop.
 type waiting struct {
 	// entry is the store entry that admitted the state. Its key is the
-	// state's discrete part, packed, and its hash the state's discrete key;
-	// neither changes once the entry is published, so the lookahead helper
-	// reads them without the store.
+	// state's discrete part, packed, and its hash that key's; neither changes
+	// once the entry is published, so the lookahead helper reads the key
+	// without the store.
 	entry *storeEntry
 	// packed references the payload the store packed of the admitted zone —
 	// the store's buffer, not a copy — until the state has been rebuilt from
@@ -404,8 +411,9 @@ func contained(f func() error) (err error) {
 
 // run is the admitting loop: take the next expanded state — pop a node,
 // rebuild its state and fire its successors, inline or, once it engages, on
-// the lookahead helper — then admit the successors, feed the query set, park
-// what was admitted and recycle the expanded state. It returns when the
+// the lookahead helper — then admit the successors, feed the query set and
+// park what was admitted. It frees no State: the next expansion in the same
+// slot recycles this one's (explorer.expand). It returns when the
 // frontier is empty, the query set has completed or MaxStates truncates the
 // sweep (nil), or with the error that ends the run. Statistics accumulate in
 // locals, published into the run's cell at each checkpoint and once more on
@@ -414,7 +422,7 @@ func contained(f func() error) (err error) {
 // Cooperative abort: Options.Cancel and Options.Deadline are polled here
 // every abortCheckMask+1 expansions, strictly between expansions. The loop
 // never aborts while it holds a popped state mid-fire, so every state is
-// either recycled through its succCtx or abandoned with the run's pools, and
+// either recycled by a later expansion or abandoned with the run's pools, and
 // a canceled sweep leaves the checker reusable
 // (TestCancelLeavesEngineReusable). Aborts surface as ErrCanceled or
 // ErrDeadlineExceeded with partial Stats; the deadline wins when both fired.
@@ -429,6 +437,9 @@ func (e *explorer) run() error {
 	if e.opts.Order == RDFS {
 		shuffle = rand.New(rand.NewSource(e.opts.Seed))
 	}
+	// s and succs are the expansion the loop admits, and until the next one
+	// the slot an inline expansion recycles (explorer.expand).
+	var s *State
 	var succs []succ
 	var node waiting // what an inline expansion pops into
 	var nPopped, nTransitions, nDeadlocks int64
@@ -486,16 +497,15 @@ func (e *explorer) run() error {
 			e.sampleProfile(nPopped, nTransitions, gets, reuses)
 		}
 		if nPopped == aheadFrom {
-			ahead = e.startLookahead(ctx)
+			ahead = e.startLookahead(ctx, s, succs)
 		}
 		var popped bool
-		var s *State
 		var payload dbm.Compact
 		var err error
 		if ahead != nil {
-			popped, s, payload, succs, err = ahead.next(&e.front, ctx)
+			popped, s, payload, succs, err = ahead.next(&e.front)
 		} else if popped = e.front.pop(&node); popped {
-			s, payload, succs, err = e.expand(ctx, &node, succs[:0])
+			s, payload, succs, err = e.expand(ctx, &node, s, succs)
 		}
 		if !popped {
 			return err
@@ -523,14 +533,12 @@ func (e *explorer) run() error {
 			nTransitions++
 			entry, payload := e.passed.add(sc.state, &ctx.closeScratch)
 			if entry == nil {
-				// Subsumed: the state is discarded and nothing else
-				// references it, so it is recycled wholesale.
-				ctx.putState(sc.state)
+				// Subsumed: the next expansion in this slot recycles it.
 				continue
 			}
 			n := e.stored.Add(1)
 			if e.logs != nil {
-				sc.state.ref = e.logs.record(s.ref, sc.state.discreteKey(), sc.idx)
+				sc.state.ref = e.logs.record(s.ref, entry.hash, sc.idx)
 			}
 			if len(e.queries) > 0 && e.visitAdmitted(sc.state) {
 				return nil
@@ -545,22 +553,25 @@ func (e *explorer) run() error {
 				e.truncated = true
 				return nil
 			}
-			// The queries have seen the state; it waits as a node.
-			ctx.park(&e.front, sc.state, entry, payload)
+			// The queries have seen the state; it waits as a node, and its
+			// State is recycled with the rest of the expansion.
+			*e.front.push() = waiting{entry: entry, packed: payload, ref: sc.state.ref}
 		}
-		// s is fully expanded and nothing admitted references it, so recycle
-		// it wholesale.
-		ctx.putState(s)
 	}
 }
 
-// expand rebuilds the state a popped node waited as and fires its
-// successors into out. It is the part of an expansion that is a pure
-// function of the node — it reads the node, its entry's key and its payload,
-// and writes only ctx — so the lookahead helper can run it ahead of the
-// loop that admits. The payload is the loop's to release, the error its to
-// fail the run with; a state whose expansion failed has been rebuilt.
-func (e *explorer) expand(ctx *succCtx, n *waiting, out []succ) (*State, dbm.Compact, []succ, error) {
+// expand recycles the expansion before it in the same slot — prev, the
+// state it expanded, and out, its successors, all of which the loop has
+// admitted or discarded (succCtx.recycle) — then rebuilds the state a popped
+// node waited as and fires its successors into out. Apart from recycling, it
+// is a pure function of the node — it reads the node, its entry's key and
+// its payload, and writes only ctx — so the lookahead helper can run it
+// ahead of the loop that admits. The payload is the loop's to release, the
+// error its to fail the run with; a state whose expansion failed has been
+// rebuilt.
+func (e *explorer) expand(ctx *succCtx, n *waiting, prev *State, out []succ) (*State, dbm.Compact, []succ, error) {
+	ctx.recycle(prev, out)
+	out = out[:0]
 	s, payload := ctx.unpark(n)
 	if faultinject.Enabled {
 		if err := faultinject.Fire("core/worker"); err != nil {
@@ -594,28 +605,39 @@ func (e *explorer) expand(ctx *succCtx, n *waiting, out []succ) (*State, dbm.Com
 // admitting stages fed in global successor order — to use more cores
 // without changing an answer.
 //
+// Nor is no helper better than one. With lookaheadFrom always -1 (5
+// alternating pairs of benchmark/run.sh, 10 s runs, 2-core host), archchain
+// read 892 ms verdict_ms_p50 against 607 (+47%, slower in 5 of 5 pairs) and
+// 0.89 s setup_s against 0.61, for 2.5% less alloc_mb_per_verdict (0.1795
+// against 0.1841 MB) and 1% less peak_rss_mb (60.4 against 61.0 MB). So the
+// helper stays.
+//
 // The two meet in a ring of lookaheadDepth+1 slots, one per expansion in
 // flight — the one the caller admits among them — indexed by two counters,
 // sent (written by the caller) and done (written by the helper). A slot
 // carries a node in — by value: the caller pops the node straight into the
 // slot, so the frontier block it came from may be reused at once — and its
 // rebuilt state, payload and fired successors back. Neither side blocks: a
-// caller ahead of the helper, or a helper with nothing to expand, yields.
-// States go back to the ctx that allocated them: the caller's ctx is lent
-// (succCtx.lent), collects the States it frees, and passes the batch with the
-// next node it hands over, and the helper recycles it before that node's
-// expansion. The helper reads a payload before the caller releases it, and
-// writes none: a prune the caller makes meanwhile changes only the holder
-// mark, which decoding does not read.
+// caller ahead of the helper, or a helper with nothing to expand, yields. Each
+// ring slot is an expansion slot ("Frontier" above): the helper expands a
+// slot's node on its own ctx, and first recycles the slot's previous
+// expansion, which is ring hand-overs old. The caller has admitted all of it
+// by then: it hands a slot over only after it has taken every older one, and
+// it takes an expansion only after it has admitted the one before. So every
+// State the helper rebuilds or fires goes back to the helper's ctx without
+// passing through the caller's, and nothing is handed back but the slot. When
+// the helper engages, the caller recycles its own last inline expansion once
+// (startLookahead) and fires no State after that. The helper reads a payload
+// before the caller releases it, and writes none: a prune the caller makes
+// meanwhile changes only the holder mark, which decoding does not read.
 //
 // The helper carves from the sweep's slab set as the loop does: its ctx's
-// scratch, the States it fires and rebuilds, its slots' successor lists and
-// the caller's return batches (succCtx.grow). On the heap it costs its
-// goroutine, its ring (the lookahead struct, which holds errors and so may
-// not be carved), its ctx and pool, and blocks of matrix headers for the
-// states in flight: a Fischer-5 sweep makes at most a few dozen more heap
-// allocations with the helper than inline, whatever its size
-// (TestSweepHeapAllocsFlatInStates).
+// scratch, the States it fires and rebuilds and its slots' successor lists
+// (succCtx.grow). On the heap it costs its goroutine, its ring (the
+// lookahead struct, which holds errors and so may not be carved), its ctx
+// and pool, and blocks of matrix headers for the states in flight: a
+// Fischer-5 sweep makes at most a few dozen more heap allocations with the
+// helper than inline, whatever its size (TestSweepHeapAllocsFlatInStates).
 //
 // The helper never parks: both sides poll with runtime.Gosched, so one sweep
 // keeps two cores busy for one CPU token. Parking an idle helper on a
@@ -679,10 +701,10 @@ func (o Options) lookaheadFrom() int64 {
 
 // expansion is one slot of the lookahead ring.
 type expansion struct {
-	node waiting  // in: the popped node
-	back []*State // in: States to recycle into the helper's ctx first
+	node waiting // in: the popped node
 	// out: what expand returned, the helper's pool counts after it, and a
-	// helper panic.
+	// helper panic. s and succs stay in the slot until its next expansion
+	// recycles them.
 	s            *State
 	payload      dbm.Compact
 	succs        []succ
@@ -717,11 +739,12 @@ type aheadTally struct {
 }
 
 // startLookahead starts the helper for the loop whose ctx is ctx, between
-// two of its expansions.
-func (e *explorer) startLookahead(ctx *succCtx) *lookahead {
+// two of its expansions, and recycles the last inline one, prev and succs,
+// which no later expansion on ctx would.
+func (e *explorer) startLookahead(ctx *succCtx, prev *State, succs []succ) *lookahead {
+	ctx.recycle(prev, succs)
 	la := &lookahead{e: e, ctx: e.c.eng.newCtx(&e.slabs), exited: make(chan struct{})}
 	la.ctx.keepLabels = false
-	ctx.lent = true
 	go la.serve()
 	return la
 }
@@ -730,16 +753,14 @@ func (e *explorer) startLookahead(ctx *succCtx) *lookahead {
 // capacity, and returns what expand returned for the oldest expansion in
 // flight. It reports false when the frontier is empty with nothing in
 // flight, or, with the crash as its error, when the helper crashed.
-func (la *lookahead) next(front *frontier, ctx *succCtx) (bool, *State, dbm.Compact, []succ, error) {
+func (la *lookahead) next(front *frontier) (bool, *State, dbm.Compact, []succ, error) {
 	ring := int64(len(la.slots))
 	own := &la.own.v
 	sent := la.sent.v.Load()
 	for ; sent-own.taken < ring; sent++ {
-		x := &la.slots[sent%ring]
-		if !front.pop(&x.node) {
+		if !front.pop(&la.slots[sent%ring].node) {
 			break
 		}
-		x.back, ctx.back = ctx.back, x.back
 		la.sent.v.Store(sent + 1)
 	}
 	if own.taken == sent {
@@ -782,9 +803,9 @@ func (la *lookahead) serve() {
 	la.e.cell.helperIdle.Store(idle)
 }
 
-// expand recycles a slot's batch of States and expands its node, containing
-// a panic in the slot: the helper's ctx is then abandoned with the run's
-// pools, as a crashed loop's is (contained).
+// expand expands a slot's node, recycling the slot's previous expansion,
+// and contains a panic in the slot: the helper's ctx is then abandoned with
+// the run's pools, as a crashed loop's is (contained).
 func (la *lookahead) expand(x *expansion) (crashed bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -792,12 +813,7 @@ func (la *lookahead) expand(x *expansion) (crashed bool) {
 			crashed = true
 		}
 	}()
-	for i, s := range x.back {
-		la.ctx.putState(s)
-		x.back[i] = nil
-	}
-	x.back = x.back[:0]
-	x.s, x.payload, x.succs, x.err = la.e.expand(la.ctx, &x.node, x.succs[:0])
+	x.s, x.payload, x.succs, x.err = la.e.expand(la.ctx, &x.node, x.s, x.succs)
 	x.gets, x.reuses = la.ctx.pool.Stats()
 	return false
 }
@@ -868,7 +884,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	e.stored.Store(1)
 	init.ref = noRef
 	if e.logs != nil {
-		init.ref = e.logs.record(noRef, init.discreteKey(), 0)
+		init.ref = e.logs.record(noRef, entry.hash, 0)
 	}
 
 	// The initial state is admitted like any other; if it already completes
@@ -977,7 +993,14 @@ func (c *Checker) replayTrace(logs *parentLogs, ref int64) ([]TraceStep, error) 
 		return nil, err
 	}
 	cur.Zone.Extrapolate(&c.eng.bounds, ctx.rows, ctx.cols)
-	if cur.discreteKey() != chain[0].key {
+	// key is the scratch each replayed state is packed into, to be hashed as
+	// the store hashed it.
+	key := dbm.CarveSlice[uint64](nil, c.eng.keys.words)
+	hash := func(s *State) uint64 {
+		c.eng.keys.pack(s.Locs, s.Vars, key)
+		return c.eng.keys.hash(key)
+	}
+	if hash(cur) != chain[0].key {
 		return nil, fmt.Errorf("core: internal: trace log root does not match the initial state")
 	}
 	steps := make([]TraceStep, 0, len(chain))
@@ -1000,7 +1023,7 @@ func (c *Checker) replayTrace(logs *parentLogs, ref int64) ([]TraceStep, error) 
 			return nil, fmt.Errorf("core: internal: trace replay: recorded successor %d not enabled", st.idx)
 		}
 		ns := succs[chosen].state
-		if ns.discreteKey() != st.key {
+		if hash(ns) != st.key {
 			return nil, fmt.Errorf("core: internal: trace replay diverged after %s",
 				succs[chosen].label.Format(c.net))
 		}

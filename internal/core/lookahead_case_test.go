@@ -90,8 +90,8 @@ func TestLookaheadCaseStudyBitIdentical(t *testing.T) {
 }
 
 // collectEvery512 is a query that never completes and runs a full collection
-// at every 512th admitted state, while the sweep's carved States, successor
-// lists and batches are live on both of its goroutines.
+// at every 512th admitted state, while the sweep's carved States and
+// successor lists are live on both of its goroutines.
 func collectEvery512() core.Query {
 	n := 0
 	return core.NewReachQuery(func(*core.State) bool {
@@ -197,12 +197,12 @@ func chainBytes(t *testing.T, cs *arch.CompiledSet, opts core.Options, extra ...
 
 // TestCarveRuleUnderGCStress is the oracle for the carve rule on the helper's
 // side: Fischer-5 and the 10-scenario chain run with the helper engaged from
-// the first expansion, the collector at GOGC=1 and a full collection every
-// 512 admitted states, and must answer with the bytes and counts of the
-// inline sweep. A carved State, successor list or batch that pointed at a
-// heap object the set does not keep would see that object freed and reused
-// under it. In a race build the slabs are heap objects the collector never
-// scans, so the same holds there.
+// the first expansion, the collector at GOGC=1 and a full collection every 512
+// admitted states, and must answer with the bytes and counts of the inline
+// sweep. A carved State or successor list that pointed at a heap object the
+// set does not keep would see that object freed and reused under it. In a race
+// build the slabs are heap objects the collector never scans, so the same
+// holds there.
 func TestCarveRuleUnderGCStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two full sweeps under collection stress in -short mode")

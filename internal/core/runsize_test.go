@@ -100,19 +100,18 @@ func TestFinishedRunKeepsNoRing(t *testing.T) {
 	}
 }
 
-// TestSweepHeapAllocsFlatInStates runs Fischer-5 with a query attached (so
-// the parent log is on) to 2,000 and to 40,000 stored states, with the
-// lookahead helper engaged from the first expansion and with expansions
-// inline, and requires each pair of sweeps' heap allocations to differ by at
-// most 16: entries with their keys, the bucket index, records, payloads,
-// waiting nodes and log blocks are carved from the sweep's slabs, and so are
-// the States in flight, their successor lists and the batches that carry
-// them back to the helper, so only directories and free lists that double
-// (the slab set's, the log's, the pools') may grow, a few times each. The
-// helper may cost at most helperAllocs allocations more than the inline
+// TestSweepHeapAllocsFlatInStates runs Fischer-5 with a query attached (so the
+// parent log is on) to 2,000 and to 40,000 stored states, with the lookahead
+// helper engaged from the first expansion and with expansions inline, and
+// requires each pair of sweeps' heap allocations to differ by at most 16:
+// entries with their keys, the bucket index, records, payloads, waiting nodes
+// and log blocks are carved from the sweep's slabs, and so are the States in
+// flight and their successor lists, so only directories and free lists that
+// double (the slab set's, the log's, the pools') may grow, a few times each.
+// The helper may cost at most helperAllocs allocations more than the inline
 // sweep of the same size: its goroutine, its ring, its ctx and pool, and the
-// matrix headers of the states it has in flight. Each size keeps the fewest
-// of three runs, so an allocation of the runtime's own does not count.
+// matrix headers of the states it has in flight. Each size keeps the fewest of
+// three runs, so an allocation of the runtime's own does not count.
 func TestSweepHeapAllocsFlatInStates(t *testing.T) {
 	const helperAllocs = 32
 	c, err := NewChecker(buildFischer(t, 5))
@@ -149,5 +148,39 @@ func TestSweepHeapAllocsFlatInStates(t *testing.T) {
 	if on, off := large[0], large[1]; on > off+helperAllocs {
 		t.Errorf("a sweep of 40,000 states made %d heap allocations with the lookahead helper and %d inline: want at most %d more",
 			on, off, helperAllocs)
+	}
+}
+
+// TestPooledMatricesFlatInStates runs Fischer-5 to 2,000 and to 40,000
+// stored states, with the lookahead helper engaged from the first expansion
+// and with expansions inline, and requires the zone pools' live matrices —
+// gets minus reuses, the helper's included, at the last profile sample — to
+// be the same at both sizes: each expansion recycles the States of the one
+// before it in its slot (explorer.expand), so the matrices in use are those
+// of the expansions in flight, however long the sweep. A fired or rebuilt
+// State left unrecycled keeps its matrix from the pool and shows here as a
+// gap that grows with the sweep.
+func TestPooledMatricesFlatInStates(t *testing.T) {
+	c, err := NewChecker(buildFischer(t, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func(maxStates int, mode lookaheadMode) int64 {
+		mon := &Monitor{}
+		mon.EnableProfile(ProfileConfig{SampleEvery: 1})
+		if _, err := c.Explore(Options{MaxStates: maxStates, Monitor: mon, lookahead: mode}, nil); err != nil {
+			t.Fatal(err)
+		}
+		samples := mon.Profile().Series[0].Samples
+		last := samples[len(samples)-1]
+		return last.PoolGets - last.PoolReuses
+	}
+	for _, mode := range lookaheadModes {
+		small, large := live(2_000, mode), live(40_000, mode)
+		t.Logf("helper %v: %d live matrices at 2,000 states, %d at 40,000", mode == lookaheadOn, small, large)
+		if small != large {
+			t.Errorf("helper %v: %d pooled matrices live at 2,000 states and %d at 40,000, want the same",
+				mode == lookaheadOn, small, large)
+		}
 	}
 }

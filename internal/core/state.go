@@ -23,23 +23,22 @@ import (
 // valuation of the integer variables, and a canonical zone over the clocks.
 // Stored states are closed under delay (whenever delay is permitted) and
 // extrapolated.
+//
+// Inside a sweep a State is an expansion's scratch: the state a popped node
+// is rebuilt as, or a successor fired from it, from then until the next
+// expansion in the same slot recycles it ("Frontier" in explore.go). A state
+// that waits in the frontier is not a State but a waiting node, which
+// references its store entry and packed payload instead of vectors and a
+// matrix. Its discrete part is encoded once, as its entry's packed key
+// ("Keys" in store.go), so a State keeps no hash or key of its own. A State
+// outlives its sweep only as a heap copy a caller was handed (FoundState,
+// trace steps).
 type State struct {
 	Locs []ta.LocID
 	Vars []int64
-	// Zone is the state's canonical zone, never nil: a State exists only
-	// while a ctx holds it — fired and not yet decided, admitted and being
-	// visited, or popped and being expanded — or after a caller was handed
-	// one (FoundState, trace steps). A state that waits in the frontier is
-	// not a State but a waiting node, which references the store's packed
-	// payload instead of a matrix (explore.go).
+	// Zone is the state's canonical zone, never nil while the State is in
+	// use.
 	Zone *dbm.DBM
-
-	// key caches discreteHash(Locs, Vars); 0 means not yet computed
-	// (discreteHash never returns 0). The discrete part of a state is
-	// immutable after construction, so the cache never invalidates. A state
-	// is hashed by exactly one goroutine (its creator) before it is shared,
-	// so the lazy fill is race-free.
-	key uint64
 
 	// ref is the state's admission record in the exploration's parent log
 	// (explore.go), noRef when parent logging is off. The admitting loop
@@ -61,41 +60,6 @@ func newState(slabs *dbm.Slabs, nLocs, nVars int) *State {
 	s.Vars = dbm.CarveSlice[int64](slabs, nVars)
 	s.ref = noRef
 	return s
-}
-
-// discreteKey returns the cached hash of the state's discrete part,
-// computing it on first use.
-func (s *State) discreteKey() uint64 {
-	if s.key == 0 {
-		s.key = discreteHash(s.Locs, s.Vars)
-	}
-	return s.key
-}
-
-// discreteHash hashes the discrete part (locations and variables) of a
-// state, mixing each component as one 64-bit word (FNV-1a over words with a
-// splitmix-style finalizer). The result is never 0, so 0 can serve as the
-// "not yet hashed" sentinel in State.key.
-func discreteHash(locs []ta.LocID, vars []int64) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 0x9E3779B97F4A7C15
-	)
-	h := uint64(offset)
-	for _, l := range locs {
-		h = (h ^ uint64(l)) * prime
-	}
-	h = (h ^ 0xabcdef) * prime // separator between the two variable-length parts
-	for _, v := range vars {
-		h = (h ^ uint64(v)) * prime
-	}
-	h ^= h >> 33
-	h *= 0xFF51AFD7ED558CCD
-	h ^= h >> 33
-	if h == 0 {
-		return 1
-	}
-	return h
 }
 
 // Format renders the state compactly: locations, the non-zero variables,

@@ -54,26 +54,27 @@ type passedSet interface {
 //
 // # Keys
 //
-// Discrete hashes are cached per State (State.key), and every entry keeps
-// its state's: the bucket index is keyed by it (see below), and a waiting
-// node reads its state's hash back from its entry. An entry's key is its
-// discrete state bit-packed by the engine's discretePacker (discrete.go):
+// A state's discrete part has one encoding, its entry's key: the discrete
+// state bit-packed by the engine's discretePacker (discrete.go), in which
 // every location and variable is a field just wide enough for its declared
-// range, so table1's 19 variables and the locations of its processes fit in
-// 3 words. Packing is exact, not a hash: a field holds every value of its
-// range, and no state outside the ranges ever reaches the store — Finalize
-// checks initial values and location references, and engine.fire checks
-// every variable after every update (ta.Network.CheckVarBounds) — so two
-// states share a key exactly when they share their discrete part. The key
-// is carved inline, right after its entry (dbm.CarveTail: discretePacker.words
-// words, the same for every entry of a store), so an entry and its key are
-// one piece and the entry spends no slice header on it. A lookup packs the
-// state into the key of the store's spare entry and compares hashes, then
-// keys word by word, along its bucket's chain; a match leaves the spare for
-// the next lookup, a miss publishes the spare itself as the new entry. A key
-// never aliases a state's slices, since states recycle and entries do not. A
-// waiting node keeps its entry, not vectors of its own: the state's discrete
-// part is decoded from the key when its node is popped.
+// range, so table1's 19 variables and the locations of its processes fit in 3
+// words. Packing is exact, not a hash: a field holds every value of its range,
+// and no state outside the ranges ever reaches the store — Finalize checks
+// initial values and location references, and engine.fire checks every
+// variable after every update (ta.Network.CheckVarBounds) — so two states
+// share a key exactly when they share their discrete part. The key is carved
+// inline, right after its entry (dbm.CarveTail: discretePacker.words words,
+// the same for every entry of a store), so an entry and its key are one piece
+// and the entry spends no slice header on it. Its one hash is the hash of
+// those words (discretePacker.hash), kept in the entry: the bucket index is
+// keyed by it (see below), and the parent log records it for trace replay to
+// check against. A lookup packs the state into the key of the store's spare
+// entry, hashes it, and compares hashes, then keys word by word, along its
+// bucket's chain; a match leaves the spare for the next lookup, a miss
+// publishes the spare itself as the new entry. A key never aliases a state's
+// slices, since states recycle and entries do not. A waiting node keeps its
+// entry, not vectors of its own: the state's discrete part is decoded from the
+// key when its node is popped. A State carries no hash or key of its own.
 //
 // # Bucket index
 //
@@ -133,15 +134,15 @@ type passedSet interface {
 //     s.Zone in place (the one place a sweep widens a zone; sc is the
 //     caller's scratch), packs it, marks the payload held by both and hands back
 //     the entry and the payload: the caller keeps the stored zone in s.Zone.
-//     If add returns a nil entry (subsumed), s.Zone is still the raw zone and
-//     the caller recycles s wholesale via succCtx.putState — nothing else
-//     references it.
+//     If add returns a nil entry (subsumed), s.Zone is still the raw zone,
+//     and nothing else references s.
 //   - explorer.run feeds the admitted state to the queries, which read
 //     s.Zone, and then parks it: it writes a waiting node of the entry, the
-//     payload reference and the ref into the frontier's tail slot, and
-//     recycles s, its matrix with it (the initial state's heap matrix goes to
-//     the collector instead). A node has no field for a matrix, so no state
-//     waits with one.
+//     payload reference and the ref into the frontier's tail slot. A node
+//     has no field for a matrix, so no state waits with one. Subsumed or
+//     parked, s and its matrix stay with their expansion until the next
+//     expansion in the same slot recycles them (explorer.expand; the initial
+//     state's heap matrix goes to the collector instead).
 //   - A stored zone covered by a later admission is pruned inside add
 //     whether or not its state was expanded — exploration order, and with it
 //     every count and trace, does not depend on the store's bookkeeping. If
@@ -149,14 +150,13 @@ type passedSet interface {
 //     compact pool at once; if the node still waits the payload is marked
 //     orphaned and stays charged to bytes() until it is released.
 //   - A popped node's state is rebuilt (succCtx.unpark, inline or on the
-//     lookahead helper): the entry's key decoded and its hash copied, and the
-//     payload decoded into a matrix from the rebuilding ctx's pool — without
-//     holding the entry: key and hash never change once the entry is
-//     published, the payload
+//     lookahead helper): the entry's key decoded, and the payload decoded
+//     into a matrix from the rebuilding ctx's pool — without holding the
+//     entry: the key never changes once the entry is published, the payload
 //     cannot change while the node holds it, and no dbm kernel touches the
 //     mark. Then the loop calls release: an orphaned buffer goes back to the
 //     store's compact pool, any other is marked as the record's alone. The
-//     expanded state is recycled via succCtx.putState like a subsumed one.
+//     expanded state is recycled with its successors.
 //   - A run that stops early (visitor, MaxStates, cancel, budget, panic)
 //     leaves waiting nodes holding payloads; nothing releases them, and
 //     nothing has to: pools die with the run, and nodes, entries, records
@@ -177,32 +177,31 @@ type passedSet interface {
 // with their keys, the bucket index, record segments and the payloads of its
 // compact pool — are carved from one dbm.Slabs set per run (explorer.slabs),
 // as are the frontier's node blocks and the parent log's record blocks
-// (explore.go, "Frontier" and "Trace reconstruction"), and so are the
-// States the ctxs fire and rebuild with their vectors (newState), the
-// successor lists and the batches that carry States back to the lookahead
-// helper (succCtx.grow), the ctxs' scratch vectors and closeScratch; a store
-// built with a nil set (the tests' standalone stores) takes each from the
-// heap instead. So a sweep's bookkeeping costs the collector nothing: no
-// object to allocate per state, none to scan, nothing counted towards the
-// heap goal, and the helper allocates on the heap only what it is — its
-// goroutine, its ring, its ctx and pool — and the matrix headers of the
-// states it has in flight. What a sweep still allocates on the heap is sized
-// by the model, not by the states it stores: its ctxs and their pools, the
-// pools' free lists and blocks of matrix headers, the ctxs' free lists of
-// States, and the slab and log-block directories. Carved memory is invisible
-// to the collector, so it obeys dbm.Carve's rule: it points only into its own
-// set — an entry at its next entry and its segments, a record at its payload,
-// a segment at the next, a head at its entry, a waiting node at its entry and
-// payload, a State at its vectors, a successor list or batch at its States —
-// never at a heap object, which nothing would keep alive. A payload too large
-// for a slab piece is such a heap object, and so is the matrix header a State
-// points at; the set itself keeps both until Release. A carved successor
-// holds no label: its channel name is a heap string (succCtx.keepLabels), so
-// only a heap ctx, which trace replay runs on, keeps labels. A test store behind Options.passed hands the
-// carved frontier heap entries and heap payloads, so it must keep every one
-// of them alive itself until the sweep is over: a standalone store's entries
-// hang in its heap index, and its standalone compact pool keeps every buffer
-// it allocated (dbm.CompactPool); the reference store keeps the entries and
+// (explore.go, "Frontier" and "Trace reconstruction"), and so are the States
+// the ctxs fire and rebuild with their vectors (newState), the successor lists
+// (succCtx.grow), the ctxs' scratch vectors and closeScratch; a store built
+// with a nil set (the tests' standalone stores) takes each from the heap
+// instead. So a sweep's bookkeeping costs the collector nothing: no object to
+// allocate per state, none to scan, nothing counted towards the heap goal, and
+// the helper allocates on the heap only what it is — its goroutine, its ring,
+// its ctx and pool — and the matrix headers of the states it has in flight.
+// What a sweep still allocates on the heap is sized by the model, not by the
+// states it stores: its ctxs and their pools, the pools' free lists and blocks
+// of matrix headers, the ctxs' free lists of States, and the slab and
+// log-block directories. Carved memory is invisible to the collector, so it
+// obeys dbm.Carve's rule: it points only into its own set — an entry at its
+// next entry and its segments, a record at its payload, a segment at the next,
+// a head at its entry, a waiting node at its entry and payload, a State at its
+// vectors, a successor list at its States — never at a heap object, which
+// nothing would keep alive. A payload too large for a slab piece is such a
+// heap object, and so is the matrix header a State points at; the set itself
+// keeps both until Release. A carved successor holds no label: its channel
+// name is a heap string (succCtx.keepLabels), so only a heap ctx, which trace
+// replay runs on, keeps labels. A test store behind Options.passed hands the
+// carved frontier heap entries and heap payloads, so it must keep every one of
+// them alive itself until the sweep is over: a standalone store's entries hang
+// in its heap index, and its standalone compact pool keeps every buffer it
+// allocated (dbm.CompactPool); the reference store keeps the entries and
 // payloads it hands out.
 //
 // explore releases the set to a process-wide cache exactly once per run —
@@ -367,7 +366,7 @@ const (
 type storeEntry struct {
 	// next chains the entries of one bucket.
 	next *storeEntry
-	// hash is the state's discrete hash (State.key), immutable once the
+	// hash is the hash of the key (discretePacker.hash), immutable once the
 	// entry is published.
 	hash uint64
 	// n counts the stored maximal zones. Their records occupy the first n
@@ -457,10 +456,10 @@ func newEntry(slabs *dbm.Slabs, words int) *storeEntry {
 }
 
 // lookupEntry finds or creates the entry for s's discrete state. It packs s
-// into the spare entry's key: a new entry is the spare itself, a found one
-// leaves it for the next lookup. Either way the key is a copy, so states stay
-// recyclable (succCtx.putState). A new entry is charged to zoneBytes with its
-// key; add admits its state, since it has no zone to be subsumed by.
+// into the spare entry's key and hashes those words: a new entry is the spare
+// itself, a found one leaves it for the next lookup. Either way the key is a
+// copy, so states stay recyclable. A new entry is charged to zoneBytes with
+// its key; add admits its state, since it has no zone to be subsumed by.
 func (st *store) lookupEntry(s *State) *storeEntry {
 	n := st.keys.words
 	if st.spare == nil {
@@ -468,7 +467,7 @@ func (st *store) lookupEntry(s *State) *storeEntry {
 	}
 	key := st.spare.key(n)
 	st.keys.pack(s.Locs, s.Vars, key)
-	h := s.discreteKey()
+	h := st.keys.hash(key)
 	head := st.index.head(h)
 	for e := *head; e != nil; e = e.next {
 		if e.hash == h && slices.Equal(e.key(n), key) {

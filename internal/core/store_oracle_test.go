@@ -65,7 +65,7 @@ func (st *refStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	s.Zone.Extrapolate(st.bounds, sc.rows, sc.cols)
-	h := s.discreteKey()
+	h := packedHash(st.keys, s)
 	var e *refEntry
 	for _, cand := range st.buckets[h] {
 		if cand.key == h && slices.Equal(cand.locs, s.Locs) && slices.Equal(cand.vars, s.Vars) {
@@ -147,7 +147,7 @@ type shadowStore struct {
 func decodesTo(keys *discretePacker, e *storeEntry, s *State) bool {
 	locs, vars := make([]ta.LocID, len(s.Locs)), make([]int64, len(s.Vars))
 	keys.unpack(e.key(keys.words), locs, vars)
-	return slices.Equal(locs, s.Locs) && slices.Equal(vars, s.Vars) && e.hash == s.discreteKey()
+	return slices.Equal(locs, s.Locs) && slices.Equal(vars, s.Vars) && e.hash == packedHash(keys, s)
 }
 
 func (sh *shadowStore) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
@@ -571,7 +571,7 @@ func TestSegmentedListLockstep(t *testing.T) {
 			for _, e := range entriesOf(fast) {
 				got = append(got, e.liveZones()...)
 			}
-			want := sh.ref.buckets[states[0].discreteKey()][0].zs
+			want := sh.ref.buckets[packedHash(sh.ref.keys, states[0])][0].zs
 			if len(got) != len(want) {
 				t.Fatalf("%s %s: %d zones stored, reference %d", shape, name, len(got), len(want))
 			}

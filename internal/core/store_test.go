@@ -209,7 +209,6 @@ func TestStoreNewEntryAllocs(t *testing.T) {
 	states := make([]*State, n+1) // AllocsPerRun calls once more to warm up
 	for i := range states {
 		states[i] = mkState([]ta.LocID{ta.LocID(i % 5)}, []int64{int64(n - 2*i)}, 10)
-		states[i].discreteKey()
 	}
 	sc := &closeScratch{rows: dbm.NewTouched(2), cols: dbm.NewTouched(2)}
 	next := 0

@@ -77,11 +77,12 @@ func newEngine(net *ta.Network) (*engine, error) {
 //
 // Zone ownership: zone is the current scratch matrix, owned by the ctx. On
 // a successful fire it is detached into the new State (which then owns it)
-// and replaced from pool. The explorer releases it back into pool as soon as
-// the passed store has decided: at once when the state is subsumed, after the
-// queries have seen it when it is admitted (see "Zone ownership" in store.go).
-// The zone of a fired successor is raw; the store widens it — with this ctx's
-// rows/cols, handed to passedSet.add — only if it admits it.
+// and replaced from pool. It goes back into pool with its State when the
+// next expansion in the same slot recycles the expansion that fired it
+// (recycle; "Frontier" in explore.go), whether the passed store subsumed the
+// state or admitted it (see "Zone ownership" in store.go). The zone of a
+// fired successor is raw; the store widens it — with this ctx's rows/cols,
+// handed to passedSet.add — only if it admits it.
 //
 // Fork census (continued from the dbm package comment; scripts/traffic.sh
 // prints it): a fired transition tightens its zone with ta.ApplyConstraints
@@ -93,10 +94,9 @@ func newEngine(net *ta.Network) (*engine, error) {
 // Both stay, they are semantics of the .ta language, covered by this
 // package's tests.
 type succCtx struct {
-	// slabs is the sweep's slab set the ctx carves its States, successor
-	// lists and return batches from (getState, grow), and its pool its
-	// matrices; nil for a heap ctx, whose States may outlive the sweep (trace
-	// replay).
+	// slabs is the sweep's slab set the ctx carves its States and successor
+	// lists from (getState, grow), and its pool its matrices; nil for a heap
+	// ctx, whose States may outlive the sweep (trace replay).
 	slabs *dbm.Slabs
 	pool  *dbm.Pool
 	zone  *dbm.DBM
@@ -123,20 +123,14 @@ type succCtx struct {
 	runs []partRun // broadcast receiver grouping
 
 	// states is a free list of State objects (with their discrete vectors)
-	// released by the explorer via putState. Store entries keep packed
-	// copies of the discrete parts of admitted states (store.go), so
-	// recycling a state can never corrupt the passed store. Every State on
-	// the free list of a slab ctx is one getState carved: a heap State there
-	// would be referenced from carved memory (a successor list, a batch) that
-	// does not keep it alive.
+	// that this ctx fired or rebuilt and that were put back (putState: an
+	// expansion's recycle, or trace replay's unselected successors). Store
+	// entries keep packed copies of the discrete parts of admitted states
+	// (store.go), so recycling a state can never corrupt the passed store.
+	// Every State on the free list of a slab ctx is one getState carved: a
+	// heap State there would be referenced from carved memory (a successor
+	// list) that does not keep it alive.
 	states []*State
-	// lent is set once a lookahead helper expands for this ctx's loop
-	// (explore.go, "Lookahead"): the States the loop frees were allocated
-	// by the helper's ctx, so putState collects them, zones and all, in back,
-	// and the loop hands the batch to the helper with the next node it
-	// passes on. The batch grows into carved memory (grow).
-	lent bool
-	back []*State
 
 	// chunk is a bump allocator for the Label.Parts of fired transitions:
 	// stable copies are carved out of large blocks instead of one
@@ -210,9 +204,9 @@ func (e *engine) newCtx(slabs *dbm.Slabs) *succCtx {
 
 // grow returns a copy of list with room for at least as many elements again,
 // carved from slabs (a nil set: the heap). The lists a ctx grows — successor
-// lists, return batches and its free list of States — hold pointers only to
-// carved States, so they may be carved under the slab rule; the outgrown copy stays in the
-// slab until the set is released, which costs at most the final size again.
+// lists and its free list of States — hold pointers only to carved States, so
+// they may be carved under the slab rule; the outgrown copy stays in the slab
+// until the set is released, which costs at most the final size again.
 func grow[T any](slabs *dbm.Slabs, list []T) []T {
 	out := dbm.CarveSlice[T](slabs, max(8, 2*cap(list)))[:len(list)]
 	copy(out, list)
@@ -240,26 +234,17 @@ func (ctx *succCtx) getState() *State {
 		s := ctx.states[n-1]
 		ctx.states[n-1] = nil
 		ctx.states = ctx.states[:n-1]
-		s.key = 0
 		s.ref = noRef
 		return s
 	}
 	return newState(ctx.slabs, len(ctx.locs), len(ctx.vars))
 }
 
-// putState releases a state the explorer no longer references: its zone
-// goes back to the DBM pool and the struct (with its discrete vectors) onto
-// the free list — or, when the ctx is lent, onto the batch for the helper
-// whose ctx allocated it. The caller must guarantee nothing else aliases the
-// state — see the ownership protocol in store.go.
+// putState releases a state nothing references any more, one this ctx fired
+// or rebuilt: its zone goes back to the DBM pool and the struct (with its
+// discrete vectors) onto the free list. The caller must guarantee nothing
+// else aliases the state — see the ownership protocol in store.go.
 func (ctx *succCtx) putState(s *State) {
-	if ctx.lent {
-		if len(ctx.back) == cap(ctx.back) {
-			ctx.back = grow(ctx.slabs, ctx.back)
-		}
-		ctx.back = append(ctx.back, s)
-		return
-	}
 	ctx.pool.Put(s.Zone)
 	s.Zone = nil
 	if len(s.Locs) == len(ctx.locs) && len(s.Vars) == len(ctx.vars) {
@@ -270,24 +255,29 @@ func (ctx *succCtx) putState(s *State) {
 	}
 }
 
-// park turns an admitted state, which the queries have seen, into the node
-// it waits as — entry and payload are what passedSet.add handed back —
-// written into the tail slot of f, and recycles the state (see "Frontier" in
-// explore.go).
-func (ctx *succCtx) park(f *frontier, s *State, entry *storeEntry, payload dbm.Compact) {
-	*f.push() = waiting{entry: entry, packed: payload, ref: s.ref}
-	ctx.putState(s)
+// recycle puts back the States of the expansion this ctx made before in the
+// same slot, once the loop has admitted or discarded all of them: the fired
+// successors of out in list order, then prev, the expanded state (nil before
+// the first expansion). That is the order a loop that freed each successor
+// as it decided it, and the expanded state last, would free them in, so the
+// free list hands them out again in the same order.
+func (ctx *succCtx) recycle(prev *State, out []succ) {
+	for i := range out {
+		ctx.putState(out[i].state)
+	}
+	if prev != nil {
+		ctx.putState(prev)
+	}
 }
 
 // unpark rebuilds the state a popped node waited as: a pooled State with the
-// discrete part decoded from the entry's key, the entry's hash as its key,
-// the node's ref, and the payload decoded into a pooled matrix. It only reads
-// the node; the payload is returned for the loop to give back through
-// passedSet.release.
+// discrete part decoded from the entry's key, the node's ref, and the payload
+// decoded into a pooled matrix. It only reads the node; the payload is
+// returned for the loop to give back through passedSet.release.
 func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
 	s := ctx.getState()
 	ctx.keys.unpack(n.entry.key(ctx.keys.words), s.Locs, s.Vars)
-	s.key, s.ref = n.entry.hash, n.ref
+	s.ref = n.ref
 	s.Zone = ctx.pool.Get()
 	payload := n.packed
 	payload.DecodeInto(s.Zone)

@@ -62,8 +62,8 @@ func buildWidening(t *testing.T, steps int64) *ta.Network {
 // records the state's discrete part against the payload add handed out — a
 // buffer the store cannot recycle while the node holds it, so its address
 // names the node until the release. At release, which the worker calls right
-// after the pop rebuilt the state from the node, the rebuilt Locs, Vars and
-// discrete key must equal the recorded ones. It counts the pops, the ones
+// after the pop rebuilt the state from the node, the rebuilt Locs and Vars
+// must equal the recorded ones. It counts the pops, the ones
 // that diverged, and the ones that found their payload orphaned. Its mutex
 // serializes add and release, so reading the mark outside the inner store's
 // own guard is sound with racing workers too.
@@ -80,7 +80,6 @@ type holderSpy struct {
 type admission struct {
 	locs []ta.LocID
 	vars []int64
-	key  uint64
 }
 
 func newHolderSpy(inner passedSet) *holderSpy {
@@ -92,7 +91,7 @@ func (h *holderSpy) add(s *State, sc *closeScratch) (*storeEntry, dbm.Compact) {
 	defer h.mu.Unlock()
 	entry, payload := h.passedSet.add(s, sc)
 	if entry != nil {
-		h.admitted[&payload[0]] = admission{slices.Clone(s.Locs), slices.Clone(s.Vars), s.discreteKey()}
+		h.admitted[&payload[0]] = admission{slices.Clone(s.Locs), slices.Clone(s.Vars)}
 	}
 	return entry, payload
 }
@@ -103,7 +102,7 @@ func (h *holderSpy) release(s *State, c dbm.Compact) {
 	h.pops++
 	a, ok := h.admitted[&c[0]]
 	delete(h.admitted, &c[0])
-	if !ok || !slices.Equal(s.Locs, a.locs) || !slices.Equal(s.Vars, a.vars) || s.key != a.key {
+	if !ok || !slices.Equal(s.Locs, a.locs) || !slices.Equal(s.Vars, a.vars) {
 		h.diverged++
 	}
 	if c.Holder() == orphaned {

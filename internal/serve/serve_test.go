@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/dbm"
 	"repro/internal/icrns"
 	"repro/internal/serve/client"
 	"repro/internal/wire"
@@ -262,6 +264,40 @@ func TestSubmitValidation(t *testing.T) {
 	// is hard to hold still here, so just check an unknown id 404s on result.
 	if code, _ := getBody(t, ts.URL+"/v1/jobs/nope/result"); code != http.StatusNotFound {
 		t.Errorf("unknown job result: %d, want 404", code)
+	}
+}
+
+// TestSubmitLimits pins both sides of the two option limits that guard an
+// overflow: max_const past dbm.MaxConstant, which Finalize refuses for the
+// sup clock's registered horizon, and deadline_ms past the milliseconds a
+// time.Duration holds, which would wrap into the past. Beyond either limit a
+// submission gets a 400; at it, the job runs to its answer.
+func TestSubmitLimits(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	maxDeadline := math.MaxInt64 / int64(time.Millisecond)
+	ta := func(o SubmitOptions) SubmitRequest {
+		return SubmitRequest{Kind: "ta", Model: tinyTAModel(t),
+			Queries: []wire.TAQuery{{Kind: "sup", Clock: "x", Pred: "RAD.busy"}}, Options: o}
+	}
+	for name, req := range map[string]SubmitRequest{
+		"max_const 2^61":        ta(SubmitOptions{MaxConst: dbm.MaxConstant + 1}),
+		"max_const 2^62":        ta(SubmitOptions{MaxConst: 1 << 62}),
+		"deadline_ms past":      ta(SubmitOptions{DeadlineMS: maxDeadline + 1}),
+		"deadline_ms 10^13":     ta(SubmitOptions{DeadlineMS: 10_000_000_000_000}),
+		"deadline_ms past arch": {Kind: "arch", Model: tinyArchModel(t), Options: SubmitOptions{DeadlineMS: maxDeadline + 1}},
+	} {
+		if code, body := postJSON(t, ts.URL+"/v1/jobs", req); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, code, body)
+		}
+	}
+	sr := submit(t, ts.URL, ta(SubmitOptions{MaxConst: dbm.MaxConstant, DeadlineMS: maxDeadline}))
+	if st := await(t, ts.URL, sr.JobID, time.Minute); st.State != StateDone {
+		t.Fatalf("max_const %d with deadline_ms %d: job %s (%s), want done", int64(dbm.MaxConstant), maxDeadline, st.State, st.Error)
+	}
+	code, body := getBody(t, ts.URL+"/v1/jobs/"+sr.JobID+"/result")
+	var resp wire.TAResponse
+	if err := json.Unmarshal(body, &resp); code != http.StatusOK || err != nil || resp.Queries[0].Sup != "<=3" {
+		t.Errorf("result at the limits: %d %s", code, body)
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"net/http"
 	"runtime"
 	"runtime/pprof"
@@ -343,6 +344,11 @@ func (s *Server) intake(req *SubmitRequest) (*submission, error) {
 	order, err := core.ParseOrder(req.Options.Order)
 	if err != nil {
 		return nil, badRequest("%v", err)
+	}
+	// A deadline is a time.Duration of nanoseconds, which one above this
+	// many milliseconds would overflow into the past.
+	if limit := math.MaxInt64 / int64(time.Millisecond); req.Options.DeadlineMS > limit {
+		return nil, badRequest("deadline_ms %d is beyond the largest, %d", req.Options.DeadlineMS, limit)
 	}
 	// Resolve the job's memory grant against the global budget: a declared
 	// max_bytes is clamped to the budget; an undeclared one defaults to the

@@ -18,19 +18,26 @@ func (n *Network) Finalize() error {
 		return fmt.Errorf("ta: network %s has no processes", n.Name)
 	}
 	// Grow the constant table to the clock count, preserving entries
-	// registered via EnsureMaxConst.
+	// registered via EnsureMaxConst, which are held to the same limit as the
+	// constants recorded below.
 	for len(n.MaxConsts) < len(n.Clocks) {
 		n.MaxConsts = append(n.MaxConsts, 0)
 	}
+	for c, k := range n.MaxConsts {
+		if k > dbm.MaxConstant {
+			return fmt.Errorf("ta: maximal constant %d registered for clock %s is beyond the largest clock constant, %d",
+				k, n.clockName(c), int64(dbm.MaxConstant))
+		}
+	}
 
-	for pi, p := range n.Procs {
+	for _, p := range n.Procs {
 		if len(p.Locations) == 0 {
 			return fmt.Errorf("ta: process %s has no locations", p.Name)
 		}
 		if int(p.Init) >= len(p.Locations) || p.Init < 0 {
 			return fmt.Errorf("ta: process %s has invalid initial location %d", p.Name, p.Init)
 		}
-		for li, l := range p.Locations {
+		for _, l := range p.Locations {
 			for _, c := range l.Invariant {
 				if err := n.checkConstraint(c); err != nil {
 					return fmt.Errorf("ta: invariant of %s.%s: %w", p.Name, l.Name, err)
@@ -50,7 +57,6 @@ func (n *Network) Finalize() error {
 					return fmt.Errorf("ta: invariant of %s.%s: %w", p.Name, l.Name, err)
 				}
 			}
-			_ = li
 		}
 		for ei := range p.Edges {
 			e := &p.Edges[ei]
@@ -77,6 +83,10 @@ func (n *Network) Finalize() error {
 				if r.Value < 0 {
 					return fmt.Errorf("ta: process %s edge %d resets clock to negative value", p.Name, ei)
 				}
+				if r.Value > dbm.MaxConstant {
+					return fmt.Errorf("ta: process %s edge %d resets clock %s to %d, beyond the largest clock constant, %d",
+						p.Name, ei, n.Clocks[r.Clock].Name, r.Value, int64(dbm.MaxConstant))
+				}
 				if r.Value > n.MaxConsts[r.Clock] {
 					n.MaxConsts[r.Clock] = r.Value
 				}
@@ -102,7 +112,6 @@ func (n *Network) Finalize() error {
 			default:
 				return fmt.Errorf("ta: process %s edge %d has invalid sync direction", p.Name, ei)
 			}
-			_ = pi
 		}
 	}
 	for _, v := range n.Vars {
@@ -270,6 +279,15 @@ func (n *Network) buildIndex() {
 
 // Finalized reports whether Finalize has completed successfully.
 func (n *Network) Finalized() bool { return n.finalized }
+
+// clockName names clock c, or gives its index when the network declares no
+// such clock (a constant table longer than the clock list).
+func (n *Network) clockName(c int) string {
+	if c < len(n.Clocks) {
+		return n.Clocks[c].Name
+	}
+	return fmt.Sprintf("#%d", c)
+}
 
 func (n *Network) checkConstraint(c Constraint) error {
 	if int(c.I) < 0 || int(c.I) >= len(n.Clocks) || int(c.J) < 0 || int(c.J) >= len(n.Clocks) {
