@@ -59,9 +59,6 @@ var ErrMemoryBudget = errors.New("core: exploration memory budget exceeded")
 // memory, released like any other run's — raw bytes with no structure to be
 // corrupt, every piece of which its next owner initializes in full.
 type PanicError struct {
-	// Worker is always 0: a run has one admitting loop, and a crash of its
-	// lookahead helper is reported as the loop's.
-	Worker int
 	// Value is the recovered panic value.
 	Value any
 	// Stack is the crashed goroutine's stack at recovery.
@@ -69,5 +66,5 @@ type PanicError struct {
 }
 
 func (p *PanicError) Error() string {
-	return fmt.Sprintf("core: worker %d panicked: %v", p.Worker, p.Value)
+	return fmt.Sprintf("core: sweep panicked: %v", p.Value)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -54,17 +55,17 @@ func TestCancelMidSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cancel := make(chan struct{})
+		ctx, cancel := context.WithCancel(context.Background())
 		var admitted atomic.Int64
-		var closed atomic.Bool
 		visit := func(s *State) bool {
-			if admitted.Add(1) == 500 && closed.CompareAndSwap(false, true) {
-				close(cancel)
+			if admitted.Add(1) == 500 {
+				cancel()
 			}
 			return false
 		}
 		start := time.Now()
-		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), Cancel: cancel}, visit)
+		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), Context: ctx}, visit)
+		cancel()
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
 		}
@@ -93,11 +94,12 @@ func TestCancelLeavesEngineReusable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var admitted atomic.Int64
-	_, err = c.Explore(Options{Cancel: cancel}, func(*State) bool {
+	_, err = c.Explore(Options{Context: ctx}, func(*State) bool {
 		if admitted.Add(1) == 20 {
-			close(cancel)
+			cancel()
 		}
 		return false
 	})
@@ -133,7 +135,9 @@ func TestDeadlineMidSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), Deadline: start.Add(50 * time.Millisecond)}, nil)
+		ctx, cancel := context.WithDeadline(context.Background(), start.Add(50*time.Millisecond))
+		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), Context: ctx}, nil)
+		cancel()
 		if !errors.Is(err, ErrDeadlineExceeded) {
 			t.Fatalf("workers=%d: err = %v, want ErrDeadlineExceeded", workers, err)
 		}
@@ -146,9 +150,9 @@ func TestDeadlineMidSweep(t *testing.T) {
 	}
 }
 
-// TestAbortBeforeStart covers the pre-flight check: an expired deadline or a
-// closed cancel channel refuses the run with zero stats and leaves the
-// queries unused, so the same query value can still run afterwards.
+// TestAbortBeforeStart covers the pre-flight check: a context whose deadline
+// has passed or that was canceled refuses the run with zero stats and leaves
+// the queries unused, so the same query value can still run afterwards.
 func TestAbortBeforeStart(t *testing.T) {
 	n, sx, _, busy := buildGrid(t)
 	c, err := NewChecker(n)
@@ -156,12 +160,14 @@ func TestAbortBeforeStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := NewSupClockQuery(sx.ID, func(s *State) bool { return s.Locs[3] == busy })
-	if _, err := c.RunQueries(Options{Deadline: time.Now().Add(-time.Second)}, q); !errors.Is(err, ErrDeadlineExceeded) {
+	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	if _, err := c.RunQueries(Options{Context: expired}, q); !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired deadline: err = %v, want ErrDeadlineExceeded", err)
 	}
-	closed := make(chan struct{})
-	close(closed)
-	if _, err := c.RunQueries(Options{Cancel: closed}, q); !errors.Is(err, ErrCanceled) {
+	closed, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.RunQueries(Options{Context: closed}, q); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("closed cancel: err = %v, want ErrCanceled", err)
 	}
 	// The refused runs never consumed the query; it still answers exactly.
@@ -173,20 +179,81 @@ func TestAbortBeforeStart(t *testing.T) {
 	}
 }
 
-// TestDeadlineWinsOverCancel pins the check order: when both abort signals
-// have fired, the more specific ErrDeadlineExceeded is reported — that is
-// what lets callers driving a context distinguish expiry from cancellation.
+// TestDeadlineWinsOverCancel pins the check order: when a context was
+// canceled and its deadline has passed since, the more specific
+// ErrDeadlineExceeded is reported — that is what lets callers driving a
+// context distinguish expiry from cancellation.
 func TestDeadlineWinsOverCancel(t *testing.T) {
 	n := buildHuge(t)
 	c, err := NewChecker(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	closed := make(chan struct{})
-	close(closed)
-	_, err = c.Explore(Options{Cancel: closed, Deadline: time.Now().Add(-time.Second)}, nil)
+	deadline := time.Now().Add(100 * time.Millisecond)
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	cancel()
+	time.Sleep(time.Until(deadline) + 10*time.Millisecond)
+	if !errors.Is(ctx.Err(), context.Canceled) {
+		t.Fatalf("ctx.Err() = %v, want context.Canceled: the cancel must come first", ctx.Err())
+	}
+	_, err = c.Explore(Options{Context: ctx}, nil)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded to win", err)
+	}
+}
+
+// expiredSince is a context that was canceled and whose deadline has passed
+// since, without the wait TestDeadlineWinsOverCancel makes for one.
+type expiredSince struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c expiredSince) Deadline() (time.Time, bool) { return c.deadline, true }
+
+// TestAbortErr is AbortErr's table: the deadline decides once it has passed,
+// whatever else happened to the context.
+func TestAbortErr(t *testing.T) {
+	past := time.Now().Add(-time.Second)
+	canceledParent, cancelParent := context.WithCancel(context.Background())
+	cancelParent()
+	cases := []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{
+		{"nil", func() (context.Context, context.CancelFunc) { return nil, func() {} }, nil},
+		{"live", func() (context.Context, context.CancelFunc) {
+			return context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+		}, nil},
+		{"canceled before its deadline", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(time.Hour))
+			cancel()
+			return ctx, cancel
+		}, ErrCanceled},
+		{"deadline passed", func() (context.Context, context.CancelFunc) {
+			return context.WithDeadline(context.Background(), past)
+		}, ErrDeadlineExceeded},
+		{"deadline passed, then canceled", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithDeadline(context.Background(), past)
+			cancel()
+			return ctx, cancel
+		}, ErrDeadlineExceeded},
+		{"canceled, then its deadline passed", func() (context.Context, context.CancelFunc) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return expiredSince{ctx, past}, cancel
+		}, ErrDeadlineExceeded},
+		{"canceled parent", func() (context.Context, context.CancelFunc) {
+			return context.WithCancel(canceledParent)
+		}, ErrCanceled},
+	}
+	for _, tc := range cases {
+		ctx, cancel := tc.ctx()
+		if got := AbortErr(ctx); got != tc.want {
+			t.Errorf("%s: AbortErr = %v, want %v", tc.name, got, tc.want)
+		}
+		cancel()
 	}
 }
 

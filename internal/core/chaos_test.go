@@ -3,6 +3,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -180,13 +181,14 @@ func TestChaosSlowWorkerStillCancels(t *testing.T) {
 	}
 	faultinject.Set("core/worker", faultinject.Fault{Kind: faultinject.KindDelay, Delay: time.Millisecond})
 	defer faultinject.Clear("core/worker")
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	go func() {
 		time.Sleep(100 * time.Millisecond)
-		close(cancel)
+		cancel()
 	}()
 	start := time.Now()
-	_, err = c.Explore(Options{Workers: 4, lookahead: lookaheadOn, Cancel: cancel}, nil)
+	_, err = c.Explore(Options{Workers: 4, lookahead: lookaheadOn, Context: ctx}, nil)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,19 +16,39 @@ import (
 	"repro/internal/faultinject"
 )
 
-// ErrCanceled reports an exploration stopped early through Options.Cancel.
-// The accompanying Stats are the partial effort up to the abort.
+// ErrCanceled reports an exploration stopped early because Options.Context
+// was canceled. The accompanying Stats are the partial effort up to the
+// abort.
 var ErrCanceled = errors.New("core: exploration canceled")
 
-// ErrDeadlineExceeded reports an exploration stopped early because
-// Options.Deadline passed. The accompanying Stats are the partial effort up
-// to the abort.
+// ErrDeadlineExceeded reports an exploration stopped early because the
+// deadline of Options.Context passed. The accompanying Stats are the partial
+// effort up to the abort.
 var ErrDeadlineExceeded = errors.New("core: exploration deadline exceeded")
 
+// AbortErr is the one rule for why a context stops work: ErrDeadlineExceeded
+// once its deadline has passed, whether or not it was also canceled (so a
+// canceled-because-expired context reports the more specific expiry),
+// ErrCanceled when it is done for any other reason, and nil while it is live
+// or when it is nil. The sweep's checkpoint and every wait of a served job
+// (internal/serve) answer with it.
+func AbortErr(ctx context.Context) error {
+	if ctx == nil {
+		return nil
+	}
+	if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
+		return ErrDeadlineExceeded
+	}
+	if ctx.Err() != nil {
+		return ErrCanceled
+	}
+	return nil
+}
+
 // abortCheckMask throttles the cancellation/deadline check in the admitting
-// loop: every (mask+1)-th expansion polls the cancel channel and the clock,
-// so an abort lands within a bounded number of expansions while the hot path
-// stays branch-cheap when neither is configured.
+// loop: every (mask+1)-th expansion polls Options.Context (AbortErr), so an
+// abort lands within a bounded number of expansions while the hot path stays
+// branch-cheap when no context can be done.
 const abortCheckMask = 31
 
 // This file is the exploration engine: one admitting loop (explorer.run) on
@@ -329,7 +350,7 @@ type explorer struct {
 	// before the loop has a succCtx; carved from slabs.
 	initScratch closeScratch
 
-	// hasCheck caches "Cancel, Deadline, or MaxBytes configured" so the
+	// hasCheck caches "an abortable Context or MaxBytes configured" so the
 	// loop pays a single predictable branch when none is.
 	hasCheck bool
 
@@ -343,24 +364,6 @@ type explorer struct {
 	// stored counts admitted states; a Monitor's Snapshot reads it from its
 	// own goroutine while the loop adds.
 	stored atomic.Int64
-}
-
-// abortErr polls the cooperative abort signals: the wall-clock deadline
-// first (so a canceled-because-expired context still reports the more
-// specific ErrDeadlineExceeded), then the cancel channel. nil means keep
-// going.
-func (e *explorer) abortErr() error {
-	if !e.opts.Deadline.IsZero() && time.Now().After(e.opts.Deadline) {
-		return ErrDeadlineExceeded
-	}
-	if e.opts.Cancel != nil {
-		select {
-		case <-e.opts.Cancel:
-			return ErrCanceled
-		default:
-		}
-	}
-	return nil
 }
 
 // completeQuery marks the live query q done on state s: it captures a
@@ -419,15 +422,15 @@ func contained(f func() error) (err error) {
 // locals, published into the run's cell at each checkpoint and once more on
 // exit.
 //
-// Cooperative abort: Options.Cancel and Options.Deadline are polled here
-// every abortCheckMask+1 expansions, strictly between expansions. The loop
+// Cooperative abort: Options.Context is polled here, through AbortErr, every
+// abortCheckMask+1 expansions, strictly between expansions. The loop
 // never aborts while it holds a popped state mid-fire, so every state is
 // either recycled by a later expansion or abandoned with the run's pools, and
 // a canceled sweep leaves the checker reusable
-// (TestCancelLeavesEngineReusable). Aborts surface as ErrCanceled or
-// ErrDeadlineExceeded with partial Stats; the deadline wins when both fired.
-// A run explore refuses before it starts (Cancel already closed, Deadline
-// already past) does not mark its queries used.
+// (TestCancelLeavesEngineReusable). Aborts surface as AbortErr names them,
+// ErrCanceled or ErrDeadlineExceeded, with partial Stats. A run explore
+// refuses before it starts (its Context already done) does not mark its
+// queries used.
 func (e *explorer) run() error {
 	ctx := e.c.eng.newCtx(&e.slabs)
 	// Parent-log records hold successor indices, not labels, so the loop
@@ -478,7 +481,7 @@ func (e *explorer) run() error {
 			// is configured.
 			publish()
 			if e.hasCheck {
-				if err := e.abortErr(); err != nil {
+				if err := AbortErr(e.opts.Context); err != nil {
 					return err
 				}
 				// The passed store adds its actual packed footprint.
@@ -850,13 +853,14 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	if err != nil {
 		return res, err
 	}
-	hasAbort := opts.Cancel != nil || !opts.Deadline.IsZero()
+	// A context that can never be done (context.Background) costs the loop
+	// nothing, like none at all.
+	hasAbort := opts.Context != nil && opts.Context.Done() != nil
 	e.hasCheck = hasAbort || opts.MaxBytes > 0
 	if hasAbort {
-		// Refuse to start an already-aborted run: a closed Cancel channel or
-		// an expired Deadline returns immediately with zero Stats, before any
-		// query is marked used.
-		if aerr := e.abortErr(); aerr != nil {
+		// Refuse to start an already-aborted run: a done Context returns
+		// immediately with zero Stats, before any query is marked used.
+		if aerr := AbortErr(opts.Context); aerr != nil {
 			res.Duration = time.Since(start)
 			return res, aerr
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -80,8 +81,9 @@ func TestLookaheadStopPaths(t *testing.T) {
 			return res.Stats, err
 		}},
 		{"Cancel", is(ErrCanceled), func(m lookaheadMode) (Stats, error) {
-			cancel := make(chan struct{})
-			res, err := c.Explore(Options{Cancel: cancel, lookahead: m}, at(500, func() { close(cancel) }))
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			res, err := c.Explore(Options{Context: ctx, lookahead: m}, at(500, cancel))
 			return res.Stats, err
 		}},
 		{"Deadline", is(ErrDeadlineExceeded), func(m lookaheadMode) (Stats, error) {
@@ -90,10 +92,12 @@ func TestLookaheadStopPaths(t *testing.T) {
 			// reach the visitor before it; then again, with more time.
 			for wait := 50 * time.Millisecond; ; wait *= 2 {
 				deadline, reached := time.Now().Add(wait), false
-				res, err := c.Explore(Options{Deadline: deadline, lookahead: m}, at(500, func() {
+				ctx, cancel := context.WithDeadline(context.Background(), deadline)
+				res, err := c.Explore(Options{Context: ctx, lookahead: m}, at(500, func() {
 					reached = true
 					time.Sleep(time.Until(deadline) + time.Millisecond)
 				}))
+				cancel()
 				if reached || wait > 10*time.Second {
 					return res.Stats, err
 				}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -67,7 +68,7 @@ type Options struct {
 	// — entries with their packed discrete keys, zone-record segments and
 	// packed zone buffers (passedSet.bytes) — exceed this many bytes, the run
 	// fails with ErrMemoryBudget and partial Stats via the same
-	// between-expansions abort point as Cancel. 0 means unlimited. A waiting
+	// between-expansions abort point as Context. 0 means unlimited. A waiting
 	// state's zone is charged as the packed payload in that footprint — the
 	// one copy there is of it — and matrices only as the pools' scratch.
 	// Accounting (budget.go) adds nothing to the visitor path; frontier
@@ -81,28 +82,25 @@ type Options struct {
 	// successors of the next states while the calling goroutine admits, and
 	// the sweep — counts, order, traces — is the one an inline run makes;
 	// visitors and predicates run on the calling goroutine only (explore.go,
-	// "Lookahead"). The field stays for callers that still set it; the
-	// service's workers option sizes a job's CPU grant instead.
+	// "Lookahead"). Its one remaining setter is the benchmark (benchmark/);
+	// ROADMAP item 1 ("Let go of the worker count") lets the field go.
 	Workers int
 
-	// Cancel, when non-nil, cancels the exploration cooperatively: once the
-	// channel is closed (or receives), the run stops within a bounded number
-	// of expansions and returns ErrCanceled with the partial Stats
-	// accumulated so far. Cancellation honors the pool and parent-log
-	// ownership invariants — the loop aborts only between expansions, so
-	// every state is either recycled through its owning succCtx or abandoned
-	// to the garbage collector with the per-run pools; nothing dangles into a
-	// later run (the run's slabs are released to later runs as raw bytes,
-	// after the loop has returned, like those of a completed run). Typically
-	// wired to a context's Done channel by callers that manage jobs
+	// Context, when it can be done, aborts the exploration cooperatively:
+	// once it is canceled or its deadline passes, the run stops within a
+	// bounded number of expansions and returns AbortErr's answer,
+	// ErrCanceled or ErrDeadlineExceeded (the deadline wins when both
+	// fired), with the partial Stats accumulated so far. The abort honors the
+	// pool and parent-log ownership invariants — the loop aborts only between
+	// expansions, so every state is either recycled through its owning succCtx
+	// or abandoned to the garbage collector with the per-run pools; nothing
+	// dangles into a later run (the run's slabs are released to later runs as
+	// raw bytes, after the loop has returned, like those of a completed run).
+	// It sits on Options, not on the methods, because RunQueries, Analyze and
+	// Explore keep the signatures their callers use. nil, or a context that is
+	// never done, costs the sweep nothing. A served job passes its own
 	// (internal/serve).
-	Cancel <-chan struct{}
-	// Deadline, when nonzero, bounds the exploration by wall clock: a run
-	// still going when the deadline passes stops cooperatively like Cancel
-	// and returns ErrDeadlineExceeded with partial Stats. The two aborts are
-	// distinguishable via errors.Is even when both trigger (deadline wins the
-	// check order).
-	Deadline time.Time
+	Context context.Context
 	// Monitor, when non-nil, publishes live progress of the run: states
 	// stored/popped/transitions and the frontier backlog, sampled lock-free
 	// from the run's relaxed counters (see Monitor.Snapshot). A Monitor

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -484,11 +485,12 @@ func TestStopWithStatesWaitingLeavesCheckerReusable(t *testing.T) {
 			return err
 		}},
 		{"Cancel", func(c *Checker) error {
-			cancel := make(chan struct{})
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
 			admitted := 0
-			_, err := c.Explore(Options{Cancel: cancel}, func(*State) bool {
+			_, err := c.Explore(Options{Context: ctx}, func(*State) bool {
 				if admitted++; admitted == 40 {
-					close(cancel)
+					cancel()
 				}
 				return false
 			})

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/serve/api"
 	"repro/internal/wire"
 )
 
@@ -208,4 +209,53 @@ func TestAdmissionSerializesOnTokens(t *testing.T) {
 	}
 	postJSON(t, ts.URL+"/v1/jobs/"+a.JobID+"/cancel", nil)
 	await(t, ts.URL, a.JobID, 30*time.Second)
+}
+
+// anyResult is a replicated result cache that holds a done answer for every
+// key, so each submission is adopted.
+type anyResult struct{}
+
+func (anyResult) Get(key string) (api.CompletionEvent, bool) {
+	return api.CompletionEvent{Key: key, Kind: "ta", State: api.StateDone, Result: []byte(`{}`)}, true
+}
+
+func (anyResult) Put(api.CompletionEvent) {}
+func (anyResult) Len() int                { return 0 }
+
+// TestTerminalJobContextDone requires a job's context to be done once the job
+// is terminal, however it ended — done (with a deadline still an hour away),
+// failed on its deadline, canceled, or adopted from the result cache — so a
+// retained job holds no deadline timer and no link to the manager's context.
+func TestTerminalJobContextDone(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	ctxDone := func(name, id, wantState string) {
+		t.Helper()
+		if st := await(t, ts.URL, id, time.Minute); st.State != wantState {
+			t.Fatalf("%s: job %s (%s), want %s", name, st.State, st.Error, wantState)
+		}
+		if err := s.jobs.get(id).ctx.Err(); err == nil {
+			t.Errorf("%s: the terminal job's context is still live", name)
+		}
+	}
+	done := submit(t, ts.URL, SubmitRequest{Kind: "ta", Model: tinyTAModel(t),
+		Queries: []wire.TAQuery{{Kind: "deadlock"}},
+		Options: SubmitOptions{MaxConst: 20, DeadlineMS: int64(time.Hour / time.Millisecond)}})
+	ctxDone("done", done.JobID, StateDone)
+
+	expired := submit(t, ts.URL, hugeSubmit(47, 100))
+	ctxDone("deadline", expired.JobID, StateFailed)
+
+	canceled := submit(t, ts.URL, hugeSubmit(53, 0))
+	awaitProgress(t, ts.URL, canceled.JobID, 1000, time.Minute)
+	postJSON(t, ts.URL+"/v1/jobs/"+canceled.JobID+"/cancel", nil)
+	ctxDone("canceled", canceled.JobID, StateCanceled)
+
+	as, ats := testServer(t, Config{Results: anyResult{}})
+	adopted := submit(t, ats.URL, hugeSubmit(59, 0))
+	if st := await(t, ats.URL, adopted.JobID, time.Minute); st.State != StateDone || adopted.Created {
+		t.Fatalf("adopted: job %s (%s), created %v, want done and not created", st.State, st.Error, adopted.Created)
+	}
+	if err := as.jobs.get(adopted.JobID).ctx.Err(); err == nil {
+		t.Error("adopted: the adopted job's context is still live")
+	}
 }

@@ -61,7 +61,7 @@ func (s *Server) proxyRun(sub *submission, req *SubmitRequest, owner string) run
 
 		// Cancel releases only this frontend's interest; the owner keeps
 		// computing for its other watchers.
-		ev, err := awaitAbortable(evCh, j.cancelCh, j.deadline)
+		ev, err := awaitAbortable(j.ctx, evCh)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -80,7 +80,7 @@ func (s *Server) proxyRun(sub *submission, req *SubmitRequest, owner string) run
 // real grant first — degraded routing never bypasses admission control.
 func (s *Server) localFallback(sub *submission, j *job) ([]byte, map[string]string, error) {
 	s.fallbacks.Add(1)
-	if err := s.tokens.acquire(j.cancelCh, j.deadline, sub.spec.MaxBytes); err != nil {
+	if err := s.tokens.acquire(j.ctx, sub.spec.MaxBytes); err != nil {
 		return nil, nil, err
 	}
 	defer s.tokens.release(sub.spec.MaxBytes)

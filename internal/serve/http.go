@@ -393,7 +393,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 		writeNotReady(w, state, errMsg)
 		return
 	}
-	spans := j.spanSnapshot()
+	spans := j.spans.Snapshot()
 	resp := api.ProfileResponse{
 		JobID:       j.id,
 		Kind:        j.kind,

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -46,30 +47,18 @@ const (
 	StateCanceled = api.StateCanceled
 )
 
-// awaitAbortable blocks for a value on ready unless the job aborts first: its
-// cancel channel fires or its deadline (when nonzero) passes. It is the one
-// wait of every job stage that is not a sweep — queued for admission, a proxy
-// waiting on its owner — and returns the core sentinels, so those aborts
-// report exactly like sweep-time ones, with core's precedence: when the
-// deadline passed too (both channels ready, select picked randomly), the more
-// specific expiry wins so the wire state stays deterministic.
-func awaitAbortable[T any](ready <-chan T, cancel <-chan struct{}, deadline time.Time) (v T, err error) {
-	var expired <-chan time.Time
-	if !deadline.IsZero() {
-		timer := time.NewTimer(time.Until(deadline))
-		defer timer.Stop()
-		expired = timer.C
-	}
+// awaitAbortable blocks for a value on ready unless the job's context is
+// done first. It is the one wait of every job stage that is not a sweep —
+// queued for admission, a proxy waiting on its owner — and answers an abort
+// with core.AbortErr, the sweep's own rule, so those aborts report exactly
+// like sweep-time ones: ErrDeadlineExceeded once the deadline has passed,
+// canceled or not, so the wire state stays deterministic.
+func awaitAbortable[T any](ctx context.Context, ready <-chan T) (v T, err error) {
 	select {
 	case v = <-ready:
 		return v, nil
-	case <-expired:
-		return v, core.ErrDeadlineExceeded
-	case <-cancel:
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return v, core.ErrDeadlineExceeded
-		}
-		return v, core.ErrCanceled
+	case <-ctx.Done():
+		return v, core.AbortErr(ctx)
 	}
 }
 
@@ -110,9 +99,10 @@ func (t *cpuTokens) fitsLocked(bytes int64) bool {
 	return t.avail > 0 && (t.totalBytes == 0 || t.availBytes >= bytes)
 }
 
-// acquire blocks until the grant of one token and bytes lands or the job
-// aborts (awaitAbortable). bytes must already be clamped to [0, totalBytes].
-func (t *cpuTokens) acquire(cancel <-chan struct{}, deadline time.Time, bytes int64) error {
+// acquire blocks until the grant of one token and bytes lands or ctx, the
+// job's context, is done (awaitAbortable). bytes must already be clamped to
+// [0, totalBytes].
+func (t *cpuTokens) acquire(ctx context.Context, bytes int64) error {
 	t.mu.Lock()
 	if t.waiters.Len() == 0 && t.fitsLocked(bytes) {
 		t.avail--
@@ -124,7 +114,7 @@ func (t *cpuTokens) acquire(cancel <-chan struct{}, deadline time.Time, bytes in
 	el := t.waiters.PushBack(w)
 	t.mu.Unlock()
 
-	_, aborted := awaitAbortable(w.ready, cancel, deadline)
+	_, aborted := awaitAbortable(ctx, w.ready)
 	if aborted == nil {
 		return nil
 	}
@@ -197,15 +187,23 @@ type job struct {
 	kind      string // "arch" | "ta"
 	memBytes  int64  // memory-budget bytes its grant holds (0 = unmetered)
 	submitted time.Time
-	deadline  time.Time // zero = unbounded
 	mon       *core.Monitor
 	// remote marks a job whose answer another node computes: a proxy waiting
 	// on its owner, or an adopted result. It takes no grant and is never
 	// announced.
 	remote bool
+	spans  obs.SpanList // lifecycle spans, appended as each stage ends
 
-	cancelOnce sync.Once
-	cancelCh   chan struct{}
+	// ctx is the job's one abort signal — its wall-clock deadline, if any,
+	// and its cancel — for every stage: the admission wait, the sweep
+	// (core.Options.Context) and a proxy's wait. It derives from the job
+	// manager's context, never from a request's: a job outlives the request
+	// that created it, and twins join it. cancel ends it, and is safe to call
+	// repeatedly; execute calls it once the job's outcome is decided, and
+	// adopt at once, so a retained job holds no timer and no link to the
+	// manager.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	mu       sync.Mutex
 	state    string
@@ -214,18 +212,23 @@ type job struct {
 	finished time.Time
 	result   []byte            // raw wire JSON, valid when state == done
 	traces   map[string]string // captured witness traces, by requirement / query
-	spans    []obs.Span        // lifecycle spans, appended as each stage ends
 	done     chan struct{}     // closed on any terminal state
 }
 
-func newJob(id, kind string, remote bool, memBytes int64, deadline time.Time) *job {
+// newJob creates a queued job whose context derives from parent: bounded by
+// deadline when it is nonzero, by its cancel alone otherwise.
+func newJob(parent context.Context, id, kind string, remote bool, memBytes int64, deadline time.Time) *job {
 	j := &job{
 		id: id, kind: kind, remote: remote, memBytes: memBytes,
-		submitted: time.Now(), deadline: deadline,
-		mon:      &core.Monitor{},
-		cancelCh: make(chan struct{}),
-		state:    StateQueued,
-		done:     make(chan struct{}),
+		submitted: time.Now(),
+		mon:       &core.Monitor{},
+		state:     StateQueued,
+		done:      make(chan struct{}),
+	}
+	if deadline.IsZero() {
+		j.ctx, j.cancel = context.WithCancel(parent)
+	} else {
+		j.ctx, j.cancel = context.WithDeadline(parent, deadline)
 	}
 	// Every served job records its sweep profile (phase spans + a sampled
 	// series) for GET /v1/jobs/{id}/profile. A run's sample ring grows with
@@ -234,27 +237,6 @@ func newJob(id, kind string, remote bool, memBytes int64, deadline time.Time) *j
 	// that never run a sweep (proxies, adopted results) pay nothing at all.
 	j.mon.EnableProfile(core.ProfileConfig{})
 	return j
-}
-
-// addSpan records one completed lifecycle stage.
-func (j *job) addSpan(name string, start, end time.Time) {
-	s := obs.NewSpan(name, start, end)
-	j.mu.Lock()
-	j.spans = append(j.spans, s)
-	j.mu.Unlock()
-}
-
-// spanSnapshot copies the recorded lifecycle spans in recording order.
-func (j *job) spanSnapshot() []obs.Span {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]obs.Span(nil), j.spans...)
-}
-
-// cancel requests cooperative cancellation; safe to call repeatedly and
-// after completion (a terminal job just ignores the closed channel).
-func (j *job) cancel() {
-	j.cancelOnce.Do(func() { close(j.cancelCh) })
 }
 
 func (j *job) setRunning() {
@@ -336,6 +318,11 @@ type jobManager struct {
 	// feed. Called outside m.mu.
 	onSpan func(name string, d time.Duration)
 
+	// ctx is every job's parent; close cancels it, and with it every job
+	// still live.
+	ctx    context.Context
+	cancel context.CancelFunc
+
 	mu          sync.Mutex
 	jobs        map[string]*job
 	finished    *list.List // of job ids, front = most recently finished/hit
@@ -354,8 +341,11 @@ var (
 
 func newJobManager(tokens *cpuTokens, maxActive, maxFinished int,
 	onOutcome func(string), onFinish func(*job), onSpan func(string, time.Duration)) *jobManager {
+	ctx, cancel := context.WithCancel(context.Background())
 	return &jobManager{
 		tokens:      tokens,
+		ctx:         ctx,
+		cancel:      cancel,
 		onOutcome:   onOutcome,
 		onFinish:    onFinish,
 		onSpan:      onSpan,
@@ -368,7 +358,7 @@ func newJobManager(tokens *cpuTokens, maxActive, maxFinished int,
 }
 
 // runFunc computes one job's result: the raw wire JSON plus any captured
-// traces. It must honor the job's cancel channel, deadline, and monitor.
+// traces. It must honor the job's context and monitor.
 type runFunc func(j *job) ([]byte, map[string]string, error)
 
 // submit returns the job for the given content key, creating and starting it
@@ -389,7 +379,7 @@ func (m *jobManager) submit(id, kind string, remote bool, memBytes int64, deadli
 		m.mu.Unlock()
 		return nil, false, errBusy
 	}
-	j := newJob(id, kind, remote, memBytes, deadline)
+	j := newJob(m.ctx, id, kind, remote, memBytes, deadline)
 	m.jobs[id] = j
 	m.active++
 	m.wg.Add(1)
@@ -412,6 +402,7 @@ func (m *jobManager) submit(id, kind string, remote bool, memBytes int64, deadli
 func (m *jobManager) execute(j *job, run runFunc) {
 	defer m.wg.Done()
 	result, traces, err := m.admitAndRun(j, run)
+	j.cancel()
 	code := wire.CodeForError(err)
 	m.onOutcome(code)
 	m.mu.Lock()
@@ -429,7 +420,7 @@ func (m *jobManager) admitAndRun(j *job, run runFunc) ([]byte, map[string]string
 	// on the node that owns the content key; this goroutine only waits for
 	// the relayed completion.
 	if !j.remote {
-		err := m.tokens.acquire(j.cancelCh, j.deadline, j.memBytes)
+		err := m.tokens.acquire(j.ctx, j.memBytes)
 		m.span(j, spanAdmissionWait, entered, time.Now())
 		if err != nil {
 			return nil, nil, err
@@ -446,7 +437,7 @@ func (m *jobManager) admitAndRun(j *job, run runFunc) ([]byte, map[string]string
 // span records one lifecycle stage on the job and feeds the server's
 // histogram hook.
 func (m *jobManager) span(j *job, name string, start, end time.Time) {
-	j.addSpan(name, start, end)
+	j.spans.Record(name, start, end)
 	m.onSpan(name, end.Sub(start))
 }
 
@@ -524,7 +515,8 @@ func (m *jobManager) adopt(id string, ev api.CompletionEvent) (*job, bool) {
 	if j := m.twinLocked(id); j != nil {
 		return j, false
 	}
-	j := newJob(id, ev.Kind, true, 0, time.Time{})
+	j := newJob(m.ctx, id, ev.Kind, true, 0, time.Time{})
+	j.cancel()
 	j.mu.Lock()
 	j.state = StateDone
 	j.started = j.submitted
@@ -577,18 +569,13 @@ func (m *jobManager) counts() (active, retained int) {
 	return m.active, m.finished.Len()
 }
 
-// close stops intake and cancels every live job.
+// close stops intake and cancels every live job: their contexts all derive
+// from the manager's.
 func (m *jobManager) close() {
 	m.mu.Lock()
 	m.closed = true
-	live := make([]*job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		live = append(live, j)
-	}
 	m.mu.Unlock()
-	for _, j := range live {
-		j.cancel()
-	}
+	m.cancel()
 }
 
 // wait blocks until every job goroutine has drained or the timeout passes.

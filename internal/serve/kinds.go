@@ -157,9 +157,8 @@ func bindArch(s *Server, spec *jobSpec, model any) (sweep, error) {
 			// Witness traces reuse the batch verdicts (no re-measurement): one
 			// reachability sweep per requirement, on that requirement compiled
 			// alone, counted like any other exploration. The sweeps honor the
-			// job's cancel/deadline but not its Monitor — final status
-			// progress keeps mirroring the main sweep's stats, not the last
-			// witness run's.
+			// job's context but not its Monitor — final status progress keeps
+			// mirroring the main sweep's stats, not the last witness run's.
 			opts.Monitor = nil
 			traces = make(map[string]string, len(reqs))
 			for i, r := range reqs {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -261,11 +262,12 @@ func canonicalArchBytes(t *testing.T, data []byte) []byte {
 // even when CPU tokens are free, and is granted atomically on release.
 func TestMemoryGrantAdmission(t *testing.T) {
 	tok := newCPUTokens(4, 1000)
-	if err := tok.acquire(nil, time.Time{}, 700); err != nil {
+	bg := context.Background()
+	if err := tok.acquire(bg, 700); err != nil {
 		t.Fatal(err)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- tok.acquire(nil, time.Time{}, 700) }()
+	go func() { errc <- tok.acquire(bg, 700) }()
 	waitQueued(t, tok, 1)
 	select {
 	case err := <-errc:
@@ -308,14 +310,15 @@ func waitQueued(t *testing.T, tok *cpuTokens, n int) {
 func TestQueuedCancelVersusGrant(t *testing.T) {
 	// Order 1: cancel strictly before any grant is possible.
 	tok := newCPUTokens(1, 0)
-	if err := tok.acquire(nil, time.Time{}, 0); err != nil {
+	bg := context.Background()
+	if err := tok.acquire(bg, 0); err != nil {
 		t.Fatal(err)
 	}
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(bg)
 	errc := make(chan error, 1)
-	go func() { errc <- tok.acquire(cancel, time.Time{}, 0) }()
+	go func() { errc <- tok.acquire(ctx, 0) }()
 	waitQueued(t, tok, 1)
-	close(cancel)
+	cancel()
 	if err := <-errc; !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("cancel-first: err = %v, want ErrCanceled", err)
 	}
@@ -325,18 +328,18 @@ func TestQueuedCancelVersusGrant(t *testing.T) {
 	}
 
 	// Order 2: grant strictly before the cancel fires.
-	if err := tok.acquire(nil, time.Time{}, 0); err != nil {
+	if err := tok.acquire(bg, 0); err != nil {
 		t.Fatal(err)
 	}
-	cancel = make(chan struct{})
+	ctx, cancel = context.WithCancel(bg)
 	errc = make(chan error, 1)
-	go func() { errc <- tok.acquire(cancel, time.Time{}, 0) }()
+	go func() { errc <- tok.acquire(ctx, 0) }()
 	waitQueued(t, tok, 1)
 	tok.release(0)
 	if err := <-errc; err != nil {
 		t.Fatalf("grant-first: err = %v, want nil", err)
 	}
-	close(cancel) // late cancel of an already-granted waiter is a no-op
+	cancel() // late cancel of an already-granted waiter is a no-op
 	tok.release(0)
 	if tok.inUse() != 0 {
 		t.Fatalf("grant-first leaked %d tokens", tok.inUse())
@@ -346,17 +349,17 @@ func TestQueuedCancelVersusGrant(t *testing.T) {
 	// wins inside acquire, the accounting must return to zero.
 	for i := 0; i < 200; i++ {
 		tok := newCPUTokens(1, 64)
-		if err := tok.acquire(nil, time.Time{}, 64); err != nil {
+		if err := tok.acquire(bg, 64); err != nil {
 			t.Fatal(err)
 		}
-		cancel := make(chan struct{})
+		ctx, cancel := context.WithCancel(bg)
 		errc := make(chan error, 1)
-		go func() { errc <- tok.acquire(cancel, time.Time{}, 64) }()
+		go func() { errc <- tok.acquire(ctx, 64) }()
 		waitQueued(t, tok, 1)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() { defer wg.Done(); tok.release(64) }()
-		go func() { defer wg.Done(); close(cancel) }()
+		go func() { defer wg.Done(); cancel() }()
 		wg.Wait()
 		if err := <-errc; err == nil {
 			tok.release(64)

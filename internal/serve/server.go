@@ -79,7 +79,9 @@ type Config struct {
 	// (LRU). Default 256.
 	MaxFinishedJobs int
 	// DefaultDeadline bounds each job's wall clock when the submission does
-	// not set deadline_ms. Zero = unbounded.
+	// not set deadline_ms: the deadline of the job's context, which the
+	// admission wait, a proxy's wait and the sweep all honor. Zero =
+	// unbounded.
 	DefaultDeadline time.Duration
 	// MemoryBudget is the global zone-memory budget in bytes. When set, every
 	// job holds a memory grant alongside its CPU token while running: its
@@ -146,9 +148,12 @@ const (
 // Admission: a job holds one CPU token for its whole sweep (FIFO, no
 // overtaking), so the pool bounds the jobs running at once — a large
 // breadth-first sweep's lookahead helper rides on the job's token.
-// Queue-time and proxy-wait aborts come from one helper (awaitAbortable),
-// which returns the same core error sentinels as sweep-time aborts, so wire
-// states and abort counters are uniform.
+// A job has one abort signal, its context (job.ctx): a child of the job
+// manager's, bounded by the job's deadline and ended by its cancel, by
+// shutdown, or by the job turning terminal. The admission wait, a proxy's
+// wait (awaitAbortable) and the sweep (core.Options.Context) all stop on it
+// and all name the abort with core.AbortErr, so wire states and abort
+// counters are uniform wherever the abort lands.
 //
 // Status waits (awaitTerminal, maxStatusWait in http.go): a wait selects on
 // the job's done channel, its timer, the request context and closing, and
@@ -501,8 +506,7 @@ func coreOptions(spec jobSpec, j *job) core.Options {
 		MaxStates:   spec.MaxStates,
 		StateBudget: spec.StateBudget,
 		MaxBytes:    spec.MaxBytes,
-		Cancel:      j.cancelCh,
-		Deadline:    j.deadline,
+		Context:     j.ctx,
 		Monitor:     j.mon,
 	}
 }
@@ -517,7 +521,7 @@ func coreOptions(spec jobSpec, j *job) core.Options {
 func (s *Server) compute(sub *submission) runFunc {
 	return func(j *job) (result []byte, traces map[string]string, err error) {
 		labels := pprof.Labels("job_id", j.id, "kind", j.kind, "owner", s.dispatch.Self())
-		pprof.Do(context.Background(), labels, func(context.Context) {
+		pprof.Do(j.ctx, labels, func(context.Context) {
 			endCompile := j.mon.BeginPhase("compile")
 			var run sweep
 			run, err = sub.kind.bind(s, &sub.spec, sub.model)
