@@ -196,6 +196,10 @@ func main() {
 		}
 		for _, req := range reqs {
 			r := results[req.Name]
+			if r.Completed == 0 {
+				fmt.Printf("%-20s no activation completed within the horizon (n=0)\n", req.Name)
+				continue
+			}
 			fmt.Printf("%-20s observed max = %s ms, mean = %s ms (n=%d)\n",
 				req.Name, r.MaxMS.FloatString(3), r.MeanMS.FloatString(3), r.Completed)
 		}

@@ -140,9 +140,9 @@ func (t *Timing) HorizonUnits(ms int64, field string) (int64, error) {
 }
 
 // computeScale returns the least common multiple L of the denominators of
-// the step durations durs and of every event-model parameter in the system,
-// so that one model time unit of 1/L milliseconds makes all timing
-// constants exact integers.
+// the step durations durs, of every event-model parameter and of every TDMA
+// cycle and slot boundary in the system, so that one model time unit of 1/L
+// milliseconds makes all timing constants exact integers.
 func computeScale(sys *System, durs []*big.Rat) (*big.Int, error) {
 	l := big.NewInt(1)
 	add := func(r *big.Rat) {
@@ -159,6 +159,15 @@ func computeScale(sys *System, durs []*big.Rat) (*big.Int, error) {
 		add(sc.Arrival.OffsetMS)
 		add(sc.Arrival.JitterMS)
 		add(sc.Arrival.MinSepMS)
+	}
+	for _, b := range sys.Buses {
+		if b.TDMA != nil {
+			add(b.TDMA.CycleMS)
+			for _, sl := range b.TDMA.Slots {
+				add(sl.StartMS)
+				add(sl.EndMS)
+			}
+		}
 	}
 	// Guard against pathological inputs producing units too fine for the
 	// int64 DBM arithmetic (sums of bounds must not overflow).

@@ -10,10 +10,11 @@ import (
 // This file is the package's one allocation path for bound matrices and
 // packed payloads, and the one carve of a sweep's store structures (Carve,
 // CarveSlice, CarveTail): nothing else in internal/dbm or internal/core calls
-// make for any of them (CI's lint job checks it). The memory of a slab comes from the
-// build's one slab source: slab_mmap.go (anonymous mappings, outside the Go
-// heap) or slab_heap.go (no Mmap on the platform, or a race build), chosen by
-// build constraints; the same job keeps Mmap and Munmap inside the first.
+// make for any of them (the rule "One allocation path for zones" in
+// internal/rules checks it). The memory of a slab comes from the build's one
+// slab source: slab_mmap.go (anonymous mappings, outside the Go heap) or
+// slab_heap.go (no Mmap on the platform, or a race build), chosen by build
+// constraints; the same rule keeps Mmap and Munmap inside the first.
 
 // slabBytes is the size of one slab. A sweep's smallest working set is one
 // slab, so the size is what a twenty-state design-space variant keeps

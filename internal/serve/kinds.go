@@ -14,8 +14,9 @@ import (
 )
 
 // This file is the kind table: the one place the service forks on what a
-// submission is (CI's lint job keeps "arch"/"ta" comparisons out of every
-// other file of the package). Everything around the two steps below — option
+// submission is (the rule "One fork on the submission kind" in
+// internal/rules keeps "arch"/"ta" comparisons out of every other file of the
+// package). Everything around the two steps below — option
 // defaults and clamps, content hashing, deadlines, admission, the "compile"
 // phase span, the exploration counter, engine options, encoding, abort
 // accounting — is shared and lives in server.go and jobs.go.

@@ -131,8 +131,9 @@ const (
 //
 // One pipeline: intake is the only derivation of a job id (HTTP and
 // envelope paths), compute the only path from an admitted job to verdict
-// bytes, kinds.go the only fork on "arch" / "ta" (CI-linted), and the tail
-// of jobManager.execute the only place a job turns terminal.
+// bytes, kinds.go the only fork on "arch" / "ta" (the rule "One fork on the
+// submission kind" in internal/rules), and the tail of jobManager.execute
+// the only place a job turns terminal.
 //
 // Cache ownership: three caches, the parsed model by source hash (models),
 // the compiled network by model, requirement set, horizons and queue cap

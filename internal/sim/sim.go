@@ -14,6 +14,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"sort"
@@ -29,7 +30,7 @@ type Options struct {
 	// (default 60000).
 	HorizonMS int64
 	// Replications is the number of independent runs, each with freshly
-	// sampled offsets and jitters (default 20).
+	// sampled offsets and jitters (default 20; a negative count is refused).
 	Replications int
 }
 
@@ -62,6 +63,9 @@ type Result struct {
 // Simulate runs the campaign and reports per-requirement observations.
 func Simulate(sys *arch.System, reqs []*arch.Requirement, opts Options) (map[string]*Result, error) {
 	opts = opts.withDefaults()
+	if opts.Replications < 0 {
+		return nil, fmt.Errorf("sim: simulation replications: negative count %d", opts.Replications)
+	}
 	tm, err := sys.Timing()
 	if err != nil {
 		return nil, err

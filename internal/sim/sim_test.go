@@ -206,6 +206,24 @@ func TestNondetSchedulerRuns(t *testing.T) {
 	}
 }
 
+// TestNegativeCampaignRefused: a negative replication count is refused with
+// an error naming the field, as a negative horizon is, instead of running an
+// empty campaign whose maximum reads 0 ms.
+func TestNegativeCampaignRefused(t *testing.T) {
+	sys, hiReq, _ := contended(arch.SchedFP, arch.KindSporadic)
+	for _, c := range []struct {
+		opts Options
+		want string
+	}{
+		{Options{Seed: 1, HorizonMS: 2000, Replications: -1}, "sim: simulation replications: negative count -1"},
+		{Options{Seed: 1, HorizonMS: -5, Replications: 2}, "arch: simulation horizon_ms: negative duration -5 ms"},
+	} {
+		if res, err := Simulate(sys, []*arch.Requirement{hiReq}, c.opts); err == nil || err.Error() != c.want {
+			t.Errorf("%+v: err = %v (results %v), want %q", c.opts, err, res, c.want)
+		}
+	}
+}
+
 func TestReproducibility(t *testing.T) {
 	sys, hiReq, _ := contended(arch.SchedFP, arch.KindSporadic)
 	a, err := Simulate(sys, []*arch.Requirement{hiReq}, Options{Seed: 9, HorizonMS: 2000, Replications: 5})

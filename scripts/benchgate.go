@@ -23,7 +23,7 @@
 //
 // Usage:
 //
-//	go test -run XXX -bench 'Table1_...' -benchtime=20x -count=3 . | tee bench.txt
+//	go test -run '^$' -bench 'Table1_...' -benchtime=20x -count=3 . | tee bench.txt
 //	go run ./scripts -baseline scripts/bench_baseline.json bench.txt
 //
 // Refresh the baseline after an intentional perf change with:
