@@ -11,9 +11,9 @@ import (
 
 // The tests in this file pin where a sweep's bookkeeping lives: store
 // entries with their keys, the bucket index, record segments, frontier
-// blocks and parent-log blocks are carved from the run's slab set ("Where
-// the bytes come from" in store.go), point only into that set, and cost the
-// collector nothing.
+// blocks and the parent log with its list of blocks are carved from the
+// run's slab set ("Where the bytes come from" in store.go), point only into
+// that set, and cost the collector nothing.
 
 // carveProbe is a never-completing reach query that captures the run's
 // explorer from its predicate — through the Monitor, while the run is live —
@@ -127,6 +127,7 @@ func (p *carveProbe) finish(c *Checker, logs *parentLogs, stats Stats) error {
 		p.fronts++
 		p.holds("frontier block", unsafe.Pointer(b))
 	}
+	p.holds("log directory", unsafe.Pointer(unsafe.SliceData(logs.blocks)))
 	for _, b := range logs.blocks {
 		p.blocks++
 		p.holds("log block", unsafe.Pointer(b))
@@ -136,7 +137,8 @@ func (p *carveProbe) finish(c *Checker, logs *parentLogs, stats Stats) error {
 
 // TestCarvedStorePointsIntoItsSlabs walks a finished sweep's store before its
 // release: every entry with its key, index block, record segment, payload,
-// frontier block and log block must be the sweep's own carved memory — the
+// frontier block, log block and the log's list of blocks must be the sweep's
+// own carved memory — the
 // rule that makes it safe for the collector not to see them — and so must
 // every entry and payload a waiting node points at while the sweep runs.
 func TestCarvedStorePointsIntoItsSlabs(t *testing.T) {

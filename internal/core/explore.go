@@ -75,10 +75,11 @@ const abortCheckMask = 31
 // logging cheap enough for the big sweeps. The log is a list of
 // logBlockSize-record blocks carved from the run's slabs (explorer.slabs), so
 // it costs the collector nothing per record — no allocation, no scan — and a
-// sweep of a few dozen states logs into the one slab it already holds; only
-// the list of blocks is a heap slice, past its first four entries, doubling
-// once per doubling of the sweep. The blocks go back with the slabs at
-// explore's one Release, after the last replay has read them.
+// sweep of a few dozen states logs into the one slab it already holds. The
+// list of blocks is carved too (dbm.Grow), doubling once per doubling of the
+// sweep, so the log allocates nothing on the heap but its own header. The
+// blocks and their list go back with the slabs at explore's one Release,
+// after the last replay has read them.
 //
 // When a run stops at a state (visitor match or deadlock), the trace is
 // stitched back from the log: parent refs are followed from the stop record
@@ -129,19 +130,18 @@ type logBlock struct {
 // parentLogs is the run's trace arena: an append-only record log, grown
 // block by block.
 type parentLogs struct {
-	slabs  *dbm.Slabs // what blocks are carved from; nil: the heap
+	slabs *dbm.Slabs // what blocks are carved from; nil: the heap
+	// blocks is the directory of blocks, carved and doubled by dbm.Grow: it
+	// points only at blocks of its own set.
 	blocks []*logBlock
 	n      int // records in the last block
-	// dir is the directory of the first blocks, so that a small sweep's log
-	// allocates nothing of its own.
-	dir [4]*logBlock
 }
 
 // record appends an admission record and returns its ref.
 func (l *parentLogs) record(parent int64, key uint64, step int32) int64 {
 	if len(l.blocks) == 0 || l.n == logBlockSize {
-		if l.blocks == nil {
-			l.blocks = l.dir[:0]
+		if len(l.blocks) == cap(l.blocks) {
+			l.blocks = dbm.Grow(l.slabs, l.blocks)
 		}
 		l.blocks = append(l.blocks, dbm.Carve[logBlock](l.slabs))
 		l.n = 0
@@ -636,7 +636,7 @@ func (e *explorer) expand(ctx *succCtx, n *waiting, prev *State, out []succ) (*S
 //
 // The helper carves from the sweep's slab set as the loop does: its ctx's
 // scratch, the States it fires and rebuilds and its slots' successor lists
-// (succCtx.grow). On the heap it costs its goroutine, its ring (the
+// (dbm.Grow). On the heap it costs its goroutine, its ring (the
 // lookahead struct, which holds errors and so may not be carved), its ctx
 // and pool, and blocks of matrix headers for the states in flight: a
 // Fischer-5 sweep makes at most a few dozen more heap allocations with the

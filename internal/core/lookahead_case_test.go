@@ -224,3 +224,48 @@ func TestCarveRuleUnderGCStress(t *testing.T) {
 		t.Errorf("chain of 10 under collection stress with the helper:\n%s\ninline:\n%s", got, inlineChain)
 	}
 }
+
+// TestSweepHeapBytesFlatInPrunes sweeps the 10-scenario chain, inline with a
+// query attached (so the parent log is on), to 60,000 stored states, before
+// its first prune, and to its end at 77,613, after 6,836, and requires their
+// heap bytes to differ by at most 16 KiB: the store gives every pruned
+// payload back to its compact pool, whose free lists are carved from the
+// sweep's slabs (dbm.Grow), as are the parent log's list of blocks and the
+// rest of the sweep's bookkeeping. Each size keeps the fewest bytes of two
+// runs, so an allocation of the runtime's own does not count.
+func TestSweepHeapBytesFlatInPrunes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four chain sweeps in -short mode")
+	}
+	checker, err := core.NewChecker(chainSet(t, 10).Net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(maxStates int) (bytes uint64, prunes int) {
+		bytes = ^uint64(0)
+		for range 2 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := checker.Explore(core.WithLookahead(core.Options{MaxStates: maxStates}, false), func(*core.State) bool { return false })
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stored != maxStates {
+				t.Fatalf("the sweep stored %d states, want %d", res.Stored, maxStates)
+			}
+			bytes, prunes = min(bytes, after.TotalAlloc-before.TotalAlloc), res.Stored-res.Live
+		}
+		return bytes, prunes
+	}
+	smallBytes, smallPrunes := sweep(60_000)
+	largeBytes, largePrunes := sweep(77_613)
+	t.Logf("%d heap bytes at 60,000 states (%d prunes), %d at 77,613 (%d prunes)", smallBytes, smallPrunes, largeBytes, largePrunes)
+	if largePrunes < smallPrunes+2_000 {
+		t.Fatalf("the sweeps prune %d and %d zones, want thousands apart", smallPrunes, largePrunes)
+	}
+	if largeBytes > smallBytes+16<<10 {
+		t.Errorf("the whole sweep allocated %d heap bytes, one of 60,000 states %d: want at most 16 KiB more",
+			largeBytes, smallBytes)
+	}
+}

@@ -106,8 +106,9 @@ func TestFinishedRunKeepsNoRing(t *testing.T) {
 // requires each pair of sweeps' heap allocations to differ by at most 16:
 // entries with their keys, the bucket index, records, payloads, waiting nodes
 // and log blocks are carved from the sweep's slabs, and so are the States in
-// flight and their successor lists, so only directories and free lists that
-// double (the slab set's, the log's, the pools') may grow, a few times each.
+// flight, their successor lists and every list that doubles with the sweep
+// (dbm.Grow: the log's list of blocks, the compact pool's free lists), so
+// only the slab set's own list of slabs may grow, a few times.
 // The helper may cost at most helperAllocs allocations more than the inline
 // sweep of the same size: its goroutine, its ring, its ctx and pool, and the
 // matrix headers of the states it has in flight. Each size keeps the fewest of

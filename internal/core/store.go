@@ -178,22 +178,25 @@ type passedSet interface {
 // compact pool — are carved from one dbm.Slabs set per run (explorer.slabs),
 // as are the frontier's node blocks and the parent log's record blocks
 // (explore.go, "Frontier" and "Trace reconstruction"), and so are the States
-// the ctxs fire and rebuild with their vectors (newState), the successor lists
-// (succCtx.grow), the ctxs' scratch vectors and closeScratch; a store built
-// with a nil set (the tests' standalone stores) takes each from the heap
-// instead. So a sweep's bookkeeping costs the collector nothing: no object to
-// allocate per state, none to scan, nothing counted towards the heap goal, and
-// the helper allocates on the heap only what it is — its goroutine, its ring,
-// its ctx and pool — and the matrix headers of the states it has in flight.
-// What a sweep still allocates on the heap is sized by the model, not by the
-// states it stores: its ctxs and their pools, the pools' free lists and blocks
-// of matrix headers, the ctxs' free lists of States, and the slab and
-// log-block directories. Carved memory is invisible to the collector, so it
-// obeys dbm.Carve's rule: it points only into its own set — an entry at its
-// next entry and its segments, a record at its payload, a segment at the next,
-// a head at its entry, a waiting node at its entry and payload, a State at its
-// vectors, a successor list at its States — never at a heap object, which
-// nothing would keep alive. A payload too large for a slab piece is such a
+// the ctxs fire and rebuild with their vectors (newState), and every list that
+// doubles with the sweep — the ctxs' free lists of States and successor lists,
+// the compact pool's free lists of pruned payloads, the parent log's list of
+// blocks — is carved by dbm.Grow, as are the ctxs' scratch vectors and
+// closeScratch; a store built with a nil set (the tests' standalone stores)
+// takes each from the heap instead. So a sweep's bookkeeping costs the
+// collector nothing: no object to allocate per state or per prune, none to
+// scan, nothing counted towards the heap goal, and the helper allocates on the
+// heap only what it is — its goroutine, its ring, its ctx and pool — and the
+// matrix headers of the states it has in flight. What a sweep still allocates
+// on the heap is sized by the model, not by the states it stores or prunes:
+// its ctxs and their pools, the zone pools' free lists and blocks of matrix
+// headers, the compact pool's map of free lists, and the slab set's own lists.
+// Carved memory is invisible to the collector, so it obeys dbm.Carve's rule: it
+// points only into its own set — an entry at its next entry and its segments,
+// a record at its payload, a segment at the next, a head at its entry, a
+// waiting node at its entry and payload, a State at its vectors, a successor
+// list at its States, a free list at payloads the pool carved, the log's list
+// at its blocks — never at a heap object, which nothing would keep alive. A payload too large for a slab piece is such a
 // heap object, and so is the matrix header a State points at; the set itself
 // keeps both until Release. A carved successor holds no label: its channel
 // name is a heap string (succCtx.keepLabels), so only a heap ctx, which trace

@@ -95,8 +95,10 @@ func newEngine(net *ta.Network) (*engine, error) {
 // package's tests.
 type succCtx struct {
 	// slabs is the sweep's slab set the ctx carves its States and successor
-	// lists from (getState, grow), and its pool its matrices; nil for a heap
-	// ctx, whose States may outlive the sweep (trace replay).
+	// lists from (getState, dbm.Grow), and its pool its matrices; nil for a
+	// heap ctx, whose States may outlive the sweep (trace replay). The lists —
+	// its free list of States, its successor lists — hold pointers only to
+	// carved States, so they may be carved under the slab rule.
 	slabs *dbm.Slabs
 	pool  *dbm.Pool
 	zone  *dbm.DBM
@@ -202,17 +204,6 @@ func (e *engine) newCtx(slabs *dbm.Slabs) *succCtx {
 	}
 }
 
-// grow returns a copy of list with room for at least as many elements again,
-// carved from slabs (a nil set: the heap). The lists a ctx grows — successor
-// lists and its free list of States — hold pointers only to carved States, so
-// they may be carved under the slab rule; the outgrown copy stays in the slab
-// until the set is released, which costs at most the final size again.
-func grow[T any](slabs *dbm.Slabs, list []T) []T {
-	out := dbm.CarveSlice[T](slabs, max(8, 2*cap(list)))[:len(list)]
-	copy(out, list)
-	return out
-}
-
 // allocParts returns a stable copy of parts carved from the ctx's chunk
 // arena, full-slice-capped so later appends can never bleed into it.
 func (ctx *succCtx) allocParts(parts []LabelPart) []LabelPart {
@@ -249,7 +240,7 @@ func (ctx *succCtx) putState(s *State) {
 	s.Zone = nil
 	if len(s.Locs) == len(ctx.locs) && len(s.Vars) == len(ctx.vars) {
 		if len(ctx.states) == cap(ctx.states) {
-			ctx.states = grow(ctx.slabs, ctx.states)
+			ctx.states = dbm.Grow(ctx.slabs, ctx.states)
 		}
 		ctx.states = append(ctx.states, s)
 	}
@@ -391,7 +382,7 @@ func (e *engine) successors(ctx *succCtx, s *State, out []succ) ([]succ, error) 
 				label = Label{} // scratch-backed; caller discards labels
 			}
 			if len(out) == cap(out) {
-				out = grow(ctx.slabs, out)
+				out = dbm.Grow(ctx.slabs, out)
 			}
 			out = append(out, succ{label, ns, int32(len(out) - base)})
 		}

@@ -446,16 +446,29 @@ func (c Compact) Decode() *DBM {
 // classes) therefore lose no reuse there, and rounding would only give back
 // part of what omitting rows saves.
 //
-// Recycling pays in resident memory, not in allocation. With the free lists
+// Recycling pays in resident memory and costs no heap. With the free lists
 // and the store's holder mark removed — a pruned payload is dropped, and the
 // release of its waiting node does nothing — 5 alternating pairs of the
 // benchmark (10 s runs, 2-core host) read peak_rss_mb 64.6 against 61.1 MB
-// on archchain and 22.1 against 20.8 on table1, higher in 5 of 5 pairs each,
-// while alloc_mb_per_verdict fell from 0.184 to 0.145 MB and from 0.810 to
-// 0.772 (lower in 5 of 5): the free lists are a map of heap slices, and
-// their growth is the heap cost recycling adds. verdict_ms_p50 read 520
-// against 556 ms on archchain (lower in 4 of 5) and stayed inside its spread
-// on table1.
+// on archchain and 22.1 against 20.8 on table1, higher in 5 of 5 pairs each.
+// The lists were then a map of heap slices grown by append, and that growth
+// was all the heap recycling cost: alloc_mb_per_verdict 0.184 against 0.145
+// MB on archchain. A pool of a slab set now carves its lists from the set,
+// doubling a full one with Grow: over alternating pairs against the heap
+// lists, alloc_mb_per_verdict read 0.1431 against 0.1840 on archchain (10 of
+// 10 lower) and 0.771 against 0.810 on table1 (8 of 8), peak_rss_mb no
+// higher, and verdict_ms_p50 moved by less than its run-to-run spread
+// (TestCompactPoolRecyclingCostsNoHeap, and TestSweepHeapBytesFlatInPrunes in
+// internal/core).
+//
+// Carving the lists keeps the slab rule (slab.go): a carved list may point
+// only into its own set, and a pool of a set takes back only what its own
+// get handed out — pieces of the set's slabs, or pieces above carveMax that
+// the set keeps until Release (Slabs.big). A list that doubles past 1,024
+// buffers of one length outgrows carveMax and is such a kept piece itself. A
+// standalone pool grows its lists on the heap, like its buffers. The map
+// from length to list stays a heap object: it holds one slice header per
+// length a sweep packs, a dozen or so.
 //
 // A pool is NOT safe for concurrent use — the passed store owns one, and only
 // the admitting loop touches it. Buffers the free lists cannot
@@ -463,7 +476,7 @@ func (c Compact) Decode() *DBM {
 // rule stated there.
 type CompactPool struct {
 	slabs *Slabs            // nil: standalone, every buffer is its own heap allocation
-	free  map[int][]Compact // keyed by exact buffer capacity
+	free  map[int][]Compact // keyed by exact buffer capacity; lists grown by Grow
 	// kept holds every buffer a standalone pool has allocated, for as long
 	// as the pool lives, as a slab set keeps what is carved from it: a
 	// buffer may be referenced only from carved memory the collector does
@@ -507,7 +520,8 @@ func (p *CompactPool) get(n int) Compact {
 
 // Put returns a buffer to the pool for reuse. The caller must not retain the
 // buffer afterwards: the next get of that size overwrites it, and under
-// PoisonReleased Put itself does, at once.
+// PoisonReleased Put itself does, at once. A pool of a slab set takes back
+// only buffers its own get handed out, since it keeps them in carved lists.
 func (p *CompactPool) Put(c Compact) {
 	if p == nil || cap(c) == 0 {
 		return
@@ -518,7 +532,11 @@ func (p *CompactPool) Put(c Compact) {
 			c[i] = poisonByte
 		}
 	}
-	p.free[len(c)] = append(p.free[len(c)], c)
+	l := p.free[len(c)]
+	if len(l) == cap(l) {
+		l = Grow(p.slabs, l)
+	}
+	p.free[len(c)] = append(l, c)
 }
 
 // Stats reports the number of get calls and how many were served by reuse.

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 // mkZone builds a small canonical zone: x1 ∈ [lo, hi], other clocks free-ish.
@@ -258,6 +260,71 @@ func TestCompactPoolRecycles(t *testing.T) {
 	c3 := EncodeCompact(mkZone(t, 7, 1, 6), p)
 	if c3.Dim() != 7 || !c3.Decode().Eq(mkZone(t, 7, 1, 6)) {
 		t.Error("cross-class encode corrupted")
+	}
+}
+
+// TestCompactPoolRecyclingCostsNoHeap drives a pool of a slab set through
+// 20,000 gets over ten payload lengths, putting all 10,000 it holds back
+// twice, and requires the heap to grow by at most a few KiB: a slab pool's
+// free lists are carved (Grow), where lists grown by append cost hundreds of
+// KB. A list of 1,000 stays below the size a set allocates on the heap
+// (carveMax). A standalone pool driven the same way must serve as many gets
+// from its free lists. The set measured takes its slabs from the cache a
+// warm-up set of the same drive released, so a race build's heap slabs do
+// not count.
+func TestCompactPoolRecyclingCostsNoHeap(t *testing.T) {
+	const n = 10_000
+	var zones []*DBM
+	for dim := 3; dim < 13; dim++ {
+		zones = append(zones, mkZone(t, dim, 1, 6))
+	}
+	held := make([]Compact, n)
+	drive := func(p *CompactPool) {
+		for range 2 {
+			for i := range held {
+				held[i] = EncodeCompact(zones[i%len(zones)], p)
+			}
+			for i := range held {
+				p.Put(held[i])
+				held[i] = nil
+			}
+		}
+	}
+	var warm Slabs
+	drive(warm.CompactPool())
+	warm.Release()
+
+	var s Slabs
+	defer s.Release()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := s.CompactPool()
+	drive(p)
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d heap bytes for %d gets and puts", grew, 2*n)
+	if grew > 4<<10 {
+		t.Errorf("%d gets and puts on a slab pool allocated %d heap bytes, want at most 4 KiB", 2*n, grew)
+	}
+	for n, l := range p.free {
+		if !s.Holds(unsafe.Pointer(unsafe.SliceData(l))) {
+			t.Errorf("the free list of length %d is not the set's carved memory", n)
+		}
+		for _, c := range l {
+			if !s.Holds(unsafe.Pointer(unsafe.SliceData(c))) {
+				t.Fatalf("the free list of length %d holds a buffer the set did not carve", n)
+			}
+		}
+	}
+	standalone := NewCompactPool()
+	drive(standalone)
+	gets, reuses := p.Stats()
+	wantGets, wantReuses := standalone.Stats()
+	if gets != wantGets || reuses != wantReuses {
+		t.Errorf("slab pool served %d gets, %d reused; standalone %d, %d", gets, reuses, wantGets, wantReuses)
+	}
+	if reuses != n {
+		t.Errorf("%d of %d gets reused a buffer, want %d", reuses, gets, n)
 	}
 }
 

@@ -26,6 +26,13 @@ package dbm
 // not be referenced after the set's Release: the next owner of the slab
 // overwrites it, and the release after that unmaps it (see Slabs). Only a
 // standalone pool (NewPool) hands out matrices that may outlive it.
+//
+// The free list is a heap slice even in a pool of a slab set, unlike
+// CompactPool's lists: Put takes any matrix of the pool's dimension, a heap
+// one (NewPool's, DBM.Copy's, Compact.Decode's) included — internal/core's
+// putState hands its ctx's pool the zone of whatever State it recycles — and
+// a carved list, which the collector never scans, would not keep such a
+// matrix alive. It costs about 1 KB a sweep.
 type Pool struct {
 	dim   int
 	slabs *Slabs // nil: standalone, every matrix is its own heap allocation

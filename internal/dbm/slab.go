@@ -9,9 +9,9 @@ import (
 
 // This file is the package's one allocation path for bound matrices and
 // packed payloads, and the one carve of a sweep's store structures (Carve,
-// CarveSlice, CarveTail): nothing else in internal/dbm or internal/core calls
-// make for any of them (the rule "One allocation path for zones" in
-// internal/rules checks it). The memory of a slab comes from the build's one
+// CarveSlice, CarveTail, and Grow for the lists that double): nothing else in
+// internal/dbm or internal/core calls make for any of them (the rule "One
+// allocation path for zones" in internal/rules checks it). The memory of a slab comes from the build's one
 // slab source: slab_mmap.go (anonymous mappings, outside the Go heap) or
 // slab_heap.go (no Mmap on the platform, or a race build), chosen by build
 // constraints; the same rule keeps Mmap and Munmap inside the first.
@@ -240,6 +240,19 @@ func CarveSlice[T any](s *Slabs, n int) []T {
 	}
 	var t T
 	return unsafe.Slice((*T)(s.zeroed(uintptr(n)*unsafe.Sizeof(t))), n)
+}
+
+// Grow returns a copy of list with room for at least as many elements again
+// (eight at first), carved from s, or made on the heap from a nil set, under
+// Carve's rule: the elements may point only into s's own carved memory. It is
+// the one way a list that lives as long as its set grows — a succCtx's free
+// list of States and its successor lists, a slab CompactPool's free lists,
+// the parent log's directory of blocks in internal/core. The outgrown copy
+// stays in the set until Release, which costs at most the final size again.
+func Grow[T any](s *Slabs, list []T) []T {
+	out := CarveSlice[T](s, max(8, 2*cap(list)))[:len(list)]
+	copy(out, list)
+	return out
 }
 
 // CarveTail returns a zeroed T followed directly by n zeroed words — the

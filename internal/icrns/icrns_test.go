@@ -331,6 +331,23 @@ func TestWitnessTraceForCheapCell(t *testing.T) {
 	}
 }
 
+// TestTable2POOSLCellWithoutActivations pins the simulation column of a row
+// whose horizon ends before any activation completes: it reports none, not
+// an observed maximum of 0.000 ms.
+func TestTable2POOSLCellWithoutActivations(t *testing.T) {
+	opts := Table2Options{
+		Cell: CellOptions{Cfg: DefaultConfig()},
+		Sim:  sim.Options{Seed: 1, HorizonMS: 5, Replications: 1},
+	}
+	cell, err := Table2Cell(Table1Rows[0], ToolPOOSL, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "none done (n=0)"; cell != want {
+		t.Errorf("a 5 ms horizon reads %q in the POOSL column, want %q", cell, want)
+	}
+}
+
 func TestTable2CellVariants(t *testing.T) {
 	opts := Table2Options{
 		Cell: CellOptions{Cfg: DefaultConfig()},

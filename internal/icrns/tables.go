@@ -246,6 +246,11 @@ type Table2Options struct {
 	Sim sim.Options
 }
 
+// noneCompleted is the POOSL cell of a row none of whose activations
+// completed within the simulation horizon: there is no observed maximum, not
+// a maximum of zero (archcheck -engine sim says the same at length).
+const noneCompleted = "none done (n=0)"
+
 // Table2Cell computes one comparison cell.
 func Table2Cell(row Row, tool Table2Tool, opts Table2Options) (string, error) {
 	switch tool {
@@ -262,7 +267,10 @@ func Table2Cell(row Row, tool Table2Tool, opts Table2Options) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		return results[row.Req].MaxMS.FloatString(3), nil
+		if r := results[row.Req]; r.Completed > 0 {
+			return r.MaxMS.FloatString(3), nil
+		}
+		return noneCompleted, nil
 	case ToolSymTA:
 		sys, reqs := Build(row.Combo, ColPNO, opts.Cell.Cfg)
 		req := reqs[row.Req]

@@ -52,6 +52,8 @@ var rules = []rule{
 	{"One allocation path for zones", "dbm.Slabs, internal/dbm/slab.go", "internal/dbm/**.go internal/core/**.go !internal/dbm/slab.go !**_test.go", code(`make\(\s*(\[\](dbm\.)?Bound|(dbm\.)?Compact)\b`), x + "var b = make(\n\t[]Bound, 8)\n"},
 	{"One allocation path for zones", "dbm.Carve, internal/dbm/slab.go; newState, internal/core/state.go", core, code(`&(storeEntry|zoneSeg|State)\{|new\(\s*(storeEntry|zoneSeg|logBlock|frontBlock|waiting|State)\)|make\(\s*\[\](zoneRec|uint64|\*?waiting)\b|map\[uint64\]\*storeEntry`), x + "var s = new(State)\n"},
 	{"One allocation path for zones", "the slab type, internal/dbm/slab.go", "**.go !internal/dbm/slab_mmap.go", code(`syscall\.(Mmap|Munmap)\b`), x + "var f = syscall.Munmap\n"},
+	{"One growth helper", "dbm.Grow, internal/dbm/slab.go", "internal/core/**.go", code(`func\s+grow\s*\[`), x + "func grow[T any](list []T) []T { return list }\n"},
+	{"One growth helper", "dbm.Grow, internal/dbm/slab.go", "internal/core/explore.go", count(`(?m)^\s+(\w+\s*,\s*)*dir\b`, map[string]int{"parentLogs": 0}), x + "type parentLogs struct {\n\tdir [4]*logBlock\n}\n"},
 	{"One publication cell", "workerCell, internal/core/perworker.go", "internal/**.go", code(`depth\(\)\s*int64|steals\(w\s+int\)`), x + "type c interface{ steals(w int) int64 }\n"},
 	{"Waiting states are nodes", `"Frontier" in internal/core/explore.go`, "internal/core/state.go", code(`(?m)^\s+(\w+\s*,\s*)*packed\s`), x + "type State struct {\n\tpacked dbm.Compact\n}\n"},
 	{"One discrete encoding", `"Keys" in internal/core/store.go`, "internal/core/**.go", code(`func\s+intern\s*[[(]|intern\[`), x + "func intern[T any](v T) T { return v }\n"},
