@@ -1,13 +1,14 @@
-// Package repro_test holds the fourteen benchmark rows CI's bench-gate job
+// Package repro_test holds the fifteen benchmark rows CI's bench-gate job
 // holds to exact allocs/op and near-exact B/op ceilings (scripts/benchgate.go,
 // scripts/bench_baseline.json): Table 1 cells of Hendriks & Verhoef, "Timed
 // Automata Based Analysis of Embedded System Architectures" (IPPS 2006) that
 // the exact zone-based checker sweeps exhaustively, the Table 2 checker row,
 // the batch multi-requirement sweep, a channel-scaling series, the fixed cost
-// of one small sweep, a two-dimension slab-recycling row and two Fischer
-// sweeps at once. They run the sequential engine with fixed seeds, which is
-// what makes their allocation counts a contract. Time is judged by the
-// repository's benchmark (benchmark/README.md), not here.
+// of one small sweep, the cost of building one network, a two-dimension
+// slab-recycling row and two Fischer sweeps at once. They run the sequential
+// engine with fixed seeds, which is what makes their allocation counts a
+// contract. Time is judged by the repository's benchmark
+// (benchmark/README.md), not here.
 package repro_test
 
 import (
@@ -209,6 +210,53 @@ func benchMultiReqScaling(b *testing.B, n int) {
 func BenchmarkMultiReq_Scaling_1(b *testing.B) { benchMultiReqScaling(b, 1) }
 func BenchmarkMultiReq_Scaling_4(b *testing.B) { benchMultiReqScaling(b, 4) }
 func BenchmarkMultiReq_Scaling_8(b *testing.B) { benchMultiReqScaling(b, 8) }
+
+// --- Building the network ---
+
+// BenchmarkCompileChain10 parses and compiles the benchmark's archchain
+// system — ten periodic scenarios with known offsets on one nondeterministic
+// processor, one end-to-end requirement each — per iteration, without
+// exploring it: the fixed cost every verdict pays before its sweep. Its
+// allocs/op is exact, so a process list that grows instead of being sized
+// once fails the gate.
+func BenchmarkCompileChain10(b *testing.B) {
+	var src strings.Builder
+	src.WriteString(`{"name":"archchain","processors":[{"name":"CPU","mips":10,"sched":"nondet"}],"scenarios":[`)
+	for i := 0; i < 10; i++ {
+		if i > 0 {
+			src.WriteByte(',')
+		}
+		fmt.Fprintf(&src, `{"name":"s%d","priority":%d,"arrival":{"kind":"po","period_ms":"%d","offset_ms":"%d"},`+
+			`"steps":[{"name":"op%d","processor":"CPU","instructions":45000}]}`,
+			i, i+1, 40+40*(i%2), 3*i, i)
+	}
+	src.WriteString(`],"requirements":[`)
+	for i := 0; i < 10; i++ {
+		if i > 0 {
+			src.WriteByte(',')
+		}
+		fmt.Fprintf(&src, `{"name":"r%d","scenario":"s%d","from":-1,"to":0}`, i, i)
+	}
+	src.WriteString("]}\n")
+	data := []byte(src.String())
+	b.ReportAllocs()
+	b.ResetTimer()
+	var cs *arch.CompiledSet
+	for i := 0; i < b.N; i++ {
+		sys, reqs, err := arch.ParseSystem(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cs, err = arch.CompileAll(sys, reqs, arch.Options{HorizonMS: 120}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	edges := 0
+	for _, p := range cs.Net.Procs {
+		edges += len(p.Edges)
+	}
+	b.ReportMetric(float64(edges), "edges")
+}
 
 // --- The fixed cost of one small sweep ---
 

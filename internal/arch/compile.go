@@ -260,6 +260,14 @@ func (b *builder) doneSync(sc *Scenario, i int) ta.Sync {
 	return ta.NoSync
 }
 
+// sized gives p's location and edge lists their final capacities, so that
+// AddLocation and AddEdge fill one allocation each instead of growing them.
+func sized(p *ta.Process, locs, edges int) *ta.Process {
+	p.Locations = make([]ta.Location, 0, locs)
+	p.Edges = make([]ta.Edge, 0, edges)
+	return p
+}
+
 // buildEnv emits the environment automaton of one scenario (Fig. 7a–d and
 // Fig. 8): it feeds the first step's queue according to the arrival model
 // and announces each injection on the scenario's inject channel when
@@ -269,7 +277,11 @@ func (b *builder) buildEnv(sc *Scenario, st *ScenarioTiming) {
 	release := ta.Inc(q0, 1)
 	sync := b.injectSync(sc)
 	x := b.net.AddClock(sc.Name + ".env.x")
-	p := b.net.AddProcess("ENV_" + sc.Name)
+	edges := 2
+	if sc.Arrival.Kind == KindBursty {
+		edges = 6
+	}
+	p := sized(b.net.AddProcess("ENV_"+sc.Name), 2, edges)
 
 	period, offset, jitter := st.Period, st.Offset, st.Jitter
 	switch sc.Arrival.Kind {
@@ -463,6 +475,7 @@ func (b *builder) buildTDMABus(bus *Bus, ops []rop) error {
 	if len(evts) == 0 {
 		return fmt.Errorf("arch: bus %s: no usable TDMA slots", bus.Name)
 	}
+	sized(cyc, len(evts)+1, len(evts)+1)
 	locs := make([]ta.LocID, len(evts)+1)
 	for i, e := range evts {
 		locs[i] = cyc.AddLocation(fmt.Sprintf("before_%d", i), ta.Normal, ta.CLE(tc, e.start))
@@ -480,7 +493,7 @@ func (b *builder) buildTDMABus(bus *Bus, ops []rop) error {
 	// Bus automaton: grants start transfers; transfers always fit their
 	// slot, so the bus is idle at every grant.
 	x := b.net.AddClock(bus.Name + ".x")
-	proc := b.net.AddProcess(bus.Name)
+	proc := sized(b.net.AddProcess(bus.Name), 1+len(ops), 2*len(ops))
 	idle := proc.AddLocation("idle", ta.Normal)
 	for _, op := range ops {
 		run := proc.AddLocation("run_"+op.name, ta.Normal, ta.CLE(x, op.dur))
@@ -543,12 +556,6 @@ func dispatchGuard(sched SchedKind, ops []rop, op rop) ta.Guard {
 // non-preemptive scheduling (nondeterministic or fixed-priority dispatch),
 // Fig. 5 for preemptive fixed priority.
 func (b *builder) buildResource(name string, sched SchedKind, ops []rop) error {
-	x := b.net.AddClock(name + ".x")
-	proc := b.net.AddProcess(name)
-	idle := proc.AddLocation("idle", ta.Normal)
-
-	hurrySync := ta.Sync{Chan: b.hurry.ID, Dir: ta.Emit}
-
 	// Non-preemptive schedulers run every op to completion (Fig. 4).
 	// Preemptive fixed priority (Fig. 5) supports two priority classes:
 	// the high class runs to completion and preempts the low class, whose
@@ -560,6 +567,15 @@ func (b *builder) buildResource(name string, sched SchedKind, ops []rop) error {
 			return err
 		}
 	}
+	x := b.net.AddClock(name + ".x")
+	// idle, a run location per op and a preemption location per (low, high)
+	// pair; every location but idle has one edge in and one edge out.
+	locs := 1 + len(his) + len(los)*(1+len(his))
+	proc := sized(b.net.AddProcess(name), locs, 2*(locs-1))
+	idle := proc.AddLocation("idle", ta.Normal)
+
+	hurrySync := ta.Sync{Chan: b.hurry.ID, Dir: ta.Emit}
+
 	for _, op := range his {
 		run := proc.AddLocation("run_"+op.name, ta.Normal, ta.CLE(x, op.dur))
 		proc.AddEdge(ta.Edge{
@@ -698,7 +714,7 @@ func (b *builder) buildObserver(i int, horizon int64) Observer {
 	y := b.net.AddClock(varPrefix + "y")
 	b.net.EnsureMaxConst(y.ID, horizon)
 
-	p := b.net.AddProcess(procName)
+	p := sized(b.net.AddProcess(procName), 2, 7)
 	l := p.AddLocation("watch", ta.Normal)
 	seen := p.AddLocation("seen", ta.Committed)
 

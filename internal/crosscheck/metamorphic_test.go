@@ -230,3 +230,49 @@ func TestTimeScaling(t *testing.T) {
 		t.Error("no scaling kept the model-unit integers: the simulator was compared nowhere")
 	}
 }
+
+// TestIndependentScenario is metamorphic relation R3 on the TA, SymTA/S and
+// MPA engines: a scenario on a processor of its own, with its own
+// requirement, leaves every other requirement's TA WCRT, SymTA/S bound and
+// MPA bound unchanged. The simulator is left out, because the added
+// scenario's draws shift everyone else's, and so are SymTA/S's round
+// counts, because the global iteration runs until the slowest scenario
+// settles. The TA's counts are reported, not asserted: the added automata
+// multiply the zone graph. Systems whose base sweep stores more than 5,000
+// states are skipped, to keep the product small.
+func TestIndependentScenario(t *testing.T) {
+	for _, c := range metaCases() {
+		t.Run(c.name, func(t *testing.T) {
+			base := runEngines(t, c, big.NewRat(1, 1), true)
+			if base.stats.Stored > 5000 {
+				t.Skipf("base sweep stores %d states", base.stats.Stored)
+			}
+			withIndep := c
+			withIndep.build = func(t *testing.T) (*arch.System, []*arch.Requirement) {
+				sys, reqs := c.build(t)
+				cpu := sys.AddProcessor("INDEP_CPU", 10, arch.SchedFP)
+				sc := sys.AddScenario("indep", 1, arch.Periodic(arch.MS(20, 1), arch.MS(1, 1)))
+				sc.Compute("indep_op", cpu, 20000)
+				return sys, append(reqs, arch.EndToEnd("indep", sc))
+			}
+			got := runEngines(t, withIndep, big.NewRat(1, 1), true)
+			t.Logf("base %s; with the independent scenario %s", base.stats, got.stats)
+			if _, ok := got.figures["TA indep"]; !ok {
+				t.Fatal("the independent scenario's requirement has no TA figure")
+			}
+			for key, want := range base.figures {
+				if strings.HasPrefix(key, "sim ") {
+					continue
+				}
+				g := got.figures[key]
+				if strings.HasPrefix(key, "symta ") {
+					g, _, _ = strings.Cut(g, " rounds=")
+					want, _, _ = strings.Cut(want, " rounds=")
+				}
+				if g != want {
+					t.Errorf("%s = %s, want %s", key, g, want)
+				}
+			}
+		})
+	}
+}

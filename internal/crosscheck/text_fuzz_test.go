@@ -15,7 +15,9 @@ import (
 // supremum of every clock in every location, unbounded ones completing their
 // query with a witness. Where the referee finds a reachable update that
 // takes a variable out of its declared range, the engine must refuse the
-// network with that error instead. The filter is refereeJudges.
+// network with that error instead. The filter is refereeJudges. Every
+// network the parser accepts must also have its location and edge lists
+// allocated at their final length.
 func FuzzTextMatchesRegionReferee(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		net, err := ta.ParseWithHook(text, func(n *ta.Network) error {
@@ -26,7 +28,18 @@ func FuzzTextMatchesRegionReferee(f *testing.F) {
 			}
 			return nil
 		})
-		if err != nil || !refereeJudges(net) {
+		if err != nil {
+			return
+		}
+		// The parser's counting pass saw exactly the declarations its
+		// second pass added.
+		for _, p := range net.Procs {
+			if cap(p.Locations) != len(p.Locations) || cap(p.Edges) != len(p.Edges) {
+				t.Fatalf("process %s: %d locations in capacity %d, %d edges in capacity %d",
+					p.Name, len(p.Locations), cap(p.Locations), len(p.Edges), cap(p.Edges))
+			}
+		}
+		if !refereeJudges(net) {
 			return
 		}
 		want := regionReach(net, refHorizon)

@@ -41,8 +41,27 @@ func ParseWithHook(input string, hook func(*Network) error) (*Network, error) {
 		chans:  map[string]Channel{},
 		procs:  map[string]*Process{},
 		inits:  map[string]bool{},
+		sizes:  map[string]procSize{},
 	}
-	for lineNo, raw := range strings.Split(input, "\n") {
+	lines := strings.Split(input, "\n")
+	// First pass: count each process's locations and edges, so that its
+	// process line can size both lists once. A text that parses adds
+	// exactly the lines counted here; one that does not is refused whole.
+	for _, raw := range lines {
+		head, rest := declHead(raw)
+		if head != "location" && head != "edge" {
+			continue
+		}
+		name := declProc(rest)
+		n := p.sizes[name]
+		if head == "location" {
+			n.locs++
+		} else {
+			n.edges++
+		}
+		p.sizes[name] = n
+	}
+	for lineNo, raw := range lines {
 		line := strings.TrimSpace(raw)
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -77,12 +96,35 @@ type parser struct {
 	chans  map[string]Channel
 	procs  map[string]*Process
 	inits  map[string]bool
+	sizes  map[string]procSize // by process name, from the first pass
+}
+
+// procSize counts one process's location and edge lines.
+type procSize struct{ locs, edges int }
+
+// declHead splits a declaration line into its keyword and the rest. Blank
+// lines and comments have the empty keyword.
+func declHead(line string) (head, rest string) {
+	line = strings.TrimSpace(line)
+	if strings.HasPrefix(line, "#") {
+		return "", ""
+	}
+	head, rest, _ = strings.Cut(line, ":")
+	return strings.TrimSpace(head), rest
+}
+
+// declProc returns the process name of a location or edge declaration:
+// splitBody's first field, found without splitting.
+func declProc(rest string) string {
+	if i := strings.IndexAny(rest, ":{"); i >= 0 {
+		rest = rest[:i]
+	}
+	return strings.TrimSpace(rest)
 }
 
 // line dispatches one declaration.
 func (p *parser) line(line string) error {
-	head, rest, _ := strings.Cut(line, ":")
-	head = strings.TrimSpace(head)
+	head, rest := declHead(line)
 	if p.net == nil && head != "system" {
 		return fmt.Errorf("first declaration must be system:<name>")
 	}
@@ -148,7 +190,11 @@ func (p *parser) line(line string) error {
 		if _, dup := p.procs[name]; dup {
 			return fmt.Errorf("duplicate process %q", name)
 		}
-		p.procs[name] = p.net.AddProcess(name)
+		proc := p.net.AddProcess(name)
+		n := p.sizes[name]
+		proc.Locations = make([]Location, 0, n.locs)
+		proc.Edges = make([]Edge, 0, n.edges)
+		p.procs[name] = proc
 		return nil
 	case "location":
 		return p.location(rest)
@@ -184,8 +230,9 @@ func splitBody(rest string) (fields []string, body string, err error) {
 		body = strings.TrimSpace(rest[i+1 : strings.LastIndexByte(rest, '}')])
 		rest = rest[:i]
 	}
-	for _, f := range strings.Split(rest, ":") {
-		fields = append(fields, strings.TrimSpace(f))
+	fields = strings.Split(rest, ":")
+	for i, f := range fields {
+		fields[i] = strings.TrimSpace(f)
 	}
 	return fields, body, nil
 }
@@ -558,8 +605,12 @@ func (p *parser) parseFactor(toks []string) (Expr, []string, error) {
 		}
 		return Minus(C(0), e), rest, nil
 	}
-	if v, err := strconv.ParseInt(t, 10, 64); err == nil {
-		return C(v), toks[1:], nil
+	// Only a digit token can be a literal; one that overflows falls
+	// through to the operand lookup and its error.
+	if t[0] >= '0' && t[0] <= '9' {
+		if v, err := strconv.ParseInt(t, 10, 64); err == nil {
+			return C(v), toks[1:], nil
+		}
 	}
 	if v, ok := p.vars[t]; ok {
 		return V(v), toks[1:], nil

@@ -2,6 +2,7 @@ package ta
 
 import (
 	"fmt"
+	"os"
 	"slices"
 	"strings"
 	"testing"
@@ -132,6 +133,7 @@ func TestParseErrors(t *testing.T) {
 		{"unknown target", "system:a\nprocess:P\nlocation:P:a{initial}\nedge:P:a:a{do: q=1}", "unknown assignment target"},
 		{"unterminated", "system:a\nprocess:P\nlocation:P:a{initial", "unterminated"},
 		{"bad expr", "system:a\nint:v:0:0:9\nprocess:P\nlocation:P:a{initial}\nedge:P:a:a{do: v=v+}", "expression"},
+		{"overflowing literal", "system:a\nint:v:0:0:9\nprocess:P\nlocation:P:a{initial}\nedge:P:a:a{do: v=99999999999999999999}", "unknown operand"},
 	}
 	for _, c := range cases {
 		_, err := Parse(c.in)
@@ -258,5 +260,49 @@ func TestParseClockConstantEdges(t *testing.T) {
 	p.AddLocation("a", Normal, Constraint{I: x.ID, VarBound: true, Var: d.ID, Coef: 1 << 40, Weak: true})
 	if err := net.Finalize(); err == nil || !strings.Contains(err.Error(), "beyond the largest clock constant") {
 		t.Errorf("Coef·Max overflowing int64: %v, want a refusal", err)
+	}
+}
+
+// TestListsSizedOnce parses testdata/tiny.ta, the radio model, Fischer's
+// protocol for five processes and a text with comments, padded fields and a
+// process without edges, and requires every process's location and edge
+// lists to have been allocated once, at their final length: the parser's
+// counting pass must see exactly the declarations that its second pass adds.
+func TestListsSizedOnce(t *testing.T) {
+	tiny, err := os.ReadFile("../../testdata/tiny.ta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fischer strings.Builder
+	fischer.WriteString("system:fischer\n")
+	for i := 1; i <= 5; i++ {
+		fmt.Fprintf(&fischer, "clock:x%d\n", i)
+	}
+	fischer.WriteString("int:id:0:0:5\nint:incs:0:0:5\n")
+	for i := 1; i <= 5; i++ {
+		p := fmt.Sprintf("P%d", i)
+		fmt.Fprintf(&fischer, "process:%s\nlocation:%s:idle{initial}\nlocation:%s:req{invariant: x%d<=2}\n", p, p, p, i)
+		fmt.Fprintf(&fischer, "location:%s:wait\nlocation:%s:cs\n", p, p)
+		fmt.Fprintf(&fischer, "edge:%s:idle:req{guard: id==0; do: x%d=0}\n", p, i)
+		fmt.Fprintf(&fischer, "edge:%s:req:wait{guard: x%d<=2; do: id=%d, x%d=0}\n", p, i, i, i)
+		fmt.Fprintf(&fischer, "edge:%s:wait:req{guard: id==0; do: x%d=0}\n", p, i)
+		fmt.Fprintf(&fischer, "edge:%s:wait:cs{guard: x%d>2 && id==%d; do: incs=incs+1}\n", p, i, i)
+		fmt.Fprintf(&fischer, "edge:%s:cs:idle{do: id=0, incs=incs-1}\n", p)
+	}
+	padded := "system:s\n# edge:P:a:a\n  process: P \n location : P :a{initial}\n\tlocation:P : b\n" +
+		"edge : P:a:b {}\nprocess:Q\nlocation:Q:q{initial}\n  # location:Q:r\n"
+	for name, text := range map[string]string{
+		"tiny.ta": string(tiny), "radio": radioTA, "fischer-5": fischer.String(), "padded": padded,
+	} {
+		net, err := Parse(text)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, p := range net.Procs {
+			if cap(p.Locations) != len(p.Locations) || cap(p.Edges) != len(p.Edges) {
+				t.Errorf("%s: process %s: %d locations in capacity %d, %d edges in capacity %d",
+					name, p.Name, len(p.Locations), cap(p.Locations), len(p.Edges), cap(p.Edges))
+			}
+		}
 	}
 }
