@@ -9,6 +9,9 @@
 //	tacheck -model m.ta -deadlock                     deadlock freedom
 //	tacheck -model m.ta -dot                          Graphviz export
 //
+// A predicate is written in the grammar of a .ta edge guard, plus PROC.loc
+// atoms; clocks are refused. The README's tacheck section states it in full.
+//
 // The query flags combine: any subset of -reach, -safety, -sup, -deadlock
 // given together attaches all of them to ONE exploration of the zone graph
 // (core.RunQueries) — each query completes independently and the sweep stops

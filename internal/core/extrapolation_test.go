@@ -63,15 +63,15 @@ func TestStoredZonesStayCanonical(t *testing.T) {
 		if stats.Stored != in.stored {
 			t.Errorf("%s: stored %d states, want %d", in.name, stats.Stored, in.stored)
 		}
-		clock, err := FindClock(in.net, in.clock)
+		clock, ok := in.net.ClockByName(in.clock)
+		if !ok {
+			t.Fatalf("%s: no clock %s", in.name, in.clock)
+		}
+		cond, err := ta.ParsePred(in.net, in.at)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cond, err := ParsePredicate(in.net, in.at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		supQ := NewSupClockQuery(clock.ID, cond)
+		supQ := NewSupClockQuery(clock.ID, func(s *State) bool { return cond.Holds(s.Locs, s.Vars) })
 		if _, err := c.RunQueries(Options{}, supQ); err != nil {
 			t.Fatal(err)
 		}

@@ -54,9 +54,9 @@ func gridResults(t *testing.T, c *Checker, busy ta.LocID, opts Options) keptResu
 	if !res.Found || len(res.Trace) < 2 {
 		t.Fatalf("witness search: found=%v, %d trace steps", res.Found, len(res.Trace))
 	}
-	y, err := FindClock(c.net, "y")
-	if err != nil {
-		t.Fatal(err)
+	y, ok := c.net.ClockByName("y")
+	if !ok {
+		t.Fatal("no clock y")
 	}
 	unbQ := NewSupClockQuery(y.ID, func(*State) bool { return true })
 	if _, err := c.RunQueries(opts, unbQ); err != nil {
@@ -66,9 +66,9 @@ func gridResults(t *testing.T, c *Checker, busy ta.LocID, opts Options) keptResu
 	if !unb.Unbounded || len(unb.Witness) < 2 {
 		t.Fatalf("sup y: unbounded=%v, %d witness steps", unb.Unbounded, len(unb.Witness))
 	}
-	sx, err := FindClock(c.net, "sx")
-	if err != nil {
-		t.Fatal(err)
+	sx, ok := c.net.ClockByName("sx")
+	if !ok {
+		t.Fatal("no clock sx")
 	}
 	supQ := NewSupClockQuery(sx.ID, func(s *State) bool { return s.Locs[3] == busy })
 	if _, err := c.RunQueries(opts, supQ); err != nil {

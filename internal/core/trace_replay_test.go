@@ -206,9 +206,9 @@ func TestSupClockUnboundedWitnessReplaysBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	y, err := FindClock(n, "y")
-	if err != nil {
-		t.Fatal(err)
+	y, ok := n.ClockByName("y")
+	if !ok {
+		t.Fatal("no clock y")
 	}
 	atBusy := func(s *State) bool { return s.Locs[3] == busy }
 	var traces [][]TraceStep

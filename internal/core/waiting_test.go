@@ -277,9 +277,9 @@ func TestWaitingStatesParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, err := FindClock(n, "x")
-	if err != nil {
-		t.Fatal(err)
+	x, ok := n.ClockByName("x")
+	if !ok {
+		t.Fatal("no clock x")
 	}
 	atEnd := func(s *State) bool { return s.Vars[0] == 12 }
 	seqQ := NewSupClockQuery(x.ID, atEnd)

@@ -23,7 +23,7 @@ func chainSum(sc *arch.Scenario) *big.Rat {
 }
 
 func TestReconstructedHardwareMatchesPaper(t *testing.T) {
-	// The validation argument from DESIGN.md: with the reconstructed
+	// The calibration argument of the package comment: with the reconstructed
 	// Figure 1 parameters, the unloaded chains equal the paper's Table 1
 	// values exactly.
 	sys, _ := Build(ComboAL, ColPO, DefaultConfig())

@@ -41,6 +41,7 @@ var tombstones = []struct {
 	{"One discrete encoding", `"Keys" in internal/core/store.go`, "internal/core/**.go", "internTable", 35},
 	{"One discrete encoding", `"Keys" in internal/core/store.go`, core, "discreteHash discreteKey", 49},
 	{"One abort signal", "the job type, internal/serve/jobs.go", "internal/serve/jobs.go", "cancelCh cancelOnce time.NewTimer", 50},
+	{"One grammar for model text", "ta.ParsePred, internal/ta/pred.go", "internal/core/*.go", "ParsePredicate parseAtom FindClock", 54},
 }
 
 const core, x = "internal/core/*.go !**_test.go", "package x\n\n"
@@ -70,6 +71,7 @@ var rules = []rule{
 	{"One fork on the submission kind", "the kind table, internal/serve/kinds.go", "internal/serve/*.go !internal/serve/kinds.go !**_test.go", code(`(==|!=|\bcase\b|\bswitch\b).*"(arch|ta)"|"(arch|ta)"\s*(==|!=)`), x + "var ta = \"ta\" ==\n\tkind\n"},
 	{"No workers knob in the service", "jobManager, internal/serve/jobs.go", "internal/serve/api/api.go", code(`Workers`), x + "type SubmitOptions struct{ Workers int }\n"},
 	{"No workers knob in the service", "jobManager, internal/serve/jobs.go", "internal/serve/server.go", count(`Workers`, map[string]int{"jobSpec": 0}), x + "type jobSpec struct{ MaxWorkers int }\n"},
+	{"The engine parses no text", "ta.ParsePred, internal/ta/pred.go", core, code(`"strconv"`), x + "import \"strconv\"\n"},
 	{"One abort signal", "core.AbortErr, internal/core/explore.go", "internal/core/search.go", count(`(?m)^\s+(\w+\s*,\s*)*(Cancel|Deadline)\b`, map[string]int{"Options": 0}), x + "type Options struct {\n\tCancel, Stop <-chan struct{}\n}\n"},
 }
 

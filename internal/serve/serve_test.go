@@ -267,6 +267,21 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestUnknownSupClockRefusal pins the 400 body for a sup clock the model
+// does not declare: one message, whether or not max_const registers a
+// horizon for the clock.
+func TestUnknownSupClockRefusal(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	want := encodeMust(t, wire.ErrorResponse{Error: `parsing ta model: wire: unknown clock "nope"`, Code: wire.CodeBadRequest})
+	for _, maxConst := range []int64{0, 20} {
+		code, body := postJSON(t, ts.URL+"/v1/jobs", SubmitRequest{Kind: "ta", Model: tinyTAModel(t),
+			Queries: []wire.TAQuery{{Kind: "sup", Clock: "nope", Pred: "RAD.busy"}}, Options: SubmitOptions{MaxConst: maxConst}})
+		if code != http.StatusBadRequest || !bytes.Equal(body, want) {
+			t.Errorf("max_const %d: %d %s, want 400 %s", maxConst, code, body, want)
+		}
+	}
+}
+
 // TestSubmitLimits pins both sides of the two option limits that guard an
 // overflow: max_const past dbm.MaxConstant, which Finalize refuses for the
 // sup clock's registered horizon, and deadline_ms past the milliseconds a

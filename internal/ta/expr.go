@@ -209,48 +209,6 @@ func (g andGuard) String() string {
 // And conjoins guards; nil members are treated as true.
 func And(gs ...Guard) Guard { return andGuard(gs) }
 
-type orGuard []Guard
-
-func (g orGuard) Eval(v []int64) bool {
-	for _, c := range g {
-		if c == nil || c.Eval(v) {
-			return true
-		}
-	}
-	return false
-}
-
-func (g orGuard) String() string {
-	parts := make([]string, 0, len(g))
-	for _, c := range g {
-		if c == nil {
-			parts = append(parts, "true")
-		} else {
-			parts = append(parts, c.String())
-		}
-	}
-	return "(" + strings.Join(parts, " || ") + ")"
-}
-
-// Or disjoins guards; nil members are treated as true.
-func Or(gs ...Guard) Guard { return orGuard(gs) }
-
-type notGuard struct{ g Guard }
-
-func (g notGuard) Eval(v []int64) bool { return !g.g.Eval(v) }
-func (g notGuard) String() string      { return "!(" + g.g.String() + ")" }
-
-// Not negates a guard.
-func Not(g Guard) Guard { return notGuard{g} }
-
-type trueGuard struct{}
-
-func (trueGuard) Eval([]int64) bool { return true }
-func (trueGuard) String() string    { return "true" }
-
-// True returns the guard that always holds.
-func True() Guard { return trueGuard{} }
-
 // EvalGuard evaluates g on v, treating nil as true.
 func EvalGuard(g Guard, v []int64) bool {
 	return g == nil || g.Eval(v)

@@ -35,14 +35,7 @@ func Parse(input string) (*Network, error) {
 // not-yet-finalized network — the place to register extrapolation horizons
 // (EnsureMaxConst) or other pre-finalization tweaks.
 func ParseWithHook(input string, hook func(*Network) error) (*Network, error) {
-	p := &parser{
-		clocks: map[string]Clock{},
-		vars:   map[string]IntVar{},
-		chans:  map[string]Channel{},
-		procs:  map[string]*Process{},
-		inits:  map[string]bool{},
-		sizes:  map[string]procSize{},
-	}
+	p := &parser{inits: map[string]bool{}, sizes: map[string]procSize{}}
 	lines := strings.Split(input, "\n")
 	// First pass: count each process's locations and edges, so that its
 	// process line can size both lists once. A text that parses adds
@@ -73,8 +66,8 @@ func ParseWithHook(input string, hook func(*Network) error) (*Network, error) {
 	if p.net == nil {
 		return nil, fmt.Errorf("ta: missing system declaration")
 	}
-	for name, proc := range p.procs {
-		if !p.inits[name] {
+	for _, proc := range p.net.Procs {
+		if !p.inits[proc.Name] {
 			return nil, fmt.Errorf("ta: process %s has no initial location", proc.Name)
 		}
 	}
@@ -89,14 +82,13 @@ func ParseWithHook(input string, hook func(*Network) error) (*Network, error) {
 	return p.net, nil
 }
 
+// parser resolves every name against the network it builds (ClockByName,
+// varByName, chanByName, ProcByName), so that a query predicate parsed over a
+// finished network reads names the same way.
 type parser struct {
-	net    *Network
-	clocks map[string]Clock
-	vars   map[string]IntVar
-	chans  map[string]Channel
-	procs  map[string]*Process
-	inits  map[string]bool
-	sizes  map[string]procSize // by process name, from the first pass
+	net   *Network
+	inits map[string]bool
+	sizes map[string]procSize // by process name, from the first pass
 }
 
 // procSize counts one process's location and edge lines.
@@ -140,7 +132,7 @@ func (p *parser) line(line string) error {
 		if err := p.freshName(name); err != nil {
 			return err
 		}
-		p.clocks[name] = p.net.AddClock(name)
+		p.net.AddClock(name)
 		return nil
 	case "int":
 		parts := strings.Split(rest, ":")
@@ -159,7 +151,7 @@ func (p *parser) line(line string) error {
 			}
 			nums[i] = v
 		}
-		p.vars[name] = p.net.AddVar(name, nums[0], nums[1], nums[2])
+		p.net.AddVar(name, nums[0], nums[1], nums[2])
 		return nil
 	case "chan":
 		parts := strings.Split(rest, ":")
@@ -183,18 +175,17 @@ func (p *parser) line(line string) error {
 		default:
 			return fmt.Errorf("chan %s: unknown kind %q", name, parts[1])
 		}
-		p.chans[name] = p.net.AddChan(name, kind)
+		p.net.AddChan(name, kind)
 		return nil
 	case "process":
 		name := strings.TrimSpace(rest)
-		if _, dup := p.procs[name]; dup {
+		if p.net.ProcByName(name) != nil {
 			return fmt.Errorf("duplicate process %q", name)
 		}
 		proc := p.net.AddProcess(name)
 		n := p.sizes[name]
 		proc.Locations = make([]Location, 0, n.locs)
 		proc.Edges = make([]Edge, 0, n.edges)
-		p.procs[name] = proc
 		return nil
 	case "location":
 		return p.location(rest)
@@ -208,13 +199,10 @@ func (p *parser) freshName(name string) error {
 	if name == "" {
 		return fmt.Errorf("empty name")
 	}
-	if _, ok := p.clocks[name]; ok {
-		return fmt.Errorf("name %q already used", name)
-	}
-	if _, ok := p.vars[name]; ok {
-		return fmt.Errorf("name %q already used", name)
-	}
-	if _, ok := p.chans[name]; ok {
+	_, clock := p.net.ClockByName(name)
+	_, v := p.net.varByName(name)
+	_, ch := p.net.chanByName(name)
+	if clock || v || ch {
 		return fmt.Errorf("name %q already used", name)
 	}
 	return nil
@@ -245,7 +233,7 @@ func (p *parser) location(rest string) error {
 	if len(fields) != 2 {
 		return fmt.Errorf("location needs process:name{...}")
 	}
-	proc := p.procs[fields[0]]
+	proc := p.net.ProcByName(fields[0])
 	if proc == nil {
 		return fmt.Errorf("unknown process %q", fields[0])
 	}
@@ -291,7 +279,7 @@ func (p *parser) edge(rest string) error {
 	if len(fields) != 3 {
 		return fmt.Errorf("edge needs process:src:dst{...}")
 	}
-	proc := p.procs[fields[0]]
+	proc := p.net.ProcByName(fields[0])
 	if proc == nil {
 		return fmt.Errorf("unknown process %q", fields[0])
 	}
@@ -325,7 +313,7 @@ func (p *parser) edge(rest string) error {
 			default:
 				return fmt.Errorf("sync %q must end in ! or ?", val)
 			}
-			ch, ok := p.chans[val[:len(val)-1]]
+			ch, ok := p.net.chanByName(val[:len(val)-1])
 			if !ok {
 				return fmt.Errorf("unknown channel %q", val[:len(val)-1])
 			}
@@ -401,12 +389,12 @@ func (p *parser) parseGuard(s string) ([]Constraint, Guard, error) {
 
 // clockOperand recognizes "x" or "x-y" with x (and y) declared clocks.
 func (p *parser) clockOperand(lhs string) ([2]Clock, bool) {
-	if c, ok := p.clocks[lhs]; ok {
+	if c, ok := p.net.ClockByName(lhs); ok {
 		return [2]Clock{c, {ID: 0}}, true
 	}
 	if a, b, found := strings.Cut(lhs, "-"); found {
-		ca, okA := p.clocks[strings.TrimSpace(a)]
-		cb, okB := p.clocks[strings.TrimSpace(b)]
+		ca, okA := p.net.ClockByName(strings.TrimSpace(a))
+		cb, okB := p.net.ClockByName(strings.TrimSpace(b))
 		if okA && okB {
 			return [2]Clock{ca, cb}, true
 		}
@@ -419,7 +407,7 @@ func (p *parser) clockOperand(lhs string) ([2]Clock, bool) {
 // (dynamic bound, single-clock form only).
 func (p *parser) clockConstraints(cls [2]Clock, op, rhs string) ([]Constraint, error) {
 	x, y := cls[0], cls[1]
-	if v, ok := p.vars[strings.TrimSpace(rhs)]; ok {
+	if v, ok := p.net.varByName(strings.TrimSpace(rhs)); ok {
 		if y.ID != 0 {
 			return nil, fmt.Errorf("dynamic bounds on clock differences are not supported")
 		}
@@ -498,7 +486,7 @@ func (p *parser) parseDo(s string) ([]Reset, []ClockID, Update, error) {
 		}
 		lhs = strings.TrimSpace(lhs)
 		rhs = strings.TrimSpace(rhs)
-		if c, ok := p.clocks[lhs]; ok {
+		if c, ok := p.net.ClockByName(lhs); ok {
 			if rhs == "_" {
 				frees = append(frees, c.ID)
 				continue
@@ -510,7 +498,7 @@ func (p *parser) parseDo(s string) ([]Reset, []ClockID, Update, error) {
 			resets = append(resets, Reset{Clock: c.ID, Value: v})
 			continue
 		}
-		v, ok := p.vars[lhs]
+		v, ok := p.net.varByName(lhs)
 		if !ok {
 			return nil, nil, nil, fmt.Errorf("unknown assignment target %q", lhs)
 		}
@@ -612,7 +600,7 @@ func (p *parser) parseFactor(toks []string) (Expr, []string, error) {
 			return C(v), toks[1:], nil
 		}
 	}
-	if v, ok := p.vars[t]; ok {
+	if v, ok := p.net.varByName(t); ok {
 		return V(v), toks[1:], nil
 	}
 	return nil, nil, fmt.Errorf("unknown operand %q", t)

@@ -351,6 +351,37 @@ func (n *Network) ChanEdgeCounts(c ChanID) (emit, recv int) {
 // order. Valid only after Finalize.
 func (n *Network) UrgentChans() []ChanID { return n.urgentChans }
 
+// ClockByName returns the declared clock with the given name. The reference
+// clock, Clocks[0], is not declared and answers to no name.
+func (n *Network) ClockByName(name string) (Clock, bool) {
+	for i := 1; i < len(n.Clocks); i++ {
+		if n.Clocks[i].Name == name {
+			return n.Clocks[i], true
+		}
+	}
+	return Clock{}, false
+}
+
+// varByName returns the variable with the given name.
+func (n *Network) varByName(name string) (IntVar, bool) {
+	for i, v := range n.Vars {
+		if v.Name == name {
+			return IntVar{ID: VarID(i), Name: v.Name}, true
+		}
+	}
+	return IntVar{}, false
+}
+
+// chanByName returns the channel with the given name.
+func (n *Network) chanByName(name string) (Channel, bool) {
+	for _, c := range n.Chans {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return Channel{}, false
+}
+
 // ProcByName returns the process with the given name, or nil.
 func (n *Network) ProcByName(name string) *Process {
 	for _, p := range n.Procs {

@@ -100,8 +100,9 @@ func FromAllResult(all *arch.AllResult) ArchResponse {
 // TAQuery is one query of a timed-automata model submission. Kind selects
 // the query; the other fields parameterize it:
 //
-//	reach    — Pred (a core.ParsePredicate expression): is a matching state
-//	           reachable? Verdict true = reachable, Trace is the witness.
+//	reach    — Pred (a state predicate, ta.ParsePred; the README's tacheck
+//	           section states its grammar): is a matching state reachable?
+//	           Verdict true = reachable, Trace is the witness.
 //	safety   — Pred: does AG(Pred) hold? Verdict true = holds, Trace is the
 //	           counterexample when it does not.
 //	sup      — Clock and Pred: the supremum of the clock over states
@@ -151,33 +152,42 @@ type TAResponse struct {
 // ParseTAModel parses .ta source for the given query set, registering
 // maxConst (when positive) as the extrapolation horizon of every sup query's
 // clock before finalization — the horizon must be known to the network before
-// it freezes, so model parsing and query specs travel together.
+// it freezes, so model parsing and query specs travel together. An unknown
+// sup clock fails here, with or without a horizon.
 func ParseTAModel(src string, specs []TAQuery, maxConst int64) (*ta.Network, error) {
-	var supClocks []string
-	for _, q := range specs {
-		if q.Kind == "sup" && q.Clock != "" {
-			supClocks = append(supClocks, q.Clock)
-		}
-	}
-	if maxConst <= 0 || len(supClocks) == 0 {
-		return ta.Parse(src)
-	}
 	return ta.ParseWithHook(src, func(n *ta.Network) error {
-		for _, name := range supClocks {
-			found := false
-			for _, c := range n.Clocks {
-				if c.Name == name {
-					n.EnsureMaxConst(c.ID, maxConst)
-					found = true
-					break
-				}
+		for _, q := range specs {
+			if q.Kind != "sup" {
+				continue
 			}
-			if !found {
-				return fmt.Errorf("unknown clock %q", name)
+			c, err := supClock(n, q.Clock)
+			if err != nil {
+				return err
+			}
+			if maxConst > 0 {
+				n.EnsureMaxConst(c.ID, maxConst)
 			}
 		}
 		return nil
 	})
+}
+
+// supClock resolves a sup query's clock.
+func supClock(n *ta.Network, name string) (ta.Clock, error) {
+	c, ok := n.ClockByName(name)
+	if !ok {
+		return c, fmt.Errorf("wire: unknown clock %q", name)
+	}
+	return c, nil
+}
+
+// statePred parses a query predicate into the engine's form.
+func statePred(n *ta.Network, s string) (func(*core.State) bool, error) {
+	p, err := ta.ParsePred(n, s)
+	if err != nil {
+		return nil, err
+	}
+	return func(st *core.State) bool { return p.Holds(st.Locs, st.Vars) }, nil
 }
 
 // taSlot pairs one spec with the concrete query answering it.
@@ -209,23 +219,23 @@ func NewTARun(net *ta.Network, specs []TAQuery) (*TARun, error) {
 		slot := taSlot{spec: spec}
 		switch spec.Kind {
 		case "reach":
-			pred, err := core.ParsePredicate(net, spec.Pred)
+			pred, err := statePred(net, spec.Pred)
 			if err != nil {
 				return nil, err
 			}
 			slot.reach = core.NewReachQuery(pred)
 		case "safety":
-			pred, err := core.ParsePredicate(net, spec.Pred)
+			pred, err := statePred(net, spec.Pred)
 			if err != nil {
 				return nil, err
 			}
 			slot.reach = core.NewReachQuery(func(s *core.State) bool { return !pred(s) })
 		case "sup":
-			clock, err := core.FindClock(net, spec.Clock)
+			clock, err := supClock(net, spec.Clock)
 			if err != nil {
 				return nil, err
 			}
-			pred, err := core.ParsePredicate(net, spec.Pred)
+			pred, err := statePred(net, spec.Pred)
 			if err != nil {
 				return nil, err
 			}

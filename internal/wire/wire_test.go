@@ -2,7 +2,9 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -84,6 +86,60 @@ func TestTARunValidation(t *testing.T) {
 	}
 	if _, err := ParseTAModel(tinyTA(t), []TAQuery{{Kind: "sup", Clock: "ghost", Pred: "x"}}, 10); err == nil {
 		t.Error("unknown sup clock with a horizon must fail at parse")
+	}
+}
+
+// TestUnknownSupClockOneError pins one message for a sup clock the model
+// does not declare, whether or not a horizon is registered for it. The
+// reference clock has no name: "t0" is unknown too.
+func TestUnknownSupClockOneError(t *testing.T) {
+	for _, name := range []string{"nope", "t0", ""} {
+		want := fmt.Sprintf("wire: unknown clock %q", name)
+		specs := []TAQuery{{Kind: "sup", Clock: name, Pred: "RAD.busy"}}
+		for _, maxConst := range []int64{0, 20} {
+			if _, err := ParseTAModel(tinyTA(t), specs, maxConst); err == nil || err.Error() != want {
+				t.Errorf("ParseTAModel sup %q, max_const %d: %v, want %s", name, maxConst, err, want)
+			}
+		}
+		net, err := ParseTAModel(tinyTA(t), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewTARun(net, specs); err == nil || err.Error() != want {
+			t.Errorf("NewTARun sup %q: %v, want %s", name, err, want)
+		}
+	}
+}
+
+// TestDeclaredT0IsMeasured is the regression test for the reference clock
+// shadowing a declared clock named t0: tiny.ta with its clock x renamed t0
+// must answer what tiny.ta answers for x.
+func TestDeclaredT0IsMeasured(t *testing.T) {
+	src := regexp.MustCompile(`\bx\b`).ReplaceAllString(tinyTA(t), "t0")
+	if !strings.Contains(src, "clock:t0") {
+		t.Fatalf("renaming x left no clock t0:\n%s", src)
+	}
+	for _, maxConst := range []int64{0, 20} {
+		specs := []TAQuery{{Kind: "sup", Clock: "t0", Pred: "RAD.busy"}}
+		net, err := ParseTAModel(src, specs, maxConst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := NewTARun(net, specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checker, err := core.NewChecker(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := checker.RunQueries(core.Options{}, run.Queries()...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := run.Response(stats).Queries[0].Sup; got != "<=3" {
+			t.Errorf("max_const %d: sup t0 @ RAD.busy = %q, want <=3", maxConst, got)
+		}
 	}
 }
 
