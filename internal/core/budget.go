@@ -17,11 +17,13 @@ import (
 //
 //   - States are counted at admission by the existing e.stored counter; the
 //     state budget is one extra compare on the admission path.
-//   - Pool-side zone bytes are known at pool get/put: every full matrix in
-//     the run is scratch — the state being expanded and its successors
-//     until the store has decided on them — drawn from the loop's or the
-//     lookahead helper's dbm.Pool, whose gets/reuses counters already record
-//     how many matrices it allocated (gets − reuses). The loop publishes
+//   - Matrix bytes are known where States are handed out: every full matrix
+//     in the run is scratch — a ctx's scratch zone, or the matrix of the
+//     state being expanded or of one of its successors until the store has
+//     decided on them — and a matrix is recycled with the State that owns
+//     it, so the loop's and the lookahead helper's ctx count them in their
+//     gets/reuses (succCtx.getState): gets − reuses is how many matrices
+//     each has carved. The loop publishes
 //     that allocation, the helper's included, into the run's workerCell
 //     (perworker.go) at each checkpoint on every run, with its expansion
 //     counters; a budgeted run then checks the cell against the limit. The

@@ -172,12 +172,13 @@ func (l *parentLogs) at(ref int64) (parent int64, key uint64, step int32) {
 // A State is an expansion's scratch. An expansion is one popped node: the
 // State rebuilt from it and the States of the successors fired from that,
 // all taken from the expanding ctx's free list (succCtx.getState) or carved
-// from the sweep's slabs (newState), each owning a pooled matrix. The life
-// of a state:
+// from the sweep's slabs (newState), each owning its matrix for life: a
+// matrix is recycled with the State that owns it, so a ctx keeps one free
+// list, of States. The life of a state:
 //
 //   - popped: the node is copied out of its slot, and succCtx.unpark
 //     rebuilds a State from it — the entry's key decoded, the node's ref,
-//     the payload decoded into a pooled matrix — and passedSet.release gives
+//     the payload decoded into the State's matrix — and passedSet.release gives
 //     the payload back;
 //   - fired: engine.fire materializes each successor, raw zone and all;
 //   - decided: passedSet.add either subsumes a successor, which the loop then
@@ -335,16 +336,17 @@ type explorer struct {
 	// Monitor, the memory budget and the profile alike.
 	cell workerCell
 
-	// slabs is the sweep's slab set: the loop's and the helper's zone pools,
-	// the store (entries with their keys, index, records, payloads), the
-	// frontier and the parent log carve from it, and explore releases it (see
-	// there). Nothing caller-visible may alias it: FoundState is a cloneState
-	// copy, trace replay runs on a heap ctx (newCtx(nil)) from the heap
-	// initial state, and results carry bounds and integers. A new result kind
-	// that holds a *State, *dbm.DBM or dbm.Compact must copy before explore
-	// returns. The package's tests run with released
-	// slabs and recycled payloads poisoned (TestMain in slab_test.go), so an
-	// alias reads as garbage in whichever test looks at it.
+	// slabs is the sweep's slab set: the loop's and the helper's States and
+	// matrices, the store (entries with their keys, index, records,
+	// payloads), the frontier and the parent log carve from it, and explore
+	// releases it (see there). Nothing caller-visible may alias it:
+	// FoundState is a cloneState copy, trace replay runs on a heap ctx
+	// (newCtx(nil)) from the heap initial state, and results carry bounds
+	// and integers. A new result kind that holds a *State, *dbm.DBM or
+	// dbm.Compact must copy before explore returns. The package's tests run
+	// with released slabs and recycled payloads poisoned (TestMain in
+	// slab_test.go), so an alias reads as garbage in whichever test looks at
+	// it.
 	slabs dbm.Slabs
 	// initScratch is what the initial state is closed and admitted with,
 	// before the loop has a succCtx; carved from slabs.
@@ -396,8 +398,8 @@ func (e *explorer) visitAdmitted(s *State) (drained bool) {
 // contained runs f with panic containment: a crash anywhere in it — engine
 // bug, panicking visitor predicate, injected fault — becomes the run's
 // *PanicError, an error like cancellation's, instead of killing the process.
-// Containment honors the zone/pool ownership protocol by doing nothing: the
-// loop simply abandons its succCtx (scratch zone, pool, state free list) to
+// Containment honors the zone ownership protocol by doing nothing: the
+// loop simply abandons its succCtx (scratch zone, free list of States) to
 // the garbage collector along with the rest of the run's pools, so a
 // possibly-corrupt state is never recycled — only the raw slab bytes
 // underneath are, after the loop has returned, by explore. The deferred
@@ -449,19 +451,19 @@ func (e *explorer) run() error {
 	cell := &e.cell
 	zoneBytes := dbm.ZoneBytes(e.c.eng.dim)
 	// ahead is the lookahead helper once it has engaged, after aheadFrom
-	// expansions, and nil while expansions run inline; its pool counts are
+	// expansions, and nil while expansions run inline; its matrix counts are
 	// the loop's too.
 	var ahead *lookahead
 	aheadFrom := e.opts.lookaheadFrom()
-	poolStats := func() (gets, reuses int) {
-		gets, reuses = ctx.pool.Stats()
+	matrices := func() (gets, reuses int) {
+		gets, reuses = ctx.gets, ctx.reuses
 		if ahead != nil {
 			gets, reuses = gets+ahead.own.v.gets, reuses+ahead.own.v.reuses
 		}
 		return gets, reuses
 	}
 	publish := func() {
-		gets, reuses := poolStats()
+		gets, reuses := matrices()
 		cell.publish(nPopped, nTransitions, nDeadlocks, int64(gets-reuses)*zoneBytes)
 	}
 	// The exit publish makes the cell exact however the loop leaves:
@@ -496,7 +498,7 @@ func (e *explorer) run() error {
 			// and a few shared atomics. The disabled path is the nil check
 			// alone, and only this branch grows a ring, so an unprofiled
 			// sweep provably gains zero allocations.
-			gets, reuses := poolStats()
+			gets, reuses := matrices()
 			e.sampleProfile(nPopped, nTransitions, gets, reuses)
 		}
 		if nPopped == aheadFrom {
@@ -635,12 +637,13 @@ func (e *explorer) expand(ctx *succCtx, n *waiting, prev *State, out []succ) (*S
 // meanwhile changes only the holder mark, which decoding does not read.
 //
 // The helper carves from the sweep's slab set as the loop does: its ctx's
-// scratch, the States it fires and rebuilds and its slots' successor lists
-// (dbm.Grow). On the heap it costs its goroutine, its ring (the
-// lookahead struct, which holds errors and so may not be carved), its ctx
-// and pool, and blocks of matrix headers for the states in flight: a
-// Fischer-5 sweep makes at most a few dozen more heap allocations with the
-// helper than inline, whatever its size (TestSweepHeapAllocsFlatInStates).
+// scratch, the States it fires and rebuilds with their matrices, and its
+// slots' successor lists (dbm.Grow). On the heap it costs its goroutine, its
+// ring (the lookahead struct, which holds errors and so may not be carved),
+// its ctx, and its share of the set's blocks of matrix headers for the
+// states in flight: a Fischer-5 sweep makes at most a few dozen more heap
+// allocations with the helper than inline, whatever its size
+// (TestSweepHeapAllocsFlatInStates).
 //
 // The helper never parks: both sides poll with runtime.Gosched, so one sweep
 // keeps two cores busy for one CPU token. Parking an idle helper on a
@@ -658,7 +661,7 @@ func (e *explorer) expand(ctx *succCtx, n *waiting, prev *State, out []succ) (*S
 // helper spins while it waits; BenchmarkTwoSweepsAtOnce (bench_test.go)
 // measures that regime.
 //
-// The helper's pool counts, as of the last expansion the caller has taken,
+// The helper's matrix counts, as of the last expansion the caller has taken,
 // join the caller's in its cell. So do the two stage-bound counts, once the
 // helper has stopped: the caller's polls for an expansion the helper has not
 // finished, and the helper's polls for a node to expand. Many of the first
@@ -705,7 +708,7 @@ func (o Options) lookaheadFrom() int64 {
 // expansion is one slot of the lookahead ring.
 type expansion struct {
 	node waiting // in: the popped node
-	// out: what expand returned, the helper's pool counts after it, and a
+	// out: what expand returned, the helper's matrix counts after it, and a
 	// helper panic. s and succs stay in the slot until its next expansion
 	// recycles them.
 	s            *State
@@ -733,7 +736,7 @@ type lookahead struct {
 	own        slot[aheadTally]
 }
 
-// aheadTally is the caller's own: the slots it has taken, the helper's pool
+// aheadTally is the caller's own: the slots it has taken, the helper's matrix
 // counts as of the last one, and its polls for an expansion not yet done.
 type aheadTally struct {
 	taken        int64
@@ -817,7 +820,7 @@ func (la *lookahead) expand(x *expansion) (crashed bool) {
 		}
 	}()
 	x.s, x.payload, x.succs, x.err = la.e.expand(la.ctx, &x.node, x.s, x.succs)
-	x.gets, x.reuses = la.ctx.pool.Stats()
+	x.gets, x.reuses = la.ctx.gets, la.ctx.reuses
 	return false
 }
 
@@ -840,7 +843,7 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	// The sweep's slabs go back to the process-wide cache once per run, on
 	// every way out of this function: strictly after the loop has returned
 	// (and with it the helper) and after every Query.finish and replayTrace
-	// below, when the frontier's nodes, the store's payloads and the pools
+	// below, when the frontier's nodes, the store's payloads and the ctxs
 	// are referenced by nothing that survives the return (see "Zone
 	// ownership" in store.go). Canceled, budget-failed and panic-contained
 	// runs release too: a slab is raw bytes, and whoever carves it next

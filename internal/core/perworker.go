@@ -15,7 +15,7 @@ type slot[T any] struct {
 }
 
 // workerCell is everything the admitting loop publishes about its run, and
-// the only place a run's expansion counts and pooled zone bytes leave the
+// the only place a run's expansion counts and matrix bytes leave the
 // loop. Two write paths, never mixed: the counters are single-writer atomics
 // written with plain stores — never a read-modify-write, never a lock on the
 // visitor path — and every reader (the run's final Stats, Monitor.Snapshot,
@@ -34,8 +34,9 @@ type workerCell struct {
 	// Monitor's Snapshot, which loads them on its own goroutine while the
 	// loop runs.
 	popped, transitions, deadlocks atomic.Int64
-	// zoneBytes is the run's pooled matrix allocation (pool gets − reuses,
-	// the helper's included, times one matrix's bytes).
+	// zoneBytes is the run's matrix allocation: the matrices its ctxs have
+	// carved (succCtx gets − reuses, the helper's included) times one
+	// matrix's bytes.
 	zoneBytes atomic.Int64
 	// callerWaits and helperIdle are the lookahead's stage-bound counts
 	// ("Lookahead" in explore.go), each stored once, by the goroutine that

@@ -65,8 +65,10 @@ type WorkerSample struct {
 	// Popped and Transitions are the cumulative expansion counters.
 	Popped      int64 `json:"popped"`
 	Transitions int64 `json:"transitions"`
-	// PoolGets / PoolReuses are the run's zone-pool traffic, the lookahead
-	// helper's included; the gap is its live allocation.
+	// PoolGets / PoolReuses count the matrices the run's ctxs handed out
+	// with their States (and their scratch zones) and those that came
+	// recycled with a State, the lookahead helper's included; the gap is the
+	// matrices the run has carved.
 	PoolGets   int64 `json:"pool_gets"`
 	PoolReuses int64 `json:"pool_reuses"`
 	// Frontier is the global backlog at sample time: states admitted, not

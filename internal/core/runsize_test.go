@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/dbm"
 	"repro/internal/ta"
 )
 
@@ -154,13 +155,13 @@ func TestSweepHeapAllocsFlatInStates(t *testing.T) {
 
 // TestPooledMatricesFlatInStates runs Fischer-5 to 2,000 and to 40,000
 // stored states, with the lookahead helper engaged from the first expansion
-// and with expansions inline, and requires the zone pools' live matrices —
+// and with expansions inline, and requires the live matrices — the ctxs'
 // gets minus reuses, the helper's included, at the last profile sample — to
 // be the same at both sizes: each expansion recycles the States of the one
 // before it in its slot (explorer.expand), so the matrices in use are those
 // of the expansions in flight, however long the sweep. A fired or rebuilt
-// State left unrecycled keeps its matrix from the pool and shows here as a
-// gap that grows with the sweep.
+// State left unrecycled keeps its matrix and shows here as a gap that grows
+// with the sweep.
 func TestPooledMatricesFlatInStates(t *testing.T) {
 	c, err := NewChecker(buildFischer(t, 5))
 	if err != nil {
@@ -182,6 +183,61 @@ func TestPooledMatricesFlatInStates(t *testing.T) {
 		if small != large {
 			t.Errorf("helper %v: %d pooled matrices live at 2,000 states and %d at 40,000, want the same",
 				mode == lookaheadOn, small, large)
+		}
+	}
+}
+
+// TestStatesKeepTheirMatrices walks Fischer-3 one successor at a time on a
+// slab ctx, recycling every other State as the loop does, and checks after
+// each step that a State on the free list holds a matrix of the ctx's
+// dimension, that no two of the ctx's matrices are one, and that gets −
+// reuses counts the matrices carved: those of the free list, of the State
+// in hand and the scratch zone. A matrix is recycled with the State that
+// owns it, so the free list of States is the only free list of matrices.
+func TestStatesKeepTheirMatrices(t *testing.T) {
+	c, err := NewChecker(buildFischer(t, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slabs dbm.Slabs
+	defer slabs.Release()
+	ctx := c.eng.newCtx(&slabs)
+	cur, err := c.eng.initial(&ctx.closeScratch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []succ
+	for step := 0; step < 300; step++ {
+		if out, err = c.eng.successors(ctx, cur, out[:0]); err != nil {
+			t.Fatal(err)
+		}
+		if len(out) == 0 {
+			t.Fatalf("step %d: deadlock", step)
+		}
+		// Keep one successor, a different one each step, and recycle the
+		// rest with the state they came from (not the heap initial one).
+		keep := out[step%len(out)].state
+		for _, sc := range out {
+			if sc.state != keep {
+				ctx.putState(sc.state)
+			}
+		}
+		if step > 0 {
+			ctx.putState(cur)
+		}
+		cur = keep
+		seen := map[*dbm.DBM]bool{ctx.zone: true, cur.Zone: true}
+		for i, s := range ctx.states {
+			if s.Zone == nil || s.Zone.Dim() != c.eng.dim {
+				t.Fatalf("step %d: free State %d holds matrix %v, want one of dimension %d", step, i, s.Zone, c.eng.dim)
+			}
+			if seen[s.Zone] {
+				t.Fatalf("step %d: free State %d shares its matrix", step, i)
+			}
+			seen[s.Zone] = true
+		}
+		if carved := ctx.gets - ctx.reuses; carved != len(seen) {
+			t.Fatalf("step %d: gets %d − reuses %d = %d, want the %d matrices carved", step, ctx.gets, ctx.reuses, carved, len(seen))
 		}
 	}
 }

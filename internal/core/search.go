@@ -64,13 +64,14 @@ type Options struct {
 	// when exceeding the cap must be an error the caller cannot miss.
 	StateBudget int
 	// MaxBytes bounds the run's zone memory: once the full matrices the
-	// run's pools have allocated plus the passed store's actual footprint
-	// — entries with their packed discrete keys, zone-record segments and
-	// packed zone buffers (passedSet.bytes) — exceed this many bytes, the run
-	// fails with ErrMemoryBudget and partial Stats via the same
-	// between-expansions abort point as Context. 0 means unlimited. A waiting
-	// state's zone is charged as the packed payload in that footprint — the
-	// one copy there is of it — and matrices only as the pools' scratch.
+	// run's ctxs have carved (each recycled with its State) plus the passed
+	// store's actual footprint — entries with their packed discrete keys,
+	// zone-record segments and packed zone buffers (passedSet.bytes) —
+	// exceed this many bytes, the run fails with ErrMemoryBudget and partial
+	// Stats via the same between-expansions abort point as Context. 0 means
+	// unlimited. A waiting state's zone is charged as the packed payload in
+	// that footprint — the one copy there is of it — and matrices only as
+	// the ctxs' scratch.
 	// Accounting (budget.go) adds nothing to the visitor path; frontier
 	// nodes, parent logs and query accumulators are not counted.
 	MaxBytes int64

@@ -114,22 +114,23 @@ type passedSet interface {
 // An admitted zone has ONE long-lived copy: the payload the store packs on
 // admission (dbm.EncodeCompact into a buffer from the store's
 // dbm.CompactPool). The store never aliases a state's matrix, and full
-// matrices live only in the loop's and the helper's pools as scratch; what a waiting state
-// keeps of its zone is its waiting node's reference to the store's payload
-// (waiting.packed, explore.go). So a payload has up to two holders — its
-// record and the waiting node — and the holder mark in its header
-// (dbm.Compact byte [1]) says which: held by both, held by the record alone
-// (zero, the node was popped), or orphaned (the record was pruned while the
-// node still waits). The mark is read and written only by whoever holds the
+// matrices live only in the States of the loop's and the helper's ctxs, and
+// as each ctx's scratch zone; a matrix is recycled with the State that owns
+// it, and only then. What a waiting state keeps of its zone is its waiting
+// node's reference to the store's payload (waiting.packed, explore.go). So a
+// payload has up to two holders — its record and the waiting node — and the
+// holder mark in its header (dbm.Compact byte [1]) says which: held by both,
+// held by the record alone (zero, the node was popped), or orphaned (the
+// record was pruned while the node still waits). The mark is read and written only by whoever holds the
 // entry; the payload behind it is immutable until the buffer is recycled,
 // which happens only when the last holder lets go. The full protocol:
 //
-//   - engine.fire materializes successors from a succCtx (pooled
-//     scratch DBM, scratch locs/vars/parts, and the dbm.Touched sets the
-//     incremental canonicalization records into — all reused across fires,
-//     none escaping into states or stores); clock-disabled transitions
-//     allocate nothing. A fresh successor owns its matrix, which holds the
-//     raw zone.
+//   - engine.fire materializes successors from a succCtx (scratch DBM,
+//     scratch locs/vars/parts, and the dbm.Touched sets the incremental
+//     canonicalization records into — all reused across fires, none
+//     escaping into states or stores); clock-disabled transitions allocate
+//     nothing. A fresh successor owns its matrix, which holds the raw zone:
+//     fire swaps the scratch DBM with the matrix of the State it fills.
 //   - store.add(s, sc) receives that raw zone. On admission it extrapolates
 //     s.Zone in place (the one place a sweep widens a zone; sc is the
 //     caller's scratch), packs it, marks the payload held by both and hands back
@@ -151,16 +152,16 @@ type passedSet interface {
 //     orphaned and stays charged to bytes() until it is released.
 //   - A popped node's state is rebuilt (succCtx.unpark, inline or on the
 //     lookahead helper): the entry's key decoded, and the payload decoded
-//     into a matrix from the rebuilding ctx's pool — without holding the
+//     into the matrix of a State from the rebuilding ctx — without holding the
 //     entry: the key never changes once the entry is published, the payload
 //     cannot change while the node holds it, and no dbm kernel touches the
 //     mark. Then the loop calls release: an orphaned buffer goes back to the
 //     store's compact pool, any other is marked as the record's alone. The
-//     expanded state is recycled with its successors.
+//     expanded state is recycled with its successors, matrices and all.
 //   - A run that stops early (visitor, MaxStates, cancel, budget, panic)
 //     leaves waiting nodes holding payloads; nothing releases them, and
-//     nothing has to: pools die with the run, and nodes, entries, records
-//     and payloads go back with its slabs.
+//     nothing has to: the ctxs die with the run, and States, matrices,
+//     nodes, entries, records and payloads go back with its slabs.
 //
 // Fork census (continued from the dbm package comment; scripts/traffic.sh
 // prints it): a successor is subsumed on its raw zone — 65% of fischer's
@@ -173,24 +174,24 @@ type passedSet interface {
 //
 // # Where the bytes come from
 //
-// The matrices of the ctxs' pools, and everything the store keeps — entries
-// with their keys, the bucket index, record segments and the payloads of its
-// compact pool — are carved from one dbm.Slabs set per run (explorer.slabs),
-// as are the frontier's node blocks and the parent log's record blocks
-// (explore.go, "Frontier" and "Trace reconstruction"), and so are the States
-// the ctxs fire and rebuild with their vectors (newState), and every list that
-// doubles with the sweep — the ctxs' free lists of States and successor lists,
-// the compact pool's free lists of pruned payloads, the parent log's list of
-// blocks — is carved by dbm.Grow, as are the ctxs' scratch vectors and
-// closeScratch; a store built with a nil set (the tests' standalone stores)
-// takes each from the heap instead. So a sweep's bookkeeping costs the
-// collector nothing: no object to allocate per state or per prune, none to
-// scan, nothing counted towards the heap goal, and the helper allocates on the
-// heap only what it is — its goroutine, its ring, its ctx and pool — and the
-// matrix headers of the states it has in flight. What a sweep still allocates
-// on the heap is sized by the model, not by the states it stores or prunes:
-// its ctxs and their pools, the zone pools' free lists and blocks of matrix
-// headers, the compact pool's map of free lists, and the slab set's own lists.
+// The States the ctxs fire and rebuild, with their vectors and matrices
+// (succCtx.getState: newState, dbm.Slabs.Matrix), and everything the store
+// keeps — entries with their keys, the bucket index, record segments and the
+// payloads of its compact pool — are carved from one dbm.Slabs set per run
+// (explorer.slabs), as are the frontier's node blocks and the parent log's
+// record blocks (explore.go, "Frontier" and "Trace reconstruction"), and
+// every list that doubles with the sweep — the ctxs' free lists of States and
+// successor lists, the compact pool's free lists of pruned payloads, the
+// parent log's list of blocks — is carved by dbm.Grow, as are the ctxs'
+// scratch vectors and closeScratch; a store built with a nil set (the tests'
+// standalone stores) takes each from the heap instead. So a sweep's
+// bookkeeping costs the collector nothing: no object to allocate per state or
+// per prune, none to scan, nothing counted towards the heap goal, and the
+// helper allocates on the heap only what it is — its goroutine, its ring and
+// its ctx. What a sweep still allocates on the heap is sized by the model, not
+// by the states it stores or prunes: its ctxs, the set's blocks of matrix
+// headers for the States in flight, the compact pool's map of free lists, and
+// the slab set's own lists.
 // Carved memory is invisible to the collector, so it obeys dbm.Carve's rule: it
 // points only into its own set — an entry at its next entry and its segments,
 // a record at its payload, a segment at the next, a head at its entry, a

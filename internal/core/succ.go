@@ -75,14 +75,16 @@ func newEngine(net *ta.Network) (*engine, error) {
 // heap objects once a transition is known to fire, so clock-disabled
 // transitions (the common case) allocate nothing.
 //
-// Zone ownership: zone is the current scratch matrix, owned by the ctx. On
-// a successful fire it is detached into the new State (which then owns it)
-// and replaced from pool. It goes back into pool with its State when the
-// next expansion in the same slot recycles the expansion that fired it
-// (recycle; "Frontier" in explore.go), whether the passed store subsumed the
-// state or admitted it (see "Zone ownership" in store.go). The zone of a
-// fired successor is raw; the store widens it — with this ctx's rows/cols,
-// handed to passedSet.add — only if it admits it.
+// Zone ownership: a State owns its matrix for life, and a matrix is recycled
+// with the State that owns it — the ctx keeps one free list, of States, and
+// none of matrices. zone is the ctx's scratch matrix. A successful fire swaps
+// it with the matrix of the State it fills (getState), so the new State owns
+// the fired zone and the ctx the State's old matrix; both go back onto the
+// free list together when the next expansion in the same slot recycles the
+// expansion that fired them (recycle; "Frontier" in explore.go), whether the
+// passed store subsumed the state or admitted it (see "Zone ownership" in
+// store.go). The zone of a fired successor is raw; the store widens it — with
+// this ctx's rows/cols, handed to passedSet.add — only if it admits it.
 //
 // Fork census (continued from the dbm package comment; scripts/traffic.sh
 // prints it): a fired transition tightens its zone with ta.ApplyConstraints
@@ -94,14 +96,18 @@ func newEngine(net *ta.Network) (*engine, error) {
 // Both stay, they are semantics of the .ta language, covered by this
 // package's tests.
 type succCtx struct {
-	// slabs is the sweep's slab set the ctx carves its States and successor
-	// lists from (getState, dbm.Grow), and its pool its matrices; nil for a
+	// slabs is the sweep's slab set the ctx carves its States, their
+	// matrices and its successor lists from (getState, dbm.Grow); nil for a
 	// heap ctx, whose States may outlive the sweep (trace replay). The lists —
 	// its free list of States, its successor lists — hold pointers only to
 	// carved States, so they may be carved under the slab rule.
 	slabs *dbm.Slabs
-	pool  *dbm.Pool
+	dim   int
 	zone  *dbm.DBM
+	// gets counts the matrices the ctx has handed out — one per getState,
+	// and its scratch zone — and reuses those a recycled State brought, so
+	// gets − reuses is the number of matrices it carved.
+	gets, reuses int
 
 	closeScratch
 
@@ -124,11 +130,12 @@ type succCtx struct {
 
 	runs []partRun // broadcast receiver grouping
 
-	// states is a free list of State objects (with their discrete vectors)
-	// that this ctx fired or rebuilt and that were put back (putState: an
-	// expansion's recycle, or trace replay's unselected successors). Store
-	// entries keep packed copies of the discrete parts of admitted states
-	// (store.go), so recycling a state can never corrupt the passed store.
+	// states is a free list of State objects, with their discrete vectors
+	// and matrices, that this ctx fired or rebuilt and that were put back
+	// (putState: an expansion's recycle, or trace replay's unselected
+	// successors). Store entries keep packed copies of the discrete parts of
+	// admitted states (store.go), so recycling a state can never corrupt the
+	// passed store.
 	// Every State on the free list of a slab ctx is one getState carved: a
 	// heap State there would be referenced from carved memory (a successor
 	// list) that does not keep it alive.
@@ -152,7 +159,7 @@ type succCtx struct {
 // rows and cols. It is owned by one worker (embedded in its succCtx; the
 // explorer holds one for the initial state), reused across fires and
 // admissions, and never escapes into states or stores — the same recycling
-// rules as pooled zones keep the hot path allocation-free.
+// rules as recycled States keep the hot path allocation-free.
 type closeScratch struct {
 	// inv collects the resolved invariant bounds of the new location vector,
 	// the tightest per clock, for the one dbm.DelayUnder call that applies
@@ -178,21 +185,21 @@ func (e *engine) newCloseScratch(slabs *dbm.Slabs) closeScratch {
 // one process.
 type partRun struct{ start, end int }
 
-// newCtx returns a fresh scratch context for one exploration worker, its zone
-// pool carving from the sweep's slab set. A nil set gives a ctx on the plain
-// heap, for states that outlive the sweep (trace replay).
+// newCtx returns a fresh scratch context for one exploration worker, carving
+// from the sweep's slab set. A nil set gives a ctx on the plain heap, for
+// states that outlive the sweep (trace replay).
 //
 // A slab ctx carves its scratch vectors and closeScratch too: they live as
-// long as the ctx and point only into the set, so only the ctx itself and its
-// pool are heap objects.
+// long as the ctx and point only into the set, so the ctx itself is the only
+// heap object.
 func (e *engine) newCtx(slabs *dbm.Slabs) *succCtx {
 	nChans := len(e.net.Chans)
 	ints := dbm.CarveSlice[int32](slabs, 3*nChans)
-	pool := slabs.Pool(e.dim)
 	return &succCtx{
 		slabs:        slabs,
-		pool:         pool,
-		zone:         pool.Get(), // contents unspecified; fire overwrites it
+		dim:          e.dim,
+		zone:         slabs.Matrix(e.dim), // contents unspecified; fire overwrites it
+		gets:         1,
 		closeScratch: e.newCloseScratch(slabs),
 		keys:         &e.keys,
 		locs:         dbm.CarveSlice[ta.LocID](slabs, len(e.net.Procs)),
@@ -217,28 +224,31 @@ func (ctx *succCtx) allocParts(parts []LabelPart) []LabelPart {
 }
 
 // getState returns a recycled or fresh State with discrete vectors sized
-// for the network. The caller must fill Locs, Vars, and Zone. A fresh State
-// of a slab ctx is carved (newState), so the sweep's States cost the
+// for the network and a matrix of the ctx's dimension, all with unspecified
+// contents: the caller must fill Locs, Vars and Zone. A fresh State of a slab
+// ctx is carved (newState), with its matrix, so the sweep's States cost the
 // collector nothing — on the loop's ctx and on its lookahead helper's alike.
 func (ctx *succCtx) getState() *State {
+	ctx.gets++
 	if n := len(ctx.states); n > 0 {
 		s := ctx.states[n-1]
 		ctx.states[n-1] = nil
 		ctx.states = ctx.states[:n-1]
 		s.ref = noRef
+		ctx.reuses++
 		return s
 	}
-	return newState(ctx.slabs, len(ctx.locs), len(ctx.vars))
+	s := newState(ctx.slabs, len(ctx.locs), len(ctx.vars))
+	s.Zone = ctx.slabs.Matrix(ctx.dim)
+	return s
 }
 
 // putState releases a state nothing references any more, one this ctx fired
-// or rebuilt: its zone goes back to the DBM pool and the struct (with its
-// discrete vectors) onto the free list. The caller must guarantee nothing
-// else aliases the state — see the ownership protocol in store.go.
+// or rebuilt: the struct, with its discrete vectors and its matrix, goes onto
+// the free list. The caller must guarantee nothing else aliases the state —
+// see the ownership protocol in store.go.
 func (ctx *succCtx) putState(s *State) {
-	ctx.pool.Put(s.Zone)
-	s.Zone = nil
-	if len(s.Locs) == len(ctx.locs) && len(s.Vars) == len(ctx.vars) {
+	if len(s.Locs) == len(ctx.locs) && len(s.Vars) == len(ctx.vars) && s.Zone.Dim() == ctx.dim {
 		if len(ctx.states) == cap(ctx.states) {
 			ctx.states = dbm.Grow(ctx.slabs, ctx.states)
 		}
@@ -261,15 +271,14 @@ func (ctx *succCtx) recycle(prev *State, out []succ) {
 	}
 }
 
-// unpark rebuilds the state a popped node waited as: a pooled State with the
-// discrete part decoded from the entry's key, the node's ref, and the payload
-// decoded into a pooled matrix. It only reads the node; the payload is
+// unpark rebuilds the state a popped node waited as: a recycled State with
+// the discrete part decoded from the entry's key, the node's ref, and the
+// payload decoded into its matrix. It only reads the node; the payload is
 // returned for the loop to give back through passedSet.release.
 func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
 	s := ctx.getState()
 	ctx.keys.unpack(n.entry.key(ctx.keys.words), s.Locs, s.Vars)
 	s.ref = n.ref
-	s.Zone = ctx.pool.Get()
 	payload := n.packed
 	payload.DecodeInto(s.Zone)
 	return s, payload
@@ -277,8 +286,8 @@ func (ctx *succCtx) unpark(n *waiting) (*State, dbm.Compact) {
 
 // initial computes the initial symbolic state: all processes in their initial
 // locations, variables at initial values, all clocks zero, then delay-closed
-// — raw, like a fired successor. The returned state owns its zone (it is not
-// pooled).
+// — raw, like a fired successor. The returned state is a heap State that no
+// ctx recycles.
 func (e *engine) initial(sc *closeScratch) (*State, error) {
 	s := newState(nil, len(e.net.Procs), len(e.net.Vars))
 	for i, p := range e.net.Procs {
@@ -335,8 +344,8 @@ type succ struct {
 // The index is shared and read-only (ta.Network.buildIndex); the
 // per-channel buckets are per-ctx scratch. ctx.chanBuf, segmented by the
 // engine's precomputed emOff / rcOff offsets, follows the recycling rules of
-// pooled zones: reset per expansion, reused across fires, and never escaping
-// into states, labels or stores.
+// the scratch zone: reset per expansion, reused across fires, and never
+// escaping into states, labels or stores.
 func (e *engine) successors(ctx *succCtx, s *State, out []succ) ([]succ, error) {
 	// Reset the buckets the previous enumeration touched. Doing it on entry
 	// (rather than exit) keeps the scratch self-healing across error paths.
@@ -504,9 +513,9 @@ func (e *engine) broadcastCombos(ctx *succCtx, ch *ta.Channel, em LabelPart,
 // fire executes one transition symbolically. It returns (nil, nil) when the
 // transition is clock-disabled or leads to an invariant-violating state —
 // paths that touch only ctx scratch and allocate nothing. On success the
-// scratch zone — raw, see closeInPlace — is detached into the returned state
-// and replaced from the pool, so the per-transition allocation cost is one
-// pooled Get (amortized zero) plus the discrete-vector clones.
+// scratch zone — raw, see closeInPlace — is swapped with the matrix of the
+// returned state, a recycled one (getState), so a fire allocates nothing
+// once the ctx's free list holds an expansion's States.
 func (e *engine) fire(ctx *succCtx, s *State, label Label) (*State, error) {
 	// Quick reject: a guard constraint that alone contradicts the parent
 	// zone disables the transition without copying the matrix. This is the
@@ -549,8 +558,7 @@ func (e *engine) fire(ctx *succCtx, s *State, label Label) (*State, error) {
 	ns := ctx.getState()
 	copy(ns.Locs, locs)
 	copy(ns.Vars, vars)
-	ns.Zone = z
-	ctx.zone = ctx.pool.Get()
+	ns.Zone, ctx.zone = z, ns.Zone
 	return ns, nil
 }
 

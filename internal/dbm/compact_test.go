@@ -3,6 +3,7 @@ package dbm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -909,5 +910,124 @@ func FuzzSignatureMonotone(f *testing.F) {
 		check(o, a)
 		check(o, b)
 		check(b, o)
+	})
+}
+
+// TestCompactKernelsPanicOnShortPayload cuts a payload short, by one byte and
+// by its whole last row, at each width, and requires every kernel to panic
+// instead of reading or writing past its end: the kernels view a run of rows
+// as native lanes, and the view is bounded by the payload's length.
+func TestCompactKernelsPanicOnShortPayload(t *testing.T) {
+	base := mkZone(t, 5, 2, 9)
+	for _, lambda := range []int64{1, 1 << 14, 1 << 33} {
+		z := scaleZone(base, lambda)
+		full := EncodeCompact(z, nil)
+		for _, cut := range []int{1, 5 * full.Width()} {
+			// A copy with no spare capacity behind it, and one cut out of a
+			// longer buffer, whose capacity runs on past its length.
+			alone := bytes.Clone(full[:len(full)-cut])
+			inside := full[:len(full)-cut]
+			for _, c := range []Compact{alone, inside} {
+				kernels := map[string]func(){
+					"store": func() {
+						switch c.Width() {
+						case 2:
+							storeRows[int16](c, z, []uint64{0})
+						case 4:
+							storeRows[int32](c, z, []uint64{0})
+						default:
+							storeRows[Bound](c, z, []uint64{0})
+						}
+					},
+					"ContainsDBM": func() { c.ContainsDBM(z) },
+					"SubsetEqDBM": func() { c.SubsetEqDBM(z) },
+					"DecodeInto":  func() { c.DecodeInto(New(5)) },
+				}
+				for name, kernel := range kernels {
+					panicked := func() (p bool) {
+						defer func() { p = recover() != nil }()
+						kernel()
+						return false
+					}()
+					if !panicked {
+						t.Errorf("width %d, %d bytes short, capacity %d past the end: %s did not panic", full.Width(), cut, cap(c)-len(c), name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// kernelShapes are the matrices the kernel benchmarks run on: Fischer-5's
+// dimension, Table 1's at 32 bits, and the 10-scenario chain's at 16 and 64.
+var kernelShapes = []struct{ dim, width int }{{6, 2}, {12, 4}, {22, 2}, {22, 8}}
+
+// kernelZones returns 256 canonical zones of the shape, a third of their
+// clocks freed (rows the packing omits), and their packed forms.
+func kernelZones(b *testing.B, dim, width int) ([]*DBM, []Compact) {
+	r := rand.New(rand.NewSource(int64(dim*10 + width)))
+	lambda := map[int]int64{2: 1, 4: 1 << 14, 8: 1 << 33}[width]
+	var zs []*DBM
+	var cs []Compact
+	for i := 0; len(zs) < 256; i++ {
+		z := randomZone(r, dim)
+		z.Up()
+		for c := 1 + i%3; c < dim; c += 3 {
+			z.Free(c)
+		}
+		// A zone of zeros and Infinity packs at 16 bits however scaled.
+		if z = scaleZone(z, lambda); EncodeCompact(z, nil).Width() == width {
+			zs = append(zs, z)
+			cs = append(cs, EncodeCompact(z, nil))
+		}
+	}
+	return zs, cs
+}
+
+// benchKernel runs op on each shape, one zone and its packed form an
+// iteration; the zone is the one packed, so the inclusion tests scan every
+// lane.
+func benchKernel(b *testing.B, op func(z *DBM, c Compact)) {
+	for _, sh := range kernelShapes {
+		b.Run(fmt.Sprintf("dim%d_%dbit", sh.dim, 8*sh.width), func(b *testing.B) {
+			zs, cs := kernelZones(b, sh.dim, sh.width)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				op(zs[i%len(zs)], cs[i%len(cs)])
+			}
+		})
+	}
+}
+
+func BenchmarkEncodeCompact(b *testing.B) {
+	p := NewCompactPool()
+	benchKernel(b, func(z *DBM, _ Compact) { p.Put(EncodeCompact(z, p)) })
+}
+
+func BenchmarkContainsDBM(b *testing.B) {
+	benchKernel(b, func(z *DBM, c Compact) {
+		if !c.ContainsDBM(z) {
+			b.Fatal("a zone does not contain itself")
+		}
+	})
+}
+
+func BenchmarkSubsetEqDBM(b *testing.B) {
+	benchKernel(b, func(z *DBM, c Compact) {
+		if !c.SubsetEqDBM(z) {
+			b.Fatal("a zone is not within itself")
+		}
+	})
+}
+
+func BenchmarkDecodeInto(b *testing.B) {
+	var into [23]*DBM
+	benchKernel(b, func(z *DBM, c Compact) {
+		d := into[z.dim]
+		if d == nil {
+			d = New(z.dim)
+			into[z.dim] = d
+		}
+		c.DecodeInto(d)
 	})
 }

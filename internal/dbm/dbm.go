@@ -65,7 +65,7 @@ func (d *DBM) Copy() *DBM {
 }
 
 // CopyFrom overwrites d with the contents of src, which must have the same
-// dimension. This is the in-place counterpart of Copy used with pooled
+// dimension. This is the in-place counterpart of Copy used with recycled
 // matrices.
 func (d *DBM) CopyFrom(src *DBM) {
 	if d.dim != src.dim {
@@ -75,7 +75,7 @@ func (d *DBM) CopyFrom(src *DBM) {
 }
 
 // SetInit overwrites d with the initial zone in which every clock equals
-// zero — the in-place counterpart of New for pooled matrices.
+// zero — the in-place counterpart of New for recycled matrices.
 func (d *DBM) SetInit() {
 	for i := range d.m {
 		d.m[i] = LEZero

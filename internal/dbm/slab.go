@@ -29,9 +29,9 @@ const (
 	// per object no longer matters, so it is allocated on its own — and kept
 	// by the set until Release (Slabs.big).
 	carveMax = slabWords / 8
-	// headerBlock is how many matrix headers a pool of a set takes from the
-	// heap at once (Slabs.headers): an eighth of the allocations of one per
-	// matrix, and a sweep of a few dozen states wastes at most seven.
+	// headerBlock is how many matrix headers a set takes from the heap at
+	// once (Slabs.Matrix): an eighth of the allocations of one per matrix,
+	// and a sweep of a few dozen states wastes at most seven.
 	headerBlock = 8
 )
 
@@ -116,12 +116,12 @@ func giveSlabs(released []*slab) []*slab {
 	return old[:0]
 }
 
-// Slabs is the slab set of one owner — for the explorer, one sweep. Pools
-// attached to it (Slabs.Pool, Slabs.CompactPool) carve their matrices and
-// payloads out of its slabs instead of allocating each one, the owner's own
-// structures that live exactly as long (a sweep's store entries with their
-// keys, record segments, bucket index, frontier and parent log) are carved by
-// Carve, CarveSlice and CarveTail, and Release hands every slab back to the
+// Slabs is the slab set of one owner — for the explorer, one sweep. Its
+// matrices (Slabs.Matrix) and the payloads of its CompactPool are carved out
+// of its slabs instead of allocated one by one, the owner's own structures
+// that live exactly as long (a sweep's store entries with their keys, record
+// segments, bucket index, frontier and parent log) are carved by Carve,
+// CarveSlice and CarveTail, and Release hands every slab back to the
 // process-wide cache for the next owner, of whatever dimension and packing
 // width. Why slabs and not a sync.Pool of
 // matrices: a cache of typed objects serves one dimension and one width, and
@@ -129,11 +129,11 @@ func giveSlabs(released []*slab) []*slab {
 // benchmark's variants workload alone has 20,000); raw slabs serve all of them
 // from one cache.
 //
-// Carving is safe for concurrent use (a sweep's two zone pools — the
-// admitting loop's and its lookahead helper's — and its store share one
-// set); it takes the set's lock once per matrix or payload a free list could
-// not supply and once per carved structure, which is rare next to the work
-// done on one.
+// Carving is safe for concurrent use (a sweep's admitting loop, its
+// lookahead helper and its store share one set); it takes the set's lock
+// once per carved structure, and twice per matrix, which a goroutine carves
+// only when its free list of States is empty — rare next to the work done on
+// one.
 //
 // Ownership: the set, and after Release the cache, is what keeps carved
 // memory in existence — a matrix or payload carved from a slab does not. A
@@ -143,21 +143,20 @@ func giveSlabs(released []*slab) []*slab {
 // reading the piece faults — it does not read stale bytes. The owner must
 // therefore release only when nothing carved is referenced any more, and must
 // never let carved memory reach a caller that outlives it — such values are
-// heap copies (DBM.Copy, the zero Pool). Released memory has unspecified
-// contents; every consumer fully initializes what it carves (Pool.Get's
+// heap copies (DBM.Copy, a nil set's Matrix). Released memory has unspecified
+// contents; every consumer fully initializes what it carves (Matrix's
 // contract, EncodeCompact), and Carve zeroes it first.
 //
 // Pieces larger than carveMax come from the heap, and the set keeps each of
 // them until Release, exactly like a slab: the record that references a
 // payload may itself be carved, and the collector, which never scans carved
 // memory, would otherwise free the payload under it. The headers of the
-// matrices the set's pools hand out are heap pieces the set keeps for the
-// same reason (headers): a State carved by internal/core points at its
-// zone's header. After Release such a piece is the collector's, not the
-// cache's.
+// set's matrices are heap pieces the set keeps for the same reason (Matrix):
+// a State carved by internal/core points at its zone's header. After Release
+// such a piece is the collector's, not the cache's.
 //
 // The zero value is an empty set ready for use. A nil *Slabs allocates every
-// piece from the heap, which is what standalone pools do.
+// piece from the heap, which is what standalone pools and trace replay use.
 type Slabs struct {
 	mu   sync.Mutex
 	held []*slab
@@ -165,9 +164,10 @@ type Slabs struct {
 	used int
 	// big keeps the pieces larger than carveMax until Release (see above).
 	big [][]Bound
-	// hdrs keeps the blocks of matrix headers the set's pools hand out
-	// (headers) until Release.
-	hdrs [][]DBM
+	// hdrs keeps the blocks of matrix headers Matrix hands out until
+	// Release; spare is what is left of the last one.
+	hdrs  [][]DBM
+	spare []DBM
 }
 
 // heap is the nil set, for values that belong to no sweep: each piece is its
@@ -197,21 +197,45 @@ func (s *Slabs) bounds(n int) []Bound {
 	return b
 }
 
-// headers returns a block of headerBlock zeroed matrix headers for a pool of
-// the set. The headers are heap memory, and the set keeps every block until
-// Release, as it keeps its big pieces: a header may be referenced only from
-// carved memory (a State carved by internal/core holds its zone), which
-// keeps nothing alive. They are not carved themselves, because a header must
-// outlive the set: a matrix still held after Release has to read as its
-// dimension and poisoned or unmapped bounds (PoisonReleased), not as
-// whatever the slab's next owner carved over its header.
-func (s *Slabs) headers() []DBM {
-	b := make([]DBM, headerBlock)
+// Matrix returns a dim-dimensional matrix with unspecified bounds, carved
+// from s; from a nil set, each matrix is its own heap allocation. It is the
+// one way a matrix is made. A sweep keeps what it carves: each goroutine of
+// the sweep recycles a matrix with the State that owns it (internal/core's
+// succCtx), so a set carves matrices in proportion to the States in flight,
+// not to the sweep.
+//
+// The header comes from a block of headerBlock the set takes from the heap at
+// once, and keeps, as it keeps its big pieces, until Release: a header may be
+// referenced only from carved memory (a State carved by internal/core holds
+// its zone), which keeps nothing alive. Headers are not carved themselves,
+// because a header must outlive the set: a matrix still held after Release
+// has to read as its dimension and poisoned or unmapped bounds
+// (PoisonReleased), not as whatever the slab's next owner carved over it.
+func (s *Slabs) Matrix(dim int) *DBM {
+	if dim < 1 {
+		panic("dbm: dimension must include the reference clock")
+	}
+	m := s.bounds(dim * dim)
+	if s == nil {
+		return &DBM{dim: dim, m: m}
+	}
 	s.mu.Lock()
-	s.hdrs = append(s.hdrs, b)
+	if len(s.spare) == 0 {
+		s.spare = make([]DBM, headerBlock)
+		s.hdrs = append(s.hdrs, s.spare)
+	}
+	d := &s.spare[0]
+	s.spare = s.spare[1:]
 	s.mu.Unlock()
-	return b
+	d.dim, d.m = dim, m
+	return d
 }
+
+// ZoneBytes returns the in-memory size of one dim-dimensional matrix's bound
+// storage — the unit memory-budget accounting multiplies the matrices a sweep
+// carved by (internal/core). Headers are ignored: the dim² bounds dominate at
+// every realistic dimension.
+func ZoneBytes(dim int) int64 { return int64(dim) * int64(dim) * 8 }
 
 // compact returns an n-byte payload buffer with unspecified contents,
 // capacity n, 8-byte aligned: the byte view of whole bounds.
@@ -311,7 +335,7 @@ func (s *Slabs) Holds(p unsafe.Pointer) bool {
 func (s *Slabs) Release() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.big, s.hdrs = nil, nil // heap memory: the collector's from here on
+	s.big, s.hdrs, s.spare = nil, nil, nil // heap memory: the collector's from here on
 	if len(s.held) == 0 {
 		return
 	}

@@ -16,15 +16,14 @@ func TestSlabMapFailureFallsBackToHeap(t *testing.T) {
 	defer faultinject.Reset()
 	takeN(1).Release() // a one-slab cache, taken below, so the next take maps
 	var s Slabs
-	p := s.Pool(6)
-	p.Get().SetInit()
+	s.Matrix(6).SetInit()
 	mapped0, inUse0, _ := SlabStats()
 
 	faultinject.Set("dbm/mmap", faultinject.Fault{Kind: faultinject.KindError})
 	for len(s.held) < 2 {
-		p.Get().SetInit()
+		s.Matrix(6).SetInit()
 	}
-	z := p.Get()
+	z := s.Matrix(6)
 	z.SetInit()
 	if mapped, inUse, _ := SlabStats(); mapped != mapped0 || inUse != inUse0+slabBytes {
 		t.Fatalf("refused mapping: mapped %d -> %d, in use %d -> %d; want a heap slab in use", mapped0, mapped, inUse0, inUse)

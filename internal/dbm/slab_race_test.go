@@ -9,7 +9,7 @@ import "testing"
 func TestSlabsOnHeapUnderRace(t *testing.T) {
 	var s Slabs
 	defer s.Release()
-	s.Pool(6).Get().SetInit()
+	s.Matrix(6).SetInit()
 	if mapped, inUse, _ := SlabStats(); mapped != 0 || inUse == 0 {
 		t.Fatalf("race build holds %d mapped bytes (%d in use), want heap slabs only", mapped, inUse)
 	}

@@ -15,13 +15,13 @@ import (
 func TestSlabsCarveDisjoint(t *testing.T) {
 	var s Slabs
 	defer s.Release()
-	pools := []*Pool{s.Pool(22), s.Pool(5)}
+	dims := []int{22, 5}
 	cp := s.CompactPool()
 	var ms []*DBM
 	var cs []Compact
 	var zones []*DBM
 	for i := 0; len(s.held) < 4; i++ {
-		m := pools[i%2].Get()
+		m := s.Matrix(dims[i%2])
 		for j := range m.m {
 			m.m[j] = Bound(i)
 		}
@@ -55,7 +55,7 @@ func TestSlabsCarveDisjoint(t *testing.T) {
 
 // TestSlabsReleasePoisons pins the ownership rule from the test side: with
 // poisoning on, what was carved from a set is garbage after Release, while
-// standalone pools, heap copies and matrices too big to carve are untouched.
+// heap matrices, heap copies and matrices too big to carve are untouched.
 // Reading the garbage is legal only because the released set is still the
 // cache: Release frees what was cached before it, never what it was handed,
 // so the slab stays mapped until the next Release — and the next owner, here
@@ -64,16 +64,16 @@ func TestSlabsReleasePoisons(t *testing.T) {
 	PoisonReleased(true)
 	defer PoisonReleased(false)
 	var older Slabs
-	older.Pool(6).Get().SetInit()
+	older.Matrix(6).SetInit()
 	older.Release() // cached now, freed by the Release under test
 	var s Slabs
-	carved := s.Pool(6).Get()
+	carved := s.Matrix(6)
 	carved.SetInit()
 	packed := EncodeCompact(carved, s.CompactPool())
 	kept := carved.Copy()
-	alone := NewPool(6).Get()
+	alone := heap.Matrix(6)
 	alone.SetInit()
-	big := s.Pool(70).Get() // 4900 bounds, beyond carveMax
+	big := s.Matrix(70) // 4900 bounds, beyond carveMax
 	big.SetInit()
 
 	s.Release()
@@ -83,7 +83,7 @@ func TestSlabsReleasePoisons(t *testing.T) {
 	if packed[0] == 2 {
 		t.Error("carved payload not poisoned by Release")
 	}
-	for name, z := range map[string]*DBM{"heap copy": kept, "standalone pool matrix": alone, "oversize matrix": big} {
+	for name, z := range map[string]*DBM{"heap copy": kept, "heap matrix": alone, "oversize matrix": big} {
 		for _, b := range z.m {
 			if b != LEZero {
 				t.Fatalf("%s touched by Release", name)
@@ -96,7 +96,7 @@ func TestSlabsReleasePoisons(t *testing.T) {
 	if _, _, cached := SlabStats(); cached != slabBytes {
 		t.Errorf("cache holds %d bytes after Release, want the released set's %d", cached, slabBytes)
 	}
-	again := s.Pool(6).Get()
+	again := s.Matrix(6)
 	if &again.m[0] != &carved.m[0] {
 		t.Error("the next owner was not handed the slab just released")
 	}
@@ -107,8 +107,8 @@ func TestSlabsReleasePoisons(t *testing.T) {
 	s.Release()
 }
 
-// TestSlabsConcurrentCarving has several owners — each with its own Pool and
-// CompactPool, as workers and store shards have — carve from one set at once
+// TestSlabsConcurrentCarving has several owners — each carving matrices and
+// with its own CompactPool, as workers and store shards have — carve from one set at once
 // while other sets are released into the shared cache. Run under -race; the
 // contents check catches two owners handed the same bytes.
 func TestSlabsConcurrentCarving(t *testing.T) {
@@ -127,16 +127,16 @@ func TestSlabsConcurrentCarving(t *testing.T) {
 				defer wg.Done()
 				var other Slabs
 				defer other.Release()
-				p, cp, op := s.Pool(3+g), s.CompactPool(), other.Pool(4)
+				cp := s.CompactPool()
 				z := zones[g]
 				var ms []*DBM
 				var cs []Compact
 				for i := 0; i < 400; i++ {
-					m := p.Get()
+					m := s.Matrix(3 + g)
 					m.CopyFrom(z)
 					ms = append(ms, m)
 					cs = append(cs, EncodeCompact(z, cp))
-					op.Get().SetInit()
+					other.Matrix(4).SetInit()
 				}
 				for i := range ms {
 					if !ms[i].Eq(z) || !cs[i].ContainsDBM(z) || !cs[i].SubsetEqDBM(z) {

@@ -8,7 +8,7 @@ package dbm
 // A Touched is reusable scratch: Reset costs O(elements added), Add is
 // O(1), and after the initial allocation no operation allocates — the
 // exploration hot loop keeps a rows/columns pair per expanding goroutine (in
-// its succCtx) under the same recycling rules as pooled zones. A Touched is
+// its succCtx) under the same recycling rules as its scratch zone. A Touched is
 // NOT safe for concurrent use.
 type Touched struct {
 	mark []bool

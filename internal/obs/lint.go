@@ -15,8 +15,8 @@ import (
 // no duplicate series, and — for histogram families — ascending cumulative
 // le buckets ending in +Inf with consistent _sum/_count lines. It returns
 // every violation found (empty slice = valid), so callers can report all
-// problems of a scrape at once. scripts/metricslint wraps it as a CLI; the
-// serve tests run it directly against /v1/metrics bodies.
+// problems of a scrape at once. The serve tests run it against /v1/metrics
+// bodies, and scripts/servesmoke against a live node's.
 func Lint(r io.Reader) []error {
 	l := &linter{
 		types: map[string]metricKind{},

@@ -1,7 +1,7 @@
 // Package obs is the repository's dependency-free observability kit: a
 // Prometheus-text metrics registry (sampled counters and gauges, fixed-bucket
 // histograms), wall-clock spans (Span/SpanList) for phase profiles, and an
-// exposition-format validator (Lint) shared by tests and scripts/metricslint.
+// exposition-format validator (Lint) shared by tests and scripts/servesmoke.
 //
 // # Ownership rules
 //
@@ -27,8 +27,8 @@
 // scrape byte-identically. Every taserved_* family name is a contract for
 // dashboards, the smoke tools and the benchmark. Values owned elsewhere are
 // bridged in through CounterFunc / GaugeFunc, which add no hot-path writes.
-// Lint is the single format validator: unit tests, scripts/metricslint and
-// the smoke tool all run it, and every new family must pass it in CI
+// Lint is the single format validator: unit tests and the smoke tool
+// (scripts/servesmoke) run it, and every new family must pass it in CI
 // (serve-smoke and cluster-smoke).
 package obs
 

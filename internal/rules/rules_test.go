@@ -42,6 +42,9 @@ var tombstones = []struct {
 	{"One discrete encoding", `"Keys" in internal/core/store.go`, core, "discreteHash discreteKey", 49},
 	{"One abort signal", "the job type, internal/serve/jobs.go", "internal/serve/jobs.go", "cancelCh cancelOnce time.NewTimer", 50},
 	{"One grammar for model text", "ta.ParsePred, internal/ta/pred.go", "internal/core/*.go", "ParsePredicate parseAtom FindClock", 54},
+	{"A matrix is recycled with its State", `"Zone ownership" on succCtx, internal/core/succ.go`, "**.go", "dbm.Pool NewPool", 55},
+	{"A matrix is recycled with its State", `"Zone ownership" on succCtx, internal/core/succ.go`, "internal/core/*.go", "pool.Put(s.Zone)", 55},
+	{"One kernel per packed operation", "the lane kernels, internal/dbm/compact.go", "internal/dbm/*.go", "widen16 widen32", 55},
 }
 
 const core, x = "internal/core/*.go !**_test.go", "package x\n\n"
@@ -53,6 +56,8 @@ var rules = []rule{
 	{"One allocation path for zones", "dbm.Slabs, internal/dbm/slab.go", "internal/dbm/**.go internal/core/**.go !internal/dbm/slab.go !**_test.go", code(`make\(\s*(\[\](dbm\.)?Bound|(dbm\.)?Compact)\b`), x + "var b = make(\n\t[]Bound, 8)\n"},
 	{"One allocation path for zones", "dbm.Carve, internal/dbm/slab.go; newState, internal/core/state.go", core, code(`&(storeEntry|zoneSeg|State)\{|new\(\s*(storeEntry|zoneSeg|logBlock|frontBlock|waiting|State)\)|make\(\s*\[\](zoneRec|uint64|\*?waiting)\b|map\[uint64\]\*storeEntry`), x + "var s = new(State)\n"},
 	{"One allocation path for zones", "the slab type, internal/dbm/slab.go", "**.go !internal/dbm/slab_mmap.go", code(`syscall\.(Mmap|Munmap)\b`), x + "var f = syscall.Munmap\n"},
+	{"A matrix is recycled with its State", `"Zone ownership" on succCtx, internal/core/succ.go`, "internal/dbm/**.go internal/core/**.go !**_test.go", code(`func\s*\([^)]*\)\s*Put\w*\(\s*\w+\s+\*(dbm\.)?DBM\s*\)|\[\]\*(dbm\.)?DBM\b`), x + "func (s *Slabs) PutMatrix(d *DBM) {}\n"},
+	{"One kernel per packed operation", "the lane kernels, internal/dbm/compact.go", "internal/dbm/compact.go", code(`\bu?int(16|32)\(\s*(binary\.LittleEndian|min\()`), x + "func f(p []byte) int16 { return int16(binary.LittleEndian.Uint16(p)) }\n"},
 	{"One growth helper", "dbm.Grow, internal/dbm/slab.go", "internal/core/**.go", code(`func\s+grow\s*\[`), x + "func grow[T any](list []T) []T { return list }\n"},
 	{"One growth helper", "dbm.Grow, internal/dbm/slab.go", "internal/core/explore.go", count(`(?m)^\s+(\w+\s*,\s*)*dir\b`, map[string]int{"parentLogs": 0}), x + "type parentLogs struct {\n\tdir [4]*logBlock\n}\n"},
 	{"One publication cell", "workerCell, internal/core/perworker.go", "internal/**.go", code(`depth\(\)\s*int64|steals\(w\s+int\)`), x + "type c interface{ steals(w int) int64 }\n"},
@@ -223,4 +228,5 @@ func TestRules(t *testing.T) {
 		})
 	}
 	ciNamesResolve(t, root, files)
+	forksResolve(t, root)
 }

@@ -1,10 +1,6 @@
 package ta
 
-import (
-	"fmt"
-
-	"repro/internal/dbm"
-)
+import "repro/internal/dbm"
 
 // Constraint is a single clock constraint xI - xJ ≺ c in DBM form. Absolute
 // constraints on one clock use the reference clock (ID 0) as the other side.
@@ -31,27 +27,6 @@ func (c Constraint) Resolve(vars []int64) dbm.Bound {
 		return c.Bound
 	}
 	return dbm.MakeBound(c.Coef*vars[c.Var]+c.Offset, c.Weak)
-}
-
-func (c Constraint) String() string {
-	b := "?var"
-	if !c.VarBound {
-		b = c.Bound.String()
-	} else {
-		op := "<"
-		if c.Weak {
-			op = "<="
-		}
-		b = fmt.Sprintf("%s%d*v%d%+d", op, c.Coef, c.Var, c.Offset)
-	}
-	switch {
-	case c.J == 0:
-		return fmt.Sprintf("x%d%s", c.I, b)
-	case c.I == 0:
-		return fmt.Sprintf("-x%d%s", c.J, b)
-	default:
-		return fmt.Sprintf("x%d-x%d%s", c.I, c.J, b)
-	}
 }
 
 // CLE returns the constraint x ≤ k.

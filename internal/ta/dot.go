@@ -70,11 +70,12 @@ func (n *Network) DOT() string {
 }
 
 // constraintString renders a clock constraint with clock and variable names
-// resolved. Lower bounds (reference clock on the left) are flipped to the
+// resolved, and #i for a clock or variable the network does not declare (as
+// clockName). Lower bounds (reference clock on the left) are flipped to the
 // conventional "x >= c" spelling, which both Graphviz readers and UPPAAL
-// expect.
+// expect. Finalize's errors render constraints with it too.
 func (n *Network) constraintString(c Constraint) string {
-	clock := func(id ClockID) string { return n.Clocks[id].Name }
+	clock := func(id ClockID) string { return n.clockName(int(id)) }
 	if c.I == 0 {
 		// 0 - x ≺ b  ⇔  x ≻ -b.
 		if !c.VarBound {
@@ -116,7 +117,10 @@ func (n *Network) dynRHS(c Constraint, negate bool) string {
 	if negate {
 		coef, off = -coef, -off
 	}
-	rhs := n.Vars[c.Var].Name
+	rhs := fmt.Sprintf("#%d", c.Var)
+	if int(c.Var) >= 0 && int(c.Var) < len(n.Vars) {
+		rhs = n.Vars[c.Var].Name
+	}
 	if coef == -1 {
 		rhs = "-" + rhs
 	} else if coef != 1 {

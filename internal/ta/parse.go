@@ -23,10 +23,12 @@ import (
 //	edge:RAD:idle:busy{guard: rec>0; sync: hurry!; do: rec=rec-1, x=0}
 //
 // Channel kinds: binary, urgent, broadcast, urgent-broadcast. Location
-// attributes: initial, urgent, committed, invariant. Edge attributes:
-// guard (conjunction with &&; clock atoms are recognized by their left
-// operand), sync (chan! or chan?), do (comma-separated assignments; an
-// assignment to a clock is a reset).
+// attributes: initial, urgent, committed, invariant (clock atoms only). Edge
+// attributes: guard (conjunction with &&; an atom that compares a clock, or a
+// difference of two, on either side with an integer or a variable is a clock
+// constraint, 3 <= x read as x >= 3; any other atom compares data), sync
+// (chan! or chan?), do (comma-separated assignments; an assignment to a clock
+// is a reset).
 func Parse(input string) (*Network, error) {
 	return ParseWithHook(input, nil)
 }
@@ -251,7 +253,12 @@ func (p *parser) location(rest string) error {
 		case "committed":
 			kind = Committed
 		case "invariant":
-			cs, _, err := p.parseGuard(val)
+			// An invariant bounds clocks only (Location.Invariant): a data
+			// atom would be dropped, so it is refused.
+			cs, g, err := p.parseGuard(val)
+			if err == nil && g != nil {
+				err = fmt.Errorf("%q compares no clock; an invariant holds only clock bounds", g.String())
+			}
 			if err != nil {
 				return fmt.Errorf("invariant: %w", err)
 			}
@@ -343,7 +350,7 @@ func splitAttrs(body string) []string {
 }
 
 // parseGuard parses a conjunction of comparisons, sorting each atom into a
-// clock constraint (left operand names a clock) or a data guard.
+// clock constraint (clockAtom) or a data guard.
 func (p *parser) parseGuard(s string) ([]Constraint, Guard, error) {
 	var cs []Constraint
 	var gs []Guard
@@ -356,8 +363,8 @@ func (p *parser) parseGuard(s string) ([]Constraint, Guard, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if cls, isClock := p.clockOperand(lhs); isClock {
-			c, err := p.clockConstraints(cls, op, rhs)
+		if cls, op, bound, isClock := p.clockAtom(lhs, op, rhs); isClock {
+			c, err := p.clockConstraints(cls, op, bound)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -385,6 +392,29 @@ func (p *parser) parseGuard(s string) ([]Constraint, Guard, error) {
 		g = And(gs...)
 	}
 	return cs, g, nil
+}
+
+// clockAtom recognizes a comparison with a clock operand on either side and
+// returns it with the clock on the left: "3 <= x" as x >= 3, "2 >= x - y" as
+// x - y <= 2.
+func (p *parser) clockAtom(lhs, op, rhs string) (cls [2]Clock, cop, bound string, ok bool) {
+	if cls, ok = p.clockOperand(lhs); ok {
+		return cls, op, rhs, true
+	}
+	if cls, ok = p.clockOperand(rhs); ok {
+		switch op {
+		case "<=":
+			op = ">="
+		case ">=":
+			op = "<="
+		case "<":
+			op = ">"
+		case ">":
+			op = "<"
+		}
+		return cls, op, lhs, true
+	}
+	return cls, "", "", false
 }
 
 // clockOperand recognizes "x" or "x-y" with x (and y) declared clocks.

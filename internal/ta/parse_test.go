@@ -306,3 +306,54 @@ func TestListsSizedOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestParseClockOnTheRight parses guards and invariants whose clock operand
+// stands on the right and requires the constraints of the same atom written
+// clock first: 3 <= x is x >= 3, 2 >= x - y is x - y <= 2.
+func TestParseClockOnTheRight(t *testing.T) {
+	const head = "system:r\nclock:x\nclock:y\nint:v:0:0:9\nprocess:P\n"
+	for _, c := range []struct{ right, left string }{
+		{"3 <= x", "x >= 3"},
+		{"3 < x", "x > 3"},
+		{"5 >= x", "x <= 5"},
+		{"5 > x", "x < 5"},
+		{"4 == x", "x == 4"},
+		{"2 >= x - y", "x - y <= 2"},
+		{"-1 < x-y", "x-y > -1"},
+		{"v <= x", "x >= v"},
+		{"v == x && 1 < y", "x == v && y > 1"},
+	} {
+		parse := func(guard string) *Network {
+			t.Helper()
+			n, err := Parse(head + "location:P:a{initial}\nedge:P:a:a{guard: " + guard + "}\n")
+			if err != nil {
+				t.Fatalf("guard %q: %v", guard, err)
+			}
+			return n
+		}
+		got, want := parse(c.right).Procs[0].Edges[0], parse(c.left).Procs[0].Edges[0]
+		if !slices.Equal(got.ClockGuard, want.ClockGuard) || got.Guard != nil {
+			t.Errorf("guard %q: clock constraints %v and data guard %v, want %q's %v", c.right, got.ClockGuard, got.Guard, c.left, want.ClockGuard)
+		}
+	}
+	n, err := Parse(head + "location:P:a{initial; invariant: 5 >= x && 4 > y}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Constraint{CLE(n.Clocks[1], 5), CLT(n.Clocks[2], 4)}
+	if got := n.Procs[0].Locations[0].Invariant; !slices.Equal(got, want) {
+		t.Errorf("invariant 5 >= x && 4 > y: %v, want %v", got, want)
+	}
+}
+
+// TestParseRefusesDataInvariant: an invariant bounds clocks only, so a data
+// atom in one is refused, named, instead of being dropped.
+func TestParseRefusesDataInvariant(t *testing.T) {
+	const head = "system:d\nclock:x\nint:v:0:0:9\nprocess:P\n"
+	for _, inv := range []string{"v<=0", "x<=3 && v<=0", "v <= 0 && 3 >= x"} {
+		_, err := Parse(head + "location:P:a{initial; invariant: " + inv + "}\nedge:P:a:a{guard: v<3; do: v=v+1}\n")
+		if err == nil || !strings.Contains(err.Error(), `"v <= 0"`) || !strings.Contains(err.Error(), "invariant") {
+			t.Errorf("invariant %q: %v, want an invariant error naming \"v <= 0\"", inv, err)
+		}
+	}
+}

@@ -37,9 +37,9 @@ func ParsePred(n *Network, s string) (*Pred, error) {
 	var data []string
 	for _, atom := range strings.Split(s, "&&") {
 		atom = strings.TrimSpace(atom)
-		lhs, _, _, cmpErr := splitCmp(atom)
+		lhs, op, rhs, cmpErr := splitCmp(atom)
 		var err error
-		switch cls, isClock := p.clockOperand(lhs); {
+		switch cls, _, _, isClock := p.clockAtom(lhs, op, rhs); {
 		case atom == "":
 		case cmpErr != nil:
 			var a locTest

@@ -94,6 +94,9 @@ func TestParsePredErrors(t *testing.T) {
 		{"x <= 3", "compares clock x"},
 		{"SRV.busy && y > 0", "compares clock y"},
 		{"x - y < 2", "compares clock x"},
+		{"3 >= x", "compares clock x"},
+		{"2 > x - y", "compares clock x"},
+		{"rec == 1 && 0 < y", "compares clock y"},
 	} {
 		_, err := ParsePred(n, c.in)
 		if err == nil || !strings.Contains(err.Error(), c.wantSub) {

@@ -47,11 +47,11 @@ func (n *Network) Finalize() error {
 				// delay-then-intersect zone computation exact.
 				if c.J != 0 || c.I == 0 {
 					return fmt.Errorf("ta: invariant of %s.%s is not an upper bound: %s",
-						p.Name, l.Name, c)
+						p.Name, l.Name, n.constraintString(c))
 				}
 				if !c.VarBound && c.Bound.Value() < 0 {
 					return fmt.Errorf("ta: invariant of %s.%s has negative upper bound %s",
-						p.Name, l.Name, c)
+						p.Name, l.Name, n.constraintString(c))
 				}
 				if err := n.recordConst(c); err != nil {
 					return fmt.Errorf("ta: invariant of %s.%s: %w", p.Name, l.Name, err)
@@ -291,10 +291,10 @@ func (n *Network) clockName(c int) string {
 
 func (n *Network) checkConstraint(c Constraint) error {
 	if int(c.I) < 0 || int(c.I) >= len(n.Clocks) || int(c.J) < 0 || int(c.J) >= len(n.Clocks) {
-		return fmt.Errorf("constraint %s references unknown clock", c)
+		return fmt.Errorf("constraint %s references unknown clock", n.constraintString(c))
 	}
 	if c.I == c.J {
-		return fmt.Errorf("constraint %s compares a clock with itself", c)
+		return fmt.Errorf("constraint %s compares a clock with itself", n.constraintString(c))
 	}
 	return nil
 }
@@ -317,14 +317,14 @@ func (n *Network) recordConst(c Constraint) error {
 			b, ok := mulAdd(c.Coef, x, c.Offset)
 			if !ok || b > dbm.MaxConstant || b < -dbm.MaxConstant {
 				return fmt.Errorf("dynamic bound %s reaches %d·%d%+d, beyond the largest clock constant %d",
-					c, c.Coef, x, c.Offset, int64(dbm.MaxConstant))
+					n.constraintString(c), c.Coef, x, c.Offset, int64(dbm.MaxConstant))
 			}
 			v = max64(v, abs64(b))
 		}
 	} else if c.Bound != dbm.Infinity {
 		v = abs64(c.Bound.Value())
 		if v > dbm.MaxConstant {
-			return fmt.Errorf("constraint %s has a constant beyond the largest, %d", c, int64(dbm.MaxConstant))
+			return fmt.Errorf("constraint %s has a constant beyond the largest, %d", n.constraintString(c), int64(dbm.MaxConstant))
 		}
 	}
 	if c.I != 0 && v > n.MaxConsts[c.I] {

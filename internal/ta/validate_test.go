@@ -136,3 +136,29 @@ func TestFinalizeHoldsRegisteredAndResetConstants(t *testing.T) {
 		}
 	}
 }
+
+// TestFinalizeErrorsNameClocks: Finalize's errors render a constraint with
+// the network's clock and variable names, as DOT does, and #i for one the
+// network does not declare.
+func TestFinalizeErrorsNameClocks(t *testing.T) {
+	for _, c := range []struct{ inv, want string }{
+		{"x>=2", "not an upper bound: x>=2"},
+		{"x-y<=2", "not an upper bound: x-y<=2"},
+		{"2 <= x", "not an upper bound: x>=2"},
+	} {
+		_, err := Parse("system:s\nclock:x\nclock:y\nprocess:P\nlocation:P:a{initial; invariant: " + c.inv + "}\n")
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("invariant %s: %v, want an error containing %q", c.inv, err, c.want)
+		}
+	}
+	n := NewNetwork("u")
+	x := n.AddClock("x")
+	p := n.AddProcess("P")
+	p.AddLocation("a", Normal, Constraint{I: 7, Bound: dbm.LE(3)})
+	if err := n.Finalize(); err == nil || !strings.Contains(err.Error(), "constraint #7<=3 references unknown clock") {
+		t.Errorf("unknown clock: %v", err)
+	}
+	if got := n.constraintString(Constraint{I: x.ID, VarBound: true, Var: 5, Coef: 1, Weak: true}); got != "x<=#5" {
+		t.Errorf("unknown variable: %q, want x<=#5", got)
+	}
+}

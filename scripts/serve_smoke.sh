@@ -35,9 +35,6 @@ echo "== taserved at $url"
 
 go run ./scripts/servesmoke -url "$url"
 
-echo "== metrics exposition lint"
-go run ./scripts/metricslint -url "$url/v1/metrics"
-
 echo "== graceful shutdown"
 kill -TERM "$pid"
 rc=0

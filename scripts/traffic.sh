@@ -9,7 +9,8 @@
 #       the internal/dbm package comment, on core's succCtx and in core's
 #       store comment), how often each workload took it (0 = never).
 # It is a report, not a gate: it fails only when a workload fails or a fork's
-# anchor no longer resolves to a line of the source. Everything it writes goes
+# anchor no longer resolves to a line of the source (which internal/rules
+# checks in tier-1, without running anything). Everything it writes goes
 # to a temporary directory. Used by the CI bench-smoke job and runnable
 # locally:
 #
@@ -61,21 +62,21 @@ DelayUnder row tightened|internal/dbm/upper.go|func (d *DBM) DelayUnder(|for q, 
 DelayUnder emptied|internal/dbm/upper.go|func (d *DBM) DelayUnder(|return false
 EncodeCompact 16-bit|internal/dbm/compact.go|func EncodeCompact(|width = 2
 EncodeCompact 32-bit|internal/dbm/compact.go|func EncodeCompact(|width = 4
-EncodeCompact 64-bit|internal/dbm/compact.go|func EncodeCompact(|PutUint64(pay, uint64(m[0]))
+EncodeCompact 64-bit|internal/dbm/compact.go|func EncodeCompact(|storeRows[Bound](c, d, mask)
 EncodeCompact row omitted|internal/dbm/compact.go|func EncodeCompact(|kept--
-DecodeInto 16-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[0] = widen16(
-DecodeInto 32-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[0] = widen32(
-DecodeInto 64-bit (words)|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[0] = Bound(
-DecodeInto row omitted|internal/dbm/compact.go|func (c Compact) DecodeInto(|m[r] = LEZero
-ContainsDBM row omitted|internal/dbm/compact.go|func (c Compact) ContainsDBM(|r++
-SubsetEqDBM row omitted|internal/dbm/compact.go|func (c Compact) SubsetEqDBM(|range d.m[r*dim : (r+1)*dim]
-SubsetEqDBM row omitted, d bounded|internal/dbm/compact.go|func (c Compact) SubsetEqDBM(|return false // packed Infinity exceeds
-admit: subsumed on the raw zone|internal/core/store.go|func (e *storeEntry) admit(|return 0, 0, false
+DecodeInto 16-bit|internal/dbm/compact.go|func (c Compact) DecodeInto(|widenRows[int16](c, d)
+DecodeInto 32-bit|internal/dbm/compact.go|func (c Compact) DecodeInto(|widenRows[int32](c, d)
+DecodeInto 64-bit|internal/dbm/compact.go|func (c Compact) DecodeInto(|widenRows[Bound](c, d)
+DecodeInto row omitted|internal/dbm/compact.go|func widenRows[|m[r] = LEZero
+ContainsDBM row omitted|internal/dbm/compact.go|func containsRows[|r++
+SubsetEqDBM row omitted|internal/dbm/compact.go|func withinRows[|range d.m[r*dim : (r+1)*dim]
+SubsetEqDBM row omitted, d bounded|internal/dbm/compact.go|func withinRows[|return false // packed Infinity exceeds
+admit: subsumed on the raw zone|internal/core/store.go|func (e *storeEntry) admit(|return 0, 0, nil
 admit: widened, unchanged|internal/dbm/extrapolation.go|func (d *DBM) Extrapolate(|return false
 admit: widened, changed|internal/core/store.go|func (e *storeEntry) admit(|sig = dbm.SignatureOf(zone)
 prune recycles a payload at once|internal/core/store.go|func (e *storeEntry) admit(|pool.Put(r.z)
 prune orphans a waiting payload|internal/core/store.go|func (e *storeEntry) admit(|SetHolder(orphaned)
-release recycles an orphan at pop|internal/core/store.go|func (st *store) release(|sh.cpool.Put(c)
+release recycles an orphan at pop|internal/core/store.go|func (st *store) release(|st.cpool.Put(c)
 binary rendezvous|internal/core/succ.go|func (e *engine) successors(|append(ctx.parts[:0], emp, rcp)
 urgentPairEnabled|internal/core/succ.go|func (e *engine) urgentPairEnabled(|emitSeen, emitMany := false, false'
 
