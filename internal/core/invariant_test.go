@@ -9,11 +9,12 @@ import (
 )
 
 // TestInitialStateViolatingInvariant: an initial location whose invariant
-// excludes the all-zero valuation — statically (x < 0) or through a variable
-// bound (x ≤ D with D = -1) — is an analysis error, not an empty sweep.
+// excludes the all-zero valuation through a variable bound (x ≤ D with
+// D = -1) is an analysis error, not an empty sweep. A constant bound cannot
+// do it: Finalize refuses one below (≤, 0), x < 0 included
+// (ta.TestFinalizeRejectsNegativeInvariant).
 func TestInitialStateViolatingInvariant(t *testing.T) {
 	for name, inv := range map[string]func(n *ta.Network, x ta.Clock) ta.Constraint{
-		"static": func(_ *ta.Network, x ta.Clock) ta.Constraint { return ta.CLT(x, 0) },
 		"variable": func(n *ta.Network, x ta.Clock) ta.Constraint {
 			return ta.CLEVar(x, n.AddVar("D", -1, -1, 5))
 		},

@@ -114,12 +114,20 @@ func TestFinalizeRejectsBadVarRange(t *testing.T) {
 }
 
 func TestFinalizeRejectsNegativeInvariant(t *testing.T) {
-	n := NewNetwork("x")
-	x := n.AddClock("x")
-	p := n.AddProcess("P")
-	p.AddLocation("bad", Normal, CLE(x, -1))
-	if err := n.Finalize(); err == nil {
-		t.Error("negative invariant bound must be rejected")
+	// No clock value meets x<0 either, so it goes like x<=-1.
+	for _, c := range []struct {
+		inv  func(Clock) Constraint
+		want string
+	}{
+		{func(x Clock) Constraint { return CLE(x, -1) }, "upper bound below zero: x<=-1"},
+		{func(x Clock) Constraint { return CLT(x, 0) }, "upper bound below zero: x<0"},
+	} {
+		n := NewNetwork("x")
+		x := n.AddClock("x")
+		n.AddProcess("P").AddLocation("bad", Normal, c.inv(x))
+		if err := n.Finalize(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Finalize = %v, want an error containing %q", err, c.want)
+		}
 	}
 }
 

@@ -49,8 +49,10 @@ func (n *Network) Finalize() error {
 					return fmt.Errorf("ta: invariant of %s.%s is not an upper bound: %s",
 						p.Name, l.Name, n.constraintString(c))
 				}
-				if !c.VarBound && c.Bound.Value() < 0 {
-					return fmt.Errorf("ta: invariant of %s.%s has negative upper bound %s",
+				// No clock value meets a bound below (≤, 0): x<0 is as
+				// empty as x<=-1.
+				if !c.VarBound && c.Bound < dbm.LEZero {
+					return fmt.Errorf("ta: invariant of %s.%s has an upper bound below zero: %s",
 						p.Name, l.Name, n.constraintString(c))
 				}
 				if err := n.recordConst(c); err != nil {

@@ -62,7 +62,7 @@ DelayUnder row tightened|internal/dbm/upper.go|func (d *DBM) DelayUnder(|for q, 
 DelayUnder emptied|internal/dbm/upper.go|func (d *DBM) DelayUnder(|return false
 EncodeCompact 16-bit|internal/dbm/compact.go|func EncodeCompact(|width = 2
 EncodeCompact 32-bit|internal/dbm/compact.go|func EncodeCompact(|width = 4
-EncodeCompact 64-bit|internal/dbm/compact.go|func EncodeCompact(|storeRows[Bound](c, d, mask)
+EncodeCompact 64-bit|internal/dbm/compact.go|func EncodeCompact(|storeRows[Bound](c, d)
 EncodeCompact row omitted|internal/dbm/compact.go|func EncodeCompact(|kept--
 DecodeInto 16-bit|internal/dbm/compact.go|func (c Compact) DecodeInto(|widenRows[int16](c, d)
 DecodeInto 32-bit|internal/dbm/compact.go|func (c Compact) DecodeInto(|widenRows[int32](c, d)
