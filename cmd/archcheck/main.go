@@ -44,7 +44,7 @@ func main() {
 		modelPath   = flag.String("model", "", "path to the JSON system description")
 		reqName     = flag.String("req", "", "requirement to analyze (default: all)")
 		engine      = flag.String("engine", "uppaal", "analysis engine: uppaal, sim, symta, rtc")
-		horizon     = flag.Int64("horizon", 2000, "observation horizon in ms (uppaal engine)")
+		horizon     = flag.Int64("horizon", arch.DefaultHorizonMS, "observation horizon in ms (uppaal engine)")
 		order       = flag.String("order", "bfs", "search order: bfs, df, rdf (uppaal engine)")
 		maxStates   = flag.Int("max-states", 0, "soft state cap: exploration truncates past it, 0 = exhaustive (uppaal engine)")
 		stateBudget = flag.Int("state-budget", 0, "hard state budget: exceeding it fails the run, 0 = unbounded (uppaal engine)")

@@ -5,7 +5,7 @@
 //
 //	icrns -table 1 [-budget n] [-fallback n] [-config default|realistic-bus]
 //	icrns -table 2 [-budget n] [-sim-reps n] [-sim-horizon ms]
-//	icrns -cell "<requirement>,<column>"   (single Table 1 cell, e.g. "K2A,po")
+//	icrns -cell "<requirement>,<column>" [-witness]   (single Table 1 cell, e.g. "K2A,po")
 //
 // Table 1 is the worst-case response time of five requirements under five
 // event models; Table 2 compares the model checker against the simulation,
@@ -18,7 +18,10 @@
 // exceeds -budget states gets ONE randomized depth-first run of -fallback
 // states on the same network, shared by its requirements: if that run
 // finishes the cells are exact after all, otherwise they are reported as
-// "> bound" lower bounds, exactly like the paper's df/rdf rows.
+// "> bound" lower bounds, exactly like the paper's df/rdf rows. With
+// -witness a -cell also prints its critical-instant trace, replayed from the
+// run its value came from (icrns.Witness): the sweep, or the fallback run
+// for a "> bound" cell.
 package main
 
 import (
@@ -29,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/arch"
 	"repro/internal/icrns"
 	"repro/internal/profflag"
 	"repro/internal/sim"
@@ -44,7 +48,7 @@ func main() {
 		maxBytes   = flag.Int64("max-bytes", 0, "zone-memory budget in bytes per exploration: exceeding it fails the cell (0 = unbounded)")
 		config     = flag.String("config", "default", "scheduling config: default, realistic-bus")
 		cellSpec   = flag.String("cell", "", "single cell \"<req>,<col>\" (e.g. \"K2A,po\")")
-		witness    = flag.Bool("witness", false, "with -cell: print a critical-instant trace realizing the WCRT")
+		witness    = flag.Bool("witness", false, "with -cell: print the critical-instant trace realizing the cell's value, a lower bound on a \"> bound\" cell")
 		verify     = flag.String("verify", "", "verify the Figure 2/3 deadlines under a column (po, pno, sp, pj, bur)")
 		seed       = flag.Int64("seed", 1, "seed for randomized search and simulation")
 		simReps    = flag.Int("sim-reps", 20, "simulation replications (table 2)")
@@ -109,18 +113,21 @@ func main() {
 			fatal(err)
 		}
 		start := time.Now()
-		cells, err := icrns.Cells(row.Combo, col, []string{row.Req}, cellOpts)
+		var res arch.WCRTResult
+		var trace string
+		if *witness {
+			res, trace, err = icrns.Witness(row, col, cellOpts)
+		} else {
+			var cells map[string]arch.WCRTResult
+			cells, err = icrns.Cells(row.Combo, col, []string{row.Req}, cellOpts)
+			res = cells[row.Req]
+		}
 		if err != nil {
 			fatal(err)
 		}
-		res := cells[row.Req]
 		fmt.Printf("%s under %v: %s ms (%s) in %v\n",
 			row.Label, col, res, res.Stats, time.Since(start).Round(time.Millisecond))
-		if *witness && res.Exact {
-			trace, err := icrns.Witness(row, col, res, cellOpts)
-			if err != nil {
-				fatal(err)
-			}
+		if *witness {
 			fmt.Println("\ncritical-instant trace:")
 			fmt.Print(trace)
 		}

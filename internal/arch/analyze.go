@@ -23,7 +23,12 @@ type WCRTResult struct {
 	// BeyondHorizon reports that some response exceeded the observation
 	// horizon (raise Options.HorizonMS to measure it).
 	BeyondHorizon bool
-	Stats         core.Stats
+	// Witness is the critical-instant trace from the sweep that measured MS:
+	// a run of cs.Net to a state where the observer has seen a response with
+	// its clock's upper bound at MS (strict unless Attained), or beyond the
+	// horizon. AnalyzeTraced sets it, Analyze on a BeyondHorizon result only.
+	Witness []core.TraceStep
+	Stats   core.Stats
 }
 
 // String renders the result the way the paper's tables do: exact values as
@@ -66,7 +71,15 @@ type AllResult struct {
 // calls, each of which builds its own checker state, so callers that keep
 // compiled networks (internal/serve's cache, icrns.Cells' sweep and its
 // fallback run) pay compilation once and run any number of explorations.
-func (cs *CompiledSet) Analyze(opts core.Options) (*AllResult, error) {
+func (cs *CompiledSet) Analyze(opts core.Options) (*AllResult, error) { return cs.analyze(opts, false) }
+
+// AnalyzeTraced is Analyze with each seen result's critical-instant trace
+// (WCRTResult.Witness), replayed from the same sweep: no second search.
+func (cs *CompiledSet) AnalyzeTraced(opts core.Options) (*AllResult, error) {
+	return cs.analyze(opts, true)
+}
+
+func (cs *CompiledSet) analyze(opts core.Options, traced bool) (*AllResult, error) {
 	checker, err := core.NewChecker(cs.Net)
 	if err != nil {
 		return nil, err
@@ -76,6 +89,7 @@ func (cs *CompiledSet) Analyze(opts core.Options) (*AllResult, error) {
 	queries := make([]core.Query, len(reqs))
 	for i := range reqs {
 		sups[i] = core.NewSupClockQuery(cs.Obs[i].Y.ID, cs.AtSeen(i))
+		sups[i].Witness = traced
 		queries[i] = sups[i]
 	}
 	stats, err := checker.RunQueries(opts, queries...)
@@ -88,7 +102,7 @@ func (cs *CompiledSet) Analyze(opts core.Options) (*AllResult, error) {
 		if !sup.Seen && !sup.Truncated {
 			return nil, fmt.Errorf("arch: requirement %s: no measured response is reachable", req.Name)
 		}
-		res := WCRTResult{Req: req, Stats: stats}
+		res := WCRTResult{Req: req, Stats: stats, Witness: sup.Witness}
 		switch {
 		case sup.Unbounded:
 			res.MS = cs.UnitsToMS(cs.Horizons[i])
@@ -120,47 +134,6 @@ func (r WCRTResult) ViolatesDeadline(deadlineMS *big.Rat) bool {
 		return cmp >= 0 // the bound is reached: y = MS ≥ deadline occurs
 	}
 	return cmp > 0 // the bound is only approached: y < MS always
-}
-
-// Witness materializes a critical-instant trace for requirement i's
-// already-computed WCRT res: one reachability sweep to a state where observer
-// i is seen and its clock reaches the known bound, with no re-measurement.
-// Callers holding batch results (Analyze, or a cached service verdict) get
-// the trace for the cost of a single extra exploration.
-func (cs *CompiledSet) Witness(i int, res WCRTResult, opts core.Options) (string, error) {
-	q, err := cs.reachSeen(i, res.MS, res.Attained, opts)
-	if err != nil {
-		return "", err
-	}
-	if !q.Found {
-		return "", fmt.Errorf("arch: no witness found at the computed bound (truncated search?)")
-	}
-	return core.FormatTrace(cs.Net, q.Trace), nil
-}
-
-// reachSeen runs one reachability sweep for a state where observer i is seen
-// and its clock can reach ms: its upper bound is at least (≤ ms), or (< ms)
-// when reached is false — a supremum that is approached rather than
-// attained.
-func (cs *CompiledSet) reachSeen(i int, ms *big.Rat, reached bool, opts core.Options) (*core.ReachQuery, error) {
-	checker, err := core.NewChecker(cs.Net)
-	if err != nil {
-		return nil, err
-	}
-	v, err := toUnits(ms, cs.Scale, timeField{kind: "requirement", name: cs.Reqs[i].Name, field: "reach bound"})
-	if err != nil {
-		return nil, err
-	}
-	bound := dbm.LT(v)
-	if reached {
-		bound = dbm.LE(v)
-	}
-	atSeen, y := cs.AtSeen(i), int(cs.Obs[i].Y.ID)
-	q := core.NewReachQuery(func(s *core.State) bool { return atSeen(s) && s.Zone.Sup(y) >= bound })
-	if _, err := checker.RunQueries(opts, q); err != nil {
-		return nil, err
-	}
-	return q, nil
 }
 
 // DeadlockFree verifies that the compiled system has no reachable
@@ -210,10 +183,19 @@ func VerifyDeadline(sys *System, req *Requirement, deadlineMS *big.Rat,
 	if err != nil {
 		return false, "", err
 	}
+	checker, err := core.NewChecker(c.Net)
+	if err != nil {
+		return false, "", err
+	}
+	d, err := toUnits(deadlineMS, c.Scale, timeField{kind: "requirement", name: req.Name, field: "deadline"})
+	if err != nil {
+		return false, "", err
+	}
 	// AG(seen → y < d) is asked as the reachability of its negation: a seen
 	// state whose observer clock can reach d.
-	q, err := c.reachSeen(0, deadlineMS, true, opts)
-	if err != nil {
+	atSeen, y := c.AtSeen(0), int(c.Obs[0].Y.ID)
+	q := core.NewReachQuery(func(s *core.State) bool { return atSeen(s) && s.Zone.Sup(y) >= dbm.LE(d) })
+	if _, err := checker.RunQueries(opts, q); err != nil {
 		return false, "", err
 	}
 	if !q.Found {

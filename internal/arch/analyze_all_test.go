@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -15,10 +16,11 @@ import (
 // internal/icrns/batch_test.go.
 
 // assertBatchMatchesSingles analyzes reqs compiled together and each
-// requirement compiled alone with the same options, comparing every verdict,
-// and asserts
-// the batch performed exactly one exploration (every per-requirement Stats
-// equal the shared sweep's).
+// requirement compiled alone with the same options, comparing every verdict
+// and logging every sweep's state counts (R6, observer independence), and
+// asserts the batch performed exactly one exploration (every
+// per-requirement Stats equal the shared sweep's) and that each batch result
+// carries a witness from it (assertWitnessEnds).
 func assertBatchMatchesSingles(t *testing.T, sys *System, reqs []*Requirement,
 	copts Options, opts core.Options) *AllResult {
 	t.Helper()
@@ -26,15 +28,17 @@ func assertBatchMatchesSingles(t *testing.T, sys *System, reqs []*Requirement,
 	if err != nil {
 		t.Fatalf("CompileAll: %v", err)
 	}
-	all, err := cs.Analyze(opts)
+	all, err := cs.AnalyzeTraced(opts)
 	if err != nil {
-		t.Fatalf("Analyze: %v", err)
+		t.Fatalf("AnalyzeTraced: %v", err)
 	}
 	if len(all.Results) != len(reqs) {
 		t.Fatalf("Analyze returned %d results for %d requirements", len(all.Results), len(reqs))
 	}
+	t.Logf("batch: %s", all.Stats)
 	for i, req := range reqs {
 		single := mustWCRT(t, sys, req, copts, opts)
+		t.Logf("%s alone: %s", req.Name, single.Stats)
 		got := all.Results[i]
 		if got.Req != req {
 			t.Errorf("result %d is for %v, want %s", i, got.Req, req.Name)
@@ -53,21 +57,19 @@ func assertBatchMatchesSingles(t *testing.T, sys *System, reqs []*Requirement,
 			t.Errorf("%s: result stats %+v differ from the shared sweep %+v — more than one exploration?",
 				req.Name, got.Stats, all.Stats)
 		}
+		assertWitnessEnds(t, cs, i, got)
 	}
 	return all
 }
 
 // TestAnalyzeAllContended covers the Fig. 4/5 processor templates: both
 // scenarios of the contended system measured at once, non-preemptive and
-// preemptive, at Workers 1 and 3.
+// preemptive.
 func TestAnalyzeAllContended(t *testing.T) {
 	for _, sched := range []SchedKind{SchedFP, SchedFPPreempt, SchedNondet} {
 		sys, hi, lo := contended(sched)
 		reqs := []*Requirement{EndToEnd("hi", hi), EndToEnd("lo", lo)}
-		for _, workers := range []int{1, 3} {
-			assertBatchMatchesSingles(t, sys, reqs,
-				Options{HorizonMS: 100}, core.Options{Workers: workers})
-		}
+		assertBatchMatchesSingles(t, sys, reqs, Options{HorizonMS: 100}, core.Options{})
 	}
 }
 
@@ -98,6 +100,21 @@ func TestAnalyzeAllTDMA(t *testing.T) {
 	assertBatchMatchesSingles(t, sys, reqs, Options{HorizonMS: 200}, core.Options{})
 }
 
+// TestAnalyzeAllChain covers the benchmark's 10-scenario chain: periodic
+// scenarios with known offsets on one nondeterministic processor, one
+// end-to-end requirement each, with a 120 ms horizon.
+func TestAnalyzeAllChain(t *testing.T) {
+	sys := NewSystem("chain")
+	cpu := sys.AddProcessor("CPU", 10, SchedNondet)
+	reqs := make([]*Requirement, 10)
+	for i := range reqs {
+		sc := sys.AddScenario(fmt.Sprintf("s%d", i), i+1, Periodic(MS(int64(40+40*(i%2)), 1), MS(int64(3*i), 1)))
+		sc.Compute(fmt.Sprintf("op%d", i), cpu, 45000)
+		reqs[i] = EndToEnd(fmt.Sprintf("r%d", i), sc)
+	}
+	assertBatchMatchesSingles(t, sys, reqs, Options{HorizonMS: 120}, core.Options{})
+}
+
 // TestAnalyzeAllPerRequirementHorizons pins HorizonMSFor: each observer in
 // the shared network gets its own extrapolation horizon, and every verdict
 // matches the single compilation run with the matching HorizonMS.
@@ -117,11 +134,12 @@ func TestAnalyzeAllPerRequirementHorizons(t *testing.T) {
 	if cs.Horizons[0] == cs.Horizons[1] {
 		t.Errorf("per-requirement horizons not applied: %v", cs.Horizons)
 	}
-	all, err := cs.Analyze(core.Options{})
+	all, err := cs.AnalyzeTraced(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, req := range reqs {
+		assertWitnessEnds(t, cs, i, all.Results[i])
 		single := mustWCRT(t, sys, req, Options{HorizonMS: perReq[req.Name]}, core.Options{})
 		got := all.Results[i]
 		if got.MS.Cmp(single.MS) != 0 || got.Attained != single.Attained ||

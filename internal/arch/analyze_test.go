@@ -7,25 +7,50 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dbm"
 )
 
-// witness computes the requirement's WCRT and then a critical-instant trace
-// for it on the same compiled set.
+// witness computes the requirement's WCRT with its critical-instant trace,
+// both from one traced sweep.
 func witness(t *testing.T, sys *System, req *Requirement) (string, WCRTResult) {
 	t.Helper()
 	cs, err := CompileAll(sys, []*Requirement{req}, Options{HorizonMS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := cs.Analyze(core.Options{})
+	all, err := cs.AnalyzeTraced(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := cs.Witness(0, all.Results[0], core.Options{})
-	if err != nil {
-		t.Fatal(err)
+	res := all.Results[0]
+	assertWitnessEnds(t, cs, 0, res)
+	return core.FormatTrace(cs.Net, res.Witness), res
+}
+
+// assertWitnessEnds requires result i of cs to carry a witness ending in
+// observer i's seen location with the observer clock's upper bound at the
+// result's value, strictness included — or unbounded, on a BeyondHorizon
+// result.
+func assertWitnessEnds(t *testing.T, cs *CompiledSet, i int, res WCRTResult) {
+	t.Helper()
+	if len(res.Witness) == 0 {
+		t.Fatalf("%s: no witness", res.Req.Name)
 	}
-	return trace, all.Results[0]
+	want := dbm.Infinity
+	if !res.BeyondHorizon {
+		v, err := toUnits(res.MS, cs.Scale, timeField{kind: "requirement", name: res.Req.Name, field: "WCRT"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want = dbm.LT(v); res.Attained {
+			want = dbm.LE(v)
+		}
+	}
+	last := res.Witness[len(res.Witness)-1].State
+	if got := last.Zone.Sup(int(cs.Obs[i].Y.ID)); !cs.AtSeen(i)(last) || got != want {
+		t.Errorf("%s: witness ends seen=%v with the observer clock at %v, want seen at %v",
+			res.Req.Name, cs.AtSeen(i)(last), got, want)
+	}
 }
 
 func TestWitnessTrace(t *testing.T) {
@@ -72,33 +97,30 @@ func tinySystem(t *testing.T) (*System, []*Requirement) {
 }
 
 // TestDeadlockFreeTiny runs what `archcheck -deadlock` runs on the
-// checked-in tiny model: the compiled system never wedges, at Workers 1 or
-// 4.
+// checked-in tiny model: the compiled system never wedges.
 func TestDeadlockFreeTiny(t *testing.T) {
 	sys, reqs := tinySystem(t)
 	cs, err := CompileAll(sys, reqs[:1], Options{HorizonMS: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		res, err := cs.DeadlockFree(core.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Free || res.Witness != nil {
-			t.Errorf("workers=%d: free=%v with witness %v, want deadlock-free and no witness", workers, res.Free, res.Witness)
-		}
-		if res.Stats.Stored == 0 || res.Stats.Popped == 0 || res.Stats.Transitions == 0 {
-			t.Errorf("workers=%d: sweep reports no work: %s", workers, res.Stats)
-		}
+	res, err := cs.DeadlockFree(core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Free || res.Witness != nil {
+		t.Errorf("free=%v with witness %v, want deadlock-free and no witness", res.Free, res.Witness)
+	}
+	if res.Stats.Stored == 0 || res.Stats.Popped == 0 || res.Stats.Transitions == 0 {
+		t.Errorf("sweep reports no work: %s", res.Stats)
 	}
 }
 
-// TestQuestionsOfTwoObserverSet asks Witness and DeadlockFree of the
-// second observer of a two-requirement set, which only a compiled set can
-// be asked: the witness ends at observer 1's seen location with its clock
-// reaching the bound observer 1 measured, and the deadlock verdict agrees
-// with the one-requirement compile.
+// TestQuestionsOfTwoObserverSet asks for the witness of the second observer
+// of a two-requirement set, and asks DeadlockFree of the set: the witness
+// ends at observer 1's seen location with its clock reaching the bound
+// observer 1 measured, and the deadlock verdict agrees with the
+// one-requirement compile.
 func TestQuestionsOfTwoObserverSet(t *testing.T) {
 	sys, reqs := tinySystem(t)
 	copts := Options{HorizonMS: 100}
@@ -106,7 +128,7 @@ func TestQuestionsOfTwoObserverSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := cs.Analyze(core.Options{})
+	all, err := cs.AnalyzeTraced(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,17 +141,12 @@ func TestQuestionsOfTwoObserverSet(t *testing.T) {
 	// interval ends at the bound.
 	seen := "OBS_" + reqs[1].Name + ".seen"
 	clock := regexp.MustCompile(`obs\.` + regexp.QuoteMeta(reqs[1].Name) + `\.y∈\[[0-9]+,` + res.MS.RatString() + `\]`)
-	for _, workers := range []int{1, 4} {
-		trace, err := cs.Witness(1, res, core.Options{Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines := strings.Split(strings.TrimSpace(trace), "\n")
-		last := lines[len(lines)-1]
-		if !strings.Contains(last, seen+")") || !clock.MatchString(last) {
-			t.Errorf("workers=%d: witness must end with %s and its clock at %s ms:\n%s",
-				workers, seen, res.MS.RatString(), trace)
-		}
+	assertWitnessEnds(t, cs, 1, res)
+	trace := core.FormatTrace(cs.Net, res.Witness)
+	lines := strings.Split(strings.TrimSpace(trace), "\n")
+	last := lines[len(lines)-1]
+	if !strings.Contains(last, seen+")") || !clock.MatchString(last) {
+		t.Errorf("witness must end with %s and its clock at %s ms:\n%s", seen, res.MS.RatString(), trace)
 	}
 
 	one, err := CompileAll(sys, reqs[:1], copts)

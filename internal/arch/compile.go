@@ -8,15 +8,18 @@ import (
 	"repro/internal/ta"
 )
 
+// The compile defaults: what a zero Options.QueueCap and HorizonMS mean.
+const DefaultQueueCap, DefaultHorizonMS = 8, 2000
+
 // Options tunes model compilation.
 type Options struct {
 	// QueueCap bounds every step's pending-event counter; exceeding it
 	// surfaces as an analysis error (system overload or cap too small).
-	// Default 8.
+	// Default DefaultQueueCap.
 	QueueCap int64
 	// HorizonMS is the observation horizon of the measuring automaton in
 	// milliseconds: response times up to this value are computed exactly,
-	// anything beyond reports as unbounded. Default 2000.
+	// anything beyond reports as unbounded. Default DefaultHorizonMS.
 	HorizonMS int64
 	// HorizonMSFor optionally overrides HorizonMS per requirement, so
 	// requirements with very different time scales each get a tight
@@ -37,10 +40,10 @@ func (o Options) horizonMS(req *Requirement) int64 {
 
 func (o Options) withDefaults() Options {
 	if o.QueueCap == 0 {
-		o.QueueCap = 8
+		o.QueueCap = DefaultQueueCap
 	}
 	if o.HorizonMS == 0 {
-		o.HorizonMS = 2000
+		o.HorizonMS = DefaultHorizonMS
 	}
 	return o
 }
@@ -57,11 +60,11 @@ type Observer struct {
 // with its own clock and "seen" location, listening on shared broadcast
 // completion channels. It is the one handle to a compiled architecture:
 // every question is a method — Analyze (every WCRT from one exploration),
-// Witness (a critical-instant trace for one of them) and DeadlockFree. The
-// observers are pure listeners — they never emit, guard only their own
-// variables, and pass through committed zero-time states — so each one
-// measures exactly what it would measure compiled alone, and a set of one
-// requirement is the single-requirement analysis.
+// AnalyzeTraced (the same, with each WCRT's critical-instant trace) and
+// DeadlockFree. The observers are pure listeners — they never emit, guard
+// only their own variables, and pass through committed zero-time states — so
+// each one measures exactly what it would measure compiled alone, and a set
+// of one requirement is the single-requirement analysis.
 type CompiledSet struct {
 	Sys   *System
 	Reqs  []*Requirement

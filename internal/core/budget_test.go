@@ -10,27 +10,27 @@ import (
 
 // TestStateBudgetMidSweep arms a hard state budget against the hopeless
 // graph and requires ErrStateBudget with partial stats, inline and with the
-// lookahead helper in flight (helperAt).
+// lookahead helper in flight.
 func TestStateBudgetMidSweep(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, m := range lookaheadModes {
 		n := buildHuge(t)
 		c, err := NewChecker(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), StateBudget: 5000}, nil)
+		res, err := c.Explore(Options{lookahead: m, StateBudget: 5000}, nil)
 		if !errors.Is(err, ErrStateBudget) {
-			t.Fatalf("workers=%d: err = %v, want ErrStateBudget", workers, err)
+			t.Fatalf("lookahead=%d: err = %v, want ErrStateBudget", m, err)
 		}
 		// Partial stats: the budget trips at admission, one past the cap.
 		if res.Stored != 5001 {
-			t.Errorf("workers=%d: stored %d, want 5001", workers, res.Stored)
+			t.Errorf("lookahead=%d: stored %d, want 5001", m, res.Stored)
 		}
 		if res.Popped == 0 {
-			t.Errorf("workers=%d: partial stats missing popped count", workers)
+			t.Errorf("lookahead=%d: partial stats missing popped count", m)
 		}
 		if res.Truncated {
-			t.Errorf("workers=%d: hard budget must not report soft truncation", workers)
+			t.Errorf("lookahead=%d: hard budget must not report soft truncation", m)
 		}
 	}
 }
@@ -39,22 +39,22 @@ func TestStateBudgetMidSweep(t *testing.T) {
 // requires a prompt ErrMemoryBudget with partial stats, inline and with the
 // lookahead helper in flight.
 func TestMemoryBudgetMidSweep(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, m := range lookaheadModes {
 		n := buildHuge(t)
 		c, err := NewChecker(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), MaxBytes: 1 << 20}, nil)
+		res, err := c.Explore(Options{lookahead: m, MaxBytes: 1 << 20}, nil)
 		if !errors.Is(err, ErrMemoryBudget) {
-			t.Fatalf("workers=%d: err = %v, want ErrMemoryBudget", workers, err)
+			t.Fatalf("lookahead=%d: err = %v, want ErrMemoryBudget", m, err)
 		}
 		if elapsed := time.Since(start); elapsed > 30*time.Second {
-			t.Errorf("workers=%d: budget abort took %v, not prompt", workers, elapsed)
+			t.Errorf("lookahead=%d: budget abort took %v, not prompt", m, elapsed)
 		}
 		if res.Stored == 0 || res.Popped == 0 {
-			t.Errorf("workers=%d: expected partial stats, got %+v", workers, res.Stats)
+			t.Errorf("lookahead=%d: expected partial stats, got %+v", m, res.Stats)
 		}
 	}
 }
@@ -162,21 +162,21 @@ func TestBudgetedQueriesStayReusable(t *testing.T) {
 // checker's: the crashed loop abandoned its pools, nothing corrupt was
 // recycled.
 func TestWorkerPanicContained(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, m := range lookaheadModes {
 		n, _, _, _ := buildGrid(t)
 		c, err := NewChecker(n)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = c.Explore(Options{Workers: workers, lookahead: helperAt(workers)}, func(s *State) bool {
+		_, err = c.Explore(Options{lookahead: m}, func(s *State) bool {
 			panic("visitor crash for containment test")
 		})
 		var pe *PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
+			t.Fatalf("lookahead=%d: err = %v, want *PanicError", m, err)
 		}
 		if pe.Value != "visitor crash for containment test" || len(pe.Stack) == 0 {
-			t.Errorf("workers=%d: panic error lost its payload: %+v", workers, pe)
+			t.Errorf("lookahead=%d: panic error lost its payload: %+v", m, pe)
 		}
 
 		after, err := c.Explore(Options{}, nil)
@@ -192,8 +192,8 @@ func TestWorkerPanicContained(t *testing.T) {
 			t.Fatal(err)
 		}
 		if after.Stored != want.Stored || after.Transitions != want.Transitions {
-			t.Errorf("workers=%d: post-panic sweep %+v differs from fresh checker %+v",
-				workers, after.Stats, want.Stats)
+			t.Errorf("lookahead=%d: post-panic sweep %+v differs from fresh checker %+v",
+				m, after.Stats, want.Stats)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,9 +46,9 @@ func buildHuge(t *testing.T) *ta.Network {
 
 // TestCancelMidSweep closes the cancel channel from inside the sweep (after
 // a fixed number of admissions) and requires a prompt ErrCanceled with
-// partial stats, inline and with the lookahead helper in flight (helperAt).
+// partial stats, inline and with the lookahead helper in flight.
 func TestCancelMidSweep(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, m := range lookaheadModes {
 		n := buildHuge(t)
 		c, err := NewChecker(n)
 		if err != nil {
@@ -64,21 +63,21 @@ func TestCancelMidSweep(t *testing.T) {
 			return false
 		}
 		start := time.Now()
-		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), Context: ctx}, visit)
+		res, err := c.Explore(Options{lookahead: m, Context: ctx}, visit)
 		cancel()
 		if !errors.Is(err, ErrCanceled) {
-			t.Fatalf("workers=%d: err = %v, want ErrCanceled", workers, err)
+			t.Fatalf("lookahead=%d: err = %v, want ErrCanceled", m, err)
 		}
 		if elapsed := time.Since(start); elapsed > 30*time.Second {
-			t.Errorf("workers=%d: cancellation took %v, not prompt", workers, elapsed)
+			t.Errorf("lookahead=%d: cancellation took %v, not prompt", m, elapsed)
 		}
 		// Partial stats: the sweep got past the trigger point but nowhere
 		// near the full graph (which holds far more than 10x the trigger).
 		if res.Stored < 500 {
-			t.Errorf("workers=%d: stored %d, want >= 500 (cancel fired at 500 admissions)", workers, res.Stored)
+			t.Errorf("lookahead=%d: stored %d, want >= 500 (cancel fired at 500 admissions)", m, res.Stored)
 		}
 		if res.Popped == 0 {
-			t.Errorf("workers=%d: partial stats missing popped count", workers)
+			t.Errorf("lookahead=%d: partial stats missing popped count", m)
 		}
 	}
 }
@@ -128,7 +127,7 @@ func TestCancelLeavesEngineReusable(t *testing.T) {
 // TestDeadlineMidSweep bounds a hopeless sweep by wall clock and requires
 // ErrDeadlineExceeded with partial stats.
 func TestDeadlineMidSweep(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, m := range lookaheadModes {
 		n := buildHuge(t)
 		c, err := NewChecker(n)
 		if err != nil {
@@ -136,16 +135,16 @@ func TestDeadlineMidSweep(t *testing.T) {
 		}
 		start := time.Now()
 		ctx, cancel := context.WithDeadline(context.Background(), start.Add(50*time.Millisecond))
-		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers), Context: ctx}, nil)
+		res, err := c.Explore(Options{lookahead: m, Context: ctx}, nil)
 		cancel()
 		if !errors.Is(err, ErrDeadlineExceeded) {
-			t.Fatalf("workers=%d: err = %v, want ErrDeadlineExceeded", workers, err)
+			t.Fatalf("lookahead=%d: err = %v, want ErrDeadlineExceeded", m, err)
 		}
 		if elapsed := time.Since(start); elapsed > 30*time.Second {
-			t.Errorf("workers=%d: deadline abort took %v, not prompt", workers, elapsed)
+			t.Errorf("lookahead=%d: deadline abort took %v, not prompt", m, elapsed)
 		}
 		if res.Stored == 0 || res.Popped == 0 {
-			t.Errorf("workers=%d: expected partial stats, got %+v", workers, res.Stats)
+			t.Errorf("lookahead=%d: expected partial stats, got %+v", m, res.Stats)
 		}
 	}
 }
@@ -258,10 +257,9 @@ func TestAbortErr(t *testing.T) {
 }
 
 // TestMonitorFinalSnapshotMatchesStats requires a post-run Snapshot, and a
-// profiled run's Profile().Totals, to equal the run's exact Stats, at
-// Workers 1 and 4, plain, under a memory budget that never trips, and
-// profiled, each also with the lookahead helper engaged: every reader loads
-// the same cell.
+// profiled run's Profile().Totals, to equal the run's exact Stats, plain,
+// under a memory budget that never trips, and profiled, each also with the
+// lookahead helper engaged: every reader loads the same cell.
 func TestMonitorFinalSnapshotMatchesStats(t *testing.T) {
 	modes := []struct {
 		name    string
@@ -276,51 +274,49 @@ func TestMonitorFinalSnapshotMatchesStats(t *testing.T) {
 		{"profiled+lookahead", Options{lookahead: lookaheadOn}, true},
 	}
 	for _, mode := range modes {
-		for _, workers := range []int{1, 4} {
-			n, _, _, _ := buildGrid(t)
-			c, err := NewChecker(n)
-			if err != nil {
-				t.Fatal(err)
+		n, _, _, _ := buildGrid(t)
+		c, err := NewChecker(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mon Monitor
+		if mode.profile {
+			mon.EnableProfile(ProfileConfig{SampleEvery: 8})
+		}
+		opts := mode.opts
+		opts.Monitor = &mon
+		res, err := c.Explore(opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := mode.name
+		p := mon.Snapshot()
+		if p.Running {
+			t.Errorf("%s: monitor still Running after the run returned", name)
+		}
+		matches := func(p Progress) bool {
+			return p.Stored == int64(res.Stored) && p.Popped == int64(res.Popped) &&
+				p.Transitions == int64(res.Transitions) && p.Deadlocks == int64(res.Deadlocks)
+		}
+		if !matches(p) {
+			t.Errorf("%s: final snapshot %+v != stats %+v", name, p, res.Stats)
+		}
+		// The readers agreeing is not enough: they load the same cell. An
+		// exhaustive sweep expands every state it stored, so the cell is
+		// exact only if the loop published on its way out.
+		if res.Popped != res.Stored {
+			t.Errorf("%s: exhaustive sweep popped %d of %d stored states", name, res.Popped, res.Stored)
+		}
+		if p.Frontier != 0 {
+			t.Errorf("%s: final snapshot frontier = %d, want 0", name, p.Frontier)
+		}
+		if mode.profile {
+			prof := mon.Profile()
+			if prof == nil || !matches(prof.Totals) {
+				t.Errorf("%s: profile totals %+v != stats %+v", name, prof, res.Stats)
 			}
-			var mon Monitor
-			if mode.profile {
-				mon.EnableProfile(ProfileConfig{SampleEvery: 8})
-			}
-			opts := mode.opts
-			opts.Workers, opts.Monitor = workers, &mon
-			res, err := c.Explore(opts, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("%s/workers=%d", mode.name, workers)
-			p := mon.Snapshot()
-			if p.Running {
-				t.Errorf("%s: monitor still Running after the run returned", name)
-			}
-			matches := func(p Progress) bool {
-				return p.Stored == int64(res.Stored) && p.Popped == int64(res.Popped) &&
-					p.Transitions == int64(res.Transitions) && p.Deadlocks == int64(res.Deadlocks)
-			}
-			if !matches(p) {
-				t.Errorf("%s: final snapshot %+v != stats %+v", name, p, res.Stats)
-			}
-			// The readers agreeing is not enough: they load the same cell. An
-			// exhaustive sweep expands every state it stored, so the cell is
-			// exact only if the loop published on its way out.
-			if res.Popped != res.Stored {
-				t.Errorf("%s: exhaustive sweep popped %d of %d stored states", name, res.Popped, res.Stored)
-			}
-			if p.Frontier != 0 {
-				t.Errorf("%s: final snapshot frontier = %d, want 0", name, p.Frontier)
-			}
-			if mode.profile {
-				prof := mon.Profile()
-				if prof == nil || !matches(prof.Totals) {
-					t.Errorf("%s: profile totals %+v != stats %+v", name, prof, res.Stats)
-				}
-			} else if mon.Profile() != nil {
-				t.Errorf("%s: an unprofiled monitor recorded a profile", name)
-			}
+		} else if mon.Profile() != nil {
+			t.Errorf("%s: an unprofiled monitor recorded a profile", name)
 		}
 	}
 }
@@ -331,7 +327,7 @@ func TestMonitorFinalSnapshotMatchesStats(t *testing.T) {
 // popped than stored, stored at least as large as the admissions seen, and a
 // backlog that shows at some point.
 func TestMonitorLiveSnapshot(t *testing.T) {
-	for _, workers := range []int{1, 4} {
+	for _, m := range lookaheadModes {
 		n, _, _, _ := buildGrid(t)
 		c, err := NewChecker(n)
 		if err != nil {
@@ -343,7 +339,7 @@ func TestMonitorLiveSnapshot(t *testing.T) {
 		var sampled bool
 		var snap Progress
 		var maxFrontier int64
-		_, err = c.Explore(Options{Workers: workers, lookahead: helperAt(workers), Monitor: &mon}, func(*State) bool {
+		_, err = c.Explore(Options{lookahead: m, Monitor: &mon}, func(*State) bool {
 			p := mon.Snapshot()
 			if p == (Progress{}) {
 				return false // the initial state is visited before the monitor attaches
@@ -363,18 +359,18 @@ func TestMonitorLiveSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(bad) > 0 {
-			t.Errorf("workers=%d: %d implausible live samples, first %+v", workers, len(bad), bad[0])
+			t.Errorf("lookahead=%d: %d implausible live samples, first %+v", m, len(bad), bad[0])
 		}
 		if !sampled {
-			t.Fatalf("workers=%d: sweep too small to sample at 100 stored states", workers)
+			t.Fatalf("lookahead=%d: sweep too small to sample at 100 stored states", m)
 		}
 		if snap.Stored < 100 {
-			t.Errorf("workers=%d: mid-sweep snapshot stored = %d, want >= 100", workers, snap.Stored)
+			t.Errorf("lookahead=%d: mid-sweep snapshot stored = %d, want >= 100", m, snap.Stored)
 		}
 		// The grid's backlog is narrow but not empty: admitted-but-unpopped
 		// states must have shown at some point of the sweep.
 		if maxFrontier <= 0 {
-			t.Errorf("workers=%d: frontier never rose above 0 across the sweep", workers)
+			t.Errorf("lookahead=%d: frontier never rose above 0 across the sweep", m)
 		}
 	}
 }

@@ -20,22 +20,23 @@ import (
 // trip them.
 
 // TestChaosWorkerPanicContained injects a panic into the expansions of a
-// sweep — inline, and on the lookahead helper at Workers 4 — and requires a contained *PanicError, then proves the checker is
-// still bit-identical to a fresh one on the next sweep.
+// sweep — inline, and on the lookahead helper — and requires a contained
+// *PanicError, then proves the checker is still bit-identical to a fresh one
+// on the next sweep.
 func TestChaosWorkerPanicContained(t *testing.T) {
 	defer faultinject.Reset()
-	for _, workers := range []int{1, 4} {
+	for _, m := range lookaheadModes {
 		n, _, _, _ := buildGrid(t)
 		c, err := NewChecker(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		faultinject.Set("core/worker", faultinject.Fault{Kind: faultinject.KindPanic, After: 50})
-		_, err = c.Explore(Options{Workers: workers, lookahead: helperAt(workers)}, nil)
+		_, err = c.Explore(Options{lookahead: m}, nil)
 		faultinject.Clear("core/worker")
 		var pe *PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
+			t.Fatalf("lookahead=%d: err = %v, want *PanicError", m, err)
 		}
 
 		after, err := c.Explore(Options{}, nil)
@@ -52,8 +53,8 @@ func TestChaosWorkerPanicContained(t *testing.T) {
 		}
 		if after.Stored != want.Stored || after.Transitions != want.Transitions ||
 			after.Popped != want.Popped || after.Deadlocks != want.Deadlocks {
-			t.Errorf("workers=%d: post-chaos sweep %+v differs from fresh checker %+v",
-				workers, after.Stats, want.Stats)
+			t.Errorf("lookahead=%d: post-chaos sweep %+v differs from fresh checker %+v",
+				m, after.Stats, want.Stats)
 		}
 	}
 }
@@ -110,46 +111,46 @@ func TestChaosLookaheadPanicContained(t *testing.T) {
 func TestChaosInjectedAllocFailure(t *testing.T) {
 	defer faultinject.Reset()
 	bang := errors.New("chaos: allocation failed")
-	for _, workers := range []int{1, 4} {
+	for _, m := range lookaheadModes {
 		n, _, _, _ := buildGrid(t)
 		c, err := NewChecker(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		faultinject.Set("core/worker", faultinject.Fault{Kind: faultinject.KindError, After: 50, Err: bang})
-		res, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers)}, nil)
+		res, err := c.Explore(Options{lookahead: m}, nil)
 		faultinject.Clear("core/worker")
 		if !errors.Is(err, bang) {
-			t.Fatalf("workers=%d: err = %v, want injected error", workers, err)
+			t.Fatalf("lookahead=%d: err = %v, want injected error", m, err)
 		}
 		if res.Popped == 0 {
-			t.Errorf("workers=%d: partial stats lost: %+v", workers, res.Stats)
+			t.Errorf("lookahead=%d: partial stats lost: %+v", m, res.Stats)
 		}
 	}
 }
 
 // TestChaosStorePanicContained injects a panic inside compact-store admission
 // ("core/store" fires at the top of storeEntry.admit, on the admitting
-// goroutine, with the lookahead helper in flight at Workers 4) and requires a
+// goroutine, with the lookahead helper in flight) and requires a
 // contained *PanicError. The follow-up sweep proves the half-admitted store
 // left the checker reusable: it is bit-identical to a fresh checker's.
 func TestChaosStorePanicContained(t *testing.T) {
 	defer faultinject.Reset()
-	for _, workers := range []int{1, 4} {
+	for _, m := range lookaheadModes {
 		n, _, _, _ := buildGrid(t)
 		c, err := NewChecker(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		faultinject.Set("core/store", faultinject.Fault{Kind: faultinject.KindPanic, After: 50})
-		_, err = c.Explore(Options{Workers: workers, lookahead: helperAt(workers)}, nil)
+		_, err = c.Explore(Options{lookahead: m}, nil)
 		faultinject.Clear("core/store")
 		var pe *PanicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("workers=%d: err = %v, want *PanicError", workers, err)
+			t.Fatalf("lookahead=%d: err = %v, want *PanicError", m, err)
 		}
 
-		after, err := c.Explore(Options{Workers: workers, lookahead: helperAt(workers)}, nil)
+		after, err := c.Explore(Options{lookahead: m}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,8 +163,8 @@ func TestChaosStorePanicContained(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !sameStats(after.Stats, want.Stats) {
-			t.Errorf("workers=%d: post-chaos sweep %+v differs from fresh checker %+v",
-				workers, after.Stats, want.Stats)
+			t.Errorf("lookahead=%d: post-chaos sweep %+v differs from fresh checker %+v",
+				m, after.Stats, want.Stats)
 		}
 	}
 }
@@ -188,7 +189,7 @@ func TestChaosSlowWorkerStillCancels(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err = c.Explore(Options{Workers: 4, lookahead: lookaheadOn, Context: ctx}, nil)
+	_, err = c.Explore(Options{lookahead: lookaheadOn, Context: ctx}, nil)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

@@ -15,9 +15,9 @@ type SupResult struct {
 	// lies beyond the registered maximal constant (observation horizon).
 	Unbounded bool
 	// Witness is a trace to the first unbounded state when Unbounded is set.
-	// For bounded results no witness is recorded (the supremum emerges from
-	// the whole sweep, not one stop state); run a ReachQuery against the
-	// computed bound to materialize one, as arch.CompiledSet.Witness does.
+	// A bounded result carries one only when SupClockQuery.Witness was set
+	// and some state satisfied the condition: a trace to the first admitted
+	// state whose clock bound is Max, strictness included.
 	Witness []TraceStep
 }
 
@@ -26,6 +26,7 @@ type SupResult struct {
 type supAcc struct {
 	max  dbm.Bound
 	seen bool
+	ref  int64 // parent-log ref of the first state admitted at max; set once seen
 }
 
 // DeadlockResult is the outcome of a DeadlockQuery.

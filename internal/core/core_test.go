@@ -370,9 +370,10 @@ func TestVarBoundViolationSurfacesAsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _ := NewChecker(n)
-	_, err := c.Explore(Options{}, nil)
-	if err == nil {
-		t.Error("unbounded increment must surface as an analysis error")
+	for _, m := range lookaheadModes {
+		if _, err := c.Explore(Options{lookahead: m}, nil); err == nil {
+			t.Errorf("lookahead mode %d: unbounded increment must surface as an analysis error", m)
+		}
 	}
 }
 

@@ -16,17 +16,6 @@ import (
 // be the same sweep: equal Stats, the same states admitted in the same
 // order, and on a query set equal verdicts, found states and witness traces.
 
-// helperAt is how the stop-path tests run a worker count: Workers 1 with the
-// default rule, any other count with the lookahead helper forced on from the
-// first expansion, so that every stop path is also taken while the helper
-// holds expansions.
-func helperAt(workers int) lookaheadMode {
-	if workers > 1 {
-		return lookaheadOn
-	}
-	return lookaheadAuto
-}
-
 // setting is one way to run a sweep that must not change its answer.
 type setting struct {
 	workers   int // Options.Workers
@@ -50,7 +39,7 @@ type sweepAnswers struct {
 // answer runs one sweep under one setting with a query set: a query that
 // records every admitted state and never completes, so the sweep is
 // exhaustive (up to MaxStates), a deadlock query, the supremum of the first
-// clock, and a reach query for target.
+// clock with its witness, and a reach query for target.
 func answer(t *testing.T, c *Checker, base Options, st setting, target *State) sweepAnswers {
 	t.Helper()
 	if st.procs > 0 {
@@ -65,6 +54,7 @@ func answer(t *testing.T, c *Checker, base Options, st setting, target *State) s
 	})
 	a.dl = NewDeadlockQuery()
 	a.sup = NewSupClockQuery(c.net.Clocks[1].ID, func(*State) bool { return true })
+	a.sup.Witness = true
 	a.reach = NewReachQuery(func(s *State) bool {
 		return slices.Equal(s.Locs, target.Locs) && slices.Equal(s.Vars, target.Vars)
 	})

@@ -965,8 +965,8 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 	return res, nil
 }
 
-// replayTrace stitches the path to ref back from the parent log and
-// re-fires it from the initial state: each step re-enumerates the
+// replayTrace stitches the path to ref back from the parent log — none for
+// noRef — and re-fires it from the initial state: each step re-enumerates the
 // parent's successors through the deterministic engine and selects the
 // recorded index. Every returned TraceStep owns a freshly materialized
 // state, zone, and label (chunk-backed Parts stay alive through the Label
@@ -982,6 +982,9 @@ func (c *Checker) explore(opts Options, queries []Query) (ExploreResult, error) 
 // parent state, indices were captured before any RDFS shuffle, and each
 // replayed parent is bit-identical to the original.
 func (c *Checker) replayTrace(logs *parentLogs, ref int64) ([]TraceStep, error) {
+	if ref == noRef {
+		return nil, nil
+	}
 	type chainStep struct {
 		key uint64
 		idx int32

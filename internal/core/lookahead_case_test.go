@@ -35,11 +35,12 @@ func chainSet(t *testing.T, n int) *arch.CompiledSet {
 	return cs
 }
 
-// verdictBytes analyzes cs and returns its wire bytes, the sweep's duration
-// zeroed, and every requirement's formatted witness trace.
+// verdictBytes analyzes cs with its witnesses and returns its wire bytes,
+// the sweep's duration zeroed, and every requirement's formatted witness
+// trace.
 func verdictBytes(t *testing.T, cs *arch.CompiledSet, opts core.Options) (string, []string, core.Stats) {
 	t.Helper()
-	all, err := cs.Analyze(opts)
+	all, err := cs.AnalyzeTraced(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,9 +52,7 @@ func verdictBytes(t *testing.T, cs *arch.CompiledSet, opts core.Options) (string
 	}
 	traces := make([]string, len(all.Results))
 	for i, r := range all.Results {
-		if traces[i], err = cs.Witness(i, r, opts); err != nil {
-			t.Fatal(err)
-		}
+		traces[i] = core.FormatTrace(cs.Net, r.Witness)
 	}
 	return string(data), traces, all.Stats
 }

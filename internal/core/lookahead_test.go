@@ -19,17 +19,6 @@ func sameStats(a, b Stats) bool {
 		a.Transitions == b.Transitions && a.Deadlocks == b.Deadlocks && a.Truncated == b.Truncated
 }
 
-// TestLookaheadIsANoOp pins that the lookahead helper changes no answer of
-// a sweep: every network of equalityNets, in every order, with the helper
-// forced on from the first expansion against forced off.
-func TestLookaheadIsANoOp(t *testing.T) {
-	off := setting{workers: 1, lookahead: lookaheadOff}
-	on := setting{workers: 1, lookahead: lookaheadOn}
-	for _, n := range equalityNets(t) {
-		sweepsAgree(t, n.name, n.net, n.maxStates, off, []setting{on})
-	}
-}
-
 // TestLookaheadStopPaths stops breadth-first sweeps of the huge model — far
 // too large to finish — every way a sweep can stop early (a visitor's panic,
 // Cancel, Deadline, MaxStates, StateBudget, MaxBytes) while the helper holds

@@ -331,10 +331,10 @@ func TestZoneEngineMatchesDiscreteOracle(t *testing.T) {
 }
 
 // TestParallelEngineMatchesSequentialOracle extends the oracle sweep to the
-// engine's other settings: on random closed models a run at Workers 4 with
-// the lookahead helper forced on must reach exactly the discrete projections
-// the inline Workers 1 run reaches, reach verdicts must agree, and the two
-// witness traces must replay through the successor engine and be one trace.
+// lookahead helper: on random closed models a run with the helper forced on
+// must reach exactly the discrete projections the inline run reaches, reach
+// verdicts must agree, and the two witness traces must replay through the
+// successor engine and be one trace.
 func TestParallelEngineMatchesSequentialOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oracle sweep is slow")
@@ -346,26 +346,26 @@ func TestParallelEngineMatchesSequentialOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		collect := func(workers int) map[string]bool {
+		collect := func(m lookaheadMode) map[string]bool {
 			out := map[string]bool{}
-			_, err := c.Explore(Options{MaxStates: 100000, Workers: workers, lookahead: helperAt(workers)}, func(s *State) bool {
+			_, err := c.Explore(Options{MaxStates: 100000, lookahead: m}, func(s *State) bool {
 				out[fmt.Sprint(s.Locs)+"|"+fmt.Sprint(s.Vars)] = true
 				return false
 			})
 			if err != nil {
-				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
+				t.Fatalf("trial %d lookahead %d: %v", trial, m, err)
 			}
 			return out
 		}
-		seq, par := collect(1), collect(4)
+		seq, par := collect(lookaheadOff), collect(lookaheadOn)
 		for k := range seq {
 			if !par[k] {
-				t.Errorf("trial %d: state %s reached at Workers 1 but not at 4", trial, k)
+				t.Errorf("trial %d: state %s reached inline but not with the helper", trial, k)
 			}
 		}
 		for k := range par {
 			if !seq[k] {
-				t.Errorf("trial %d: state %s reached at Workers 4 but not at 1", trial, k)
+				t.Errorf("trial %d: state %s reached with the helper but not inline", trial, k)
 			}
 		}
 		// Cross-check one reach verdict per trial: the last process
@@ -377,18 +377,18 @@ func TestParallelEngineMatchesSequentialOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		parQ := NewReachQuery(pred)
-		if _, err := c.RunQueries(Options{MaxStates: 100000, Workers: 4, lookahead: lookaheadOn}, parQ); err != nil {
+		if _, err := c.RunQueries(Options{MaxStates: 100000, lookahead: lookaheadOn}, parQ); err != nil {
 			t.Fatal(err)
 		}
 		if seqQ.Found != parQ.Found {
-			t.Errorf("trial %d: reach verdicts disagree: Workers 1 %v, Workers 4 %v",
+			t.Errorf("trial %d: reach verdicts disagree: inline %v, with the helper %v",
 				trial, seqQ.Found, parQ.Found)
 		}
 		if seqQ.Found {
 			assertTraceValid(t, c, seqQ.Trace)
 			assertTraceValid(t, c, parQ.Trace)
 			if !pred(parQ.Trace[len(parQ.Trace)-1].State) {
-				t.Errorf("trial %d: Workers 4 witness does not end in the target", trial)
+				t.Errorf("trial %d: the helper's witness does not end in the target", trial)
 			}
 			sameTrace(t, fmt.Sprintf("trial %d witness", trial), parQ.Trace, seqQ.Trace)
 		}

@@ -88,8 +88,8 @@ func TestAddDoesNotRetainCallerZone(t *testing.T) {
 // expanding states whose subsumed successors are recycled must never
 // corrupt the admitted ones. The grid exploration revisits many subsumed
 // states, so a single aliasing bug makes the stored count or the supremum
-// drift (caught against the pre-pool oracle values encoded in
-// parallel_test.go as well).
+// drift (caught against the oracle value <=2 that
+// TestQuerySetMatchesDedicatedMethods pins as well).
 func TestSuccessorsSurviveSubsumedSiblingRecycling(t *testing.T) {
 	n, sx, _, busy := buildGrid(t)
 	c, err := NewChecker(n)

@@ -84,9 +84,9 @@ func TestSweepProfilePhasesAndSeries(t *testing.T) {
 	}
 }
 
-// TestSweepProfileParallel checks the profile of a run at Workers 4 with the
-// lookahead helper forced on: one series, samples in it, the steal and
-// contention totals at zero, and totals equal to the Workers: 1 run's.
+// TestSweepProfileParallel checks the profile of a run with the lookahead
+// helper forced on: one series, samples in it, the steal and contention
+// totals at zero, and totals equal to the inline run's.
 func TestSweepProfileParallel(t *testing.T) {
 	n, _, _, _ := buildGrid(t)
 	c, err := NewChecker(n)
@@ -99,7 +99,7 @@ func TestSweepProfileParallel(t *testing.T) {
 	}
 	mon := &Monitor{}
 	mon.EnableProfile(ProfileConfig{SampleEvery: 1})
-	if _, err := c.Explore(Options{Workers: 4, Monitor: mon, lookahead: lookaheadOn}, nil); err != nil {
+	if _, err := c.Explore(Options{Monitor: mon, lookahead: lookaheadOn}, nil); err != nil {
 		t.Fatal(err)
 	}
 	p := mon.Profile()
@@ -117,7 +117,7 @@ func TestSweepProfileParallel(t *testing.T) {
 	}
 	if p.Totals.Stored != int64(seq.Stored) || p.Totals.Popped != int64(seq.Popped) ||
 		p.Totals.Transitions != int64(seq.Transitions) {
-		t.Errorf("profile totals %+v, Workers: 1 stats %v", p.Totals, seq.Stats)
+		t.Errorf("profile totals %+v, inline stats %v", p.Totals, seq.Stats)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestProfileScrapeDuringSweep(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Explore(Options{Workers: 4, Monitor: mon, lookahead: lookaheadOn}, nil); err != nil {
+		if _, err := c.Explore(Options{Monitor: mon, lookahead: lookaheadOn}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -101,15 +101,6 @@ func cloneState(s *State) *State {
 	return ns
 }
 
-// completionTrace replays the trace to the query's completing state, when
-// parent logging was on.
-func (qs *queryState) completionTrace(c *Checker, logs *parentLogs) ([]TraceStep, error) {
-	if logs == nil || qs.ref == noRef {
-		return nil, nil
-	}
-	return c.replayTrace(logs, qs.ref)
-}
-
 // ReachQuery asks whether a state satisfying Pred is reachable; it completes
 // at the first match with a witness trace.
 type ReachQuery struct {
@@ -141,14 +132,17 @@ func (q *ReachQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
 	q.Found = q.qs.done
 	q.FoundState = q.qs.found
 	var err error
-	q.Trace, err = q.qs.completionTrace(c, logs)
+	q.Trace, err = c.replayTrace(logs, q.qs.ref)
 	return err
 }
 
 // SupClockQuery computes the supremum of Clock over every reachable state
 // satisfying Cond (the single-pass WCRT measurement). It completes early
 // only when the clock is extrapolated to infinity — nothing larger can be
-// learned — recording a witness to the first unbounded state.
+// learned — recording a witness to the first unbounded state. With Witness
+// set, a bounded result carries a witness too: the trace to the first
+// admitted state whose clock bound is the supremum, replayed from the same
+// sweep's parent log.
 //
 // It replaces the paper's binary search over Property 1: because an
 // observer's "seen" location is committed, no delay is folded into those
@@ -160,6 +154,10 @@ func (q *ReachQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
 type SupClockQuery struct {
 	Clock ta.ClockID
 	Cond  func(*State) bool
+	// Witness asks for a bounded result's witness. It is opt-in because the
+	// replay re-fires the path and materializes a state per step; an
+	// unbounded result always carries its witness.
+	Witness bool
 
 	// Result carries the supremum; its Stats are the shared exploration
 	// effort of the whole query set.
@@ -184,7 +182,7 @@ func (q *SupClockQuery) visit(s *State) bool {
 		return true // nothing larger can be learned; complete with a witness
 	}
 	if b > q.acc.max {
-		q.acc.max = b
+		q.acc.max, q.acc.ref = b, s.ref
 	}
 	return false
 }
@@ -193,17 +191,15 @@ func (q *SupClockQuery) onDeadlock(*State) bool { return false }
 func (q *SupClockQuery) state() *queryState     { return &q.qs }
 
 func (q *SupClockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
-	out := SupResult{Max: q.acc.max, Stats: stats, Seen: q.acc.seen}
-	if q.qs.done {
-		out.Seen = true
-		out.Unbounded = true
-		var err error
-		if out.Witness, err = q.qs.completionTrace(c, logs); err != nil {
-			return err
-		}
+	done := q.qs.done
+	q.Result = SupResult{Stats: stats, Seen: q.acc.seen || done, Max: q.acc.max, Unbounded: done}
+	ref := q.qs.ref // the first unbounded state's, or noRef
+	if q.Witness && q.acc.seen && !done {
+		ref = q.acc.ref
 	}
-	q.Result = out
-	return nil
+	var err error
+	q.Result.Witness, err = c.replayTrace(logs, ref)
+	return err
 }
 
 // DeadlockQuery asks whether any reachable state deadlocks; it completes at
@@ -230,7 +226,7 @@ func (q *DeadlockQuery) state() *queryState     { return &q.qs }
 func (q *DeadlockQuery) finish(c *Checker, logs *parentLogs, stats Stats) error {
 	q.Result = DeadlockResult{Stats: stats, Free: stats.Deadlocks == 0}
 	var err error
-	q.Result.Witness, err = q.qs.completionTrace(c, logs)
+	q.Result.Witness, err = c.replayTrace(logs, q.qs.ref)
 	return err
 }
 

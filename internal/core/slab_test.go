@@ -107,8 +107,8 @@ func cloneTrace(tr []TraceStep) []*State {
 
 // TestResultsSurviveLaterSweeps is the ownership test for recycled slabs:
 // what one sweep returns — FoundState, witness TraceStep zones, SupResult —
-// must not change when later sweeps of other dimensions and worker counts
-// take over the memory the first one ran in.
+// must not change when later sweeps of other dimensions, with and without
+// the lookahead helper, take over the memory the first one ran in.
 func TestResultsSurviveLaterSweeps(t *testing.T) {
 	grid, _, _, busy := buildGrid(t)
 	c, err := NewChecker(grid)
@@ -120,11 +120,12 @@ func TestResultsSurviveLaterSweeps(t *testing.T) {
 		opts Options
 	}{
 		{testRadioNet(t), Options{}},
-		{testDiagNet(t), Options{Workers: 4}},
-		{grid, Options{Workers: 2}},
+		{testDiagNet(t), Options{lookahead: lookaheadOn}},
+		{grid, Options{}},
 		{grid, Options{Order: DFS}},
 	}
-	for _, opts := range []Options{{}, {Workers: 4}} {
+	for _, m := range lookaheadModes {
+		opts := Options{lookahead: m}
 		k := gridResults(t, c, busy, opts)
 		k.check(t, c, busy)
 		found, trace, witness, sup := cloneState(k.found), cloneTrace(k.trace), cloneTrace(k.witness), k.sup
@@ -141,20 +142,20 @@ func TestResultsSurviveLaterSweeps(t *testing.T) {
 
 		k.check(t, c, busy)
 		if !sameState(k.found, found) {
-			t.Errorf("workers=%d: FoundState changed under later sweeps", opts.Workers)
+			t.Errorf("lookahead=%d: FoundState changed under later sweeps", m)
 		}
 		for i := range trace {
 			if !sameState(k.trace[i].State, trace[i]) {
-				t.Errorf("workers=%d: trace step %d changed under later sweeps", opts.Workers, i)
+				t.Errorf("lookahead=%d: trace step %d changed under later sweeps", m, i)
 			}
 		}
 		for i := range witness {
 			if !sameState(k.witness[i].State, witness[i]) {
-				t.Errorf("workers=%d: witness step %d changed under later sweeps", opts.Workers, i)
+				t.Errorf("lookahead=%d: witness step %d changed under later sweeps", m, i)
 			}
 		}
 		if k.sup.Max != sup.Max || k.sup.Seen != sup.Seen || k.sup.Unbounded != sup.Unbounded {
-			t.Errorf("workers=%d: SupResult changed under later sweeps", opts.Workers)
+			t.Errorf("lookahead=%d: SupResult changed under later sweeps", m)
 		}
 	}
 }
@@ -204,8 +205,8 @@ func TestPoisonCatchesRetainedZone(t *testing.T) {
 
 // TestSlabsRecycleAcrossConcurrentSweeps is the -race stress for the slab
 // set and the process-wide cache: sweeps of different dimension run back to
-// back on several goroutines at once (as taserved jobs do), at several worker
-// counts and with the lookahead helper forced on at every other one, so the
+// back on several goroutines at once (as taserved jobs do), with the
+// lookahead helper forced on at every other one, so the
 // loops' and helpers' pools and the stores' compact pools carve from one set
 // concurrently while other sweeps release theirs. Every sweep must reproduce
 // the oracle of its network exactly, and every witness must replay once all
@@ -244,25 +245,25 @@ func TestSlabsRecycleAcrossConcurrentSweeps(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(nets)
-				workers := []int{1, 2, 4}[(g+2*r)%3]
+				m := lookaheadModes[(g+r)%2]
 				c, err := NewChecker(nets[i])
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				res, err := c.Explore(Options{Workers: workers, Seed: int64(r), lookahead: helperAt(workers)}, nil)
+				res, err := c.Explore(Options{Seed: int64(r), lookahead: m}, nil)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if res.Stored != want[i] {
-					t.Errorf("goroutine %d round %d: %s with %d workers stored %d, want %d",
-						g, r, nets[i].Name, workers, res.Stored, want[i])
+					t.Errorf("goroutine %d round %d: %s with lookahead mode %d stored %d, want %d",
+						g, r, nets[i].Name, m, res.Stored, want[i])
 				}
 				if i != 0 {
 					continue
 				}
-				w, err := c.Explore(Options{Workers: workers}, func(s *State) bool { return s.Locs[3] == busy })
+				w, err := c.Explore(Options{lookahead: m}, func(s *State) bool { return s.Locs[3] == busy })
 				if err != nil || !w.Found {
 					t.Errorf("goroutine %d round %d: witness search on the grid: found=%v, err=%v", g, r, w.Found, err)
 					return

@@ -6,9 +6,9 @@
 // (breadth-first, depth-first, randomized depth-first), a passed-state store
 // with zone-inclusion subsumption, maximal-constant extrapolation, safety
 // checking of properties of the form AG p with counterexample traces, and
-// worst-case response time computation both as a single-pass clock supremum
-// and via the paper's binary-search strategy over AG(seen → y < C)
-// (Property 1).
+// worst-case response time computation as a single-pass clock supremum
+// (SupClockQuery), which replaces the paper's binary search over
+// AG(seen → y < C) (Property 1) and can replay the run that attains it.
 package core
 
 import (

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the trace-replay oracle: every counterexample or witness a
-// query returns — inline, and at Workers 4 with the lookahead helper firing
+// query returns — inline, and with the lookahead helper firing
 // successors — is re-fired through the successor engine, asserting that each
 // step is an enabled transition of its predecessor and that the path ends in
 // the state the query stopped on; and the two runs must return the same
@@ -111,7 +111,7 @@ func assertDeadlocked(t *testing.T, c *Checker, trace []TraceStep) {
 }
 
 // TestSafetyCounterexampleReplaysBothEngines runs the same violated safety
-// property inline and at Workers 4 with the helper on: both verdicts must
+// property inline and with the helper on: both verdicts must
 // agree, both counterexamples must replay, and they must be one trace.
 func TestSafetyCounterexampleReplaysBothEngines(t *testing.T) {
 	n, _, _, _ := buildGrid(t)
@@ -128,7 +128,7 @@ func TestSafetyCounterexampleReplaysBothEngines(t *testing.T) {
 		opts Options
 	}{
 		{"sequential", Options{}},
-		{"workers=4", Options{Workers: 4, lookahead: lookaheadOn}},
+		{"lookahead", Options{lookahead: lookaheadOn}},
 	} {
 		q := NewReachQuery(violates)
 		if _, err := c.RunQueries(tc.opts, q); err != nil {
@@ -148,18 +148,18 @@ func TestSafetyCounterexampleReplaysBothEngines(t *testing.T) {
 			t.Errorf("%s: counterexample does not end in a violating state", tc.name)
 		}
 	}
-	if verdicts["sequential"] != verdicts["workers=4"] {
-		t.Errorf("verdicts disagree: sequential=%v workers=4 %v",
-			verdicts["sequential"], verdicts["workers=4"])
+	if verdicts["sequential"] != verdicts["lookahead"] {
+		t.Errorf("verdicts disagree: sequential=%v lookahead=%v",
+			verdicts["sequential"], verdicts["lookahead"])
 	}
-	sameTrace(t, "workers=4 counterexample", traces[1], traces[0])
+	sameTrace(t, "lookahead counterexample", traces[1], traces[0])
 	if verdicts["sequential"] {
 		t.Error("rec reaches 2 in the grid; property must be violated")
 	}
 }
 
 // TestReachableWitnessReplaysBothEngines compares a ReachQuery inline and at
-// Workers 4 with the helper on, replays both witnesses and requires them to
+// with the helper on, replays both witnesses and requires them to
 // be one trace.
 func TestReachableWitnessReplaysBothEngines(t *testing.T) {
 	n, _, _, busy := buildGrid(t)
@@ -174,7 +174,7 @@ func TestReachableWitnessReplaysBothEngines(t *testing.T) {
 		opts Options
 	}{
 		{"sequential", Options{}},
-		{"workers=4", Options{Workers: 4, lookahead: lookaheadOn}},
+		{"lookahead", Options{lookahead: lookaheadOn}},
 	} {
 		q := NewReachQuery(atBusy)
 		if _, err := c.RunQueries(tc.opts, q); err != nil {
@@ -192,12 +192,12 @@ func TestReachableWitnessReplaysBothEngines(t *testing.T) {
 		}
 		traces = append(traces, q.Trace)
 	}
-	sameTrace(t, "workers=4 witness", traces[1], traces[0])
+	sameTrace(t, "lookahead witness", traces[1], traces[0])
 }
 
 // TestSupClockUnboundedWitnessReplaysBothEngines drives the one SupClockQuery
 // case that stops with a witness — an extrapolated-to-infinity clock —
-// inline and at Workers 4 with the helper on; the witnesses must be one
+// inline and with the helper on; the witnesses must be one
 // trace. The grid's y clock is never reset, so its supremum at any
 // busy state lies beyond the horizon.
 func TestSupClockUnboundedWitnessReplaysBothEngines(t *testing.T) {
@@ -217,7 +217,7 @@ func TestSupClockUnboundedWitnessReplaysBothEngines(t *testing.T) {
 		opts Options
 	}{
 		{"sequential", Options{}},
-		{"workers=4", Options{Workers: 4, lookahead: lookaheadOn}},
+		{"lookahead", Options{lookahead: lookaheadOn}},
 	} {
 		q := NewSupClockQuery(y.ID, atBusy)
 		if _, err := c.RunQueries(tc.opts, q); err != nil {
@@ -238,11 +238,11 @@ func TestSupClockUnboundedWitnessReplaysBothEngines(t *testing.T) {
 		}
 		traces = append(traces, sup.Witness)
 	}
-	sameTrace(t, "workers=4 witness", traces[1], traces[0])
+	sameTrace(t, "lookahead witness", traces[1], traces[0])
 }
 
 // TestDeadlockWitnessReplaysBothEngines compares a DeadlockQuery inline and
-// at Workers 4 with the helper on, on a deadlocking model, replays both
+// with the helper on, on a deadlocking model, replays both
 // witnesses and requires them to be one trace.
 func TestDeadlockWitnessReplaysBothEngines(t *testing.T) {
 	n := ta.NewNetwork("dead")
@@ -264,7 +264,7 @@ func TestDeadlockWitnessReplaysBothEngines(t *testing.T) {
 		opts Options
 	}{
 		{"sequential", Options{}},
-		{"workers=4", Options{Workers: 4, lookahead: lookaheadOn}},
+		{"lookahead", Options{lookahead: lookaheadOn}},
 	} {
 		q := NewDeadlockQuery()
 		if _, err := c.RunQueries(tc.opts, q); err != nil {
@@ -281,12 +281,12 @@ func TestDeadlockWitnessReplaysBothEngines(t *testing.T) {
 		assertDeadlocked(t, c, res.Witness)
 		traces = append(traces, res.Witness)
 	}
-	sameTrace(t, "workers=4 witness", traces[1], traces[0])
+	sameTrace(t, "lookahead witness", traces[1], traces[0])
 }
 
 // TestParallelTraceStressReplays hammers the trace machinery with the
-// lookahead helper on: many rounds at several worker counts, every returned
-// trace replayed and equal to the inline run's. Together with -race this
+// lookahead helper on: many rounds, every returned trace replayed and equal
+// to the inline run's. Together with -race this
 // exercises parent-log appends beside the helper's reads.
 func TestParallelTraceStressReplays(t *testing.T) {
 	n, _, _, busy := buildGrid(t)
@@ -306,19 +306,17 @@ func TestParallelTraceStressReplays(t *testing.T) {
 		rounds = 2
 	}
 	for r := 0; r < rounds; r++ {
-		for _, workers := range []int{2, 4, 8} {
-			q := NewReachQuery(deep)
-			if _, err := c.RunQueries(Options{Seed: int64(r), Workers: workers, lookahead: lookaheadOn}, q); err != nil {
-				t.Fatal(err)
-			}
-			sameTrace(t, fmt.Sprintf("round %d workers %d", r, workers), q.Trace, inline.Trace)
-			if !q.Found || len(q.Trace) == 0 {
-				t.Fatalf("round %d workers %d: deep state must be reachable with a trace", r, workers)
-			}
-			assertTraceValid(t, c, q.Trace)
-			if !deep(q.Trace[len(q.Trace)-1].State) {
-				t.Errorf("round %d workers %d: trace does not end in the target", r, workers)
-			}
+		q := NewReachQuery(deep)
+		if _, err := c.RunQueries(Options{Seed: int64(r), lookahead: lookaheadOn}, q); err != nil {
+			t.Fatal(err)
+		}
+		sameTrace(t, fmt.Sprintf("round %d", r), q.Trace, inline.Trace)
+		if !q.Found || len(q.Trace) == 0 {
+			t.Fatalf("round %d: deep state must be reachable with a trace", r)
+		}
+		assertTraceValid(t, c, q.Trace)
+		if !deep(q.Trace[len(q.Trace)-1].State) {
+			t.Errorf("round %d: trace does not end in the target", r)
 		}
 	}
 }

@@ -270,7 +270,7 @@ func TestLiveEqualsStoredWithoutPrunes(t *testing.T) {
 // beside a payload being read, and the entry's other fields written beside
 // the key being decoded). A holderSpy around the shadow requires every pop
 // to rebuild the state that was admitted, orphans included, and the
-// reduction and the Stats must equal the inline run's, at Workers 1 and 4.
+// reduction and the Stats must equal the inline run's.
 func TestWaitingStatesParallel(t *testing.T) {
 	n := buildWidening(t, 12)
 	c, err := NewChecker(n)
@@ -287,23 +287,21 @@ func TestWaitingStatesParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq := seqQ.Result
-	for _, workers := range []int{1, 4} {
-		sh := &shadowStore{fast: newStore(nil, &c.eng.bounds, &c.eng.keys), ref: newRefStore(&c.eng.bounds, &c.eng.keys)}
-		spy := newHolderSpy(sh)
-		parQ := NewSupClockQuery(x.ID, atEnd)
-		if _, err := c.RunQueries(Options{Workers: workers, passed: spy, lookahead: lookaheadOn}, parQ); err != nil {
-			t.Fatal(err)
-		}
-		par := parQ.Result
-		what := fmt.Sprintf("%d workers", workers)
-		spy.checkPops(t, what, par.Popped)
-		if d := sh.disagreements.Load(); d != 0 {
-			t.Errorf("%s: %d admission decisions diverged from the reference", what, d)
-		}
-		if par.Max != seq.Max || par.Seen != seq.Seen || par.Unbounded != seq.Unbounded || !sameStats(par.Stats, seq.Stats) {
-			t.Errorf("%s: sup (%v,%v,%v) %v, inline (%v,%v,%v) %v", what,
-				par.Max, par.Seen, par.Unbounded, par.Stats, seq.Max, seq.Seen, seq.Unbounded, seq.Stats)
-		}
+	sh := &shadowStore{fast: newStore(nil, &c.eng.bounds, &c.eng.keys), ref: newRefStore(&c.eng.bounds, &c.eng.keys)}
+	spy := newHolderSpy(sh)
+	parQ := NewSupClockQuery(x.ID, atEnd)
+	if _, err := c.RunQueries(Options{passed: spy, lookahead: lookaheadOn}, parQ); err != nil {
+		t.Fatal(err)
+	}
+	par := parQ.Result
+	what := "lookahead"
+	spy.checkPops(t, what, par.Popped)
+	if d := sh.disagreements.Load(); d != 0 {
+		t.Errorf("%s: %d admission decisions diverged from the reference", what, d)
+	}
+	if par.Max != seq.Max || par.Seen != seq.Seen || par.Unbounded != seq.Unbounded || !sameStats(par.Stats, seq.Stats) {
+		t.Errorf("%s: sup (%v,%v,%v) %v, inline (%v,%v,%v) %v", what,
+			par.Max, par.Seen, par.Unbounded, par.Stats, seq.Max, seq.Seen, seq.Unbounded, seq.Stats)
 	}
 }
 

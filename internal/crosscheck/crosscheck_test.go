@@ -80,7 +80,7 @@ func TestCrossEngineAgreement(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, req.Name, err)
 			}
-			all, err := cs.Analyze(core.Options{MaxStates: 400_000})
+			all, err := cs.AnalyzeTraced(core.Options{MaxStates: 400_000})
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, req.Name, err)
 			}
@@ -122,7 +122,7 @@ func TestCrossEngineAgreement(t *testing.T) {
 // engages its lookahead helper after its first 1,024 expansions when
 // GOMAXPROCS allows two goroutines to run (internal/core, "Lookahead"), so
 // the two runs of every sweep long enough differ exactly in the helper: the
-// wire bytes and every witness trace must be equal.
+// wire bytes and every witness trace from the traced sweep must be equal.
 func TestLookaheadAgreesOnRandomSystems(t *testing.T) {
 	if testing.Short() {
 		t.Skip("random-system sweeps are slow")
@@ -139,7 +139,7 @@ func TestLookaheadAgreesOnRandomSystems(t *testing.T) {
 		var verdicts [2]string
 		for i, procs := range []int{1, 2} {
 			runtime.GOMAXPROCS(procs)
-			all, err := cs.Analyze(core.Options{MaxStates: 400_000})
+			all, err := cs.AnalyzeTraced(core.Options{MaxStates: 400_000})
 			if err != nil {
 				t.Fatalf("trial %d, GOMAXPROCS %d: %v", trial, procs, err)
 			}
@@ -153,15 +153,8 @@ func TestLookaheadAgreesOnRandomSystems(t *testing.T) {
 				t.Fatal(err)
 			}
 			verdicts[i] = string(data)
-			for j, res := range all.Results {
-				if !res.Exact {
-					continue
-				}
-				trace, err := cs.Witness(j, res, core.Options{})
-				if err != nil {
-					t.Fatalf("trial %d, GOMAXPROCS %d, witness %d: %v", trial, procs, j, err)
-				}
-				verdicts[i] += trace
+			for _, res := range all.Results {
+				verdicts[i] += core.FormatTrace(cs.Net, res.Witness)
 			}
 		}
 		if verdicts[0] != verdicts[1] {

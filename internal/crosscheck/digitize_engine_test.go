@@ -12,7 +12,7 @@ import (
 
 // TestZoneEngineMatchesDigitalReferee checks the zone engine against the
 // discrete-time referee (digitize_test.go) on 400 generated closed networks,
-// at Workers 1 and 4, breadth- and depth-first. One RunQueries sweep per run
+// breadth- and depth-first. One RunQueries sweep per run
 // carries a reach query that records every admitted state and never
 // completes — so the sweep is exhaustive — and one supremum query per
 // (process, location, clock). The reachable discrete states must be the
@@ -35,11 +35,9 @@ func TestZoneEngineMatchesDigitalReferee(t *testing.T) {
 	for i := 0; i < nets; i++ {
 		net := genClosedNet(r, i, false)
 		want := digitalReach(net, refHorizon)
-		for _, workers := range []int{1, 4} {
-			for _, order := range []core.Order{core.BFS, core.DFS} {
-				what := fmt.Sprintf("%s, workers=%d, %s", net.Name, workers, order)
-				compareWithReferee(t, what, net, want, core.Options{Workers: workers, Order: order})
-			}
+		for _, order := range []core.Order{core.BFS, core.DFS} {
+			what := fmt.Sprintf("%s, %s", net.Name, order)
+			compareWithReferee(t, what, net, want, core.Options{Order: order})
 		}
 		if t.Failed() {
 			t.Fatalf("first failing network:\n%s", net.String())

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/core"
+	"repro/internal/dbm"
 	"repro/internal/rtc"
 	"repro/internal/sim"
 	"repro/internal/symta"
@@ -271,6 +272,69 @@ func TestIndependentScenario(t *testing.T) {
 				}
 				if g != want {
 					t.Errorf("%s = %s, want %s", key, g, want)
+				}
+			}
+		})
+	}
+}
+
+// TestObserverIndependence is relation R6 on every metaCase: for each
+// requirement, the batched sweep (one observer per requirement in one
+// network) and a sweep of the requirement compiled alone agree on the WCRT
+// and on the attained, exact and beyond-horizon flags. Observers are pure
+// listeners, and this is what makes a witness taken from the batch network's
+// sweep a witness of each requirement's WCRT: every batch result's witness
+// must end in its observer's seen location with the observer clock's upper
+// bound at the WCRT, strictness included. State counts are logged, not
+// asserted: every observer adds a clock to the product.
+func TestObserverIndependence(t *testing.T) {
+	for _, c := range metaCases() {
+		t.Run(c.name, func(t *testing.T) {
+			sys, reqs := c.build(t)
+			copts := arch.Options{HorizonMS: c.horizon}
+			cs, err := arch.CompileAll(sys, reqs, copts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := cs.AnalyzeTraced(core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("batch: %s", all.Stats)
+			for i, req := range reqs {
+				one, err := arch.CompileAll(sys, []*arch.Requirement{req}, copts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				alone, err := one.Analyze(core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Logf("%s alone: %s", req.Name, alone.Stats)
+				got, want := all.Results[i], alone.Results[0]
+				if got.MS.Cmp(want.MS) != 0 || got.Attained != want.Attained ||
+					got.Exact != want.Exact || got.BeyondHorizon != want.BeyondHorizon {
+					t.Errorf("%s: batch %s (att=%v exact=%v beyond=%v), alone %s (att=%v exact=%v beyond=%v)",
+						req.Name, got.MS.RatString(), got.Attained, got.Exact, got.BeyondHorizon,
+						want.MS.RatString(), want.Attained, want.Exact, want.BeyondHorizon)
+				}
+				if len(got.Witness) == 0 {
+					t.Fatalf("%s: the traced batch sweep gave no witness", req.Name)
+				}
+				bound := dbm.Infinity
+				if !got.BeyondHorizon {
+					units := new(big.Rat).Mul(got.MS, new(big.Rat).SetInt(cs.Scale))
+					if !units.IsInt() {
+						t.Fatalf("%s: %s ms is not whole model time units", req.Name, got.MS.RatString())
+					}
+					if bound = dbm.LT(units.Num().Int64()); got.Attained {
+						bound = dbm.LE(units.Num().Int64())
+					}
+				}
+				last := got.Witness[len(got.Witness)-1].State
+				if y := last.Zone.Sup(int(cs.Obs[i].Y.ID)); !cs.AtSeen(i)(last) || y != bound {
+					t.Errorf("%s: witness ends seen=%v with the observer clock at %v, want seen at %v",
+						req.Name, cs.AtSeen(i)(last), y, bound)
 				}
 			}
 		})

@@ -24,47 +24,62 @@ import (
 // combination, the exhaustively tractable half of Table 1.
 var alReqNames = []string{ReqHandleTMC, ReqAddressLookup}
 
-// TestAnalyzeAllMatchesPerRequirementCells compares the batch compilation
-// against each requirement compiled alone on the exhaustive ComboAL columns,
-// sequentially and with Workers > 1 (run under -race by CI), and asserts the
-// one-exploration invariant through the shared Stats.
+// TestAnalyzeAllMatchesPerRequirementCells is observer independence on the
+// case study's exhaustive groups (AL·po, AL·pno, AL·sp, CV·po): the batch
+// compilation and each requirement compiled alone agree on the WCRT and on
+// the attained, exact and beyond-horizon flags, which is what makes a
+// witness from the batch network a witness of each requirement's WCRT. It
+// asserts the one-exploration invariant through the shared Stats and logs
+// the state counts of every sweep.
 func TestAnalyzeAllMatchesPerRequirementCells(t *testing.T) {
-	for _, col := range []Column{ColPO, ColPNO} {
-		sys, reqs := Build(ComboAL, col, DefaultConfig())
-		ordered := []*arch.Requirement{reqs[ReqHandleTMC], reqs[ReqAddressLookup]}
+	groups := []struct {
+		combo Combo
+		col   Column
+		names []string
+	}{
+		{ComboAL, ColPO, alReqNames},
+		{ComboAL, ColPNO, alReqNames},
+		{ComboAL, ColSP, alReqNames},
+		{ComboCV, ColPO, cvReqNames},
+	}
+	for _, g := range groups {
+		sys, reqs := Build(g.combo, g.col, DefaultConfig())
+		ordered := make([]*arch.Requirement, len(g.names))
+		for i, n := range g.names {
+			ordered[i] = reqs[n]
+		}
 		cs, err := arch.CompileAll(sys, ordered, arch.Options{HorizonMSFor: batchHorizons})
 		if err != nil {
-			t.Fatalf("col %v: %v", col, err)
+			t.Fatalf("%v %v: %v", g.combo, g.col, err)
 		}
-		for _, workers := range []int{1, 3} {
-			opts := core.Options{Workers: workers}
-			all, err := cs.Analyze(opts)
+		all, err := cs.Analyze(core.Options{})
+		if err != nil {
+			t.Fatalf("%v %v: %v", g.combo, g.col, err)
+		}
+		t.Logf("%v %v batch: %s", g.combo, g.col, all.Stats)
+		for i, req := range ordered {
+			one, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMSFor: batchHorizons})
 			if err != nil {
-				t.Fatalf("col %v workers %d: %v", col, workers, err)
+				t.Fatalf("%v %v: compile %s alone: %v", g.combo, g.col, req.Name, err)
 			}
-			for i, req := range ordered {
-				one, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMSFor: batchHorizons})
-				if err != nil {
-					t.Fatalf("col %v: compile %s alone: %v", col, req.Name, err)
-				}
-				alone, err := one.Analyze(opts)
-				if err != nil {
-					t.Fatalf("col %v: analyze %s alone: %v", col, req.Name, err)
-				}
-				single := alone.Results[0]
-				got := all.Results[i]
-				if got.MS.Cmp(single.MS) != 0 || got.Attained != single.Attained ||
-					got.Exact != single.Exact || got.BeyondHorizon != single.BeyondHorizon {
-					t.Errorf("col %v workers %d: batch %s = %s (att=%v exact=%v) != per-requirement %s (att=%v exact=%v)",
-						col, workers, req.Name, got.MS.FloatString(3), got.Attained, got.Exact,
-						single.MS.FloatString(3), single.Attained, single.Exact)
-				}
-				// Exactly one exploration: every result carries the shared
-				// sweep's stats, not its own.
-				if got.Stats != all.Stats {
-					t.Errorf("col %v: %s carries stats %+v != shared sweep %+v — more than one exploration?",
-						col, req.Name, got.Stats, all.Stats)
-				}
+			alone, err := one.Analyze(core.Options{})
+			if err != nil {
+				t.Fatalf("%v %v: analyze %s alone: %v", g.combo, g.col, req.Name, err)
+			}
+			single := alone.Results[0]
+			got := all.Results[i]
+			t.Logf("%v %v %s alone: %s", g.combo, g.col, req.Name, alone.Stats)
+			if got.MS.Cmp(single.MS) != 0 || got.Attained != single.Attained ||
+				got.Exact != single.Exact || got.BeyondHorizon != single.BeyondHorizon {
+				t.Errorf("%v %v: batch %s = %s (att=%v exact=%v beyond=%v) != per-requirement %s (att=%v exact=%v beyond=%v)",
+					g.combo, g.col, req.Name, got.MS.FloatString(3), got.Attained, got.Exact, got.BeyondHorizon,
+					single.MS.FloatString(3), single.Attained, single.Exact, single.BeyondHorizon)
+			}
+			// Exactly one exploration: every result carries the shared
+			// sweep's stats, not its own.
+			if got.Stats != all.Stats {
+				t.Errorf("%v %v: %s carries stats %+v != shared sweep %+v — more than one exploration?",
+					g.combo, g.col, req.Name, got.Stats, all.Stats)
 			}
 		}
 	}
@@ -85,11 +100,11 @@ func TestBatchCellsReproducePaperValues(t *testing.T) {
 	}
 }
 
-// TestBatchWitnessFromSharedNetwork materializes a critical-instant trace
-// for one requirement directly on the shared multi-observer network: a seen
-// state of that requirement's observer reaching the batch-computed bound
-// must be reachable, with a replay-valid trace — the batch network preserves
-// each observer's measurements, traces included.
+// TestBatchWitnessFromSharedNetwork takes a critical-instant trace for one
+// requirement from the sweep of the shared multi-observer network: it ends
+// in a seen state of that requirement's observer whose clock's upper bound
+// is the batch-computed bound — the batch network preserves each observer's
+// measurements, traces included.
 func TestBatchWitnessFromSharedNetwork(t *testing.T) {
 	sys, reqs := Build(ComboAL, ColPO, DefaultConfig())
 	ordered := []*arch.Requirement{reqs[ReqHandleTMC], reqs[ReqAddressLookup]}
@@ -97,34 +112,21 @@ func TestBatchWitnessFromSharedNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := cs.Analyze(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checker, err := core.NewChecker(cs.Net)
+	all, err := cs.AnalyzeTraced(core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// AddressLookup's bound in model units on the shared scale.
 	res := all.Results[1]
 	bound := new(big.Rat).Mul(res.MS, new(big.Rat).SetInt(cs.Scale))
-	if !bound.IsInt() {
-		t.Fatalf("bound %s not integral in model units", res.MS.RatString())
+	if !bound.IsInt() || !res.Attained {
+		t.Fatalf("bound %s (attained=%v) not an attained whole number of model units", res.MS.RatString(), res.Attained)
 	}
-	v := bound.Num().Int64()
-	atSeen := cs.AtSeen(1)
-	yID := int(cs.Obs[1].Y.ID)
-	q := core.NewReachQuery(func(s *core.State) bool {
-		return atSeen(s) && s.Zone.Sup(yID) >= dbm.LE(v)
-	})
-	if _, err := checker.RunQueries(core.Options{}, q); err != nil {
-		t.Fatal(err)
+	if len(res.Witness) == 0 {
+		t.Fatal("the batch-computed WCRT must come with its witness")
 	}
-	if !q.Found || len(q.Trace) == 0 {
-		t.Fatal("the batch-computed WCRT must be realizable on the shared network")
-	}
-	last := q.Trace[len(q.Trace)-1].State
-	if !atSeen(last) || last.Zone.Sup(yID) < dbm.LE(v) {
+	last := res.Witness[len(res.Witness)-1].State
+	if !cs.AtSeen(1)(last) || last.Zone.Sup(int(cs.Obs[1].Y.ID)) != dbm.LE(bound.Num().Int64()) {
 		t.Error("witness does not end in a seen state attaining the bound")
 	}
 }

@@ -303,31 +303,55 @@ func TestVerifyDeadlineViolationHasTrace(t *testing.T) {
 }
 
 // TestWitnessTraceForCheapCell drives what `icrns -cell ... -witness` runs:
-// the cell, then a trace realizing its result. That is two explorations —
-// the witness search does not measure the cell again.
+// the cell and a trace realizing its result, both from the cell's one
+// exploration.
 func TestWitnessTraceForCheapCell(t *testing.T) {
 	mon := &core.Monitor{}
 	mon.EnableProfile(core.ProfileConfig{})
 	opts := CellOptions{Cfg: DefaultConfig(), Monitor: mon}
-	cells, err := Cells(ComboAL, ColPO, []string{ReqAddressLookup}, opts)
+	res, trace, err := Witness(Table1Rows[4], ColPO, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := cells[ReqAddressLookup]
-	if res.MS.FloatString(3) != "79.076" {
-		t.Errorf("cell WCRT = %s, want 79.076", res.MS.FloatString(3))
-	}
-	trace, err := Witness(Table1Rows[4], ColPO, res, opts)
-	if err != nil {
-		t.Fatal(err)
+	if res.MS.FloatString(3) != "79.076" || !res.Exact {
+		t.Errorf("cell WCRT = %s, want 79.076", res)
 	}
 	for _, step := range []string{"HandleKeyPress", "DatabaseLookup", "UpdateScreen", "OBS.watch->seen"} {
 		if !strings.Contains(trace, step) {
 			t.Errorf("critical-instant trace missing %q", step)
 		}
 	}
-	if explorations := exploreSpans(mon); explorations != 2 {
-		t.Errorf("cell plus witness ran %d explorations, want 2", explorations)
+	if explorations := exploreSpans(mon); explorations != 1 {
+		t.Errorf("cell with its witness ran %d explorations, want 1", explorations)
+	}
+}
+
+// TestWitnessTraceForTruncatedCell: a "> bound" cell gets a trace too, from
+// the run its lower bound came from. CV·pno's HandleTMC at 20,000 states is
+// truncated under breadth-first search and under its randomized depth-first
+// fallback, and Witness reports the cell Cells reports.
+func TestWitnessTraceForTruncatedCell(t *testing.T) {
+	opts := CellOptions{Cfg: DefaultConfig(), MaxStates: 20000, FallbackStates: 20000, Seed: 1}
+	res, trace, err := Witness(Table1Rows[0], ColPNO, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := Cells(ComboCV, ColPNO, []string{ReqHandleTMC}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := cells[ReqHandleTMC]
+	got, wantStats := res.Stats, want.Stats
+	got.Duration, wantStats.Duration = 0, 0
+	if res.String() != want.String() || got != wantStats {
+		t.Errorf("Witness reports %s (%s), Cells %s (%s)", res, res.Stats, want, want.Stats)
+	}
+	if !strings.HasPrefix(res.String(), "> ") {
+		t.Fatalf("cell = %s, want a lower bound", res)
+	}
+	lines := strings.Split(strings.TrimSpace(trace), "\n")
+	if last := lines[len(lines)-1]; !strings.Contains(last, "OBS.seen") {
+		t.Errorf("trace of %d steps does not end at the observer's seen location: %s", len(lines), last)
 	}
 }
 

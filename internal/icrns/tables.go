@@ -103,26 +103,38 @@ var batchHorizons = func(r *arch.Requirement) int64 { return HorizonMS(r.Name) }
 // truncated too leaves each requirement the larger of its two lower bounds,
 // with the Stats of the run the bound came from.
 func Cells(combo Combo, col Column, reqNames []string, opts CellOptions) (map[string]arch.WCRTResult, error) {
+	_, out, err := cells(combo, col, reqNames, opts, false)
+	return out, err
+}
+
+// cells is Cells with the compiled set kept; traced runs the sweep and its
+// fallback with AnalyzeTraced, so each result carries the trace of the run
+// it came from.
+func cells(combo Combo, col Column, reqNames []string, opts CellOptions, traced bool) (*arch.CompiledSet, map[string]arch.WCRTResult, error) {
 	sys, reqs := Build(combo, col, opts.Cfg)
 	ordered := make([]*arch.Requirement, len(reqNames))
 	for i, name := range reqNames {
 		if ordered[i] = reqs[name]; ordered[i] == nil {
-			return nil, fmt.Errorf("icrns: requirement %s not in combo %v", name, combo)
+			return nil, nil, fmt.Errorf("icrns: requirement %s not in combo %v", name, combo)
 		}
 	}
 	cs, err := arch.CompileAll(sys, ordered, arch.Options{HorizonMSFor: batchHorizons})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	all, err := cs.Analyze(opts.coreOpts())
+	analyze := cs.Analyze
+	if traced {
+		analyze = cs.AnalyzeTraced
+	}
+	all, err := analyze(opts.coreOpts())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	results := all.Results
 	if all.Stats.Truncated && opts.FallbackStates > 0 {
-		fb, err := cs.Analyze(opts.fallbackOpts())
+		fb, err := analyze(opts.fallbackOpts())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if !fb.Stats.Truncated {
 			results = fb.Results
@@ -138,7 +150,7 @@ func Cells(combo Combo, col Column, reqNames []string, opts CellOptions) (map[st
 	for i, req := range ordered {
 		out[req.Name] = results[i]
 	}
-	return out, nil
+	return cs, out, nil
 }
 
 // sweepColumn answers every Table 1 row under col with one Cells call per
@@ -337,22 +349,23 @@ func FormatTable2(t map[Row]map[Table2Tool]string) string {
 	return sb.String()
 }
 
-// Witness returns a critical-instant trace for one Table 1 cell: a symbolic
-// schedule realizing res, the worst-case response time Cells computed for it,
-// at the cost of one more exploration. This is the capability the paper
+// Witness computes one Table 1 cell as Cells does — the same sweep, and the
+// same fallback run when the sweep is truncated — and returns it with its
+// critical-instant trace, replayed from the run the cell's value came from:
+// a symbolic schedule realizing the worst-case response time, or on a
+// "> bound" cell the lower bound. This is the capability the paper
 // highlights — "some results found by simulation could be falsified by
 // showing the counter example from the model checker".
-func Witness(row Row, col Column, res arch.WCRTResult, opts CellOptions) (string, error) {
-	sys, reqs := Build(row.Combo, col, opts.Cfg)
-	req := reqs[row.Req]
-	if req == nil {
-		return "", fmt.Errorf("icrns: requirement %s not in combo %v", row.Req, row.Combo)
-	}
-	cs, err := arch.CompileAll(sys, []*arch.Requirement{req}, arch.Options{HorizonMS: HorizonMS(row.Req)})
+func Witness(row Row, col Column, opts CellOptions) (arch.WCRTResult, string, error) {
+	cs, cells, err := cells(row.Combo, col, []string{row.Req}, opts, true)
 	if err != nil {
-		return "", err
+		return arch.WCRTResult{}, "", err
 	}
-	return cs.Witness(0, res, opts.coreOpts())
+	res := cells[row.Req]
+	if res.Witness == nil {
+		return res, "", fmt.Errorf("icrns: %s under %v: no response was measured, so there is no trace", row.Req, col)
+	}
+	return res, core.FormatTrace(cs.Net, res.Witness), nil
 }
 
 // Deadlines lists the timeliness requirements annotated in the paper's

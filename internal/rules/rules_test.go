@@ -77,6 +77,8 @@ var rules = []rule{
 	{"No workers knob in the service", "jobManager, internal/serve/jobs.go", "internal/serve/api/api.go", code(`Workers`), x + "type SubmitOptions struct{ Workers int }\n"},
 	{"No workers knob in the service", "jobManager, internal/serve/jobs.go", "internal/serve/server.go", count(`Workers`, map[string]int{"jobSpec": 0}), x + "type jobSpec struct{ MaxWorkers int }\n"},
 	{"The engine parses no text", "ta.ParsePred, internal/ta/pred.go", core, code(`"strconv"`), x + "import \"strconv\"\n"},
+	{"One witness mechanism", "SupClockQuery.Witness, internal/core/queryset.go; CompiledSet.AnalyzeTraced, internal/arch/analyze.go", "internal/arch/**.go", code(`func\s*\(\s*\w*\s*\*?CompiledSet\)\s*Witness\(|\breachSeen\b`), x + "func (cs *CompiledSet) Witness(i int) {}\n"},
+	{"One witness mechanism", "a witness job's one traced sweep, bindArch in internal/serve/kinds.go", "internal/serve/**.go", code(`witness unavailable`), x + "var s = \"witness unavailable: \" + err.Error()\n"},
 	{"One abort signal", "core.AbortErr, internal/core/explore.go", "internal/core/search.go", count(`(?m)^\s+(\w+\s*,\s*)*(Cancel|Deadline)\b`, map[string]int{"Options": 0}), x + "type Options struct {\n\tCancel, Stop <-chan struct{}\n}\n"},
 }
 

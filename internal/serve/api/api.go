@@ -79,7 +79,8 @@ type SubmitOptions struct {
 	// error "DeadlineExceeded".
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 	// Witness additionally captures a critical-instant trace per requirement
-	// (arch only; extra explorations) for GET …/trace.
+	// (arch only), replayed from the job's one exploration, for
+	// GET …/trace.
 	Witness bool `json:"witness,omitempty"`
 }
 

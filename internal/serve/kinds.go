@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
@@ -60,10 +59,10 @@ func resolveArch(s *Server, req *SubmitRequest, spec *jobSpec) (any, error) {
 	}
 	spec.HorizonMS, spec.QueueCap = req.Options.HorizonMS, req.Options.QueueCap
 	if spec.HorizonMS == 0 {
-		spec.HorizonMS = 2000
+		spec.HorizonMS = arch.DefaultHorizonMS
 	}
 	if spec.QueueCap == 0 {
-		spec.QueueCap = 8
+		spec.QueueCap = arch.DefaultQueueCap
 	}
 	spec.Witness = req.Options.Witness
 	spec.ModelHash = hashBytes("arch", req.Model)
@@ -148,38 +147,25 @@ func bindArch(s *Server, spec *jobSpec, model any) (sweep, error) {
 		return nil, err
 	}
 
+	analyze := cs.Analyze
+	if spec.Witness {
+		analyze = cs.AnalyzeTraced
+	}
 	return func(opts core.Options) (any, map[string]string, error) {
-		all, err := cs.Analyze(opts)
+		all, err := analyze(opts)
 		if err != nil {
 			return nil, nil, err
 		}
+		// A witness job's traces come from its one sweep: each is the run
+		// to the first state that attained the requirement's measured bound
+		// (a "> lower" one on a truncated sweep), so a result without a
+		// seen response is the only one without a trace.
 		var traces map[string]string
 		if spec.Witness {
-			// Witness traces reuse the batch verdicts (no re-measurement): one
-			// reachability sweep per requirement, on that requirement compiled
-			// alone, counted like any other exploration. The sweeps honor the
-			// job's context but not its Monitor — final status progress keeps
-			// mirroring the main sweep's stats, not the last witness run's.
-			opts.Monitor = nil
 			traces = make(map[string]string, len(reqs))
 			for i, r := range reqs {
-				s.explorations.Add(1)
-				var trace string
-				one, werr := arch.CompileAll(m.sys, []*arch.Requirement{r}, copts)
-				if werr == nil {
-					trace, werr = one.Witness(0, all.Results[i], opts)
-				}
-				switch {
-				case werr == nil:
-					traces[r.Name] = trace
-				case errors.Is(werr, core.ErrCanceled) || errors.Is(werr, core.ErrDeadlineExceeded):
-					// The job itself was aborted: fail it as usual.
-					return nil, nil, werr
-				default:
-					// The verdicts are computed and valid; an unmaterializable
-					// optional trace (e.g. a truncated witness search) must not
-					// discard them. Surface the reason in the trace slot.
-					traces[r.Name] = "witness unavailable: " + werr.Error()
+				if w := all.Results[i].Witness; w != nil {
+					traces[r.Name] = core.FormatTrace(cs.Net, w)
 				}
 			}
 		}

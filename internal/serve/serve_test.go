@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -362,19 +363,26 @@ func TestHealthzAndMetrics(t *testing.T) {
 }
 
 // TestWitnessTraces covers the arch trace path: submitted with witness, the
-// job captures one critical-instant trace per requirement.
+// job captures one critical-instant trace per requirement from its one
+// exploration, each ending in its observer's seen location with the
+// observer clock's upper bound at the requirement's WCRT.
 func TestWitnessTraces(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	s, ts := testServer(t, Config{})
+	names := []string{"e2e", "first-op"}
 	sr := submit(t, ts.URL, SubmitRequest{
 		Kind: "arch", Model: tinyArchModel(t),
-		Requirements: []string{"e2e"},
+		Requirements: names,
 		Options:      SubmitOptions{HorizonMS: 100, Witness: true},
 	})
 	st := await(t, ts.URL, sr.JobID, time.Minute)
 	if st.State != StateDone {
 		t.Fatalf("job: %s (%s)", st.State, st.Error)
 	}
-	code, body := getBody(t, ts.URL+"/v1/jobs/"+sr.JobID+"/trace?req=e2e")
+	if n := s.Stats().Explorations; n != 1 {
+		t.Errorf("a witness job ran %d explorations, want 1", n)
+	}
+	res := result(t, ts.URL, sr.JobID)
+	code, body := getBody(t, ts.URL+"/v1/jobs/"+sr.JobID+"/trace")
 	if code != http.StatusOK {
 		t.Fatalf("trace: %d: %s", code, body)
 	}
@@ -382,8 +390,13 @@ func TestWitnessTraces(t *testing.T) {
 	if err := json.Unmarshal(body, &traces); err != nil {
 		t.Fatal(err)
 	}
-	if traces["e2e"] == "" {
-		t.Error("missing witness trace for e2e")
+	for i, name := range names {
+		lines := strings.Split(strings.TrimSpace(traces[name]), "\n")
+		last := lines[len(lines)-1]
+		clock := regexp.MustCompile(`obs\.` + regexp.QuoteMeta(name) + `\.y∈\[[0-9]+,` + regexp.QuoteMeta(res.Results[i].MS) + `\]`)
+		if !strings.Contains(last, "OBS_"+name+".seen") || !clock.MatchString(last) {
+			t.Errorf("%s: witness must end seen with its clock at %s ms:\n%s", name, res.Results[i].MS, traces[name])
+		}
 	}
 	// Without witness, the trace endpoint explains itself.
 	sr2 := submit(t, ts.URL, SubmitRequest{
